@@ -42,6 +42,12 @@ use serde::{Deserialize, Serialize};
 /// many times slower than the committed baseline.
 const REGRESSION_FACTOR: f64 = 2.0;
 
+/// The same-run publish gate: a single insert into 2 shards of 6144
+/// may cost at most this many times one into 8 shards of 512. Publishing
+/// a generation copies what the mutation changed, not what the touched
+/// shard stores, so shard size must not show in the cost.
+const PUBLISH_SIZE_RATIO_MAX: f64 = 1.5;
+
 #[derive(Serialize)]
 struct Report {
     schema: &'static str,
@@ -172,7 +178,9 @@ const REFERENCES: [Reference; 27] = [
     Reference {
         name: "service_throughput",
         note: "sharded snapshot search under concurrent insert_batch ingest \
-               (8 shards, 10k-doc base, k=10; ~1160 queries/sec on the reference box)",
+               (8 shards, 10k-doc base, k=10; ~1160 queries/sec on the reference box). \
+               As a write-path pin it is superseded by the same-run comparator \
+               service/insert_8x512 vs service/insert_2x6144, gated on their ratio",
         ns_per_iter: 862_436.0,
     },
     Reference {
@@ -932,6 +940,53 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&durable_dir);
 
+    // Publish cost against shard size, same run: identical single
+    // inserts into 8 shards of 512 and into 2 shards of 6144 (in
+    // memory, manual refit), taking turns so both sides see the same
+    // machine at the same moment. Medians, so the rare insert that
+    // folds a tail into a new flat segment — amortised O(nnz) at any
+    // size — does not decide the comparison.
+    let turns = if quick { 128 } else { 512 };
+    let publish_raws = synthetic_raw_signatures(4096 + 12_288 + turns, 50, ingest_dim, 41);
+    let (small_raws, rest) = publish_raws.split_at(4096);
+    let (large_raws, fresh_raws) = rest.split_at(12_288);
+    let serve = |raws: &[_], shards: usize| {
+        let mut db = SignatureDb::build(raws).unwrap();
+        db.set_refit_policy(RefitPolicy::Manual);
+        SignatureService::from_db(db, shards)
+    };
+    let sides = [serve(small_raws, 8), serve(large_raws, 2)];
+    let mut side_ns = [Vec::with_capacity(turns), Vec::with_capacity(turns)];
+    for r in fresh_raws {
+        for (service, ns) in sides.iter().zip(&mut side_ns) {
+            let start = Instant::now();
+            std::hint::black_box(service.insert(r).unwrap());
+            ns.push(start.elapsed().as_nanos() as f64);
+        }
+    }
+    let [small_ns, large_ns] = side_ns.map(|mut ns| {
+        ns.sort_by(f64::total_cmp);
+        ns[ns.len() / 2]
+    });
+    push(
+        "service/insert_8x512",
+        format!("base=4096 dim={ingest_dim} shards=8 policy=manual median"),
+        turns as u64,
+        small_ns,
+    );
+    push(
+        "service/insert_2x6144",
+        format!("base=12288 dim={ingest_dim} shards=2 policy=manual median"),
+        turns as u64,
+        large_ns,
+    );
+    let publish_ratio = large_ns / small_ns;
+    println!(
+        "   publish vs shard size: {publish_ratio:.2}x (2x6144 over 8x512, \
+         gate {PUBLISH_SIZE_RATIO_MAX}x)"
+    );
+    drop(sides);
+
     // Sharded-service query throughput under concurrent ingest: a
     // background writer streams insert_batch loops (publishing a new
     // snapshot generation per batch) while the measured thread runs
@@ -1018,6 +1073,15 @@ fn main() {
             .unwrap_or_else(|e| panic!("open --summary {path}: {e}"));
         file.write_all(md.as_bytes()).expect("write summary");
         println!("appended step summary to {path}");
+    }
+
+    if publish_ratio > PUBLISH_SIZE_RATIO_MAX {
+        eprintln!(
+            "perf gate FAILED: service/insert_2x6144 costs {publish_ratio:.2}x \
+             service/insert_8x512 (limit {PUBLISH_SIZE_RATIO_MAX}x) — publish cost \
+             grows with shard size"
+        );
+        std::process::exit(1);
     }
 
     if let Some(rows) = comparison {

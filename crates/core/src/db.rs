@@ -259,21 +259,20 @@ impl SignatureDb {
             corpus.push(r.to_term_counts());
         }
         let model = TfIdfModel::fit_with(&corpus, options)?;
-        let mut signatures = Vec::with_capacity(raw.len());
-        let mut index = InvertedIndex::new(dim);
-        for (r, doc) in raw.iter().zip(corpus.iter()) {
-            let vector = model.transform(doc);
-            index.insert(vector.clone())?;
-            signatures.push(Signature {
-                vector,
+        let signatures: Vec<Signature> = raw
+            .iter()
+            .zip(corpus.iter())
+            .map(|(r, doc)| Signature {
+                vector: model.transform(doc),
                 label: r.label.clone(),
                 started_at: r.started_at,
                 ended_at: r.ended_at,
-            });
-        }
-        // Bulk load finished: fold any tail postings into the flat buffer
-        // so queries stream one contiguous region.
-        index.optimize();
+            })
+            .collect();
+        // Bulk load: one pass straight into the compacted layout, so
+        // queries stream one contiguous region.
+        let vectors: Vec<Option<&SparseVec>> = signatures.iter().map(|s| Some(&s.vector)).collect();
+        let index = InvertedIndex::from_slots(dim, &vectors)?;
         let n = signatures.len();
         Ok(SignatureDb {
             model,

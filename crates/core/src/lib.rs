@@ -71,5 +71,5 @@ pub use signature::{RawSignature, Signature};
 pub use userspace::{sample_via_debugfs, DebugfsReader, SymbolMap};
 pub use wal::{
     CheckpointPolicy, DurableDb, DurableLog, DurableOptions, RecoveryReport, SyncPolicy, WalHealth,
-    WalOp,
+    WalOp, WalOpRef,
 };

@@ -16,9 +16,11 @@
 //! * **Immutable snapshots.** After every mutation the writer publishes
 //!   a new [`ShardSnapshot`] — an [`Arc`]'d, never-mutated view holding
 //!   the tf-idf model and the shard pieces of that generation. Shard
-//!   pieces are [`Arc`]-shared across generations; only the pieces a
-//!   mutation touched are re-allocated (copy-on-write via
-//!   [`Arc::make_mut`]).
+//!   pieces are [`Arc`]-shared across generations, and a piece a
+//!   mutation touches is re-allocated only in its *head*: the flat
+//!   posting segment, the tail rows, and the signatures stay shared
+//!   with every generation that holds them, so publishing costs what
+//!   changed, not what is stored.
 //! * **Non-blocking reads.** A search clones the current snapshot `Arc`
 //!   under a momentary read lock (no allocation, no wait on the writer)
 //!   and then runs entirely against that immutable generation: a
@@ -49,12 +51,12 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 use fmeter_ir::{
-    merge_topk, DocId, IrError, SearchHit, SearchScratch, Shard, ShardRouter, SparseVec,
+    merge_topk, DocId, IrError, SearchHit, SearchScratch, Shard, ShardRouter, SharedVec, SparseVec,
     TermCounts, TfIdfModel,
 };
 use parking_lot::{Mutex, RwLock};
 
-use crate::wal::{DurableLog, DurableOptions, RecoveryReport, WalHealth, WalOp};
+use crate::wal::{DurableLog, DurableOptions, RecoveryReport, WalHealth, WalOpRef};
 use crate::{
     persist, FmeterError, RawSignature, Recluster, RefitPolicy, RefitStats, Signature, SignatureDb,
     VacuumPolicy, VacuumStats,
@@ -62,24 +64,28 @@ use crate::{
 
 /// One shard of a published generation: the shard's search structures
 /// plus its slice of the stored signatures, indexed by shard-local id.
+///
+/// Cloning a piece — what the writer does the first time it touches one
+/// a published snapshot still holds — copies pointers and the tombstone
+/// flags, never a posting, a vector, or a label.
 #[derive(Debug, Clone)]
 pub struct ShardPiece {
     shard: Shard,
     /// Signature per local slot; tombstoned locals keep their last
     /// contents (same contract as [`SignatureDb::signatures`]).
-    signatures: Vec<Signature>,
+    signatures: SharedVec<Signature>,
 }
 
 impl ShardPiece {
-    /// The shard's inverted index, WAND bounds, and packed vectors.
+    /// The shard's inverted index and WAND bounds.
     pub fn shard(&self) -> &Shard {
         &self.shard
     }
 
-    /// The shard's signatures, indexed by *local* id (translate global
-    /// ids with the shard's router).
-    pub fn signatures(&self) -> &[Signature] {
-        &self.signatures
+    /// The signature at the shard-*local* slot `local` (translate
+    /// global ids with the shard's router).
+    pub fn signature(&self, local: DocId) -> Option<&Signature> {
+        self.signatures.get(local)
     }
 }
 
@@ -164,9 +170,7 @@ impl ShardSnapshot {
         if doc >= self.num_slots {
             return None;
         }
-        self.pieces[self.router.shard_of(doc)]
-            .signatures
-            .get(self.router.local_of(doc))
+        self.pieces[self.router.shard_of(doc)].signature(self.router.local_of(doc))
     }
 
     /// Transforms raw interval counts with this generation's model.
@@ -219,9 +223,9 @@ impl ShardSnapshot {
 ///
 /// Shard pieces are copy-on-write: a piece still referenced by a
 /// published snapshot is cloned the first time a mutation touches it
-/// after a publish ([`Arc::make_mut`]), which is exactly the "build the
-/// next generation off to the side" cost. Pieces untouched by a
-/// mutation are shared with prior generations for free.
+/// after a publish ([`Arc::make_mut`]) — a shallow clone, see
+/// [`ShardPiece`]. Pieces untouched by a mutation are shared with prior
+/// generations whole.
 #[derive(Debug)]
 pub struct ShardWriter {
     db: SignatureDb,
@@ -293,9 +297,9 @@ impl ShardWriter {
 
     /// Appends `op` to the WAL when durable (before the mutation it
     /// describes is applied — write-ahead).
-    fn wal_append(&mut self, op: impl FnOnce() -> WalOp) {
+    fn wal_append(&mut self, op: WalOpRef<'_>) {
         if let Some(log) = &mut self.durable {
-            log.append(&op());
+            log.append(op);
         }
     }
 
@@ -362,8 +366,8 @@ impl ShardWriter {
     ///
     /// Propagates dimension mismatches.
     pub fn insert(&mut self, raw: &RawSignature) -> Result<DocId, FmeterError> {
-        self.wal_append(|| WalOp::Insert(raw.clone()));
-        let out = self.mutate(|db| db.insert(raw));
+        self.wal_append(WalOpRef::Insert(raw));
+        let out = self.mutate(None, |db| db.insert(raw));
         self.checkpoint_if_due();
         out
     }
@@ -375,8 +379,8 @@ impl ShardWriter {
     /// Returns a dimension mismatch on the first offending signature;
     /// earlier elements of the batch remain inserted.
     pub fn insert_batch(&mut self, raw: &[RawSignature]) -> Result<Vec<DocId>, FmeterError> {
-        self.wal_append(|| WalOp::InsertBatch(raw.to_vec()));
-        let out = self.mutate(|db| db.insert_batch(raw));
+        self.wal_append(WalOpRef::InsertBatch(raw));
+        let out = self.mutate(None, |db| db.insert_batch(raw));
         self.checkpoint_if_due();
         out
     }
@@ -388,8 +392,8 @@ impl ShardWriter {
     /// Returns [`IrError::DocNotLive`] (wrapped) when `doc` was never
     /// assigned or is already removed.
     pub fn remove(&mut self, doc: DocId) -> Result<(), FmeterError> {
-        self.wal_append(|| WalOp::Remove(doc));
-        let out = self.mutate(|db| db.remove(doc));
+        self.wal_append(WalOpRef::Remove(doc));
+        let out = self.mutate(Some(doc), |db| db.remove(doc));
         self.checkpoint_if_due();
         out
     }
@@ -397,8 +401,8 @@ impl ShardWriter {
     /// Republishes idf and re-weights affected signatures (see
     /// [`SignatureDb::refit`]); rebuilds the sharded mirror.
     pub fn refit(&mut self) -> RefitStats {
-        self.wal_append(|| WalOp::Refit);
-        let out = self.mutate(SignatureDb::refit);
+        self.wal_append(WalOpRef::Refit);
+        let out = self.mutate(None, SignatureDb::refit);
         self.checkpoint_if_due();
         out
     }
@@ -406,8 +410,8 @@ impl ShardWriter {
     /// Compacts tombstoned slots, renumbering doc ids (see
     /// [`SignatureDb::vacuum`]); rebuilds the sharded mirror.
     pub fn vacuum(&mut self) -> VacuumStats {
-        self.wal_append(|| WalOp::Vacuum);
-        let out = self.mutate(SignatureDb::vacuum);
+        self.wal_append(WalOpRef::Vacuum);
+        let out = self.mutate(None, SignatureDb::vacuum);
         self.checkpoint_if_due();
         out
     }
@@ -460,81 +464,74 @@ impl ShardWriter {
     /// mutation (refit or vacuum fired, observable through the epoch
     /// and vacuum counters) rebuilds the mirror; anything else is
     /// patched incrementally — appended slots are routed to their
-    /// shards, new tombstones forwarded.
-    fn mutate<R>(&mut self, f: impl FnOnce(&mut SignatureDb) -> R) -> R {
+    /// shards, and the tombstone of `removed` (the slot the mutation
+    /// set out to remove, if any) is forwarded.
+    fn mutate<R>(&mut self, removed: Option<DocId>, f: impl FnOnce(&mut SignatureDb) -> R) -> R {
         let epoch = self.db.epoch();
         let vacuums = self.db.vacuums();
         let out = f(&mut self.db);
         if self.db.epoch() != epoch || self.db.vacuums() != vacuums {
             self.resync();
         } else {
-            self.sync_incremental();
+            self.sync_incremental(removed);
         }
         out
     }
 
     /// Incremental lockstep: route new slots to their shards and
-    /// forward tombstones for slots that died since the last sync.
-    fn sync_incremental(&mut self) {
+    /// forward the tombstone of `removed`, if the mutation did kill it
+    /// (a failed remove leaves both sides as they were).
+    fn sync_incremental(&mut self, removed: Option<DocId>) {
         let slots = self.db.num_slots();
         for d in self.synced_slots..slots {
-            let sig = self.db.signatures()[d].clone();
-            let live = self.db.is_live(d);
+            let sig = &self.db.signatures()[d];
             let piece = Arc::make_mut(&mut self.pieces[self.router.shard_of(d)]);
             piece
                 .shard
                 .insert(d, sig.vector.clone())
                 .expect("sequential global ids route in order");
-            piece.signatures.push(sig);
-            if !live {
-                piece.shard.remove(d).expect("slot was just inserted");
-            }
+            piece.signatures.push(sig.clone());
         }
         self.synced_slots = slots;
-        // Forward tombstones: compare liveness piece-by-piece. The scan
-        // is O(slots) of boolean reads — negligible next to the search
-        // structures it keeps consistent.
-        for d in 0..slots {
-            if !self.db.is_live(d) && self.pieces[self.router.shard_of(d)].shard.is_live(d) {
-                let piece = Arc::make_mut(&mut self.pieces[self.router.shard_of(d)]);
-                piece.shard.remove(d).expect("shard mirrors the database");
+        if let Some(d) = removed {
+            let s = self.router.shard_of(d);
+            if !self.db.is_live(d) && self.pieces[s].shard.is_live(d) {
+                let piece = Arc::make_mut(&mut self.pieces[s]);
+                piece.shard.remove(d).expect("checked live above");
             }
         }
+        debug_assert!(
+            (0..slots).all(
+                |d| self.db.is_live(d) == self.pieces[self.router.shard_of(d)].shard.is_live(d)
+            ),
+            "shard tombstones mirror the database"
+        );
     }
 
     /// Full rebuild of the sharded mirror from the flat database — the
     /// off-to-the-side construction of the next generation after a
-    /// refit (weights changed) or vacuum (ids renumbered). Tombstoned
-    /// slots are mirrored as zero-vector inserts followed by a remove,
-    /// keeping every shard's local id space aligned with the router.
+    /// refit (weights changed) or vacuum (ids renumbered). Each shard's
+    /// posting store is built in one O(nnz) pass from the database's
+    /// exact signature vectors, tombstoned slots included as holes, so
+    /// every shard's local id space stays aligned with the router.
     fn resync(&mut self) {
         let dim = self.db.dim();
         let slots = self.db.num_slots();
-        let mut pieces: Vec<ShardPiece> = (0..self.router.num_shards())
-            .map(|s| ShardPiece {
-                shard: Shard::new(s, self.router, dim),
-                signatures: Vec::new(),
+        let signatures = self.db.signatures();
+        let num_shards = self.router.num_shards();
+        self.pieces = (0..num_shards)
+            .map(|s| {
+                let routed = || (s..slots).step_by(num_shards);
+                let vectors: Vec<Option<&SparseVec>> = routed()
+                    .map(|d| self.db.is_live(d).then(|| &signatures[d].vector))
+                    .collect();
+                Arc::new(ShardPiece {
+                    shard: Shard::from_slots(s, self.router, dim, &vectors)
+                        .expect("stored vectors share the database dimension"),
+                    signatures: routed().map(|d| signatures[d].clone()).collect(),
+                })
             })
             .collect();
-        for d in 0..slots {
-            let sig = self.db.signatures()[d].clone();
-            let live = self.db.is_live(d);
-            let piece = &mut pieces[self.router.shard_of(d)];
-            if live {
-                piece
-                    .shard
-                    .insert(d, sig.vector.clone())
-                    .expect("sequential global ids route in order");
-            } else {
-                piece
-                    .shard
-                    .insert(d, SparseVec::zeros(dim))
-                    .expect("zero placeholder matches the dimension");
-                piece.shard.remove(d).expect("slot was just inserted");
-            }
-            piece.signatures.push(sig);
-        }
-        self.pieces = pieces.into_iter().map(Arc::new).collect();
         self.synced_slots = slots;
     }
 }

@@ -207,26 +207,64 @@ impl WalOp {
     }
 }
 
-// v2 WAL payload layout: a one-byte op tag, then the op's fields. The
-// tag values are on the wire forever — never renumber, only append.
-impl BinCodec for WalOp {
-    fn encode_bin(&self, out: &mut Vec<u8>) {
+/// A borrowed [`WalOp`]: what the write path encodes a record from, so
+/// logging an insert copies no signature. `&WalOp` converts into it.
+#[derive(Debug, Clone, Copy)]
+pub enum WalOpRef<'a> {
+    /// [`WalOp::Insert`].
+    Insert(&'a RawSignature),
+    /// [`WalOp::InsertBatch`].
+    InsertBatch(&'a [RawSignature]),
+    /// [`WalOp::Remove`].
+    Remove(DocId),
+    /// [`WalOp::Refit`].
+    Refit,
+    /// [`WalOp::Vacuum`].
+    Vacuum,
+}
+
+impl<'a> From<&'a WalOp> for WalOpRef<'a> {
+    fn from(op: &'a WalOp) -> Self {
+        match op {
+            WalOp::Insert(raw) => WalOpRef::Insert(raw),
+            WalOp::InsertBatch(raws) => WalOpRef::InsertBatch(raws),
+            WalOp::Remove(doc) => WalOpRef::Remove(*doc),
+            WalOp::Refit => WalOpRef::Refit,
+            WalOp::Vacuum => WalOpRef::Vacuum,
+        }
+    }
+}
+
+impl WalOpRef<'_> {
+    /// v2 WAL payload layout: a one-byte op tag, then the op's fields.
+    /// The tag values are on the wire forever — never renumber, only
+    /// append.
+    fn encode_bin(self, out: &mut Vec<u8>) {
         match self {
-            WalOp::Insert(raw) => {
+            WalOpRef::Insert(raw) => {
                 codec::put_u8(out, 0);
                 raw.encode_bin(out);
             }
-            WalOp::InsertBatch(raws) => {
+            WalOpRef::InsertBatch(raws) => {
                 codec::put_u8(out, 1);
-                raws.encode_bin(out);
+                codec::put_usize(out, raws.len());
+                for raw in raws {
+                    raw.encode_bin(out);
+                }
             }
-            WalOp::Remove(doc) => {
+            WalOpRef::Remove(doc) => {
                 codec::put_u8(out, 2);
-                codec::put_usize(out, *doc);
+                codec::put_usize(out, doc);
             }
-            WalOp::Refit => codec::put_u8(out, 3),
-            WalOp::Vacuum => codec::put_u8(out, 4),
+            WalOpRef::Refit => codec::put_u8(out, 3),
+            WalOpRef::Vacuum => codec::put_u8(out, 4),
         }
+    }
+}
+
+impl BinCodec for WalOp {
+    fn encode_bin(&self, out: &mut Vec<u8>) {
+        WalOpRef::from(self).encode_bin(out);
     }
 
     fn decode_bin(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -329,7 +367,7 @@ impl<W: WalSink + ?Sized> WalSink for Box<W> {
 /// Encodes one framed v2 record into `buf` (clearing it first). The
 /// binary payload is written straight into the frame — no intermediate
 /// allocation — so a writer reusing one buffer appends garbage-free.
-fn encode_record_into(buf: &mut Vec<u8>, seq: u64, op: &WalOp) {
+fn encode_record_into(buf: &mut Vec<u8>, seq: u64, op: WalOpRef<'_>) {
     buf.clear();
     buf.resize(RECORD_HEADER_BYTES, 0);
     op.encode_bin(buf);
@@ -346,7 +384,7 @@ fn encode_record_into(buf: &mut Vec<u8>, seq: u64, op: &WalOp) {
 #[cfg(test)]
 fn encode_record(seq: u64, op: &WalOp) -> Vec<u8> {
     let mut buf = Vec::new();
-    encode_record_into(&mut buf, seq, op);
+    encode_record_into(&mut buf, seq, op.into());
     buf
 }
 
@@ -396,9 +434,9 @@ impl WalWriter {
     /// to the [`SyncPolicy`]. On error the file tail must be considered
     /// torn: the writer's owner should stop using it (replay will stop
     /// at the damage).
-    pub fn append(&mut self, op: &WalOp) -> Result<u64, FmeterError> {
+    pub fn append<'a>(&mut self, op: impl Into<WalOpRef<'a>>) -> Result<u64, FmeterError> {
         let seq = self.next_seq;
-        encode_record_into(&mut self.buf, seq, op);
+        encode_record_into(&mut self.buf, seq, op.into());
         self.sink.write_all(&self.buf)?;
         self.next_seq += 1;
         self.bytes += self.buf.len() as u64;
@@ -874,7 +912,7 @@ impl DurableLog {
     /// Never fails: a write error flips the log into
     /// [`WalHealth::Degraded`] (the op still applies in memory) and
     /// durability is re-established by the next successful checkpoint.
-    pub fn append(&mut self, op: &WalOp) {
+    pub fn append<'a>(&mut self, op: impl Into<WalOpRef<'a>>) {
         self.ops_since_checkpoint += 1;
         match &mut self.wal {
             Some(writer) => {
@@ -1199,7 +1237,7 @@ impl DurableDb {
 
     /// WAL-then-apply [`SignatureDb::insert`].
     pub fn insert(&mut self, raw: &RawSignature) -> Result<DocId, FmeterError> {
-        self.log.append(&WalOp::Insert(raw.clone()));
+        self.log.append(WalOpRef::Insert(raw));
         let out = self.db.insert(raw);
         self.log.maybe_checkpoint(&self.db, 1);
         out
@@ -1207,7 +1245,7 @@ impl DurableDb {
 
     /// WAL-then-apply [`SignatureDb::insert_batch`].
     pub fn insert_batch(&mut self, raw: &[RawSignature]) -> Result<Vec<DocId>, FmeterError> {
-        self.log.append(&WalOp::InsertBatch(raw.to_vec()));
+        self.log.append(WalOpRef::InsertBatch(raw));
         let out = self.db.insert_batch(raw);
         self.log.maybe_checkpoint(&self.db, 1);
         out
@@ -1215,7 +1253,7 @@ impl DurableDb {
 
     /// WAL-then-apply [`SignatureDb::remove`].
     pub fn remove(&mut self, doc: DocId) -> Result<(), FmeterError> {
-        self.log.append(&WalOp::Remove(doc));
+        self.log.append(WalOpRef::Remove(doc));
         let out = self.db.remove(doc);
         self.log.maybe_checkpoint(&self.db, 1);
         out
@@ -1223,7 +1261,7 @@ impl DurableDb {
 
     /// WAL-then-apply [`SignatureDb::refit`].
     pub fn refit(&mut self) -> crate::RefitStats {
-        self.log.append(&WalOp::Refit);
+        self.log.append(WalOpRef::Refit);
         let out = self.db.refit();
         self.log.maybe_checkpoint(&self.db, 1);
         out
@@ -1231,7 +1269,7 @@ impl DurableDb {
 
     /// WAL-then-apply [`SignatureDb::vacuum`].
     pub fn vacuum(&mut self) -> crate::VacuumStats {
-        self.log.append(&WalOp::Vacuum);
+        self.log.append(WalOpRef::Vacuum);
         let out = self.db.vacuum();
         self.log.maybe_checkpoint(&self.db, 1);
         out

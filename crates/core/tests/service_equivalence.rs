@@ -127,6 +127,42 @@ fn assert_search_identical(db: &SignatureDb, service: &SignatureService) {
     }
 }
 
+/// The mirror rebuild ([`SignatureService::refit`] / `vacuum`, and the
+/// initial build) goes through the one-pass posting builder; a fixed
+/// script that crosses every rebuild, with dead slots present at each,
+/// must stay bit-identical to the flat oracle at every shard count the
+/// layouts in use have — including one with more shards than some
+/// classes have documents.
+#[test]
+fn mirror_rebuilds_match_flat_db_at_1_2_3_and_8_shards() {
+    let script = [
+        Op::Insert(vec![35, 31, 22, 9, 0, 0, 2, 0, 0, 0]),
+        Op::Remove(1),
+        Op::Insert(vec![0, 0, 2, 0, 0, 47, 44, 28, 19, 12]),
+        Op::Refit,
+        Op::Remove(5),
+        Op::Insert(vec![9, 9, 9, 9, 9, 9, 9, 9, 9, 9]),
+        Op::Remove(0),
+        Op::Vacuum,
+        Op::Insert(vec![44, 30, 20, 10, 0, 0, 1, 0, 0, 0]),
+        Op::Remove(3),
+        Op::Refit,
+    ];
+    for num_shards in [1usize, 2, 3, 8] {
+        let raws = seed_corpus(4);
+        let mut db = SignatureDb::build(&raws).expect("flat build");
+        db.set_refit_policy(RefitPolicy::Manual);
+        let service = SignatureService::build(&raws, num_shards).expect("service build");
+        service.set_refit_policy(RefitPolicy::Manual).unwrap();
+        for step in 1..=script.len() {
+            apply_ops(&mut db, &service, &script[step - 1..step]);
+            assert_search_identical(&db, &service);
+        }
+        assert_eq!(service.len(), db.len());
+        assert_eq!(service.num_slots(), db.num_slots());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -10,9 +10,10 @@
 //! moment a vacuum or refit holds the writer busy.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fmeter_core::{RawSignature, RefitPolicy, SignatureService, VacuumPolicy};
+use fmeter_core::{RawSignature, RefitPolicy, ShardSnapshot, SignatureService, VacuumPolicy};
 use fmeter_ir::{SearchScratch, TermCounts};
 use fmeter_kernel_sim::Nanos;
 
@@ -276,4 +277,105 @@ fn old_snapshots_survive_concurrent_churn() {
     assert_replay_identical(&frozen, &again);
     assert!(service.generation() > before.generation());
     assert_eq!(service.len(), seed_corpus().len() + 20 * 4);
+}
+
+/// Which of `next`'s pieces differ from `prev`'s after one mutation of
+/// doc `touched`'s shard: asserts every *other* piece is the very same
+/// allocation, the touched one is a new head, and returns whether that
+/// head still shares its predecessor's flat posting segment.
+fn shares_all_but_the_touched_head(
+    prev: &ShardSnapshot,
+    next: &ShardSnapshot,
+    touched: usize,
+) -> bool {
+    let touched = next.router().shard_of(touched);
+    for (s, (a, b)) in prev.pieces().iter().zip(next.pieces()).enumerate() {
+        assert_eq!(
+            Arc::ptr_eq(a, b),
+            s != touched,
+            "shard {s} (touched: {touched})"
+        );
+    }
+    let (a, b) = (&prev.pieces()[touched], &next.pieces()[touched]);
+    a.shard().index().shares_flat_with(b.shard().index())
+}
+
+/// Structural sharing is real — a mutation re-allocates one piece's
+/// head and nothing else, the flat segment changing hands only when a
+/// compaction or purge rewrote it — and invisible: a snapshot held
+/// across every kind of flat replacement (compaction, purge, refit,
+/// vacuum) keeps giving the answers it gave when it was published.
+#[test]
+fn generations_share_what_a_mutation_did_not_touch_and_never_see_the_rest() {
+    let service = SignatureService::build(&seed_corpus(), 4).expect("seed corpus builds");
+    service.set_refit_policy(RefitPolicy::Manual).unwrap();
+    service.set_vacuum_policy(VacuumPolicy::Never).unwrap();
+    let queries = probe_queries();
+    let answers = |snapshot: &ShardSnapshot| -> Vec<Vec<(usize, u64)>> {
+        let mut scratch = SearchScratch::new();
+        queries
+            .iter()
+            .map(|q| {
+                let hits = snapshot.search(q, 8, &mut scratch).expect("search");
+                hits.iter().map(|(d, _, s)| (*d, s.to_bits())).collect()
+            })
+            .collect()
+    };
+    let held = service.snapshot();
+    let at_publish = answers(&held);
+
+    // Inserts: the flat segment is shared until the tail folds in.
+    const INSERTS: usize = 120;
+    let mut prev = held.clone();
+    let mut compactions = 0;
+    for i in 0..INSERTS as u64 {
+        let id = service.insert(&raw(2_000 + i, (i % 3) as usize)).unwrap();
+        let next = service.snapshot();
+        compactions += usize::from(!shares_all_but_the_touched_head(&prev, &next, id));
+        // Stored signatures are shared with the generation before,
+        // never copied.
+        assert!(std::ptr::eq(
+            prev.signature(0).unwrap(),
+            next.signature(0).unwrap()
+        ));
+        prev = next;
+    }
+    assert!(
+        compactions > 0 && compactions * 8 <= INSERTS,
+        "{compactions} of {INSERTS} inserts replaced a flat segment"
+    );
+
+    // Removes: the same, until a purge drops the dead postings.
+    const REMOVES: usize = 80;
+    let mut purges = 0;
+    for doc in 0..REMOVES {
+        service.remove(doc).unwrap();
+        let next = service.snapshot();
+        purges += usize::from(!shares_all_but_the_touched_head(&prev, &next, doc));
+        prev = next;
+    }
+    assert!(
+        purges > 0 && purges * 8 <= REMOVES,
+        "{purges} of {REMOVES} removes replaced a flat segment"
+    );
+
+    // Refit and vacuum rebuild every piece off to the side.
+    service.refit();
+    service.vacuum();
+    let now = service.snapshot();
+    for (a, b) in held.pieces().iter().zip(now.pieces()) {
+        assert!(!Arc::ptr_eq(a, b));
+        assert!(!a.shard().index().shares_flat_with(b.shard().index()));
+    }
+    assert_eq!(now.len(), seed_corpus().len() + INSERTS - REMOVES);
+    assert_eq!(now.num_slots(), now.len(), "vacuumed");
+
+    // The held generation never noticed any of it.
+    assert_eq!(held.len(), seed_corpus().len());
+    assert_eq!(answers(&held), at_publish);
+    for (q, expected) in queries.iter().zip(&at_publish) {
+        let pooled = service.search_snapshot(&held, q, 8).expect("pooled search");
+        let pooled: Vec<(usize, u64)> = pooled.iter().map(|(d, _, s)| (*d, s.to_bits())).collect();
+        assert_eq!(&pooled, expected);
+    }
 }

@@ -1,10 +1,12 @@
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::codec;
-use crate::{DocId, IrError, SparseVec, TermId};
+use crate::{dot_sparse_dense, DocId, IrError, SharedVec, SparseVec, TermId};
 
 /// One result of a similarity search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -42,6 +44,63 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// The `k` best hits seen so far — the one selection every search
+/// strategy feeds, so they agree on ties by construction.
+struct TopK {
+    k: usize,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl TopK {
+    fn new(k: usize) -> Self {
+        TopK {
+            k,
+            heap: BinaryHeap::with_capacity(k + 1),
+        }
+    }
+
+    /// Offers a scored document. A score of exactly zero means "shares
+    /// no signal with the query" — same contract as an untouched doc.
+    fn push(&mut self, doc: DocId, score: f64) {
+        if score == 0.0 {
+            return;
+        }
+        self.heap.push(HeapEntry { score, doc });
+        if self.heap.len() > self.k {
+            self.heap.pop(); // evict the current worst
+        }
+    }
+
+    /// The entry bar for pruning: the k-th best score so far (with
+    /// slack), or no bar at all while the heap is filling.
+    fn threshold(&self) -> f64 {
+        if self.heap.len() == self.k {
+            self.heap.peek().expect("heap is full").score - WAND_SLACK
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
+
+    /// The hits, best first, ties by ascending doc id.
+    fn into_hits(self) -> Vec<SearchHit> {
+        let mut hits: Vec<SearchHit> = self
+            .heap
+            .into_iter()
+            .map(|e| SearchHit {
+                doc: e.doc,
+                score: e.score,
+            })
+            .collect();
+        hits.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(Ordering::Equal)
+                .then(a.doc.cmp(&b.doc))
+        });
+        hits
+    }
+}
+
 /// Reusable scratch state for [`InvertedIndex::search_with`].
 ///
 /// A search accumulates partial scores in a dense per-document buffer; a
@@ -70,6 +129,9 @@ pub struct SearchScratch {
     stamps: Vec<u64>,
     scores: Vec<f64>,
     touched: Vec<DocId>,
+    /// The normalised query scattered over the term space while tail
+    /// rows are scored; all zeros between queries.
+    qdense: Vec<f64>,
     /// WAND per-query-term cursors, reused across queries.
     cursors: Vec<WandCursor>,
     /// Cursor indices that contributed to the current candidate.
@@ -80,9 +142,9 @@ pub struct SearchScratch {
     prefix_bounds: Vec<f64>,
 }
 
-/// One query term's read position over its posting list during a WAND
-/// search. Plain data (term id + position), so the scratch can own it
-/// without borrowing the index.
+/// One query term's read position over its flat posting list during a
+/// WAND search. Plain data (term id + position), so the scratch can own
+/// it without borrowing the index.
 #[derive(Debug, Clone, Copy, Default)]
 struct WandCursor {
     term: TermId,
@@ -91,18 +153,16 @@ struct WandCursor {
     /// Upper bound on this term's score contribution for any document:
     /// `|qw| * max_impact[term]`.
     bound: f64,
-    /// Position across the concatenated flat + tail postings.
+    /// Position within the term's flat postings.
     pos: usize,
-    /// Total postings under the term.
+    /// Flat postings under the term.
     len: usize,
     /// Doc id at `pos`, cached so candidate selection never touches the
     /// postings buffers (`u32::MAX` once exhausted).
     doc: u32,
-    /// Start of the term's flat postings in the index buffers, cached so
-    /// an advance is two direct array reads instead of slice rebuilds.
+    /// Start of the term's flat postings in the segment buffers, cached
+    /// so an advance is two direct array reads instead of slice rebuilds.
     flat_lo: usize,
-    /// Length of the term's flat postings (`pos >= flat_len` ⇒ tail).
-    flat_len: usize,
     /// The most a *block*-level bound can undercut `bound` anywhere in
     /// the list: `bound - |qw| * min(block maxima)`, clamped to zero.
     /// Lets block-max search prove — from the cursor alone — that
@@ -125,9 +185,9 @@ const WAND_SLACK: f64 = 1e-9;
 
 /// How the flat (compacted) posting weights are stored.
 ///
-/// Tail postings — inserts since the last compaction — always keep exact
-/// `f64` weights; the mode governs only the flat buffer, which holds the
-/// bulk of a compacted index.
+/// Tail rows — inserts since the last compaction — always keep exact
+/// `f64` weights; the mode governs only the flat segment, which holds
+/// the bulk of a compacted index.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum QuantizationMode {
     /// Exact IEEE-754 `f64` weights. Every search path is bit-identical
@@ -216,14 +276,24 @@ impl SearchScratch {
 ///
 /// # Storage layout
 ///
-/// Postings live in one flat CSR-style buffer — `offsets[t]..offsets[t+1]`
+/// Postings live in one flat CSR-style *segment* — `offsets[t]..offsets[t+1]`
 /// delimits term `t`'s `(docs, weights)` parallel arrays — so a query's
 /// accumulation streams contiguous memory with u32 doc ids (12 bytes per
-/// posting instead of a pointer-chased 16). Fresh inserts land in small
-/// per-term tail lists and are folded into the flat buffer by geometric
-/// compaction, keeping `insert` amortised O(nnz).
+/// posting instead of a pointer-chased 16). The segment is write-once:
+/// every rewrite (compaction, purge, rebuild, renumbering, a
+/// quantization switch) builds a new one, so clones of the index share
+/// it by reference count. Fresh inserts land in a short *tail* of
+/// doc-major rows — each document's normalised vector, shared by clones
+/// as well — that geometric compaction folds into the next segment,
+/// keeping `insert` amortised O(nnz). What a clone copies is the
+/// tombstone flags and one pointer per 64 tail rows.
 ///
-/// The flat buffer is additionally carved into fixed-size *blocks* of
+/// Tail documents all carry ids above the segment's, and are scored
+/// doc-at-a-time straight into the top-k heap: summing a row in
+/// ascending term order is the addition sequence the term-at-a-time
+/// accumulation performs for that document, so scores agree bit for bit.
+///
+/// The segment is additionally carved into fixed-size *blocks* of
 /// [`BLOCK_SIZE`](Self::BLOCK_SIZE) postings (per term, so a block never
 /// spans terms), each carrying the max `|weight|` of its postings. These
 /// shallow bounds let [`search_block_max`](Self::search_block_max) skip
@@ -233,24 +303,14 @@ impl SearchScratch {
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
     dim: usize,
-    /// Flat compacted postings: term `t` owns `docs[offsets[t]..offsets[t+1]]`.
-    offsets: Vec<usize>,
-    docs: Vec<u32>,
-    /// Flat weights in [`QuantizationMode::Off`]; empty in `Int8` mode
-    /// (the weights live in `qweights` instead).
-    weights: Vec<f64>,
-    /// Per-term postings inserted since the last compaction.
-    tail: Vec<PostingList>,
+    /// The compacted postings. Replaced, never written in place.
+    flat: Arc<FlatPostings>,
+    /// Normalised vectors of the documents inserted since the last flat
+    /// rewrite: row `i` is doc `num_docs - tail.len() + i`.
+    tail: SharedVec<SparseVec>,
     /// Total postings in `tail` (compaction trigger).
     tail_len: usize,
     num_docs: usize,
-    /// Per-term max-impact bound: the largest `|weight|` stored under the
-    /// term across flat and tail postings, maintained through `insert`
-    /// and compaction. `|qw| * max_impact[t]` bounds term `t`'s score
-    /// contribution for any document — the WAND pruning invariant.
-    /// Removals can leave it loose (still a sound upper bound) until the
-    /// next [`purge`](Self::purge) recomputes it exactly.
-    max_impact: Vec<f64>,
     /// Tombstones: `removed[d]` marks doc `d` as deleted. Doc ids are
     /// never reused; searches skip tombstoned docs and purging eventually
     /// drops their postings.
@@ -260,29 +320,50 @@ pub struct InvertedIndex {
     /// Tombstoned docs whose postings still sit in the buffers (purge
     /// trigger).
     dead_unpurged: usize,
-    /// Storage mode of the flat weights (tails are always exact `f64`).
+}
+
+/// The write-once flat posting segment with everything derived from it.
+#[derive(Debug, Default)]
+struct FlatPostings {
+    /// Storage mode of `weights`/`qweights`.
     quantization: QuantizationMode,
-    /// Quantized flat weights, parallel to `docs` (`Int8` mode only;
-    /// empty in `Off` mode).
+    /// Term `t` owns `docs[offsets[t]..offsets[t+1]]`.
+    offsets: Vec<usize>,
+    docs: Vec<u32>,
+    /// Weights in [`QuantizationMode::Off`]; empty in `Int8` mode (the
+    /// weights live in `qweights` instead).
+    weights: Vec<f64>,
+    /// Quantized weights, parallel to `docs` (`Int8` mode only).
     qweights: Vec<u8>,
     /// Per-term quantization step (`Int8` mode only, else empty).
     scale: Vec<f64>,
-    /// Per-term quantization origin — the smallest flat weight under the
+    /// Per-term quantization origin — the smallest weight under the
     /// term (`Int8` mode only, else empty).
     qoffset: Vec<f64>,
     /// Per-term prefix into `block_max`: term `t` owns blocks
     /// `block_starts[t]..block_starts[t + 1]`, one per
-    /// [`BLOCK_SIZE`](Self::BLOCK_SIZE) flat postings (the last block may
-    /// be shorter). Rebuilt on every flat rewrite, so it always equals a
-    /// recompute from the buffers.
+    /// [`BLOCK_SIZE`](InvertedIndex::BLOCK_SIZE) postings (the last
+    /// block may be shorter).
     block_starts: Vec<usize>,
-    /// Per-block max `|weight|` over the block's *stored* flat postings
+    /// Per-block max `|weight|` over the block's *stored* postings
     /// (dequantized values in `Int8` mode) — the shallow bound
-    /// [`search_block_max`](Self::search_block_max) skips with.
+    /// [`search_block_max`](InvertedIndex::search_block_max) skips with.
     block_max: Vec<f64>,
+    /// Per-term max `|stored weight|`: `|qw| * max_impact[t]` bounds
+    /// term `t`'s score contribution for any document in the segment —
+    /// the WAND pruning invariant. Tombstoned docs' postings count until
+    /// the next purge, which only leaves the bound loose, never unsound.
+    max_impact: Vec<f64>,
 }
 
-/// One term's not-yet-compacted postings, as parallel arrays.
+/// One document handed to a flat rewrite: its doc id, its vector, and
+/// the factor that turns the vector's values into stored weights
+/// ([`SparseVec::l2_unit_factor`] for a fresh vector; 1 for a tail row,
+/// which is normalised already — `x * 1.0` is `x` bit for bit).
+type Row<'a> = (u32, &'a SparseVec, f64);
+
+/// One term's not-yet-compacted postings as parallel arrays — the wire
+/// shape of the tail in every format version.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct PostingList {
     docs: Vec<u32>,
@@ -299,6 +380,355 @@ fn quantize(w: f64, scale: f64, offset: f64) -> u8 {
     ((w - offset) / scale).round().clamp(0.0, 255.0) as u8
 }
 
+impl FlatPostings {
+    /// A fully compacted, blocked segment over `rows` (ascending doc
+    /// ids) and nothing else.
+    fn build(dim: usize, quantization: QuantizationMode, rows: &[Row<'_>]) -> Self {
+        Self::install(quantization, vec![0; dim + 1], Vec::new(), Vec::new())
+            .rewrite(|_| None, rows)
+    }
+
+    /// Seals a rewritten posting stream (exact `f64` weights) under
+    /// `quantization`: fits the per-term quantization grids (`Int8`) and
+    /// derives the block maxima and per-term bounds from the *stored*
+    /// values.
+    ///
+    /// Every flat rewrite funnels through here, so the block metadata
+    /// always equals a recompute from the buffers — the invariant the
+    /// codec round-trip suite pins bitwise.
+    fn install(
+        quantization: QuantizationMode,
+        offsets: Vec<usize>,
+        docs: Vec<u32>,
+        weights: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(docs.len(), weights.len());
+        let mut flat = FlatPostings {
+            quantization,
+            offsets,
+            docs,
+            ..FlatPostings::default()
+        };
+        match quantization {
+            QuantizationMode::Off => flat.weights = weights,
+            QuantizationMode::Int8 => {
+                let dim = flat.offsets.len() - 1;
+                flat.scale = vec![0.0; dim];
+                flat.qoffset = vec![0.0; dim];
+                flat.qweights = Vec::with_capacity(weights.len());
+                for t in 0..dim {
+                    let (lo, hi) = (flat.offsets[t], flat.offsets[t + 1]);
+                    if lo == hi {
+                        continue;
+                    }
+                    // Per-term linear grid: origin at the smallest weight,
+                    // 255 steps to the largest. The extremes quantize
+                    // exactly (codes 0 and 255), everything else rounds to
+                    // the nearest step — error at most `scale / 2`.
+                    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+                    for &w in &weights[lo..hi] {
+                        min = min.min(w);
+                        max = max.max(w);
+                    }
+                    let scale = (max - min) / 255.0;
+                    flat.qoffset[t] = min;
+                    flat.scale[t] = scale;
+                    for &w in &weights[lo..hi] {
+                        flat.qweights.push(quantize(w, scale, min));
+                    }
+                }
+            }
+        }
+        flat.finish()
+    }
+
+    /// Derives `block_starts`/`block_max` and `max_impact` from the
+    /// stored buffers: one block per
+    /// [`BLOCK_SIZE`](InvertedIndex::BLOCK_SIZE) postings within each
+    /// term's range, each holding the max `|stored weight|` of its
+    /// postings, and per term the max over its blocks.
+    fn finish(mut self) -> Self {
+        const BLOCK: usize = InvertedIndex::BLOCK_SIZE;
+        let dim = self.offsets.len() - 1;
+        let mut starts = Vec::with_capacity(dim + 1);
+        starts.push(0usize);
+        let mut maxima = Vec::with_capacity(self.docs.len().div_ceil(BLOCK));
+        let mut max_impact = Vec::with_capacity(dim);
+        for t in 0..dim {
+            let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
+            let first = maxima.len();
+            match self.quantization {
+                QuantizationMode::Off => {
+                    maxima.extend(
+                        self.weights[lo..hi]
+                            .chunks(BLOCK)
+                            .map(|block| block.iter().fold(0.0f64, |m, w| m.max(w.abs()))),
+                    );
+                }
+                QuantizationMode::Int8 => {
+                    let (sc, o) = (self.scale[t], self.qoffset[t]);
+                    maxima.extend(self.qweights[lo..hi].chunks(BLOCK).map(|block| {
+                        block
+                            .iter()
+                            .fold(0.0f64, |m, &q| m.max((o + sc * f64::from(q)).abs()))
+                    }));
+                }
+            }
+            max_impact.push(maxima[first..].iter().fold(0.0f64, |m, &b| m.max(b)));
+            starts.push(maxima.len());
+        }
+        self.block_starts = starts;
+        self.block_max = maxima;
+        self.max_impact = max_impact;
+        self
+    }
+
+    fn dim(&self) -> usize {
+        self.max_impact.len()
+    }
+
+    /// Number of postings under term `t`.
+    fn term_len(&self, t: usize) -> usize {
+        self.offsets[t + 1] - self.offsets[t]
+    }
+
+    /// The stored weight at position `i` under `term` (dequantized in
+    /// `Int8` mode).
+    #[cfg(test)]
+    fn weight(&self, term: usize, i: usize) -> f64 {
+        match self.quantization {
+            QuantizationMode::Off => self.weights[i],
+            QuantizationMode::Int8 => {
+                self.qoffset[term] + self.scale[term] * f64::from(self.qweights[i])
+            }
+        }
+    }
+
+    /// Streams term `t`'s postings (stored weights, dequantized in
+    /// `Int8` mode) to `f(doc, weight)`. The mode branch is taken once
+    /// per term, not per posting, so the `Off` path stays the tight
+    /// two-slice zip it always was.
+    #[inline]
+    fn for_each_posting(&self, t: usize, mut f: impl FnMut(u32, f64)) {
+        let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
+        match self.quantization {
+            QuantizationMode::Off => {
+                for (&d, &w) in self.docs[lo..hi].iter().zip(&self.weights[lo..hi]) {
+                    f(d, w);
+                }
+            }
+            QuantizationMode::Int8 => {
+                let (s, o) = (self.scale[t], self.qoffset[t]);
+                for (&d, &q) in self.docs[lo..hi].iter().zip(&self.qweights[lo..hi]) {
+                    f(d, o + s * f64::from(q));
+                }
+            }
+        }
+    }
+
+    /// The stored weights as exact `f64`s, parallel to `docs` (the grid
+    /// values in `Int8` mode).
+    fn exact_weights(&self) -> Cow<'_, [f64]> {
+        match self.quantization {
+            QuantizationMode::Off => Cow::Borrowed(&self.weights),
+            QuantizationMode::Int8 => {
+                let mut out = Vec::with_capacity(self.docs.len());
+                for t in 0..self.dim() {
+                    self.for_each_posting(t, |_, w| out.push(w));
+                }
+                Cow::Owned(out)
+            }
+        }
+    }
+
+    /// Transposes this segment's surviving postings plus `rows` into one
+    /// term-major posting stream, in two passes: count per term, prefix
+    /// the counts into offsets, then fill each term's range in place.
+    /// A stored posting survives when `keep` maps its doc to
+    /// `Some(new id)` (`keep` must be monotone over the survivors);
+    /// `rows` must ascend by doc id and sit above every surviving id, so
+    /// each term's range comes out sorted. Returns `(offsets, docs,
+    /// weights)`.
+    fn transpose(
+        &self,
+        keep: impl Fn(u32) -> Option<u32>,
+        rows: &[Row<'_>],
+    ) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+        let dim = self.dim();
+        let mut offsets = vec![0usize; dim + 1];
+        for t in 0..dim {
+            let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
+            offsets[t + 1] = self.docs[lo..hi]
+                .iter()
+                .filter(|&&d| keep(d).is_some())
+                .count();
+        }
+        // A zero factor is `l2_normalized` meeting an infinite norm: the
+        // vector indexes nothing.
+        let rows = || rows.iter().filter(|row| row.2 != 0.0);
+        for (_, vector, _) in rows() {
+            for &t in vector.terms() {
+                offsets[t as usize + 1] += 1;
+            }
+        }
+        for t in 0..dim {
+            offsets[t + 1] += offsets[t];
+        }
+        let mut docs = vec![0u32; offsets[dim]];
+        let mut weights = vec![0.0f64; offsets[dim]];
+        // `next[t]` is where term `t`'s next posting goes.
+        let mut next = offsets[..dim].to_vec();
+        for (t, at) in next.iter_mut().enumerate() {
+            self.for_each_posting(t, |d, w| {
+                if let Some(new) = keep(d) {
+                    docs[*at] = new;
+                    weights[*at] = w;
+                    *at += 1;
+                }
+            });
+        }
+        for &(doc, vector, factor) in rows() {
+            for (t, x) in vector.iter() {
+                let at = &mut next[t as usize];
+                docs[*at] = doc;
+                weights[*at] = x * factor;
+                *at += 1;
+            }
+        }
+        (offsets, docs, weights)
+    }
+
+    /// The next segment: [`transpose`](Self::transpose), sealed under
+    /// this segment's quantization mode.
+    fn rewrite(&self, keep: impl Fn(u32) -> Option<u32>, rows: &[Row<'_>]) -> Self {
+        let (offsets, docs, weights) = self.transpose(keep, rows);
+        Self::install(self.quantization, offsets, docs, weights)
+    }
+
+    /// Opens a cursor on `term`'s postings for normalised query weight
+    /// `qw`; `None` when the term has no postings. `refine` is filled in
+    /// on request only — it costs a scan of the term's block maxima.
+    fn cursor(&self, term: TermId, qw: f64, with_refine: bool) -> Option<WandCursor> {
+        let t = term as usize;
+        let (flat_lo, len) = (self.offsets[t], self.term_len(t));
+        if len == 0 {
+            return None;
+        }
+        let int8 = self.quantization == QuantizationMode::Int8;
+        let mut cursor = WandCursor {
+            term,
+            qw,
+            bound: qw.abs() * self.max_impact[t],
+            pos: 0,
+            len,
+            doc: self.docs[flat_lo],
+            flat_lo,
+            refine: 0.0,
+            dq_scale: if int8 { self.scale[t] } else { 0.0 },
+            dq_off: if int8 { self.qoffset[t] } else { 0.0 },
+        };
+        if with_refine {
+            // How much tighter this term's *block* maxima can get than
+            // its term bound, at best. One contiguous scan per query
+            // term; per pivot it makes "would the block metadata even
+            // matter?" a cursor-local question.
+            let min_bm = self.block_max[self.block_starts[t]..self.block_starts[t + 1]]
+                .iter()
+                .copied()
+                .fold(f64::INFINITY, f64::min);
+            cursor.refine = (cursor.bound - qw.abs() * min_bm).max(0.0);
+        }
+        Some(cursor)
+    }
+
+    /// Returns the posting weight under a live cursor and steps it to the
+    /// next posting, refreshing the cached doc id — two direct array
+    /// reads.
+    #[inline]
+    fn advance(&self, c: &mut WandCursor) -> f64 {
+        // Same expression as `weight`, with the per-term scale/offset
+        // loads hoisted into the cursor at setup.
+        let w = match self.quantization {
+            QuantizationMode::Off => self.weights[c.flat_lo + c.pos],
+            QuantizationMode::Int8 => {
+                c.dq_off + c.dq_scale * f64::from(self.qweights[c.flat_lo + c.pos])
+            }
+        };
+        c.pos += 1;
+        c.doc = if c.pos < c.len {
+            self.docs[c.flat_lo + c.pos]
+        } else {
+            u32::MAX
+        };
+        w
+    }
+
+    /// The shallow bound of a live cursor's position: its score
+    /// contribution bound within the current *block*, and the last doc
+    /// id that bound covers.
+    #[inline]
+    fn block(&self, c: &WandCursor) -> (f64, u32) {
+        const BLOCK: usize = InvertedIndex::BLOCK_SIZE;
+        let b = c.pos / BLOCK;
+        let bound = c.qw.abs() * self.block_max[self.block_starts[c.term as usize] + b];
+        let last = ((b + 1) * BLOCK).min(c.len) - 1;
+        (bound, self.docs[c.flat_lo + last])
+    }
+
+    /// Advances a live cursor to the first posting with doc id
+    /// `>= target` (possibly past the end). The seek is block-aligned:
+    /// the block-boundary doc ids locate the target block — checking the
+    /// cursor's current and next block first, since consecutive pivots
+    /// usually land a step or two ahead, before binary-searching the
+    /// remaining blocks — then a short gallop plus binary search inside
+    /// that one block finds the posting. Same result as binary-searching
+    /// the whole remaining range, but the block phase touches one doc id
+    /// per block and the near-miss fast path touches only a handful.
+    fn seek(&self, c: &mut WandCursor, target: u32) {
+        const BLOCK: usize = InvertedIndex::BLOCK_SIZE;
+        let flat = &self.docs[c.flat_lo..c.flat_lo + c.len];
+        let nblocks = c.len.div_ceil(BLOCK);
+        let block_last = |b: usize| flat[((b + 1) * BLOCK).min(c.len) - 1];
+        // First block (at or after the cursor's) whose last doc id
+        // reaches the target.
+        let mut lo_b = c.pos / BLOCK;
+        if block_last(lo_b) < target {
+            lo_b += 1;
+            if lo_b < nblocks && block_last(lo_b) < target {
+                let mut hi_b = nblocks;
+                lo_b += 1;
+                while lo_b < hi_b {
+                    let mid = lo_b + (hi_b - lo_b) / 2;
+                    if block_last(mid) < target {
+                        lo_b = mid + 1;
+                    } else {
+                        hi_b = mid;
+                    }
+                }
+            }
+        }
+        if lo_b >= nblocks {
+            c.pos = c.len;
+            c.doc = u32::MAX;
+            return;
+        }
+        let start = (lo_b * BLOCK).max(c.pos);
+        let end = ((lo_b + 1) * BLOCK).min(c.len);
+        // The block's last doc is >= target, so the hit is inside.
+        // Gallop from the start: a seek that stays in the cursor's own
+        // block is usually only a few postings ahead.
+        let mut p = start;
+        let mut step = 1;
+        while p + step < end && flat[p + step] < target {
+            p += step;
+            step <<= 1;
+        }
+        let hi = (p + step + 1).min(end);
+        c.pos = p + flat[p..hi].partition_point(|&d| d < target);
+        c.doc = flat[c.pos];
+    }
+}
+
 impl InvertedIndex {
     /// Number of flat postings per block-max block. Blocks never span
     /// terms: term `t`'s flat range is carved into `ceil(len / 128)`
@@ -311,23 +741,45 @@ impl InvertedIndex {
     pub fn new(dim: usize) -> Self {
         InvertedIndex {
             dim,
-            offsets: vec![0; dim + 1],
-            docs: Vec::new(),
-            weights: Vec::new(),
-            tail: vec![PostingList::default(); dim],
-            tail_len: 0,
-            num_docs: 0,
-            max_impact: vec![0.0; dim],
-            removed: Vec::new(),
-            num_removed: 0,
-            dead_unpurged: 0,
-            quantization: QuantizationMode::Off,
-            qweights: Vec::new(),
-            scale: Vec::new(),
-            qoffset: Vec::new(),
-            block_starts: vec![0; dim + 1],
-            block_max: Vec::new(),
+            flat: Arc::new(FlatPostings::build(dim, QuantizationMode::Off, &[])),
+            ..InvertedIndex::default()
         }
+    }
+
+    /// Builds a fully compacted index in one pass over the doc-id space
+    /// `0..slots.len()`: slot `d` is the live doc `d`'s vector, or
+    /// `None` for a tombstoned slot (which indexes nothing).
+    ///
+    /// Vectors are L2-normalised exactly as [`insert`](Self::insert)
+    /// does, so the result equals — buffer for buffer, bit for bit — an
+    /// index that inserted a vector per slot, removed the `None` slots,
+    /// and was then [`optimize`](Self::optimize)d; it just skips the
+    /// per-document appends and the log N recompactions on the way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::DimensionMismatch`] when a vector's dimension
+    /// differs from `dim`.
+    pub fn from_slots(dim: usize, slots: &[Option<&SparseVec>]) -> Result<Self, IrError> {
+        debug_assert!(
+            slots.len() <= u32::MAX as usize,
+            "doc ids are stored as u32"
+        );
+        let mut rows = Vec::with_capacity(slots.len());
+        for (doc, slot) in slots.iter().enumerate() {
+            if let Some(vector) = slot {
+                rows.push(unit_row(dim, doc, vector)?);
+            }
+        }
+        let removed: Vec<bool> = slots.iter().map(Option::is_none).collect();
+        Ok(InvertedIndex {
+            dim,
+            flat: Arc::new(FlatPostings::build(dim, QuantizationMode::Off, &rows)),
+            num_docs: slots.len(),
+            num_removed: slots.len() - rows.len(),
+            removed,
+            ..InvertedIndex::default()
+        })
     }
 
     /// Inserts a signature vector, returning its assigned [`DocId`].
@@ -340,27 +792,17 @@ impl InvertedIndex {
     /// Returns [`IrError::DimensionMismatch`] when the vector dimension
     /// differs from the index dimension.
     pub fn insert(&mut self, vector: SparseVec) -> Result<DocId, IrError> {
-        if vector.dim() != self.dim {
-            return Err(IrError::DimensionMismatch {
-                left: self.dim,
-                right: vector.dim(),
-            });
-        }
+        check_dim(self.dim, &vector)?;
         let id = self.num_docs;
         debug_assert!(id <= u32::MAX as usize, "doc ids are stored as u32");
-        for (t, w) in vector.l2_normalized().iter() {
-            let list = &mut self.tail[t as usize];
-            list.docs.push(id as u32);
-            list.weights.push(w);
-            let impact = &mut self.max_impact[t as usize];
-            *impact = impact.max(w.abs());
-        }
-        self.tail_len += vector.nnz();
+        let row = vector.l2_normalized();
+        self.tail_len += row.nnz();
+        self.tail.push(row);
         self.num_docs += 1;
         self.removed.push(false);
         // Geometric trigger: fold the tail in once it reaches a quarter of
-        // the flat buffer, so total compaction work stays O(N) amortised.
-        if self.tail_len * 4 >= self.docs.len() + 256 {
+        // the flat segment, so total compaction work stays O(N) amortised.
+        if self.tail_len * 4 >= self.flat.docs.len() + 256 {
             self.compact();
         }
         Ok(id)
@@ -407,47 +849,46 @@ impl InvertedIndex {
         self.num_removed
     }
 
-    /// Rewrites every posting buffer, dropping tombstoned docs' postings
-    /// and recomputing the per-term max-impact bounds exactly over the
-    /// survivors (removal alone can only leave the bounds loose).
-    fn purge(&mut self) {
-        let total = self.docs.len() + self.tail_len;
-        let mut offsets = Vec::with_capacity(self.dim + 1);
-        let mut docs = Vec::with_capacity(total);
-        let mut weights = Vec::with_capacity(total);
-        offsets.push(0);
-        for t in 0..self.dim {
-            let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-            for i in lo..hi {
-                let d = self.docs[i];
-                if !self.removed[d as usize] {
-                    docs.push(d);
-                    weights.push(self.flat_weight(t, i));
-                }
-            }
-            let list = &mut self.tail[t];
-            for (&d, &w) in list.docs.iter().zip(&list.weights) {
-                if !self.removed[d as usize] {
-                    docs.push(d);
-                    weights.push(w);
-                }
-            }
-            list.docs.clear();
-            list.weights.clear();
-            offsets.push(docs.len());
-        }
-        self.tail_len = 0;
-        self.dead_unpurged = 0;
-        self.install_flat(offsets, docs, weights);
+    /// The tail documents as `(doc id, normalised row)`. The first one's
+    /// id is `num_docs - tail.len()`: every flat posting sits below it.
+    fn tail_rows(&self) -> impl Iterator<Item = (usize, &SparseVec)> + '_ {
+        (self.num_docs - self.tail.len()..).zip(self.tail.iter())
     }
 
-    /// Fully compacts the postings into the flat buffer.
+    /// The next flat segment: every stored posting — flat, then tail —
+    /// whose doc `keep` maps to `Some(new id)`. One O(nnz) pass of moves;
+    /// no weight is recomputed.
+    fn rewritten(&self, keep: impl Fn(u32) -> Option<u32>) -> FlatPostings {
+        let rows: Vec<Row<'_>> = self
+            .tail_rows()
+            .filter_map(|(doc, row)| keep(doc as u32).map(|new| (new, row, 1.0)))
+            .collect();
+        self.flat.rewrite(&keep, &rows)
+    }
+
+    /// Swaps in a flat segment that absorbed the tail.
+    fn seal(&mut self, flat: FlatPostings) {
+        self.flat = Arc::new(flat);
+        self.tail.clear();
+        self.tail_len = 0;
+    }
+
+    /// Rewrites the flat segment without the tombstoned docs' postings,
+    /// which also recomputes the per-term max-impact bounds exactly over
+    /// the survivors (removal alone can only leave the bounds loose).
+    fn purge(&mut self) {
+        let flat = self.rewritten(|d| (!self.removed[d as usize]).then_some(d));
+        self.seal(flat);
+        self.dead_unpurged = 0;
+    }
+
+    /// Fully compacts the postings into the flat segment.
     ///
     /// Inserts self-compact geometrically, but up to a quarter of the
-    /// postings may sit in per-term tail lists at any moment. Call this
-    /// once after bulk-loading a corpus so every query streams a single
-    /// contiguous buffer. When tombstones are present their postings are
-    /// purged and the max-impact bounds tightened in the same rewrite.
+    /// postings may sit in tail rows at any moment. Call this once after
+    /// bulk-loading a corpus so every query streams a single contiguous
+    /// buffer. When tombstones are present their postings are purged and
+    /// the max-impact bounds tightened in the same rewrite.
     pub fn optimize(&mut self) {
         if self.dead_unpurged > 0 {
             self.purge();
@@ -456,33 +897,12 @@ impl InvertedIndex {
         }
     }
 
-    /// Folds the per-term tails into the flat postings buffer.
+    /// Folds the tail rows into the flat segment.
     fn compact(&mut self) {
-        if self.tail_len == 0 {
-            return;
+        if !self.tail.is_empty() {
+            let flat = self.rewritten(Some);
+            self.seal(flat);
         }
-        let total = self.docs.len() + self.tail_len;
-        let mut offsets = Vec::with_capacity(self.dim + 1);
-        let mut docs = Vec::with_capacity(total);
-        let mut weights = Vec::with_capacity(total);
-        offsets.push(0);
-        for t in 0..self.dim {
-            let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-            docs.extend_from_slice(&self.docs[lo..hi]);
-            match self.quantization {
-                QuantizationMode::Off => weights.extend_from_slice(&self.weights[lo..hi]),
-                QuantizationMode::Int8 => {
-                    let (s, o) = (self.scale[t], self.qoffset[t]);
-                    weights.extend(self.qweights[lo..hi].iter().map(|&q| o + s * f64::from(q)));
-                }
-            }
-            let list = &mut self.tail[t];
-            docs.append(&mut list.docs);
-            weights.append(&mut list.weights);
-            offsets.push(docs.len());
-        }
-        self.tail_len = 0;
-        self.install_flat(offsets, docs, weights);
     }
 
     /// Replaces every posting with the given live vectors in one pass —
@@ -508,39 +928,15 @@ impl InvertedIndex {
     where
         I: IntoIterator<Item = (DocId, &'a SparseVec)>,
     {
-        let mut lists: Vec<PostingList> = vec![PostingList::default(); self.dim];
-        let mut prev: Option<DocId> = None;
+        let mut rows: Vec<Row<'a>> = Vec::new();
         for (doc, vector) in live {
-            if !self.is_live(doc) || prev.is_some_and(|p| p >= doc) {
+            if !self.is_live(doc) || rows.last().is_some_and(|&(p, ..)| p as usize >= doc) {
                 return Err(IrError::DocNotLive(doc));
             }
-            if vector.dim() != self.dim {
-                return Err(IrError::DimensionMismatch {
-                    left: self.dim,
-                    right: vector.dim(),
-                });
-            }
-            prev = Some(doc);
-            for (t, w) in vector.l2_normalized().iter() {
-                let list = &mut lists[t as usize];
-                list.docs.push(doc as u32);
-                list.weights.push(w);
-            }
+            rows.push(unit_row(self.dim, doc, vector)?);
         }
-        let total: usize = lists.iter().map(|l| l.docs.len()).sum();
-        let mut offsets = Vec::with_capacity(self.dim + 1);
-        let mut docs = Vec::with_capacity(total);
-        let mut weights = Vec::with_capacity(total);
-        offsets.push(0);
-        for list in &mut lists {
-            docs.append(&mut list.docs);
-            weights.append(&mut list.weights);
-            offsets.push(docs.len());
-        }
-        self.tail = lists;
-        self.tail_len = 0;
+        self.seal(FlatPostings::build(self.dim, self.flat.quantization, &rows));
         self.dead_unpurged = 0;
-        self.install_flat(offsets, docs, weights);
         Ok(())
     }
 
@@ -552,7 +948,7 @@ impl InvertedIndex {
     /// renumbered index is bit-identical to one rebuilt by re-inserting
     /// the survivors, at a fraction of the cost.
     ///
-    /// The rewrite folds the tails into the flat buffer (the canonical
+    /// The rewrite folds the tail into the flat segment (the canonical
     /// compacted layout) and recomputes the max-impact bounds exactly,
     /// using comparisons only. Afterwards the index has no tombstones
     /// and `len() == live_len()`.
@@ -566,193 +962,24 @@ impl InvertedIndex {
         if remap.len() != self.num_docs {
             return Err(IrError::DocNotLive(remap.len()));
         }
-        let mut next = 0usize;
+        let mut live = 0usize;
         for (d, slot) in remap.iter().enumerate() {
             match (self.removed[d], slot) {
-                (false, Some(new)) if *new == next => next += 1,
+                (false, Some(new)) if *new == live => live += 1,
                 (true, None) => {}
                 _ => return Err(IrError::DocNotLive(d)),
             }
         }
-        let live = next;
-        let total = self.docs.len() + self.tail_len;
-        let mut offsets = Vec::with_capacity(self.dim + 1);
-        let mut docs = Vec::with_capacity(total);
-        let mut weights = Vec::with_capacity(total);
-        offsets.push(0);
-        for t in 0..self.dim {
-            let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-            for i in lo..hi {
-                // remap is monotone over live docs, so mapped ids stay
-                // ascending within the term's postings.
-                if let Some(new) = remap[self.docs[i] as usize] {
-                    docs.push(new as u32);
-                    weights.push(self.flat_weight(t, i));
-                }
-            }
-            let list = &mut self.tail[t];
-            for (&d, &w) in list.docs.iter().zip(&list.weights) {
-                if let Some(new) = remap[d as usize] {
-                    docs.push(new as u32);
-                    weights.push(w);
-                }
-            }
-            list.docs.clear();
-            list.weights.clear();
-            offsets.push(docs.len());
-        }
-        self.tail_len = 0;
+        // remap is monotone over live docs, so mapped ids stay ascending
+        // within every term's postings.
+        let flat = self.rewritten(|d| remap[d as usize].map(|new| new as u32));
+        self.seal(flat);
         self.num_docs = live;
         self.removed.clear();
         self.removed.resize(live, false);
         self.num_removed = 0;
         self.dead_unpurged = 0;
-        self.install_flat(offsets, docs, weights);
         Ok(())
-    }
-
-    /// Installs a rewritten flat posting stream (exact `f64` weights)
-    /// under the current quantization mode and recomputes every piece of
-    /// derived state from the stored values: the per-term quantization
-    /// parameters (`Int8`), the per-block max impacts, and the per-term
-    /// max-impact bounds (over the stored flat weights plus whatever
-    /// tail postings remain).
-    ///
-    /// Every flat rewrite funnels through here, so the maintained block
-    /// metadata always equals a recompute from the buffers — the
-    /// invariant the codec round-trip suite pins bitwise.
-    fn install_flat(&mut self, offsets: Vec<usize>, docs: Vec<u32>, weights: Vec<f64>) {
-        debug_assert_eq!(offsets.len(), self.dim + 1);
-        debug_assert_eq!(docs.len(), weights.len());
-        self.offsets = offsets;
-        self.docs = docs;
-        match self.quantization {
-            QuantizationMode::Off => {
-                self.weights = weights;
-                self.qweights = Vec::new();
-                self.scale = Vec::new();
-                self.qoffset = Vec::new();
-            }
-            QuantizationMode::Int8 => {
-                self.scale = vec![0.0; self.dim];
-                self.qoffset = vec![0.0; self.dim];
-                let mut qweights = Vec::with_capacity(weights.len());
-                for t in 0..self.dim {
-                    let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-                    if lo == hi {
-                        continue;
-                    }
-                    // Per-term linear grid: origin at the smallest weight,
-                    // 255 steps to the largest. The extremes quantize
-                    // exactly (codes 0 and 255), everything else rounds to
-                    // the nearest step — error at most `scale / 2`.
-                    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-                    for &w in &weights[lo..hi] {
-                        min = min.min(w);
-                        max = max.max(w);
-                    }
-                    let scale = (max - min) / 255.0;
-                    self.qoffset[t] = min;
-                    self.scale[t] = scale;
-                    for &w in &weights[lo..hi] {
-                        qweights.push(quantize(w, scale, min));
-                    }
-                }
-                self.qweights = qweights;
-                self.weights = Vec::new();
-            }
-        }
-        self.rebuild_blocks();
-        self.recompute_max_impact();
-    }
-
-    /// Rebuilds `block_starts`/`block_max` from the flat buffers: one
-    /// block per [`BLOCK_SIZE`](Self::BLOCK_SIZE) postings within each
-    /// term's range, each holding the max `|stored weight|` of its
-    /// postings.
-    fn rebuild_blocks(&mut self) {
-        let mut starts = Vec::with_capacity(self.dim + 1);
-        starts.push(0usize);
-        let mut maxima = Vec::with_capacity(self.docs.len().div_ceil(Self::BLOCK_SIZE));
-        for t in 0..self.dim {
-            let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-            for b in 0..(hi - lo).div_ceil(Self::BLOCK_SIZE) {
-                let s = lo + b * Self::BLOCK_SIZE;
-                let e = (s + Self::BLOCK_SIZE).min(hi);
-                let mut m = 0.0f64;
-                match self.quantization {
-                    QuantizationMode::Off => {
-                        for &w in &self.weights[s..e] {
-                            m = m.max(w.abs());
-                        }
-                    }
-                    QuantizationMode::Int8 => {
-                        let (sc, o) = (self.scale[t], self.qoffset[t]);
-                        for &q in &self.qweights[s..e] {
-                            m = m.max((o + sc * f64::from(q)).abs());
-                        }
-                    }
-                }
-                maxima.push(m);
-            }
-            starts.push(maxima.len());
-        }
-        self.block_starts = starts;
-        self.block_max = maxima;
-    }
-
-    /// Recomputes the per-term max-impact bounds from the stored
-    /// postings: the block maxima already cover the flat buffer, so this
-    /// folds them with the exact tail weights.
-    fn recompute_max_impact(&mut self) {
-        for t in 0..self.dim {
-            let mut m = 0.0f64;
-            for &bm in &self.block_max[self.block_starts[t]..self.block_starts[t + 1]] {
-                m = m.max(bm);
-            }
-            for &w in &self.tail[t].weights {
-                m = m.max(w.abs());
-            }
-            self.max_impact[t] = m;
-        }
-    }
-
-    /// The stored weight at flat position `i` under `term` (dequantized
-    /// in `Int8` mode).
-    #[inline]
-    fn flat_weight(&self, term: usize, i: usize) -> f64 {
-        match self.quantization {
-            QuantizationMode::Off => self.weights[i],
-            QuantizationMode::Int8 => {
-                self.qoffset[term] + self.scale[term] * f64::from(self.qweights[i])
-            }
-        }
-    }
-
-    /// Streams term `t`'s postings — flat (stored weights, dequantized
-    /// in `Int8` mode) then tail — to `f(doc, weight)`. The mode branch
-    /// is taken once per term, not per posting, so the `Off` path stays
-    /// the tight two-slice zip it always was.
-    #[inline]
-    fn for_each_posting(&self, t: usize, mut f: impl FnMut(u32, f64)) {
-        let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-        match self.quantization {
-            QuantizationMode::Off => {
-                for (&d, &w) in self.docs[lo..hi].iter().zip(&self.weights[lo..hi]) {
-                    f(d, w);
-                }
-            }
-            QuantizationMode::Int8 => {
-                let (s, o) = (self.scale[t], self.qoffset[t]);
-                for (&d, &q) in self.docs[lo..hi].iter().zip(&self.qweights[lo..hi]) {
-                    f(d, o + s * f64::from(q));
-                }
-            }
-        }
-        let list = &self.tail[t];
-        for (&d, &w) in list.docs.iter().zip(&list.weights) {
-            f(d, w);
-        }
     }
 
     /// Number of doc ids ever assigned, including tombstoned ones (the
@@ -778,7 +1005,8 @@ impl InvertedIndex {
         if t >= self.dim {
             return 0;
         }
-        (self.offsets[t + 1] - self.offsets[t]) + self.tail[t].docs.len()
+        let in_tail = |row: &&SparseVec| row.terms().binary_search(&term).is_ok();
+        self.flat.term_len(t) + self.tail.iter().filter(in_tail).count()
     }
 
     /// Finds the `k` indexed documents most cosine-similar to `query`,
@@ -830,6 +1058,47 @@ impl InvertedIndex {
         }
     }
 
+    /// The shared prologue of every strategy: checks the query's
+    /// dimension and returns the factor that normalises it — scoring
+    /// against unit-length postings with weights `qw / ‖q‖` is exactly
+    /// scoring with `query.l2_normalized()`, without materialising it —
+    /// or `None` when nothing can match (`k == 0`, an empty index, a
+    /// zero query).
+    fn query_scale(&self, query: &SparseVec, k: usize) -> Result<Option<f64>, IrError> {
+        check_dim(self.dim, query)?;
+        if k == 0 || self.num_docs == 0 {
+            return Ok(None);
+        }
+        let norm = query.norm_l2();
+        Ok((norm != 0.0).then(|| 1.0 / norm))
+    }
+
+    /// Scores the live tail documents doc-at-a-time into `top`. A row
+    /// lists its terms in ascending order, so its dot product with the
+    /// scattered query adds a document's contributions in exactly the
+    /// order the term-at-a-time accumulation (and the WAND re-sum) would
+    /// — the scores are bit-identical, only the traversal differs. (The
+    /// terms the query lacks add `w * 0.0`, a signed zero, which leaves a
+    /// running sum's bits alone unless that sum is itself zero — and a
+    /// zero total is no hit either way.)
+    fn score_tail(&self, query: &SparseVec, inv_norm: f64, qdense: &mut Vec<f64>, top: &mut TopK) {
+        if self.tail.is_empty() {
+            return;
+        }
+        qdense.resize(self.dim, 0.0);
+        for (t, qw) in query.iter() {
+            qdense[t as usize] = qw * inv_norm;
+        }
+        for (doc, row) in self.tail_rows() {
+            if !self.removed[doc] {
+                top.push(doc, dot_sparse_dense(row.terms(), row.values(), qdense));
+            }
+        }
+        for &t in query.terms() {
+            qdense[t as usize] = 0.0;
+        }
+    }
+
     /// Exhaustive top-k: accumulates every posting of the query's
     /// non-zero terms, then heap-selects the `k` best.
     ///
@@ -848,44 +1117,23 @@ impl InvertedIndex {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<Vec<SearchHit>, IrError> {
-        if query.dim() != self.dim {
-            return Err(IrError::DimensionMismatch {
-                left: self.dim,
-                right: query.dim(),
-            });
-        }
-        if k == 0 || self.num_docs == 0 {
+        let Some(inv_norm) = self.query_scale(query, k)? else {
             return Ok(Vec::new());
-        }
-        // Normalise the query on the fly: scoring against unit-length
-        // postings with weights `qw / ‖q‖` is exactly scoring with
-        // `query.l2_normalized()`, without materialising it.
-        let query_norm = query.norm_l2();
-        if query_norm == 0.0 {
-            return Ok(Vec::new());
-        }
-        let inv_norm = 1.0 / query_norm;
-        let epoch = scratch.begin(self.num_docs);
-        // Two accumulation strategies over the postings of the query's
-        // non-zero terms. Both visit identical contributions in identical
-        // order per document, so they produce bit-identical scores; only
-        // the bookkeeping differs.
-        let total_postings: usize = query.terms().iter().map(|&t| self.posting_len(t)).sum();
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-        let removed = &self.removed;
-        let mut push_hit = |doc: DocId, score: f64| {
-            // A final score of exactly zero means "shares no signal with
-            // the query" — same contract as an untouched doc. Tombstoned
-            // docs may still have postings (purging is lazy) and are
-            // filtered here.
-            if score == 0.0 || removed[doc] {
-                return;
-            }
-            heap.push(HeapEntry { score, doc });
-            if heap.len() > k {
-                heap.pop(); // evict the current worst
-            }
         };
+        let flat = &*self.flat;
+        let mut top = TopK::new(k);
+        self.score_tail(query, inv_norm, &mut scratch.qdense, &mut top);
+        let epoch = scratch.begin(self.num_docs);
+        // Two accumulation strategies over the flat postings of the
+        // query's non-zero terms. Both visit identical contributions in
+        // identical order per document, so they produce bit-identical
+        // scores; only the bookkeeping differs. Tombstoned docs may still
+        // have postings (purging is lazy) and are filtered at the end.
+        let total_postings: usize = query
+            .terms()
+            .iter()
+            .map(|&t| flat.term_len(t as usize))
+            .sum();
         if total_postings * 2 >= self.num_docs {
             // Dense mode: the postings touch a large share of the corpus,
             // so zero the whole score buffer once and accumulate without
@@ -894,12 +1142,14 @@ impl InvertedIndex {
             scores.fill(0.0);
             for (t, qw) in query.iter() {
                 let qw = qw * inv_norm;
-                self.for_each_posting(t as usize, |doc, dw| {
+                flat.for_each_posting(t as usize, |doc, dw| {
                     scores[doc as usize] += qw * dw;
                 });
             }
             for (doc, &score) in scores.iter().enumerate() {
-                push_hit(doc, score);
+                if !self.removed[doc] {
+                    top.push(doc, score);
+                }
             }
         } else {
             // Sparse mode: few candidates — track membership with the
@@ -910,7 +1160,7 @@ impl InvertedIndex {
             let touched = &mut scratch.touched;
             for (t, qw) in query.iter() {
                 let qw = qw * inv_norm;
-                self.for_each_posting(t as usize, |doc, dw| {
+                flat.for_each_posting(t as usize, |doc, dw| {
                     let doc = doc as usize;
                     if stamps[doc] != epoch {
                         stamps[doc] = epoch;
@@ -922,23 +1172,53 @@ impl InvertedIndex {
                 });
             }
             for &doc in touched.iter() {
-                push_hit(doc, scores[doc]);
+                if !self.removed[doc] {
+                    top.push(doc, scores[doc]);
+                }
             }
         }
-        let mut hits: Vec<SearchHit> = heap
-            .into_iter()
-            .map(|e| SearchHit {
-                doc: e.doc,
-                score: e.score,
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(Ordering::Equal)
-                .then(a.doc.cmp(&b.doc))
-        });
-        Ok(hits)
+        Ok(top.into_hits())
+    }
+
+    /// The shared set-up of the two document-at-a-time strategies: the
+    /// tail documents scored into a fresh top-k (which raises the bar
+    /// before the flat traversal starts), then one cursor per query term
+    /// with flat postings, in bound-ascending order (the non-essential
+    /// set is always a prefix of this ordering, so the essential boundary
+    /// is a single monotonically advancing index), the running sums of
+    /// those bounds, and cleared per-cursor state. Returns the top-k and
+    /// the number of cursors, or `None` when nothing can match.
+    fn open_cursors(
+        &self,
+        query: &SparseVec,
+        k: usize,
+        with_refine: bool,
+        scratch: &mut SearchScratch,
+    ) -> Result<Option<(TopK, usize)>, IrError> {
+        let Some(inv_norm) = self.query_scale(query, k)? else {
+            return Ok(None);
+        };
+        let mut top = TopK::new(k);
+        self.score_tail(query, inv_norm, &mut scratch.qdense, &mut top);
+        scratch.cursors.clear();
+        for (t, qw) in query.iter() {
+            scratch
+                .cursors
+                .extend(self.flat.cursor(t, qw * inv_norm, with_refine));
+        }
+        scratch
+            .cursors
+            .sort_unstable_by(|a, b| a.bound.total_cmp(&b.bound).then(a.term.cmp(&b.term)));
+        scratch.prefix_bounds.clear();
+        let mut acc = 0.0;
+        for c in &scratch.cursors {
+            acc += c.bound;
+            scratch.prefix_bounds.push(acc);
+        }
+        scratch.contrib.clear();
+        scratch.contrib.resize(scratch.cursors.len(), 0.0);
+        scratch.touched_cursors.clear();
+        Ok(Some((top, scratch.cursors.len())))
     }
 
     /// WAND-style early-exit top-k: walks the query terms' posting lists
@@ -952,6 +1232,7 @@ impl InvertedIndex {
     /// only probed (with a binary-search seek) for documents the
     /// essential lists produce, and a probe abandons early once the
     /// partial score plus the unprobed bounds cannot reach the bar.
+    /// Tail documents are scored first (see the type-level docs).
     ///
     /// Returns exactly what [`search_exhaustive`](Self::search_exhaustive)
     /// returns (same documents, bit-identical scores): a completed
@@ -969,80 +1250,17 @@ impl InvertedIndex {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<Vec<SearchHit>, IrError> {
-        if query.dim() != self.dim {
-            return Err(IrError::DimensionMismatch {
-                left: self.dim,
-                right: query.dim(),
-            });
-        }
-        if k == 0 || self.num_docs == 0 {
+        let Some((mut top, m)) = self.open_cursors(query, k, false, scratch)? else {
             return Ok(Vec::new());
-        }
-        let query_norm = query.norm_l2();
-        if query_norm == 0.0 {
-            return Ok(Vec::new());
-        }
-        let inv_norm = 1.0 / query_norm;
-        // Cursors stay in ascending term order so candidate scoring
-        // accumulates contributions exactly like the exhaustive path.
-        scratch.cursors.clear();
-        for (t, qw) in query.iter() {
-            let len = self.posting_len(t);
-            if len == 0 {
-                continue;
-            }
-            let qw = qw * inv_norm;
-            let flat_lo = self.offsets[t as usize];
-            let mut cursor = WandCursor {
-                term: t,
-                qw,
-                bound: qw.abs() * self.max_impact[t as usize],
-                pos: 0,
-                len,
-                doc: 0,
-                flat_lo,
-                flat_len: self.offsets[t as usize + 1] - flat_lo,
-                refine: 0.0,
-                dq_scale: match self.quantization {
-                    QuantizationMode::Off => 0.0,
-                    QuantizationMode::Int8 => self.scale[t as usize],
-                },
-                dq_off: match self.quantization {
-                    QuantizationMode::Off => 0.0,
-                    QuantizationMode::Int8 => self.qoffset[t as usize],
-                },
-            };
-            cursor.doc = self.cursor_doc(&cursor);
-            scratch.cursors.push(cursor);
-        }
+        };
+        let flat = &*self.flat;
         let cursors = &mut scratch.cursors;
         let touched = &mut scratch.touched_cursors;
         let contrib = &mut scratch.contrib;
-        let prefix_bounds = &mut scratch.prefix_bounds;
-        // Bound-ascending cursor order: the non-essential set is always a
-        // prefix of this ordering, so the essential boundary is a single
-        // monotonically advancing index.
-        cursors.sort_unstable_by(|a, b| a.bound.total_cmp(&b.bound).then(a.term.cmp(&b.term)));
-        let m = cursors.len();
-        prefix_bounds.clear();
-        let mut acc = 0.0;
-        for c in cursors.iter() {
-            acc += c.bound;
-            prefix_bounds.push(acc);
-        }
-        contrib.clear();
-        contrib.resize(m, 0.0);
-        touched.clear();
+        let prefix_bounds = &scratch.prefix_bounds;
         let mut essential_from = 0;
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
         loop {
-            // Current entry bar: the k-th best score so far (with slack),
-            // or no bar at all while the heap is filling.
-            let threshold = if heap.len() == k {
-                heap.peek().expect("heap is full").score - WAND_SLACK
-            } else {
-                f64::NEG_INFINITY
-            };
+            let threshold = top.threshold();
             // Grow the non-essential prefix while its total bound stays
             // under the bar (the boundary only ever moves forward, since
             // the bar only ever rises).
@@ -1068,83 +1286,28 @@ impl InvertedIndex {
             if self.removed[pivot_doc as usize] {
                 for c in cursors[essential_from..].iter_mut() {
                     if c.doc == pivot_doc {
-                        self.cursor_advance(c);
+                        flat.advance(c);
                     }
                 }
                 continue;
             }
             // Essential contributions: every matching essential cursor
             // advances past the candidate (they drive the iteration).
-            // `partial` orders its adds by bound, not term — it is only a
-            // pruning estimate; the exact sum is rebuilt below.
             touched.clear();
-            let mut partial = 0.0;
-            for ci in essential_from..m {
-                if cursors[ci].doc == pivot_doc {
-                    let p = cursors[ci].qw * self.cursor_advance(&mut cursors[ci]);
-                    contrib[ci] = p;
-                    touched.push(ci);
-                    partial += p;
-                }
-            }
-            // Probe the non-essential terms in bound-descending order,
-            // abandoning as soon as the unprobed bounds cannot lift the
-            // candidate over the bar.
-            let mut abandoned = false;
-            for ci in (0..essential_from).rev() {
-                if partial + prefix_bounds[ci] < threshold {
-                    abandoned = true;
-                    break;
-                }
-                if cursors[ci].doc < pivot_doc {
-                    self.cursor_seek(&mut cursors[ci], pivot_doc);
-                }
-                if cursors[ci].doc == pivot_doc {
-                    let p = cursors[ci].qw * self.cursor_advance(&mut cursors[ci]);
-                    contrib[ci] = p;
-                    touched.push(ci);
-                    partial += p;
-                }
-            }
-            if !abandoned {
-                // Exact score: the same contributions the exhaustive path
-                // accumulates, re-summed in ascending term order so the
-                // result is bit-identical.
-                touched.sort_unstable_by_key(|&ci| cursors[ci].term);
-                let mut score = 0.0;
-                for &ci in touched.iter() {
-                    score += contrib[ci];
-                }
-                // Zero means "shares no signal with the query", same
-                // contract as the exhaustive path.
-                if score != 0.0 {
-                    heap.push(HeapEntry {
-                        score,
-                        doc: pivot_doc as DocId,
-                    });
-                    if heap.len() > k {
-                        heap.pop();
-                    }
-                }
-            }
-            for &ci in touched.iter() {
-                contrib[ci] = 0.0;
-            }
+            touched.extend((essential_from..m).filter(|&ci| cursors[ci].doc == pivot_doc));
+            score_pivot(
+                flat,
+                pivot_doc,
+                essential_from,
+                threshold,
+                cursors,
+                touched,
+                contrib,
+                prefix_bounds,
+                &mut top,
+            );
         }
-        let mut hits: Vec<SearchHit> = heap
-            .into_iter()
-            .map(|e| SearchHit {
-                doc: e.doc,
-                score: e.score,
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(Ordering::Equal)
-                .then(a.doc.cmp(&b.doc))
-        });
-        Ok(hits)
+        Ok(top.into_hits())
     }
 
     /// Block-max WAND top-k (BMW over the MaxScore cursor split): the
@@ -1182,88 +1345,17 @@ impl InvertedIndex {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<Vec<SearchHit>, IrError> {
-        if query.dim() != self.dim {
-            return Err(IrError::DimensionMismatch {
-                left: self.dim,
-                right: query.dim(),
-            });
-        }
-        if k == 0 || self.num_docs == 0 {
+        let Some((mut top, m)) = self.open_cursors(query, k, true, scratch)? else {
             return Ok(Vec::new());
-        }
-        let query_norm = query.norm_l2();
-        if query_norm == 0.0 {
-            return Ok(Vec::new());
-        }
-        let inv_norm = 1.0 / query_norm;
-        scratch.cursors.clear();
-        for (t, qw) in query.iter() {
-            let len = self.posting_len(t);
-            if len == 0 {
-                continue;
-            }
-            let qw = qw * inv_norm;
-            let flat_lo = self.offsets[t as usize];
-            let mut cursor = WandCursor {
-                term: t,
-                qw,
-                bound: qw.abs() * self.max_impact[t as usize],
-                pos: 0,
-                len,
-                doc: 0,
-                flat_lo,
-                flat_len: self.offsets[t as usize + 1] - flat_lo,
-                refine: 0.0,
-                dq_scale: match self.quantization {
-                    QuantizationMode::Off => 0.0,
-                    QuantizationMode::Int8 => self.scale[t as usize],
-                },
-                dq_off: match self.quantization {
-                    QuantizationMode::Off => 0.0,
-                    QuantizationMode::Int8 => self.qoffset[t as usize],
-                },
-            };
-            cursor.doc = self.cursor_doc(&cursor);
-            // How much tighter this term's *block* maxima can get than
-            // its term bound, at best. One contiguous scan per query
-            // term; per pivot it makes "would the block metadata even
-            // matter?" a cursor-local question.
-            let (bs, be) = (
-                self.block_starts[t as usize],
-                self.block_starts[t as usize + 1],
-            );
-            if be > bs {
-                let min_bm = self.block_max[bs..be]
-                    .iter()
-                    .copied()
-                    .fold(f64::INFINITY, f64::min);
-                cursor.refine = (cursor.bound - qw.abs() * min_bm).max(0.0);
-            }
-            scratch.cursors.push(cursor);
-        }
+        };
+        let flat = &*self.flat;
         let cursors = &mut scratch.cursors;
         let touched = &mut scratch.touched_cursors;
         let contrib = &mut scratch.contrib;
-        let prefix_bounds = &mut scratch.prefix_bounds;
-        cursors.sort_unstable_by(|a, b| a.bound.total_cmp(&b.bound).then(a.term.cmp(&b.term)));
-        let m = cursors.len();
-        prefix_bounds.clear();
-        let mut acc = 0.0;
-        for c in cursors.iter() {
-            acc += c.bound;
-            prefix_bounds.push(acc);
-        }
-        contrib.clear();
-        contrib.resize(m, 0.0);
-        touched.clear();
+        let prefix_bounds = &scratch.prefix_bounds;
         let mut essential_from = 0;
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
         loop {
-            let threshold = if heap.len() == k {
-                heap.peek().expect("heap is full").score - WAND_SLACK
-            } else {
-                f64::NEG_INFINITY
-            };
+            let threshold = top.threshold();
             while essential_from < m && prefix_bounds[essential_from] < threshold {
                 essential_from += 1;
             }
@@ -1308,7 +1400,7 @@ impl InvertedIndex {
             }
             if self.removed[pivot_doc as usize] {
                 for &ci in touched.iter() {
-                    self.cursor_advance(&mut cursors[ci]);
+                    flat.advance(&mut cursors[ci]);
                 }
                 continue;
             }
@@ -1318,7 +1410,7 @@ impl InvertedIndex {
                 // none can clear the bar. Leap the matching cursors over
                 // the whole window.
                 for &ci in touched.iter() {
-                    self.cursor_seek(&mut cursors[ci], next_doc);
+                    flat.seek(&mut cursors[ci], next_doc);
                 }
                 continue;
             }
@@ -1331,7 +1423,7 @@ impl InvertedIndex {
                 let mut block_sum = prefix;
                 let mut min_block_last = u32::MAX;
                 for &ci in touched.iter() {
-                    let (bound, last) = self.cursor_block(&cursors[ci]);
+                    let (bound, last) = flat.block(&cursors[ci]);
                     block_sum += bound;
                     min_block_last = min_block_last.min(last);
                 }
@@ -1343,202 +1435,48 @@ impl InvertedIndex {
                     // posting.
                     let target = next_doc.min(min_block_last.saturating_add(1));
                     for &ci in touched.iter() {
-                        self.cursor_seek(&mut cursors[ci], target);
+                        flat.seek(&mut cursors[ci], target);
                     }
                     continue;
                 }
             }
-            // Deep pass: identical to `search_wand` from here on, so
-            // surviving candidates score bit-identically.
-            let mut partial = 0.0;
-            for &ci in touched.iter() {
-                let p = cursors[ci].qw * self.cursor_advance(&mut cursors[ci]);
-                contrib[ci] = p;
-                partial += p;
-            }
-            let mut abandoned = false;
-            for ci in (0..essential_from).rev() {
-                if partial + prefix_bounds[ci] < threshold {
-                    abandoned = true;
-                    break;
-                }
-                if cursors[ci].doc < pivot_doc {
-                    self.cursor_seek(&mut cursors[ci], pivot_doc);
-                }
-                if cursors[ci].doc == pivot_doc {
-                    let p = cursors[ci].qw * self.cursor_advance(&mut cursors[ci]);
-                    contrib[ci] = p;
-                    touched.push(ci);
-                    partial += p;
-                }
-            }
-            if !abandoned {
-                touched.sort_unstable_by_key(|&ci| cursors[ci].term);
-                let mut score = 0.0;
-                for &ci in touched.iter() {
-                    score += contrib[ci];
-                }
-                if score != 0.0 {
-                    heap.push(HeapEntry {
-                        score,
-                        doc: pivot_doc as DocId,
-                    });
-                    if heap.len() > k {
-                        heap.pop();
-                    }
-                }
-            }
-            for &ci in touched.iter() {
-                contrib[ci] = 0.0;
-            }
+            score_pivot(
+                flat,
+                pivot_doc,
+                essential_from,
+                threshold,
+                cursors,
+                touched,
+                contrib,
+                prefix_bounds,
+                &mut top,
+            );
         }
-        let mut hits: Vec<SearchHit> = heap
-            .into_iter()
-            .map(|e| SearchHit {
-                doc: e.doc,
-                score: e.score,
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(Ordering::Equal)
-                .then(a.doc.cmp(&b.doc))
-        });
-        Ok(hits)
+        Ok(top.into_hits())
     }
 
-    /// The doc id under a live cursor.
-    #[inline]
-    fn cursor_doc(&self, c: &WandCursor) -> u32 {
-        if c.pos < c.flat_len {
-            self.docs[c.flat_lo + c.pos]
-        } else {
-            self.tail[c.term as usize].docs[c.pos - c.flat_len]
-        }
-    }
-
-    /// Returns the posting weight under a live cursor and steps it to the
-    /// next posting, refreshing the cached doc id — two direct array
-    /// reads in the (compacted) common case.
-    #[inline]
-    fn cursor_advance(&self, c: &mut WandCursor) -> f64 {
-        let w = if c.pos < c.flat_len {
-            // Same expression as `flat_weight`, with the per-term
-            // scale/offset loads hoisted into the cursor at setup.
-            match self.quantization {
-                QuantizationMode::Off => self.weights[c.flat_lo + c.pos],
-                QuantizationMode::Int8 => {
-                    c.dq_off + c.dq_scale * f64::from(self.qweights[c.flat_lo + c.pos])
-                }
-            }
-        } else {
-            self.tail[c.term as usize].weights[c.pos - c.flat_len]
-        };
-        c.pos += 1;
-        c.doc = if c.pos < c.len {
-            self.cursor_doc(c)
-        } else {
-            u32::MAX
-        };
-        w
-    }
-
-    /// The shallow bound of the cursor's current position: its score
-    /// contribution bound within the current *block*, and the last doc
-    /// id that bound covers. Flat positions use the block maximum (the
-    /// bound holds through the end of the block); tail positions fall
-    /// back to the term-level bound, which covers the rest of the list
-    /// (`u32::MAX`).
-    #[inline]
-    fn cursor_block(&self, c: &WandCursor) -> (f64, u32) {
-        if c.pos < c.flat_len {
-            let t = c.term as usize;
-            let b = c.pos / Self::BLOCK_SIZE;
-            let bound = c.qw.abs() * self.block_max[self.block_starts[t] + b];
-            let last = ((b + 1) * Self::BLOCK_SIZE).min(c.flat_len) - 1;
-            (bound, self.docs[c.flat_lo + last])
-        } else {
-            (c.bound, u32::MAX)
-        }
-    }
-
-    /// Advances `c` to the first posting with doc id `>= target`
-    /// (possibly past the end). The seek is block-aligned: the
-    /// block-boundary doc ids locate the target block — checking the
-    /// cursor's current and next block first, since consecutive pivots
-    /// usually land a step or two ahead, before binary-searching the
-    /// remaining blocks — then a short gallop plus binary search inside
-    /// that one block finds the posting. Same result as binary-searching
-    /// the whole remaining range, but the block phase touches one doc id
-    /// per block and the near-miss fast path touches only a handful.
-    fn cursor_seek(&self, c: &mut WandCursor, target: u32) {
-        if c.pos < c.flat_len {
-            let flat = &self.docs[c.flat_lo..c.flat_lo + c.flat_len];
-            let nblocks = c.flat_len.div_ceil(Self::BLOCK_SIZE);
-            let block_last = |b: usize| flat[((b + 1) * Self::BLOCK_SIZE).min(c.flat_len) - 1];
-            // First block (at or after the cursor's) whose last doc id
-            // reaches the target.
-            let mut lo_b = c.pos / Self::BLOCK_SIZE;
-            if block_last(lo_b) < target {
-                lo_b += 1;
-                if lo_b < nblocks && block_last(lo_b) < target {
-                    let mut hi_b = nblocks;
-                    lo_b += 1;
-                    while lo_b < hi_b {
-                        let mid = lo_b + (hi_b - lo_b) / 2;
-                        if block_last(mid) < target {
-                            lo_b = mid + 1;
-                        } else {
-                            hi_b = mid;
-                        }
-                    }
-                }
-            }
-            if lo_b < nblocks {
-                let start = (lo_b * Self::BLOCK_SIZE).max(c.pos);
-                let end = ((lo_b + 1) * Self::BLOCK_SIZE).min(c.flat_len);
-                // The block's last doc is >= target, so the hit is
-                // inside. Gallop from the start: a seek that stays in the
-                // cursor's own block is usually only a few postings ahead.
-                let mut p = start;
-                let mut step = 1;
-                while p + step < end && flat[p + step] < target {
-                    p += step;
-                    step <<= 1;
-                }
-                let hi = (p + step + 1).min(end);
-                c.pos = p + flat[p..hi].partition_point(|&d| d < target);
-                c.doc = flat[c.pos];
-                return;
-            }
-            c.pos = c.flat_len;
-        }
-        let tail = &self.tail[c.term as usize].docs;
-        let tail_pos = c.pos - c.flat_len;
-        c.pos += tail[tail_pos..].partition_point(|&d| d < target);
-        c.doc = if c.pos < c.len {
-            tail[c.pos - c.flat_len]
-        } else {
-            u32::MAX
-        };
-    }
-
-    /// The largest `|weight|` indexed under `term` (the WAND per-term
-    /// impact bound); zero for empty or out-of-range terms.
+    /// The largest `|weight|` indexed under `term` across the flat
+    /// segment and the tail; zero for empty or out-of-range terms.
+    /// Removals can leave it loose (still a sound upper bound) until the
+    /// next purge recomputes it exactly.
     pub fn max_impact(&self, term: TermId) -> f64 {
-        self.max_impact.get(term as usize).copied().unwrap_or(0.0)
+        let Some(&flat) = self.flat.max_impact.get(term as usize) else {
+            return 0.0;
+        };
+        self.tail
+            .iter()
+            .fold(flat, |m, row| m.max(row.get(term).abs()))
     }
 
     /// The active storage mode of the flat posting weights.
     pub fn quantization(&self) -> QuantizationMode {
-        self.quantization
+        self.flat.quantization
     }
 
     /// Switches the flat weight storage to `mode`, rewriting the posting
-    /// store in place (a no-op when already in `mode`).
+    /// store (a no-op when already in `mode`).
     ///
-    /// The switch first folds tails and purges tombstoned postings
+    /// The switch first folds the tail and purges tombstoned postings
     /// (like [`optimize`](Self::optimize)), then re-encodes the flat
     /// weights: `Off → Int8` quantizes them onto per-term 8-bit grids,
     /// `Int8 → Off` materialises the dequantized values as `f64`s.
@@ -1547,47 +1485,37 @@ impl InvertedIndex {
     /// it restores the grid values (which a second `Int8` pass maps to
     /// themselves).
     pub fn set_quantization(&mut self, mode: QuantizationMode) {
-        if mode == self.quantization {
+        if mode == self.flat.quantization {
             return;
         }
         self.optimize();
-        let offsets = std::mem::take(&mut self.offsets);
-        let docs = std::mem::take(&mut self.docs);
-        let weights = match self.quantization {
-            QuantizationMode::Off => std::mem::take(&mut self.weights),
-            QuantizationMode::Int8 => {
-                let mut out = Vec::with_capacity(docs.len());
-                for t in 0..self.dim {
-                    let (lo, hi) = (offsets[t], offsets[t + 1]);
-                    let (s, o) = (self.scale[t], self.qoffset[t]);
-                    out.extend(self.qweights[lo..hi].iter().map(|&q| o + s * f64::from(q)));
-                }
-                out
-            }
-        };
-        self.quantization = mode;
-        self.install_flat(offsets, docs, weights);
+        let flat = &self.flat;
+        self.flat = Arc::new(FlatPostings::install(
+            mode,
+            flat.offsets.clone(),
+            flat.docs.clone(),
+            flat.exact_weights().into_owned(),
+        ));
     }
 
     /// Number of block-max blocks carved over `term`'s flat postings
-    /// (tail postings are not blocked; zero for out-of-range terms).
+    /// (tail rows are not blocked; zero for out-of-range terms).
     pub fn num_blocks(&self, term: TermId) -> usize {
         let t = term as usize;
         if t >= self.dim {
             return 0;
         }
-        self.block_starts[t + 1] - self.block_starts[t]
+        self.flat.block_starts[t + 1] - self.flat.block_starts[t]
     }
 
     /// The largest `|stored weight|` in `block` of `term`'s flat
     /// postings (block `b` covers flat positions `b * BLOCK_SIZE ..` of
     /// the term's range); zero when out of range.
     pub fn block_max_impact(&self, term: TermId, block: usize) -> f64 {
-        let t = term as usize;
-        if t >= self.dim || block >= self.num_blocks(term) {
+        if block >= self.num_blocks(term) {
             return 0.0;
         }
-        self.block_max[self.block_starts[t] + block]
+        self.flat.block_max[self.flat.block_starts[term as usize] + block]
     }
 
     /// Resident bytes of the posting store payload: flat doc ids and
@@ -1597,20 +1525,99 @@ impl InvertedIndex {
     /// shrinks ~4x when quantization is on, the one the capacity of an
     /// in-memory shard is sized by.
     pub fn postings_resident_bytes(&self) -> usize {
-        let tail: usize = self
-            .tail
-            .iter()
-            .map(|l| l.docs.len() * 4 + l.weights.len() * 8)
-            .sum();
-        self.docs.len() * 4
-            + self.weights.len() * 8
-            + self.qweights.len()
-            + (self.scale.len() + self.qoffset.len()) * 8
-            + tail
-            + self.offsets.len() * 8
-            + self.block_starts.len() * 8
-            + self.block_max.len() * 8
+        let flat = &self.flat;
+        flat.docs.len() * 4
+            + flat.weights.len() * 8
+            + flat.qweights.len()
+            + (flat.scale.len() + flat.qoffset.len()) * 8
+            + self.tail_len * 12
+            + flat.offsets.len() * 8
+            + flat.block_starts.len() * 8
+            + flat.block_max.len() * 8
     }
+
+    /// Returns `true` when `self` and `other` share one flat segment —
+    /// i.e. no compaction, purge, or rebuild separates the two clones.
+    #[doc(hidden)]
+    pub fn shares_flat_with(&self, other: &InvertedIndex) -> bool {
+        Arc::ptr_eq(&self.flat, &other.flat)
+    }
+}
+
+/// The deep pass both document-at-a-time strategies share: scores
+/// candidate `pivot_doc`, whose matching essential cursors are listed
+/// in `touched`, and offers it to `top`.
+///
+/// `partial` orders its adds by bound, not term — it is only a
+/// pruning estimate: the non-essential terms are probed in
+/// bound-descending order and abandoned as soon as the unprobed
+/// bounds cannot lift the candidate over the bar. A completed
+/// candidate's exact score is the same contributions the exhaustive
+/// path accumulates, re-summed in ascending term order so the result
+/// is bit-identical.
+#[allow(clippy::too_many_arguments)]
+fn score_pivot(
+    flat: &FlatPostings,
+    pivot_doc: u32,
+    essential_from: usize,
+    threshold: f64,
+    cursors: &mut [WandCursor],
+    touched: &mut Vec<usize>,
+    contrib: &mut [f64],
+    prefix_bounds: &[f64],
+    top: &mut TopK,
+) {
+    let mut partial = 0.0;
+    for &ci in touched.iter() {
+        let p = cursors[ci].qw * flat.advance(&mut cursors[ci]);
+        contrib[ci] = p;
+        partial += p;
+    }
+    let mut abandoned = false;
+    for ci in (0..essential_from).rev() {
+        if partial + prefix_bounds[ci] < threshold {
+            abandoned = true;
+            break;
+        }
+        if cursors[ci].doc < pivot_doc {
+            flat.seek(&mut cursors[ci], pivot_doc);
+        }
+        if cursors[ci].doc == pivot_doc {
+            let p = cursors[ci].qw * flat.advance(&mut cursors[ci]);
+            contrib[ci] = p;
+            touched.push(ci);
+            partial += p;
+        }
+    }
+    if !abandoned {
+        touched.sort_unstable_by_key(|&ci| cursors[ci].term);
+        let mut score = 0.0;
+        for &ci in touched.iter() {
+            score += contrib[ci];
+        }
+        top.push(pivot_doc as DocId, score);
+    }
+    for &ci in touched.iter() {
+        contrib[ci] = 0.0;
+    }
+}
+
+/// Rejects a vector (or query) from another term space.
+fn check_dim(dim: usize, vector: &SparseVec) -> Result<(), IrError> {
+    if vector.dim() == dim {
+        return Ok(());
+    }
+    Err(IrError::DimensionMismatch {
+        left: dim,
+        right: vector.dim(),
+    })
+}
+
+/// A fresh vector as a rewrite [`Row`]: checks its dimension and pairs
+/// it with the factor [`InvertedIndex::insert`] normalises by.
+fn unit_row(dim: usize, doc: DocId, vector: &SparseVec) -> Result<Row<'_>, IrError> {
+    check_dim(dim, vector)?;
+    Ok((doc as u32, vector, vector.l2_unit_factor()))
 }
 
 impl codec::BinCodec for PostingList {
@@ -1633,45 +1640,210 @@ impl codec::BinCodec for PostingList {
     }
 }
 
-/// Checks the legacy structural invariants shared by every decode
-/// surface: per-term array lengths, parallel flat buffers (whichever of
-/// `weights`/`qweights` is active), and an `indptr`-style `offsets`.
-#[allow(clippy::too_many_arguments)]
-fn check_index_shape(
+/// The eleven fields every format version stores for an index, as
+/// decoded from the wire. `max_impact` is derived state (the flat
+/// segment's block maxima folded with the tail weights) and is rebuilt,
+/// so only its length is kept for the shape check.
+struct StoredIndex {
     dim: usize,
-    offsets: &[usize],
-    docs_len: usize,
-    weights_len: usize,
+    offsets: Vec<usize>,
+    docs: Vec<u32>,
+    weights: Vec<f64>,
+    tail: Vec<PostingList>,
     tail_len: usize,
-    max_impact_len: usize,
-    removed_len: usize,
     num_docs: usize,
-) -> Result<(), codec::CodecError> {
-    let bad = |msg: String| Err(codec::CodecError::new(format!("InvertedIndex: {msg}")));
-    if offsets.len() != dim + 1 || tail_len != dim || max_impact_len != dim {
-        return bad(format!(
-            "per-term arrays disagree with dim {dim}: {} offsets, {tail_len} tail, {max_impact_len} max_impact",
-            offsets.len(),
-        ));
+    max_impact_len: usize,
+    removed: Vec<bool>,
+    num_removed: usize,
+    dead_unpurged: usize,
+}
+
+impl StoredIndex {
+    fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
+        Ok(StoredIndex {
+            dim: r.get_usize()?,
+            offsets: r.get_usizes()?,
+            docs: r.get_u32s()?,
+            weights: r.get_f64s()?,
+            tail: codec::BinCodec::decode_bin(r)?,
+            tail_len: r.get_usize()?,
+            num_docs: r.get_usize()?,
+            max_impact_len: r.get_f64s()?.len(),
+            removed: r.get_bools()?,
+            num_removed: r.get_usize()?,
+            dead_unpurged: r.get_usize()?,
+        })
     }
-    if docs_len != weights_len {
-        return bad(format!(
-            "flat buffers disagree: {docs_len} docs vs {weights_len} weights"
-        ));
+
+    /// Checks the structural invariants shared by every decode surface —
+    /// per-term array lengths, parallel flat buffers (whichever of
+    /// `weights`/`qweights` is active), an `indptr`-style `offsets`,
+    /// quantization arrays matching the mode, a well-formed tail — and
+    /// assembles the index, rebuilding the block metadata and bounds
+    /// from the stored postings.
+    fn assemble(
+        self,
+        quantization: QuantizationMode,
+        qweights: Vec<u8>,
+        scale: Vec<f64>,
+        qoffset: Vec<f64>,
+    ) -> Result<InvertedIndex, codec::CodecError> {
+        let bad = |msg: String| Err(codec::CodecError::new(format!("InvertedIndex: {msg}")));
+        let dim = self.dim;
+        // The active flat weight buffer must parallel `docs`; the other
+        // must be absent.
+        let weights_len = match quantization {
+            QuantizationMode::Off => {
+                if !qweights.is_empty() || !scale.is_empty() || !qoffset.is_empty() {
+                    return bad("quantization arrays present in Off mode".to_string());
+                }
+                self.weights.len()
+            }
+            QuantizationMode::Int8 => {
+                if !self.weights.is_empty() {
+                    return bad("f64 flat weights present in Int8 mode".to_string());
+                }
+                if scale.len() != dim || qoffset.len() != dim {
+                    return bad(format!(
+                        "quantization parameters disagree with dim {dim}: {} scale, {} qoffset",
+                        scale.len(),
+                        qoffset.len()
+                    ));
+                }
+                qweights.len()
+            }
+        };
+        if self.offsets.len() != dim + 1 || self.tail.len() != dim || self.max_impact_len != dim {
+            return bad(format!(
+                "per-term arrays disagree with dim {dim}: {} offsets, {} tail, {} max_impact",
+                self.offsets.len(),
+                self.tail.len(),
+                self.max_impact_len,
+            ));
+        }
+        if self.docs.len() != weights_len {
+            return bad(format!(
+                "flat buffers disagree: {} docs vs {weights_len} weights",
+                self.docs.len()
+            ));
+        }
+        if self.offsets.first() != Some(&0) || self.offsets.last() != Some(&self.docs.len()) {
+            return bad("offsets do not span the flat postings buffer".to_string());
+        }
+        if self.offsets.windows(2).any(|w| w[0] > w[1]) {
+            return bad("offsets are not monotone".to_string());
+        }
+        if self.removed.len() != self.num_docs {
+            return bad(format!(
+                "{} tombstone slots for {} docs",
+                self.removed.len(),
+                self.num_docs
+            ));
+        }
+        // Per-term tail lists back to doc-major rows. The tail holds the
+        // newest docs, so the rows span from the smallest listed id to
+        // the end of the id space.
+        let base = self
+            .tail
+            .iter()
+            .filter_map(|list| list.docs.first())
+            .min()
+            .map_or(self.num_docs, |&d| d as usize);
+        if base > self.num_docs {
+            return bad(format!("tail doc {base} outside the id space"));
+        }
+        let mut rows = vec![(Vec::new(), Vec::new()); self.num_docs - base];
+        let mut tail_len = 0;
+        for (t, list) in self.tail.iter().enumerate() {
+            let ascending = list.docs.windows(2).all(|w| w[0] < w[1]);
+            if !ascending
+                || list
+                    .docs
+                    .last()
+                    .is_some_and(|&d| d as usize >= self.num_docs)
+            {
+                return bad(format!("tail postings of term {t} are disordered"));
+            }
+            for (&d, &w) in list.docs.iter().zip(&list.weights) {
+                let row = &mut rows[d as usize - base];
+                row.0.push(t as TermId);
+                row.1.push(w);
+            }
+            tail_len += list.docs.len();
+        }
+        if tail_len != self.tail_len {
+            return bad(format!(
+                "{tail_len} tail postings stored, {} declared",
+                self.tail_len
+            ));
+        }
+        let flat = FlatPostings {
+            quantization,
+            offsets: self.offsets,
+            docs: self.docs,
+            weights: self.weights,
+            qweights,
+            scale,
+            qoffset,
+            ..FlatPostings::default()
+        };
+        Ok(InvertedIndex {
+            dim,
+            flat: Arc::new(flat.finish()),
+            tail: rows
+                .into_iter()
+                .map(|(terms, values)| SparseVec::from_sorted_parts(dim, terms, values))
+                .collect(),
+            tail_len,
+            num_docs: self.num_docs,
+            removed: self.removed,
+            num_removed: self.num_removed,
+            dead_unpurged: self.dead_unpurged,
+        })
     }
-    if offsets.first() != Some(&0) || offsets.last() != Some(&docs_len) {
-        return bad("offsets do not span the flat postings buffer".to_string());
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return bad("offsets are not monotone".to_string());
-    }
-    if removed_len != num_docs {
-        return bad(format!("{removed_len} tombstone slots for {num_docs} docs"));
-    }
-    Ok(())
 }
 
 impl InvertedIndex {
+    /// The tail in its wire shape: one posting list per term.
+    fn tail_lists(&self) -> Vec<PostingList> {
+        let mut lists = vec![PostingList::default(); self.dim];
+        for (doc, row) in self.tail_rows() {
+            for (t, w) in row.iter() {
+                lists[t as usize].docs.push(doc as u32);
+                lists[t as usize].weights.push(w);
+            }
+        }
+        lists
+    }
+
+    /// Every term's [`max_impact`](Self::max_impact), as stored on the
+    /// wire.
+    fn max_impacts(&self) -> Vec<f64> {
+        let mut out = self.flat.max_impact.clone();
+        for row in self.tail.iter() {
+            for (t, w) in row.iter() {
+                out[t as usize] = out[t as usize].max(w.abs());
+            }
+        }
+        out
+    }
+
+    /// Writes the eleven legacy fields, with `weights` as the flat
+    /// weight array.
+    fn encode_fields(&self, weights: &[f64], out: &mut Vec<u8>) {
+        codec::put_usize(out, self.dim);
+        codec::put_usizes(out, &self.flat.offsets);
+        codec::put_u32s(out, &self.flat.docs);
+        codec::put_f64s(out, weights);
+        codec::BinCodec::encode_bin(&self.tail_lists(), out);
+        codec::put_usize(out, self.tail_len);
+        codec::put_usize(out, self.num_docs);
+        codec::put_f64s(out, &self.max_impacts());
+        codec::put_bools(out, &self.removed);
+        codec::put_usize(out, self.num_removed);
+        codec::put_usize(out, self.dead_unpurged);
+    }
+
     /// Encodes this index in the legacy v5 wire layout: the flat
     /// postings with exact `f64` weights and no block or quantization
     /// metadata — what `FMETERDB 5` envelopes carry. A quantized index
@@ -1679,29 +1851,7 @@ impl InvertedIndex {
     /// downgrade of an `Int8` index is a documented lossy step: the
     /// pre-quantization bits are already gone.
     pub fn encode_bin_legacy(&self, out: &mut Vec<u8>) {
-        codec::put_usize(out, self.dim);
-        codec::put_usizes(out, &self.offsets);
-        codec::put_u32s(out, &self.docs);
-        match self.quantization {
-            QuantizationMode::Off => codec::put_f64s(out, &self.weights),
-            QuantizationMode::Int8 => {
-                codec::put_usize(out, self.qweights.len());
-                for t in 0..self.dim {
-                    let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-                    let (s, o) = (self.scale[t], self.qoffset[t]);
-                    for &q in &self.qweights[lo..hi] {
-                        codec::put_f64(out, o + s * f64::from(q));
-                    }
-                }
-            }
-        }
-        codec::BinCodec::encode_bin(&self.tail, out);
-        codec::put_usize(out, self.tail_len);
-        codec::put_usize(out, self.num_docs);
-        codec::put_f64s(out, &self.max_impact);
-        codec::put_bools(out, &self.removed);
-        codec::put_usize(out, self.num_removed);
-        codec::put_usize(out, self.dead_unpurged);
+        self.encode_fields(&self.flat.exact_weights(), out);
     }
 
     /// Decodes the legacy v5 wire layout written by
@@ -1714,48 +1864,12 @@ impl InvertedIndex {
     /// Returns a [`codec::CodecError`] on truncated input or structural
     /// invariant violations, like any [`codec::BinCodec`] decode.
     pub fn decode_bin_legacy(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
-        let dim = r.get_usize()?;
-        let offsets = r.get_usizes()?;
-        let docs = r.get_u32s()?;
-        let weights = r.get_f64s()?;
-        let tail = <Vec<PostingList> as codec::BinCodec>::decode_bin(r)?;
-        let tail_len = r.get_usize()?;
-        let num_docs = r.get_usize()?;
-        let max_impact = r.get_f64s()?;
-        let removed = r.get_bools()?;
-        let num_removed = r.get_usize()?;
-        let dead_unpurged = r.get_usize()?;
-        check_index_shape(
-            dim,
-            &offsets,
-            docs.len(),
-            weights.len(),
-            tail.len(),
-            max_impact.len(),
-            removed.len(),
-            num_docs,
-        )?;
-        let mut idx = InvertedIndex {
-            dim,
-            offsets,
-            docs,
-            weights,
-            tail,
-            tail_len,
-            num_docs,
-            max_impact,
-            removed,
-            num_removed,
-            dead_unpurged,
-            quantization: QuantizationMode::Off,
-            qweights: Vec::new(),
-            scale: Vec::new(),
-            qoffset: Vec::new(),
-            block_starts: Vec::new(),
-            block_max: Vec::new(),
-        };
-        idx.rebuild_blocks();
-        Ok(idx)
+        StoredIndex::decode_bin(r)?.assemble(
+            QuantizationMode::Off,
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+        )
     }
 }
 
@@ -1770,38 +1884,19 @@ impl InvertedIndex {
 // recompute from the decoded postings.
 impl codec::BinCodec for InvertedIndex {
     fn encode_bin(&self, out: &mut Vec<u8>) {
-        codec::put_usize(out, self.dim);
-        codec::put_usizes(out, &self.offsets);
-        codec::put_u32s(out, &self.docs);
-        codec::put_f64s(out, &self.weights);
-        self.tail.encode_bin(out);
-        codec::put_usize(out, self.tail_len);
-        codec::put_usize(out, self.num_docs);
-        codec::put_f64s(out, &self.max_impact);
-        codec::put_bools(out, &self.removed);
-        codec::put_usize(out, self.num_removed);
-        codec::put_usize(out, self.dead_unpurged);
-        codec::put_u8(out, self.quantization.tag());
-        codec::put_f64s(out, &self.scale);
-        codec::put_f64s(out, &self.qoffset);
-        codec::put_bytes(out, &self.qweights);
+        let flat = &self.flat;
+        self.encode_fields(&flat.weights, out);
+        codec::put_u8(out, flat.quantization.tag());
+        codec::put_f64s(out, &flat.scale);
+        codec::put_f64s(out, &flat.qoffset);
+        codec::put_bytes(out, &flat.qweights);
         codec::put_usize(out, Self::BLOCK_SIZE);
-        codec::put_usizes(out, &self.block_starts);
-        codec::put_f64s(out, &self.block_max);
+        codec::put_usizes(out, &flat.block_starts);
+        codec::put_f64s(out, &flat.block_max);
     }
 
     fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
-        let dim = r.get_usize()?;
-        let offsets = r.get_usizes()?;
-        let docs = r.get_u32s()?;
-        let weights = r.get_f64s()?;
-        let tail = Vec::<PostingList>::decode_bin(r)?;
-        let tail_len = r.get_usize()?;
-        let num_docs = r.get_usize()?;
-        let max_impact = r.get_f64s()?;
-        let removed = r.get_bools()?;
-        let num_removed = r.get_usize()?;
-        let dead_unpurged = r.get_usize()?;
+        let stored = StoredIndex::decode_bin(r)?;
         let quantization = QuantizationMode::from_tag(r.get_u8()?)?;
         let scale = r.get_f64s()?;
         let qoffset = r.get_f64s()?;
@@ -1809,77 +1904,25 @@ impl codec::BinCodec for InvertedIndex {
         let block_size = r.get_usize()?;
         let block_starts = r.get_usizes()?;
         let block_max = r.get_f64s()?;
-
-        let bad = |msg: String| Err(codec::CodecError::new(format!("InvertedIndex: {msg}")));
-        // The active flat weight buffer must parallel `docs`; the other
-        // must be absent.
-        let weights_len = match quantization {
-            QuantizationMode::Off => {
-                if !qweights.is_empty() || !scale.is_empty() || !qoffset.is_empty() {
-                    return bad("quantization arrays present in Off mode".to_string());
-                }
-                weights.len()
-            }
-            QuantizationMode::Int8 => {
-                if !weights.is_empty() {
-                    return bad("f64 flat weights present in Int8 mode".to_string());
-                }
-                if scale.len() != dim || qoffset.len() != dim {
-                    return bad(format!(
-                        "quantization parameters disagree with dim {dim}: {} scale, {} qoffset",
-                        scale.len(),
-                        qoffset.len()
-                    ));
-                }
-                qweights.len()
-            }
-        };
-        check_index_shape(
-            dim,
-            &offsets,
-            docs.len(),
-            weights_len,
-            tail.len(),
-            max_impact.len(),
-            removed.len(),
-            num_docs,
-        )?;
+        let bad = |msg: &str| Err(codec::CodecError::new(format!("InvertedIndex: {msg}")));
         if block_size == 0 {
-            return bad("block size is zero".to_string());
+            return bad("block size is zero");
         }
-        let mut idx = InvertedIndex {
-            dim,
-            offsets,
-            docs,
-            weights,
-            tail,
-            tail_len,
-            num_docs,
-            max_impact,
-            removed,
-            num_removed,
-            dead_unpurged,
-            quantization,
-            qweights,
-            scale,
-            qoffset,
-            block_starts: Vec::new(),
-            block_max: Vec::new(),
-        };
-        idx.rebuild_blocks();
+        let idx = stored.assemble(quantization, qweights, scale, qoffset)?;
+        // A different (older/newer) block size: keep the rebuilt blocks.
         if block_size == Self::BLOCK_SIZE {
-            let same = idx.block_starts == block_starts
-                && idx.block_max.len() == block_max.len()
+            let same = idx.flat.block_starts == block_starts
+                && idx.flat.block_max.len() == block_max.len()
                 && idx
+                    .flat
                     .block_max
                     .iter()
                     .zip(&block_max)
                     .all(|(a, b)| a.to_bits() == b.to_bits());
             if !same {
-                return bad("stored block metadata disagrees with the postings".to_string());
+                return bad("stored block metadata disagrees with the postings");
             }
         }
-        // A different (older/newer) block size: keep the rebuilt blocks.
         Ok(idx)
     }
 }
@@ -1892,27 +1935,18 @@ impl codec::BinCodec for InvertedIndex {
 // values) and deserialization rebuilds blocks with quantization off.
 impl Serialize for InvertedIndex {
     fn to_value(&self) -> serde::Value {
-        let weights: Vec<f64> = match self.quantization {
-            QuantizationMode::Off => self.weights.clone(),
-            QuantizationMode::Int8 => (0..self.dim)
-                .flat_map(|t| {
-                    let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-                    let (s, o) = (self.scale[t], self.qoffset[t]);
-                    self.qweights[lo..hi]
-                        .iter()
-                        .map(move |&q| o + s * f64::from(q))
-                })
-                .collect(),
-        };
         serde::Value::Object(vec![
             (String::from("dim"), self.dim.to_value()),
-            (String::from("offsets"), self.offsets.to_value()),
-            (String::from("docs"), self.docs.to_value()),
-            (String::from("weights"), weights.to_value()),
-            (String::from("tail"), self.tail.to_value()),
+            (String::from("offsets"), self.flat.offsets.to_value()),
+            (String::from("docs"), self.flat.docs.to_value()),
+            (
+                String::from("weights"),
+                self.flat.exact_weights().to_value(),
+            ),
+            (String::from("tail"), self.tail_lists().to_value()),
             (String::from("tail_len"), self.tail_len.to_value()),
             (String::from("num_docs"), self.num_docs.to_value()),
-            (String::from("max_impact"), self.max_impact.to_value()),
+            (String::from("max_impact"), self.max_impacts().to_value()),
             (String::from("removed"), self.removed.to_value()),
             (String::from("num_removed"), self.num_removed.to_value()),
             (String::from("dead_unpurged"), self.dead_unpurged.to_value()),
@@ -1922,7 +1956,8 @@ impl Serialize for InvertedIndex {
 
 impl Deserialize for InvertedIndex {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let mut idx = InvertedIndex {
+        let max_impact: Vec<f64> = Deserialize::from_value(v.get_field("max_impact")?)?;
+        let stored = StoredIndex {
             dim: Deserialize::from_value(v.get_field("dim")?)?,
             offsets: Deserialize::from_value(v.get_field("offsets")?)?,
             docs: Deserialize::from_value(v.get_field("docs")?)?,
@@ -1930,27 +1965,14 @@ impl Deserialize for InvertedIndex {
             tail: Deserialize::from_value(v.get_field("tail")?)?,
             tail_len: Deserialize::from_value(v.get_field("tail_len")?)?,
             num_docs: Deserialize::from_value(v.get_field("num_docs")?)?,
-            max_impact: Deserialize::from_value(v.get_field("max_impact")?)?,
+            max_impact_len: max_impact.len(),
             removed: Deserialize::from_value(v.get_field("removed")?)?,
             num_removed: Deserialize::from_value(v.get_field("num_removed")?)?,
             dead_unpurged: Deserialize::from_value(v.get_field("dead_unpurged")?)?,
-            quantization: QuantizationMode::Off,
-            qweights: Vec::new(),
-            scale: Vec::new(),
-            qoffset: Vec::new(),
-            block_starts: Vec::new(),
-            block_max: Vec::new(),
         };
-        if idx.offsets.len() != idx.dim + 1
-            || idx.docs.len() != idx.weights.len()
-            || idx.offsets.last() != Some(&idx.docs.len())
-        {
-            return Err(serde::Error(String::from(
-                "InvertedIndex: inconsistent posting buffers",
-            )));
-        }
-        idx.rebuild_blocks();
-        Ok(idx)
+        stored
+            .assemble(QuantizationMode::Off, Vec::new(), Vec::new(), Vec::new())
+            .map_err(|e| serde::Error(e.to_string()))
     }
 }
 
@@ -2496,6 +2518,120 @@ mod tests {
         }
     }
 
+    /// Asserts two indexes are equal field for field, floats by bits.
+    fn assert_same_index(a: &InvertedIndex, b: &InvertedIndex) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            (
+                a.dim,
+                a.num_docs,
+                a.num_removed,
+                a.dead_unpurged,
+                a.tail_len
+            ),
+            (
+                b.dim,
+                b.num_docs,
+                b.num_removed,
+                b.dead_unpurged,
+                b.tail_len
+            )
+        );
+        assert_eq!(a.removed, b.removed);
+        assert!(a.tail.iter().eq(b.tail.iter()));
+        let (a, b) = (&a.flat, &b.flat);
+        assert_eq!(a.quantization, b.quantization);
+        assert_eq!(a.offsets, b.offsets);
+        assert_eq!(a.docs, b.docs);
+        assert_eq!(bits(&a.weights), bits(&b.weights));
+        assert_eq!(a.qweights, b.qweights);
+        assert_eq!(bits(&a.scale), bits(&b.scale));
+        assert_eq!(bits(&a.qoffset), bits(&b.qoffset));
+        assert_eq!(a.block_starts, b.block_starts);
+        assert_eq!(bits(&a.block_max), bits(&b.block_max));
+        assert_eq!(bits(&a.max_impact), bits(&b.max_impact));
+    }
+
+    #[test]
+    fn from_slots_equals_the_insert_loop_field_for_field() {
+        let dim = 24usize;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        for round in 0..6 {
+            // Random vectors with negative weights and empties, plus the
+            // two normalisation edges: a norm that overflows (indexes
+            // nothing) and one that underflows (indexed unscaled).
+            let mut docs: Vec<SparseVec> = (0..60 + round * 70)
+                .map(|_| {
+                    let pairs: Vec<(u32, f64)> = (0..next(7))
+                        .map(|_| (next(dim as u64) as u32, next(2001) as f64 / 100.0 - 10.0))
+                        .collect();
+                    SparseVec::from_pairs(dim, pairs).unwrap()
+                })
+                .collect();
+            docs.push(SparseVec::from_pairs(dim, [(1, f64::MAX), (2, f64::MAX)]).unwrap());
+            docs.push(SparseVec::from_pairs(dim, [(3, 1e-200), (5, -1e-200)]).unwrap());
+            let dead: Vec<bool> = docs.iter().map(|_| next(4) == 0).collect();
+
+            let mut looped = InvertedIndex::new(dim);
+            for d in &docs {
+                looped.insert(d.clone()).unwrap();
+            }
+            for d in (0..docs.len()).filter(|&d| dead[d]) {
+                looped.remove(d).unwrap();
+            }
+            looped.optimize();
+            let slots: Vec<Option<&SparseVec>> = docs
+                .iter()
+                .zip(&dead)
+                .map(|(v, &dead)| (!dead).then_some(v))
+                .collect();
+            let built = InvertedIndex::from_slots(dim, &slots).unwrap();
+            assert_same_index(&built, &looped);
+
+            // Int8: quantizing the built flat segment is quantizing the
+            // looped one, and a rebuild *under* Int8 (the builder with a
+            // quantized target) quantizes the same exact weights once.
+            let (mut q_built, mut q_looped) = (built, looped);
+            q_built.set_quantization(QuantizationMode::Int8);
+            q_looped.set_quantization(QuantizationMode::Int8);
+            assert_same_index(&q_built, &q_looped);
+            let live = slots
+                .iter()
+                .enumerate()
+                .filter_map(|(d, v)| v.map(|v| (d, v)));
+            q_built.rebuild_postings(live).unwrap();
+            assert_same_index(&q_built, &q_looped);
+        }
+        assert!(InvertedIndex::from_slots(dim, &[Some(&SparseVec::zeros(dim + 1))]).is_err());
+    }
+
+    #[test]
+    fn clones_share_the_flat_segment_until_it_is_rewritten() {
+        let dim = 32u32;
+        let docs = banded_corpus(200, dim);
+        let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
+        let mut idx = InvertedIndex::from_slots(dim as usize, &slots).unwrap();
+        let held = idx.clone();
+        let q = &docs[9];
+        let before = held.search(q, 5).unwrap();
+        // Tail inserts and a tombstone leave the segment shared…
+        idx.insert(docs[3].clone()).unwrap();
+        idx.remove(9).unwrap();
+        assert!(idx.shares_flat_with(&held));
+        // …a compaction replaces it, and the clone never notices.
+        idx.optimize();
+        assert!(!idx.shares_flat_with(&held));
+        assert_eq!(held.search(q, 5).unwrap(), before);
+        assert_eq!(held.len(), 200);
+        assert!(idx.search(q, 5).unwrap().iter().all(|h| h.doc != 9));
+    }
+
     #[test]
     fn rebuild_postings_rejects_bad_input() {
         let mut idx = sample_index();
@@ -2538,22 +2674,23 @@ mod tests {
     fn assert_blocks_match_reference(idx: &InvertedIndex) {
         let mut starts = vec![0usize];
         let mut maxima = Vec::new();
+        let flat = &idx.flat;
         for t in 0..idx.dim {
-            let (lo, hi) = (idx.offsets[t], idx.offsets[t + 1]);
+            let (lo, hi) = (flat.offsets[t], flat.offsets[t + 1]);
             for b in 0..(hi - lo).div_ceil(InvertedIndex::BLOCK_SIZE) {
                 let s = lo + b * InvertedIndex::BLOCK_SIZE;
                 let e = (s + InvertedIndex::BLOCK_SIZE).min(hi);
                 let mut m = 0.0f64;
                 for i in s..e {
-                    m = m.max(idx.flat_weight(t, i).abs());
+                    m = m.max(flat.weight(t, i).abs());
                 }
                 maxima.push(m);
             }
             starts.push(maxima.len());
         }
-        assert_eq!(idx.block_starts, starts, "block_starts drifted");
-        assert_eq!(idx.block_max.len(), maxima.len());
-        for (i, (have, want)) in idx.block_max.iter().zip(&maxima).enumerate() {
+        assert_eq!(flat.block_starts, starts, "block_starts drifted");
+        assert_eq!(flat.block_max.len(), maxima.len());
+        for (i, (have, want)) in flat.block_max.iter().zip(&maxima).enumerate() {
             assert_eq!(have.to_bits(), want.to_bits(), "block_max[{i}] drifted");
         }
     }
@@ -2689,10 +2826,10 @@ mod tests {
         quant.set_quantization(QuantizationMode::Int8);
         assert_eq!(quant.quantization(), QuantizationMode::Int8);
         for t in 0..dim as usize {
-            let (lo, hi) = (exact.offsets[t], exact.offsets[t + 1]);
-            let step = quant.scale[t];
+            let (lo, hi) = (exact.flat.offsets[t], exact.flat.offsets[t + 1]);
+            let step = quant.flat.scale[t];
             for i in lo..hi {
-                let err = (exact.flat_weight(t, i) - quant.flat_weight(t, i)).abs();
+                let err = (exact.flat.weight(t, i) - quant.flat.weight(t, i)).abs();
                 assert!(
                     err <= step / 2.0 + 1e-15,
                     "term {t} pos {i}: err {err} > scale/2 {}",

@@ -63,6 +63,7 @@ mod error;
 mod index;
 mod matrix;
 mod shard;
+mod shared;
 mod sparse;
 mod tfidf;
 
@@ -77,6 +78,7 @@ pub use error::IrError;
 pub use index::{InvertedIndex, QuantizationMode, SearchHit, SearchScratch};
 pub use matrix::CsrMatrix;
 pub use shard::{merge_topk, search_sharded, Shard, ShardRouter};
+pub use shared::SharedVec;
 pub use sparse::SparseVec;
 pub use tfidf::{IdfMode, IdfRefit, TfIdfModel, TfIdfOptions, TfMode};
 

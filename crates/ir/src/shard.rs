@@ -17,7 +17,7 @@
 
 use std::cmp::Ordering;
 
-use crate::{CsrMatrix, DocId, InvertedIndex, IrError, SearchHit, SearchScratch, SparseVec};
+use crate::{DocId, InvertedIndex, IrError, SearchHit, SearchScratch, SparseVec};
 
 /// Deterministic round-robin doc→shard router.
 ///
@@ -73,9 +73,10 @@ impl ShardRouter {
 }
 
 /// One shard of a sharded corpus: its own [`InvertedIndex`] (postings
-/// and WAND max-impact bounds over shard-local ids) plus the shard's
-/// vectors packed in a [`CsrMatrix`] (so a snapshot consumer can replay
-/// or re-index the shard without reaching back into the writer).
+/// and WAND max-impact bounds over shard-local ids). Cloning a shard
+/// shares the index's flat segment and tail rows (see
+/// [`InvertedIndex`]'s storage layout), so a clone costs the tombstone
+/// flags, not the postings.
 ///
 /// All public entry points speak *global* doc ids; the shard translates
 /// through its [`ShardRouter`] internally and rejects misrouted ids.
@@ -84,7 +85,6 @@ pub struct Shard {
     shard: usize,
     router: ShardRouter,
     index: InvertedIndex,
-    vectors: CsrMatrix,
 }
 
 impl Shard {
@@ -95,17 +95,38 @@ impl Shard {
     ///
     /// Panics when `shard` is out of range for the router.
     pub fn new(shard: usize, router: ShardRouter, dim: usize) -> Self {
+        Self::from_slots(shard, router, dim, &[]).expect("no vector to mismatch")
+    }
+
+    /// Builds shard `shard` fully compacted in one pass: `slots[l]` is
+    /// the vector of the shard's local doc `l` (global doc
+    /// `router.global_of(shard, l)`), or `None` for a tombstoned slot —
+    /// see [`InvertedIndex::from_slots`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::DimensionMismatch`] on a vector dimension
+    /// mismatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard` is out of range for the router.
+    pub fn from_slots(
+        shard: usize,
+        router: ShardRouter,
+        dim: usize,
+        slots: &[Option<&SparseVec>],
+    ) -> Result<Self, IrError> {
         assert!(
             shard < router.num_shards(),
             "shard {shard} out of range for {} shards",
             router.num_shards()
         );
-        Shard {
+        Ok(Shard {
             shard,
             router,
-            index: InvertedIndex::new(dim),
-            vectors: CsrMatrix::default(),
-        }
+            index: InvertedIndex::from_slots(dim, slots)?,
+        })
     }
 
     /// This shard's position in the layout.
@@ -143,12 +164,6 @@ impl Shard {
         &self.index
     }
 
-    /// The shard's vectors, packed row-per-local-id. Tombstoned locals
-    /// keep their last row — check [`is_live`](Self::is_live).
-    pub fn vectors(&self) -> &CsrMatrix {
-        &self.vectors
-    }
-
     /// Returns `true` when global doc `doc` is routed here and live.
     pub fn is_live(&self, doc: DocId) -> bool {
         self.router.shard_of(doc) == self.shard && self.index.is_live(self.router.local_of(doc))
@@ -164,21 +179,12 @@ impl Shard {
     /// shard) or out of order, and [`IrError::DimensionMismatch`] on a
     /// vector dimension mismatch.
     pub fn insert(&mut self, global: DocId, vector: SparseVec) -> Result<DocId, IrError> {
-        if vector.dim() != self.index.dim() {
-            return Err(IrError::DimensionMismatch {
-                left: self.index.dim(),
-                right: vector.dim(),
-            });
-        }
         if self.router.shard_of(global) != self.shard
             || self.router.local_of(global) != self.index.len()
         {
             return Err(IrError::DocNotLive(global));
         }
-        self.vectors
-            .push_row(&vector)
-            .expect("dimension checked above");
-        let local = self.index.insert(vector).expect("dimension checked above");
+        let local = self.index.insert(vector)?;
         debug_assert_eq!(local, self.router.local_of(global));
         Ok(global)
     }
@@ -216,42 +222,6 @@ impl Shard {
     /// own exhaustive ranking bit for bit.
     pub fn set_quantization(&mut self, mode: crate::QuantizationMode) {
         self.index.set_quantization(mode);
-    }
-
-    /// Rewrites this shard's postings (and stored vectors) from the
-    /// given live `(global doc, vector)` pairs, ascending by global id —
-    /// the per-shard leg of an idf refit (see
-    /// [`InvertedIndex::rebuild_postings`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::DocNotLive`] for misrouted, dead, or
-    /// disordered ids and [`IrError::DimensionMismatch`] on a vector
-    /// dimension mismatch; the shard is unchanged on error.
-    pub fn rebuild_postings<'a, I>(&mut self, live: I) -> Result<(), IrError>
-    where
-        I: IntoIterator<Item = (DocId, &'a SparseVec)>,
-    {
-        let mut pairs: Vec<(DocId, &SparseVec)> = Vec::new();
-        for (global, vector) in live {
-            if self.router.shard_of(global) != self.shard {
-                return Err(IrError::DocNotLive(global));
-            }
-            pairs.push((self.router.local_of(global), vector));
-        }
-        self.index
-            .rebuild_postings(pairs.iter().map(|&(l, v)| (l, v)))?;
-        // Refresh the packed vector rows the rebuild re-weighted; dead
-        // locals keep their last row (same contract as the index, which
-        // keeps their tombstones).
-        let mut rows: Vec<SparseVec> = (0..self.vectors.len())
-            .map(|l| self.vectors.row_to_sparse(l))
-            .collect();
-        for &(l, v) in &pairs {
-            rows[l] = v.clone();
-        }
-        self.vectors = CsrMatrix::from_rows(&rows).expect("rows share the shard dimension");
-        Ok(())
     }
 
     /// Finds this shard's `k` best hits for `query`, reported under
@@ -462,55 +432,34 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_postings_routes_and_refreshes_vectors() {
+    fn from_slots_matches_the_insert_loop() {
+        // Built in one pass — with a tombstoned slot — a shard answers
+        // exactly like one that inserted, removed, and compacted.
         let dim = 8usize;
-        let docs = corpus(20, dim as u32);
-        let mut shards = build_sharded(&docs, 2, dim);
-        shards[0].remove(4).unwrap();
-        // Rebuild shard 0 from scaled survivors, as a refit would hand
-        // down re-weighted vectors.
-        let scaled: Vec<(DocId, SparseVec)> = (0..20)
-            .filter(|d| d % 2 == 0 && *d != 4)
-            .map(|d| (d, docs[d].scaled(3.0)))
-            .collect();
-        shards[0]
-            .rebuild_postings(scaled.iter().map(|(d, v)| (*d, v)))
-            .unwrap();
-        // A misrouted id is rejected and leaves the shard intact.
-        let v = docs[1].clone();
-        assert!(shards[0].rebuild_postings([(1usize, &v)]).is_err());
-        // The flat reference rebuilds from the very same vectors (bitwise
-        // identity demands identical inputs — normalising a scaled copy
-        // is only mathematically, not bitwise, a no-op).
-        let mut flat = InvertedIndex::new(dim);
-        for v in &docs {
-            flat.insert(v.clone()).unwrap();
-        }
-        flat.remove(4).unwrap();
-        let flat_live: Vec<(DocId, SparseVec)> = (0..20)
-            .filter(|&d| d != 4)
-            .map(|d| {
-                if d % 2 == 0 {
-                    (d, docs[d].scaled(3.0))
-                } else {
-                    (d, docs[d].clone())
-                }
+        let docs = corpus(21, dim as u32);
+        let mut looped = build_sharded(&docs, 2, dim);
+        looped[0].remove(4).unwrap();
+        let router = ShardRouter::new(2);
+        let built: Vec<Shard> = (0..2)
+            .map(|s| {
+                let slots: Vec<Option<&SparseVec>> = (s..docs.len())
+                    .step_by(2)
+                    .map(|d| (d != 4).then_some(&docs[d]))
+                    .collect();
+                Shard::from_slots(s, router, dim, &slots).unwrap()
             })
             .collect();
-        flat.rebuild_postings(flat_live.iter().map(|(d, v)| (*d, v)))
-            .unwrap();
+        assert_eq!(built[0].len(), 11);
+        assert_eq!(built[0].live_len(), 10);
+        assert!(!built[0].is_live(4) && built[0].is_live(6));
         let mut scratch = SearchScratch::new();
-        for q in docs.iter().take(5) {
-            let expected = flat.search_with(q, 8, &mut scratch).unwrap();
-            let got = search_sharded(&shards, q, 8, &mut scratch).unwrap();
+        for q in docs.iter().take(6) {
+            let expected = search_sharded(&looped, q, 8, &mut scratch).unwrap();
+            let got = search_sharded(&built, q, 8, &mut scratch).unwrap();
             assert_eq!(got, expected);
         }
-        // The packed vectors mirror the rebuilt weights.
-        let local_of_6 = shards[0].router().local_of(6);
-        assert_eq!(
-            shards[0].vectors().row_to_sparse(local_of_6),
-            docs[6].scaled(3.0)
-        );
+        let bad = SparseVec::zeros(dim + 1);
+        assert!(Shard::from_slots(0, router, dim, &[Some(&bad)]).is_err());
     }
 
     #[test]

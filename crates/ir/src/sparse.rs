@@ -225,12 +225,27 @@ impl SparseVec {
     /// The zero vector is returned unchanged (there is no direction to keep).
     /// This is the normalisation the paper applies before SVM training.
     pub fn l2_normalized(&self) -> SparseVec {
+        self.scaled(self.l2_unit_factor())
+    }
+
+    /// The factor [`l2_normalized`](Self::l2_normalized) scales by:
+    /// `1 / ‖v‖`, or exactly 1 for a zero-norm vector (`x * 1.0` is `x`
+    /// bit for bit, so that case is a plain copy).
+    pub(crate) fn l2_unit_factor(&self) -> f64 {
         let norm = self.norm_l2();
         if norm == 0.0 {
-            self.clone()
+            1.0
         } else {
-            self.scaled(1.0 / norm)
+            1.0 / norm
         }
+    }
+
+    /// Wraps parallel arrays that already satisfy the storage layout
+    /// (terms strictly ascending and below `dim`).
+    pub(crate) fn from_sorted_parts(dim: usize, terms: Vec<TermId>, values: Vec<f64>) -> Self {
+        debug_assert!(terms.len() == values.len() && terms.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(terms.last().is_none_or(|&t| (t as usize) < dim));
+        SparseVec { dim, terms, values }
     }
 
     /// Element-wise sum.
