@@ -868,7 +868,7 @@ fn main() {
 
     // Envelope persistence round trip: what a daemon pays at
     // checkpoint/restart (save writes the versioned envelope, load
-    // detects, migrates if needed, validates, and rebuilds).
+    // detects the version, validates, and rebuilds the index).
     let mut saved = Vec::new();
     db.save(&mut saved).unwrap();
     let saved_len = saved.len();

@@ -201,8 +201,9 @@ pub(crate) struct ClusterCache {
 ///
 /// [`save`](Self::save) writes a versioned envelope (magic, format
 /// version, section table) and [`load`](Self::load) reads *any*
-/// supported historical format, migrating it forward — including the
-/// bare unversioned JSON that pre-envelope releases wrote. See the
+/// supported historical format — including the bare unversioned JSON
+/// that pre-envelope releases wrote. The inverted index is derived from
+/// the signatures and rebuilt at load, never stored. See the
 /// [`persist`](crate::persist) module for the format contract.
 #[derive(Debug, Clone)]
 pub struct SignatureDb {
@@ -702,8 +703,8 @@ impl SignatureDb {
     /// `f64` and 8-bit quantized storage (~4x smaller resident
     /// postings, per-weight error at most half a quantization step —
     /// see [`InvertedIndex::set_quantization`]). The mode survives
-    /// vacuums, refits, and v6+ saves; saving as an older format
-    /// version downgrades to the dequantized `f64` weights.
+    /// vacuums, refits, and save/load; a load re-quantizes from the
+    /// exact signatures, like a refit does.
     pub fn set_quantization(&mut self, mode: fmeter_ir::QuantizationMode) {
         self.index.set_quantization(mode);
     }
@@ -974,40 +975,23 @@ impl SignatureDb {
     /// Serialises the database in the current on-disk format: a tagged
     /// envelope (magic, format version, section table) whose layout is
     /// specified and version-tabled in the [`persist`](crate::persist)
-    /// module. Older formats load via [`load`](Self::load)'s migration
-    /// chain; to *write* an older format (e.g. for a fleet that has not
-    /// upgraded yet), use
-    /// [`save_as_version`](Self::save_as_version).
+    /// module. The inverted index is not part of it — it is derived
+    /// from the signatures and rebuilt by [`load`](Self::load).
     ///
     /// # Errors
     ///
     /// Propagates I/O and serialisation failures.
     pub fn save<W: Write>(&self, writer: W) -> Result<(), FmeterError> {
-        crate::persist::save(self, crate::persist::CURRENT_FORMAT_VERSION, writer)
-    }
-
-    /// Serialises the database as a specific historical format version
-    /// (`0` = the pre-envelope bare JSON). Downgrading is lossy where
-    /// the older format has no room for newer state: a v1 (or v0) save
-    /// drops the vacuum policy and counter, which load back as their
-    /// defaults. Primarily for fixture generation and mixed-version
-    /// fleets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FmeterError::UnsupportedFormat`] for unknown versions
-    /// and propagates I/O and serialisation failures.
-    pub fn save_as_version<W: Write>(&self, version: u32, writer: W) -> Result<(), FmeterError> {
-        crate::persist::save(self, version, writer)
+        crate::persist::save(self, writer)
     }
 
     /// Loads a database previously written by [`save`](Self::save) —
     /// by *any* release: the reader detects the format version (the
-    /// pre-envelope bare JSON counts as version 0) and migrates the
-    /// payload forward through every version table entry up to the
-    /// current one. A database saved by version N−1 code therefore
-    /// loads on version N with search/classify behaviour identical to
-    /// the state it was saved in.
+    /// pre-envelope bare JSON counts as version 0), decodes the
+    /// sections that version has, and fills in what it could not carry.
+    /// A database saved by version N−1 code therefore loads on version
+    /// N with search/classify behaviour identical to the state it was
+    /// saved in.
     ///
     /// # Errors
     ///
@@ -1072,18 +1056,31 @@ mod tests {
         db.remove(0).unwrap();
         db.vacuum();
         assert_eq!(db.quantization(), fmeter_ir::QuantizationMode::Int8);
-        // And so must a current-version save/load round trip.
+        // And so must a save/load round trip. The u8 grid itself is not
+        // stored: the loaded index is re-quantized from the exact
+        // signatures, so it scores bit for bit like a fresh one-pass
+        // build over the same slots switched to Int8.
         let mut bytes = Vec::new();
         db.save(&mut bytes).unwrap();
         let back = SignatureDb::load(&bytes[..]).unwrap();
         assert_eq!(back.quantization(), fmeter_ir::QuantizationMode::Int8);
+        let slots: Vec<Option<&SparseVec>> = db
+            .signatures
+            .iter()
+            .zip(&db.live)
+            .map(|(s, &live)| live.then_some(&s.vector))
+            .collect();
+        let mut rebuilt = InvertedIndex::from_slots(db.dim(), &slots).unwrap();
+        rebuilt.set_quantization(fmeter_ir::QuantizationMode::Int8);
         let probe = TermCounts::from_dense(&[48, 41, 29, 22, 0, 0, 0, 0]);
-        let a = db.search(&probe, 3).unwrap();
-        let b = back.search(&probe, 3).unwrap();
+        let query = back.transform(&probe);
+        let a = back.index.search(&query, 3).unwrap();
+        let b = rebuilt.search(&query, 3).unwrap();
+        assert_eq!(a.len(), 3);
         assert_eq!(a.len(), b.len());
-        for ((s1, sc1), (s2, sc2)) in a.iter().zip(&b) {
-            assert_eq!(s1.label, s2.label);
-            assert_eq!(sc1.to_bits(), sc2.to_bits());
+        for (h1, h2) in a.iter().zip(&b) {
+            assert_eq!(h1.doc, h2.doc);
+            assert_eq!(h1.score.to_bits(), h2.score.to_bits());
         }
     }
 

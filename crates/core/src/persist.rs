@@ -1,5 +1,5 @@
 //! Versioned on-disk persistence for [`SignatureDb`] — the format
-//! contract, its version table, and the migration chain.
+//! contract and its version table.
 //!
 //! The paper's whole premise is that signatures are *indexable
 //! artifacts* an operator stores and searches over time (§1, §4); a
@@ -8,63 +8,48 @@
 //! contract, not a debug dump:
 //!
 //! * every save is wrapped in a tagged **envelope** — a magic line, a
-//!   format version, and a section table with byte lengths — so readers
-//!   know exactly what they are holding before parsing a byte of
-//!   payload;
+//!   format version, and a section table with byte lengths, checksums
+//!   and codec tags — so readers know exactly what they are holding
+//!   before parsing a byte of payload;
+//! * there is **one writer**: [`save`] emits format
+//!   [`CURRENT_FORMAT_VERSION`] and nothing else;
 //! * every historical layout has an entry in [`FORMAT_VERSIONS`] and a
-//!   committed fixture under `tests/fixtures/` that locks it in
-//!   forever;
-//! * [`load`] migrates any supported version forward, one
-//!   version-to-version migration function at a time, so a database
-//!   saved by release N−1 loads on release N with identical
-//!   search/classify behaviour;
-//! * the **bare unversioned JSON** that pre-envelope releases wrote
-//!   (format version 0) is detected by the absence of the magic and
-//!   adopted into the chain.
+//!   committed, immutable fixture under `tests/fixtures/`; [`load`]
+//!   reads each of them in **one hop** — sections decode by their codec
+//!   tag straight into their types, and what an old version could not
+//!   carry is filled in by the `legacy` submodule (which also adopts the
+//!   magic-less bare JSON of pre-envelope releases, format version 0);
+//! * the **inverted index is never stored**: it is a transpose of the
+//!   signatures, so the loader rebuilds it with
+//!   [`InvertedIndex::from_slots`]. Older envelopes carry an `index`
+//!   section; it is checksummed with its file and otherwise ignored.
 //!
 //! # Envelope layout
 //!
 //! ```text
-//! FMETERDB 5\n                                   ← magic + format version
-//! {"format_version":5,"sections":[["model",N],…],"crc32":[…],"codec":["bin",…]}\n
-//! <model bytes><corpus bytes><signatures bytes><index bytes><state bytes><sharding bytes>
+//! FMETERDB 7\n                                   ← magic + format version
+//! {"format_version":7,"sections":[["model",N],…],"crc32":[…],"codec":["bin",…]}\n
+//! <model bytes><corpus bytes><signatures bytes><state bytes><sharding bytes>
 //! ```
 //!
 //! The table carries each section's byte length, so a reader can skip,
-//! split, or stream sections without parsing them. Section payloads are
-//! looked up by *name*, so future versions may add or reorder sections
-//! freely. Since v4 the header also carries one CRC32 per section
-//! (parallel to the table); readers verify every checksum *before*
-//! parsing a byte of payload, so a torn or bit-flipped save fails with
+//! split, or stream sections without parsing them, and sections are
+//! looked up by *name*. One CRC32 per section (since v4) is verified
+//! *before* any payload parses, so a torn or bit-flipped save fails with
 //! a precise [`FmeterError::CorruptEnvelope`] instead of a parse error
-//! deep inside a section.
-//!
-//! Since v5 the header additionally carries one **codec tag** per
-//! section: `"json"` payloads are self-contained JSON documents,
-//! `"bin"` payloads use the length-prefixed little-endian codec of
-//! [`fmeter_ir::codec`]. The heavy sections (model, corpus, signatures,
-//! index) are binary — parsing hundreds of thousands of JSON float
-//! literals dominated checkpoint loads — while the small, operator-
-//! inspectable `state` and `sharding` sections stay JSON. The byte-level
-//! wire format per section is documented in `docs/PERSISTENCE.md`.
-//!
-//! Loading stays lazy: section payloads are kept as **raw bytes** and
-//! only parsed when (and if) their decoder runs. A migration that
-//! rewrites the few-hundred-byte `state` section never pays a parse of
-//! the megabytes of corpus sitting next to it; the full-corpus sections
-//! are each decoded exactly once, directly into their target types, by
-//! the final decode. (The version-0 shim is the exception: bare JSON
-//! has no section table to slice, so adopting it parses the whole
-//! save.)
-//!
-//! See `docs/PERSISTENCE.md` in the repository for the narrative
-//! version of this contract, including a worked save→upgrade→load
-//! example.
+//! deep inside a section. One codec tag per section (since v5) says how
+//! the payload is encoded: `"bin"` payloads (model, corpus, signatures)
+//! use the length-prefixed little-endian codec of [`fmeter_ir::codec`],
+//! the small operator-inspectable `state` and `sharding` sections are
+//! `"json"`. The byte-level wire format per section is documented in
+//! `docs/PERSISTENCE.md`, next to what each older version lacked.
+
+mod legacy;
 
 use std::io::{Read, Write};
 
-use fmeter_ir::codec::BinCodec;
-use fmeter_ir::{Corpus, InvertedIndex, TfIdfModel};
+use fmeter_ir::codec::{decode_from_slice, encode_to_vec, BinCodec};
+use fmeter_ir::{Corpus, InvertedIndex, QuantizationMode, SparseVec, TfIdfModel};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::{FmeterError, RefitPolicy, Signature, SignatureDb, VacuumPolicy};
@@ -74,7 +59,7 @@ use crate::{FmeterError, RefitPolicy, Signature, SignatureDb, VacuumPolicy};
 pub const MAGIC: &str = "FMETERDB";
 
 /// The format version [`SignatureDb::save`] writes.
-pub const CURRENT_FORMAT_VERSION: u32 = 6;
+pub const CURRENT_FORMAT_VERSION: u32 = 7;
 
 /// One entry of the on-disk format history.
 #[derive(Debug, Clone, Copy)]
@@ -88,14 +73,14 @@ pub struct FormatVersion {
 
 /// Every on-disk layout ever written, oldest first. Each entry is
 /// locked in by a committed fixture under `tests/fixtures/`; changing
-/// the serialized layout requires appending a new entry here, a
-/// migration from the previous version, and a new fixture — the
+/// the serialized layout requires appending a new entry here, teaching
+/// the loader what the previous version lacked, and a new fixture — the
 /// `persistence_formats` integration test fails otherwise.
 pub const FORMAT_VERSIONS: &[FormatVersion] = &[
     FormatVersion {
         version: 0,
         summary: "bare unversioned JSON of the whole database struct (pre-envelope \
-                  releases); detected by the absence of the magic and adopted as v1",
+                  releases); detected by the absence of the magic",
     },
     FormatVersion {
         version: 1,
@@ -132,12 +117,18 @@ pub const FORMAT_VERSIONS: &[FormatVersion] = &[
                   extension (mode tag, per-term scale/offset, u8 impacts); every \
                   other section is byte-identical to v5",
     },
+    FormatVersion {
+        version: 7,
+        summary: "the index section is gone — the index is rebuilt from the \
+                  signatures on load — and the state section gains the \
+                  quantization mode the rebuilt index is switched to; every other \
+                  section is byte-identical to v6",
+    },
 ];
 
 const SEC_MODEL: &str = "model";
 const SEC_CORPUS: &str = "corpus";
 const SEC_SIGNATURES: &str = "signatures";
-const SEC_INDEX: &str = "index";
 const SEC_STATE: &str = "state";
 const SEC_SHARDING: &str = "sharding";
 
@@ -224,20 +215,10 @@ impl Deserialize for EnvelopeHeader {
     }
 }
 
-/// The `state` section as written by format version 1.
+/// The `state` section: everything about the database that is neither
+/// the model, the corpus, nor the signatures themselves.
 #[derive(Debug, Serialize, Deserialize)]
-struct StateV1 {
-    live: Vec<bool>,
-    num_live: usize,
-    epoch: u64,
-    doc_epoch: Vec<u64>,
-    refit_policy: RefitPolicy,
-    mutations_since_refit: usize,
-}
-
-/// The `state` section as written by format version 2.
-#[derive(Debug, Serialize, Deserialize)]
-struct StateV2 {
+struct State {
     live: Vec<bool>,
     num_live: usize,
     epoch: u64,
@@ -246,274 +227,121 @@ struct StateV2 {
     mutations_since_refit: usize,
     vacuum_policy: VacuumPolicy,
     vacuums: u64,
+    quantization: QuantizationMode,
 }
 
-/// The `sharding` section as written by format version 3: the
+/// The `sharding` section: the
 /// [`SignatureService`](crate::SignatureService) shard layout. A plain
 /// [`SignatureDb::save`] writes `num_shards: 1` (one shard *is* the
 /// flat layout), and a plain load simply ignores the section.
 #[derive(Debug, Serialize, Deserialize)]
-struct ShardingV3 {
+struct Sharding {
     num_shards: usize,
 }
 
-/// One envelope section: the raw payload as sliced out of the file
-/// (JSON text or binary bytes, per its codec tag), or a parsed value
-/// tree once something rewrote it.
-///
-/// Sections stay [`Raw`](Section::Raw) / [`Bin`](Section::Bin) until
-/// their decoder runs — a migration that touches only the small `state`
-/// section leaves the full-corpus payloads unparsed, and the final
-/// decode parses each of them exactly once, straight into its target
-/// type.
-enum Section {
-    Raw(String),
-    Parsed(Value),
-    Bin(Vec<u8>),
-}
-
-/// An in-memory envelope: version + named sections (raw payload slices
-/// until something parses them). The migration chain rewrites sections
-/// in place until the version reaches [`CURRENT_FORMAT_VERSION`].
-struct Envelope {
-    version: u32,
-    sections: Vec<(String, Section)>,
-}
-
-impl Envelope {
-    fn section(&self, name: &str) -> Result<&Section, FmeterError> {
-        self.sections
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| FmeterError::Persist(format!("envelope is missing section `{name}`")))
-    }
-
-    fn replace(&mut self, name: &str, value: Value) {
-        self.replace_with(name, Section::Parsed(value));
-    }
-
-    fn replace_with(&mut self, name: &str, section: Section) {
-        match self.sections.iter_mut().find(|(n, _)| n == name) {
-            Some((_, v)) => *v = section,
-            None => self.sections.push((name.to_string(), section)),
-        }
-    }
+/// Everything a save carries, decoded but not yet cross-checked — what
+/// both the envelope reader and the version-0 reader hand to
+/// [`assemble`].
+struct Parts {
+    model: TfIdfModel,
+    corpus: Corpus,
+    signatures: Vec<Signature>,
+    state: State,
+    num_shards: usize,
 }
 
 fn persist_err(context: &str, e: impl std::fmt::Display) -> FmeterError {
     FmeterError::Persist(format!("{context}: {e}"))
 }
 
-fn field<'a>(v: &'a Value, name: &str) -> Result<&'a Value, FmeterError> {
-    v.get_field(name)
-        .map_err(|e| persist_err("legacy layout", e))
-}
-
-fn section_as<T: Deserialize>(env: &Envelope, name: &str) -> Result<T, FmeterError> {
-    match env.section(name)? {
-        // The lazy path: parse the payload string directly into the
-        // target type, skipping the intermediate value tree entirely.
-        Section::Raw(payload) => {
-            serde_json::from_str(payload).map_err(|e| persist_err(&format!("section `{name}`"), e))
-        }
-        Section::Parsed(value) => {
-            T::from_value(value).map_err(|e| persist_err(&format!("section `{name}`"), e))
-        }
-        Section::Bin(_) => Err(FmeterError::Persist(format!(
-            "section `{name}` is binary but a JSON decoder was asked for it"
-        ))),
-    }
-}
-
-/// Like [`section_as`], for sections that may be carried by either
-/// codec: binary payloads decode through [`BinCodec`], everything else
-/// falls back to the JSON path.
-fn section_bin_as<T: Deserialize + BinCodec>(env: &Envelope, name: &str) -> Result<T, FmeterError> {
-    match env.section(name)? {
-        Section::Bin(bytes) => fmeter_ir::codec::decode_from_slice(bytes)
-            .map_err(|e| persist_err(&format!("section `{name}`"), e)),
-        _ => section_as(env, name),
-    }
-}
-
 // ---- writing ---------------------------------------------------------
 
-/// Serialises `db` as on-disk format `version` (used by
-/// [`SignatureDb::save`] / [`SignatureDb::save_as_version`]).
+/// Serialises `db` in the current on-disk format (used by
+/// [`SignatureDb::save`]).
 ///
 /// # Errors
 ///
-/// Returns [`FmeterError::UnsupportedFormat`] for versions outside
-/// [`FORMAT_VERSIONS`] and propagates I/O failures.
-pub fn save<W: Write>(db: &SignatureDb, version: u32, writer: W) -> Result<(), FmeterError> {
-    save_sharded(db, 1, version, writer)
+/// Propagates I/O and serialisation failures.
+pub fn save<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterError> {
+    save_sharded(db, 1, writer)
 }
 
 /// Serialises `db` together with a [`SignatureService`] shard layout
-/// (used by [`SignatureService::save`]). Only format version 3 carries
-/// the layout; writing an older version silently drops it (that is the
-/// format those releases read).
+/// (used by [`SignatureService::save`] and by checkpoints).
 ///
 /// [`SignatureService`]: crate::SignatureService
 /// [`SignatureService::save`]: crate::SignatureService::save
 ///
 /// # Errors
 ///
-/// Returns [`FmeterError::UnsupportedFormat`] for versions outside
-/// [`FORMAT_VERSIONS`] and propagates I/O failures.
+/// Propagates I/O and serialisation failures.
 pub fn save_sharded<W: Write>(
     db: &SignatureDb,
     num_shards: usize,
-    version: u32,
     writer: W,
 ) -> Result<(), FmeterError> {
-    match version {
-        0 => save_v0(db, writer),
-        1..=CURRENT_FORMAT_VERSION => {
-            write_envelope(&encode_sharded(db, num_shards, version), writer)
-        }
-        found => Err(FmeterError::UnsupportedFormat {
-            found,
-            supported: CURRENT_FORMAT_VERSION,
-        }),
-    }
-}
-
-/// The pre-envelope layout: one bare JSON object holding every field of
-/// the database struct as the old `#[derive(Serialize)]` emitted it.
-fn save_v0<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterError> {
-    let value = Value::Object(vec![
-        ("model".to_string(), db.model.to_value()),
-        ("signatures".to_string(), db.signatures.to_value()),
-        ("index".to_string(), db.index.to_value()),
-        ("corpus".to_string(), db.corpus.to_value()),
-        ("live".to_string(), db.live.to_value()),
-        ("num_live".to_string(), db.num_live.to_value()),
-        ("epoch".to_string(), db.epoch.to_value()),
-        ("doc_epoch".to_string(), db.doc_epoch.to_value()),
-        ("refit_policy".to_string(), db.refit_policy.to_value()),
+    let state = State {
+        live: db.live.clone(),
+        num_live: db.num_live,
+        epoch: db.epoch,
+        doc_epoch: db.doc_epoch.clone(),
+        refit_policy: db.refit_policy,
+        mutations_since_refit: db.mutations_since_refit,
+        vacuum_policy: db.vacuum_policy,
+        vacuums: db.vacuums,
+        quantization: db.index.quantization(),
+    };
+    let sections = [
+        (SEC_MODEL, SectionCodec::Binary, encode_to_vec(&db.model)),
+        (SEC_CORPUS, SectionCodec::Binary, encode_to_vec(&db.corpus)),
         (
-            "mutations_since_refit".to_string(),
-            db.mutations_since_refit.to_value(),
+            SEC_SIGNATURES,
+            SectionCodec::Binary,
+            encode_to_vec(&db.signatures),
         ),
-    ]);
-    serde_json::to_writer(writer, &value)?;
-    Ok(())
+        (
+            SEC_STATE,
+            SectionCodec::Json,
+            serde_json::to_string(&state)?.into_bytes(),
+        ),
+        (
+            SEC_SHARDING,
+            SectionCodec::Json,
+            serde_json::to_string(&Sharding { num_shards })?.into_bytes(),
+        ),
+    ];
+    write_envelope(&sections, writer)
 }
 
-fn encode_sharded(db: &SignatureDb, num_shards: usize, version: u32) -> Envelope {
-    debug_assert!((1..=CURRENT_FORMAT_VERSION).contains(&version));
-    let state = if version == 1 {
-        StateV1 {
-            live: db.live.clone(),
-            num_live: db.num_live,
-            epoch: db.epoch,
-            doc_epoch: db.doc_epoch.clone(),
-            refit_policy: db.refit_policy,
-            mutations_since_refit: db.mutations_since_refit,
-        }
-        .to_value()
-    } else {
-        StateV2 {
-            live: db.live.clone(),
-            num_live: db.num_live,
-            epoch: db.epoch,
-            doc_epoch: db.doc_epoch.clone(),
-            refit_policy: db.refit_policy,
-            mutations_since_refit: db.mutations_since_refit,
-            vacuum_policy: db.vacuum_policy,
-            vacuums: db.vacuums,
-        }
-        .to_value()
-    };
-    // v5 and later carry the heavy sections in the binary codec; older
-    // versions keep the JSON value trees their fixtures pin. Within the
-    // binary era, v5 pins the legacy flat-postings index layout and v6
-    // the block-max/quantization one.
-    let mut sections = if version >= 5 {
-        let index_bytes = if version >= 6 {
-            fmeter_ir::codec::encode_to_vec(&db.index)
-        } else {
-            let mut out = Vec::new();
-            db.index.encode_bin_legacy(&mut out);
-            out
-        };
-        vec![
-            (
-                SEC_MODEL.to_string(),
-                Section::Bin(fmeter_ir::codec::encode_to_vec(&db.model)),
-            ),
-            (
-                SEC_CORPUS.to_string(),
-                Section::Bin(fmeter_ir::codec::encode_to_vec(&db.corpus)),
-            ),
-            (
-                SEC_SIGNATURES.to_string(),
-                Section::Bin(fmeter_ir::codec::encode_to_vec(&db.signatures)),
-            ),
-            (SEC_INDEX.to_string(), Section::Bin(index_bytes)),
-            (SEC_STATE.to_string(), Section::Parsed(state)),
-        ]
-    } else {
-        vec![
-            (SEC_MODEL.to_string(), Section::Parsed(db.model.to_value())),
-            (
-                SEC_CORPUS.to_string(),
-                Section::Parsed(db.corpus.to_value()),
-            ),
-            (
-                SEC_SIGNATURES.to_string(),
-                Section::Parsed(db.signatures.to_value()),
-            ),
-            (SEC_INDEX.to_string(), Section::Parsed(db.index.to_value())),
-            (SEC_STATE.to_string(), Section::Parsed(state)),
-        ]
-    };
-    if version >= 3 {
-        sections.push((
-            SEC_SHARDING.to_string(),
-            Section::Parsed(ShardingV3 { num_shards }.to_value()),
-        ));
-    }
-    Envelope { version, sections }
-}
-
-fn write_envelope<W: Write>(env: &Envelope, mut writer: W) -> Result<(), FmeterError> {
-    let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(env.sections.len());
-    let mut codecs = Vec::with_capacity(env.sections.len());
-    let mut table = Vec::with_capacity(env.sections.len());
-    for (name, section) in &env.sections {
-        let (bytes, codec) = match section {
-            Section::Raw(payload) => (payload.clone().into_bytes(), SectionCodec::Json),
-            Section::Parsed(value) => (
-                serde_json::to_string(value)?.into_bytes(),
-                SectionCodec::Json,
-            ),
-            Section::Bin(payload) => (payload.clone(), SectionCodec::Binary),
-        };
-        debug_assert!(
-            env.version >= 5 || codec == SectionCodec::Json,
-            "pre-v5 envelopes cannot carry binary sections"
-        );
-        table.push((name.clone(), bytes.len()));
-        codecs.push(codec.tag().to_string());
-        payloads.push(bytes);
-    }
-    // v4 headers bind every payload to a checksum, v5 headers tag every
-    // payload with its codec; older versions keep the exact header
-    // shape their fixtures pin.
-    let crc32 = (env.version >= 4).then(|| payloads.iter().map(|p| crate::wal::crc32(p)).collect());
+/// Frames `sections` as a current-version envelope: magic line, header
+/// line (lengths, checksums, codec tags), then the payloads in order.
+fn write_envelope<W: Write>(
+    sections: &[(&str, SectionCodec, Vec<u8>)],
+    mut writer: W,
+) -> Result<(), FmeterError> {
     let header = EnvelopeHeader {
-        format_version: env.version,
-        sections: table,
-        crc32,
-        codec: (env.version >= 5).then_some(codecs),
+        format_version: CURRENT_FORMAT_VERSION,
+        sections: sections
+            .iter()
+            .map(|(name, _, payload)| (name.to_string(), payload.len()))
+            .collect(),
+        crc32: Some(
+            sections
+                .iter()
+                .map(|(.., payload)| crate::wal::crc32(payload))
+                .collect(),
+        ),
+        codec: Some(
+            sections
+                .iter()
+                .map(|(_, codec, _)| codec.tag().to_string())
+                .collect(),
+        ),
     };
-    writer.write_all(format!("{MAGIC} {}\n", env.version).as_bytes())?;
+    writer.write_all(format!("{MAGIC} {CURRENT_FORMAT_VERSION}\n").as_bytes())?;
     writer.write_all(serde_json::to_string(&header)?.as_bytes())?;
     writer.write_all(b"\n")?;
-    for payload in &payloads {
+    for (.., payload) in sections {
         writer.write_all(payload)?;
     }
     Ok(())
@@ -521,14 +349,31 @@ fn write_envelope<W: Write>(env: &Envelope, mut writer: W) -> Result<(), FmeterE
 
 // ---- reading ---------------------------------------------------------
 
+/// Parses the magic line `FMETERDB <version>\n`, returning the version
+/// and the bytes after the line.
+fn parse_magic_line(bytes: &[u8]) -> Result<(u32, &[u8]), FmeterError> {
+    let rest = bytes
+        .strip_prefix(MAGIC.as_bytes())
+        .and_then(|t| t.strip_prefix(b" "))
+        .ok_or_else(|| FmeterError::Persist("missing FMETERDB magic".to_string()))?;
+    let nl = rest
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| FmeterError::Persist("truncated magic line".to_string()))?;
+    let version = std::str::from_utf8(&rest[..nl])
+        .map_err(|e| persist_err("unparsable format version", e))?
+        .trim()
+        .parse()
+        .map_err(|e| persist_err("unparsable format version", e))?;
+    Ok((version, &rest[nl + 1..]))
+}
+
 /// Peeks at serialized bytes and reports the on-disk format version:
 /// `Some(v)` for an enveloped save, `None` when the bytes carry no
-/// magic (i.e. a candidate version-0 bare-JSON save — or not a
-/// database at all, which only a full [`load`] can tell).
+/// well-formed magic line (i.e. a candidate version-0 bare-JSON save —
+/// or not a database at all, which only a full [`load`] can tell).
 pub fn detect_format_version(bytes: &[u8]) -> Option<u32> {
-    let text = std::str::from_utf8(bytes.get(..64.min(bytes.len()))?).ok()?;
-    let rest = text.strip_prefix(MAGIC)?.strip_prefix(' ')?;
-    rest.split('\n').next()?.trim().parse().ok()
+    parse_magic_line(bytes).ok().map(|(version, _)| version)
 }
 
 /// One section as sliced out of a serialized envelope by
@@ -587,22 +432,24 @@ pub fn split_envelope(bytes: &[u8]) -> Result<(u32, Vec<RawSection>), FmeterErro
     let mut offset = 0usize;
     let mut sections = Vec::with_capacity(header.sections.len());
     for ((name, len), codec) in header.sections.into_iter().zip(codecs) {
-        let payload = body.get(offset..offset + len).ok_or_else(|| {
-            // A section that overruns the file is the signature of a
-            // save truncated mid-write: report exactly which section
-            // came up short and by how much.
-            FmeterError::CorruptEnvelope {
-                section: name.clone(),
+        // A section that overruns the file is the signature of a save
+        // truncated mid-write (or of a table length no file could
+        // hold): report exactly which section came up short and by how
+        // much.
+        let end = offset.checked_add(len).filter(|&end| end <= body.len());
+        let Some(end) = end else {
+            return Err(FmeterError::CorruptEnvelope {
+                section: name,
                 expected: len as u64,
-                got: body.len().saturating_sub(offset) as u64,
-            }
-        })?;
+                got: (body.len() - offset) as u64,
+            });
+        };
         sections.push(RawSection {
             name,
             codec,
-            payload: payload.to_vec(),
+            payload: body[offset..end].to_vec(),
         });
-        offset += len;
+        offset = end;
     }
     if offset != body.len() {
         return Err(FmeterError::Persist(format!(
@@ -644,20 +491,7 @@ pub fn split_envelope(bytes: &[u8]) -> Result<(u32, Vec<RawSection>), FmeterErro
 /// section payload bytes)`. The two header lines are ASCII by
 /// construction; the body may be arbitrary bytes (binary sections).
 fn parse_envelope_frame(bytes: &[u8]) -> Result<(u32, EnvelopeHeader, &[u8]), FmeterError> {
-    let rest = bytes
-        .strip_prefix(MAGIC.as_bytes())
-        .and_then(|t| t.strip_prefix(b" "))
-        .ok_or_else(|| FmeterError::Persist("missing FMETERDB magic".to_string()))?;
-    let nl = rest
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| FmeterError::Persist("truncated magic line".to_string()))?;
-    let version: u32 = std::str::from_utf8(&rest[..nl])
-        .map_err(|e| persist_err("unparsable format version", e))?
-        .trim()
-        .parse()
-        .map_err(|e| persist_err("unparsable format version", e))?;
-    let rest = &rest[nl + 1..];
+    let (version, rest) = parse_magic_line(bytes)?;
     let nl = rest
         .iter()
         .position(|&b| b == b'\n')
@@ -674,7 +508,30 @@ fn parse_envelope_frame(bytes: &[u8]) -> Result<(u32, EnvelopeHeader, &[u8]), Fm
     Ok((version, header, &rest[nl + 1..]))
 }
 
-fn read_envelope(bytes: &[u8]) -> Result<Envelope, FmeterError> {
+/// Decodes a section by its codec tag, straight into its type.
+fn decode_section<T: Deserialize + BinCodec>(section: &RawSection) -> Result<T, FmeterError> {
+    match section.codec {
+        SectionCodec::Binary => decode_from_slice(&section.payload)
+            .map_err(|e| persist_err(&format!("section `{}`", section.name), e)),
+        SectionCodec::Json => json_section(section),
+    }
+}
+
+/// Decodes a section that is JSON in every version that has it.
+fn json_section<T: Deserialize>(section: &RawSection) -> Result<T, FmeterError> {
+    let name = &section.name;
+    if section.codec != SectionCodec::Json {
+        return Err(FmeterError::Persist(format!(
+            "section `{name}` is binary but a JSON decoder was asked for it"
+        )));
+    }
+    let text = std::str::from_utf8(&section.payload)
+        .map_err(|e| persist_err(&format!("section `{name}` is not UTF-8 JSON"), e))?;
+    serde_json::from_str(text).map_err(|e| persist_err(&format!("section `{name}`"), e))
+}
+
+/// Reads an enveloped save of any supported version in one hop.
+fn read_envelope(bytes: &[u8]) -> Result<Parts, FmeterError> {
     let (version, sections) = split_envelope(bytes)?;
     if version == 0 || version > CURRENT_FORMAT_VERSION {
         return Err(FmeterError::UnsupportedFormat {
@@ -682,199 +539,37 @@ fn read_envelope(bytes: &[u8]) -> Result<Envelope, FmeterError> {
             supported: CURRENT_FORMAT_VERSION,
         });
     }
-    // Keep every payload raw: nothing is parsed until a migration or
-    // the final decode actually needs the section.
-    let sections = sections
-        .into_iter()
-        .map(|s| {
-            let section = match s.codec {
-                SectionCodec::Json => Section::Raw(String::from_utf8(s.payload).map_err(|e| {
-                    persist_err(&format!("section `{}` is not UTF-8 JSON", s.name), e)
-                })?),
-                SectionCodec::Binary => Section::Bin(s.payload),
-            };
-            Ok((s.name, section))
-        })
-        .collect::<Result<Vec<_>, FmeterError>>()?;
-    Ok(Envelope { version, sections })
-}
-
-/// Adopts a pre-envelope (format version 0) bare-JSON save: the old
-/// all-in-one object is split into the v1 sections, after which the
-/// ordinary migration chain takes over.
-fn adopt_legacy(text: &str) -> Result<Envelope, FmeterError> {
-    let value: Value = serde_json::from_str(text)?;
-    let state = Value::Object(vec![
-        ("live".to_string(), field(&value, "live")?.clone()),
-        ("num_live".to_string(), field(&value, "num_live")?.clone()),
-        ("epoch".to_string(), field(&value, "epoch")?.clone()),
-        ("doc_epoch".to_string(), field(&value, "doc_epoch")?.clone()),
-        (
-            "refit_policy".to_string(),
-            field(&value, "refit_policy")?.clone(),
-        ),
-        (
-            "mutations_since_refit".to_string(),
-            field(&value, "mutations_since_refit")?.clone(),
-        ),
-    ]);
-    Ok(Envelope {
-        version: 1,
-        sections: vec![
-            (
-                SEC_MODEL.to_string(),
-                Section::Parsed(field(&value, "model")?.clone()),
-            ),
-            (
-                SEC_CORPUS.to_string(),
-                Section::Parsed(field(&value, "corpus")?.clone()),
-            ),
-            (
-                SEC_SIGNATURES.to_string(),
-                Section::Parsed(field(&value, "signatures")?.clone()),
-            ),
-            (
-                SEC_INDEX.to_string(),
-                Section::Parsed(field(&value, "index")?.clone()),
-            ),
-            (SEC_STATE.to_string(), Section::Parsed(state)),
-        ],
+    let section = |name: &str| {
+        sections
+            .iter()
+            .find(|s| s.name == name)
+            .ok_or_else(|| FmeterError::Persist(format!("envelope is missing section `{name}`")))
+    };
+    let (state, num_shards) = if version == CURRENT_FORMAT_VERSION {
+        let sharding: Sharding = json_section(section(SEC_SHARDING)?)?;
+        (json_section(section(SEC_STATE)?)?, sharding.num_shards)
+    } else {
+        legacy::state_and_layout(version, &section)?
+    };
+    Ok(Parts {
+        model: decode_section(section(SEC_MODEL)?)?,
+        corpus: decode_section(section(SEC_CORPUS)?)?,
+        signatures: decode_section(section(SEC_SIGNATURES)?)?,
+        state,
+        num_shards,
     })
 }
 
-// ---- migrations ------------------------------------------------------
-
-/// One step of the migration chain: rewrites an envelope from the keyed
-/// version to the next one.
-type Migration = fn(&mut Envelope) -> Result<(), FmeterError>;
-
-/// `(from_version, migration)` — every supported version below
-/// [`CURRENT_FORMAT_VERSION`] must have an entry; [`load`] applies them
-/// in sequence.
-const MIGRATIONS: &[(u32, Migration)] = &[
-    (1, migrate_v1_to_v2),
-    (2, migrate_v2_to_v3),
-    (3, migrate_v3_to_v4),
-    (4, migrate_v4_to_v5),
-    (5, migrate_v5_to_v6),
-];
-
-/// v1 → v2: the state section gains the vacuum policy (default:
-/// [`VacuumPolicy::Never`]) and the lifetime vacuum counter (0 — a v1
-/// database never vacuumed).
-fn migrate_v1_to_v2(env: &mut Envelope) -> Result<(), FmeterError> {
-    let v1: StateV1 = section_as(env, SEC_STATE)?;
-    let v2 = StateV2 {
-        live: v1.live,
-        num_live: v1.num_live,
-        epoch: v1.epoch,
-        doc_epoch: v1.doc_epoch,
-        refit_policy: v1.refit_policy,
-        mutations_since_refit: v1.mutations_since_refit,
-        vacuum_policy: VacuumPolicy::Never,
-        vacuums: 0,
-    };
-    env.replace(SEC_STATE, v2.to_value());
-    Ok(())
-}
-
-/// v2 → v3: a `sharding` section appears, defaulting to one shard (the
-/// flat layout every pre-service save implicitly was). Note this
-/// migration parses nothing: it only appends a new section, leaving the
-/// corpus-sized payloads as the raw strings the reader sliced.
-fn migrate_v2_to_v3(env: &mut Envelope) -> Result<(), FmeterError> {
-    env.replace(SEC_SHARDING, ShardingV3 { num_shards: 1 }.to_value());
-    Ok(())
-}
-
-/// v3 → v4: the envelope *header* gains per-section checksums. Checksums
-/// are a property of the serialized frame — computed by the writer,
-/// verified by the reader before any parsing — so the in-memory envelope
-/// of a v3 file needs no rewriting at all: its sections were already
-/// length-validated when sliced, and the next save will emit checksums.
-fn migrate_v3_to_v4(_env: &mut Envelope) -> Result<(), FmeterError> {
-    Ok(())
-}
-
-/// v4 → v5: the heavy sections switch from JSON to the length-prefixed
-/// little-endian binary codec. This is the one migration that *does*
-/// parse the corpus-sized payloads — it re-encodes them — which is
-/// exactly the work a v4 load was already paying; every subsequent save
-/// and load runs on the binary path.
-fn migrate_v4_to_v5(env: &mut Envelope) -> Result<(), FmeterError> {
-    let model: TfIdfModel = section_as(env, SEC_MODEL)?;
-    env.replace_with(
-        SEC_MODEL,
-        Section::Bin(fmeter_ir::codec::encode_to_vec(&model)),
-    );
-    let corpus: Corpus = section_as(env, SEC_CORPUS)?;
-    env.replace_with(
-        SEC_CORPUS,
-        Section::Bin(fmeter_ir::codec::encode_to_vec(&corpus)),
-    );
-    let signatures: Vec<Signature> = section_as(env, SEC_SIGNATURES)?;
-    env.replace_with(
-        SEC_SIGNATURES,
-        Section::Bin(fmeter_ir::codec::encode_to_vec(&signatures)),
-    );
-    let index: InvertedIndex = section_as(env, SEC_INDEX)?;
-    let mut index_bytes = Vec::new();
-    index.encode_bin_legacy(&mut index_bytes);
-    env.replace_with(SEC_INDEX, Section::Bin(index_bytes));
-    Ok(())
-}
-
-/// v5 → v6: the index section gains block-max metadata and the
-/// quantization extension. Only the index payload is rewritten — it is
-/// decoded from the legacy flat layout (which rebuilds the block
-/// metadata from the postings) and re-encoded in the v6 layout; every
-/// other section's bytes pass through untouched.
-fn migrate_v5_to_v6(env: &mut Envelope) -> Result<(), FmeterError> {
-    let bytes = match env.section(SEC_INDEX)? {
-        Section::Bin(bytes) => bytes.clone(),
-        _ => {
-            return Err(FmeterError::Persist(
-                "v5 index section is not binary".to_string(),
-            ))
-        }
-    };
-    let mut r = fmeter_ir::codec::Reader::new(&bytes);
-    let index = InvertedIndex::decode_bin_legacy(&mut r)
-        .and_then(|idx| r.finish().map(|()| idx))
-        .map_err(|e| FmeterError::Persist(format!("migrating index section to v6: {e}")))?;
-    env.replace_with(
-        SEC_INDEX,
-        Section::Bin(fmeter_ir::codec::encode_to_vec(&index)),
-    );
-    Ok(())
-}
-
-fn migrate_to_current(env: &mut Envelope) -> Result<(), FmeterError> {
-    while env.version < CURRENT_FORMAT_VERSION {
-        let from = env.version;
-        let (_, migration) = MIGRATIONS.iter().find(|(v, _)| *v == from).ok_or_else(|| {
-            FmeterError::Persist(format!(
-                "no migration registered from format version {from}"
-            ))
-        })?;
-        migration(env)?;
-        env.version += 1;
-    }
-    Ok(())
-}
-
-// ---- decoding --------------------------------------------------------
-
 /// Reads a database from any supported on-disk format (used by
-/// [`SignatureDb::load`]): envelope saves are version-checked and
-/// migrated forward; magic-less bytes go through the version-0
-/// bare-JSON shim first.
+/// [`SignatureDb::load`]): envelope saves are version-checked and read
+/// in one hop; magic-less bytes are read as the version-0 bare JSON.
 ///
 /// # Errors
 ///
 /// Returns [`FmeterError::UnsupportedFormat`] for saves from newer
-/// releases and [`FmeterError::Persist`] for malformed or inconsistent
-/// payloads.
+/// releases, [`FmeterError::CorruptEnvelope`] for truncated or
+/// bit-flipped sections and [`FmeterError::Persist`] for malformed or
+/// inconsistent payloads.
 pub fn load<R: Read>(reader: R) -> Result<SignatureDb, FmeterError> {
     Ok(load_sharded(reader)?.0)
 }
@@ -886,69 +581,65 @@ pub fn load<R: Read>(reader: R) -> Result<SignatureDb, FmeterError> {
 ///
 /// # Errors
 ///
-/// Returns [`FmeterError::UnsupportedFormat`] for saves from newer
-/// releases and [`FmeterError::Persist`] for malformed or inconsistent
-/// payloads.
+/// As [`load`].
 pub fn load_sharded<R: Read>(mut reader: R) -> Result<(SignatureDb, usize), FmeterError> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    let mut env = if bytes.starts_with(MAGIC.as_bytes()) {
+    let parts = if bytes.starts_with(MAGIC.as_bytes()) {
         read_envelope(&bytes)?
     } else {
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|e| persist_err("pre-envelope save is not UTF-8 JSON", e))?;
-        adopt_legacy(text)?
+        legacy::read_bare_json(&bytes)?
     };
-    migrate_to_current(&mut env)?;
-    let sharding: ShardingV3 = section_as(&env, SEC_SHARDING)?;
-    if sharding.num_shards == 0 {
+    assemble(parts)
+}
+
+/// Builds the database from its decoded parts, cross-checking them
+/// against each other so a corrupted (or hand-edited) file fails loudly
+/// instead of producing a database that panics later, and rebuilding
+/// the index — derived state no format stores any more — from the live
+/// signatures.
+fn assemble(parts: Parts) -> Result<(SignatureDb, usize), FmeterError> {
+    let Parts {
+        model,
+        corpus,
+        signatures,
+        state,
+        num_shards,
+    } = parts;
+    if num_shards == 0 {
         return Err(FmeterError::Persist(
             "sharding section declares zero shards".to_string(),
         ));
     }
-    Ok((decode(&env)?, sharding.num_shards))
-}
-
-/// Rebuilds the database from a current-version envelope, cross-checking
-/// the sections against each other so a corrupted (or hand-edited) file
-/// fails loudly instead of producing a database that panics later.
-fn decode(env: &Envelope) -> Result<SignatureDb, FmeterError> {
-    debug_assert_eq!(env.version, CURRENT_FORMAT_VERSION);
-    let model: TfIdfModel = section_bin_as(env, SEC_MODEL)?;
-    let corpus: Corpus = section_bin_as(env, SEC_CORPUS)?;
-    let signatures: Vec<Signature> = section_bin_as(env, SEC_SIGNATURES)?;
-    let index: InvertedIndex = section_bin_as(env, SEC_INDEX)?;
-    let state: StateV2 = section_as(env, SEC_STATE)?;
     let slots = signatures.len();
     let consistent = corpus.len() == slots
         && state.live.len() == slots
         && state.doc_epoch.len() == slots
-        && index.len() == slots
         && state.num_live == state.live.iter().filter(|&&l| l).count()
-        && model.dim() == corpus.dim()
-        && model.dim() == index.dim();
+        && model.dim() == corpus.dim();
     if !consistent {
         return Err(FmeterError::Persist(format!(
             "inconsistent sections: {slots} signature slots vs {} corpus docs, \
-             {} live flags, {} doc epochs, {} indexed docs (num_live {})",
+             {} live flags, {} doc epochs (num_live {}); model dim {} vs corpus dim {}",
             corpus.len(),
             state.live.len(),
             state.doc_epoch.len(),
-            index.len(),
             state.num_live,
+            model.dim(),
+            corpus.dim(),
         )));
     }
-    // The index carries its own tombstones; they must agree slot-by-slot
-    // with the state section, or search would keep serving docs the
-    // database says are dead (and vice versa).
-    if let Some(d) = (0..slots).find(|&d| index.is_live(d) != state.live[d]) {
-        return Err(FmeterError::Persist(format!(
-            "inconsistent sections: doc {d} is {} in the state section but {} in the index",
-            if state.live[d] { "live" } else { "dead" },
-            if index.is_live(d) { "live" } else { "dead" },
-        )));
-    }
-    Ok(SignatureDb {
+    // `from_slots` checks every live vector against the model's term
+    // space — the signatures-vs-model cross-check.
+    let vectors: Vec<Option<&SparseVec>> = signatures
+        .iter()
+        .zip(&state.live)
+        .map(|(s, &live)| live.then_some(&s.vector))
+        .collect();
+    let mut index = InvertedIndex::from_slots(model.dim(), &vectors)
+        .map_err(|e| persist_err("inconsistent sections: signatures vs model", e))?;
+    index.set_quantization(state.quantization);
+    let db = SignatureDb {
         model,
         signatures,
         index,
@@ -965,11 +656,18 @@ fn decode(env: &Envelope) -> Result<SignatureDb, FmeterError> {
         // Warm-start clustering state is process-local, like the vacuum
         // remap above: a loaded database reclusters cold once.
         cluster_cache: None,
-    })
+    };
+    Ok((db, num_shards))
 }
+
+// The committed fixtures, shared with the integration tests.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_common;
 
 #[cfg(test)]
 mod tests {
+    use super::test_common::fixture;
     use super::*;
     use crate::RawSignature;
     use fmeter_ir::TermCounts;
@@ -1007,6 +705,34 @@ mod tests {
         db
     }
 
+    fn saved(db: &SignatureDb) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        db.save(&mut bytes).unwrap();
+        bytes
+    }
+
+    /// `bytes` re-framed as a current-version envelope with section
+    /// `name`'s payload replaced (fresh lengths and checksums, so the
+    /// result gets past the frame checks and into the decoders).
+    fn with_section(bytes: &[u8], name: &str, payload: Vec<u8>) -> Vec<u8> {
+        let (_, sections) = split_envelope(bytes).unwrap();
+        assert!(sections.iter().any(|s| s.name == name));
+        let sections: Vec<(&str, SectionCodec, Vec<u8>)> = sections
+            .iter()
+            .map(|s| {
+                let payload = if s.name == name {
+                    payload.clone()
+                } else {
+                    s.payload.clone()
+                };
+                (s.name.as_str(), s.codec, payload)
+            })
+            .collect();
+        let mut out = Vec::new();
+        write_envelope(&sections, &mut out).unwrap();
+        out
+    }
+
     /// Byte-level `replacen(.., 1)`: the envelope body is not UTF-8 once
     /// sections are binary, so tests patch the ASCII header bytes of a
     /// save directly instead of round-tripping through `String`.
@@ -1020,6 +746,17 @@ mod tests {
         out.extend_from_slice(replacement);
         out.extend_from_slice(&bytes[pos + needle.len()..]);
         out
+    }
+
+    /// `bytes` without the header's `"<field>":[…]` array.
+    fn strip_header_array(bytes: &[u8], field: &str) -> Vec<u8> {
+        let key = format!(",\"{field}\":");
+        let at = bytes
+            .windows(key.len())
+            .position(|w| w == key.as_bytes())
+            .unwrap_or_else(|| panic!("header carries `{field}`"));
+        let end = at + bytes[at..].iter().position(|&b| b == b']').unwrap() + 1;
+        [&bytes[..at], &bytes[end..]].concat()
     }
 
     fn assert_equivalent(a: &SignatureDb, b: &SignatureDb) {
@@ -1051,8 +788,7 @@ mod tests {
             max_dead_fraction: 0.5,
             min_dead: 4,
         });
-        let mut bytes = Vec::new();
-        db.save(&mut bytes).unwrap();
+        let bytes = saved(&db);
         assert_eq!(
             detect_format_version(&bytes),
             Some(CURRENT_FORMAT_VERSION),
@@ -1065,60 +801,108 @@ mod tests {
         assert!(restored.last_vacuum().is_none(), "remaps are not persisted");
     }
 
+    // (The name predates the one-hop reader; it is kept because the
+    // suite's floor list tracks tests by name.)
     #[test]
     fn every_historical_version_loads_via_migration() {
-        let db = sample_db();
+        // Every fixture holds the same canonical history, so every
+        // version must load to the same database as the current one —
+        // except for what the version could not carry, which comes back
+        // as the documented default.
+        assert_eq!(
+            FORMAT_VERSIONS.last().map(|s| s.version),
+            Some(CURRENT_FORMAT_VERSION),
+            "the version table must end at the current version"
+        );
+        let (current, _) = load_sharded(&fixture(CURRENT_FORMAT_VERSION)[..]).unwrap();
+        let probe = TermCounts::from_dense(&[58, 41, 24, 13, 0, 0, 0, 1, 0, 0, 3, 0]);
         for spec in FORMAT_VERSIONS {
-            let mut bytes = Vec::new();
-            db.save_as_version(spec.version, &mut bytes).unwrap();
-            if spec.version == 0 {
-                assert_eq!(detect_format_version(&bytes), None, "v0 has no magic");
+            let v = spec.version;
+            let (db, num_shards) =
+                load_sharded(&fixture(v)[..]).unwrap_or_else(|e| panic!("v{v}: {e}"));
+            assert_eq!(num_shards, 1, "v{v}");
+            assert_eq!(db.quantization(), QuantizationMode::Off, "v{v}");
+            if v < 2 {
+                assert_eq!(db.vacuum_policy(), VacuumPolicy::Never, "v{v}");
+                assert_eq!(db.vacuums(), 0, "v{v}");
             } else {
-                assert_eq!(detect_format_version(&bytes), Some(spec.version));
+                assert_eq!(db.vacuum_policy(), current.vacuum_policy(), "v{v}");
             }
-            let restored = SignatureDb::load(&bytes[..])
-                .unwrap_or_else(|e| panic!("v{} failed to load: {e}", spec.version));
-            assert_equivalent(&db, &restored);
-            // Fields the older layouts cannot carry come back as defaults.
-            assert_eq!(restored.vacuum_policy(), VacuumPolicy::Never);
-            assert_eq!(restored.vacuums(), 0);
+            assert_eq!(db.num_slots(), current.num_slots(), "v{v}");
+            assert_eq!(db.epoch(), current.epoch(), "v{v}");
+            for d in 0..db.num_slots() {
+                assert_eq!(db.is_live(d), current.is_live(d), "v{v} doc {d}");
+                assert_eq!(db.doc_epoch(d), current.doc_epoch(d), "v{v} doc {d}");
+            }
+            let (a, b) = (
+                db.search(&probe, 5).unwrap(),
+                current.search(&probe, 5).unwrap(),
+            );
+            assert_eq!(a.len(), b.len(), "v{v}");
+            for ((s1, d1), (s2, d2)) in a.iter().zip(&b) {
+                assert_eq!(s1.label, s2.label, "v{v}");
+                assert_eq!(d1.to_bits(), d2.to_bits(), "v{v}: {d1} vs {d2}");
+            }
         }
+    }
+
+    #[test]
+    fn one_magic_line_parser_serves_detection_and_the_frame() {
+        // The fresh save and every enveloped fixture: detection and the
+        // frame parser read the same version off the same line.
+        let mut envelopes = vec![saved(&sample_db())];
+        envelopes.extend((1..=CURRENT_FORMAT_VERSION).map(fixture));
+        for bytes in &envelopes {
+            let (version, _) = split_envelope(bytes).unwrap();
+            assert_eq!(detect_format_version(bytes), Some(version));
+        }
+        let v0 = fixture(0);
+        assert_eq!(detect_format_version(&v0), None, "v0 has no magic");
+        assert!(split_envelope(&v0).is_err());
+        // Malformed magic lines are `None` to the one and `Err` to the
+        // other, never a disagreement.
+        for bad in [
+            &b""[..],
+            b"FMETERDB",
+            b"FMETERDB 7",
+            b"FMETERDB7\n",
+            b"FMETERDB x\n",
+            b"FMETERDB -1\n",
+            b"FMETERDB 4294967296\n",
+            b"FMETERDB \xff\n",
+        ] {
+            assert_eq!(detect_format_version(bad), None, "{bad:?}");
+            assert!(split_envelope(bad).is_err(), "{bad:?}");
+        }
+        // Whitespace around the number is tolerated by both.
+        assert_eq!(detect_format_version(b"FMETERDB  7 \n"), Some(7));
     }
 
     #[test]
     fn future_versions_are_rejected() {
-        let db = sample_db();
-        let mut bytes = Vec::new();
-        db.save(&mut bytes).unwrap();
+        let bytes = saved(&sample_db());
         let future = replace_once(
             &bytes,
             format!("{MAGIC} {CURRENT_FORMAT_VERSION}\n").as_bytes(),
-            format!("{MAGIC} 99\n").as_bytes(),
+            format!("{MAGIC} {}\n", CURRENT_FORMAT_VERSION + 1).as_bytes(),
         );
         let future = replace_once(
             &future,
             format!("\"format_version\":{CURRENT_FORMAT_VERSION}").as_bytes(),
-            b"\"format_version\":99",
+            format!("\"format_version\":{}", CURRENT_FORMAT_VERSION + 1).as_bytes(),
         );
         match SignatureDb::load(&future[..]) {
             Err(FmeterError::UnsupportedFormat { found, supported }) => {
-                assert_eq!(found, 99);
+                assert_eq!(found, CURRENT_FORMAT_VERSION + 1);
                 assert_eq!(supported, CURRENT_FORMAT_VERSION);
             }
             other => panic!("expected UnsupportedFormat, got {other:?}"),
         }
-        // Writing an unknown version is rejected the same way.
-        assert!(matches!(
-            db.save_as_version(99, &mut Vec::new()),
-            Err(FmeterError::UnsupportedFormat { found: 99, .. })
-        ));
     }
 
     #[test]
     fn corrupt_envelopes_error_cleanly() {
-        let db = sample_db();
-        let mut bytes = Vec::new();
-        db.save(&mut bytes).unwrap();
+        let bytes = saved(&sample_db());
         // Truncated mid-section.
         assert!(SignatureDb::load(&bytes[..bytes.len() / 2]).is_err());
         // Magic line and table disagree on the version.
@@ -1135,56 +919,92 @@ mod tests {
     }
 
     #[test]
+    fn a_section_length_that_overflows_is_a_corrupt_envelope() {
+        // `offset + len` used to be computed unchecked: in a debug
+        // build these bytes panicked with "attempt to add with
+        // overflow" instead of naming the section.
+        let bytes = b"FMETERDB 3\n{\"format_version\":3,\"sections\":\
+                      [[\"model\",1],[\"corpus\",18446744073709551615]]}\nxy";
+        for result in [
+            SignatureDb::load(&bytes[..]).map(drop),
+            split_envelope(bytes).map(drop),
+        ] {
+            match result {
+                Err(FmeterError::CorruptEnvelope {
+                    section,
+                    expected,
+                    got,
+                }) => {
+                    assert_eq!(section, "corpus");
+                    assert_eq!(expected, u64::MAX);
+                    assert_eq!(got, 1);
+                }
+                other => panic!("expected CorruptEnvelope `corpus`, got {other:?}"),
+            }
+        }
+    }
+
+    /// A fresh save plus every committed fixture whose header carries
+    /// checksums (v4 and later).
+    fn checksummed_envelopes() -> Vec<Vec<u8>> {
+        let mut envelopes = vec![saved(&sample_db())];
+        envelopes.extend((4..=CURRENT_FORMAT_VERSION).map(fixture));
+        envelopes
+    }
+
+    #[test]
     fn truncation_at_every_section_boundary_names_the_section() {
-        // Cut a current-version save at the start and the middle of
-        // every section: the load must fail with CorruptEnvelope naming
-        // exactly the first section that came up short.
-        let db = sample_db();
-        let mut bytes = Vec::new();
-        db.save(&mut bytes).unwrap();
-        let (_, sections) = split_envelope(&bytes).unwrap();
-        let body_len: usize = sections.iter().map(|s| s.payload.len()).sum();
-        let mut offset = bytes.len() - body_len;
-        for section in &sections {
-            let name = &section.name;
-            for cut in [offset, offset + section.payload.len() / 2] {
-                match SignatureDb::load(&bytes[..cut]) {
-                    Err(FmeterError::CorruptEnvelope {
-                        section,
-                        expected,
-                        got,
-                    }) => {
-                        assert_eq!(&section, name, "cut at byte {cut}");
-                        assert!(got < expected, "cut at byte {cut}: {got} vs {expected}");
-                    }
-                    other => {
-                        panic!("cut at {cut}: expected CorruptEnvelope `{name}`, got {other:?}")
+        // Cut a save at the start and the middle of every section: the
+        // load must fail with CorruptEnvelope naming exactly the first
+        // section that came up short.
+        for bytes in checksummed_envelopes() {
+            let (_, sections) = split_envelope(&bytes).unwrap();
+            let body_len: usize = sections.iter().map(|s| s.payload.len()).sum();
+            let mut offset = bytes.len() - body_len;
+            for section in &sections {
+                let name = &section.name;
+                for cut in [offset, offset + section.payload.len() / 2] {
+                    match SignatureDb::load(&bytes[..cut]) {
+                        Err(FmeterError::CorruptEnvelope {
+                            section,
+                            expected,
+                            got,
+                        }) => {
+                            assert_eq!(&section, name, "cut at byte {cut}");
+                            assert!(got < expected, "cut at byte {cut}: {got} vs {expected}");
+                        }
+                        other => {
+                            panic!("cut at {cut}: expected CorruptEnvelope `{name}`, got {other:?}")
+                        }
                     }
                 }
+                offset += section.payload.len();
             }
-            offset += section.payload.len();
         }
     }
 
     #[test]
     fn bit_flips_in_section_payloads_fail_the_checksum() {
-        let db = sample_db();
-        let mut bytes = Vec::new();
-        db.save(&mut bytes).unwrap();
-        let (_, sections) = split_envelope(&bytes).unwrap();
-        let body_len: usize = sections.iter().map(|s| s.payload.len()).sum();
-        let mut offset = bytes.len() - body_len;
-        for section in &sections {
-            let name = &section.name;
-            let mut corrupt = bytes.clone();
-            corrupt[offset + section.payload.len() / 2] ^= 0x01;
-            match SignatureDb::load(&corrupt[..]) {
-                Err(FmeterError::CorruptEnvelope { section, .. }) => {
-                    assert_eq!(&section, name, "flip inside `{name}` blamed `{section}`")
+        // Stored `index` sections of old envelopes included: never
+        // parsed, still checksummed.
+        for bytes in checksummed_envelopes() {
+            let (_, sections) = split_envelope(&bytes).unwrap();
+            let body_len: usize = sections.iter().map(|s| s.payload.len()).sum();
+            let mut offset = bytes.len() - body_len;
+            for section in &sections {
+                let name = &section.name;
+                let mut corrupt = bytes.clone();
+                corrupt[offset + section.payload.len() / 2] ^= 0x01;
+                match SignatureDb::load(&corrupt[..]) {
+                    Err(FmeterError::CorruptEnvelope { section, .. }) => {
+                        assert_eq!(&section, name, "flip inside `{name}` blamed `{section}`")
+                    }
+                    other => {
+                        panic!("flip inside `{name}`: expected CorruptEnvelope, got {other:?}")
+                    }
                 }
-                other => panic!("flip inside `{name}`: expected CorruptEnvelope, got {other:?}"),
+                offset += section.payload.len();
             }
-            offset += section.payload.len();
         }
     }
 
@@ -1192,20 +1012,14 @@ mod tests {
     fn v4_header_without_checksums_is_rejected() {
         // A v4+ header that lost its `crc32` field must not load with
         // verification silently disabled — only genuinely pre-v4
-        // headers may omit checksums. (A v4 save is all-JSON, so string
-        // surgery on the whole file is still safe here.)
-        let db = sample_db();
-        let mut bytes = Vec::new();
-        db.save_as_version(4, &mut bytes).unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        let at = text.find(",\"crc32\":").expect("v4 header carries crc32");
-        let end = at + text[at..].find(']').expect("crc32 array closes") + 1;
-        let stripped = format!("{}{}", &text[..at], &text[end..]);
-        match SignatureDb::load(stripped.as_bytes()) {
-            Err(FmeterError::Persist(msg)) => {
-                assert!(msg.contains("checksums"), "unexpected message: {msg}")
+        // headers may omit checksums.
+        for bytes in checksummed_envelopes() {
+            match SignatureDb::load(&strip_header_array(&bytes, "crc32")[..]) {
+                Err(FmeterError::Persist(msg)) => {
+                    assert!(msg.contains("checksums"), "unexpected message: {msg}")
+                }
+                other => panic!("expected Persist error, got {other:?}"),
             }
-            other => panic!("expected Persist error, got {other:?}"),
         }
     }
 
@@ -1214,23 +1028,8 @@ mod tests {
         // Same contract for the v5 `codec` array: a header that lost it
         // cannot say how to parse its payloads, so it must be rejected
         // rather than guessed at.
-        let db = sample_db();
-        let mut bytes = Vec::new();
-        db.save(&mut bytes).unwrap();
-        let header_end = bytes
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b == b'\n')
-            .nth(1)
-            .map(|(i, _)| i)
-            .expect("envelope has two header lines");
-        let header = std::str::from_utf8(&bytes[..header_end]).expect("header is ASCII");
-        let at = header.find(",\"codec\":").expect("v5 header carries codec");
-        let end = at + header[at..].find(']').expect("codec array closes") + 1;
-        let mut stripped = Vec::new();
-        stripped.extend_from_slice(&bytes[..at]);
-        stripped.extend_from_slice(&bytes[end..]);
-        match SignatureDb::load(&stripped[..]) {
+        let bytes = saved(&sample_db());
+        match SignatureDb::load(&strip_header_array(&bytes, "codec")[..]) {
             Err(FmeterError::Persist(msg)) => {
                 assert!(msg.contains("codec"), "unexpected message: {msg}")
             }
@@ -1247,34 +1046,53 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_state_and_index_tombstones_are_rejected() {
-        // A self-consistent state section (flags and num_live agree) that
-        // disagrees with the index's own tombstones must not load: the
-        // database would search docs it reports as dead.
+    fn sections_that_disagree_with_each_other_are_rejected() {
         let db = sample_db();
-        let mut env = encode_sharded(&db, 1, CURRENT_FORMAT_VERSION);
-        let mut state: StateV2 = section_as(&env, SEC_STATE).unwrap();
-        let victim = state.live.iter().position(|&l| l).unwrap();
-        state.live[victim] = false;
-        state.num_live -= 1;
-        env.replace(SEC_STATE, state.to_value());
-        let mut bytes = Vec::new();
-        write_envelope(&env, &mut bytes).unwrap();
-        match SignatureDb::load(&bytes[..]) {
+        let bytes = saved(&db);
+        let expect_inconsistent = |bytes: &[u8], what: &str| match SignatureDb::load(bytes) {
             Err(FmeterError::Persist(msg)) => {
-                assert!(msg.contains("state section"), "unexpected message: {msg}")
+                assert!(msg.contains("inconsistent sections"), "{what}: {msg}")
             }
-            other => panic!("expected a Persist error, got {other:?}"),
-        }
+            other => panic!("{what}: expected a Persist error, got {other:?}"),
+        };
+        // A live flag flipped without its count.
+        let (_, sections) = split_envelope(&bytes).unwrap();
+        let state = sections.iter().find(|s| s.name == SEC_STATE).unwrap();
+        let mut state: State = json_section(state).unwrap();
+        state.live[0] = !state.live[0];
+        let flipped = serde_json::to_string(&state).unwrap().into_bytes();
+        expect_inconsistent(
+            &with_section(&bytes, SEC_STATE, flipped),
+            "live flags vs num_live",
+        );
+        // One signature slot fewer than the corpus and the state have.
+        let short = encode_to_vec(&db.signatures[1..].to_vec());
+        expect_inconsistent(
+            &with_section(&bytes, SEC_SIGNATURES, short),
+            "signature slots vs corpus docs",
+        );
+        // Signatures from another term space: every count agrees, only
+        // the index rebuild can tell.
+        let alien: Vec<Signature> = db
+            .signatures
+            .iter()
+            .map(|s| Signature {
+                vector: SparseVec::from_pairs(9, s.vector.iter()).unwrap(),
+                ..s.clone()
+            })
+            .collect();
+        expect_inconsistent(
+            &with_section(&bytes, SEC_SIGNATURES, encode_to_vec(&alien)),
+            "signature dim vs model dim",
+        );
     }
 
     #[test]
     fn split_envelope_exposes_the_section_table() {
-        let db = sample_db();
-        let mut bytes = Vec::new();
-        db.save(&mut bytes).unwrap();
+        let bytes = saved(&sample_db());
         let (version, sections) = split_envelope(&bytes).unwrap();
         assert_eq!(version, CURRENT_FORMAT_VERSION);
+        // The index is rebuilt, never stored: no section carries it.
         let names: Vec<&str> = sections.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
@@ -1282,7 +1100,6 @@ mod tests {
                 SEC_MODEL,
                 SEC_CORPUS,
                 SEC_SIGNATURES,
-                SEC_INDEX,
                 SEC_STATE,
                 SEC_SHARDING
             ]
@@ -1290,6 +1107,12 @@ mod tests {
         // The heavy sections are binary, the small ones JSON — and every
         // payload is self-contained under its tagged codec.
         for section in &sections {
+            match section.name.as_str() {
+                SEC_MODEL => drop(decode_section::<TfIdfModel>(section).unwrap()),
+                SEC_CORPUS => drop(decode_section::<Corpus>(section).unwrap()),
+                SEC_SIGNATURES => drop(decode_section::<Vec<Signature>>(section).unwrap()),
+                _ => drop(json_section::<Value>(section).unwrap()),
+            }
             let expected = match section.name.as_str() {
                 SEC_STATE | SEC_SHARDING => SectionCodec::Json,
                 _ => SectionCodec::Binary,
@@ -1299,27 +1122,6 @@ mod tests {
                 "section `{}` carries the wrong codec tag",
                 section.name
             );
-            match section.codec {
-                SectionCodec::Json => {
-                    let text = std::str::from_utf8(&section.payload)
-                        .unwrap_or_else(|e| panic!("section `{}` not UTF-8: {e}", section.name));
-                    serde_json::from_str::<Value>(text).unwrap_or_else(|e| {
-                        panic!("section `{}` is not valid JSON: {e}", section.name)
-                    });
-                }
-                SectionCodec::Binary => {
-                    let mut r = fmeter_ir::codec::Reader::new(&section.payload);
-                    match section.name.as_str() {
-                        SEC_MODEL => drop(TfIdfModel::decode_bin(&mut r).unwrap()),
-                        SEC_CORPUS => drop(Corpus::decode_bin(&mut r).unwrap()),
-                        SEC_SIGNATURES => drop(Vec::<Signature>::decode_bin(&mut r).unwrap()),
-                        SEC_INDEX => drop(InvertedIndex::decode_bin(&mut r).unwrap()),
-                        other => panic!("unexpected binary section `{other}`"),
-                    }
-                    r.finish()
-                        .unwrap_or_else(|e| panic!("section `{}`: {e}", section.name));
-                }
-            }
         }
     }
 
@@ -1327,7 +1129,7 @@ mod tests {
     fn sharded_saves_round_trip_the_layout() {
         let db = sample_db();
         let mut bytes = Vec::new();
-        save_sharded(&db, 4, CURRENT_FORMAT_VERSION, &mut bytes).unwrap();
+        save_sharded(&db, 4, &mut bytes).unwrap();
         let (restored, num_shards) = load_sharded(&bytes[..]).unwrap();
         assert_eq!(num_shards, 4);
         assert_equivalent(&db, &restored);
@@ -1335,76 +1137,12 @@ mod tests {
         let plain = SignatureDb::load(&bytes[..]).unwrap();
         assert_equivalent(&db, &plain);
         // Saves from releases that predate the layout come back as one
-        // shard via the v2→v3 migration.
-        let mut old = Vec::new();
-        db.save_as_version(2, &mut old).unwrap();
-        let (_, migrated_shards) = load_sharded(&old[..]).unwrap();
-        assert_eq!(migrated_shards, 1);
+        // shard.
+        let (_, old_shards) = load_sharded(&fixture(2)[..]).unwrap();
+        assert_eq!(old_shards, 1);
         // A zero-shard layout is rejected, not served.
-        let mut env = encode_sharded(&db, 4, CURRENT_FORMAT_VERSION);
-        env.replace(SEC_SHARDING, ShardingV3 { num_shards: 0 }.to_value());
-        let mut bad = Vec::new();
-        write_envelope(&env, &mut bad).unwrap();
+        let zero = serde_json::to_string(&Sharding { num_shards: 0 }).unwrap();
+        let bad = with_section(&bytes, SEC_SHARDING, zero.into_bytes());
         assert!(load_sharded(&bad[..]).is_err());
-    }
-
-    #[test]
-    fn migrations_leave_untouched_sections_raw() {
-        // The v1→v2→v3→v4 chain only rewrites `state` and appends
-        // `sharding`; every corpus-sized section must still be a Raw
-        // slice when those steps finish (the lazy-parse contract). The
-        // v4→v5 step is the designed exception: it re-encodes the heavy
-        // sections into the binary codec, after which they are Bin.
-        let db = sample_db();
-        let mut bytes = Vec::new();
-        db.save_as_version(1, &mut bytes).unwrap();
-        let mut env = read_envelope(&bytes).unwrap();
-        while env.version < 4 {
-            let from = env.version;
-            let (_, migration) = MIGRATIONS.iter().find(|(v, _)| *v == from).unwrap();
-            migration(&mut env).unwrap();
-            env.version += 1;
-        }
-        for name in [SEC_MODEL, SEC_CORPUS, SEC_SIGNATURES, SEC_INDEX] {
-            assert!(
-                matches!(env.section(name).unwrap(), Section::Raw(_)),
-                "section `{name}` was parsed by a migration that does not touch it"
-            );
-        }
-        migrate_to_current(&mut env).unwrap();
-        assert_eq!(env.version, CURRENT_FORMAT_VERSION);
-        for name in [SEC_MODEL, SEC_CORPUS, SEC_SIGNATURES, SEC_INDEX] {
-            assert!(
-                matches!(env.section(name).unwrap(), Section::Bin(_)),
-                "section `{name}` was not re-encoded by the v4→v5 migration"
-            );
-        }
-        assert!(matches!(
-            env.section(SEC_STATE).unwrap(),
-            Section::Parsed(_)
-        ));
-        assert!(decode(&env).is_ok());
-    }
-
-    #[test]
-    fn version_table_and_migrations_stay_in_sync() {
-        // Every version in the table except the newest must either be
-        // the legacy shim (0) or have a registered migration.
-        for spec in FORMAT_VERSIONS {
-            if spec.version == 0 || spec.version == CURRENT_FORMAT_VERSION {
-                continue;
-            }
-            assert!(
-                MIGRATIONS.iter().any(|(v, _)| *v == spec.version),
-                "format version {} has no migration to {}",
-                spec.version,
-                spec.version + 1
-            );
-        }
-        assert_eq!(
-            FORMAT_VERSIONS.last().map(|s| s.version),
-            Some(CURRENT_FORMAT_VERSION),
-            "the version table must end at the current version"
-        );
     }
 }

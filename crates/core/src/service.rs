@@ -714,14 +714,14 @@ impl SignatureService {
     ///
     /// # Errors
     ///
-    /// Propagates envelope and migration failures.
+    /// Propagates envelope and decoding failures.
     pub fn load<R: Read>(reader: R) -> Result<Self, FmeterError> {
         let (db, num_shards) = persist::load_sharded(reader)?;
         Ok(Self::from_db(db, num_shards))
     }
 
     /// Saves the store through the versioned envelope, including the
-    /// shard layout (format v3+); a plain [`SignatureDb::load`] reads
+    /// shard layout; a plain [`SignatureDb::load`] reads
     /// the same bytes and simply drops the layout.
     ///
     /// # Errors
@@ -729,12 +729,7 @@ impl SignatureService {
     /// Propagates serialization and I/O failures.
     pub fn save<W: Write>(&self, writer: W) -> Result<(), FmeterError> {
         let guard = self.inner.writer.lock();
-        persist::save_sharded(
-            guard.db(),
-            guard.num_shards(),
-            persist::CURRENT_FORMAT_VERSION,
-            writer,
-        )
+        persist::save_sharded(guard.db(), guard.num_shards(), writer)
     }
 
     /// The currently published generation. The returned `Arc` stays

@@ -105,7 +105,7 @@ const MANIFEST_MAGIC: &str = "FMMANIFEST";
 /// poly 0xEDB88320). `TABLES[0]` is the classic byte-at-a-time table;
 /// `TABLES[k][i]` extends it by `k` more zero bytes, so eight table
 /// hits fold eight input bytes per iteration. Same polynomial, same
-/// checksums — only the walk is wider (the v5 envelope checksums
+/// checksums — only the walk is wider (the envelope checksums
 /// megabytes of binary section per save/load, so CRC throughput is on
 /// the checkpoint critical path).
 const CRC32_TABLES: [[u32; 256]; 8] = {
@@ -1017,7 +1017,7 @@ impl DurableLog {
     pub fn checkpoint(&mut self, db: &SignatureDb, num_shards: usize) -> Result<(), FmeterError> {
         let new_gen = self.generation + 1;
         let mut bytes = Vec::new();
-        persist::save_sharded(db, num_shards, persist::CURRENT_FORMAT_VERSION, &mut bytes)?;
+        persist::save_sharded(db, num_shards, &mut bytes)?;
         write_atomic(
             &self.dir,
             &checkpoint_name(new_gen),

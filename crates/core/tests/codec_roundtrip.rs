@@ -1,16 +1,20 @@
-//! Property tests for the v5 binary codec: arbitrary churned databases
-//! must round-trip through the binary envelope *bit-identically* — and
-//! land on exactly the same bits as the legacy all-JSON v4 path, so the
-//! codec switch is invisible to every consumer of the data.
+//! Property tests for the envelope: arbitrary churned databases must
+//! round-trip through a save *bit-identically* although the save holds
+//! no index — the index the loader rebuilds from the signatures answers
+//! exactly like the one that was never stored.
 //!
-//! (The companion property — any single-bit flip in a binary section
-//! payload is caught by checksum and attributed to the right section —
-//! lives in `durability.rs`, where the negative-persistence suite is.)
+//! (The companion property — any single-bit flip in a section payload
+//! is caught by checksum and attributed to the right section — lives in
+//! `durability.rs`, where the negative-persistence suite is.)
 
-use fmeter_core::{RawSignature, SignatureDb, WalOp};
+use fmeter_core::{RawSignature, SignatureDb, SignatureService, WalOp};
 use fmeter_ir::codec::{decode_from_slice, encode_to_vec};
+use fmeter_ir::{InvertedIndex, QuantizationMode, SparseVec, TermCounts};
 use fmeter_kernel_sim::Nanos;
 use proptest::prelude::*;
+
+mod common;
+use common::fixture;
 
 const DIM: usize = 8;
 
@@ -55,20 +59,7 @@ fn arb_churn() -> impl Strategy<Value = Churn> {
     ]
 }
 
-fn churned_db(seeds: &[(Vec<u64>, u64)], churn: &[Churn]) -> SignatureDb {
-    let raws: Vec<RawSignature> = seeds
-        .iter()
-        .enumerate()
-        .map(|(i, (counts, salt))| {
-            let label = match salt % 3 {
-                0 => None,
-                1 => Some("alpha".to_string()),
-                _ => Some("beta".to_string()),
-            };
-            raw(counts.clone(), i as u64, label)
-        })
-        .collect();
-    let mut db = SignatureDb::build(&raws).expect("seed corpus builds");
+fn churn_db(db: &mut SignatureDb, churn: &[Churn]) {
     for (i, op) in churn.iter().enumerate() {
         match op {
             Churn::Insert(counts) => {
@@ -89,43 +80,146 @@ fn churned_db(seeds: &[(Vec<u64>, u64)], churn: &[Churn]) -> SignatureDb {
             }
         }
     }
+}
+
+/// A seed corpus plus random churn: depending on the draw the database
+/// has an uncompacted tail, tombstones whose postings are not purged
+/// yet, a refitted model, a vacuumed id space — or all of them.
+fn churned_db(seeds: &[(Vec<u64>, u64)], churn: &[Churn]) -> SignatureDb {
+    let raws: Vec<RawSignature> = seeds
+        .iter()
+        .enumerate()
+        .map(|(i, (counts, salt))| {
+            let label = match salt % 3 {
+                0 => None,
+                1 => Some("alpha".to_string()),
+                _ => Some("beta".to_string()),
+            };
+            raw(counts.clone(), i as u64, label)
+        })
+        .collect();
+    let mut db = SignatureDb::build(&raws).expect("seed corpus builds");
+    churn_db(&mut db, churn);
     db
+}
+
+/// Every stored signature's raw counts are not reachable from outside,
+/// so the queries are the seeds (near-exact matches, ties included) and
+/// the probes (arbitrary directions).
+fn queries(seeds: &[(Vec<u64>, u64)], probes: &[Vec<u64>]) -> Vec<TermCounts> {
+    seeds
+        .iter()
+        .map(|(counts, _)| counts)
+        .chain(probes)
+        .map(|counts| TermCounts::from_dense(counts))
+        .collect()
+}
+
+fn save(db: &SignatureDb) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    db.save(&mut bytes).expect("save");
+    bytes
+}
+
+/// The all-JSON v4 fixture and the binary v5 fixture hold the same
+/// canonical database: loaded and saved again they must land on the
+/// same bytes — `f64::to_bits` equality of every stored weight, so the
+/// binary codec lost nothing the JSON path kept.
+#[test]
+fn v4_json_and_v5_binary_fixtures_hold_the_same_bits() {
+    let from4 = SignatureDb::load(&fixture(4)[..]).expect("load v4");
+    let from5 = SignatureDb::load(&fixture(5)[..]).expect("load v5");
+    assert_eq!(save(&from4), save(&from5));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Save-v5 → load → save-v5 is a byte-level fixed point, and the
-    /// v4 JSON detour (save-v4 → load → save-v5) lands on the *same*
-    /// bytes. Byte equality of the binary envelope is `f64::to_bits`
-    /// equality of every stored weight — the binary codec loses
-    /// nothing the JSON path kept.
+    /// Nothing is lost by not storing the index: `load(save(db))`
+    /// answers search and classify `f64::to_bits`-identically to `db`,
+    /// flat and through a service of any shard count, and
+    /// save → load → save is a byte-level fixed point.
     #[test]
-    fn churned_dbs_round_trip_bit_identically_vs_the_v4_path(
+    fn churned_dbs_reload_bit_identically_and_resave_to_the_same_bytes(
         seeds in prop::collection::vec(
             (prop::collection::vec(0u64..100, DIM..DIM + 1), 0u64..100),
             2..8,
         ),
         churn in prop::collection::vec(arb_churn(), 0..12),
+        probes in prop::collection::vec(prop::collection::vec(0u64..100, DIM..DIM + 1), 1..4),
+        num_shards in 1usize..5,
     ) {
         let db = churned_db(&seeds, &churn);
+        let saved = save(&db);
+        let loaded = SignatureDb::load(&saved[..]).expect("load");
+        prop_assert_eq!(&saved, &save(&loaded));
 
-        let mut v5 = Vec::new();
-        db.save(&mut v5).expect("save v5");
-        let from5 = SignatureDb::load(&v5[..]).expect("load v5");
-        let mut v5_again = Vec::new();
-        from5.save(&mut v5_again).expect("re-save v5");
-        // v5 save/load must be a byte fixed point.
-        prop_assert_eq!(&v5, &v5_again);
+        let service = SignatureService::from_db(db.clone(), num_shards);
+        let mut sharded = Vec::new();
+        service.save(&mut sharded).expect("save sharded");
+        let reloaded = SignatureService::load(&sharded[..]).expect("load sharded");
+        prop_assert_eq!(reloaded.num_shards(), num_shards);
 
-        let mut v4 = Vec::new();
-        db.save_as_version(4, &mut v4).expect("save v4");
-        let from4 = SignatureDb::load(&v4[..]).expect("load v4 (migrates)");
-        let mut v4_to_v5 = Vec::new();
-        from4.save(&mut v4_to_v5).expect("save migrated db as v5");
-        // The v4 JSON path and the v5 binary path must not diverge
-        // bit-wise.
-        prop_assert_eq!(&v5, &v4_to_v5);
+        for q in queries(&seeds, &probes) {
+            for k in [1, 3, 16] {
+                let want = db.search(&q, k).expect("search");
+                let got = loaded.search(&q, k).expect("search loaded");
+                let via_service = reloaded.search(&q, k).expect("search reloaded service");
+                prop_assert_eq!(want.len(), got.len());
+                prop_assert_eq!(want.len(), via_service.len());
+                for (((s1, sc1), (s2, sc2)), (_, s3, sc3)) in
+                    want.iter().zip(&got).zip(&via_service)
+                {
+                    prop_assert_eq!(*s1, *s2);
+                    prop_assert_eq!(*s1, s3);
+                    prop_assert_eq!(sc1.to_bits(), sc2.to_bits());
+                    prop_assert_eq!(sc1.to_bits(), sc3.to_bits());
+                }
+                let label = db.classify(&q, k).expect("classify");
+                prop_assert_eq!(&label, &loaded.classify(&q, k).expect("classify loaded"));
+                prop_assert_eq!(&label, &reloaded.classify(&q, k).expect("classify service"));
+            }
+        }
+    }
+
+    /// `Int8` survives churn (vacuums included) and save/load. The u8
+    /// grid is not stored: the loaded index is re-quantized from the
+    /// exact signatures, so it scores bit for bit like a one-pass
+    /// rebuild over the same slots switched to `Int8`.
+    #[test]
+    fn int8_survives_reload_and_scores_like_a_requantized_rebuild(
+        seeds in prop::collection::vec(
+            (prop::collection::vec(0u64..100, DIM..DIM + 1), 0u64..100),
+            2..8,
+        ),
+        before in prop::collection::vec(arb_churn(), 0..6),
+        after in prop::collection::vec(arb_churn(), 0..6),
+        probes in prop::collection::vec(prop::collection::vec(0u64..100, DIM..DIM + 1), 1..4),
+    ) {
+        let mut db = churned_db(&seeds, &before);
+        db.set_quantization(QuantizationMode::Int8);
+        churn_db(&mut db, &after);
+        prop_assert_eq!(db.quantization(), QuantizationMode::Int8);
+
+        let saved = save(&db);
+        let loaded = SignatureDb::load(&saved[..]).expect("load");
+        prop_assert_eq!(loaded.quantization(), QuantizationMode::Int8);
+        prop_assert_eq!(&saved, &save(&loaded));
+
+        let slots: Vec<Option<&SparseVec>> = (0..db.num_slots())
+            .map(|d| db.is_live(d).then(|| &db.signatures()[d].vector))
+            .collect();
+        let mut rebuilt = InvertedIndex::from_slots(db.dim(), &slots).expect("rebuild");
+        rebuilt.set_quantization(QuantizationMode::Int8);
+        for q in queries(&seeds, &probes) {
+            let got = loaded.search(&q, 5).expect("search loaded");
+            let want = rebuilt.search(&db.transform(&q), 5).expect("search rebuilt");
+            prop_assert_eq!(want.len(), got.len());
+            for (hit, (sig, score)) in want.iter().zip(&got) {
+                prop_assert_eq!(&db.signatures()[hit.doc], *sig);
+                prop_assert_eq!(hit.score.to_bits(), score.to_bits());
+            }
+        }
     }
 
     /// Every [`WalOp`] round-trips exactly through the binary WAL

@@ -1,0 +1,378 @@
+//! No byte sequence on disk can panic the store.
+//!
+//! Every reader of bytes from outside — `SignatureDb::load`,
+//! `SignatureService::load`, `split_envelope`, `detect_format_version`,
+//! `read_wal` — is fed truncations, bit flips and garbage of every
+//! format it accepts: a fresh v7 envelope, each committed fixture
+//! (v0–v7), and `FMWAL 2` / `FMWAL 1` segments. The answer is always an
+//! `Err` or a clean record prefix. A panic fails the test by itself, so
+//! most of the suite only has to *call*; what more is promised (a strict
+//! truncation never loads, a damaged WAL yields a record prefix) is
+//! asserted too. CI runs this suite by name in the **debug** leg:
+//! integer-overflow checks exist only there.
+
+use std::io::Write;
+use std::sync::{Arc, LazyLock, Mutex};
+
+use fmeter_core::persist::{
+    detect_format_version, split_envelope, RawSection, SectionCodec, CURRENT_FORMAT_VERSION,
+};
+use fmeter_core::wal::{crc32, read_wal, SyncPolicy, WalSink, WalWriter};
+use fmeter_core::{RawSignature, SignatureDb, SignatureService, WalOp};
+use fmeter_kernel_sim::Nanos;
+use proptest::prelude::*;
+
+mod common;
+use common::fixture;
+
+fn raw(i: u64) -> RawSignature {
+    RawSignature {
+        counts: vec![30 + i, 20, i % 3, 0, 7 * (i % 2), 1],
+        started_at: Nanos(i * 10),
+        ended_at: Nanos((i + 1) * 10),
+        label: i.is_multiple_of(2).then(|| format!("class-{}", i % 3)),
+    }
+}
+
+/// A fresh save with state in every section: tombstones, a refit, a
+/// tail insert, a shard layout.
+fn fresh_envelope() -> Vec<u8> {
+    let raws: Vec<RawSignature> = (0..12).map(raw).collect();
+    let mut db = SignatureDb::build(&raws).expect("build");
+    db.remove(2).expect("remove");
+    db.refit();
+    db.insert(&raw(40)).expect("insert");
+    let mut bytes = Vec::new();
+    SignatureService::from_db(db, 3)
+        .save(&mut bytes)
+        .expect("save");
+    bytes
+}
+
+/// The fresh v7 envelope and every committed fixture, v0–v7.
+static STORED_DATABASES: LazyLock<Vec<Vec<u8>>> = LazyLock::new(|| {
+    let mut all = vec![fresh_envelope()];
+    all.extend((0..=CURRENT_FORMAT_VERSION).map(fixture));
+    all
+});
+
+/// Feeds `bytes` to every database reader; returns whether the flat
+/// load accepted them.
+fn feed_readers(bytes: &[u8]) -> bool {
+    let _ = SignatureService::load(bytes);
+    let _ = split_envelope(bytes);
+    let _ = detect_format_version(bytes);
+    SignatureDb::load(bytes).is_ok()
+}
+
+/// Where the header ends: behind the second newline of an envelope; a
+/// bare-JSON save has no header, so its first 256 bytes stand in.
+fn header_len(bytes: &[u8]) -> usize {
+    bytes
+        .iter()
+        .enumerate()
+        .filter(|(_, &b)| b == b'\n')
+        .nth(1)
+        .map_or(256.min(bytes.len()), |(i, _)| i + 1)
+}
+
+#[test]
+fn every_stored_database_loads_untouched() {
+    for bytes in STORED_DATABASES.iter() {
+        assert!(feed_readers(bytes));
+    }
+}
+
+#[test]
+fn no_truncation_of_a_stored_database_loads_or_panics() {
+    for bytes in STORED_DATABASES.iter() {
+        for cut in 0..bytes.len() {
+            assert!(
+                !feed_readers(&bytes[..cut]),
+                "a save cut at byte {cut} of {} loaded",
+                bytes.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn no_bit_flip_in_the_header_lines_panics() {
+    for mut bytes in STORED_DATABASES.iter().cloned() {
+        for pos in 0..header_len(&bytes) {
+            for bit in 0..8 {
+                bytes[pos] ^= 1 << bit;
+                feed_readers(&bytes);
+                bytes[pos] ^= 1 << bit;
+            }
+        }
+    }
+}
+
+/// Frames `sections` as an envelope of `version` with correct lengths
+/// and — where the version has them — checksums and codec tags, so the
+/// payloads get past the frame checks and into the decoders.
+fn reframe(version: u32, sections: &[RawSection]) -> Vec<u8> {
+    let list = |item: &dyn Fn(&RawSection) -> String| -> String {
+        sections.iter().map(item).collect::<Vec<_>>().join(",")
+    };
+    let table = list(&|s| format!("[\"{}\",{}]", s.name, s.payload.len()));
+    let mut header = format!("\"format_version\":{version},\"sections\":[{table}]");
+    if version >= 4 {
+        header += &format!(",\"crc32\":[{}]", list(&|s| crc32(&s.payload).to_string()));
+    }
+    if version >= 5 {
+        header += &format!(
+            ",\"codec\":[{}]",
+            list(&|s| format!("\"{}\"", s.codec.tag()))
+        );
+    }
+    let mut out = format!("FMETERDB {version}\n{{{header}}}\n").into_bytes();
+    for section in sections {
+        out.extend_from_slice(&section.payload);
+    }
+    out
+}
+
+#[test]
+fn reframing_is_faithful() {
+    // The helper above must produce what the writers produce(d), or the
+    // properties below would be testing the frame checks only.
+    for bytes in STORED_DATABASES
+        .iter()
+        .filter(|b| b.starts_with(b"FMETERDB"))
+    {
+        let (version, sections) = split_envelope(bytes).unwrap();
+        assert_eq!(&reframe(version, &sections), bytes, "v{version}");
+    }
+}
+
+/// `sections` with section `name` replaced by `payload` under `codec`.
+fn with_section(
+    sections: &[RawSection],
+    name: &str,
+    codec: SectionCodec,
+    payload: &[u8],
+) -> Vec<RawSection> {
+    let mut sections = sections.to_vec();
+    let section = sections
+        .iter_mut()
+        .find(|s| s.name == name)
+        .expect("section");
+    (section.codec, section.payload) = (codec, payload.to_vec());
+    sections
+}
+
+/// `json` with the first `"terms":[…]` list rewritten by `edit`.
+fn edit_first_terms(json: &str, edit: fn(&mut Vec<&str>)) -> Vec<u8> {
+    let key = "\"terms\":[";
+    let start = json.find(key).expect("a term list") + key.len();
+    let end = start + json[start..].find(']').expect("list end");
+    let mut terms: Vec<&str> = json[start..end].split(',').collect();
+    edit(&mut terms);
+    [&json[..start], &terms.join(","), &json[end..]]
+        .concat()
+        .into_bytes()
+}
+
+#[test]
+fn json_vectors_that_break_the_storage_invariants_are_errors() {
+    // A JSON section must reject what the binary decoder rejects — a
+    // derived `Deserialize` would check nothing, and a live signature
+    // (slot 0 of the canonical history, the first term list of its
+    // section) with a term past the dimension would index out of bounds
+    // in the index rebuild. Checked on a v2 file (all JSON, no checksums)
+    // and a v7 envelope with a JSON-tagged section, through both loaders.
+    let (_, v2) = split_envelope(&fixture(2)).unwrap();
+    let (current, v7) = split_envelope(&fixture(CURRENT_FORMAT_VERSION)).unwrap();
+    let edits: [fn(&mut Vec<&str>); 5] = [
+        |_| (), // the control: loads
+        |t| *t.last_mut().unwrap() = "99",
+        |t| t.swap(0, 1),
+        |t| t[1] = t[0],
+        |t| t.truncate(1),
+    ];
+    for name in ["signatures", "corpus"] {
+        let json = &v2.iter().find(|s| s.name == name).expect("section").payload;
+        let json = std::str::from_utf8(json).expect("JSON section");
+        for (i, edit) in edits.into_iter().enumerate() {
+            let payload = edit_first_terms(json, edit);
+            for bytes in [
+                reframe(2, &with_section(&v2, name, SectionCodec::Json, &payload)),
+                reframe(
+                    current,
+                    &with_section(&v7, name, SectionCodec::Json, &payload),
+                ),
+            ] {
+                let db = SignatureDb::load(&bytes[..]).is_ok();
+                let service = SignatureService::load(&bytes[..]).is_ok();
+                assert_eq!((db, service), (i == 0, i == 0), "`{name}`, edit {i}");
+            }
+        }
+    }
+}
+
+/// A `WalSink` whose bytes the test can read back.
+#[derive(Clone, Default)]
+struct SharedSink(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl WalSink for SharedSink {
+    fn sync(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+fn wal_ops() -> Vec<WalOp> {
+    vec![
+        WalOp::Insert(raw(1)),
+        WalOp::Remove(3),
+        WalOp::Refit,
+        WalOp::InsertBatch(vec![raw(2), raw(3)]),
+        WalOp::Vacuum,
+    ]
+}
+
+/// The same ops as an `FMWAL 2` segment (through the real writer) and
+/// as an `FMWAL 1` segment (same framing, JSON payloads — framed by
+/// hand, nothing writes it any more).
+fn wal_segments() -> [Vec<u8>; 2] {
+    let sink = SharedSink::default();
+    let mut writer = WalWriter::create(Box::new(sink.clone()), 4, true, SyncPolicy::EveryRecord)
+        .expect("create wal");
+    for op in &wal_ops() {
+        writer.append(op).expect("append");
+    }
+    let v2 = sink.0.lock().unwrap().clone();
+
+    let mut v1 = b"FMWAL 1 4 1\n".to_vec();
+    for (i, op) in wal_ops().iter().enumerate() {
+        let seq = 4 + i as u64;
+        let payload = serde_json::to_string(op).unwrap().into_bytes();
+        let crc = crc32(&[&seq.to_le_bytes()[..], &payload].concat());
+        v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&seq.to_le_bytes());
+        v1.extend_from_slice(&crc.to_le_bytes());
+        v1.extend_from_slice(&payload);
+    }
+    [v2, v1]
+}
+
+/// Asserts `bytes` replays to a prefix of the undamaged segment's
+/// records.
+fn assert_clean_prefix(bytes: &[u8], what: &str) {
+    let seg = read_wal(bytes);
+    let ops = wal_ops();
+    assert!(seg.records.len() <= ops.len(), "{what}");
+    for (i, ((seq, got), want)) in seg.records.iter().zip(&ops).enumerate() {
+        assert_eq!(*seq, 4 + i as u64, "{what}");
+        assert_eq!(got, want, "{what}");
+    }
+}
+
+#[test]
+fn wal_segments_replay_untouched() {
+    for bytes in wal_segments() {
+        let seg = read_wal(&bytes);
+        assert!(!seg.torn);
+        assert_eq!(seg.records.len(), wal_ops().len());
+        assert_clean_prefix(&bytes, "untouched");
+    }
+}
+
+#[test]
+fn every_truncation_and_bit_flip_of_a_wal_segment_yields_a_clean_prefix() {
+    for mut bytes in wal_segments() {
+        for cut in 0..bytes.len() {
+            assert_clean_prefix(&bytes[..cut], &format!("cut at {cut}"));
+        }
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                bytes[pos] ^= 1 << bit;
+                assert_clean_prefix(&bytes, &format!("bit {bit} of byte {pos}"));
+                bytes[pos] ^= 1 << bit;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes — bare, and behind each reader's own magic so the
+    /// parsers past the first check get to see them.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_reader(
+        garbage in prop::collection::vec(any::<u8>(), 0..512),
+        version in 0u32..10,
+    ) {
+        feed_readers(&garbage);
+        feed_readers(&[format!("FMETERDB {version}\n").as_bytes(), &garbage].concat());
+        let _ = read_wal(&garbage);
+        let _ = read_wal(&[format!("FMWAL {} 1 1\n", version % 3).as_bytes(), &garbage].concat());
+    }
+
+    /// Damage *behind* a valid frame: a stored database with one byte
+    /// of one section changed (or the section cut short, or replaced by
+    /// garbage) and the frame re-sealed with matching lengths and
+    /// checksums, so the section decoders, the v6 tag walk and the
+    /// cross-section checks see it. Covers v4–v7; v1–v3 carry no
+    /// checksums, so there the same damage goes in directly.
+    #[test]
+    fn damage_behind_a_valid_frame_never_panics_a_reader(
+        which in 0usize..9,
+        section_frac in 0.0f64..1.0,
+        byte_frac in 0.0f64..1.0,
+        replacement in any::<u8>(),
+        mode in 0u8..3,
+        garbage in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let bytes = &STORED_DATABASES[which % STORED_DATABASES.len()];
+        let damage = |payload: &mut Vec<u8>| {
+            let at = ((payload.len() as f64 * byte_frac) as usize).min(payload.len().saturating_sub(1));
+            match mode {
+                0 if !payload.is_empty() => payload[at] = replacement,
+                1 => payload.truncate(at),
+                _ => payload.clone_from(&garbage),
+            }
+        };
+        match detect_format_version(bytes) {
+            Some(version) if version >= 4 => {
+                let (version, mut sections) = split_envelope(bytes).unwrap();
+                let k = ((sections.len() as f64 * section_frac) as usize).min(sections.len() - 1);
+                damage(&mut sections[k].payload);
+                feed_readers(&reframe(version, &sections));
+            }
+            _ => {
+                // No checksums (v1–v3) or no frame at all (v0): damage
+                // the body where it lies.
+                let header = if bytes.starts_with(b"FMETERDB") { header_len(bytes) } else { 0 };
+                let mut body = bytes[header..].to_vec();
+                damage(&mut body);
+                feed_readers(&[&bytes[..header], &body[..]].concat());
+            }
+        }
+    }
+
+    /// The satellite-sized prefix: a `signatures` section whose count
+    /// prefix equals its own length passes the one-byte-per-element
+    /// guard; it must fail to decode — without the loader first
+    /// reserving ~96 bytes of `Signature` per input byte.
+    #[test]
+    fn an_attacker_sized_signature_count_errors(len in 8usize..4096) {
+        let (version, sections) = split_envelope(&STORED_DATABASES[0]).unwrap();
+        let mut payload = (len as u64 - 8).to_le_bytes().to_vec();
+        payload.resize(len, 0);
+        let sections = with_section(&sections, "signatures", SectionCodec::Binary, &payload);
+        prop_assert!(!feed_readers(&reframe(version, &sections)));
+    }
+}

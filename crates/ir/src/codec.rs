@@ -159,20 +159,6 @@ pub fn put_usizes(out: &mut Vec<u8>, vs: &[usize]) {
     }
 }
 
-/// Append a `bool` slice as a `u64` count followed by one byte per element.
-pub fn put_bools(out: &mut Vec<u8>, vs: &[bool]) {
-    put_usize(out, vs.len());
-    for &v in vs {
-        put_bool(out, v);
-    }
-}
-
-/// Append a raw byte slice as a `u64` count followed by the bytes.
-pub fn put_bytes(out: &mut Vec<u8>, vs: &[u8]) {
-    put_usize(out, vs.len());
-    out.extend_from_slice(vs);
-}
-
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
@@ -334,21 +320,20 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// Read a length-prefixed raw byte array written by [`put_bytes`].
-    pub fn get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        let count = self.array_len(1)?;
-        Ok(self.take(count)?.to_vec())
+    /// Step over a length-prefixed array of `elem_size`-byte elements
+    /// without decoding it.
+    pub fn skip_array(&mut self, elem_size: usize) -> Result<(), CodecError> {
+        let count = self.array_len(elem_size)?;
+        self.take(count * elem_size).map(drop)
     }
+}
 
-    /// Read a length-prefixed `bool` array (one byte per element).
-    pub fn get_bools(&mut self) -> Result<Vec<bool>, CodecError> {
-        let count = self.array_len(1)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.get_bool()?);
-        }
-        Ok(out)
-    }
+/// How many `T`s to reserve up front for a declared `count`: an element
+/// may be far larger in memory than its one-byte wire minimum, so never
+/// more memory than the input still holds — the vector grows from there
+/// as elements actually decode.
+fn bounded_capacity<T>(count: usize, remaining: usize) -> usize {
+    count.min(remaining / size_of::<T>().max(1))
 }
 
 impl<T: BinCodec> BinCodec for Vec<T> {
@@ -363,7 +348,7 @@ impl<T: BinCodec> BinCodec for Vec<T> {
         // Elements are variable-size, so the tightest universal guard is one
         // byte per element; it still rejects length prefixes beyond the input.
         let count = r.array_len(1)?;
-        let mut out = Vec::with_capacity(count);
+        let mut out = Vec::with_capacity(bounded_capacity::<T>(count, r.remaining()));
         for _ in 0..count {
             out.push(T::decode_bin(r)?);
         }
@@ -408,14 +393,12 @@ mod tests {
         put_u64s(&mut buf, &[]);
         put_f64s(&mut buf, &[1.5, f64::INFINITY]);
         put_usizes(&mut buf, &[0, 42]);
-        put_bools(&mut buf, &[true, false, true]);
 
         let mut r = Reader::new(&buf);
         assert_eq!(r.get_u32s().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.get_u64s().unwrap(), Vec::<u64>::new());
         assert_eq!(r.get_f64s().unwrap(), vec![1.5, f64::INFINITY]);
         assert_eq!(r.get_usizes().unwrap(), vec![0, 42]);
-        assert_eq!(r.get_bools().unwrap(), vec![true, false, true]);
         r.finish().unwrap();
     }
 
@@ -440,6 +423,35 @@ mod tests {
         put_u64(&mut buf, 1 << 40); // plausible usize, impossible for input
         let mut r = Reader::new(&buf);
         assert!(r.get_u32s().is_err());
+    }
+
+    #[test]
+    fn attacker_sized_vec_prefix_errors_without_an_outsized_reservation() {
+        // 96 bytes in memory, one byte on the wire at best: a count
+        // prefix equal to the payload length passes the one-byte-per-
+        // element guard, and must not turn into 96 bytes reserved per
+        // input byte before the first element fails to decode.
+        struct Fat {
+            _pad: [u64; 12],
+        }
+        impl BinCodec for Fat {
+            fn encode_bin(&self, _: &mut Vec<u8>) {}
+            fn decode_bin(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                match r.get_u8()? {
+                    1 => Ok(Fat { _pad: [0; 12] }),
+                    b => Err(CodecError::new(format!("bad Fat byte {b}"))),
+                }
+            }
+        }
+        let n = 1usize << 16;
+        let mut buf = Vec::new();
+        put_usize(&mut buf, n);
+        buf.resize(8 + n, 0);
+        assert!(decode_from_slice::<Vec<Fat>>(&buf).is_err());
+        assert!(bounded_capacity::<Fat>(n, n) * size_of::<Fat>() <= n);
+        // A payload that really holds `count` elements is still
+        // reserved exactly.
+        assert_eq!(bounded_capacity::<u64>(10, 80), 10);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::codec;
+use crate::sparse::check_wire_terms;
 use crate::{IrError, SparseVec, TermId};
 
 /// Raw term counts for one document.
@@ -9,7 +10,7 @@ use crate::{IrError, SparseVec, TermId};
 /// the number of times each kernel function was invoked during the
 /// monitoring run (the `n_{i,j}` of the paper). Counts are stored sparsely
 /// and sorted by term id.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct TermCounts {
     dim: usize,
     terms: Vec<TermId>,
@@ -141,7 +142,7 @@ impl TermCounts {
 /// of monitored low-level system activities.
 ///
 /// All documents must have the same dimensionality, enforced at insertion.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Corpus {
     dim: usize,
     docs: Vec<TermCounts>,
@@ -249,11 +250,55 @@ impl Extend<TermCounts> for Corpus {
     }
 }
 
+impl TermCounts {
+    /// Builds a document from wire arrays, re-validating the constructor
+    /// invariants ([`check_wire_terms`], counts non-zero).
+    fn from_wire(dim: usize, terms: Vec<TermId>, counts: Vec<u64>) -> Result<Self, String> {
+        check_wire_terms("TermCounts", dim, &terms, counts.len())?;
+        if counts.contains(&0) {
+            return Err("TermCounts stores a zero count".to_string());
+        }
+        Ok(TermCounts { dim, terms, counts })
+    }
+}
+
+impl Corpus {
+    /// Builds a corpus from documents that arrived over a wire: every
+    /// document must share the corpus dimension (the same invariant
+    /// `push` asserts).
+    fn from_wire(dim: usize, docs: Vec<TermCounts>) -> Result<Self, String> {
+        if let Some(bad) = docs.iter().find(|d| d.dim() != dim) {
+            return Err(format!(
+                "Corpus document dimension {} does not match corpus dimension {dim}",
+                bad.dim()
+            ));
+        }
+        Ok(Corpus { dim, docs })
+    }
+}
+
+// Deserialization is implemented by hand (not derived) so JSON input is
+// held to the same invariants as binary input — the derive would accept
+// any field values, and `document_frequencies` indexes by term unchecked.
+impl Deserialize for TermCounts {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let dim = usize::from_value(v.get_field("dim")?)?;
+        let terms = Vec::from_value(v.get_field("terms")?)?;
+        let counts = Vec::from_value(v.get_field("counts")?)?;
+        TermCounts::from_wire(dim, terms, counts).map_err(serde::Error)
+    }
+}
+
+impl Deserialize for Corpus {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let dim = usize::from_value(v.get_field("dim")?)?;
+        let docs = Vec::from_value(v.get_field("docs")?)?;
+        Corpus::from_wire(dim, docs).map_err(serde::Error)
+    }
+}
+
 // Binary wire layout (see `crate::codec`): `dim` then the `terms`/`counts`
-// parallel arrays. Decoding re-validates the constructor invariants (terms
-// strictly ascending and in range, counts non-zero, arrays parallel) directly
-// instead of routing through `from_pairs`, which would re-sort already-sorted
-// input on the checkpoint-restart hot path.
+// parallel arrays.
 impl codec::BinCodec for TermCounts {
     fn encode_bin(&self, out: &mut Vec<u8>) {
         codec::put_usize(out, self.dim);
@@ -265,36 +310,11 @@ impl codec::BinCodec for TermCounts {
         let dim = r.get_usize()?;
         let terms = r.get_u32s()?;
         let counts = r.get_u64s()?;
-        if terms.len() != counts.len() {
-            return Err(codec::CodecError::new(format!(
-                "TermCounts arrays disagree: {} terms vs {} counts",
-                terms.len(),
-                counts.len()
-            )));
-        }
-        for pair in terms.windows(2) {
-            if pair[0] >= pair[1] {
-                return Err(codec::CodecError::new(
-                    "TermCounts terms not strictly ascending",
-                ));
-            }
-        }
-        if let Some(&t) = terms.last() {
-            if t as usize >= dim {
-                return Err(codec::CodecError::new(format!(
-                    "TermCounts term {t} out of range for dim {dim}"
-                )));
-            }
-        }
-        if counts.contains(&0) {
-            return Err(codec::CodecError::new("TermCounts stores a zero count"));
-        }
-        Ok(TermCounts { dim, terms, counts })
+        TermCounts::from_wire(dim, terms, counts).map_err(codec::CodecError::new)
     }
 }
 
-// `dim` then the documents; every document must share the corpus dimension
-// (the same invariant `push` asserts).
+// `dim` then the documents.
 impl codec::BinCodec for Corpus {
     fn encode_bin(&self, out: &mut Vec<u8>) {
         codec::put_usize(out, self.dim);
@@ -304,13 +324,7 @@ impl codec::BinCodec for Corpus {
     fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
         let dim = r.get_usize()?;
         let docs = Vec::<TermCounts>::decode_bin(r)?;
-        if let Some(bad) = docs.iter().find(|d| d.dim() != dim) {
-            return Err(codec::CodecError::new(format!(
-                "Corpus document dimension {} does not match corpus dimension {dim}",
-                bad.dim()
-            )));
-        }
-        Ok(Corpus { dim, docs })
+        Corpus::from_wire(dim, docs).map_err(codec::CodecError::new)
     }
 }
 
@@ -394,5 +408,20 @@ mod tests {
         let docs: Vec<TermCounts> = c.into_iter().collect();
         assert_eq!(docs.len(), 3);
         assert_eq!(docs[2].count(2), 2);
+    }
+
+    #[test]
+    fn json_is_held_to_the_constructor_invariants() {
+        for bad in [
+            r#"{"dim":4,"docs":[{"dim":4,"terms":[9],"counts":[1]}]}"#,
+            r#"{"dim":4,"docs":[{"dim":4,"terms":[2,1],"counts":[1,1]}]}"#,
+            r#"{"dim":4,"docs":[{"dim":4,"terms":[1,2],"counts":[1]}]}"#,
+            r#"{"dim":4,"docs":[{"dim":4,"terms":[1],"counts":[0]}]}"#,
+            r#"{"dim":4,"docs":[{"dim":5,"terms":[1],"counts":[1]}]}"#,
+        ] {
+            assert!(serde_json::from_str::<Corpus>(bad).is_err(), "{bad}");
+        }
+        let good = r#"{"dim":4,"docs":[{"dim":4,"terms":[1,3],"counts":[1,2]}]}"#;
+        assert_eq!(serde_json::from_str::<Corpus>(good).unwrap().len(), 1);
     }
 }

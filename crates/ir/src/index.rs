@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::codec;
 use crate::{dot_sparse_dense, DocId, IrError, SharedVec, SparseVec, TermId};
 
 /// One result of a similarity search.
@@ -188,7 +187,7 @@ const WAND_SLACK: f64 = 1e-9;
 /// Tail rows — inserts since the last compaction — always keep exact
 /// `f64` weights; the mode governs only the flat segment, which holds
 /// the bulk of a compacted index.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum QuantizationMode {
     /// Exact IEEE-754 `f64` weights. Every search path is bit-identical
     /// to [`InvertedIndex::search_exhaustive`] over the same postings.
@@ -206,26 +205,6 @@ pub enum QuantizationMode {
     /// which is why the quantized path is gated on recall, not bitwise
     /// equality.
     Int8,
-}
-
-impl QuantizationMode {
-    /// Stable wire tag for the v6 binary codec.
-    fn tag(self) -> u8 {
-        match self {
-            QuantizationMode::Off => 0,
-            QuantizationMode::Int8 => 1,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, codec::CodecError> {
-        match tag {
-            0 => Ok(QuantizationMode::Off),
-            1 => Ok(QuantizationMode::Int8),
-            t => Err(codec::CodecError::new(format!(
-                "invalid quantization mode tag {t:#04x}"
-            ))),
-        }
-    }
 }
 
 impl SearchScratch {
@@ -362,14 +341,6 @@ struct FlatPostings {
 /// which is normalised already — `x * 1.0` is `x` bit for bit).
 type Row<'a> = (u32, &'a SparseVec, f64);
 
-/// One term's not-yet-compacted postings as parallel arrays — the wire
-/// shape of the tail in every format version.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct PostingList {
-    docs: Vec<u32>,
-    weights: Vec<f64>,
-}
-
 /// Quantizes `w` onto the term's 8-bit grid (`0` when the term's weights
 /// are all equal, i.e. `scale == 0`).
 #[inline]
@@ -395,7 +366,7 @@ impl FlatPostings {
     ///
     /// Every flat rewrite funnels through here, so the block metadata
     /// always equals a recompute from the buffers — the invariant the
-    /// codec round-trip suite pins bitwise.
+    /// block-max pruning relies on.
     fn install(
         quantization: QuantizationMode,
         offsets: Vec<usize>,
@@ -1620,362 +1591,6 @@ fn unit_row(dim: usize, doc: DocId, vector: &SparseVec) -> Result<Row<'_>, IrErr
     Ok((doc as u32, vector, vector.l2_unit_factor()))
 }
 
-impl codec::BinCodec for PostingList {
-    fn encode_bin(&self, out: &mut Vec<u8>) {
-        codec::put_u32s(out, &self.docs);
-        codec::put_f64s(out, &self.weights);
-    }
-
-    fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
-        let docs = r.get_u32s()?;
-        let weights = r.get_f64s()?;
-        if docs.len() != weights.len() {
-            return Err(codec::CodecError::new(format!(
-                "PostingList arrays disagree: {} docs vs {} weights",
-                docs.len(),
-                weights.len()
-            )));
-        }
-        Ok(PostingList { docs, weights })
-    }
-}
-
-/// The eleven fields every format version stores for an index, as
-/// decoded from the wire. `max_impact` is derived state (the flat
-/// segment's block maxima folded with the tail weights) and is rebuilt,
-/// so only its length is kept for the shape check.
-struct StoredIndex {
-    dim: usize,
-    offsets: Vec<usize>,
-    docs: Vec<u32>,
-    weights: Vec<f64>,
-    tail: Vec<PostingList>,
-    tail_len: usize,
-    num_docs: usize,
-    max_impact_len: usize,
-    removed: Vec<bool>,
-    num_removed: usize,
-    dead_unpurged: usize,
-}
-
-impl StoredIndex {
-    fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
-        Ok(StoredIndex {
-            dim: r.get_usize()?,
-            offsets: r.get_usizes()?,
-            docs: r.get_u32s()?,
-            weights: r.get_f64s()?,
-            tail: codec::BinCodec::decode_bin(r)?,
-            tail_len: r.get_usize()?,
-            num_docs: r.get_usize()?,
-            max_impact_len: r.get_f64s()?.len(),
-            removed: r.get_bools()?,
-            num_removed: r.get_usize()?,
-            dead_unpurged: r.get_usize()?,
-        })
-    }
-
-    /// Checks the structural invariants shared by every decode surface —
-    /// per-term array lengths, parallel flat buffers (whichever of
-    /// `weights`/`qweights` is active), an `indptr`-style `offsets`,
-    /// quantization arrays matching the mode, a well-formed tail — and
-    /// assembles the index, rebuilding the block metadata and bounds
-    /// from the stored postings.
-    fn assemble(
-        self,
-        quantization: QuantizationMode,
-        qweights: Vec<u8>,
-        scale: Vec<f64>,
-        qoffset: Vec<f64>,
-    ) -> Result<InvertedIndex, codec::CodecError> {
-        let bad = |msg: String| Err(codec::CodecError::new(format!("InvertedIndex: {msg}")));
-        let dim = self.dim;
-        // The active flat weight buffer must parallel `docs`; the other
-        // must be absent.
-        let weights_len = match quantization {
-            QuantizationMode::Off => {
-                if !qweights.is_empty() || !scale.is_empty() || !qoffset.is_empty() {
-                    return bad("quantization arrays present in Off mode".to_string());
-                }
-                self.weights.len()
-            }
-            QuantizationMode::Int8 => {
-                if !self.weights.is_empty() {
-                    return bad("f64 flat weights present in Int8 mode".to_string());
-                }
-                if scale.len() != dim || qoffset.len() != dim {
-                    return bad(format!(
-                        "quantization parameters disagree with dim {dim}: {} scale, {} qoffset",
-                        scale.len(),
-                        qoffset.len()
-                    ));
-                }
-                qweights.len()
-            }
-        };
-        if self.offsets.len() != dim + 1 || self.tail.len() != dim || self.max_impact_len != dim {
-            return bad(format!(
-                "per-term arrays disagree with dim {dim}: {} offsets, {} tail, {} max_impact",
-                self.offsets.len(),
-                self.tail.len(),
-                self.max_impact_len,
-            ));
-        }
-        if self.docs.len() != weights_len {
-            return bad(format!(
-                "flat buffers disagree: {} docs vs {weights_len} weights",
-                self.docs.len()
-            ));
-        }
-        if self.offsets.first() != Some(&0) || self.offsets.last() != Some(&self.docs.len()) {
-            return bad("offsets do not span the flat postings buffer".to_string());
-        }
-        if self.offsets.windows(2).any(|w| w[0] > w[1]) {
-            return bad("offsets are not monotone".to_string());
-        }
-        if self.removed.len() != self.num_docs {
-            return bad(format!(
-                "{} tombstone slots for {} docs",
-                self.removed.len(),
-                self.num_docs
-            ));
-        }
-        // Per-term tail lists back to doc-major rows. The tail holds the
-        // newest docs, so the rows span from the smallest listed id to
-        // the end of the id space.
-        let base = self
-            .tail
-            .iter()
-            .filter_map(|list| list.docs.first())
-            .min()
-            .map_or(self.num_docs, |&d| d as usize);
-        if base > self.num_docs {
-            return bad(format!("tail doc {base} outside the id space"));
-        }
-        let mut rows = vec![(Vec::new(), Vec::new()); self.num_docs - base];
-        let mut tail_len = 0;
-        for (t, list) in self.tail.iter().enumerate() {
-            let ascending = list.docs.windows(2).all(|w| w[0] < w[1]);
-            if !ascending
-                || list
-                    .docs
-                    .last()
-                    .is_some_and(|&d| d as usize >= self.num_docs)
-            {
-                return bad(format!("tail postings of term {t} are disordered"));
-            }
-            for (&d, &w) in list.docs.iter().zip(&list.weights) {
-                let row = &mut rows[d as usize - base];
-                row.0.push(t as TermId);
-                row.1.push(w);
-            }
-            tail_len += list.docs.len();
-        }
-        if tail_len != self.tail_len {
-            return bad(format!(
-                "{tail_len} tail postings stored, {} declared",
-                self.tail_len
-            ));
-        }
-        let flat = FlatPostings {
-            quantization,
-            offsets: self.offsets,
-            docs: self.docs,
-            weights: self.weights,
-            qweights,
-            scale,
-            qoffset,
-            ..FlatPostings::default()
-        };
-        Ok(InvertedIndex {
-            dim,
-            flat: Arc::new(flat.finish()),
-            tail: rows
-                .into_iter()
-                .map(|(terms, values)| SparseVec::from_sorted_parts(dim, terms, values))
-                .collect(),
-            tail_len,
-            num_docs: self.num_docs,
-            removed: self.removed,
-            num_removed: self.num_removed,
-            dead_unpurged: self.dead_unpurged,
-        })
-    }
-}
-
-impl InvertedIndex {
-    /// The tail in its wire shape: one posting list per term.
-    fn tail_lists(&self) -> Vec<PostingList> {
-        let mut lists = vec![PostingList::default(); self.dim];
-        for (doc, row) in self.tail_rows() {
-            for (t, w) in row.iter() {
-                lists[t as usize].docs.push(doc as u32);
-                lists[t as usize].weights.push(w);
-            }
-        }
-        lists
-    }
-
-    /// Every term's [`max_impact`](Self::max_impact), as stored on the
-    /// wire.
-    fn max_impacts(&self) -> Vec<f64> {
-        let mut out = self.flat.max_impact.clone();
-        for row in self.tail.iter() {
-            for (t, w) in row.iter() {
-                out[t as usize] = out[t as usize].max(w.abs());
-            }
-        }
-        out
-    }
-
-    /// Writes the eleven legacy fields, with `weights` as the flat
-    /// weight array.
-    fn encode_fields(&self, weights: &[f64], out: &mut Vec<u8>) {
-        codec::put_usize(out, self.dim);
-        codec::put_usizes(out, &self.flat.offsets);
-        codec::put_u32s(out, &self.flat.docs);
-        codec::put_f64s(out, weights);
-        codec::BinCodec::encode_bin(&self.tail_lists(), out);
-        codec::put_usize(out, self.tail_len);
-        codec::put_usize(out, self.num_docs);
-        codec::put_f64s(out, &self.max_impacts());
-        codec::put_bools(out, &self.removed);
-        codec::put_usize(out, self.num_removed);
-        codec::put_usize(out, self.dead_unpurged);
-    }
-
-    /// Encodes this index in the legacy v5 wire layout: the flat
-    /// postings with exact `f64` weights and no block or quantization
-    /// metadata — what `FMETERDB 5` envelopes carry. A quantized index
-    /// writes its *dequantized* weights (the grid values), so a v5
-    /// downgrade of an `Int8` index is a documented lossy step: the
-    /// pre-quantization bits are already gone.
-    pub fn encode_bin_legacy(&self, out: &mut Vec<u8>) {
-        self.encode_fields(&self.flat.exact_weights(), out);
-    }
-
-    /// Decodes the legacy v5 wire layout written by
-    /// [`encode_bin_legacy`](Self::encode_bin_legacy). Quantization
-    /// comes out `Off` and the block metadata is rebuilt from the
-    /// decoded postings (v5 envelopes never carried it).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`codec::CodecError`] on truncated input or structural
-    /// invariant violations, like any [`codec::BinCodec`] decode.
-    pub fn decode_bin_legacy(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
-        StoredIndex::decode_bin(r)?.assemble(
-            QuantizationMode::Off,
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-        )
-    }
-}
-
-// v6 binary wire layout (see `crate::codec`): the legacy v5 fields in
-// declaration order, then the quantization mode and its per-term
-// parameters, then the block-max metadata (prefixed with the block size
-// the blocks were carved at, so a future re-tuning of `BLOCK_SIZE` keeps
-// loading old envelopes by rebuilding instead of rejecting). Decoding
-// checks the structural invariants and — because block metadata is
-// derived state whose unsoundness would silently corrupt search results
-// rather than error — verifies the stored blocks bitwise against a
-// recompute from the decoded postings.
-impl codec::BinCodec for InvertedIndex {
-    fn encode_bin(&self, out: &mut Vec<u8>) {
-        let flat = &self.flat;
-        self.encode_fields(&flat.weights, out);
-        codec::put_u8(out, flat.quantization.tag());
-        codec::put_f64s(out, &flat.scale);
-        codec::put_f64s(out, &flat.qoffset);
-        codec::put_bytes(out, &flat.qweights);
-        codec::put_usize(out, Self::BLOCK_SIZE);
-        codec::put_usizes(out, &flat.block_starts);
-        codec::put_f64s(out, &flat.block_max);
-    }
-
-    fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
-        let stored = StoredIndex::decode_bin(r)?;
-        let quantization = QuantizationMode::from_tag(r.get_u8()?)?;
-        let scale = r.get_f64s()?;
-        let qoffset = r.get_f64s()?;
-        let qweights = r.get_bytes()?;
-        let block_size = r.get_usize()?;
-        let block_starts = r.get_usizes()?;
-        let block_max = r.get_f64s()?;
-        let bad = |msg: &str| Err(codec::CodecError::new(format!("InvertedIndex: {msg}")));
-        if block_size == 0 {
-            return bad("block size is zero");
-        }
-        let idx = stored.assemble(quantization, qweights, scale, qoffset)?;
-        // A different (older/newer) block size: keep the rebuilt blocks.
-        if block_size == Self::BLOCK_SIZE {
-            let same = idx.flat.block_starts == block_starts
-                && idx.flat.block_max.len() == block_max.len()
-                && idx
-                    .flat
-                    .block_max
-                    .iter()
-                    .zip(&block_max)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !same {
-                return bad("stored block metadata disagrees with the postings");
-            }
-        }
-        Ok(idx)
-    }
-}
-
-// JSON surface (v0–v4 envelopes): hand-written to pin the *legacy* field
-// shape — exactly the eleven pre-block-max fields, in declaration order,
-// like the old derive emitted. Block metadata is derived state and the
-// quantization extension must not leak into historical formats, so
-// serialization dequantizes (`Int8` downgrades lossily to its grid
-// values) and deserialization rebuilds blocks with quantization off.
-impl Serialize for InvertedIndex {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            (String::from("dim"), self.dim.to_value()),
-            (String::from("offsets"), self.flat.offsets.to_value()),
-            (String::from("docs"), self.flat.docs.to_value()),
-            (
-                String::from("weights"),
-                self.flat.exact_weights().to_value(),
-            ),
-            (String::from("tail"), self.tail_lists().to_value()),
-            (String::from("tail_len"), self.tail_len.to_value()),
-            (String::from("num_docs"), self.num_docs.to_value()),
-            (String::from("max_impact"), self.max_impacts().to_value()),
-            (String::from("removed"), self.removed.to_value()),
-            (String::from("num_removed"), self.num_removed.to_value()),
-            (String::from("dead_unpurged"), self.dead_unpurged.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for InvertedIndex {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let max_impact: Vec<f64> = Deserialize::from_value(v.get_field("max_impact")?)?;
-        let stored = StoredIndex {
-            dim: Deserialize::from_value(v.get_field("dim")?)?,
-            offsets: Deserialize::from_value(v.get_field("offsets")?)?,
-            docs: Deserialize::from_value(v.get_field("docs")?)?,
-            weights: Deserialize::from_value(v.get_field("weights")?)?,
-            tail: Deserialize::from_value(v.get_field("tail")?)?,
-            tail_len: Deserialize::from_value(v.get_field("tail_len")?)?,
-            num_docs: Deserialize::from_value(v.get_field("num_docs")?)?,
-            max_impact_len: max_impact.len(),
-            removed: Deserialize::from_value(v.get_field("removed")?)?,
-            num_removed: Deserialize::from_value(v.get_field("num_removed")?)?,
-            dead_unpurged: Deserialize::from_value(v.get_field("dead_unpurged")?)?,
-        };
-        stored
-            .assemble(QuantizationMode::Off, Vec::new(), Vec::new(), Vec::new())
-            .map_err(|e| serde::Error(e.to_string()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2669,8 +2284,7 @@ mod tests {
 
     /// Recomputes `block_starts`/`block_max` from the stored flat
     /// buffers and asserts the maintained metadata matches bitwise —
-    /// the invariant every flat rewrite must uphold (the v6 codec
-    /// hard-errors on any drift).
+    /// the invariant every flat rewrite must uphold.
     fn assert_blocks_match_reference(idx: &InvertedIndex) {
         let mut starts = vec![0usize];
         let mut maxima = Vec::new();
@@ -2848,90 +2462,5 @@ mod tests {
         }
         // And resident postings shrink (8-bit vs 64-bit impacts).
         assert!(quant.postings_resident_bytes() < exact.postings_resident_bytes());
-    }
-
-    #[test]
-    fn legacy_codec_round_trips_and_downgrades_quantized() {
-        let dim = 16u32;
-        let docs = banded_corpus(150, dim);
-        let mut idx = InvertedIndex::new(dim as usize);
-        for d in &docs {
-            idx.insert(d.clone()).unwrap();
-        }
-        idx.remove(3).unwrap();
-        let mut bytes = Vec::new();
-        idx.encode_bin_legacy(&mut bytes);
-        let mut r = codec::Reader::new(&bytes);
-        let back = InvertedIndex::decode_bin_legacy(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.quantization(), QuantizationMode::Off);
-        assert_blocks_match_reference(&back);
-        let mut scratch = SearchScratch::new();
-        for q in docs.iter().step_by(13) {
-            let a = idx.search_exhaustive(q, 8, &mut scratch).unwrap();
-            let b = back.search_exhaustive(q, 8, &mut scratch).unwrap();
-            assert_eq!(a, b);
-        }
-        // A quantized index downgrades to exact-f64 *dequantized* weights:
-        // the legacy stream has no quantization fields, so the round trip
-        // preserves the stored (already lossy) values, not the originals.
-        let mut quant = idx.clone();
-        quant.set_quantization(QuantizationMode::Int8);
-        let mut qbytes = Vec::new();
-        quant.encode_bin_legacy(&mut qbytes);
-        let mut qr = codec::Reader::new(&qbytes);
-        let qback = InvertedIndex::decode_bin_legacy(&mut qr).unwrap();
-        qr.finish().unwrap();
-        assert_eq!(qback.quantization(), QuantizationMode::Off);
-        for q in docs.iter().step_by(13) {
-            let a = quant.search_exhaustive(q, 8, &mut scratch).unwrap();
-            let b = qback.search_exhaustive(q, 8, &mut scratch).unwrap();
-            assert_eq!(a, b, "dequantized downgrade must score identically");
-        }
-    }
-
-    #[test]
-    fn v6_codec_round_trips_both_modes() {
-        let dim = 16u32;
-        let docs = banded_corpus(150, dim);
-        let mut idx = InvertedIndex::new(dim as usize);
-        for d in &docs {
-            idx.insert(d.clone()).unwrap();
-        }
-        idx.remove(5).unwrap();
-        let mut scratch = SearchScratch::new();
-        for mode in [QuantizationMode::Off, QuantizationMode::Int8] {
-            let mut this = idx.clone();
-            this.set_quantization(mode);
-            let bytes = codec::encode_to_vec(&this);
-            let back: InvertedIndex = codec::decode_from_slice(&bytes).unwrap();
-            assert_eq!(back.quantization(), mode);
-            assert_blocks_match_reference(&back);
-            for q in docs.iter().step_by(13) {
-                let a = this.search_exhaustive(q, 8, &mut scratch).unwrap();
-                let b = back.search_exhaustive(q, 8, &mut scratch).unwrap();
-                assert_eq!(a, b, "mode {mode:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn v6_codec_rejects_drifted_block_max() {
-        let dim = 16u32;
-        let docs = banded_corpus(200, dim);
-        let mut idx = InvertedIndex::new(dim as usize);
-        for d in &docs {
-            idx.insert(d.clone()).unwrap();
-        }
-        idx.optimize();
-        let mut bytes = codec::encode_to_vec(&idx);
-        // `block_max` is the final field; flipping a low mantissa bit of
-        // the last maximum desyncs it from the recomputed reference.
-        let n = bytes.len();
-        bytes[n - 8] ^= 1;
-        assert!(
-            codec::decode_from_slice::<InvertedIndex>(&bytes).is_err(),
-            "drifted block maxima must not decode"
-        );
     }
 }

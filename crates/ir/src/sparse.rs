@@ -1,6 +1,6 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::codec;
 use crate::{IrError, TermId};
@@ -26,7 +26,7 @@ use crate::{IrError, TermId};
 /// assert_eq!(v.get(5), 4.0);
 /// assert_eq!(v.get(2), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct SparseVec {
     dim: usize,
     terms: Vec<TermId>,
@@ -240,14 +240,6 @@ impl SparseVec {
         }
     }
 
-    /// Wraps parallel arrays that already satisfy the storage layout
-    /// (terms strictly ascending and below `dim`).
-    pub(crate) fn from_sorted_parts(dim: usize, terms: Vec<TermId>, values: Vec<f64>) -> Self {
-        debug_assert!(terms.len() == values.len() && terms.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(terms.last().is_none_or(|&t| (t as usize) < dim));
-        SparseVec { dim, terms, values }
-    }
-
     /// Element-wise sum.
     ///
     /// # Errors
@@ -338,11 +330,58 @@ impl FromIterator<(TermId, f64)> for SparseVec {
     }
 }
 
+/// What a term list that arrived over a wire (binary or JSON) must hold
+/// before any kernel indexes by it: parallel to its `values` values,
+/// strictly ascending, in range. Checked directly, without the re-sort
+/// `from_pairs` would do on the checkpoint-restart hot path.
+pub(crate) fn check_wire_terms(
+    what: &str,
+    dim: usize,
+    terms: &[TermId],
+    values: usize,
+) -> Result<(), String> {
+    if terms.len() != values {
+        let n = terms.len();
+        return Err(format!(
+            "{what} arrays disagree: {n} terms vs {values} values"
+        ));
+    }
+    if terms.windows(2).any(|pair| pair[0] >= pair[1]) {
+        return Err(format!("{what} terms not strictly ascending"));
+    }
+    match terms.last() {
+        Some(&t) if t as usize >= dim => Err(format!("{what} term {t} out of range for dim {dim}")),
+        _ => Ok(()),
+    }
+}
+
+impl SparseVec {
+    /// Builds a vector from wire arrays, re-validating the storage
+    /// invariants ([`check_wire_terms`], no stored zeros).
+    fn from_wire(dim: usize, terms: Vec<TermId>, values: Vec<f64>) -> Result<Self, String> {
+        check_wire_terms("SparseVec", dim, &terms, values.len())?;
+        if values.contains(&0.0) {
+            return Err("SparseVec stores a zero value".to_string());
+        }
+        Ok(SparseVec { dim, terms, values })
+    }
+}
+
+// Deserialization is implemented by hand (not derived) so JSON input is
+// held to the same invariants as binary input: the derive would accept
+// any three fields, and every kernel downstream indexes by term unchecked.
+impl Deserialize for SparseVec {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let dim = usize::from_value(v.get_field("dim")?)?;
+        let terms = Vec::from_value(v.get_field("terms")?)?;
+        let values = Vec::from_value(v.get_field("values")?)?;
+        SparseVec::from_wire(dim, terms, values).map_err(serde::Error)
+    }
+}
+
 // Binary wire layout (see `crate::codec`): `dim` then the `terms`/`values`
 // parallel arrays. Values travel as IEEE-754 bit patterns, so a decoded
-// vector is bit-identical to the encoded one. Decoding re-validates the
-// storage invariants (terms strictly ascending and in range, no stored
-// zeros, arrays parallel) without the re-sort `from_pairs` would do.
+// vector is bit-identical to the encoded one.
 impl codec::BinCodec for SparseVec {
     fn encode_bin(&self, out: &mut Vec<u8>) {
         codec::put_usize(out, self.dim);
@@ -354,31 +393,7 @@ impl codec::BinCodec for SparseVec {
         let dim = r.get_usize()?;
         let terms = r.get_u32s()?;
         let values = r.get_f64s()?;
-        if terms.len() != values.len() {
-            return Err(codec::CodecError::new(format!(
-                "SparseVec arrays disagree: {} terms vs {} values",
-                terms.len(),
-                values.len()
-            )));
-        }
-        for pair in terms.windows(2) {
-            if pair[0] >= pair[1] {
-                return Err(codec::CodecError::new(
-                    "SparseVec terms not strictly ascending",
-                ));
-            }
-        }
-        if let Some(&t) = terms.last() {
-            if t as usize >= dim {
-                return Err(codec::CodecError::new(format!(
-                    "SparseVec term {t} out of range for dim {dim}"
-                )));
-            }
-        }
-        if values.contains(&0.0) {
-            return Err(codec::CodecError::new("SparseVec stores a zero value"));
-        }
-        Ok(SparseVec { dim, terms, values })
+        SparseVec::from_wire(dim, terms, values).map_err(codec::CodecError::new)
     }
 }
 
@@ -525,6 +540,22 @@ mod tests {
         let s: SparseVec = [(2u32, 1.0), (9u32, 2.0)].into_iter().collect();
         assert_eq!(s.dim(), 10);
         assert_eq!(s.nnz(), 2);
+    }
+
+    #[test]
+    fn json_is_held_to_the_storage_invariants() {
+        let a = v(&[(1, 1.5), (7, -2.0)]);
+        let json = serde_json::to_string(&a).unwrap();
+        assert_eq!(serde_json::from_str::<SparseVec>(&json).unwrap(), a);
+        for bad in [
+            r#"{"dim":12,"terms":[99],"values":[1.0]}"#,
+            r#"{"dim":12,"terms":[5,2],"values":[1.0,2.0]}"#,
+            r#"{"dim":12,"terms":[2,2],"values":[1.0,2.0]}"#,
+            r#"{"dim":12,"terms":[2,5],"values":[1.0]}"#,
+            r#"{"dim":12,"terms":[2],"values":[0.0]}"#,
+        ] {
+            assert!(serde_json::from_str::<SparseVec>(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -134,15 +134,7 @@ impl Deserialize for TfIdfModel {
         let doc_freq = Vec::from_value(v.get_field(MODEL_FIELDS[2])?)?;
         let idf = Vec::from_value(v.get_field(MODEL_FIELDS[3])?)?;
         let options = TfIdfOptions::from_value(v.get_field(MODEL_FIELDS[4])?)?;
-        Ok(TfIdfModel {
-            dim,
-            num_docs,
-            doc_freq,
-            idf,
-            options,
-            ln_df: vec![f64::NAN; dim],
-            drift_clean: false,
-        })
+        TfIdfModel::from_wire(dim, num_docs, doc_freq, idf, options).map_err(serde::Error)
     }
 }
 
@@ -164,6 +156,34 @@ fn idf_value(mode: IdfMode, df: u32, n: usize) -> f64 {
 }
 
 impl TfIdfModel {
+    /// Builds a model from fields that arrived over a wire (binary or
+    /// JSON): the per-term arrays must span the dimension, and the
+    /// caches start conservatively stale.
+    fn from_wire(
+        dim: usize,
+        num_docs: usize,
+        doc_freq: Vec<u32>,
+        idf: Vec<f64>,
+        options: TfIdfOptions,
+    ) -> Result<Self, String> {
+        if doc_freq.len() != dim || idf.len() != dim {
+            return Err(format!(
+                "TfIdfModel arrays disagree with dim {dim}: {} doc_freq, {} idf",
+                doc_freq.len(),
+                idf.len()
+            ));
+        }
+        Ok(TfIdfModel {
+            dim,
+            num_docs,
+            doc_freq,
+            idf,
+            options,
+            ln_df: vec![f64::NAN; dim],
+            drift_clean: false,
+        })
+    }
+
     /// Fits the model with default (paper) options.
     ///
     /// # Errors
@@ -565,22 +585,7 @@ impl codec::BinCodec for TfIdfModel {
         let doc_freq = r.get_u32s()?;
         let idf = r.get_f64s()?;
         let options = TfIdfOptions::decode_bin(r)?;
-        if doc_freq.len() != dim || idf.len() != dim {
-            return Err(codec::CodecError::new(format!(
-                "TfIdfModel arrays disagree with dim {dim}: {} doc_freq, {} idf",
-                doc_freq.len(),
-                idf.len()
-            )));
-        }
-        Ok(TfIdfModel {
-            dim,
-            num_docs,
-            doc_freq,
-            idf,
-            options,
-            ln_df: vec![f64::NAN; dim],
-            drift_clean: false,
-        })
+        TfIdfModel::from_wire(dim, num_docs, doc_freq, idf, options).map_err(codec::CodecError::new)
     }
 }
 
@@ -924,6 +929,11 @@ mod tests {
         // the original estimator.
         let mut restored = restored;
         assert!((restored.idf_drift_cached() - m.idf_drift_cached()).abs() <= 1e-12);
+        // Per-term arrays shorter than `dim` are rejected like the
+        // binary decoder rejects them, not indexed past their end later.
+        let short = r#"{"dim":4,"num_docs":4,"doc_freq":[4,2,1],"idf":[0.0,0.5,1.0,0.0],
+                        "options":{"tf":"Normalized","idf":"Standard"}}"#;
+        assert!(serde_json::from_str::<TfIdfModel>(short).is_err());
     }
 
     #[test]

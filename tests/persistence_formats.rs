@@ -2,11 +2,12 @@
 //! is locked in by a committed fixture under `tests/fixtures/`, and the
 //! current writer is locked to the committed current-version fixture's
 //! *structure* — changing the serialized layout without bumping
-//! [`persist::CURRENT_FORMAT_VERSION`], registering a migration, and
-//! committing a new fixture fails here.
+//! [`persist::CURRENT_FORMAT_VERSION`], teaching the loader what the
+//! previous version lacked, and committing a new fixture fails here.
 //!
-//! Fixtures are regenerated by the `#[ignore]`d `regenerate_fixtures`
-//! test:
+//! Only the current version can be written, so the older fixtures are
+//! immutable files; the current one is (re)written by the `#[ignore]`d
+//! `regenerate_fixtures` test:
 //!
 //! ```text
 //! cargo test --test persistence_formats -- --ignored regenerate_fixtures
@@ -22,7 +23,7 @@ use fmeter::core::persist::{
 };
 use fmeter::core::{RawSignature, RefitPolicy, Signature, SignatureDb, VacuumPolicy};
 use fmeter::ir::codec::{decode_from_slice, encode_to_vec};
-use fmeter::ir::{Corpus, InvertedIndex, TermCounts, TfIdfModel};
+use fmeter::ir::{Corpus, TermCounts, TfIdfModel};
 use fmeter::kernel_sim::Nanos;
 use serde::Value;
 
@@ -173,9 +174,9 @@ fn assert_fixture_behaviour(mut db: SignatureDb, version: u32) {
             "v{version} probe {i}: post-refit classification"
         );
     }
-    // The migrated database keeps streaming: insert + refit still work.
+    // The loaded database keeps streaming: insert + refit still work.
     let extra = canonical_raws()[0].clone();
-    db.insert(&extra).expect("post-migration insert");
+    db.insert(&extra).expect("post-load insert");
     db.refit();
 }
 
@@ -197,12 +198,8 @@ fn every_historical_format_fixture_loads_and_matches_rebuild() {
         } else {
             assert_eq!(detect_format_version(&bytes), Some(spec.version));
         }
-        let db = SignatureDb::load(&bytes[..]).unwrap_or_else(|e| {
-            panic!(
-                "fixture v{} failed to load via migration: {e}",
-                spec.version
-            )
-        });
+        let db = SignatureDb::load(&bytes[..])
+            .unwrap_or_else(|e| panic!("fixture v{} failed to load: {e}", spec.version));
         assert_fixture_behaviour(db, spec.version);
     }
 }
@@ -253,16 +250,12 @@ fn assert_binary_section_stable(name: &str, payload: &[u8], origin: &str) {
             &decode_from_slice::<Vec<Signature>>(payload)
                 .unwrap_or_else(|e| panic!("{origin} section `{name}` failed to decode: {e}")),
         ),
-        "index" => encode_to_vec(
-            &decode_from_slice::<InvertedIndex>(payload)
-                .unwrap_or_else(|e| panic!("{origin} section `{name}` failed to decode: {e}")),
-        ),
         other => panic!("unexpected binary section `{other}` in the {origin} envelope"),
     };
     assert_eq!(
         reencoded, payload,
         "{origin} section `{name}` is not a fixed point of decode∘encode — \
-         the binary layout changed without a format-version bump + migration"
+         the binary layout changed without a format-version bump"
     );
 }
 
@@ -270,10 +263,11 @@ fn assert_binary_section_stable(name: &str, payload: &[u8], origin: &str) {
 /// must produce the same envelope version, section names, per-section
 /// codec tags, and section structure as the committed current-version
 /// fixture (JSON sections by structural skeleton, binary sections by
-/// decode∘encode identity). If this fails, the on-disk layout changed:
-/// bump `CURRENT_FORMAT_VERSION`, append a `FORMAT_VERSIONS` entry,
-/// register a migration from the previous version, and regenerate +
-/// commit the fixtures.
+/// decode∘encode identity) — and no section named `index`: the index
+/// is rebuilt from the signatures, never stored. If this fails, the
+/// on-disk layout changed: bump `CURRENT_FORMAT_VERSION`, append a
+/// `FORMAT_VERSIONS` entry, teach `persist::legacy` what the previous
+/// version lacked, and regenerate + commit the new fixture.
 #[test]
 fn current_writer_matches_committed_layout() {
     let committed = std::fs::read(fixtures_dir().join(fixture_name(CURRENT_FORMAT_VERSION)))
@@ -294,6 +288,10 @@ fn current_writer_matches_committed_layout() {
         names(&fresh_sections),
         names(&committed_sections),
         "section table changed without a format-version bump"
+    );
+    assert!(
+        fresh_sections.iter().all(|s| s.name != "index"),
+        "the index is derived state and must not be stored"
     );
     let codecs = |s: &[RawSection]| s.iter().map(|s| s.codec).collect::<Vec<_>>();
     assert_eq!(
@@ -318,7 +316,7 @@ fn current_writer_matches_committed_layout() {
                 skeleton(&committed_value, &mut b);
                 assert_eq!(
                     a, b,
-                    "section `{name}` layout changed without a format-version bump + migration \
+                    "section `{name}` layout changed without a format-version bump \
                      (left: fresh save, right: committed fixture)"
                 );
             }
@@ -344,8 +342,9 @@ fn version_table_has_a_fixture_per_version() {
     }
 }
 
-/// Writes (or rewrites) every fixture from the canonical history. Run
-/// manually when a new format version is introduced:
+/// Writes the current version's fixture from the canonical history.
+/// Run manually when a new format version is introduced (older
+/// versions' fixtures cannot be regenerated — nothing writes them):
 ///
 /// ```text
 /// cargo test --test persistence_formats -- --ignored regenerate_fixtures
@@ -353,15 +352,9 @@ fn version_table_has_a_fixture_per_version() {
 #[test]
 #[ignore = "writes tests/fixtures/; run explicitly when adding a format version"]
 fn regenerate_fixtures() {
-    let dir = fixtures_dir();
-    std::fs::create_dir_all(&dir).expect("create fixtures dir");
-    let db = canonical_db();
-    for spec in FORMAT_VERSIONS {
-        let path = dir.join(fixture_name(spec.version));
-        let mut bytes = Vec::new();
-        db.save_as_version(spec.version, &mut bytes)
-            .unwrap_or_else(|e| panic!("write v{} fixture: {e}", spec.version));
-        std::fs::write(&path, &bytes).expect("write fixture file");
-        println!("wrote {} ({} bytes)", path.display(), bytes.len());
-    }
+    let path = fixtures_dir().join(fixture_name(CURRENT_FORMAT_VERSION));
+    let mut bytes = Vec::new();
+    canonical_db().save(&mut bytes).expect("save canonical db");
+    std::fs::write(&path, &bytes).expect("write fixture file");
+    println!("wrote {} ({} bytes)", path.display(), bytes.len());
 }
