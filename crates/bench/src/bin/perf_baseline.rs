@@ -31,8 +31,8 @@ use fmeter_bench::{
     synthetic_raw_signatures,
 };
 use fmeter_core::{
-    CheckpointPolicy, DurableLog, DurableOptions, RefitPolicy, SignatureDb, SignatureService,
-    SyncPolicy, WalOp,
+    CheckpointPolicy, DurableLog, DurableOptions, RefitPolicy, ShardWriter, SignatureDb,
+    SignatureService, SyncPolicy, WalOp,
 };
 use fmeter_ir::{AnnGraph, CsrMatrix, InvertedIndex, Metric, SearchScratch, TfIdfModel};
 use fmeter_ml::{Agglomerative, KMeans, Linkage, SnnParams};
@@ -895,12 +895,12 @@ fn main() {
     let durable_dir =
         std::env::temp_dir().join(format!("fmeter-perf-durability-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&durable_dir);
-    let wal_db = SignatureDb::build(wal_base).unwrap();
+    let wal_db = ShardWriter::new(SignatureDb::build(wal_base).unwrap(), 4).into_db();
     let wal_opts = DurableOptions {
         sync: SyncPolicy::OnCheckpoint,
         checkpoint: CheckpointPolicy::Manual,
     };
-    let mut wal_log = DurableLog::create(&durable_dir, &wal_db, 4, wal_opts).unwrap();
+    let mut wal_log = DurableLog::create(&durable_dir, &wal_db, wal_opts).unwrap();
     let mut wal_at = 0usize;
     let (iters, ns) = time_case(budget_ms, 200, || {
         wal_log.append(&WalOp::Insert(wal_tail[wal_at % wal_tail.len()].clone()));
@@ -921,7 +921,7 @@ fn main() {
     // half of the recover case is the same size in every run.
     drop(wal_log);
     let _ = std::fs::remove_dir_all(&durable_dir);
-    let mut wal_log = DurableLog::create(&durable_dir, &wal_db, 4, wal_opts).unwrap();
+    let mut wal_log = DurableLog::create(&durable_dir, &wal_db, wal_opts).unwrap();
     for r in wal_tail {
         wal_log.append(&WalOp::Insert(r.clone()));
     }
@@ -989,8 +989,8 @@ fn main() {
 
     // Sharded-service query throughput under concurrent ingest: a
     // background writer streams insert_batch loops (publishing a new
-    // snapshot generation per batch) while the measured thread runs
-    // pooled fan-out searches. Snapshot publication means the search
+    // snapshot generation per batch) while the measured thread
+    // searches. Snapshot publication means the search
     // path takes no lock the writer holds — this case regressing to
     // db-search-under-mutex cost is exactly what the trajectory gate
     // is here to catch.

@@ -1,9 +1,10 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 use fmeter_ir::{
-    Corpus, DocId, InvertedIndex, IrError, SearchScratch, SparseVec, TermCounts, TfIdfModel,
-    TfIdfOptions,
+    search_sharded, Corpus, DocId, IrError, QuantizationMode, SearchScratch, Shard, ShardRouter,
+    SharedVec, SparseVec, TermCounts, TfIdfModel, TfIdfOptions,
 };
 use fmeter_ml::{KMeans, Linkage};
 use serde::{Deserialize, Serialize};
@@ -164,6 +165,47 @@ pub(crate) struct ClusterCache {
     centroids: Vec<SparseVec>,
 }
 
+/// One shard of a [`SignatureDb`]'s posting store. The database and every
+/// [`ShardSnapshot`](crate::ShardSnapshot) published from it hold the
+/// same pieces by [`Arc`]; a mutation re-allocates only the head of the
+/// piece it touches (see [`Shard`]'s clone cost).
+#[derive(Debug, Clone)]
+pub struct ShardPiece {
+    shard: Shard,
+}
+
+impl ShardPiece {
+    /// The shard's inverted index and WAND bounds.
+    pub fn shard(&self) -> &Shard {
+        &self.shard
+    }
+}
+
+/// Builds the `num_shards`-way posting store over `signatures` — one
+/// O(nnz) pass per shard from the exact vectors, a slot `is_live`
+/// rejects left as a hole so local ids stay aligned with the router —
+/// stored under `quantization`.
+pub(crate) fn build_shards(
+    dim: usize,
+    signatures: &SharedVec<Signature>,
+    is_live: impl Fn(DocId) -> bool,
+    num_shards: usize,
+    quantization: QuantizationMode,
+) -> Result<Vec<Arc<ShardPiece>>, IrError> {
+    let router = ShardRouter::new(num_shards);
+    (0..router.num_shards())
+        .map(|s| {
+            let vectors: Vec<Option<&SparseVec>> = (s..signatures.len())
+                .step_by(router.num_shards())
+                .map(|d| is_live(d).then(|| &signatures[d].vector))
+                .collect();
+            let mut shard = Shard::from_slots(s, router, dim, &vectors)?;
+            shard.set_quantization(quantization);
+            Ok(Arc::new(ShardPiece { shard }))
+        })
+        .collect()
+}
+
 /// A labelled database of indexable signatures.
 ///
 /// This is the paper's envisioned operator workflow (§2.2): signatures
@@ -205,16 +247,29 @@ pub(crate) struct ClusterCache {
 /// that pre-envelope releases wrote. The inverted index is derived from
 /// the signatures and rebuilt at load, never stored. See the
 /// [`persist`](crate::persist) module for the format contract.
+///
+/// # Layout
+///
+/// The posting store is `S` shards: doc `d` is indexed (and tombstoned)
+/// in shard `d % S`. [`build`](Self::build) and [`load`](Self::load)
+/// give `S = 1`, the flat database; a
+/// [`SignatureService`](crate::SignatureService) asks for more. Search
+/// results do not depend on `S` (see [`fmeter_ir::merge_topk`]), except
+/// that 8-bit quantization grids are fitted per shard. Shards and
+/// signatures are shared by reference with clones of the database and
+/// with the snapshots a service publishes, so a served store holds one
+/// copy of each.
 #[derive(Debug, Clone)]
 pub struct SignatureDb {
     pub(crate) model: TfIdfModel,
-    pub(crate) signatures: Vec<Signature>,
-    pub(crate) index: InvertedIndex,
+    /// One signature per doc-id slot; a refit replaces the re-weighted
+    /// ones, a vacuum drops the dead ones, nothing is edited in place.
+    pub(crate) signatures: SharedVec<Signature>,
+    /// The posting store and the tombstones, `shards.len()` ways.
+    pub(crate) shards: Vec<Arc<ShardPiece>>,
     /// Raw interval counts per doc-id slot (kept so refits can
     /// re-transform and removals can un-observe exactly).
     pub(crate) corpus: Corpus,
-    /// Liveness per doc-id slot.
-    pub(crate) live: Vec<bool>,
     pub(crate) num_live: usize,
     /// Current idf generation; bumped by every refit.
     pub(crate) epoch: u64,
@@ -260,7 +315,7 @@ impl SignatureDb {
             corpus.push(r.to_term_counts());
         }
         let model = TfIdfModel::fit_with(&corpus, options)?;
-        let signatures: Vec<Signature> = raw
+        let signatures: SharedVec<Signature> = raw
             .iter()
             .zip(corpus.iter())
             .map(|(r, doc)| Signature {
@@ -272,15 +327,13 @@ impl SignatureDb {
             .collect();
         // Bulk load: one pass straight into the compacted layout, so
         // queries stream one contiguous region.
-        let vectors: Vec<Option<&SparseVec>> = signatures.iter().map(|s| Some(&s.vector)).collect();
-        let index = InvertedIndex::from_slots(dim, &vectors)?;
+        let shards = build_shards(dim, &signatures, |_| true, 1, QuantizationMode::Off)?;
         let n = signatures.len();
         Ok(SignatureDb {
             model,
             signatures,
-            index,
+            shards,
             corpus,
-            live: vec![true; n],
             num_live: n,
             epoch: 0,
             doc_epoch: vec![0; n],
@@ -345,7 +398,11 @@ impl SignatureDb {
         }
         self.model.observe(&counts);
         let vector = self.model.transform(&counts);
-        let id = self.index.insert(vector.clone())?;
+        let id = self.signatures.len();
+        let shard = self.router().shard_of(id);
+        Arc::make_mut(&mut self.shards[shard])
+            .shard
+            .insert(id, vector.clone())?;
         self.corpus.push(counts);
         self.signatures.push(Signature {
             vector,
@@ -353,7 +410,6 @@ impl SignatureDb {
             started_at: raw.started_at,
             ended_at: raw.ended_at,
         });
-        self.live.push(true);
         self.doc_epoch.push(self.epoch);
         self.num_live += 1;
         self.mutations_since_refit += 1;
@@ -375,20 +431,18 @@ impl SignatureDb {
         if !self.is_live(doc) {
             return Err(IrError::DocNotLive(doc).into());
         }
-        self.index.remove(doc)?;
+        let shard = self.router().shard_of(doc);
+        Arc::make_mut(&mut self.shards[shard]).shard.remove(doc)?;
         self.model
             .unobserve(self.corpus.doc(doc).expect("slot exists for live doc"));
-        self.live[doc] = false;
         self.num_live -= 1;
         self.mutations_since_refit += 1;
         if let Some(cache) = &mut self.cluster_cache {
             cache.assignment[doc] = None;
         }
-        // Vacuum before refit: vacuuming is pure renumbering (it moves
-        // postings, touching no floats) and changes none of the refit
-        // policy's inputs, so when both are due the refit's single
-        // posting rebuild runs over the already-renumbered survivors —
-        // one weight-recomputing rewrite serves both maintenance tasks.
+        // Vacuum before refit: renumbering changes none of the refit
+        // policy's inputs, so when both are due the refit re-weights the
+        // already-renumbered survivors only.
         self.maybe_vacuum();
         self.maybe_refit();
         Ok(())
@@ -415,34 +469,23 @@ impl SignatureDb {
     /// The tf-idf model is untouched (document frequencies already
     /// describe the live corpus only) and the epoch does not advance:
     /// per-doc idf generations carry over, so a stale database stays
-    /// exactly as stale. The posting store is renumbered *in place* —
-    /// one O(nnz) pass of moves via
-    /// [`InvertedIndex::renumber_compact`], recomputing no weight — and
-    /// since every stored weight was already computed by the insert (or
-    /// refit) that produced it, the result is still bit-identical to a
-    /// fresh [`build`](Self::build)'s index over the surviving corpus.
+    /// exactly as stale. Each shard is rebuilt in one pass from the
+    /// surviving signatures' stored vectors, so the posting store is
+    /// exactly what indexing those vectors afresh gives (and, quantized,
+    /// carries no rounding from the grids it replaces).
     pub fn vacuum(&mut self) -> VacuumStats {
         let slots = self.signatures.len();
+        let live: Vec<bool> = (0..slots).map(|d| self.is_live(d)).collect();
         let mut remap: Vec<Option<DocId>> = vec![None; slots];
         let mut next = 0usize;
         for (d, slot) in remap.iter_mut().enumerate() {
-            if self.live[d] {
+            if live[d] {
                 *slot = Some(next);
                 next += 1;
             }
         }
-        self.index
-            .renumber_compact(&remap)
-            .expect("live flags mirror the index tombstones");
         // Repack the side arrays with moves (no clones, no re-weighting).
-        let live = std::mem::take(&mut self.live);
-        let old_signatures = std::mem::take(&mut self.signatures);
-        self.signatures = old_signatures
-            .into_iter()
-            .enumerate()
-            .filter(|(d, _)| live[*d])
-            .map(|(_, sig)| sig)
-            .collect();
+        self.signatures.retain(|d| live[d]);
         let dim = self.dim();
         let old_corpus = std::mem::replace(&mut self.corpus, Corpus::new(dim));
         let mut corpus = Corpus::new(dim);
@@ -470,7 +513,7 @@ impl SignatureDb {
                 .map(|(_, a)| a)
                 .collect();
         }
-        self.live = vec![true; self.num_live];
+        self.shards = self.rebuilt_shards(self.num_shards(), |_| true);
         self.vacuums += 1;
         let stats = VacuumStats {
             dropped_slots: slots - self.num_live,
@@ -543,11 +586,11 @@ impl SignatureDb {
     ///
     /// Only signatures containing at least one changed term are
     /// re-transformed (an unchanged-idf support yields a bit-identical
-    /// vector); the posting store is then rewritten from the live
-    /// vectors — which also purges any tombstoned postings and tightens
-    /// the per-term max-impact bounds. After this call the database
-    /// matches a from-scratch [`build`](Self::build) over the surviving
-    /// corpus exactly.
+    /// vector); every shard is then rebuilt from the live vectors —
+    /// which also drops tombstoned postings and tightens the per-term
+    /// max-impact bounds. After this call the database matches a
+    /// from-scratch [`build`](Self::build) over the surviving corpus
+    /// exactly.
     pub fn refit(&mut self) -> RefitStats {
         self.epoch += 1;
         self.mutations_since_refit = 0;
@@ -558,39 +601,53 @@ impl SignatureDb {
             reweighted_docs: 0,
             max_idf_drift: refit.max_drift,
         };
-        if refit.changed_terms.is_empty() {
-            // No re-weighting to do, but the refit contract still
-            // promises a tombstone-free posting store with tight bounds
-            // (reachable e.g. under IdfMode::Unit, or when mutations net
-            // out) — optimize() purges if any tombstones linger.
-            self.index.optimize();
-            return stats;
-        }
         let mut changed = vec![false; self.dim()];
         for &t in &refit.changed_terms {
             changed[t as usize] = true;
         }
         for d in 0..self.signatures.len() {
-            if !self.live[d] {
-                continue;
-            }
             let doc = self.corpus.doc(d).expect("slot exists");
-            if doc.iter().any(|(t, _)| changed[t as usize]) {
-                self.signatures[d].vector = self.model.transform(doc);
+            if self.is_live(d) && doc.iter().any(|(t, _)| changed[t as usize]) {
+                let vector = self.model.transform(doc);
+                let stale = &self.signatures[d];
+                let fresh = Signature {
+                    vector,
+                    label: stale.label.clone(),
+                    started_at: stale.started_at,
+                    ended_at: stale.ended_at,
+                };
+                self.signatures.set(d, fresh);
                 self.doc_epoch[d] = self.epoch;
                 stats.reweighted_docs += 1;
             }
         }
-        let signatures = &self.signatures;
-        let live = &self.live;
-        self.index
-            .rebuild_postings(
-                (0..signatures.len())
-                    .filter(|&d| live[d])
-                    .map(|d| (d, &signatures[d].vector)),
-            )
-            .expect("live vectors are consistent with the index");
+        self.shards = self.rebuilt_shards(self.num_shards(), |d| self.is_live(d));
         stats
+    }
+
+    /// The posting store rebuilt `num_shards` ways from the stored
+    /// signatures, under the current quantization mode.
+    fn rebuilt_shards(
+        &self,
+        num_shards: usize,
+        is_live: impl Fn(DocId) -> bool,
+    ) -> Vec<Arc<ShardPiece>> {
+        build_shards(
+            self.dim(),
+            &self.signatures,
+            is_live,
+            num_shards,
+            self.quantization(),
+        )
+        .expect("stored vectors share the database dimension")
+    }
+
+    /// Re-lays the posting store out over `num_shards` shards (at least
+    /// one); nothing happens when that is the layout already.
+    pub(crate) fn reshard(&mut self, num_shards: usize) {
+        if ShardRouter::new(num_shards) != self.router() {
+            self.shards = self.rebuilt_shards(num_shards, |d| self.is_live(d));
+        }
     }
 
     /// Runs the configured [`RefitPolicy`], refitting when due. The
@@ -652,7 +709,7 @@ impl SignatureDb {
     /// Returns `true` when `doc` names a live (inserted, not removed)
     /// signature.
     pub fn is_live(&self, doc: DocId) -> bool {
-        self.live.get(doc).copied().unwrap_or(false)
+        self.shards[self.router().shard_of(doc)].shard.is_live(doc)
     }
 
     /// Number of live signatures.
@@ -683,8 +740,22 @@ impl SignatureDb {
     /// The stored signature slots, indexable by [`DocId`]. Removed
     /// slots keep their last contents — check [`is_live`](Self::is_live)
     /// when iterating a database that saw removals.
-    pub fn signatures(&self) -> &[Signature] {
+    pub fn signatures(&self) -> &SharedVec<Signature> {
         &self.signatures
+    }
+
+    /// Number of shards the posting store is laid out over.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The posting store, one piece per shard.
+    pub fn shards(&self) -> &[Arc<ShardPiece>] {
+        &self.shards
+    }
+
+    fn router(&self) -> ShardRouter {
+        ShardRouter::new(self.shards.len())
     }
 
     /// Transforms raw interval counts with the database's tf-idf model
@@ -693,26 +764,28 @@ impl SignatureDb {
         self.model.transform(counts)
     }
 
-    /// How the index stores its compacted posting weights (see
-    /// [`fmeter_ir::QuantizationMode`]).
-    pub fn quantization(&self) -> fmeter_ir::QuantizationMode {
-        self.index.quantization()
+    /// How every shard stores its compacted posting weights.
+    pub fn quantization(&self) -> QuantizationMode {
+        self.shards[0].shard.index().quantization()
     }
 
-    /// Switches the index's compacted posting weights between exact
+    /// Switches every shard's compacted posting weights between exact
     /// `f64` and 8-bit quantized storage (~4x smaller resident
     /// postings, per-weight error at most half a quantization step —
-    /// see [`InvertedIndex::set_quantization`]). The mode survives
-    /// vacuums, refits, and save/load; a load re-quantizes from the
-    /// exact signatures, like a refit does.
-    pub fn set_quantization(&mut self, mode: fmeter_ir::QuantizationMode) {
-        self.index.set_quantization(mode);
+    /// see [`Shard::set_quantization`]). The mode survives vacuums,
+    /// refits, and save/load, each of which re-quantizes from the exact
+    /// signatures.
+    pub fn set_quantization(&mut self, mode: QuantizationMode) {
+        for piece in &mut self.shards {
+            Arc::make_mut(piece).shard.set_quantization(mode);
+        }
     }
 
     /// Finds the `k` most similar stored signatures to a fresh interval.
     ///
-    /// Goes through [`InvertedIndex::search`], which at database scale
-    /// dispatches to the block-max WAND early-exit top-k (per-term
+    /// Each shard goes through
+    /// [`fmeter_ir::InvertedIndex::search_with`], which at database
+    /// scale dispatches to the block-max WAND early-exit top-k (per-term
     /// impact bounds pick the pivot, per-block maxima skip whole
     /// posting blocks that cannot reach the current k-th best
     /// similarity). For a steady query stream, prefer
@@ -743,7 +816,8 @@ impl SignatureDb {
         scratch: &mut SearchScratch,
     ) -> Result<Vec<(&Signature, f64)>, FmeterError> {
         let query = self.transform(counts);
-        let hits = self.index.search_with(&query, k, scratch)?;
+        let shards = self.shards.iter().map(|piece| &piece.shard);
+        let hits = search_sharded(shards, &query, k, scratch)?;
         Ok(hits
             .into_iter()
             .map(|h| (&self.signatures[h.doc], h.score))
@@ -778,7 +852,7 @@ impl SignatureDb {
     /// Propagates clustering failures (e.g. fewer signatures than `k`).
     pub fn syndromes(&self, k: usize, seed: u64) -> Result<Vec<Syndrome>, FmeterError> {
         let live_ids: Vec<usize> = (0..self.signatures.len())
-            .filter(|&d| self.live[d])
+            .filter(|&d| self.is_live(d))
             .collect();
         let vectors: Vec<SparseVec> = live_ids
             .iter()
@@ -853,7 +927,7 @@ impl SignatureDb {
     /// Propagates clustering failures (e.g. fewer signatures than `k`).
     pub fn recluster(&mut self, k: usize, seed: u64) -> Result<Recluster, FmeterError> {
         let live_ids: Vec<usize> = (0..self.signatures.len())
-            .filter(|&d| self.live[d])
+            .filter(|&d| self.is_live(d))
             .collect();
         let vectors: Vec<SparseVec> = live_ids
             .iter()
@@ -953,9 +1027,11 @@ impl SignatureDb {
     pub fn explain_syndrome(&self, syndrome: &Syndrome, k: usize) -> Vec<(u32, f64, f64)> {
         // Corpus mean weight per term (live signatures only).
         let mut mean = vec![0.0f64; self.dim()];
-        for (s, _) in self.signatures.iter().zip(&self.live).filter(|(_, &l)| l) {
-            for (t, w) in s.vector.iter() {
-                mean[t as usize] += w;
+        for (d, s) in self.signatures.iter().enumerate() {
+            if self.is_live(d) {
+                for (t, w) in s.vector.iter() {
+                    mean[t as usize] += w;
+                }
             }
         }
         let n = self.num_live.max(1) as f64;
@@ -1064,17 +1140,14 @@ mod tests {
         db.save(&mut bytes).unwrap();
         let back = SignatureDb::load(&bytes[..]).unwrap();
         assert_eq!(back.quantization(), fmeter_ir::QuantizationMode::Int8);
-        let slots: Vec<Option<&SparseVec>> = db
-            .signatures
-            .iter()
-            .zip(&db.live)
-            .map(|(s, &live)| live.then_some(&s.vector))
+        let slots: Vec<Option<&SparseVec>> = (0..db.num_slots())
+            .map(|d| db.is_live(d).then(|| &db.signatures[d].vector))
             .collect();
-        let mut rebuilt = InvertedIndex::from_slots(db.dim(), &slots).unwrap();
+        let mut rebuilt = fmeter_ir::InvertedIndex::from_slots(db.dim(), &slots).unwrap();
         rebuilt.set_quantization(fmeter_ir::QuantizationMode::Int8);
         let probe = TermCounts::from_dense(&[48, 41, 29, 22, 0, 0, 0, 0]);
         let query = back.transform(&probe);
-        let a = back.index.search(&query, 3).unwrap();
+        let a = back.shards[0].shard.index().search(&query, 3).unwrap();
         let b = rebuilt.search(&query, 3).unwrap();
         assert_eq!(a.len(), 3);
         assert_eq!(a.len(), b.len());
@@ -1308,7 +1381,7 @@ mod tests {
         let fresh = SignatureDb::build(surviving).unwrap();
         assert_eq!(db.len(), fresh.len());
         let live: Vec<usize> = (0..db.num_slots()).filter(|&d| db.is_live(d)).collect();
-        for (&d, f) in live.iter().zip(fresh.signatures()) {
+        for (&d, f) in live.iter().zip(fresh.signatures().iter()) {
             assert_eq!(
                 db.signatures()[d].vector,
                 f.vector,

@@ -20,8 +20,8 @@
 //!   carry is filled in by the `legacy` submodule (which also adopts the
 //!   magic-less bare JSON of pre-envelope releases, format version 0);
 //! * the **inverted index is never stored**: it is a transpose of the
-//!   signatures, so the loader rebuilds it with
-//!   [`InvertedIndex::from_slots`]. Older envelopes carry an `index`
+//!   signatures, so the loader rebuilds each shard of it with
+//!   [`fmeter_ir::Shard::from_slots`]. Older envelopes carry an `index`
 //!   section; it is checksummed with its file and otherwise ignored.
 //!
 //! # Envelope layout
@@ -48,10 +48,11 @@ mod legacy;
 
 use std::io::{Read, Write};
 
-use fmeter_ir::codec::{decode_from_slice, encode_to_vec, BinCodec};
-use fmeter_ir::{Corpus, InvertedIndex, QuantizationMode, SparseVec, TfIdfModel};
+use fmeter_ir::codec::{decode_from_slice, encode_to_vec, put_usize, BinCodec};
+use fmeter_ir::{Corpus, QuantizationMode, SharedVec, TfIdfModel};
 use serde::{Deserialize, Serialize, Value};
 
+use crate::db::build_shards;
 use crate::{FmeterError, RefitPolicy, Signature, SignatureDb, VacuumPolicy};
 
 /// First bytes of every enveloped save. A file that does not start with
@@ -230,10 +231,9 @@ struct State {
     quantization: QuantizationMode,
 }
 
-/// The `sharding` section: the
-/// [`SignatureService`](crate::SignatureService) shard layout. A plain
-/// [`SignatureDb::save`] writes `num_shards: 1` (one shard *is* the
-/// flat layout), and a plain load simply ignores the section.
+/// The `sharding` section: how many shards the database's posting store
+/// is laid out over. A flat database writes `num_shards: 1`, and a plain
+/// [`load`] ignores the section.
 #[derive(Debug, Serialize, Deserialize)]
 struct Sharding {
     num_shards: usize,
@@ -256,32 +256,17 @@ fn persist_err(context: &str, e: impl std::fmt::Display) -> FmeterError {
 
 // ---- writing ---------------------------------------------------------
 
-/// Serialises `db` in the current on-disk format (used by
-/// [`SignatureDb::save`]).
+/// Serialises `db`, shard layout included, in the current on-disk format
+/// (used by [`SignatureDb::save`],
+/// [`SignatureService::save`](crate::SignatureService::save) and
+/// checkpoints).
 ///
 /// # Errors
 ///
 /// Propagates I/O and serialisation failures.
 pub fn save<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterError> {
-    save_sharded(db, 1, writer)
-}
-
-/// Serialises `db` together with a [`SignatureService`] shard layout
-/// (used by [`SignatureService::save`] and by checkpoints).
-///
-/// [`SignatureService`]: crate::SignatureService
-/// [`SignatureService::save`]: crate::SignatureService::save
-///
-/// # Errors
-///
-/// Propagates I/O and serialisation failures.
-pub fn save_sharded<W: Write>(
-    db: &SignatureDb,
-    num_shards: usize,
-    writer: W,
-) -> Result<(), FmeterError> {
     let state = State {
-        live: db.live.clone(),
+        live: (0..db.num_slots()).map(|d| db.is_live(d)).collect(),
         num_live: db.num_live,
         epoch: db.epoch,
         doc_epoch: db.doc_epoch.clone(),
@@ -289,16 +274,19 @@ pub fn save_sharded<W: Write>(
         mutations_since_refit: db.mutations_since_refit,
         vacuum_policy: db.vacuum_policy,
         vacuums: db.vacuums,
-        quantization: db.index.quantization(),
+        quantization: db.quantization(),
     };
+    // The bytes `Vec<Signature>` encodes to: a count, then the elements.
+    let mut signatures = Vec::new();
+    put_usize(&mut signatures, db.signatures.len());
+    for signature in db.signatures.iter() {
+        signature.encode_bin(&mut signatures);
+    }
+    let num_shards = db.num_shards();
     let sections = [
         (SEC_MODEL, SectionCodec::Binary, encode_to_vec(&db.model)),
         (SEC_CORPUS, SectionCodec::Binary, encode_to_vec(&db.corpus)),
-        (
-            SEC_SIGNATURES,
-            SectionCodec::Binary,
-            encode_to_vec(&db.signatures),
-        ),
+        (SEC_SIGNATURES, SectionCodec::Binary, signatures),
         (
             SEC_STATE,
             SectionCodec::Json,
@@ -551,6 +539,11 @@ fn read_envelope(bytes: &[u8]) -> Result<Parts, FmeterError> {
     } else {
         legacy::state_and_layout(version, &section)?
     };
+    if num_shards == 0 {
+        return Err(FmeterError::Persist(
+            "sharding section declares zero shards".to_string(),
+        ));
+    }
     Ok(Parts {
         model: decode_section(section(SEC_MODEL)?)?,
         corpus: decode_section(section(SEC_CORPUS)?)?,
@@ -560,9 +553,10 @@ fn read_envelope(bytes: &[u8]) -> Result<Parts, FmeterError> {
     })
 }
 
-/// Reads a database from any supported on-disk format (used by
-/// [`SignatureDb::load`]): envelope saves are version-checked and read
-/// in one hop; magic-less bytes are read as the version-0 bare JSON.
+/// Reads a database from any supported on-disk format into the flat,
+/// one-shard layout (used by [`SignatureDb::load`]): envelope saves are
+/// version-checked and read in one hop; magic-less bytes are read as
+/// the version-0 bare JSON.
 ///
 /// # Errors
 ///
@@ -571,34 +565,40 @@ fn read_envelope(bytes: &[u8]) -> Result<Parts, FmeterError> {
 /// bit-flipped sections and [`FmeterError::Persist`] for malformed or
 /// inconsistent payloads.
 pub fn load<R: Read>(reader: R) -> Result<SignatureDb, FmeterError> {
-    Ok(load_sharded(reader)?.0)
+    assemble(Parts {
+        num_shards: 1,
+        ..read_parts(reader)?
+    })
 }
 
-/// Like [`load`], additionally returning the persisted
-/// [`SignatureService`](crate::SignatureService) shard layout. Saves
-/// older than format v3 (which could not carry a layout) come back as
-/// one shard.
+/// Like [`load`], but into the shard layout the save carries (used by
+/// [`SignatureService::load`](crate::SignatureService::load) and by
+/// recovery). Saves older than format v3, which could not carry a
+/// layout, come back as one shard.
 ///
 /// # Errors
 ///
 /// As [`load`].
-pub fn load_sharded<R: Read>(mut reader: R) -> Result<(SignatureDb, usize), FmeterError> {
+pub fn load_sharded<R: Read>(reader: R) -> Result<SignatureDb, FmeterError> {
+    assemble(read_parts(reader)?)
+}
+
+fn read_parts<R: Read>(mut reader: R) -> Result<Parts, FmeterError> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    let parts = if bytes.starts_with(MAGIC.as_bytes()) {
-        read_envelope(&bytes)?
+    if bytes.starts_with(MAGIC.as_bytes()) {
+        read_envelope(&bytes)
     } else {
-        legacy::read_bare_json(&bytes)?
-    };
-    assemble(parts)
+        legacy::read_bare_json(&bytes)
+    }
 }
 
 /// Builds the database from its decoded parts, cross-checking them
 /// against each other so a corrupted (or hand-edited) file fails loudly
 /// instead of producing a database that panics later, and rebuilding
 /// the index — derived state no format stores any more — from the live
-/// signatures.
-fn assemble(parts: Parts) -> Result<(SignatureDb, usize), FmeterError> {
+/// signatures, `num_shards` ways.
+fn assemble(parts: Parts) -> Result<SignatureDb, FmeterError> {
     let Parts {
         model,
         corpus,
@@ -606,11 +606,6 @@ fn assemble(parts: Parts) -> Result<(SignatureDb, usize), FmeterError> {
         state,
         num_shards,
     } = parts;
-    if num_shards == 0 {
-        return Err(FmeterError::Persist(
-            "sharding section declares zero shards".to_string(),
-        ));
-    }
     let slots = signatures.len();
     let consistent = corpus.len() == slots
         && state.live.len() == slots
@@ -629,22 +624,22 @@ fn assemble(parts: Parts) -> Result<(SignatureDb, usize), FmeterError> {
             corpus.dim(),
         )));
     }
-    // `from_slots` checks every live vector against the model's term
-    // space — the signatures-vs-model cross-check.
-    let vectors: Vec<Option<&SparseVec>> = signatures
-        .iter()
-        .zip(&state.live)
-        .map(|(s, &live)| live.then_some(&s.vector))
-        .collect();
-    let mut index = InvertedIndex::from_slots(model.dim(), &vectors)
-        .map_err(|e| persist_err("inconsistent sections: signatures vs model", e))?;
-    index.set_quantization(state.quantization);
-    let db = SignatureDb {
+    let signatures: SharedVec<Signature> = signatures.into_iter().collect();
+    // The shard builder checks every live vector against the model's
+    // term space — the signatures-vs-model cross-check.
+    let shards = build_shards(
+        model.dim(),
+        &signatures,
+        |d| state.live[d],
+        num_shards,
+        state.quantization,
+    )
+    .map_err(|e| persist_err("inconsistent sections: signatures vs model", e))?;
+    Ok(SignatureDb {
         model,
         signatures,
-        index,
+        shards,
         corpus,
-        live: state.live,
         num_live: state.num_live,
         epoch: state.epoch,
         doc_epoch: state.doc_epoch,
@@ -656,8 +651,7 @@ fn assemble(parts: Parts) -> Result<(SignatureDb, usize), FmeterError> {
         // Warm-start clustering state is process-local, like the vacuum
         // remap above: a loaded database reclusters cold once.
         cluster_cache: None,
-    };
-    Ok((db, num_shards))
+    })
 }
 
 // The committed fixtures, shared with the integration tests.
@@ -814,13 +808,12 @@ mod tests {
             Some(CURRENT_FORMAT_VERSION),
             "the version table must end at the current version"
         );
-        let (current, _) = load_sharded(&fixture(CURRENT_FORMAT_VERSION)[..]).unwrap();
+        let current = load_sharded(&fixture(CURRENT_FORMAT_VERSION)[..]).unwrap();
         let probe = TermCounts::from_dense(&[58, 41, 24, 13, 0, 0, 0, 1, 0, 0, 3, 0]);
         for spec in FORMAT_VERSIONS {
             let v = spec.version;
-            let (db, num_shards) =
-                load_sharded(&fixture(v)[..]).unwrap_or_else(|e| panic!("v{v}: {e}"));
-            assert_eq!(num_shards, 1, "v{v}");
+            let db = load_sharded(&fixture(v)[..]).unwrap_or_else(|e| panic!("v{v}: {e}"));
+            assert_eq!(db.num_shards(), 1, "v{v}");
             assert_eq!(db.quantization(), QuantizationMode::Off, "v{v}");
             if v < 2 {
                 assert_eq!(db.vacuum_policy(), VacuumPolicy::Never, "v{v}");
@@ -1066,7 +1059,8 @@ mod tests {
             "live flags vs num_live",
         );
         // One signature slot fewer than the corpus and the state have.
-        let short = encode_to_vec(&db.signatures[1..].to_vec());
+        let short: Vec<Signature> = db.signatures.iter().skip(1).cloned().collect();
+        let short = encode_to_vec(&short);
         expect_inconsistent(
             &with_section(&bytes, SEC_SIGNATURES, short),
             "signature slots vs corpus docs",
@@ -1077,7 +1071,7 @@ mod tests {
             .signatures
             .iter()
             .map(|s| Signature {
-                vector: SparseVec::from_pairs(9, s.vector.iter()).unwrap(),
+                vector: fmeter_ir::SparseVec::from_pairs(9, s.vector.iter()).unwrap(),
                 ..s.clone()
             })
             .collect();
@@ -1128,21 +1122,24 @@ mod tests {
     #[test]
     fn sharded_saves_round_trip_the_layout() {
         let db = sample_db();
+        let mut sharded = db.clone();
+        sharded.reshard(4);
         let mut bytes = Vec::new();
-        save_sharded(&db, 4, &mut bytes).unwrap();
-        let (restored, num_shards) = load_sharded(&bytes[..]).unwrap();
-        assert_eq!(num_shards, 4);
+        save(&sharded, &mut bytes).unwrap();
+        let restored = load_sharded(&bytes[..]).unwrap();
+        assert_eq!(restored.num_shards(), 4);
         assert_equivalent(&db, &restored);
         // A plain load reads the same bytes and just drops the layout.
         let plain = SignatureDb::load(&bytes[..]).unwrap();
+        assert_eq!(plain.num_shards(), 1);
         assert_equivalent(&db, &plain);
         // Saves from releases that predate the layout come back as one
         // shard.
-        let (_, old_shards) = load_sharded(&fixture(2)[..]).unwrap();
-        assert_eq!(old_shards, 1);
-        // A zero-shard layout is rejected, not served.
+        assert_eq!(load_sharded(&fixture(2)[..]).unwrap().num_shards(), 1);
+        // A zero-shard layout is rejected, not served — by either load.
         let zero = serde_json::to_string(&Sharding { num_shards: 0 }).unwrap();
         let bad = with_section(&bytes, SEC_SHARDING, zero.into_bytes());
         assert!(load_sharded(&bad[..]).is_err());
+        assert!(load(&bad[..]).is_err());
     }
 }

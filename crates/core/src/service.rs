@@ -1,37 +1,34 @@
 //! Concurrently-readable signature serving: a single-writer
-//! [`ShardWriter`] that mirrors a [`SignatureDb`] into per-shard search
-//! structures, immutable [`ShardSnapshot`] generations published by
-//! atomic swap, and the [`SignatureService`] facade that fans queries
-//! across the shards on a persistent worker pool.
+//! [`ShardWriter`] around a sharded [`SignatureDb`], immutable
+//! [`ShardSnapshot`] generations published by atomic swap, and the
+//! [`SignatureService`] facade readers search through.
 //!
 //! The concurrency model (see `docs/ARCHITECTURE.md` for the narrative):
 //!
-//! * **One writer.** All mutations — insert, remove, refit, vacuum —
-//!   funnel through the `ShardWriter` behind a mutex. The writer owns
-//!   the authoritative flat [`SignatureDb`] plus one [`Shard`] per
-//!   router slot and keeps them in lockstep: cheap mutations patch the
-//!   affected shard in place, and any mutation that re-weights or
-//!   renumbers the corpus (refit, vacuum) rebuilds the sharded mirror
-//!   off to the side.
+//! * **One writer, one store.** All mutations — insert, remove, refit,
+//!   vacuum — funnel through the `ShardWriter` behind a mutex and apply
+//!   to its [`SignatureDb`], whose posting store is laid out over the
+//!   service's shards. There is no second copy to keep in step.
 //! * **Immutable snapshots.** After every mutation the writer publishes
-//!   a new [`ShardSnapshot`] — an [`Arc`]'d, never-mutated view holding
-//!   the tf-idf model and the shard pieces of that generation. Shard
-//!   pieces are [`Arc`]-shared across generations, and a piece a
-//!   mutation touches is re-allocated only in its *head*: the flat
-//!   posting segment, the tail rows, and the signatures stay shared
-//!   with every generation that holds them, so publishing costs what
-//!   changed, not what is stored.
+//!   a new [`ShardSnapshot`]: [`Arc`] clones of the database's own
+//!   shards and signatures plus the tf-idf model of that generation.
+//!   The database copies on write — a mutation re-allocates the *head*
+//!   of the one shard it touches; the flat posting segment, the tail
+//!   rows and every signature stay shared with each generation that
+//!   holds them — so publishing costs what changed, not what is stored.
 //! * **Non-blocking reads.** A search clones the current snapshot `Arc`
 //!   under a momentary read lock (no allocation, no wait on the writer)
-//!   and then runs entirely against that immutable generation: a
-//!   concurrent refit or vacuum builds the *next* generation elsewhere
-//!   and can never stall or tear an in-flight query.
+//!   and then runs on the caller's thread against that immutable
+//!   generation: a concurrent refit or vacuum builds the *next*
+//!   generation elsewhere and can never stall or tear an in-flight
+//!   query. The service uses cores through its reader threads, not by
+//!   fanning one query out.
 //!
 //! Sharded results are **bit-identical** to the flat database's: a
 //! document's cosine score depends only on its own postings and the
 //! query, every member of the flat top-k is in its own shard's top-k,
-//! and [`merge_topk`] re-ranks with exactly the flat comparator (see
-//! `fmeter_ir::shard`).
+//! and [`fmeter_ir::merge_topk`] re-ranks with exactly the flat
+//! comparator (see `fmeter_ir::shard`).
 //!
 //! The service can additionally run in **durable mode**
 //! ([`SignatureService::from_db_durable`] /
@@ -43,51 +40,23 @@
 //! [`WalHealth`] rather than poisoning the writer — mutations and
 //! queries keep working in memory while the log backs off and retries.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use fmeter_ir::{
-    merge_topk, DocId, IrError, SearchHit, SearchScratch, Shard, ShardRouter, SharedVec, SparseVec,
-    TermCounts, TfIdfModel,
+    search_sharded, DocId, SearchScratch, ShardRouter, SharedVec, SparseVec, TermCounts, TfIdfModel,
 };
 use parking_lot::{Mutex, RwLock};
 
 use crate::wal::{DurableLog, DurableOptions, RecoveryReport, WalHealth, WalOpRef};
 use crate::{
-    persist, FmeterError, RawSignature, Recluster, RefitPolicy, RefitStats, Signature, SignatureDb,
-    VacuumPolicy, VacuumStats,
+    persist, FmeterError, RawSignature, Recluster, RefitPolicy, RefitStats, ShardPiece, Signature,
+    SignatureDb, VacuumPolicy, VacuumStats,
 };
-
-/// One shard of a published generation: the shard's search structures
-/// plus its slice of the stored signatures, indexed by shard-local id.
-///
-/// Cloning a piece — what the writer does the first time it touches one
-/// a published snapshot still holds — copies pointers and the tombstone
-/// flags, never a posting, a vector, or a label.
-#[derive(Debug, Clone)]
-pub struct ShardPiece {
-    shard: Shard,
-    /// Signature per local slot; tombstoned locals keep their last
-    /// contents (same contract as [`SignatureDb::signatures`]).
-    signatures: SharedVec<Signature>,
-}
-
-impl ShardPiece {
-    /// The shard's inverted index and WAND bounds.
-    pub fn shard(&self) -> &Shard {
-        &self.shard
-    }
-
-    /// The signature at the shard-*local* slot `local` (translate
-    /// global ids with the shard's router).
-    pub fn signature(&self, local: DocId) -> Option<&Signature> {
-        self.signatures.get(local)
-    }
-}
 
 /// One immutable, published generation of the sharded store.
 ///
@@ -101,10 +70,11 @@ pub struct ShardSnapshot {
     generation: u64,
     epoch: u64,
     num_live: usize,
-    num_slots: usize,
     model: TfIdfModel,
-    router: ShardRouter,
     pieces: Vec<Arc<ShardPiece>>,
+    /// Signature per doc-id slot; tombstoned slots keep their last
+    /// contents (same contract as [`SignatureDb::signatures`]).
+    signatures: SharedVec<Signature>,
 }
 
 impl ShardSnapshot {
@@ -131,12 +101,12 @@ impl ShardSnapshot {
 
     /// Number of doc-id slots (live + tombstoned).
     pub fn num_slots(&self) -> usize {
-        self.num_slots
+        self.signatures.len()
     }
 
     /// Number of shards in the layout.
     pub fn num_shards(&self) -> usize {
-        self.router.num_shards()
+        self.pieces.len()
     }
 
     /// Dimensionality of the signature space.
@@ -146,7 +116,7 @@ impl ShardSnapshot {
 
     /// The doc→shard router of this layout.
     pub fn router(&self) -> ShardRouter {
-        self.router
+        ShardRouter::new(self.pieces.len())
     }
 
     /// The tf-idf model of this generation.
@@ -161,16 +131,15 @@ impl ShardSnapshot {
 
     /// Returns `true` when `doc` is live in this generation.
     pub fn is_live(&self, doc: DocId) -> bool {
-        doc < self.num_slots && self.pieces[self.router.shard_of(doc)].shard.is_live(doc)
+        self.pieces[self.router().shard_of(doc)]
+            .shard()
+            .is_live(doc)
     }
 
     /// The stored signature at `doc`, if the slot exists (tombstoned
     /// slots keep their last contents — check [`is_live`](Self::is_live)).
     pub fn signature(&self, doc: DocId) -> Option<&Signature> {
-        if doc >= self.num_slots {
-            return None;
-        }
-        self.pieces[self.router.shard_of(doc)].signature(self.router.local_of(doc))
+        self.signatures.get(doc)
     }
 
     /// Transforms raw interval counts with this generation's model.
@@ -178,9 +147,8 @@ impl ShardSnapshot {
         self.model.transform(counts)
     }
 
-    /// Sequential in-thread search over this generation — the reference
-    /// the pooled fan-out (and the stress test's serial replay) is
-    /// compared against. Results are `(doc id, signature, score)`.
+    /// Searches this generation on the calling thread, shard by shard.
+    /// Results are `(doc id, signature, score)`.
     ///
     /// # Errors
     ///
@@ -192,66 +160,35 @@ impl ShardSnapshot {
         scratch: &mut SearchScratch,
     ) -> Result<Vec<(DocId, Signature, f64)>, FmeterError> {
         let query = self.transform(counts);
-        let mut per_shard = Vec::with_capacity(self.pieces.len());
-        for piece in &self.pieces {
-            per_shard.push(piece.shard.search_with(&query, k, scratch)?);
-        }
-        Ok(self.resolve_hits(merge_topk(per_shard, k)))
-    }
-
-    /// Maps merged global hits to owned `(doc, signature, score)` rows.
-    fn resolve_hits(&self, hits: Vec<SearchHit>) -> Vec<(DocId, Signature, f64)> {
-        hits.into_iter()
-            .map(|h| {
-                let sig = self
-                    .signature(h.doc)
-                    .expect("hit doc ids come from this snapshot")
-                    .clone();
-                (h.doc, sig, h.score)
-            })
-            .collect()
+        let shards = self.pieces.iter().map(|piece| piece.shard());
+        let hits = search_sharded(shards, &query, k, scratch)?;
+        Ok(hits
+            .into_iter()
+            .map(|h| (h.doc, self.signatures[h.doc].clone(), h.score))
+            .collect())
     }
 }
 
-/// The single-writer mutation path of the sharded store.
-///
-/// Owns the authoritative flat [`SignatureDb`] and mirrors every
-/// mutation into the per-shard structures, so a consistent
-/// [`ShardSnapshot`] can be published at any moment with nothing but
-/// `Arc` clones. All the flat database's semantics — refit and vacuum
-/// policies, epochs, doc-id stability, remaps — carry over unchanged.
-///
-/// Shard pieces are copy-on-write: a piece still referenced by a
-/// published snapshot is cloned the first time a mutation touches it
-/// after a publish ([`Arc::make_mut`]) — a shallow clone, see
-/// [`ShardPiece`]. Pieces untouched by a mutation are shared with prior
-/// generations whole.
+/// The single-writer mutation path of the sharded store: a
+/// [`SignatureDb`] laid out over the service's shards and, in durable
+/// mode, the [`DurableLog`] every mutation is appended to before it
+/// applies. All the database's semantics — refit and vacuum policies,
+/// epochs, doc-id stability, remaps — are the database's own.
 #[derive(Debug)]
 pub struct ShardWriter {
     db: SignatureDb,
-    router: ShardRouter,
-    pieces: Vec<Arc<ShardPiece>>,
-    /// Global slots already mirrored into `pieces`.
-    synced_slots: usize,
     /// Crash-consistency engine, when the writer runs in durable mode:
     /// mutations append here *before* they apply.
     durable: Option<DurableLog>,
 }
 
 impl ShardWriter {
-    /// Wraps `db` in a `num_shards`-way sharded mirror (clamped to at
-    /// least 1 shard).
-    pub fn new(db: SignatureDb, num_shards: usize) -> Self {
-        let router = ShardRouter::new(num_shards);
-        let mut writer = ShardWriter {
-            db,
-            router,
-            pieces: Vec::new(),
-            synced_slots: 0,
-            durable: None,
-        };
-        writer.resync();
-        writer
+    /// Takes `db` over, re-laying its posting store out over
+    /// `num_shards` shards (clamped to at least 1) unless that is its
+    /// layout already.
+    pub fn new(mut db: SignatureDb, num_shards: usize) -> Self {
+        db.reshard(num_shards);
+        ShardWriter { db, durable: None }
     }
 
     /// Attaches a durability engine: every subsequent mutation is
@@ -269,7 +206,7 @@ impl ShardWriter {
     }
 
     /// Mutable access to the durability engine (sync and
-    /// fault-injection hooks; the log cannot corrupt the mirror).
+    /// fault-injection hooks; the log cannot corrupt the database).
     pub fn durable_log_mut(&mut self) -> Option<&mut DurableLog> {
         self.durable.as_mut()
     }
@@ -288,75 +225,72 @@ impl ShardWriter {
     /// the log folds the failure into its retry backoff).
     pub fn checkpoint(&mut self) -> Result<(), FmeterError> {
         match &mut self.durable {
-            Some(log) => log.checkpoint(&self.db, self.router.num_shards()),
+            Some(log) => log.checkpoint(&self.db),
             None => Err(FmeterError::Persist(
                 "writer has no durable log attached".into(),
             )),
         }
     }
 
-    /// Appends `op` to the WAL when durable (before the mutation it
-    /// describes is applied — write-ahead).
-    fn wal_append(&mut self, op: WalOpRef<'_>) {
+    /// Logs `op` when durable, applies `apply` to the database, then
+    /// runs the checkpoint policy: write-ahead, in that order.
+    fn logged<R>(&mut self, op: WalOpRef<'_>, apply: impl FnOnce(&mut SignatureDb) -> R) -> R {
         if let Some(log) = &mut self.durable {
             log.append(op);
         }
-    }
-
-    /// Runs the checkpoint policy after a mutation, when durable.
-    fn checkpoint_if_due(&mut self) {
+        let out = apply(&mut self.db);
         if let Some(log) = &mut self.durable {
-            log.maybe_checkpoint(&self.db, self.router.num_shards());
+            log.maybe_checkpoint(&self.db);
         }
+        out
     }
 
-    /// Persists a policy change by checkpointing immediately (policy
-    /// changes are not WAL ops — see [`crate::DurableDb`]). A failure
-    /// is propagated — until a checkpoint lands, recovery would replay
-    /// the WAL under the *old* policy and diverge from the acked
-    /// in-memory state — and also folds into the log's retry backoff,
-    /// so the writer itself stays usable.
+    /// Persists a policy change by checkpointing immediately: policy
+    /// changes are not WAL ops (replay must re-trigger policy-driven
+    /// refits and vacuums deterministically). A failure is propagated —
+    /// until a checkpoint lands, recovery would replay the WAL under
+    /// the *old* policy and diverge from the acked in-memory state —
+    /// and also folds into the log's retry backoff, so the writer
+    /// itself stays usable.
     fn persist_policy_change(&mut self) -> Result<(), FmeterError> {
         match &mut self.durable {
-            Some(log) => log.checkpoint_with_backoff(&self.db, self.router.num_shards()),
+            Some(log) => log.checkpoint_with_backoff(&self.db),
             None => Ok(()),
         }
     }
 
-    /// The authoritative flat database.
+    /// The database.
     pub fn db(&self) -> &SignatureDb {
         &self.db
     }
 
-    /// Unwraps the writer back into its flat database, dropping the
-    /// durable log (if any) — acked state stays on disk.
+    /// Unwraps the writer back into its database, dropping the durable
+    /// log (if any) — acked state stays on disk.
     pub fn into_db(self) -> SignatureDb {
         self.db
     }
 
     /// The doc→shard router of this layout.
     pub fn router(&self) -> ShardRouter {
-        self.router
+        ShardRouter::new(self.db.num_shards())
     }
 
     /// Number of shards in the layout.
     pub fn num_shards(&self) -> usize {
-        self.router.num_shards()
+        self.db.num_shards()
     }
 
     /// Publishes the current state as an immutable snapshot stamped
-    /// with `generation`. Costs one `Arc` clone per shard plus a model
-    /// clone — the heavy piece rebuilds already happened on the
-    /// mutation that made them necessary.
+    /// with `generation`: one `Arc` clone per shard and per 64
+    /// signatures, plus a model clone.
     pub fn publish(&self, generation: u64) -> ShardSnapshot {
         ShardSnapshot {
             generation,
             epoch: self.db.epoch(),
             num_live: self.db.len(),
-            num_slots: self.db.num_slots(),
             model: self.db.model().clone(),
-            router: self.router,
-            pieces: self.pieces.clone(),
+            pieces: self.db.shards().to_vec(),
+            signatures: self.db.signatures().clone(),
         }
     }
 
@@ -366,10 +300,7 @@ impl ShardWriter {
     ///
     /// Propagates dimension mismatches.
     pub fn insert(&mut self, raw: &RawSignature) -> Result<DocId, FmeterError> {
-        self.wal_append(WalOpRef::Insert(raw));
-        let out = self.mutate(None, |db| db.insert(raw));
-        self.checkpoint_if_due();
-        out
+        self.logged(WalOpRef::Insert(raw), |db| db.insert(raw))
     }
 
     /// Appends a batch of signatures (see [`SignatureDb::insert_batch`]).
@@ -379,51 +310,37 @@ impl ShardWriter {
     /// Returns a dimension mismatch on the first offending signature;
     /// earlier elements of the batch remain inserted.
     pub fn insert_batch(&mut self, raw: &[RawSignature]) -> Result<Vec<DocId>, FmeterError> {
-        self.wal_append(WalOpRef::InsertBatch(raw));
-        let out = self.mutate(None, |db| db.insert_batch(raw));
-        self.checkpoint_if_due();
-        out
+        self.logged(WalOpRef::InsertBatch(raw), |db| db.insert_batch(raw))
     }
 
     /// Tombstones a stored signature (see [`SignatureDb::remove`]).
     ///
     /// # Errors
     ///
-    /// Returns [`IrError::DocNotLive`] (wrapped) when `doc` was never
-    /// assigned or is already removed.
+    /// Returns [`fmeter_ir::IrError::DocNotLive`] (wrapped) when `doc`
+    /// was never assigned or is already removed.
     pub fn remove(&mut self, doc: DocId) -> Result<(), FmeterError> {
-        self.wal_append(WalOpRef::Remove(doc));
-        let out = self.mutate(Some(doc), |db| db.remove(doc));
-        self.checkpoint_if_due();
-        out
+        self.logged(WalOpRef::Remove(doc), |db| db.remove(doc))
     }
 
     /// Republishes idf and re-weights affected signatures (see
-    /// [`SignatureDb::refit`]); rebuilds the sharded mirror.
+    /// [`SignatureDb::refit`]).
     pub fn refit(&mut self) -> RefitStats {
-        self.wal_append(WalOpRef::Refit);
-        let out = self.mutate(None, SignatureDb::refit);
-        self.checkpoint_if_due();
-        out
+        self.logged(WalOpRef::Refit, SignatureDb::refit)
     }
 
     /// Compacts tombstoned slots, renumbering doc ids (see
-    /// [`SignatureDb::vacuum`]); rebuilds the sharded mirror.
+    /// [`SignatureDb::vacuum`]).
     pub fn vacuum(&mut self) -> VacuumStats {
-        self.wal_append(WalOpRef::Vacuum);
-        let out = self.mutate(None, SignatureDb::vacuum);
-        self.checkpoint_if_due();
-        out
+        self.logged(WalOpRef::Vacuum, SignatureDb::vacuum)
     }
 
     /// Warm-started syndrome maintenance (see
     /// [`SignatureDb::recluster`]).
     ///
-    /// Deliberately *not* a WAL op and not a mirror-desyncing mutation:
-    /// reclustering only touches the database's derived warm-start
-    /// cache — no weights, doc ids, or postings change — so recovery
-    /// simply starts the cache cold and the sharded mirror stays valid
-    /// untouched.
+    /// Deliberately *not* a WAL op: reclustering only touches the
+    /// database's derived warm-start cache — no weights, doc ids, or
+    /// postings change — so recovery simply starts the cache cold.
     ///
     /// # Errors
     ///
@@ -458,97 +375,6 @@ impl ShardWriter {
         self.db.set_vacuum_policy(policy);
         self.persist_policy_change()
     }
-
-    /// Runs one mutation against the flat database, then brings the
-    /// sharded mirror back in lockstep: a weight- or id-space-changing
-    /// mutation (refit or vacuum fired, observable through the epoch
-    /// and vacuum counters) rebuilds the mirror; anything else is
-    /// patched incrementally — appended slots are routed to their
-    /// shards, and the tombstone of `removed` (the slot the mutation
-    /// set out to remove, if any) is forwarded.
-    fn mutate<R>(&mut self, removed: Option<DocId>, f: impl FnOnce(&mut SignatureDb) -> R) -> R {
-        let epoch = self.db.epoch();
-        let vacuums = self.db.vacuums();
-        let out = f(&mut self.db);
-        if self.db.epoch() != epoch || self.db.vacuums() != vacuums {
-            self.resync();
-        } else {
-            self.sync_incremental(removed);
-        }
-        out
-    }
-
-    /// Incremental lockstep: route new slots to their shards and
-    /// forward the tombstone of `removed`, if the mutation did kill it
-    /// (a failed remove leaves both sides as they were).
-    fn sync_incremental(&mut self, removed: Option<DocId>) {
-        let slots = self.db.num_slots();
-        for d in self.synced_slots..slots {
-            let sig = &self.db.signatures()[d];
-            let piece = Arc::make_mut(&mut self.pieces[self.router.shard_of(d)]);
-            piece
-                .shard
-                .insert(d, sig.vector.clone())
-                .expect("sequential global ids route in order");
-            piece.signatures.push(sig.clone());
-        }
-        self.synced_slots = slots;
-        if let Some(d) = removed {
-            let s = self.router.shard_of(d);
-            if !self.db.is_live(d) && self.pieces[s].shard.is_live(d) {
-                let piece = Arc::make_mut(&mut self.pieces[s]);
-                piece.shard.remove(d).expect("checked live above");
-            }
-        }
-        debug_assert!(
-            (0..slots).all(
-                |d| self.db.is_live(d) == self.pieces[self.router.shard_of(d)].shard.is_live(d)
-            ),
-            "shard tombstones mirror the database"
-        );
-    }
-
-    /// Full rebuild of the sharded mirror from the flat database — the
-    /// off-to-the-side construction of the next generation after a
-    /// refit (weights changed) or vacuum (ids renumbered). Each shard's
-    /// posting store is built in one O(nnz) pass from the database's
-    /// exact signature vectors, tombstoned slots included as holes, so
-    /// every shard's local id space stays aligned with the router.
-    fn resync(&mut self) {
-        let dim = self.db.dim();
-        let slots = self.db.num_slots();
-        let signatures = self.db.signatures();
-        let num_shards = self.router.num_shards();
-        self.pieces = (0..num_shards)
-            .map(|s| {
-                let routed = || (s..slots).step_by(num_shards);
-                let vectors: Vec<Option<&SparseVec>> = routed()
-                    .map(|d| self.db.is_live(d).then(|| &signatures[d].vector))
-                    .collect();
-                Arc::new(ShardPiece {
-                    shard: Shard::from_slots(s, self.router, dim, &vectors)
-                        .expect("stored vectors share the database dimension"),
-                    signatures: routed().map(|d| signatures[d].clone()).collect(),
-                })
-            })
-            .collect();
-        self.synced_slots = slots;
-    }
-}
-
-/// One per-shard unit of query work dispatched to the pool.
-struct QueryJob {
-    piece: Arc<ShardPiece>,
-    query: Arc<SparseVec>,
-    k: usize,
-    reply: mpsc::Sender<Result<Vec<SearchHit>, IrError>>,
-}
-
-/// A message to a pool worker: query work, or an order to exit (the
-/// fault-injection hook behind [`SignatureService::kill_worker`]).
-enum Job {
-    Query(QueryJob),
-    Die,
 }
 
 /// Shared state behind the service handle.
@@ -556,39 +382,24 @@ struct ServiceInner {
     writer: Mutex<ShardWriter>,
     current: RwLock<Arc<ShardSnapshot>>,
     generation: AtomicU64,
-    /// One channel per pool worker; shard `s` is served by worker
-    /// `s % workers.len()`. Senders are mutex-wrapped so the service
-    /// handle stays `Sync` across std versions.
-    workers: Vec<Mutex<mpsc::Sender<Job>>>,
-    /// Join handles, indexed like `workers`; a slot goes `None` once
-    /// its thread has been reaped (shutdown or an injected kill).
-    handles: Mutex<Vec<Option<JoinHandle<()>>>>,
 }
 
-impl Drop for ServiceInner {
-    fn drop(&mut self) {
-        // Disconnect the job channels so the workers' recv() loops end,
-        // then reap the threads.
-        self.workers.clear();
-        for handle in self.handles.get_mut().drain(..).flatten() {
-            let _ = handle.join();
-        }
-    }
+thread_local! {
+    /// Each reader thread's search buffers, reused across its queries.
+    static SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::new());
 }
 
 /// The concurrently-readable facade over a sharded [`SignatureDb`].
 ///
 /// Cloning the service clones a handle to the same store (shared
-/// writer, shared snapshot, shared worker pool) — hand clones to reader
-/// threads. Queries fan out across the shards on a persistent worker
-/// pool (one long-lived thread per pool slot, each owning its
-/// [`SearchScratch`] — the same pattern as parallel K-means) and are
-/// merged with the flat comparator, so results are bit-identical to
-/// [`SignatureDb::search`] on the equivalent flat database.
+/// writer, shared snapshot) — hand clones to reader threads. A query
+/// runs on the thread that issued it, over every shard of the published
+/// [`ShardSnapshot`], and is merged with the flat comparator, so results
+/// are bit-identical to [`SignatureDb::search`] on the equivalent flat
+/// database.
 ///
-/// Mutations serialize on the writer; searches run against the
-/// published [`ShardSnapshot`] and never wait for an in-progress
-/// refit, vacuum, or insert.
+/// Mutations serialize on the writer; searches never wait for an
+/// in-progress refit, vacuum, or insert.
 #[derive(Clone)]
 pub struct SignatureService {
     inner: Arc<ServiceInner>,
@@ -639,7 +450,7 @@ impl SignatureService {
         opts: DurableOptions,
     ) -> Result<Self, FmeterError> {
         let mut writer = ShardWriter::new(db, num_shards);
-        let log = DurableLog::create(dir, writer.db(), writer.num_shards(), opts)?;
+        let log = DurableLog::create(dir, writer.db(), opts)?;
         writer.attach_durable(log);
         Ok(Self::from_writer(writer))
     }
@@ -657,53 +468,20 @@ impl SignatureService {
         dir: &Path,
         opts: DurableOptions,
     ) -> Result<(Self, RecoveryReport), FmeterError> {
-        let (db, num_shards, log, report) = DurableLog::recover(dir, opts)?;
-        let mut writer = ShardWriter::new(db, num_shards);
-        writer.attach_durable(log);
-        Ok((Self::from_writer(writer), report))
+        let (db, log, report) = DurableLog::recover(dir, opts)?;
+        let durable = Some(log);
+        Ok((Self::from_writer(ShardWriter { db, durable }), report))
     }
 
-    /// Wraps a prepared writer (durable or not) in the service facade:
-    /// publishes generation 0 and spins up the worker pool.
+    /// Wraps a prepared writer (durable or not) in the service facade
+    /// and publishes generation 0.
     fn from_writer(writer: ShardWriter) -> Self {
         let snapshot = Arc::new(writer.publish(0));
-        let pool = writer
-            .num_shards()
-            .clamp(1, 16)
-            .min(
-                std::thread::available_parallelism()
-                    .map(usize::from)
-                    .unwrap_or(1),
-            )
-            .max(1);
-        let mut workers = Vec::with_capacity(pool);
-        let mut handles = Vec::with_capacity(pool);
-        for _ in 0..pool {
-            let (sender, receiver) = mpsc::channel::<Job>();
-            workers.push(Mutex::new(sender));
-            handles.push(Some(std::thread::spawn(move || {
-                let mut scratch = SearchScratch::new();
-                while let Ok(job) = receiver.recv() {
-                    match job {
-                        Job::Query(job) => {
-                            let hits =
-                                job.piece
-                                    .shard()
-                                    .search_with(&job.query, job.k, &mut scratch);
-                            let _ = job.reply.send(hits);
-                        }
-                        Job::Die => break,
-                    }
-                }
-            })));
-        }
         SignatureService {
             inner: Arc::new(ServiceInner {
                 writer: Mutex::new(writer),
                 current: RwLock::new(snapshot),
                 generation: AtomicU64::new(0),
-                workers,
-                handles: Mutex::new(handles),
             }),
         }
     }
@@ -716,8 +494,8 @@ impl SignatureService {
     ///
     /// Propagates envelope and decoding failures.
     pub fn load<R: Read>(reader: R) -> Result<Self, FmeterError> {
-        let (db, num_shards) = persist::load_sharded(reader)?;
-        Ok(Self::from_db(db, num_shards))
+        let db = persist::load_sharded(reader)?;
+        Ok(Self::from_writer(ShardWriter { db, durable: None }))
     }
 
     /// Saves the store through the versioned envelope, including the
@@ -728,8 +506,7 @@ impl SignatureService {
     ///
     /// Propagates serialization and I/O failures.
     pub fn save<W: Write>(&self, writer: W) -> Result<(), FmeterError> {
-        let guard = self.inner.writer.lock();
-        persist::save_sharded(guard.db(), guard.num_shards(), writer)
+        persist::save(self.inner.writer.lock().db(), writer)
     }
 
     /// The currently published generation. The returned `Arc` stays
@@ -740,9 +517,9 @@ impl SignatureService {
     }
 
     /// Finds the `k` stored signatures most similar to a fresh
-    /// interval, fanning the query across the shards on the worker
-    /// pool. Results are `(doc id, signature, score)`, bit-identical to
-    /// the flat [`SignatureDb::search`] over the same corpus.
+    /// interval in the published generation, on the calling thread.
+    /// Results are `(doc id, signature, score)`, bit-identical to the
+    /// flat [`SignatureDb::search`] over the same corpus.
     ///
     /// # Errors
     ///
@@ -768,42 +545,7 @@ impl SignatureService {
         counts: &TermCounts,
         k: usize,
     ) -> Result<Vec<(DocId, Signature, f64)>, FmeterError> {
-        let query = Arc::new(snapshot.transform(counts));
-        let (reply, replies) = mpsc::channel();
-        let mut per_shard: Vec<Vec<SearchHit>> = Vec::with_capacity(snapshot.pieces().len());
-        let mut pending = 0usize;
-        for (s, piece) in snapshot.pieces().iter().enumerate() {
-            let job = Job::Query(QueryJob {
-                piece: piece.clone(),
-                query: query.clone(),
-                k,
-                reply: reply.clone(),
-            });
-            let worker = &self.inner.workers[s % self.inner.workers.len()];
-            if worker.lock().send(job).is_ok() {
-                pending += 1;
-            } else {
-                // The worker is gone (pool shutdown, or a killed
-                // thread): score the shard inline — same snapshot,
-                // same results.
-                let mut scratch = SearchScratch::new();
-                per_shard.push(piece.shard().search_with(&query, k, &mut scratch)?);
-            }
-        }
-        // Drop our sender so a lost worker surfaces as a disconnect
-        // instead of a deadlock.
-        drop(reply);
-        for _ in 0..pending {
-            match replies.recv() {
-                Ok(hits) => per_shard.push(hits?),
-                Err(_) => {
-                    // A worker died mid-query; fall back to the
-                    // sequential reference, which is bit-identical.
-                    return snapshot.search(counts, k, &mut SearchScratch::new());
-                }
-            }
-        }
-        Ok(snapshot.resolve_hits(merge_topk(per_shard, k)))
+        SCRATCH.with(|scratch| snapshot.search(counts, k, &mut scratch.borrow_mut()))
     }
 
     /// Classifies a fresh interval by majority label among its `k`
@@ -857,8 +599,8 @@ impl SignatureService {
     ///
     /// # Errors
     ///
-    /// Returns [`IrError::DocNotLive`] (wrapped) when `doc` was never
-    /// assigned or is already removed.
+    /// Returns [`fmeter_ir::IrError::DocNotLive`] (wrapped) when `doc`
+    /// was never assigned or is already removed.
     pub fn remove(&self, doc: DocId) -> Result<(), FmeterError> {
         let mut writer = self.inner.writer.lock();
         let result = writer.remove(doc);
@@ -999,37 +741,6 @@ impl SignatureService {
         self.inner.writer.lock().durable_log_mut().map(f)
     }
 
-    /// Fault injection: kills pool worker `i` (modulo the pool size)
-    /// and waits for its thread to exit. Queries keep succeeding — the
-    /// dead worker's shards are scored inline on the calling thread —
-    /// and stay bit-identical, since every fallback scores the same
-    /// immutable snapshot.
-    #[doc(hidden)]
-    pub fn kill_worker(&self, i: usize) {
-        if self.inner.workers.is_empty() {
-            return;
-        }
-        let idx = i % self.inner.workers.len();
-        // The worker drains jobs in order, so Die is processed after
-        // anything already queued; join makes the death deterministic.
-        let _ = self.inner.workers[idx].lock().send(Job::Die);
-        if let Some(handle) = self.inner.handles.lock()[idx].take() {
-            let _ = handle.join();
-        }
-    }
-
-    /// Number of pool workers still alive (used by the stress tests to
-    /// assert the kill hook really took a thread down).
-    #[doc(hidden)]
-    pub fn live_workers(&self) -> usize {
-        self.inner
-            .handles
-            .lock()
-            .iter()
-            .filter(|h| h.is_some())
-            .count()
-    }
-
     /// Stamps and swaps in the next generation. Called with the writer
     /// lock held (mutations serialize), so generation numbers and
     /// snapshot contents advance together; readers only ever take the
@@ -1122,7 +833,7 @@ mod tests {
             assert_same_hits(&got, &expected, &db);
         }
 
-        // Explicit refit + vacuum keep the mirrors aligned too.
+        // Explicit refit + vacuum keep the two aligned too.
         db.refit();
         let db_stats = db.vacuum();
         service.refit();
@@ -1165,6 +876,7 @@ mod tests {
         assert!(service.snapshot().generation() == service.generation());
     }
 
+    /// The service's per-thread scratch answers like a caller-held one.
     #[test]
     fn sequential_snapshot_search_matches_pooled_fanout() {
         let raws = sample(50, 16);
@@ -1224,28 +936,6 @@ mod tests {
         assert_eq!(service.durability_health(), None);
         assert!(service.checkpoint().is_err());
         assert!(service.with_durable_log(|_| ()).is_none());
-    }
-
-    #[test]
-    fn killed_workers_leave_results_bit_identical() {
-        let raws = sample(36, 10);
-        let db = SignatureDb::build(&raws).unwrap();
-        let service = SignatureService::build(&raws, 4).unwrap();
-        let alive = service.live_workers();
-        service.kill_worker(0);
-        assert_eq!(service.live_workers(), alive - 1);
-        // Kill the entire pool: every shard falls back to inline
-        // scoring, still against the same immutable snapshot.
-        for i in 0..alive {
-            service.kill_worker(i);
-        }
-        assert_eq!(service.live_workers(), 0);
-        for probe in raws.iter().step_by(5) {
-            let q = probe.to_term_counts();
-            let expected = db.search(&q, 6).unwrap();
-            let got = service.search(&q, 6).unwrap();
-            assert_same_hits(&got, &expected, &db);
-        }
     }
 
     #[test]

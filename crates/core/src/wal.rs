@@ -16,11 +16,10 @@
 //!   binds the newest good checkpoint to the WAL that continues it, and
 //!   the previous generation is retained so a damaged newest checkpoint
 //!   falls back instead of failing;
-//! * [`DurableLog::recover`] (and [`DurableDb::recover`]) rebuild the
-//!   exact durably-acked state: last good checkpoint + WAL tail replay,
-//!   never applying a record past the first bad one, and always
-//!   starting a *fresh* generation afterwards (a possibly-torn WAL is
-//!   never appended to);
+//! * [`DurableLog::recover`] rebuilds the exact durably-acked state:
+//!   last good checkpoint + WAL tail replay, never applying a record
+//!   past the first bad one, and always starting a *fresh* generation
+//!   afterwards (a possibly-torn WAL is never appended to);
 //! * a failing WAL write **degrades** the log instead of poisoning it:
 //!   mutations keep applying in memory, [`DurableLog::health`] reports
 //!   [`WalHealth::Degraded`], and durability is re-established by a
@@ -186,10 +185,10 @@ pub enum WalOp {
 }
 
 impl WalOp {
-    /// Applies the op to `db`, mirroring what the durable wrapper did at
-    /// log time. Replay ignores per-op errors: append-before-mutate may
-    /// log an op whose application failed (e.g. a dimension mismatch),
-    /// and it fails identically on replay.
+    /// Applies the op to `db`, as the writer that logged it did. Replay
+    /// ignores per-op errors: append-before-mutate may log an op whose
+    /// application failed (e.g. a dimension mismatch), and it fails
+    /// identically on replay.
     pub fn apply(&self, db: &mut SignatureDb) -> Result<(), FmeterError> {
         match self {
             WalOp::Insert(raw) => db.insert(raw).map(|_| ()),
@@ -310,7 +309,7 @@ pub enum CheckpointPolicy {
     },
 }
 
-/// Configuration for a [`DurableLog`] / [`DurableDb`].
+/// Configuration for a [`DurableLog`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurableOptions {
     /// WAL fsync cadence.
@@ -729,7 +728,7 @@ fn backoff_ops(failed_attempts: u32) -> u64 {
 }
 
 /// What a recovery found and did — returned by
-/// [`DurableLog::recover`] / [`DurableDb::recover`].
+/// [`DurableLog::recover`].
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// The checkpoint generation the state was loaded from.
@@ -752,10 +751,9 @@ pub struct RecoveryReport {
 }
 
 /// The durability engine: owns a directory of checkpoints + WALs and
-/// the append/checkpoint/recover protocol over it. It deliberately does
-/// *not* own the [`SignatureDb`] — both the flat [`DurableDb`] wrapper
-/// and the sharded [`SignatureService`](crate::SignatureService) drive
-/// the same log.
+/// the append/checkpoint/recover protocol over it. It does *not* own the
+/// [`SignatureDb`]: a [`ShardWriter`](crate::ShardWriter) holds the two
+/// side by side and logs each mutation before applying it.
 pub struct DurableLog {
     dir: PathBuf,
     opts: DurableOptions,
@@ -778,12 +776,7 @@ impl DurableLog {
     /// Initialises a fresh durable directory for `db`: generation-1
     /// checkpoint, empty WAL, manifest. Fails if `dir` already holds a
     /// durable state (use [`DurableLog::recover`] for that).
-    pub fn create(
-        dir: &Path,
-        db: &SignatureDb,
-        num_shards: usize,
-        opts: DurableOptions,
-    ) -> Result<Self, FmeterError> {
+    pub fn create(dir: &Path, db: &SignatureDb, opts: DurableOptions) -> Result<Self, FmeterError> {
         fs::create_dir_all(dir)?;
         if dir.join(MANIFEST_FILE).exists() || !scan_checkpoints(dir)?.is_empty() {
             return Err(FmeterError::Persist(format!(
@@ -792,7 +785,7 @@ impl DurableLog {
             )));
         }
         let mut log = DurableLog::bare(dir.to_path_buf(), opts, 0, 1);
-        log.checkpoint(db, num_shards)?;
+        log.checkpoint(db)?;
         Ok(log)
     }
 
@@ -817,7 +810,9 @@ impl DurableLog {
     /// Reconstructs the durably-acked state from `dir` *without writing
     /// anything*: newest loadable checkpoint + WAL chain replay,
     /// stopping at the first torn record. The inspect/debug entry
-    /// point, and the cheap half of [`DurableLog::recover`].
+    /// point, and the cheap half of [`DurableLog::recover`]. The
+    /// database comes back in its checkpointed shard layout; the count
+    /// beside it is its [`SignatureDb::num_shards`].
     pub fn recover_state(dir: &Path) -> Result<(SignatureDb, usize, RecoveryReport), FmeterError> {
         let gens = scan_checkpoints(dir)?;
         if gens.is_empty() {
@@ -830,9 +825,10 @@ impl DurableLog {
         let mut last_err: Option<FmeterError> = None;
         for (skipped, &generation) in gens.iter().enumerate() {
             match Self::try_recover_from(dir, generation) {
-                Ok((db, num_shards, mut report)) => {
+                Ok((db, mut report)) => {
                     report.checkpoints_skipped = skipped;
                     report.manifest_generation = manifest.map(|m| m.generation);
+                    let num_shards = db.num_shards();
                     return Ok((db, num_shards, report));
                 }
                 Err(e) => last_err = Some(e),
@@ -849,9 +845,9 @@ impl DurableLog {
     fn try_recover_from(
         dir: &Path,
         generation: u64,
-    ) -> Result<(SignatureDb, usize, RecoveryReport), FmeterError> {
+    ) -> Result<(SignatureDb, RecoveryReport), FmeterError> {
         let bytes = fs::read(dir.join(checkpoint_name(generation)))?;
-        let (mut db, num_shards) = persist::load_sharded(&bytes[..])?;
+        let mut db = persist::load_sharded(&bytes[..])?;
         let mut report = RecoveryReport {
             generation,
             checkpoints_skipped: 0,
@@ -889,7 +885,7 @@ impl DurableLog {
                 break;
             }
         }
-        Ok((db, num_shards, report))
+        Ok((db, report))
     }
 
     /// Full crash recovery: rebuilds the durably-acked state, then
@@ -899,13 +895,13 @@ impl DurableLog {
     pub fn recover(
         dir: &Path,
         opts: DurableOptions,
-    ) -> Result<(SignatureDb, usize, Self, RecoveryReport), FmeterError> {
-        let (db, num_shards, report) = Self::recover_state(dir)?;
+    ) -> Result<(SignatureDb, Self, RecoveryReport), FmeterError> {
+        let (db, _, report) = Self::recover_state(dir)?;
         let resume_seq = report.last_seq.map(|s| s + 1).unwrap_or(1);
         let generation = max_generation(dir)?;
         let mut log = DurableLog::bare(dir.to_path_buf(), opts, generation, resume_seq);
-        log.checkpoint(&db, num_shards)?;
-        Ok((db, num_shards, log, report))
+        log.checkpoint(&db)?;
+        Ok((db, log, report))
     }
 
     /// Appends one op to the WAL — call *before* applying the mutation.
@@ -941,7 +937,7 @@ impl DurableLog {
     /// Runs the checkpoint policy (and, when degraded, the backoff'd
     /// re-establishment attempts). Call once per mutation, after
     /// applying it. Returns true when a checkpoint was taken.
-    pub fn maybe_checkpoint(&mut self, db: &SignatureDb, num_shards: usize) -> bool {
+    pub fn maybe_checkpoint(&mut self, db: &SignatureDb) -> bool {
         if self.degraded.is_some() {
             {
                 let d = self.degraded.as_mut().expect("checked above");
@@ -950,7 +946,7 @@ impl DurableLog {
                     return false;
                 }
             }
-            self.try_checkpoint(db, num_shards)
+            self.try_checkpoint(db)
         } else {
             if self.checkpoint_retry_in > 0 {
                 self.checkpoint_retry_in -= 1;
@@ -971,15 +967,15 @@ impl DurableLog {
             if !due {
                 return false;
             }
-            self.try_checkpoint(db, num_shards)
+            self.try_checkpoint(db)
         }
     }
 
     /// Attempts a checkpoint now, folding a failure into the same
     /// backoff accounting the policy-driven path uses. Returns whether
     /// the checkpoint was taken.
-    pub fn try_checkpoint(&mut self, db: &SignatureDb, num_shards: usize) -> bool {
-        self.checkpoint_with_backoff(db, num_shards).is_ok()
+    pub fn try_checkpoint(&mut self, db: &SignatureDb) -> bool {
+        self.checkpoint_with_backoff(db).is_ok()
     }
 
     /// Attempts a checkpoint now, folding a failure into the retry
@@ -987,12 +983,8 @@ impl DurableLog {
     /// for callers that must surface the failure, like policy setters,
     /// where an unpersisted change would make recovery silently replay
     /// the WAL under the old policy.
-    pub fn checkpoint_with_backoff(
-        &mut self,
-        db: &SignatureDb,
-        num_shards: usize,
-    ) -> Result<(), FmeterError> {
-        match self.checkpoint(db, num_shards) {
+    pub fn checkpoint_with_backoff(&mut self, db: &SignatureDb) -> Result<(), FmeterError> {
+        match self.checkpoint(db) {
             Ok(()) => Ok(()), // checkpoint() cleared any degraded state
             Err(e) => {
                 if let Some(d) = &mut self.degraded {
@@ -1014,10 +1006,10 @@ impl DurableLog {
     /// generation (atomic rename), starts a new WAL, updates the
     /// manifest, prunes generations beyond [`KEEP_GENERATIONS`], and —
     /// if the log was degraded — restores [`WalHealth::Healthy`].
-    pub fn checkpoint(&mut self, db: &SignatureDb, num_shards: usize) -> Result<(), FmeterError> {
+    pub fn checkpoint(&mut self, db: &SignatureDb) -> Result<(), FmeterError> {
         let new_gen = self.generation + 1;
         let mut bytes = Vec::new();
-        persist::save_sharded(db, num_shards, &mut bytes)?;
+        persist::save(db, &mut bytes)?;
         write_atomic(
             &self.dir,
             &checkpoint_name(new_gen),
@@ -1188,145 +1180,11 @@ impl fmt::Debug for DurableLog {
     }
 }
 
-// ---- durable db ------------------------------------------------------
-
-/// A [`SignatureDb`] with crash consistency: every mutation is WAL'd
-/// before it applies, checkpoints fold the log into atomic envelope
-/// snapshots, and [`DurableDb::recover`] restores the exact
-/// durably-acked state after a crash.
-///
-/// Reads go through [`DurableDb::db`]; mutations must go through this
-/// wrapper (the inner database is deliberately not exposed mutably).
-/// For the sharded, concurrently-searchable equivalent see
-/// [`SignatureService`](crate::SignatureService) in durable mode.
-pub struct DurableDb {
-    db: SignatureDb,
-    log: DurableLog,
-}
-
-impl fmt::Debug for DurableDb {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DurableDb")
-            .field("len", &self.db.len())
-            .field("log", &self.log)
-            .finish_non_exhaustive()
-    }
-}
-
-impl DurableDb {
-    /// Starts a fresh durable directory holding `db`.
-    pub fn create(dir: &Path, db: SignatureDb, opts: DurableOptions) -> Result<Self, FmeterError> {
-        let log = DurableLog::create(dir, &db, 1, opts)?;
-        Ok(DurableDb { db, log })
-    }
-
-    /// Recovers the durably-acked state from `dir` with default
-    /// options.
-    pub fn recover(dir: &Path) -> Result<(Self, RecoveryReport), FmeterError> {
-        Self::recover_with(dir, DurableOptions::default())
-    }
-
-    /// Recovers the durably-acked state from `dir`.
-    pub fn recover_with(
-        dir: &Path,
-        opts: DurableOptions,
-    ) -> Result<(Self, RecoveryReport), FmeterError> {
-        let (db, _num_shards, log, report) = DurableLog::recover(dir, opts)?;
-        Ok((DurableDb { db, log }, report))
-    }
-
-    /// WAL-then-apply [`SignatureDb::insert`].
-    pub fn insert(&mut self, raw: &RawSignature) -> Result<DocId, FmeterError> {
-        self.log.append(WalOpRef::Insert(raw));
-        let out = self.db.insert(raw);
-        self.log.maybe_checkpoint(&self.db, 1);
-        out
-    }
-
-    /// WAL-then-apply [`SignatureDb::insert_batch`].
-    pub fn insert_batch(&mut self, raw: &[RawSignature]) -> Result<Vec<DocId>, FmeterError> {
-        self.log.append(WalOpRef::InsertBatch(raw));
-        let out = self.db.insert_batch(raw);
-        self.log.maybe_checkpoint(&self.db, 1);
-        out
-    }
-
-    /// WAL-then-apply [`SignatureDb::remove`].
-    pub fn remove(&mut self, doc: DocId) -> Result<(), FmeterError> {
-        self.log.append(WalOpRef::Remove(doc));
-        let out = self.db.remove(doc);
-        self.log.maybe_checkpoint(&self.db, 1);
-        out
-    }
-
-    /// WAL-then-apply [`SignatureDb::refit`].
-    pub fn refit(&mut self) -> crate::RefitStats {
-        self.log.append(WalOpRef::Refit);
-        let out = self.db.refit();
-        self.log.maybe_checkpoint(&self.db, 1);
-        out
-    }
-
-    /// WAL-then-apply [`SignatureDb::vacuum`].
-    pub fn vacuum(&mut self) -> crate::VacuumStats {
-        self.log.append(WalOpRef::Vacuum);
-        let out = self.db.vacuum();
-        self.log.maybe_checkpoint(&self.db, 1);
-        out
-    }
-
-    /// Changes the refit policy. Policy changes are not WAL ops (replay
-    /// must re-trigger policy-driven refits deterministically), so the
-    /// change is persisted by taking a checkpoint immediately.
-    pub fn set_refit_policy(&mut self, policy: crate::RefitPolicy) -> Result<(), FmeterError> {
-        self.db.set_refit_policy(policy);
-        self.log.checkpoint(&self.db, 1)
-    }
-
-    /// Changes the vacuum policy; checkpoints immediately (see
-    /// [`DurableDb::set_refit_policy`]).
-    pub fn set_vacuum_policy(&mut self, policy: crate::VacuumPolicy) -> Result<(), FmeterError> {
-        self.db.set_vacuum_policy(policy);
-        self.log.checkpoint(&self.db, 1)
-    }
-
-    /// Takes a checkpoint now.
-    pub fn checkpoint(&mut self) -> Result<(), FmeterError> {
-        self.log.checkpoint(&self.db, 1)
-    }
-
-    /// The in-memory database — searches, classification, and all other
-    /// reads go through here.
-    pub fn db(&self) -> &SignatureDb {
-        &self.db
-    }
-
-    /// Health of the durability layer.
-    pub fn health(&self) -> WalHealth {
-        self.log.health()
-    }
-
-    /// The underlying log, for introspection and fault injection.
-    pub fn log(&self) -> &DurableLog {
-        &self.log
-    }
-
-    /// Mutable access to the log (fault-injection and sync hooks; the
-    /// log cannot corrupt the database from here).
-    pub fn log_mut(&mut self) -> &mut DurableLog {
-        &mut self.log
-    }
-
-    /// Drops durability, returning the in-memory database.
-    pub fn into_db(self) -> SignatureDb {
-        self.db
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::ShortWriter;
+    use crate::ShardWriter;
     use fmeter_kernel_sim::Nanos;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1353,6 +1211,28 @@ mod tests {
     fn base_db() -> SignatureDb {
         let raws: Vec<RawSignature> = (0..8).map(raw).collect();
         SignatureDb::build(&raws).unwrap()
+    }
+
+    /// A flat (one-shard) durable writer over a fresh directory.
+    fn create(
+        dir: &Path,
+        db: SignatureDb,
+        opts: DurableOptions,
+    ) -> Result<ShardWriter, FmeterError> {
+        let mut writer = ShardWriter::new(db, 1);
+        writer.attach_durable(DurableLog::create(dir, writer.db(), opts)?);
+        Ok(writer)
+    }
+
+    fn recover(dir: &Path) -> Result<(ShardWriter, RecoveryReport), FmeterError> {
+        let (db, log, report) = DurableLog::recover(dir, DurableOptions::default())?;
+        let mut writer = ShardWriter::new(db, 1);
+        writer.attach_durable(log);
+        Ok((writer, report))
+    }
+
+    fn health(writer: &ShardWriter) -> WalHealth {
+        writer.durability_health().expect("the writer is durable")
     }
 
     #[test]
@@ -1540,7 +1420,7 @@ mod tests {
     fn create_checkpoint_recover_round_trip() {
         let dir = test_dir("roundtrip");
         let db = base_db();
-        let mut durable = DurableDb::create(&dir, db.clone(), DurableOptions::default()).unwrap();
+        let mut durable = create(&dir, db.clone(), DurableOptions::default()).unwrap();
         for i in 8..14 {
             durable.insert(&raw(i)).unwrap();
         }
@@ -1548,7 +1428,7 @@ mod tests {
         durable.refit();
         let expected = durable.db().clone();
         drop(durable); // "crash": no shutdown checkpoint
-        let (recovered, report) = DurableDb::recover(&dir).unwrap();
+        let (recovered, report) = recover(&dir).unwrap();
         assert_eq!(report.replayed_ops, 8);
         assert!(!report.torn_tail);
         assert_eq!(report.checkpoints_skipped, 0);
@@ -1568,14 +1448,14 @@ mod tests {
     fn recover_on_empty_or_partial_directory_fails_loudly() {
         let dir = test_dir("empty");
         // Nonexistent directory.
-        assert!(DurableDb::recover(&dir).is_err());
+        assert!(recover(&dir).is_err());
         // Empty directory.
         fs::create_dir_all(&dir).unwrap();
-        assert!(DurableDb::recover(&dir).is_err());
+        assert!(recover(&dir).is_err());
         // Partially-created: stray tmp and WAL but no checkpoint.
         fs::write(dir.join("checkpoint-0000000001.fmdb.tmp"), b"half").unwrap();
         fs::write(dir.join(wal_name(1)), b"FMWAL 1 1 1\n").unwrap();
-        let err = DurableDb::recover(&dir).unwrap_err();
+        let err = recover(&dir).unwrap_err();
         assert!(
             err.to_string().contains("no checkpoint"),
             "unexpected error: {err}"
@@ -1587,8 +1467,8 @@ mod tests {
     fn create_refuses_a_populated_directory() {
         let dir = test_dir("populated");
         let db = base_db();
-        drop(DurableDb::create(&dir, db.clone(), DurableOptions::default()).unwrap());
-        assert!(DurableDb::create(&dir, db, DurableOptions::default()).is_err());
+        drop(create(&dir, db.clone(), DurableOptions::default()).unwrap());
+        assert!(create(&dir, db, DurableOptions::default()).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1600,16 +1480,17 @@ mod tests {
             sync: SyncPolicy::EveryRecord,
             checkpoint: CheckpointPolicy::Manual,
         };
-        let mut durable = DurableDb::create(&dir, db, opts).unwrap();
+        let mut durable = create(&dir, db, opts).unwrap();
         durable.insert(&raw(100)).unwrap();
-        assert_eq!(durable.health(), WalHealth::Healthy);
+        assert_eq!(health(&durable), WalHealth::Healthy);
         // Kill the WAL: the very next append fails and degrades.
         durable
-            .log_mut()
+            .durable_log_mut()
+            .unwrap()
             .set_wal_fail_plan(Some(FailPlan::kill_at(0)));
         // Also make the heal checkpoints fail (the new WAL dies too).
         durable.insert(&raw(101)).unwrap();
-        match durable.health() {
+        match health(&durable) {
             WalHealth::Degraded {
                 failed_attempts,
                 ops_since_durable,
@@ -1627,7 +1508,7 @@ mod tests {
             durable.insert(&raw(102 + i)).unwrap();
         }
         assert_eq!(durable.db().len(), len_before + 40);
-        let attempts_while_failing = match durable.health() {
+        let attempts_while_failing = match health(&durable) {
             WalHealth::Degraded {
                 failed_attempts, ..
             } => failed_attempts,
@@ -1638,11 +1519,11 @@ mod tests {
             "backoff should have retried a few times, not every op: {attempts_while_failing}"
         );
         // Clear the fault: the next retry window heals the log.
-        durable.log_mut().set_wal_fail_plan(None);
+        durable.durable_log_mut().unwrap().set_wal_fail_plan(None);
         let mut healed = false;
         for i in 0..300u64 {
             durable.insert(&raw(200 + i)).unwrap();
-            if durable.health() == WalHealth::Healthy {
+            if health(&durable) == WalHealth::Healthy {
                 healed = true;
                 break;
             }
@@ -1652,7 +1533,7 @@ mod tests {
         drop(durable);
         // Everything — including the ops that rode through the degraded
         // window — recovers, because healing took a fresh checkpoint.
-        let (recovered, _) = DurableDb::recover(&dir).unwrap();
+        let (recovered, _) = recover(&dir).unwrap();
         assert_eq!(recovered.db().len(), expected.len());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1670,16 +1551,20 @@ mod tests {
             sync: SyncPolicy::EveryRecord,
             checkpoint: CheckpointPolicy::Manual,
         };
-        let mut durable = DurableDb::create(&dir, base_db(), opts).unwrap();
+        let mut durable = create(&dir, base_db(), opts).unwrap();
         durable.insert(&raw(300)).unwrap();
         durable
-            .log_mut()
+            .durable_log_mut()
+            .unwrap()
             .set_manifest_fail_plan(Some(FailPlan::kill_at(0)));
         assert!(durable.checkpoint().is_err());
-        durable.log_mut().set_manifest_fail_plan(None);
+        durable
+            .durable_log_mut()
+            .unwrap()
+            .set_manifest_fail_plan(None);
         // The WAL itself never failed: still healthy, still generation 1.
-        assert_eq!(durable.health(), WalHealth::Healthy);
-        assert_eq!(durable.log().generation(), 1);
+        assert_eq!(health(&durable), WalHealth::Healthy);
+        assert_eq!(durable.durable_log().unwrap().generation(), 1);
         assert!(
             !dir.join(checkpoint_name(2)).exists() && !dir.join(wal_name(2)).exists(),
             "the half-installed generation must be retracted"
@@ -1689,7 +1574,7 @@ mod tests {
         durable.insert(&raw(302)).unwrap();
         let expected_len = durable.db().len();
         drop(durable); // ...then crash.
-        let (recovered, report) = DurableDb::recover(&dir).unwrap();
+        let (recovered, report) = recover(&dir).unwrap();
         assert_eq!(report.generation, 1);
         assert!(!report.torn_tail);
         assert_eq!(
@@ -1709,13 +1594,14 @@ mod tests {
             sync: SyncPolicy::EveryRecord,
             checkpoint: CheckpointPolicy::Manual,
         };
-        let mut durable = DurableDb::create(&dir, base_db(), opts).unwrap();
+        let mut durable = create(&dir, base_db(), opts).unwrap();
         durable.insert(&raw(310)).unwrap();
         durable
-            .log_mut()
+            .durable_log_mut()
+            .unwrap()
             .set_wal_fail_plan(Some(FailPlan::kill_at(0)));
         assert!(durable.checkpoint().is_err());
-        assert_eq!(durable.log().generation(), 1);
+        assert_eq!(durable.durable_log().unwrap().generation(), 1);
         assert!(
             !dir.join(checkpoint_name(2)).exists(),
             "a checkpoint with no WAL must not be left to shadow generation 1"
@@ -1724,7 +1610,7 @@ mod tests {
         drop(durable); // Crash without further ops (the live WAL sink is
                        // armed too, so appends would degrade — covered
                        // by the degradation test above).
-        let (recovered, report) = DurableDb::recover(&dir).unwrap();
+        let (recovered, report) = recover(&dir).unwrap();
         assert_eq!(report.generation, 1);
         assert_eq!(recovered.db().len(), expected_len);
         let _ = fs::remove_dir_all(&dir);
@@ -1742,16 +1628,16 @@ mod tests {
                 interval: None,
             },
         };
-        let mut durable = DurableDb::create(&dir, db, opts).unwrap();
-        let gen_before = durable.log().generation();
+        let mut durable = create(&dir, db, opts).unwrap();
+        let gen_before = durable.durable_log().unwrap().generation();
         for i in 0..11 {
             durable.insert(&raw(50 + i)).unwrap();
         }
         assert!(
-            durable.log().generation() >= gen_before + 2,
+            durable.durable_log().unwrap().generation() >= gen_before + 2,
             "11 ops at a 5-op bound must have checkpointed at least twice"
         );
-        assert!(durable.log().ops_since_checkpoint() < 5);
+        assert!(durable.durable_log().unwrap().ops_since_checkpoint() < 5);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1763,7 +1649,7 @@ mod tests {
             sync: SyncPolicy::EveryRecord,
             checkpoint: CheckpointPolicy::Manual,
         };
-        let mut durable = DurableDb::create(&dir, db, opts).unwrap();
+        let mut durable = create(&dir, db, opts).unwrap();
         for i in 0..4 {
             durable.insert(&raw(20 + i)).unwrap();
         }
@@ -1772,7 +1658,7 @@ mod tests {
             durable.insert(&raw(30 + i)).unwrap();
         }
         let expected = durable.db().clone();
-        let newest = durable.log().generation();
+        let newest = durable.durable_log().unwrap().generation();
         drop(durable);
         // Damage the newest checkpoint: recovery must fall back to the
         // previous generation and chain-replay both WALs to the exact
@@ -1780,7 +1666,7 @@ mod tests {
         let path = dir.join(checkpoint_name(newest));
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
-        let (recovered, report) = DurableDb::recover(&dir).unwrap();
+        let (recovered, report) = recover(&dir).unwrap();
         assert_eq!(report.generation, newest - 1);
         assert_eq!(report.checkpoints_skipped, 1);
         assert_eq!(report.replayed_ops, 6, "4 pre-checkpoint + 2 post");
@@ -1798,7 +1684,7 @@ mod tests {
     fn policy_changes_are_persisted_via_checkpoint() {
         let dir = test_dir("policy-change");
         let db = base_db();
-        let mut durable = DurableDb::create(&dir, db, DurableOptions::default()).unwrap();
+        let mut durable = create(&dir, db, DurableOptions::default()).unwrap();
         durable
             .set_refit_policy(crate::RefitPolicy::EveryN(3))
             .unwrap();
@@ -1809,7 +1695,7 @@ mod tests {
             })
             .unwrap();
         drop(durable);
-        let (recovered, _) = DurableDb::recover(&dir).unwrap();
+        let (recovered, _) = recover(&dir).unwrap();
         assert_eq!(recovered.db().refit_policy(), crate::RefitPolicy::EveryN(3));
         assert_eq!(
             recovered.db().vacuum_policy(),

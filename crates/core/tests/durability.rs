@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use fmeter_core::fault::FailPlan;
 use fmeter_core::persist::{split_envelope, CURRENT_FORMAT_VERSION};
 use fmeter_core::{
-    CheckpointPolicy, DurableDb, DurableOptions, FmeterError, RawSignature, SignatureDb,
-    SignatureService, SyncPolicy, WalHealth, WalOp,
+    CheckpointPolicy, DurableLog, DurableOptions, FmeterError, RawSignature, RecoveryReport,
+    ShardWriter, SignatureDb, SignatureService, SyncPolicy, WalHealth, WalOp,
 };
 use fmeter_kernel_sim::Nanos;
 use proptest::prelude::*;
@@ -36,6 +36,28 @@ fn test_dir(tag: &str) -> PathBuf {
     ));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+/// A flat (one-shard) durable writer over a fresh directory.
+fn create_durable(
+    dir: &Path,
+    db: SignatureDb,
+    opts: DurableOptions,
+) -> Result<ShardWriter, FmeterError> {
+    let mut writer = ShardWriter::new(db, 1);
+    writer.attach_durable(DurableLog::create(dir, writer.db(), opts)?);
+    Ok(writer)
+}
+
+/// The flat durable writer `dir` recovers to.
+fn recover_durable(
+    dir: &Path,
+    opts: DurableOptions,
+) -> Result<(ShardWriter, RecoveryReport), FmeterError> {
+    let (db, log, report) = DurableLog::recover(dir, opts)?;
+    let mut writer = ShardWriter::new(db, 1);
+    writer.attach_durable(log);
+    Ok((writer, report))
 }
 
 fn copy_dir(src: &Path, dst: &Path) {
@@ -148,7 +170,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// Applies one op to the durable database, mirroring what was logged
 /// (for the flat-replay oracle) and the WAL byte boundary it acked at.
 fn apply_op(
-    durable: &mut DurableDb,
+    durable: &mut ShardWriter,
     i: usize,
     op: &Op,
     logged: &mut Vec<WalOp>,
@@ -192,7 +214,7 @@ fn apply_op(
         }
     }
     if logged.len() > boundaries.len() {
-        boundaries.push(durable.log().wal_bytes());
+        boundaries.push(durable.durable_log().unwrap().wal_bytes());
     }
 }
 
@@ -221,14 +243,14 @@ proptest! {
         let scratch = test_dir("kill-scratch");
         let base = seed_db();
         let mut durable =
-            DurableDb::create(&dir, base.clone(), manual_opts()).expect("create durable dir");
-        let header_len = durable.log().wal_bytes();
+            create_durable(&dir, base.clone(), manual_opts()).expect("create durable dir");
+        let header_len = durable.durable_log().unwrap().wal_bytes();
         let (mut logged, mut boundaries) = (Vec::new(), Vec::new());
         for (i, op) in ops.iter().enumerate() {
             apply_op(&mut durable, i, op, &mut logged, &mut boundaries);
         }
-        let generation = durable.log().generation();
-        let wal_len = durable.log().wal_bytes();
+        let generation = durable.durable_log().unwrap().generation();
+        let wal_len = durable.durable_log().unwrap().wal_bytes();
         drop(durable); // crash: nothing checkpointed since create
 
         let cut = (wal_len as f64 * cut_frac) as u64;
@@ -238,7 +260,7 @@ proptest! {
         fs::write(&wal, &bytes[..cut.min(bytes.len() as u64) as usize]).expect("truncate wal");
 
         let (recovered, report) =
-            DurableDb::recover_with(&scratch, manual_opts()).expect("recovery succeeds");
+            recover_durable(&scratch, manual_opts()).expect("recovery succeeds");
         let acked = boundaries.iter().filter(|&&b| b <= cut).count();
         // Replay must stop exactly at the torn record.
         prop_assert_eq!(report.replayed_ops, acked);
@@ -249,7 +271,7 @@ proptest! {
         let mut recovered = recovered;
         recovered.insert(&probes()[0]).expect("post-recovery insert");
         recovered.checkpoint().expect("post-recovery checkpoint");
-        prop_assert_eq!(recovered.health(), WalHealth::Healthy);
+        prop_assert_eq!(recovered.durability_health(), Some(WalHealth::Healthy));
         drop(recovered);
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&scratch);
@@ -267,14 +289,14 @@ proptest! {
         let dir = test_dir("ckpt");
         let base = seed_db();
         let mut durable =
-            DurableDb::create(&dir, base.clone(), manual_opts()).expect("create durable dir");
-        let first_gen = durable.log().generation();
+            create_durable(&dir, base.clone(), manual_opts()).expect("create durable dir");
+        let first_gen = durable.durable_log().unwrap().generation();
         let (mut logged, mut boundaries) = (Vec::new(), Vec::new());
         for (i, op) in ops_a.iter().enumerate() {
             apply_op(&mut durable, i, op, &mut logged, &mut boundaries);
         }
         durable.checkpoint().expect("mid-stream checkpoint");
-        let newest_gen = durable.log().generation();
+        let newest_gen = durable.durable_log().unwrap().generation();
         prop_assert_eq!(newest_gen, first_gen + 1);
         for (i, op) in ops_b.iter().enumerate() {
             apply_op(&mut durable, 100 + i, op, &mut logged, &mut boundaries);
@@ -288,7 +310,7 @@ proptest! {
         fs::write(&ckpt, &bytes[..cut]).expect("truncate checkpoint");
 
         let (recovered, report) =
-            DurableDb::recover_with(&dir, manual_opts()).expect("fallback recovery succeeds");
+            recover_durable(&dir, manual_opts()).expect("fallback recovery succeeds");
         // Recovered from the previous generation, whose WAL chains into
         // the newer one — nothing acked is lost.
         prop_assert_eq!(report.generation, first_gen);
@@ -356,8 +378,8 @@ fn wal_tail_sweep_recovers_the_clean_prefix_at_every_offset() {
     let dir = test_dir("sweep");
     let base = seed_db();
     let mut durable =
-        DurableDb::create(&dir, base.clone(), manual_opts()).expect("create durable dir");
-    let header_len = durable.log().wal_bytes();
+        create_durable(&dir, base.clone(), manual_opts()).expect("create durable dir");
+    let header_len = durable.durable_log().unwrap().wal_bytes();
     let (mut logged, mut boundaries) = (Vec::new(), Vec::new());
     let script = [
         Op::Insert(vec![9, 8, 7, 6, 5, 4, 3, 2, 1, 0]),
@@ -370,8 +392,8 @@ fn wal_tail_sweep_recovers_the_clean_prefix_at_every_offset() {
     for (i, op) in script.iter().enumerate() {
         apply_op(&mut durable, i, op, &mut logged, &mut boundaries);
     }
-    let generation = durable.log().generation();
-    let wal_len = durable.log().wal_bytes();
+    let generation = durable.durable_log().unwrap().generation();
+    let wal_len = durable.durable_log().unwrap().wal_bytes();
     drop(durable);
 
     let scratch = test_dir("sweep-scratch");
@@ -567,11 +589,17 @@ fn bad_magic_and_garbage_are_rejected() {
 #[test]
 fn recovery_on_empty_or_partially_created_directories_fails_loudly() {
     let missing = test_dir("missing").join("never-created");
-    assert!(DurableDb::recover(&missing).is_err(), "missing directory");
+    assert!(
+        recover_durable(&missing, DurableOptions::default()).is_err(),
+        "missing directory"
+    );
 
     let empty = test_dir("empty");
     fs::create_dir_all(&empty).expect("mkdir");
-    assert!(DurableDb::recover(&empty).is_err(), "empty directory");
+    assert!(
+        recover_durable(&empty, DurableOptions::default()).is_err(),
+        "empty directory"
+    );
     assert!(
         SignatureService::recover_durable(&empty, DurableOptions::default()).is_err(),
         "service recovery on an empty directory"
@@ -584,7 +612,7 @@ fn recovery_on_empty_or_partially_created_directories_fails_loudly() {
     fs::write(partial.join("checkpoint-0000000001.fmdb.tmp"), b"half").expect("write tmp");
     fs::write(partial.join("MANIFEST"), b"FMMANIFEST bogus\n{}\n").expect("write manifest");
     assert!(
-        DurableDb::recover(&partial).is_err(),
+        recover_durable(&partial, DurableOptions::default()).is_err(),
         "tmp-and-manifest-only directory"
     );
     for dir in [missing.parent().unwrap().to_path_buf(), empty, partial] {

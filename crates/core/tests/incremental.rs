@@ -110,7 +110,7 @@ fn surviving(db: &SignatureDb, raws: &[RawSignature]) -> Vec<RawSignature> {
 fn assert_equivalent(db: &SignatureDb, fresh: &SignatureDb, probes: &[RawSignature]) {
     assert_eq!(db.len(), fresh.len());
     let live: Vec<usize> = (0..db.num_slots()).filter(|&d| db.is_live(d)).collect();
-    for (&d, f) in live.iter().zip(fresh.signatures()) {
+    for (&d, f) in live.iter().zip(fresh.signatures().iter()) {
         let a = &db.signatures()[d].vector;
         let b = &f.vector;
         assert_eq!(a.dim(), b.dim());

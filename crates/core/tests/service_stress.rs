@@ -1,8 +1,8 @@
 //! Stress test for the sharded [`SignatureService`]: concurrent
 //! searchers against a writer looping insert/remove/refit/vacuum.
 //!
-//! The contract under test is snapshot consistency: every pooled
-//! fan-out search must return exactly what a serial replay of the same
+//! The contract under test is snapshot consistency: every service
+//! search must return exactly what a serial replay of the same
 //! snapshot returns ([`ShardSnapshot::search`]), generations must never
 //! move backwards under a reader, and searches must never block behind
 //! the writer — enforced here as a (generous) per-search latency
@@ -13,7 +13,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fmeter_core::{RawSignature, RefitPolicy, ShardSnapshot, SignatureService, VacuumPolicy};
+use fmeter_core::{
+    RawSignature, RefitPolicy, ShardSnapshot, ShardWriter, SignatureDb, SignatureService,
+    VacuumPolicy,
+};
 use fmeter_ir::{SearchScratch, TermCounts};
 use fmeter_kernel_sim::Nanos;
 
@@ -51,14 +54,14 @@ fn probe_queries() -> Vec<TermCounts> {
         .collect()
 }
 
-/// Asserts a pooled fan-out result equals the serial replay of the
+/// Asserts a service search result equals the serial replay of the
 /// same snapshot: same docs, bit-identical scores, same labels.
 fn assert_replay_identical(
-    pooled: &[(usize, fmeter_core::Signature, f64)],
+    served: &[(usize, fmeter_core::Signature, f64)],
     serial: &[(usize, fmeter_core::Signature, f64)],
 ) {
-    assert_eq!(pooled.len(), serial.len(), "hit counts diverged");
-    for ((d1, s1, x1), (d2, s2, x2)) in pooled.iter().zip(serial) {
+    assert_eq!(served.len(), serial.len(), "hit counts diverged");
+    for ((d1, s1, x1), (d2, s2, x2)) in served.iter().zip(serial) {
         assert_eq!(d1, d2, "doc ids diverged");
         assert_eq!(s1.label, s2.label, "labels diverged");
         assert_eq!(
@@ -131,12 +134,13 @@ fn concurrent_searches_stay_consistent_under_writer_churn() {
                         assert_eq!(live, snapshot.len(), "liveness drifted inside a snapshot");
                         for q in queries {
                             let t0 = Instant::now();
-                            let pooled =
-                                svc.search_snapshot(&snapshot, q, 8).expect("pooled search");
+                            let served = svc
+                                .search_snapshot(&snapshot, q, 8)
+                                .expect("service search");
                             max_latency = max_latency.max(t0.elapsed());
                             let serial =
                                 snapshot.search(q, 8, &mut scratch).expect("serial replay");
-                            assert_replay_identical(&pooled, &serial);
+                            assert_replay_identical(&served, &serial);
                         }
                         iterations += 1;
                     }
@@ -172,70 +176,10 @@ fn concurrent_searches_stay_consistent_under_writer_churn() {
     let serial = snapshot
         .search(&probe_queries()[0], 8, &mut SearchScratch::new())
         .expect("final serial search");
-    let pooled = service
+    let served = service
         .search(&probe_queries()[0], 8)
-        .expect("final pooled search");
-    assert_replay_identical(&pooled, &serial);
-}
-
-/// Worker death is a degradation, not an outage: after killing one
-/// pooled worker — or every one of them — mid-stream, searches keep
-/// succeeding and stay bit-identical to the serial replay of the same
-/// snapshot (dead workers' shards are scored inline on the caller).
-#[test]
-fn worker_death_degrades_gracefully_and_stays_bit_identical() {
-    let service = SignatureService::build(&seed_corpus(), 4).expect("seed corpus builds");
-    let queries = probe_queries();
-    let mut scratch = SearchScratch::new();
-    let pool = service.live_workers();
-    assert!(pool >= 1, "pool spun up");
-
-    // Kill one worker while a reader hammers the service from another
-    // thread: no search may fail or diverge across the transition.
-    std::thread::scope(|s| {
-        let svc = &service;
-        let queries = &queries;
-        let reader = s.spawn(move || {
-            let mut scratch = SearchScratch::new();
-            for round in 0..200 {
-                let snapshot = svc.snapshot();
-                let q = &queries[round % queries.len()];
-                let pooled = svc.search_snapshot(&snapshot, q, 8).expect("pooled search");
-                let serial = snapshot.search(q, 8, &mut scratch).expect("serial replay");
-                assert_replay_identical(&pooled, &serial);
-            }
-        });
-        svc.kill_worker(0);
-        reader.join().expect("reader thread");
-    });
-    assert_eq!(service.live_workers(), pool - 1, "the kill took a thread");
-
-    // The writer is untouched by dead readers: mutations still publish.
-    let ids = service
-        .insert_batch(
-            &(0..4)
-                .map(|j| raw(9_000 + j, (j % 3) as usize))
-                .collect::<Vec<_>>(),
-        )
-        .expect("insert after worker death");
-    service.remove(ids[1]).expect("remove after worker death");
-    service.refit();
-
-    // Kill the entire pool: every shard falls back to inline scoring,
-    // still against the same immutable snapshot.
-    for i in 0..pool {
-        service.kill_worker(i);
-    }
-    assert_eq!(service.live_workers(), 0, "the whole pool is gone");
-    let snapshot = service.snapshot();
-    for q in &queries {
-        let pooled = service
-            .search_snapshot(&snapshot, q, 8)
-            .expect("search with a dead pool");
-        let serial = snapshot.search(q, 8, &mut scratch).expect("serial replay");
-        assert_replay_identical(&pooled, &serial);
-        assert!(service.classify(q, 5).expect("classify").is_some());
-    }
+        .expect("final service search");
+    assert_replay_identical(&served, &serial);
 }
 
 /// A snapshot taken before a burst of mutations keeps answering with
@@ -374,8 +318,72 @@ fn generations_share_what_a_mutation_did_not_touch_and_never_see_the_rest() {
     assert_eq!(held.len(), seed_corpus().len());
     assert_eq!(answers(&held), at_publish);
     for (q, expected) in queries.iter().zip(&at_publish) {
-        let pooled = service.search_snapshot(&held, q, 8).expect("pooled search");
-        let pooled: Vec<(usize, u64)> = pooled.iter().map(|(d, _, s)| (*d, s.to_bits())).collect();
-        assert_eq!(&pooled, expected);
+        let served = service
+            .search_snapshot(&held, q, 8)
+            .expect("service search");
+        let served: Vec<(usize, u64)> = served.iter().map(|(d, _, s)| (*d, s.to_bits())).collect();
+        assert_eq!(&served, expected);
     }
+}
+
+/// A served store holds one copy of everything: a published generation
+/// *is* the writer's database — the same shard allocations, the same
+/// signature allocations — and after a mutation the database still
+/// shares with it every shard and signature the mutation did not touch.
+#[test]
+fn a_published_generation_and_the_writers_database_are_one_copy() {
+    const SHARDS: usize = 4;
+    let mut db = SignatureDb::build(&seed_corpus()).expect("seed corpus builds");
+    db.set_refit_policy(RefitPolicy::Manual);
+    let mut writer = ShardWriter::new(db, SHARDS);
+    let shared_signatures = |writer: &ShardWriter, snapshot: &ShardSnapshot| -> usize {
+        let db = writer.db();
+        (0..snapshot.num_slots())
+            .filter(|&d| std::ptr::eq(snapshot.signature(d).unwrap(), &db.signatures()[d]))
+            .count()
+    };
+    let publish_one_copy = |writer: &ShardWriter, generation: u64| -> ShardSnapshot {
+        let snapshot = writer.publish(generation);
+        for (a, b) in snapshot.pieces().iter().zip(writer.db().shards()) {
+            assert!(Arc::ptr_eq(a, b), "a published shard is the database's");
+        }
+        assert_eq!(snapshot.num_slots(), writer.db().num_slots());
+        assert_eq!(shared_signatures(writer, &snapshot), snapshot.num_slots());
+        snapshot
+    };
+    // What a mutation of `touched`'s shard leaves shared with the
+    // generation published before it: every other shard whole, the
+    // touched one's flat segment, and every signature.
+    let assert_shares_the_rest = |writer: &ShardWriter, before: &ShardSnapshot, touched: usize| {
+        let touched = touched % SHARDS;
+        for (s, (a, b)) in before.pieces().iter().zip(writer.db().shards()).enumerate() {
+            assert_eq!(Arc::ptr_eq(a, b), s != touched, "shard {s}");
+        }
+        let (a, b) = (&before.pieces()[touched], &writer.db().shards()[touched]);
+        assert!(a.shard().index().shares_flat_with(b.shard().index()));
+        assert_eq!(shared_signatures(writer, before), before.num_slots());
+    };
+
+    let published = publish_one_copy(&writer, 0);
+    let id = writer.insert(&raw(7_000, 1)).expect("insert");
+    assert_shares_the_rest(&writer, &published, id);
+
+    let published = publish_one_copy(&writer, 1);
+    writer.remove(5).expect("remove");
+    assert_shares_the_rest(&writer, &published, 5);
+
+    // A refit rebuilds every shard and replaces exactly the signatures
+    // it re-weighted; the rest — the tombstoned slot among them — stay
+    // the allocations the published generation holds.
+    let published = publish_one_copy(&writer, 2);
+    let stats = writer.refit();
+    assert!(stats.reweighted_docs > 0, "the insert moved some idf");
+    for (a, b) in published.pieces().iter().zip(writer.db().shards()) {
+        assert!(!Arc::ptr_eq(a, b));
+    }
+    assert_eq!(
+        shared_signatures(&writer, &published),
+        published.num_slots() - stats.reweighted_docs
+    );
+    publish_one_copy(&writer, 3);
 }

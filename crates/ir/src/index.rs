@@ -259,8 +259,8 @@ impl SearchScratch {
 /// delimits term `t`'s `(docs, weights)` parallel arrays — so a query's
 /// accumulation streams contiguous memory with u32 doc ids (12 bytes per
 /// posting instead of a pointer-chased 16). The segment is write-once:
-/// every rewrite (compaction, purge, rebuild, renumbering, a
-/// quantization switch) builds a new one, so clones of the index share
+/// every rewrite (compaction, purge, a quantization switch) builds a
+/// new one, so clones of the index share
 /// it by reference count. Fresh inserts land in a short *tail* of
 /// doc-major rows — each document's normalised vector, shared by clones
 /// as well — that geometric compaction folds into the next segment,
@@ -352,11 +352,16 @@ fn quantize(w: f64, scale: f64, offset: f64) -> u8 {
 }
 
 impl FlatPostings {
-    /// A fully compacted, blocked segment over `rows` (ascending doc
-    /// ids) and nothing else.
-    fn build(dim: usize, quantization: QuantizationMode, rows: &[Row<'_>]) -> Self {
-        Self::install(quantization, vec![0; dim + 1], Vec::new(), Vec::new())
-            .rewrite(|_| None, rows)
+    /// A fully compacted, blocked, exact segment over `rows` (ascending
+    /// doc ids) and nothing else.
+    fn build(dim: usize, rows: &[Row<'_>]) -> Self {
+        Self::install(
+            QuantizationMode::Off,
+            vec![0; dim + 1],
+            Vec::new(),
+            Vec::new(),
+        )
+        .rewrite(|_| false, rows)
     }
 
     /// Seals a rewritten posting stream (exact `f64` weights) under
@@ -515,24 +520,20 @@ impl FlatPostings {
     /// Transposes this segment's surviving postings plus `rows` into one
     /// term-major posting stream, in two passes: count per term, prefix
     /// the counts into offsets, then fill each term's range in place.
-    /// A stored posting survives when `keep` maps its doc to
-    /// `Some(new id)` (`keep` must be monotone over the survivors);
-    /// `rows` must ascend by doc id and sit above every surviving id, so
+    /// A stored posting survives when `keep` accepts its doc; `rows`
+    /// must ascend by doc id and sit above every surviving id, so
     /// each term's range comes out sorted. Returns `(offsets, docs,
     /// weights)`.
     fn transpose(
         &self,
-        keep: impl Fn(u32) -> Option<u32>,
+        keep: impl Fn(u32) -> bool,
         rows: &[Row<'_>],
     ) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
         let dim = self.dim();
         let mut offsets = vec![0usize; dim + 1];
         for t in 0..dim {
             let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-            offsets[t + 1] = self.docs[lo..hi]
-                .iter()
-                .filter(|&&d| keep(d).is_some())
-                .count();
+            offsets[t + 1] = self.docs[lo..hi].iter().filter(|&&d| keep(d)).count();
         }
         // A zero factor is `l2_normalized` meeting an infinite norm: the
         // vector indexes nothing.
@@ -551,8 +552,8 @@ impl FlatPostings {
         let mut next = offsets[..dim].to_vec();
         for (t, at) in next.iter_mut().enumerate() {
             self.for_each_posting(t, |d, w| {
-                if let Some(new) = keep(d) {
-                    docs[*at] = new;
+                if keep(d) {
+                    docs[*at] = d;
                     weights[*at] = w;
                     *at += 1;
                 }
@@ -571,7 +572,7 @@ impl FlatPostings {
 
     /// The next segment: [`transpose`](Self::transpose), sealed under
     /// this segment's quantization mode.
-    fn rewrite(&self, keep: impl Fn(u32) -> Option<u32>, rows: &[Row<'_>]) -> Self {
+    fn rewrite(&self, keep: impl Fn(u32) -> bool, rows: &[Row<'_>]) -> Self {
         let (offsets, docs, weights) = self.transpose(keep, rows);
         Self::install(self.quantization, offsets, docs, weights)
     }
@@ -712,7 +713,7 @@ impl InvertedIndex {
     pub fn new(dim: usize) -> Self {
         InvertedIndex {
             dim,
-            flat: Arc::new(FlatPostings::build(dim, QuantizationMode::Off, &[])),
+            flat: Arc::new(FlatPostings::build(dim, &[])),
             ..InvertedIndex::default()
         }
     }
@@ -745,7 +746,7 @@ impl InvertedIndex {
         let removed: Vec<bool> = slots.iter().map(Option::is_none).collect();
         Ok(InvertedIndex {
             dim,
-            flat: Arc::new(FlatPostings::build(dim, QuantizationMode::Off, &rows)),
+            flat: Arc::new(FlatPostings::build(dim, &rows)),
             num_docs: slots.len(),
             num_removed: slots.len() - rows.len(),
             removed,
@@ -781,9 +782,8 @@ impl InvertedIndex {
 
     /// Tombstones a document: it stops appearing in search results
     /// immediately, and its postings are physically dropped by the next
-    /// purge (triggered geometrically, or by [`optimize`](Self::optimize)
-    /// / [`rebuild_postings`](Self::rebuild_postings)). Doc ids are never
-    /// reused — the id space keeps a permanent hole.
+    /// purge (triggered geometrically, or by [`optimize`](Self::optimize)).
+    /// Doc ids are never reused — the id space keeps a permanent hole.
     ///
     /// # Errors
     ///
@@ -827,12 +827,13 @@ impl InvertedIndex {
     }
 
     /// The next flat segment: every stored posting — flat, then tail —
-    /// whose doc `keep` maps to `Some(new id)`. One O(nnz) pass of moves;
+    /// whose doc `keep` accepts. One O(nnz) pass of moves;
     /// no weight is recomputed.
-    fn rewritten(&self, keep: impl Fn(u32) -> Option<u32>) -> FlatPostings {
+    fn rewritten(&self, keep: impl Fn(u32) -> bool) -> FlatPostings {
         let rows: Vec<Row<'_>> = self
             .tail_rows()
-            .filter_map(|(doc, row)| keep(doc as u32).map(|new| (new, row, 1.0)))
+            .filter(|(doc, _)| keep(*doc as u32))
+            .map(|(doc, row)| (doc as u32, row, 1.0))
             .collect();
         self.flat.rewrite(&keep, &rows)
     }
@@ -848,7 +849,7 @@ impl InvertedIndex {
     /// which also recomputes the per-term max-impact bounds exactly over
     /// the survivors (removal alone can only leave the bounds loose).
     fn purge(&mut self) {
-        let flat = self.rewritten(|d| (!self.removed[d as usize]).then_some(d));
+        let flat = self.rewritten(|d| !self.removed[d as usize]);
         self.seal(flat);
         self.dead_unpurged = 0;
     }
@@ -871,86 +872,9 @@ impl InvertedIndex {
     /// Folds the tail rows into the flat segment.
     fn compact(&mut self) {
         if !self.tail.is_empty() {
-            let flat = self.rewritten(Some);
+            let flat = self.rewritten(|_| true);
             self.seal(flat);
         }
-    }
-
-    /// Replaces every posting with the given live vectors in one pass —
-    /// the idf-refit path: when a re-weighting generation changes the
-    /// stored weights (and possibly their term supports), the whole
-    /// posting store is rewritten from the new vectors instead of
-    /// patching term-by-term. Doc ids, tombstones, and the id space are
-    /// preserved; tombstoned docs must be absent from `live`, and their
-    /// postings are purged by the rewrite. Max-impact bounds come out
-    /// exact.
-    ///
-    /// Vectors are L2-normalised exactly as [`insert`](Self::insert)
-    /// does, so a rebuilt index is posting-for-posting identical to one
-    /// freshly built from the same vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::DocNotLive`] when `live` names a doc outside
-    /// the id space, a tombstoned doc, or repeats/disorders ids, and
-    /// [`IrError::DimensionMismatch`] on a vector dimension mismatch.
-    /// The index is left unchanged on error.
-    pub fn rebuild_postings<'a, I>(&mut self, live: I) -> Result<(), IrError>
-    where
-        I: IntoIterator<Item = (DocId, &'a SparseVec)>,
-    {
-        let mut rows: Vec<Row<'a>> = Vec::new();
-        for (doc, vector) in live {
-            if !self.is_live(doc) || rows.last().is_some_and(|&(p, ..)| p as usize >= doc) {
-                return Err(IrError::DocNotLive(doc));
-            }
-            rows.push(unit_row(self.dim, doc, vector)?);
-        }
-        self.seal(FlatPostings::build(self.dim, self.flat.quantization, &rows));
-        self.dead_unpurged = 0;
-        Ok(())
-    }
-
-    /// Renumbers the id space in place, dropping every tombstoned slot:
-    /// live doc `d` becomes `remap[d]`, which must enumerate the live
-    /// docs densely (`Some(0), Some(1), …` in old-id order, `None` for
-    /// every tombstone). This is the vacuum path — one O(nnz) pass that
-    /// *moves* the stored weights, never recomputing a float: a
-    /// renumbered index is bit-identical to one rebuilt by re-inserting
-    /// the survivors, at a fraction of the cost.
-    ///
-    /// The rewrite folds the tail into the flat segment (the canonical
-    /// compacted layout) and recomputes the max-impact bounds exactly,
-    /// using comparisons only. Afterwards the index has no tombstones
-    /// and `len() == live_len()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::DocNotLive`] when `remap` has the wrong
-    /// length, maps a tombstone, skips a live doc, or is not the dense
-    /// ascending enumeration. The index is unchanged on error.
-    pub fn renumber_compact(&mut self, remap: &[Option<DocId>]) -> Result<(), IrError> {
-        if remap.len() != self.num_docs {
-            return Err(IrError::DocNotLive(remap.len()));
-        }
-        let mut live = 0usize;
-        for (d, slot) in remap.iter().enumerate() {
-            match (self.removed[d], slot) {
-                (false, Some(new)) if *new == live => live += 1,
-                (true, None) => {}
-                _ => return Err(IrError::DocNotLive(d)),
-            }
-        }
-        // remap is monotone over live docs, so mapped ids stay ascending
-        // within every term's postings.
-        let flat = self.rewritten(|d| remap[d as usize].map(|new| new as u32));
-        self.seal(flat);
-        self.num_docs = live;
-        self.removed.clear();
-        self.removed.resize(live, false);
-        self.num_removed = 0;
-        self.dead_unpurged = 0;
-        Ok(())
     }
 
     /// Number of doc ids ever assigned, including tombstoned ones (the
@@ -1979,85 +1903,6 @@ mod tests {
     }
 
     #[test]
-    fn renumber_compact_matches_fresh_build_bitwise() {
-        let dim = 32u32;
-        let docs = banded_corpus(150, dim);
-        let mut idx = InvertedIndex::new(dim as usize);
-        for d in &docs {
-            idx.insert(d.clone()).unwrap();
-        }
-        for d in (0..150).step_by(4) {
-            idx.remove(d).unwrap();
-        }
-        let mut remap: Vec<Option<DocId>> = vec![None; 150];
-        let mut next = 0usize;
-        for (d, slot) in remap.iter_mut().enumerate() {
-            if idx.is_live(d) {
-                *slot = Some(next);
-                next += 1;
-            }
-        }
-        idx.renumber_compact(&remap).unwrap();
-        assert_eq!(idx.len(), next);
-        assert_eq!(idx.live_len(), next);
-        assert_eq!(idx.num_removed(), 0);
-        // Bit-identical to a fresh build over the survivors: the rewrite
-        // moved the already-normalised weights instead of recomputing.
-        let mut fresh = InvertedIndex::new(dim as usize);
-        for (d, v) in docs.iter().enumerate() {
-            if d % 4 != 0 {
-                fresh.insert(v.clone()).unwrap();
-            }
-        }
-        fresh.optimize();
-        let mut scratch = SearchScratch::new();
-        for q in docs.iter().step_by(11) {
-            let a = idx.search_exhaustive(q, 9, &mut scratch).unwrap();
-            let b = fresh.search_exhaustive(q, 9, &mut scratch).unwrap();
-            assert_eq!(a, b);
-            let aw = idx.search_wand(q, 9, &mut scratch).unwrap();
-            let bw = fresh.search_wand(q, 9, &mut scratch).unwrap();
-            assert_eq!(aw, bw);
-        }
-        for t in 0..dim {
-            assert_eq!(idx.max_impact(t), fresh.max_impact(t));
-            assert_eq!(idx.posting_len(t), fresh.posting_len(t));
-        }
-    }
-
-    #[test]
-    fn renumber_compact_rejects_bad_remaps() {
-        let mut idx = sample_index();
-        idx.remove(1).unwrap();
-        // Wrong length.
-        assert_eq!(
-            idx.renumber_compact(&[Some(0), None]),
-            Err(IrError::DocNotLive(2))
-        );
-        // Maps a tombstone.
-        assert_eq!(
-            idx.renumber_compact(&[Some(0), Some(1), Some(2)]),
-            Err(IrError::DocNotLive(1))
-        );
-        // Skips a live doc.
-        assert_eq!(
-            idx.renumber_compact(&[None, None, Some(0)]),
-            Err(IrError::DocNotLive(0))
-        );
-        // Not dense-ascending.
-        assert_eq!(
-            idx.renumber_compact(&[Some(1), None, Some(0)]),
-            Err(IrError::DocNotLive(0))
-        );
-        // The failed calls left the index untouched.
-        assert_eq!(idx.len(), 3);
-        assert_eq!(idx.live_len(), 2);
-        idx.renumber_compact(&[Some(0), None, Some(1)]).unwrap();
-        assert_eq!(idx.len(), 2);
-        assert!(idx.is_live(0) && idx.is_live(1));
-    }
-
-    #[test]
     fn removal_heavy_interleave_matches_fresh_index() {
         // Insert 200, remove every third (triggering geometric purges),
         // then compare every search path against an index freshly built
@@ -2088,48 +1933,6 @@ mod tests {
             assert_eq!(a, b, "exhaustive qseed={qseed}");
             let w = idx.search_wand(q, 10, &mut scratch).unwrap();
             assert_eq!(w, a, "wand qseed={qseed}");
-        }
-    }
-
-    #[test]
-    fn rebuild_postings_matches_fresh_build() {
-        let dim = 16usize;
-        let mut idx = InvertedIndex::new(dim);
-        let docs: Vec<SparseVec> = (0..20)
-            .map(|i| {
-                SparseVec::from_pairs(dim, [(i % 16, 1.0 + i as f64), ((i + 5) % 16, 2.0)]).unwrap()
-            })
-            .collect();
-        for d in &docs {
-            idx.insert(d.clone()).unwrap();
-        }
-        idx.remove(3).unwrap();
-        idx.remove(8).unwrap();
-        // Re-weight the survivors (scaling changes nothing after L2
-        // normalisation, so results must match the original vectors).
-        let reweighted: Vec<(usize, SparseVec)> = (0..20)
-            .filter(|&i| i != 3 && i != 8)
-            .map(|i| (i, docs[i].scaled(2.0)))
-            .collect();
-        idx.rebuild_postings(reweighted.iter().map(|(i, v)| (*i, v)))
-            .unwrap();
-        let mut fresh = InvertedIndex::new(dim);
-        for (i, d) in docs.iter().enumerate() {
-            if i == 3 || i == 8 {
-                fresh.insert(SparseVec::zeros(dim)).unwrap();
-            } else {
-                fresh.insert(d.clone()).unwrap();
-            }
-        }
-        let mut scratch = SearchScratch::new();
-        for q in &docs {
-            let a = idx.search_exhaustive(q, 20, &mut scratch).unwrap();
-            let b = fresh.search_exhaustive(q, 20, &mut scratch).unwrap();
-            assert_eq!(a, b);
-        }
-        for t in 0..dim as u32 {
-            assert_eq!(idx.posting_len(t), fresh.posting_len(t));
-            assert!((idx.max_impact(t) - fresh.max_impact(t)).abs() < 1e-15);
         }
     }
 
@@ -2210,17 +2013,10 @@ mod tests {
             assert_same_index(&built, &looped);
 
             // Int8: quantizing the built flat segment is quantizing the
-            // looped one, and a rebuild *under* Int8 (the builder with a
-            // quantized target) quantizes the same exact weights once.
+            // looped one.
             let (mut q_built, mut q_looped) = (built, looped);
             q_built.set_quantization(QuantizationMode::Int8);
             q_looped.set_quantization(QuantizationMode::Int8);
-            assert_same_index(&q_built, &q_looped);
-            let live = slots
-                .iter()
-                .enumerate()
-                .filter_map(|(d, v)| v.map(|v| (d, v)));
-            q_built.rebuild_postings(live).unwrap();
             assert_same_index(&q_built, &q_looped);
         }
         assert!(InvertedIndex::from_slots(dim, &[Some(&SparseVec::zeros(dim + 1))]).is_err());
@@ -2245,26 +2041,6 @@ mod tests {
         assert_eq!(held.search(q, 5).unwrap(), before);
         assert_eq!(held.len(), 200);
         assert!(idx.search(q, 5).unwrap().iter().all(|h| h.doc != 9));
-    }
-
-    #[test]
-    fn rebuild_postings_rejects_bad_input() {
-        let mut idx = sample_index();
-        idx.remove(1).unwrap();
-        let v = vec8(&[(0, 1.0)]);
-        // Tombstoned doc.
-        assert!(idx.rebuild_postings([(1usize, &v)]).is_err());
-        // Out of range.
-        assert!(idx.rebuild_postings([(9usize, &v)]).is_err());
-        // Disordered ids.
-        assert!(idx.rebuild_postings([(2usize, &v), (0usize, &v)]).is_err());
-        // Wrong dimension.
-        let bad = SparseVec::zeros(9);
-        assert!(idx.rebuild_postings([(0usize, &bad)]).is_err());
-        // The failed rebuilds left the index intact.
-        let hits = idx.search(&vec8(&[(0, 1.0)]), 3).unwrap();
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].doc, 0);
     }
 
     #[test]
@@ -2324,24 +2100,11 @@ mod tests {
         assert_blocks_match_reference(&idx);
         idx.optimize();
         assert_blocks_match_reference(&idx);
-        // Re-weight the survivors through rebuild_postings.
-        let survivors: Vec<(usize, SparseVec)> = (0..300)
-            .filter(|&i| idx.is_live(i))
-            .map(|i| (i, docs[i].scaled(3.0)))
+        // The one-pass builder over the survivors, holes included.
+        let slots: Vec<Option<&SparseVec>> = (0..300)
+            .map(|i| idx.is_live(i).then_some(&docs[i]))
             .collect();
-        idx.rebuild_postings(survivors.iter().map(|(i, v)| (*i, v)))
-            .unwrap();
-        assert_blocks_match_reference(&idx);
-        // Renumber-compact away the tombstones.
-        let mut remap = vec![None; idx.len()];
-        let mut next = 0usize;
-        for (d, slot) in remap.iter_mut().enumerate() {
-            if idx.is_live(d) {
-                *slot = Some(next);
-                next += 1;
-            }
-        }
-        idx.renumber_compact(&remap).unwrap();
+        let mut idx = InvertedIndex::from_slots(dim as usize, &slots).unwrap();
         assert_blocks_match_reference(&idx);
         // Quantize, then back to exact (lossy, but metadata must track).
         idx.set_quantization(QuantizationMode::Int8);

@@ -277,20 +277,21 @@ where
     all
 }
 
-/// Searches every shard sequentially and merges — the single-threaded
-/// reference the concurrent fan-out (and the tests) compare against.
+/// Searches every shard in turn and merges: the top-k of a sharded
+/// corpus, on the calling thread.
 ///
 /// # Errors
 ///
 /// Returns [`IrError::DimensionMismatch`] when the query dimension
 /// differs from the shards' dimension.
-pub fn search_sharded(
-    shards: &[Shard],
+pub fn search_sharded<'a>(
+    shards: impl IntoIterator<Item = &'a Shard>,
     query: &SparseVec,
     k: usize,
     scratch: &mut SearchScratch,
 ) -> Result<Vec<SearchHit>, IrError> {
-    let mut per_shard = Vec::with_capacity(shards.len());
+    let shards = shards.into_iter();
+    let mut per_shard = Vec::with_capacity(shards.size_hint().0);
     for shard in shards {
         per_shard.push(shard.search_with(query, k, scratch)?);
     }

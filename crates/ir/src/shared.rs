@@ -53,7 +53,10 @@ impl<T> SharedVec<T> {
 
     /// Appends `value`.
     pub fn push(&mut self, value: T) {
-        let value = Arc::new(value);
+        self.push_arc(Arc::new(value));
+    }
+
+    fn push_arc(&mut self, value: Arc<T>) {
         match self.chunks.last_mut() {
             Some(last) if last.len() < CHUNK => Arc::make_mut(last).push(value),
             _ => {
@@ -76,6 +79,29 @@ impl<T> SharedVec<T> {
         self.chunks.iter().flat_map(|c| c.iter().map(|e| &**e))
     }
 
+    /// Replaces the element at `index`; clones keep the old one. Copies
+    /// the pointers of the one chunk that holds it when a clone shares
+    /// that chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of range.
+    pub fn set(&mut self, index: usize, value: T) {
+        Arc::make_mut(&mut self.chunks[index / CHUNK])[index % CHUNK] = Arc::new(value);
+    }
+
+    /// Keeps the elements whose index `keep` accepts, in order. The
+    /// survivors stay shared with every clone: pointers move, elements
+    /// do not.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let old = std::mem::take(self);
+        for (i, element) in old.chunks.iter().flat_map(|c| c.iter()).enumerate() {
+            if keep(i) {
+                self.push_arc(element.clone());
+            }
+        }
+    }
+
     /// Drops every element (clones keep theirs).
     pub fn clear(&mut self) {
         self.chunks.clear();
@@ -86,6 +112,14 @@ impl<T> SharedVec<T> {
 impl<T> Default for SharedVec<T> {
     fn default() -> Self {
         SharedVec::new()
+    }
+}
+
+impl<T> std::ops::Index<usize> for SharedVec<T> {
+    type Output = T;
+
+    fn index(&self, index: usize) -> &T {
+        &self.chunks[index / CHUNK][index % CHUNK]
     }
 }
 
@@ -140,5 +174,23 @@ mod tests {
         a.clear();
         assert!(a.is_empty());
         assert_eq!(b.get(1).map(String::as_str), Some("1"));
+    }
+
+    #[test]
+    fn set_and_retain_leave_clones_and_survivors_alone() {
+        let mut a: SharedVec<String> = (0..2 * CHUNK + 3).map(|i| i.to_string()).collect();
+        let b = a.clone();
+        a.set(CHUNK + 1, "new".to_string());
+        assert_eq!(a[CHUNK + 1], "new");
+        assert_eq!(b[CHUNK + 1], (CHUNK + 1).to_string());
+        // Only the chunk holding the replaced element was copied.
+        assert!(Arc::ptr_eq(&a.chunks[0], &b.chunks[0]));
+        assert!(!Arc::ptr_eq(&a.chunks[1], &b.chunks[1]));
+        a.retain(|i| i % 2 == 1);
+        assert_eq!(a.len(), CHUNK + 1);
+        assert_eq!(b.len(), 2 * CHUNK + 3);
+        assert!(std::ptr::eq(&a[0], &b[1]));
+        assert!(std::ptr::eq(&a[CHUNK], &b[2 * CHUNK + 1]));
+        assert_eq!(a[CHUNK / 2], "new");
     }
 }

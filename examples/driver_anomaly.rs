@@ -52,11 +52,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     all.extend(suspect.clone());
     all.extend(control.clone());
     let db = SignatureDb::build(&all)?;
-    let sigs = db.signatures();
+    let sigs: Vec<&fmeter::core::Signature> = db.signatures().iter().collect();
     let (good_sigs, rest) = sigs.split_at(good.len());
     let (suspect_sigs, control_sigs) = rest.split_at(suspect.len());
 
-    let mean_similarity = |probe: &[fmeter::core::Signature]| -> f64 {
+    let mean_similarity = |probe: &[&fmeter::core::Signature]| -> f64 {
         let mut total = 0.0;
         for p in probe {
             let best = good_sigs
