@@ -66,9 +66,11 @@ impl AnomalyDetector {
     /// Like [`fit`](Self::fit), but routed through
     /// [`SignatureDb::recluster`]: the first call clusters cold, and a
     /// detector refreshed after streaming churn warm-starts from the
-    /// database's cached assignment — O(changed docs) of Lloyd work
-    /// instead of a full multi-restart K-means — while the threshold is
-    /// recomputed over the full surviving membership either way.
+    /// database's cached assignment — two sweeps over the live corpus
+    /// when nothing moved, two more per Lloyd iteration when something
+    /// did, instead of k-means++ and a full multi-restart K-means —
+    /// while the threshold is recomputed over the full surviving
+    /// membership either way.
     ///
     /// # Errors
     ///

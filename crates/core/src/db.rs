@@ -148,7 +148,8 @@ pub struct Recluster {
 }
 
 /// The clustering state [`SignatureDb::recluster`] carries between
-/// calls so a steady-state pass costs O(changed), not O(n · restarts).
+/// calls so a steady-state pass resumes from the last assignment
+/// instead of seeding and restarting.
 ///
 /// Derived state, like [`VacuumStats`]: never persisted (a loaded
 /// database starts cold) and never written to the WAL — it is rebuilt
@@ -854,12 +855,15 @@ impl SignatureDb {
         let live_ids: Vec<usize> = (0..self.signatures.len())
             .filter(|&d| self.is_live(d))
             .collect();
-        let vectors: Vec<SparseVec> = live_ids
-            .iter()
-            .map(|&d| self.signatures[d].vector.clone())
-            .collect();
+        let vectors = self.vectors_of(&live_ids);
         let result = KMeans::new(k).seed(seed).restarts(3).run(&vectors)?;
         Ok(self.syndromes_from(&live_ids, result.centroids, &result.assignments))
+    }
+
+    /// The stored vectors of `docs`, borrowed: what the clustering calls
+    /// read, in place.
+    fn vectors_of(&self, docs: &[usize]) -> Vec<&SparseVec> {
+        docs.iter().map(|&d| &self.signatures[d].vector).collect()
     }
 
     /// Labels a K-means result as syndromes: builds one [`Syndrome`]
@@ -900,8 +904,12 @@ impl SignatureDb {
 
     /// Incremental syndrome maintenance: like
     /// [`syndromes`](Self::syndromes), but warm-started from the
-    /// previous pass so a steady-state call costs O(changed docs) Lloyd
-    /// work instead of a full multi-restart K-means.
+    /// previous pass, so a steady-state call reads the live corpus twice
+    /// — one sweep for the means of the cached assignment, one
+    /// assignment sweep that confirms them — instead of paying
+    /// k-means++ and a multi-restart K-means, and every further Lloyd
+    /// iteration the moved points need is two more. The stored vectors
+    /// are clustered in place; none is copied.
     ///
     /// The first call (or any call after [`load`](Self::load), which
     /// starts cold) runs exactly what `syndromes(k, seed)` runs and
@@ -929,10 +937,7 @@ impl SignatureDb {
         let live_ids: Vec<usize> = (0..self.signatures.len())
             .filter(|&d| self.is_live(d))
             .collect();
-        let vectors: Vec<SparseVec> = live_ids
-            .iter()
-            .map(|&d| self.signatures[d].vector.clone())
-            .collect();
+        let vectors = self.vectors_of(&live_ids);
         let prev = self.warm_assignment(k, seed, &live_ids, &vectors);
         let (result, warm) = match prev {
             Some(prev) => match KMeans::new(k).seed(seed).fit_warm(&vectors, &prev) {
@@ -969,7 +974,7 @@ impl SignatureDb {
         k: usize,
         seed: u64,
         live_ids: &[usize],
-        vectors: &[SparseVec],
+        vectors: &[&SparseVec],
     ) -> Option<Vec<usize>> {
         let cache = self.cluster_cache.as_ref()?;
         if cache.k != k || cache.seed != seed || k == 0 || vectors.len() < k {
@@ -985,7 +990,7 @@ impl SignatureDb {
                 None => {
                     let mut best: Option<(usize, f64)> = None;
                     for (c, centroid) in cache.centroids.iter().enumerate() {
-                        let d2 = fmeter_ir::euclidean_distance_sq(&vectors[i], centroid)
+                        let d2 = fmeter_ir::euclidean_distance_sq(vectors[i], centroid)
                             .expect("cached centroids share the database dimension");
                         if best.is_none_or(|(_, bd)| d2 < bd) {
                             best = Some((c, d2));
@@ -1297,6 +1302,27 @@ mod tests {
             m.sort_unstable();
             assert!(warm_members.contains(&m), "partition diverged: {m:?}");
         }
+    }
+
+    #[test]
+    fn recluster_goes_cold_when_churn_empties_a_cluster() {
+        let mut db = SignatureDb::build(&sample_raw()).unwrap();
+        // No refit: with one class left every idf would be zero.
+        db.set_refit_policy(RefitPolicy::Manual);
+        let first = db.recluster(2, 7).unwrap();
+        // Every member of one syndrome leaves: a warm start has no mean
+        // to seed that cluster from (`fit_warm` rejects it), so the pass
+        // runs what `syndromes` runs and re-primes the cache.
+        for &m in &first.syndromes[0].members {
+            db.remove(m).unwrap();
+        }
+        let pass = db.recluster(2, 7).unwrap();
+        assert!(
+            !pass.warm,
+            "an emptied cluster must fall back to a cold fit"
+        );
+        assert_eq!(pass.syndromes, db.syndromes(2, 7).unwrap());
+        assert!(db.recluster(2, 7).unwrap().warm);
     }
 
     #[test]

@@ -634,9 +634,10 @@ impl SignatureService {
     /// Warm-started syndrome maintenance over the authoritative
     /// database (see [`SignatureDb::recluster`]): the first call runs a
     /// cold multi-restart K-means, steady-state calls resume from the
-    /// cached assignment in O(changed docs). No generation is published
-    /// — snapshots do not carry syndromes, and the pass mutates only
-    /// the writer-side warm-start cache.
+    /// cached assignment in two sweeps over the live corpus when nothing
+    /// moved. No generation is published — snapshots do not carry
+    /// syndromes, and the pass mutates only the writer-side warm-start
+    /// cache.
     ///
     /// # Errors
     ///

@@ -1,3 +1,5 @@
+use std::borrow::Borrow;
+
 use fmeter_ir::{dot_sparse_dense, Metric, SparseVec, TermId};
 use rand::rngs::SmallRng;
 use rand::seq::index::sample;
@@ -6,13 +8,23 @@ use serde::{Deserialize, Serialize};
 
 use crate::MlError;
 
-/// A centroid kept as a reusable dense buffer plus a sparse view.
+#[cfg(test)]
+mod oracle;
+
+/// Centroids per block of the fused assignment kernel: the inner
+/// products it advances together, in one `[f64; LANES]` accumulator the
+/// compiler keeps in registers. Four `f64` lanes are two SSE2 or one AVX2
+/// vector, and already turn the per-term cost from `k` dependent adds
+/// into `k / LANES`.
+const LANES: usize = 4;
+
+/// One centroid as a dense buffer plus a sparse view, both rewritten in
+/// place after every update step — no per-iteration allocation.
 ///
-/// The dense form serves the O(nnz) inner products of the assignment step
-/// (`x · c` without a merge-join); the sparse view serves the metrics that
-/// genuinely need a merge over both supports (L1/Lp). Both are rewritten
-/// in place after every update step — no per-iteration allocation once the
-/// buffers reach their high-water capacity.
+/// The dense form is what [`Centroids::refresh_lanes`] transposes into
+/// the assignment kernel's layout, and what a single point-to-centroid
+/// distance (empty-cluster repair) reads; the sparse view serves the
+/// metrics that genuinely need a merge over both supports (L1/Lp).
 #[derive(Debug, Clone)]
 struct CentroidBuf {
     dense: Vec<f64>,
@@ -72,6 +84,157 @@ impl CentroidBuf {
     }
 }
 
+/// The `k` centroids of a fit and, for the metrics that reduce to an
+/// inner product (Euclidean, Cosine), the layout the fused assignment
+/// kernel reads them in.
+///
+/// `lanes` is term-major in blocks of [`LANES`] centroids:
+/// `lanes[b * dim + t][l]` is centroid `b * LANES + l` at term `t`, so
+/// one walk over a point's `(term, value)` pairs feeds `LANES` inner
+/// products from one 32-byte load per term. Lanes past `k` in the last
+/// block stay zero and are never compared. It is rewritten from the
+/// dense buffers whenever the centroids change — once per assignment
+/// sweep, by the thread that owns the update — and stays empty for
+/// L1/Lp, which merge-join against the sparse views instead.
+#[derive(Debug)]
+struct Centroids {
+    bufs: Vec<CentroidBuf>,
+    lanes: Vec<[f64; LANES]>,
+}
+
+impl Centroids {
+    /// `k` all-zero centroids; `fused` says whether the metric runs the
+    /// lane kernel and so needs the layout kept.
+    fn new(k: usize, dim: usize, fused: bool) -> Self {
+        let blocks = if fused { k.div_ceil(LANES) } else { 0 };
+        Centroids {
+            bufs: vec![CentroidBuf::new(dim); k],
+            lanes: vec![[0.0; LANES]; blocks * dim],
+        }
+    }
+
+    fn dim(&self) -> usize {
+        self.bufs[0].dense.len()
+    }
+
+    /// Seeds centroid `c` from data point `points[seeds[c]]`.
+    fn set_from_points(&mut self, points: &[&SparseVec], seeds: &[usize]) {
+        for (buf, &s) in self.bufs.iter_mut().zip(seeds) {
+            buf.set_from_point(points[s]);
+        }
+        self.refresh_lanes();
+    }
+
+    /// Rewrites every centroid to its cluster mean, dividing `sums` in
+    /// place. Every cluster must have a member.
+    fn set_from_means(&mut self, sums: &mut ClusterSums) {
+        for (c, buf) in self.bufs.iter_mut().enumerate() {
+            let members = sums.counts[c] as f64;
+            let mean = sums.row_mut(c);
+            for v in mean.iter_mut() {
+                *v /= members;
+            }
+            buf.set_from_mean(mean);
+        }
+        self.refresh_lanes();
+    }
+
+    /// Transposes the dense buffers into the kernel's lane layout.
+    fn refresh_lanes(&mut self) {
+        if self.lanes.is_empty() {
+            return;
+        }
+        let dim = self.dim();
+        for (block, bufs) in self.lanes.chunks_mut(dim).zip(self.bufs.chunks(LANES)) {
+            for (l, buf) in bufs.iter().enumerate() {
+                for (slot, &v) in block.iter_mut().zip(&buf.dense) {
+                    slot[l] = v;
+                }
+            }
+        }
+    }
+
+    fn to_sparse(&self) -> Vec<SparseVec> {
+        self.bufs.iter().map(CentroidBuf::to_sparse).collect()
+    }
+}
+
+/// Per-cluster sums (flattened `k * dim`) and member counts: the input
+/// of the update step. The sequential loops own one; on the pool path
+/// every worker fills one for its chunk and the main thread merges them
+/// at the barrier in chunk order.
+#[derive(Debug)]
+struct ClusterSums {
+    sums: Vec<f64>,
+    counts: Vec<usize>,
+    dim: usize,
+}
+
+impl ClusterSums {
+    fn new(k: usize, dim: usize) -> Self {
+        ClusterSums {
+            sums: vec![0.0f64; k * dim],
+            counts: vec![0usize; k],
+            dim,
+        }
+    }
+
+    fn row_mut(&mut self, c: usize) -> &mut [f64] {
+        &mut self.sums[c * self.dim..(c + 1) * self.dim]
+    }
+
+    /// Adds `p` to cluster `c`'s sum (not to its count).
+    fn scatter(&mut self, c: usize, p: &SparseVec) {
+        let row = self.row_mut(c);
+        for (t, v) in p.iter() {
+            row[t as usize] += v;
+        }
+    }
+
+    /// Overwrites `self` with the sums and counts of `assignments`,
+    /// accumulated from `+0.0` in point order — the one arithmetic every
+    /// centroid mean in this module comes from, which is what lets a
+    /// warm start reproduce a converged fit bit for bit.
+    fn accumulate(&mut self, points: &[&SparseVec], assignments: &[usize]) {
+        self.sums.fill(0.0);
+        self.counts.fill(0);
+        for (p, &c) in points.iter().zip(assignments) {
+            self.counts[c] += 1;
+            self.scatter(c, p);
+        }
+    }
+
+    /// Overwrites `self` with one worker's sums — the handoff for the
+    /// *first* chunk of a round, in place of zeroing and adding. Sums
+    /// are never `-0.0` (accumulation starts at `+0.0`, and under
+    /// default rounding IEEE-754 addition cannot reach `-0.0` from
+    /// there), so the straight copy is bit-identical to zero-then-add.
+    fn copy_from(&mut self, part: &ClusterSums) {
+        self.sums.copy_from_slice(&part.sums);
+        self.counts.copy_from_slice(&part.counts);
+    }
+
+    /// Folds one worker's sums and counts into `self`.
+    fn merge(&mut self, part: &ClusterSums) {
+        for (dst, &v) in self.sums.iter_mut().zip(&part.sums) {
+            if v != 0.0 {
+                *dst += v;
+            }
+        }
+        for (dst, &c) in self.counts.iter_mut().zip(&part.counts) {
+            *dst += c;
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Assignment sweeps made by the current thread, so tests can assert
+    /// how many a fit cost. Sequential paths only: pool workers count on
+    /// their own threads.
+    static SWEEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Centroid initialisation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum KMeansInit {
@@ -124,25 +287,10 @@ pub struct KMeans {
 /// Minimum `n * k` before the assignment step fans out across a worker
 /// pool; below this the pool spawn cost (one thread per worker for the
 /// whole run, ~1 ms each on some kernels) dominates the distance work.
+/// Measured against the fused sweep on two cores: at this size two
+/// workers are level with or ahead of one thread (0.9-1.5x over
+/// k = 4, 8 and 16), and clearly ahead from four times it.
 const PARALLEL_ASSIGN_THRESHOLD: usize = 1 << 16;
-
-/// One worker's share of the assignment step: partial centroid sums
-/// (flattened `k * dim`) and member counts, merged into the shared
-/// accumulators at the barrier.
-#[derive(Debug, Clone)]
-struct AssignPartial {
-    sums: Vec<f64>,
-    counts: Vec<usize>,
-}
-
-impl AssignPartial {
-    fn new(k: usize, dim: usize) -> Self {
-        AssignPartial {
-            sums: vec![0.0f64; k * dim],
-            counts: vec![0usize; k],
-        }
-    }
-}
 
 /// Outcome of a K-means run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -228,7 +376,9 @@ impl KMeans {
         self
     }
 
-    /// Runs K-means over `points`.
+    /// Runs K-means over `points` — owned vectors or references to
+    /// vectors stored elsewhere (`&[SparseVec]`, `&[&SparseVec]`, …);
+    /// nothing is copied either way.
     ///
     /// # Errors
     ///
@@ -236,10 +386,12 @@ impl KMeans {
     /// * [`MlError::EmptyInput`] if `points` is empty,
     /// * [`MlError::NotEnoughData`] if `points.len() < k`,
     /// * [`MlError::Ir`] if the points disagree on dimensionality.
-    pub fn run(&self, points: &[SparseVec]) -> Result<KMeansResult, MlError> {
+    pub fn run<P: Borrow<SparseVec>>(&self, points: &[P]) -> Result<KMeansResult, MlError> {
+        let points: Vec<&SparseVec> = points.iter().map(Borrow::borrow).collect();
+        let points = &points[..];
         self.validate_inputs(points)?;
         // Point norms are loop invariants of the whole fit: compute once.
-        let sq_norms: Vec<f64> = points.iter().map(SparseVec::norm_l2_sq).collect();
+        let sq_norms: Vec<f64> = points.iter().map(|p| p.norm_l2_sq()).collect();
         let norms: Vec<f64> = sq_norms.iter().map(|s| s.sqrt()).collect();
         let mut best: Option<KMeansResult> = None;
         for restart in 0..self.restarts {
@@ -258,7 +410,7 @@ impl KMeans {
 
     /// The shared input contract of [`run`](Self::run) and
     /// [`fit_warm`](Self::fit_warm).
-    fn validate_inputs(&self, points: &[SparseVec]) -> Result<(), MlError> {
+    fn validate_inputs(&self, points: &[&SparseVec]) -> Result<(), MlError> {
         if self.k == 0 {
             return Err(MlError::InvalidConfig("k must be at least 1".into()));
         }
@@ -290,16 +442,20 @@ impl KMeans {
     ///
     /// The initial centroids are the per-cluster means of
     /// `prev_assignment`, accumulated in point order — exactly the
-    /// arithmetic of the sequential update step — so feeding back a
-    /// *converged* assignment reaches its fixpoint immediately: the
-    /// first assignment pass reproduces `prev_assignment`, the run
-    /// stops after that single iteration, and the returned centroids
-    /// are bit-identical to the converged ones (pinned by the
-    /// warm-start equivalence tests). After bounded churn the loop
-    /// instead runs the few iterations needed to re-converge — the cost
-    /// profile behind the incremental `recluster()` surface in
-    /// `fmeter-core`, and the `cluster/kmeans_warm_vs_cold_10k` pin in
-    /// `BENCH_ir.json`.
+    /// arithmetic of the update step — so feeding back a *converged*
+    /// assignment reaches its fixpoint immediately: the first assignment
+    /// sweep reproduces `prev_assignment` and the fit returns from that
+    /// sweep, its assignments, distances and inertia being the final
+    /// ones, with centroids bit-identical to the converged ones (pinned
+    /// by the warm-start equivalence tests). That fit reads the points
+    /// twice — one sweep for the norms and the seeding sums, one
+    /// assignment sweep — where a cold fit pays k-means++ seeding and
+    /// every restart's Lloyd iterations. After bounded churn the loop
+    /// instead runs the few iterations the moved points need, each an
+    /// assignment sweep plus the point-order sums of the update step.
+    /// This is the cost profile behind the incremental `recluster()`
+    /// surface in `fmeter-core`, and the
+    /// `cluster/kmeans_warm_vs_cold_10k` pin in `BENCH_ir.json`.
     ///
     /// Convergence is detected by assignment fixpoint (in addition to
     /// the inertia tolerance of [`run`](Self::run)); the loop always
@@ -314,11 +470,13 @@ impl KMeans {
     /// [`MlError::InvalidConfig`] when `prev_assignment` has the wrong
     /// length, names a cluster `>= k`, or leaves any cluster empty
     /// (callers with emptied clusters should fall back to a cold run).
-    pub fn fit_warm(
+    pub fn fit_warm<P: Borrow<SparseVec>>(
         &self,
-        points: &[SparseVec],
+        points: &[P],
         prev_assignment: &[usize],
     ) -> Result<KMeansResult, MlError> {
+        let points: Vec<&SparseVec> = points.iter().map(Borrow::borrow).collect();
+        let points = &points[..];
         self.validate_inputs(points)?;
         if prev_assignment.len() != points.len() {
             return Err(MlError::InvalidConfig(format!(
@@ -327,7 +485,8 @@ impl KMeans {
                 points.len()
             )));
         }
-        let mut counts = vec![0usize; self.k];
+        let dim = points[0].dim();
+        let mut sums = ClusterSums::new(self.k, dim);
         for &a in prev_assignment {
             if a >= self.k {
                 return Err(MlError::InvalidConfig(format!(
@@ -335,55 +494,44 @@ impl KMeans {
                     self.k
                 )));
             }
-            counts[a] += 1;
+            sums.counts[a] += 1;
         }
-        if let Some(empty) = counts.iter().position(|&c| c == 0) {
+        if let Some(empty) = sums.counts.iter().position(|&c| c == 0) {
             return Err(MlError::InvalidConfig(format!(
                 "warm start needs every cluster populated; cluster {empty} is empty"
             )));
         }
-        let dim = points[0].dim();
-        let sq_norms: Vec<f64> = points.iter().map(SparseVec::norm_l2_sq).collect();
-        let norms: Vec<f64> = sq_norms.iter().map(|s| s.sqrt()).collect();
-        // Seed centroids as the means of the previous assignment, with
-        // the accumulation order of the sequential assignment step.
-        let mut sums = vec![vec![0.0f64; dim]; self.k];
+        // The seeding sweep: each point's norm, and its contribution to
+        // the mean of its previous cluster in the accumulation order of
+        // the update step.
+        let mut sq_norms = Vec::with_capacity(points.len());
         for (p, &a) in points.iter().zip(prev_assignment) {
-            for (t, v) in p.iter() {
-                sums[a][t as usize] += v;
-            }
+            sq_norms.push(p.norm_l2_sq());
+            sums.scatter(a, p);
         }
-        let mut centroids: Vec<CentroidBuf> = Vec::with_capacity(self.k);
-        for (sum, &members) in sums.iter_mut().zip(&counts) {
-            for v in sum.iter_mut() {
-                *v /= members as f64;
-            }
-            let mut buf = CentroidBuf::new(dim);
-            buf.set_from_mean(sum);
-            centroids.push(buf);
-        }
-        Ok(self.lloyd_warm(points, &sq_norms, &norms, centroids, prev_assignment))
+        let norms: Vec<f64> = sq_norms.iter().map(|s| s.sqrt()).collect();
+        let mut centroids = Centroids::new(self.k, dim, self.fused());
+        centroids.set_from_means(&mut sums);
+        Ok(self.lloyd_warm(points, &sq_norms, &norms, centroids, sums, prev_assignment))
     }
 
     /// The warm-start Lloyd loop: sequential assignment with an
     /// assignment-fixpoint convergence check layered over the usual
-    /// inertia tolerance.
+    /// inertia tolerance. `sums` is the seeding's buffer, reused for the
+    /// update steps of the sweeps that move a point.
     fn lloyd_warm(
         &self,
-        points: &[SparseVec],
+        points: &[&SparseVec],
         sq_norms: &[f64],
         norms: &[f64],
-        mut centroids: Vec<CentroidBuf>,
+        mut centroids: Centroids,
+        mut sums: ClusterSums,
         prev_assignment: &[usize],
     ) -> KMeansResult {
-        let dim = points[0].dim();
         let n = points.len();
         let mut current = prev_assignment.to_vec();
         let mut assignments = vec![0usize; n];
         let mut d_sqs = vec![0.0f64; n];
-        let mut partial = AssignPartial::new(self.k, dim);
-        let mut sums = vec![vec![0.0f64; dim]; self.k];
-        let mut counts = vec![0usize; self.k];
         let mut previous_inertia = f64::INFINITY;
         let mut iterations = 0;
         let mut converged = false;
@@ -396,19 +544,22 @@ impl KMeans {
                 &centroids,
                 &mut assignments,
                 &mut d_sqs,
-                &mut partial,
             );
             let inertia: f64 = d_sqs.iter().sum();
             if assignments == current {
                 // Assignment fixpoint: the centroids are already the
-                // means of exactly this assignment (the seeding above,
-                // or the previous round's update), so another update
-                // pass would rewrite them with themselves.
-                converged = true;
-                break;
+                // means of exactly this assignment (the seeding, or the
+                // previous round's update), so an update would rewrite
+                // them with themselves and this sweep is the final one.
+                return KMeansResult {
+                    centroids: centroids.to_sparse(),
+                    assignments,
+                    inertia,
+                    iterations,
+                    converged: true,
+                };
             }
-            current.copy_from_slice(&assignments);
-            Self::copy_partial(&mut sums, &mut counts, &partial);
+            sums.accumulate(points, &assignments);
             self.finish_update(
                 points,
                 sq_norms,
@@ -416,10 +567,9 @@ impl KMeans {
                 &mut centroids,
                 &mut assignments,
                 &mut sums,
-                &mut counts,
             );
-            // Empty-cluster repair inside finish_update may have moved a
-            // point; keep the fixpoint reference in lockstep.
+            // After the update, because its empty-cluster repair may
+            // have moved a point.
             current.copy_from_slice(&assignments);
             if (previous_inertia - inertia).abs() <= self.tol {
                 converged = true;
@@ -427,8 +577,7 @@ impl KMeans {
             }
             previous_inertia = inertia;
         }
-        // Final assignment against the final centroids (identical to
-        // the in-loop pass when the fixpoint fired, by definition).
+        // Final assignment against the final centroids.
         self.assign_chunk(
             points,
             sq_norms,
@@ -436,11 +585,10 @@ impl KMeans {
             &centroids,
             &mut assignments,
             &mut d_sqs,
-            &mut partial,
         );
         let inertia: f64 = d_sqs.iter().sum();
         KMeansResult {
-            centroids: centroids.iter().map(CentroidBuf::to_sparse).collect(),
+            centroids: centroids.to_sparse(),
             assignments,
             inertia,
             iterations,
@@ -450,22 +598,17 @@ impl KMeans {
 
     fn run_once(
         &self,
-        points: &[SparseVec],
+        points: &[&SparseVec],
         sq_norms: &[f64],
         norms: &[f64],
         rng: &mut SmallRng,
     ) -> KMeansResult {
-        let dim = points[0].dim();
         let seeds = match self.init {
             KMeansInit::Random => self.init_random(points, rng),
             KMeansInit::KMeansPlusPlus => self.init_plusplus(points, rng),
         };
-        let mut centroids: Vec<CentroidBuf> = Vec::with_capacity(self.k);
-        for &s in &seeds {
-            let mut c = CentroidBuf::new(dim);
-            c.set_from_point(&points[s]);
-            centroids.push(c);
-        }
+        let mut centroids = Centroids::new(self.k, points[0].dim(), self.fused());
+        centroids.set_from_points(points, &seeds);
         let threads = self.effective_threads(points.len());
         if threads <= 1 {
             self.lloyd_sequential(points, sq_norms, norms, centroids)
@@ -477,27 +620,21 @@ impl KMeans {
     /// The Lloyd loop with an inline single-threaded assignment step.
     fn lloyd_sequential(
         &self,
-        points: &[SparseVec],
+        points: &[&SparseVec],
         sq_norms: &[f64],
         norms: &[f64],
-        mut centroids: Vec<CentroidBuf>,
+        mut centroids: Centroids,
     ) -> KMeansResult {
-        let dim = points[0].dim();
         let n = points.len();
         let mut assignments = vec![0usize; n];
         let mut d_sqs = vec![0.0f64; n];
-        // Reusable accumulators — allocated once per run, not once per
-        // iteration.
-        let mut partial = AssignPartial::new(self.k, dim);
-        let mut sums = vec![vec![0.0f64; dim]; self.k];
-        let mut counts = vec![0usize; self.k];
+        // Allocated once per run, not once per iteration.
+        let mut sums = ClusterSums::new(self.k, centroids.dim());
         let mut previous_inertia = f64::INFINITY;
         let mut iterations = 0;
         let mut converged = false;
         for iter in 0..self.max_iters {
             iterations = iter + 1;
-            // Assignment step: O(nnz) per point-centroid pair, no
-            // temporaries.
             self.assign_chunk(
                 points,
                 sq_norms,
@@ -505,12 +642,9 @@ impl KMeans {
                 &centroids,
                 &mut assignments,
                 &mut d_sqs,
-                &mut partial,
             );
             let inertia: f64 = d_sqs.iter().sum();
-            // Single worker: its partial IS the merged state — overwrite
-            // instead of zeroing the global arrays and re-adding.
-            Self::copy_partial(&mut sums, &mut counts, &partial);
+            sums.accumulate(points, &assignments);
             self.finish_update(
                 points,
                 sq_norms,
@@ -518,7 +652,6 @@ impl KMeans {
                 &mut centroids,
                 &mut assignments,
                 &mut sums,
-                &mut counts,
             );
             if (previous_inertia - inertia).abs() <= self.tol {
                 converged = true;
@@ -534,11 +667,10 @@ impl KMeans {
             &centroids,
             &mut assignments,
             &mut d_sqs,
-            &mut partial,
         );
         let inertia: f64 = d_sqs.iter().sum();
         KMeansResult {
-            centroids: centroids.iter().map(CentroidBuf::to_sparse).collect(),
+            centroids: centroids.to_sparse(),
             assignments,
             inertia,
             iterations,
@@ -550,17 +682,18 @@ impl KMeans {
     /// whole run: spawning threads per iteration costs up to a
     /// millisecond on some kernels, which would swallow the parallel
     /// speed-up, so each worker blocks on a channel and processes its
-    /// fixed chunk of points every round. Centroids travel through an
-    /// `RwLock` (workers read during the assignment phase, the main
-    /// thread writes strictly between rounds), and the chunk buffers
-    /// travel by ownership through the channels — no locking inside the
-    /// per-point hot loop.
+    /// fixed chunk of points every round. Centroids — lane layout
+    /// included, so it is built once per round and not once per worker —
+    /// travel through an `RwLock` (workers read during the assignment
+    /// phase, the main thread writes strictly between rounds), and the
+    /// chunk buffers travel by ownership through the channels — no
+    /// locking inside the per-point hot loop.
     fn lloyd_parallel(
         &self,
-        points: &[SparseVec],
+        points: &[&SparseVec],
         sq_norms: &[f64],
         norms: &[f64],
-        centroids: Vec<CentroidBuf>,
+        centroids: Centroids,
         threads: usize,
     ) -> KMeansResult {
         use std::sync::{mpsc, RwLock};
@@ -573,10 +706,10 @@ impl KMeans {
             hi: usize,
             assignments: Vec<usize>,
             d_sqs: Vec<f64>,
-            partial: AssignPartial,
+            sums: ClusterSums,
         }
 
-        let dim = points[0].dim();
+        let dim = centroids.dim();
         let n = points.len();
         let chunk_len = n.div_ceil(threads);
         let centroid_lock = RwLock::new(centroids);
@@ -595,7 +728,7 @@ impl KMeans {
                     hi,
                     assignments: vec![0usize; hi - lo],
                     d_sqs: vec![0.0f64; hi - lo],
-                    partial: AssignPartial::new(self.k, dim),
+                    sums: ClusterSums::new(self.k, dim),
                 }));
                 let done_tx = done_tx.clone();
                 let centroid_lock = &centroid_lock;
@@ -609,9 +742,10 @@ impl KMeans {
                             &centroids,
                             &mut job.assignments,
                             &mut job.d_sqs,
-                            &mut job.partial,
                         );
                         drop(centroids);
+                        job.sums
+                            .accumulate(&points[job.lo..job.hi], &job.assignments);
                         if done_tx.send(job).is_err() {
                             break;
                         }
@@ -639,8 +773,7 @@ impl KMeans {
                 };
             let mut assignments = vec![0usize; n];
             let mut d_sqs = vec![0.0f64; n];
-            let mut sums = vec![vec![0.0f64; dim]; self.k];
-            let mut counts = vec![0usize; self.k];
+            let mut sums = ClusterSums::new(self.k, dim);
             let mut previous_inertia = f64::INFINITY;
             let mut iterations = 0;
             let mut converged = false;
@@ -649,21 +782,14 @@ impl KMeans {
                 assign_round(&mut slots, &mut assignments, &mut d_sqs);
                 // Summed in point order: bit-identical to sequential.
                 let inertia: f64 = d_sqs.iter().sum();
-                // Merge the workers' partial sums in chunk order
-                // (deterministic for a fixed thread count). The first
-                // partial overwrites the global buffers outright — the
-                // barrier no longer pays a zeroing pass per round.
-                let mut first = true;
-                for job in slots.iter().flatten() {
-                    if first {
-                        Self::copy_partial(&mut sums, &mut counts, &job.partial);
-                        first = false;
-                    } else {
-                        Self::merge_partial(&mut sums, &mut counts, &job.partial);
-                    }
-                }
-                if first {
-                    Self::reset_accumulators(&mut sums, &mut counts);
+                // Merge the workers' sums in chunk order (deterministic
+                // for a fixed thread count). The first chunk's overwrite
+                // the merged buffers outright — the barrier pays no
+                // zeroing pass per round.
+                let mut parts = slots.iter().flatten();
+                sums.copy_from(&parts.next().expect("at least one worker").sums);
+                for job in parts {
+                    sums.merge(&job.sums);
                 }
                 {
                     let mut centroids = centroid_lock.write().expect("centroid lock");
@@ -674,7 +800,6 @@ impl KMeans {
                         &mut centroids,
                         &mut assignments,
                         &mut sums,
-                        &mut counts,
                     );
                 }
                 if (previous_inertia - inertia).abs() <= self.tol {
@@ -689,7 +814,7 @@ impl KMeans {
             drop(job_txs); // workers drain and exit before the scope joins
             let centroids = centroid_lock.read().expect("centroid lock");
             KMeansResult {
-                centroids: centroids.iter().map(CentroidBuf::to_sparse).collect(),
+                centroids: centroids.to_sparse(),
                 assignments,
                 inertia,
                 iterations,
@@ -698,69 +823,30 @@ impl KMeans {
         })
     }
 
-    /// Zeroes the merged update-step accumulators.
-    fn reset_accumulators(sums: &mut [Vec<f64>], counts: &mut [usize]) {
-        for s in sums.iter_mut() {
-            s.fill(0.0);
-        }
-        counts.fill(0);
-    }
-
-    /// Overwrites the merged accumulators with one worker's partial —
-    /// the double-buffered handoff for the *first* partial of a round,
-    /// replacing a full zeroing pass over the global arrays. Partial
-    /// sums are never `-0.0` (accumulation starts at `+0.0`, and under
-    /// default rounding IEEE-754 addition cannot reach `-0.0` from
-    /// there), so the straight copy is bit-identical to zero-then-add.
-    fn copy_partial(sums: &mut [Vec<f64>], counts: &mut [usize], part: &AssignPartial) {
-        let dim = sums.first().map_or(0, Vec::len);
-        for (c, sum) in sums.iter_mut().enumerate() {
-            counts[c] = part.counts[c];
-            sum.copy_from_slice(&part.sums[c * dim..(c + 1) * dim]);
-        }
-    }
-
-    /// Folds one worker's partial centroid sums and counts into the
-    /// merged accumulators.
-    fn merge_partial(sums: &mut [Vec<f64>], counts: &mut [usize], part: &AssignPartial) {
-        let dim = sums.first().map_or(0, Vec::len);
-        for (c, sum) in sums.iter_mut().enumerate() {
-            counts[c] += part.counts[c];
-            let src = &part.sums[c * dim..(c + 1) * dim];
-            for (dst, &v) in sum.iter_mut().zip(src) {
-                if v != 0.0 {
-                    *dst += v;
-                }
-            }
-        }
-    }
-
-    /// Second half of a Lloyd iteration, after `sums`/`counts` hold the
-    /// merged per-cluster accumulations: empty clusters adopt the point
+    /// Second half of a Lloyd iteration, after `sums` holds the merged
+    /// per-cluster accumulations: empty clusters adopt the point
     /// farthest from its centroid, then every centroid is rewritten to
     /// its cluster mean.
-    #[allow(clippy::too_many_arguments)]
     fn finish_update(
         &self,
-        points: &[SparseVec],
+        points: &[&SparseVec],
         sq_norms: &[f64],
         norms: &[f64],
-        centroids: &mut [CentroidBuf],
+        centroids: &mut Centroids,
         assignments: &mut [usize],
-        sums: &mut [Vec<f64>],
-        counts: &mut [usize],
+        sums: &mut ClusterSums,
     ) {
         // Empty clusters adopt the point farthest from its centroid.
         for c in 0..self.k {
-            if counts[c] == 0 {
+            if sums.counts[c] == 0 {
                 let far_idx = (0..points.len())
                     .map(|i| {
                         let a = assignments[i];
                         let d_sq = self.point_centroid_dist_sq(
-                            &points[i],
+                            points[i],
                             sq_norms[i],
                             norms[i],
-                            &centroids[a],
+                            &centroids.bufs[a],
                         );
                         (i, d_sq)
                     })
@@ -768,22 +854,17 @@ impl KMeans {
                     .expect("points is non-empty")
                     .0;
                 assignments[far_idx] = c;
-                counts[c] = 1;
-                sums[c].fill(0.0);
+                sums.counts[c] = 1;
+                let row = sums.row_mut(c);
+                row.fill(0.0);
                 for (t, v) in points[far_idx].iter() {
-                    sums[c][t as usize] = v;
+                    row[t as usize] = v;
                 }
                 // Note: the donor cluster keeps its stale sum this round;
                 // the next iteration's assignment step repairs it.
             }
         }
-        for (c, sum) in sums.iter_mut().enumerate() {
-            let members = counts[c] as f64;
-            for v in sum.iter_mut() {
-                *v /= members;
-            }
-            centroids[c].set_from_mean(sum);
-        }
+        centroids.set_from_means(sums);
     }
 
     /// Worker-thread count for the assignment step over `n` points.
@@ -800,46 +881,133 @@ impl KMeans {
         requested.clamp(1, n.max(1))
     }
 
-    /// Assigns one contiguous chunk of points, accumulating the chunk's
-    /// centroid sums and counts into `part` (zeroed here, by the owning
-    /// worker).
+    /// Whether the metric reduces to an inner product against the
+    /// centroid, and so runs the fused lane kernel.
+    fn fused(&self) -> bool {
+        matches!(self.metric, Metric::Euclidean | Metric::Cosine)
+    }
+
+    /// One assignment sweep over a contiguous chunk of points: each
+    /// point's nearest centroid (lowest index on an exact tie) and its
+    /// squared distance to it.
     ///
-    /// Assignments and squared distances are pure per-point functions of
-    /// the current centroids, so a single pass is thread-count
-    /// independent given the same centroids.
-    #[allow(clippy::too_many_arguments)]
+    /// Both are pure per-point functions of the current centroids, so a
+    /// sweep is thread-count independent given the same centroids.
     fn assign_chunk(
         &self,
-        points: &[SparseVec],
+        points: &[&SparseVec],
         sq_norms: &[f64],
         norms: &[f64],
-        centroids: &[CentroidBuf],
+        centroids: &Centroids,
         assignments: &mut [usize],
         d_sqs: &mut [f64],
-        part: &mut AssignPartial,
     ) {
-        let dim = centroids[0].dense.len();
-        part.sums.fill(0.0);
-        part.counts.fill(0);
-        for (i, p) in points.iter().enumerate() {
-            let (cluster, d_sq) = self.nearest(centroids, p, sq_norms[i], norms[i]);
-            assignments[i] = cluster;
-            d_sqs[i] = d_sq;
-            part.counts[cluster] += 1;
-            let row = &mut part.sums[cluster * dim..(cluster + 1) * dim];
-            for (t, v) in p.iter() {
-                row[t as usize] += v;
-            }
+        #[cfg(test)]
+        SWEEPS.with(|s| s.set(s.get() + 1));
+        if self.fused() {
+            self.assign_fused(points, sq_norms, norms, centroids, assignments, d_sqs);
+        } else {
+            self.assign_per_centroid(points, sq_norms, norms, centroids, assignments, d_sqs);
         }
     }
 
-    /// Squared distance from a point to a centroid buffer under the
-    /// configured metric, with zero heap allocation.
+    /// The Euclidean/Cosine sweep: one walk over a point's `(term,
+    /// value)` pairs per block of [`LANES`] centroids, advancing the
+    /// block's inner products together.
     ///
-    /// Euclidean expands to `‖x‖² − 2·x·c + ‖c‖²` against the dense
-    /// centroid (O(nnz(x)) instead of a merge over both supports); cosine
-    /// reuses the cached norms; L1/Lp merge-join the point against the
-    /// centroid's sparse view.
+    /// Each lane adds `v * c[t]` in ascending-term order from `+0.0`,
+    /// which is exactly the addition sequence of
+    /// [`dot_sparse_dense`] against that centroid alone; the lanes never
+    /// mix, the distance formula is shared with the per-centroid path,
+    /// and candidates are compared in ascending centroid index with a
+    /// strict `<`. So the sweep is `f64::to_bits`-identical to
+    /// [`assign_per_centroid`](Self::assign_per_centroid) (which the
+    /// tests keep as its oracle); what changes is that the `k` chains of
+    /// dependent adds run side by side instead of one after another.
+    fn assign_fused(
+        &self,
+        points: &[&SparseVec],
+        sq_norms: &[f64],
+        norms: &[f64],
+        centroids: &Centroids,
+        assignments: &mut [usize],
+        d_sqs: &mut [f64],
+    ) {
+        let dim = centroids.dim();
+        for (i, p) in points.iter().enumerate() {
+            let mut best = (0usize, f64::INFINITY);
+            for (b, bufs) in centroids.bufs.chunks(LANES).enumerate() {
+                let block = &centroids.lanes[b * dim..(b + 1) * dim];
+                let mut dots = [0.0f64; LANES];
+                for (&t, &v) in p.terms().iter().zip(p.values()) {
+                    let c = &block[t as usize];
+                    for (dot, &w) in dots.iter_mut().zip(c) {
+                        *dot += v * w;
+                    }
+                }
+                for (l, buf) in bufs.iter().enumerate() {
+                    let d_sq = self.dist_sq_from_dot(dots[l], sq_norms[i], norms[i], buf);
+                    if d_sq < best.1 {
+                        best = (b * LANES + l, d_sq);
+                    }
+                }
+            }
+            assignments[i] = best.0;
+            d_sqs[i] = best.1;
+        }
+    }
+
+    /// The sweep one centroid at a time: the production path of L1/Lp,
+    /// and for Euclidean/Cosine the oracle the tests hold
+    /// [`assign_fused`](Self::assign_fused) to.
+    fn assign_per_centroid(
+        &self,
+        points: &[&SparseVec],
+        sq_norms: &[f64],
+        norms: &[f64],
+        centroids: &Centroids,
+        assignments: &mut [usize],
+        d_sqs: &mut [f64],
+    ) {
+        for (i, p) in points.iter().enumerate() {
+            let mut best = (0usize, f64::INFINITY);
+            for (c, centroid) in centroids.bufs.iter().enumerate() {
+                let d_sq = self.point_centroid_dist_sq(p, sq_norms[i], norms[i], centroid);
+                if d_sq < best.1 {
+                    best = (c, d_sq);
+                }
+            }
+            assignments[i] = best.0;
+            d_sqs[i] = best.1;
+        }
+    }
+
+    /// Squared Euclidean or Cosine distance from a point to a centroid,
+    /// given their inner product `dot`.
+    ///
+    /// Euclidean expands to `‖x‖² − 2·x·c + ‖c‖²`; cosine reuses the
+    /// cached norms.
+    fn dist_sq_from_dot(&self, dot: f64, p_sq_norm: f64, p_norm: f64, c: &CentroidBuf) -> f64 {
+        if self.metric == Metric::Cosine {
+            let denom = p_norm * c.norm;
+            let sim = if denom == 0.0 {
+                0.0
+            } else {
+                (dot / denom).clamp(-1.0, 1.0)
+            };
+            let d = 1.0 - sim;
+            d * d
+        } else {
+            // Cancellation can leave a tiny negative; clamp to keep
+            // sqrt-free inertia sums non-negative.
+            (p_sq_norm - 2.0 * dot + c.sq_norm).max(0.0)
+        }
+    }
+
+    /// Squared distance from a point to one centroid under the
+    /// configured metric, with zero heap allocation: an O(nnz(x)) inner
+    /// product against the dense centroid for Euclidean and Cosine, a
+    /// merge-join against the centroid's sparse view for L1/Lp.
     fn point_centroid_dist_sq(
         &self,
         p: &SparseVec,
@@ -847,55 +1015,25 @@ impl KMeans {
         p_norm: f64,
         c: &CentroidBuf,
     ) -> f64 {
-        match self.metric {
-            Metric::Euclidean => {
-                let dot = dot_sparse_dense(p.terms(), p.values(), &c.dense);
-                // Cancellation can leave a tiny negative; clamp to keep
-                // sqrt-free inertia sums non-negative.
-                (p_sq_norm - 2.0 * dot + c.sq_norm).max(0.0)
-            }
-            Metric::Cosine => {
-                let denom = p_norm * c.norm;
-                let sim = if denom == 0.0 {
-                    0.0
-                } else {
-                    (dot_sparse_dense(p.terms(), p.values(), &c.dense) / denom).clamp(-1.0, 1.0)
-                };
-                let d = 1.0 - sim;
-                d * d
-            }
-            metric => metric
+        if self.fused() {
+            let dot = dot_sparse_dense(p.terms(), p.values(), &c.dense);
+            self.dist_sq_from_dot(dot, p_sq_norm, p_norm, c)
+        } else {
+            self.metric
                 .distance_sq_slices(p.terms(), p.values(), &c.terms, &c.values)
-                .expect("metric parameters validated in run()"),
+                .expect("metric parameters validated in run()")
         }
-    }
-
-    fn nearest(
-        &self,
-        centroids: &[CentroidBuf],
-        p: &SparseVec,
-        p_sq_norm: f64,
-        p_norm: f64,
-    ) -> (usize, f64) {
-        let mut best = (0usize, f64::INFINITY);
-        for (c, centroid) in centroids.iter().enumerate() {
-            let d_sq = self.point_centroid_dist_sq(p, p_sq_norm, p_norm, centroid);
-            if d_sq < best.1 {
-                best = (c, d_sq);
-            }
-        }
-        best
     }
 
     /// Uniformly random distinct seed points.
-    fn init_random(&self, points: &[SparseVec], rng: &mut SmallRng) -> Vec<usize> {
+    fn init_random(&self, points: &[&SparseVec], rng: &mut SmallRng) -> Vec<usize> {
         sample(rng, points.len(), self.k).iter().collect()
     }
 
     /// k-means++ D² seeding over point indices; distances use the fused
     /// squared-distance kernel directly (no sqrt/square round trip and no
     /// difference vectors).
-    fn init_plusplus(&self, points: &[SparseVec], rng: &mut SmallRng) -> Vec<usize> {
+    fn init_plusplus(&self, points: &[&SparseVec], rng: &mut SmallRng) -> Vec<usize> {
         let metric = self.metric;
         let d_sq = |a: &SparseVec, b: &SparseVec| -> f64 {
             metric
@@ -904,7 +1042,7 @@ impl KMeans {
         };
         let mut seeds = Vec::with_capacity(self.k);
         seeds.push(rng.random_range(0..points.len()));
-        let first = &points[seeds[0]];
+        let first = points[seeds[0]];
         let mut dist2: Vec<f64> = points.iter().map(|p| d_sq(p, first)).collect();
         while seeds.len() < self.k {
             let total: f64 = dist2.iter().sum();
@@ -923,7 +1061,7 @@ impl KMeans {
                 }
                 chosen
             };
-            let centroid = &points[next];
+            let centroid = points[next];
             for (i, p) in points.iter().enumerate() {
                 let d = d_sq(p, centroid);
                 if d < dist2[i] {
@@ -1017,7 +1155,10 @@ mod tests {
             KMeans::new(0).run(&pts),
             Err(MlError::InvalidConfig(_))
         ));
-        assert!(matches!(KMeans::new(2).run(&[]), Err(MlError::EmptyInput)));
+        assert!(matches!(
+            KMeans::new(2).run::<SparseVec>(&[]),
+            Err(MlError::EmptyInput)
+        ));
         assert!(matches!(
             KMeans::new(100).run(&pts),
             Err(MlError::NotEnoughData { .. })
@@ -1139,7 +1280,7 @@ mod tests {
             Err(MlError::InvalidConfig(_))
         ));
         assert!(matches!(
-            KMeans::new(2).fit_warm(&[], &[]),
+            KMeans::new(2).fit_warm::<SparseVec>(&[], &[]),
             Err(MlError::EmptyInput)
         ));
     }

@@ -5,7 +5,7 @@
 //! inserted into it*, old intervals age out of a sliding retention
 //! window, behaviour syndromes are refreshed every few intervals
 //! through the warm-started `recluster` path (cold K-means once, then
-//! O(changed docs) per maintenance cycle), the tf-idf weights are
+//! two sweeps over the window per maintenance cycle), the tf-idf weights are
 //! re-fitted automatically whenever the corpus has drifted far enough
 //! from the published idf generation,
 //! dead slots are reclaimed by policy-driven vacuums (the daemon
@@ -230,7 +230,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "online accuracy collapsed: {accuracy:.2} < 0.60"
     );
     // The maintenance cycles must have settled onto the warm path: after
-    // the first cold call, every refresh is O(changed docs).
+    // the first cold call, every refresh resumes from the cached assignment.
     let final_syndromes = service.recluster(4, 9)?;
     assert!(final_syndromes.warm, "steady-state recluster fell cold");
     println!(
