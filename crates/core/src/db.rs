@@ -83,13 +83,13 @@ pub struct RefitStats {
 
 /// When an incremental [`SignatureDb`] compacts its tombstoned slots.
 ///
-/// Removals leave permanent holes: the raw counts, the stored vector,
-/// and the doc-epoch bookkeeping of a removed signature all stay
-/// allocated so that doc ids remain stable. A long-horizon daemon with
-/// a sliding retention window therefore grows without bound — one dead
-/// slot per evicted interval. [`SignatureDb::vacuum`] reclaims that
-/// memory by renumbering; this policy decides when the database does it
-/// by itself (on the removal path, right after the refit policy runs).
+/// Removals leave permanent holes: the raw counts and the vector of a
+/// removed signature stay allocated so that doc ids remain stable. A
+/// long-horizon daemon with a sliding retention window therefore grows
+/// without bound — one dead slot per evicted interval.
+/// [`SignatureDb::vacuum`] reclaims that memory by renumbering; this
+/// policy decides when the database does it by itself (on the removal
+/// path, right after the refit policy runs).
 ///
 /// **An automatic vacuum renumbers doc ids**, exactly like a manual
 /// one. Callers holding doc ids across mutations must either keep the
@@ -207,6 +207,21 @@ pub(crate) fn build_shards(
         .collect()
 }
 
+/// The one majority vote — over a query's nearest neighbours when
+/// classifying, over a cluster's members when naming a syndrome: the
+/// most frequent label, ties broken towards the lexically smaller one;
+/// `None` when no voter is labelled.
+pub(crate) fn majority_label<'a>(voters: impl Iterator<Item = &'a Signature>) -> Option<String> {
+    let mut votes: HashMap<&str, usize> = HashMap::new();
+    for label in voters.filter_map(|sig| sig.label.as_deref()) {
+        *votes.entry(label).or_default() += 1;
+    }
+    votes
+        .into_iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
+        .map(|(label, _)| label.to_string())
+}
+
 /// A labelled database of indexable signatures.
 ///
 /// This is the paper's envisioned operator workflow (§2.2): signatures
@@ -245,8 +260,11 @@ pub(crate) fn build_shards(
 /// [`save`](Self::save) writes a versioned envelope (magic, format
 /// version, section table) and [`load`](Self::load) reads *any*
 /// supported historical format — including the bare unversioned JSON
-/// that pre-envelope releases wrote. The inverted index is derived from
-/// the signatures and rebuilt at load, never stored. See the
+/// that pre-envelope releases wrote. A signature is kept three ways in
+/// memory — its raw counts, its tf-idf vector, its unit-length postings
+/// in a shard — and one way at rest: the counts. The vectors are derived
+/// from the counts and the model, and the inverted index from the
+/// vectors, at load; neither is stored. See the
 /// [`persist`](crate::persist) module for the format contract.
 ///
 /// # Layout
@@ -274,8 +292,6 @@ pub struct SignatureDb {
     pub(crate) num_live: usize,
     /// Current idf generation; bumped by every refit.
     pub(crate) epoch: u64,
-    /// Idf generation each stored vector was (re)computed under.
-    pub(crate) doc_epoch: Vec<u64>,
     pub(crate) refit_policy: RefitPolicy,
     /// Inserts + removals since the last refit (staleness measure).
     pub(crate) mutations_since_refit: usize,
@@ -337,7 +353,6 @@ impl SignatureDb {
             corpus,
             num_live: n,
             epoch: 0,
-            doc_epoch: vec![0; n],
             refit_policy: RefitPolicy::default(),
             mutations_since_refit: 0,
             vacuum_policy: VacuumPolicy::default(),
@@ -387,7 +402,7 @@ impl SignatureDb {
     }
 
     /// The shared insert path: mutate df, transform with the current
-    /// (stale) generation, index, and track the epoch — no policy check.
+    /// (stale) generation, index — no policy check.
     fn insert_stale(&mut self, raw: &RawSignature) -> Result<DocId, FmeterError> {
         let counts = raw.to_term_counts();
         if counts.dim() != self.dim() {
@@ -411,7 +426,6 @@ impl SignatureDb {
             started_at: raw.started_at,
             ended_at: raw.ended_at,
         });
-        self.doc_epoch.push(self.epoch);
         self.num_live += 1;
         self.mutations_since_refit += 1;
         if let Some(cache) = &mut self.cluster_cache {
@@ -450,8 +464,8 @@ impl SignatureDb {
     }
 
     /// Compacts the database in place: tombstoned slots are dropped for
-    /// good (raw counts, stored vectors, postings, epoch bookkeeping)
-    /// and the surviving signatures are renumbered to dense doc ids
+    /// good (raw counts, vectors, postings) and the surviving
+    /// signatures are renumbered to dense doc ids
     /// `0..len()` in their original order.
     ///
     /// This is the memory-reclamation half of the streaming contract:
@@ -469,9 +483,9 @@ impl SignatureDb {
     ///
     /// The tf-idf model is untouched (document frequencies already
     /// describe the live corpus only) and the epoch does not advance:
-    /// per-doc idf generations carry over, so a stale database stays
-    /// exactly as stale. Each shard is rebuilt in one pass from the
-    /// surviving signatures' stored vectors, so the posting store is
+    /// the surviving vectors move as they are, so a stale database
+    /// stays exactly as stale. Each shard is rebuilt in one pass from
+    /// the surviving signatures' vectors, so the posting store is
     /// exactly what indexing those vectors afresh gives (and, quantized,
     /// carries no rounding from the grids it replaces).
     pub fn vacuum(&mut self) -> VacuumStats {
@@ -496,13 +510,6 @@ impl SignatureDb {
             }
         }
         self.corpus = corpus;
-        let old_epochs = std::mem::take(&mut self.doc_epoch);
-        self.doc_epoch = old_epochs
-            .into_iter()
-            .enumerate()
-            .filter(|(d, _)| live[*d])
-            .map(|(_, e)| e)
-            .collect();
         if let Some(cache) = &mut self.cluster_cache {
             // Renumber the warm-start assignments alongside the doc ids;
             // dead slots (already `None`) drop out of the vector.
@@ -586,8 +593,11 @@ impl SignatureDb {
     /// pass, bumping the epoch.
     ///
     /// Only signatures containing at least one changed term are
-    /// re-transformed (an unchanged-idf support yields a bit-identical
-    /// vector); every shard is then rebuilt from the live vectors —
+    /// re-transformed: an unchanged-idf support yields a bit-identical
+    /// vector, so every live vector stays exactly
+    /// [`transform`](Self::transform) of its counts under the published
+    /// idf — what a load, which finds no vector stored, depends on.
+    /// Every shard is then rebuilt from the live vectors —
     /// which also drops tombstoned postings and tightens the per-term
     /// max-impact bounds. After this call the database matches a
     /// from-scratch [`build`](Self::build) over the surviving corpus
@@ -618,7 +628,6 @@ impl SignatureDb {
                     ended_at: stale.ended_at,
                 };
                 self.signatures.set(d, fresh);
-                self.doc_epoch[d] = self.epoch;
                 stats.reweighted_docs += 1;
             }
         }
@@ -644,8 +653,10 @@ impl SignatureDb {
     }
 
     /// Re-lays the posting store out over `num_shards` shards (at least
-    /// one); nothing happens when that is the layout already.
+    /// one, at most [`MAX_SHARDS`](crate::persist::MAX_SHARDS) — what a
+    /// load accepts); nothing happens when that is the layout already.
     pub(crate) fn reshard(&mut self, num_shards: usize) {
+        let num_shards = num_shards.min(crate::persist::MAX_SHARDS);
         if ShardRouter::new(num_shards) != self.router() {
             self.shards = self.rebuilt_shards(num_shards, |d| self.is_live(d));
         }
@@ -688,12 +699,6 @@ impl SignatureDb {
     /// The current idf generation (bumped by every refit).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The idf generation `doc`'s stored vector was last computed
-    /// under; `None` for unassigned ids.
-    pub fn doc_epoch(&self, doc: DocId) -> Option<u64> {
-        self.doc_epoch.get(doc).copied()
     }
 
     /// Inserts + removals since the last refit.
@@ -834,16 +839,7 @@ impl SignatureDb {
     /// Propagates dimension mismatches.
     pub fn classify(&self, counts: &TermCounts, k: usize) -> Result<Option<String>, FmeterError> {
         let hits = self.search(counts, k)?;
-        let mut votes: HashMap<&str, usize> = HashMap::new();
-        for (sig, _) in &hits {
-            if let Some(label) = sig.label.as_deref() {
-                *votes.entry(label).or_default() += 1;
-            }
-        }
-        Ok(votes
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(label, _)| label.to_string()))
+        Ok(majority_label(hits.into_iter().map(|(sig, _)| sig)))
     }
 
     /// Clusters all signatures into `k` syndromes with seeded K-means.
@@ -888,16 +884,8 @@ impl SignatureDb {
             syndromes[cluster].members.push(live_ids[i]);
         }
         for syndrome in &mut syndromes {
-            let mut votes: HashMap<&str, usize> = HashMap::new();
-            for &m in &syndrome.members {
-                if let Some(label) = self.signatures[m].label.as_deref() {
-                    *votes.entry(label).or_default() += 1;
-                }
-            }
-            syndrome.dominant_label = votes
-                .into_iter()
-                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
-                .map(|(l, _)| l.to_string());
+            let members = syndrome.members.iter().map(|&m| &self.signatures[m]);
+            syndrome.dominant_label = majority_label(members);
         }
         syndromes
     }
@@ -1056,8 +1044,9 @@ impl SignatureDb {
     /// Serialises the database in the current on-disk format: a tagged
     /// envelope (magic, format version, section table) whose layout is
     /// specified and version-tabled in the [`persist`](crate::persist)
-    /// module. The inverted index is not part of it — it is derived
-    /// from the signatures and rebuilt by [`load`](Self::load).
+    /// module. Neither the tf-idf vectors nor the inverted index are
+    /// part of it — [`load`](Self::load) derives the one from the stored
+    /// counts and rebuilds the other.
     ///
     /// # Errors
     ///
@@ -1079,8 +1068,14 @@ impl SignatureDb {
     /// Propagates I/O and deserialisation failures; returns
     /// [`FmeterError::UnsupportedFormat`] when the file was written by
     /// a *newer* format than this build understands.
-    pub fn load<R: Read>(reader: R) -> Result<Self, FmeterError> {
-        crate::persist::load(reader)
+    pub fn load<R: Read>(mut reader: R) -> Result<Self, FmeterError> {
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes)?;
+        let mut db = crate::persist::load(&bytes)?;
+        // A save made by a service carries its shard layout; the flat
+        // database drops it.
+        db.reshard(1);
+        Ok(db)
     }
 }
 
@@ -1551,7 +1546,6 @@ mod tests {
         assert_eq!(restored.mutations_since_refit(), db.mutations_since_refit());
         for d in 0..db.num_slots() {
             assert_eq!(restored.is_live(d), db.is_live(d));
-            assert_eq!(restored.doc_epoch(d), db.doc_epoch(d));
         }
         assert!((restored.idf_drift() - db.idf_drift()).abs() < 1e-15);
         // The restored database keeps mutating identically.

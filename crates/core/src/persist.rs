@@ -19,16 +19,21 @@
 //!   tag straight into their types, and what an old version could not
 //!   carry is filled in by the `legacy` submodule (which also adopts the
 //!   magic-less bare JSON of pre-envelope releases, format version 0);
-//! * the **inverted index is never stored**: it is a transpose of the
-//!   signatures, so the loader rebuilds each shard of it with
-//!   [`fmeter_ir::Shard::from_slots`]. Older envelopes carry an `index`
-//!   section; it is checksummed with its file and otherwise ignored.
+//! * a **signature is stored once**, as its raw counts in the `corpus`
+//!   section; the `signatures` section keeps each slot's label and
+//!   interval and no vector. The tf-idf vectors are a function of the
+//!   counts and the model ([`TfIdfModel::transform`]) and the **inverted
+//!   index** a transpose of the vectors, so the loader derives the one
+//!   and rebuilds each shard of the other with
+//!   [`fmeter_ir::Shard::from_slots`] — for every version alike. What
+//!   older envelopes stored of either (vectors inside `signatures`, an
+//!   `index` section) is checksummed with its file and otherwise ignored.
 //!
 //! # Envelope layout
 //!
 //! ```text
-//! FMETERDB 7\n                                   ← magic + format version
-//! {"format_version":7,"sections":[["model",N],…],"crc32":[…],"codec":["bin",…]}\n
+//! FMETERDB 8\n                                   ← magic + format version
+//! {"format_version":8,"sections":[["model",N],…],"crc32":[…],"codec":["bin",…]}\n
 //! <model bytes><corpus bytes><signatures bytes><state bytes><sharding bytes>
 //! ```
 //!
@@ -46,10 +51,11 @@
 
 mod legacy;
 
-use std::io::{Read, Write};
+use std::io::Write;
 
-use fmeter_ir::codec::{decode_from_slice, encode_to_vec, put_usize, BinCodec};
-use fmeter_ir::{Corpus, QuantizationMode, SharedVec, TfIdfModel};
+use fmeter_ir::codec::{self, decode_from_slice, BinCodec, CodecError, Reader};
+use fmeter_ir::{Corpus, QuantizationMode, SharedVec, TermCounts, TfIdfModel};
+use fmeter_kernel_sim::Nanos;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::db::build_shards;
@@ -60,7 +66,14 @@ use crate::{FmeterError, RefitPolicy, Signature, SignatureDb, VacuumPolicy};
 pub const MAGIC: &str = "FMETERDB";
 
 /// The format version [`SignatureDb::save`] writes.
-pub const CURRENT_FORMAT_VERSION: u32 = 7;
+pub const CURRENT_FORMAT_VERSION: u32 = 8;
+
+/// The most shards a layout may have. A stored shard count is input from
+/// outside and every shard costs the loader `dim`-sized arrays, so a
+/// `sharding` section declaring more than this is rejected;
+/// [`ShardWriter::new`](crate::ShardWriter::new) clamps to the same
+/// bound, so whatever can be saved can be loaded.
+pub const MAX_SHARDS: usize = 1024;
 
 /// One entry of the on-disk format history.
 #[derive(Debug, Clone, Copy)]
@@ -125,6 +138,14 @@ pub const FORMAT_VERSIONS: &[FormatVersion] = &[
                   quantization mode the rebuilt index is switched to; every other \
                   section is byte-identical to v6",
     },
+    FormatVersion {
+        version: 8,
+        summary: "the signatures section keeps each slot's label and interval and no \
+                  vector — every tf-idf vector is derived from the corpus counts and \
+                  the model on load — and the state section drops the per-doc epochs \
+                  that described the stored vectors; the model, corpus and sharding \
+                  sections are byte-identical to v7",
+    },
 ];
 
 const SEC_MODEL: &str = "model";
@@ -162,57 +183,47 @@ impl SectionCodec {
     }
 }
 
-/// The section table line that follows the magic line.
+/// The section table line that follows the magic line — read back by
+/// [`split_envelope`], filled in section by section by [`save`].
 ///
-/// Serialization is hand-written (not derived) because `crc32` and
+/// Deserialization is hand-written (not derived) because `crc32` and
 /// `codec` are *optional on read*: headers written before v4 / v5 do
-/// not carry the fields and must keep parsing, while the vendored
-/// derive treats every named field as required.
-#[derive(Debug)]
+/// not carry the fields and must keep parsing (they read back empty),
+/// while the vendored derive treats every named field as required.
+#[derive(Debug, Default, Serialize)]
 struct EnvelopeHeader {
     format_version: u32,
     /// `(section name, payload length in bytes)` in payload order.
     sections: Vec<(String, usize)>,
     /// One CRC32 per section, parallel to `sections` (v4 and later).
-    crc32: Option<Vec<u32>>,
+    crc32: Vec<u32>,
     /// One codec tag per section, parallel to `sections` (v5 and later).
-    codec: Option<Vec<String>>,
-}
-
-impl Serialize for EnvelopeHeader {
-    fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            ("format_version".to_string(), self.format_version.to_value()),
-            ("sections".to_string(), self.sections.to_value()),
-        ];
-        if let Some(crcs) = &self.crc32 {
-            pairs.push(("crc32".to_string(), crcs.to_value()));
-        }
-        if let Some(codecs) = &self.codec {
-            pairs.push(("codec".to_string(), codecs.to_value()));
-        }
-        Value::Object(pairs)
-    }
+    codec: Vec<String>,
 }
 
 impl Deserialize for EnvelopeHeader {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let format_version = u32::from_value(v.get_field("format_version")?)?;
-        let sections = Vec::<(String, usize)>::from_value(v.get_field("sections")?)?;
-        let crc32 = match v.get_field("crc32") {
-            Ok(field) => Some(Vec::<u32>::from_value(field)?),
-            Err(_) => None,
-        };
-        let codec = match v.get_field("codec") {
-            Ok(field) => Some(Vec::<String>::from_value(field)?),
-            Err(_) => None,
-        };
         Ok(EnvelopeHeader {
-            format_version,
-            sections,
-            crc32,
-            codec,
+            format_version: u32::from_value(v.get_field("format_version")?)?,
+            sections: Vec::from_value(v.get_field("sections")?)?,
+            crc32: v
+                .get_field("crc32")
+                .map_or(Ok(Vec::new()), Vec::from_value)?,
+            codec: v
+                .get_field("codec")
+                .map_or(Ok(Vec::new()), Vec::from_value)?,
         })
+    }
+}
+
+impl EnvelopeHeader {
+    /// Closes section `name`: whatever `body` holds behind the sections
+    /// closed before it.
+    fn close_section(&mut self, name: &str, codec: SectionCodec, body: &[u8]) {
+        let start: usize = self.sections.iter().map(|(_, len)| len).sum();
+        self.sections.push((name.to_string(), body.len() - start));
+        self.crc32.push(crate::wal::crc32(&body[start..]));
+        self.codec.push(codec.tag().to_string());
     }
 }
 
@@ -223,7 +234,6 @@ struct State {
     live: Vec<bool>,
     num_live: usize,
     epoch: u64,
-    doc_epoch: Vec<u64>,
     refit_policy: RefitPolicy,
     mutations_since_refit: usize,
     vacuum_policy: VacuumPolicy,
@@ -232,12 +242,17 @@ struct State {
 }
 
 /// The `sharding` section: how many shards the database's posting store
-/// is laid out over. A flat database writes `num_shards: 1`, and a plain
-/// [`load`] ignores the section.
+/// is laid out over. A flat database writes `num_shards: 1`, and
+/// [`SignatureDb::load`] drops the layout it names.
 #[derive(Debug, Serialize, Deserialize)]
 struct Sharding {
     num_shards: usize,
 }
+
+/// One record of the `signatures` section — label, interval start and
+/// end: what a [`Signature`] is beside its vector, which [`assemble`]
+/// derives from the slot's counts.
+type Slot = (Option<String>, Nanos, Nanos);
 
 /// Everything a save carries, decoded but not yet cross-checked — what
 /// both the envelope reader and the version-0 reader hand to
@@ -245,7 +260,7 @@ struct Sharding {
 struct Parts {
     model: TfIdfModel,
     corpus: Corpus,
-    signatures: Vec<Signature>,
+    slots: Vec<Slot>,
     state: State,
     num_shards: usize,
 }
@@ -265,74 +280,56 @@ fn persist_err(context: &str, e: impl std::fmt::Display) -> FmeterError {
 ///
 /// Propagates I/O and serialisation failures.
 pub fn save<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterError> {
+    // The sections are encoded back to back into one buffer, sized up
+    // front: 12 bytes per stored count and per term of the model, and per
+    // slot the fixed fields of its `corpus`, `signatures` and `state`
+    // records (55 bytes) with room for a label — an over-long one costs
+    // a regrowth, nothing else.
+    let counts: usize = db.corpus.iter().map(TermCounts::distinct_terms).sum();
+    let mut body = Vec::with_capacity(12 * (counts + db.dim()) + 96 * db.num_slots() + 512);
+    let mut header = EnvelopeHeader {
+        format_version: CURRENT_FORMAT_VERSION,
+        ..EnvelopeHeader::default()
+    };
+    db.model.encode_bin(&mut body);
+    header.close_section(SEC_MODEL, SectionCodec::Binary, &body);
+    db.corpus.encode_bin(&mut body);
+    header.close_section(SEC_CORPUS, SectionCodec::Binary, &body);
+    codec::put_usize(&mut body, db.signatures.len());
+    for signature in db.signatures.iter() {
+        codec::put_opt_str(&mut body, signature.label.as_deref());
+        codec::put_u64(&mut body, signature.started_at.0);
+        codec::put_u64(&mut body, signature.ended_at.0);
+    }
+    header.close_section(SEC_SIGNATURES, SectionCodec::Binary, &body);
     let state = State {
         live: (0..db.num_slots()).map(|d| db.is_live(d)).collect(),
         num_live: db.num_live,
         epoch: db.epoch,
-        doc_epoch: db.doc_epoch.clone(),
         refit_policy: db.refit_policy,
         mutations_since_refit: db.mutations_since_refit,
         vacuum_policy: db.vacuum_policy,
         vacuums: db.vacuums,
         quantization: db.quantization(),
     };
-    // The bytes `Vec<Signature>` encodes to: a count, then the elements.
-    let mut signatures = Vec::new();
-    put_usize(&mut signatures, db.signatures.len());
-    for signature in db.signatures.iter() {
-        signature.encode_bin(&mut signatures);
-    }
+    serde_json::to_writer(&mut body, &state)?;
+    header.close_section(SEC_STATE, SectionCodec::Json, &body);
     let num_shards = db.num_shards();
-    let sections = [
-        (SEC_MODEL, SectionCodec::Binary, encode_to_vec(&db.model)),
-        (SEC_CORPUS, SectionCodec::Binary, encode_to_vec(&db.corpus)),
-        (SEC_SIGNATURES, SectionCodec::Binary, signatures),
-        (
-            SEC_STATE,
-            SectionCodec::Json,
-            serde_json::to_string(&state)?.into_bytes(),
-        ),
-        (
-            SEC_SHARDING,
-            SectionCodec::Json,
-            serde_json::to_string(&Sharding { num_shards })?.into_bytes(),
-        ),
-    ];
-    write_envelope(&sections, writer)
+    serde_json::to_writer(&mut body, &Sharding { num_shards })?;
+    header.close_section(SEC_SHARDING, SectionCodec::Json, &body);
+    write_envelope(&header, &body, writer)
 }
 
-/// Frames `sections` as a current-version envelope: magic line, header
-/// line (lengths, checksums, codec tags), then the payloads in order.
+/// Frames `body` as an envelope: magic line, `header`'s line (lengths,
+/// checksums, codec tags), then the payloads.
 fn write_envelope<W: Write>(
-    sections: &[(&str, SectionCodec, Vec<u8>)],
+    header: &EnvelopeHeader,
+    body: &[u8],
     mut writer: W,
 ) -> Result<(), FmeterError> {
-    let header = EnvelopeHeader {
-        format_version: CURRENT_FORMAT_VERSION,
-        sections: sections
-            .iter()
-            .map(|(name, _, payload)| (name.to_string(), payload.len()))
-            .collect(),
-        crc32: Some(
-            sections
-                .iter()
-                .map(|(.., payload)| crate::wal::crc32(payload))
-                .collect(),
-        ),
-        codec: Some(
-            sections
-                .iter()
-                .map(|(_, codec, _)| codec.tag().to_string())
-                .collect(),
-        ),
-    };
-    writer.write_all(format!("{MAGIC} {CURRENT_FORMAT_VERSION}\n").as_bytes())?;
-    writer.write_all(serde_json::to_string(&header)?.as_bytes())?;
-    writer.write_all(b"\n")?;
-    for (.., payload) in sections {
-        writer.write_all(payload)?;
-    }
-    Ok(())
+    let table = serde_json::to_string(header)?;
+    writer.write_all(format!("{MAGIC} {}\n{table}\n", header.format_version).as_bytes())?;
+    Ok(writer.write_all(body)?)
 }
 
 // ---- reading ---------------------------------------------------------
@@ -367,14 +364,15 @@ pub fn detect_format_version(bytes: &[u8]) -> Option<u32> {
 /// One section as sliced out of a serialized envelope by
 /// [`split_envelope`]: its name, codec tag, and raw payload bytes.
 #[derive(Debug, Clone)]
-pub struct RawSection {
+pub struct RawSection<'a> {
     /// Section name from the table.
     pub name: String,
     /// How [`payload`](Self::payload) is encoded. Headers before v5
     /// carry no codec tags; their sections are implicitly JSON.
     pub codec: SectionCodec,
-    /// The payload bytes, exactly as stored (checksum-verified).
-    pub payload: Vec<u8>,
+    /// The payload bytes, exactly as stored (checksum-verified): a slice
+    /// of the envelope they were split from.
+    pub payload: &'a [u8],
 }
 
 /// Splits a serialized envelope into its format version and named
@@ -389,33 +387,26 @@ pub struct RawSection {
 /// [`FmeterError::CorruptEnvelope`] when a section is shorter than the
 /// table declares (truncated / mid-write file) or fails its v4
 /// checksum.
-pub fn split_envelope(bytes: &[u8]) -> Result<(u32, Vec<RawSection>), FmeterError> {
+pub fn split_envelope(bytes: &[u8]) -> Result<(u32, Vec<RawSection<'_>>), FmeterError> {
     let (version, header, body) = parse_envelope_frame(bytes)?;
     // `codec` is optional only for pre-v5 headers (all-JSON layouts); a
-    // v5+ header without it cannot say how to parse its payloads.
-    let codecs = match &header.codec {
-        None if version >= 5 => {
+    // v5+ header without it cannot say how to parse its payloads, and
+    // fails the count check like any other header short of tags.
+    let codecs: Vec<SectionCodec> = if header.codec.is_empty() && version < 5 {
+        vec![SectionCodec::Json; header.sections.len()]
+    } else {
+        if header.codec.len() != header.sections.len() {
             return Err(FmeterError::Persist(format!(
-                "format version {version} header carries no per-section codec tags"
+                "header carries {} codec tags for {} sections",
+                header.codec.len(),
+                header.sections.len()
             )));
         }
-        None => vec![SectionCodec::Json; header.sections.len()],
-        Some(tags) => {
-            if tags.len() != header.sections.len() {
-                return Err(FmeterError::Persist(format!(
-                    "header carries {} codec tags for {} sections",
-                    tags.len(),
-                    header.sections.len()
-                )));
-            }
-            tags.iter()
-                .map(|t| {
-                    SectionCodec::from_tag(t).ok_or_else(|| {
-                        FmeterError::Persist(format!("unknown section codec tag `{t}`"))
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?
-        }
+        let codec = |t: &String| {
+            SectionCodec::from_tag(t)
+                .ok_or_else(|| FmeterError::Persist(format!("unknown section codec tag `{t}`")))
+        };
+        header.codec.iter().map(codec).collect::<Result<_, _>>()?
     };
     let mut offset = 0usize;
     let mut sections = Vec::with_capacity(header.sections.len());
@@ -435,7 +426,7 @@ pub fn split_envelope(bytes: &[u8]) -> Result<(u32, Vec<RawSection>), FmeterErro
         sections.push(RawSection {
             name,
             codec,
-            payload: body[offset..end].to_vec(),
+            payload: &body[offset..end],
         });
         offset = end;
     }
@@ -447,22 +438,18 @@ pub fn split_envelope(bytes: &[u8]) -> Result<(u32, Vec<RawSection>), FmeterErro
     }
     // `crc32` is optional only for pre-v4 headers; a v4+ header without
     // it has lost data (or was tampered with) — loading it would mean
-    // silently skipping checksum verification, so reject it instead.
-    if header.crc32.is_none() && version >= 4 {
-        return Err(FmeterError::Persist(format!(
-            "format version {version} header carries no per-section checksums"
-        )));
-    }
-    if let Some(crcs) = &header.crc32 {
-        if crcs.len() != sections.len() {
+    // silently skipping checksum verification, so it fails the count
+    // check instead.
+    if version >= 4 || !header.crc32.is_empty() {
+        if header.crc32.len() != sections.len() {
             return Err(FmeterError::Persist(format!(
                 "header carries {} checksums for {} sections",
-                crcs.len(),
+                header.crc32.len(),
                 sections.len()
             )));
         }
-        for (section, &stored) in sections.iter().zip(crcs) {
-            let computed = crate::wal::crc32(&section.payload);
+        for (section, &stored) in sections.iter().zip(&header.crc32) {
+            let computed = crate::wal::crc32(section.payload);
             if computed != stored {
                 return Err(FmeterError::CorruptEnvelope {
                     section: section.name.clone(),
@@ -497,25 +484,44 @@ fn parse_envelope_frame(bytes: &[u8]) -> Result<(u32, EnvelopeHeader, &[u8]), Fm
 }
 
 /// Decodes a section by its codec tag, straight into its type.
-fn decode_section<T: Deserialize + BinCodec>(section: &RawSection) -> Result<T, FmeterError> {
+fn decode_section<T: Deserialize + BinCodec>(section: &RawSection<'_>) -> Result<T, FmeterError> {
     match section.codec {
-        SectionCodec::Binary => decode_from_slice(&section.payload)
+        SectionCodec::Binary => decode_from_slice(section.payload)
             .map_err(|e| persist_err(&format!("section `{}`", section.name), e)),
         SectionCodec::Json => json_section(section),
     }
 }
 
 /// Decodes a section that is JSON in every version that has it.
-fn json_section<T: Deserialize>(section: &RawSection) -> Result<T, FmeterError> {
+fn json_section<T: Deserialize>(section: &RawSection<'_>) -> Result<T, FmeterError> {
     let name = &section.name;
     if section.codec != SectionCodec::Json {
         return Err(FmeterError::Persist(format!(
             "section `{name}` is binary but a JSON decoder was asked for it"
         )));
     }
-    let text = std::str::from_utf8(&section.payload)
+    let text = std::str::from_utf8(section.payload)
         .map_err(|e| persist_err(&format!("section `{name}` is not UTF-8 JSON"), e))?;
     serde_json::from_str(text).map_err(|e| persist_err(&format!("section `{name}`"), e))
+}
+
+/// Decodes a binary `signatures` section: a slot count, then one
+/// `record` per slot.
+fn decode_slots(
+    section: &RawSection<'_>,
+    record: impl Fn(&mut Reader<'_>) -> Result<Slot, CodecError>,
+) -> Result<Vec<Slot>, FmeterError> {
+    let mut r = Reader::new(section.payload);
+    // No record is shorter than an absent label and two timestamps.
+    r.array_len(17)
+        .and_then(|count| (0..count).map(|_| record(&mut r)).collect())
+        .and_then(|slots| r.finish().map(|()| slots))
+        .map_err(|e| persist_err(&format!("section `{}`", section.name), e))
+}
+
+/// The record of a current-version `signatures` section.
+fn decode_slot(r: &mut Reader<'_>) -> Result<Slot, CodecError> {
+    Ok((r.get_opt_str()?, Nanos(r.get_u64()?), Nanos(r.get_u64()?)))
 }
 
 /// Reads an enveloped save of any supported version in one hop.
@@ -533,28 +539,33 @@ fn read_envelope(bytes: &[u8]) -> Result<Parts, FmeterError> {
             .find(|s| s.name == name)
             .ok_or_else(|| FmeterError::Persist(format!("envelope is missing section `{name}`")))
     };
-    let (state, num_shards) = if version == CURRENT_FORMAT_VERSION {
+    let (slots, state, num_shards) = if version == CURRENT_FORMAT_VERSION {
         let sharding: Sharding = json_section(section(SEC_SHARDING)?)?;
-        (json_section(section(SEC_STATE)?)?, sharding.num_shards)
+        (
+            decode_slots(section(SEC_SIGNATURES)?, decode_slot)?,
+            json_section(section(SEC_STATE)?)?,
+            sharding.num_shards,
+        )
     } else {
-        legacy::state_and_layout(version, &section)?
+        legacy::read(version, &section)?
     };
-    if num_shards == 0 {
-        return Err(FmeterError::Persist(
-            "sharding section declares zero shards".to_string(),
-        ));
+    if num_shards == 0 || num_shards > MAX_SHARDS {
+        return Err(FmeterError::Persist(format!(
+            "sharding section declares {num_shards} shards (a layout has 1 to {MAX_SHARDS})"
+        )));
     }
     Ok(Parts {
         model: decode_section(section(SEC_MODEL)?)?,
         corpus: decode_section(section(SEC_CORPUS)?)?,
-        signatures: decode_section(section(SEC_SIGNATURES)?)?,
+        slots,
         state,
         num_shards,
     })
 }
 
-/// Reads a database from any supported on-disk format into the flat,
-/// one-shard layout (used by [`SignatureDb::load`]): envelope saves are
+/// Reads a database from any supported on-disk format, in the shard
+/// layout the save carries (saves older than format v3, which could not
+/// carry one, come back as one shard): envelope saves are
 /// version-checked and read in one hop; magic-less bytes are read as
 /// the version-0 bare JSON.
 ///
@@ -564,69 +575,55 @@ fn read_envelope(bytes: &[u8]) -> Result<Parts, FmeterError> {
 /// releases, [`FmeterError::CorruptEnvelope`] for truncated or
 /// bit-flipped sections and [`FmeterError::Persist`] for malformed or
 /// inconsistent payloads.
-pub fn load<R: Read>(reader: R) -> Result<SignatureDb, FmeterError> {
-    assemble(Parts {
-        num_shards: 1,
-        ..read_parts(reader)?
-    })
-}
-
-/// Like [`load`], but into the shard layout the save carries (used by
-/// [`SignatureService::load`](crate::SignatureService::load) and by
-/// recovery). Saves older than format v3, which could not carry a
-/// layout, come back as one shard.
-///
-/// # Errors
-///
-/// As [`load`].
-pub fn load_sharded<R: Read>(reader: R) -> Result<SignatureDb, FmeterError> {
-    assemble(read_parts(reader)?)
-}
-
-fn read_parts<R: Read>(mut reader: R) -> Result<Parts, FmeterError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    if bytes.starts_with(MAGIC.as_bytes()) {
-        read_envelope(&bytes)
+pub fn load(bytes: &[u8]) -> Result<SignatureDb, FmeterError> {
+    assemble(if bytes.starts_with(MAGIC.as_bytes()) {
+        read_envelope(bytes)?
     } else {
-        legacy::read_bare_json(&bytes)
-    }
+        legacy::read_bare_json(bytes)?
+    })
 }
 
 /// Builds the database from its decoded parts, cross-checking them
 /// against each other so a corrupted (or hand-edited) file fails loudly
-/// instead of producing a database that panics later, and rebuilding
-/// the index — derived state no format stores any more — from the live
-/// signatures, `num_shards` ways.
+/// instead of producing a database that panics later, and deriving what
+/// no format stores any more: each slot's tf-idf vector from its counts
+/// under the published idf — to the bit the vector the saved database
+/// held for a live slot, which is the only kind anything reads — and,
+/// from the live vectors, the index, `num_shards` ways.
 fn assemble(parts: Parts) -> Result<SignatureDb, FmeterError> {
     let Parts {
         model,
         corpus,
-        signatures,
+        slots,
         state,
         num_shards,
     } = parts;
-    let slots = signatures.len();
-    let consistent = corpus.len() == slots
-        && state.live.len() == slots
-        && state.doc_epoch.len() == slots
+    let consistent = corpus.len() == slots.len()
+        && state.live.len() == slots.len()
         && state.num_live == state.live.iter().filter(|&&l| l).count()
         && model.dim() == corpus.dim();
     if !consistent {
         return Err(FmeterError::Persist(format!(
-            "inconsistent sections: {slots} signature slots vs {} corpus docs, \
-             {} live flags, {} doc epochs (num_live {}); model dim {} vs corpus dim {}",
+            "inconsistent sections: {} signature slots vs {} corpus docs, \
+             {} live flags (num_live {}); model dim {} vs corpus dim {}",
+            slots.len(),
             corpus.len(),
             state.live.len(),
-            state.doc_epoch.len(),
             state.num_live,
             model.dim(),
             corpus.dim(),
         )));
     }
-    let signatures: SharedVec<Signature> = signatures.into_iter().collect();
-    // The shard builder checks every live vector against the model's
-    // term space — the signatures-vs-model cross-check.
+    let signatures: SharedVec<Signature> = slots
+        .into_iter()
+        .zip(corpus.iter())
+        .map(|((label, started_at, ended_at), counts)| Signature {
+            vector: model.transform(counts),
+            label,
+            started_at,
+            ended_at,
+        })
+        .collect();
     let shards = build_shards(
         model.dim(),
         &signatures,
@@ -634,7 +631,7 @@ fn assemble(parts: Parts) -> Result<SignatureDb, FmeterError> {
         num_shards,
         state.quantization,
     )
-    .map_err(|e| persist_err("inconsistent sections: signatures vs model", e))?;
+    .expect("derived vectors share the model dimension");
     Ok(SignatureDb {
         model,
         signatures,
@@ -642,7 +639,6 @@ fn assemble(parts: Parts) -> Result<SignatureDb, FmeterError> {
         corpus,
         num_live: state.num_live,
         epoch: state.epoch,
-        doc_epoch: state.doc_epoch,
         refit_policy: state.refit_policy,
         mutations_since_refit: state.mutations_since_refit,
         vacuum_policy: state.vacuum_policy,
@@ -664,8 +660,6 @@ mod tests {
     use super::test_common::fixture;
     use super::*;
     use crate::RawSignature;
-    use fmeter_ir::TermCounts;
-    use fmeter_kernel_sim::Nanos;
 
     /// A small two-class database with tombstones and a bumped epoch —
     /// non-trivial state in every section.
@@ -711,19 +705,17 @@ mod tests {
     fn with_section(bytes: &[u8], name: &str, payload: Vec<u8>) -> Vec<u8> {
         let (_, sections) = split_envelope(bytes).unwrap();
         assert!(sections.iter().any(|s| s.name == name));
-        let sections: Vec<(&str, SectionCodec, Vec<u8>)> = sections
-            .iter()
-            .map(|s| {
-                let payload = if s.name == name {
-                    payload.clone()
-                } else {
-                    s.payload.clone()
-                };
-                (s.name.as_str(), s.codec, payload)
-            })
-            .collect();
+        let mut header = EnvelopeHeader {
+            format_version: CURRENT_FORMAT_VERSION,
+            ..EnvelopeHeader::default()
+        };
+        let mut body = Vec::new();
+        for s in &sections {
+            body.extend_from_slice(if s.name == name { &payload } else { s.payload });
+            header.close_section(&s.name, s.codec, &body);
+        }
         let mut out = Vec::new();
-        write_envelope(&sections, &mut out).unwrap();
+        write_envelope(&header, &body, &mut out).unwrap();
         out
     }
 
@@ -761,8 +753,12 @@ mod tests {
         assert_eq!(a.refit_policy(), b.refit_policy());
         for d in 0..a.num_slots() {
             assert_eq!(a.is_live(d), b.is_live(d));
-            assert_eq!(a.doc_epoch(d), b.doc_epoch(d));
-            assert_eq!(a.signatures()[d].vector, b.signatures()[d].vector);
+            // A dead slot's vector may ride an older idf generation in
+            // the saved database (refit skips it) and is re-derived
+            // under the published one by a load; nothing reads it.
+            if a.is_live(d) {
+                assert_eq!(a.signatures()[d].vector, b.signatures()[d].vector);
+            }
         }
         let q = TermCounts::from_dense(&[42, 30, 20, 11, 0, 0, 1, 0]);
         let ha = a.search(&q, 4).unwrap();
@@ -808,11 +804,11 @@ mod tests {
             Some(CURRENT_FORMAT_VERSION),
             "the version table must end at the current version"
         );
-        let current = load_sharded(&fixture(CURRENT_FORMAT_VERSION)[..]).unwrap();
+        let current = load(&fixture(CURRENT_FORMAT_VERSION)[..]).unwrap();
         let probe = TermCounts::from_dense(&[58, 41, 24, 13, 0, 0, 0, 1, 0, 0, 3, 0]);
         for spec in FORMAT_VERSIONS {
             let v = spec.version;
-            let db = load_sharded(&fixture(v)[..]).unwrap_or_else(|e| panic!("v{v}: {e}"));
+            let db = load(&fixture(v)[..]).unwrap_or_else(|e| panic!("v{v}: {e}"));
             assert_eq!(db.num_shards(), 1, "v{v}");
             assert_eq!(db.quantization(), QuantizationMode::Off, "v{v}");
             if v < 2 {
@@ -825,7 +821,6 @@ mod tests {
             assert_eq!(db.epoch(), current.epoch(), "v{v}");
             for d in 0..db.num_slots() {
                 assert_eq!(db.is_live(d), current.is_live(d), "v{v} doc {d}");
-                assert_eq!(db.doc_epoch(d), current.doc_epoch(d), "v{v} doc {d}");
             }
             let (a, b) = (
                 db.search(&probe, 5).unwrap(),
@@ -1059,25 +1054,27 @@ mod tests {
             "live flags vs num_live",
         );
         // One signature slot fewer than the corpus and the state have.
-        let short: Vec<Signature> = db.signatures.iter().skip(1).cloned().collect();
-        let short = encode_to_vec(&short);
+        let mut short = Vec::new();
+        codec::put_usize(&mut short, db.num_slots() - 1);
+        for signature in db.signatures.iter().skip(1) {
+            codec::put_opt_str(&mut short, signature.label.as_deref());
+            codec::put_u64(&mut short, signature.started_at.0);
+            codec::put_u64(&mut short, signature.ended_at.0);
+        }
         expect_inconsistent(
             &with_section(&bytes, SEC_SIGNATURES, short),
             "signature slots vs corpus docs",
         );
-        // Signatures from another term space: every count agrees, only
-        // the index rebuild can tell.
-        let alien: Vec<Signature> = db
-            .signatures
+        // A corpus from another term space: every count agrees, and the
+        // vectors would be derived in a space the model does not have.
+        let alien: Corpus = db
+            .corpus
             .iter()
-            .map(|s| Signature {
-                vector: fmeter_ir::SparseVec::from_pairs(9, s.vector.iter()).unwrap(),
-                ..s.clone()
-            })
+            .map(|doc| TermCounts::from_pairs(9, doc.iter()).unwrap())
             .collect();
         expect_inconsistent(
-            &with_section(&bytes, SEC_SIGNATURES, encode_to_vec(&alien)),
-            "signature dim vs model dim",
+            &with_section(&bytes, SEC_CORPUS, codec::encode_to_vec(&alien)),
+            "corpus dim vs model dim",
         );
     }
 
@@ -1086,7 +1083,8 @@ mod tests {
         let bytes = saved(&sample_db());
         let (version, sections) = split_envelope(&bytes).unwrap();
         assert_eq!(version, CURRENT_FORMAT_VERSION);
-        // The index is rebuilt, never stored: no section carries it.
+        // The index is rebuilt and the vectors derived, never stored: no
+        // section carries either.
         let names: Vec<&str> = sections.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
@@ -1104,7 +1102,7 @@ mod tests {
             match section.name.as_str() {
                 SEC_MODEL => drop(decode_section::<TfIdfModel>(section).unwrap()),
                 SEC_CORPUS => drop(decode_section::<Corpus>(section).unwrap()),
-                SEC_SIGNATURES => drop(decode_section::<Vec<Signature>>(section).unwrap()),
+                SEC_SIGNATURES => drop(decode_slots(section, decode_slot).unwrap()),
                 _ => drop(json_section::<Value>(section).unwrap()),
             }
             let expected = match section.name.as_str() {
@@ -1126,7 +1124,7 @@ mod tests {
         sharded.reshard(4);
         let mut bytes = Vec::new();
         save(&sharded, &mut bytes).unwrap();
-        let restored = load_sharded(&bytes[..]).unwrap();
+        let restored = load(&bytes[..]).unwrap();
         assert_eq!(restored.num_shards(), 4);
         assert_equivalent(&db, &restored);
         // A plain load reads the same bytes and just drops the layout.
@@ -1135,11 +1133,25 @@ mod tests {
         assert_equivalent(&db, &plain);
         // Saves from releases that predate the layout come back as one
         // shard.
-        assert_eq!(load_sharded(&fixture(2)[..]).unwrap().num_shards(), 1);
+        assert_eq!(load(&fixture(2)[..]).unwrap().num_shards(), 1);
         // A zero-shard layout is rejected, not served — by either load.
         let zero = serde_json::to_string(&Sharding { num_shards: 0 }).unwrap();
         let bad = with_section(&bytes, SEC_SHARDING, zero.into_bytes());
-        assert!(load_sharded(&bad[..]).is_err());
         assert!(load(&bad[..]).is_err());
+        assert!(SignatureDb::load(&bad[..]).is_err());
+        // So is one past the bound — which a writer clamps to, so what
+        // can be saved can be loaded.
+        sharded.reshard(usize::MAX);
+        assert_eq!(sharded.num_shards(), MAX_SHARDS);
+        let mut bytes = Vec::new();
+        save(&sharded, &mut bytes).unwrap();
+        assert_eq!(load(&bytes).unwrap().num_shards(), MAX_SHARDS);
+        let over = serde_json::to_string(&Sharding {
+            num_shards: MAX_SHARDS + 1,
+        })
+        .unwrap();
+        let bad = with_section(&bytes, SEC_SHARDING, over.into_bytes());
+        assert!(matches!(load(&bad), Err(FmeterError::Persist(_))));
+        assert!(SignatureDb::load(&bad[..]).is_err());
     }
 }

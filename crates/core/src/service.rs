@@ -41,7 +41,6 @@
 //! queries keep working in memory while the log backs off and retries.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,6 +51,7 @@ use fmeter_ir::{
 };
 use parking_lot::{Mutex, RwLock};
 
+use crate::db::majority_label;
 use crate::wal::{DurableLog, DurableOptions, RecoveryReport, WalHealth, WalOpRef};
 use crate::{
     persist, FmeterError, RawSignature, Recluster, RefitPolicy, RefitStats, ShardPiece, Signature,
@@ -184,7 +184,8 @@ pub struct ShardWriter {
 
 impl ShardWriter {
     /// Takes `db` over, re-laying its posting store out over
-    /// `num_shards` shards (clamped to at least 1) unless that is its
+    /// `num_shards` shards (clamped to between 1 and
+    /// [`MAX_SHARDS`](crate::persist::MAX_SHARDS)) unless that is its
     /// layout already.
     pub fn new(mut db: SignatureDb, num_shards: usize) -> Self {
         db.reshard(num_shards);
@@ -493,8 +494,10 @@ impl SignatureService {
     /// # Errors
     ///
     /// Propagates envelope and decoding failures.
-    pub fn load<R: Read>(reader: R) -> Result<Self, FmeterError> {
-        let db = persist::load_sharded(reader)?;
+    pub fn load<R: Read>(mut reader: R) -> Result<Self, FmeterError> {
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes)?;
+        let db = persist::load(&bytes)?;
         Ok(Self::from_writer(ShardWriter { db, durable: None }))
     }
 
@@ -549,24 +552,19 @@ impl SignatureService {
     }
 
     /// Classifies a fresh interval by majority label among its `k`
-    /// nearest stored signatures (same vote and tie-break as
-    /// [`SignatureDb::classify`]).
+    /// nearest stored signatures ([`SignatureDb::classify`]'s vote), read
+    /// in place: unlike [`search`](Self::search), no hit is cloned.
     ///
     /// # Errors
     ///
     /// Propagates dimension mismatches.
     pub fn classify(&self, counts: &TermCounts, k: usize) -> Result<Option<String>, FmeterError> {
-        let hits = self.search(counts, k)?;
-        let mut votes: HashMap<&str, usize> = HashMap::new();
-        for (_, sig, _) in &hits {
-            if let Some(label) = sig.label.as_deref() {
-                *votes.entry(label).or_default() += 1;
-            }
-        }
-        Ok(votes
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(label, _)| label.to_string()))
+        let snapshot = self.snapshot();
+        let query = snapshot.transform(counts);
+        let shards = snapshot.pieces.iter().map(|piece| piece.shard());
+        let hits = SCRATCH.with(|s| search_sharded(shards, &query, k, &mut s.borrow_mut()))?;
+        let neighbours = hits.iter().map(|h| &snapshot.signatures[h.doc]);
+        Ok(majority_label(neighbours))
     }
 
     /// Appends one signature and publishes the next generation.

@@ -27,9 +27,10 @@ impl RawSignature {
         self.ended_at - self.started_at
     }
 
-    /// Total calls observed in the interval.
+    /// Total calls observed in the interval, saturating at `u64::MAX`
+    /// (a replayed WAL record can hold any counts).
     pub fn total_calls(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counts.iter().copied().fold(0, u64::saturating_add)
     }
 
     /// Number of distinct functions observed.
@@ -86,9 +87,10 @@ impl Signature {
     }
 }
 
-// Binary wire layouts (see `fmeter_ir::codec`) for the v5 envelope sections
-// and the binary WAL payloads: fields in declaration order, timestamps as
-// their `u64` nanosecond counts.
+// Binary wire layout (see `fmeter_ir::codec`) of the WAL's insert payloads:
+// fields in declaration order, timestamps as their `u64` nanosecond counts.
+// (A finished [`Signature`] has none: a save keeps its counts, label and
+// interval, and the vector is derived again on load — see `persist`.)
 impl BinCodec for RawSignature {
     fn encode_bin(&self, out: &mut Vec<u8>) {
         codec::put_u64s(out, &self.counts);
@@ -103,24 +105,6 @@ impl BinCodec for RawSignature {
             started_at: Nanos(r.get_u64()?),
             ended_at: Nanos(r.get_u64()?),
             label: r.get_opt_str()?,
-        })
-    }
-}
-
-impl BinCodec for Signature {
-    fn encode_bin(&self, out: &mut Vec<u8>) {
-        self.vector.encode_bin(out);
-        codec::put_opt_str(out, self.label.as_deref());
-        codec::put_u64(out, self.started_at.0);
-        codec::put_u64(out, self.ended_at.0);
-    }
-
-    fn decode_bin(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Signature {
-            vector: SparseVec::decode_bin(r)?,
-            label: r.get_opt_str()?,
-            started_at: Nanos(r.get_u64()?),
-            ended_at: Nanos(r.get_u64()?),
         })
     }
 }

@@ -667,14 +667,14 @@ fn sync_dir(dir: &Path) {
     }
 }
 
-/// Writes `bytes` to `dir/name` atomically: temp file → fsync → rename
-/// → directory fsync. A crash anywhere leaves either the old file or
-/// the new one, never a mix.
+/// Writes what `write` produces to `dir/name` atomically: temp file →
+/// fsync → rename → directory fsync. A crash anywhere leaves either the
+/// old file or the new one, never a mix.
 fn write_atomic(
     dir: &Path,
     name: &str,
-    bytes: &[u8],
     plan: Option<&FailPlan>,
+    write: impl FnOnce(&mut dyn WalSink) -> Result<(), FmeterError>,
 ) -> Result<(), FmeterError> {
     let tmp = dir.join(format!("{name}.tmp"));
     {
@@ -683,7 +683,7 @@ fn write_atomic(
             Some(p) => Box::new(FailpointFile::new(file, p.clone())),
             None => Box::new(file),
         };
-        sink.write_all(bytes)?;
+        write(&mut *sink)?;
         sink.sync()?;
     }
     fs::rename(&tmp, dir.join(name))?;
@@ -846,8 +846,7 @@ impl DurableLog {
         dir: &Path,
         generation: u64,
     ) -> Result<(SignatureDb, RecoveryReport), FmeterError> {
-        let bytes = fs::read(dir.join(checkpoint_name(generation)))?;
-        let mut db = persist::load_sharded(&bytes[..])?;
+        let mut db = persist::load(&fs::read(dir.join(checkpoint_name(generation)))?)?;
         let mut report = RecoveryReport {
             generation,
             checkpoints_skipped: 0,
@@ -1008,13 +1007,11 @@ impl DurableLog {
     /// if the log was degraded — restores [`WalHealth::Healthy`].
     pub fn checkpoint(&mut self, db: &SignatureDb) -> Result<(), FmeterError> {
         let new_gen = self.generation + 1;
-        let mut bytes = Vec::new();
-        persist::save(db, &mut bytes)?;
         write_atomic(
             &self.dir,
             &checkpoint_name(new_gen),
-            &bytes,
             self.checkpoint_fail_plan.as_ref(),
+            |sink| persist::save(db, sink),
         )?;
         // The rename just made checkpoint-<new_gen> the newest
         // generation recovery can see — and recovery starts its WAL
@@ -1072,8 +1069,8 @@ impl DurableLog {
         write_atomic(
             &self.dir,
             MANIFEST_FILE,
-            &manifest,
             self.manifest_fail_plan.as_ref(),
+            |sink| Ok(sink.write_all(&manifest)?),
         )?;
         Ok((writer, start_seq))
     }

@@ -1,7 +1,8 @@
 //! Property tests for the envelope: arbitrary churned databases must
 //! round-trip through a save *bit-identically* although the save holds
-//! no index — the index the loader rebuilds from the signatures answers
-//! exactly like the one that was never stored.
+//! neither a tf-idf vector nor an index — the vectors the loader derives
+//! from the counts and the index it rebuilds from them answer exactly
+//! like the ones that were never stored.
 //!
 //! (The companion property — any single-bit flip in a section payload
 //! is caught by checksum and attributed to the right section — lives in
@@ -123,20 +124,22 @@ fn save(db: &SignatureDb) -> Vec<u8> {
 
 /// The all-JSON v4 fixture and the binary v5 fixture hold the same
 /// canonical database: loaded and saved again they must land on the
-/// same bytes — `f64::to_bits` equality of every stored weight, so the
-/// binary codec lost nothing the JSON path kept.
+/// same bytes — `f64::to_bits` equality of every idf the model
+/// publishes, so the binary codec lost nothing the JSON path kept — and
+/// derive the same vectors from them.
 #[test]
 fn v4_json_and_v5_binary_fixtures_hold_the_same_bits() {
     let from4 = SignatureDb::load(&fixture(4)[..]).expect("load v4");
     let from5 = SignatureDb::load(&fixture(5)[..]).expect("load v5");
     assert_eq!(save(&from4), save(&from5));
+    assert!(from4.signatures().iter().eq(from5.signatures().iter()));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Nothing is lost by not storing the index: `load(save(db))`
-    /// answers search and classify `f64::to_bits`-identically to `db`,
+    /// Nothing is lost by storing neither the vectors nor the index:
+    /// `load(save(db))` answers search and classify `f64::to_bits`-identically to `db`,
     /// flat and through a service of any shard count, and
     /// save → load → save is a byte-level fixed point.
     #[test]

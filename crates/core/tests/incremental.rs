@@ -56,8 +56,26 @@ fn seed_corpus(n_each: usize) -> Vec<RawSignature> {
     out
 }
 
-/// Applies `ops`, mirroring the raw corpus, and returns the surviving
-/// raw signatures in doc-id order.
+/// The invariant the on-disk format rests on (a save keeps the counts
+/// and no vector): every *live* slot's vector is, `f64::to_bits` for
+/// `to_bits`, the published model's transform of its raw counts —
+/// whichever mix of idf generations inserted and refitted it. Dead slots
+/// are excluded on purpose: `refit` re-weights live slots only, so a
+/// tombstoned vector may ride an older generation. Nothing reads it, and
+/// after a load it holds whatever `transform` gives.
+fn assert_live_vectors_are_derived(db: &SignatureDb, raws: &[RawSignature]) {
+    let bits = |v: &SparseVec| v.values().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+    for d in (0..db.num_slots()).filter(|&d| db.is_live(d)) {
+        let stored = &db.signatures()[d].vector;
+        let derived = db.transform(&raws[d].to_term_counts());
+        assert_eq!(stored.terms(), derived.terms(), "doc {d}: support");
+        assert_eq!(bits(stored), bits(&derived), "doc {d}: weights");
+    }
+}
+
+/// Applies `ops`, mirroring the raw corpus so `raws[d]` stays the raw
+/// signature of slot `d`, and checks the derived-vector invariant after
+/// every one of them.
 fn apply_ops(db: &mut SignatureDb, raws: &mut Vec<RawSignature>, ops: &[Op]) {
     for (i, op) in ops.iter().enumerate() {
         match op {
@@ -96,6 +114,7 @@ fn apply_ops(db: &mut SignatureDb, raws: &mut Vec<RawSignature>, ops: &[Op]) {
                 *raws = live_before.iter().map(|&d| raws[d].clone()).collect();
             }
         }
+        assert_live_vectors_are_derived(db, raws);
     }
 }
 
@@ -240,12 +259,18 @@ proptest! {
     fn automatic_policies_preserve_equivalence_too(
         ops in prop::collection::vec(arb_op(), 0..16),
         every_n in 1usize..5,
+        threshold in any::<bool>(),
     ) {
         // Same contract, but with refits firing mid-interleave via the
-        // EveryN policy (exercising auto-refit on both mutation paths).
+        // EveryN policy or the default drift/staleness threshold
+        // (exercising auto-refit on both mutation paths).
         let mut raws = seed_corpus(3);
         let mut db = SignatureDb::build(&raws).expect("seed corpus builds");
-        db.set_refit_policy(RefitPolicy::EveryN(every_n));
+        db.set_refit_policy(if threshold {
+            RefitPolicy::default()
+        } else {
+            RefitPolicy::EveryN(every_n)
+        });
         apply_ops(&mut db, &mut raws, &ops);
         db.refit();
         let survivors = surviving(&db, &raws);
@@ -337,6 +362,7 @@ proptest! {
         let mut buf = Vec::new();
         db.save(&mut buf).expect("save");
         let mut restored = SignatureDb::load(&buf[..]).expect("load");
+        assert_live_vectors_are_derived(&restored, &raws);
         prop_assert_eq!(restored.epoch(), db.epoch());
         prop_assert_eq!(restored.len(), db.len());
         prop_assert_eq!(restored.num_slots(), db.num_slots());
@@ -345,7 +371,6 @@ proptest! {
         prop_assert_eq!(restored.vacuums(), db.vacuums());
         for d in 0..db.num_slots() {
             prop_assert_eq!(restored.is_live(d), db.is_live(d));
-            prop_assert_eq!(restored.doc_epoch(d), db.doc_epoch(d));
         }
         // The restored copy continues the stream identically: same next
         // doc id, same refit outcome.

@@ -3,8 +3,8 @@
 //! Every reader of bytes from outside — `SignatureDb::load`,
 //! `SignatureService::load`, `split_envelope`, `detect_format_version`,
 //! `read_wal` — is fed truncations, bit flips and garbage of every
-//! format it accepts: a fresh v7 envelope, each committed fixture
-//! (v0–v7), and `FMWAL 2` / `FMWAL 1` segments. The answer is always an
+//! format it accepts: a fresh v8 envelope, each committed fixture
+//! (v0–v8), and `FMWAL 2` / `FMWAL 1` segments. The answer is always an
 //! `Err` or a clean record prefix. A panic fails the test by itself, so
 //! most of the suite only has to *call*; what more is promised (a strict
 //! truncation never loads, a damaged WAL yields a record prefix) is
@@ -16,9 +16,10 @@ use std::sync::{Arc, LazyLock, Mutex};
 
 use fmeter_core::persist::{
     detect_format_version, split_envelope, RawSection, SectionCodec, CURRENT_FORMAT_VERSION,
+    MAX_SHARDS,
 };
 use fmeter_core::wal::{crc32, read_wal, SyncPolicy, WalSink, WalWriter};
-use fmeter_core::{RawSignature, SignatureDb, SignatureService, WalOp};
+use fmeter_core::{FmeterError, RawSignature, SignatureDb, SignatureService, WalOp};
 use fmeter_kernel_sim::Nanos;
 use proptest::prelude::*;
 
@@ -49,7 +50,7 @@ fn fresh_envelope() -> Vec<u8> {
     bytes
 }
 
-/// The fresh v7 envelope and every committed fixture, v0–v7.
+/// The fresh v8 envelope and every committed fixture, v0–v8.
 static STORED_DATABASES: LazyLock<Vec<Vec<u8>>> = LazyLock::new(|| {
     let mut all = vec![fresh_envelope()];
     all.extend((0..=CURRENT_FORMAT_VERSION).map(fixture));
@@ -119,7 +120,7 @@ fn reframe(version: u32, sections: &[RawSection]) -> Vec<u8> {
     let table = list(&|s| format!("[\"{}\",{}]", s.name, s.payload.len()));
     let mut header = format!("\"format_version\":{version},\"sections\":[{table}]");
     if version >= 4 {
-        header += &format!(",\"crc32\":[{}]", list(&|s| crc32(&s.payload).to_string()));
+        header += &format!(",\"crc32\":[{}]", list(&|s| crc32(s.payload).to_string()));
     }
     if version >= 5 {
         header += &format!(
@@ -129,7 +130,7 @@ fn reframe(version: u32, sections: &[RawSection]) -> Vec<u8> {
     }
     let mut out = format!("FMETERDB {version}\n{{{header}}}\n").into_bytes();
     for section in sections {
-        out.extend_from_slice(&section.payload);
+        out.extend_from_slice(section.payload);
     }
     out
 }
@@ -148,18 +149,18 @@ fn reframing_is_faithful() {
 }
 
 /// `sections` with section `name` replaced by `payload` under `codec`.
-fn with_section(
-    sections: &[RawSection],
+fn with_section<'a>(
+    sections: &[RawSection<'a>],
     name: &str,
     codec: SectionCodec,
-    payload: &[u8],
-) -> Vec<RawSection> {
+    payload: &'a [u8],
+) -> Vec<RawSection<'a>> {
     let mut sections = sections.to_vec();
     let section = sections
         .iter_mut()
         .find(|s| s.name == name)
         .expect("section");
-    (section.codec, section.payload) = (codec, payload.to_vec());
+    (section.codec, section.payload) = (codec, payload);
     sections
 }
 
@@ -178,13 +179,18 @@ fn edit_first_terms(json: &str, edit: fn(&mut Vec<&str>)) -> Vec<u8> {
 #[test]
 fn json_vectors_that_break_the_storage_invariants_are_errors() {
     // A JSON section must reject what the binary decoder rejects — a
-    // derived `Deserialize` would check nothing, and a live signature
-    // (slot 0 of the canonical history, the first term list of its
-    // section) with a term past the dimension would index out of bounds
-    // in the index rebuild. Checked on a v2 file (all JSON, no checksums)
-    // and a v7 envelope with a JSON-tagged section, through both loaders.
-    let (_, v2) = split_envelope(&fixture(2)).unwrap();
-    let (current, v7) = split_envelope(&fixture(CURRENT_FORMAT_VERSION)).unwrap();
+    // derived `Deserialize` would check nothing, and a live slot (slot 0
+    // of the canonical history, the first term list of its section) with
+    // a term past the dimension would index out of bounds in the model.
+    // Checked on a v2 file (all JSON, no checksums) and an envelope with
+    // a JSON-tagged section, through both loaders. That holds for the
+    // counts. The vector an old `signatures` record stores is not read
+    // at all, so the same edits there change nothing (on a v7 envelope:
+    // a v8 `signatures` section is binary or an error).
+    let (v2, v7, v8) = (fixture(2), fixture(7), fixture(CURRENT_FORMAT_VERSION));
+    let (_, v2) = split_envelope(&v2).unwrap();
+    let (_, v7) = split_envelope(&v7).unwrap();
+    let (current, v8) = split_envelope(&v8).unwrap();
     let edits: [fn(&mut Vec<&str>); 5] = [
         |_| (), // the control: loads
         |t| *t.last_mut().unwrap() = "99",
@@ -192,7 +198,7 @@ fn json_vectors_that_break_the_storage_invariants_are_errors() {
         |t| t[1] = t[0],
         |t| t.truncate(1),
     ];
-    for name in ["signatures", "corpus"] {
+    for (name, version, tagged) in [("corpus", current, &v8), ("signatures", 7, &v7)] {
         let json = &v2.iter().find(|s| s.name == name).expect("section").payload;
         let json = std::str::from_utf8(json).expect("JSON section");
         for (i, edit) in edits.into_iter().enumerate() {
@@ -200,16 +206,95 @@ fn json_vectors_that_break_the_storage_invariants_are_errors() {
             for bytes in [
                 reframe(2, &with_section(&v2, name, SectionCodec::Json, &payload)),
                 reframe(
-                    current,
-                    &with_section(&v7, name, SectionCodec::Json, &payload),
+                    version,
+                    &with_section(tagged, name, SectionCodec::Json, &payload),
                 ),
             ] {
                 let db = SignatureDb::load(&bytes[..]).is_ok();
                 let service = SignatureService::load(&bytes[..]).is_ok();
-                assert_eq!((db, service), (i == 0, i == 0), "`{name}`, edit {i}");
+                let loads = i == 0 || name == "signatures";
+                assert_eq!((db, service), (loads, loads), "`{name}`, edit {i}");
             }
         }
     }
+    let json = v2.iter().find(|s| s.name == "signatures").unwrap().payload;
+    let tagged = with_section(&v8, "signatures", SectionCodec::Json, json);
+    assert!(!feed_readers(&reframe(current, &tagged)));
+}
+
+#[test]
+fn sections_that_pass_their_checksums_and_lie_are_errors() {
+    let (version, sections) = split_envelope(&STORED_DATABASES[0]).unwrap();
+    // Both loaders answer `FmeterError::Persist`; its message comes back.
+    let rejected = |name: &str, payload: &[u8]| -> String {
+        let codec = sections.iter().find(|s| s.name == name).unwrap().codec;
+        let bytes = reframe(version, &with_section(&sections, name, codec, payload));
+        assert!(SignatureService::load(&bytes[..]).is_err(), "`{name}`");
+        match SignatureDb::load(&bytes[..]) {
+            Err(FmeterError::Persist(message)) => message,
+            other => panic!("`{name}`: expected a Persist error, got {other:?}"),
+        }
+    };
+    // A shard count nothing bounds costs the loader `dim`-sized arrays
+    // per declared shard: 50 million of them kept a load busy for
+    // minutes, `1 << 40` for ever. (No clock here: it returns `Err`.)
+    for num_shards in [MAX_SHARDS as u64 + 1, 50_000_000, 1 << 40, u64::MAX] {
+        let sharding = format!("{{\"num_shards\":{num_shards}}}");
+        let message = rejected("sharding", sharding.as_bytes());
+        assert!(message.contains("shards"), "{message}");
+    }
+    // A well-formed `signatures` section one slot short of, and one slot
+    // past, what `corpus` and `state` hold: vectors are derived slot by
+    // slot from the counts, so the two must pair up.
+    let signatures = sections.iter().find(|s| s.name == "signatures").unwrap();
+    let slots = u64::from_le_bytes(signatures.payload[..8].try_into().unwrap());
+    for count in [slots - 1, slots + 1] {
+        // Each record: no label, two timestamps.
+        let payload = [&count.to_le_bytes()[..], &vec![0; 17 * count as usize]].concat();
+        let message = rejected("signatures", &payload);
+        assert!(message.contains("inconsistent sections"), "{message}");
+    }
+}
+
+#[test]
+fn counts_that_overflow_their_total_panic_neither_load_nor_replay() {
+    // Every document is weighed by its total count — once per stored slot
+    // on load, once per replayed insert — and two counts past `u64::MAX`
+    // between them used to be an overflow panic in `total`. Both routes:
+    // a `corpus` section re-sealed under a matching checksum, and a
+    // well-formed, checksummed WAL record.
+    let stored = &STORED_DATABASES[0];
+    let (version, sections) = split_envelope(stored).unwrap();
+    let corpus = sections.iter().find(|s| s.name == "corpus").unwrap();
+    // dim, doc count, then doc 0: dim, terms (count + u32s), counts.
+    let terms = u64::from_le_bytes(corpus.payload[24..32].try_into().unwrap()) as usize;
+    assert!(terms >= 2, "doc 0 has two counts to inflate");
+    let counts_at = 32 + 4 * terms + 8;
+    let mut payload = corpus.payload.to_vec();
+    payload[counts_at..counts_at + 16].fill(0xFF);
+    let bytes = reframe(
+        version,
+        &with_section(&sections, "corpus", SectionCodec::Binary, &payload),
+    );
+    feed_readers(&bytes);
+
+    let sink = SharedSink::default();
+    let mut writer = WalWriter::create(Box::new(sink.clone()), 1, true, SyncPolicy::EveryRecord)
+        .expect("create wal");
+    let heavy = RawSignature {
+        counts: vec![u64::MAX, 1, 0, 0, 0, 0],
+        ..raw(0)
+    };
+    assert_eq!(heavy.total_calls(), u64::MAX);
+    writer.append(&WalOp::Insert(heavy)).expect("append");
+    let segment = read_wal(&sink.0.lock().unwrap());
+    assert_eq!(segment.records.len(), 1);
+    let mut db = SignatureDb::load(&stored[..]).expect("load");
+    let before = db.len();
+    for (_, op) in &segment.records {
+        op.apply(&mut db).expect("replay");
+    }
+    assert_eq!(db.len(), before + 1);
 }
 
 /// A `WalSink` whose bytes the test can read back.
@@ -325,11 +410,11 @@ proptest! {
     /// of one section changed (or the section cut short, or replaced by
     /// garbage) and the frame re-sealed with matching lengths and
     /// checksums, so the section decoders, the v6 tag walk and the
-    /// cross-section checks see it. Covers v4–v7; v1–v3 carry no
+    /// cross-section checks see it. Covers v4–v8; v1–v3 carry no
     /// checksums, so there the same damage goes in directly.
     #[test]
     fn damage_behind_a_valid_frame_never_panics_a_reader(
-        which in 0usize..9,
+        which in 0usize..10,
         section_frac in 0.0f64..1.0,
         byte_frac in 0.0f64..1.0,
         replacement in any::<u8>(),
@@ -349,7 +434,9 @@ proptest! {
             Some(version) if version >= 4 => {
                 let (version, mut sections) = split_envelope(bytes).unwrap();
                 let k = ((sections.len() as f64 * section_frac) as usize).min(sections.len() - 1);
-                damage(&mut sections[k].payload);
+                let mut payload = sections[k].payload.to_vec();
+                damage(&mut payload);
+                sections[k].payload = &payload;
                 feed_readers(&reframe(version, &sections));
             }
             _ => {
@@ -366,7 +453,7 @@ proptest! {
     /// The satellite-sized prefix: a `signatures` section whose count
     /// prefix equals its own length passes the one-byte-per-element
     /// guard; it must fail to decode — without the loader first
-    /// reserving ~96 bytes of `Signature` per input byte.
+    /// reserving a `Signature` per input byte.
     #[test]
     fn an_attacker_sized_signature_count_errors(len in 8usize..4096) {
         let (version, sections) = split_envelope(&STORED_DATABASES[0]).unwrap();

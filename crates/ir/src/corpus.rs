@@ -108,9 +108,9 @@ impl TermCounts {
     }
 
     /// Total number of term occurrences (the document "length",
-    /// `sum_k n_{k,j}`).
+    /// `sum_k n_{k,j}`), saturating: counts read from disk can be anything.
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counts.iter().copied().fold(0, u64::saturating_add)
     }
 
     /// Count for a specific term (zero when absent).

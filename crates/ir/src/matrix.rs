@@ -10,8 +10,6 @@
 
 use serde::{Deserialize, Serialize, Value};
 
-use crate::codec;
-
 use crate::distance::{cosine_similarity_with_norms, sq_norm};
 use crate::{IrError, Metric, SparseVec, TermId};
 
@@ -533,28 +531,6 @@ impl CsrMatrix {
         let n = self.len();
         assert!(i < j && j < n, "condensed index requires i < j < n");
         i * (2 * n - i - 1) / 2 + (j - i - 1)
-    }
-}
-
-// Binary wire layout (see `crate::codec`): the same four fields the JSON
-// surface persists — the cached norms stay off the wire — and decoding
-// routes through `from_raw_parts` so its invariant checks run on the binary
-// path too.
-impl codec::BinCodec for CsrMatrix {
-    fn encode_bin(&self, out: &mut Vec<u8>) {
-        codec::put_usize(out, self.dim);
-        codec::put_usizes(out, &self.indptr);
-        codec::put_u32s(out, &self.indices);
-        codec::put_f64s(out, &self.values);
-    }
-
-    fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
-        let dim = r.get_usize()?;
-        let indptr = r.get_usizes()?;
-        let indices = r.get_u32s()?;
-        let values = r.get_f64s()?;
-        CsrMatrix::from_raw_parts(dim, indptr, indices, values)
-            .map_err(|e| codec::CodecError::new(format!("invalid CsrMatrix: {e}")))
     }
 }
 

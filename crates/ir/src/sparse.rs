@@ -2,7 +2,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize, Value};
 
-use crate::codec;
 use crate::{IrError, TermId};
 
 /// A sparse vector in the signature vector space.
@@ -365,35 +364,29 @@ impl SparseVec {
         }
         Ok(SparseVec { dim, terms, values })
     }
+
+    /// Internal constructor for callers that guarantee the storage
+    /// invariants by construction, skipping the sort and merge of
+    /// [`from_pairs`](Self::from_pairs). Debug builds still verify.
+    pub(crate) fn from_parts_trusted(dim: usize, terms: Vec<TermId>, values: Vec<f64>) -> Self {
+        debug_assert!(
+            check_wire_terms("SparseVec", dim, &terms, values.len()).is_ok()
+                && !values.contains(&0.0),
+            "trusted SparseVec parts violate the storage invariants"
+        );
+        SparseVec { dim, terms, values }
+    }
 }
 
 // Deserialization is implemented by hand (not derived) so JSON input is
-// held to the same invariants as binary input: the derive would accept
-// any three fields, and every kernel downstream indexes by term unchecked.
+// held to the storage invariants: the derive would accept any three
+// fields, and every kernel downstream indexes by term unchecked.
 impl Deserialize for SparseVec {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let dim = usize::from_value(v.get_field("dim")?)?;
         let terms = Vec::from_value(v.get_field("terms")?)?;
         let values = Vec::from_value(v.get_field("values")?)?;
         SparseVec::from_wire(dim, terms, values).map_err(serde::Error)
-    }
-}
-
-// Binary wire layout (see `crate::codec`): `dim` then the `terms`/`values`
-// parallel arrays. Values travel as IEEE-754 bit patterns, so a decoded
-// vector is bit-identical to the encoded one.
-impl codec::BinCodec for SparseVec {
-    fn encode_bin(&self, out: &mut Vec<u8>) {
-        codec::put_usize(out, self.dim);
-        codec::put_u32s(out, &self.terms);
-        codec::put_f64s(out, &self.values);
-    }
-
-    fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
-        let dim = r.get_usize()?;
-        let terms = r.get_u32s()?;
-        let values = r.get_f64s()?;
-        SparseVec::from_wire(dim, terms, values).map_err(codec::CodecError::new)
     }
 }
 

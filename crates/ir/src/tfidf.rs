@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize, Value};
 
 use crate::codec;
-use crate::{Corpus, CsrMatrix, IrError, SparseVec, TermCounts};
+use crate::{Corpus, CsrMatrix, IrError, SparseVec, TermCounts, TermId};
 
 /// Term-frequency flavour used when weighting a document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -43,7 +43,7 @@ pub struct TfIdfOptions {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IdfRefit {
     /// Terms whose idf value changed in this refit (ascending order).
-    pub changed_terms: Vec<crate::TermId>,
+    pub changed_terms: Vec<TermId>,
     /// The largest per-term drift absorbed, as measured by
     /// [`TfIdfModel::idf_drift`] just before the refit.
     pub max_drift: f64,
@@ -372,7 +372,7 @@ impl TfIdfModel {
             let fresh = idf_value(self.options.idf, df, self.num_docs);
             if fresh != self.idf[t] {
                 self.idf[t] = fresh;
-                changed_terms.push(t as crate::TermId);
+                changed_terms.push(t as TermId);
             }
         }
         self.drift_clean = true;
@@ -400,14 +400,25 @@ impl TfIdfModel {
             doc.dim(),
             self.dim
         );
+        let mut terms = Vec::with_capacity(doc.distinct_terms());
+        let mut values = Vec::with_capacity(doc.distinct_terms());
+        self.weigh_into(doc, &mut terms, &mut values);
+        SparseVec::from_parts_trusted(self.dim, terms, values)
+    }
+
+    /// Appends `doc`'s non-zero weights to `terms` / `values`.
+    /// [`TermCounts`] iterates in ascending term order with no
+    /// duplicates, so what is appended is sorted for free: the layout
+    /// invariants of a [`SparseVec`] or a CSR row hold by construction.
+    fn weigh_into(&self, doc: &TermCounts, terms: &mut Vec<TermId>, values: &mut Vec<f64>) {
         let total = doc.total();
-        if total == 0 {
-            return SparseVec::zeros(self.dim);
+        for (t, n) in doc.iter() {
+            let w = self.weight(n, total) * self.idf[t as usize];
+            if w != 0.0 {
+                terms.push(t);
+                values.push(w);
+            }
         }
-        let pairs = doc
-            .iter()
-            .map(|(t, n)| (t, self.weight(n, total) * self.idf[t as usize]));
-        SparseVec::from_pairs(self.dim, pairs).expect("document terms are in range")
     }
 
     /// The configured tf scheme applied to one raw count.
@@ -451,19 +462,7 @@ impl TfIdfModel {
         let mut values = Vec::with_capacity(nnz_bound);
         indptr.push(0);
         for doc in corpus.iter() {
-            let total = doc.total();
-            if total > 0 {
-                // TermCounts iterates in ascending term order with no
-                // duplicates, so the CSR row comes out sorted for free —
-                // the layout invariants hold by construction.
-                for (t, n) in doc.iter() {
-                    let w = self.weight(n, total) * self.idf[t as usize];
-                    if w != 0.0 {
-                        indices.push(t);
-                        values.push(w);
-                    }
-                }
-            }
+            self.weigh_into(doc, &mut indices, &mut values);
             indptr.push(indices.len());
         }
         CsrMatrix::from_parts_trusted(self.dim, indptr, indices, values)
@@ -740,8 +739,18 @@ mod tests {
             let csr = m.transform_corpus_csr(&c);
             assert_eq!(csr.len(), vectors.len());
             assert_eq!(csr.dim(), m.dim());
+            // Row `i` *is* `transform(doc i)`, `to_bits` for `to_bits`: both
+            // run the one weighting loop.
+            let bits = |ws: &[f64]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
             for (i, v) in vectors.iter().enumerate() {
-                assert_eq!(&csr.row_to_sparse(i), v, "row {i} under {tf:?}/{idf:?}");
+                let (terms, values) = csr.row(i);
+                assert_eq!(terms, v.terms(), "row {i} under {tf:?}/{idf:?}");
+                assert_eq!(
+                    bits(values),
+                    bits(v.values()),
+                    "row {i} under {tf:?}/{idf:?}"
+                );
+                assert_eq!(&csr.row_to_sparse(i), v);
                 assert!((csr.norm(i) - v.norm_l2()).abs() < 1e-15);
             }
         }

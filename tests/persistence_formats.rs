@@ -21,8 +21,8 @@ use fmeter::core::persist::{
     detect_format_version, split_envelope, RawSection, SectionCodec, CURRENT_FORMAT_VERSION,
     FORMAT_VERSIONS,
 };
-use fmeter::core::{RawSignature, RefitPolicy, Signature, SignatureDb, VacuumPolicy};
-use fmeter::ir::codec::{decode_from_slice, encode_to_vec};
+use fmeter::core::{RawSignature, RefitPolicy, SignatureDb, VacuumPolicy};
+use fmeter::ir::codec::{self, decode_from_slice, encode_to_vec, CodecError, Reader};
 use fmeter::ir::{Corpus, TermCounts, TfIdfModel};
 use fmeter::kernel_sim::Nanos;
 use serde::Value;
@@ -120,11 +120,20 @@ fn assert_fixture_behaviour(mut db: SignatureDb, version: u32) {
     assert_eq!(db.refit_policy(), replay.refit_policy(), "v{version}");
     for d in 0..db.num_slots() {
         assert_eq!(db.is_live(d), replay.is_live(d), "v{version}: liveness {d}");
-        assert_eq!(
-            db.doc_epoch(d),
-            replay.doc_epoch(d),
-            "v{version}: epoch {d}"
-        );
+    }
+    // Every live vector a load hands back is the published model's
+    // transform of the slot's counts, `f64::to_bits` for `to_bits` — what
+    // v0–v7 stored beside the counts and what a load derives from them.
+    // Dead slots are excluded on purpose: `refit` re-weights live slots
+    // only, so their vectors may ride an older idf generation.
+    let raws = canonical_raws();
+    for d in (0..db.num_slots()).filter(|&d| db.is_live(d)) {
+        let stored = &db.signatures()[d].vector;
+        let derived = db.transform(&raws[d].to_term_counts());
+        assert_eq!(stored.terms(), derived.terms(), "v{version}: support {d}");
+        for (a, b) in stored.values().iter().zip(derived.values()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "v{version}: weights {d}");
+        }
     }
     // Formats older than v2 cannot carry vacuum state: it loads as the
     // default. The current format round-trips it.
@@ -231,6 +240,23 @@ fn skeleton(v: &Value, out: &mut String) {
     }
 }
 
+/// The `signatures` wire layout, read and written back independently of
+/// the product's codec for it: a slot count, then per slot an optional
+/// label and the interval's two timestamps — and no vector.
+fn reencode_signatures(payload: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut r = Reader::new(payload);
+    let mut out = Vec::new();
+    let slots = r.get_usize()?;
+    codec::put_usize(&mut out, slots);
+    for _ in 0..slots {
+        codec::put_opt_str(&mut out, r.get_opt_str()?.as_deref());
+        codec::put_u64(&mut out, r.get_u64()?);
+        codec::put_u64(&mut out, r.get_u64()?);
+    }
+    r.finish()?;
+    Ok(out)
+}
+
 /// The binary-section analogue of [`skeleton`]: decodes the payload
 /// with the section's typed decoder and re-encodes it. Byte-for-byte
 /// identity proves the payload is exactly what today's writer lays
@@ -246,10 +272,8 @@ fn assert_binary_section_stable(name: &str, payload: &[u8], origin: &str) {
             &decode_from_slice::<Corpus>(payload)
                 .unwrap_or_else(|e| panic!("{origin} section `{name}` failed to decode: {e}")),
         ),
-        "signatures" => encode_to_vec(
-            &decode_from_slice::<Vec<Signature>>(payload)
-                .unwrap_or_else(|e| panic!("{origin} section `{name}` failed to decode: {e}")),
-        ),
+        "signatures" => reencode_signatures(payload)
+            .unwrap_or_else(|e| panic!("{origin} section `{name}` failed to decode: {e}")),
         other => panic!("unexpected binary section `{other}` in the {origin} envelope"),
     };
     assert_eq!(
@@ -264,7 +288,8 @@ fn assert_binary_section_stable(name: &str, payload: &[u8], origin: &str) {
 /// codec tags, and section structure as the committed current-version
 /// fixture (JSON sections by structural skeleton, binary sections by
 /// decode∘encode identity) — and no section named `index`: the index
-/// is rebuilt from the signatures, never stored. If this fails, the
+/// is rebuilt from the signatures, never stored, as the signatures'
+/// vectors are derived from the corpus counts. If this fails, the
 /// on-disk layout changed: bump `CURRENT_FORMAT_VERSION`, append a
 /// `FORMAT_VERSIONS` entry, teach `persist::legacy` what the previous
 /// version lacked, and regenerate + commit the new fixture.
@@ -291,7 +316,8 @@ fn current_writer_matches_committed_layout() {
     );
     assert!(
         fresh_sections.iter().all(|s| s.name != "index"),
-        "the index is derived state and must not be stored"
+        "the index is derived state and must not be stored (nor are the tf-idf \
+         vectors it is rebuilt from: see `only_the_corpus_section_grows_with_nnz`)"
     );
     let codecs = |s: &[RawSection]| s.iter().map(|s| s.codec).collect::<Vec<_>>();
     assert_eq!(
@@ -309,8 +335,8 @@ fn current_writer_matches_committed_layout() {
                     serde_json::from_str(text)
                         .unwrap_or_else(|e| panic!("{origin} section `{name}` not JSON: {e}"))
                 };
-                let fresh_value = as_json(&fresh.payload, "fresh");
-                let committed_value = as_json(&committed.payload, "committed");
+                let fresh_value = as_json(fresh.payload, "fresh");
+                let committed_value = as_json(committed.payload, "committed");
                 let (mut a, mut b) = (String::new(), String::new());
                 skeleton(&fresh_value, &mut a);
                 skeleton(&committed_value, &mut b);
@@ -321,9 +347,55 @@ fn current_writer_matches_committed_layout() {
                 );
             }
             SectionCodec::Binary => {
-                assert_binary_section_stable(name, &fresh.payload, "fresh");
-                assert_binary_section_stable(name, &committed.payload, "committed");
+                assert_binary_section_stable(name, fresh.payload, "fresh");
+                assert_binary_section_stable(name, committed.payload, "committed");
             }
+        }
+    }
+}
+
+/// The guard that would have flagged a second stored copy of every
+/// signature: two databases alike in slot count, labels, intervals and
+/// dimension but not in non-zeros per document save to envelopes that
+/// differ in the length of the `corpus` section only. A section that
+/// carried anything per non-zero — a weight vector, a posting — grows.
+#[test]
+fn only_the_corpus_section_grows_with_nnz() {
+    let section_lens = |nnz: usize| -> Vec<(String, usize)> {
+        let raws: Vec<RawSignature> = (0..16u64)
+            .map(|i| RawSignature {
+                // `nnz` hot functions from a per-document offset, so
+                // document frequencies (and idf) vary across terms.
+                counts: (0..48u64)
+                    .map(|t| u64::from((t + 48 - i) % 48 < nnz as u64) * (1 + t + i))
+                    .collect(),
+                started_at: Nanos(i * 1_000),
+                ended_at: Nanos((i + 1) * 1_000),
+                label: Some(format!("class-{}", i % 3)),
+            })
+            .collect();
+        let mut db = SignatureDb::build(&raws).expect("builds");
+        db.set_refit_policy(RefitPolicy::Manual);
+        db.remove(5).expect("live");
+        let mut bytes = Vec::new();
+        db.save(&mut bytes).expect("save");
+        let (_, sections) = split_envelope(&bytes).expect("fresh envelope");
+        sections
+            .into_iter()
+            .map(|s| (s.name, s.payload.len()))
+            .collect()
+    };
+    for (sparse, dense) in section_lens(4).into_iter().zip(section_lens(40)) {
+        assert_eq!(sparse.0, dense.0);
+        if sparse.0 == "corpus" {
+            assert!(sparse.1 < dense.1, "the counts are what is stored");
+        } else {
+            assert_eq!(
+                sparse.1, dense.1,
+                "section `{}` grows with the non-zeros per document: \
+                 something derived from the counts is being stored",
+                sparse.0
+            );
         }
     }
 }
