@@ -3,161 +3,10 @@
 //! binaries.
 
 use fmeter_core::{Fmeter, FmeterError, RawSignature};
-use fmeter_ir::{Corpus, SparseVec, TermCounts, TfIdfModel, TfIdfOptions};
+use fmeter_ir::{Corpus, SparseVec, TfIdfModel, TfIdfOptions};
 use fmeter_kernel_sim::{modules, CpuId, Kernel, KernelConfig, Nanos};
 use fmeter_ml::Label;
 use fmeter_workloads::{ApacheBench, Dbench, KCompile, NetperfReceive, Scp, WithBackground};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// Corpus-scale synthetic signature set: `n` unit-norm vectors in a
-/// `dim`-dimensional space with `nnz` non-zeros each, spread over four
-/// latent class bands. The criterion benches and `perf_baseline` share
-/// this generator so their numbers measure the same workload.
-pub fn synthetic_points(n: usize, dim: usize, nnz: usize, seed: u64) -> Vec<SparseVec> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let classes = 4;
-    let band = dim / classes;
-    (0..n)
-        .map(|i| {
-            let base = (i % classes) * band;
-            let pairs: Vec<(u32, f64)> = (0..nnz)
-                .map(|k| (((base + (k * 13) % band) % dim) as u32, rng.random::<f64>()))
-                .collect();
-            SparseVec::from_pairs(dim, pairs)
-                .expect("terms in range")
-                .l2_normalized()
-        })
-        .collect()
-}
-
-/// `n` l2-normalised points over `classes` well-separated clusters —
-/// the corpus shape of a fleet-scale signature database (many distinct
-/// behaviour classes, each concentrated on its own kernel-function
-/// band). Each class owns a contiguous `band`-term slice; every point
-/// activates the first `nnz / 2` terms of its band (the class's hot
-/// kernel functions, shared by all members) plus a per-point rotation
-/// over the rest of the band, and a jittered weight on one shared
-/// anchor term. The hot prefix keeps intra-class cohesion well above
-/// the cross-class floor; the anchor keeps every pairwise distance
-/// distinct — without it any two points with disjoint supports sit at
-/// exactly sqrt(2) after normalisation, and that tie field makes
-/// dendrograms non-unique (see `docs/CLUSTERING.md`).
-pub fn synthetic_clustered_points(
-    n: usize,
-    classes: usize,
-    band: usize,
-    nnz: usize,
-    seed: u64,
-) -> Vec<SparseVec> {
-    assert!(nnz <= band, "class band must fit the active terms");
-    let dim = classes * band + 1;
-    let anchor = (classes * band) as u32;
-    let hot = nnz / 2;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let base = (i % classes) * band;
-            let mut pairs: Vec<(u32, f64)> = (0..nnz)
-                .map(|k| {
-                    let term = if k < hot {
-                        base + k
-                    } else {
-                        base + hot + (k * 7 + i) % (band - hot)
-                    };
-                    (term as u32, 0.5 + rng.random::<f64>())
-                })
-                .collect();
-            pairs.push((anchor, 0.2 + 0.1 * rng.random::<f64>()));
-            SparseVec::from_pairs(dim, pairs)
-                .expect("terms in range")
-                .l2_normalized()
-        })
-        .collect()
-}
-
-/// `n` count documents over a `dim`-term space, each with ~`active`
-/// expected active terms carrying uniform counts — the shared index/tf-idf
-/// benchmark corpus.
-pub fn synthetic_corpus(n: usize, dim: usize, active: usize, seed: u64) -> Corpus {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut corpus = Corpus::new(dim);
-    for _ in 0..n {
-        let mut counts = vec![0u64; dim];
-        for c in counts.iter_mut() {
-            if rng.random::<f32>() < active as f32 / dim as f32 {
-                *c = 1 + (rng.random::<f64>() * 10_000.0) as u64;
-            }
-        }
-        corpus.push(TermCounts::from_dense(&counts));
-    }
-    corpus
-}
-
-/// `n` count documents spread over `classes` behaviour classes in a
-/// `dim`-term space: each class hammers its own band of hot functions
-/// (the paper's premise — distinct workloads concentrate on distinct
-/// kernel paths) on top of a small shared "daemon noise" band that most
-/// documents touch. After tf-idf the corpus has the skewed impact
-/// distribution a fleet-scale signature database shows: class terms are
-/// rare and heavy (high idf), shared terms ubiquitous and light — the
-/// shape WAND's per-term bounds exploit.
-pub fn synthetic_class_corpus(n: usize, classes: usize, dim: usize, seed: u64) -> Corpus {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let shared = 40.min(dim / 8).max(1);
-    // More classes than class-band slots would push `base` past `dim`;
-    // fold the surplus classes together instead.
-    let classes = classes.clamp(1, (dim - shared).max(1));
-    let band = ((dim - shared) / classes).max(1);
-    let mut corpus = Corpus::new(dim);
-    for i in 0..n {
-        let class = i % classes;
-        let base = shared + class * band;
-        let mut counts = vec![0u64; dim];
-        // Ambient daemon activity: present in ~60% of intervals, so its
-        // idf is small but non-zero and its postings span the corpus.
-        for c in counts.iter_mut().take(shared) {
-            if rng.random::<f32>() < 0.6 {
-                *c = 500 + (rng.random::<f64>() * 1000.0) as u64;
-            }
-        }
-        let hot = (band / 2).max(1);
-        for k in 0..hot {
-            counts[base + (k * 7) % band] = 1 + (rng.random::<f64>() * 10_000.0) as u64;
-        }
-        corpus.push(TermCounts::from_dense(&counts));
-    }
-    corpus
-}
-
-/// `n` labelled [`RawSignature`]s over the same banded class structure
-/// as [`synthetic_class_corpus`] — the ingest-throughput benches feed
-/// these through the incremental `SignatureDb` paths, which consume raw
-/// daemon output rather than pre-built documents.
-pub fn synthetic_raw_signatures(
-    n: usize,
-    classes: usize,
-    dim: usize,
-    seed: u64,
-) -> Vec<RawSignature> {
-    let corpus = synthetic_class_corpus(n, classes, dim, seed);
-    corpus
-        .iter()
-        .enumerate()
-        .map(|(i, doc)| {
-            let mut counts = vec![0u64; dim];
-            for (t, c) in doc.iter() {
-                counts[t as usize] = c;
-            }
-            RawSignature {
-                counts,
-                started_at: Nanos(i as u64 * 1_000),
-                ended_at: Nanos((i as u64 + 1) * 1_000),
-                label: Some(format!("class{}", i % classes.max(1))),
-            }
-        })
-        .collect()
-}
 
 /// The canonical kernel image seed (the "released 2.6.28 build").
 // Grouped to read as kernel version 2.6.28, not a byte count.

@@ -10,24 +10,21 @@
 //!   deterministic building blocks shared by every binary —
 //!   [`standard_kernel`] (the 16-CPU evaluation machine on the
 //!   canonical image seed), [`collect_signatures`] (run a workload
-//!   under the logging daemon), seeded synthetic corpora for the perf
-//!   cases ([`synthetic_points`], [`synthetic_class_corpus`],
-//!   [`synthetic_raw_signatures`]), tf-idf shortcuts and ASCII table
+//!   under the logging daemon), tf-idf shortcuts and ASCII table
 //!   rendering.
 //! * **The binaries** (`src/bin/`): one per paper artifact —
 //!   `table1_lmbench` … `table5_svm_myri10ge` (§4.1 overhead and §4.2
 //!   classification), `fig1_boot_powerlaw` … `fig6_purity_vs_k`
 //!   (Figures 1 and 4–6), the ablations (distance metric, sampling
-//!   interval, tf/idf weighting), beyond-the-paper extensions, and two
-//!   meta-binaries: `sanity_check` (the end-to-end smoke run asserting
-//!   SVM accuracy 1.0 / 3-class purity 1.0) and `perf_baseline` (the
-//!   machine-readable perf trajectory `BENCH_ir.json` that CI gates
-//!   against 2x regressions, quick-mode on every push and full-mode
-//!   nightly).
+//!   interval, tf/idf weighting), beyond-the-paper extensions, and
+//!   `sanity_check` (the end-to-end smoke run asserting SVM accuracy
+//!   1.0 / 3-class purity 1.0).
 //!
-//! Three criterion-style benches (`tracer_overhead`,
-//! `signature_pipeline`, `learning`) measure the wall-clock hot paths;
-//! `cargo bench --no-run` keeps them compiling in CI.
+//! The tables and figures run on the simulator's clock and are
+//! seed-deterministic (`sanity_check` prints how long its stages took,
+//! for orientation only). Wall-clock performance is measured, and
+//! gated, by the `benchmark/` package at the repository root and by
+//! nothing else.
 //!
 //! See `docs/ARCHITECTURE.md` for where this layer sits in the
 //! repository's data flow, and the README's table/figure index for the

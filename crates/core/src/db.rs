@@ -776,7 +776,7 @@ impl SignatureDb {
     }
 
     /// Switches every shard's compacted posting weights between exact
-    /// `f64` and 8-bit quantized storage (~4x smaller resident
+    /// `f64` and 8-bit quantized storage (2.3x smaller resident
     /// postings, per-weight error at most half a quantization step —
     /// see [`Shard::set_quantization`]). The mode survives vacuums,
     /// refits, and save/load, each of which re-quantizes from the exact

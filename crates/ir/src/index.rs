@@ -1417,7 +1417,9 @@ impl InvertedIndex {
     /// weights (8-bit codes plus per-term parameters in `Int8` mode),
     /// tail postings, and the block-max metadata. Vec capacity overhead
     /// and fixed struct fields are not counted — this is the number that
-    /// shrinks ~4x when quantization is on, the one the capacity of an
+    /// shrinks 2.3x when quantization is on (a flat posting goes from
+    /// 12 bytes to 5; `index.resident_kb_f64` ÷ `index.resident_kb_int8`
+    /// in `benchmark/`'s layer replay), the one the capacity of an
     /// in-memory shard is sized by.
     pub fn postings_resident_bytes(&self) -> usize {
         let flat = &self.flat;
@@ -2193,7 +2195,7 @@ mod tests {
     #[test]
     fn quantization_error_stays_within_half_step() {
         let dim = 32u32;
-        let docs = banded_corpus(500, dim);
+        let docs = banded_corpus(1024, dim);
         let mut exact = InvertedIndex::new(dim as usize);
         for d in &docs {
             exact.insert(d.clone()).unwrap();
@@ -2223,7 +2225,10 @@ mod tests {
             let b = quant.search_block_max(q, 10, &mut scratch).unwrap();
             assert_eq!(a, b);
         }
-        // And resident postings shrink (8-bit vs 64-bit impacts).
-        assert!(quant.postings_resident_bytes() < exact.postings_resident_bytes());
+        // And resident postings shrink by the documented 2.3x: a flat
+        // posting goes from 12 bytes to 5, per-term grids and block
+        // maxima make up the rest.
+        let ratio = exact.postings_resident_bytes() as f64 / quant.postings_resident_bytes() as f64;
+        assert!((2.2..=2.4).contains(&ratio), "f64 / Int8 bytes = {ratio}");
     }
 }

@@ -134,8 +134,7 @@ impl CsrMatrix {
         })
     }
 
-    /// Builds a matrix from raw CSR parts (e.g. assembled directly by
-    /// [`TfIdfModel::transform_corpus_csr`](crate::TfIdfModel::transform_corpus_csr)
+    /// Builds a matrix from raw CSR parts (e.g. assembled directly,
     /// without intermediate [`SparseVec`]s). Norms are computed here.
     ///
     /// # Errors
@@ -195,37 +194,6 @@ impl CsrMatrix {
             norms,
             sq_norms,
         })
-    }
-
-    /// Internal constructor for callers that guarantee the CSR invariants
-    /// by construction (sorted in-range rows, consistent `indptr`); only
-    /// norms are computed. Debug builds still verify.
-    pub(crate) fn from_parts_trusted(
-        dim: usize,
-        indptr: Vec<usize>,
-        indices: Vec<TermId>,
-        values: Vec<f64>,
-    ) -> Self {
-        debug_assert!(
-            CsrMatrix::from_raw_parts(dim, indptr.clone(), indices.clone(), values.clone()).is_ok(),
-            "trusted CSR parts violate the layout invariants"
-        );
-        let rows = indptr.len().saturating_sub(1);
-        let mut norms = Vec::with_capacity(rows);
-        let mut sq_norms = Vec::with_capacity(rows);
-        for w in indptr.windows(2) {
-            let sq = sq_norm(&values[w[0]..w[1]]);
-            sq_norms.push(sq);
-            norms.push(sq.sqrt());
-        }
-        CsrMatrix {
-            dim,
-            indptr,
-            indices,
-            values,
-            norms,
-            sq_norms,
-        }
     }
 
     /// Appends one row to the matrix, returning its row index — the

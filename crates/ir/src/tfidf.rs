@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize, Value};
 
 use crate::codec;
-use crate::{Corpus, CsrMatrix, IrError, SparseVec, TermCounts, TermId};
+use crate::{Corpus, IrError, SparseVec, TermCounts, TermId};
 
 /// Term-frequency flavour used when weighting a document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -402,15 +402,9 @@ impl TfIdfModel {
         );
         let mut terms = Vec::with_capacity(doc.distinct_terms());
         let mut values = Vec::with_capacity(doc.distinct_terms());
-        self.weigh_into(doc, &mut terms, &mut values);
-        SparseVec::from_parts_trusted(self.dim, terms, values)
-    }
-
-    /// Appends `doc`'s non-zero weights to `terms` / `values`.
-    /// [`TermCounts`] iterates in ascending term order with no
-    /// duplicates, so what is appended is sorted for free: the layout
-    /// invariants of a [`SparseVec`] or a CSR row hold by construction.
-    fn weigh_into(&self, doc: &TermCounts, terms: &mut Vec<TermId>, values: &mut Vec<f64>) {
+        // `TermCounts` iterates in ascending term order with no
+        // duplicates, so what is pushed is sorted for free: the layout
+        // invariants of a `SparseVec` hold by construction.
         let total = doc.total();
         for (t, n) in doc.iter() {
             let w = self.weight(n, total) * self.idf[t as usize];
@@ -419,6 +413,7 @@ impl TfIdfModel {
                 values.push(w);
             }
         }
+        SparseVec::from_parts_trusted(self.dim, terms, values)
     }
 
     /// The configured tf scheme applied to one raw count.
@@ -437,35 +432,6 @@ impl TfIdfModel {
     /// Panics if the corpus dimension differs from the model's.
     pub fn transform_corpus(&self, corpus: &Corpus) -> Vec<SparseVec> {
         corpus.iter().map(|d| self.transform(d)).collect()
-    }
-
-    /// Transforms every document of a corpus directly into a packed
-    /// [`CsrMatrix`] — no intermediate per-document [`SparseVec`]
-    /// allocations. Row `i` of the result equals
-    /// `transform(corpus.doc(i))`; per-row L2 norms come cached, ready for
-    /// the batch distance kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the corpus dimension differs from the model's.
-    pub fn transform_corpus_csr(&self, corpus: &Corpus) -> CsrMatrix {
-        assert_eq!(
-            corpus.dim(),
-            self.dim,
-            "corpus dimension {} does not match model dimension {}",
-            corpus.dim(),
-            self.dim
-        );
-        let nnz_bound: usize = corpus.iter().map(TermCounts::distinct_terms).sum();
-        let mut indptr = Vec::with_capacity(corpus.len() + 1);
-        let mut indices = Vec::with_capacity(nnz_bound);
-        let mut values = Vec::with_capacity(nnz_bound);
-        indptr.push(0);
-        for doc in corpus.iter() {
-            self.weigh_into(doc, &mut indices, &mut values);
-            indptr.push(indices.len());
-        }
-        CsrMatrix::from_parts_trusted(self.dim, indptr, indices, values)
     }
 
     /// Fits on `corpus` and immediately transforms all its documents.
@@ -724,56 +690,6 @@ mod tests {
         for v in &vs {
             assert_eq!(v.dim(), 4);
         }
-    }
-
-    #[test]
-    fn transform_corpus_csr_matches_per_doc_transform() {
-        let c = sample_corpus();
-        for (tf, idf) in [
-            (TfMode::Normalized, IdfMode::Standard),
-            (TfMode::Raw, IdfMode::Smooth),
-            (TfMode::Sublinear, IdfMode::Unit),
-        ] {
-            let m = TfIdfModel::fit_with(&c, TfIdfOptions { tf, idf }).unwrap();
-            let vectors = m.transform_corpus(&c);
-            let csr = m.transform_corpus_csr(&c);
-            assert_eq!(csr.len(), vectors.len());
-            assert_eq!(csr.dim(), m.dim());
-            // Row `i` *is* `transform(doc i)`, `to_bits` for `to_bits`: both
-            // run the one weighting loop.
-            let bits = |ws: &[f64]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-            for (i, v) in vectors.iter().enumerate() {
-                let (terms, values) = csr.row(i);
-                assert_eq!(terms, v.terms(), "row {i} under {tf:?}/{idf:?}");
-                assert_eq!(
-                    bits(values),
-                    bits(v.values()),
-                    "row {i} under {tf:?}/{idf:?}"
-                );
-                assert_eq!(&csr.row_to_sparse(i), v);
-                assert!((csr.norm(i) - v.norm_l2()).abs() < 1e-15);
-            }
-        }
-    }
-
-    #[test]
-    fn transform_corpus_csr_handles_empty_documents() {
-        let mut c = Corpus::new(4);
-        c.push(TermCounts::from_pairs(4, [(1, 3)]).unwrap());
-        c.push(TermCounts::new(4)); // empty doc -> empty CSR row
-        c.push(TermCounts::from_pairs(4, [(2, 1)]).unwrap());
-        let m = TfIdfModel::fit(&c).unwrap();
-        let csr = m.transform_corpus_csr(&c);
-        assert_eq!(csr.len(), 3);
-        assert_eq!(csr.row(1).0.len(), 0);
-        assert_eq!(csr.norm(1), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match model dimension")]
-    fn transform_corpus_csr_rejects_wrong_dim() {
-        let m = TfIdfModel::fit(&sample_corpus()).unwrap();
-        m.transform_corpus_csr(&Corpus::new(5));
     }
 
     #[test]

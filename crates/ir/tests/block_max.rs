@@ -158,7 +158,8 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 11
 }
 
-/// A 50-class synthetic corpus in the shape of the bench generator:
+/// A 50-class synthetic corpus in the shape of the benchmark's
+/// generator (`benchmark/src/gen.rs`):
 /// each class owns a band of 5 hot terms; documents jitter the class
 /// prototype and add sparse background noise.
 fn class_corpus(
@@ -172,7 +173,7 @@ fn class_corpus(
     let mut queries = Vec::with_capacity(classes);
     for c in 0..classes {
         let base = (c * 5) % (dim - 8);
-        // Hot counts span four orders of magnitude, like the bench
+        // Hot counts span four orders of magnitude, like that
         // generator's `1..10_000` draw: within a class the top-10
         // score gaps dwarf the half-step quantization error, which is
         // what makes 8-bit impacts usable at all.

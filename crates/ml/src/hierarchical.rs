@@ -276,9 +276,13 @@ impl Agglomerative {
     /// candidates: cluster-to-cluster distances live in per-cluster
     /// sparse maps that merge in O(degree) per step. Memory is
     /// O(n · knn) and time is dominated by the O(n · ef · degree) ANN
-    /// build, so 10k-point dendrograms cost milliseconds-to-
-    /// hundreds-of-milliseconds instead of seconds (see
-    /// `cluster/snn_agglomerative_10k` in `BENCH_ir.json`).
+    /// build. What is measured: at n = 2048 this path is no faster than
+    /// [`fit`](Self::fit) — `benchmark/`'s layer replay times the two
+    /// back to back on the same points as `hier.snn_ms` and
+    /// `hier.nn_chain_ms`, and the ratio sits between level and a third
+    /// slower — so it can only win well above that size (the dense
+    /// path's matrix grows as n², this path's graph as n · knn); no
+    /// same-run measurement of the crossover exists yet.
     ///
     /// Accuracy contract (pinned by `crates/ml/tests/ann_clustering.rs`
     /// and tabulated in `docs/CLUSTERING.md`): when the candidate graph

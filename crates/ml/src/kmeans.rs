@@ -454,8 +454,9 @@ impl KMeans {
     /// instead runs the few iterations the moved points need, each an
     /// assignment sweep plus the point-order sums of the update step.
     /// This is the cost profile behind the incremental `recluster()`
-    /// surface in `fmeter-core`, and the
-    /// `cluster/kmeans_warm_vs_cold_10k` pin in `BENCH_ir.json`.
+    /// surface in `fmeter-core`; `benchmark/`'s layer replay times the
+    /// two side by side as `db.recluster_warm_ms` and
+    /// `db.recluster_cold_ms`.
     ///
     /// Convergence is detected by assignment fixpoint (in addition to
     /// the inertia tolerance of [`run`](Self::run)); the loop always

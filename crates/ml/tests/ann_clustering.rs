@@ -30,8 +30,8 @@ use rand::{Rng, SeedableRng};
 /// and the resulting tie field makes the dendrogram non-unique (merge
 /// order between equal heights is implementation-defined, so exact
 /// reference comparisons would be meaningless). Returns
-/// `(points, labels)`. Mirrors the shape of the bench harness corpus
-/// (which this crate cannot depend on without a cycle).
+/// `(points, labels)`. Mirrors the shape of the benchmark's
+/// `clustered_points` (`benchmark/src/gen.rs`).
 fn class_corpus(
     n: usize,
     classes: usize,

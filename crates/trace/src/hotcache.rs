@@ -6,7 +6,7 @@
 //! [`HotSetTracer`] implements it: function ids in the hot set map to a
 //! small dense per-CPU array (one or two cache lines for N = 16);
 //! everything else falls back to the paged slot structure. The
-//! `tracer_overhead` bench and [`hit_rate`](HotSetTracer::hit_rate)
+//! `extension_hotcache` binary and [`hit_rate`](HotSetTracer::hit_rate)
 //! quantify the effect.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -188,8 +188,7 @@ impl FunctionTracer for HotSetTracer {
     fn overhead(&self) -> Nanos {
         // The hot array spares the two-level page indirection and its
         // cache pollution; model the blended cost as half the standard
-        // stub for the common (hot) case. The Criterion bench measures
-        // the real difference on the host.
+        // stub for the common (hot) case.
         Nanos(FMETER_CALL_OVERHEAD.0.div_ceil(2))
     }
 

@@ -11,8 +11,9 @@
 //!   lock-protected ring buffer that a consumer drains to user space — more
 //!   information, much more work per call.
 //!
-//! The relative cost of the two fast paths is measured for real by the
-//! `tracer_overhead` Criterion bench; the simulated per-call overheads
+//! The relative cost of the two fast paths is measured for real by
+//! `benchmark/`'s layer replay (`trace.overhead_ratio`,
+//! `trace.ftrace_ratio`); the simulated per-call overheads
 //! ([`FMETER_CALL_OVERHEAD`], [`FTRACE_CALL_OVERHEAD`]) encode the same
 //! ratio for the simulated-time experiments (Tables 1–3).
 //!

@@ -8,11 +8,11 @@
 //! replaces the mutex-guarded byte ring with a bounded lock-free queue
 //! (crossbeam's `ArrayQueue`). When full it *drops the newest* events
 //! (producer-overrun mode) instead of overwriting the oldest — the other
-//! classic policy, also counted. The `tracer_overhead` bench compares
-//! the two appends; note that lock-freedom does **not** make tracing
-//! cheap: each event still pays allocation-free encoding plus an atomic
-//! slot reservation, far more than Fmeter's single per-CPU increment —
-//! which is exactly the paper's argument for counting over tracing.
+//! classic policy, also counted. Note that lock-freedom does **not**
+//! make tracing cheap: each event still pays allocation-free encoding
+//! plus an atomic slot reservation, far more than Fmeter's single
+//! per-CPU increment — which is exactly the paper's argument for
+//! counting over tracing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
