@@ -75,6 +75,14 @@ pub const CURRENT_FORMAT_VERSION: u32 = 8;
 /// bound, so whatever can be saved can be loaded.
 pub const MAX_SHARDS: usize = 1024;
 
+/// The widest signature a WAL record may name, and the most counts the
+/// signatures of one record may hold between them. A sparse record
+/// declares its own dimension and replay densifies it, so a declared
+/// `dim` is input from outside that costs `8 * dim` bytes: a record past
+/// this is corruption, not an allocation request — and the writer logs
+/// none, so whatever was acked replays.
+pub const MAX_SIGNATURE_DIM: usize = 1 << 24;
+
 /// One entry of the on-disk format history.
 #[derive(Debug, Clone, Copy)]
 pub struct FormatVersion {

@@ -11,7 +11,7 @@
 //!   service's shards. There is no second copy to keep in step.
 //! * **Immutable snapshots.** After every mutation the writer publishes
 //!   a new [`ShardSnapshot`]: [`Arc`] clones of the database's own
-//!   shards and signatures plus the tf-idf model of that generation.
+//!   shards, signatures and published tf-idf weights.
 //!   The database copies on write — a mutation re-allocates the *head*
 //!   of the one shard it touches; the flat posting segment, the tail
 //!   rows and every signature stay shared with each generation that
@@ -47,7 +47,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fmeter_ir::{
-    search_sharded, DocId, SearchScratch, ShardRouter, SharedVec, SparseVec, TermCounts, TfIdfModel,
+    search_sharded, DocId, SearchScratch, ShardRouter, SharedVec, SparseVec, TermCounts,
+    TfIdfWeights,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -70,7 +71,7 @@ pub struct ShardSnapshot {
     generation: u64,
     epoch: u64,
     num_live: usize,
-    model: TfIdfModel,
+    weights: Arc<TfIdfWeights>,
     pieces: Vec<Arc<ShardPiece>>,
     /// Signature per doc-id slot; tombstoned slots keep their last
     /// contents (same contract as [`SignatureDb::signatures`]).
@@ -111,7 +112,7 @@ impl ShardSnapshot {
 
     /// Dimensionality of the signature space.
     pub fn dim(&self) -> usize {
-        self.model.dim()
+        self.weights.dim()
     }
 
     /// The doc→shard router of this layout.
@@ -119,9 +120,10 @@ impl ShardSnapshot {
         ShardRouter::new(self.pieces.len())
     }
 
-    /// The tf-idf model of this generation.
-    pub fn model(&self) -> &TfIdfModel {
-        &self.model
+    /// The tf-idf weights of this generation: the allocation every
+    /// generation since the last refit shares.
+    pub fn weights(&self) -> &Arc<TfIdfWeights> {
+        &self.weights
     }
 
     /// The per-shard pieces of this generation.
@@ -142,9 +144,9 @@ impl ShardSnapshot {
         self.signatures.get(doc)
     }
 
-    /// Transforms raw interval counts with this generation's model.
+    /// Transforms raw interval counts with this generation's weights.
     pub fn transform(&self, counts: &TermCounts) -> SparseVec {
-        self.model.transform(counts)
+        self.weights.transform(counts)
     }
 
     /// Searches this generation on the calling thread, shard by shard.
@@ -282,14 +284,14 @@ impl ShardWriter {
     }
 
     /// Publishes the current state as an immutable snapshot stamped
-    /// with `generation`: one `Arc` clone per shard and per 64
-    /// signatures, plus a model clone.
+    /// with `generation`: one `Arc` clone per shard, per 64 signatures
+    /// and for the tf-idf weights.
     pub fn publish(&self, generation: u64) -> ShardSnapshot {
         ShardSnapshot {
             generation,
             epoch: self.db.epoch(),
             num_live: self.db.len(),
-            model: self.db.model().clone(),
+            weights: self.db.model().weights().clone(),
             pieces: self.db.shards().to_vec(),
             signatures: self.db.signatures().clone(),
         }

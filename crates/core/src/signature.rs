@@ -3,6 +3,8 @@ use fmeter_ir::{SparseVec, TermCounts};
 use fmeter_kernel_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
+use crate::persist::MAX_SIGNATURE_DIM;
+
 /// One raw signature: the per-function invocation-count *difference*
 /// between two daemon snapshots, before any weighting.
 ///
@@ -87,26 +89,88 @@ impl Signature {
     }
 }
 
-// Binary wire layout (see `fmeter_ir::codec`) of the WAL's insert payloads:
-// fields in declaration order, timestamps as their `u64` nanosecond counts.
+// Binary wire layouts (see `fmeter_ir::codec`) of the WAL's insert payloads.
 // (A finished [`Signature`] has none: a save keeps its counts, label and
 // interval, and the vector is derived again on load — see `persist`.)
-impl BinCodec for RawSignature {
-    fn encode_bin(&self, out: &mut Vec<u8>) {
-        codec::put_u64s(out, &self.counts);
+impl RawSignature {
+    /// The `FMWAL 3` layout: the non-zero counts as the pairs a
+    /// [`TermCounts`] encodes to (`dim`, `u32[]` terms, `u64[]` counts),
+    /// the timestamps as their `u64` nanosecond counts, then the label —
+    /// so a record's length follows the non-zeros, not the dimension.
+    /// Written straight from the dense counts into room reserved once.
+    /// (Terms are `u32`s: the WAL writer refuses a signature wider than
+    /// [`MAX_SIGNATURE_DIM`] before what this wrote goes anywhere.)
+    pub(crate) fn encode_sparse(&self, out: &mut Vec<u8>) {
+        let nonzero = || self.counts.iter().enumerate().filter(|(_, &c)| c != 0);
+        let nnz = nonzero().count();
+        out.reserve(12 * nnz + 64 + self.label.as_ref().map_or(0, String::len));
+        codec::put_usize(out, self.counts.len());
+        codec::put_usize(out, nnz);
+        nonzero().for_each(|(t, _)| codec::put_u32(out, t as u32));
+        codec::put_usize(out, nnz);
+        nonzero().for_each(|(_, &c)| codec::put_u64(out, c));
         codec::put_u64(out, self.started_at.0);
         codec::put_u64(out, self.ended_at.0);
         codec::put_opt_str(out, self.label.as_deref());
     }
 
-    fn decode_bin(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+    /// Reads [`encode_sparse`](Self::encode_sparse)'s layout back into
+    /// dense counts. The pairs are held to the [`TermCounts`] invariants,
+    /// and a record names its own dimension, so `max_dim` bounds it
+    /// before anything of that size is allocated.
+    pub(crate) fn decode_sparse(r: &mut Reader<'_>, max_dim: usize) -> Result<Self, CodecError> {
+        let doc = TermCounts::decode_bin(r)?;
+        check_dim(doc.dim(), max_dim)?;
+        let mut counts = vec![0; doc.dim()];
+        for (term, count) in doc.iter() {
+            counts[term as usize] = count;
+        }
+        Self::decode_tail(r, counts)
+    }
+
+    /// The `FMWAL 2` layout, read only: every count of the dimension,
+    /// zeros included, then the same tail.
+    pub(crate) fn decode_dense(r: &mut Reader<'_>, max_dim: usize) -> Result<Self, CodecError> {
+        let counts = r.get_u64s()?;
+        check_dim(counts.len(), max_dim)?;
+        Self::decode_tail(r, counts)
+    }
+
+    /// A batch in either layout: a count, then that many signatures. A
+    /// record names the dimension of each signature in it, so what they
+    /// densify to is bounded *between them* before any of it is
+    /// allocated — the budget the writer holds a record to.
+    pub(crate) fn decode_batch(
+        r: &mut Reader<'_>,
+        decode: fn(&mut Reader<'_>, usize) -> Result<Self, CodecError>,
+    ) -> Result<Vec<Self>, CodecError> {
+        let mut budget = MAX_SIGNATURE_DIM;
+        let mut batch = Vec::new();
+        for _ in 0..r.array_len(1)? {
+            let raw = decode(r, budget)?;
+            budget -= raw.counts.len();
+            batch.push(raw);
+        }
+        Ok(batch)
+    }
+
+    fn decode_tail(r: &mut Reader<'_>, counts: Vec<u64>) -> Result<Self, CodecError> {
         Ok(RawSignature {
-            counts: r.get_u64s()?,
+            counts,
             started_at: Nanos(r.get_u64()?),
             ended_at: Nanos(r.get_u64()?),
             label: r.get_opt_str()?,
         })
     }
+}
+
+fn check_dim(dim: usize, max_dim: usize) -> Result<(), CodecError> {
+    if dim > max_dim {
+        return Err(CodecError::new(format!(
+            "signature dimension {dim} exceeds the {max_dim} counts its record may hold"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -132,6 +196,19 @@ mod tests {
         assert_eq!(tc.count(1), 3);
         assert_eq!(tc.count(3), 7);
         assert_eq!(tc.dim(), 4);
+    }
+
+    #[test]
+    fn the_sparse_layout_is_the_pairs_a_term_counts_encodes_to() {
+        let r = raw(vec![0, 3, 0, 7, 0]).with_label("scp");
+        let mut bytes = Vec::new();
+        r.encode_sparse(&mut bytes);
+        let pairs = codec::encode_to_vec(&r.to_term_counts());
+        assert_eq!(bytes[..pairs.len()], pairs[..]);
+        let back = RawSignature::decode_sparse(&mut Reader::new(&bytes), 5).unwrap();
+        assert_eq!(back, r);
+        // One count fewer than the record names is no room for it.
+        assert!(RawSignature::decode_sparse(&mut Reader::new(&bytes), 4).is_err());
     }
 
     #[test]

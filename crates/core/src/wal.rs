@@ -29,21 +29,23 @@
 //! # WAL file layout
 //!
 //! ```text
-//! FMWAL 2 <start_seq> <contiguous:0|1>\n      ← header (fsynced at creation)
+//! FMWAL 3 <start_seq> <contiguous:0|1>\n      ← header (fsynced at creation)
 //! [len: u32 LE][seq: u64 LE][crc32: u32 LE][payload: len bytes]   ← repeated
 //! ```
 //!
-//! The payload is the binary encoding of a [`WalOp`] (a one-byte op tag
-//! followed by the op's fields in the length-prefixed little-endian
-//! codec of [`fmeter_ir::codec`] — see `docs/PERSISTENCE.md` for the
-//! byte layout); the checksum covers the sequence number and the
-//! payload. Readers also accept the `FMWAL 1` framing, whose payloads
-//! are JSON — a daemon upgraded in place replays its old log, and the
-//! next generation is written as v2. `contiguous` records whether
-//! this WAL directly continues the previous generation's (used by
-//! recovery to chain segments when the newest checkpoint is damaged; a
-//! WAL opened after a degraded period, whose predecessor is missing
-//! acked-but-unlogged ops, sets it to 0).
+//! The payload is the binary encoding of a [`WalOp`] — a one-byte op tag,
+//! then the op's fields in the length-prefixed little-endian codec of
+//! [`fmeter_ir::codec`]; `docs/PERSISTENCE.md` has the byte layout — and
+//! the checksum covers the sequence number and the payload. An insert
+//! logs its signature's *non-zero* counts as `(term, count)` pairs, so a
+//! record's length follows what the interval touched, not the dimension.
+//! Readers also accept `FMWAL 2`, whose insert records (two older op
+//! tags) hold every count of the dimension, and `FMWAL 1`, the same
+//! framing around JSON payloads: a daemon upgraded in place replays its
+//! old log, and the next generation is written as v3. `contiguous` is 0
+//! for a WAL opened after a degraded period, whose predecessor is
+//! missing acked-but-unlogged ops; recovery chains segments across a
+//! damaged checkpoint only while it is 1.
 //!
 //! # Crash matrix
 //!
@@ -76,9 +78,9 @@ use crate::{persist, FmeterError, RawSignature, SignatureDb};
 /// First token of every WAL file header line.
 pub const WAL_MAGIC: &str = "FMWAL";
 
-/// The WAL version this build writes: binary [`WalOp`] payloads.
-/// [`read_wal`] also accepts [`WAL_VERSION_JSON`] files.
-pub const WAL_VERSION: u32 = 2;
+/// The WAL version this build writes: binary [`WalOp`] payloads, sparse
+/// inserts. [`read_wal`] accepts every version from [`WAL_VERSION_JSON`] up.
+pub const WAL_VERSION: u32 = 3;
 
 /// The original WAL version: identical framing, JSON payloads. Still
 /// readable (a daemon upgraded in place must replay its old log), never
@@ -136,6 +138,11 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
     }
     tables
 };
+
+/// The checksum of one WAL record: its sequence number, then its payload.
+fn record_crc(seq: u64, payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(0xFFFF_FFFF, &seq.to_le_bytes()), payload)
+}
 
 fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     let mut c = state;
@@ -235,20 +242,20 @@ impl<'a> From<&'a WalOp> for WalOpRef<'a> {
 }
 
 impl WalOpRef<'_> {
-    /// v2 WAL payload layout: a one-byte op tag, then the op's fields.
-    /// The tag values are on the wire forever — never renumber, only
-    /// append.
+    /// WAL payload layout: a one-byte op tag, then the op's fields. The
+    /// tag values are on the wire forever — never renumber, only append
+    /// (0 and 1 are taken: see the decoder).
     fn encode_bin(self, out: &mut Vec<u8>) {
         match self {
             WalOpRef::Insert(raw) => {
-                codec::put_u8(out, 0);
-                raw.encode_bin(out);
+                codec::put_u8(out, 5);
+                raw.encode_sparse(out);
             }
             WalOpRef::InsertBatch(raws) => {
-                codec::put_u8(out, 1);
+                codec::put_u8(out, 6);
                 codec::put_usize(out, raws.len());
                 for raw in raws {
-                    raw.encode_bin(out);
+                    raw.encode_sparse(out);
                 }
             }
             WalOpRef::Remove(doc) => {
@@ -267,12 +274,18 @@ impl BinCodec for WalOp {
     }
 
     fn decode_bin(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        // Tags 0 and 1 are `FMWAL 2`'s inserts, every count of the dimension;
+        // in either layout a record holds at most `MAX_SIGNATURE_DIM` counts.
+        let (dense, sparse) = (RawSignature::decode_dense, RawSignature::decode_sparse);
+        let (max_dim, batch) = (persist::MAX_SIGNATURE_DIM, RawSignature::decode_batch);
         match r.get_u8()? {
-            0 => Ok(WalOp::Insert(RawSignature::decode_bin(r)?)),
-            1 => Ok(WalOp::InsertBatch(Vec::decode_bin(r)?)),
+            0 => dense(r, max_dim).map(WalOp::Insert),
+            1 => batch(r, dense).map(WalOp::InsertBatch),
             2 => Ok(WalOp::Remove(r.get_usize()?)),
             3 => Ok(WalOp::Refit),
             4 => Ok(WalOp::Vacuum),
+            5 => sparse(r, max_dim).map(WalOp::Insert),
+            6 => batch(r, sparse).map(WalOp::InsertBatch),
             tag => Err(CodecError::new(format!("unknown WalOp tag {tag}"))),
         }
     }
@@ -320,7 +333,9 @@ pub struct DurableOptions {
 
 impl Default for DurableOptions {
     /// Every acked op durable; checkpoint every 1024 ops or 4 MiB of
-    /// WAL, whichever comes first.
+    /// WAL, whichever comes first — normally the ops: insert records
+    /// take 12 bytes a non-zero count, so 1024 of them pass 4 MiB only
+    /// beyond some 340 non-zeros a signature.
     fn default() -> Self {
         DurableOptions {
             sync: SyncPolicy::EveryRecord,
@@ -363,27 +378,37 @@ impl<W: WalSink + ?Sized> WalSink for Box<W> {
 
 // ---- writer ----------------------------------------------------------
 
-/// Encodes one framed v2 record into `buf` (clearing it first). The
+/// Encodes one framed record into `buf` (clearing it first). The
 /// binary payload is written straight into the frame — no intermediate
 /// allocation — so a writer reusing one buffer appends garbage-free.
-fn encode_record_into(buf: &mut Vec<u8>, seq: u64, op: WalOpRef<'_>) {
+/// A record [`read_wal`] would refuse (its payload or its signatures
+/// past their bounds) is an error: nothing unreplayable is ever written.
+fn encode_record_into(buf: &mut Vec<u8>, seq: u64, op: WalOpRef<'_>) -> Result<(), FmeterError> {
     buf.clear();
     buf.resize(RECORD_HEADER_BYTES, 0);
     op.encode_bin(buf);
     let payload_len = buf.len() - RECORD_HEADER_BYTES;
-    let crc = !crc32_update(
-        crc32_update(0xFFFF_FFFF, &seq.to_le_bytes()),
-        &buf[RECORD_HEADER_BYTES..],
-    );
+    let counts: usize = match op {
+        WalOpRef::Insert(raw) => raw.counts.len(),
+        WalOpRef::InsertBatch(raws) => raws.iter().map(|raw| raw.counts.len()).sum(),
+        _ => 0,
+    };
+    if payload_len > MAX_RECORD_BYTES as usize || counts > persist::MAX_SIGNATURE_DIM {
+        return Err(FmeterError::Persist(format!(
+            "a WAL record of {payload_len} bytes over {counts} counts is beyond what replay accepts"
+        )));
+    }
+    let crc = record_crc(seq, &buf[RECORD_HEADER_BYTES..]);
     buf[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
     buf[4..12].copy_from_slice(&seq.to_le_bytes());
     buf[12..16].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 #[cfg(test)]
 fn encode_record(seq: u64, op: &WalOp) -> Vec<u8> {
     let mut buf = Vec::new();
-    encode_record_into(&mut buf, seq, op.into());
+    encode_record_into(&mut buf, seq, op.into()).expect("a record replay accepts");
     buf
 }
 
@@ -430,12 +455,13 @@ impl WalWriter {
     }
 
     /// Appends one op, returning its sequence number. Syncs according
-    /// to the [`SyncPolicy`]. On error the file tail must be considered
-    /// torn: the writer's owner should stop using it (replay will stop
-    /// at the damage).
+    /// to the [`SyncPolicy`]. On error the op is not in the log (a record
+    /// replay would refuse is rejected before a byte of it is written; a
+    /// failed write leaves a torn tail, where replay stops): the writer's
+    /// owner should stop using it.
     pub fn append<'a>(&mut self, op: impl Into<WalOpRef<'a>>) -> Result<u64, FmeterError> {
         let seq = self.next_seq;
-        encode_record_into(&mut self.buf, seq, op.into());
+        encode_record_into(&mut self.buf, seq, op.into())?;
         self.sink.write_all(&self.buf)?;
         self.next_seq += 1;
         self.bytes += self.buf.len() as u64;
@@ -529,20 +555,18 @@ pub fn read_wal(bytes: &[u8]) -> WalSegment {
     let Ok(header) = std::str::from_utf8(&bytes[..nl]) else {
         return seg;
     };
-    let tokens: Vec<&str> = header.split_whitespace().collect();
-    let parsed = match tokens.as_slice() {
-        [magic, version, start, contig] if *magic == WAL_MAGIC => version
-            .parse::<u32>()
-            .ok()
-            .filter(|v| *v == WAL_VERSION || *v == WAL_VERSION_JSON)
-            .and_then(|v| start.parse::<u64>().ok().map(|s| (v, s, *contig == "1"))),
-        _ => None,
-    };
-    let Some((version, start_seq, contiguous)) = parsed else {
+    let [WAL_MAGIC, version, start, contig] = header.split_whitespace().collect::<Vec<_>>()[..]
+    else {
         return seg;
     };
+    let (Ok(version), Ok(start_seq)) = (version.parse::<u32>(), start.parse::<u64>()) else {
+        return seg;
+    };
+    if !(WAL_VERSION_JSON..=WAL_VERSION).contains(&version) {
+        return seg;
+    }
     seg.start_seq = Some(start_seq);
-    seg.contiguous = contiguous;
+    seg.contiguous = contig == "1";
     let mut offset = nl + 1;
     let mut expected = start_seq;
     loop {
@@ -562,23 +586,17 @@ pub fn read_wal(bytes: &[u8]) -> WalSegment {
         let stored_crc = u32::from_le_bytes(bytes[offset + 12..offset + 16].try_into().unwrap());
         let payload =
             &bytes[offset + RECORD_HEADER_BYTES..offset + RECORD_HEADER_BYTES + len as usize];
-        let crc = !crc32_update(crc32_update(0xFFFF_FFFF, &seq.to_le_bytes()), payload);
-        if crc != stored_crc || seq != expected {
+        if record_crc(seq, payload) != stored_crc || seq != expected {
             return seg;
         }
         let op = if version == WAL_VERSION_JSON {
-            let Ok(text) = std::str::from_utf8(payload) else {
-                return seg;
-            };
-            let Ok(op) = serde_json::from_str::<WalOp>(text) else {
-                return seg;
-            };
-            op
+            let text = std::str::from_utf8(payload).ok();
+            text.and_then(|text| serde_json::from_str::<WalOp>(text).ok())
         } else {
-            let Ok(op) = codec::decode_from_slice::<WalOp>(payload) else {
-                return seg;
-            };
-            op
+            codec::decode_from_slice::<WalOp>(payload).ok()
+        };
+        let Some(op) = op else {
+            return seg;
         };
         seg.records.push((seq, op));
         expected += 1;
@@ -628,34 +646,22 @@ fn parse_generation(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
         .ok()
 }
 
-/// All checkpoint generations present in `dir`, newest first.
-fn scan_checkpoints(dir: &Path) -> Result<Vec<u64>, FmeterError> {
+/// The generations of the files in `dir` named `<prefix><generation><suffix>`.
+fn generations(dir: &Path, prefix: &str, suffix: &str) -> Result<Vec<u64>, FmeterError> {
     let mut gens = Vec::new();
     for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(g) = parse_generation(name, "checkpoint-", ".fmdb") {
-            gens.push(g);
-        }
+        let name = entry?.file_name();
+        let name = name.to_str().unwrap_or_default();
+        gens.extend(parse_generation(name, prefix, suffix));
     }
-    gens.sort_unstable_by(|a, b| b.cmp(a));
     Ok(gens)
 }
 
-/// The highest generation any file in `dir` mentions (checkpoint or
-/// WAL) — the floor for the next generation a recovery may allocate.
-fn max_generation(dir: &Path) -> Result<u64, FmeterError> {
-    let mut max = 0;
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let g = parse_generation(name, "checkpoint-", ".fmdb")
-            .or_else(|| parse_generation(name, "wal-", ".log"));
-        max = max.max(g.unwrap_or(0));
-    }
-    Ok(max)
+/// All checkpoint generations present in `dir`, newest first.
+fn scan_checkpoints(dir: &Path) -> Result<Vec<u64>, FmeterError> {
+    let mut gens = generations(dir, "checkpoint-", ".fmdb")?;
+    gens.sort_unstable_by(|a, b| b.cmp(a));
+    Ok(gens)
 }
 
 /// Best-effort fsync of the directory entry itself (so renames and
@@ -897,7 +903,9 @@ impl DurableLog {
     ) -> Result<(SignatureDb, Self, RecoveryReport), FmeterError> {
         let (db, _, report) = Self::recover_state(dir)?;
         let resume_seq = report.last_seq.map(|s| s + 1).unwrap_or(1);
-        let generation = max_generation(dir)?;
+        // Start past the highest generation any file mentions, WALs too.
+        let named = [scan_checkpoints(dir)?, generations(dir, "wal-", ".log")?].concat();
+        let generation = named.into_iter().max().unwrap_or(0);
         let mut log = DurableLog::bare(dir.to_path_buf(), opts, generation, resume_seq);
         log.checkpoint(&db)?;
         Ok((db, log, report))
@@ -937,37 +945,28 @@ impl DurableLog {
     /// re-establishment attempts). Call once per mutation, after
     /// applying it. Returns true when a checkpoint was taken.
     pub fn maybe_checkpoint(&mut self, db: &SignatureDb) -> bool {
-        if self.degraded.is_some() {
-            {
-                let d = self.degraded.as_mut().expect("checked above");
-                if d.ops_until_retry > 0 {
-                    d.ops_until_retry -= 1;
-                    return false;
-                }
-            }
-            self.try_checkpoint(db)
-        } else {
-            if self.checkpoint_retry_in > 0 {
-                self.checkpoint_retry_in -= 1;
-                return false;
-            }
-            let due = match self.opts.checkpoint {
-                CheckpointPolicy::Manual => false,
-                CheckpointPolicy::Every {
-                    ops,
-                    wal_bytes,
-                    interval,
-                } => {
-                    ops.is_some_and(|n| self.ops_since_checkpoint >= n)
-                        || wal_bytes.is_some_and(|b| self.wal_bytes() >= b)
-                        || interval.is_some_and(|i| self.last_checkpoint.elapsed() >= i)
-                }
-            };
-            if !due {
-                return false;
-            }
-            self.try_checkpoint(db)
+        let wait = match &mut self.degraded {
+            Some(d) => &mut d.ops_until_retry,
+            None => &mut self.checkpoint_retry_in,
+        };
+        if *wait > 0 {
+            *wait -= 1;
+            return false;
         }
+        let due = match self.opts.checkpoint {
+            _ if self.degraded.is_some() => true,
+            CheckpointPolicy::Manual => false,
+            CheckpointPolicy::Every {
+                ops,
+                wal_bytes,
+                interval,
+            } => {
+                ops.is_some_and(|n| self.ops_since_checkpoint >= n)
+                    || wal_bytes.is_some_and(|b| self.wal_bytes() >= b)
+                    || interval.is_some_and(|i| self.last_checkpoint.elapsed() >= i)
+            }
+        };
+        due && self.try_checkpoint(db)
     }
 
     /// Attempts a checkpoint now, folding a failure into the same
@@ -1288,7 +1287,7 @@ mod tests {
         for (i, op) in ops.iter().enumerate() {
             let seq = 4 + i as u64;
             let payload = serde_json::to_string(op).unwrap().into_bytes();
-            let crc = !crc32_update(crc32_update(0xFFFF_FFFF, &seq.to_le_bytes()), &payload);
+            let crc = record_crc(seq, &payload);
             bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             bytes.extend_from_slice(&seq.to_le_bytes());
             bytes.extend_from_slice(&crc.to_le_bytes());
@@ -1313,10 +1312,108 @@ mod tests {
 
     #[test]
     fn unknown_wal_versions_are_ignored() {
-        let bytes = format!("{WAL_MAGIC} 3 1 1\n").into_bytes();
-        let seg = read_wal(&bytes);
-        assert_eq!(seg.start_seq, None);
-        assert!(seg.torn);
+        for version in [0, WAL_VERSION + 1] {
+            let bytes = format!("{WAL_MAGIC} {version} 1 1\n").into_bytes();
+            let seg = read_wal(&bytes);
+            assert_eq!(seg.start_seq, None);
+            assert!(seg.torn);
+        }
+    }
+
+    #[test]
+    fn a_record_length_is_a_function_of_nnz_and_label_only() {
+        // What a durable insert writes and fsyncs: the interval's 61
+        // non-zero functions, whether the kernel has a thousand functions
+        // or a hundred thousand.
+        let sig = |dim: usize| {
+            let mut counts = vec![0u64; dim];
+            for i in 0..61 {
+                counts[i * 16 + 5] = 1 + i as u64;
+            }
+            RawSignature {
+                counts,
+                ..raw(0).with_label("workload")
+            }
+        };
+        let frame = RECORD_HEADER_BYTES + 1; // + the op tag
+        let pairs = 8 + (8 + 4 * 61) + (8 + 8 * 61); // dim, terms, counts
+        let tail = 8 + 8 + (1 + 8 + "workload".len()); // interval, label
+        assert_eq!(frame + pairs + tail, 806);
+        for dim in [1_000, 100_000] {
+            assert_eq!(encode_record(1, &WalOp::Insert(sig(dim))).len(), 806);
+        }
+        let batch = WalOp::InsertBatch(vec![sig(1_000), sig(100_000)]);
+        assert_eq!(
+            encode_record(1, &batch).len(),
+            frame + 8 + 2 * (pairs + tail)
+        );
+    }
+
+    /// A sink that keeps nothing and counts the bytes it was handed.
+    struct Tally(std::sync::Arc<AtomicUsize>);
+
+    impl Write for Tally {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.fetch_add(buf.len(), Ordering::SeqCst);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl WalSink for Tally {
+        fn sync(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn append_refuses_a_record_replay_would_refuse_before_writing_a_byte() {
+        let written = std::sync::Arc::new(AtomicUsize::new(0));
+        let mut w = WalWriter::create(
+            Box::new(Tally(written.clone())),
+            1,
+            true,
+            SyncPolicy::EveryRecord,
+        )
+        .unwrap();
+        let header = written.load(Ordering::SeqCst);
+        let refused = |w: &mut WalWriter, op: &WalOp| {
+            let before = (written.load(Ordering::SeqCst), w.next_seq());
+            assert!(matches!(w.append(op), Err(FmeterError::Persist(_))));
+            assert_eq!((written.load(Ordering::SeqCst), w.next_seq()), before);
+        };
+        // The byte bound, to the byte: a label pads a payload to exactly
+        // `MAX_RECORD_BYTES`, which replays; one more does not.
+        let empty = RawSignature {
+            counts: vec![0],
+            ..raw(0).with_label("")
+        };
+        let overhead = encode_record(1, &WalOp::Insert(empty.clone())).len() - RECORD_HEADER_BYTES;
+        let mut label = "x".repeat(MAX_RECORD_BYTES as usize - overhead);
+        let op = WalOp::Insert(empty.clone().with_label(label.clone()));
+        assert_eq!(w.append(&op).unwrap(), 1);
+        let at_the_bound = header + RECORD_HEADER_BYTES + MAX_RECORD_BYTES as usize;
+        assert_eq!(written.load(Ordering::SeqCst), at_the_bound);
+        label.push('x');
+        refused(&mut w, &WalOp::Insert(empty.with_label(label)));
+        // The counts bound: one signature past it, and a batch whose
+        // signatures pass it only between them.
+        let zeros = |dim: usize| RawSignature {
+            counts: vec![0; dim],
+            ..raw(0)
+        };
+        let max = persist::MAX_SIGNATURE_DIM;
+        refused(&mut w, &WalOp::Insert(zeros(max + 1)));
+        refused(
+            &mut w,
+            &WalOp::InsertBatch(vec![zeros(max / 2), zeros(max / 2 + 1)]),
+        );
+        let op = WalOp::InsertBatch(vec![zeros(max / 2), zeros(max / 2)]);
+        assert_eq!(w.append(&op).unwrap(), 2);
+        let bytes = [b"FMWAL 3 2 1\n".to_vec(), encode_record(2, &op)].concat();
+        assert_eq!(read_wal(&bytes).records, [(2, op)]);
     }
 
     #[test]
@@ -1635,6 +1732,37 @@ mod tests {
             "11 ops at a 5-op bound must have checkpointed at least twice"
         );
         assert!(durable.durable_log().unwrap().ops_since_checkpoint() < 5);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_policy_triggers_on_wal_bytes() {
+        let dir = test_dir("policy-bytes");
+        // Two records fit under the bound (with the header), a third
+        // crosses it: one checkpoint per three inserts, and never one for
+        // the op count — which is what fires first under the defaults.
+        let record = encode_record(1, &WalOp::Insert(raw(50))).len() as u64;
+        let opts = DurableOptions {
+            sync: SyncPolicy::OnCheckpoint,
+            checkpoint: CheckpointPolicy::Every {
+                ops: None,
+                wal_bytes: Some(3 * record),
+                interval: None,
+            },
+        };
+        let mut durable = create(&dir, base_db(), opts).unwrap();
+        let log = |d: &ShardWriter| {
+            let log = d.durable_log().unwrap();
+            (log.generation(), log.ops_since_checkpoint())
+        };
+        let (gen_before, _) = log(&durable);
+        for i in 0..3 {
+            assert_eq!(log(&durable), (gen_before, i));
+            durable.insert(&raw(50 + 7 * i)).unwrap();
+        }
+        assert_eq!(log(&durable), (gen_before + 1, 0));
+        let header = durable.durable_log().unwrap().wal_bytes();
+        assert!(header < record, "a fresh WAL holds its header only");
         let _ = fs::remove_dir_all(&dir);
     }
 

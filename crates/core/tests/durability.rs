@@ -552,6 +552,96 @@ fn durable_service_degrades_and_heals_without_poisoning_the_writer() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A batch too large for one WAL record. Replay refuses a record past
+/// its bounds as corruption, so a writer that logged one anyway would
+/// ack it, fsync it, and lose it *and every op behind it* at the next
+/// recovery, silently. The writer refuses it instead, before a byte is
+/// written: the batch applies in memory, the log says `Degraded`, a
+/// crash meanwhile recovers exactly what was acked while `Healthy`, and
+/// the next checkpoint makes the batch and everything behind it durable.
+#[test]
+fn an_oversized_batch_is_reported_degraded_and_healed_by_a_checkpoint_never_lost() {
+    use fmeter_core::persist::MAX_SIGNATURE_DIM;
+    // Wide and nearly empty, so that the bound on what a record's
+    // signatures densify to is reached by 65 of them (the byte bound
+    // takes 64 MiB of payload; it is pinned in the `wal` unit tests).
+    const WIDE: usize = 1 << 18;
+    let wide = |i: u64| {
+        let mut counts = vec![0; WIDE];
+        counts[i as usize % 7] = 40 + i;
+        counts[WIDE - 1 - i as usize % 5] = 3;
+        raw(counts, i, if i.is_multiple_of(2) { "even" } else { "odd" })
+    };
+    let seed: Vec<RawSignature> = (0..4).map(wide).collect();
+    let batch: Vec<RawSignature> = (20..85).map(wide).collect();
+    assert!(batch.len() * WIDE > MAX_SIGNATURE_DIM);
+    assert!((batch.len() - 1) * WIDE <= MAX_SIGNATURE_DIM);
+    let same = |a: &SignatureDb, b: &SignatureDb| {
+        let saved = |db: &SignatureDb| {
+            let mut bytes = Vec::new();
+            db.save(&mut bytes).expect("save");
+            bytes
+        };
+        assert!(saved(a) == saved(b), "saved states differ");
+        assert!(a.signatures().iter().eq(b.signatures().iter()), "vectors");
+    };
+
+    let dir = test_dir("oversized");
+    let base = SignatureDb::build(&seed).expect("seed corpus builds");
+    let mut durable = create_durable(&dir, base, manual_opts()).expect("create durable dir");
+    // One signature fewer fits, and is logged like any other batch.
+    durable.insert_batch(&batch[1..]).expect("batch insert");
+    let acked_while_healthy = durable.db().clone();
+    assert_eq!(durable.durability_health(), Some(WalHealth::Healthy));
+
+    let wal_before = durable.durable_log().unwrap().wal_bytes();
+    durable.insert_batch(&batch).expect("applies in memory");
+    match durable.durability_health() {
+        Some(WalHealth::Degraded {
+            ops_since_durable: 1,
+            last_error,
+            ..
+        }) => assert!(
+            last_error.contains("beyond what replay accepts"),
+            "{last_error}"
+        ),
+        health => panic!("an unloggable batch must degrade the log, got {health:?}"),
+    }
+    assert_eq!(
+        durable.durable_log().unwrap().wal_bytes(),
+        0,
+        "the WAL is closed"
+    );
+    let crashed = test_dir("oversized-crash");
+    copy_dir(&dir, &crashed);
+    let generation = durable.durable_log().unwrap().generation();
+    let wal_len = fs::metadata(crashed.join(format!("wal-{generation:010}.log")))
+        .expect("wal")
+        .len();
+    assert_eq!(wal_len, wal_before, "not a byte of the batch was written");
+    let (recovered, _, report) = DurableLog::recover_state(&crashed).expect("recover_state");
+    assert!(!report.torn_tail);
+    same(&recovered, &acked_while_healthy);
+
+    durable.insert(&wide(90)).expect("insert while degraded");
+    durable.checkpoint().expect("the checkpoint that heals");
+    assert_eq!(durable.durability_health(), Some(WalHealth::Healthy));
+    durable.insert(&wide(91)).expect("logged again");
+    let expected = durable.db().clone();
+    drop(durable); // crash
+    let (recovered, report) = recover_durable(&dir, manual_opts()).expect("recovery");
+    assert_eq!(report.replayed_ops, 1);
+    assert_eq!(
+        recovered.db().len(),
+        4 + (batch.len() - 1) + batch.len() + 2
+    );
+    same(recovered.db(), &expected);
+    drop(recovered);
+    for dir in [dir, crashed] {
+        let _ = fs::remove_dir_all(dir);
+    }
+}
+
 // ---- negative persistence (satellite) --------------------------------
 
 /// Replaces the first occurrence of `needle` in `bytes` (the v5
@@ -637,8 +727,9 @@ fn recovery_on_empty_or_partially_created_directories_fails_loudly() {
 
 /// A daemon upgraded in place: the directory's checkpoint was written by
 /// an older release — every committed fixture stands in for one, v7
-/// being what the release before this format checkpointed — and a WAL,
-/// whose format did not change, continues it. Recovery is the fixture's
+/// being what the release before this format checkpointed — and a WAL
+/// continues it (a WAL of each older format replays to the same ops:
+/// `persistence_formats.rs`). Recovery is the fixture's
 /// load plus the logged ops (every vector derived from the checkpoint's
 /// counts, whatever it stored beside them), and the generation recovery
 /// starts is written in the current format.

@@ -4,8 +4,8 @@
 //! `SignatureService::load`, `split_envelope`, `detect_format_version`,
 //! `read_wal` — is fed truncations, bit flips and garbage of every
 //! format it accepts: a fresh v8 envelope, each committed fixture
-//! (v0–v8), and `FMWAL 2` / `FMWAL 1` segments. The answer is always an
-//! `Err` or a clean record prefix. A panic fails the test by itself, so
+//! (v0–v8), and `FMWAL 3` / `FMWAL 2` / `FMWAL 1` segments. The answer is
+//! always an `Err` or a clean record prefix. A panic fails the test by itself, so
 //! most of the suite only has to *call*; what more is promised (a strict
 //! truncation never loads, a damaged WAL yields a record prefix) is
 //! asserted too. CI runs this suite by name in the **debug** leg:
@@ -16,10 +16,11 @@ use std::sync::{Arc, LazyLock, Mutex};
 
 use fmeter_core::persist::{
     detect_format_version, split_envelope, RawSection, SectionCodec, CURRENT_FORMAT_VERSION,
-    MAX_SHARDS,
+    MAX_SHARDS, MAX_SIGNATURE_DIM,
 };
 use fmeter_core::wal::{crc32, read_wal, SyncPolicy, WalSink, WalWriter};
 use fmeter_core::{FmeterError, RawSignature, SignatureDb, SignatureService, WalOp};
+use fmeter_ir::codec;
 use fmeter_kernel_sim::Nanos;
 use proptest::prelude::*;
 
@@ -327,29 +328,86 @@ fn wal_ops() -> Vec<WalOp> {
     ]
 }
 
-/// The same ops as an `FMWAL 2` segment (through the real writer) and
-/// as an `FMWAL 1` segment (same framing, JSON payloads — framed by
-/// hand, nothing writes it any more).
-fn wal_segments() -> [Vec<u8>; 2] {
+/// One record as every `FMWAL` version frames it: length, sequence
+/// number, a checksum that holds, payload.
+fn framed(seq: u64, payload: &[u8]) -> Vec<u8> {
+    let crc = crc32(&[&seq.to_le_bytes()[..], payload].concat());
+    let mut record = (payload.len() as u32).to_le_bytes().to_vec();
+    record.extend_from_slice(&seq.to_le_bytes());
+    record.extend_from_slice(&crc.to_le_bytes());
+    record.extend_from_slice(payload);
+    record
+}
+
+/// A segment of `version` holding `payloads`, from sequence number 4.
+fn segment(version: u32, payloads: impl IntoIterator<Item = Vec<u8>>) -> Vec<u8> {
+    let mut bytes = format!("FMWAL {version} 4 1\n").into_bytes();
+    for (seq, payload) in (4..).zip(payloads) {
+        bytes.extend_from_slice(&framed(seq, &payload));
+    }
+    bytes
+}
+
+/// An op as `FMWAL 2` logged it — nothing writes that any more: the
+/// tags this build still writes for the ops without a signature, tags 0
+/// and 1 over every count of the dimension for the inserts.
+fn dense_payload(op: &WalOp) -> Vec<u8> {
+    let dense = |out: &mut Vec<u8>, raw: &RawSignature| {
+        codec::put_u64s(out, &raw.counts);
+        codec::put_u64(out, raw.started_at.0);
+        codec::put_u64(out, raw.ended_at.0);
+        codec::put_opt_str(out, raw.label.as_deref());
+    };
+    let mut out = Vec::new();
+    match op {
+        WalOp::Insert(raw) => {
+            out.push(0);
+            dense(&mut out, raw);
+        }
+        WalOp::InsertBatch(raws) => {
+            out.push(1);
+            codec::put_usize(&mut out, raws.len());
+            raws.iter().for_each(|raw| dense(&mut out, raw));
+        }
+        other => out = codec::encode_to_vec(other),
+    }
+    out
+}
+
+#[test]
+fn dense_framing_is_faithful() {
+    // The helpers above must produce what the `FMWAL 2` writer produced,
+    // or the properties below would be testing a format nobody wrote:
+    // the committed segment of that era, replayed and framed again.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/wal_v2.log"
+    );
+    let committed = std::fs::read(path).expect("the FMWAL 2 fixture");
+    let seg = read_wal(&committed);
+    assert!(!seg.torn && seg.records.len() >= 5);
+    let mut again = format!("FMWAL 2 {} 1\n", seg.start_seq.unwrap()).into_bytes();
+    for (seq, op) in &seg.records {
+        again.extend_from_slice(&framed(*seq, &dense_payload(op)));
+    }
+    assert!(again == committed);
+}
+
+/// The same ops as an `FMWAL 3` segment (through the real writer), as
+/// an `FMWAL 2` segment (dense insert records) and as an `FMWAL 1`
+/// segment (JSON payloads) — the older two framed by hand.
+fn wal_segments() -> [Vec<u8>; 3] {
     let sink = SharedSink::default();
     let mut writer = WalWriter::create(Box::new(sink.clone()), 4, true, SyncPolicy::EveryRecord)
         .expect("create wal");
     for op in &wal_ops() {
         writer.append(op).expect("append");
     }
-    let v2 = sink.0.lock().unwrap().clone();
-
-    let mut v1 = b"FMWAL 1 4 1\n".to_vec();
-    for (i, op) in wal_ops().iter().enumerate() {
-        let seq = 4 + i as u64;
-        let payload = serde_json::to_string(op).unwrap().into_bytes();
-        let crc = crc32(&[&seq.to_le_bytes()[..], &payload].concat());
-        v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        v1.extend_from_slice(&seq.to_le_bytes());
-        v1.extend_from_slice(&crc.to_le_bytes());
-        v1.extend_from_slice(&payload);
-    }
-    [v2, v1]
+    let v3 = sink.0.lock().unwrap().clone();
+    assert!(v3.starts_with(b"FMWAL 3 "));
+    let v2 = segment(2, wal_ops().iter().map(dense_payload));
+    let json = |op: &WalOp| serde_json::to_string(op).unwrap().into_bytes();
+    [v3, v2, segment(1, wal_ops().iter().map(json))]
 }
 
 /// Asserts `bytes` replays to a prefix of the undamaged segment's
@@ -390,6 +448,88 @@ fn every_truncation_and_bit_flip_of_a_wal_segment_yields_a_clean_prefix() {
     }
 }
 
+/// `raw` as an `FMWAL 3` insert payload, with `lie` applied to its
+/// `(dim, terms, counts)` before they are laid out.
+fn sparse_payload(
+    raw: &RawSignature,
+    lie: impl Fn(&mut u64, &mut Vec<u32>, &mut Vec<u64>),
+) -> Vec<u8> {
+    let nonzero = || raw.counts.iter().enumerate().filter(|(_, &c)| c != 0);
+    let mut dim = raw.counts.len() as u64;
+    let mut terms: Vec<u32> = nonzero().map(|(t, _)| t as u32).collect();
+    let mut counts: Vec<u64> = nonzero().map(|(_, &c)| c).collect();
+    lie(&mut dim, &mut terms, &mut counts);
+    let mut out = vec![5];
+    codec::put_u64(&mut out, dim);
+    codec::put_u32s(&mut out, &terms);
+    codec::put_u64s(&mut out, &counts);
+    codec::put_u64(&mut out, raw.started_at.0);
+    codec::put_u64(&mut out, raw.ended_at.0);
+    codec::put_opt_str(&mut out, raw.label.as_deref());
+    out
+}
+
+#[test]
+fn sparse_records_that_pass_their_checksums_and_lie_end_the_clean_prefix() {
+    // A sparse record names its own dimension and its own pairs, and
+    // replay densifies them: each is input from outside. Behind a record
+    // that replays and a checksum that holds, every lie is where the
+    // clean prefix ends — none is a panic, an index past `dim` or an
+    // allocation of what a length field claims.
+    let honest = WalOp::Insert(raw(1));
+    let replayed = |payload: Vec<u8>| {
+        let seg = read_wal(&segment(3, [codec::encode_to_vec(&honest), payload]));
+        assert!(seg.records.len() <= 2 && seg.records[0] == (4, honest.clone()));
+        (seg.records.len() == 2, seg.torn)
+    };
+    // The layout above is the writer's, so the lies below are only lies.
+    let control = sparse_payload(&raw(1), |_, _, _| ());
+    assert_eq!(control, codec::encode_to_vec(&honest));
+    assert_eq!(replayed(control), (true, false));
+    type Lie = fn(&mut u64, &mut Vec<u32>, &mut Vec<u64>);
+    let lies: [(&str, Lie); 9] = [
+        ("a dimension past the bound", |dim, _, _| {
+            *dim = MAX_SIGNATURE_DIM as u64 + 1
+        }),
+        ("8 TB of zeros", |dim, terms, counts| {
+            (*dim, *terms, *counts) = (1 << 40, Vec::new(), Vec::new())
+        }),
+        ("a dimension no `usize` holds", |dim, _, _| *dim = u64::MAX),
+        ("more terms than counts", |_, terms, _| {
+            terms.pop();
+        }),
+        ("more counts than terms", |_, _, counts| {
+            counts.pop();
+        }),
+        ("unsorted terms", |_, terms, _| terms.swap(0, 1)),
+        ("a duplicate term", |_, terms, _| terms[1] = terms[0]),
+        ("a term past the dimension", |dim, terms, _| {
+            *terms.last_mut().unwrap() = *dim as u32
+        }),
+        ("a zero count", |_, _, counts| counts[0] = 0),
+    ];
+    for (what, lie) in lies {
+        assert_eq!(
+            replayed(sparse_payload(&raw(1), lie)),
+            (false, true),
+            "{what}"
+        );
+    }
+    // A batch is held to the bound between its signatures: each of these
+    // is as wide as one signature may be, and two are 256 MB of zeros.
+    let wide = sparse_payload(&raw(1), |dim, _, _| *dim = MAX_SIGNATURE_DIM as u64);
+    let mut batch = vec![6];
+    codec::put_usize(&mut batch, 2);
+    batch.extend_from_slice(&wide[1..]);
+    batch.extend_from_slice(&wide[1..]);
+    assert_eq!(replayed(batch), (false, true), "a batch past the bound");
+    // Counts whose total overflows are not a lie: a writer logs and acks
+    // such an insert (the weighting saturates), so replay takes it — see
+    // `counts_that_overflow_their_total_panic_neither_load_nor_replay`.
+    let heavy = sparse_payload(&raw(1), |_, _, counts| counts[..2].fill(u64::MAX));
+    assert_eq!(replayed(heavy), (true, false));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -403,7 +543,7 @@ proptest! {
         feed_readers(&garbage);
         feed_readers(&[format!("FMETERDB {version}\n").as_bytes(), &garbage].concat());
         let _ = read_wal(&garbage);
-        let _ = read_wal(&[format!("FMWAL {} 1 1\n", version % 3).as_bytes(), &garbage].concat());
+        let _ = read_wal(&[format!("FMWAL {} 1 1\n", version % 4).as_bytes(), &garbage].concat());
     }
 
     /// Damage *behind* a valid frame: a stored database with one byte

@@ -246,9 +246,10 @@ fn shares_all_but_the_touched_head(
 
 /// Structural sharing is real — a mutation re-allocates one piece's
 /// head and nothing else, the flat segment changing hands only when a
-/// compaction or purge rewrote it — and invisible: a snapshot held
-/// across every kind of flat replacement (compaction, purge, refit,
-/// vacuum) keeps giving the answers it gave when it was published.
+/// compaction or purge rewrote it, the tf-idf weights only when a refit
+/// rewrote them — and invisible: a snapshot held across every kind of
+/// replacement (compaction, purge, refit, vacuum) keeps giving the
+/// answers it gave when it was published.
 #[test]
 fn generations_share_what_a_mutation_did_not_touch_and_never_see_the_rest() {
     let service = SignatureService::build(&seed_corpus(), 4).expect("seed corpus builds");
@@ -265,8 +266,18 @@ fn generations_share_what_a_mutation_did_not_touch_and_never_see_the_rest() {
             })
             .collect()
     };
+    let weighed = |snapshot: &ShardSnapshot| -> Vec<Vec<(u32, u64)>> {
+        let bits = |q| {
+            snapshot
+                .transform(q)
+                .iter()
+                .map(|(t, w)| (t, w.to_bits()))
+                .collect()
+        };
+        queries.iter().map(bits).collect()
+    };
     let held = service.snapshot();
-    let at_publish = answers(&held);
+    let (at_publish, weighed_at_publish) = (answers(&held), weighed(&held));
 
     // Inserts: the flat segment is shared until the tail folds in.
     const INSERTS: usize = 120;
@@ -282,6 +293,9 @@ fn generations_share_what_a_mutation_did_not_touch_and_never_see_the_rest() {
             prev.signature(0).unwrap(),
             next.signature(0).unwrap()
         ));
+        // So are the weights: an insert moves document frequencies, and
+        // no reader has a use for those.
+        assert!(Arc::ptr_eq(prev.weights(), next.weights()));
         prev = next;
     }
     assert!(
@@ -296,17 +310,24 @@ fn generations_share_what_a_mutation_did_not_touch_and_never_see_the_rest() {
         service.remove(doc).unwrap();
         let next = service.snapshot();
         purges += usize::from(!shares_all_but_the_touched_head(&prev, &next, doc));
+        assert!(Arc::ptr_eq(prev.weights(), next.weights()));
         prev = next;
     }
+    assert!(Arc::ptr_eq(held.weights(), prev.weights()));
     assert!(
         purges > 0 && purges * 8 <= REMOVES,
         "{purges} of {REMOVES} removes replaced a flat segment"
     );
 
-    // Refit and vacuum rebuild every piece off to the side.
+    // Refit and vacuum rebuild every piece off to the side, and the
+    // refit — only the refit — writes its weights to a table of its own.
     service.refit();
+    let refitted = service.snapshot();
+    assert!(!Arc::ptr_eq(held.weights(), refitted.weights()));
+    assert_ne!(weighed(&refitted), weighed_at_publish);
     service.vacuum();
     let now = service.snapshot();
+    assert!(Arc::ptr_eq(refitted.weights(), now.weights()));
     for (a, b) in held.pieces().iter().zip(now.pieces()) {
         assert!(!Arc::ptr_eq(a, b));
         assert!(!a.shard().index().shares_flat_with(b.shard().index()));
@@ -316,6 +337,7 @@ fn generations_share_what_a_mutation_did_not_touch_and_never_see_the_rest() {
 
     // The held generation never noticed any of it.
     assert_eq!(held.len(), seed_corpus().len());
+    assert_eq!(weighed(&held), weighed_at_publish);
     assert_eq!(answers(&held), at_publish);
     for (q, expected) in queries.iter().zip(&at_publish) {
         let served = service

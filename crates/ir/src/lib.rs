@@ -80,7 +80,7 @@ pub use matrix::CsrMatrix;
 pub use shard::{merge_topk, search_sharded, Shard, ShardRouter};
 pub use shared::SharedVec;
 pub use sparse::SparseVec;
-pub use tfidf::{IdfMode, IdfRefit, TfIdfModel, TfIdfOptions, TfMode};
+pub use tfidf::{IdfMode, IdfRefit, TfIdfModel, TfIdfOptions, TfIdfWeights, TfMode};
 
 /// Identifier of a term in the vector space.
 ///

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize, Value};
 
 use crate::codec;
@@ -49,6 +51,65 @@ pub struct IdfRefit {
     pub max_drift: f64,
 }
 
+/// The published half of a [`TfIdfModel`] — all a reader needs to weigh
+/// a document: the term space, the tf/idf schemes and the idf table of
+/// the last (re)fit. The model holds it behind an [`Arc`] and hands that
+/// out ([`TfIdfModel::weights`]), so whoever publishes generations of a
+/// changing corpus shares one table across all those a refit did not
+/// separate, instead of copying `dim` weights into each.
+#[derive(Debug, Clone)]
+pub struct TfIdfWeights {
+    dim: usize,
+    options: TfIdfOptions,
+    idf: Vec<f64>,
+}
+
+impl TfIdfWeights {
+    /// Dimensionality of the term space.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Transforms one document into its tf-idf weight vector — the one
+    /// body behind [`TfIdfModel::transform`], which documents it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the document's dimension differs from the model's.
+    pub fn transform(&self, doc: &TermCounts) -> SparseVec {
+        assert_eq!(
+            doc.dim(),
+            self.dim,
+            "document dimension {} does not match model dimension {}",
+            doc.dim(),
+            self.dim
+        );
+        let mut terms = Vec::with_capacity(doc.distinct_terms());
+        let mut values = Vec::with_capacity(doc.distinct_terms());
+        // `TermCounts` iterates in ascending term order with no
+        // duplicates, so what is pushed is sorted for free: the layout
+        // invariants of a `SparseVec` hold by construction.
+        let total = doc.total();
+        for (t, n) in doc.iter() {
+            let w = self.weight(n, total) * self.idf[t as usize];
+            if w != 0.0 {
+                terms.push(t);
+                values.push(w);
+            }
+        }
+        SparseVec::from_parts_trusted(self.dim, terms, values)
+    }
+
+    /// The configured tf scheme applied to one raw count.
+    fn weight(&self, n: u64, total: u64) -> f64 {
+        match self.options.tf {
+            TfMode::Normalized => n as f64 / total as f64,
+            TfMode::Raw => n as f64,
+            TfMode::Sublinear => (1.0 + n as f64).ln(),
+        }
+    }
+}
+
 /// A fitted tf-idf weighting model.
 ///
 /// Fitting computes per-term document frequencies over a [`Corpus`];
@@ -87,11 +148,12 @@ pub struct IdfRefit {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TfIdfModel {
-    dim: usize,
     num_docs: usize,
     doc_freq: Vec<u32>,
-    idf: Vec<f64>,
-    options: TfIdfOptions,
+    /// What transforms read. `observe`/`unobserve` never touch it and a
+    /// refit writes through [`Arc::make_mut`]: it copies the table only
+    /// while a published generation still holds the old one.
+    weights: Arc<TfIdfWeights>,
     /// Per-term `ln(df)` cache backing [`idf_drift_cached`]
     /// (`NAN` = stale, recomputed lazily). Only `df` changes invalidate
     /// an entry, so a mutation dirties at most its document's support
@@ -118,11 +180,11 @@ const MODEL_FIELDS: [&str; 5] = ["dim", "num_docs", "doc_freq", "idf", "options"
 impl Serialize for TfIdfModel {
     fn to_value(&self) -> Value {
         Value::Object(vec![
-            (MODEL_FIELDS[0].to_string(), self.dim.to_value()),
+            (MODEL_FIELDS[0].to_string(), self.weights.dim.to_value()),
             (MODEL_FIELDS[1].to_string(), self.num_docs.to_value()),
             (MODEL_FIELDS[2].to_string(), self.doc_freq.to_value()),
-            (MODEL_FIELDS[3].to_string(), self.idf.to_value()),
-            (MODEL_FIELDS[4].to_string(), self.options.to_value()),
+            (MODEL_FIELDS[3].to_string(), self.weights.idf.to_value()),
+            (MODEL_FIELDS[4].to_string(), self.weights.options.to_value()),
         ])
     }
 }
@@ -173,15 +235,24 @@ impl TfIdfModel {
                 idf.len()
             ));
         }
-        Ok(TfIdfModel {
-            dim,
+        Ok(Self::from_parts(dim, num_docs, doc_freq, idf, options))
+    }
+
+    /// A model over checked parts, its caches conservatively stale.
+    fn from_parts(
+        dim: usize,
+        num_docs: usize,
+        doc_freq: Vec<u32>,
+        idf: Vec<f64>,
+        options: TfIdfOptions,
+    ) -> Self {
+        TfIdfModel {
             num_docs,
             doc_freq,
-            idf,
-            options,
+            weights: Arc::new(TfIdfWeights { dim, options, idf }),
             ln_df: vec![f64::NAN; dim],
             drift_clean: false,
-        })
+        }
     }
 
     /// Fits the model with default (paper) options.
@@ -209,13 +280,8 @@ impl TfIdfModel {
             .map(|&df| idf_value(options.idf, df, n))
             .collect();
         Ok(TfIdfModel {
-            dim: corpus.dim(),
-            num_docs: n,
-            doc_freq,
-            idf,
-            options,
-            ln_df: vec![f64::NAN; corpus.dim()],
             drift_clean: true,
+            ..Self::from_parts(corpus.dim(), n, doc_freq, idf, options)
         })
     }
 
@@ -234,10 +300,10 @@ impl TfIdfModel {
     pub fn observe(&mut self, doc: &TermCounts) {
         assert_eq!(
             doc.dim(),
-            self.dim,
+            self.dim(),
             "document dimension {} does not match model dimension {}",
             doc.dim(),
-            self.dim
+            self.dim()
         );
         self.num_docs += 1;
         for (t, _) in doc.iter() {
@@ -259,10 +325,10 @@ impl TfIdfModel {
     pub fn unobserve(&mut self, doc: &TermCounts) {
         assert_eq!(
             doc.dim(),
-            self.dim,
+            self.dim(),
             "document dimension {} does not match model dimension {}",
             doc.dim(),
-            self.dim
+            self.dim()
         );
         assert!(self.num_docs > 0, "unobserve on an empty model");
         self.num_docs -= 1;
@@ -293,8 +359,8 @@ impl TfIdfModel {
         }
         let mut drift = 0.0f64;
         for (t, &df) in self.doc_freq.iter().enumerate() {
-            let fresh = idf_value(self.options.idf, df, self.num_docs);
-            let published = self.idf[t];
+            let fresh = idf_value(self.weights.options.idf, df, self.num_docs);
+            let published = self.weights.idf[t];
             let d = (fresh - published).abs() / published.abs().max(1.0);
             drift = drift.max(d);
         }
@@ -323,13 +389,14 @@ impl TfIdfModel {
         if self.drift_clean {
             return 0.0;
         }
-        match self.options.idf {
+        let published = &self.weights.idf;
+        match self.weights.options.idf {
             IdfMode::Smooth => self.idf_drift(),
             IdfMode::Unit => {
                 let mut drift = 0.0f64;
                 for (t, &df) in self.doc_freq.iter().enumerate() {
                     let fresh = if df == 0 { 0.0 } else { 1.0 };
-                    let published = self.idf[t];
+                    let published = published[t];
                     let d = (fresh - published).abs() / published.abs().max(1.0);
                     drift = drift.max(d);
                 }
@@ -352,7 +419,7 @@ impl TfIdfModel {
                         }
                         ln_n - *cached
                     };
-                    let published = self.idf[t];
+                    let published = published[t];
                     let d = (fresh - published).abs() / published.abs().max(1.0);
                     drift = drift.max(d);
                 }
@@ -368,11 +435,20 @@ impl TfIdfModel {
     pub fn refit_idf(&mut self) -> IdfRefit {
         let max_drift = self.idf_drift();
         let mut changed_terms = Vec::new();
-        for (t, &df) in self.doc_freq.iter().enumerate() {
-            let fresh = idf_value(self.options.idf, df, self.num_docs);
-            if fresh != self.idf[t] {
-                self.idf[t] = fresh;
-                changed_terms.push(t as TermId);
+        let (mode, n) = (self.weights.options.idf, self.num_docs);
+        let fresh = |t: usize| idf_value(mode, self.doc_freq[t], n);
+        // The table is written from its first stale entry on — and so
+        // copied, if a published generation shares it, only when a
+        // weight really changes.
+        let published = &self.weights.idf;
+        if let Some(first) = (0..published.len()).find(|&t| fresh(t) != published[t]) {
+            let idf = &mut Arc::make_mut(&mut self.weights).idf;
+            for (t, slot) in idf.iter_mut().enumerate().skip(first) {
+                let fresh = fresh(t);
+                if fresh != *slot {
+                    *slot = fresh;
+                    changed_terms.push(t as TermId);
+                }
             }
         }
         self.drift_clean = true;
@@ -393,36 +469,13 @@ impl TfIdfModel {
     /// Panics if the document's dimension differs from the model's; the
     /// term space is fixed at fit time.
     pub fn transform(&self, doc: &TermCounts) -> SparseVec {
-        assert_eq!(
-            doc.dim(),
-            self.dim,
-            "document dimension {} does not match model dimension {}",
-            doc.dim(),
-            self.dim
-        );
-        let mut terms = Vec::with_capacity(doc.distinct_terms());
-        let mut values = Vec::with_capacity(doc.distinct_terms());
-        // `TermCounts` iterates in ascending term order with no
-        // duplicates, so what is pushed is sorted for free: the layout
-        // invariants of a `SparseVec` hold by construction.
-        let total = doc.total();
-        for (t, n) in doc.iter() {
-            let w = self.weight(n, total) * self.idf[t as usize];
-            if w != 0.0 {
-                terms.push(t);
-                values.push(w);
-            }
-        }
-        SparseVec::from_parts_trusted(self.dim, terms, values)
+        self.weights.transform(doc)
     }
 
-    /// The configured tf scheme applied to one raw count.
-    fn weight(&self, n: u64, total: u64) -> f64 {
-        match self.options.tf {
-            TfMode::Normalized => n as f64 / total as f64,
-            TfMode::Raw => n as f64,
-            TfMode::Sublinear => (1.0 + n as f64).ln(),
-        }
+    /// The published weights: what [`transform`](Self::transform) reads,
+    /// shareable with readers that must keep this generation's view.
+    pub fn weights(&self) -> &Arc<TfIdfWeights> {
+        &self.weights
     }
 
     /// Transforms every document of a corpus (usually the fitting corpus).
@@ -447,7 +500,7 @@ impl TfIdfModel {
 
     /// Dimensionality of the term space.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.weights.dim
     }
 
     /// Number of documents the model was fitted on (`|D|`).
@@ -462,12 +515,12 @@ impl TfIdfModel {
 
     /// Inverse document frequency of `term` (zero for unseen terms).
     pub fn idf(&self, term: u32) -> f64 {
-        self.idf.get(term as usize).copied().unwrap_or(0.0)
+        self.weights.idf.get(term as usize).copied().unwrap_or(0.0)
     }
 
     /// The options the model was fitted with.
     pub fn options(&self) -> TfIdfOptions {
-        self.options
+        self.weights.options
     }
 }
 
@@ -537,11 +590,11 @@ impl codec::BinCodec for TfIdfOptions {
 // like `Deserialize::from_value`.
 impl codec::BinCodec for TfIdfModel {
     fn encode_bin(&self, out: &mut Vec<u8>) {
-        codec::put_usize(out, self.dim);
+        codec::put_usize(out, self.weights.dim);
         codec::put_usize(out, self.num_docs);
         codec::put_u32s(out, &self.doc_freq);
-        codec::put_f64s(out, &self.idf);
-        self.options.encode_bin(out);
+        codec::put_f64s(out, &self.weights.idf);
+        self.weights.options.encode_bin(out);
     }
 
     fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
@@ -768,6 +821,36 @@ mod tests {
             assert!(refit.changed_terms.contains(&3) || idf == IdfMode::Unit);
             assert_eq!(m.idf_drift(), 0.0, "refit must zero the drift");
         }
+    }
+
+    #[test]
+    fn a_refit_copies_the_weights_only_while_someone_else_holds_them() {
+        let mut m = TfIdfModel::fit(&sample_corpus()).unwrap();
+        let doc = TermCounts::from_pairs(4, [(1, 3), (3, 1)]).unwrap();
+        let table = Arc::as_ptr(m.weights());
+        // Nobody shares the table: observe leaves it alone, and a refit
+        // writes it where it is — as does one that changes nothing.
+        m.observe(&doc);
+        assert!(!m.refit_idf().changed_terms.is_empty());
+        assert!(m.refit_idf().changed_terms.is_empty());
+        assert_eq!(Arc::as_ptr(m.weights()), table);
+        // A reader pins it. Document frequencies move under it freely; a
+        // refit with nothing to change leaves it shared; one that changes
+        // a weight writes a copy, and the pinned table still weighs a
+        // document to the bits it did.
+        let pinned = m.weights().clone();
+        let before = pinned.transform(&doc);
+        m.observe(&doc);
+        m.unobserve(&doc);
+        assert!(m.refit_idf().changed_terms.is_empty());
+        assert!(Arc::ptr_eq(&pinned, m.weights()));
+        m.unobserve(&doc);
+        assert!(!m.refit_idf().changed_terms.is_empty());
+        assert!(!Arc::ptr_eq(&pinned, m.weights()));
+        assert_eq!(Arc::as_ptr(&pinned), table);
+        assert_eq!(pinned.transform(&doc), before);
+        assert_ne!(m.transform(&doc), before);
+        assert_eq!(m.transform(&doc), m.weights().transform(&doc));
     }
 
     #[test]

@@ -16,12 +16,14 @@
 //! [`persist::CURRENT_FORMAT_VERSION`]: fmeter::core::persist::CURRENT_FORMAT_VERSION
 
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use fmeter::core::persist::{
     detect_format_version, split_envelope, RawSection, SectionCodec, CURRENT_FORMAT_VERSION,
     FORMAT_VERSIONS,
 };
-use fmeter::core::{RawSignature, RefitPolicy, SignatureDb, VacuumPolicy};
+use fmeter::core::wal::{read_wal, WalSink, WalWriter, WAL_VERSION};
+use fmeter::core::{RawSignature, RefitPolicy, SignatureDb, SyncPolicy, VacuumPolicy, WalOp};
 use fmeter::ir::codec::{self, decode_from_slice, encode_to_vec, CodecError, Reader};
 use fmeter::ir::{Corpus, TermCounts, TfIdfModel};
 use fmeter::kernel_sim::Nanos;
@@ -414,9 +416,120 @@ fn version_table_has_a_fixture_per_version() {
     }
 }
 
-/// Writes the current version's fixture from the canonical history.
-/// Run manually when a new format version is introduced (older
-/// versions' fixtures cannot be regenerated — nothing writes them):
+// ---- WAL segments ------------------------------------------------------
+
+fn wal_fixture_name(version: u32) -> String {
+    format!("wal_v{version}.log")
+}
+
+/// The first sequence number of the canonical WAL segment.
+const WAL_START_SEQ: u64 = 5;
+
+/// One interval over a 64-function space: a band of ten functions at
+/// `8 * (i % 6)` is hot, function 63 is a shared utility, the rest are
+/// zero; every third signature is unlabelled.
+fn wal_raw(i: u64) -> RawSignature {
+    let mut counts = vec![0u64; 64];
+    let band = 8 * (i as usize % 6);
+    for (rank, slot) in counts[band..band + 10].iter_mut().enumerate() {
+        *slot = 90 / (rank as u64 + 1) + i;
+    }
+    counts[63] = 2;
+    RawSignature {
+        counts,
+        started_at: Nanos(i * 2_000),
+        ended_at: Nanos((i + 1) * 2_000),
+        label: (!i.is_multiple_of(3)).then(|| format!("class-{}", i % 6)),
+    }
+}
+
+/// One op of every kind — both insert shapes with and without labels.
+fn canonical_wal_ops() -> Vec<WalOp> {
+    vec![
+        WalOp::Insert(wal_raw(0)),
+        WalOp::Insert(wal_raw(1)),
+        WalOp::InsertBatch((2..6).map(wal_raw).collect()),
+        WalOp::Remove(3),
+        WalOp::Refit,
+        WalOp::InsertBatch(Vec::new()),
+        WalOp::Vacuum,
+        WalOp::Insert(wal_raw(6)),
+    ]
+}
+
+/// A `WalSink` whose bytes the test can read back.
+#[derive(Clone, Default)]
+struct SharedSink(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl WalSink for SharedSink {
+    fn sync(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The canonical ops through the real writer.
+fn write_canonical_wal() -> Vec<u8> {
+    let sink = SharedSink::default();
+    let mut writer = WalWriter::create(
+        Box::new(sink.clone()),
+        WAL_START_SEQ,
+        true,
+        SyncPolicy::EveryRecord,
+    )
+    .expect("create wal");
+    for op in &canonical_wal_ops() {
+        writer.append(op).expect("append");
+    }
+    let bytes = sink.0.lock().unwrap().clone();
+    bytes
+}
+
+/// Every WAL era replays to the same ops, and the current writer still
+/// produces the committed current-version segment byte for byte — a
+/// record layout cannot change without a new header token, a new
+/// fixture and a reader for the old one.
+#[test]
+fn every_wal_fixture_replays_to_the_canonical_ops() {
+    let expected: Vec<(u64, WalOp)> = (WAL_START_SEQ..).zip(canonical_wal_ops()).collect();
+    for version in 2..=WAL_VERSION {
+        let path = fixtures_dir().join(wal_fixture_name(version));
+        let bytes = std::fs::read(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing WAL fixture {}: {e}\nregenerate with: cargo test --test \
+                 persistence_formats -- --ignored regenerate_fixtures",
+                path.display()
+            )
+        });
+        assert!(bytes.starts_with(format!("FMWAL {version} ").as_bytes()));
+        let segment = read_wal(&bytes);
+        assert!(!segment.torn, "FMWAL {version}");
+        assert!(segment.contiguous, "FMWAL {version}");
+        assert_eq!(segment.start_seq, Some(WAL_START_SEQ), "FMWAL {version}");
+        assert_eq!(segment.records, expected, "FMWAL {version}");
+        if version == WAL_VERSION {
+            assert!(
+                bytes == write_canonical_wal(),
+                "the WAL writer no longer produces the committed FMWAL {version} layout: \
+                 bump WAL_VERSION, keep a reader for the old records and commit a new fixture"
+            );
+        }
+    }
+}
+
+/// Writes the current version's fixtures from the canonical histories:
+/// the database envelope and the WAL segment. Run manually when a new
+/// format version is introduced (older versions' fixtures cannot be
+/// regenerated — nothing writes them):
 ///
 /// ```text
 /// cargo test --test persistence_formats -- --ignored regenerate_fixtures
@@ -427,6 +540,9 @@ fn regenerate_fixtures() {
     let path = fixtures_dir().join(fixture_name(CURRENT_FORMAT_VERSION));
     let mut bytes = Vec::new();
     canonical_db().save(&mut bytes).expect("save canonical db");
-    std::fs::write(&path, &bytes).expect("write fixture file");
-    println!("wrote {} ({} bytes)", path.display(), bytes.len());
+    let wal_path = fixtures_dir().join(wal_fixture_name(WAL_VERSION));
+    for (path, bytes) in [(path, bytes), (wal_path, write_canonical_wal())] {
+        std::fs::write(&path, &bytes).expect("write fixture file");
+        println!("wrote {} ({} bytes)", path.display(), bytes.len());
+    }
 }
