@@ -176,7 +176,7 @@ pub struct ShardPiece {
 }
 
 impl ShardPiece {
-    /// The shard's inverted index and WAND bounds.
+    /// The shard's inverted index and term bounds.
     pub fn shard(&self) -> &Shard {
         &self.shard
     }
@@ -789,12 +789,10 @@ impl SignatureDb {
 
     /// Finds the `k` most similar stored signatures to a fresh interval.
     ///
-    /// Each shard goes through
-    /// [`fmeter_ir::InvertedIndex::search_with`], which at database
-    /// scale dispatches to the block-max WAND early-exit top-k (per-term
-    /// impact bounds pick the pivot, per-block maxima skip whole
-    /// posting blocks that cannot reach the current k-th best
-    /// similarity). For a steady query stream, prefer
+    /// The shards go through [`fmeter_ir::search_sharded`]: each reads
+    /// its posting lists heaviest bound first and stops once the unread
+    /// bounds cannot reach the k-th best similarity found so far, in
+    /// this shard or an earlier one. For a steady query stream, prefer
     /// [`search_with`](Self::search_with) with a long-lived scratch.
     ///
     /// # Errors

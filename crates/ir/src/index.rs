@@ -1,4 +1,3 @@
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -43,17 +42,21 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// The `k` best hits seen so far — the one selection every search
-/// strategy feeds, so they agree on ties by construction.
+/// The `k` best hits at or above a floor seen so far — the one selection
+/// every search path feeds, so they agree on ties by construction.
 struct TopK {
     k: usize,
+    /// Scores under this are no hits (not strict: a score equal to the
+    /// floor is kept).
+    floor: f64,
     heap: BinaryHeap<HeapEntry>,
 }
 
 impl TopK {
-    fn new(k: usize) -> Self {
+    fn new(k: usize, floor: f64) -> Self {
         TopK {
             k,
+            floor,
             heap: BinaryHeap::with_capacity(k + 1),
         }
     }
@@ -61,7 +64,7 @@ impl TopK {
     /// Offers a scored document. A score of exactly zero means "shares
     /// no signal with the query" — same contract as an untouched doc.
     fn push(&mut self, doc: DocId, score: f64) {
-        if score == 0.0 {
+        if score == 0.0 || score < self.floor {
             return;
         }
         self.heap.push(HeapEntry { score, doc });
@@ -70,14 +73,14 @@ impl TopK {
         }
     }
 
-    /// The entry bar for pruning: the k-th best score so far (with
-    /// slack), or no bar at all while the heap is filling.
+    /// The entry bar for pruning: the larger of the floor and, once the
+    /// heap is full, the k-th best score so far — with slack.
     fn threshold(&self) -> f64 {
-        if self.heap.len() == self.k {
-            self.heap.peek().expect("heap is full").score - WAND_SLACK
-        } else {
-            f64::NEG_INFINITY
-        }
+        let kth = match self.heap.peek() {
+            Some(worst) if self.heap.len() == self.k => worst.score,
+            _ => f64::NEG_INFINITY,
+        };
+        kth.max(self.floor) - WAND_SLACK
     }
 
     /// The hits, best first, ties by ascending doc id.
@@ -125,62 +128,84 @@ impl TopK {
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
     epoch: u64,
-    stamps: Vec<u64>,
-    scores: Vec<f64>,
     touched: Vec<DocId>,
+    /// The exhaustive oracle's accumulators.
+    scores: Vec<f64>,
     /// The normalised query scattered over the term space while tail
     /// rows are scored; all zeros between queries.
     qdense: Vec<f64>,
-    /// WAND per-query-term cursors, reused across queries.
-    cursors: Vec<WandCursor>,
-    /// Cursor indices that contributed to the current candidate.
-    touched_cursors: Vec<usize>,
-    /// Per-cursor contribution to the current candidate's score.
-    contrib: Vec<f64>,
-    /// `prefix_bounds[i]` = sum of the `i + 1` smallest cursor bounds.
-    prefix_bounds: Vec<f64>,
+    /// The pruned traversal's accumulators: stamp and partial score side
+    /// by side, so a posting touches one cache line.
+    partial: Vec<Partial>,
+    /// The query's terms that have flat postings, heaviest bound first.
+    order: Vec<QueryTerm>,
+    /// `rest[i]` = the summed bounds of `order[i..]`.
+    rest: Vec<f64>,
+    /// Selection buffer for the k-th largest partial score; after the
+    /// stop, the survivors' exact scores.
+    select: Vec<f64>,
+    /// The documents the exact pass scores, ascending.
+    survivors: Vec<u32>,
+    /// [`search_sharded`](crate::search_sharded)'s visiting order:
+    /// `(flat bound, position)` per shard.
+    pub(crate) shard_order: Vec<(f64, usize)>,
+    stats: SearchStats,
 }
 
-/// One query term's read position over its flat posting list during a
-/// WAND search. Plain data (term id + position), so the scratch can own
-/// it without borrowing the index.
+/// One document's accumulator in the pruned traversal.
 #[derive(Debug, Clone, Copy, Default)]
-struct WandCursor {
-    term: TermId,
-    /// Normalised query weight for this term.
-    qw: f64,
-    /// Upper bound on this term's score contribution for any document:
-    /// `|qw| * max_impact[term]`.
-    bound: f64,
-    /// Position within the term's flat postings.
-    pos: usize,
-    /// Flat postings under the term.
-    len: usize,
-    /// Doc id at `pos`, cached so candidate selection never touches the
-    /// postings buffers (`u32::MAX` once exhausted).
-    doc: u32,
-    /// Start of the term's flat postings in the segment buffers, cached
-    /// so an advance is two direct array reads instead of slice rebuilds.
-    flat_lo: usize,
-    /// The most a *block*-level bound can undercut `bound` anywhere in
-    /// the list: `bound - |qw| * min(block maxima)`, clamped to zero.
-    /// Lets block-max search prove — from the cursor alone — that
-    /// reading the block metadata cannot change a descend decision.
-    refine: f64,
-    /// The term's dequantization scale (`Int8` mode; zero otherwise),
-    /// cached so the advance hot loop never chases `scale[term]`.
-    dq_scale: f64,
-    /// The term's dequantization offset (`Int8` mode; zero otherwise).
-    dq_off: f64,
+struct Partial {
+    stamp: u64,
+    score: f64,
 }
 
-/// Absolute slack subtracted from the top-k threshold before a WAND skip:
-/// a per-term bound sum and a fully accumulated score can round
+/// One query term with flat postings: its normalised query weight and
+/// the most it can add to any document's score, `|qw| * max_impact[term]`.
+#[derive(Debug, Clone, Copy)]
+struct QueryTerm {
+    term: TermId,
+    qw: f64,
+    bound: f64,
+}
+
+/// What the last [`InvertedIndex::search_with`] /
+/// [`search_above`](InvertedIndex::search_above) call on a scratch read
+/// and skipped over the flat segment (tail rows are always scored and
+/// not counted). Counts only, no clock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Query terms that have flat postings.
+    pub lists: usize,
+    /// How many of those lists were accumulated before the stop.
+    pub lists_read: usize,
+    /// Postings under all of `lists`.
+    pub postings: usize,
+    /// Postings under the lists that were read.
+    pub postings_read: usize,
+    /// Passes over the touched documents to place the bar.
+    pub checks: usize,
+    /// Documents the exact pass scored.
+    pub rescored: usize,
+}
+
+/// Absolute slack subtracted from the bar before a document is pruned: a
+/// sum of per-term bounds and a fully accumulated score can round
 /// differently in the last bits, and a pruned document must never be one
 /// the exhaustive path would have kept. Scores are cosine similarities in
 /// `[-1, 1]`, so 1e-9 dwarfs the accumulation error while costing
 /// essentially no pruning power.
 const WAND_SLACK: f64 = 1e-9;
+
+/// What one galloping probe of a posting list costs in the exact pass,
+/// in sequentially read postings. Weighs stopping (every survivor
+/// probes every list) against reading the next list.
+const PROBE_COST: usize = 8;
+
+/// What visiting one touched document in a check costs, in sequentially
+/// read postings. A check is made when the list about to be read
+/// outweighs it, or — once the unread bounds have halved since the last
+/// — when the unread lists together do: it can save no more than them.
+const CHECK_COST: usize = 4;
 
 /// How the flat (compacted) posting weights are stored.
 ///
@@ -214,18 +239,11 @@ impl SearchScratch {
         SearchScratch::default()
     }
 
-    /// Prepares for a query over `num_docs` documents and returns the
-    /// fresh epoch.
-    fn begin(&mut self, num_docs: usize) -> u64 {
-        // Stale stamps from a smaller index are never equal to the new
-        // epoch, so resizing with zeros is sound.
-        if self.stamps.len() < num_docs {
-            self.stamps.resize(num_docs, 0);
-            self.scores.resize(num_docs, 0.0);
-        }
-        self.touched.clear();
-        self.epoch += 1;
-        self.epoch
+    /// What the last [`InvertedIndex::search_with`] /
+    /// [`search_above`](InvertedIndex::search_above) call read and
+    /// skipped.
+    pub fn stats(&self) -> SearchStats {
+        self.stats
     }
 }
 
@@ -272,13 +290,10 @@ impl SearchScratch {
 /// ascending term order is the addition sequence the term-at-a-time
 /// accumulation performs for that document, so scores agree bit for bit.
 ///
-/// The segment is additionally carved into fixed-size *blocks* of
-/// [`BLOCK_SIZE`](Self::BLOCK_SIZE) postings (per term, so a block never
-/// spans terms), each carrying the max `|weight|` of its postings. These
-/// shallow bounds let [`search_block_max`](Self::search_block_max) skip
-/// whole blocks that the per-term bound alone cannot rule out. Flat
-/// weights can optionally be stored 8-bit quantized — see
-/// [`QuantizationMode`].
+/// Each term also carries the max `|weight|` of its flat postings: the
+/// bound [`search_with`](Self::search_with) orders the query's lists by
+/// and stops reading on. Flat weights can optionally be stored 8-bit
+/// quantized — see [`QuantizationMode`].
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
     dim: usize,
@@ -319,18 +334,9 @@ struct FlatPostings {
     /// Per-term quantization origin — the smallest weight under the
     /// term (`Int8` mode only, else empty).
     qoffset: Vec<f64>,
-    /// Per-term prefix into `block_max`: term `t` owns blocks
-    /// `block_starts[t]..block_starts[t + 1]`, one per
-    /// [`BLOCK_SIZE`](InvertedIndex::BLOCK_SIZE) postings (the last
-    /// block may be shorter).
-    block_starts: Vec<usize>,
-    /// Per-block max `|weight|` over the block's *stored* postings
-    /// (dequantized values in `Int8` mode) — the shallow bound
-    /// [`search_block_max`](InvertedIndex::search_block_max) skips with.
-    block_max: Vec<f64>,
     /// Per-term max `|stored weight|`: `|qw| * max_impact[t]` bounds
     /// term `t`'s score contribution for any document in the segment —
-    /// the WAND pruning invariant. Tombstoned docs' postings count until
+    /// the pruning invariant. Tombstoned docs' postings count until
     /// the next purge, which only leaves the bound loose, never unsound.
     max_impact: Vec<f64>,
 }
@@ -352,7 +358,7 @@ fn quantize(w: f64, scale: f64, offset: f64) -> u8 {
 }
 
 impl FlatPostings {
-    /// A fully compacted, blocked, exact segment over `rows` (ascending
+    /// A fully compacted, exact segment over `rows` (ascending
     /// doc ids) and nothing else.
     fn build(dim: usize, rows: &[Row<'_>]) -> Self {
         Self::install(
@@ -366,12 +372,11 @@ impl FlatPostings {
 
     /// Seals a rewritten posting stream (exact `f64` weights) under
     /// `quantization`: fits the per-term quantization grids (`Int8`) and
-    /// derives the block maxima and per-term bounds from the *stored*
-    /// values.
+    /// derives the per-term bounds from the *stored* values.
     ///
-    /// Every flat rewrite funnels through here, so the block metadata
-    /// always equals a recompute from the buffers — the invariant the
-    /// block-max pruning relies on.
+    /// Every flat rewrite funnels through here, so `max_impact` always
+    /// equals a recompute from the buffers — the invariant the pruning
+    /// relies on.
     fn install(
         quantization: QuantizationMode,
         offsets: Vec<usize>,
@@ -415,48 +420,14 @@ impl FlatPostings {
                 }
             }
         }
-        flat.finish()
-    }
-
-    /// Derives `block_starts`/`block_max` and `max_impact` from the
-    /// stored buffers: one block per
-    /// [`BLOCK_SIZE`](InvertedIndex::BLOCK_SIZE) postings within each
-    /// term's range, each holding the max `|stored weight|` of its
-    /// postings, and per term the max over its blocks.
-    fn finish(mut self) -> Self {
-        const BLOCK: usize = InvertedIndex::BLOCK_SIZE;
-        let dim = self.offsets.len() - 1;
-        let mut starts = Vec::with_capacity(dim + 1);
-        starts.push(0usize);
-        let mut maxima = Vec::with_capacity(self.docs.len().div_ceil(BLOCK));
-        let mut max_impact = Vec::with_capacity(dim);
-        for t in 0..dim {
-            let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-            let first = maxima.len();
-            match self.quantization {
-                QuantizationMode::Off => {
-                    maxima.extend(
-                        self.weights[lo..hi]
-                            .chunks(BLOCK)
-                            .map(|block| block.iter().fold(0.0f64, |m, w| m.max(w.abs()))),
-                    );
-                }
-                QuantizationMode::Int8 => {
-                    let (sc, o) = (self.scale[t], self.qoffset[t]);
-                    maxima.extend(self.qweights[lo..hi].chunks(BLOCK).map(|block| {
-                        block
-                            .iter()
-                            .fold(0.0f64, |m, &q| m.max((o + sc * f64::from(q)).abs()))
-                    }));
-                }
-            }
-            max_impact.push(maxima[first..].iter().fold(0.0f64, |m, &b| m.max(b)));
-            starts.push(maxima.len());
-        }
-        self.block_starts = starts;
-        self.block_max = maxima;
-        self.max_impact = max_impact;
-        self
+        flat.max_impact = (0..flat.offsets.len() - 1)
+            .map(|t| {
+                let mut max = 0.0f64;
+                flat.for_each_posting(t, |_, w| max = max.max(w.abs()));
+                max
+            })
+            .collect();
+        flat
     }
 
     fn dim(&self) -> usize {
@@ -468,9 +439,10 @@ impl FlatPostings {
         self.offsets[t + 1] - self.offsets[t]
     }
 
-    /// The stored weight at position `i` under `term` (dequantized in
-    /// `Int8` mode).
-    #[cfg(test)]
+    /// The stored weight at flat position `i` under `term` (dequantized
+    /// in `Int8` mode, by the expression
+    /// [`for_each_posting`](Self::for_each_posting) streams).
+    #[inline]
     fn weight(&self, term: usize, i: usize) -> f64 {
         match self.quantization {
             QuantizationMode::Off => self.weights[i],
@@ -498,21 +470,6 @@ impl FlatPostings {
                 for (&d, &q) in self.docs[lo..hi].iter().zip(&self.qweights[lo..hi]) {
                     f(d, o + s * f64::from(q));
                 }
-            }
-        }
-    }
-
-    /// The stored weights as exact `f64`s, parallel to `docs` (the grid
-    /// values in `Int8` mode).
-    fn exact_weights(&self) -> Cow<'_, [f64]> {
-        match self.quantization {
-            QuantizationMode::Off => Cow::Borrowed(&self.weights),
-            QuantizationMode::Int8 => {
-                let mut out = Vec::with_capacity(self.docs.len());
-                for t in 0..self.dim() {
-                    self.for_each_posting(t, |_, w| out.push(w));
-                }
-                Cow::Owned(out)
             }
         }
     }
@@ -576,139 +533,9 @@ impl FlatPostings {
         let (offsets, docs, weights) = self.transpose(keep, rows);
         Self::install(self.quantization, offsets, docs, weights)
     }
-
-    /// Opens a cursor on `term`'s postings for normalised query weight
-    /// `qw`; `None` when the term has no postings. `refine` is filled in
-    /// on request only — it costs a scan of the term's block maxima.
-    fn cursor(&self, term: TermId, qw: f64, with_refine: bool) -> Option<WandCursor> {
-        let t = term as usize;
-        let (flat_lo, len) = (self.offsets[t], self.term_len(t));
-        if len == 0 {
-            return None;
-        }
-        let int8 = self.quantization == QuantizationMode::Int8;
-        let mut cursor = WandCursor {
-            term,
-            qw,
-            bound: qw.abs() * self.max_impact[t],
-            pos: 0,
-            len,
-            doc: self.docs[flat_lo],
-            flat_lo,
-            refine: 0.0,
-            dq_scale: if int8 { self.scale[t] } else { 0.0 },
-            dq_off: if int8 { self.qoffset[t] } else { 0.0 },
-        };
-        if with_refine {
-            // How much tighter this term's *block* maxima can get than
-            // its term bound, at best. One contiguous scan per query
-            // term; per pivot it makes "would the block metadata even
-            // matter?" a cursor-local question.
-            let min_bm = self.block_max[self.block_starts[t]..self.block_starts[t + 1]]
-                .iter()
-                .copied()
-                .fold(f64::INFINITY, f64::min);
-            cursor.refine = (cursor.bound - qw.abs() * min_bm).max(0.0);
-        }
-        Some(cursor)
-    }
-
-    /// Returns the posting weight under a live cursor and steps it to the
-    /// next posting, refreshing the cached doc id — two direct array
-    /// reads.
-    #[inline]
-    fn advance(&self, c: &mut WandCursor) -> f64 {
-        // Same expression as `weight`, with the per-term scale/offset
-        // loads hoisted into the cursor at setup.
-        let w = match self.quantization {
-            QuantizationMode::Off => self.weights[c.flat_lo + c.pos],
-            QuantizationMode::Int8 => {
-                c.dq_off + c.dq_scale * f64::from(self.qweights[c.flat_lo + c.pos])
-            }
-        };
-        c.pos += 1;
-        c.doc = if c.pos < c.len {
-            self.docs[c.flat_lo + c.pos]
-        } else {
-            u32::MAX
-        };
-        w
-    }
-
-    /// The shallow bound of a live cursor's position: its score
-    /// contribution bound within the current *block*, and the last doc
-    /// id that bound covers.
-    #[inline]
-    fn block(&self, c: &WandCursor) -> (f64, u32) {
-        const BLOCK: usize = InvertedIndex::BLOCK_SIZE;
-        let b = c.pos / BLOCK;
-        let bound = c.qw.abs() * self.block_max[self.block_starts[c.term as usize] + b];
-        let last = ((b + 1) * BLOCK).min(c.len) - 1;
-        (bound, self.docs[c.flat_lo + last])
-    }
-
-    /// Advances a live cursor to the first posting with doc id
-    /// `>= target` (possibly past the end). The seek is block-aligned:
-    /// the block-boundary doc ids locate the target block — checking the
-    /// cursor's current and next block first, since consecutive pivots
-    /// usually land a step or two ahead, before binary-searching the
-    /// remaining blocks — then a short gallop plus binary search inside
-    /// that one block finds the posting. Same result as binary-searching
-    /// the whole remaining range, but the block phase touches one doc id
-    /// per block and the near-miss fast path touches only a handful.
-    fn seek(&self, c: &mut WandCursor, target: u32) {
-        const BLOCK: usize = InvertedIndex::BLOCK_SIZE;
-        let flat = &self.docs[c.flat_lo..c.flat_lo + c.len];
-        let nblocks = c.len.div_ceil(BLOCK);
-        let block_last = |b: usize| flat[((b + 1) * BLOCK).min(c.len) - 1];
-        // First block (at or after the cursor's) whose last doc id
-        // reaches the target.
-        let mut lo_b = c.pos / BLOCK;
-        if block_last(lo_b) < target {
-            lo_b += 1;
-            if lo_b < nblocks && block_last(lo_b) < target {
-                let mut hi_b = nblocks;
-                lo_b += 1;
-                while lo_b < hi_b {
-                    let mid = lo_b + (hi_b - lo_b) / 2;
-                    if block_last(mid) < target {
-                        lo_b = mid + 1;
-                    } else {
-                        hi_b = mid;
-                    }
-                }
-            }
-        }
-        if lo_b >= nblocks {
-            c.pos = c.len;
-            c.doc = u32::MAX;
-            return;
-        }
-        let start = (lo_b * BLOCK).max(c.pos);
-        let end = ((lo_b + 1) * BLOCK).min(c.len);
-        // The block's last doc is >= target, so the hit is inside.
-        // Gallop from the start: a seek that stays in the cursor's own
-        // block is usually only a few postings ahead.
-        let mut p = start;
-        let mut step = 1;
-        while p + step < end && flat[p + step] < target {
-            p += step;
-            step <<= 1;
-        }
-        let hi = (p + step + 1).min(end);
-        c.pos = p + flat[p..hi].partition_point(|&d| d < target);
-        c.doc = flat[c.pos];
-    }
 }
 
 impl InvertedIndex {
-    /// Number of flat postings per block-max block. Blocks never span
-    /// terms: term `t`'s flat range is carved into `ceil(len / 128)`
-    /// blocks, the last possibly short. 128 postings keep the block
-    /// metadata at ~1/128th of the posting payload while still letting
-    /// dense-term skips drop hundreds of postings at a time.
-    pub const BLOCK_SIZE: usize = 128;
-
     /// Creates an empty index over a `dim`-term space.
     pub fn new(dim: usize) -> Self {
         InvertedIndex {
@@ -917,14 +744,8 @@ impl InvertedIndex {
     }
 
     /// Like [`search`](Self::search) but reuses `scratch` across calls, so
-    /// repeated queries perform no per-document allocations.
-    ///
-    /// Dispatches between two scoring strategies that return identical
-    /// results: block-max WAND early-exit top-k
-    /// ([`search_block_max`](Self::search_block_max)) when the corpus is
-    /// large and `k` is a small fraction of it, and exhaustive
-    /// accumulation ([`search_exhaustive`](Self::search_exhaustive))
-    /// otherwise.
+    /// repeated queries allocate nothing but the hits.
+    /// [`search_above`](Self::search_above) with no floor.
     ///
     /// # Errors
     ///
@@ -936,42 +757,280 @@ impl InvertedIndex {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<Vec<SearchHit>, IrError> {
-        // Document-at-a-time pruning pays off for selective queries over
-        // large corpora: few terms (so per-candidate cursor bookkeeping
-        // stays small and the bound sum can actually drop below the
-        // top-k bar) and a small k. Dense whole-signature queries keep
-        // the exhaustive accumulator — with hundreds of terms the
-        // cumulative bound almost never prunes and DAAT degenerates to a
-        // slower exhaustive pass.
-        if self.num_docs >= 4096
-            && k.saturating_mul(8) <= self.num_docs
-            && query.nnz().saturating_mul(32) <= self.num_docs
-        {
-            self.search_block_max(query, k, scratch)
+        self.search_above(query, k, f64::NEG_INFINITY, scratch)
+    }
+
+    /// The `k` best hits among the documents scoring `floor` or more
+    /// (not strict: a score equal to the floor is a hit) — exactly the
+    /// hits of [`search_exhaustive`](Self::search_exhaustive) that reach
+    /// the floor, same documents and bit-identical scores in any
+    /// [`QuantizationMode`], from one pruned term-at-a-time traversal.
+    ///
+    /// Tail rows are scored first. The query's flat lists are then read
+    /// heaviest bound first into partial scores, and between lists a
+    /// *bar* no hit can score under is placed: the floor, the tail's
+    /// k-th score, or the k-th largest live partial minus the bounds
+    /// still unread (`rest`) — an untouched document can reach at most
+    /// `rest`, a touched one at most `partial + rest`, and `k` live ones
+    /// already score the bar. Once `rest` is under the bar only the
+    /// *survivors* (`partial + rest >= bar`) can be hits; reading stops
+    /// when rescoring them is cheaper than the next list, and the exact
+    /// pass scores each over every list in ascending term order, the
+    /// oracle's addition sequence. `docs/SEARCH.md` has the argument;
+    /// [`SearchScratch::stats`] reports what was read and skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::DimensionMismatch`] when the query dimension
+    /// differs from the index dimension.
+    pub fn search_above(
+        &self,
+        query: &SparseVec,
+        k: usize,
+        floor: f64,
+        scratch: &mut SearchScratch,
+    ) -> Result<Vec<SearchHit>, IrError> {
+        scratch.stats = SearchStats::default();
+        let Some(inv_norm) = self.query_scale(query, k)? else {
+            return Ok(Vec::new());
+        };
+        let flat = &*self.flat;
+        let mut top = TopK::new(k, floor);
+        self.score_tail(query, inv_norm, &mut scratch.qdense, &mut top);
+        let base = top.threshold();
+
+        // Stale stamps (an earlier query's, another index's) never equal
+        // a new epoch, so growing the accumulators with zeros is sound.
+        scratch.epoch += 1;
+        let epoch = scratch.epoch;
+        scratch.touched.clear();
+        if scratch.partial.len() < self.num_docs {
+            scratch.partial.resize(self.num_docs, Partial::default());
+        }
+        let SearchScratch {
+            partial,
+            touched,
+            order,
+            rest,
+            select,
+            survivors,
+            stats,
+            ..
+        } = scratch;
+        order.clear();
+        for (term, qw) in query.iter() {
+            let len = flat.term_len(term as usize);
+            if len > 0 {
+                let qw = qw * inv_norm;
+                let bound = qw.abs() * flat.max_impact[term as usize];
+                order.push(QueryTerm { term, qw, bound });
+                stats.postings += len;
+            }
+        }
+        let lists = order.len();
+        stats.lists = lists;
+        // The cheapest exact pass is k survivors probing every list. When
+        // even that outweighs reading every posting — many short lists, a
+        // large k — nothing is put in order and nothing stops the reading
+        // but the floor: the lists are read as they stand, in ascending
+        // term order, which leaves the partial scores exact.
+        let pruning = stats.postings > k.saturating_mul(lists * PROBE_COST);
+        if pruning {
+            order.sort_unstable_by(|a, b| b.bound.total_cmp(&a.bound).then(a.term.cmp(&b.term)));
+        }
+        rest.clear();
+        rest.resize(lists + 1, 0.0);
+        for i in (0..lists).rev() {
+            rest[i] = rest[i + 1] + order[i].bound;
+        }
+
+        let mut checked_rest = f64::INFINITY;
+        let mut read = 0;
+        // Reads lists until a check says stop; leaves the bar and the
+        // bound mass the survivors are judged against.
+        let (bar, unread) = loop {
+            let unread = rest[read];
+            let next = order.get(read);
+            let next_len = next.map_or(0, |q| flat.term_len(q.term as usize));
+            let due = touched.len() * CHECK_COST;
+            let left = stats.postings - stats.postings_read;
+            if next.is_none()
+                || read == 0
+                || pruning && (due <= next_len || unread * 2.0 <= checked_rest && due <= left)
+            {
+                checked_rest = unread;
+                stats.checks += 1;
+                let bar = self.bar(k, base, unread, touched, partial, select);
+                let Some(next) = next else {
+                    break (bar, unread);
+                };
+                if unread < bar {
+                    // Reading `next` takes `bound / unread` of the bound
+                    // mass away, and about that share of the survivors
+                    // beyond the k that stay whatever is read.
+                    let spare =
+                        next_len as f64 * unread / ((lists * PROBE_COST) as f64 * next.bound);
+                    let cap = k.saturating_add(spare as usize);
+                    let mut reaching = self.reaching(touched, partial, bar - unread);
+                    if reaching.nth(cap).is_none() {
+                        break (bar, unread);
+                    }
+                }
+            }
+            let QueryTerm { term, qw, .. } = order[read];
+            let slots = &mut partial[..];
+            flat.for_each_posting(term as usize, |doc, w| {
+                let slot = &mut slots[doc as usize];
+                if slot.stamp != epoch {
+                    *slot = Partial {
+                        stamp: epoch,
+                        score: qw * w,
+                    };
+                    touched.push(doc as usize);
+                } else {
+                    slot.score += qw * w;
+                }
+            });
+            stats.postings_read += next_len;
+            read += 1;
+        };
+        stats.lists_read = read;
+
+        survivors.clear();
+        let reaching = self.reaching(touched, partial, bar - unread);
+        survivors.extend(reaching.map(|doc| doc as u32));
+        survivors.sort_unstable();
+        stats.rescored = survivors.len();
+        let exact = select;
+        exact.clear();
+        if pruning {
+            self.score_exact(query, inv_norm, survivors, exact);
         } else {
-            self.search_exhaustive(query, k, scratch)
+            exact.extend(survivors.iter().map(|&doc| partial[doc as usize].score));
+        }
+        for (&doc, &score) in survivors.iter().zip(exact.iter()) {
+            top.push(doc as DocId, score);
+        }
+        Ok(top.into_hits())
+    }
+
+    /// The exact pass: per survivor (ascending), the flat contributions in
+    /// ascending term order — what the oracle's accumulator adds.
+    fn score_exact(
+        &self,
+        query: &SparseVec,
+        inv_norm: f64,
+        survivors: &[u32],
+        exact: &mut Vec<f64>,
+    ) {
+        let flat = &*self.flat;
+        exact.resize(survivors.len(), 0.0);
+        for (term, qw) in query.iter() {
+            let qw = qw * inv_norm;
+            let (lo, hi) = (flat.offsets[term as usize], flat.offsets[term as usize + 1]);
+            let docs = &flat.docs[lo..hi];
+            let mut at = 0;
+            for (score, &doc) in exact.iter_mut().zip(survivors) {
+                at += gallop(&docs[at..], doc);
+                if at == docs.len() {
+                    break;
+                }
+                if docs[at] == doc {
+                    *score += qw * flat.weight(term as usize, lo + at);
+                }
+            }
         }
     }
 
-    /// The shared prologue of every strategy: checks the query's
+    /// The bar with `unread` bound mass left: `base`, or the k-th largest
+    /// live partial score less `unread` where that is higher.
+    fn bar(
+        &self,
+        k: usize,
+        base: f64,
+        unread: f64,
+        touched: &[DocId],
+        partial: &[Partial],
+        select: &mut Vec<f64>,
+    ) -> f64 {
+        // The k-th partial lifts the bar over `unread` only if k of them
+        // reach twice `unread`: count to k first, select only then.
+        let lift = 2.0 * unread + WAND_SLACK;
+        if self.reaching(touched, partial, lift).nth(k - 1).is_none() {
+            return base;
+        }
+        select.clear();
+        select.extend(
+            self.reaching(touched, partial, lift)
+                .map(|doc| partial[doc].score),
+        );
+        let (_, kth, _) = select.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
+        base.max(*kth - unread - WAND_SLACK)
+    }
+
+    /// The live documents among `touched` whose partial score is `min` or
+    /// more.
+    fn reaching<'a>(
+        &'a self,
+        touched: &'a [DocId],
+        partial: &'a [Partial],
+        min: f64,
+    ) -> impl Iterator<Item = DocId> + 'a {
+        let live = move |&doc: &DocId| partial[doc].score >= min && !self.removed[doc];
+        touched.iter().copied().filter(live)
+    }
+
+    /// [`search_with`](Self::search_with) under the name of a deleted
+    /// strategy, for `benchmark/src/layers.rs` (frozen within a product
+    /// PR); ROADMAP item 3 removes the call and this forward together.
+    #[doc(hidden)]
+    pub fn search_wand(
+        &self,
+        query: &SparseVec,
+        k: usize,
+        scratch: &mut SearchScratch,
+    ) -> Result<Vec<SearchHit>, IrError> {
+        self.search_with(query, k, scratch)
+    }
+
+    /// As [`search_wand`](Self::search_wand).
+    #[doc(hidden)]
+    pub fn search_block_max(
+        &self,
+        query: &SparseVec,
+        k: usize,
+        scratch: &mut SearchScratch,
+    ) -> Result<Vec<SearchHit>, IrError> {
+        self.search_with(query, k, scratch)
+    }
+
+    /// `Σ |q_t| · max_impact[t]`: the most a flat document can score
+    /// against `query`, times the query's norm. An ordering for
+    /// [`search_sharded`](crate::search_sharded); tail rows are not seen.
+    pub(crate) fn flat_bound(&self, query: &SparseVec) -> f64 {
+        let impact = |t: TermId| self.flat.max_impact.get(t as usize).copied().unwrap_or(0.0);
+        query.iter().map(|(t, q)| q.abs() * impact(t)).sum()
+    }
+
+    /// The shared prologue of every search: checks the query's
     /// dimension and returns the factor that normalises it — scoring
     /// against unit-length postings with weights `qw / ‖q‖` is exactly
     /// scoring with `query.l2_normalized()`, without materialising it —
     /// or `None` when nothing can match (`k == 0`, an empty index, a
-    /// zero query).
+    /// query whose norm is zero, infinite or `NaN`).
     fn query_scale(&self, query: &SparseVec, k: usize) -> Result<Option<f64>, IrError> {
         check_dim(self.dim, query)?;
         if k == 0 || self.num_docs == 0 {
             return Ok(None);
         }
         let norm = query.norm_l2();
-        Ok((norm != 0.0).then(|| 1.0 / norm))
+        Ok((norm.is_finite() && norm > 0.0).then(|| 1.0 / norm))
     }
 
     /// Scores the live tail documents doc-at-a-time into `top`. A row
     /// lists its terms in ascending order, so its dot product with the
     /// scattered query adds a document's contributions in exactly the
-    /// order the term-at-a-time accumulation (and the WAND re-sum) would
+    /// order the term-at-a-time accumulation (and the exact pass) would
     /// — the scores are bit-identical, only the traversal differs. (The
     /// terms the query lacks add `w * 0.0`, a signed zero, which leaves a
     /// running sum's bits alone unless that sum is itself zero — and a
@@ -995,12 +1054,9 @@ impl InvertedIndex {
     }
 
     /// Exhaustive top-k: accumulates every posting of the query's
-    /// non-zero terms, then heap-selects the `k` best.
-    ///
-    /// Each document is visited exactly once per query: a visited stamp
-    /// (not the accumulated score) decides membership in the candidate
-    /// list, so a partial score that cancels to exactly `0.0`
-    /// mid-accumulation cannot re-enter and occupy two top-k slots.
+    /// non-zero terms into one zero-filled score per document, then
+    /// heap-selects the `k` best. The oracle of every exactness test:
+    /// it shares no bookkeeping with [`search_with`](Self::search_with).
     ///
     /// # Errors
     ///
@@ -1016,336 +1072,24 @@ impl InvertedIndex {
             return Ok(Vec::new());
         };
         let flat = &*self.flat;
-        let mut top = TopK::new(k);
+        let mut top = TopK::new(k, f64::NEG_INFINITY);
         self.score_tail(query, inv_norm, &mut scratch.qdense, &mut top);
-        let epoch = scratch.begin(self.num_docs);
-        // Two accumulation strategies over the flat postings of the
-        // query's non-zero terms. Both visit identical contributions in
-        // identical order per document, so they produce bit-identical
-        // scores; only the bookkeeping differs. Tombstoned docs may still
-        // have postings (purging is lazy) and are filtered at the end.
-        let total_postings: usize = query
-            .terms()
-            .iter()
-            .map(|&t| flat.term_len(t as usize))
-            .sum();
-        if total_postings * 2 >= self.num_docs {
-            // Dense mode: the postings touch a large share of the corpus,
-            // so zero the whole score buffer once and accumulate without
-            // any per-posting membership test or branch.
-            let scores = &mut scratch.scores[..self.num_docs];
-            scores.fill(0.0);
-            for (t, qw) in query.iter() {
-                let qw = qw * inv_norm;
-                flat.for_each_posting(t as usize, |doc, dw| {
-                    scores[doc as usize] += qw * dw;
-                });
-            }
-            for (doc, &score) in scores.iter().enumerate() {
-                if !self.removed[doc] {
-                    top.push(doc, score);
-                }
-            }
-        } else {
-            // Sparse mode: few candidates — track membership with the
-            // epoch stamp (not the score, which can transiently cancel to
-            // exactly 0.0 and must not re-enter the candidate list).
-            let stamps = &mut scratch.stamps;
-            let scores = &mut scratch.scores;
-            let touched = &mut scratch.touched;
-            for (t, qw) in query.iter() {
-                let qw = qw * inv_norm;
-                flat.for_each_posting(t as usize, |doc, dw| {
-                    let doc = doc as usize;
-                    if stamps[doc] != epoch {
-                        stamps[doc] = epoch;
-                        scores[doc] = qw * dw;
-                        touched.push(doc);
-                    } else {
-                        scores[doc] += qw * dw;
-                    }
-                });
-            }
-            for &doc in touched.iter() {
-                if !self.removed[doc] {
-                    top.push(doc, scores[doc]);
-                }
-            }
-        }
-        Ok(top.into_hits())
-    }
-
-    /// The shared set-up of the two document-at-a-time strategies: the
-    /// tail documents scored into a fresh top-k (which raises the bar
-    /// before the flat traversal starts), then one cursor per query term
-    /// with flat postings, in bound-ascending order (the non-essential
-    /// set is always a prefix of this ordering, so the essential boundary
-    /// is a single monotonically advancing index), the running sums of
-    /// those bounds, and cleared per-cursor state. Returns the top-k and
-    /// the number of cursors, or `None` when nothing can match.
-    fn open_cursors(
-        &self,
-        query: &SparseVec,
-        k: usize,
-        with_refine: bool,
-        scratch: &mut SearchScratch,
-    ) -> Result<Option<(TopK, usize)>, IrError> {
-        let Some(inv_norm) = self.query_scale(query, k)? else {
-            return Ok(None);
-        };
-        let mut top = TopK::new(k);
-        self.score_tail(query, inv_norm, &mut scratch.qdense, &mut top);
-        scratch.cursors.clear();
+        // No per-posting membership test or branch. Tombstoned docs may
+        // still have postings (purging is lazy) and are filtered at the
+        // end.
+        scratch.scores.clear();
+        scratch.scores.resize(self.num_docs, 0.0);
+        let scores = &mut scratch.scores[..];
         for (t, qw) in query.iter() {
-            scratch
-                .cursors
-                .extend(self.flat.cursor(t, qw * inv_norm, with_refine));
+            let qw = qw * inv_norm;
+            flat.for_each_posting(t as usize, |doc, dw| {
+                scores[doc as usize] += qw * dw;
+            });
         }
-        scratch
-            .cursors
-            .sort_unstable_by(|a, b| a.bound.total_cmp(&b.bound).then(a.term.cmp(&b.term)));
-        scratch.prefix_bounds.clear();
-        let mut acc = 0.0;
-        for c in &scratch.cursors {
-            acc += c.bound;
-            scratch.prefix_bounds.push(acc);
-        }
-        scratch.contrib.clear();
-        scratch.contrib.resize(scratch.cursors.len(), 0.0);
-        scratch.touched_cursors.clear();
-        Ok(Some((top, scratch.cursors.len())))
-    }
-
-    /// WAND-style early-exit top-k: walks the query terms' posting lists
-    /// document-at-a-time and uses the per-term max-impact bounds to skip
-    /// every document whose score *upper bound* cannot displace the
-    /// current k-th best hit. The traversal is the MaxScore variant of
-    /// the WAND family (Turtle & Flood): cursors are split into
-    /// *essential* terms (which drive the document iteration) and a
-    /// *non-essential* prefix whose summed bounds sit below the top-k
-    /// bar — non-essential lists never surface new candidates, they are
-    /// only probed (with a binary-search seek) for documents the
-    /// essential lists produce, and a probe abandons early once the
-    /// partial score plus the unprobed bounds cannot reach the bar.
-    /// Tail documents are scored first (see the type-level docs).
-    ///
-    /// Returns exactly what [`search_exhaustive`](Self::search_exhaustive)
-    /// returns (same documents, bit-identical scores): a completed
-    /// candidate re-sums its contributions in the same term-ascending
-    /// order, and every pruning decision keeps `WAND_SLACK` (1e-9) of safety
-    /// margin so bound rounding can never drop a true top-k member.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::DimensionMismatch`] when the query dimension
-    /// differs from the index dimension.
-    pub fn search_wand(
-        &self,
-        query: &SparseVec,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> Result<Vec<SearchHit>, IrError> {
-        let Some((mut top, m)) = self.open_cursors(query, k, false, scratch)? else {
-            return Ok(Vec::new());
-        };
-        let flat = &*self.flat;
-        let cursors = &mut scratch.cursors;
-        let touched = &mut scratch.touched_cursors;
-        let contrib = &mut scratch.contrib;
-        let prefix_bounds = &scratch.prefix_bounds;
-        let mut essential_from = 0;
-        loop {
-            let threshold = top.threshold();
-            // Grow the non-essential prefix while its total bound stays
-            // under the bar (the boundary only ever moves forward, since
-            // the bar only ever rises).
-            while essential_from < m && prefix_bounds[essential_from] < threshold {
-                essential_from += 1;
+        for (doc, &score) in scores.iter().enumerate() {
+            if !self.removed[doc] {
+                top.push(doc, score);
             }
-            if essential_from >= m {
-                break; // even all bounds together cannot reach the bar
-            }
-            // Next candidate: the smallest live doc under an essential
-            // cursor. Documents carried only by non-essential terms are
-            // unreachable by construction of the boundary.
-            let mut pivot_doc = u32::MAX;
-            for c in &cursors[essential_from..] {
-                pivot_doc = pivot_doc.min(c.doc);
-            }
-            if pivot_doc == u32::MAX {
-                break; // every essential list is exhausted
-            }
-            // Tombstoned candidate: advance the essential cursors past it
-            // and move on without scoring (same exclusion the exhaustive
-            // path applies at hit-push time).
-            if self.removed[pivot_doc as usize] {
-                for c in cursors[essential_from..].iter_mut() {
-                    if c.doc == pivot_doc {
-                        flat.advance(c);
-                    }
-                }
-                continue;
-            }
-            // Essential contributions: every matching essential cursor
-            // advances past the candidate (they drive the iteration).
-            touched.clear();
-            touched.extend((essential_from..m).filter(|&ci| cursors[ci].doc == pivot_doc));
-            score_pivot(
-                flat,
-                pivot_doc,
-                essential_from,
-                threshold,
-                cursors,
-                touched,
-                contrib,
-                prefix_bounds,
-                &mut top,
-            );
-        }
-        Ok(top.into_hits())
-    }
-
-    /// Block-max WAND top-k (BMW over the MaxScore cursor split): the
-    /// same essential/non-essential traversal as
-    /// [`search_wand`](Self::search_wand), with one extra *shallow* test
-    /// before a candidate is scored. The per-term bounds pick the pivot;
-    /// the current blocks' maxima then refine the pivot's score bound,
-    /// and when even that refined bound cannot reach the top-k bar the
-    /// search skips straight past the shortest matching block — pruning
-    /// a whole block of postings (up to [`BLOCK_SIZE`](Self::BLOCK_SIZE)
-    /// per matching term) with a handful of comparisons, where plain
-    /// WAND would have descended and scored posting by posting.
-    ///
-    /// The skip is sound because every document before the skip target is
-    /// covered by the very bounds that were summed: non-essential terms
-    /// by their term-level prefix bound, matching essential cursors by
-    /// their current block's maximum (the target never passes a matching
-    /// block's end), and the remaining essential cursors hold no
-    /// documents below the target at all.
-    ///
-    /// Candidates that survive the shallow test are scored by exactly
-    /// the code [`search_wand`](Self::search_wand) uses, so the result
-    /// is bit-identical to
-    /// [`search_exhaustive`](Self::search_exhaustive) over the same
-    /// index — in *any* [`QuantizationMode`] (a quantized index shifts
-    /// what the stored weights are, not how they are scored).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::DimensionMismatch`] when the query dimension
-    /// differs from the index dimension.
-    pub fn search_block_max(
-        &self,
-        query: &SparseVec,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> Result<Vec<SearchHit>, IrError> {
-        let Some((mut top, m)) = self.open_cursors(query, k, true, scratch)? else {
-            return Ok(Vec::new());
-        };
-        let flat = &*self.flat;
-        let cursors = &mut scratch.cursors;
-        let touched = &mut scratch.touched_cursors;
-        let contrib = &mut scratch.contrib;
-        let prefix_bounds = &scratch.prefix_bounds;
-        let mut essential_from = 0;
-        loop {
-            let threshold = top.threshold();
-            while essential_from < m && prefix_bounds[essential_from] < threshold {
-                essential_from += 1;
-            }
-            if essential_from >= m {
-                break;
-            }
-            // Shallow pass, term level: a single scan over the essential
-            // cursors finds the pivot (their minimum doc) while collecting
-            // the matching set, its summed term bounds, and `next_doc` —
-            // the first doc held by a *non*-matching essential cursor.
-            // Term bounds hold globally, so a failed term-level check
-            // skips every doc up to `next_doc` at once.
-            touched.clear();
-            let prefix = if essential_from > 0 {
-                prefix_bounds[essential_from - 1]
-            } else {
-                0.0
-            };
-            let mut pivot_doc = u32::MAX;
-            let mut next_doc = u32::MAX;
-            let mut term_sum = prefix;
-            let mut refine_sum = 0.0;
-            for (off, c) in cursors[essential_from..].iter().enumerate() {
-                let ci = essential_from + off;
-                if c.doc < pivot_doc {
-                    next_doc = next_doc.min(pivot_doc);
-                    pivot_doc = c.doc;
-                    touched.clear();
-                    touched.push(ci);
-                    term_sum = prefix + c.bound;
-                    refine_sum = c.refine;
-                } else if c.doc == pivot_doc {
-                    term_sum += c.bound;
-                    refine_sum += c.refine;
-                    touched.push(ci);
-                } else {
-                    next_doc = next_doc.min(c.doc);
-                }
-            }
-            if pivot_doc == u32::MAX {
-                break;
-            }
-            if self.removed[pivot_doc as usize] {
-                for &ci in touched.iter() {
-                    flat.advance(&mut cursors[ci]);
-                }
-                continue;
-            }
-            if term_sum < threshold {
-                // Docs below `next_doc` are covered by the matching
-                // cursors' term bounds plus the non-essential prefix —
-                // none can clear the bar. Leap the matching cursors over
-                // the whole window.
-                for &ci in touched.iter() {
-                    flat.seek(&mut cursors[ci], next_doc);
-                }
-                continue;
-            }
-            // Shallow pass, block level — but only when it can matter:
-            // `refine_sum` is the most the block maxima can undercut the
-            // term bounds, so when even a full refinement leaves the
-            // pivot over the bar, descend without touching the (colder)
-            // block metadata at all.
-            if term_sum - refine_sum < threshold {
-                let mut block_sum = prefix;
-                let mut min_block_last = u32::MAX;
-                for &ci in touched.iter() {
-                    let (bound, last) = flat.block(&cursors[ci]);
-                    block_sum += bound;
-                    min_block_last = min_block_last.min(last);
-                }
-                if block_sum < threshold {
-                    // No document up to the shortest matching block's
-                    // end (and below the other essential cursors) can
-                    // clear the bar: skip every matching cursor straight
-                    // there instead of scoring the block posting by
-                    // posting.
-                    let target = next_doc.min(min_block_last.saturating_add(1));
-                    for &ci in touched.iter() {
-                        flat.seek(&mut cursors[ci], target);
-                    }
-                    continue;
-                }
-            }
-            score_pivot(
-                flat,
-                pivot_doc,
-                essential_from,
-                threshold,
-                cursors,
-                touched,
-                contrib,
-                prefix_bounds,
-                &mut top,
-            );
         }
         Ok(top.into_hits())
     }
@@ -1385,37 +1129,16 @@ impl InvertedIndex {
         }
         self.optimize();
         let flat = &self.flat;
-        self.flat = Arc::new(FlatPostings::install(
-            mode,
-            flat.offsets.clone(),
-            flat.docs.clone(),
-            flat.exact_weights().into_owned(),
-        ));
-    }
-
-    /// Number of block-max blocks carved over `term`'s flat postings
-    /// (tail rows are not blocked; zero for out-of-range terms).
-    pub fn num_blocks(&self, term: TermId) -> usize {
-        let t = term as usize;
-        if t >= self.dim {
-            return 0;
-        }
-        self.flat.block_starts[t + 1] - self.flat.block_starts[t]
-    }
-
-    /// The largest `|stored weight|` in `block` of `term`'s flat
-    /// postings (block `b` covers flat positions `b * BLOCK_SIZE ..` of
-    /// the term's range); zero when out of range.
-    pub fn block_max_impact(&self, term: TermId, block: usize) -> f64 {
-        if block >= self.num_blocks(term) {
-            return 0.0;
-        }
-        self.flat.block_max[self.flat.block_starts[term as usize] + block]
+        let weights = (0..flat.dim())
+            .flat_map(|t| (flat.offsets[t]..flat.offsets[t + 1]).map(move |i| flat.weight(t, i)))
+            .collect();
+        let (offsets, docs) = (flat.offsets.clone(), flat.docs.clone());
+        self.flat = Arc::new(FlatPostings::install(mode, offsets, docs, weights));
     }
 
     /// Resident bytes of the posting store payload: flat doc ids and
     /// weights (8-bit codes plus per-term parameters in `Int8` mode),
-    /// tail postings, and the block-max metadata. Vec capacity overhead
+    /// the term offsets, and tail postings. Vec capacity overhead
     /// and fixed struct fields are not counted — this is the number that
     /// shrinks 2.3x when quantization is on (a flat posting goes from
     /// 12 bytes to 5; `index.resident_kb_f64` ÷ `index.resident_kb_int8`
@@ -1429,8 +1152,6 @@ impl InvertedIndex {
             + (flat.scale.len() + flat.qoffset.len()) * 8
             + self.tail_len * 12
             + flat.offsets.len() * 8
-            + flat.block_starts.len() * 8
-            + flat.block_max.len() * 8
     }
 
     /// Returns `true` when `self` and `other` share one flat segment —
@@ -1441,62 +1162,19 @@ impl InvertedIndex {
     }
 }
 
-/// The deep pass both document-at-a-time strategies share: scores
-/// candidate `pivot_doc`, whose matching essential cursors are listed
-/// in `touched`, and offers it to `top`.
-///
-/// `partial` orders its adds by bound, not term — it is only a
-/// pruning estimate: the non-essential terms are probed in
-/// bound-descending order and abandoned as soon as the unprobed
-/// bounds cannot lift the candidate over the bar. A completed
-/// candidate's exact score is the same contributions the exhaustive
-/// path accumulates, re-summed in ascending term order so the result
-/// is bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn score_pivot(
-    flat: &FlatPostings,
-    pivot_doc: u32,
-    essential_from: usize,
-    threshold: f64,
-    cursors: &mut [WandCursor],
-    touched: &mut Vec<usize>,
-    contrib: &mut [f64],
-    prefix_bounds: &[f64],
-    top: &mut TopK,
-) {
-    let mut partial = 0.0;
-    for &ci in touched.iter() {
-        let p = cursors[ci].qw * flat.advance(&mut cursors[ci]);
-        contrib[ci] = p;
-        partial += p;
+/// The first position in ascending `docs` holding `target` or more
+/// (`docs.len()` when none does): doubling steps from the front, then a
+/// binary search of the last step — cheap when the answer is near, as
+/// it is for a cursor moving through a list.
+fn gallop(docs: &[u32], target: u32) -> usize {
+    let mut lo = 0;
+    let mut step = 1;
+    while lo + step < docs.len() && docs[lo + step] < target {
+        lo += step;
+        step <<= 1;
     }
-    let mut abandoned = false;
-    for ci in (0..essential_from).rev() {
-        if partial + prefix_bounds[ci] < threshold {
-            abandoned = true;
-            break;
-        }
-        if cursors[ci].doc < pivot_doc {
-            flat.seek(&mut cursors[ci], pivot_doc);
-        }
-        if cursors[ci].doc == pivot_doc {
-            let p = cursors[ci].qw * flat.advance(&mut cursors[ci]);
-            contrib[ci] = p;
-            touched.push(ci);
-            partial += p;
-        }
-    }
-    if !abandoned {
-        touched.sort_unstable_by_key(|&ci| cursors[ci].term);
-        let mut score = 0.0;
-        for &ci in touched.iter() {
-            score += contrib[ci];
-        }
-        top.push(pivot_doc as DocId, score);
-    }
-    for &ci in touched.iter() {
-        contrib[ci] = 0.0;
-    }
+    let hi = (lo + step + 1).min(docs.len());
+    lo + docs[lo..hi].partition_point(|&d| d < target)
 }
 
 /// Rejects a vector (or query) from another term space.
@@ -1638,9 +1316,8 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_modes_agree() {
-        // Build one corpus where a broad query takes the dense path and a
-        // narrow query the sparse path; both must match a brute-force
-        // cosine scan.
+        // One corpus, a broad query (most documents touched) and a narrow
+        // one (few touched); both must match a brute-force cosine scan.
         let mut idx = InvertedIndex::new(8);
         let docs: Vec<SparseVec> = (0..12)
             .map(|i| vec8(&[(i % 8, 1.0 + i as f64), ((i + 3) % 8, 0.5)]))
@@ -1715,15 +1392,9 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn wand_matches_exhaustive_bit_for_bit() {
-        let dim = 64u32;
-        let docs = banded_corpus(400, dim);
-        let mut idx = InvertedIndex::new(dim as usize);
-        for d in &docs {
-            idx.insert(d.clone()).unwrap();
-        }
-        // Half-compacted on purpose: cursors must traverse flat + tail.
+    /// `search_with` against the oracle over a spread of three-term
+    /// queries and `k` from 1 to past the corpus.
+    fn assert_pruned_matches_exhaustive(idx: &InvertedIndex, dim: u32) {
         let mut scratch = SearchScratch::new();
         for k in [1usize, 3, 10, 400] {
             for qseed in 0..8u32 {
@@ -1737,10 +1408,23 @@ mod tests {
                 )
                 .unwrap();
                 let exhaustive = idx.search_exhaustive(&q, k, &mut scratch).unwrap();
-                let wand = idx.search_wand(&q, k, &mut scratch).unwrap();
-                assert_eq!(wand, exhaustive, "k={k} qseed={qseed}");
+                let pruned = idx.search_with(&q, k, &mut scratch).unwrap();
+                assert_eq!(pruned, exhaustive, "k={k} qseed={qseed}");
             }
         }
+    }
+
+    #[test]
+    fn wand_matches_exhaustive_bit_for_bit() {
+        let dim = 64u32;
+        let docs = banded_corpus(400, dim);
+        let mut idx = InvertedIndex::new(dim as usize);
+        for d in &docs {
+            idx.insert(d.clone()).unwrap();
+        }
+        // Half-compacted on purpose: the tail's k-th score is the bar
+        // the flat traversal starts under.
+        assert_pruned_matches_exhaustive(&idx, dim);
     }
 
     #[test]
@@ -1755,58 +1439,59 @@ mod tests {
         for k in 1..=4 {
             let q = vec8(&[(0, 1.0), (1, 1.0), (2, 2.0)]);
             let exhaustive = idx.search_exhaustive(&q, k, &mut scratch).unwrap();
-            let wand = idx.search_wand(&q, k, &mut scratch).unwrap();
-            assert_eq!(wand, exhaustive, "k={k}");
+            let pruned = idx.search_with(&q, k, &mut scratch).unwrap();
+            assert_eq!(pruned, exhaustive, "k={k}");
         }
     }
 
-    #[test]
-    fn wand_prunes_but_keeps_topk_on_skewed_impacts() {
-        // One rare high-impact term vs a broad low-impact one: WAND
-        // should skip most of the broad postings once the heap holds the
-        // high-impact docs, and still return the exact answer.
+    /// 3000 documents under one light ubiquitous term (0) and a medium
+    /// one (2..10); the `hot` ones also carry heavy term 1, each diluted
+    /// by a different medium weight so their scores are well apart.
+    fn skewed_index(hot: impl Fn(usize) -> bool) -> InvertedIndex {
         let dim = 16usize;
         let mut idx = InvertedIndex::new(dim);
-        let n = 3000;
-        for i in 0..n {
+        let mut medium = 0.0;
+        for i in 0..3000 {
             let mut pairs = vec![(0u32, 0.05 + (i % 5) as f64 * 0.01)];
-            if i % 100 == 0 {
-                pairs.push((1, 10.0));
+            if hot(i) {
+                medium += 1.0;
+                pairs.extend([(1, 10.0), (2 + (i % 8) as u32, medium)]);
+            } else {
+                pairs.push((2 + (i % 8) as u32, 1.0));
             }
             idx.insert(SparseVec::from_pairs(dim, pairs).unwrap())
                 .unwrap();
         }
         idx.optimize();
-        let q = SparseVec::from_pairs(dim, [(0, 0.3), (1, 3.0)]).unwrap();
-        let mut scratch = SearchScratch::new();
-        let wand = idx.search_wand(&q, 10, &mut scratch).unwrap();
-        let exhaustive = idx.search_exhaustive(&q, 10, &mut scratch).unwrap();
-        assert_eq!(wand, exhaustive);
-        // Every returned doc carries the high-impact term.
-        for h in &wand {
-            assert_eq!(h.doc % 100, 0);
-        }
+        idx
+    }
+
+    /// The skewed query: the heavy term and the light one.
+    fn skewed_query() -> SparseVec {
+        SparseVec::from_pairs(16, [(0, 0.3), (1, 3.0)]).unwrap()
     }
 
     #[test]
-    fn search_with_dispatches_to_wand_at_scale() {
-        // Above the dispatch threshold (large corpus, narrow query) the
-        // default entry point must give the same answer as both explicit
-        // strategies.
-        let dim = 32u32;
-        let docs = banded_corpus(5000, dim);
-        let mut idx = InvertedIndex::new(dim as usize);
-        for d in &docs {
-            idx.insert(d.clone()).unwrap();
-        }
-        idx.optimize();
-        let q = SparseVec::from_pairs(dim as usize, [(3, 1.0), (9, 2.0), (dim - 1, 0.5)]).unwrap();
+    fn wand_prunes_but_keeps_topk_on_skewed_impacts() {
+        // One rare high-impact term vs a broad low-impact one: once the
+        // rare list is read the broad one cannot change the top-k, so
+        // it stays unread — and the answer is still exact.
+        let idx = skewed_index(|i| i % 100 == 0);
         let mut scratch = SearchScratch::new();
-        let auto = idx.search_with(&q, 10, &mut scratch).unwrap();
-        let wand = idx.search_wand(&q, 10, &mut scratch).unwrap();
-        let exhaustive = idx.search_exhaustive(&q, 10, &mut scratch).unwrap();
-        assert_eq!(auto, wand);
-        assert_eq!(auto, exhaustive);
+        let exhaustive = idx
+            .search_exhaustive(&skewed_query(), 10, &mut scratch)
+            .unwrap();
+        let pruned = idx.search_with(&skewed_query(), 10, &mut scratch).unwrap();
+        assert_eq!(pruned, exhaustive);
+        // Every returned doc carries the high-impact term.
+        for h in &pruned {
+            assert_eq!(h.doc % 100, 0);
+        }
+        let stats = scratch.stats();
+        assert_eq!((stats.lists, stats.lists_read), (2, 1));
+        assert_eq!((stats.postings, stats.postings_read), (3030, 30));
+        assert!(stats.postings_read * 5 < stats.postings);
+        assert!(stats.rescored <= 20, "{stats:?}");
     }
 
     #[test]
@@ -1830,6 +1515,8 @@ mod tests {
 
     #[test]
     fn wand_zero_query_and_k_zero() {
+        // The two forwards the benchmark still names share
+        // `search_with`'s prologue.
         let idx = sample_index();
         let mut scratch = SearchScratch::new();
         assert!(idx
@@ -1841,7 +1528,7 @@ mod tests {
             .unwrap()
             .is_empty());
         assert!(idx
-            .search_wand(&SparseVec::zeros(9), 5, &mut scratch)
+            .search_block_max(&SparseVec::zeros(9), 5, &mut scratch)
             .is_err());
     }
 
@@ -1863,7 +1550,6 @@ mod tests {
         assert!(!idx.is_live(7));
         for hits in [
             idx.search_exhaustive(&q, 5, &mut scratch).unwrap(),
-            idx.search_wand(&q, 5, &mut scratch).unwrap(),
             idx.search_with(&q, 5, &mut scratch).unwrap(),
         ] {
             assert!(hits.iter().all(|h| h.doc != 7), "doc 7 is tombstoned");
@@ -1933,8 +1619,8 @@ mod tests {
             let a = idx.search_exhaustive(q, 10, &mut scratch).unwrap();
             let b = fresh.search_exhaustive(q, 10, &mut scratch).unwrap();
             assert_eq!(a, b, "exhaustive qseed={qseed}");
-            let w = idx.search_wand(q, 10, &mut scratch).unwrap();
-            assert_eq!(w, a, "wand qseed={qseed}");
+            let w = idx.search_with(q, 10, &mut scratch).unwrap();
+            assert_eq!(w, a, "pruned qseed={qseed}");
         }
     }
 
@@ -1967,8 +1653,6 @@ mod tests {
         assert_eq!(a.qweights, b.qweights);
         assert_eq!(bits(&a.scale), bits(&b.scale));
         assert_eq!(bits(&a.qoffset), bits(&b.qoffset));
-        assert_eq!(a.block_starts, b.block_starts);
-        assert_eq!(bits(&a.block_max), bits(&b.block_max));
         assert_eq!(bits(&a.max_impact), bits(&b.max_impact));
     }
 
@@ -2060,90 +1744,62 @@ mod tests {
         assert_eq!(hits[1].doc, 1);
     }
 
-    /// Recomputes `block_starts`/`block_max` from the stored flat
-    /// buffers and asserts the maintained metadata matches bitwise —
-    /// the invariant every flat rewrite must uphold.
-    fn assert_blocks_match_reference(idx: &InvertedIndex) {
-        let mut starts = vec![0usize];
-        let mut maxima = Vec::new();
+    /// Recomputes `max_impact` from the stored flat buffers and asserts
+    /// the maintained bounds match bitwise — the invariant every flat
+    /// rewrite must uphold, and the one array the stop rule trusts.
+    fn assert_bounds_match_reference(idx: &InvertedIndex) {
         let flat = &idx.flat;
         for t in 0..idx.dim {
-            let (lo, hi) = (flat.offsets[t], flat.offsets[t + 1]);
-            for b in 0..(hi - lo).div_ceil(InvertedIndex::BLOCK_SIZE) {
-                let s = lo + b * InvertedIndex::BLOCK_SIZE;
-                let e = (s + InvertedIndex::BLOCK_SIZE).min(hi);
-                let mut m = 0.0f64;
-                for i in s..e {
-                    m = m.max(flat.weight(t, i).abs());
-                }
-                maxima.push(m);
-            }
-            starts.push(maxima.len());
-        }
-        assert_eq!(flat.block_starts, starts, "block_starts drifted");
-        assert_eq!(flat.block_max.len(), maxima.len());
-        for (i, (have, want)) in flat.block_max.iter().zip(&maxima).enumerate() {
-            assert_eq!(have.to_bits(), want.to_bits(), "block_max[{i}] drifted");
+            let want = (flat.offsets[t]..flat.offsets[t + 1])
+                .fold(0.0f64, |m, i| m.max(flat.weight(t, i).abs()));
+            assert_eq!(
+                flat.max_impact[t].to_bits(),
+                want.to_bits(),
+                "max_impact[{t}] drifted"
+            );
         }
     }
 
     #[test]
-    fn block_metadata_tracks_every_flat_rewrite() {
+    fn bounds_track_every_flat_rewrite() {
         let dim = 32u32;
         let docs = banded_corpus(300, dim);
         let mut idx = InvertedIndex::new(dim as usize);
         for d in &docs {
             idx.insert(d.clone()).unwrap();
         }
-        assert_blocks_match_reference(&idx);
+        assert_bounds_match_reference(&idx);
         for d in (0..300).step_by(5) {
             idx.remove(d).unwrap(); // triggers geometric purges
         }
-        assert_blocks_match_reference(&idx);
+        assert_bounds_match_reference(&idx);
         idx.optimize();
-        assert_blocks_match_reference(&idx);
+        assert_bounds_match_reference(&idx);
         // The one-pass builder over the survivors, holes included.
         let slots: Vec<Option<&SparseVec>> = (0..300)
             .map(|i| idx.is_live(i).then_some(&docs[i]))
             .collect();
         let mut idx = InvertedIndex::from_slots(dim as usize, &slots).unwrap();
-        assert_blocks_match_reference(&idx);
-        // Quantize, then back to exact (lossy, but metadata must track).
+        assert_bounds_match_reference(&idx);
+        // Quantize, then back to exact (lossy, but the bounds must track).
         idx.set_quantization(QuantizationMode::Int8);
-        assert_blocks_match_reference(&idx);
+        assert_bounds_match_reference(&idx);
         idx.set_quantization(QuantizationMode::Off);
-        assert_blocks_match_reference(&idx);
-        // Fresh tail inserts leave the flat block metadata untouched.
+        assert_bounds_match_reference(&idx);
+        // Fresh tail inserts leave the flat bounds untouched.
         idx.insert(docs[0].clone()).unwrap();
-        assert_blocks_match_reference(&idx);
+        assert_bounds_match_reference(&idx);
     }
 
     #[test]
     fn block_max_matches_exhaustive_bit_for_bit() {
+        // As `wand_matches_exhaustive_bit_for_bit`, fully compacted: no
+        // tail raises the bar, every hit comes through the exact pass.
         let dim = 64u32;
-        let docs = banded_corpus(400, dim);
-        let mut idx = InvertedIndex::new(dim as usize);
-        for d in &docs {
-            idx.insert(d.clone()).unwrap();
-        }
-        // Half-compacted on purpose: cursors must traverse flat + tail.
-        let mut scratch = SearchScratch::new();
-        for k in [1usize, 3, 10, 400] {
-            for qseed in 0..8u32 {
-                let q = SparseVec::from_pairs(
-                    dim as usize,
-                    [
-                        (qseed * 5 % dim, 2.0),
-                        (qseed * 11 % dim, 1.0),
-                        (dim - 1, 0.5),
-                    ],
-                )
-                .unwrap();
-                let exhaustive = idx.search_exhaustive(&q, k, &mut scratch).unwrap();
-                let bm = idx.search_block_max(&q, k, &mut scratch).unwrap();
-                assert_eq!(bm, exhaustive, "k={k} qseed={qseed}");
-            }
-        }
+        let slots = banded_corpus(400, dim);
+        let slots: Vec<Option<&SparseVec>> = slots.iter().map(Some).collect();
+        let idx = InvertedIndex::from_slots(dim as usize, &slots).unwrap();
+        assert_pruned_matches_exhaustive(&idx, dim);
     }
 
     #[test]
@@ -2159,36 +1815,169 @@ mod tests {
         for k in 1..=4 {
             let q = vec8(&[(0, 1.0), (1, 1.0), (2, 2.0)]);
             let exhaustive = idx.search_exhaustive(&q, k, &mut scratch).unwrap();
-            let bm = idx.search_block_max(&q, k, &mut scratch).unwrap();
-            assert_eq!(bm, exhaustive, "k={k}");
+            let pruned = idx.search_with(&q, k, &mut scratch).unwrap();
+            assert_eq!(pruned, exhaustive, "k={k}");
         }
     }
 
     #[test]
     fn block_max_skips_blocks_on_skewed_impacts() {
-        // Multi-block postings where one block carries all the impact:
-        // block maxima let the search leap the flat blocks the term
-        // bound alone cannot rule out, and the answer stays exact.
-        let dim = 16usize;
+        // As `wand_prunes_…`, with all the impact in one stripe of doc
+        // ids — and under a floor: one no bound reaches reads nothing,
+        // one inside the top-k returns exactly the hits at or above it.
+        let idx = skewed_index(|i| i / 100 == 7);
+        let mut scratch = SearchScratch::new();
+        let q = skewed_query();
+        let exhaustive = idx.search_exhaustive(&q, 10, &mut scratch).unwrap();
+        let pruned = idx.search_with(&q, 10, &mut scratch).unwrap();
+        assert_eq!(pruned, exhaustive);
+        for h in &pruned {
+            assert!((700..800).contains(&h.doc));
+        }
+        let stats = scratch.stats();
+        assert!(stats.postings_read * 5 < stats.postings, "{stats:?}");
+        assert!(stats.rescored <= 20, "{stats:?}");
+
+        let above = idx.search_above(&q, 10, 1.5, &mut scratch).unwrap();
+        let stats = scratch.stats();
+        assert!(above.is_empty());
+        assert_eq!(
+            (stats.lists_read, stats.postings_read, stats.rescored),
+            (0, 0, 0)
+        );
+
+        let floor = exhaustive[4].score;
+        let above = idx.search_above(&q, 10, floor, &mut scratch).unwrap();
+        assert_eq!(above, exhaustive[..5], "the floor is not strict");
+    }
+
+    #[test]
+    fn an_unread_list_can_reorder_the_survivors() {
+        // After the heavy list doc 0 leads doc 1 by more than the light
+        // list's bound, but the light list takes from doc 0 what it
+        // gives doc 1: the bar must sit `rest` under the leader, so that
+        // doc 1 survives the stop and wins the exact pass.
+        let unit = |a: f64, b: f64| {
+            let pad = (1.0 - a * a - b * b).sqrt();
+            vec8(&[(0, a), (1, b), (2, pad)])
+        };
+        let mut docs = vec![unit(0.8, -0.3), unit(0.45, 0.3)];
+        docs.extend((0..30).map(|i| unit(0.0, 0.01 + i as f64 * 0.001)));
+        let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
+        let idx = InvertedIndex::from_slots(8, &slots).unwrap();
+        let q = vec8(&[(0, 1.0), (1, 1.0)]);
+        let mut scratch = SearchScratch::new();
+        let hits = idx.search_with(&q, 1, &mut scratch).unwrap();
+        assert_eq!(hits, idx.search_exhaustive(&q, 1, &mut scratch).unwrap());
+        assert_eq!(hits[0].doc, 1);
+        let stats = scratch.stats();
+        assert_eq!((stats.lists_read, stats.rescored), (1, 2), "{stats:?}");
+    }
+
+    #[test]
+    fn a_query_nothing_can_be_pruned_from_reads_every_posting_once() {
+        // 32 equally weighted terms over documents of four equal
+        // weights: every bound is the same, no floor, so no list can be
+        // left unread — the traversal must cost one pass, a handful of
+        // checks, and an exact pass over about k documents.
+        let dim = 64usize;
         let mut idx = InvertedIndex::new(dim);
-        let n = 3000;
-        for i in 0..n {
-            let mut pairs = vec![(0u32, 0.05 + (i % 5) as f64 * 0.01)];
-            if i / 100 == 7 {
-                pairs.push((1, 10.0)); // docs 700..800: one hot stripe
-            }
+        for i in 0..2000u32 {
+            let terms = [i, i * 7 + 1, i * 13 + 2, i * 29 + 3];
+            let pairs = terms.map(|t| (t * (1 + i / 64) % 64, 1.0));
             idx.insert(SparseVec::from_pairs(dim, pairs).unwrap())
                 .unwrap();
         }
         idx.optimize();
-        assert!(idx.num_blocks(0) > 4, "term 0 must span several blocks");
-        let q = SparseVec::from_pairs(dim, [(0, 0.3), (1, 3.0)]).unwrap();
+        let q = SparseVec::from_pairs(dim, (0..32).map(|t| (2 * t, 1.0))).unwrap();
         let mut scratch = SearchScratch::new();
-        let bm = idx.search_block_max(&q, 10, &mut scratch).unwrap();
         let exhaustive = idx.search_exhaustive(&q, 10, &mut scratch).unwrap();
-        assert_eq!(bm, exhaustive);
-        for h in &bm {
-            assert!((700..800).contains(&h.doc));
+        assert_eq!(idx.search_with(&q, 10, &mut scratch).unwrap(), exhaustive);
+        let stats = scratch.stats();
+        assert_eq!((stats.lists, stats.postings_read), (32, stats.postings));
+        assert!(stats.checks <= 2 + 32usize.ilog2() as usize, "{stats:?}");
+        // Equal weights tie in droves; the exact pass sees the ties at
+        // the k-th score and nothing below them.
+        let ties = exhaustive.last().unwrap().score - 1e-9;
+        let all = idx.search_exhaustive(&q, 2000, &mut scratch).unwrap();
+        let at_least_kth = all.iter().filter(|h| h.score >= ties).count();
+        assert_eq!(stats.rescored, at_least_kth, "{stats:?}");
+    }
+
+    #[test]
+    fn many_short_lists_are_read_as_they_stand() {
+        // A dense signature against a small shard: k probes of each of
+        // 48 lists would cost more than the 30-odd postings under it, so
+        // nothing is sorted, checked or rescored — unless a floor no
+        // bound reaches stops the search before it starts.
+        let doc = |i: u32| {
+            let pairs = (0..48).map(|j| ((i * 5 + j) % 64, 1.0 + ((i * j) % 7) as f64));
+            SparseVec::from_pairs(64, pairs).unwrap()
+        };
+        let docs: Vec<SparseVec> = (0..40).map(doc).collect();
+        let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
+        let idx = InvertedIndex::from_slots(64, &slots).unwrap();
+        let mut scratch = SearchScratch::new();
+        let exhaustive = idx.search_exhaustive(&docs[3], 5, &mut scratch).unwrap();
+        let hits = idx.search_with(&docs[3], 5, &mut scratch).unwrap();
+        let stats = scratch.stats();
+        assert_eq!(hits, exhaustive);
+        assert!(stats.postings <= 5 * stats.lists * PROBE_COST, "{stats:?}");
+        assert_eq!((stats.lists_read, stats.checks), (stats.lists, 2));
+        let above = idx.search_above(&docs[3], 5, 1.5, &mut scratch).unwrap();
+        let stats = scratch.stats();
+        assert!(above.is_empty());
+        assert_eq!((stats.postings_read, stats.checks), (0, 1));
+    }
+
+    #[test]
+    fn a_non_finite_query_matches_nothing() {
+        let mut idx = sample_index();
+        let mut scratch = SearchScratch::new();
+        // Against three tail rows, then the same rows compacted.
+        for flat in [false, true] {
+            assert_eq!(flat, idx.tail.is_empty());
+            for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, f64::MAX] {
+                let q = vec8(&[(0, 1.0), (1, bad)]);
+                let pruned = idx.search_with(&q, 3, &mut scratch).unwrap();
+                let exhaustive = idx.search_exhaustive(&q, 3, &mut scratch).unwrap();
+                assert!(pruned.is_empty() && exhaustive.is_empty(), "{bad}");
+            }
+            idx.optimize();
+        }
+    }
+
+    #[test]
+    fn a_non_finite_vector_indexes_nothing() {
+        // Tail rows, the same rows compacted, and the one-pass builder:
+        // the four bad vectors hold ids 3..7 and no posting.
+        let mut docs = vec![
+            vec8(&[(0, 1.0), (1, 1.0)]),
+            vec8(&[(0, 1.0)]),
+            vec8(&[(4, 2.0), (5, 2.0)]),
+        ];
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, f64::MAX] {
+            docs.push(vec8(&[(0, 1.0), (1, bad)]));
+        }
+        let mut looped = InvertedIndex::new(8);
+        for d in &docs {
+            looped.insert(d.clone()).unwrap();
+        }
+        let mut compacted = looped.clone();
+        compacted.optimize();
+        let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
+        let built = InvertedIndex::from_slots(8, &slots).unwrap();
+        let q = vec8(&[(0, 1.0), (1, 1.0)]);
+        let mut scratch = SearchScratch::new();
+        for idx in [&looped, &compacted, &built] {
+            assert_eq!(
+                (idx.len(), idx.posting_len(0), idx.posting_len(1)),
+                (7, 2, 1)
+            );
+            assert!((idx.max_impact(1) - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
+            let hits = idx.search_with(&q, 7, &mut scratch).unwrap();
+            assert_eq!(hits, idx.search_exhaustive(&q, 7, &mut scratch).unwrap());
+            assert_eq!(hits.iter().map(|h| h.doc).collect::<Vec<_>>(), [0, 1]);
         }
     }
 
@@ -2216,18 +2005,18 @@ mod tests {
                 );
             }
         }
-        // The quantized index is internally consistent: its block-max
+        // The quantized index is internally consistent: its pruned
         // search is bit-identical to its own exhaustive scan (both
         // score the same dequantized stored weights).
         let mut scratch = SearchScratch::new();
         for q in docs.iter().step_by(37) {
             let a = quant.search_exhaustive(q, 10, &mut scratch).unwrap();
-            let b = quant.search_block_max(q, 10, &mut scratch).unwrap();
+            let b = quant.search_with(q, 10, &mut scratch).unwrap();
             assert_eq!(a, b);
         }
         // And resident postings shrink by the documented 2.3x: a flat
-        // posting goes from 12 bytes to 5, per-term grids and block
-        // maxima make up the rest.
+        // posting goes from 12 bytes to 5, per-term grids and offsets
+        // make up the rest.
         let ratio = exact.postings_resident_bytes() as f64 / quant.postings_resident_bytes() as f64;
         assert!((2.2..=2.4).contains(&ratio), "f64 / Int8 bytes = {ratio}");
     }

@@ -24,11 +24,11 @@
 //!   `knn(query, k, ef)` beam search feeds sub-quadratic clustering and
 //!   approximate retrieval with candidate lists in O(ef · degree)
 //!   distance evaluations,
-//! * [`InvertedIndex`] — the block-max postings search structure with
+//! * [`InvertedIndex`] — the postings search structure with
 //!   tombstone-aware removal, posting rebuilds, optional 8-bit impact
-//!   quantization ([`QuantizationMode`]), and WAND/MaxScore/block-max
-//!   early-exit top-k (§2.2's "database of previously labeled
-//!   signatures" retrieval path).
+//!   quantization ([`QuantizationMode`]), and a pruned early-exit top-k
+//!   that is bit-identical to the exhaustive scan (§2.2's "database of
+//!   previously labeled signatures" retrieval path).
 //!
 //! `fmeter-core` assembles these into the operator-facing
 //! [`SignatureDb`](https://docs.rs/fmeter-core); `docs/ARCHITECTURE.md`
@@ -75,7 +75,7 @@ pub use distance::{
     manhattan_distance, minkowski_distance, Metric,
 };
 pub use error::IrError;
-pub use index::{InvertedIndex, QuantizationMode, SearchHit, SearchScratch};
+pub use index::{InvertedIndex, QuantizationMode, SearchHit, SearchScratch, SearchStats};
 pub use matrix::CsrMatrix;
 pub use shard::{merge_topk, search_sharded, Shard, ShardRouter};
 pub use shared::SharedVec;

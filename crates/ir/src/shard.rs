@@ -11,9 +11,8 @@
 //! per-shard top-k lists and re-ranking by the flat comparator — score
 //! descending, then global doc id ascending — reproduces the flat
 //! result exactly, bit for bit. [`merge_topk`] implements that merge;
-//! the shard-local WAND term bounds (and the block maxima the block-max
-//! path refines them with) are just the flat bounds restricted to the
-//! shard's postings, so pruning stays sound per shard.
+//! the shard-local term bounds are just the flat bounds restricted to
+//! the shard's postings, so pruning stays sound per shard.
 
 use std::cmp::Ordering;
 
@@ -73,7 +72,7 @@ impl ShardRouter {
 }
 
 /// One shard of a sharded corpus: its own [`InvertedIndex`] (postings
-/// and WAND max-impact bounds over shard-local ids). Cloning a shard
+/// and max-impact bounds over shard-local ids). Cloning a shard
 /// shares the index's flat segment and tail rows (see
 /// [`InvertedIndex`]'s storage layout), so a clone costs the tombstone
 /// flags, not the postings.
@@ -159,7 +158,7 @@ impl Shard {
         self.index.live_len()
     }
 
-    /// The shard-local inverted index (postings + WAND bounds).
+    /// The shard-local inverted index (postings + term bounds).
     pub fn index(&self) -> &InvertedIndex {
         &self.index
     }
@@ -239,10 +238,15 @@ impl Shard {
         scratch: &mut SearchScratch,
     ) -> Result<Vec<SearchHit>, IrError> {
         let mut hits = self.index.search_with(query, k, scratch)?;
-        for h in &mut hits {
+        self.to_global(&mut hits);
+        Ok(hits)
+    }
+
+    /// Rewrites shard-local doc ids as global ones.
+    fn to_global(&self, hits: &mut [SearchHit]) {
+        for h in hits {
             h.doc = self.router.global_of(self.shard, h.doc);
         }
-        Ok(hits)
     }
 }
 
@@ -260,42 +264,65 @@ pub fn merge_topk<I>(per_shard: I, k: usize) -> Vec<SearchHit>
 where
     I: IntoIterator<Item = Vec<SearchHit>>,
 {
-    let mut all: Vec<SearchHit> = per_shard.into_iter().flatten().collect();
-    all.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(Ordering::Equal)
-            .then(b.doc.cmp(&a.doc))
-    });
+    rank_topk(per_shard.into_iter().flatten().collect(), k)
+}
+
+/// [`merge_topk`] over hits already in one list.
+fn rank_topk(mut all: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
+    all.sort_by(|a, b| by_score_desc(a, b).then(b.doc.cmp(&a.doc)));
     all.truncate(k);
-    all.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(Ordering::Equal)
-            .then(a.doc.cmp(&b.doc))
-    });
+    all.sort_by(|a, b| by_score_desc(a, b).then(a.doc.cmp(&b.doc)));
     all
 }
 
-/// Searches every shard in turn and merges: the top-k of a sharded
-/// corpus, on the calling thread.
+fn by_score_desc(a: &SearchHit, b: &SearchHit) -> Ordering {
+    b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal)
+}
+
+/// The top-k of a sharded corpus, on the calling thread: shards are
+/// visited in descending order of the most a document of theirs could
+/// score ([`InvertedIndex`]'s flat bound), each is asked only for hits
+/// at or above the k-th best score found so far, and the hits are
+/// merged once.
+///
+/// The floor is not strict: a later shard's document scoring exactly
+/// the floor may carry the higher global id, which the selection rule
+/// of [`merge_topk`] prefers. A shard none of whose bounds reach the
+/// floor reads no posting at all.
 ///
 /// # Errors
 ///
 /// Returns [`IrError::DimensionMismatch`] when the query dimension
 /// differs from the shards' dimension.
-pub fn search_sharded<'a>(
-    shards: impl IntoIterator<Item = &'a Shard>,
+pub fn search_sharded<'a, I>(
+    shards: I,
     query: &SparseVec,
     k: usize,
     scratch: &mut SearchScratch,
-) -> Result<Vec<SearchHit>, IrError> {
+) -> Result<Vec<SearchHit>, IrError>
+where
+    I: IntoIterator<Item = &'a Shard>,
+    I::IntoIter: Clone,
+{
     let shards = shards.into_iter();
-    let mut per_shard = Vec::with_capacity(shards.size_hint().0);
-    for shard in shards {
-        per_shard.push(shard.search_with(query, k, scratch)?);
+    let mut order = std::mem::take(&mut scratch.shard_order);
+    order.clear();
+    order.extend(shards.clone().map(|s| s.index.flat_bound(query)).zip(0..));
+    order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    let mut all = Vec::new();
+    let mut floor = f64::NEG_INFINITY;
+    for &(_, at) in &order {
+        let shard = shards.clone().nth(at).expect("a position of this iterator");
+        let at = all.len();
+        all.append(&mut shard.index.search_above(query, k, floor, scratch)?);
+        shard.to_global(&mut all[at..]);
+        if (1..=all.len()).contains(&k) {
+            all.select_nth_unstable_by(k - 1, by_score_desc);
+            floor = all[k - 1].score;
+        }
     }
-    Ok(merge_topk(per_shard, k))
+    scratch.shard_order = order;
+    Ok(rank_topk(all, k))
 }
 
 #[cfg(test)]
@@ -465,9 +492,10 @@ mod tests {
 
     #[test]
     fn sharded_block_max_is_bit_identical_to_flat() {
-        // Per-shard explicit block-max search merged by merge_topk must
+        // Per-shard searches with no floor, merged by merge_topk, must
         // reproduce the flat exhaustive ranking bit for bit, including
-        // through tombstones.
+        // through tombstones — and so must the floor-passing
+        // search_sharded.
         let dim = 32u32;
         let docs = corpus(400, dim);
         let mut flat = InvertedIndex::new(dim as usize);
@@ -488,15 +516,10 @@ mod tests {
             let expected = flat.search_exhaustive(q, 10, &mut scratch).unwrap();
             let per_shard: Vec<Vec<SearchHit>> = shards
                 .iter()
-                .map(|s| {
-                    let mut hits = s.index().search_block_max(q, 10, &mut scratch).unwrap();
-                    for h in &mut hits {
-                        h.doc = s.router().global_of(s.shard_id(), h.doc);
-                    }
-                    hits
-                })
+                .map(|s| s.search_with(q, 10, &mut scratch).unwrap())
                 .collect();
-            let got = merge_topk(per_shard, 10);
+            assert_eq!(merge_topk(per_shard, 10), expected, "qseed={qseed}");
+            let got = search_sharded(&shards, q, 10, &mut scratch).unwrap();
             assert_eq!(got, expected, "qseed={qseed}");
         }
     }

@@ -221,21 +221,26 @@ impl SparseVec {
 
     /// Returns this vector scaled onto the unit L2 ball.
     ///
-    /// The zero vector is returned unchanged (there is no direction to keep).
-    /// This is the normalisation the paper applies before SVM training.
+    /// The zero vector is returned unchanged (there is no direction to
+    /// keep); a vector whose norm is infinite or `NaN` becomes the zero
+    /// vector. This is the normalisation the paper applies before SVM training.
     pub fn l2_normalized(&self) -> SparseVec {
         self.scaled(self.l2_unit_factor())
     }
 
     /// The factor [`l2_normalized`](Self::l2_normalized) scales by:
-    /// `1 / ‖v‖`, or exactly 1 for a zero-norm vector (`x * 1.0` is `x`
-    /// bit for bit, so that case is a plain copy).
+    /// `1 / ‖v‖`; exactly 1 for a zero-norm vector (`x * 1.0` is `x`
+    /// bit for bit, so that case is a plain copy); and 0 for a norm that
+    /// is infinite or `NaN` — a vector with no direction, which
+    /// normalises to zero and indexes nothing.
     pub(crate) fn l2_unit_factor(&self) -> f64 {
         let norm = self.norm_l2();
         if norm == 0.0 {
             1.0
-        } else {
+        } else if norm.is_finite() {
             1.0 / norm
+        } else {
+            0.0
         }
     }
 

@@ -2,8 +2,8 @@
 
 use fmeter_ir::{
     cosine_similarity, euclidean_distance, euclidean_distance_sq, manhattan_distance,
-    minkowski_distance, Corpus, CsrMatrix, InvertedIndex, Metric, SearchScratch, SparseVec,
-    TermCounts, TfIdfModel,
+    minkowski_distance, Corpus, CsrMatrix, InvertedIndex, Metric, SearchHit, SearchScratch,
+    SparseVec, TermCounts, TfIdfModel,
 };
 use proptest::prelude::*;
 
@@ -12,6 +12,38 @@ const DIM: usize = 32;
 fn arb_sparse() -> impl Strategy<Value = SparseVec> {
     prop::collection::vec((0u32..DIM as u32, -100.0f64..100.0), 0..16)
         .prop_map(|pairs| SparseVec::from_pairs(DIM, pairs).expect("terms in range"))
+}
+
+/// Like [`arb_sparse`], with the values arithmetic breaks on mixed in.
+fn arb_extreme() -> impl Strategy<Value = SparseVec> {
+    let value = (0usize..8, -100.0f64..100.0).prop_map(|(kind, x)| {
+        *[f64::INFINITY, f64::NEG_INFINITY, f64::NAN, f64::MAX]
+            .get(kind)
+            .unwrap_or(&x)
+    });
+    prop::collection::vec((0u32..DIM as u32, value), 0..8)
+        .prop_map(|pairs| SparseVec::from_pairs(DIM, pairs).expect("terms in range"))
+}
+
+/// `search_with`'s hits over `docs`, checked against the oracle's.
+fn pruned_hits(
+    docs: &[SparseVec],
+    query: &SparseVec,
+    k: usize,
+    optimize: bool,
+) -> Result<Vec<SearchHit>, TestCaseError> {
+    let mut index = InvertedIndex::new(DIM);
+    for d in docs {
+        index.insert(d.clone()).unwrap();
+    }
+    if optimize {
+        index.optimize();
+    }
+    let mut scratch = SearchScratch::new();
+    let exhaustive = index.search_exhaustive(query, k, &mut scratch).unwrap();
+    let pruned = index.search_with(query, k, &mut scratch).unwrap();
+    prop_assert_eq!(&pruned, &exhaustive);
+    Ok(pruned)
 }
 
 /// Every metric the fused kernels implement, Minkowski at a few orders.
@@ -310,30 +342,32 @@ proptest! {
     }
 
     #[test]
-    fn wand_topk_matches_exhaustive_scoring(
+    fn topk_matches_exhaustive_scoring(
         docs in prop::collection::vec(arb_sparse(), 1..40),
         query in arb_sparse(),
         k in 1usize..12,
         optimize in any::<bool>(),
     ) {
-        // The WAND path must return *identical* hits to the exhaustive
+        // The pruned path must return *identical* hits to the exhaustive
         // accumulator — same documents, bit-identical scores — for any
         // corpus shape (negative weights, zero vectors, duplicate docs)
         // and any compaction state (flat postings vs live tails).
-        let mut index = InvertedIndex::new(DIM);
-        for d in &docs {
-            index.insert(d.clone()).unwrap();
+        pruned_hits(&docs, &query, k, optimize)?;
+    }
+
+    #[test]
+    fn no_score_is_ever_nan(
+        docs in prop::collection::vec(arb_extreme(), 1..24),
+        query in arb_extreme(),
+        k in 1usize..12,
+        optimize in any::<bool>(),
+    ) {
+        // Vectors holding ±∞, NaN or f64::MAX have no direction: as
+        // documents they index nothing, as queries they match nothing,
+        // and no arithmetic on them reaches a ranking.
+        for h in pruned_hits(&docs, &query, k, optimize)? {
+            prop_assert!(h.score.is_finite(), "doc {} scored {}", h.doc, h.score);
         }
-        if optimize {
-            index.optimize();
-        }
-        let mut scratch = SearchScratch::new();
-        let exhaustive = index.search_exhaustive(&query, k, &mut scratch).unwrap();
-        let wand = index.search_wand(&query, k, &mut scratch).unwrap();
-        prop_assert_eq!(&wand, &exhaustive);
-        // And the dispatching entry point agrees with both.
-        let auto = index.search_with(&query, k, &mut scratch).unwrap();
-        prop_assert_eq!(&auto, &exhaustive);
     }
 
     #[test]

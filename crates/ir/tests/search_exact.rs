@@ -1,0 +1,362 @@
+//! Exactness suite for the one search path and the 8-bit quantized
+//! impact representation. Three contracts, mirroring `docs/SEARCH.md`:
+//!
+//! 1. **Pruned ≡ exhaustive.** `search_with` returns the same documents
+//!    with bit-identical (`f64::to_bits`) scores as `search_exhaustive`,
+//!    in `Off` and `Int8` alike — over arbitrary small corpora, and over
+//!    corpora with *the shape that prunes* (a rare heavy band over a
+//!    ubiquitous light one), whose generator must keep stopping early.
+//! 2. **A floor across shards.** `search_sharded` over 1–8 shards equals
+//!    the flat oracle: ties at the floor, skipped shards, short shards.
+//! 3. **Quantized recall.** An `Int8` index is internally exact, and its
+//!    recall@10 against the exact-`f64` ranking stays ≥ 0.99.
+
+use fmeter_ir::{
+    search_sharded, InvertedIndex, QuantizationMode, SearchHit, SearchScratch, Shard, ShardRouter,
+    SparseVec,
+};
+use proptest::prelude::*;
+
+const DIM: usize = 32;
+
+fn arb_sparse() -> impl Strategy<Value = SparseVec> {
+    prop::collection::vec((0u32..DIM as u32, -100.0f64..100.0), 0..16)
+        .prop_map(|pairs| SparseVec::from_pairs(DIM, pairs).expect("terms in range"))
+}
+
+/// Corpora with deliberate score ties: every third document is a
+/// duplicate of an earlier one, so equal cosine scores (and the
+/// doc-id tie-break) are exercised constantly, not just when the
+/// generator happens to collide.
+fn tie_heavy_corpus() -> impl Strategy<Value = Vec<SparseVec>> {
+    prop::collection::vec(arb_sparse(), 1..40).prop_map(|docs| {
+        let mut out = Vec::with_capacity(docs.len() + docs.len() / 3);
+        for (i, d) in docs.iter().enumerate() {
+            out.push(d.clone());
+            if i % 3 == 0 {
+                out.push(docs[i / 2].clone());
+            }
+        }
+        out
+    })
+}
+
+fn bits(hits: &[SearchHit]) -> Vec<(usize, u64)> {
+    hits.iter().map(|h| (h.doc, h.score.to_bits())).collect()
+}
+
+proptest! {
+    #[test]
+    fn pruned_matches_exhaustive_bit_for_bit(
+        docs in tie_heavy_corpus(),
+        query in arb_sparse(),
+        k in 1usize..12,
+        removals in prop::collection::vec(0usize..4096, 0..8),
+        optimize in any::<bool>(),
+    ) {
+        let mut index = InvertedIndex::new(DIM);
+        for d in &docs {
+            index.insert(d.clone()).unwrap();
+        }
+        for r in &removals {
+            let doc = r % docs.len();
+            if index.is_live(doc) {
+                index.remove(doc).unwrap();
+            }
+        }
+        if optimize {
+            index.optimize();
+        }
+        let mut scratch = SearchScratch::new();
+        let exhaustive = index.search_exhaustive(&query, k, &mut scratch).unwrap();
+        let pruned = index.search_with(&query, k, &mut scratch).unwrap();
+        prop_assert_eq!(bits(&pruned), bits(&exhaustive));
+        // Under a floor taken from the ranking itself: exactly the hits
+        // at or above it.
+        if let Some(mid) = exhaustive.get(exhaustive.len() / 2) {
+            let above = index.search_above(&query, k, mid.score, &mut scratch).unwrap();
+            let kept = exhaustive.iter().filter(|h| h.score >= mid.score).count();
+            prop_assert_eq!(bits(&above), bits(&exhaustive[..kept]));
+        }
+    }
+
+    #[test]
+    fn quantized_search_is_internally_bit_exact(
+        docs in prop::collection::vec(arb_sparse(), 1..40),
+        query in arb_sparse(),
+        k in 1usize..12,
+    ) {
+        // Quantization changes *what* the index stores, never how a
+        // stored corpus is searched: against its own dequantized
+        // weights, the pruned path must stay bit-identical to the
+        // exhaustive scan.
+        let mut index = InvertedIndex::new(DIM);
+        for d in &docs {
+            index.insert(d.clone()).unwrap();
+        }
+        index.optimize();
+        index.set_quantization(QuantizationMode::Int8);
+        let mut scratch = SearchScratch::new();
+        let exhaustive = index.search_exhaustive(&query, k, &mut scratch).unwrap();
+        let pruned = index.search_with(&query, k, &mut scratch).unwrap();
+        prop_assert_eq!(bits(&pruned), bits(&exhaustive));
+    }
+}
+
+fn lcg(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 11
+}
+
+const BAND_DIM: usize = 64;
+const BAND_CLASSES: usize = 8;
+
+/// One vector of the shape that prunes: class `class`'s three heavy
+/// terms (of `0..24`) at one of four weights each — few distinct heavy
+/// parts, so partial scores tie, some of them a light term apart and
+/// some far — and ten of the forty light terms
+/// (`24..64`) every class shares, of either sign: an unread list can
+/// take from a score as well as add to it.
+fn banded_vector(state: &mut u64, class: usize) -> SparseVec {
+    let mut pairs = Vec::new();
+    for j in 0..3 {
+        let heavy = [10.0, 20.0, 21.0, 80.0][lcg(state) as usize % 4];
+        pairs.push(((class * 3 + j) as u32, heavy));
+    }
+    for _ in 0..10 {
+        let light = [-0.2, 0.2, 0.4, 0.6][lcg(state) as usize % 4];
+        pairs.push(((24 + lcg(state) % 40) as u32, light));
+    }
+    SparseVec::from_pairs(BAND_DIM, pairs).expect("terms in range")
+}
+
+/// `n` banded vectors; every fourth is a copy of an earlier one, for
+/// exact ties of whole scores.
+fn banded_corpus(state: &mut u64, n: usize) -> Vec<SparseVec> {
+    let mut docs: Vec<SparseVec> = Vec::with_capacity(n);
+    for i in 0..n {
+        if i % 4 == 3 {
+            docs.push(docs[lcg(state) as usize % i].clone());
+        } else {
+            let class = lcg(state) as usize % BAND_CLASSES;
+            docs.push(banded_vector(state, class));
+        }
+    }
+    docs
+}
+
+/// The first `bulk` of `docs` built flat in `mode`, the rest inserted
+/// one by one (tail rows, and whatever compaction they trigger).
+fn banded_index(docs: &[SparseVec], bulk: usize, mode: QuantizationMode) -> InvertedIndex {
+    let slots: Vec<Option<&SparseVec>> = docs[..bulk].iter().map(Some).collect();
+    let mut index = InvertedIndex::from_slots(BAND_DIM, &slots).unwrap();
+    index.set_quantization(mode);
+    for d in &docs[bulk..] {
+        index.insert(d.clone()).unwrap();
+    }
+    index
+}
+
+#[test]
+fn pruned_matches_exhaustive_where_it_prunes() {
+    let mut scratch = SearchScratch::new();
+    let (mut small_k, mut stopped_early) = (0usize, 0usize);
+    for seed in 0..6u64 {
+        for n in [300usize, 1000, 2500] {
+            let mut state = seed * 0x9e37 + n as u64;
+            let docs = banded_corpus(&mut state, n);
+            let query = banded_vector(&mut state, seed as usize % BAND_CLASSES);
+            // Compacted, as the geometric compaction leaves it, tail-heavy.
+            for bulk in [n, 0, n * 3 / 4] {
+                for mode in [QuantizationMode::Off, QuantizationMode::Int8] {
+                    let mut index = banded_index(&docs, bulk, mode);
+                    for d in (0..n).filter(|d| d % 11 == seed as usize) {
+                        index.remove(d).unwrap();
+                    }
+                    // Twice: as built, then with a tombstone on the
+                    // document that held the k-th score.
+                    for _ in 0..2 {
+                        let live = index.live_len();
+                        for k in [1, 10, live, live + 3] {
+                            let want = index.search_exhaustive(&query, k, &mut scratch).unwrap();
+                            let got = index.search_with(&query, k, &mut scratch).unwrap();
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "seed {seed} n {n} bulk {bulk} {mode:?} k {k}"
+                            );
+                            if k <= 10 {
+                                let stats = scratch.stats();
+                                small_k += 1;
+                                stopped_early += usize::from(stats.lists_read < stats.lists);
+                            }
+                        }
+                        let tenth = index.search_exhaustive(&query, 10, &mut scratch).unwrap();
+                        index
+                            .remove(tenth.last().expect("the class has documents").doc)
+                            .unwrap();
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        stopped_early * 2 >= small_k,
+        "the generator no longer reaches the pruned branch: \
+         {stopped_early} of {small_k} small-k searches stopped early"
+    );
+}
+
+/// `docs` over `num_shards` shards by the router's rule; shard `s` is
+/// compacted when bit `s` of `compacted` is set (the rest keep tails).
+fn sharded(docs: &[SparseVec], num_shards: usize, compacted: usize) -> Vec<Shard> {
+    let router = ShardRouter::new(num_shards);
+    let mut shards: Vec<Shard> = (0..num_shards)
+        .map(|s| Shard::new(s, router, BAND_DIM))
+        .collect();
+    for (d, v) in docs.iter().enumerate() {
+        shards[router.shard_of(d)].insert(d, v.clone()).unwrap();
+    }
+    for (s, shard) in shards.iter_mut().enumerate() {
+        if compacted >> s & 1 == 1 {
+            shard.optimize();
+        }
+    }
+    shards
+}
+
+fn flat(docs: &[SparseVec]) -> InvertedIndex {
+    let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
+    InvertedIndex::from_slots(BAND_DIM, &slots).unwrap()
+}
+
+#[test]
+fn sharded_search_under_a_floor_matches_the_flat_oracle() {
+    let mut scratch = SearchScratch::new();
+    for seed in 0..8u64 {
+        let mut state = seed ^ 0x5eed;
+        let docs = banded_corpus(&mut state, 3000);
+        let mut oracle = flat(&docs);
+        let num_shards = 1 + seed as usize;
+        let mut shards = sharded(&docs, num_shards, seed as usize * 37);
+        for d in (0..docs.len()).filter(|d| d % 7 == seed as usize % 7) {
+            oracle.remove(d).unwrap();
+            shards[d % num_shards].remove(d).unwrap();
+        }
+        for class in 0..BAND_CLASSES {
+            let query = banded_vector(&mut state, class);
+            // Every k up to past one combination of heavy weights: the
+            // copies put ties at most of these boundaries, a tie's two
+            // documents sit in different shards, and the later shard's
+            // must displace at a floor it only equals.
+            for k in (1..=12).chain([oracle.live_len() + 3]) {
+                let want = oracle.search_exhaustive(&query, k, &mut scratch).unwrap();
+                let got = search_sharded(&shards, &query, k, &mut scratch).unwrap();
+                assert_eq!(bits(&got), bits(&want), "seed {seed} class {class} k {k}");
+            }
+        }
+    }
+}
+
+#[test]
+fn shards_under_the_floor_read_nothing_and_a_short_best_shard_sets_no_floor() {
+    let mut state = 9u64;
+    for num_shards in [2usize, 4, 8] {
+        // Class 0 lives in shard 1 alone (twelve documents); everything
+        // else is of other classes and shares only the light band.
+        let docs: Vec<SparseVec> = (0..100 * num_shards)
+            .map(|d| {
+                let own = d % num_shards == 1 && d < 12 * num_shards;
+                let class = if own { 0 } else { 1 + d % (BAND_CLASSES - 1) };
+                banded_vector(&mut state, class)
+            })
+            .collect();
+        let oracle = flat(&docs);
+        let shards = sharded(&docs, num_shards, usize::MAX);
+        let query = banded_vector(&mut state, 0);
+        let mut scratch = SearchScratch::new();
+        // k = 10: the best shard fills the top-k, and the shard visited
+        // last — like every one after the first — is skipped whole.
+        let want = oracle.search_exhaustive(&query, 10, &mut scratch).unwrap();
+        let got = search_sharded(&shards, &query, 10, &mut scratch).unwrap();
+        assert_eq!(bits(&got), bits(&want), "{num_shards} shards, k 10");
+        assert!(want.iter().all(|h| h.doc % num_shards == 1));
+        let stats = scratch.stats();
+        assert!(stats.postings > 0, "{stats:?}");
+        assert_eq!((stats.lists_read, stats.postings_read), (0, 0), "{stats:?}");
+        // k = 20: the best shard has twelve hits, fewer than k, so the
+        // others are searched with no floor and fill the rest.
+        let want = oracle.search_exhaustive(&query, 20, &mut scratch).unwrap();
+        let got = search_sharded(&shards, &query, 20, &mut scratch).unwrap();
+        assert_eq!(bits(&got), bits(&want), "{num_shards} shards, k 20");
+        assert!(want.iter().any(|h| h.doc % num_shards != 1));
+    }
+}
+
+/// A 50-class synthetic corpus in the shape of the benchmark's
+/// generator (`benchmark/src/gen.rs`):
+/// each class owns a band of 5 hot terms; documents jitter the class
+/// prototype and add sparse background noise.
+fn class_corpus(
+    classes: usize,
+    per_class: usize,
+    dim: usize,
+    seed: u64,
+) -> (Vec<SparseVec>, Vec<SparseVec>) {
+    let mut state = seed;
+    let mut docs = Vec::with_capacity(classes * per_class);
+    let mut queries = Vec::with_capacity(classes);
+    for c in 0..classes {
+        let base = (c * 5) % (dim - 8);
+        // Hot counts span four orders of magnitude, like that
+        // generator's `1..10_000` draw: within a class the top-10
+        // score gaps dwarf the half-step quantization error, which is
+        // what makes 8-bit impacts usable at all.
+        let make = |state: &mut u64| {
+            let mut pairs = Vec::new();
+            for j in 0..5usize {
+                let w = (1 + lcg(state) % 10_000) as f64;
+                pairs.push(((base + j) as u32, w));
+            }
+            for _ in 0..2 {
+                let t = (lcg(state) as usize) % dim;
+                let w = (1 + lcg(state) % 500) as f64;
+                pairs.push((t as u32, w));
+            }
+            SparseVec::from_pairs(dim, pairs).expect("terms in range")
+        };
+        for _ in 0..per_class {
+            docs.push(make(&mut state));
+        }
+        queries.push(make(&mut state));
+    }
+    (docs, queries)
+}
+
+#[test]
+fn quantized_recall_at_10_is_at_least_0_99_on_class_corpus() {
+    let (docs, queries) = class_corpus(50, 40, 256, 0x5eed);
+    let mut exact = InvertedIndex::new(256);
+    for d in &docs {
+        exact.insert(d.clone()).unwrap();
+    }
+    exact.optimize();
+    let mut quant = exact.clone();
+    quant.set_quantization(QuantizationMode::Int8);
+    let mut scratch = SearchScratch::new();
+    let (mut hit, mut total) = (0usize, 0usize);
+    for q in &queries {
+        let truth = exact.search_exhaustive(q, 10, &mut scratch).unwrap();
+        let approx = quant.search_with(q, 10, &mut scratch).unwrap();
+        let truth_ids: Vec<usize> = truth.iter().map(|h| h.doc).collect();
+        hit += approx.iter().filter(|h| truth_ids.contains(&h.doc)).count();
+        total += truth.len();
+    }
+    let recall = hit as f64 / total as f64;
+    assert!(
+        recall >= 0.99,
+        "quantized recall@10 {recall:.4} < 0.99 ({hit}/{total})"
+    );
+}
