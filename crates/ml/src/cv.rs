@@ -5,7 +5,8 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{majority_baseline, mean_std, BinaryConfusion};
-use crate::{Kernel, Label, MlError, SvmTrainer};
+use crate::svm::Solution;
+use crate::{Gram, Kernel, Label, MlError, SvmTrainer};
 
 /// The paper's K-fold cross-validation protocol (§4.2.1).
 ///
@@ -21,6 +22,13 @@ use crate::{Kernel, Label, MlError, SvmTrainer};
 /// the `C` maximising validation accuracy is chosen, and the resulting
 /// model is evaluated a single time on the test fold. Reported metrics are
 /// averaged over all `K` test folds.
+///
+/// One [`Gram`] over the whole normalised set serves every fold and every
+/// `C` (`n² × 8` bytes): each training reads its rows through the fold's
+/// index list, validation and test predictions are read from the same
+/// matrix instead of evaluating the kernel again, and the model that wins
+/// the grid is the one scored on the test fold — training is
+/// deterministic in data, seed and `C`, so a retrain would rebuild it.
 ///
 /// # Examples
 ///
@@ -52,7 +60,7 @@ pub struct CrossValidation {
 }
 
 /// Result of evaluating one test fold.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FoldOutcome {
     /// Index of the test fold.
     pub fold: usize,
@@ -65,7 +73,7 @@ pub struct FoldOutcome {
 }
 
 /// Aggregated cross-validation report (the rows of Tables 4 and 5).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CvReport {
     /// Per-fold outcomes in fold order.
     pub folds: Vec<FoldOutcome>,
@@ -128,7 +136,8 @@ impl CrossValidation {
     /// * [`MlError::LabelCountMismatch`] — slice lengths differ,
     /// * [`MlError::SingleClass`] — only one class present,
     /// * [`MlError::NotEnoughData`] — fewer positives or negatives than
-    ///   folds (a fold would be empty on one side).
+    ///   folds (a fold would be empty on one side),
+    /// * [`MlError::Ir`] — vectors disagree on dimensionality.
     pub fn run(&self, vectors: &[SparseVec], labels: &[Label]) -> Result<CvReport, MlError> {
         if vectors.len() != labels.len() {
             return Err(MlError::LabelCountMismatch {
@@ -176,6 +185,10 @@ impl CrossValidation {
             })
             .collect();
 
+        let mut gram = Gram::new(self.kernel, &normalized)?;
+        gram.fill();
+        let trainer = SvmTrainer::new().kernel(self.kernel).seed(self.seed);
+
         let mut outcomes = Vec::with_capacity(self.folds);
         for test_fold in 0..self.folds {
             let validation_fold = (test_fold + 1) % self.folds;
@@ -185,46 +198,25 @@ impl CrossValidation {
                     train_idx.extend_from_slice(members);
                 }
             }
-            let gather = |idx: &[usize]| -> (Vec<SparseVec>, Vec<Label>) {
-                (
-                    idx.iter().map(|&i| normalized[i].clone()).collect(),
-                    idx.iter().map(|&i| labels[i]).collect(),
-                )
-            };
-            let (train_x, train_y) = gather(&train_idx);
-            let (val_x, val_y) = gather(&folds[validation_fold]);
-            let (test_x, test_y) = gather(&folds[test_fold]);
 
             // Tune C on the validation fold only.
-            let mut best: Option<(f64, f64)> = None; // (C, val accuracy)
+            let mut best: Option<(f64, f64, Solution)> = None; // (C, val accuracy, model)
             for &c in &self.c_grid {
-                let model = SvmTrainer::new()
-                    .kernel(self.kernel)
-                    .c(c)
-                    .seed(self.seed)
-                    .train(&train_x, &train_y)?;
-                let predictions = model.predict_batch(&val_x);
-                let acc = BinaryConfusion::from_labels(&val_y, &predictions)?.accuracy();
+                let model = trainer.clone().c(c).solve(&mut gram, &train_idx, labels);
+                let acc = score(&model, &gram, &folds[validation_fold], labels).accuracy();
                 // Strict > keeps the smallest C on ties (larger margin).
-                if best.is_none_or(|(_, b)| acc > b) {
-                    best = Some((c, acc));
+                if best.as_ref().is_none_or(|(_, b, _)| acc > *b) {
+                    best = Some((c, acc, model));
                 }
             }
-            let (chosen_c, validation_accuracy) = best.expect("C grid is non-empty");
+            let (chosen_c, validation_accuracy, model) = best.expect("C grid is non-empty");
 
             // Single evaluation on the test fold.
-            let model = SvmTrainer::new()
-                .kernel(self.kernel)
-                .c(chosen_c)
-                .seed(self.seed)
-                .train(&train_x, &train_y)?;
-            let predictions = model.predict_batch(&test_x);
-            let confusion = BinaryConfusion::from_labels(&test_y, &predictions)?;
             outcomes.push(FoldOutcome {
                 fold: test_fold,
                 chosen_c,
                 validation_accuracy,
-                confusion,
+                confusion: score(&model, &gram, &folds[test_fold], labels),
             });
         }
         Ok(CvReport {
@@ -234,36 +226,38 @@ impl CrossValidation {
     }
 }
 
+/// Confusion counts of `model` on the vectors `fold` of `gram`, every
+/// prediction read from the matrix.
+fn score(model: &Solution, gram: &Gram, fold: &[usize], labels: &[Label]) -> BinaryConfusion {
+    let mut confusion = BinaryConfusion::default();
+    for &x in fold {
+        confusion.record(labels[x] > 0, model.decision(gram, x) >= 0.0);
+    }
+    confusion
+}
+
 impl CvReport {
     /// Mean and standard deviation of test accuracy over folds.
     pub fn mean_accuracy(&self) -> (f64, f64) {
-        mean_std(
-            &self
-                .folds
-                .iter()
-                .map(|f| f.confusion.accuracy())
-                .collect::<Vec<_>>(),
-        )
+        self.mean_of(BinaryConfusion::accuracy)
     }
 
     /// Mean and standard deviation of test precision over folds.
     pub fn mean_precision(&self) -> (f64, f64) {
-        mean_std(
-            &self
-                .folds
-                .iter()
-                .map(|f| f.confusion.precision())
-                .collect::<Vec<_>>(),
-        )
+        self.mean_of(BinaryConfusion::precision)
     }
 
     /// Mean and standard deviation of test recall over folds.
     pub fn mean_recall(&self) -> (f64, f64) {
+        self.mean_of(BinaryConfusion::recall)
+    }
+
+    fn mean_of(&self, metric: fn(&BinaryConfusion) -> f64) -> (f64, f64) {
         mean_std(
             &self
                 .folds
                 .iter()
-                .map(|f| f.confusion.recall())
+                .map(|f| metric(&f.confusion))
                 .collect::<Vec<_>>(),
         )
     }
@@ -365,6 +359,42 @@ mod tests {
             CrossValidation::new(3).run(&xs, &ys),
             Err(MlError::SingleClass)
         ));
+    }
+
+    #[test]
+    fn stray_dimension_is_an_error_wherever_the_shuffle_puts_it() {
+        // The stray vector lands in a training, a validation or a test
+        // fold depending on its position.
+        let (xs, ys) = dataset(10);
+        for position in 0..xs.len() {
+            let mut xs = xs.clone();
+            xs[position] = SparseVec::from_pairs(4, [(3, 1.0)]).unwrap();
+            assert!(
+                matches!(CrossValidation::new(5).run(&xs, &ys), Err(MlError::Ir(_))),
+                "position {position}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_run_evaluates_each_pair_once() {
+        use crate::svm::KERNEL_EVALS;
+        let (xs, ys) = dataset(23);
+        let n = xs.len();
+        for kernel in [
+            Kernel::Linear,
+            Kernel::default(),
+            Kernel::Rbf { gamma: 1.0 },
+        ] {
+            // 5 folds x 5 values of C are trained, validated and tested
+            // on the matrix alone.
+            KERNEL_EVALS.set(0);
+            CrossValidation::new(5)
+                .kernel(kernel)
+                .run(&xs, &ys)
+                .unwrap();
+            assert_eq!(KERNEL_EVALS.get(), n * (n + 1) / 2, "{kernel:?}");
+        }
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //! by default, exactly as the paper does. Scale comes in two pinned
 //! tiers. Exact algorithmic structure: NN-chain agglomeration is O(n²)
 //! against the retained O(n³) reference, K-means assignment fans out
-//! over a persistent worker pool with deterministic merges, and SVM
-//! Gram rows are computed lazily behind a bounded LRU cache. And
-//! oracle-pinned approximation: [`Agglomerative::fit_snn`] agglomerates
+//! over a persistent worker pool with deterministic merges, and a
+//! [`Gram`] row is computed once: cross-validation shares one matrix
+//! (n² × 8 B) between all folds and `C` values. And oracle-pinned
+//! approximation: [`Agglomerative::fit_snn`] agglomerates
 //! over a shared-nearest-neighbour candidate graph from
 //! [`fmeter_ir::AnnGraph`] k-NN lists in sub-quadratic time, and
 //! [`KMeans::fit_warm`] re-clusters incrementally from a previous
@@ -51,7 +52,7 @@ pub use ensemble::{AdaBoost, AdaBoostModel, Bagging, BaggingModel};
 pub use error::MlError;
 pub use hierarchical::{Agglomerative, Dendrogram, Linkage, Merge, SnnParams};
 pub use kmeans::{KMeans, KMeansInit, KMeansResult};
-pub use svm::{Kernel, SvmModel, SvmTrainer};
+pub use svm::{Gram, Kernel, SvmModel, SvmTrainer};
 pub use tree::{DecisionTree, DecisionTreeTrainer};
 
 /// A class label for binary classification: `+1` or `-1`.

@@ -55,14 +55,20 @@ impl BinaryConfusion {
         }
         let mut c = BinaryConfusion::default();
         for (&t, &p) in truth.iter().zip(predicted) {
-            match (t > 0, p > 0) {
-                (true, true) => c.true_positives += 1,
-                (true, false) => c.false_negatives += 1,
-                (false, true) => c.false_positives += 1,
-                (false, false) => c.true_negatives += 1,
-            }
+            c.record(t > 0, p > 0);
         }
         Ok(c)
+    }
+
+    /// Counts one example: whether it is positive, and whether it was
+    /// predicted to be.
+    pub(crate) fn record(&mut self, positive: bool, predicted_positive: bool) {
+        match (positive, predicted_positive) {
+            (true, true) => self.true_positives += 1,
+            (true, false) => self.false_negatives += 1,
+            (false, true) => self.false_positives += 1,
+            (false, false) => self.true_negatives += 1,
+        }
     }
 
     /// Total number of examples.

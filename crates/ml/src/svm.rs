@@ -49,6 +49,17 @@ impl Kernel {
     /// in the same space.
     pub fn eval(&self, a: &SparseVec, b: &SparseVec) -> f64 {
         let dot = a.dot(b).expect("kernel operands share one vector space");
+        let (aa, bb) = match self {
+            Kernel::Rbf { .. } => (a.dot(a).expect("same space"), b.dot(b).expect("same space")),
+            _ => (0.0, 0.0),
+        };
+        self.of_dots(dot, aa, bb)
+    }
+
+    /// The kernel value from `a . b`, `a . a` and `b . b` (only
+    /// [`Kernel::Rbf`] reads the last two): the one place the arithmetic
+    /// lives, so [`Gram`] entries cannot drift from [`eval`](Self::eval).
+    fn of_dots(&self, dot: f64, aa: f64, bb: f64) -> f64 {
         match *self {
             Kernel::Linear => dot,
             Kernel::Polynomial {
@@ -57,8 +68,6 @@ impl Kernel {
                 coef0,
             } => (gamma * dot + coef0).powi(degree as i32),
             Kernel::Rbf { gamma } => {
-                let aa = a.dot(a).expect("same space");
-                let bb = b.dot(b).expect("same space");
                 let dist2 = (aa + bb - 2.0 * dot).max(0.0);
                 (-gamma * dist2).exp()
             }
@@ -101,95 +110,123 @@ pub struct SvmTrainer {
     eps: f64,
     max_passes: usize,
     seed: u64,
-    cache_rows: usize,
 }
 
-/// Auto-sizing budget for the Gram row cache: rows are evicted so the
-/// cache never exceeds ~32 MB (a full 10k x 10k matrix would be 800 MB).
-const KERNEL_CACHE_BYTES: usize = 32 << 20;
+// Matrix entries computed on this thread, for the tests that pin how
+// many kernel evaluations a training or a cross-validation costs.
+#[cfg(test)]
+thread_local! {
+    pub(crate) static KERNEL_EVALS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
-/// Lazily computed Gram matrix rows behind a small bounded LRU cache.
+/// The kernel matrix of a vector set: entry `(i, j)` is
+/// `kernel.eval(&vectors[i], &vectors[j])` bit for bit, in either
+/// argument order.
 ///
-/// SMO only ever touches two rows per optimisation step (plus the
-/// diagonal, which is precomputed), and keeps revisiting the same
-/// unbound examples — so a cache of a few hundred rows serves almost
-/// every access without materialising the O(n²) matrix.
-struct KernelCache<'a> {
+/// A row is computed at most once — on first [`row`](Self::row), or all
+/// of them at once by [`fill`](Self::fill), which computes each pair once
+/// — and kept until the matrix is dropped, so a full matrix holds
+/// `n² × 8` bytes. [`SvmTrainer::train`] fills only the rows SMO touches;
+/// [`CrossValidation`](crate::CrossValidation) fills one matrix and
+/// shares it between every fold and every `C`.
+#[derive(Debug)]
+pub struct Gram<'a> {
     kernel: Kernel,
     vectors: &'a [SparseVec],
-    diag: Vec<f64>,
-    capacity: usize,
-    slots: Vec<RowSlot>,
-    /// `slot_of_row[i]` is the slot caching row `i`, or `usize::MAX`.
-    slot_of_row: Vec<usize>,
-    clock: u64,
+    /// The vectors transposed: `(i, w)` for every `v_i` that holds term
+    /// `t` with weight `w`, `i` ascending.
+    columns: Vec<Vec<(u32, f64)>>,
+    /// `v_i . v_i`.
+    self_dots: Vec<f64>,
+    /// Row `i` of the matrix; empty until computed.
+    rows: Vec<Vec<f64>>,
 }
 
-struct RowSlot {
-    row: usize,
-    values: Vec<f64>,
-    last_used: u64,
-}
-
-impl<'a> KernelCache<'a> {
-    fn new(kernel: Kernel, vectors: &'a [SparseVec], capacity: usize) -> Self {
-        let n = vectors.len();
-        let diag = vectors.iter().map(|v| kernel.eval(v, v)).collect();
-        KernelCache {
+impl<'a> Gram<'a> {
+    /// Prepares the matrix of `kernel` over `vectors`; no row is
+    /// computed yet.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::Ir`] when the vectors disagree on
+    /// dimensionality.
+    pub fn new(kernel: Kernel, vectors: &'a [SparseVec]) -> Result<Self, MlError> {
+        let dim = vectors.first().map_or(0, SparseVec::dim);
+        if let Some(stray) = vectors.iter().find(|v| v.dim() != dim) {
+            return Err(MlError::Ir(fmeter_ir::IrError::DimensionMismatch {
+                left: dim,
+                right: stray.dim(),
+            }));
+        }
+        let mut columns = vec![Vec::new(); dim];
+        for (i, v) in vectors.iter().enumerate() {
+            for (t, w) in v.iter() {
+                columns[t as usize].push((i as u32, w));
+            }
+        }
+        Ok(Gram {
             kernel,
             vectors,
-            diag,
-            capacity: capacity.clamp(2, n.max(2)),
-            slots: Vec::new(),
-            slot_of_row: vec![usize::MAX; n],
-            clock: 0,
-        }
-    }
-
-    /// `K(x_i, x_i)` from the precomputed diagonal.
-    fn diag(&self, i: usize) -> f64 {
-        self.diag[i]
-    }
-
-    /// Row `i` of the Gram matrix, computed on first use and then served
-    /// from the cache until evicted (least-recently-used).
-    fn row(&mut self, i: usize) -> &[f64] {
-        self.clock += 1;
-        let clock = self.clock;
-        let cached = self.slot_of_row[i];
-        if cached != usize::MAX {
-            self.slots[cached].last_used = clock;
-            return &self.slots[cached].values;
-        }
-        let slot = if self.slots.len() < self.capacity {
-            self.slots.push(RowSlot {
-                row: i,
-                values: Vec::new(),
-                last_used: clock,
-            });
-            self.slots.len() - 1
-        } else {
-            let victim = self
-                .slots
+            columns,
+            self_dots: vectors
                 .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.last_used)
-                .expect("capacity >= 2")
-                .0;
-            self.slot_of_row[self.slots[victim].row] = usize::MAX;
-            victim
-        };
-        self.slot_of_row[i] = slot;
-        let kernel = self.kernel;
-        let vectors = self.vectors;
-        let vi = &vectors[i];
-        let out = &mut self.slots[slot];
-        out.row = i;
-        out.last_used = clock;
-        out.values.clear();
-        out.values
-            .extend(vectors.iter().map(|vj| kernel.eval(vi, vj)));
-        &out.values
+                .map(|v| v.dot(v).expect("a vector shares its own space"))
+                .collect(),
+            rows: vec![Vec::new(); vectors.len()],
+        })
+    }
+
+    /// Row `i`, computed on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is not the index of a vector.
+    pub fn row(&mut self, i: usize) -> &[f64] {
+        if self.rows[i].is_empty() {
+            self.rows[i] = vec![0.0; self.vectors.len()];
+            self.compute(i, 0);
+        }
+        &self.rows[i]
+    }
+
+    /// Computes every row, each pair `(i, j)` once — `n (n + 1) / 2`
+    /// kernel evaluations — the lower triangle copied from the upper.
+    pub fn fill(&mut self) {
+        let n = self.vectors.len();
+        self.rows.fill(vec![0.0; n]);
+        for i in 0..n {
+            self.compute(i, i);
+            for j in i + 1..n {
+                self.rows[j][i] = self.rows[i][j];
+            }
+        }
+    }
+
+    /// `K(v_i, v_i)`.
+    fn diag(&self, i: usize) -> f64 {
+        let d = self.self_dots[i];
+        self.kernel.of_dots(d, d, d)
+    }
+
+    /// Computes entries `from..` of the zeroed row `i`. Walking `v_i`'s
+    /// terms in ascending order and adding each one's products down its
+    /// column gives every entry the sum [`SparseVec::dot`] forms — the
+    /// shared terms' products, ascending — and nothing else.
+    fn compute(&mut self, i: usize, from: usize) {
+        let row = &mut self.rows[i][..];
+        for (t, w) in self.vectors[i].iter() {
+            let column = &self.columns[t as usize];
+            let skip = column.partition_point(|&(j, _)| (j as usize) < from);
+            for &(j, wj) in &column[skip..] {
+                row[j as usize] += w * wj;
+            }
+        }
+        let aa = self.self_dots[i];
+        for (k, &bb) in row[from..].iter_mut().zip(&self.self_dots[from..]) {
+            *k = self.kernel.of_dots(*k, aa, bb);
+        }
+        #[cfg(test)]
+        KERNEL_EVALS.with(|c| c.set(c.get() + row.len() - from));
     }
 }
 
@@ -210,20 +247,7 @@ impl SvmTrainer {
             eps: 1e-9,
             max_passes: 200,
             seed: 0,
-            cache_rows: 0,
         }
-    }
-
-    /// Caps the Gram row cache at `rows` rows (`0`, the default, sizes it
-    /// automatically to a ~32 MB budget). Training computes kernel rows
-    /// lazily instead of materialising the n × n matrix, so memory is
-    /// `O(cache_rows * n)` — at 10k points the full matrix would be
-    /// ~800 MB. The cache only changes *when* kernel values are computed,
-    /// never their values, so the trained model is identical for any
-    /// capacity.
-    pub fn cache_rows(mut self, rows: usize) -> Self {
-        self.cache_rows = rows;
-        self
     }
 
     /// Sets the error/margin trade-off `C` (the paper tunes exactly this
@@ -264,6 +288,10 @@ impl SvmTrainer {
 
     /// Trains on `vectors` with labels `+1`/`-1`.
     ///
+    /// Kernel values come from a [`Gram`] over `vectors` of which only
+    /// the rows SMO touches are computed: memory is at most `n² × 8`
+    /// bytes (4.7 MB at the ≈770 points of Table 4's largest grouping).
+    ///
     /// # Errors
     ///
     /// * [`MlError::EmptyInput`] — no examples,
@@ -280,53 +308,49 @@ impl SvmTrainer {
                 labels: labels.len(),
             });
         }
-        let dim = vectors[0].dim();
-        for v in vectors {
-            if v.dim() != dim {
-                return Err(MlError::Ir(fmeter_ir::IrError::DimensionMismatch {
-                    left: dim,
-                    right: v.dim(),
-                }));
-            }
-        }
+        let mut gram = Gram::new(self.kernel, vectors)?;
         let has_pos = labels.iter().any(|&l| l > 0);
         let has_neg = labels.iter().any(|&l| l <= 0);
         if !has_pos || !has_neg {
             return Err(MlError::SingleClass);
         }
-        let y: Vec<f64> = labels
+        let members: Vec<usize> = (0..vectors.len()).collect();
+        let solution = self.solve(&mut gram, &members, labels);
+        Ok(SvmModel {
+            kernel: self.kernel,
+            support: solution
+                .support
+                .iter()
+                .map(|&i| vectors[i].clone())
+                .collect(),
+            sv_alpha_y: solution.alpha_y,
+            bias: solution.bias,
+            dim: vectors[0].dim(),
+        })
+    }
+
+    /// Runs SMO on the examples `members` of `gram` — `members[k]` is
+    /// the matrix row of training example `k`, `labels[members[k]]` its
+    /// label, and both classes are among them.
+    pub(crate) fn solve(&self, gram: &mut Gram, members: &[usize], labels: &[Label]) -> Solution {
+        debug_assert_eq!(gram.kernel, self.kernel);
+        let n = members.len();
+        let y: Vec<f64> = members
             .iter()
-            .map(|&l| if l > 0 { 1.0 } else { -1.0 })
+            .map(|&m| if labels[m] > 0 { 1.0 } else { -1.0 })
             .collect();
-        let n = vectors.len();
-
-        // Kernel rows are computed lazily behind a bounded LRU cache: the
-        // paper's experiments (a few hundred points) still effectively
-        // see a fully materialised matrix, while a 10k-point corpus stays
-        // within the ~32 MB cache budget instead of an ~800 MB Gram
-        // matrix.
-        let capacity = if self.cache_rows > 0 {
-            self.cache_rows
-        } else {
-            (KERNEL_CACHE_BYTES / (n.max(1) * std::mem::size_of::<f64>())).max(2)
-        };
-        let cache = KernelCache::new(self.kernel, vectors, capacity);
-
         let mut smo = Smo {
-            n,
             c: self.c,
             tol: self.tol,
             eps: self.eps,
-            cache,
-            y: &y,
+            gram,
+            members,
+            // f(x) = 0 initially, E = f - y
+            errors: y.iter().map(|&label| -label).collect(),
+            y,
             alpha: vec![0.0; n],
             b: 0.0,
-            errors: vec![0.0; n],
-            row_buf: Vec::with_capacity(n),
         };
-        for (error, &label) in smo.errors.iter_mut().zip(&y) {
-            *error = -label; // f(x) = 0 initially, E = f - y
-        }
 
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut order: Vec<usize> = (0..n).collect();
@@ -350,44 +374,58 @@ impl SvmTrainer {
         }
 
         // Keep only support vectors.
-        let mut support = Vec::new();
-        let mut sv_alpha_y = Vec::new();
-        for i in 0..n {
-            if smo.alpha[i] > 0.0 {
-                support.push(vectors[i].clone());
-                sv_alpha_y.push(smo.alpha[i] * y[i]);
-            }
-        }
-        Ok(SvmModel {
-            kernel: self.kernel,
+        let (support, alpha_y) = (0..n)
+            .filter(|&k| smo.alpha[k] > 0.0)
+            .map(|k| (members[k], smo.alpha[k] * smo.y[k]))
+            .unzip();
+        Solution {
             support,
-            sv_alpha_y,
+            alpha_y,
             bias: smo.b,
-            dim,
-        })
+        }
     }
 }
 
-/// SMO working state over a lazily cached kernel matrix.
-struct Smo<'a> {
-    n: usize,
+/// What SMO found, in terms of the matrix it ran over.
+pub(crate) struct Solution {
+    /// Matrix rows of the support vectors, in training order.
+    support: Vec<usize>,
+    /// `alpha_i * y_i` per support vector.
+    alpha_y: Vec<f64>,
+    bias: f64,
+}
+
+impl Solution {
+    /// [`SvmModel::decision_function`] on vector `x` of the matrix, the
+    /// kernel values read instead of evaluated: the same terms in the
+    /// same order, so the same bits. (A support vector's row is always
+    /// computed — its α moved, in a step that read the row.)
+    pub(crate) fn decision(&self, gram: &Gram, x: usize) -> f64 {
+        let mut f = self.bias;
+        for (&sv, ay) in self.support.iter().zip(&self.alpha_y) {
+            f += ay * gram.rows[sv][x];
+        }
+        f
+    }
+}
+
+/// SMO working state over the examples `members` of a kernel matrix.
+struct Smo<'g, 'v> {
     c: f64,
     tol: f64,
     eps: f64,
-    cache: KernelCache<'a>,
-    y: &'a [f64],
+    gram: &'g mut Gram<'v>,
+    /// `members[k]` is the matrix row of example `k`; every other field
+    /// is indexed by `k`.
+    members: &'g [usize],
+    y: Vec<f64>,
     alpha: Vec<f64>,
     b: f64,
     /// Error cache: `errors[i] = f(x_i) - y_i`, kept exact after each step.
     errors: Vec<f64>,
-    /// Scratch copy of row `i1` during a step, so the error update runs
-    /// as one fused loop over both rows (bit-identical to the old
-    /// precomputed-matrix arithmetic) even if fetching row `i2` evicts
-    /// row `i1` from the cache.
-    row_buf: Vec<f64>,
 }
 
-impl Smo<'_> {
+impl Smo<'_, '_> {
     fn is_unbound(&self, i: usize) -> bool {
         self.alpha[i] > 0.0 && self.alpha[i] < self.c
     }
@@ -404,7 +442,7 @@ impl Smo<'_> {
         }
         // Heuristic 1: maximise |E1 - E2| over unbound examples.
         let mut best: Option<(usize, f64)> = None;
-        for i1 in 0..self.n {
+        for i1 in 0..self.alpha.len() {
             if i1 == i2 || !self.is_unbound(i1) {
                 continue;
             }
@@ -419,13 +457,13 @@ impl Smo<'_> {
             }
         }
         // Heuristic 2: any unbound example.
-        for i1 in 0..self.n {
+        for i1 in 0..self.alpha.len() {
             if i1 != i2 && self.is_unbound(i1) && self.take_step(i1, i2) {
                 return true;
             }
         }
         // Heuristic 3: the whole training set.
-        for i1 in 0..self.n {
+        for i1 in 0..self.alpha.len() {
             if i1 != i2 && self.take_step(i1, i2) {
                 return true;
             }
@@ -452,9 +490,10 @@ impl Smo<'_> {
         if low >= high {
             return false;
         }
-        let k11 = self.cache.diag(i1);
-        let k22 = self.cache.diag(i2);
-        let k12 = self.cache.row(i1)[i2];
+        let (r1, r2) = (self.members[i1], self.members[i2]);
+        let k11 = self.gram.diag(r1);
+        let k22 = self.gram.diag(r2);
+        let k12 = self.gram.row(r1)[r2];
         let eta = k11 + k22 - 2.0 * k12;
         let mut a2 = if eta > 0.0 {
             (alph2 + y2 * (e1 - e2) / eta).clamp(low, high)
@@ -513,12 +552,10 @@ impl Smo<'_> {
         };
         let delta_b = new_b - self.b;
         let (d1, d2) = (y1 * (a1 - alph1), y2 * (a2 - alph2));
-        self.row_buf.clear();
-        let row1 = self.cache.row(i1);
-        self.row_buf.extend_from_slice(row1);
-        let row2 = self.cache.row(i2);
-        for ((e, &k1), &k2) in self.errors.iter_mut().zip(&self.row_buf).zip(row2) {
-            *e += d1 * k1 + d2 * k2 + delta_b;
+        self.gram.row(r2);
+        let (row1, row2) = (&self.gram.rows[r1], &self.gram.rows[r2]);
+        for (e, &m) in self.errors.iter_mut().zip(self.members) {
+            *e += d1 * row1[m] + d2 * row2[m] + delta_b;
         }
         self.b = new_b;
         self.alpha[i1] = a1;
@@ -762,25 +799,85 @@ mod tests {
         let _ = SvmTrainer::new().c(0.0);
     }
 
+    /// Overlapping classes with the points that make kernels degenerate:
+    /// zero rows, duplicates under both labels, negative weights.
+    fn overlapping() -> (Vec<SparseVec>, Vec<Label>) {
+        let mut xs = vec![SparseVec::zeros(4), SparseVec::zeros(4)];
+        let mut ys = vec![1, -1];
+        for i in 0..36u32 {
+            let a = f64::from(i * 7 % 11) / 5.0 - 1.0;
+            let b = f64::from(i * 5 % 13) / 6.0 - 1.0;
+            xs.push(point(4, &[(i % 3, a), (3, b)]));
+            ys.push(if a + 0.3 * b > 0.1 { 1 } else { -1 });
+        }
+        for i in [2, 3, 4] {
+            xs.push(xs[i].clone());
+            ys.push(-ys[i]);
+        }
+        (xs, ys)
+    }
+
     #[test]
-    fn tiny_row_cache_trains_identical_model() {
-        // Kernel values never depend on the cache, only when they are
-        // computed — a 2-row cache (the minimum: SMO touches two rows per
-        // step) must reproduce the effectively-unbounded default exactly.
-        let (xs, ys) = separable();
-        let unbounded = SvmTrainer::new().seed(3).train(&xs, &ys).unwrap();
-        let bounded = SvmTrainer::new()
-            .seed(3)
-            .cache_rows(2)
+    fn training_on_a_view_is_training_on_the_gathered_copy() {
+        // What cross-validation relies on: SMO over some rows of a shared
+        // matrix finds the model `train` finds on copies of those rows,
+        // and reading its decision values from the matrix gives the bits
+        // `decision_function` computes — for members and strangers alike.
+        let (xs, ys) = overlapping();
+        let members: Vec<usize> = (0..xs.len()).rev().filter(|i| i % 4 != 1).collect();
+        let gathered: Vec<SparseVec> = members.iter().map(|&m| xs[m].clone()).collect();
+        let gathered_ys: Vec<Label> = members.iter().map(|&m| ys[m]).collect();
+        for kernel in [
+            Kernel::Linear,
+            Kernel::default(),
+            Kernel::Rbf { gamma: 0.7 },
+        ] {
+            for eager in [false, true] {
+                let trainer = SvmTrainer::new().kernel(kernel).c(10.0).seed(5);
+                let model = trainer.train(&gathered, &gathered_ys).unwrap();
+                let mut gram = Gram::new(kernel, &xs).unwrap();
+                if eager {
+                    gram.fill();
+                }
+                let solution = trainer.solve(&mut gram, &members, &ys);
+                assert_eq!(solution.bias.to_bits(), model.bias.to_bits());
+                assert_eq!(solution.alpha_y, model.sv_alpha_y);
+                let support: Vec<&SparseVec> = solution.support.iter().map(|&i| &xs[i]).collect();
+                assert_eq!(support, model.support.iter().collect::<Vec<_>>());
+                for (i, x) in xs.iter().enumerate() {
+                    assert_eq!(
+                        solution.decision(&gram, i).to_bits(),
+                        model.decision_function(x).to_bits(),
+                        "{kernel:?} point {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn training_computes_only_the_rows_it_touches() {
+        // Ten support vectors' worth of steps must not cost the matrix.
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for i in 0..60 {
+            let off = f64::from(i) * 0.05;
+            xs.push(point(2, &[(0, 1.0 + off), (1, 1.0)]));
+            ys.push(1);
+            xs.push(point(2, &[(0, -1.0 - off), (1, 1.0)]));
+            ys.push(-1);
+        }
+        let n = xs.len();
+        KERNEL_EVALS.set(0);
+        let model = SvmTrainer::new()
+            .kernel(Kernel::Linear)
             .train(&xs, &ys)
             .unwrap();
-        assert_eq!(
-            bounded.num_support_vectors(),
-            unbounded.num_support_vectors()
-        );
-        for x in &xs {
-            assert_eq!(bounded.decision_function(x), unbounded.decision_function(x));
-        }
+        let evals = KERNEL_EVALS.get();
+        assert_eq!(evals % n, 0, "whole rows of {n}, got {evals} entries");
+        let rows = evals / n;
+        assert!(rows >= model.num_support_vectors());
+        assert!(rows < n / 4, "{rows} of {n} rows computed");
     }
 
     #[test]

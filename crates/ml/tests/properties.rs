@@ -2,7 +2,7 @@
 
 use fmeter_ir::{euclidean_distance, SparseVec};
 use fmeter_ml::metrics::{majority_baseline, purity, BinaryConfusion};
-use fmeter_ml::{Agglomerative, KMeans, Kernel, Linkage, SvmTrainer};
+use fmeter_ml::{Agglomerative, Gram, KMeans, Kernel, Linkage, SvmTrainer};
 use proptest::prelude::*;
 
 const DIM: usize = 8;
@@ -19,8 +19,71 @@ fn arb_points(min: usize, max: usize) -> impl Strategy<Value = Vec<SparseVec>> {
     })
 }
 
+fn arb_kernel() -> impl Strategy<Value = Kernel> {
+    prop_oneof![
+        Just(Kernel::Linear),
+        Just(Kernel::polynomial()),
+        (0.01f64..2.0).prop_map(|gamma| Kernel::Rbf { gamma }),
+    ]
+}
+
+/// Every entry of the matrix over `points` against `Kernel::eval` in
+/// both argument orders, rows fetched last to first.
+fn assert_gram_is_eval(kernel: Kernel, points: &[SparseVec], eager: bool) {
+    let mut gram = Gram::new(kernel, points).unwrap();
+    if eager {
+        gram.fill();
+    }
+    for (i, a) in points.iter().enumerate().rev() {
+        let row = gram.row(i);
+        assert_eq!(row.len(), points.len());
+        for (j, b) in points.iter().enumerate() {
+            let entry = row[j].to_bits();
+            assert_eq!(entry, kernel.eval(a, b).to_bits(), "{kernel:?} ({i}, {j})");
+            assert_eq!(entry, kernel.eval(b, a).to_bits(), "{kernel:?} ({j}, {i})");
+        }
+    }
+}
+
+#[test]
+fn gram_matches_eval_on_weights_that_overflow() {
+    // Sums that reach infinity, and `inf - inf` behind them: whatever
+    // `eval` makes of such a pair, the matrix holds the same bits.
+    let points = vec![
+        SparseVec::from_pairs(DIM, [(0, f64::INFINITY), (1, 1.0)]).unwrap(),
+        SparseVec::from_pairs(DIM, [(0, -2.0), (1, f64::MAX), (2, f64::MAX)]).unwrap(),
+        SparseVec::from_pairs(DIM, [(1, f64::MAX), (2, -f64::MAX)]).unwrap(),
+        SparseVec::from_pairs(DIM, [(3, f64::NAN)]).unwrap(),
+        SparseVec::zeros(DIM),
+    ];
+    for kernel in [
+        Kernel::Linear,
+        Kernel::polynomial(),
+        Kernel::Rbf { gamma: 0.5 },
+    ] {
+        assert_gram_is_eval(kernel, &points, false);
+        assert_gram_is_eval(kernel, &points, true);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn gram_entries_are_kernel_eval_bit_for_bit(
+        points in arb_points(1, 16),
+        kernel in arb_kernel(),
+        eager in any::<bool>(),
+    ) {
+        // The generator's few terms a point already give disjoint
+        // supports and negative weights; zero rows and duplicates are
+        // added by hand.
+        let mut points = points;
+        points.push(SparseVec::zeros(DIM));
+        points.push(points[0].clone());
+        points.insert(0, SparseVec::zeros(DIM));
+        assert_gram_is_eval(kernel, &points, eager);
+    }
 
     #[test]
     fn kmeans_assignments_point_to_nearest_centroid(
