@@ -3,8 +3,8 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 
 use fmeter_ir::{
-    search_sharded, Corpus, DocId, IrError, QuantizationMode, SearchScratch, Shard, ShardRouter,
-    SharedVec, SparseVec, TermCounts, TfIdfModel, TfIdfOptions,
+    search_sharded, Corpus, DocId, IrError, SearchScratch, Shard, ShardRouter, SharedVec,
+    SparseVec, TermCounts, TfIdfModel, TfIdfOptions,
 };
 use fmeter_ml::{KMeans, Linkage};
 use serde::{Deserialize, Serialize};
@@ -184,14 +184,12 @@ impl ShardPiece {
 
 /// Builds the `num_shards`-way posting store over `signatures` — one
 /// O(nnz) pass per shard from the exact vectors, a slot `is_live`
-/// rejects left as a hole so local ids stay aligned with the router —
-/// stored under `quantization`.
+/// rejects left as a hole so local ids stay aligned with the router.
 pub(crate) fn build_shards(
     dim: usize,
     signatures: &SharedVec<Signature>,
     is_live: impl Fn(DocId) -> bool,
     num_shards: usize,
-    quantization: QuantizationMode,
 ) -> Result<Vec<Arc<ShardPiece>>, IrError> {
     let router = ShardRouter::new(num_shards);
     (0..router.num_shards())
@@ -200,8 +198,7 @@ pub(crate) fn build_shards(
                 .step_by(router.num_shards())
                 .map(|d| is_live(d).then(|| &signatures[d].vector))
                 .collect();
-            let mut shard = Shard::from_slots(s, router, dim, &vectors)?;
-            shard.set_quantization(quantization);
+            let shard = Shard::from_slots(s, router, dim, &vectors)?;
             Ok(Arc::new(ShardPiece { shard }))
         })
         .collect()
@@ -273,8 +270,7 @@ pub(crate) fn majority_label<'a>(voters: impl Iterator<Item = &'a Signature>) ->
 /// in shard `d % S`. [`build`](Self::build) and [`load`](Self::load)
 /// give `S = 1`, the flat database; a
 /// [`SignatureService`](crate::SignatureService) asks for more. Search
-/// results do not depend on `S` (see [`fmeter_ir::merge_topk`]), except
-/// that 8-bit quantization grids are fitted per shard. Shards and
+/// results do not depend on `S` (see [`fmeter_ir::merge_topk`]). Shards and
 /// signatures are shared by reference with clones of the database and
 /// with the snapshots a service publishes, so a served store holds one
 /// copy of each.
@@ -344,7 +340,7 @@ impl SignatureDb {
             .collect();
         // Bulk load: one pass straight into the compacted layout, so
         // queries stream one contiguous region.
-        let shards = build_shards(dim, &signatures, |_| true, 1, QuantizationMode::Off)?;
+        let shards = build_shards(dim, &signatures, |_| true, 1)?;
         let n = signatures.len();
         Ok(SignatureDb {
             model,
@@ -486,8 +482,7 @@ impl SignatureDb {
     /// the surviving vectors move as they are, so a stale database
     /// stays exactly as stale. Each shard is rebuilt in one pass from
     /// the surviving signatures' vectors, so the posting store is
-    /// exactly what indexing those vectors afresh gives (and, quantized,
-    /// carries no rounding from the grids it replaces).
+    /// exactly what indexing those vectors afresh gives.
     pub fn vacuum(&mut self) -> VacuumStats {
         let slots = self.signatures.len();
         let live: Vec<bool> = (0..slots).map(|d| self.is_live(d)).collect();
@@ -636,20 +631,14 @@ impl SignatureDb {
     }
 
     /// The posting store rebuilt `num_shards` ways from the stored
-    /// signatures, under the current quantization mode.
+    /// signatures.
     fn rebuilt_shards(
         &self,
         num_shards: usize,
         is_live: impl Fn(DocId) -> bool,
     ) -> Vec<Arc<ShardPiece>> {
-        build_shards(
-            self.dim(),
-            &self.signatures,
-            is_live,
-            num_shards,
-            self.quantization(),
-        )
-        .expect("stored vectors share the database dimension")
+        build_shards(self.dim(), &self.signatures, is_live, num_shards)
+            .expect("stored vectors share the database dimension")
     }
 
     /// Re-lays the posting store out over `num_shards` shards (at least
@@ -768,23 +757,6 @@ impl SignatureDb {
     /// (for querying with fresh, unlabelled intervals).
     pub fn transform(&self, counts: &TermCounts) -> SparseVec {
         self.model.transform(counts)
-    }
-
-    /// How every shard stores its compacted posting weights.
-    pub fn quantization(&self) -> QuantizationMode {
-        self.shards[0].shard.index().quantization()
-    }
-
-    /// Switches every shard's compacted posting weights between exact
-    /// `f64` and 8-bit quantized storage (2.3x smaller resident
-    /// postings, per-weight error at most half a quantization step —
-    /// see [`Shard::set_quantization`]). The mode survives vacuums,
-    /// refits, and save/load, each of which re-quantizes from the exact
-    /// signatures.
-    pub fn set_quantization(&mut self, mode: QuantizationMode) {
-        for piece in &mut self.shards {
-            Arc::make_mut(piece).shard.set_quantization(mode);
-        }
     }
 
     /// Finds the `k` most similar stored signatures to a fresh interval.
@@ -1119,40 +1091,6 @@ mod tests {
             SignatureDb::build(&[]),
             Err(FmeterError::NoSignatures)
         ));
-    }
-
-    #[test]
-    fn quantization_survives_save_load_and_vacuum() {
-        let mut db = SignatureDb::build(&sample_raw()).unwrap();
-        db.set_quantization(fmeter_ir::QuantizationMode::Int8);
-        assert_eq!(db.quantization(), fmeter_ir::QuantizationMode::Int8);
-        // Vacuums rewrite the flat postings; the mode must persist.
-        db.remove(0).unwrap();
-        db.vacuum();
-        assert_eq!(db.quantization(), fmeter_ir::QuantizationMode::Int8);
-        // And so must a save/load round trip. The u8 grid itself is not
-        // stored: the loaded index is re-quantized from the exact
-        // signatures, so it scores bit for bit like a fresh one-pass
-        // build over the same slots switched to Int8.
-        let mut bytes = Vec::new();
-        db.save(&mut bytes).unwrap();
-        let back = SignatureDb::load(&bytes[..]).unwrap();
-        assert_eq!(back.quantization(), fmeter_ir::QuantizationMode::Int8);
-        let slots: Vec<Option<&SparseVec>> = (0..db.num_slots())
-            .map(|d| db.is_live(d).then(|| &db.signatures[d].vector))
-            .collect();
-        let mut rebuilt = fmeter_ir::InvertedIndex::from_slots(db.dim(), &slots).unwrap();
-        rebuilt.set_quantization(fmeter_ir::QuantizationMode::Int8);
-        let probe = TermCounts::from_dense(&[48, 41, 29, 22, 0, 0, 0, 0]);
-        let query = back.transform(&probe);
-        let a = back.shards[0].shard.index().search(&query, 3).unwrap();
-        let b = rebuilt.search(&query, 3).unwrap();
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.len(), b.len());
-        for (h1, h2) in a.iter().zip(&b) {
-            assert_eq!(h1.doc, h2.doc);
-            assert_eq!(h1.score.to_bits(), h2.score.to_bits());
-        }
     }
 
     #[test]

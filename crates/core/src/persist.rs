@@ -54,7 +54,7 @@ mod legacy;
 use std::io::Write;
 
 use fmeter_ir::codec::{self, decode_from_slice, BinCodec, CodecError, Reader};
-use fmeter_ir::{Corpus, QuantizationMode, SharedVec, TermCounts, TfIdfModel};
+use fmeter_ir::{Corpus, SharedVec, TermCounts, TfIdfModel};
 use fmeter_kernel_sim::Nanos;
 use serde::{Deserialize, Serialize, Value};
 
@@ -249,6 +249,16 @@ struct State {
     quantization: QuantizationMode,
 }
 
+/// The `state` section's `quantization` field, which v7 added to name
+/// the weight storage of the rebuilt index. The index now has one, exact
+/// `f64` weights: the writer puts `"Off"`, and a reader accepts either
+/// name and loads the same index for both.
+#[derive(Debug, Serialize, Deserialize)]
+enum QuantizationMode {
+    Off,
+    Int8,
+}
+
 /// The `sharding` section: how many shards the database's posting store
 /// is laid out over. A flat database writes `num_shards: 1`, and
 /// [`SignatureDb::load`] drops the layout it names.
@@ -318,7 +328,7 @@ pub fn save<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterError> {
         mutations_since_refit: db.mutations_since_refit,
         vacuum_policy: db.vacuum_policy,
         vacuums: db.vacuums,
-        quantization: db.quantization(),
+        quantization: QuantizationMode::Off,
     };
     serde_json::to_writer(&mut body, &state)?;
     header.close_section(SEC_STATE, SectionCodec::Json, &body);
@@ -632,14 +642,8 @@ fn assemble(parts: Parts) -> Result<SignatureDb, FmeterError> {
             ended_at,
         })
         .collect();
-    let shards = build_shards(
-        model.dim(),
-        &signatures,
-        |d| state.live[d],
-        num_shards,
-        state.quantization,
-    )
-    .expect("derived vectors share the model dimension");
+    let shards = build_shards(model.dim(), &signatures, |d| state.live[d], num_shards)
+        .expect("derived vectors share the model dimension");
     Ok(SignatureDb {
         model,
         signatures,
@@ -818,7 +822,6 @@ mod tests {
             let v = spec.version;
             let db = load(&fixture(v)[..]).unwrap_or_else(|e| panic!("v{v}: {e}"));
             assert_eq!(db.num_shards(), 1, "v{v}");
-            assert_eq!(db.quantization(), QuantizationMode::Off, "v{v}");
             if v < 2 {
                 assert_eq!(db.vacuum_policy(), VacuumPolicy::Never, "v{v}");
                 assert_eq!(db.vacuums(), 0, "v{v}");

@@ -10,7 +10,7 @@
 
 use fmeter_core::{RawSignature, SignatureDb, SignatureService, WalOp};
 use fmeter_ir::codec::{decode_from_slice, encode_to_vec};
-use fmeter_ir::{InvertedIndex, QuantizationMode, SparseVec, TermCounts};
+use fmeter_ir::TermCounts;
 use fmeter_kernel_sim::Nanos;
 use proptest::prelude::*;
 
@@ -60,7 +60,23 @@ fn arb_churn() -> impl Strategy<Value = Churn> {
     ]
 }
 
-fn churn_db(db: &mut SignatureDb, churn: &[Churn]) {
+/// A seed corpus plus random churn: depending on the draw the database
+/// has an uncompacted tail, tombstones whose postings are not purged
+/// yet, a refitted model, a vacuumed id space — or all of them.
+fn churned_db(seeds: &[(Vec<u64>, u64)], churn: &[Churn]) -> SignatureDb {
+    let raws: Vec<RawSignature> = seeds
+        .iter()
+        .enumerate()
+        .map(|(i, (counts, salt))| {
+            let label = match salt % 3 {
+                0 => None,
+                1 => Some("alpha".to_string()),
+                _ => Some("beta".to_string()),
+            };
+            raw(counts.clone(), i as u64, label)
+        })
+        .collect();
+    let mut db = SignatureDb::build(&raws).expect("seed corpus builds");
     for (i, op) in churn.iter().enumerate() {
         match op {
             Churn::Insert(counts) => {
@@ -81,26 +97,6 @@ fn churn_db(db: &mut SignatureDb, churn: &[Churn]) {
             }
         }
     }
-}
-
-/// A seed corpus plus random churn: depending on the draw the database
-/// has an uncompacted tail, tombstones whose postings are not purged
-/// yet, a refitted model, a vacuumed id space — or all of them.
-fn churned_db(seeds: &[(Vec<u64>, u64)], churn: &[Churn]) -> SignatureDb {
-    let raws: Vec<RawSignature> = seeds
-        .iter()
-        .enumerate()
-        .map(|(i, (counts, salt))| {
-            let label = match salt % 3 {
-                0 => None,
-                1 => Some("alpha".to_string()),
-                _ => Some("beta".to_string()),
-            };
-            raw(counts.clone(), i as u64, label)
-        })
-        .collect();
-    let mut db = SignatureDb::build(&raws).expect("seed corpus builds");
-    churn_db(&mut db, churn);
     db
 }
 
@@ -181,46 +177,6 @@ proptest! {
                 let label = db.classify(&q, k).expect("classify");
                 prop_assert_eq!(&label, &loaded.classify(&q, k).expect("classify loaded"));
                 prop_assert_eq!(&label, &reloaded.classify(&q, k).expect("classify service"));
-            }
-        }
-    }
-
-    /// `Int8` survives churn (vacuums included) and save/load. The u8
-    /// grid is not stored: the loaded index is re-quantized from the
-    /// exact signatures, so it scores bit for bit like a one-pass
-    /// rebuild over the same slots switched to `Int8`.
-    #[test]
-    fn int8_survives_reload_and_scores_like_a_requantized_rebuild(
-        seeds in prop::collection::vec(
-            (prop::collection::vec(0u64..100, DIM..DIM + 1), 0u64..100),
-            2..8,
-        ),
-        before in prop::collection::vec(arb_churn(), 0..6),
-        after in prop::collection::vec(arb_churn(), 0..6),
-        probes in prop::collection::vec(prop::collection::vec(0u64..100, DIM..DIM + 1), 1..4),
-    ) {
-        let mut db = churned_db(&seeds, &before);
-        db.set_quantization(QuantizationMode::Int8);
-        churn_db(&mut db, &after);
-        prop_assert_eq!(db.quantization(), QuantizationMode::Int8);
-
-        let saved = save(&db);
-        let loaded = SignatureDb::load(&saved[..]).expect("load");
-        prop_assert_eq!(loaded.quantization(), QuantizationMode::Int8);
-        prop_assert_eq!(&saved, &save(&loaded));
-
-        let slots: Vec<Option<&SparseVec>> = (0..db.num_slots())
-            .map(|d| db.is_live(d).then(|| &db.signatures()[d].vector))
-            .collect();
-        let mut rebuilt = InvertedIndex::from_slots(db.dim(), &slots).expect("rebuild");
-        rebuilt.set_quantization(QuantizationMode::Int8);
-        for q in queries(&seeds, &probes) {
-            let got = loaded.search(&q, 5).expect("search loaded");
-            let want = rebuilt.search(&db.transform(&q), 5).expect("search rebuilt");
-            prop_assert_eq!(want.len(), got.len());
-            for (hit, (sig, score)) in want.iter().zip(&got) {
-                prop_assert_eq!(&db.signatures()[hit.doc], *sig);
-                prop_assert_eq!(hit.score.to_bits(), score.to_bits());
             }
         }
     }

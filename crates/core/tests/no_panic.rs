@@ -19,8 +19,8 @@ use fmeter_core::persist::{
     MAX_SHARDS, MAX_SIGNATURE_DIM,
 };
 use fmeter_core::wal::{crc32, read_wal, SyncPolicy, WalSink, WalWriter};
-use fmeter_core::{FmeterError, RawSignature, SignatureDb, SignatureService, WalOp};
-use fmeter_ir::codec;
+use fmeter_core::{FmeterError, RawSignature, Signature, SignatureDb, SignatureService, WalOp};
+use fmeter_ir::{codec, TermCounts};
 use fmeter_kernel_sim::Nanos;
 use proptest::prelude::*;
 
@@ -254,6 +254,78 @@ fn sections_that_pass_their_checksums_and_lie_are_errors() {
         let payload = [&count.to_le_bytes()[..], &vec![0; 17 * count as usize]].concat();
         let message = rejected("signatures", &payload);
         assert!(message.contains("inconsistent sections"), "{message}");
+    }
+    // The `state` section names a weight storage mode. The writer puts
+    // `"Off"`; an older build's `"Int8"` loads as the one exact index,
+    // and anything else — a mode never written, a number, no key — is an
+    // error.
+    let save = |db: SignatureDb| {
+        let mut bytes = Vec::new();
+        db.save(&mut bytes).expect("save");
+        bytes
+    };
+    let state = sections.iter().find(|s| s.name == "state").unwrap().payload;
+    let state = std::str::from_utf8(state).expect("JSON state");
+    let mode = ",\"quantization\":\"Off\"";
+    assert!(state.contains(mode), "{state}");
+    let state_with = |field: &str| state.replacen(mode, field, 1).into_bytes();
+    let int8 = state_with(",\"quantization\":\"Int8\"");
+    let int8 = reframe(
+        version,
+        &with_section(&sections, "state", SectionCodec::Json, &int8),
+    );
+    let (off, int8) = (
+        SignatureDb::load(&STORED_DATABASES[0][..]).expect("load"),
+        SignatureDb::load(&int8[..]).expect("an Int8 save loads"),
+    );
+    let probe = TermCounts::from_dense(&[31, 20, 1, 0, 7, 1]);
+    let hits = |db: &SignatureDb| -> Vec<(Signature, u64)> {
+        let hits = db.search(&probe, 8).expect("search");
+        hits.into_iter()
+            .map(|(s, x)| (s.clone(), x.to_bits()))
+            .collect()
+    };
+    assert!(!hits(&off).is_empty());
+    assert_eq!(hits(&int8), hits(&off));
+    assert!(save(int8) == save(off), "an Int8 save is re-saved as Off");
+    for field in [",\"quantization\":\"Int4\"", ",\"quantization\":7", ""] {
+        let message = rejected("state", &state_with(field));
+        assert!(message.contains("state"), "{field}: {message}");
+    }
+    // A v6 `index` section is checksummed and otherwise not read: its
+    // mode tag, behind the eleven fields v5 stored, may name `Int8` (1)
+    // or nothing any build wrote (0x07), and the save loads as it is.
+    let v6 = fixture(6);
+    let (_, v6_sections) = split_envelope(&v6).unwrap();
+    let index = v6_sections.iter().find(|s| s.name == "index").unwrap();
+    let mut r = codec::Reader::new(index.payload);
+    let walked = (|| -> Result<(), codec::CodecError> {
+        r.get_usize()?; // dim
+        r.skip_array(8)?; // offsets
+        r.skip_array(4)?; // docs
+        r.skip_array(8)?; // weights
+        for _ in 0..r.array_len(1)? {
+            // One tail posting list per term: docs, weights.
+            r.skip_array(4)?;
+            r.skip_array(8)?;
+        }
+        r.get_usize()?; // tail_len
+        r.get_usize()?; // num_docs
+        r.skip_array(8)?; // max_impact
+        r.skip_array(1)?; // removed
+        r.get_usize()?; // num_removed
+        r.get_usize().map(drop) // dead_unpurged
+    })();
+    walked.expect("the fixture's v5 index fields");
+    let tag_at = index.payload.len() - r.remaining();
+    assert_eq!(index.payload[tag_at], 0, "the fixture was saved exact");
+    let committed = save(SignatureDb::load(&v6[..]).expect("v6 loads"));
+    for tag in [1, 0x07] {
+        let mut payload = index.payload.to_vec();
+        payload[tag_at] = tag;
+        let tagged = with_section(&v6_sections, "index", SectionCodec::Binary, &payload);
+        let db = SignatureDb::load(&reframe(6, &tagged)[..]).expect("the tag is not read");
+        assert!(save(db) == committed, "tag {tag:#04x}");
     }
 }
 
@@ -549,8 +621,8 @@ proptest! {
     /// Damage *behind* a valid frame: a stored database with one byte
     /// of one section changed (or the section cut short, or replaced by
     /// garbage) and the frame re-sealed with matching lengths and
-    /// checksums, so the section decoders, the v6 tag walk and the
-    /// cross-section checks see it. Covers v4–v8; v1–v3 carry no
+    /// checksums, so the section decoders and the cross-section checks
+    /// see it. Covers v4–v8; v1–v3 carry no
     /// checksums, so there the same damage goes in directly.
     #[test]
     fn damage_behind_a_valid_frame_never_panics_a_reader(

@@ -1,15 +1,10 @@
 //! Property tests for the sharded [`SignatureService`]: under any
-//! shard count, either quantization mode, and any interleave of insert
-//! / remove / refit / vacuum / re-shard, service search and
-//! classification must be bit-identical to a [`SignatureDb`] replaying
-//! the same history (the issue's acceptance bound is 1e-9; the
-//! implementation delivers exact equality and these tests pin the
-//! stronger claim). The sharded save/load and durable-recovery paths
-//! must round-trip the layout and the mode.
-//!
-//! The oracle database is flat (one shard) in exact mode — sharded ≡
-//! flat. 8-bit quantization grids are fitted per shard, so under `Int8`
-//! the oracle is the same layout without the service around it.
+//! shard count and any interleave of insert / remove / refit / vacuum /
+//! re-shard, service search and classification must be bit-identical to
+//! a flat (one-shard) [`SignatureDb`] replaying the same history — not
+//! within 1e-9 but equal, the stronger claim these tests pin. The
+//! sharded save/load and durable-recovery paths must round-trip the
+//! layout.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,7 +13,7 @@ use fmeter_core::{
     CheckpointPolicy, DurableOptions, RawSignature, RefitPolicy, ShardWriter, SignatureDb,
     SignatureService, SyncPolicy,
 };
-use fmeter_ir::{QuantizationMode, TermCounts};
+use fmeter_ir::TermCounts;
 use fmeter_kernel_sim::Nanos;
 use proptest::prelude::*;
 
@@ -65,10 +60,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn arb_mode() -> impl Strategy<Value = QuantizationMode> {
-    prop_oneof![Just(QuantizationMode::Off), Just(QuantizationMode::Int8)]
-}
-
 fn arb_shards() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(2), Just(8), 1usize..=8]
 }
@@ -96,26 +87,13 @@ fn resharded(base: SignatureDb, num_shards: usize) -> SignatureDb {
     ShardWriter::new(base, num_shards).into_db()
 }
 
-/// The oracle database and the service over `raws` in `mode`: the
-/// service on `num_shards` shards, the oracle flat unless `mode` ties
-/// scores to the layout (see the module docs).
-fn build_pair(
-    raws: &[RawSignature],
-    num_shards: usize,
-    mode: QuantizationMode,
-) -> (SignatureDb, SignatureService) {
-    let mut base = SignatureDb::build(raws).expect("flat build");
-    base.set_refit_policy(RefitPolicy::Manual);
-    base.set_quantization(mode);
-    let service = SignatureService::from_db(base.clone(), num_shards);
-    (resharded(base, oracle_shards(num_shards, mode)), service)
-}
-
-fn oracle_shards(num_shards: usize, mode: QuantizationMode) -> usize {
-    match mode {
-        QuantizationMode::Off => 1,
-        QuantizationMode::Int8 => num_shards,
-    }
+/// The flat oracle database over `raws` and the service over the same
+/// corpus on `num_shards` shards.
+fn build_pair(raws: &[RawSignature], num_shards: usize) -> (SignatureDb, SignatureService) {
+    let mut db = SignatureDb::build(raws).expect("flat build");
+    db.set_refit_policy(RefitPolicy::Manual);
+    let service = SignatureService::from_db(db.clone(), num_shards);
+    (db, service)
 }
 
 /// Applies `ops` to the oracle database and the sharded service in
@@ -181,12 +159,8 @@ fn apply_ops(db: &mut SignatureDb, service: &mut SignatureService, ops: &[Op]) {
 
 /// Asserts service search/classify equals the oracle bit-for-bit on a
 /// battery of probes — same hit docs (verified live in the oracle),
-/// same labels, scores equal to the last bit — and that every shard the
-/// service serves is stored in the oracle's quantization mode.
+/// same labels, scores equal to the last bit.
 fn assert_search_identical(db: &SignatureDb, service: &SignatureService) {
-    for piece in service.snapshot().pieces() {
-        assert_eq!(piece.shard().index().quantization(), db.quantization());
-    }
     let probes = [
         TermCounts::from_dense(&[41, 29, 21, 11, 0, 0, 1, 0, 0, 0]),
         TermCounts::from_dense(&[0, 0, 1, 0, 0, 49, 41, 29, 21, 11]),
@@ -222,9 +196,9 @@ fn assert_search_identical(db: &SignatureDb, service: &SignatureService) {
 /// Every shard rebuild ([`SignatureService::refit`] / `vacuum`, and the
 /// initial build) goes through the one-pass posting builder; a fixed
 /// script that crosses every rebuild, with dead slots present at each,
-/// must stay bit-identical to the oracle in both quantization modes at
-/// every shard count the layouts in use have — including one with more
-/// shards than some classes have documents.
+/// must stay bit-identical to the oracle at every shard count the
+/// layouts in use have — including one with more shards than some
+/// classes have documents.
 #[test]
 fn mirror_rebuilds_match_flat_db_at_1_2_3_and_8_shards() {
     let script = [
@@ -240,17 +214,15 @@ fn mirror_rebuilds_match_flat_db_at_1_2_3_and_8_shards() {
         Op::Remove(3),
         Op::Refit,
     ];
-    for mode in [QuantizationMode::Off, QuantizationMode::Int8] {
-        for num_shards in [1usize, 2, 3, 8] {
-            let (mut db, mut service) = build_pair(&seed_corpus(4), num_shards, mode);
+    for num_shards in [1usize, 2, 3, 8] {
+        let (mut db, mut service) = build_pair(&seed_corpus(4), num_shards);
+        assert_search_identical(&db, &service);
+        for step in 1..=script.len() {
+            apply_ops(&mut db, &mut service, &script[step - 1..step]);
             assert_search_identical(&db, &service);
-            for step in 1..=script.len() {
-                apply_ops(&mut db, &mut service, &script[step - 1..step]);
-                assert_search_identical(&db, &service);
-            }
-            assert_eq!(service.len(), db.len());
-            assert_eq!(service.num_slots(), db.num_slots());
         }
+        assert_eq!(service.len(), db.len());
+        assert_eq!(service.num_slots(), db.num_slots());
     }
 }
 
@@ -272,11 +244,10 @@ proptest! {
     #[test]
     fn sharded_service_matches_flat_db_for_any_shard_count(
         num_shards in arb_shards(),
-        mode in arb_mode(),
         ops in prop::collection::vec(arb_op(), 0..20),
         n_each in 2usize..5,
     ) {
-        let (mut db, mut service) = build_pair(&seed_corpus(n_each), num_shards, mode);
+        let (mut db, mut service) = build_pair(&seed_corpus(n_each), num_shards);
         prop_assert_eq!(service.num_shards(), num_shards);
         apply_ops(&mut db, &mut service, &ops);
         prop_assert_eq!(service.num_shards(), num_shards);
@@ -292,10 +263,9 @@ proptest! {
     #[test]
     fn sharded_save_load_round_trips_layout_and_results(
         num_shards in arb_shards(),
-        mode in arb_mode(),
         ops in prop::collection::vec(arb_op(), 0..12),
     ) {
-        let (mut db, mut service) = build_pair(&seed_corpus(3), num_shards, mode);
+        let (mut db, mut service) = build_pair(&seed_corpus(3), num_shards);
         apply_ops(&mut db, &mut service, &ops);
 
         let mut buf = Vec::new();
@@ -310,26 +280,15 @@ proptest! {
         let flat = SignatureDb::load(&buf[..]).expect("flat load of sharded save");
         prop_assert_eq!(flat.len(), db.len());
         prop_assert_eq!(flat.epoch(), db.epoch());
-        prop_assert_eq!(flat.quantization(), mode);
-
-        // A load quantizes from the exact signatures, which the live
-        // oracle's grids — requantized at each compaction since — need
-        // not equal: under Int8 the oracle is the flat load, re-laid.
-        match mode {
-            QuantizationMode::Off => assert_search_identical(&db, &restored),
-            QuantizationMode::Int8 => {
-                assert_search_identical(&resharded(flat, num_shards), &restored)
-            }
-        }
+        assert_search_identical(&db, &restored);
     }
 
     /// Recovery replays the logged ops over the first checkpoint, which
     /// holds exactly the shards the live stores started from: the
-    /// recovered service equals the live oracle in both modes.
+    /// recovered service equals the live oracle.
     #[test]
     fn durable_recovery_round_trips_layout_mode_and_results(
         num_shards in arb_shards(),
-        mode in arb_mode(),
         ops in prop::collection::vec(arb_op(), 0..12),
     ) {
         let ops: Vec<Op> = ops.into_iter().filter(|op| !matches!(op, Op::Reshard)).collect();
@@ -338,9 +297,9 @@ proptest! {
             sync: SyncPolicy::OnCheckpoint,
             checkpoint: CheckpointPolicy::Manual,
         };
-        let (mut db, _) = build_pair(&seed_corpus(3), num_shards, mode);
+        let (mut db, _) = build_pair(&seed_corpus(3), num_shards);
         let mut service = SignatureService::from_db_durable(
-            resharded(db.clone(), 1),
+            db.clone(),
             num_shards,
             &dir,
             opts,

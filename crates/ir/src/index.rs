@@ -207,28 +207,16 @@ const PROBE_COST: usize = 8;
 /// — when the unread lists together do: it can save no more than them.
 const CHECK_COST: usize = 4;
 
-/// How the flat (compacted) posting weights are stored.
-///
-/// Tail rows — inserts since the last compaction — always keep exact
-/// `f64` weights; the mode governs only the flat segment, which holds
-/// the bulk of a compacted index.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// The name of the 8-bit weight storage an earlier release offered, kept
+/// for `benchmark/src/layers.rs` (frozen while product code changes).
+/// The index has one store, exact `f64` weights, so that replay's
+/// `index.int8_us` and `index.resident_kb_int8` now time and count it.
+/// ROADMAP item 3a deletes this, [`InvertedIndex::set_quantization`] and
+/// the two metrics together.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
 pub enum QuantizationMode {
-    /// Exact IEEE-754 `f64` weights. Every search path is bit-identical
-    /// to [`InvertedIndex::search_exhaustive`] over the same postings.
-    #[default]
-    Off,
-    /// 8-bit per-term linear quantization: term `t`'s flat weights are
-    /// stored as `u8` codes `q` decoding to `qoffset[t] + scale[t] * q`,
-    /// with `qoffset[t]` the smallest weight under the term and
-    /// `scale[t]` spanning the weight range in 255 steps. Shrinks the
-    /// flat weight buffer 8x (plus 16 bytes per term of parameters) at a
-    /// per-weight error of at most `scale[t] / 2` — about 0.2% of the
-    /// term's weight spread. Searches remain bit-identical to
-    /// [`InvertedIndex::search_exhaustive`] *over the same quantized
-    /// index*; versus an unquantized index the scores shift slightly,
-    /// which is why the quantized path is gated on recall, not bitwise
-    /// equality.
+    /// Exact `f64` weights, like every index.
     Int8,
 }
 
@@ -277,9 +265,8 @@ impl SearchScratch {
 /// delimits term `t`'s `(docs, weights)` parallel arrays — so a query's
 /// accumulation streams contiguous memory with u32 doc ids (12 bytes per
 /// posting instead of a pointer-chased 16). The segment is write-once:
-/// every rewrite (compaction, purge, a quantization switch) builds a
-/// new one, so clones of the index share
-/// it by reference count. Fresh inserts land in a short *tail* of
+/// every rewrite (compaction, purge) builds a new one, so clones of the
+/// index share it by reference count. Fresh inserts land in a short *tail* of
 /// doc-major rows — each document's normalised vector, shared by clones
 /// as well — that geometric compaction folds into the next segment,
 /// keeping `insert` amortised O(nnz). What a clone copies is the
@@ -292,8 +279,7 @@ impl SearchScratch {
 ///
 /// Each term also carries the max `|weight|` of its flat postings: the
 /// bound [`search_with`](Self::search_with) orders the query's lists by
-/// and stops reading on. Flat weights can optionally be stored 8-bit
-/// quantized — see [`QuantizationMode`].
+/// and stops reading on.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
     dim: usize,
@@ -319,21 +305,11 @@ pub struct InvertedIndex {
 /// The write-once flat posting segment with everything derived from it.
 #[derive(Debug, Default)]
 struct FlatPostings {
-    /// Storage mode of `weights`/`qweights`.
-    quantization: QuantizationMode,
-    /// Term `t` owns `docs[offsets[t]..offsets[t+1]]`.
+    /// Term `t` owns `docs[offsets[t]..offsets[t+1]]` and the same range
+    /// of `weights`.
     offsets: Vec<usize>,
     docs: Vec<u32>,
-    /// Weights in [`QuantizationMode::Off`]; empty in `Int8` mode (the
-    /// weights live in `qweights` instead).
     weights: Vec<f64>,
-    /// Quantized weights, parallel to `docs` (`Int8` mode only).
-    qweights: Vec<u8>,
-    /// Per-term quantization step (`Int8` mode only, else empty).
-    scale: Vec<f64>,
-    /// Per-term quantization origin — the smallest weight under the
-    /// term (`Int8` mode only, else empty).
-    qoffset: Vec<f64>,
     /// Per-term max `|stored weight|`: `|qw| * max_impact[t]` bounds
     /// term `t`'s score contribution for any document in the segment —
     /// the pruning invariant. Tombstoned docs' postings count until
@@ -347,79 +323,27 @@ struct FlatPostings {
 /// which is normalised already — `x * 1.0` is `x` bit for bit).
 type Row<'a> = (u32, &'a SparseVec, f64);
 
-/// Quantizes `w` onto the term's 8-bit grid (`0` when the term's weights
-/// are all equal, i.e. `scale == 0`).
-#[inline]
-fn quantize(w: f64, scale: f64, offset: f64) -> u8 {
-    if scale == 0.0 {
-        return 0;
-    }
-    ((w - offset) / scale).round().clamp(0.0, 255.0) as u8
-}
-
 impl FlatPostings {
-    /// A fully compacted, exact segment over `rows` (ascending
-    /// doc ids) and nothing else.
+    /// A fully compacted segment over `rows` (ascending doc ids) and
+    /// nothing else.
     fn build(dim: usize, rows: &[Row<'_>]) -> Self {
-        Self::install(
-            QuantizationMode::Off,
-            vec![0; dim + 1],
-            Vec::new(),
-            Vec::new(),
-        )
-        .rewrite(|_| false, rows)
+        Self::install(vec![0; dim + 1], Vec::new(), Vec::new()).rewrite(|_| false, rows)
     }
 
-    /// Seals a rewritten posting stream (exact `f64` weights) under
-    /// `quantization`: fits the per-term quantization grids (`Int8`) and
-    /// derives the per-term bounds from the *stored* values.
+    /// Seals a posting stream, deriving the per-term bounds from the
+    /// stored weights.
     ///
     /// Every flat rewrite funnels through here, so `max_impact` always
     /// equals a recompute from the buffers — the invariant the pruning
     /// relies on.
-    fn install(
-        quantization: QuantizationMode,
-        offsets: Vec<usize>,
-        docs: Vec<u32>,
-        weights: Vec<f64>,
-    ) -> Self {
+    fn install(offsets: Vec<usize>, docs: Vec<u32>, weights: Vec<f64>) -> Self {
         debug_assert_eq!(docs.len(), weights.len());
         let mut flat = FlatPostings {
-            quantization,
             offsets,
             docs,
-            ..FlatPostings::default()
+            weights,
+            max_impact: Vec::new(),
         };
-        match quantization {
-            QuantizationMode::Off => flat.weights = weights,
-            QuantizationMode::Int8 => {
-                let dim = flat.offsets.len() - 1;
-                flat.scale = vec![0.0; dim];
-                flat.qoffset = vec![0.0; dim];
-                flat.qweights = Vec::with_capacity(weights.len());
-                for t in 0..dim {
-                    let (lo, hi) = (flat.offsets[t], flat.offsets[t + 1]);
-                    if lo == hi {
-                        continue;
-                    }
-                    // Per-term linear grid: origin at the smallest weight,
-                    // 255 steps to the largest. The extremes quantize
-                    // exactly (codes 0 and 255), everything else rounds to
-                    // the nearest step — error at most `scale / 2`.
-                    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-                    for &w in &weights[lo..hi] {
-                        min = min.min(w);
-                        max = max.max(w);
-                    }
-                    let scale = (max - min) / 255.0;
-                    flat.qoffset[t] = min;
-                    flat.scale[t] = scale;
-                    for &w in &weights[lo..hi] {
-                        flat.qweights.push(quantize(w, scale, min));
-                    }
-                }
-            }
-        }
         flat.max_impact = (0..flat.offsets.len() - 1)
             .map(|t| {
                 let mut max = 0.0f64;
@@ -439,38 +363,12 @@ impl FlatPostings {
         self.offsets[t + 1] - self.offsets[t]
     }
 
-    /// The stored weight at flat position `i` under `term` (dequantized
-    /// in `Int8` mode, by the expression
-    /// [`for_each_posting`](Self::for_each_posting) streams).
-    #[inline]
-    fn weight(&self, term: usize, i: usize) -> f64 {
-        match self.quantization {
-            QuantizationMode::Off => self.weights[i],
-            QuantizationMode::Int8 => {
-                self.qoffset[term] + self.scale[term] * f64::from(self.qweights[i])
-            }
-        }
-    }
-
-    /// Streams term `t`'s postings (stored weights, dequantized in
-    /// `Int8` mode) to `f(doc, weight)`. The mode branch is taken once
-    /// per term, not per posting, so the `Off` path stays the tight
-    /// two-slice zip it always was.
+    /// Streams term `t`'s postings to `f(doc, weight)`.
     #[inline]
     fn for_each_posting(&self, t: usize, mut f: impl FnMut(u32, f64)) {
         let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-        match self.quantization {
-            QuantizationMode::Off => {
-                for (&d, &w) in self.docs[lo..hi].iter().zip(&self.weights[lo..hi]) {
-                    f(d, w);
-                }
-            }
-            QuantizationMode::Int8 => {
-                let (s, o) = (self.scale[t], self.qoffset[t]);
-                for (&d, &q) in self.docs[lo..hi].iter().zip(&self.qweights[lo..hi]) {
-                    f(d, o + s * f64::from(q));
-                }
-            }
+        for (&d, &w) in self.docs[lo..hi].iter().zip(&self.weights[lo..hi]) {
+            f(d, w);
         }
     }
 
@@ -527,11 +425,10 @@ impl FlatPostings {
         (offsets, docs, weights)
     }
 
-    /// The next segment: [`transpose`](Self::transpose), sealed under
-    /// this segment's quantization mode.
+    /// The next segment: [`transpose`](Self::transpose), sealed.
     fn rewrite(&self, keep: impl Fn(u32) -> bool, rows: &[Row<'_>]) -> Self {
         let (offsets, docs, weights) = self.transpose(keep, rows);
-        Self::install(self.quantization, offsets, docs, weights)
+        Self::install(offsets, docs, weights)
     }
 }
 
@@ -763,8 +660,8 @@ impl InvertedIndex {
     /// The `k` best hits among the documents scoring `floor` or more
     /// (not strict: a score equal to the floor is a hit) — exactly the
     /// hits of [`search_exhaustive`](Self::search_exhaustive) that reach
-    /// the floor, same documents and bit-identical scores in any
-    /// [`QuantizationMode`], from one pruned term-at-a-time traversal.
+    /// the floor, same documents and bit-identical scores, from one
+    /// pruned term-at-a-time traversal.
     ///
     /// Tail rows are scored first. The query's flat lists are then read
     /// heaviest bound first into partial scores, and between lists a
@@ -936,7 +833,7 @@ impl InvertedIndex {
                     break;
                 }
                 if docs[at] == doc {
-                    *score += qw * flat.weight(term as usize, lo + at);
+                    *score += qw * flat.weights[lo + at];
                 }
             }
         }
@@ -1107,51 +1004,17 @@ impl InvertedIndex {
             .fold(flat, |m, row| m.max(row.get(term).abs()))
     }
 
-    /// The active storage mode of the flat posting weights.
-    pub fn quantization(&self) -> QuantizationMode {
-        self.flat.quantization
-    }
-
-    /// Switches the flat weight storage to `mode`, rewriting the posting
-    /// store (a no-op when already in `mode`).
-    ///
-    /// The switch first folds the tail and purges tombstoned postings
-    /// (like [`optimize`](Self::optimize)), then re-encodes the flat
-    /// weights: `Off → Int8` quantizes them onto per-term 8-bit grids,
-    /// `Int8 → Off` materialises the dequantized values as `f64`s.
-    /// Quantization rounds each weight to its nearest grid step, so a
-    /// round trip through `Int8` does *not* restore the original bits —
-    /// it restores the grid values (which a second `Int8` pass maps to
-    /// themselves).
-    pub fn set_quantization(&mut self, mode: QuantizationMode) {
-        if mode == self.flat.quantization {
-            return;
-        }
-        self.optimize();
-        let flat = &self.flat;
-        let weights = (0..flat.dim())
-            .flat_map(|t| (flat.offsets[t]..flat.offsets[t + 1]).map(move |i| flat.weight(t, i)))
-            .collect();
-        let (offsets, docs) = (flat.offsets.clone(), flat.docs.clone());
-        self.flat = Arc::new(FlatPostings::install(mode, offsets, docs, weights));
-    }
+    /// Does nothing; see [`QuantizationMode`].
+    #[doc(hidden)]
+    pub fn set_quantization(&mut self, _mode: QuantizationMode) {}
 
     /// Resident bytes of the posting store payload: flat doc ids and
-    /// weights (8-bit codes plus per-term parameters in `Int8` mode),
-    /// the term offsets, and tail postings. Vec capacity overhead
-    /// and fixed struct fields are not counted — this is the number that
-    /// shrinks 2.3x when quantization is on (a flat posting goes from
-    /// 12 bytes to 5; `index.resident_kb_f64` ÷ `index.resident_kb_int8`
-    /// in `benchmark/`'s layer replay), the one the capacity of an
-    /// in-memory shard is sized by.
+    /// weights, the term offsets, and tail postings. Vec capacity
+    /// overhead and fixed struct fields are not counted — this is the
+    /// number the capacity of an in-memory shard is sized by.
     pub fn postings_resident_bytes(&self) -> usize {
         let flat = &self.flat;
-        flat.docs.len() * 4
-            + flat.weights.len() * 8
-            + flat.qweights.len()
-            + (flat.scale.len() + flat.qoffset.len()) * 8
-            + self.tail_len * 12
-            + flat.offsets.len() * 8
+        flat.docs.len() * 4 + flat.weights.len() * 8 + self.tail_len * 12 + flat.offsets.len() * 8
     }
 
     /// Returns `true` when `self` and `other` share one flat segment —
@@ -1646,13 +1509,9 @@ mod tests {
         assert_eq!(a.removed, b.removed);
         assert!(a.tail.iter().eq(b.tail.iter()));
         let (a, b) = (&a.flat, &b.flat);
-        assert_eq!(a.quantization, b.quantization);
         assert_eq!(a.offsets, b.offsets);
         assert_eq!(a.docs, b.docs);
         assert_eq!(bits(&a.weights), bits(&b.weights));
-        assert_eq!(a.qweights, b.qweights);
-        assert_eq!(bits(&a.scale), bits(&b.scale));
-        assert_eq!(bits(&a.qoffset), bits(&b.qoffset));
         assert_eq!(bits(&a.max_impact), bits(&b.max_impact));
     }
 
@@ -1697,13 +1556,6 @@ mod tests {
                 .collect();
             let built = InvertedIndex::from_slots(dim, &slots).unwrap();
             assert_same_index(&built, &looped);
-
-            // Int8: quantizing the built flat segment is quantizing the
-            // looped one.
-            let (mut q_built, mut q_looped) = (built, looped);
-            q_built.set_quantization(QuantizationMode::Int8);
-            q_looped.set_quantization(QuantizationMode::Int8);
-            assert_same_index(&q_built, &q_looped);
         }
         assert!(InvertedIndex::from_slots(dim, &[Some(&SparseVec::zeros(dim + 1))]).is_err());
     }
@@ -1750,8 +1602,9 @@ mod tests {
     fn assert_bounds_match_reference(idx: &InvertedIndex) {
         let flat = &idx.flat;
         for t in 0..idx.dim {
-            let want = (flat.offsets[t]..flat.offsets[t + 1])
-                .fold(0.0f64, |m, i| m.max(flat.weight(t, i).abs()));
+            let want = flat.weights[flat.offsets[t]..flat.offsets[t + 1]]
+                .iter()
+                .fold(0.0f64, |m, w| m.max(w.abs()));
             assert_eq!(
                 flat.max_impact[t].to_bits(),
                 want.to_bits(),
@@ -1780,11 +1633,6 @@ mod tests {
             .map(|i| idx.is_live(i).then_some(&docs[i]))
             .collect();
         let mut idx = InvertedIndex::from_slots(dim as usize, &slots).unwrap();
-        assert_bounds_match_reference(&idx);
-        // Quantize, then back to exact (lossy, but the bounds must track).
-        idx.set_quantization(QuantizationMode::Int8);
-        assert_bounds_match_reference(&idx);
-        idx.set_quantization(QuantizationMode::Off);
         assert_bounds_match_reference(&idx);
         // Fresh tail inserts leave the flat bounds untouched.
         idx.insert(docs[0].clone()).unwrap();
@@ -1979,45 +1827,5 @@ mod tests {
             assert_eq!(hits, idx.search_exhaustive(&q, 7, &mut scratch).unwrap());
             assert_eq!(hits.iter().map(|h| h.doc).collect::<Vec<_>>(), [0, 1]);
         }
-    }
-
-    #[test]
-    fn quantization_error_stays_within_half_step() {
-        let dim = 32u32;
-        let docs = banded_corpus(1024, dim);
-        let mut exact = InvertedIndex::new(dim as usize);
-        for d in &docs {
-            exact.insert(d.clone()).unwrap();
-        }
-        exact.optimize();
-        let mut quant = exact.clone();
-        quant.set_quantization(QuantizationMode::Int8);
-        assert_eq!(quant.quantization(), QuantizationMode::Int8);
-        for t in 0..dim as usize {
-            let (lo, hi) = (exact.flat.offsets[t], exact.flat.offsets[t + 1]);
-            let step = quant.flat.scale[t];
-            for i in lo..hi {
-                let err = (exact.flat.weight(t, i) - quant.flat.weight(t, i)).abs();
-                assert!(
-                    err <= step / 2.0 + 1e-15,
-                    "term {t} pos {i}: err {err} > scale/2 {}",
-                    step / 2.0
-                );
-            }
-        }
-        // The quantized index is internally consistent: its pruned
-        // search is bit-identical to its own exhaustive scan (both
-        // score the same dequantized stored weights).
-        let mut scratch = SearchScratch::new();
-        for q in docs.iter().step_by(37) {
-            let a = quant.search_exhaustive(q, 10, &mut scratch).unwrap();
-            let b = quant.search_with(q, 10, &mut scratch).unwrap();
-            assert_eq!(a, b);
-        }
-        // And resident postings shrink by the documented 2.3x: a flat
-        // posting goes from 12 bytes to 5, per-term grids and offsets
-        // make up the rest.
-        let ratio = exact.postings_resident_bytes() as f64 / quant.postings_resident_bytes() as f64;
-        assert!((2.2..=2.4).contains(&ratio), "f64 / Int8 bytes = {ratio}");
     }
 }

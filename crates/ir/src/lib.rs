@@ -25,10 +25,9 @@
 //!   approximate retrieval with candidate lists in O(ef · degree)
 //!   distance evaluations,
 //! * [`InvertedIndex`] — the postings search structure with
-//!   tombstone-aware removal, posting rebuilds, optional 8-bit impact
-//!   quantization ([`QuantizationMode`]), and a pruned early-exit top-k
-//!   that is bit-identical to the exhaustive scan (§2.2's "database of
-//!   previously labeled signatures" retrieval path).
+//!   tombstone-aware removal, posting rebuilds, and a pruned early-exit
+//!   top-k that is bit-identical to the exhaustive scan (§2.2's
+//!   "database of previously labeled signatures" retrieval path).
 //!
 //! `fmeter-core` assembles these into the operator-facing
 //! [`SignatureDb`](https://docs.rs/fmeter-core); `docs/ARCHITECTURE.md`
@@ -75,7 +74,9 @@ pub use distance::{
     manhattan_distance, minkowski_distance, Metric,
 };
 pub use error::IrError;
-pub use index::{InvertedIndex, QuantizationMode, SearchHit, SearchScratch, SearchStats};
+#[doc(hidden)]
+pub use index::QuantizationMode;
+pub use index::{InvertedIndex, SearchHit, SearchScratch, SearchStats};
 pub use matrix::CsrMatrix;
 pub use shard::{merge_topk, search_sharded, Shard, ShardRouter};
 pub use shared::SharedVec;

@@ -207,22 +207,6 @@ impl Shard {
         self.index.optimize();
     }
 
-    /// Switches this shard's flat posting weights between exact `f64`
-    /// and 8-bit quantized storage (see
-    /// [`InvertedIndex::set_quantization`]).
-    ///
-    /// Quantization grids are shard-local: each shard fits its per-term
-    /// scale/offset to *its own* postings, so a shard's grid is at least
-    /// as tight as the flat index's (a subset's min/max range can only
-    /// shrink) and the `scale / 2` error bound still holds per posting.
-    /// Within one stored corpus the merge contract is unchanged — every
-    /// search path scores the same dequantized stored weights, so
-    /// [`merge_topk`] over uniformly quantized shards reproduces their
-    /// own exhaustive ranking bit for bit.
-    pub fn set_quantization(&mut self, mode: crate::QuantizationMode) {
-        self.index.set_quantization(mode);
-    }
-
     /// Finds this shard's `k` best hits for `query`, reported under
     /// *global* doc ids. Scores are bit-identical to what a flat index
     /// over the whole corpus computes for the same documents.
@@ -521,48 +505,6 @@ mod tests {
             assert_eq!(merge_topk(per_shard, 10), expected, "qseed={qseed}");
             let got = search_sharded(&shards, q, 10, &mut scratch).unwrap();
             assert_eq!(got, expected, "qseed={qseed}");
-        }
-    }
-
-    #[test]
-    fn quantized_shards_merge_their_own_exhaustive_ranking() {
-        // Quantization grids are shard-local, so the oracle is each
-        // shard's own exhaustive scan over its dequantized weights —
-        // search_with must match it bitwise after the merge, and the
-        // quantized ranking must stay close to the exact one.
-        let dim = 32u32;
-        let docs = corpus(400, dim);
-        let mut shards = build_sharded(&docs, 3, dim as usize);
-        for s in &mut shards {
-            s.optimize();
-            s.set_quantization(crate::QuantizationMode::Int8);
-            assert_eq!(s.index().quantization(), crate::QuantizationMode::Int8);
-        }
-        let mut exact_shards = build_sharded(&docs, 3, dim as usize);
-        for s in &mut exact_shards {
-            s.optimize();
-        }
-        let mut scratch = SearchScratch::new();
-        for qseed in 0..6usize {
-            let q = &docs[qseed * 37 % docs.len()];
-            let got = search_sharded(&shards, q, 10, &mut scratch).unwrap();
-            let oracle: Vec<Vec<SearchHit>> = shards
-                .iter()
-                .map(|s| {
-                    let mut hits = s.index().search_exhaustive(q, 10, &mut scratch).unwrap();
-                    for h in &mut hits {
-                        h.doc = s.router().global_of(s.shard_id(), h.doc);
-                    }
-                    hits
-                })
-                .collect();
-            assert_eq!(got, merge_topk(oracle, 10), "qseed={qseed}");
-            // Recall vs the exact shards: the 8-bit grid should barely
-            // move a 10-deep ranking on this corpus.
-            let exact = search_sharded(&exact_shards, q, 10, &mut scratch).unwrap();
-            let exact_ids: Vec<DocId> = exact.iter().map(|h| h.doc).collect();
-            let hit = got.iter().filter(|h| exact_ids.contains(&h.doc)).count();
-            assert!(hit >= 9, "qseed={qseed}: recall {hit}/10");
         }
     }
 

@@ -1,19 +1,16 @@
-//! Exactness suite for the one search path and the 8-bit quantized
-//! impact representation. Three contracts, mirroring `docs/SEARCH.md`:
+//! Exactness suite for the one search path. Two contracts, mirroring
+//! `docs/SEARCH.md`:
 //!
 //! 1. **Pruned ≡ exhaustive.** `search_with` returns the same documents
-//!    with bit-identical (`f64::to_bits`) scores as `search_exhaustive`,
-//!    in `Off` and `Int8` alike — over arbitrary small corpora, and over
-//!    corpora with *the shape that prunes* (a rare heavy band over a
-//!    ubiquitous light one), whose generator must keep stopping early.
+//!    with bit-identical (`f64::to_bits`) scores as `search_exhaustive`
+//!    — over arbitrary small corpora, and over corpora with *the shape
+//!    that prunes* (a rare heavy band over a ubiquitous light one),
+//!    whose generator must keep stopping early.
 //! 2. **A floor across shards.** `search_sharded` over 1–8 shards equals
 //!    the flat oracle: ties at the floor, skipped shards, short shards.
-//! 3. **Quantized recall.** An `Int8` index is internally exact, and its
-//!    recall@10 against the exact-`f64` ranking stays ≥ 0.99.
 
 use fmeter_ir::{
-    search_sharded, InvertedIndex, QuantizationMode, SearchHit, SearchScratch, Shard, ShardRouter,
-    SparseVec,
+    search_sharded, InvertedIndex, SearchHit, SearchScratch, Shard, ShardRouter, SparseVec,
 };
 use proptest::prelude::*;
 
@@ -79,28 +76,6 @@ proptest! {
             prop_assert_eq!(bits(&above), bits(&exhaustive[..kept]));
         }
     }
-
-    #[test]
-    fn quantized_search_is_internally_bit_exact(
-        docs in prop::collection::vec(arb_sparse(), 1..40),
-        query in arb_sparse(),
-        k in 1usize..12,
-    ) {
-        // Quantization changes *what* the index stores, never how a
-        // stored corpus is searched: against its own dequantized
-        // weights, the pruned path must stay bit-identical to the
-        // exhaustive scan.
-        let mut index = InvertedIndex::new(DIM);
-        for d in &docs {
-            index.insert(d.clone()).unwrap();
-        }
-        index.optimize();
-        index.set_quantization(QuantizationMode::Int8);
-        let mut scratch = SearchScratch::new();
-        let exhaustive = index.search_exhaustive(&query, k, &mut scratch).unwrap();
-        let pruned = index.search_with(&query, k, &mut scratch).unwrap();
-        prop_assert_eq!(bits(&pruned), bits(&exhaustive));
-    }
 }
 
 fn lcg(state: &mut u64) -> u64 {
@@ -147,12 +122,11 @@ fn banded_corpus(state: &mut u64, n: usize) -> Vec<SparseVec> {
     docs
 }
 
-/// The first `bulk` of `docs` built flat in `mode`, the rest inserted
-/// one by one (tail rows, and whatever compaction they trigger).
-fn banded_index(docs: &[SparseVec], bulk: usize, mode: QuantizationMode) -> InvertedIndex {
+/// The first `bulk` of `docs` built flat, the rest inserted one by one
+/// (tail rows, and whatever compaction they trigger).
+fn banded_index(docs: &[SparseVec], bulk: usize) -> InvertedIndex {
     let slots: Vec<Option<&SparseVec>> = docs[..bulk].iter().map(Some).collect();
     let mut index = InvertedIndex::from_slots(BAND_DIM, &slots).unwrap();
-    index.set_quantization(mode);
     for d in &docs[bulk..] {
         index.insert(d.clone()).unwrap();
     }
@@ -170,34 +144,32 @@ fn pruned_matches_exhaustive_where_it_prunes() {
             let query = banded_vector(&mut state, seed as usize % BAND_CLASSES);
             // Compacted, as the geometric compaction leaves it, tail-heavy.
             for bulk in [n, 0, n * 3 / 4] {
-                for mode in [QuantizationMode::Off, QuantizationMode::Int8] {
-                    let mut index = banded_index(&docs, bulk, mode);
-                    for d in (0..n).filter(|d| d % 11 == seed as usize) {
-                        index.remove(d).unwrap();
-                    }
-                    // Twice: as built, then with a tombstone on the
-                    // document that held the k-th score.
-                    for _ in 0..2 {
-                        let live = index.live_len();
-                        for k in [1, 10, live, live + 3] {
-                            let want = index.search_exhaustive(&query, k, &mut scratch).unwrap();
-                            let got = index.search_with(&query, k, &mut scratch).unwrap();
-                            assert_eq!(
-                                bits(&got),
-                                bits(&want),
-                                "seed {seed} n {n} bulk {bulk} {mode:?} k {k}"
-                            );
-                            if k <= 10 {
-                                let stats = scratch.stats();
-                                small_k += 1;
-                                stopped_early += usize::from(stats.lists_read < stats.lists);
-                            }
+                let mut index = banded_index(&docs, bulk);
+                for d in (0..n).filter(|d| d % 11 == seed as usize) {
+                    index.remove(d).unwrap();
+                }
+                // Twice: as built, then with a tombstone on the document
+                // that held the k-th score.
+                for _ in 0..2 {
+                    let live = index.live_len();
+                    for k in [1, 10, live, live + 3] {
+                        let want = index.search_exhaustive(&query, k, &mut scratch).unwrap();
+                        let got = index.search_with(&query, k, &mut scratch).unwrap();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "seed {seed} n {n} bulk {bulk} k {k}"
+                        );
+                        if k <= 10 {
+                            let stats = scratch.stats();
+                            small_k += 1;
+                            stopped_early += usize::from(stats.lists_read < stats.lists);
                         }
-                        let tenth = index.search_exhaustive(&query, 10, &mut scratch).unwrap();
-                        index
-                            .remove(tenth.last().expect("the class has documents").doc)
-                            .unwrap();
                     }
+                    let tenth = index.search_exhaustive(&query, 10, &mut scratch).unwrap();
+                    index
+                        .remove(tenth.last().expect("the class has documents").doc)
+                        .unwrap();
                 }
             }
         }
@@ -293,70 +265,4 @@ fn shards_under_the_floor_read_nothing_and_a_short_best_shard_sets_no_floor() {
         assert_eq!(bits(&got), bits(&want), "{num_shards} shards, k 20");
         assert!(want.iter().any(|h| h.doc % num_shards != 1));
     }
-}
-
-/// A 50-class synthetic corpus in the shape of the benchmark's
-/// generator (`benchmark/src/gen.rs`):
-/// each class owns a band of 5 hot terms; documents jitter the class
-/// prototype and add sparse background noise.
-fn class_corpus(
-    classes: usize,
-    per_class: usize,
-    dim: usize,
-    seed: u64,
-) -> (Vec<SparseVec>, Vec<SparseVec>) {
-    let mut state = seed;
-    let mut docs = Vec::with_capacity(classes * per_class);
-    let mut queries = Vec::with_capacity(classes);
-    for c in 0..classes {
-        let base = (c * 5) % (dim - 8);
-        // Hot counts span four orders of magnitude, like that
-        // generator's `1..10_000` draw: within a class the top-10
-        // score gaps dwarf the half-step quantization error, which is
-        // what makes 8-bit impacts usable at all.
-        let make = |state: &mut u64| {
-            let mut pairs = Vec::new();
-            for j in 0..5usize {
-                let w = (1 + lcg(state) % 10_000) as f64;
-                pairs.push(((base + j) as u32, w));
-            }
-            for _ in 0..2 {
-                let t = (lcg(state) as usize) % dim;
-                let w = (1 + lcg(state) % 500) as f64;
-                pairs.push((t as u32, w));
-            }
-            SparseVec::from_pairs(dim, pairs).expect("terms in range")
-        };
-        for _ in 0..per_class {
-            docs.push(make(&mut state));
-        }
-        queries.push(make(&mut state));
-    }
-    (docs, queries)
-}
-
-#[test]
-fn quantized_recall_at_10_is_at_least_0_99_on_class_corpus() {
-    let (docs, queries) = class_corpus(50, 40, 256, 0x5eed);
-    let mut exact = InvertedIndex::new(256);
-    for d in &docs {
-        exact.insert(d.clone()).unwrap();
-    }
-    exact.optimize();
-    let mut quant = exact.clone();
-    quant.set_quantization(QuantizationMode::Int8);
-    let mut scratch = SearchScratch::new();
-    let (mut hit, mut total) = (0usize, 0usize);
-    for q in &queries {
-        let truth = exact.search_exhaustive(q, 10, &mut scratch).unwrap();
-        let approx = quant.search_with(q, 10, &mut scratch).unwrap();
-        let truth_ids: Vec<usize> = truth.iter().map(|h| h.doc).collect();
-        hit += approx.iter().filter(|h| truth_ids.contains(&h.doc)).count();
-        total += truth.len();
-    }
-    let recall = hit as f64 / total as f64;
-    assert!(
-        recall >= 0.99,
-        "quantized recall@10 {recall:.4} < 0.99 ({hit}/{total})"
-    );
 }
