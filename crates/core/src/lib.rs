@@ -50,7 +50,6 @@
 mod anomaly;
 mod db;
 mod error;
-pub mod fault;
 mod fmeter;
 mod logger;
 pub mod persist;

@@ -208,8 +208,8 @@ impl ShardWriter {
         self.durable.as_ref()
     }
 
-    /// Mutable access to the durability engine (sync and
-    /// fault-injection hooks; the log cannot corrupt the database).
+    /// Mutable access to the durability engine (its `sync` and the
+    /// `fail_wal_writes` test hook; the log cannot corrupt the database).
     pub fn durable_log_mut(&mut self) -> Option<&mut DurableLog> {
         self.durable.as_mut()
     }
@@ -257,7 +257,7 @@ impl ShardWriter {
     /// itself stays usable.
     fn persist_policy_change(&mut self) -> Result<(), FmeterError> {
         match &mut self.durable {
-            Some(log) => log.checkpoint_with_backoff(&self.db),
+            Some(log) => log.checkpoint(&self.db),
             None => Ok(()),
         }
     }
@@ -438,7 +438,7 @@ impl SignatureService {
 
     /// Serves `db` from `num_shards` shards in **durable mode**: a
     /// fresh crash-consistency directory is initialised at `dir`
-    /// (checkpoint + WAL + manifest) and every subsequent mutation is
+    /// (checkpoint + WAL) and every subsequent mutation is
     /// WAL-appended before it applies. Recover a crashed instance with
     /// [`recover_durable`](Self::recover_durable).
     ///
@@ -735,8 +735,8 @@ impl SignatureService {
         self.inner.writer.lock().durability_health()
     }
 
-    /// Runs `f` against the durable log under the writer lock (sync and
-    /// fault-injection hooks); `None` when not durable.
+    /// Runs `f` against the durable log under the writer lock (its `sync`
+    /// and the `fail_wal_writes` test hook); `None` when not durable.
     #[doc(hidden)]
     pub fn with_durable_log<R>(&self, f: impl FnOnce(&mut DurableLog) -> R) -> Option<R> {
         self.inner.writer.lock().durable_log_mut().map(f)

@@ -15,9 +15,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use fmeter_core::fault::FailPlan;
 use fmeter_core::persist::{detect_format_version, split_envelope, CURRENT_FORMAT_VERSION};
-use fmeter_core::wal::WalWriter;
+use fmeter_core::wal::{crc32, WalWriter};
 use fmeter_core::{
     CheckpointPolicy, DurableLog, DurableOptions, FmeterError, RawSignature, RecoveryReport,
     ShardWriter, SignatureDb, SignatureService, SyncPolicy, WalHealth, WalOp,
@@ -510,7 +509,7 @@ fn durable_service_degrades_and_heals_without_poisoning_the_writer() {
     let service = SignatureService::from_db_durable(seed_db(), 2, &dir, manual_opts())
         .expect("durable service");
     service
-        .with_durable_log(|log| log.set_wal_fail_plan(Some(FailPlan::kill_at(0))))
+        .with_durable_log(|log| log.fail_wal_writes(true))
         .expect("service is durable");
     service
         .insert(&probes()[0])
@@ -528,7 +527,7 @@ fn durable_service_degrades_and_heals_without_poisoning_the_writer() {
 
     // Disarm the fault; backoff'd checkpoint retries heal the log.
     service
-        .with_durable_log(|log| log.set_wal_fail_plan(None))
+        .with_durable_log(|log| log.fail_wal_writes(false))
         .expect("service is durable");
     let mut healed = false;
     for i in 0..600 {
@@ -752,37 +751,56 @@ fn a_directory_checkpointed_by_an_older_release_recovers_to_the_acked_prefix() {
         db.save(&mut bytes).expect("save");
         bytes
     };
+    // Releases before this one also wrote a `MANIFEST` beside their
+    // checkpoints; recovery reads none, so one left behind changes nothing.
+    let manifest_json = r#"{"generation":1,"wal_start_seq":1}"#;
+    let manifest = format!(
+        "FMMANIFEST {:08x}\n{manifest_json}\n",
+        crc32(manifest_json.as_bytes())
+    );
     for version in 1..=CURRENT_FORMAT_VERSION {
-        let dir = test_dir(&format!("upgrade-v{version}"));
-        fs::create_dir_all(&dir).expect("mkdir");
-        fs::write(dir.join("checkpoint-0000000001.fmdb"), fixture(version)).expect("checkpoint");
-        let wal = fs::File::create(dir.join("wal-0000000001.log")).expect("wal");
-        let mut wal =
-            WalWriter::create(Box::new(wal), 1, true, SyncPolicy::EveryRecord).expect("wal header");
-        let mut expected = SignatureDb::load(&fixture(version)[..]).expect("fixture loads");
-        for op in &ops {
-            wal.append(op).expect("append");
-            op.apply(&mut expected).expect("apply");
-        }
-        drop(wal);
+        let mut outcomes = Vec::new();
+        for with_manifest in [false, true] {
+            let dir = test_dir(&format!("upgrade-v{version}-{with_manifest}"));
+            fs::create_dir_all(&dir).expect("mkdir");
+            fs::write(dir.join("checkpoint-0000000001.fmdb"), fixture(version))
+                .expect("checkpoint");
+            if with_manifest {
+                fs::write(dir.join("MANIFEST"), &manifest).expect("manifest");
+            }
+            let wal = fs::File::create(dir.join("wal-0000000001.log")).expect("wal");
+            let mut wal = WalWriter::create(Box::new(wal), 1, true, SyncPolicy::EveryRecord)
+                .expect("wal header");
+            let mut expected = SignatureDb::load(&fixture(version)[..]).expect("fixture loads");
+            for op in &ops {
+                wal.append(op).expect("append");
+                op.apply(&mut expected).expect("apply");
+            }
+            drop(wal);
 
-        let (recovered, _, report) = DurableLog::recover_state(&dir).expect("recover_state");
-        assert_eq!(report.replayed_ops, ops.len(), "v{version}");
-        assert!(!report.torn_tail, "v{version}");
-        assert_eq!(saved(&recovered), saved(&expected), "v{version}");
+            let (recovered, _, report) = DurableLog::recover_state(&dir).expect("recover_state");
+            assert_eq!(report.replayed_ops, ops.len(), "v{version}");
+            assert!(!report.torn_tail, "v{version}");
+            assert_eq!(saved(&recovered), saved(&expected), "v{version}");
+            assert!(
+                recovered
+                    .signatures()
+                    .iter()
+                    .eq(expected.signatures().iter()),
+                "v{version}: vectors"
+            );
+            let (_, log, _) = DurableLog::recover(&dir, manual_opts()).expect("recover");
+            let fresh = fs::read(dir.join(format!("checkpoint-{:010}.fmdb", log.generation())))
+                .expect("the generation recovery started");
+            assert_eq!(detect_format_version(&fresh), Some(CURRENT_FORMAT_VERSION));
+            assert_eq!(fresh, saved(&expected), "v{version}");
+            outcomes.push((saved(&recovered), fresh));
+            drop(log);
+            let _ = fs::remove_dir_all(&dir);
+        }
         assert!(
-            recovered
-                .signatures()
-                .iter()
-                .eq(expected.signatures().iter()),
-            "v{version}: vectors"
+            outcomes[0] == outcomes[1],
+            "v{version}: a leftover MANIFEST changed what recovery produced"
         );
-        let (_, log, _) = DurableLog::recover(&dir, manual_opts()).expect("recover");
-        let fresh = fs::read(dir.join(format!("checkpoint-{:010}.fmdb", log.generation())))
-            .expect("the generation recovery started");
-        assert_eq!(detect_format_version(&fresh), Some(CURRENT_FORMAT_VERSION));
-        assert_eq!(fresh, saved(&expected), "v{version}");
-        drop(log);
-        let _ = fs::remove_dir_all(&dir);
     }
 }
