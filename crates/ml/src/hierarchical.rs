@@ -145,7 +145,10 @@ impl Agglomerative {
     /// [`fit_snn`](Self::fit_snn)) share one contract: zero points is
     /// [`MlError::EmptyInput`]; a single point yields a one-leaf tree
     /// with no merges; all-duplicate points yield `n - 1` merges at
-    /// height exactly `0.0`.
+    /// height exactly `0.0`. Non-finite distances (a NaN coordinate, or
+    /// points so far apart that their distance overflows to +∞) still
+    /// yield `n - 1` merges: a nearest-neighbour scan takes its first
+    /// candidate when none is strictly nearer.
     ///
     /// # Errors
     ///
@@ -429,13 +432,6 @@ impl Agglomerative {
     ) -> Result<(), MlError> {
         const REPS: usize = 8;
         let n = points.len();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
         loop {
             let mut parent: Vec<usize> = (0..n).collect();
             for (i, nbrs) in adj.iter().enumerate() {
@@ -511,7 +507,7 @@ impl Agglomerative {
                         .expect("chain predecessors stay graph-adjacent");
                 }
                 for (&i, &dist) in adj[x].iter() {
-                    if dist < best {
+                    if y == usize::MAX || dist < best {
                         best = dist;
                         y = i;
                     }
@@ -584,7 +580,9 @@ impl Agglomerative {
             }
             // Extend the chain with nearest neighbours until it reaches a
             // mutual pair. Ties prefer the previous chain element (strict
-            // `<` below), which is what guarantees termination.
+            // `<` below), which is what guarantees termination. A scan
+            // with no predecessor takes its first candidate whatever its
+            // distance, so NaN or +∞ distances still name a neighbour.
             let (x, y, height) = loop {
                 let x = *chain.last().expect("chain is non-empty");
                 let mut y = usize::MAX;
@@ -598,7 +596,7 @@ impl Agglomerative {
                         continue;
                     }
                     let dist = d[idx(x, i)];
-                    if dist < best {
+                    if y == usize::MAX || dist < best {
                         best = dist;
                         y = i;
                     }
@@ -650,13 +648,6 @@ fn canonicalize_merges(n: usize, mut raw: Vec<(usize, usize, f64)>) -> Vec<Merge
     let mut parent: Vec<usize> = (0..total_nodes).collect();
     let mut min_leaf: Vec<usize> = (0..total_nodes).collect();
     let mut node_size: Vec<usize> = vec![1; total_nodes];
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
     let mut merges = Vec::with_capacity(raw.len());
     for (step, (a, b, height)) in raw.into_iter().enumerate() {
         let ra = find(&mut parent, a);
@@ -680,6 +671,15 @@ fn canonicalize_merges(n: usize, mut raw: Vec<(usize, usize, f64)>) -> Vec<Merge
         });
     }
     merges
+}
+
+/// The union-find root of `x`, halving the path on the way up.
+fn find(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
 }
 
 impl Dendrogram {
@@ -709,13 +709,6 @@ impl Dendrogram {
         // Union-find over nodes, applying only the first n - k merges.
         let total_nodes = n + self.merges.len();
         let mut parent: Vec<usize> = (0..total_nodes).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
         for (step, merge) in self.merges.iter().take(n - k).enumerate() {
             let new_node = n + step;
             let l = find(&mut parent, merge.left);
@@ -916,7 +909,11 @@ mod tests {
     /// regressions below.
     type FitPath = Box<dyn Fn(&[SparseVec]) -> Result<Dendrogram, MlError>>;
     fn all_paths() -> Vec<(&'static str, FitPath)> {
-        let agg = || Agglomerative::new(Linkage::Single);
+        paths_under(Metric::Euclidean)
+    }
+
+    fn paths_under(metric: Metric) -> Vec<(&'static str, FitPath)> {
+        let agg = move || Agglomerative::new(Linkage::Single).metric(metric);
         vec![
             ("fit", Box::new(move |p: &[SparseVec]| agg().fit(p))),
             (
@@ -927,7 +924,43 @@ mod tests {
                 "fit_snn",
                 Box::new(move |p: &[SparseVec]| agg().fit_snn(p, &SnnParams::default())),
             ),
+            (
+                "fit_snn knn=1",
+                Box::new(move |p: &[SparseVec]| {
+                    let pruned = SnnParams {
+                        knn: 1,
+                        ..SnnParams::default()
+                    };
+                    agg().fit_snn(p, &pruned)
+                }),
+            ),
         ]
+    }
+
+    #[test]
+    fn degenerate_contract_non_finite_distances_uniform() {
+        // A NaN coordinate makes every distance to its point NaN, and
+        // points at ±f64::MAX are +∞ (Cosine: NaN) apart: no candidate is
+        // strictly nearer than +∞, yet every path must finish the tree.
+        // The NaN point comes first so the chain starts on it, and four
+        // points put `knn = 1` on the pruned candidate graph.
+        let nan_point = vec![
+            SparseVec::from_pairs(2, [(0, f64::NAN)]).unwrap(),
+            SparseVec::from_pairs(2, [(0, 1.0)]).unwrap(),
+            SparseVec::from_pairs(2, [(0, 2.0), (1, 1.0)]).unwrap(),
+            SparseVec::from_pairs(2, [(1, 3.0)]).unwrap(),
+        ];
+        let max_pair = line_points(&[f64::MAX, -f64::MAX]);
+        for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Cosine] {
+            for pts in [&nan_point, &max_pair] {
+                for (name, path) in paths_under(metric) {
+                    let what = format!("{name} {metric:?} n={}", pts.len());
+                    let tree = path(pts).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!(tree.merges().len(), pts.len() - 1, "{what}");
+                    assert_eq!(tree.merges().last().unwrap().size, pts.len(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

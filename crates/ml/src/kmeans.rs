@@ -1,4 +1,5 @@
 use std::borrow::Borrow;
+use std::sync::{mpsc, RwLock};
 
 use fmeter_ir::{dot_sparse_dense, Metric, SparseVec, TermId};
 use rand::rngs::SmallRng;
@@ -160,9 +161,9 @@ impl Centroids {
 }
 
 /// Per-cluster sums (flattened `k * dim`) and member counts: the input
-/// of the update step. The sequential loops own one; on the pool path
-/// every worker fills one for its chunk and the main thread merges them
-/// at the barrier in chunk order.
+/// of the update step. The Lloyd loop owns one; on the pool path every
+/// worker also fills one for its chunk, and the loop merges them after
+/// the barrier in chunk order.
 #[derive(Debug)]
 struct ClusterSums {
     sums: Vec<f64>,
@@ -227,11 +228,129 @@ impl ClusterSums {
     }
 }
 
+/// The points of a fit and their norms, which are loop invariants of
+/// the whole fit: one borrowed view, or one pool chunk of it.
+#[derive(Clone, Copy)]
+struct Batch<'a> {
+    points: &'a [&'a SparseVec],
+    sq_norms: &'a [f64],
+    norms: &'a [f64],
+}
+
+/// One worker's chunk of points and its buffers; ownership moves
+/// loop -> worker -> loop every round.
+struct Job {
+    chunk: usize,
+    lo: usize,
+    hi: usize,
+    assignments: Vec<usize>,
+    d_sqs: Vec<f64>,
+    sums: ClusterSums,
+}
+
+/// The assignment sweep fanned out over workers that live for the whole
+/// fit: spawning threads per iteration costs up to a millisecond on some
+/// kernels, which would swallow the parallel speed-up, so each worker
+/// blocks on a channel and sweeps its fixed chunk of points every round,
+/// then sums its chunk's clusters. Centroids — lane layout included, so
+/// it is built once per round and not once per worker — are read through
+/// the loop's `RwLock`, and the chunk buffers travel by ownership through
+/// the channels — no locking inside the per-point hot loop.
+struct Pool {
+    job_txs: Vec<mpsc::Sender<Job>>,
+    done_rx: mpsc::Receiver<Job>,
+    slots: Vec<Option<Job>>,
+}
+
+impl Pool {
+    /// Spawns `threads` workers on `scope`; worker `t` owns chunk `t` of
+    /// `batch`. They exit when the pool is dropped.
+    fn spawn<'scope, 'env>(
+        scope: &'scope std::thread::Scope<'scope, 'env>,
+        km: &'env KMeans,
+        batch: Batch<'env>,
+        centroids: &'env RwLock<Centroids>,
+        threads: usize,
+    ) -> Self {
+        let n = batch.points.len();
+        let dim = batch.points[0].dim();
+        let chunk_len = n.div_ceil(threads);
+        let (done_tx, done_rx) = mpsc::channel::<Job>();
+        let mut job_txs = Vec::with_capacity(threads);
+        let mut slots = Vec::with_capacity(threads);
+        for t in 0..threads {
+            let (job_tx, job_rx) = mpsc::channel::<Job>();
+            job_txs.push(job_tx);
+            let lo = (t * chunk_len).min(n);
+            let hi = ((t + 1) * chunk_len).min(n);
+            slots.push(Some(Job {
+                chunk: t,
+                lo,
+                hi,
+                assignments: vec![0usize; hi - lo],
+                d_sqs: vec![0.0f64; hi - lo],
+                sums: ClusterSums::new(km.k, dim),
+            }));
+            let done_tx = done_tx.clone();
+            scope.spawn(move || {
+                while let Ok(mut job) = job_rx.recv() {
+                    let chunk = Batch {
+                        points: &batch.points[job.lo..job.hi],
+                        sq_norms: &batch.sq_norms[job.lo..job.hi],
+                        norms: &batch.norms[job.lo..job.hi],
+                    };
+                    let guard = centroids.read().expect("centroid lock");
+                    km.assign_chunk(chunk, &guard, &mut job.assignments, &mut job.d_sqs);
+                    drop(guard);
+                    job.sums.accumulate(chunk.points, &job.assignments);
+                    if done_tx.send(job).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        Pool {
+            job_txs,
+            done_rx,
+            slots,
+        }
+    }
+
+    /// One round: dispatch every chunk, wait for all of them back (the
+    /// barrier), copy into the fit's per-point buffers.
+    fn sweep(&mut self, assignments: &mut [usize], d_sqs: &mut [f64]) {
+        for (tx, slot) in self.job_txs.iter().zip(&mut self.slots) {
+            tx.send(slot.take().expect("job checked in"))
+                .expect("worker alive");
+        }
+        for _ in 0..self.slots.len() {
+            let job = self.done_rx.recv().expect("worker alive");
+            let chunk = job.chunk;
+            self.slots[chunk] = Some(job);
+        }
+        for job in self.slots.iter().flatten() {
+            assignments[job.lo..job.hi].copy_from_slice(&job.assignments);
+            d_sqs[job.lo..job.hi].copy_from_slice(&job.d_sqs);
+        }
+    }
+
+    /// Overwrites `sums` with the last round's chunk sums, merged in
+    /// chunk order (deterministic for a fixed worker count). The first
+    /// chunk's overwrite the buffers outright — the barrier pays no
+    /// zeroing pass per round.
+    fn merge_into(&self, sums: &mut ClusterSums) {
+        let mut parts = self.slots.iter().flatten();
+        sums.copy_from(&parts.next().expect("at least one worker").sums);
+        for job in parts {
+            sums.merge(&job.sums);
+        }
+    }
+}
+
 #[cfg(test)]
 thread_local! {
     /// Assignment sweeps made by the current thread, so tests can assert
-    /// how many a fit cost. Sequential paths only: pool workers count on
-    /// their own threads.
+    /// how many a fit cost. Pool workers count on their own threads.
     static SWEEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
@@ -326,6 +445,7 @@ impl KMeans {
     /// Caps the worker threads of the assignment step: `0` (the default)
     /// picks [`std::thread::available_parallelism`] for large inputs and
     /// stays sequential for small ones; `1` forces the sequential path.
+    /// [`fit_warm`](Self::fit_warm) always sweeps on the calling thread.
     ///
     /// Any fixed `threads` value is exactly reproducible (partial sums
     /// merge in deterministic chunk order). Across *different* thread
@@ -388,20 +508,20 @@ impl KMeans {
     /// * [`MlError::Ir`] if the points disagree on dimensionality.
     pub fn run<P: Borrow<SparseVec>>(&self, points: &[P]) -> Result<KMeansResult, MlError> {
         let points: Vec<&SparseVec> = points.iter().map(Borrow::borrow).collect();
-        let points = &points[..];
-        self.validate_inputs(points)?;
+        self.validate_inputs(&points)?;
         // Point norms are loop invariants of the whole fit: compute once.
         let sq_norms: Vec<f64> = points.iter().map(|p| p.norm_l2_sq()).collect();
         let norms: Vec<f64> = sq_norms.iter().map(|s| s.sqrt()).collect();
+        let batch = Batch {
+            points: &points,
+            sq_norms: &sq_norms,
+            norms: &norms,
+        };
         let mut best: Option<KMeansResult> = None;
         for restart in 0..self.restarts {
             let mut rng = SmallRng::seed_from_u64(self.seed.wrapping_add(restart as u64));
-            let result = self.run_once(points, &sq_norms, &norms, &mut rng);
-            let better = match &best {
-                None => true,
-                Some(b) => result.inertia < b.inertia,
-            };
-            if better {
+            let result = self.run_once(batch, &mut rng);
+            if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
                 best = Some(result);
             }
         }
@@ -459,9 +579,10 @@ impl KMeans {
     /// `db.recluster_cold_ms`.
     ///
     /// Convergence is detected by assignment fixpoint (in addition to
-    /// the inertia tolerance of [`run`](Self::run)); the loop always
-    /// runs the deterministic sequential kernel, because a warm resume
-    /// does so few passes that worker-pool startup would dominate.
+    /// the inertia tolerance of [`run`](Self::run)); every sweep runs on
+    /// the calling thread whatever [`threads`](Self::threads) says,
+    /// because a warm resume does so few passes that worker-pool startup
+    /// would dominate.
     /// [`restarts`](Self::restarts) and [`init`](Self::init) are
     /// ignored — the previous assignment *is* the initialisation.
     ///
@@ -477,8 +598,7 @@ impl KMeans {
         prev_assignment: &[usize],
     ) -> Result<KMeansResult, MlError> {
         let points: Vec<&SparseVec> = points.iter().map(Borrow::borrow).collect();
-        let points = &points[..];
-        self.validate_inputs(points)?;
+        self.validate_inputs(&points)?;
         if prev_assignment.len() != points.len() {
             return Err(MlError::InvalidConfig(format!(
                 "warm start needs one previous assignment per point: {} assignments for {} points",
@@ -513,295 +633,92 @@ impl KMeans {
         let norms: Vec<f64> = sq_norms.iter().map(|s| s.sqrt()).collect();
         let mut centroids = Centroids::new(self.k, dim, self.fused());
         centroids.set_from_means(&mut sums);
-        Ok(self.lloyd_warm(points, &sq_norms, &norms, centroids, sums, prev_assignment))
-    }
-
-    /// The warm-start Lloyd loop: sequential assignment with an
-    /// assignment-fixpoint convergence check layered over the usual
-    /// inertia tolerance. `sums` is the seeding's buffer, reused for the
-    /// update steps of the sweeps that move a point.
-    fn lloyd_warm(
-        &self,
-        points: &[&SparseVec],
-        sq_norms: &[f64],
-        norms: &[f64],
-        mut centroids: Centroids,
-        mut sums: ClusterSums,
-        prev_assignment: &[usize],
-    ) -> KMeansResult {
-        let n = points.len();
-        let mut current = prev_assignment.to_vec();
-        let mut assignments = vec![0usize; n];
-        let mut d_sqs = vec![0.0f64; n];
-        let mut previous_inertia = f64::INFINITY;
-        let mut iterations = 0;
-        let mut converged = false;
-        for iter in 0..self.max_iters {
-            iterations = iter + 1;
-            self.assign_chunk(
-                points,
-                sq_norms,
-                norms,
-                &centroids,
-                &mut assignments,
-                &mut d_sqs,
-            );
-            let inertia: f64 = d_sqs.iter().sum();
-            if assignments == current {
-                // Assignment fixpoint: the centroids are already the
-                // means of exactly this assignment (the seeding, or the
-                // previous round's update), so an update would rewrite
-                // them with themselves and this sweep is the final one.
-                return KMeansResult {
-                    centroids: centroids.to_sparse(),
-                    assignments,
-                    inertia,
-                    iterations,
-                    converged: true,
-                };
-            }
-            sums.accumulate(points, &assignments);
-            self.finish_update(
-                points,
-                sq_norms,
-                norms,
-                &mut centroids,
-                &mut assignments,
-                &mut sums,
-            );
-            // After the update, because its empty-cluster repair may
-            // have moved a point.
-            current.copy_from_slice(&assignments);
-            if (previous_inertia - inertia).abs() <= self.tol {
-                converged = true;
-                break;
-            }
-            previous_inertia = inertia;
-        }
-        // Final assignment against the final centroids.
-        self.assign_chunk(
-            points,
-            sq_norms,
-            norms,
-            &centroids,
-            &mut assignments,
-            &mut d_sqs,
-        );
-        let inertia: f64 = d_sqs.iter().sum();
-        KMeansResult {
-            centroids: centroids.to_sparse(),
-            assignments,
-            inertia,
-            iterations,
-            converged,
-        }
-    }
-
-    fn run_once(
-        &self,
-        points: &[&SparseVec],
-        sq_norms: &[f64],
-        norms: &[f64],
-        rng: &mut SmallRng,
-    ) -> KMeansResult {
-        let seeds = match self.init {
-            KMeansInit::Random => self.init_random(points, rng),
-            KMeansInit::KMeansPlusPlus => self.init_plusplus(points, rng),
+        let batch = Batch {
+            points: &points,
+            sq_norms: &sq_norms,
+            norms: &norms,
         };
-        let mut centroids = Centroids::new(self.k, points[0].dim(), self.fused());
-        centroids.set_from_points(points, &seeds);
-        let threads = self.effective_threads(points.len());
-        if threads <= 1 {
-            self.lloyd_sequential(points, sq_norms, norms, centroids)
-        } else {
-            self.lloyd_parallel(points, sq_norms, norms, centroids, threads)
-        }
+        Ok(self.lloyd(batch, centroids, sums, Some(prev_assignment), 1))
     }
 
-    /// The Lloyd loop with an inline single-threaded assignment step.
-    fn lloyd_sequential(
-        &self,
-        points: &[&SparseVec],
-        sq_norms: &[f64],
-        norms: &[f64],
-        mut centroids: Centroids,
-    ) -> KMeansResult {
-        let n = points.len();
-        let mut assignments = vec![0usize; n];
-        let mut d_sqs = vec![0.0f64; n];
-        // Allocated once per run, not once per iteration.
-        let mut sums = ClusterSums::new(self.k, centroids.dim());
-        let mut previous_inertia = f64::INFINITY;
-        let mut iterations = 0;
-        let mut converged = false;
-        for iter in 0..self.max_iters {
-            iterations = iter + 1;
-            self.assign_chunk(
-                points,
-                sq_norms,
-                norms,
-                &centroids,
-                &mut assignments,
-                &mut d_sqs,
-            );
-            let inertia: f64 = d_sqs.iter().sum();
-            sums.accumulate(points, &assignments);
-            self.finish_update(
-                points,
-                sq_norms,
-                norms,
-                &mut centroids,
-                &mut assignments,
-                &mut sums,
-            );
-            if (previous_inertia - inertia).abs() <= self.tol {
-                converged = true;
-                break;
-            }
-            previous_inertia = inertia;
-        }
-        // Final assignment against the final centroids.
-        self.assign_chunk(
-            points,
-            sq_norms,
-            norms,
-            &centroids,
-            &mut assignments,
-            &mut d_sqs,
-        );
-        let inertia: f64 = d_sqs.iter().sum();
-        KMeansResult {
-            centroids: centroids.to_sparse(),
-            assignments,
-            inertia,
-            iterations,
-            converged,
-        }
+    fn run_once(&self, batch: Batch, rng: &mut SmallRng) -> KMeansResult {
+        let seeds = match self.init {
+            KMeansInit::Random => self.init_random(batch.points, rng),
+            KMeansInit::KMeansPlusPlus => self.init_plusplus(batch.points, rng),
+        };
+        let dim = batch.points[0].dim();
+        let mut centroids = Centroids::new(self.k, dim, self.fused());
+        centroids.set_from_points(batch.points, &seeds);
+        let threads = self.effective_threads(batch.points.len());
+        let sums = ClusterSums::new(self.k, dim);
+        self.lloyd(batch, centroids, sums, None, threads)
     }
 
-    /// The Lloyd loop over a pool of `threads` workers that live for the
-    /// whole run: spawning threads per iteration costs up to a
-    /// millisecond on some kernels, which would swallow the parallel
-    /// speed-up, so each worker blocks on a channel and processes its
-    /// fixed chunk of points every round. Centroids — lane layout
-    /// included, so it is built once per round and not once per worker —
-    /// travel through an `RwLock` (workers read during the assignment
-    /// phase, the main thread writes strictly between rounds), and the
-    /// chunk buffers travel by ownership through the channels — no
-    /// locking inside the per-point hot loop.
-    fn lloyd_parallel(
+    /// Lloyd's algorithm from `centroids`: an assignment sweep, then the
+    /// update step on `sums` (allocated once per fit, not once per
+    /// iteration), until the inertia improves by no more than `tol` or
+    /// `max_iters` runs out; then one final sweep against the final
+    /// centroids.
+    ///
+    /// `warm` is the assignment a warm start resumes from, and turns on
+    /// the assignment-fixpoint check. With `threads > 1` the sweeps run
+    /// on a [`Pool`]; otherwise on the calling thread, which then sums
+    /// the clusters itself, in point order.
+    fn lloyd(
         &self,
-        points: &[&SparseVec],
-        sq_norms: &[f64],
-        norms: &[f64],
+        batch: Batch,
         centroids: Centroids,
+        mut sums: ClusterSums,
+        warm: Option<&[usize]>,
         threads: usize,
     ) -> KMeansResult {
-        use std::sync::{mpsc, RwLock};
-
-        /// One worker's chunk: buffer ownership moves main -> worker ->
-        /// main every round.
-        struct Job {
-            chunk: usize,
-            lo: usize,
-            hi: usize,
-            assignments: Vec<usize>,
-            d_sqs: Vec<f64>,
-            sums: ClusterSums,
-        }
-
-        let dim = centroids.dim();
-        let n = points.len();
-        let chunk_len = n.div_ceil(threads);
-        let centroid_lock = RwLock::new(centroids);
-        let (done_tx, done_rx) = mpsc::channel::<Job>();
+        // Workers read the centroids during a sweep; the calling thread
+        // writes them strictly between sweeps.
+        let centroids = RwLock::new(centroids);
+        let mut current = warm.map(<[usize]>::to_vec);
+        let mut assignments = vec![0usize; batch.points.len()];
+        let mut d_sqs = vec![0.0f64; batch.points.len()];
+        let mut previous_inertia = f64::INFINITY;
+        let mut iterations = 0;
+        let mut converged = false;
         std::thread::scope(|s| {
-            let mut job_txs = Vec::with_capacity(threads);
-            let mut slots: Vec<Option<Job>> = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let (job_tx, job_rx) = mpsc::channel::<Job>();
-                job_txs.push(job_tx);
-                let lo = (t * chunk_len).min(n);
-                let hi = ((t + 1) * chunk_len).min(n);
-                slots.push(Some(Job {
-                    chunk: t,
-                    lo,
-                    hi,
-                    assignments: vec![0usize; hi - lo],
-                    d_sqs: vec![0.0f64; hi - lo],
-                    sums: ClusterSums::new(self.k, dim),
-                }));
-                let done_tx = done_tx.clone();
-                let centroid_lock = &centroid_lock;
-                s.spawn(move || {
-                    while let Ok(mut job) = job_rx.recv() {
-                        let centroids = centroid_lock.read().expect("centroid lock");
-                        self.assign_chunk(
-                            &points[job.lo..job.hi],
-                            &sq_norms[job.lo..job.hi],
-                            &norms[job.lo..job.hi],
-                            &centroids,
-                            &mut job.assignments,
-                            &mut job.d_sqs,
-                        );
-                        drop(centroids);
-                        job.sums
-                            .accumulate(&points[job.lo..job.hi], &job.assignments);
-                        if done_tx.send(job).is_err() {
-                            break;
-                        }
+            let mut pool = (threads > 1).then(|| Pool::spawn(s, self, batch, &centroids, threads));
+            let sweep = |pool: &mut Option<Pool>, assignments: &mut [usize], d_sqs: &mut [f64]| {
+                match pool {
+                    Some(pool) => pool.sweep(assignments, d_sqs),
+                    None => {
+                        let centroids = centroids.read().expect("centroid lock");
+                        self.assign_chunk(batch, &centroids, assignments, d_sqs);
                     }
-                });
-            }
-            // One parallel assignment round: dispatch every chunk, wait
-            // for all of them back (the barrier), copy into the global
-            // per-point buffers.
-            let assign_round =
-                |slots: &mut Vec<Option<Job>>, assignments: &mut [usize], d_sqs: &mut [f64]| {
-                    for (tx, slot) in job_txs.iter().zip(slots.iter_mut()) {
-                        tx.send(slot.take().expect("job checked in"))
-                            .expect("worker alive");
-                    }
-                    for _ in 0..threads {
-                        let job = done_rx.recv().expect("worker alive");
-                        let chunk = job.chunk;
-                        slots[chunk] = Some(job);
-                    }
-                    for job in slots.iter().flatten() {
-                        assignments[job.lo..job.hi].copy_from_slice(&job.assignments);
-                        d_sqs[job.lo..job.hi].copy_from_slice(&job.d_sqs);
-                    }
-                };
-            let mut assignments = vec![0usize; n];
-            let mut d_sqs = vec![0.0f64; n];
-            let mut sums = ClusterSums::new(self.k, dim);
-            let mut previous_inertia = f64::INFINITY;
-            let mut iterations = 0;
-            let mut converged = false;
+                }
+            };
             for iter in 0..self.max_iters {
                 iterations = iter + 1;
-                assign_round(&mut slots, &mut assignments, &mut d_sqs);
-                // Summed in point order: bit-identical to sequential.
+                sweep(&mut pool, &mut assignments, &mut d_sqs);
                 let inertia: f64 = d_sqs.iter().sum();
-                // Merge the workers' sums in chunk order (deterministic
-                // for a fixed thread count). The first chunk's overwrite
-                // the merged buffers outright — the barrier pays no
-                // zeroing pass per round.
-                let mut parts = slots.iter().flatten();
-                sums.copy_from(&parts.next().expect("at least one worker").sums);
-                for job in parts {
-                    sums.merge(&job.sums);
+                if current.as_deref() == Some(&assignments[..]) {
+                    // Assignment fixpoint: the centroids are already the
+                    // means of exactly this assignment (the seeding, or
+                    // the previous round's update), so an update would
+                    // rewrite them with themselves and this sweep is the
+                    // final one.
+                    converged = true;
+                    return;
                 }
-                {
-                    let mut centroids = centroid_lock.write().expect("centroid lock");
-                    self.finish_update(
-                        points,
-                        sq_norms,
-                        norms,
-                        &mut centroids,
-                        &mut assignments,
-                        &mut sums,
-                    );
+                match &pool {
+                    Some(pool) => pool.merge_into(&mut sums),
+                    None => sums.accumulate(batch.points, &assignments),
+                }
+                self.finish_update(
+                    batch,
+                    &mut centroids.write().expect("centroid lock"),
+                    &mut assignments,
+                    &mut sums,
+                );
+                if let Some(current) = &mut current {
+                    // After the update, because its empty-cluster repair
+                    // may have moved a point.
+                    current.copy_from_slice(&assignments);
                 }
                 if (previous_inertia - inertia).abs() <= self.tol {
                     converged = true;
@@ -810,18 +727,16 @@ impl KMeans {
                 previous_inertia = inertia;
             }
             // Final assignment against the final centroids.
-            assign_round(&mut slots, &mut assignments, &mut d_sqs);
-            let inertia: f64 = d_sqs.iter().sum();
-            drop(job_txs); // workers drain and exit before the scope joins
-            let centroids = centroid_lock.read().expect("centroid lock");
-            KMeansResult {
-                centroids: centroids.to_sparse(),
-                assignments,
-                inertia,
-                iterations,
-                converged,
-            }
-        })
+            sweep(&mut pool, &mut assignments, &mut d_sqs);
+        });
+        KMeansResult {
+            centroids: centroids.into_inner().expect("centroid lock").to_sparse(),
+            assignments,
+            // Summed in point order, whichever thread swept the point.
+            inertia: d_sqs.iter().sum(),
+            iterations,
+            converged,
+        }
     }
 
     /// Second half of a Lloyd iteration, after `sums` holds the merged
@@ -830,9 +745,7 @@ impl KMeans {
     /// its cluster mean.
     fn finish_update(
         &self,
-        points: &[&SparseVec],
-        sq_norms: &[f64],
-        norms: &[f64],
+        batch: Batch,
         centroids: &mut Centroids,
         assignments: &mut [usize],
         sums: &mut ClusterSums,
@@ -840,13 +753,13 @@ impl KMeans {
         // Empty clusters adopt the point farthest from its centroid.
         for c in 0..self.k {
             if sums.counts[c] == 0 {
-                let far_idx = (0..points.len())
+                let far_idx = (0..batch.points.len())
                     .map(|i| {
                         let a = assignments[i];
                         let d_sq = self.point_centroid_dist_sq(
-                            points[i],
-                            sq_norms[i],
-                            norms[i],
+                            batch.points[i],
+                            batch.sq_norms[i],
+                            batch.norms[i],
                             &centroids.bufs[a],
                         );
                         (i, d_sq)
@@ -858,7 +771,7 @@ impl KMeans {
                 sums.counts[c] = 1;
                 let row = sums.row_mut(c);
                 row.fill(0.0);
-                for (t, v) in points[far_idx].iter() {
+                for (t, v) in batch.points[far_idx].iter() {
                     row[t as usize] = v;
                 }
                 // Note: the donor cluster keeps its stale sum this round;
@@ -896,15 +809,14 @@ impl KMeans {
     /// sweep is thread-count independent given the same centroids.
     fn assign_chunk(
         &self,
-        points: &[&SparseVec],
-        sq_norms: &[f64],
-        norms: &[f64],
+        batch: Batch,
         centroids: &Centroids,
         assignments: &mut [usize],
         d_sqs: &mut [f64],
     ) {
         #[cfg(test)]
         SWEEPS.with(|s| s.set(s.get() + 1));
+        let (points, sq_norms, norms) = (batch.points, batch.sq_norms, batch.norms);
         if self.fused() {
             self.assign_fused(points, sq_norms, norms, centroids, assignments, d_sqs);
         } else {

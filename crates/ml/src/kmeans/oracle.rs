@@ -467,6 +467,36 @@ fn a_converged_warm_start_costs_one_sweep_and_a_moved_point_two() {
 }
 
 #[test]
+fn a_warm_start_at_pool_scale_stays_on_the_calling_thread() {
+    // n·k at the pool threshold with two workers asked for: a cold fit
+    // fans out here, and a warm start must not.
+    let k = 4;
+    let mut rng = SmallRng::seed_from_u64(29);
+    let points = edge_points(&mut rng, PARALLEL_ASSIGN_THRESHOLD / k, 7);
+    let km = KMeans::new(k).seed(29);
+    let mut prev = km.clone().threads(2).run(&points).unwrap().assignments;
+    let n = prev.len();
+    for moved in [false, true] {
+        if moved {
+            prev[n / 2] = (prev[n / 2] + 1) % k;
+        }
+        let what = format!("moved={moved}");
+        let before = sweeps();
+        let pooled = km.clone().threads(2).fit_warm(&points, &prev).unwrap();
+        let made = sweeps() - before;
+        let single = km.clone().threads(1).fit_warm(&points, &prev).unwrap();
+        assert_same_fit(&pooled, &single, &what);
+        let (want, fixpoint) = reference_fit_warm(&km, &points, &prev);
+        assert_same_fit(&pooled, &want, &what);
+        assert_eq!(
+            made,
+            pooled.iterations + usize::from(!fixpoint),
+            "{what}: every sweep on the calling thread"
+        );
+    }
+}
+
+#[test]
 fn borrowed_points_give_the_same_fit_as_owned_ones() {
     let mut rng = SmallRng::seed_from_u64(11);
     let owned = edge_points(&mut rng, 50, 7);
