@@ -14,7 +14,7 @@
 //!
 //! `docs/CLUSTERING.md` documents the contract tier by tier.
 
-use fmeter_ir::{euclidean_distance, AnnGraph, SparseVec};
+use fmeter_ir::{euclidean_distance, AnnGraph, Metric, SparseVec};
 use fmeter_ml::metrics::adjusted_rand_index;
 use fmeter_ml::{Agglomerative, Linkage, SnnParams};
 use proptest::prelude::*;
@@ -160,6 +160,74 @@ fn snn_pruned_ari_vs_nn_chain_at_2k() {
     assert!(
         ari_vs_truth >= 0.95,
         "SNN agglomeration lost the planted classes: ARI {ari_vs_truth:.4}"
+    );
+}
+
+/// FNV-1a over a stream of 64-bit words.
+struct Fold(u64);
+
+impl Fold {
+    fn new() -> Self {
+        Fold(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// What the parent commit of the build-once graph computed for
+/// `golden_graph_and_snn_match_the_pinned_parent`.
+const GOLDEN_GRAPH_AND_SNN: u64 = 0x4dc7_401d_620d_cc47;
+
+#[test]
+fn golden_graph_and_snn_match_the_pinned_parent() {
+    // Everything the graph hands its callers, to the bit: every node's
+    // layer-0 list (what `fit_snn` harvests), `knn` ids and distances
+    // for a fixed probe set (what the benchmark's replay queries), and
+    // every `fit_snn` merge under two linkages and two metrics — the
+    // Cosine runs build their graph under Cosine.
+    let mut fold = Fold::new();
+    for (n, classes, band, nnz, seed) in [
+        (300usize, 10usize, 8usize, 5usize, 3u64),
+        (2000, 50, 12, 8, 7),
+    ] {
+        let (points, _) = class_corpus(n, classes, band, nnz, seed);
+        let graph = AnnGraph::build(points[0].dim(), &points).unwrap();
+        for i in 0..n {
+            let nbrs = graph.neighbors(i);
+            fold.word(nbrs.len() as u64);
+            for &j in nbrs {
+                fold.word(u64::from(j));
+            }
+        }
+        for p in points.iter().step_by(10) {
+            for (id, d) in graph.knn(p, 10, 64).unwrap() {
+                fold.word(id as u64);
+                fold.word(d.to_bits());
+            }
+        }
+        for linkage in [Linkage::Single, Linkage::Average] {
+            for metric in [Metric::Euclidean, Metric::Cosine] {
+                let tree = Agglomerative::new(linkage)
+                    .metric(metric)
+                    .fit_snn(&points, &SnnParams::default())
+                    .unwrap();
+                for m in tree.merges() {
+                    fold.word(m.left as u64);
+                    fold.word(m.right as u64);
+                    fold.word(m.size as u64);
+                    fold.word(m.distance.to_bits());
+                }
+            }
+        }
+    }
+    assert_eq!(
+        fold.0, GOLDEN_GRAPH_AND_SNN,
+        "graph or fit_snn no longer bit-identical to the pinned run: {:#018x}",
+        fold.0
     );
 }
 
