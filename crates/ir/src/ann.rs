@@ -1,14 +1,14 @@
 //! Approximate nearest-neighbour search over sparse signatures: a
-//! hierarchical navigable small-world (HNSW) graph.
+//! hierarchical navigable small-world (HNSW) graph, built once.
 //!
 //! The clustering stack needs k-NN lists for tens of thousands of
 //! signatures; computing them exactly is the O(n²) condensed-matrix
 //! wall this module exists to avoid. An [`AnnGraph`] keeps a stack of
-//! undirected proximity graphs over the inserted vectors: every node
+//! undirected proximity graphs over a fixed set of vectors: every node
 //! lives on layer 0, a geometrically thinning subset also lives on the
-//! layers above, and each node links to (up to) `max_degree` near
-//! neighbours per layer. A query descends greedily through the sparse
-//! upper layers — which provide the long-range routing between distant
+//! layers above, and each node links to (up to) `MAX_DEGREE` near
+//! neighbours per layer. A query descends through the sparse upper
+//! layers — which provide the long-range routing between distant
 //! regions of the space — and finishes with a best-first beam of width
 //! `ef` on layer 0, touching O(ef · degree) vectors instead of all n.
 //!
@@ -18,25 +18,21 @@
 //!   batch clustering paths use, so distance evaluations run the fused
 //!   merge-join kernels directly on row slices with no per-candidate
 //!   allocation.
-//! * **Incremental insert/remove.** Inserts attach a node to its
-//!   `ef_construction`-beam neighbourhood on every layer it occupies;
-//!   removals detach the node and re-link its former neighbours among
-//!   themselves, layer by layer, so the graph stays navigable next to a
-//!   streaming store. Row slots, like
-//!   [`InvertedIndex`](crate::InvertedIndex) doc ids, are never reused.
-//! * **Deterministic.** No randomness anywhere: a slot's layer count is
+//! * **Built once.** A graph comes into being over all of its points
+//!   in one term-blocked bulk load ([`AnnGraph::new`]) and is only
+//!   queried afterwards; node `i` is the `i`-th point.
+//! * **Deterministic.** No randomness anywhere: a node's layer count is
 //!   a fixed function of its id (a base-4 skip-list level, matching
 //!   HNSW's geometric distribution in expectation), and candidate order
-//!   is total (distance, then id), so the same insert sequence always
-//!   yields the same graph and the same query always returns the same
-//!   answer.
+//!   is total (distance, then id), so the same points always yield the
+//!   same graph and the same query always returns the same answer.
 //! * **Diversity-pruned edges.** Degree overflow is resolved with the
 //!   HNSW neighbour-selection heuristic rather than closest-first,
 //!   which keeps the bridge edges between far-apart clusters alive (see
 //!   [`select_diverse`](AnnGraph::select_diverse)).
 //!
 //! The graph answers *approximate* queries: recall is tuned by `ef`
-//! (searches) and `ef_construction`/`max_degree` (build quality). The
+//! (searches) and `ef_construction` (build quality). The
 //! exact-oracle contract — what is pinned against brute force and where
 //! approximation is allowed — is documented in `docs/CLUSTERING.md`.
 
@@ -48,13 +44,14 @@ use crate::matrix::CsrMatrix;
 use crate::sparse::SparseVec;
 use crate::{DocId, TermId};
 
-/// Default maximum degree of a node per layer (HNSW's `M`).
-pub const DEFAULT_MAX_DEGREE: usize = 16;
+/// Maximum degree of a node per layer (HNSW's `M`).
+const MAX_DEGREE: usize = 16;
 
-/// Default construction-time beam width (HNSW's `efConstruction`).
+/// Default construction-time candidate budget (HNSW's
+/// `efConstruction`), the one [`AnnGraph::build`] uses.
 pub const DEFAULT_EF_CONSTRUCTION: usize = 64;
 
-/// Hard cap on the layer stack (slot ids would need to reach 4^16
+/// Hard cap on the layer stack (node ids would need to reach 4^16
 /// before it binds).
 const MAX_LEVEL: usize = 16;
 
@@ -90,8 +87,8 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The deterministic level of slot `id`: the number of trailing base-4
-/// zeros of a mixed hash of the id. One slot in 4 reaches layer 1, one
+/// The deterministic level of node `id`: the number of trailing base-4
+/// zeros of a mixed hash of the id. One node in 4 reaches layer 1, one
 /// in 16 layer 2, and so on — the same geometric thinning HNSW draws
 /// from its RNG, replayable from the id alone. Hashing matters: a plain
 /// skip-list rule like `trailing_zeros(id + 1)` makes the level a
@@ -103,8 +100,8 @@ fn level_of(id: usize) -> usize {
     ((mix64(id as u64).trailing_zeros() / 2) as usize).min(MAX_LEVEL)
 }
 
-/// An incremental hierarchical navigable-small-world graph over sparse
-/// vectors.
+/// A hierarchical navigable-small-world graph over a fixed set of
+/// sparse vectors.
 ///
 /// The module-level docs above cover the design; `docs/CLUSTERING.md`
 /// has the accuracy contract. Typical use:
@@ -112,14 +109,12 @@ fn level_of(id: usize) -> usize {
 /// ```
 /// use fmeter_ir::{AnnGraph, SparseVec};
 ///
-/// let mut graph = AnnGraph::new(8);
-/// for v in [
+/// let points = [
 ///     SparseVec::from_pairs(8, [(0, 1.0)]).unwrap(),
 ///     SparseVec::from_pairs(8, [(1, 1.0)]).unwrap(),
 ///     SparseVec::from_pairs(8, [(0, 0.9), (1, 0.1)]).unwrap(),
-/// ] {
-///     graph.insert(&v).unwrap();
-/// }
+/// ];
+/// let graph = AnnGraph::build(8, &points).unwrap();
 /// let query = SparseVec::from_pairs(8, [(0, 1.0)]).unwrap();
 /// let hits = graph.knn(&query, 2, 16).unwrap();
 /// assert_eq!(hits[0].0, 0); // exact match ranks first
@@ -127,129 +122,81 @@ fn level_of(id: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct AnnGraph {
     metric: Metric,
-    max_degree: usize,
-    ef_construction: usize,
-    /// Row slot `i` stores the vector of node `i` (dead slots keep
-    /// their row — slots are never reused, mirroring the tombstone
-    /// contract of the inverted index).
+    /// Dimensionality of the space; `rows` cannot carry it when there
+    /// are no points.
+    dim: usize,
+    /// Row `i` stores the vector of node `i`.
     rows: CsrMatrix,
-    /// Per slot: one adjacency list per layer the slot occupies
-    /// (`layers[i].len() == level_of(i) + 1`); dead slots hold empty
-    /// lists on every layer.
+    /// Per node: one adjacency list per layer the node occupies
+    /// (`layers[i].len() == level_of(i) + 1`).
     layers: Vec<Vec<Vec<u32>>>,
-    live: Vec<bool>,
-    num_live: usize,
-    /// Searches start here (a live node of maximal level); repaired on
-    /// removal.
+    /// Searches start here: a node of maximal level, smallest id on
+    /// ties.
     entry: Option<u32>,
 }
 
 impl AnnGraph {
-    /// An empty graph over a `dim`-dimensional space with default
-    /// parameters ([`DEFAULT_MAX_DEGREE`], [`DEFAULT_EF_CONSTRUCTION`],
-    /// Euclidean distance).
-    pub fn new(dim: usize) -> Self {
-        AnnGraph {
-            metric: Metric::Euclidean,
-            max_degree: DEFAULT_MAX_DEGREE,
-            ef_construction: DEFAULT_EF_CONSTRUCTION,
-            rows: CsrMatrix::new(dim),
-            layers: Vec::new(),
-            live: Vec::new(),
-            num_live: 0,
-            entry: None,
-        }
-    }
-
-    /// Replaces the metric (builder style; call before inserting).
-    #[must_use]
-    pub fn metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Replaces the maximum per-layer node degree (clamped to at least 2).
-    #[must_use]
-    pub fn max_degree(mut self, max_degree: usize) -> Self {
-        self.max_degree = max_degree.max(2);
-        self
-    }
-
-    /// Replaces the construction-time beam width (clamped to at least 1).
-    #[must_use]
-    pub fn ef_construction(mut self, ef: usize) -> Self {
-        self.ef_construction = ef.max(1);
-        self
-    }
-
-    /// Builds a graph over `points` with [`extend`](Self::extend) —
-    /// the bulk-load path, with the same id assignment (and therefore
-    /// the same level schedule) as inserting in order.
+    /// Builds a graph over `points` with Euclidean distance and
+    /// [`DEFAULT_EF_CONSTRUCTION`] (see [`new`](Self::new)).
     ///
     /// # Errors
     ///
-    /// Propagates a dimension mismatch from any point.
+    /// Returns a dimension mismatch when any point is not
+    /// `dim`-dimensional.
     pub fn build(dim: usize, points: &[SparseVec]) -> Result<Self, IrError> {
-        let mut graph = AnnGraph::new(dim);
-        graph.extend(points)?;
-        Ok(graph)
+        AnnGraph::new(dim, points, Metric::Euclidean, DEFAULT_EF_CONSTRUCTION)
     }
 
-    /// Inserts `points` and returns their node ids (consecutive, in
-    /// order). On an empty graph this is the bulk-load path: candidate
-    /// neighbours per layer come from inverted-index term blocking —
-    /// postings over the members' terms (skipping near-ubiquitous
-    /// terms), shared-term counting, and exact-distance ranking of the
-    /// most-co-occurring candidates — instead of per-insert beam
+    /// Builds a graph over `points` in a `dim`-dimensional space under
+    /// `metric`; node `i` is `points[i]`.
+    ///
+    /// Candidate neighbours per layer come from inverted-index term
+    /// blocking — postings over the members' terms (skipping
+    /// near-ubiquitous terms), shared-term counting, and exact-distance
+    /// ranking of the `max(ef_construction, 2 · MAX_DEGREE)`
+    /// most-co-occurring candidates — instead of per-point beam
     /// searches. Sparse signatures that are near each other must share
-    /// terms, so blocking recovers the same neighbourhoods O(n · budget)
-    /// exact evaluations, where the per-insert beams cost an
-    /// ef_construction-wide search each; at 10k points bulk loading is
-    /// several times faster *and* links against exact local distances
-    /// rather than whatever an incremental beam happened to see. The
-    /// edges then go through the same diversity selection and
-    /// link/prune machinery as [`insert`](Self::insert), in id order,
-    /// so the result is deterministic and the graph remains fully
-    /// incremental afterwards. On a non-empty graph this falls back to
-    /// ordered inserts.
+    /// terms, so blocking recovers the same neighbourhoods with
+    /// O(n · budget) exact evaluations and links against exact local
+    /// distances. The edges then go through the diversity selection and
+    /// link/prune machinery in id order, so the result is
+    /// deterministic.
     ///
     /// # Errors
     ///
-    /// Returns a dimension mismatch when any point does not match the
-    /// graph's space (checked up front on the bulk path, where the
-    /// graph is unchanged on error).
-    pub fn extend(&mut self, points: &[SparseVec]) -> Result<Vec<DocId>, IrError> {
-        if self.num_slots() != 0 {
-            return points.iter().map(|p| self.insert(p)).collect();
-        }
+    /// Returns a dimension mismatch when any point is not
+    /// `dim`-dimensional.
+    pub fn new(
+        dim: usize,
+        points: &[SparseVec],
+        metric: Metric,
+        ef_construction: usize,
+    ) -> Result<Self, IrError> {
         for p in points {
-            if p.dim() != self.dim() {
+            if p.dim() != dim {
                 return Err(IrError::DimensionMismatch {
-                    left: self.dim(),
+                    left: dim,
                     right: p.dim(),
                 });
             }
         }
         let n = points.len();
-        let mut ids = Vec::with_capacity(n);
-        let mut top = 0;
-        for p in points {
-            let id = self.rows.push_row(p)?;
-            let level = level_of(id);
-            self.layers.push(vec![Vec::new(); level + 1]);
-            self.live.push(true);
-            top = top.max(level);
-            ids.push(id);
-        }
-        self.num_live = n;
-        // Entry: the live node of maximal level, smallest id on ties —
-        // the same rule `remove` re-establishes.
-        self.entry = (0..n)
-            .map(|d| d as u32)
-            .max_by_key(|&d| (self.layers[d as usize].len(), u32::MAX - d));
-        for layer in 0..=top {
+        let layers: Vec<Vec<Vec<u32>>> = (0..n)
+            .map(|id| vec![Vec::new(); level_of(id) + 1])
+            .collect();
+        let entry = (0..n as u32).max_by_key(|&d| (layers[d as usize].len(), u32::MAX - d));
+        let num_layers = layers.iter().map(Vec::len).max().unwrap_or(0);
+        let mut graph = AnnGraph {
+            metric,
+            dim,
+            rows: CsrMatrix::from_rows(points)?,
+            layers,
+            entry,
+        };
+        let budget = ef_construction.max(2 * MAX_DEGREE);
+        for layer in 0..num_layers {
             let members: Vec<u32> = (0..n as u32)
-                .filter(|&d| self.layers[d as usize].len() > layer)
+                .filter(|&d| graph.layers[d as usize].len() > layer)
                 .collect();
             if members.len() < 2 {
                 continue;
@@ -259,16 +206,15 @@ impl AnnGraph {
             // — an overflow would put a ~max-distance bridge through
             // the diversity prune, which usually evicts it and
             // re-fragments the layer.
-            let select = self.max_degree.saturating_sub(2).max(2);
-            let lists = self.block_candidates(&members);
+            let lists = graph.block_candidates(&members, budget);
             for (mi, ranked) in lists.into_iter().enumerate() {
-                for nb in self.select_diverse(&ranked, select, true) {
-                    self.link(members[mi], nb, layer);
+                for nb in graph.select_diverse(&ranked, MAX_DEGREE - 2, true) {
+                    graph.link(members[mi], nb, layer);
                 }
             }
-            self.bridge_layer(&members, layer);
+            graph.bridge_layer(&members, layer);
         }
-        Ok(ids)
+        Ok(graph)
     }
 
     /// Connects a bulk-loaded layer when blocking left it in multiple
@@ -291,7 +237,7 @@ impl AnnGraph {
             }
             x
         }
-        let mut pos = vec![u32::MAX; self.num_slots()];
+        let mut pos = vec![u32::MAX; self.len()];
         for (i, &d) in members.iter().enumerate() {
             pos[d as usize] = i as u32;
         }
@@ -333,7 +279,7 @@ impl AnnGraph {
                 .map(|pool| {
                     let (mut spare, full): (Vec<u32>, Vec<u32>) = pool
                         .into_iter()
-                        .partition(|&d| self.layers[d as usize][layer].len() < self.max_degree);
+                        .partition(|&d| self.layers[d as usize][layer].len() < MAX_DEGREE);
                     spare.extend(full);
                     spare
                 })
@@ -370,7 +316,7 @@ impl AnnGraph {
     /// degree cap, so a following [`link`](Self::link) cannot overflow
     /// and trigger the diversity prune.
     fn make_room(&mut self, x: u32, layer: usize, protected: &[(u32, u32)]) {
-        if self.layers[x as usize][layer].len() < self.max_degree {
+        if self.layers[x as usize][layer].len() < MAX_DEGREE {
             return;
         }
         let (t, v) = self.rows.row(x as usize);
@@ -400,15 +346,14 @@ impl AnnGraph {
     /// skipped as candidate sources (the stop-term move WAND makes):
     /// a term shared by most of the corpus carries no locality signal
     /// and would make the counting pass quadratic. Of the candidates
-    /// that share at least one surviving term, the
-    /// `max(ef_construction, 2 · max_degree)` with the highest shared
-    /// counts are ranked by exact distance (count ties broken by
-    /// member order, distance ties by id — fully deterministic).
-    fn block_candidates(&self, members: &[u32]) -> Vec<Vec<Cand>> {
+    /// that share at least one surviving term, the `budget` with the
+    /// highest shared counts are ranked by exact distance (count ties
+    /// broken by member order, distance ties by id — fully
+    /// deterministic).
+    fn block_candidates(&self, members: &[u32], budget: usize) -> Vec<Vec<Cand>> {
         let m = members.len();
         let cap = (m / 4).max(64);
-        let budget = self.ef_construction.max(2 * self.max_degree);
-        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); self.dim()];
+        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); self.dim];
         for (mi, &id) in members.iter().enumerate() {
             let (terms, _) = self.rows.row(id as usize);
             for &t in terms {
@@ -455,34 +400,24 @@ impl AnnGraph {
         lists
     }
 
-    /// Number of live nodes.
+    /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.num_live
-    }
-
-    /// Whether the graph holds no live node.
-    pub fn is_empty(&self) -> bool {
-        self.num_live == 0
-    }
-
-    /// Total slots ever allocated (live + removed).
-    pub fn num_slots(&self) -> usize {
         self.layers.len()
+    }
+
+    /// Whether the graph has no node.
+    pub fn is_empty(&self) -> bool {
+        self.layers.is_empty()
     }
 
     /// Dimensionality of the vector space.
     pub fn dim(&self) -> usize {
-        self.rows.dim()
+        self.dim
     }
 
-    /// Whether `node` names a live (inserted, not removed) node.
-    pub fn is_live(&self, node: DocId) -> bool {
-        self.live.get(node).copied().unwrap_or(false)
-    }
-
-    /// The layer-0 adjacency list of `node` (empty for dead or unknown
-    /// nodes). Every live node is on layer 0, so this is the
-    /// neighbourhood the final beam search walks.
+    /// The layer-0 adjacency list of `node` (empty for unknown nodes).
+    /// Every node is on layer 0, so this is the neighbourhood the final
+    /// beam search walks.
     pub fn neighbors(&self, node: DocId) -> &[u32] {
         self.layers
             .get(node)
@@ -491,148 +426,8 @@ impl AnnGraph {
             .unwrap_or(&[])
     }
 
-    /// The number of layers `node` occupies (0 for unknown slots; dead
-    /// slots keep their layer count — only their edges are gone).
-    pub fn num_layers_of(&self, node: DocId) -> usize {
-        self.layers.get(node).map(Vec::len).unwrap_or(0)
-    }
-
-    /// The adjacency list of `node` on `layer` (empty when the node is
-    /// dead, unknown, or does not reach that layer). Layer 0 is
-    /// [`neighbors`](Self::neighbors); higher layers expose the routing
-    /// hierarchy for diagnostics and stats.
-    pub fn layer_neighbors(&self, node: DocId, layer: usize) -> &[u32] {
-        self.layers
-            .get(node)
-            .and_then(|l| l.get(layer))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// The stored vector of a node (dead slots still answer — the row
-    /// is retained, only the graph linkage is gone).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::DocNotLive`] for out-of-range slots.
-    pub fn vector(&self, node: DocId) -> Result<SparseVec, IrError> {
-        if node >= self.num_slots() {
-            return Err(IrError::DocNotLive(node));
-        }
-        Ok(self.rows.row_to_sparse(node))
-    }
-
-    /// Inserts a vector, links it into every layer it occupies, and
-    /// returns its node id (the next free slot).
-    ///
-    /// Cost is one greedy descent plus one `ef_construction`-beam
-    /// search per occupied layer — O(ef · degree) distance evaluations,
-    /// independent of n.
-    ///
-    /// # Errors
-    ///
-    /// Returns a dimension mismatch when `v` does not match the graph's
-    /// space.
-    pub fn insert(&mut self, v: &SparseVec) -> Result<DocId, IrError> {
-        let id = self.rows.push_row(v)?;
-        let level = level_of(id);
-        self.layers.push(vec![Vec::new(); level + 1]);
-        self.live.push(true);
-        self.num_live += 1;
-        let Some((start, top)) = self.start_node(Some(id as u32)) else {
-            // First live node: it is the whole graph.
-            self.entry = Some(id as u32);
-            return Ok(id);
-        };
-        // Beam descent through the layers above the new node's level.
-        // Carrying the whole beam (not just the greedy best) between
-        // layers is what keeps routing reliable when clusters are
-        // mutually orthogonal: with no distance gradient between them, a
-        // single-entry greedy walk stalls in whatever cluster it starts
-        // in, while a beam keeps several regions in play.
-        let mut entries = vec![start];
-        for l in ((level + 1)..=top).rev() {
-            entries = self
-                .search_layer(
-                    v.terms(),
-                    v.values(),
-                    self.ef_construction,
-                    Some(id as u32),
-                    &entries,
-                    l,
-                )
-                .into_iter()
-                .map(|c| c.node)
-                .collect();
-        }
-        // Beam-link on every shared layer, top-down; the beam at each
-        // layer seeds the next one (every member also lives below).
-        for l in (0..=level.min(top)).rev() {
-            let beam = self.search_layer(
-                v.terms(),
-                v.values(),
-                self.ef_construction,
-                Some(id as u32),
-                &entries,
-                l,
-            );
-            let chosen = self.select_diverse(&beam, self.max_degree, true);
-            for &nb in &chosen {
-                self.link(id as u32, nb, l);
-            }
-            entries = beam.into_iter().map(|c| c.node).collect();
-        }
-        if level > top {
-            self.entry = Some(id as u32);
-        }
-        Ok(id)
-    }
-
-    /// Removes a node: detaches it on every layer and re-links its
-    /// former neighbours among themselves so each layer stays locally
-    /// connected.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::DocNotLive`] when `node` was never inserted
-    /// or is already removed.
-    pub fn remove(&mut self, node: DocId) -> Result<(), IrError> {
-        if !self.is_live(node) {
-            return Err(IrError::DocNotLive(node));
-        }
-        self.live[node] = false;
-        self.num_live -= 1;
-        for l in 0..self.layers[node].len() {
-            let orphans = std::mem::take(&mut self.layers[node][l]);
-            for &nb in &orphans {
-                self.layers[nb as usize][l].retain(|&x| x as usize != node);
-            }
-            // Re-link the orphaned neighbourhood pairwise (degree-capped):
-            // the removed node may have been the only bridge between them.
-            for (i, &a) in orphans.iter().enumerate() {
-                for &b in &orphans[i + 1..] {
-                    if self.layers[a as usize][l].len() < self.max_degree
-                        && self.layers[b as usize][l].len() < self.max_degree
-                        && !self.layers[a as usize][l].contains(&b)
-                    {
-                        self.link(a, b, l);
-                    }
-                }
-            }
-        }
-        if self.entry == Some(node as u32) {
-            // New entry: the live node of maximal level (smallest id on
-            // ties) — deterministic, and always the top of the stack.
-            self.entry = (0..self.layers.len())
-                .filter(|&d| self.live[d])
-                .max_by_key(|&d| (self.layers[d].len(), usize::MAX - d))
-                .map(|d| d as u32);
-        }
-        Ok(())
-    }
-
-    /// The `k` (approximate) nearest live nodes to `query`, searched
-    /// with beam width `ef` (clamped to at least `k`). Returns
+    /// The `k` (approximate) nearest nodes to `query`, searched with
+    /// beam width `ef` (clamped to at least `k`). Returns
     /// `(node, distance)` sorted by ascending distance, ties by id.
     ///
     /// # Errors
@@ -645,39 +440,14 @@ impl AnnGraph {
         k: usize,
         ef: usize,
     ) -> Result<Vec<(DocId, f64)>, IrError> {
-        if query.dim() != self.dim() {
+        if query.dim() != self.dim {
             return Err(IrError::DimensionMismatch {
-                left: self.dim(),
+                left: self.dim,
                 right: query.dim(),
             });
         }
         Ok(self
-            .search(query.terms(), query.values(), ef.max(k).max(1), None)
-            .into_iter()
-            .take(k)
-            .map(|c| (c.node as DocId, c.dist))
-            .collect())
-    }
-
-    /// The `k` (approximate) nearest live nodes to stored node `node`,
-    /// excluding the node itself — the k-NN-list primitive the
-    /// shared-nearest-neighbour clustering path consumes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::DocNotLive`] when `node` is not live.
-    pub fn knn_of(&self, node: DocId, k: usize, ef: usize) -> Result<Vec<(DocId, f64)>, IrError> {
-        if !self.is_live(node) {
-            return Err(IrError::DocNotLive(node));
-        }
-        let (terms, values) = self.rows.row(node);
-        Ok(self
-            .search(
-                terms,
-                values,
-                ef.max(k.saturating_add(1)).max(2),
-                Some(node as u32),
-            )
+            .search(query.terms(), query.values(), ef.max(k).max(1))
             .into_iter()
             .take(k)
             .map(|c| (c.node as DocId, c.dist))
@@ -686,64 +456,39 @@ impl AnnGraph {
 
     /// The full HNSW query: an `ef`-beam descent from the entry point's
     /// top layer down to layer 0, each layer's beam seeding the next.
-    /// (Classic HNSW descends greedily with a width-1 beam; the full
-    /// width costs little on the geometrically small upper layers and
-    /// is far more robust between well-separated clusters — see the
-    /// matching comment in [`insert`](Self::insert).)
-    fn search(
-        &self,
-        q_terms: &[TermId],
-        q_values: &[f64],
-        ef: usize,
-        exclude: Option<u32>,
-    ) -> Vec<Cand> {
-        let Some((start, top)) = self.start_node(exclude) else {
+    /// Classic HNSW descends greedily with a width-1 beam. Carrying the
+    /// whole beam costs little on the geometrically small upper layers
+    /// and is what keeps routing reliable when clusters are mutually
+    /// orthogonal: with no distance gradient between them, a
+    /// single-entry greedy walk stalls in whatever cluster it starts
+    /// in, while a beam keeps several regions in play.
+    fn search(&self, q_terms: &[TermId], q_values: &[f64], ef: usize) -> Vec<Cand> {
+        let Some(start) = self.entry else {
             return Vec::new();
         };
         let mut entries = vec![start];
-        for l in (1..=top).rev() {
+        for l in (1..self.layers[start as usize].len()).rev() {
             entries = self
-                .search_layer(q_terms, q_values, ef, exclude, &entries, l)
+                .search_layer(q_terms, q_values, ef, &entries, l)
                 .into_iter()
                 .map(|c| c.node)
                 .collect();
         }
-        self.search_layer(q_terms, q_values, ef, exclude, &entries, 0)
-    }
-
-    /// The search entry: the stored entry pointer when usable, else the
-    /// live non-excluded node of maximal level. Returns `(node, its top
-    /// layer)`, or `None` when no eligible node exists.
-    fn start_node(&self, exclude: Option<u32>) -> Option<(u32, usize)> {
-        if let Some(e) = self.entry {
-            if Some(e) != exclude && self.live[e as usize] {
-                return Some((e, self.layers[e as usize].len() - 1));
-            }
-        }
-        (0..self.layers.len())
-            .filter(|&d| self.live[d] && Some(d as u32) != exclude)
-            .max_by_key(|&d| (self.layers[d].len(), usize::MAX - d))
-            .map(|d| (d as u32, self.layers[d].len() - 1))
+        self.search_layer(q_terms, q_values, ef, &entries, 0)
     }
 
     /// Best-first beam search within one layer: the classic HNSW layer
-    /// search, seeded from `starts` (live, on `layer`, not excluded,
-    /// non-empty). Returns up to `ef` live candidates sorted by
-    /// ascending `(distance, id)`; `exclude` (the node being inserted,
-    /// or the query node itself) never appears.
+    /// search, seeded from `starts` (on `layer`, non-empty). Returns up
+    /// to `ef` candidates sorted by ascending `(distance, id)`.
     fn search_layer(
         &self,
         q_terms: &[TermId],
         q_values: &[f64],
         ef: usize,
-        exclude: Option<u32>,
         starts: &[u32],
         layer: usize,
     ) -> Vec<Cand> {
         let mut visited = vec![false; self.layers.len()];
-        if let Some(x) = exclude {
-            visited[x as usize] = true;
-        }
         // `frontier` is a min-heap of nodes to expand; `best` a max-heap
         // of the `ef` closest results so far.
         let mut frontier: BinaryHeap<std::cmp::Reverse<Cand>> = BinaryHeap::new();
@@ -801,20 +546,20 @@ impl AnnGraph {
     }
 
     /// Adds the undirected edge `(a, b)` on `layer`, pruning either
-    /// endpoint back to `max_degree` when it overflows.
+    /// endpoint back to `MAX_DEGREE` when it overflows.
     fn link(&mut self, a: u32, b: u32, layer: usize) {
         debug_assert_ne!(a, b);
         for (x, y) in [(a, b), (b, a)] {
             if !self.layers[x as usize][layer].contains(&y) {
                 self.layers[x as usize][layer].push(y);
-                if self.layers[x as usize][layer].len() > self.max_degree {
+                if self.layers[x as usize][layer].len() > MAX_DEGREE {
                     self.prune(x, layer);
                 }
             }
         }
     }
 
-    /// Prunes `x` back to `max_degree` neighbours on `layer` with the
+    /// Prunes `x` back to `MAX_DEGREE` neighbours on `layer` with the
     /// diversity heuristic, dropping the reverse edges of everything
     /// pruned away.
     ///
@@ -838,7 +583,7 @@ impl AnnGraph {
             })
             .collect();
         ranked.sort_unstable();
-        let mut kept = self.select_diverse(&ranked, self.max_degree, false);
+        let mut kept = self.select_diverse(&ranked, MAX_DEGREE, false);
         // Degree floor: never drop an edge that is the other endpoint's
         // last one on this layer — that would strand the neighbour in a
         // place no beam search can reach. When the list is full, the
@@ -847,7 +592,7 @@ impl AnnGraph {
             if kept.contains(&c.node) || self.layers[c.node as usize][layer].len() > 1 {
                 continue;
             }
-            if kept.len() < self.max_degree {
+            if kept.len() < MAX_DEGREE {
                 kept.push(c.node);
             } else if let Some(victim) = kept
                 .iter()
@@ -871,13 +616,13 @@ impl AnnGraph {
     /// it is closer to the pivot than to every neighbour already kept.
     ///
     /// Closest-only selection fragments clustered data — once a tight
-    /// cluster exceeds `max_degree` every edge is intra-cluster, the
+    /// cluster exceeds `MAX_DEGREE` every edge is intra-cluster, the
     /// bridges between clusters get pruned away, and a beam search can
     /// no longer navigate between them. Requiring each kept edge to
     /// cover a *direction* no earlier edge covers retains exactly those
     /// long-range links.
     ///
-    /// With `fill` (insert-time selection, HNSW's
+    /// With `fill` (link-time selection, HNSW's
     /// `keepPrunedConnections`) remaining capacity is topped up with the
     /// closest skipped candidates so a fresh node starts well connected.
     /// Hard pruning passes must NOT fill — see [`prune`](Self::prune).
@@ -935,15 +680,14 @@ mod tests {
 
     #[test]
     fn empty_graph_answers_empty() {
-        let graph = AnnGraph::new(4);
+        let graph = AnnGraph::build(4, &[]).unwrap();
         assert!(graph.is_empty());
         assert_eq!(graph.knn(&unit(4, 0), 3, 16).unwrap(), vec![]);
     }
 
     #[test]
     fn knn_dimension_mismatch_is_rejected() {
-        let mut graph = AnnGraph::new(4);
-        graph.insert(&unit(4, 0)).unwrap();
+        let graph = AnnGraph::build(4, &[unit(4, 0)]).unwrap();
         assert!(matches!(
             graph.knn(&unit(8, 0), 1, 4),
             Err(IrError::DimensionMismatch { left: 4, right: 8 })
@@ -956,7 +700,7 @@ mod tests {
         for id in 0..64 {
             assert_eq!(level_of(id), level_of(id));
         }
-        // Roughly one slot in 4 reaches layer 1 (binomial around 250).
+        // Roughly one node in 4 reaches layer 1 (binomial around 250).
         let l1 = (0..1000).filter(|&i| level_of(i) >= 1).count();
         assert!((200..300).contains(&l1), "layer-1 fraction off: {l1}/1000");
         // And the level must NOT be a simple periodic function of the
@@ -980,105 +724,5 @@ mod tests {
         assert!(hits[0].1.abs() < 1e-12);
         let ids: Vec<usize> = hits.iter().map(|h| h.0).collect();
         assert!(ids.contains(&6) || ids.contains(&8));
-    }
-
-    #[test]
-    fn knn_of_excludes_self() {
-        let pts = line_points(10, 4);
-        let graph = AnnGraph::build(4, &pts).unwrap();
-        let hits = graph.knn_of(4, 3, 64).unwrap();
-        assert!(hits.iter().all(|h| h.0 != 4));
-        assert!(hits.iter().any(|h| h.0 == 3 || h.0 == 5));
-    }
-
-    #[test]
-    fn removal_detaches_and_relinks() {
-        let pts = line_points(12, 4);
-        let mut graph = AnnGraph::build(4, &pts).unwrap();
-        graph.remove(5).unwrap();
-        assert!(!graph.is_live(5));
-        assert_eq!(graph.len(), 11);
-        assert!(graph.neighbors(5).is_empty());
-        for d in 0..graph.num_slots() {
-            assert!(!graph.neighbors(d).contains(&5));
-        }
-        // Dead nodes never surface in results.
-        let hits = graph.knn(&pts[5], 12, 64).unwrap();
-        assert!(hits.iter().all(|h| h.0 != 5));
-        assert!(matches!(graph.remove(5), Err(IrError::DocNotLive(5))));
-    }
-
-    #[test]
-    fn edges_stay_symmetric_and_degree_bounded() {
-        let pts = line_points(60, 4);
-        let mut graph = AnnGraph::new(4).max_degree(4);
-        for p in &pts {
-            graph.insert(p).unwrap();
-        }
-        for d in [3usize, 17, 40] {
-            graph.remove(d).unwrap();
-        }
-        for a in 0..graph.num_slots() {
-            assert!(graph.neighbors(a).len() <= 4);
-            for &b in graph.neighbors(a) {
-                assert!(graph.is_live(a) && graph.is_live(b as usize));
-                assert!(graph.neighbors(b as usize).contains(&(a as u32)));
-            }
-        }
-    }
-
-    #[test]
-    fn upper_layers_stay_consistent_too() {
-        let pts = line_points(80, 4);
-        let mut graph = AnnGraph::new(4).max_degree(4);
-        for p in &pts {
-            graph.insert(p).unwrap();
-        }
-        for d in [3usize, 15, 19, 40] {
-            graph.remove(d).unwrap();
-        }
-        for a in 0..graph.num_slots() {
-            for (l, nbrs) in graph.layers[a].iter().enumerate() {
-                assert!(nbrs.len() <= 4, "layer {l} degree bound at {a}");
-                if !graph.is_live(a) {
-                    assert!(nbrs.is_empty());
-                    continue;
-                }
-                for &b in nbrs {
-                    assert!(graph.is_live(b as usize), "dead neighbour on layer {l}");
-                    assert!(
-                        graph.layers[b as usize][l].contains(&(a as u32)),
-                        "asymmetric layer-{l} edge {a}->{b}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn entry_point_survives_removal() {
-        let pts = line_points(8, 4);
-        let mut graph = AnnGraph::build(4, &pts).unwrap();
-        // The entry is the highest-level node; removing it must repair
-        // the pointer and keep searches working.
-        let top = (0..8).max_by_key(|&d| graph.num_layers_of(d)).unwrap();
-        graph.remove(top).unwrap();
-        let probe = if top == 1 { 2 } else { 1 };
-        let hits = graph.knn(&pts[probe], 3, 32).unwrap();
-        assert_eq!(hits[0].0, probe);
-    }
-
-    #[test]
-    fn remove_everything_then_reinsert() {
-        let pts = line_points(6, 4);
-        let mut graph = AnnGraph::build(4, &pts).unwrap();
-        for d in 0..6 {
-            graph.remove(d).unwrap();
-        }
-        assert!(graph.is_empty());
-        assert_eq!(graph.knn(&pts[0], 2, 8).unwrap(), vec![]);
-        let id = graph.insert(&pts[2]).unwrap();
-        assert_eq!(id, 6, "slots are never reused");
-        assert_eq!(graph.knn(&pts[2], 1, 8).unwrap()[0].0, 6);
     }
 }

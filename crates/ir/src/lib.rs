@@ -20,10 +20,10 @@
 //!   a cached estimator, one-pass idf refits),
 //! * [`SparseVec`] and the fused [`Metric`] distance kernels, plus the
 //!   packed [`CsrMatrix`] corpus layout the batch/clustering paths use,
-//! * [`AnnGraph`] — an incremental navigable-small-world graph whose
-//!   `knn(query, k, ef)` beam search feeds sub-quadratic clustering and
-//!   approximate retrieval with candidate lists in O(ef · degree)
-//!   distance evaluations,
+//! * [`AnnGraph`] — a navigable-small-world graph, built once over a
+//!   corpus, whose layer-0 adjacency feeds sub-quadratic clustering and
+//!   whose `knn(query, k, ef)` beam search answers approximate k-NN
+//!   queries in O(ef · degree) distance evaluations,
 //! * [`InvertedIndex`] — the postings search structure with
 //!   tombstone-aware removal, posting rebuilds, and a pruned early-exit
 //!   top-k that is bit-identical to the exhaustive scan (§2.2's
@@ -66,7 +66,7 @@ mod shared;
 mod sparse;
 mod tfidf;
 
-pub use ann::{AnnGraph, DEFAULT_EF_CONSTRUCTION, DEFAULT_MAX_DEGREE};
+pub use ann::{AnnGraph, DEFAULT_EF_CONSTRUCTION};
 pub use codec::{BinCodec, CodecError};
 pub use corpus::{Corpus, TermCounts};
 pub use distance::{

@@ -8,8 +8,6 @@
 //! row at construction so cosine similarity and the K-means norm trick
 //! never recompute them.
 
-use serde::{Deserialize, Serialize, Value};
-
 use crate::distance::{cosine_similarity_with_norms, sq_norm};
 use crate::{IrError, Metric, SparseVec, TermId};
 
@@ -39,7 +37,7 @@ const PARALLEL_PAIR_THRESHOLD: usize = 4096;
 /// let d = m.pairwise_condensed(Metric::Euclidean).unwrap();
 /// assert!((d[0] - 5.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     dim: usize,
     indptr: Vec<usize>,
@@ -49,50 +47,7 @@ pub struct CsrMatrix {
     sq_norms: Vec<f64>,
 }
 
-// Serde surface for packed corpora (nothing in the SignatureDb envelope
-// embeds a CsrMatrix today — this is for callers persisting their own
-// matrix artifacts). Implemented by hand so (a) the cached norms stay
-// out of the serialized layout (they are derived data, recomputed on
-// load) and (b) deserialization routes through `from_raw_parts`, whose
-// invariant checks turn a corrupted or hand-edited payload into an
-// error instead of a kernel that indexes out of bounds.
-impl Serialize for CsrMatrix {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("dim".to_string(), self.dim.to_value()),
-            ("indptr".to_string(), self.indptr.to_value()),
-            ("indices".to_string(), self.indices.to_value()),
-            ("values".to_string(), self.values.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for CsrMatrix {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let dim = usize::from_value(v.get_field("dim")?)?;
-        let indptr = Vec::from_value(v.get_field("indptr")?)?;
-        let indices = Vec::from_value(v.get_field("indices")?)?;
-        let values = Vec::from_value(v.get_field("values")?)?;
-        CsrMatrix::from_raw_parts(dim, indptr, indices, values)
-            .map_err(|e| serde::Error(format!("invalid CsrMatrix: {e}")))
-    }
-}
-
 impl CsrMatrix {
-    /// An empty matrix over a fixed `dim`-dimensional space, grown one
-    /// row at a time with [`push_row`](Self::push_row) — the streaming
-    /// counterpart of [`from_rows`](Self::from_rows).
-    pub fn new(dim: usize) -> Self {
-        CsrMatrix {
-            dim,
-            indptr: vec![0],
-            indices: Vec::new(),
-            values: Vec::new(),
-            norms: Vec::new(),
-            sq_norms: Vec::new(),
-        }
-    }
-
     /// Packs a slice of sparse vectors into one CSR buffer.
     ///
     /// An empty slice yields an empty matrix of dimension zero.
@@ -132,103 +87,6 @@ impl CsrMatrix {
             norms,
             sq_norms,
         })
-    }
-
-    /// Builds a matrix from raw CSR parts (e.g. assembled directly,
-    /// without intermediate [`SparseVec`]s). Norms are computed here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::TermOutOfRange`] when an index is `>= dim` and
-    /// [`IrError::DimensionMismatch`] when the parts are inconsistent
-    /// (`indptr` not monotone from 0 to `indices.len()`, `indices` and
-    /// `values` lengths differ, or a row's terms are not strictly
-    /// increasing).
-    pub fn from_raw_parts(
-        dim: usize,
-        indptr: Vec<usize>,
-        indices: Vec<TermId>,
-        values: Vec<f64>,
-    ) -> Result<Self, IrError> {
-        let shape_err = IrError::DimensionMismatch {
-            left: indices.len(),
-            right: values.len(),
-        };
-        if indices.len() != values.len() {
-            return Err(shape_err);
-        }
-        if indptr.first() != Some(&0) || indptr.last() != Some(&indices.len()) {
-            return Err(shape_err);
-        }
-        for w in indptr.windows(2) {
-            // Bound-check before slicing: a non-monotone indptr whose
-            // middle value overshoots indices.len() must error, not panic.
-            if w[0] > w[1] || w[1] > indices.len() {
-                return Err(shape_err);
-            }
-            let row = &indices[w[0]..w[1]];
-            for pair in row.windows(2) {
-                if pair[0] >= pair[1] {
-                    return Err(shape_err);
-                }
-            }
-            if let Some(&t) = row.last() {
-                if t as usize >= dim {
-                    return Err(IrError::TermOutOfRange { term: t, dim });
-                }
-            }
-        }
-        let rows = indptr.len() - 1;
-        let mut norms = Vec::with_capacity(rows);
-        let mut sq_norms = Vec::with_capacity(rows);
-        for w in indptr.windows(2) {
-            let sq = sq_norm(&values[w[0]..w[1]]);
-            sq_norms.push(sq);
-            norms.push(sq.sqrt());
-        }
-        Ok(CsrMatrix {
-            dim,
-            indptr,
-            indices,
-            values,
-            norms,
-            sq_norms,
-        })
-    }
-
-    /// Appends one row to the matrix, returning its row index — the
-    /// streaming-ingest path: a daemon can keep a packed corpus matrix
-    /// current as signatures arrive, instead of re-packing all rows
-    /// before every re-clustering pass. Norms are cached exactly as the
-    /// batch constructors do.
-    ///
-    /// An empty matrix (dimension zero, no rows) adopts the first pushed
-    /// row's dimension.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::DimensionMismatch`] when the row's dimension
-    /// differs from the matrix's.
-    pub fn push_row(&mut self, row: &SparseVec) -> Result<usize, IrError> {
-        if self.is_empty() && self.nnz() == 0 && self.dim == 0 {
-            self.dim = row.dim();
-            if self.indptr.is_empty() {
-                self.indptr.push(0);
-            }
-        }
-        if row.dim() != self.dim {
-            return Err(IrError::DimensionMismatch {
-                left: self.dim,
-                right: row.dim(),
-            });
-        }
-        self.indices.extend_from_slice(row.terms());
-        self.values.extend_from_slice(row.values());
-        self.indptr.push(self.indices.len());
-        let sq = sq_norm(row.values());
-        self.sq_norms.push(sq);
-        self.norms.push(sq.sqrt());
-        Ok(self.len() - 1)
     }
 
     /// Number of rows (documents).
@@ -290,20 +148,6 @@ impl CsrMatrix {
             .expect("CSR terms are in range")
     }
 
-    /// Distance between rows `i` and `j` under `metric`, allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::InvalidOrder`] for a Minkowski order `p < 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` or `j` is out of range.
-    pub fn row_distance(&self, i: usize, j: usize, metric: Metric) -> Result<f64, IrError> {
-        metric.validate()?;
-        Ok(self.row_distance_unchecked(i, j, metric))
-    }
-
     #[inline]
     fn row_distance_unchecked(&self, i: usize, j: usize, metric: Metric) -> f64 {
         let (at, av) = self.row(i);
@@ -330,29 +174,12 @@ impl CsrMatrix {
     ///
     /// Returns [`IrError::InvalidOrder`] for a Minkowski order `p < 1`.
     pub fn pairwise_condensed(&self, metric: Metric) -> Result<Vec<f64>, IrError> {
-        let mut out = Vec::new();
-        self.pairwise_condensed_into(metric, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`pairwise_condensed`](Self::pairwise_condensed) but reuses
-    /// `out`'s allocation across calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::InvalidOrder`] for a Minkowski order `p < 1`.
-    pub fn pairwise_condensed_into(
-        &self,
-        metric: Metric,
-        out: &mut Vec<f64>,
-    ) -> Result<(), IrError> {
         metric.validate()?;
         let n = self.len();
         let pairs = n * n.saturating_sub(1) / 2;
-        out.clear();
-        out.resize(pairs, 0.0);
+        let mut out = vec![0.0; pairs];
         if pairs == 0 {
-            return Ok(());
+            return Ok(out);
         }
         let threads = if pairs >= PARALLEL_PAIR_THRESHOLD {
             std::thread::available_parallelism()
@@ -388,7 +215,7 @@ impl CsrMatrix {
                     }
                 }
             }
-            return Ok(());
+            return Ok(out);
         }
         // Chop the condensed buffer into per-row slices (row i owns the
         // n-1-i distances to rows i+1..n) and deal rows round-robin so
@@ -430,7 +257,7 @@ impl CsrMatrix {
                 });
             }
         });
-        Ok(())
+        Ok(out)
     }
 
     /// Writes row `i`'s values into the dense scratch (support only).
@@ -504,43 +331,6 @@ impl CsrMatrix {
 
 #[cfg(test)]
 mod tests {
-    mod serde_surface {
-        use crate::{CsrMatrix, SparseVec};
-
-        #[test]
-        fn round_trips_and_recomputes_norms() {
-            let rows = vec![
-                SparseVec::from_pairs(6, [(0, 3.0), (4, 4.0)]).unwrap(),
-                SparseVec::zeros(6),
-                SparseVec::from_pairs(6, [(2, -1.5)]).unwrap(),
-            ];
-            let m = CsrMatrix::from_rows(&rows).unwrap();
-            let json = serde_json::to_string(&m).unwrap();
-            // Derived data (norms) stays out of the persisted layout.
-            assert!(!json.contains("norms"));
-            let restored: CsrMatrix = serde_json::from_str(&json).unwrap();
-            assert_eq!(restored, m);
-            assert!((restored.norm(0) - 5.0).abs() < 1e-12);
-            assert_eq!(restored.norm(1), 0.0);
-        }
-
-        #[test]
-        fn rejects_corrupted_layout() {
-            // indptr not monotone / out of bounds must error, not panic.
-            for bad in [
-                r#"{"dim":4,"indptr":[0,5],"indices":[1],"values":[1.0]}"#,
-                r#"{"dim":4,"indptr":[0,1],"indices":[9],"values":[1.0]}"#,
-                r#"{"dim":4,"indptr":[0,2],"indices":[2,1],"values":[1.0,2.0]}"#,
-                r#"{"dim":4,"indptr":[0,1],"indices":[1,2],"values":[1.0]}"#,
-            ] {
-                assert!(
-                    serde_json::from_str::<CsrMatrix>(bad).is_err(),
-                    "accepted corrupt matrix {bad}"
-                );
-            }
-        }
-    }
-
     use super::*;
     use crate::euclidean_distance;
 
@@ -566,32 +356,6 @@ mod tests {
             assert!((m.norm(i) - r.norm_l2()).abs() < 1e-15);
             assert!((m.sq_norm(i) - r.norm_l2() * r.norm_l2()).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn push_row_matches_batch_construction() {
-        let rs = rows();
-        let batch = CsrMatrix::from_rows(&rs).unwrap();
-        let mut incremental = CsrMatrix::from_rows(&rs[..2]).unwrap();
-        assert_eq!(incremental.push_row(&rs[2]).unwrap(), 2);
-        assert_eq!(incremental.push_row(&rs[3]).unwrap(), 3);
-        assert_eq!(incremental, batch);
-        // Growing from empty adopts the first row's dimension.
-        let mut from_empty = CsrMatrix::from_rows(&[]).unwrap();
-        for (i, r) in rs.iter().enumerate() {
-            assert_eq!(from_empty.push_row(r).unwrap(), i);
-        }
-        assert_eq!(from_empty, batch);
-        let mut from_default = CsrMatrix::default();
-        for r in &rs {
-            from_default.push_row(r).unwrap();
-        }
-        assert_eq!(from_default, batch);
-        // Dimension mismatches are rejected once the dimension is set.
-        assert!(matches!(
-            from_empty.push_row(&SparseVec::zeros(5)),
-            Err(IrError::DimensionMismatch { left: 8, right: 5 })
-        ));
     }
 
     #[test]
@@ -630,8 +394,6 @@ mod tests {
                         (got - expected).abs() < 1e-12,
                         "{metric:?} ({i},{j}): {got} vs {expected}"
                     );
-                    let direct = m.row_distance(i, j, metric).unwrap();
-                    assert!((direct - expected).abs() < 1e-12);
                 }
             }
         }
@@ -676,41 +438,11 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_into_reuses_buffer_and_rejects_bad_order() {
+    fn pairwise_rejects_bad_order() {
         let m = CsrMatrix::from_rows(&rows()).unwrap();
-        let mut buf = vec![99.0; 2];
-        m.pairwise_condensed_into(Metric::Manhattan, &mut buf)
-            .unwrap();
-        assert_eq!(buf.len(), 6);
         assert!(matches!(
             m.pairwise_condensed(Metric::Minkowski(0.5)),
             Err(IrError::InvalidOrder(_))
-        ));
-    }
-
-    #[test]
-    fn from_raw_parts_validates() {
-        // Valid two-row matrix.
-        let m = CsrMatrix::from_raw_parts(4, vec![0, 2, 3], vec![0, 2, 1], vec![1.0, 2.0, 3.0])
-            .unwrap();
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.row(0), (&[0u32, 2][..], &[1.0, 2.0][..]));
-        // Length mismatch.
-        assert!(CsrMatrix::from_raw_parts(4, vec![0, 1], vec![0], vec![]).is_err());
-        // Non-monotone indptr.
-        assert!(CsrMatrix::from_raw_parts(4, vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0]).is_err());
-        // Non-monotone indptr whose middle value overshoots indices.len()
-        // (regression: used to panic on the row slice instead of erroring).
-        assert!(
-            CsrMatrix::from_raw_parts(4, vec![0, 5, 3], vec![0, 1, 2], vec![1.0, 1.0, 1.0])
-                .is_err()
-        );
-        // Unsorted row.
-        assert!(CsrMatrix::from_raw_parts(4, vec![0, 2], vec![2, 0], vec![1.0, 1.0]).is_err());
-        // Term out of range.
-        assert!(matches!(
-            CsrMatrix::from_raw_parts(2, vec![0, 1], vec![5], vec![1.0]),
-            Err(IrError::TermOutOfRange { term: 5, dim: 2 })
         ));
     }
 

@@ -47,35 +47,30 @@ pub struct Dendrogram {
     merges: Vec<Merge>,
 }
 
-/// Tuning knobs for the locality-pruned agglomeration of
+/// Tuning knob for the locality-pruned agglomeration of
 /// [`Agglomerative::fit_snn`].
 ///
 /// The candidate graph is the symmetric union of every point's `knn`
 /// best candidates, harvested from the layer-0 adjacency of an
-/// [`AnnGraph`] built with `max_degree`/`ef_construction` (each
-/// point's direct neighbours plus their neighbours, ranked by exact
-/// distance). Larger values buy accuracy with time; when
-/// `knn >= n - 1` the candidate graph is complete and the path
-/// degenerates to the exact NN-chain.
+/// [`AnnGraph`] built over the points (each point's direct neighbours
+/// plus their neighbours, ranked by exact distance). A larger `knn`
+/// buys accuracy with time; when `knn >= n - 1` the candidate graph is
+/// complete and the path degenerates to the exact NN-chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnnParams {
     /// Nearest neighbours kept per point (candidate edges).
     pub knn: usize,
-    /// Maximum degree of the underlying [`AnnGraph`].
-    pub max_degree: usize,
-    /// Construction-time beam width of the underlying [`AnnGraph`].
-    pub ef_construction: usize,
 }
 
 impl Default for SnnParams {
     fn default() -> Self {
-        SnnParams {
-            knn: 32,
-            max_degree: 16,
-            ef_construction: 80,
-        }
+        SnnParams { knn: 32 }
     }
 }
+
+/// Construction-time candidate budget of the [`AnnGraph`] `fit_snn`
+/// builds.
+const SNN_EF_CONSTRUCTION: usize = 80;
 
 /// Agglomerative hierarchical clustering.
 ///
@@ -273,7 +268,7 @@ impl Agglomerative {
     /// Instead of the n(n-1)/2-entry condensed matrix, this builds a
     /// *shared-nearest-neighbour candidate graph* — the symmetric union
     /// of every point's `params.knn` approximate nearest neighbours
-    /// from an incremental [`AnnGraph`] — and runs the same
+    /// from an [`AnnGraph`] built over the points — and runs the same
     /// nearest-neighbour-chain / Lance–Williams merge engine as
     /// [`fit`](Self::fit), but only ever over graph-connected
     /// candidates: cluster-to-cluster distances live in per-cluster
@@ -331,11 +326,7 @@ impl Agglomerative {
                 }
             }
         } else {
-            let mut graph = AnnGraph::new(points[0].dim())
-                .metric(self.metric)
-                .max_degree(params.max_degree)
-                .ef_construction(params.ef_construction);
-            graph.extend(points)?;
+            let graph = AnnGraph::new(points[0].dim(), points, self.metric, SNN_EF_CONSTRUCTION)?;
             for (i, list) in self
                 .harvest_candidates(points, &graph, k)?
                 .into_iter()
@@ -927,10 +918,7 @@ mod tests {
             (
                 "fit_snn knn=1",
                 Box::new(move |p: &[SparseVec]| {
-                    let pruned = SnnParams {
-                        knn: 1,
-                        ..SnnParams::default()
-                    };
+                    let pruned = SnnParams { knn: 1 };
                     agg().fit_snn(p, &pruned)
                 }),
             ),
@@ -1011,10 +999,7 @@ mod tests {
         // knn >= n - 1: the candidate graph is complete, so the pruned
         // path must reproduce the exact tree (distinct heights).
         let pts = line_points(&[0.0, 0.7, 1.9, 5.0, 5.4, 11.0, 11.9, 30.0]);
-        let params = SnnParams {
-            knn: pts.len(),
-            ..SnnParams::default()
-        };
+        let params = SnnParams { knn: pts.len() };
         for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
             let snn = Agglomerative::new(linkage).fit_snn(&pts, &params).unwrap();
             let slow = Agglomerative::new(linkage).fit_brute_force(&pts).unwrap();
@@ -1032,10 +1017,7 @@ mod tests {
         // Two tight blobs, pruned candidate lists: the approximate tree
         // still separates them perfectly at k = 2.
         let pts = line_points(&[0.0, 0.1, 0.2, 0.3, 9.0, 9.1, 9.2, 9.3]);
-        let params = SnnParams {
-            knn: 2,
-            ..SnnParams::default()
-        };
+        let params = SnnParams { knn: 2 };
         let tree = Agglomerative::new(Linkage::Single)
             .fit_snn(&pts, &params)
             .unwrap();

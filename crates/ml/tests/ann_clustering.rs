@@ -9,8 +9,9 @@
 //!   (exact cut-partition equality when the candidate graph is complete)
 //!   and against the O(n²) NN-chain [`Agglomerative::fit`] (adjusted Rand
 //!   index at a scale where exact equality is too strict),
-//! * the incremental graph against its own invariants under random
-//!   insert/remove interleaves (property-based).
+//! * the built graph against its own invariants, and exhaustive-beam
+//!   `knn` against exact k-NN, on random small corpora (property-based),
+//! * `build`, `knn`, `neighbors` and `fit_snn` against a golden hash.
 //!
 //! `docs/CLUSTERING.md` documents the contract tier by tier.
 
@@ -118,10 +119,7 @@ fn snn_with_complete_graph_matches_brute_force_at_every_cut() {
     // the brute-force reference: every cut of the dendrogram agrees.
     for (n, seed) in [(60usize, 1u64), (150, 2), (300, 3)] {
         let (points, _) = class_corpus(n, 10, 8, 5, seed);
-        let params = SnnParams {
-            knn: n,
-            ..SnnParams::default()
-        };
+        let params = SnnParams { knn: n };
         for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
             let model = Agglomerative::new(linkage);
             let exact = model.fit_brute_force(&points).unwrap();
@@ -231,26 +229,6 @@ fn golden_graph_and_snn_match_the_pinned_parent() {
     );
 }
 
-/// One step of a random graph workload.
-#[derive(Debug, Clone)]
-enum GraphOp {
-    Insert(u64),
-    Remove(usize),
-}
-
-fn arb_ops() -> impl Strategy<Value = Vec<GraphOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            // Bias towards inserts so the live set actually grows.
-            any::<u64>().prop_map(GraphOp::Insert),
-            any::<u64>().prop_map(GraphOp::Insert),
-            any::<u64>().prop_map(GraphOp::Insert),
-            (0usize..64).prop_map(GraphOp::Remove),
-        ],
-        1..48,
-    )
-}
-
 /// A deterministic point from a seed (8 active terms of a 64-dim space).
 fn seeded_point(seed: u64) -> SparseVec {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -266,97 +244,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn graph_invariants_hold_under_insert_remove_interleaves(ops in arb_ops()) {
-        let mut graph = AnnGraph::new(64).max_degree(6).ef_construction(24);
-        let mut live: Vec<usize> = Vec::new();
-        let mut num_live = 0usize;
-        for op in &ops {
-            match op {
-                GraphOp::Insert(seed) => {
-                    let id = graph.insert(&seeded_point(*seed)).unwrap();
-                    live.push(id);
-                    num_live += 1;
-                }
-                GraphOp::Remove(idx) if !live.is_empty() => {
-                    let id = live.swap_remove(idx % live.len());
-                    graph.remove(id).unwrap();
-                    num_live -= 1;
-                }
-                GraphOp::Remove(_) => {}
-            }
-        }
-        prop_assert_eq!(graph.len(), num_live);
-        // Slots are never reused: every id ever handed out stays
-        // addressable, and exactly the non-removed ones are live.
-        for &id in &live {
-            prop_assert!(graph.is_live(id));
-        }
-        for node in 0..graph.num_slots() {
-            let nbrs = graph.neighbors(node);
-            if !graph.is_live(node) {
-                prop_assert!(nbrs.is_empty(), "dead node {} keeps edges", node);
-                continue;
-            }
-            // Degree bound, no self-loops, no duplicates, symmetry,
-            // live endpoints only.
-            prop_assert!(nbrs.len() <= 6, "degree bound violated at {}", node);
-            let mut seen = std::collections::HashSet::new();
-            for &m in nbrs {
-                prop_assert!(m as usize != node, "self-loop at {}", node);
-                prop_assert!(seen.insert(m), "duplicate edge {}->{}", node, m);
-                prop_assert!(graph.is_live(m as usize), "edge to dead node {}", m);
-                prop_assert!(
-                    graph.neighbors(m as usize).contains(&(node as u32)),
-                    "asymmetric edge {}->{}", node, m
-                );
-            }
-        }
-        // The surviving graph still answers queries over every live node.
-        if num_live > 0 {
-            let query = seeded_point(9999);
-            let res = graph.knn(&query, num_live, 4 * num_live).unwrap();
-            prop_assert_eq!(res.len(), num_live);
-            for (d, _) in &res {
-                prop_assert!(graph.is_live(*d));
-            }
-        }
-    }
-
-    #[test]
-    fn knn_results_match_exact_on_live_set(
+    fn knn_matches_exact_on_random_corpora(
         seeds in prop::collection::vec(any::<u64>(), 2..24),
-        remove_mask in prop::collection::vec(any::<bool>(), 2..24),
     ) {
-        // Insert all, remove a random subset, then check that with an
-        // exhaustive beam the survivors' k-NN are the exact k-NN.
-        let mut graph = AnnGraph::new(64);
-        let ids: Vec<usize> = seeds
-            .iter()
-            .map(|&s| graph.insert(&seeded_point(s)).unwrap())
-            .collect();
-        let mut survivors: Vec<(usize, SparseVec)> = Vec::new();
-        for (i, &id) in ids.iter().enumerate() {
-            if remove_mask.get(i).copied().unwrap_or(false) && graph.len() > 1 {
-                graph.remove(id).unwrap();
-            } else {
-                survivors.push((id, seeded_point(seeds[i])));
-            }
-        }
-        let points: Vec<SparseVec> = survivors.iter().map(|(_, p)| p.clone()).collect();
-        for (i, (id, p)) in survivors.iter().enumerate() {
-            let exact: Vec<usize> = exact_knn(&points, i, 3)
-                .into_iter()
-                .map(|j| survivors[j].0)
-                .collect();
+        // With an exhaustive beam every point's k-NN are the exact k-NN.
+        let points: Vec<SparseVec> = seeds.iter().map(|&s| seeded_point(s)).collect();
+        let graph = AnnGraph::build(64, &points).unwrap();
+        for (i, p) in points.iter().enumerate() {
             let approx: Vec<usize> = graph
                 .knn(p, 4, 4 * points.len())
                 .unwrap()
                 .into_iter()
                 .map(|(d, _)| d)
-                .filter(|d| d != id)
+                .filter(|&d| d != i)
                 .take(3)
                 .collect();
-            prop_assert_eq!(&approx, &exact);
+            prop_assert_eq!(approx, exact_knn(&points, i, 3));
         }
     }
 }
