@@ -554,6 +554,11 @@ impl AnnGraph {
                 self.layers[x as usize][layer].push(y);
                 if self.layers[x as usize][layer].len() > MAX_DEGREE {
                     self.prune(x, layer);
+                    // The prune dropped the half just added: the edge
+                    // is not made, so its other half must not be either.
+                    if !self.layers[x as usize][layer].contains(&y) {
+                        return;
+                    }
                 }
             }
         }
@@ -676,6 +681,55 @@ mod tests {
                 SparseVec::from_pairs(dim, [(0, 1.0 - t), (1, t)]).unwrap()
             })
             .collect()
+    }
+
+    /// `classes` classes of `nnz` terms each in a band of their own,
+    /// plus a jittered weight on one shared anchor term; deterministic
+    /// (the weights come from `mix64`).
+    fn clustered_points(n: usize, classes: usize, band: usize, nnz: usize) -> Vec<SparseVec> {
+        let dim = classes * band + 1;
+        let weight =
+            |i: usize, k: usize| (mix64((i * 64 + k) as u64) >> 11) as f64 / (1u64 << 53) as f64;
+        (0..n)
+            .map(|i| {
+                let base = (i % classes) * band;
+                let mut pairs: Vec<(u32, f64)> = (0..nnz)
+                    .map(|k| ((base + (k * 7 + i) % band) as u32, 0.5 + weight(i, k)))
+                    .collect();
+                pairs.push(((dim - 1) as u32, 0.2 + 0.1 * weight(i, nnz)));
+                SparseVec::from_pairs(dim, pairs).unwrap().l2_normalized()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn edges_stay_symmetric_and_degree_bounded() {
+        // Every layer of a built graph is an undirected simple graph
+        // within the degree cap: 400 points on a line (dense overlap,
+        // so prunes fire on the upper layers too) and a 50-class
+        // corpus (islands that bridging has to join).
+        for (name, pts) in [
+            ("line", line_points(400, 4)),
+            ("clustered", clustered_points(2000, 50, 12, 8)),
+        ] {
+            let graph = AnnGraph::build(pts[0].dim(), &pts).unwrap();
+            for (a, lists) in graph.layers.iter().enumerate() {
+                for (l, nbrs) in lists.iter().enumerate() {
+                    assert!(nbrs.len() <= MAX_DEGREE, "{name}: layer-{l} degree at {a}");
+                    for (i, &b) in nbrs.iter().enumerate() {
+                        assert_ne!(b as usize, a, "{name}: layer-{l} self-loop at {a}");
+                        assert!(
+                            !nbrs[..i].contains(&b),
+                            "{name}: duplicate layer-{l} edge {a}->{b}"
+                        );
+                        assert!(
+                            graph.layers[b as usize][l].contains(&(a as u32)),
+                            "{name}: one-sided layer-{l} edge {a}->{b}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
