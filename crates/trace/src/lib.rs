@@ -20,9 +20,8 @@
 //! Beyond the two paper tracers, the crate owns the snapshot plumbing
 //! the daemon layer consumes — [`CounterSnapshot`] (a point-in-time
 //! copy of every counter) and [`DeltaCursor`] (rolling consecutive
-//! snapshots into per-interval deltas) — plus beyond-the-paper
-//! variants: [`LockFreeFtraceTracer`] (atomic reservation instead of a
-//! per-CPU lock) and [`HotSetTracer`] (a bounded hot-function cache).
+//! snapshots into per-interval deltas) — plus one beyond-the-paper
+//! variant, [`HotSetTracer`] (a bounded hot-function cache).
 //! In the repository's data flow (`docs/ARCHITECTURE.md`) this crate
 //! sits between the simulator's `mcount` hook and `fmeter-core`'s
 //! logging daemon.
@@ -30,19 +29,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod calibrate;
 mod fmeter;
 mod ftrace;
 mod hotcache;
-mod lockfree;
 mod ringbuf;
 mod snapshot;
 
-pub use calibrate::{measure_fmeter_increment, measure_ftrace_append, Calibration};
 pub use fmeter::FmeterTracer;
 pub use ftrace::{FtraceTracer, TraceEvent};
 pub use hotcache::HotSetTracer;
-pub use lockfree::LockFreeFtraceTracer;
 pub use ringbuf::RingBuffer;
 pub use snapshot::{CounterSnapshot, DeltaCursor};
 
