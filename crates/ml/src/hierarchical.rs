@@ -28,7 +28,7 @@ pub enum Linkage {
 /// One merge step of the agglomeration, in scipy-style linkage format.
 ///
 /// Nodes `0..n` are the original points; merge `i` creates node `n + i`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Merge {
     /// First merged node id.
     pub left: usize,
@@ -41,7 +41,11 @@ pub struct Merge {
 }
 
 /// The full merge tree produced by [`Agglomerative::fit`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serialize-only: a deserialized tree could name a node past
+/// `n + merges.len()` or its own node, which `cut` and `root_split`
+/// index and recurse through without checks.
+#[derive(Debug, Clone, Serialize)]
 pub struct Dendrogram {
     num_points: usize,
     merges: Vec<Merge>,
