@@ -37,7 +37,7 @@ const PARALLEL_PAIR_THRESHOLD: usize = 4096;
 /// let d = m.pairwise_condensed(Metric::Euclidean).unwrap();
 /// assert!((d[0] - 5.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CsrMatrix {
     dim: usize,
     indptr: Vec<usize>,
