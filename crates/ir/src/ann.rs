@@ -733,6 +733,58 @@ mod tests {
     }
 
     #[test]
+    fn upper_layers_stay_consistent_too() {
+        // The upper layers are what search descends through: each node
+        // holds exactly its level's lists, an upper-layer edge only
+        // joins two members of that layer, the entry sits on the top
+        // layer, and every layer with two or more members is one
+        // connected component (bridging joins the islands).
+        for (name, pts) in [
+            ("line", line_points(80, 4)),
+            ("clustered", clustered_points(600, 30, 12, 8)),
+        ] {
+            let graph = AnnGraph::build(pts[0].dim(), &pts).unwrap();
+            let top = graph.layers.iter().map(Vec::len).max().unwrap();
+            assert!(top > 1, "{name}: no upper layer to check");
+            let entry = graph.entry.expect("non-empty graph has an entry") as usize;
+            assert_eq!(graph.layers[entry].len(), top, "{name}: entry below top");
+            for (a, lists) in graph.layers.iter().enumerate() {
+                assert_eq!(lists.len(), level_of(a) + 1, "{name}: layers of {a}");
+            }
+            for l in 1..top {
+                let members: Vec<usize> = (0..graph.len())
+                    .filter(|&d| graph.layers[d].len() > l)
+                    .collect();
+                for &a in &members {
+                    for &b in &graph.layers[a][l] {
+                        assert!(
+                            graph.layers[b as usize].len() > l,
+                            "{name}: layer-{l} edge {a}->{b} leaves the layer"
+                        );
+                    }
+                }
+                if members.len() < 2 {
+                    continue;
+                }
+                let mut seen = vec![false; graph.len()];
+                let mut stack = vec![members[0]];
+                seen[members[0]] = true;
+                let mut reached = 1;
+                while let Some(a) = stack.pop() {
+                    for &b in &graph.layers[a][l] {
+                        if !seen[b as usize] {
+                            seen[b as usize] = true;
+                            reached += 1;
+                            stack.push(b as usize);
+                        }
+                    }
+                }
+                assert_eq!(reached, members.len(), "{name}: layer {l} is split");
+            }
+        }
+    }
+
+    #[test]
     fn empty_graph_answers_empty() {
         let graph = AnnGraph::build(4, &[]).unwrap();
         assert!(graph.is_empty());
