@@ -141,9 +141,10 @@ impl KernelImageBuilder {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let (mut symbols, is_anchor) = self.build_symbols(&mut rng);
         self.apply_cost_overrides(&mut symbols);
-        let mut callgraph = CallGraph::new(symbols.len());
-        self.generate_edges(&symbols, &is_anchor, &mut callgraph, &mut rng);
-        self.wire_cross_edges(&symbols, &mut callgraph)?;
+        let mut sites = Vec::new();
+        self.generate_edges(&symbols, &is_anchor, &mut sites, &mut rng);
+        self.wire_cross_edges(&symbols, &mut sites)?;
+        let callgraph = CallGraph::from_sites(symbols.len(), &sites);
         callgraph.verify_acyclic(&symbols)?;
         Ok(KernelImage { symbols, callgraph })
     }
@@ -238,7 +239,7 @@ impl KernelImageBuilder {
         &self,
         symbols: &SymbolTable,
         is_anchor: &[bool],
-        graph: &mut CallGraph,
+        sites: &mut Vec<(FunctionId, CallEdge)>,
         rng: &mut SmallRng,
     ) {
         // Pre-index functions by (subsystem, layer); vertical subsystems
@@ -294,14 +295,14 @@ impl KernelImageBuilder {
                         let callee = candidates[rng.random_range(0..candidates.len())];
                         let probability = 0.25 + rng.random::<f32>() * 0.75;
                         let max_repeats = if rng.random::<f32>() < 0.15 { 3 } else { 1 };
-                        graph.add_edge(
+                        sites.push((
                             f.id,
                             CallEdge {
                                 callee,
                                 probability,
                                 max_repeats,
                             },
-                        );
+                        ));
                     }
                 }
             }
@@ -345,14 +346,14 @@ impl KernelImageBuilder {
                     let callee = candidates[idx];
                     let probability = 0.3 + rng.random::<f32>() * 0.7;
                     let max_repeats = if rng.random::<f32>() < 0.25 { 2 } else { 1 };
-                    graph.add_edge(
+                    sites.push((
                         f.id,
                         CallEdge {
                             callee,
                             probability,
                             max_repeats,
                         },
-                    );
+                    ));
                 }
             }
             // --- Locking pairs: a function that takes a lock releases it ---
@@ -360,8 +361,8 @@ impl KernelImageBuilder {
                 if let (Ok(lock), Ok(unlock)) =
                     (symbols.lookup("_spin_lock"), symbols.lookup("_spin_unlock"))
                 {
-                    graph.add_edge(f.id, CallEdge::always(lock));
-                    graph.add_edge(f.id, CallEdge::always(unlock));
+                    sites.push((f.id, CallEdge::always(lock)));
+                    sites.push((f.id, CallEdge::always(unlock)));
                 }
             }
         }
@@ -795,7 +796,7 @@ impl KernelImageBuilder {
     fn wire_cross_edges(
         &self,
         symbols: &SymbolTable,
-        graph: &mut CallGraph,
+        sites: &mut Vec<(FunctionId, CallEdge)>,
     ) -> Result<(), KernelError> {
         for &(caller, callee, probability, max_repeats) in self.cross_edges() {
             // Edges with vanishing probability are documentation-only
@@ -806,14 +807,14 @@ impl KernelImageBuilder {
             }
             let caller_id = symbols.lookup(caller)?;
             let callee_id = symbols.lookup(callee)?;
-            graph.add_edge(
+            sites.push((
                 caller_id,
                 CallEdge {
                     callee: callee_id,
                     probability,
                     max_repeats,
                 },
-            );
+            ));
         }
         Ok(())
     }
@@ -904,15 +905,12 @@ mod tests {
     #[test]
     fn every_op_plan_resolves() {
         let image = KernelImageBuilder::new().build().unwrap();
-        for op in crate::KernelOp::examples() {
-            for stage in op.stages() {
-                assert!(
-                    image.symbols.lookup(stage.entry).is_ok(),
-                    "{}: unresolved entry `{}`",
-                    op.name(),
-                    stage.entry
-                );
-            }
+        for &entry in crate::EntryPoint::ALL {
+            assert!(
+                image.symbols.lookup(entry.name()).is_ok(),
+                "unresolved entry `{}`",
+                entry.name()
+            );
         }
     }
 }

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{FunctionId, KernelError, SymbolTable};
 
 /// One potential call site: when the caller executes, with probability
@@ -9,7 +7,7 @@ use crate::{FunctionId, KernelError, SymbolTable};
 /// Stochastic edges are what give two executions of the same workload
 /// *similar but not identical* signatures — the same role run-to-run
 /// nondeterminism plays on a real kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CallEdge {
     /// Function invoked by this call site.
     pub callee: FunctionId,
@@ -45,57 +43,72 @@ impl CallEdge {
     }
 }
 
-/// The static call graph over the kernel's symbol table.
+/// The static call graph over the kernel's symbol table, frozen in
+/// compressed sparse row form: the call sites of caller `f` are
+/// `edges[offsets[f]..offsets[f + 1]]`, in the order they were added.
 ///
-/// Indexed by caller id; guaranteed acyclic (checked by
-/// [`CallGraph::verify_acyclic`], which the builder runs) so that call-tree
-/// walks always terminate.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Guaranteed acyclic (checked by [`CallGraph::verify_acyclic`], which
+/// the builder runs) so that call-tree walks always terminate.
+#[derive(Debug, Clone)]
 pub struct CallGraph {
-    edges: Vec<Vec<CallEdge>>,
+    offsets: Vec<u32>,
+    edges: Vec<CallEdge>,
 }
 
 impl CallGraph {
-    /// Creates an empty graph for `num_functions` functions.
-    pub fn new(num_functions: usize) -> Self {
+    /// Freezes `sites`, a list of `(caller, call site)` pairs, into the
+    /// graph over `num_functions` functions. Each caller keeps its call
+    /// sites in the order they appear in `sites`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is out of range (graph construction is internal;
+    /// bad ids are a builder bug).
+    pub(crate) fn from_sites(num_functions: usize, sites: &[(FunctionId, CallEdge)]) -> Self {
+        let mut offsets = vec![0u32; num_functions + 1];
+        for (caller, edge) in sites {
+            assert!(
+                caller.index() < num_functions,
+                "caller {caller} out of range"
+            );
+            assert!(
+                edge.callee.index() < num_functions,
+                "callee {} out of range",
+                edge.callee
+            );
+            offsets[caller.index() + 1] += 1;
+        }
+        for f in 0..num_functions {
+            offsets[f + 1] += offsets[f];
+        }
+        // A stable sort by caller keeps each caller's sites in order.
+        let mut sorted = sites.to_vec();
+        sorted.sort_by_key(|(caller, _)| caller.index());
         CallGraph {
-            edges: vec![Vec::new(); num_functions],
+            offsets,
+            edges: sorted.into_iter().map(|(_, edge)| edge).collect(),
         }
     }
 
     /// Number of callers the graph covers.
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.offsets.len() - 1
     }
 
     /// Returns `true` if the graph covers no functions.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Adds a call site.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range (graph construction is internal;
-    /// bad ids are a builder bug).
-    pub fn add_edge(&mut self, caller: FunctionId, edge: CallEdge) {
-        assert!(
-            (edge.callee.index()) < self.edges.len(),
-            "callee {} out of range",
-            edge.callee
-        );
-        self.edges[caller.index()].push(edge);
+        self.len() == 0
     }
 
     /// Call sites of `caller`, in insertion order.
     pub fn callees(&self, caller: FunctionId) -> &[CallEdge] {
-        &self.edges[caller.index()]
+        let f = caller.index();
+        &self.edges[self.offsets[f] as usize..self.offsets[f + 1] as usize]
     }
 
     /// Total number of call sites in the graph.
     pub fn num_edges(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
+        self.edges.len()
     }
 
     /// Expected number of dynamic calls a single execution of `entry`
@@ -112,14 +125,14 @@ impl CallGraph {
             // Mark to guard against accidental cycles (returns 1.0 for
             // self-recursive references rather than hanging).
             let mut total = 1.0;
-            for e in &graph.edges[f.index()] {
+            for e in graph.callees(f) {
                 let mean_reps = (1.0 + e.max_repeats as f64) / 2.0;
                 total += e.probability as f64 * mean_reps * go(graph, e.callee, memo);
             }
             memo[f.index()] = total;
             total
         }
-        let mut memo = vec![-1.0; self.edges.len()];
+        let mut memo = vec![-1.0; self.len()];
         go(self, entry, &mut memo)
     }
 
@@ -137,7 +150,7 @@ impl CallGraph {
             Grey,
             Black,
         }
-        let n = self.edges.len();
+        let n = self.len();
         let mut colour = vec![Colour::White; n];
         for start in 0..n {
             if colour[start] != Colour::White {
@@ -147,8 +160,9 @@ impl CallGraph {
             let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
             colour[start] = Colour::Grey;
             while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-                if *next < self.edges[node].len() {
-                    let callee = self.edges[node][*next].callee.index();
+                let callees = self.callees(FunctionId(node as u32));
+                if *next < callees.len() {
+                    let callee = callees[*next].callee.index();
                     *next += 1;
                     match colour[callee] {
                         Colour::White => {
@@ -193,18 +207,31 @@ mod tests {
         t
     }
 
+    /// Shorthand for a call site of `caller` to `callee`.
+    fn site(caller: u32, edge: CallEdge) -> (FunctionId, CallEdge) {
+        (FunctionId(caller), edge)
+    }
+
     #[test]
     fn edges_are_recorded_in_order() {
-        let mut g = CallGraph::new(3);
-        g.add_edge(FunctionId(0), CallEdge::always(FunctionId(1)));
-        g.add_edge(
-            FunctionId(0),
-            CallEdge::with_probability(FunctionId(2), 0.5),
+        // Callers interleave; each keeps its own sites in order.
+        let g = CallGraph::from_sites(
+            3,
+            &[
+                site(2, CallEdge::always(FunctionId(1))),
+                site(0, CallEdge::always(FunctionId(1))),
+                site(2, CallEdge::always(FunctionId(0))),
+                site(0, CallEdge::with_probability(FunctionId(2), 0.5)),
+            ],
         );
+        assert_eq!(g.len(), 3);
         assert_eq!(g.callees(FunctionId(0)).len(), 2);
         assert_eq!(g.callees(FunctionId(0))[0].callee, FunctionId(1));
+        assert_eq!(g.callees(FunctionId(0))[1].probability, 0.5);
         assert_eq!(g.callees(FunctionId(1)).len(), 0);
-        assert_eq!(g.num_edges(), 2);
+        let two: Vec<FunctionId> = g.callees(FunctionId(2)).iter().map(|e| e.callee).collect();
+        assert_eq!(two, vec![FunctionId(1), FunctionId(0)]);
+        assert_eq!(g.num_edges(), 4);
     }
 
     #[test]
@@ -220,21 +247,29 @@ mod tests {
     #[test]
     fn acyclic_graph_verifies() {
         let t = symbols(4);
-        let mut g = CallGraph::new(4);
-        g.add_edge(FunctionId(0), CallEdge::always(FunctionId(1)));
-        g.add_edge(FunctionId(1), CallEdge::always(FunctionId(2)));
-        g.add_edge(FunctionId(0), CallEdge::always(FunctionId(3)));
-        g.add_edge(FunctionId(3), CallEdge::always(FunctionId(2)));
+        let g = CallGraph::from_sites(
+            4,
+            &[
+                site(0, CallEdge::always(FunctionId(1))),
+                site(1, CallEdge::always(FunctionId(2))),
+                site(0, CallEdge::always(FunctionId(3))),
+                site(3, CallEdge::always(FunctionId(2))),
+            ],
+        );
         assert!(g.verify_acyclic(&t).is_ok());
     }
 
     #[test]
     fn cycle_is_detected_and_named() {
         let t = symbols(3);
-        let mut g = CallGraph::new(3);
-        g.add_edge(FunctionId(0), CallEdge::always(FunctionId(1)));
-        g.add_edge(FunctionId(1), CallEdge::always(FunctionId(2)));
-        g.add_edge(FunctionId(2), CallEdge::always(FunctionId(0)));
+        let g = CallGraph::from_sites(
+            3,
+            &[
+                site(0, CallEdge::always(FunctionId(1))),
+                site(1, CallEdge::always(FunctionId(2))),
+                site(2, CallEdge::always(FunctionId(0))),
+            ],
+        );
         let err = g.verify_acyclic(&t).unwrap_err();
         assert!(matches!(err, KernelError::CyclicCallGraph { .. }));
     }
@@ -242,21 +277,21 @@ mod tests {
     #[test]
     fn self_loop_is_a_cycle() {
         let t = symbols(1);
-        let mut g = CallGraph::new(1);
-        g.add_edge(FunctionId(0), CallEdge::always(FunctionId(0)));
+        let g = CallGraph::from_sites(1, &[site(0, CallEdge::always(FunctionId(0)))]);
         assert!(g.verify_acyclic(&t).is_err());
     }
 
     #[test]
     fn expected_calls_counts_weighted_subtree() {
-        let mut g = CallGraph::new(3);
         // 0 -> 1 always; 0 -> 2 with p=0.5; 1 -> 2 always x(1..=3 reps, mean 2)
-        g.add_edge(FunctionId(0), CallEdge::always(FunctionId(1)));
-        g.add_edge(
-            FunctionId(0),
-            CallEdge::with_probability(FunctionId(2), 0.5),
+        let g = CallGraph::from_sites(
+            3,
+            &[
+                site(0, CallEdge::always(FunctionId(1))),
+                site(0, CallEdge::with_probability(FunctionId(2), 0.5)),
+                site(1, CallEdge::always(FunctionId(2)).repeats(3)),
+            ],
         );
-        g.add_edge(FunctionId(1), CallEdge::always(FunctionId(2)).repeats(3));
         // E[2] = 1; E[1] = 1 + 2*1 = 3; E[0] = 1 + 3 + 0.5 = 4.5
         assert!((g.expected_calls(FunctionId(0)) - 4.5).abs() < 1e-12);
     }
@@ -264,7 +299,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_callee_panics() {
-        let mut g = CallGraph::new(1);
-        g.add_edge(FunctionId(0), CallEdge::always(FunctionId(5)));
+        let _ = CallGraph::from_sites(1, &[site(0, CallEdge::always(FunctionId(5)))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_caller_panics() {
+        let _ = CallGraph::from_sites(1, &[site(3, CallEdge::always(FunctionId(0)))]);
     }
 }

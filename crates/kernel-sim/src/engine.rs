@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::ops::AddAssign;
 use std::sync::Arc;
 
@@ -7,8 +8,9 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    CallGraph, CpuId, CpuState, Debugfs, FunctionId, FunctionTracer, KernelError, KernelImage,
-    KernelImageBuilder, KernelModule, KernelOp, ModuleOp, Nanos, NullTracer, SimClock, SymbolTable,
+    CallGraph, CpuId, CpuState, Debugfs, EntryPoint, FunctionId, FunctionTracer, KernelError,
+    KernelImage, KernelImageBuilder, KernelModule, KernelOp, ModuleOp, Nanos, NullTracer, SimClock,
+    Stage, SymbolTable,
 };
 
 /// Configuration of a simulated machine.
@@ -67,6 +69,70 @@ struct LoadedModule {
     internal: HashMap<ModuleOp, Nanos>,
 }
 
+/// The stochastic call-tree walker: the frozen call graph, each
+/// function's base cost as one dense column, the run-time RNG, and the
+/// depth-first stack, which every walk clears and reuses.
+struct Walker {
+    callgraph: CallGraph,
+    base_costs: Box<[Nanos]>,
+    rng: SmallRng,
+    stack: Vec<FunctionId>,
+}
+
+impl Walker {
+    /// Walks the call subtree rooted at `entry`, firing `tracer` for
+    /// every call and charging base + instrumentation costs. The caller
+    /// books the result to a CPU and the clock.
+    fn walk(&mut self, tracer: &dyn FunctionTracer, cpu: CpuId, entry: FunctionId) -> ExecStats {
+        let overhead = tracer.overhead();
+        let mut calls = 0u64;
+        let mut time = Nanos::ZERO;
+        self.stack.clear();
+        self.stack.push(entry);
+        while let Some(f) = self.stack.pop() {
+            calls += 1;
+            tracer.on_function_call(cpu, f);
+            time += self.base_costs[f.index()] + overhead;
+            for edge in self.callgraph.callees(f) {
+                let fires = edge.probability >= 1.0 || self.rng.random::<f32>() < edge.probability;
+                if fires {
+                    let reps = if edge.max_repeats <= 1 {
+                        1
+                    } else {
+                        self.rng.random_range(1..=edge.max_repeats)
+                    };
+                    for _ in 0..reps {
+                        self.stack.push(edge.callee);
+                    }
+                }
+            }
+        }
+        ExecStats { calls, time }
+    }
+
+    /// Samples the number of driver calls for `units` units of work at a
+    /// mean rate of `per_unit` calls per unit.
+    fn sample_count(&mut self, per_unit: f64, units: u32) -> u64 {
+        if per_unit <= 0.0 || units == 0 {
+            return 0;
+        }
+        let whole = per_unit.trunc() as u64 * units as u64;
+        let frac = per_unit.fract();
+        if frac == 0.0 {
+            return whole;
+        }
+        // Binomial(units, frac) by direct simulation; units are small
+        // (interrupt batches), so this stays cheap and exact.
+        let mut extra = 0u64;
+        for _ in 0..units {
+            if self.rng.random::<f64>() < frac {
+                extra += 1;
+            }
+        }
+        whole + extra
+    }
+}
+
 /// The simulated machine: a monolithic kernel with per-CPU state, a
 /// stochastic call-tree walker, loadable modules, a pluggable
 /// [`FunctionTracer`], and a simulated clock.
@@ -88,10 +154,14 @@ struct LoadedModule {
 /// ```
 pub struct Kernel {
     symbols: Arc<SymbolTable>,
-    callgraph: Arc<CallGraph>,
+    walker: Walker,
+    /// `EntryPoint::ALL` resolved against the symbol table, by
+    /// `EntryPoint::index`; `None` for an anchor this build lacks.
+    entry_points: Box<[Option<FunctionId>]>,
+    /// The current op's plan; kept so ops reuse one buffer.
+    plan: Vec<Stage>,
     cpus: Vec<CpuState>,
     clock: SimClock,
-    rng: SmallRng,
     tracer: Arc<dyn FunctionTracer>,
     modules: Vec<LoadedModule>,
     debugfs: Debugfs,
@@ -143,19 +213,30 @@ impl Kernel {
             Arc::new(move || {
                 let mut out = String::with_capacity(kallsyms_src.len() * 40);
                 for f in kallsyms_src.iter() {
-                    out.push_str(&format!("{:016x} t {}\n", f.address, f.name));
+                    writeln!(out, "{:016x} t {}", f.address, f.name)
+                        .expect("writing to a String cannot fail");
                 }
                 out
             }),
         );
+        let entry_points = EntryPoint::ALL
+            .iter()
+            .map(|entry| symbols.lookup(entry.name()).ok())
+            .collect();
         Kernel {
+            walker: Walker {
+                base_costs: symbols.iter().map(|f| f.base_cost).collect(),
+                callgraph: image.callgraph,
+                rng: SmallRng::seed_from_u64(config.seed),
+                stack: Vec::new(),
+            },
             symbols,
-            callgraph: Arc::new(image.callgraph),
+            entry_points,
+            plan: Vec::new(),
             cpus: (0..config.num_cpus.max(1))
                 .map(|_| CpuState::new())
                 .collect(),
             clock: SimClock::new(),
-            rng: SmallRng::seed_from_u64(config.seed),
             tracer: Arc::new(NullTracer),
             modules: Vec::new(),
             debugfs,
@@ -178,7 +259,7 @@ impl Kernel {
 
     /// The static call graph.
     pub fn callgraph(&self) -> &CallGraph {
-        &self.callgraph
+        &self.walker.callgraph
     }
 
     /// Number of instrumented functions (signature dimensionality).
@@ -322,14 +403,23 @@ impl Kernel {
     }
 
     fn run_op_inner(&mut self, cpu: CpuId, op: KernelOp) -> Result<ExecStats, KernelError> {
+        op.plan_into(&mut self.plan);
         let mut stats = ExecStats::default();
-        for stage in op.stages() {
-            let entry = self.symbols.lookup(stage.entry)?;
+        let mut missing = None;
+        for stage in &self.plan {
+            let Some(entry) = self.entry_points[stage.entry.index()] else {
+                missing = Some(stage.entry);
+                break;
+            };
             for _ in 0..stage.repeats {
-                if stage.probability >= 1.0 || self.rng.random::<f32>() < stage.probability {
-                    stats += self.execute_entry(cpu, entry);
+                if stage.probability >= 1.0 || self.walker.rng.random::<f32>() < stage.probability {
+                    stats += self.walker.walk(&*self.tracer, cpu, entry);
                 }
             }
+        }
+        self.charge(cpu, stats);
+        if let Some(entry) = missing {
+            return Err(KernelError::UnknownFunction(entry.name().to_string()));
         }
         self.cpus[cpu.0].ops_executed += 1;
         self.total_ops += 1;
@@ -358,17 +448,16 @@ impl Kernel {
             .iter()
             .position(|m| m.module.name() == module)
             .ok_or_else(|| KernelError::ModuleNotLoaded(module.to_string()))?;
-        // Clone the (small) resolved call list to end the borrow of
-        // self.modules before walking subtrees.
-        let entries = self.modules[index].resolved[&op].clone();
-        let internal = self.modules[index].internal[&op];
+        let module = &self.modules[index];
+        let internal = module.internal[&op];
         let mut stats = ExecStats::default();
-        for (entry, per_unit) in entries {
-            let count = self.sample_count(per_unit, units);
+        for &(entry, per_unit) in &module.resolved[&op] {
+            let count = self.walker.sample_count(per_unit, units);
             for _ in 0..count {
-                stats += self.execute_entry(cpu, entry);
+                stats += self.walker.walk(&*self.tracer, cpu, entry);
             }
         }
+        self.charge(cpu, stats);
         // Driver-internal (un-instrumented) time.
         let internal_total = Nanos(internal.0 * units as u64);
         self.clock.advance(internal_total);
@@ -414,59 +503,10 @@ impl Kernel {
         })
     }
 
-    /// Walks the call subtree rooted at `entry`, firing the tracer for
-    /// every call and charging base + instrumentation costs.
-    fn execute_entry(&mut self, cpu: CpuId, entry: FunctionId) -> ExecStats {
-        let graph = Arc::clone(&self.callgraph);
-        let symbols = Arc::clone(&self.symbols);
-        let overhead = self.tracer.overhead();
-        let mut stack: Vec<FunctionId> = vec![entry];
-        let mut calls = 0u64;
-        let mut time = Nanos::ZERO;
-        while let Some(f) = stack.pop() {
-            calls += 1;
-            self.tracer.on_function_call(cpu, f);
-            let func = symbols.function(f).expect("graph ids are table-valid");
-            time += func.base_cost + overhead;
-            for edge in graph.callees(f) {
-                let fires = edge.probability >= 1.0 || self.rng.random::<f32>() < edge.probability;
-                if fires {
-                    let reps = if edge.max_repeats <= 1 {
-                        1
-                    } else {
-                        self.rng.random_range(1..=edge.max_repeats)
-                    };
-                    for _ in 0..reps {
-                        stack.push(edge.callee);
-                    }
-                }
-            }
-        }
-        self.cpus[cpu.0].calls_executed += calls;
-        self.clock.advance(time);
-        ExecStats { calls, time }
-    }
-
-    /// Samples the number of driver calls for `units` units of work at a
-    /// mean rate of `per_unit` calls per unit.
-    fn sample_count(&mut self, per_unit: f64, units: u32) -> u64 {
-        if per_unit <= 0.0 || units == 0 {
-            return 0;
-        }
-        let whole = per_unit.trunc() as u64 * units as u64;
-        let frac = per_unit.fract();
-        if frac == 0.0 {
-            return whole;
-        }
-        // Binomial(units, frac) by direct simulation; units are small
-        // (interrupt batches), so this stays cheap and exact.
-        let mut extra = 0u64;
-        for _ in 0..units {
-            if self.rng.random::<f64>() < frac {
-                extra += 1;
-            }
-        }
-        whole + extra
+    /// Books walked calls and their time to `cpu` and the clock.
+    fn charge(&mut self, cpu: CpuId, walked: ExecStats) {
+        self.cpus[cpu.0].calls_executed += walked.calls;
+        self.clock.advance(walked.time);
     }
 
     /// Runs every timer tick that came due at the current simulated time.

@@ -74,6 +74,6 @@ pub use debugfs::{Debugfs, DebugfsFile};
 pub use engine::{ExecStats, Kernel, KernelConfig};
 pub use error::KernelError;
 pub use module::{modules, KernelModule, ModuleCall, ModuleHandler, ModuleOp};
-pub use ops::{KernelOp, Stage};
+pub use ops::{EntryPoint, KernelOp, Stage};
 pub use symbols::{FunctionId, KernelFunction, Subsystem, SymbolTable};
 pub use tracer::{CountingTracer, FunctionTracer, NullTracer, RecordingTracer};

@@ -136,7 +136,7 @@ impl fmt::Display for Subsystem {
 }
 
 /// Metadata for one core-kernel function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelFunction {
     /// Dense id; equals the function's index in the table.
     pub id: FunctionId,
@@ -161,7 +161,7 @@ pub struct KernelFunction {
 /// Functions living in loadable modules are deliberately *not* present —
 /// Fmeter does not instrument module text (paper §3), so modules are only
 /// observable through the core-kernel functions they call.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
     functions: Vec<KernelFunction>,
     by_name: HashMap<String, FunctionId>,

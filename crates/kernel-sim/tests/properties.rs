@@ -141,14 +141,14 @@ proptest! {
         let image = KernelImageBuilder::new().seed(seed).build().unwrap();
         for op in KernelOp::examples() {
             for stage in op.stages() {
-                let id = image.symbols.lookup(stage.entry).unwrap();
+                let id = image.symbols.lookup(stage.entry.name()).unwrap();
                 let expected = image.callgraph.expected_calls(id);
                 prop_assert!(expected >= 1.0);
                 prop_assert!(
                     expected <= 5_000.0,
                     "{}: {} has expected subtree {}",
                     op.name(),
-                    stage.entry,
+                    stage.entry.name(),
                     expected
                 );
             }

@@ -1,3 +1,4 @@
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -151,14 +152,25 @@ impl FmeterTracer {
     /// Snapshot of all aggregated counters at simulated time `now` — what
     /// the user-space daemon reads through debugfs.
     pub fn snapshot(&self, now: Nanos) -> CounterSnapshot {
-        let mut counts = vec![0u64; self.stubs.len()];
+        let mut counts = Vec::new();
+        self.read_counts(&mut counts);
+        CounterSnapshot::new(counts, now)
+    }
+
+    /// Overwrites `counts` with the aggregated counters, one per function
+    /// in id order, reusing its buffer. The stubs map function `i` to page
+    /// `i / SLOTS_PER_PAGE`, slot `i % SLOTS_PER_PAGE`, so each CPU's pages
+    /// hold its counters in id order and are summed page by page.
+    pub(crate) fn read_counts(&self, counts: &mut Vec<u64>) {
+        counts.clear();
+        counts.resize(self.stubs.len(), 0);
         for idx in &self.per_cpu {
-            for (i, count) in counts.iter_mut().enumerate() {
-                let stub = self.stubs[i];
-                *count += idx.pages[stub.page as usize][stub.slot as usize].load(Ordering::Relaxed);
+            for (chunk, page) in counts.chunks_mut(SLOTS_PER_PAGE).zip(&idx.pages) {
+                for (count, slot) in chunk.iter_mut().zip(page.iter()) {
+                    *count += slot.load(Ordering::Relaxed);
+                }
             }
         }
-        CounterSnapshot::new(counts, now)
     }
 
     /// Resets every counter on every CPU.
@@ -177,10 +189,11 @@ impl FmeterTracer {
     /// unambiguously (names may be duplicated by `static`s), exactly as
     /// the paper argues.
     pub fn render_debugfs(&self) -> String {
+        let mut counts = Vec::new();
+        self.read_counts(&mut counts);
         let mut out = String::with_capacity(self.stubs.len() * 24);
-        for (i, &addr) in self.addresses.iter().enumerate() {
-            let count = self.count(FunctionId(i as u32));
-            out.push_str(&format!("{addr:#018x} {count}\n"));
+        for (addr, count) in self.addresses.iter().zip(&counts) {
+            writeln!(out, "{addr:#018x} {count}").expect("writing to a String cannot fail");
         }
         out
     }
@@ -204,7 +217,12 @@ impl FunctionTracer for FmeterTracer {
         // The stub body: preempt_disable();  (modelled — a plain int bump)
         // follow (page, slot); increment; preempt_enable().
         let stub = self.stubs[function.index()];
-        let cpu_index = &self.per_cpu[cpu.0 % self.per_cpu.len()];
+        // A CPU id past the indices folds onto one; only that rare case
+        // pays for the division.
+        let cpu_index = match self.per_cpu.get(cpu.0) {
+            Some(index) => index,
+            None => &self.per_cpu[cpu.0 % self.per_cpu.len()],
+        };
         cpu_index.pages[stub.page as usize][stub.slot as usize].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -254,6 +272,16 @@ mod tests {
         assert_eq!(tracer.count(second), 1);
         assert_eq!(tracer.count_on_cpu(CpuId(0), first), 1);
         assert_eq!(tracer.count_on_cpu(CpuId(1), first), 1);
+    }
+
+    #[test]
+    fn out_of_range_cpus_fold_onto_an_index() {
+        let t = symbols();
+        let tracer = FmeterTracer::with_cpus(&t, 3);
+        tracer.on_function_call(CpuId(4), FunctionId(2));
+        tracer.on_function_call(CpuId(7), FunctionId(2));
+        assert_eq!(tracer.count_on_cpu(CpuId(1), FunctionId(2)), 2);
+        assert_eq!(tracer.count(FunctionId(2)), 2);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 use fmeter_kernel_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
+use crate::FmeterTracer;
+
 /// A point-in-time copy of all per-function invocation counters.
 ///
 /// The Fmeter logging daemon "reads all kernel function invocation counts
@@ -127,11 +129,47 @@ impl DeltaCursor {
         (counts, started_at, ended_at)
     }
 
+    /// Reads `tracer`'s counters at `now` and returns the interval's
+    /// `(counts, started_at, ended_at)`, exactly as
+    /// `advance(tracer.snapshot(now))` would. The returned counts are the
+    /// one allocation: the reading lands in them, and one pass turns each
+    /// into its difference while moving the total into the kept snapshot,
+    /// so no snapshot is allocated or thrown away.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tracer` covers a different function count than the
+    /// previous snapshot (see [`CounterSnapshot::delta`]).
+    pub fn advance_from(&mut self, tracer: &FmeterTracer, now: Nanos) -> (Vec<u64>, Nanos, Nanos) {
+        let mut counts = Vec::with_capacity(tracer.num_functions());
+        tracer.read_counts(&mut counts);
+        assert_eq!(
+            self.previous.counts.len(),
+            counts.len(),
+            "snapshots cover different symbol tables"
+        );
+        for (count, previous) in counts.iter_mut().zip(&mut self.previous.counts) {
+            let total = *count;
+            *count = total.saturating_sub(*previous);
+            *previous = total;
+        }
+        let started_at = std::mem::replace(&mut self.previous.taken_at, now);
+        (counts, started_at, now)
+    }
+
     /// Re-bases the stream on `snapshot`, discarding whatever happened
     /// since the previous one (e.g. after a workload change, to avoid a
     /// mixed-interval signature).
     pub fn rebase(&mut self, snapshot: CounterSnapshot) {
         self.previous = snapshot;
+    }
+
+    /// Re-bases the stream on `tracer`'s counters at `now`, as
+    /// `rebase(tracer.snapshot(now))` would, reading them into the kept
+    /// snapshot's buffer.
+    pub fn rebase_from(&mut self, tracer: &FmeterTracer, now: Nanos) {
+        tracer.read_counts(&mut self.previous.counts);
+        self.previous.taken_at = now;
     }
 }
 
@@ -183,6 +221,39 @@ mod tests {
         // Intervals tile the stream with no gap or overlap.
         assert_eq!((s2, e2), (e1, Nanos(9)));
         assert_eq!(cursor.previous().taken_at(), Nanos(9));
+    }
+
+    #[test]
+    fn reading_from_the_tracer_matches_advancing_on_snapshots() {
+        use fmeter_kernel_sim::{CpuId, FunctionId, FunctionTracer, Subsystem, SymbolTable};
+        let mut symbols = SymbolTable::new();
+        for i in 0..1030 {
+            symbols.push(
+                format!("f{i}"),
+                0x1000 + i * 16,
+                Subsystem::Util,
+                0,
+                Nanos(1),
+            );
+        }
+        let tracer = FmeterTracer::with_cpus(&symbols, 3);
+        let mut by_snapshot = DeltaCursor::new(tracer.snapshot(Nanos(0)));
+        let mut in_place = by_snapshot.clone();
+        let calls = [(0, 0), (2, 511), (1, 512), (0, 1029), (2, 1029), (1, 7)];
+        for (step, &(cpu, f)) in calls.iter().enumerate() {
+            for _ in 0..=step {
+                tracer.on_function_call(CpuId(cpu), FunctionId(f));
+            }
+            let now = Nanos(10 * (step as u64 + 1));
+            if step == 3 {
+                by_snapshot.rebase(tracer.snapshot(now));
+                in_place.rebase_from(&tracer, now);
+            } else {
+                let expected = by_snapshot.advance(tracer.snapshot(now));
+                assert_eq!(in_place.advance_from(&tracer, now), expected);
+            }
+            assert_eq!(in_place, by_snapshot);
+        }
     }
 
     #[test]
