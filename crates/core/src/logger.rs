@@ -68,7 +68,8 @@ impl SignatureLogger {
             workload.step(kernel, cpu)?;
             i += 1;
         }
-        let (counts, started_at, ended_at) = self.cursor.advance_from(&self.tracer, kernel.now());
+        let (counts, started_at, ended_at) =
+            self.cursor.advance(self.tracer.snapshot(kernel.now()));
         Ok(RawSignature {
             counts,
             started_at,
@@ -98,7 +99,7 @@ impl SignatureLogger {
     /// Re-bases the logger on the tracer's current state (e.g. after a
     /// workload change, to avoid a mixed-interval signature).
     pub fn resync(&mut self, now: Nanos) {
-        self.cursor.rebase_from(&self.tracer, now);
+        self.cursor.rebase(self.tracer.snapshot(now));
     }
 }
 

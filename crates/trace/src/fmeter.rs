@@ -152,18 +152,15 @@ impl FmeterTracer {
     /// Snapshot of all aggregated counters at simulated time `now` — what
     /// the user-space daemon reads through debugfs.
     pub fn snapshot(&self, now: Nanos) -> CounterSnapshot {
-        let mut counts = Vec::new();
-        self.read_counts(&mut counts);
-        CounterSnapshot::new(counts, now)
+        CounterSnapshot::new(self.read_counts(), now)
     }
 
-    /// Overwrites `counts` with the aggregated counters, one per function
-    /// in id order, reusing its buffer. The stubs map function `i` to page
-    /// `i / SLOTS_PER_PAGE`, slot `i % SLOTS_PER_PAGE`, so each CPU's pages
-    /// hold its counters in id order and are summed page by page.
-    pub(crate) fn read_counts(&self, counts: &mut Vec<u64>) {
-        counts.clear();
-        counts.resize(self.stubs.len(), 0);
+    /// The aggregated counters, one per function in id order. The stubs
+    /// map function `i` to page `i / SLOTS_PER_PAGE`, slot
+    /// `i % SLOTS_PER_PAGE`, so each CPU's pages hold its counters in id
+    /// order and are summed page by page.
+    fn read_counts(&self) -> Vec<u64> {
+        let mut counts = vec![0u64; self.stubs.len()];
         for idx in &self.per_cpu {
             for (chunk, page) in counts.chunks_mut(SLOTS_PER_PAGE).zip(&idx.pages) {
                 for (count, slot) in chunk.iter_mut().zip(page.iter()) {
@@ -171,6 +168,7 @@ impl FmeterTracer {
                 }
             }
         }
+        counts
     }
 
     /// Resets every counter on every CPU.
@@ -189,8 +187,7 @@ impl FmeterTracer {
     /// unambiguously (names may be duplicated by `static`s), exactly as
     /// the paper argues.
     pub fn render_debugfs(&self) -> String {
-        let mut counts = Vec::new();
-        self.read_counts(&mut counts);
+        let counts = self.read_counts();
         let mut out = String::with_capacity(self.stubs.len() * 24);
         for (addr, count) in self.addresses.iter().zip(&counts) {
             writeln!(out, "{addr:#018x} {count}").expect("writing to a String cannot fail");

@@ -1,8 +1,6 @@
 use fmeter_kernel_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
-use crate::FmeterTracer;
-
 /// A point-in-time copy of all per-function invocation counters.
 ///
 /// The Fmeter logging daemon "reads all kernel function invocation counts
@@ -117,44 +115,29 @@ impl DeltaCursor {
     /// Consumes `next` and returns `(counts, started_at, ended_at)` for
     /// the interval between the previous snapshot and `next`.
     ///
+    /// `next` becomes the kept snapshot, and the buffer of the one it
+    /// replaces is turned into the interval's differences in place and
+    /// returned, so advancing allocates nothing.
+    ///
     /// # Panics
     ///
     /// Panics when the snapshots cover different function counts (see
     /// [`CounterSnapshot::delta`]).
-    pub fn advance(&mut self, next: CounterSnapshot) -> (Vec<u64>, Nanos, Nanos) {
-        let counts = self.previous.delta(&next);
-        let started_at = self.previous.taken_at();
-        let ended_at = next.taken_at();
-        self.previous = next;
-        (counts, started_at, ended_at)
-    }
-
-    /// Reads `tracer`'s counters at `now` and returns the interval's
-    /// `(counts, started_at, ended_at)`, exactly as
-    /// `advance(tracer.snapshot(now))` would. The returned counts are the
-    /// one allocation: the reading lands in them, and one pass turns each
-    /// into its difference while moving the total into the kept snapshot,
-    /// so no snapshot is allocated or thrown away.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tracer` covers a different function count than the
-    /// previous snapshot (see [`CounterSnapshot::delta`]).
-    pub fn advance_from(&mut self, tracer: &FmeterTracer, now: Nanos) -> (Vec<u64>, Nanos, Nanos) {
-        let mut counts = Vec::with_capacity(tracer.num_functions());
-        tracer.read_counts(&mut counts);
+    pub fn advance(&mut self, mut next: CounterSnapshot) -> (Vec<u64>, Nanos, Nanos) {
         assert_eq!(
             self.previous.counts.len(),
-            counts.len(),
+            next.counts.len(),
             "snapshots cover different symbol tables"
         );
-        for (count, previous) in counts.iter_mut().zip(&mut self.previous.counts) {
-            let total = *count;
-            *count = total.saturating_sub(*previous);
-            *previous = total;
+        std::mem::swap(&mut self.previous, &mut next);
+        let CounterSnapshot {
+            mut counts,
+            taken_at: started_at,
+        } = next;
+        for (count, &total) in counts.iter_mut().zip(&self.previous.counts) {
+            *count = total.saturating_sub(*count);
         }
-        let started_at = std::mem::replace(&mut self.previous.taken_at, now);
-        (counts, started_at, now)
+        (counts, started_at, self.previous.taken_at)
     }
 
     /// Re-bases the stream on `snapshot`, discarding whatever happened
@@ -162,14 +145,6 @@ impl DeltaCursor {
     /// mixed-interval signature).
     pub fn rebase(&mut self, snapshot: CounterSnapshot) {
         self.previous = snapshot;
-    }
-
-    /// Re-bases the stream on `tracer`'s counters at `now`, as
-    /// `rebase(tracer.snapshot(now))` would, reading them into the kept
-    /// snapshot's buffer.
-    pub fn rebase_from(&mut self, tracer: &FmeterTracer, now: Nanos) {
-        tracer.read_counts(&mut self.previous.counts);
-        self.previous.taken_at = now;
     }
 }
 
@@ -224,40 +199,21 @@ mod tests {
     }
 
     #[test]
-    fn reading_from_the_tracer_matches_advancing_on_snapshots() {
-        use fmeter_kernel_sim::{CpuId, FunctionId, FunctionTracer, Subsystem, SymbolTable};
-        let mut symbols = SymbolTable::new();
-        for i in 0..1030 {
-            symbols.push(
-                format!("f{i}"),
-                0x1000 + i * 16,
-                Subsystem::Util,
-                0,
-                Nanos(1),
-            );
-        }
-        let tracer = FmeterTracer::with_cpus(&symbols, 3);
-        let mut by_snapshot = DeltaCursor::new(tracer.snapshot(Nanos(0)));
-        let mut in_place = by_snapshot.clone();
-        let calls = [(0, 0), (2, 511), (1, 512), (0, 1029), (2, 1029), (1, 7)];
-        for (step, &(cpu, f)) in calls.iter().enumerate() {
-            if step == 4 {
-                // Counters restart below the kept totals: deltas clamp.
-                tracer.reset();
-            }
-            for _ in 0..=step {
-                tracer.on_function_call(CpuId(cpu), FunctionId(f));
-            }
-            let now = Nanos(10 * (step as u64 + 1));
-            if step == 3 {
-                by_snapshot.rebase(tracer.snapshot(now));
-                in_place.rebase_from(&tracer, now);
-            } else {
-                let expected = by_snapshot.advance(tracer.snapshot(now));
-                assert_eq!(in_place.advance_from(&tracer, now), expected);
-            }
-            assert_eq!(in_place, by_snapshot);
-        }
+    fn cursor_keeps_the_next_snapshot_and_clamps_a_reset() {
+        let mut cursor = DeltaCursor::new(CounterSnapshot::new(vec![4, 9, 1], Nanos(0)));
+        // Counters restarted below the kept totals, except the last one.
+        let next = CounterSnapshot::new(vec![1, 2, 6], Nanos(3));
+        let (d, s, e) = cursor.advance(next.clone());
+        assert_eq!(d, vec![0, 0, 5]);
+        assert_eq!((s, e), (Nanos(0), Nanos(3)));
+        assert_eq!(cursor.previous(), &next);
+    }
+
+    #[test]
+    #[should_panic(expected = "different symbol tables")]
+    fn cursor_rejects_a_snapshot_of_another_table() {
+        let mut cursor = DeltaCursor::new(CounterSnapshot::new(vec![1], Nanos(0)));
+        let _ = cursor.advance(CounterSnapshot::new(vec![1, 2], Nanos(1)));
     }
 
     #[test]
