@@ -76,7 +76,8 @@ impl AnomalyDetector {
     ///
     /// Propagates clustering failures; rejects `margin < 1` like
     /// [`fit`](Self::fit).
-    pub fn fit_incremental(
+    #[cfg(test)]
+    pub(crate) fn fit_incremental(
         db: &mut SignatureDb,
         k: usize,
         margin: f64,
@@ -115,12 +116,14 @@ impl AnomalyDetector {
     }
 
     /// The syndromes backing the detector.
-    pub fn syndromes(&self) -> &[Syndrome] {
+    #[cfg(test)]
+    pub(crate) fn syndromes(&self) -> &[Syndrome] {
         &self.syndromes
     }
 
     /// The fitted novelty threshold.
-    pub fn threshold(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn threshold(&self) -> f64 {
         self.threshold
     }
 
@@ -129,7 +132,7 @@ impl AnomalyDetector {
     /// # Errors
     ///
     /// Propagates dimension mismatches.
-    pub fn inspect_vector(&self, vector: &SparseVec) -> Result<AnomalyVerdict, FmeterError> {
+    pub(crate) fn inspect_vector(&self, vector: &SparseVec) -> Result<AnomalyVerdict, FmeterError> {
         let mut best = (0usize, f64::INFINITY);
         for (i, syndrome) in self.syndromes.iter().enumerate() {
             let d = euclidean_distance(vector, &syndrome.centroid)?;

@@ -234,7 +234,7 @@ pub(crate) fn majority_label<'a>(voters: impl Iterator<Item = &'a Signature>) ->
 ///
 /// The database is *incremental*: a monitoring daemon keeps one
 /// `SignatureDb` alive and feeds it as intervals stream off the machine
-/// — [`insert`](Self::insert) / [`insert_batch`](Self::insert_batch)
+/// — [`insert`](Self::insert) / `insert_batch`
 /// append signatures, [`remove`](Self::remove) tombstones them (e.g. a
 /// sliding retention window), and the tf-idf document frequencies are
 /// maintained in place throughout. Because re-deriving idf on every
@@ -320,7 +320,10 @@ impl SignatureDb {
     /// # Errors
     ///
     /// Returns [`FmeterError::NoSignatures`] when `raw` is empty.
-    pub fn build_with(raw: &[RawSignature], options: TfIdfOptions) -> Result<Self, FmeterError> {
+    pub(crate) fn build_with(
+        raw: &[RawSignature],
+        options: TfIdfOptions,
+    ) -> Result<Self, FmeterError> {
         let first = raw.first().ok_or(FmeterError::NoSignatures)?;
         let dim = first.counts.len();
         let mut corpus = Corpus::new(dim);
@@ -388,7 +391,7 @@ impl SignatureDb {
     ///
     /// Returns a dimension mismatch on the first offending signature;
     /// earlier elements of the batch remain inserted.
-    pub fn insert_batch(&mut self, raw: &[RawSignature]) -> Result<Vec<DocId>, FmeterError> {
+    pub(crate) fn insert_batch(&mut self, raw: &[RawSignature]) -> Result<Vec<DocId>, FmeterError> {
         let mut ids = Vec::with_capacity(raw.len());
         for r in raw {
             ids.push(self.insert_stale(r)?);
@@ -697,7 +700,8 @@ impl SignatureDb {
 
     /// How far the published idf weights lag behind the maintained
     /// document frequencies (see [`TfIdfModel::idf_drift`]).
-    pub fn idf_drift(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn idf_drift(&self) -> f64 {
         self.model.idf_drift()
     }
 
@@ -723,12 +727,12 @@ impl SignatureDb {
     }
 
     /// Dimensionality of the signature space.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.model.dim()
     }
 
     /// The fitted tf-idf model.
-    pub fn model(&self) -> &TfIdfModel {
+    pub(crate) fn model(&self) -> &TfIdfModel {
         &self.model
     }
 
@@ -765,7 +769,7 @@ impl SignatureDb {
     /// its posting lists heaviest bound first and stops once the unread
     /// bounds cannot reach the k-th best similarity found so far, in
     /// this shard or an earlier one. For a steady query stream, prefer
-    /// [`search_with`](Self::search_with) with a long-lived scratch.
+    /// `search_with` with a long-lived scratch.
     ///
     /// # Errors
     ///
@@ -785,7 +789,7 @@ impl SignatureDb {
     /// # Errors
     ///
     /// Propagates dimension mismatches.
-    pub fn search_with(
+    pub(crate) fn search_with(
         &self,
         counts: &TermCounts,
         k: usize,
@@ -986,7 +990,7 @@ impl SignatureDb {
     /// cluster is the one hammering the journal commit path". Returns
     /// `(term id, centroid weight, lift over corpus mean)` sorted by
     /// lift; map term ids to names with the kernel's symbol table or a
-    /// parsed [`SymbolMap`](crate::SymbolMap).
+    /// parsed `SymbolMap`.
     pub fn explain_syndrome(&self, syndrome: &Syndrome, k: usize) -> Vec<(u32, f64, f64)> {
         // Corpus mean weight per term (live signatures only).
         let mut mean = vec![0.0f64; self.dim()];

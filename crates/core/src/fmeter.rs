@@ -57,7 +57,8 @@ impl Fmeter {
     }
 
     /// Whether counting is enabled.
-    pub fn is_enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_enabled(&self) -> bool {
         self.tracer.is_enabled()
     }
 

@@ -68,7 +68,7 @@ pub use fmeter::Fmeter;
 pub use logger::SignatureLogger;
 pub use service::{ShardSnapshot, ShardWriter, SignatureService};
 pub use signature::{RawSignature, Signature};
-pub use userspace::{sample_via_debugfs, DebugfsReader, SymbolMap};
+pub use userspace::DebugfsReader;
 pub use wal::{
     CheckpointPolicy, DurableLog, DurableOptions, RecoveryReport, SyncPolicy, WalHealth, WalOp,
     WalOpRef,

@@ -29,7 +29,7 @@ pub struct SignatureLogger {
 impl SignatureLogger {
     /// Creates a logger sampling every `interval` of *simulated* time,
     /// starting from the tracer's current state.
-    pub fn new(tracer: Arc<FmeterTracer>, interval: Nanos, now: Nanos) -> Self {
+    pub(crate) fn new(tracer: Arc<FmeterTracer>, interval: Nanos, now: Nanos) -> Self {
         assert!(interval > Nanos::ZERO, "logging interval must be positive");
         let cursor = DeltaCursor::new(tracer.snapshot(now));
         SignatureLogger {
@@ -37,11 +37,6 @@ impl SignatureLogger {
             interval,
             cursor,
         }
-    }
-
-    /// The configured logging interval.
-    pub fn interval(&self) -> Nanos {
-        self.interval
     }
 
     /// Drives `workload` until one interval of simulated time has

@@ -11,10 +11,10 @@
 //!   format version, and a section table with byte lengths, checksums
 //!   and codec tags — so readers know exactly what they are holding
 //!   before parsing a byte of payload;
-//! * there is **one writer**: [`save`] emits format
+//! * there is **one writer**: `save` emits format
 //!   [`CURRENT_FORMAT_VERSION`] and nothing else;
 //! * every historical layout has an entry in [`FORMAT_VERSIONS`] and a
-//!   committed, immutable fixture under `tests/fixtures/`; [`load`]
+//!   committed, immutable fixture under `tests/fixtures/`; `load`
 //!   reads each of them in **one hop** — sections decode by their codec
 //!   tag straight into their types, and what an old version could not
 //!   carry is filled in by the `legacy` submodule (which also adopts the
@@ -63,7 +63,7 @@ use crate::{FmeterError, RefitPolicy, Signature, SignatureDb, VacuumPolicy};
 
 /// First bytes of every enveloped save. A file that does not start with
 /// this is treated as format version 0 (pre-envelope bare JSON).
-pub const MAGIC: &str = "FMETERDB";
+pub(crate) const MAGIC: &str = "FMETERDB";
 
 /// The format version [`SignatureDb::save`] writes.
 pub const CURRENT_FORMAT_VERSION: u32 = 8;
@@ -297,7 +297,7 @@ fn persist_err(context: &str, e: impl std::fmt::Display) -> FmeterError {
 /// # Errors
 ///
 /// Propagates I/O and serialisation failures.
-pub fn save<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterError> {
+pub(crate) fn save<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterError> {
     // The sections are encoded back to back into one buffer, sized up
     // front: 12 bytes per stored count and per term of the model, and per
     // slot the fixed fields of its `corpus`, `signatures` and `state`
@@ -374,7 +374,7 @@ fn parse_magic_line(bytes: &[u8]) -> Result<(u32, &[u8]), FmeterError> {
 /// Peeks at serialized bytes and reports the on-disk format version:
 /// `Some(v)` for an enveloped save, `None` when the bytes carry no
 /// well-formed magic line (i.e. a candidate version-0 bare-JSON save —
-/// or not a database at all, which only a full [`load`] can tell).
+/// or not a database at all, which only a full `load` can tell).
 pub fn detect_format_version(bytes: &[u8]) -> Option<u32> {
     parse_magic_line(bytes).ok().map(|(version, _)| version)
 }
@@ -593,7 +593,7 @@ fn read_envelope(bytes: &[u8]) -> Result<Parts, FmeterError> {
 /// releases, [`FmeterError::CorruptEnvelope`] for truncated or
 /// bit-flipped sections and [`FmeterError::Persist`] for malformed or
 /// inconsistent payloads.
-pub fn load(bytes: &[u8]) -> Result<SignatureDb, FmeterError> {
+pub(crate) fn load(bytes: &[u8]) -> Result<SignatureDb, FmeterError> {
     assemble(if bytes.starts_with(MAGIC.as_bytes()) {
         read_envelope(bytes)?
     } else {

@@ -86,7 +86,7 @@ impl ShardSnapshot {
     }
 
     /// The idf generation this snapshot's weights were computed under.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
@@ -106,12 +106,12 @@ impl ShardSnapshot {
     }
 
     /// Number of shards in the layout.
-    pub fn num_shards(&self) -> usize {
+    pub(crate) fn num_shards(&self) -> usize {
         self.pieces.len()
     }
 
     /// Dimensionality of the signature space.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.weights.dim()
     }
 
@@ -210,7 +210,7 @@ impl ShardWriter {
 
     /// Mutable access to the durability engine (its `sync` and the
     /// `fail_wal_writes` test hook; the log cannot corrupt the database).
-    pub fn durable_log_mut(&mut self) -> Option<&mut DurableLog> {
+    pub(crate) fn durable_log_mut(&mut self) -> Option<&mut DurableLog> {
         self.durable.as_mut()
     }
 
@@ -273,16 +273,6 @@ impl ShardWriter {
         self.db
     }
 
-    /// The doc→shard router of this layout.
-    pub fn router(&self) -> ShardRouter {
-        ShardRouter::new(self.db.num_shards())
-    }
-
-    /// Number of shards in the layout.
-    pub fn num_shards(&self) -> usize {
-        self.db.num_shards()
-    }
-
     /// Publishes the current state as an immutable snapshot stamped
     /// with `generation`: one `Arc` clone per shard, per 64 signatures
     /// and for the tf-idf weights.
@@ -306,7 +296,7 @@ impl ShardWriter {
         self.logged(WalOpRef::Insert(raw), |db| db.insert(raw))
     }
 
-    /// Appends a batch of signatures (see [`SignatureDb::insert_batch`]).
+    /// Appends a batch of signatures (see `SignatureDb::insert_batch`).
     ///
     /// # Errors
     ///
@@ -348,7 +338,7 @@ impl ShardWriter {
     /// # Errors
     ///
     /// Propagates clustering failures (e.g. fewer signatures than `k`).
-    pub fn recluster(&mut self, k: usize, seed: u64) -> Result<Recluster, FmeterError> {
+    pub(crate) fn recluster(&mut self, k: usize, seed: u64) -> Result<Recluster, FmeterError> {
         self.db.recluster(k, seed)
     }
 
@@ -362,7 +352,7 @@ impl ShardWriter {
     /// that a crash before the next successful checkpoint recovers
     /// under the old policy. The writer stays usable either way.
     /// Infallible when not durable.
-    pub fn set_refit_policy(&mut self, policy: RefitPolicy) -> Result<(), FmeterError> {
+    pub(crate) fn set_refit_policy(&mut self, policy: RefitPolicy) -> Result<(), FmeterError> {
         self.db.set_refit_policy(policy);
         self.persist_policy_change()
     }
@@ -374,7 +364,7 @@ impl ShardWriter {
     /// # Errors
     ///
     /// Propagates a checkpoint failure in durable mode.
-    pub fn set_vacuum_policy(&mut self, policy: VacuumPolicy) -> Result<(), FmeterError> {
+    pub(crate) fn set_vacuum_policy(&mut self, policy: VacuumPolicy) -> Result<(), FmeterError> {
         self.db.set_vacuum_policy(policy);
         self.persist_policy_change()
     }
@@ -653,7 +643,7 @@ impl SignatureService {
     /// In durable mode the change is persisted by an immediate
     /// checkpoint; a checkpoint failure is propagated (the policy is
     /// applied in memory, the service stays usable — see
-    /// [`ShardWriter::set_refit_policy`]). Infallible when not durable.
+    /// `ShardWriter::set_refit_policy`). Infallible when not durable.
     pub fn set_refit_policy(&self, policy: RefitPolicy) -> Result<(), FmeterError> {
         self.inner.writer.lock().set_refit_policy(policy)
     }

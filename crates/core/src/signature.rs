@@ -25,7 +25,8 @@ pub struct RawSignature {
 
 impl RawSignature {
     /// Interval length.
-    pub fn interval(&self) -> Nanos {
+    #[cfg(test)]
+    pub(crate) fn interval(&self) -> Nanos {
         self.ended_at - self.started_at
     }
 
@@ -36,7 +37,8 @@ impl RawSignature {
     }
 
     /// Number of distinct functions observed.
-    pub fn distinct_functions(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn distinct_functions(&self) -> usize {
         self.counts.iter().filter(|&&c| c > 0).count()
     }
 
@@ -46,7 +48,8 @@ impl RawSignature {
     }
 
     /// Replaces the label.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = Some(label.into());
         self
     }
@@ -84,7 +87,8 @@ impl Signature {
     ///
     /// Returns an error if the two signatures live in different vector
     /// spaces.
-    pub fn distance(&self, other: &Signature) -> Result<f64, fmeter_ir::IrError> {
+    #[cfg(test)]
+    pub(crate) fn distance(&self, other: &Signature) -> Result<f64, fmeter_ir::IrError> {
         fmeter_ir::euclidean_distance(&self.vector, &other.vector)
     }
 }

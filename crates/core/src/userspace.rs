@@ -9,14 +9,14 @@
 
 use std::collections::HashMap;
 
-use fmeter_kernel_sim::{Kernel, Nanos};
+use fmeter_kernel_sim::Kernel;
 use fmeter_trace::CounterSnapshot;
 
 use crate::FmeterError;
 
 /// A user-space symbol map, as parsed from the `kallsyms` debugfs file.
 #[derive(Debug, Clone, Default)]
-pub struct SymbolMap {
+pub(crate) struct SymbolMap {
     /// (address, name) in address order.
     entries: Vec<(u64, String)>,
     by_address: HashMap<u64, usize>,
@@ -28,7 +28,7 @@ impl SymbolMap {
     /// # Errors
     ///
     /// Returns [`FmeterError::Persist`] on malformed lines.
-    pub fn parse(content: &str) -> Result<Self, FmeterError> {
+    pub(crate) fn parse(content: &str) -> Result<Self, FmeterError> {
         let mut entries = Vec::new();
         let mut by_address = HashMap::new();
         for (lineno, line) in content.lines().enumerate() {
@@ -51,24 +51,26 @@ impl SymbolMap {
     }
 
     /// Number of symbols.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Returns `true` when the map is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Resolves an address to a symbol name.
-    pub fn name_of(&self, address: u64) -> Option<&str> {
+    #[cfg(test)]
+    pub(crate) fn name_of(&self, address: u64) -> Option<&str> {
         self.by_address
             .get(&address)
             .map(|&i| self.entries[i].1.as_str())
     }
 
     /// The dense index of an address (the daemon's term id).
-    pub fn index_of(&self, address: u64) -> Option<usize> {
+    pub(crate) fn index_of(&self, address: u64) -> Option<usize> {
         self.by_address.get(&address).copied()
     }
 }
@@ -95,7 +97,8 @@ impl DebugfsReader {
     }
 
     /// The parsed symbol map.
-    pub fn symbols(&self) -> &SymbolMap {
+    #[cfg(test)]
+    pub(crate) fn symbols(&self) -> &SymbolMap {
         &self.symbols
     }
 
@@ -132,7 +135,8 @@ impl DebugfsReader {
     /// # Errors
     ///
     /// As [`read_counters`](Self::read_counters).
-    pub fn top_functions(
+    #[cfg(test)]
+    pub(crate) fn top_functions(
         &self,
         kernel: &Kernel,
         k: usize,
@@ -148,29 +152,26 @@ impl DebugfsReader {
     }
 }
 
-/// Convenience: one full daemon-style sample through debugfs — two reads
-/// around a closure that runs the workload, returning the per-function
-/// delta.
-///
-/// # Errors
-///
-/// Propagates debugfs/parse failures and the closure's kernel errors.
-pub fn sample_via_debugfs<E: Into<FmeterError>>(
-    reader: &DebugfsReader,
-    kernel: &mut Kernel,
-    run: impl FnOnce(&mut Kernel) -> Result<(), E>,
-) -> Result<(Vec<u64>, Nanos), FmeterError> {
-    let before = reader.read_counters(kernel)?;
-    run(kernel).map_err(Into::into)?;
-    let after = reader.read_counters(kernel)?;
-    Ok((before.delta(&after), before.interval(&after)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Fmeter;
-    use fmeter_kernel_sim::{CpuId, KernelConfig, KernelError, KernelOp};
+    use fmeter_kernel_sim::{CpuId, KernelConfig, KernelError, KernelOp, Nanos};
+
+    /// Convenience: one full daemon-style sample through debugfs — two reads
+    /// around a closure that runs the workload, returning the per-function
+    /// delta.
+    ///
+    fn sample_via_debugfs<E: Into<FmeterError>>(
+        reader: &DebugfsReader,
+        kernel: &mut Kernel,
+        run: impl FnOnce(&mut Kernel) -> Result<(), E>,
+    ) -> Result<(Vec<u64>, Nanos), FmeterError> {
+        let before = reader.read_counters(kernel)?;
+        run(kernel).map_err(Into::into)?;
+        let after = reader.read_counters(kernel)?;
+        Ok((before.delta(&after), before.interval(&after)))
+    }
 
     fn kernel() -> Kernel {
         Kernel::new(KernelConfig {

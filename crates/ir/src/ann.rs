@@ -49,7 +49,7 @@ const MAX_DEGREE: usize = 16;
 
 /// Default construction-time candidate budget (HNSW's
 /// `efConstruction`), the one [`AnnGraph::build`] uses.
-pub const DEFAULT_EF_CONSTRUCTION: usize = 64;
+pub(crate) const DEFAULT_EF_CONSTRUCTION: usize = 64;
 
 /// Hard cap on the layer stack (node ids would need to reach 4^16
 /// before it binds).
@@ -137,7 +137,7 @@ pub struct AnnGraph {
 
 impl AnnGraph {
     /// Builds a graph over `points` with Euclidean distance and
-    /// [`DEFAULT_EF_CONSTRUCTION`] (see [`new`](Self::new)).
+    /// `DEFAULT_EF_CONSTRUCTION` (see [`new`](Self::new)).
     ///
     /// # Errors
     ///
@@ -408,11 +408,6 @@ impl AnnGraph {
     /// Whether the graph has no node.
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
-    }
-
-    /// Dimensionality of the vector space.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// The layer-0 adjacency list of `node` (empty for unknown nodes).

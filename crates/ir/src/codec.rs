@@ -96,7 +96,7 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Append an `f64` as its little-endian IEEE-754 bit pattern.
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
@@ -106,7 +106,7 @@ pub fn put_usize(out: &mut Vec<u8>, v: usize) {
 }
 
 /// Append a string as a `u64` byte count followed by its UTF-8 bytes.
-pub fn put_str(out: &mut Vec<u8>, v: &str) {
+pub(crate) fn put_str(out: &mut Vec<u8>, v: &str) {
     put_usize(out, v.len());
     out.extend_from_slice(v.as_bytes());
 }
@@ -139,18 +139,10 @@ pub fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
 }
 
 /// Append an `f64` slice as a `u64` count followed by the bit patterns.
-pub fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
+pub(crate) fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
     put_usize(out, vs.len());
     for &v in vs {
         put_f64(out, v);
-    }
-}
-
-/// Append a `usize` slice as a `u64` count followed by `u64` elements.
-pub fn put_usizes(out: &mut Vec<u8>, vs: &[usize]) {
-    put_usize(out, vs.len());
-    for &v in vs {
-        put_usize(out, v);
     }
 }
 
@@ -211,7 +203,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn get_u32(&mut self) -> Result<u32, CodecError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
     }
@@ -223,7 +215,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read an `f64` from its little-endian bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
+    pub(crate) fn get_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
@@ -234,7 +226,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, CodecError> {
+    pub(crate) fn get_str(&mut self) -> Result<String, CodecError> {
         let len = self.array_len(1)?;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
@@ -267,7 +259,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a length-prefixed `u32` array.
-    pub fn get_u32s(&mut self) -> Result<Vec<u32>, CodecError> {
+    pub(crate) fn get_u32s(&mut self) -> Result<Vec<u32>, CodecError> {
         let count = self.array_len(4)?;
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
@@ -287,7 +279,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a length-prefixed `f64` array (bit patterns, so NaNs survive).
-    pub fn get_f64s(&mut self) -> Result<Vec<f64>, CodecError> {
+    pub(crate) fn get_f64s(&mut self) -> Result<Vec<f64>, CodecError> {
         let count = self.array_len(8)?;
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {

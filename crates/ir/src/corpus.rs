@@ -2,7 +2,7 @@ use serde::{Deserialize, Serialize, Value};
 
 use crate::codec;
 use crate::sparse::check_wire_terms;
-use crate::{IrError, SparseVec, TermId};
+use crate::{IrError, TermId};
 
 /// Raw term counts for one document.
 ///
@@ -19,7 +19,7 @@ pub struct TermCounts {
 
 impl TermCounts {
     /// Creates an empty document over a space of `dim` terms.
-    pub fn new(dim: usize) -> Self {
+    pub(crate) fn new(dim: usize) -> Self {
         TermCounts {
             dim,
             terms: Vec::new(),
@@ -77,7 +77,8 @@ impl TermCounts {
     /// # Errors
     ///
     /// Returns [`IrError::TermOutOfRange`] if `term >= dim`.
-    pub fn record(&mut self, term: TermId, count: u64) -> Result<(), IrError> {
+    #[cfg(test)]
+    pub(crate) fn record(&mut self, term: TermId, count: u64) -> Result<(), IrError> {
         if term as usize >= self.dim {
             return Err(IrError::TermOutOfRange {
                 term,
@@ -132,8 +133,9 @@ impl TermCounts {
     }
 
     /// Converts the raw counts to a sparse `f64` vector (no weighting).
-    pub fn to_sparse(&self) -> SparseVec {
-        SparseVec::from_pairs(self.dim, self.iter().map(|(t, c)| (t, c as f64)))
+    #[cfg(test)]
+    pub(crate) fn to_sparse(&self) -> crate::SparseVec {
+        crate::SparseVec::from_pairs(self.dim, self.iter().map(|(t, c)| (t, c as f64)))
             .expect("terms validated on insertion")
     }
 }

@@ -262,7 +262,7 @@ pub(crate) fn sq_norm(values: &[f64]) -> f64 {
 /// Dot product of two sparse `(terms, values)` slice pairs, both sorted by
 /// term id. Only matching terms contribute, so the loop skips disjoint
 /// stretches without touching their values.
-pub fn dot_slices(
+pub(crate) fn dot_slices(
     a_terms: &[TermId],
     a_values: &[f64],
     b_terms: &[TermId],

@@ -540,7 +540,8 @@ impl InvertedIndex {
     }
 
     /// Number of tombstoned documents.
-    pub fn num_removed(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_removed(&self) -> usize {
         self.num_removed
     }
 
@@ -604,22 +605,19 @@ impl InvertedIndex {
     /// Number of doc ids ever assigned, including tombstoned ones (the
     /// id-space size; see [`live_len`](Self::live_len) for the number of
     /// searchable documents).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.num_docs
     }
 
     /// Returns `true` when no document has been indexed.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.num_docs == 0
     }
 
-    /// Dimensionality of the term space.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Number of postings stored under `term`.
-    pub fn posting_len(&self, term: TermId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn posting_len(&self, term: TermId) -> usize {
         let t = term as usize;
         if t >= self.dim {
             return 0;

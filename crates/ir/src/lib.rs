@@ -66,11 +66,11 @@ mod shared;
 mod sparse;
 mod tfidf;
 
-pub use ann::{AnnGraph, DEFAULT_EF_CONSTRUCTION};
+pub use ann::AnnGraph;
 pub use codec::{BinCodec, CodecError};
 pub use corpus::{Corpus, TermCounts};
 pub use distance::{
-    cosine_similarity, dot_slices, dot_sparse_dense, euclidean_distance, euclidean_distance_sq,
+    cosine_similarity, dot_sparse_dense, euclidean_distance, euclidean_distance_sq,
     manhattan_distance, minkowski_distance, Metric,
 };
 pub use error::IrError;

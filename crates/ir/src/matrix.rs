@@ -33,7 +33,6 @@ const PARALLEL_PAIR_THRESHOLD: usize = 4096;
 /// ];
 /// let m = CsrMatrix::from_rows(&rows).unwrap();
 /// assert_eq!(m.len(), 2);
-/// assert_eq!(m.nnz(), 2);
 /// let d = m.pairwise_condensed(Metric::Euclidean).unwrap();
 /// assert!((d[0] - 5.0).abs() < 1e-12);
 /// ```
@@ -100,12 +99,14 @@ impl CsrMatrix {
     }
 
     /// Dimensionality of the vector space.
-    pub fn dim(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
     /// Total number of stored (non-zero) entries.
-    pub fn nnz(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn nnz(&self) -> usize {
         self.indices.len()
     }
 
@@ -114,7 +115,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics when `i >= len()`.
-    pub fn row(&self, i: usize) -> (&[TermId], &[f64]) {
+    pub(crate) fn row(&self, i: usize) -> (&[TermId], &[f64]) {
         let (lo, hi) = (self.indptr[i], self.indptr[i + 1]);
         (&self.indices[lo..hi], &self.values[lo..hi])
     }

@@ -32,9 +32,8 @@ use crate::{DocId, InvertedIndex, IrError, SearchHit, SearchScratch, SparseVec};
 /// use fmeter_ir::ShardRouter;
 ///
 /// let router = ShardRouter::new(3);
+/// assert_eq!(router.num_shards(), 3);
 /// assert_eq!(router.shard_of(7), 1);
-/// assert_eq!(router.local_of(7), 2);
-/// assert_eq!(router.global_of(1, 2), 7);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRouter {
@@ -60,13 +59,13 @@ impl ShardRouter {
     }
 
     /// The shard-local id of global doc `doc`.
-    pub fn local_of(&self, doc: DocId) -> DocId {
+    pub(crate) fn local_of(&self, doc: DocId) -> DocId {
         doc / self.num_shards
     }
 
     /// The global doc id of `local` within `shard` (inverse of
     /// [`shard_of`](Self::shard_of)/[`local_of`](Self::local_of)).
-    pub fn global_of(&self, shard: usize, local: DocId) -> DocId {
+    pub(crate) fn global_of(&self, shard: usize, local: DocId) -> DocId {
         local * self.num_shards + shard
     }
 }
@@ -128,33 +127,15 @@ impl Shard {
         })
     }
 
-    /// This shard's position in the layout.
-    pub fn shard_id(&self) -> usize {
-        self.shard
-    }
-
-    /// The router that maps global ids onto this layout.
-    pub fn router(&self) -> ShardRouter {
-        self.router
-    }
-
-    /// Dimensionality of the term space.
-    pub fn dim(&self) -> usize {
-        self.index.dim()
-    }
-
     /// Number of local id slots assigned (live + tombstoned).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.index.len()
     }
 
-    /// Returns `true` when no document was ever routed here.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// Number of live documents in this shard.
-    pub fn live_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live_len(&self) -> usize {
         self.index.live_len()
     }
 

@@ -103,7 +103,7 @@ impl<T> SharedVec<T> {
     }
 
     /// Drops every element (clones keep theirs).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.chunks.clear();
         self.len = 0;
     }

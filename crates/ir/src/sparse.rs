@@ -262,11 +262,6 @@ impl SparseVec {
         self.merge_with(other, |a, b| a - b)
     }
 
-    /// Sum of all stored values (for count vectors: the document length).
-    pub fn sum(&self) -> f64 {
-        self.values.iter().sum()
-    }
-
     fn merge_with(
         &self,
         other: &SparseVec,

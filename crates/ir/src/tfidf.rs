@@ -509,7 +509,8 @@ impl TfIdfModel {
     }
 
     /// Document frequency of `term` (how many fitting documents contained it).
-    pub fn document_frequency(&self, term: u32) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn document_frequency(&self, term: u32) -> u32 {
         self.doc_freq.get(term as usize).copied().unwrap_or(0)
     }
 
@@ -519,7 +520,8 @@ impl TfIdfModel {
     }
 
     /// The options the model was fitted with.
-    pub fn options(&self) -> TfIdfOptions {
+    #[cfg(test)]
+    pub(crate) fn options(&self) -> TfIdfOptions {
         self.weights.options
     }
 }

@@ -5,8 +5,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::callgraph::CallEdge;
 use crate::names::{anchors, vocabulary};
-use crate::{CallEdge, CallGraph, FunctionId, KernelError, Nanos, Subsystem, SymbolTable};
+use crate::{CallGraph, FunctionId, KernelError, Nanos, Subsystem, SymbolTable};
 
 /// Target function population per subsystem. The total is 3815, matching
 /// the function count the paper reports for its instrumented 2.6.28 kernel
@@ -29,7 +30,7 @@ const POPULATION: &[(Subsystem, usize)] = &[
 ];
 
 /// Total number of core-kernel functions the builder produces.
-pub const NUM_KERNEL_FUNCTIONS: usize = 3815;
+pub(crate) const NUM_KERNEL_FUNCTIONS: usize = 3815;
 
 /// Number of layers per vertical subsystem (0 = entries).
 const VERTICAL_LAYERS: u8 = 4;

@@ -8,7 +8,7 @@ use crate::{FunctionId, KernelError, SymbolTable};
 /// *similar but not identical* signatures — the same role run-to-run
 /// nondeterminism plays on a real kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CallEdge {
+pub(crate) struct CallEdge {
     /// Function invoked by this call site.
     pub callee: FunctionId,
     /// Probability the call site fires on a given execution, in `(0, 1]`.
@@ -19,7 +19,7 @@ pub struct CallEdge {
 
 impl CallEdge {
     /// An unconditional single call.
-    pub fn always(callee: FunctionId) -> Self {
+    pub(crate) fn always(callee: FunctionId) -> Self {
         CallEdge {
             callee,
             probability: 1.0,
@@ -28,7 +28,8 @@ impl CallEdge {
     }
 
     /// A call that fires with probability `p` (clamped to `(0, 1]`).
-    pub fn with_probability(callee: FunctionId, p: f32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_probability(callee: FunctionId, p: f32) -> Self {
         CallEdge {
             callee,
             probability: p.clamp(f32::EPSILON, 1.0),
@@ -37,7 +38,8 @@ impl CallEdge {
     }
 
     /// Sets the repeat bound.
-    pub fn repeats(mut self, max_repeats: u8) -> Self {
+    #[cfg(test)]
+    pub(crate) fn repeats(mut self, max_repeats: u8) -> Self {
         self.max_repeats = max_repeats.max(1);
         self
     }
@@ -47,7 +49,7 @@ impl CallEdge {
 /// compressed sparse row form: the call sites of caller `f` are
 /// `edges[offsets[f]..offsets[f + 1]]`, in the order they were added.
 ///
-/// Guaranteed acyclic (checked by [`CallGraph::verify_acyclic`], which
+/// Guaranteed acyclic (checked by `CallGraph::verify_acyclic`, which
 /// the builder runs) so that call-tree walks always terminate.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
@@ -91,17 +93,12 @@ impl CallGraph {
     }
 
     /// Number of callers the graph covers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.offsets.len() - 1
     }
 
-    /// Returns `true` if the graph covers no functions.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Call sites of `caller`, in insertion order.
-    pub fn callees(&self, caller: FunctionId) -> &[CallEdge] {
+    pub(crate) fn callees(&self, caller: FunctionId) -> &[CallEdge] {
         let f = caller.index();
         &self.edges[self.offsets[f] as usize..self.offsets[f + 1] as usize]
     }
@@ -142,7 +139,7 @@ impl CallGraph {
     ///
     /// Returns [`KernelError::CyclicCallGraph`] naming a function on a
     /// cycle if one exists.
-    pub fn verify_acyclic(&self, symbols: &SymbolTable) -> Result<(), KernelError> {
+    pub(crate) fn verify_acyclic(&self, symbols: &SymbolTable) -> Result<(), KernelError> {
         // Iterative three-colour DFS.
         #[derive(Clone, Copy, PartialEq)]
         enum Colour {

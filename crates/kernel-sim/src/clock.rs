@@ -28,7 +28,8 @@ impl Nanos {
     }
 
     /// Builds a duration from seconds.
-    pub const fn from_secs(s: u64) -> Nanos {
+    #[cfg(test)]
+    pub(crate) const fn from_secs(s: u64) -> Nanos {
         Nanos(s * 1_000_000_000)
     }
 
@@ -38,7 +39,7 @@ impl Nanos {
     }
 
     /// This duration in (fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
@@ -48,7 +49,7 @@ impl Nanos {
     }
 
     /// Saturating addition (simulated clocks never wrap).
-    pub fn saturating_add(self, rhs: Nanos) -> Nanos {
+    pub(crate) fn saturating_add(self, rhs: Nanos) -> Nanos {
         Nanos(self.0.saturating_add(rhs.0))
     }
 }
@@ -93,23 +94,23 @@ impl fmt::Display for Nanos {
 /// The clock advances only when simulated work executes; there is no
 /// independent wall-clock source. This makes runs perfectly reproducible.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct SimClock {
+pub(crate) struct SimClock {
     now: Nanos,
 }
 
 impl SimClock {
     /// A clock at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SimClock { now: Nanos::ZERO }
     }
 
     /// Current simulated time since boot.
-    pub fn now(&self) -> Nanos {
+    pub(crate) fn now(&self) -> Nanos {
         self.now
     }
 
     /// Advances the clock by `delta`.
-    pub fn advance(&mut self, delta: Nanos) {
+    pub(crate) fn advance(&mut self, delta: Nanos) {
         self.now = self.now.saturating_add(delta);
     }
 }

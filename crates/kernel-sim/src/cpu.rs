@@ -16,82 +16,25 @@ impl fmt::Display for CpuId {
 
 /// Per-CPU execution state and statistics.
 ///
-/// Mirrors the pieces of a real per-CPU area that matter to Fmeter: the
-/// preemption counter its counting stubs toggle (cheaper than atomics, as
-/// the paper stresses), and bookkeeping the evaluation reads back.
+/// The per-CPU bookkeeping the evaluation reads back.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CpuState {
-    preempt_count: u32,
     /// Total instrumented kernel function calls executed on this CPU.
     pub calls_executed: u64,
     /// Total kernel operations (syscalls, faults, irqs) started here.
     pub ops_executed: u64,
-    /// Times preemption was disabled (stub entries, lock sections).
-    pub preempt_disables: u64,
 }
 
 impl CpuState {
     /// Fresh idle CPU.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CpuState::default()
-    }
-
-    /// Increments the preemption counter (`current_thread_info()->
-    /// preempt_count++` in the paper's description of the Fmeter stub).
-    pub fn preempt_disable(&mut self) {
-        self.preempt_count += 1;
-        self.preempt_disables += 1;
-    }
-
-    /// Decrements the preemption counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics on underflow — unbalanced enable/disable is a simulator bug,
-    /// exactly as it would be a kernel bug.
-    pub fn preempt_enable(&mut self) {
-        assert!(
-            self.preempt_count > 0,
-            "preempt_enable without matching disable"
-        );
-        self.preempt_count -= 1;
-    }
-
-    /// Current nesting depth of preempt-disable sections.
-    pub fn preempt_count(&self) -> u32 {
-        self.preempt_count
-    }
-
-    /// True when the CPU may be preempted (counter at zero).
-    pub fn preemptible(&self) -> bool {
-        self.preempt_count == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preempt_nesting_balances() {
-        let mut cpu = CpuState::new();
-        assert!(cpu.preemptible());
-        cpu.preempt_disable();
-        cpu.preempt_disable();
-        assert_eq!(cpu.preempt_count(), 2);
-        assert!(!cpu.preemptible());
-        cpu.preempt_enable();
-        cpu.preempt_enable();
-        assert!(cpu.preemptible());
-        assert_eq!(cpu.preempt_disables, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "without matching disable")]
-    fn unbalanced_enable_panics() {
-        let mut cpu = CpuState::new();
-        cpu.preempt_enable();
-    }
 
     #[test]
     fn display_formats_cpu() {

@@ -61,7 +61,8 @@ impl Debugfs {
     }
 
     /// Removes the file at `path`, returning whether it existed.
-    pub fn unregister(&mut self, path: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn unregister(&mut self, path: &str) -> bool {
         self.files.remove(path).is_some()
     }
 
@@ -83,12 +84,14 @@ impl Debugfs {
     }
 
     /// Number of registered files.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.files.len()
     }
 
     /// Returns `true` when no files are registered.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.files.is_empty()
     }
 }

@@ -7,10 +7,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::clock::SimClock;
+use crate::tracer::NullTracer;
 use crate::{
     CallGraph, CpuId, CpuState, Debugfs, EntryPoint, FunctionId, FunctionTracer, KernelError,
-    KernelImage, KernelImageBuilder, KernelModule, KernelOp, ModuleOp, Nanos, NullTracer, SimClock,
-    Stage, SymbolTable,
+    KernelImage, KernelImageBuilder, KernelModule, KernelOp, ModuleOp, Nanos, Stage, SymbolTable,
 };
 
 /// Configuration of a simulated machine.
@@ -167,8 +168,6 @@ pub struct Kernel {
     debugfs: Debugfs,
     timer_period: Option<Nanos>,
     next_tick: Nanos,
-    total_ops: u64,
-    config: KernelConfig,
 }
 
 impl std::fmt::Debug for Kernel {
@@ -197,7 +196,7 @@ impl Kernel {
 
     /// Boots a machine from a pre-built image (lets tests and benches
     /// share one image across many kernels).
-    pub fn from_image(image: KernelImage, config: KernelConfig) -> Self {
+    pub(crate) fn from_image(image: KernelImage, config: KernelConfig) -> Self {
         let timer_period = if config.timer_hz == 0 {
             None
         } else {
@@ -242,24 +241,12 @@ impl Kernel {
             debugfs,
             timer_period,
             next_tick: timer_period.unwrap_or(Nanos(u64::MAX)),
-            total_ops: 0,
-            config,
         }
     }
 
     /// The kernel's symbol table.
     pub fn symbols(&self) -> &SymbolTable {
         &self.symbols
-    }
-
-    /// A shared handle to the symbol table.
-    pub fn symbols_arc(&self) -> Arc<SymbolTable> {
-        Arc::clone(&self.symbols)
-    }
-
-    /// The static call graph.
-    pub fn callgraph(&self) -> &CallGraph {
-        &self.walker.callgraph
     }
 
     /// Number of instrumented functions (signature dimensionality).
@@ -270,11 +257,6 @@ impl Kernel {
     /// Number of simulated CPUs.
     pub fn num_cpus(&self) -> usize {
         self.cpus.len()
-    }
-
-    /// The machine configuration.
-    pub fn config(&self) -> KernelConfig {
-        self.config
     }
 
     /// Installs a tracer ("patching the kernel"). The previous tracer is
@@ -303,11 +285,6 @@ impl Kernel {
             cpu: cpu.0,
             num_cpus: self.cpus.len(),
         })
-    }
-
-    /// Total operations executed since boot.
-    pub fn total_ops(&self) -> u64 {
-        self.total_ops
     }
 
     /// The simulated debugfs mount.
@@ -375,7 +352,8 @@ impl Kernel {
     }
 
     /// The named loaded module, if present.
-    pub fn module(&self, name: &str) -> Option<&KernelModule> {
+    #[cfg(test)]
+    pub(crate) fn module(&self, name: &str) -> Option<&KernelModule> {
         self.modules
             .iter()
             .find(|m| m.module.name() == name)
@@ -422,7 +400,6 @@ impl Kernel {
             return Err(KernelError::UnknownFunction(entry.name().to_string()));
         }
         self.cpus[cpu.0].ops_executed += 1;
-        self.total_ops += 1;
         Ok(stats)
     }
 
@@ -463,7 +440,6 @@ impl Kernel {
         self.clock.advance(internal_total);
         stats.time += internal_total;
         self.cpus[cpu.0].ops_executed += 1;
-        self.total_ops += 1;
         stats += self.deliver_due_ticks(cpu)?;
         Ok(stats)
     }
@@ -486,7 +462,7 @@ impl Kernel {
     /// # Errors
     ///
     /// Returns [`KernelError::FunctionOutOfRange`] for a bad id.
-    pub fn call_single(
+    pub(crate) fn call_single(
         &mut self,
         cpu: CpuId,
         function: FunctionId,
@@ -563,7 +539,6 @@ mod tests {
         let stats = k.run_op(CpuId(0), KernelOp::Read { bytes: 4096 }).unwrap();
         assert!(stats.calls >= 4, "read should touch several functions");
         assert!(stats.time > Nanos::ZERO);
-        assert_eq!(k.total_ops(), 1);
         assert_eq!(k.cpu(CpuId(0)).unwrap().ops_executed, 1);
         assert_eq!(k.cpu(CpuId(0)).unwrap().calls_executed, stats.calls);
     }

@@ -7,7 +7,7 @@
 //! build container: the kernel itself. It models
 //!
 //! * a [`SymbolTable`] of 3815 core-kernel functions
-//!   ([`NUM_KERNEL_FUNCTIONS`], matching the paper's Figure 1) across 14
+//!   (`NUM_KERNEL_FUNCTIONS`, matching the paper's Figure 1) across 14
 //!   subsystems, with stable load addresses,
 //! * an acyclic stochastic [`CallGraph`] (generated intra-subsystem edges
 //!   plus hand-wired vertical paths: VFS → ext3 → block, socket → TCP → IP
@@ -66,9 +66,9 @@ mod symbols;
 mod tracer;
 
 pub use boot::BootReport;
-pub use builder::{KernelImage, KernelImageBuilder, NUM_KERNEL_FUNCTIONS};
-pub use callgraph::{CallEdge, CallGraph};
-pub use clock::{Nanos, SimClock};
+pub use builder::{KernelImage, KernelImageBuilder};
+pub use callgraph::CallGraph;
+pub use clock::Nanos;
 pub use cpu::{CpuId, CpuState};
 pub use debugfs::{Debugfs, DebugfsFile};
 pub use engine::{ExecStats, Kernel, KernelConfig};
@@ -76,4 +76,4 @@ pub use error::KernelError;
 pub use module::{modules, KernelModule, ModuleCall, ModuleHandler, ModuleOp};
 pub use ops::{EntryPoint, KernelOp, Stage};
 pub use symbols::{FunctionId, KernelFunction, Subsystem, SymbolTable};
-pub use tracer::{CountingTracer, FunctionTracer, NullTracer, RecordingTracer};
+pub use tracer::{CountingTracer, FunctionTracer, RecordingTracer};

@@ -38,7 +38,7 @@ pub struct ModuleCall {
 
 impl ModuleCall {
     /// Convenience constructor.
-    pub fn new(entry: impl Into<String>, calls_per_unit: f64) -> Self {
+    pub(crate) fn new(entry: impl Into<String>, calls_per_unit: f64) -> Self {
         ModuleCall {
             entry: entry.into(),
             calls_per_unit,
@@ -97,7 +97,7 @@ impl KernelModule {
     }
 
     /// Module name (e.g. `myri10ge`).
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -107,12 +107,13 @@ impl KernelModule {
     }
 
     /// Load-time parameters (e.g. `lro=0`).
-    pub fn params(&self) -> &[(String, String)] {
+    #[cfg(test)]
+    pub(crate) fn params(&self) -> &[(String, String)] {
         &self.params
     }
 
     /// Sets a load-time parameter.
-    pub fn param(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
+    pub(crate) fn param(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.params.push((key.into(), value.into()));
         self
     }

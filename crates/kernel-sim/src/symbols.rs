@@ -70,7 +70,7 @@ impl Subsystem {
     /// All subsystems, in the global call order used to keep the generated
     /// call graph acyclic: a function may only call *later* subsystems in
     /// this list (or deeper layers of its own).
-    pub const ALL: [Subsystem; 14] = [
+    pub(crate) const ALL: [Subsystem; 14] = [
         Subsystem::Syscall,
         Subsystem::Vfs,
         Subsystem::Ipc,
@@ -88,7 +88,7 @@ impl Subsystem {
     ];
 
     /// Service subsystems are callable from any other subsystem.
-    pub fn is_service(self) -> bool {
+    pub(crate) fn is_service(self) -> bool {
         matches!(
             self,
             Subsystem::Security
@@ -100,7 +100,7 @@ impl Subsystem {
     }
 
     /// Position in the global acyclicity order.
-    pub fn rank(self) -> usize {
+    pub(crate) fn rank(self) -> usize {
         Subsystem::ALL
             .iter()
             .position(|&s| s == self)
@@ -109,7 +109,7 @@ impl Subsystem {
 
     /// Short lowercase name (matches `/proc/kallsyms`-style grouping used
     /// in reports).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Subsystem::Syscall => "syscall",
             Subsystem::Vfs => "vfs",
@@ -250,14 +250,15 @@ impl SymbolTable {
     /// # Errors
     ///
     /// Returns [`KernelError::UnknownFunction`] when the name is absent.
-    pub fn set_base_cost(&mut self, name: &str, cost: Nanos) -> Result<(), KernelError> {
+    pub(crate) fn set_base_cost(&mut self, name: &str, cost: Nanos) -> Result<(), KernelError> {
         let id = self.lookup(name)?;
         self.functions[id.index()].base_cost = cost;
         Ok(())
     }
 
     /// Ids of all functions in `subsystem` at `layer`.
-    pub fn by_subsystem_layer(&self, subsystem: Subsystem, layer: u8) -> Vec<FunctionId> {
+    #[cfg(test)]
+    pub(crate) fn by_subsystem_layer(&self, subsystem: Subsystem, layer: u8) -> Vec<FunctionId> {
         self.functions
             .iter()
             .filter(|f| f.subsystem == subsystem && f.layer == layer)
@@ -266,7 +267,8 @@ impl SymbolTable {
     }
 
     /// Ids of all functions in `subsystem`.
-    pub fn by_subsystem(&self, subsystem: Subsystem) -> Vec<FunctionId> {
+    #[cfg(test)]
+    pub(crate) fn by_subsystem(&self, subsystem: Subsystem) -> Vec<FunctionId> {
         self.functions
             .iter()
             .filter(|f| f.subsystem == subsystem)
@@ -275,7 +277,8 @@ impl SymbolTable {
     }
 
     /// The highest layer present in `subsystem` (0 when absent).
-    pub fn max_layer(&self, subsystem: Subsystem) -> u8 {
+    #[cfg(test)]
+    pub(crate) fn max_layer(&self, subsystem: Subsystem) -> u8 {
         self.functions
             .iter()
             .filter(|f| f.subsystem == subsystem)

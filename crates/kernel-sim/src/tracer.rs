@@ -20,7 +20,7 @@ pub trait FunctionTracer: Send + Sync {
     fn on_function_call(&self, cpu: CpuId, function: FunctionId);
 
     /// Simulated cost added to every instrumented call (the per-call price
-    /// of the instrumentation). [`NullTracer`] charges zero: "virtually
+    /// of the instrumentation). `NullTracer` charges zero: "virtually
     /// zero runtime overhead if not enabled".
     fn overhead(&self) -> Nanos;
 
@@ -30,7 +30,7 @@ pub trait FunctionTracer: Send + Sync {
 
 /// The "vanilla kernel" tracer: observes nothing, costs nothing.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NullTracer;
+pub(crate) struct NullTracer;
 
 impl FunctionTracer for NullTracer {
     fn on_function_call(&self, _cpu: CpuId, _function: FunctionId) {}
@@ -82,7 +82,8 @@ impl CountingTracer {
     }
 
     /// Resets every counter to zero.
-    pub fn reset(&self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&self) {
         for c in &self.counts {
             c.store(0, Ordering::Relaxed);
         }

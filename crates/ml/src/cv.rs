@@ -107,7 +107,8 @@ impl CrossValidation {
     /// # Panics
     ///
     /// Panics if the grid is empty or contains a non-positive value.
-    pub fn c_grid(mut self, grid: Vec<f64>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn c_grid(mut self, grid: Vec<f64>) -> Self {
         assert!(!grid.is_empty(), "C grid must not be empty");
         assert!(grid.iter().all(|&c| c > 0.0), "C values must be positive");
         self.c_grid = grid;

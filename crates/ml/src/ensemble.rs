@@ -126,7 +126,7 @@ impl AdaBoost {
 
 impl AdaBoostModel {
     /// The alpha-weighted vote score (positive means class `+1`).
-    pub fn decision_function(&self, x: &SparseVec) -> f64 {
+    pub(crate) fn decision_function(&self, x: &SparseVec) -> f64 {
         self.trees
             .iter()
             .map(|(tree, alpha)| alpha * f64::from(tree.predict(x)))
@@ -148,7 +148,8 @@ impl AdaBoostModel {
     }
 
     /// Number of weak learners kept.
-    pub fn num_rounds(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_rounds(&self) -> usize {
         self.trees.len()
     }
 }
@@ -183,12 +184,6 @@ impl Bagging {
             max_depth: 8,
             seed: 0,
         }
-    }
-
-    /// Depth bound for each tree (default 8).
-    pub fn max_depth(mut self, depth: usize) -> Self {
-        self.max_depth = depth.max(1);
-        self
     }
 
     /// Bootstrap RNG seed (default 0).
@@ -239,7 +234,7 @@ impl Bagging {
 
 impl BaggingModel {
     /// Majority vote over the ensemble.
-    pub fn predict(&self, x: &SparseVec) -> Label {
+    pub(crate) fn predict(&self, x: &SparseVec) -> Label {
         let votes: i64 = self.trees.iter().map(|t| i64::from(t.predict(x))).sum();
         if votes >= 0 {
             1
@@ -254,7 +249,8 @@ impl BaggingModel {
     }
 
     /// Number of trees in the ensemble.
-    pub fn num_trees(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_trees(&self) -> usize {
         self.trees.len()
     }
 }

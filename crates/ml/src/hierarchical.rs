@@ -679,7 +679,8 @@ fn find(parent: &mut [usize], mut x: usize) -> usize {
 
 impl Dendrogram {
     /// Number of original points.
-    pub fn num_points(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_points(&self) -> usize {
         self.num_points
     }
 

@@ -465,18 +465,6 @@ impl KMeans {
         self
     }
 
-    /// Sets the maximum number of Lloyd iterations (default 100).
-    pub fn max_iters(mut self, iters: usize) -> Self {
-        self.max_iters = iters;
-        self
-    }
-
-    /// Sets the inertia-improvement convergence tolerance (default 1e-9).
-    pub fn tol(mut self, tol: f64) -> Self {
-        self.tol = tol;
-        self
-    }
-
     /// Sets the initialisation strategy (default k-means++).
     pub fn init(mut self, init: KMeansInit) -> Self {
         self.init = init;

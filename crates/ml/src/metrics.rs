@@ -72,7 +72,7 @@ impl BinaryConfusion {
     }
 
     /// Total number of examples.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.true_positives + self.false_positives + self.true_negatives + self.false_negatives
     }
 
@@ -106,7 +106,8 @@ impl BinaryConfusion {
     }
 
     /// Harmonic mean of precision and recall (`0.0` when both are zero).
-    pub fn f1(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn f1(&self) -> f64 {
         let p = self.precision();
         let r = self.recall();
         if p + r == 0.0 {
@@ -228,7 +229,8 @@ fn contingency(assignments: &[usize], classes: &[usize]) -> Result<Vec<Vec<usize
 ///
 /// Returns [`MlError::LabelCountMismatch`] / [`MlError::EmptyInput`] for
 /// malformed input.
-pub fn normalized_mutual_information(
+#[cfg(test)]
+pub(crate) fn normalized_mutual_information(
     assignments: &[usize],
     classes: &[usize],
 ) -> Result<f64, MlError> {
@@ -278,7 +280,8 @@ pub fn normalized_mutual_information(
 ///
 /// Returns [`MlError::LabelCountMismatch`] / [`MlError::EmptyInput`] for
 /// malformed input; requires at least two points (no pairs otherwise).
-pub fn rand_index(assignments: &[usize], classes: &[usize]) -> Result<f64, MlError> {
+#[cfg(test)]
+pub(crate) fn rand_index(assignments: &[usize], classes: &[usize]) -> Result<f64, MlError> {
     let table = contingency(assignments, classes)?;
     let n = assignments.len();
     if n < 2 {
@@ -301,7 +304,7 @@ pub fn rand_index(assignments: &[usize], classes: &[usize]) -> Result<f64, MlErr
     Ok(agreements / total_pairs)
 }
 
-/// Adjusted Rand index: the [`rand_index`] corrected for chance, so a
+/// Adjusted Rand index: the `rand_index` corrected for chance, so a
 /// random labelling scores `~0.0` and a perfect one `1.0` (it can go
 /// negative for worse-than-chance agreement).
 ///
@@ -356,7 +359,11 @@ pub fn adjusted_rand_index(assignments: &[usize], classes: &[usize]) -> Result<f
 ///
 /// Returns [`MlError::LabelCountMismatch`] / [`MlError::EmptyInput`] for
 /// malformed input; requires at least two points.
-pub fn clustering_f_measure(assignments: &[usize], classes: &[usize]) -> Result<f64, MlError> {
+#[cfg(test)]
+pub(crate) fn clustering_f_measure(
+    assignments: &[usize],
+    classes: &[usize],
+) -> Result<f64, MlError> {
     let table = contingency(assignments, classes)?;
     let n = assignments.len();
     if n < 2 {
@@ -404,7 +411,7 @@ pub fn mean_sem(samples: &[f64]) -> (f64, f64) {
 
 /// Mean and (sample) standard deviation, as reported in Tables 4 and 5
 /// ("average ± standard deviation, over all folds").
-pub fn mean_std(samples: &[f64]) -> (f64, f64) {
+pub(crate) fn mean_std(samples: &[f64]) -> (f64, f64) {
     if samples.is_empty() {
         return (0.0, 0.0);
     }

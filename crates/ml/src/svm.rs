@@ -268,12 +268,6 @@ impl SvmTrainer {
         self
     }
 
-    /// Sets the KKT violation tolerance (default `1e-3`).
-    pub fn tol(mut self, tol: f64) -> Self {
-        self.tol = tol;
-        self
-    }
-
     /// Sets the RNG seed used for the SMO sweep order (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -625,16 +619,6 @@ impl SvmModel {
     /// Number of support vectors retained by training.
     pub fn num_support_vectors(&self) -> usize {
         self.support.len()
-    }
-
-    /// The kernel the model was trained with.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// Dimensionality of the input space.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 }
 

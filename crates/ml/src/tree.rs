@@ -75,18 +75,6 @@ impl DecisionTreeTrainer {
         self
     }
 
-    /// Minimum total example weight in a leaf (default ~0).
-    pub fn min_leaf_weight(mut self, weight: f64) -> Self {
-        self.min_leaf_weight = weight.max(0.0);
-        self
-    }
-
-    /// Number of candidate thresholds examined per feature (default 16).
-    pub fn max_thresholds(mut self, k: usize) -> Self {
-        self.max_thresholds = k.max(1);
-        self
-    }
-
     /// Trains with uniform example weights.
     ///
     /// # Errors
@@ -106,7 +94,7 @@ impl DecisionTreeTrainer {
     /// As [`train`](Self::train); also
     /// [`MlError::LabelCountMismatch`] when `weights` has a different
     /// length and [`MlError::InvalidConfig`] for negative weights.
-    pub fn train_weighted(
+    pub(crate) fn train_weighted(
         &self,
         vectors: &[SparseVec],
         labels: &[Label],
@@ -354,12 +342,14 @@ impl DecisionTree {
     }
 
     /// Number of nodes in the tree.
-    pub fn num_nodes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 
     /// Number of leaf nodes.
-    pub fn num_leaves(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_leaves(&self) -> usize {
         self.nodes
             .iter()
             .filter(|n| matches!(n, Node::Leaf { .. }))
@@ -367,7 +357,8 @@ impl DecisionTree {
     }
 
     /// Maximum root-to-leaf depth (a single leaf is depth 0).
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> usize {
         fn go(nodes: &[Node], at: usize) -> usize {
             match &nodes[at] {
                 Node::Leaf { .. } => 0,
@@ -375,11 +366,6 @@ impl DecisionTree {
             }
         }
         go(&self.nodes, 0)
-    }
-
-    /// Dimensionality of the input space.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 }
 

@@ -107,16 +107,6 @@ impl FmeterTracer {
         }
     }
 
-    /// Number of instrumented functions.
-    pub fn num_functions(&self) -> usize {
-        self.stubs.len()
-    }
-
-    /// Number of per-CPU indices.
-    pub fn num_cpus(&self) -> usize {
-        self.per_cpu.len()
-    }
-
     /// Enables or disables counting (the "flip of a switch" the paper
     /// promises for production machines). Disabled tracing records
     /// nothing; the stub still exists, so we keep charging its (tiny)
@@ -186,7 +176,7 @@ impl FmeterTracer {
     /// function, in address order. Addresses identify functions
     /// unambiguously (names may be duplicated by `static`s), exactly as
     /// the paper argues.
-    pub fn render_debugfs(&self) -> String {
+    pub(crate) fn render_debugfs(&self) -> String {
         let counts = self.read_counts();
         let mut out = String::with_capacity(self.stubs.len() * 24);
         for (addr, count) in self.addresses.iter().zip(&counts) {

@@ -101,18 +101,14 @@ impl FtraceTracer {
     }
 
     /// Enables or disables event recording.
-    pub fn set_enabled(&self, enabled: bool) {
+    #[cfg(test)]
+    pub(crate) fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled as u64, Ordering::Relaxed);
     }
 
     /// Whether recording is enabled.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed) != 0
-    }
-
-    /// Number of per-CPU buffers.
-    pub fn num_cpus(&self) -> usize {
-        self.buffers.len()
     }
 
     /// Drains and decodes all queued events for one CPU (the user-space
@@ -149,7 +145,8 @@ impl FtraceTracer {
     }
 
     /// Total events ever recorded (including later-overwritten ones).
-    pub fn total_recorded(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_recorded(&self) -> u64 {
         self.buffers
             .iter()
             .map(|b| b.lock().ring.total_pushed())

@@ -108,12 +108,14 @@ impl HotSetTracer {
     }
 
     /// Size of the hot set.
-    pub fn hot_set_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn hot_set_len(&self) -> usize {
         self.hot_members.len()
     }
 
     /// The hot-set members, hottest first.
-    pub fn hot_members(&self) -> &[FunctionId] {
+    #[cfg(test)]
+    pub(crate) fn hot_members(&self) -> &[FunctionId] {
         &self.hot_members
     }
 

@@ -64,12 +64,13 @@ impl RingBuffer {
     }
 
     /// Buffer capacity in bytes.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.buf.len()
     }
 
     /// Bytes currently occupied by queued records.
-    pub fn used(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn used(&self) -> usize {
         self.used
     }
 
@@ -89,7 +90,8 @@ impl RingBuffer {
     }
 
     /// Total records ever pushed.
-    pub fn total_pushed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_pushed(&self) -> u64 {
         self.total_pushed
     }
 

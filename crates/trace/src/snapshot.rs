@@ -24,12 +24,14 @@ impl CounterSnapshot {
     }
 
     /// Number of functions covered.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.counts.len()
     }
 
     /// Returns `true` for an empty (zero-function) snapshot.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.counts.is_empty()
     }
 

@@ -132,7 +132,7 @@ impl LmbenchTest {
     }
 
     /// The kernel operations one iteration of the test's busy-loop issues.
-    pub fn ops(&self) -> Vec<KernelOp> {
+    pub(crate) fn ops(&self) -> Vec<KernelOp> {
         use KernelOp::*;
         match self {
             LmbenchTest::AfUnixSockStream => vec![

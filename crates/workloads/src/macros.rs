@@ -337,12 +337,6 @@ impl NetperfReceive {
             packets: 0,
         }
     }
-
-    /// Overrides the per-interrupt packet batch size (default 32).
-    pub fn batch(mut self, batch: u32) -> Self {
-        self.batch = batch.max(1);
-        self
-    }
 }
 
 impl Workload for NetperfReceive {

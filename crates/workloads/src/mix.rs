@@ -53,12 +53,14 @@ impl OpMix {
     }
 
     /// Number of distinct operations in the mix.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Returns `true` if the mix is empty (never: construction forbids it).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
@@ -72,11 +74,6 @@ impl OpMix {
             roll -= w;
         }
         self.entries.last().expect("mix is non-empty").0
-    }
-
-    /// The entries and weights.
-    pub fn entries(&self) -> &[(KernelOp, f64)] {
-        &self.entries
     }
 }
 

@@ -116,13 +116,9 @@ impl<W: Workload> WithBackground<W> {
     }
 
     /// The current background fraction (diagnostics).
-    pub fn fraction(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn fraction(&self) -> f32 {
         self.fraction
-    }
-
-    /// The wrapped primary workload.
-    pub fn primary(&self) -> &W {
-        &self.primary
     }
 }
 

@@ -88,7 +88,7 @@ impl RollingMix {
     ///
     /// Panics when `roster` is empty, contains an unknown label, or
     /// `steps_per_phase` is empty or starts at zero.
-    pub fn new(
+    pub(crate) fn new(
         seed: u64,
         steps_per_phase: std::ops::RangeInclusive<u64>,
         roster: Vec<&'static str>,
@@ -133,13 +133,9 @@ impl RollingMix {
     }
 
     /// Number of phases started so far (including the current one).
-    pub fn phases_started(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn phases_started(&self) -> u64 {
         self.phases_started
-    }
-
-    /// Steps remaining before the current phase rotates out.
-    pub fn steps_left_in_phase(&self) -> u64 {
-        self.current.steps_left
     }
 }
 

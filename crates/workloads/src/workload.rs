@@ -14,12 +14,13 @@ pub struct StepStats {
 
 impl StepStats {
     /// Total (user + sys) time of the step.
-    pub fn total_time(&self) -> Nanos {
+    #[cfg(test)]
+    pub(crate) fn total_time(&self) -> Nanos {
         self.sys_time + self.user_time
     }
 
     /// Merges kernel [`ExecStats`] into this step.
-    pub fn absorb(&mut self, stats: ExecStats) {
+    pub(crate) fn absorb(&mut self, stats: ExecStats) {
         self.kernel_calls += stats.calls;
         self.sys_time += stats.time;
     }
