@@ -9,12 +9,12 @@
 //! distance exceeds what the training population ever exhibited.
 
 use fmeter_ir::{euclidean_distance, SparseVec, TermCounts};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{FmeterError, SignatureDb, Syndrome};
 
 /// Verdict for one inspected signature.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AnomalyVerdict {
     /// Index of the nearest syndrome.
     pub syndrome: usize,
@@ -38,7 +38,7 @@ pub struct AnomalyVerdict {
 /// let detector = AnomalyDetector::fit(&db, 3, 1.5, 42)?;
 /// # Ok::<(), fmeter_core::FmeterError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AnomalyDetector {
     syndromes: Vec<Syndrome>,
     threshold: f64,
@@ -60,45 +60,6 @@ impl AnomalyDetector {
             )));
         }
         let syndromes = db.syndromes(k, seed)?;
-        Self::from_syndromes(db, syndromes, margin)
-    }
-
-    /// Like [`fit`](Self::fit), but routed through
-    /// [`SignatureDb::recluster`]: the first call clusters cold, and a
-    /// detector refreshed after streaming churn warm-starts from the
-    /// database's cached assignment — two sweeps over the live corpus
-    /// when nothing moved, two more per Lloyd iteration when something
-    /// did, instead of k-means++ and a full multi-restart K-means —
-    /// while the threshold is recomputed over the full surviving
-    /// membership either way.
-    ///
-    /// # Errors
-    ///
-    /// Propagates clustering failures; rejects `margin < 1` like
-    /// [`fit`](Self::fit).
-    #[cfg(test)]
-    pub(crate) fn fit_incremental(
-        db: &mut SignatureDb,
-        k: usize,
-        margin: f64,
-        seed: u64,
-    ) -> Result<Self, FmeterError> {
-        if margin < 1.0 {
-            return Err(FmeterError::Ml(fmeter_ml::MlError::InvalidConfig(
-                "margin must be >= 1".into(),
-            )));
-        }
-        let recluster = db.recluster(k, seed)?;
-        Self::from_syndromes(db, recluster.syndromes, margin)
-    }
-
-    /// Shared tail of the fit paths: derive the novelty threshold from
-    /// the training population's largest member-to-centroid distance.
-    fn from_syndromes(
-        db: &SignatureDb,
-        syndromes: Vec<Syndrome>,
-        margin: f64,
-    ) -> Result<Self, FmeterError> {
         let mut max_radius: f64 = 0.0;
         for syndrome in &syndromes {
             for &member in &syndrome.members {
@@ -113,18 +74,6 @@ impl AnomalyDetector {
             syndromes,
             threshold,
         })
-    }
-
-    /// The syndromes backing the detector.
-    #[cfg(test)]
-    pub(crate) fn syndromes(&self) -> &[Syndrome] {
-        &self.syndromes
-    }
-
-    /// The fitted novelty threshold.
-    #[cfg(test)]
-    pub(crate) fn threshold(&self) -> f64 {
-        self.threshold
     }
 
     /// Inspects one already-transformed signature vector.
@@ -247,35 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn incremental_fit_matches_cold_fit_and_warm_starts() {
-        let mut db = training();
-        let cold = AnomalyDetector::fit(&db, 2, 1.5, 1).unwrap();
-        // First incremental fit is a cold recluster with the same k-means
-        // configuration modulo restarts; on this well-separated corpus the
-        // syndromes agree exactly.
-        let first = AnomalyDetector::fit_incremental(&mut db, 2, 1.5, 1).unwrap();
-        assert_eq!(first.syndromes(), cold.syndromes());
-        assert_eq!(first.threshold(), cold.threshold());
-        // Second fit with unchanged data warm-starts and reproduces the
-        // detector bit for bit.
-        let second = AnomalyDetector::fit_incremental(&mut db, 2, 1.5, 1).unwrap();
-        assert_eq!(second.syndromes(), first.syndromes());
-        assert_eq!(second.threshold(), first.threshold());
-        let verdict = second
-            .inspect(
-                &db,
-                &fmeter_ir::TermCounts::from_dense(&[0, 80, 0, 0, 0, 90, 0, 0]),
-            )
-            .unwrap();
-        assert!(verdict.is_anomalous);
-    }
-
-    #[test]
     fn threshold_scales_with_margin() {
         let db = training();
         let tight = AnomalyDetector::fit(&db, 2, 1.0, 1).unwrap();
         let loose = AnomalyDetector::fit(&db, 2, 3.0, 1).unwrap();
-        assert!(loose.threshold() > tight.threshold());
-        assert_eq!(tight.syndromes().len(), 2);
+        assert!(loose.threshold > tight.threshold);
+        assert_eq!(tight.syndromes.len(), 2);
     }
 }
