@@ -17,7 +17,7 @@ use crate::{FmeterError, RawSignature, Signature};
 /// "The centroid of a cluster of signatures can then be used as a
 /// syndrome which characterizes a manifestation of a common behavior"
 /// (paper §2.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Syndrome {
     /// Cluster centroid in tf-idf space.
     pub centroid: SparseVec,
@@ -68,7 +68,7 @@ impl Default for RefitPolicy {
 }
 
 /// Outcome of one [`SignatureDb::refit`] pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RefitStats {
     /// The idf generation this refit published.
     pub epoch: u64,
@@ -121,7 +121,7 @@ impl Default for VacuumPolicy {
 }
 
 /// Outcome of one [`SignatureDb::vacuum`] pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VacuumStats {
     /// Tombstoned slots whose raw counts, vectors, and bookkeeping were
     /// reclaimed.

@@ -58,7 +58,7 @@ impl RawSignature {
 /// A finished, indexable signature: the tf-idf weight vector of one
 /// monitoring interval, L2-normalisable and comparable to any other
 /// signature from the same corpus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Signature {
     /// The tf-idf weight vector `v_j`.
     pub vector: SparseVec,

@@ -1,4 +1,4 @@
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{IrError, SparseVec, TermId};
 
@@ -7,7 +7,7 @@ use crate::{IrError, SparseVec, TermId};
 /// The paper compares vectors "using the Euclidean distance, i.e. the
 /// distance metric induced by the L2 norm" unless stated otherwise; cosine
 /// and L1 are provided for the ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub enum Metric {
     /// L2 (Euclidean) distance — the paper's default.
     #[default]

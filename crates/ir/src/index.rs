@@ -2,12 +2,12 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{dot_sparse_dense, DocId, IrError, SharedVec, SparseVec, TermId};
 
 /// One result of a similarity search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SearchHit {
     /// Identifier of the matching document.
     pub doc: DocId,

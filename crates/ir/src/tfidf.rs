@@ -42,7 +42,7 @@ pub struct TfIdfOptions {
 }
 
 /// Outcome of one [`TfIdfModel::refit_idf`] pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IdfRefit {
     /// Terms whose idf value changed in this refit (ascending order).
     pub changed_terms: Vec<TermId>,

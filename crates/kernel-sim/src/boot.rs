@@ -8,12 +8,12 @@
 //! filesystem mounting, daemon start-up), which is what bends the rank /
 //! count curve into a power law.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{CpuId, ExecStats, Kernel, KernelError, KernelOp, Nanos};
 
 /// Summary of a boot run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BootReport {
     /// Functions in the symbol table (all touched at least once).
     pub functions: usize,

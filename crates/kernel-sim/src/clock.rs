@@ -93,7 +93,7 @@ impl fmt::Display for Nanos {
 ///
 /// The clock advances only when simulated work executes; there is no
 /// independent wall-clock source. This makes runs perfectly reproducible.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub(crate) struct SimClock {
     now: Nanos,
 }

@@ -1,11 +1,9 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a simulated logical CPU (hardware thread).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct CpuId(pub usize);
 
 impl fmt::Display for CpuId {
@@ -17,7 +15,7 @@ impl fmt::Display for CpuId {
 /// Per-CPU execution state and statistics.
 ///
 /// The per-CPU bookkeeping the evaluation reads back.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct CpuState {
     /// Total instrumented kernel function calls executed on this CPU.
     pub calls_executed: u64,

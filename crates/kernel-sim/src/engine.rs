@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::clock::SimClock;
 use crate::tracer::NullTracer;
@@ -15,7 +15,7 @@ use crate::{
 };
 
 /// Configuration of a simulated machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct KernelConfig {
     /// Number of logical CPUs. Default 16, like the paper's dual-socket
     /// Nehalem R710 with hyperthreads.
@@ -46,7 +46,7 @@ impl Default for KernelConfig {
 }
 
 /// Execution statistics for one or more operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct ExecStats {
     /// Instrumented kernel function calls performed.
     pub calls: u64,

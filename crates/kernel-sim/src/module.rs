@@ -8,12 +8,12 @@
 //! module models: a [`KernelModule`] is a bag of *handlers* mapping module
 //! operations to distributions of core-kernel entry calls.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::Nanos;
 
 /// An operation served by a loaded module (driver-level event).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 #[non_exhaustive]
 pub enum ModuleOp {
     /// The NIC received a batch of packets; the driver pushes them into
@@ -28,7 +28,7 @@ pub enum ModuleOp {
 /// One core-kernel call a module handler makes: `entry` is invoked
 /// `calls_per_unit` times per unit of work (fractional values are sampled
 /// stochastically at execution time).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModuleCall {
     /// Anchor name of the core-kernel function the driver calls into.
     pub entry: String,
@@ -47,7 +47,7 @@ impl ModuleCall {
 }
 
 /// A handler for one [`ModuleOp`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct ModuleHandler {
     /// Core-kernel calls made per unit of work.
     pub calls: Vec<ModuleCall>,
@@ -73,7 +73,7 @@ pub struct ModuleHandler {
 ///     nolro.handler(fmeter_kernel_sim::ModuleOp::NicReceive),
 /// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KernelModule {
     name: String,
     version: String,

@@ -1,4 +1,4 @@
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A kernel-visible operation a workload can issue: a system call, a fault,
 /// or an interrupt-context activity.
@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// entry's call subtree, which is where the signature counts come from.
 /// Parameters (byte counts, fd counts, page counts) scale the repeats the
 /// way loop bounds scale call counts in a real kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 #[non_exhaustive]
 pub enum KernelOp {
     /// The cheapest round trip: `getppid()`.

@@ -1,7 +1,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{KernelError, Nanos};
 
@@ -11,7 +11,7 @@ use crate::{KernelError, Nanos};
 /// Function ids double as term ids in the signature vector space — the
 /// paper's orthonormal basis is exactly the set of distinct instrumented
 /// kernel functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct FunctionId(pub u32);
 
 impl FunctionId {
@@ -34,7 +34,7 @@ impl fmt::Display for FunctionId {
 /// vertical paths (VFS -> filesystem -> block, IRQ -> net, ...), and the
 /// *service* subsystems (locking, slab, time, utilities) are callable from
 /// everywhere — they become the corpus' high-frequency "stop words".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Subsystem {
     /// System call dispatch and entry stubs.
     Syscall,

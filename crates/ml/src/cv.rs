@@ -2,7 +2,7 @@ use fmeter_ir::SparseVec;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::metrics::{majority_baseline, mean_std, BinaryConfusion};
 use crate::svm::Solution;
@@ -51,7 +51,7 @@ use crate::{Gram, Kernel, Label, MlError, SvmTrainer};
 ///     .unwrap();
 /// assert_eq!(report.mean_accuracy().0, 1.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CrossValidation {
     folds: usize,
     c_grid: Vec<f64>,
@@ -60,7 +60,7 @@ pub struct CrossValidation {
 }
 
 /// Result of evaluating one test fold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FoldOutcome {
     /// Index of the test fold.
     pub fold: usize,
@@ -73,7 +73,7 @@ pub struct FoldOutcome {
 }
 
 /// Aggregated cross-validation report (the rows of Tables 4 and 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CvReport {
     /// Per-fold outcomes in fold order.
     pub folds: Vec<FoldOutcome>,

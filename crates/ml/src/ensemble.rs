@@ -5,7 +5,7 @@
 use fmeter_ir::SparseVec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{DecisionTree, DecisionTreeTrainer, Label, MlError};
 
@@ -34,14 +34,14 @@ use crate::{DecisionTree, DecisionTreeTrainer, Label, MlError};
 ///     assert_eq!(model.predict(x), y);
 /// }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AdaBoost {
     rounds: usize,
     weak_depth: usize,
 }
 
 /// A trained AdaBoost ensemble.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AdaBoostModel {
     trees: Vec<(DecisionTree, f64)>,
     dim: usize,
@@ -158,7 +158,7 @@ impl AdaBoostModel {
 ///
 /// Each round trains a full-depth tree on a bootstrap resample; the
 /// ensemble predicts by majority vote.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Bagging {
     rounds: usize,
     max_depth: usize,
@@ -166,7 +166,7 @@ pub struct Bagging {
 }
 
 /// A trained bagging ensemble.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BaggingModel {
     trees: Vec<DecisionTree>,
 }

@@ -1,7 +1,7 @@
 use std::collections::BTreeMap;
 
 use fmeter_ir::{AnnGraph, CsrMatrix, Metric, SparseVec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::MlError;
 
@@ -14,7 +14,7 @@ type CandidateLists = Vec<Vec<(usize, f64)>>;
 /// The paper implements complete-, single-, and average-linkage and reports
 /// single-linkage results (Figure 4); the flavours behave similarly on
 /// Fmeter signatures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum Linkage {
     /// Distance between clusters = minimum pairwise distance.
     #[default]
@@ -60,7 +60,7 @@ pub struct Dendrogram {
 /// plus their neighbours, ranked by exact distance). A larger `knn`
 /// buys accuracy with time; when `knn >= n - 1` the candidate graph is
 /// complete and the path degenerates to the exact NN-chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SnnParams {
     /// Nearest neighbours kept per point (candidate edges).
     pub knn: usize,
@@ -101,7 +101,7 @@ const SNN_EF_CONSTRUCTION: usize = 80;
 /// assert_eq!(cut[0], cut[1]);
 /// assert_ne!(cut[0], cut[2]);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Agglomerative {
     linkage: Linkage,
     metric: Metric,

@@ -5,7 +5,7 @@ use fmeter_ir::{dot_sparse_dense, Metric, SparseVec, TermId};
 use rand::rngs::SmallRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::MlError;
 
@@ -355,7 +355,7 @@ thread_local! {
 }
 
 /// Centroid initialisation strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum KMeansInit {
     /// k-means++ seeding (D² weighting) — better and still cheap.
     #[default]
@@ -391,7 +391,7 @@ pub enum KMeansInit {
 /// assert_eq!(result.assignments[0], result.assignments[1]);
 /// assert_ne!(result.assignments[0], result.assignments[2]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KMeans {
     k: usize,
     max_iters: usize,
@@ -412,7 +412,7 @@ pub struct KMeans {
 const PARALLEL_ASSIGN_THRESHOLD: usize = 1 << 16;
 
 /// Outcome of a K-means run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KMeansResult {
     /// Final centroids, `k` of them. The centroid of a cluster of
     /// signatures is the paper's "syndrome" characterising a behaviour.

@@ -4,7 +4,7 @@
 //! These are exactly the quantities reported in the paper's Tables 4 and 5
 //! (classification) and Figures 5 and 6 (purity).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{Label, MlError};
 
@@ -22,7 +22,7 @@ use crate::{Label, MlError};
 /// assert_eq!(c.precision(), 1.0);
 /// assert_eq!(c.recall(), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct BinaryConfusion {
     /// Positives classified as positive.
     pub true_positives: usize,

@@ -2,7 +2,7 @@ use fmeter_ir::SparseVec;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::{Label, MlError};
 
@@ -102,7 +102,7 @@ impl Default for Kernel {
 /// assert_eq!(model.predict(&xs[0]), 1);
 /// assert_eq!(model.predict(&xs[2]), -1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SvmTrainer {
     c: f64,
     kernel: Kernel,
@@ -567,7 +567,7 @@ impl Smo<'_, '_> {
 }
 
 /// A trained SVM decision function.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SvmModel {
     kernel: Kernel,
     support: Vec<SparseVec>,
@@ -577,7 +577,55 @@ pub struct SvmModel {
     dim: usize,
 }
 
+// Read by hand so a model that arrives as JSON goes through
+// `SvmModel::from_wire`: a derived reader would accept support vectors
+// outside `dim`, which `Kernel::eval` panics on, and unpaired
+// coefficients, which `decision_function`'s `zip` silently drops.
+impl Deserialize for SvmModel {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        SvmModel::from_wire(
+            Kernel::from_value(v.get_field("kernel")?)?,
+            Vec::from_value(v.get_field("support")?)?,
+            Vec::from_value(v.get_field("sv_alpha_y")?)?,
+            f64::from_value(v.get_field("bias")?)?,
+            usize::from_value(v.get_field("dim")?)?,
+        )
+        .map_err(serde::Error)
+    }
+}
+
 impl SvmModel {
+    /// Builds a model from fields that arrived over a wire: every
+    /// support vector must live in `dim` and carry one coefficient.
+    fn from_wire(
+        kernel: Kernel,
+        support: Vec<SparseVec>,
+        sv_alpha_y: Vec<f64>,
+        bias: f64,
+        dim: usize,
+    ) -> Result<Self, String> {
+        if sv_alpha_y.len() != support.len() {
+            return Err(format!(
+                "SvmModel has {} coefficients for {} support vectors",
+                sv_alpha_y.len(),
+                support.len()
+            ));
+        }
+        if let Some(sv) = support.iter().find(|sv| sv.dim() != dim) {
+            return Err(format!(
+                "SvmModel support vector of dimension {} in a model of dimension {dim}",
+                sv.dim()
+            ));
+        }
+        Ok(SvmModel {
+            kernel,
+            support,
+            sv_alpha_y,
+            bias,
+            dim,
+        })
+    }
+
     /// Signed distance-like score: positive means class `+1`.
     ///
     /// # Panics
@@ -642,6 +690,62 @@ mod tests {
             ys.push(-1);
         }
         (xs, ys)
+    }
+
+    /// A linear model over four terms, as in the persisted-model test.
+    fn four_term_model() -> SvmModel {
+        let xs = [
+            point(4, &[(0, 1.0)]),
+            point(4, &[(0, 0.9)]),
+            point(4, &[(1, 1.0)]),
+            point(4, &[(1, 1.1)]),
+        ];
+        SvmTrainer::new()
+            .kernel(Kernel::Linear)
+            .train(&xs, &[1, 1, -1, -1])
+            .unwrap()
+    }
+
+    /// `model`'s serialized fields with `name` set to `value`.
+    fn edited(model: &SvmModel, name: &str, value: Value) -> Value {
+        let Value::Object(mut fields) = model.to_value() else {
+            panic!("a model serializes to an object");
+        };
+        fields.iter_mut().find(|(k, _)| k == name).expect("field").1 = value;
+        Value::Object(fields)
+    }
+
+    #[test]
+    fn json_reader_round_trips_a_trained_model() {
+        let model = four_term_model();
+        let back = SvmModel::from_value(&model.to_value()).unwrap();
+        assert_eq!(back.to_value(), model.to_value());
+    }
+
+    #[test]
+    fn json_reader_refuses_a_dimension_the_support_does_not_live_in() {
+        // `"dim": 4` edited to 3: a derived reader accepted it, and
+        // predicting a 3-term query then panicked in `Kernel::eval`.
+        let lie = edited(&four_term_model(), "dim", Value::U64(3));
+        let err = SvmModel::from_value(&lie).unwrap_err();
+        assert!(
+            err.0.contains("dimension 4 in a model of dimension 3"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn json_reader_refuses_unpaired_coefficients() {
+        let model = four_term_model();
+        let Value::Array(mut coefficients) =
+            model.to_value().get_field("sv_alpha_y").unwrap().clone()
+        else {
+            panic!("coefficients serialize to an array");
+        };
+        coefficients.push(Value::F64(1.0));
+        let lie = edited(&model, "sv_alpha_y", Value::Array(coefficients));
+        let err = SvmModel::from_value(&lie).unwrap_err();
+        assert!(err.0.contains("coefficients for"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 use fmeter_kernel_sim::{CpuId, ExecStats, Kernel, KernelError, Nanos};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Statistics for one workload step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct StepStats {
     /// Instrumented kernel calls performed by the step.
     pub kernel_calls: u64,

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use fmeter::core::{Fmeter, SignatureDb};
 use fmeter::ir::{SparseVec, TermCounts, TfIdfModel};
 use fmeter::kernel_sim::{CpuId, Kernel, KernelConfig, KernelOp, Nanos};
-use fmeter::ml::{DecisionTree, Kernel as SvmKernel, SvmTrainer};
+use fmeter::ml::{Kernel as SvmKernel, SvmTrainer};
 use fmeter::trace::FmeterTracer;
 use fmeter::workloads::Dbench;
 
@@ -48,12 +48,8 @@ fn trained_models_survive_json() {
         .unwrap();
     let svm_back: fmeter::ml::SvmModel =
         serde_json::from_str(&serde_json::to_string(&svm).unwrap()).unwrap();
-    let tree = DecisionTree::trainer().train(&xs, &ys).unwrap();
-    let tree_back: DecisionTree =
-        serde_json::from_str(&serde_json::to_string(&tree).unwrap()).unwrap();
     for (x, &y) in xs.iter().zip(&ys) {
         assert_eq!(svm_back.predict(x), y);
-        assert_eq!(tree_back.predict(x), y);
     }
 }
 
