@@ -698,13 +698,6 @@ impl SignatureDb {
         self.mutations_since_refit
     }
 
-    /// How far the published idf weights lag behind the maintained
-    /// document frequencies (see [`TfIdfModel::idf_drift`]).
-    #[cfg(test)]
-    pub(crate) fn idf_drift(&self) -> f64 {
-        self.model.idf_drift()
-    }
-
     /// Returns `true` when `doc` names a live (inserted, not removed)
     /// signature.
     pub fn is_live(&self, doc: DocId) -> bool {
@@ -1374,7 +1367,7 @@ mod tests {
             raw.push(r);
         }
         assert_eq!(db.len(), 18);
-        assert!(db.idf_drift() > 0.0 || db.mutations_since_refit() > 0);
+        assert!(db.model.idf_drift() > 0.0 || db.mutations_since_refit() > 0);
         let stats = db.refit();
         assert_eq!(stats.epoch, 1);
         assert_eq!(db.epoch(), 1);
@@ -1487,7 +1480,7 @@ mod tests {
         for d in 0..db.num_slots() {
             assert_eq!(restored.is_live(d), db.is_live(d));
         }
-        assert!((restored.idf_drift() - db.idf_drift()).abs() < 1e-15);
+        assert!((restored.model.idf_drift() - db.model.idf_drift()).abs() < 1e-15);
         // The restored database keeps mutating identically.
         let r = raw_a(62, Some("a"));
         assert_eq!(restored.insert(&r).unwrap(), db.insert(&r).unwrap());

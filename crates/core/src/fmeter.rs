@@ -56,12 +56,6 @@ impl Fmeter {
         self.tracer.set_enabled(enabled);
     }
 
-    /// Whether counting is enabled.
-    #[cfg(test)]
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.tracer.is_enabled()
-    }
-
     /// Creates a logging daemon sampling every `interval` of simulated
     /// time, starting from the current counter state.
     pub fn logger(&self, interval: Nanos, now: Nanos) -> SignatureLogger {
@@ -86,7 +80,7 @@ mod tests {
         let fmeter = Fmeter::install(&mut kernel);
         assert_eq!(kernel.tracer().name(), "fmeter");
         assert!(kernel.debugfs().ls().contains(&"tracing/fmeter/counters"));
-        assert!(fmeter.is_enabled());
+        assert!(fmeter.tracer.is_enabled());
 
         kernel.run_op(CpuId(0), KernelOp::SyscallNull).unwrap();
         let content = kernel.debugfs().read("tracing/fmeter/counters").unwrap();

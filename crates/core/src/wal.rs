@@ -1059,12 +1059,6 @@ impl DurableLog {
         }
     }
 
-    /// Ops appended since the last checkpoint.
-    #[cfg(test)]
-    pub(crate) fn ops_since_checkpoint(&self) -> u64 {
-        self.ops_since_checkpoint
-    }
-
     /// Test hook: while set, every WAL write fails. An append degrades
     /// the log the way a real write error does, and a checkpoint fails
     /// to open its generation's WAL (before creating the file) and
@@ -1709,7 +1703,7 @@ mod tests {
             durable.durable_log().unwrap().generation() >= gen_before + 2,
             "11 ops at a 5-op bound must have checkpointed at least twice"
         );
-        assert!(durable.durable_log().unwrap().ops_since_checkpoint() < 5);
+        assert!(durable.durable_log().unwrap().ops_since_checkpoint < 5);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1731,7 +1725,7 @@ mod tests {
         let mut durable = create(&dir, base_db(), opts).unwrap();
         let log = |d: &ShardWriter| {
             let log = d.durable_log().unwrap();
-            (log.generation(), log.ops_since_checkpoint())
+            (log.generation(), log.ops_since_checkpoint)
         };
         let (gen_before, _) = log(&durable);
         for i in 0..3 {

@@ -539,12 +539,6 @@ impl InvertedIndex {
         self.num_docs - self.num_removed
     }
 
-    /// Number of tombstoned documents.
-    #[cfg(test)]
-    pub(crate) fn num_removed(&self) -> usize {
-        self.num_removed
-    }
-
     /// The tail documents as `(doc id, normalised row)`. The first one's
     /// id is `num_docs - tail.len()`: every flat posting sits below it.
     fn tail_rows(&self) -> impl Iterator<Item = (usize, &SparseVec)> + '_ {
@@ -1407,7 +1401,7 @@ mod tests {
         assert_eq!(before[0].doc, 7);
         idx.remove(7).unwrap();
         assert_eq!(idx.live_len(), 399);
-        assert_eq!(idx.num_removed(), 1);
+        assert_eq!(idx.num_removed, 1);
         assert!(!idx.is_live(7));
         for hits in [
             idx.search_exhaustive(&q, 5, &mut scratch).unwrap(),

@@ -518,12 +518,6 @@ impl TfIdfModel {
     pub fn idf(&self, term: u32) -> f64 {
         self.weights.idf.get(term as usize).copied().unwrap_or(0.0)
     }
-
-    /// The options the model was fitted with.
-    #[cfg(test)]
-    pub(crate) fn options(&self) -> TfIdfOptions {
-        self.weights.options
-    }
 }
 
 // Binary wire layout (see `crate::codec`). The mode enums travel as one-byte
@@ -930,7 +924,7 @@ mod tests {
         assert_eq!(keys, MODEL_FIELDS);
         let restored: TfIdfModel = serde::Deserialize::from_value(&value).unwrap();
         assert_eq!(restored.num_docs(), m.num_docs());
-        assert_eq!(restored.options(), m.options());
+        assert_eq!(restored.weights.options, m.weights.options);
         for t in 0..4u32 {
             assert_eq!(restored.document_frequency(t), m.document_frequency(t));
             assert_eq!(restored.idf(t), m.idf(t));

@@ -106,12 +106,6 @@ impl KernelModule {
         &self.version
     }
 
-    /// Load-time parameters (e.g. `lro=0`).
-    #[cfg(test)]
-    pub(crate) fn params(&self) -> &[(String, String)] {
-        &self.params
-    }
-
     /// Sets a load-time parameter.
     pub(crate) fn param(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.params.push((key.into(), value.into()));
@@ -326,7 +320,7 @@ mod tests {
     #[test]
     fn params_recorded() {
         let m = myri10ge_v151_no_lro();
-        assert_eq!(m.params(), &[("lro".to_string(), "0".to_string())]);
+        assert_eq!(m.params, &[("lro".to_string(), "0".to_string())]);
         assert_eq!(m.name(), "myri10ge");
     }
 

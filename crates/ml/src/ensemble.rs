@@ -146,12 +146,6 @@ impl AdaBoostModel {
     pub fn predict_batch(&self, xs: &[SparseVec]) -> Vec<Label> {
         xs.iter().map(|x| self.predict(x)).collect()
     }
-
-    /// Number of weak learners kept.
-    #[cfg(test)]
-    pub(crate) fn num_rounds(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 /// Bootstrap-aggregated decision trees (bagging).
@@ -247,12 +241,6 @@ impl BaggingModel {
     pub fn predict_batch(&self, xs: &[SparseVec]) -> Vec<Label> {
         xs.iter().map(|x| self.predict(x)).collect()
     }
-
-    /// Number of trees in the ensemble.
-    #[cfg(test)]
-    pub(crate) fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 #[cfg(test)]
@@ -295,7 +283,7 @@ mod tests {
         for (x, &y) in xs.iter().zip(&ys) {
             assert_eq!(model.predict(x), y);
         }
-        assert!(model.num_rounds() >= 1);
+        assert!(!model.trees.is_empty());
     }
 
     #[test]
@@ -303,7 +291,7 @@ mod tests {
         let (xs, ys) = noisy_bands(1);
         let model = AdaBoost::new(50).weak_depth(4).train(&xs, &ys).unwrap();
         // Separable by one tree: should terminate well before 50 rounds.
-        assert!(model.num_rounds() < 5, "rounds = {}", model.num_rounds());
+        assert!(model.trees.len() < 5, "rounds = {}", model.trees.len());
         let correct = xs
             .iter()
             .zip(&ys)
@@ -327,7 +315,7 @@ mod tests {
         let (xs, ys) = noisy_bands(3);
         let m1 = Bagging::new(7).seed(4).train(&xs, &ys).unwrap();
         let m2 = Bagging::new(7).seed(4).train(&xs, &ys).unwrap();
-        assert_eq!(m1.num_trees(), 7);
+        assert_eq!(m1.trees.len(), 7);
         let correct = xs
             .iter()
             .zip(&ys)

@@ -678,12 +678,6 @@ fn find(parent: &mut [usize], mut x: usize) -> usize {
 }
 
 impl Dendrogram {
-    /// Number of original points.
-    #[cfg(test)]
-    pub(crate) fn num_points(&self) -> usize {
-        self.num_points
-    }
-
     /// The merge steps, sorted by ascending linkage distance (the
     /// canonical order; merge `i` creates node `num_points + i`).
     pub fn merges(&self) -> &[Merge] {
@@ -971,7 +965,7 @@ mod tests {
         let pts = line_points(&[1.0]);
         for (name, path) in all_paths() {
             let tree = path(&pts).unwrap_or_else(|e| panic!("{name} on 1 point: {e}"));
-            assert_eq!(tree.num_points(), 1, "{name}");
+            assert_eq!(tree.num_points, 1, "{name}");
             assert!(tree.merges().is_empty(), "{name}");
             assert_eq!(tree.cut(1), vec![0], "{name}");
             assert_eq!(tree.cut(7), vec![0], "{name} (k clamps to n)");

@@ -341,12 +341,6 @@ impl DecisionTree {
         xs.iter().map(|x| self.predict(x)).collect()
     }
 
-    /// Number of nodes in the tree.
-    #[cfg(test)]
-    pub(crate) fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of leaf nodes.
     #[cfg(test)]
     pub(crate) fn num_leaves(&self) -> usize {
@@ -448,7 +442,7 @@ mod tests {
         let xs = vec![point(&[(0, 1.0)]), point(&[(0, 2.0)])];
         let ys = vec![1, 1];
         let tree = DecisionTree::trainer().train(&xs, &ys).unwrap();
-        assert_eq!(tree.num_nodes(), 1);
+        assert_eq!(tree.nodes.len(), 1);
         assert_eq!(tree.depth(), 0);
         assert_eq!(tree.predict(&point(&[(3, 9.0)])), 1);
     }

@@ -107,18 +107,6 @@ impl HotSetTracer {
         self
     }
 
-    /// Size of the hot set.
-    #[cfg(test)]
-    pub(crate) fn hot_set_len(&self) -> usize {
-        self.hot_members.len()
-    }
-
-    /// The hot-set members, hottest first.
-    #[cfg(test)]
-    pub(crate) fn hot_members(&self) -> &[FunctionId] {
-        &self.hot_members
-    }
-
     /// Increments recorded through the hot array.
     pub fn hot_hits(&self) -> u64 {
         self.hot_hits.load(Ordering::Relaxed)
@@ -216,12 +204,12 @@ mod tests {
     #[test]
     fn hot_set_holds_the_profiled_top_n() {
         let (image, tracer) = setup(16);
-        assert_eq!(tracer.hot_set_len(), 16);
+        assert_eq!(tracer.hot_members.len(), 16);
         let last = image.symbols.len() as u32 - 1;
         // The hottest profiled function is the highest id.
-        assert_eq!(tracer.hot_members()[0], FunctionId(last));
+        assert_eq!(tracer.hot_members[0], FunctionId(last));
         // All members come from the top of the profile.
-        for m in tracer.hot_members() {
+        for m in &tracer.hot_members {
             assert!(m.0 > last - 16);
         }
     }

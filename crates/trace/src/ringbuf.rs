@@ -68,12 +68,6 @@ impl RingBuffer {
         self.buf.len()
     }
 
-    /// Bytes currently occupied by queued records.
-    #[cfg(test)]
-    pub(crate) fn used(&self) -> usize {
-        self.used
-    }
-
     /// Number of queued records.
     pub fn len(&self) -> usize {
         self.records
@@ -247,7 +241,7 @@ mod tests {
         let drained = rb.drain();
         assert_eq!(drained.len(), 5);
         assert!(rb.is_empty());
-        assert_eq!(rb.used(), 0);
+        assert_eq!(rb.used, 0);
     }
 
     #[test]
@@ -267,10 +261,10 @@ mod tests {
     fn used_bytes_accounting() {
         let mut rb = RingBuffer::new(128);
         rb.push(&[1u8; 10]);
-        assert_eq!(rb.used(), 14);
+        assert_eq!(rb.used, 14);
         rb.push(&[2u8; 10]);
-        assert_eq!(rb.used(), 28);
+        assert_eq!(rb.used, 28);
         rb.pop();
-        assert_eq!(rb.used(), 14);
+        assert_eq!(rb.used, 14);
     }
 }

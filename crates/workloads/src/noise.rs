@@ -114,12 +114,6 @@ impl<W: Workload> WithBackground<W> {
             steps_left_in_phase: 600,
         }
     }
-
-    /// The current background fraction (diagnostics).
-    #[cfg(test)]
-    pub(crate) fn fraction(&self) -> f32 {
-        self.fraction
-    }
 }
 
 impl<W: Workload> Workload for WithBackground<W> {
@@ -181,20 +175,20 @@ mod tests {
     fn wrapper_keeps_primary_name() {
         let w = WithBackground::new(Dbench::new(1), 2, 0.05, 0.3);
         assert_eq!(w.name(), "dbench");
-        assert!(w.fraction() >= 0.05 && w.fraction() < 0.3);
+        assert!(w.fraction >= 0.05 && w.fraction < 0.3);
     }
 
     #[test]
     fn fraction_drifts_over_phases() {
         let mut k = kernel();
         let mut w = WithBackground::new(Dbench::new(1), 7, 0.05, 0.35);
-        let first = w.fraction();
+        let first = w.fraction;
         let mut changed = false;
         // Phases last 300-2000 steps (plus the 600-step initial phase),
         // so a few thousand steps must cross at least one boundary.
         for _ in 0..4_000 {
             w.step(&mut k, CpuId(0)).unwrap();
-            if (w.fraction() - first).abs() > 1e-6 {
+            if (w.fraction - first).abs() > 1e-6 {
                 changed = true;
                 break;
             }

@@ -131,12 +131,6 @@ impl RollingMix {
             steps_left: rng.random_range(steps_per_phase.clone()),
         }
     }
-
-    /// Number of phases started so far (including the current one).
-    #[cfg(test)]
-    pub(crate) fn phases_started(&self) -> u64 {
-        self.phases_started
-    }
 }
 
 impl Workload for RollingMix {
@@ -185,7 +179,7 @@ mod tests {
             seen.insert(mix.name().to_string());
             mix.step(&mut k, CpuId(0)).unwrap();
         }
-        assert!(mix.phases_started() > 5, "phases must rotate");
+        assert!(mix.phases_started > 5, "phases must rotate");
         assert!(
             seen.len() >= 2,
             "labels must change across phases: {seen:?}"
@@ -206,7 +200,7 @@ mod tests {
             assert_eq!(sa, sb);
             assert_eq!(a.name(), b.name());
         }
-        assert_eq!(a.phases_started(), b.phases_started());
+        assert_eq!(a.phases_started, b.phases_started);
     }
 
     #[test]
