@@ -161,7 +161,6 @@ mod tests {
     /// Convenience: one full daemon-style sample through debugfs — two reads
     /// around a closure that runs the workload, returning the per-function
     /// delta.
-    ///
     fn sample_via_debugfs<E: Into<FmeterError>>(
         reader: &DebugfsReader,
         kernel: &mut Kernel,

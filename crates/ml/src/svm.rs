@@ -716,13 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn json_reader_round_trips_a_trained_model() {
-        let model = four_term_model();
-        let back = SvmModel::from_value(&model.to_value()).unwrap();
-        assert_eq!(back.to_value(), model.to_value());
-    }
-
-    #[test]
     fn json_reader_refuses_a_dimension_the_support_does_not_live_in() {
         // `"dim": 4` edited to 3: a derived reader accepted it, and
         // predicting a 3-term query then panicked in `Kernel::eval`.
