@@ -185,6 +185,7 @@ impl ShardPiece {
 /// Builds the `num_shards`-way posting store over `signatures` — one
 /// O(nnz) pass per shard from the exact vectors, a slot `is_live`
 /// rejects left as a hole so local ids stay aligned with the router.
+/// The shards hold the signatures by the handles `signatures` shares.
 pub(crate) fn build_shards(
     dim: usize,
     signatures: &SharedVec<Signature>,
@@ -194,11 +195,10 @@ pub(crate) fn build_shards(
     let router = ShardRouter::new(num_shards);
     (0..router.num_shards())
         .map(|s| {
-            let vectors: Vec<Option<&SparseVec>> = (s..signatures.len())
+            let slots = (s..signatures.len())
                 .step_by(router.num_shards())
-                .map(|d| is_live(d).then(|| &signatures[d].vector))
-                .collect();
-            let shard = Shard::from_slots(s, router, dim, &vectors)?;
+                .map(|d| is_live(d).then(|| Arc::clone(signatures.shared(d))));
+            let shard = Shard::from_slots(s, router, dim, slots)?;
             Ok(Arc::new(ShardPiece { shard }))
         })
         .collect()
@@ -412,19 +412,19 @@ impl SignatureDb {
             .into());
         }
         self.model.observe(&counts);
-        let vector = self.model.transform(&counts);
-        let id = self.signatures.len();
-        let shard = self.router().shard_of(id);
-        Arc::make_mut(&mut self.shards[shard])
-            .shard
-            .insert(id, vector.clone())?;
-        self.corpus.push(counts);
-        self.signatures.push(Signature {
-            vector,
+        let signature = Arc::new(Signature {
+            vector: self.model.transform(&counts),
             label: raw.label.clone(),
             started_at: raw.started_at,
             ended_at: raw.ended_at,
         });
+        let id = self.signatures.len();
+        let shard = self.router().shard_of(id);
+        Arc::make_mut(&mut self.shards[shard])
+            .shard
+            .insert(id, signature.clone())?;
+        self.corpus.push(counts);
+        self.signatures.push_shared(signature);
         self.num_live += 1;
         self.mutations_since_refit += 1;
         if let Some(cache) = &mut self.cluster_cache {
@@ -489,6 +489,10 @@ impl SignatureDb {
     pub fn vacuum(&mut self) -> VacuumStats {
         let slots = self.signatures.len();
         let live: Vec<bool> = (0..slots).map(|d| self.is_live(d)).collect();
+        // The old shards hold every slot's signature; let the dead ones
+        // go with the repack below rather than after the rebuild.
+        let num_shards = self.num_shards();
+        self.shards.clear();
         let mut remap: Vec<Option<DocId>> = vec![None; slots];
         let mut next = 0usize;
         for (d, slot) in remap.iter_mut().enumerate() {
@@ -519,7 +523,7 @@ impl SignatureDb {
                 .map(|(_, a)| a)
                 .collect();
         }
-        self.shards = self.rebuilt_shards(self.num_shards(), |_| true);
+        self.shards = self.rebuilt_shards(num_shards, |_| true);
         self.vacuums += 1;
         let stats = VacuumStats {
             dropped_slots: slots - self.num_live,
@@ -599,7 +603,9 @@ impl SignatureDb {
     /// which also drops tombstoned postings and tightens the per-term
     /// max-impact bounds. After this call the database matches a
     /// from-scratch [`build`](Self::build) over the surviving corpus
-    /// exactly.
+    /// exactly. The old shards are dropped before the re-weighting, so
+    /// a stale vector is freed as its replacement is stored (unless a
+    /// clone or a published snapshot still holds it).
     pub fn refit(&mut self) -> RefitStats {
         self.epoch += 1;
         self.mutations_since_refit = 0;
@@ -614,9 +620,14 @@ impl SignatureDb {
         for &t in &refit.changed_terms {
             changed[t as usize] = true;
         }
-        for d in 0..self.signatures.len() {
+        let live: Vec<bool> = (0..self.signatures.len())
+            .map(|d| self.is_live(d))
+            .collect();
+        let num_shards = self.num_shards();
+        self.shards.clear();
+        for (d, &live) in live.iter().enumerate() {
             let doc = self.corpus.doc(d).expect("slot exists");
-            if self.is_live(d) && doc.iter().any(|(t, _)| changed[t as usize]) {
+            if live && doc.iter().any(|(t, _)| changed[t as usize]) {
                 let vector = self.model.transform(doc);
                 let stale = &self.signatures[d];
                 let fresh = Signature {
@@ -629,7 +640,7 @@ impl SignatureDb {
                 stats.reweighted_docs += 1;
             }
         }
-        self.shards = self.rebuilt_shards(self.num_shards(), |d| self.is_live(d));
+        self.shards = self.rebuilt_shards(num_shards, |d| live[d]);
         stats
     }
 
@@ -761,8 +772,11 @@ impl SignatureDb {
     /// The shards go through [`fmeter_ir::search_sharded`]: each reads
     /// its posting lists heaviest bound first and stops once the unread
     /// bounds cannot reach the k-th best similarity found so far, in
-    /// this shard or an earlier one. For a steady query stream, prefer
-    /// `search_with` with a long-lived scratch.
+    /// this shard or an earlier one, then scores the few signatures it
+    /// could not rule out from their stored vectors. Each call allocates
+    /// its own search scratch; for a steady query stream, serve the
+    /// database through a [`SignatureService`](crate::SignatureService),
+    /// whose readers keep one per thread.
     ///
     /// # Errors
     ///
@@ -1353,6 +1367,42 @@ mod tests {
             }
             assert_eq!(db.classify(&q, 3).unwrap(), fresh.classify(&q, 3).unwrap());
         }
+    }
+
+    /// Asserts that the posting store holds every live signature's own
+    /// vector, not a copy of it.
+    fn assert_rows_are_shared(db: &SignatureDb) {
+        let router = db.router();
+        for d in (0..db.num_slots()).filter(|&d| db.is_live(d)) {
+            let index = db.shards()[router.shard_of(d)].shard().index();
+            let row = index.vector(d / router.num_shards()).expect("a live row");
+            assert!(std::ptr::eq(row, &db.signatures()[d].vector), "doc {d}");
+        }
+    }
+
+    #[test]
+    fn the_index_shares_every_stored_vector() {
+        let mut db = SignatureDb::build(&sample_raw()).unwrap();
+        db.set_refit_policy(RefitPolicy::Manual);
+        assert_rows_are_shared(&db);
+        for i in 20..26u64 {
+            db.insert(&raw_a(i, Some("a"))).unwrap();
+        }
+        assert_rows_are_shared(&db);
+        db.remove(2).unwrap();
+        assert!(db.refit().reweighted_docs > 0);
+        assert_rows_are_shared(&db);
+        db.remove(5).unwrap();
+        db.vacuum();
+        assert_rows_are_shared(&db);
+        db.reshard(3);
+        assert_eq!(db.num_shards(), 3);
+        assert_rows_are_shared(&db);
+        db.insert(&raw_a(30, None)).unwrap();
+        assert_rows_are_shared(&db);
+        let mut bytes = Vec::new();
+        db.save(&mut bytes).unwrap();
+        assert_rows_are_shared(&SignatureDb::load(&bytes[..]).unwrap());
     }
 
     #[test]

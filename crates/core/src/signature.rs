@@ -1,5 +1,5 @@
 use fmeter_ir::codec::{self, BinCodec, CodecError, Reader};
-use fmeter_ir::{SparseVec, TermCounts};
+use fmeter_ir::{IndexedVector, SparseVec, TermCounts};
 use fmeter_kernel_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
@@ -68,6 +68,14 @@ pub struct Signature {
     pub started_at: Nanos,
     /// Interval end (simulated time).
     pub ended_at: Nanos,
+}
+
+/// The posting store holds each stored signature by reference and reads
+/// its vector from here: a database keeps one copy of every vector.
+impl IndexedVector for Signature {
+    fn vector(&self) -> &SparseVec {
+        &self.vector
+    }
 }
 
 impl Signature {

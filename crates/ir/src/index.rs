@@ -1,10 +1,31 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::fmt;
 use std::sync::Arc;
 
 use serde::Serialize;
 
-use crate::{dot_sparse_dense, DocId, IrError, SharedVec, SparseVec, TermId};
+use crate::shard::by_score_desc;
+use crate::{DocId, IrError, SharedVec, SparseVec, TermId};
+
+/// A value the index holds by reference for one document: it keeps an
+/// [`Arc`] to the value and reads its vector whenever it scores or
+/// compacts the document, so an owner that stores the vector anyway —
+/// a signature database — shares that one allocation with the index
+/// instead of handing it a copy.
+pub trait IndexedVector: fmt::Debug + Send + Sync {
+    /// The vector as inserted; the index normalises it as it reads.
+    fn vector(&self) -> &SparseVec;
+}
+
+impl IndexedVector for SparseVec {
+    fn vector(&self) -> &SparseVec {
+        self
+    }
+}
+
+/// A document's vector as the index holds it: a handle its owner shares.
+pub(crate) type VectorHandle = Arc<dyn IndexedVector>;
 
 /// One result of a similarity search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -18,21 +39,14 @@ pub struct SearchHit {
 /// Heap entry ordered by ascending score so the root is the worst hit
 /// (classic top-k pattern). Ties break on doc id for determinism.
 #[derive(Debug, PartialEq)]
-struct HeapEntry {
-    score: f64,
-    doc: DocId,
-}
+struct HeapEntry(SearchHit);
 
 impl Eq for HeapEntry {}
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse on score: BinaryHeap is a max-heap, we want min-at-root.
-        other
-            .score
-            .partial_cmp(&self.score)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.doc.cmp(&self.doc))
+        by_score_desc(&self.0, &other.0).then(other.0.doc.cmp(&self.0.doc))
     }
 }
 
@@ -67,7 +81,7 @@ impl TopK {
         if score == 0.0 || score < self.floor {
             return;
         }
-        self.heap.push(HeapEntry { score, doc });
+        self.heap.push(HeapEntry(SearchHit { doc, score }));
         if self.heap.len() > self.k {
             self.heap.pop(); // evict the current worst
         }
@@ -77,7 +91,7 @@ impl TopK {
     /// heap is full, the k-th best score so far — with slack.
     fn threshold(&self) -> f64 {
         let kth = match self.heap.peek() {
-            Some(worst) if self.heap.len() == self.k => worst.score,
+            Some(worst) if self.heap.len() == self.k => worst.0.score,
             _ => f64::NEG_INFINITY,
         };
         kth.max(self.floor) - WAND_SLACK
@@ -85,20 +99,8 @@ impl TopK {
 
     /// The hits, best first, ties by ascending doc id.
     fn into_hits(self) -> Vec<SearchHit> {
-        let mut hits: Vec<SearchHit> = self
-            .heap
-            .into_iter()
-            .map(|e| SearchHit {
-                doc: e.doc,
-                score: e.score,
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(Ordering::Equal)
-                .then(a.doc.cmp(&b.doc))
-        });
+        let mut hits: Vec<SearchHit> = self.heap.into_iter().map(|e| e.0).collect();
+        hits.sort_by(|a, b| by_score_desc(a, b).then(a.doc.cmp(&b.doc)));
         hits
     }
 }
@@ -131,8 +133,8 @@ pub struct SearchScratch {
     touched: Vec<DocId>,
     /// The exhaustive oracle's accumulators.
     scores: Vec<f64>,
-    /// The normalised query scattered over the term space while tail
-    /// rows are scored; all zeros between queries.
+    /// The normalised query scattered over the term space while rows
+    /// are scored; all zeros between queries.
     qdense: Vec<f64>,
     /// The pruned traversal's accumulators: stamp and partial score side
     /// by side, so a posting touches one cache line.
@@ -141,15 +143,12 @@ pub struct SearchScratch {
     order: Vec<QueryTerm>,
     /// `rest[i]` = the summed bounds of `order[i..]`.
     rest: Vec<f64>,
-    /// Selection buffer for the k-th largest partial score; after the
-    /// stop, the survivors' exact scores.
+    /// Selection buffer for the k-th largest partial score.
     select: Vec<f64>,
-    /// The documents the exact pass scores, ascending.
-    survivors: Vec<u32>,
     /// [`search_sharded`](crate::search_sharded)'s visiting order:
     /// `(flat bound, position)` per shard.
     pub(crate) shard_order: Vec<(f64, usize)>,
-    stats: SearchStats,
+    pub(crate) stats: SearchStats,
 }
 
 /// One document's accumulator in the pruned traversal.
@@ -171,7 +170,8 @@ struct QueryTerm {
 /// What the last [`InvertedIndex::search_with`] /
 /// [`search_above`](InvertedIndex::search_above) call on a scratch read
 /// and skipped over the flat segment (tail rows are always scored and
-/// not counted). Counts only, no clock.
+/// not counted) — or, after [`search_sharded`](crate::search_sharded),
+/// the sum over the shards it visited. Counts only, no clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Query terms that have flat postings.
@@ -188,6 +188,18 @@ pub struct SearchStats {
     pub rescored: usize,
 }
 
+impl SearchStats {
+    /// Adds `other`'s counts to these.
+    pub(crate) fn add(&mut self, other: &SearchStats) {
+        self.lists += other.lists;
+        self.lists_read += other.lists_read;
+        self.postings += other.postings;
+        self.postings_read += other.postings_read;
+        self.checks += other.checks;
+        self.rescored += other.rescored;
+    }
+}
+
 /// Absolute slack subtracted from the bar before a document is pruned: a
 /// sum of per-term bounds and a fully accumulated score can round
 /// differently in the last bits, and a pruned document must never be one
@@ -196,10 +208,15 @@ pub struct SearchStats {
 /// essentially no pruning power.
 const WAND_SLACK: f64 = 1e-9;
 
-/// What one galloping probe of a posting list costs in the exact pass,
-/// in sequentially read postings. Weighs stopping (every survivor
-/// probes every list) against reading the next list.
-const PROBE_COST: usize = 8;
+/// What the exact pass costs per survivor, in sequentially read
+/// postings: `ROW_COST` to reach its row, which is cold, and
+/// `STEP_COST` per query list for the walk. (Measured on a 2-core
+/// x86-64 host: ≈500–600 ns to reach a row, then ≈3 ns a walked entry
+/// or ≈30 ns a gallop step, against ≈5 ns a posting.) Weighs stopping
+/// (every survivor's row is scored) against reading the next list.
+const ROW_COST: usize = 100;
+/// See [`ROW_COST`].
+const STEP_COST: usize = 2;
 
 /// What visiting one touched document in a check costs, in sequentially
 /// read postings. A check is made when the list about to be read
@@ -261,21 +278,26 @@ impl SearchScratch {
 ///
 /// # Storage layout
 ///
-/// Postings live in one flat CSR-style *segment* — `offsets[t]..offsets[t+1]`
-/// delimits term `t`'s `(docs, weights)` parallel arrays — so a query's
-/// accumulation streams contiguous memory with u32 doc ids (12 bytes per
-/// posting instead of a pointer-chased 16). The segment is write-once:
-/// every rewrite (compaction, purge) builds a new one, so clones of the
-/// index share it by reference count. Fresh inserts land in a short *tail* of
-/// doc-major rows — each document's normalised vector, shared by clones
-/// as well — that geometric compaction folds into the next segment,
-/// keeping `insert` amortised O(nnz). What a clone copies is the
-/// tombstone flags and one pointer per 64 tail rows.
+/// Every document has one *row*: the vector it was inserted with, held
+/// by [`Arc`] (an [`IndexedVector`] the caller may share), and the factor
+/// that normalises it. Postings live in one flat CSR-style *segment* —
+/// `offsets[t]..offsets[t+1]` delimits term `t`'s `(docs, weights)`
+/// parallel arrays — so a query's accumulation streams contiguous memory
+/// with u32 doc ids (12 bytes per posting instead of a pointer-chased
+/// 16). The segment is write-once: every rewrite (compaction, purge)
+/// builds a new one, with the rows of the documents it covers, so clones
+/// of the index share it by reference count. Fresh inserts append their
+/// row to a short *tail*, shared by clones as well, that geometric
+/// compaction folds into the next segment, keeping `insert` amortised
+/// O(nnz). What a clone copies is the tombstone flags and one pointer
+/// per 64 tail rows.
 ///
-/// Tail documents all carry ids above the segment's, and are scored
-/// doc-at-a-time straight into the top-k heap: summing a row in
+/// Tail documents all carry ids above the segment's. They, and the few
+/// documents the pruned traversal cannot rule out, are scored from
+/// their rows: adding `q_t · (x_t · factor)` over the shared terms in
 /// ascending term order is the addition sequence the term-at-a-time
-/// accumulation performs for that document, so scores agree bit for bit.
+/// accumulation performs for that document, so scores agree bit for
+/// bit.
 ///
 /// Each term also carries the max `|weight|` of its flat postings: the
 /// bound [`search_with`](Self::search_with) orders the query's lists by
@@ -285,9 +307,9 @@ pub struct InvertedIndex {
     dim: usize,
     /// The compacted postings. Replaced, never written in place.
     flat: Arc<FlatPostings>,
-    /// Normalised vectors of the documents inserted since the last flat
-    /// rewrite: row `i` is doc `num_docs - tail.len() + i`.
-    tail: SharedVec<SparseVec>,
+    /// The rows of the documents inserted since the last flat rewrite:
+    /// row `i` is doc `num_docs - tail.len() + i`.
+    tail: SharedVec<Row>,
     /// Total postings in `tail` (compaction trigger).
     tail_len: usize,
     num_docs: usize,
@@ -300,6 +322,62 @@ pub struct InvertedIndex {
     /// Tombstoned docs whose postings still sit in the buffers (purge
     /// trigger).
     dead_unpurged: usize,
+}
+
+/// One document's row: its vector, shared with whoever inserted it, and
+/// the factor that turns the vector's values into stored weights
+/// ([`SparseVec::l2_unit_factor`]).
+#[derive(Debug, Clone)]
+struct Row {
+    vector: VectorHandle,
+    factor: f64,
+}
+
+impl Row {
+    /// Checks the vector's dimension and computes its factor.
+    fn new(dim: usize, vector: VectorHandle) -> Result<Self, IrError> {
+        check_dim(dim, vector.vector())?;
+        let factor = vector.vector().l2_unit_factor();
+        Ok(Row { vector, factor })
+    }
+
+    /// The vector, or `None` when the factor is zero — `l2_normalized`
+    /// meeting an infinite or `NaN` norm: the vector indexes nothing,
+    /// and its values are never multiplied.
+    fn indexed(&self) -> Option<&SparseVec> {
+        (self.factor != 0.0).then(|| self.vector.vector())
+    }
+
+    /// `Σ q_t · (x_t · factor)` over the terms the row shares with the
+    /// query, in ascending term order: `terms` are the query's, `qdense`
+    /// its normalised weights scattered over the term space. A row up to
+    /// four times the query's length is walked, each of its terms looked
+    /// up in `qdense` (a signed zero for the ones the query lacks, which
+    /// changes no non-zero sum); a longer one is galloped through for
+    /// the query's terms. A lookup costs a fraction of a gallop step.
+    fn dot(&self, terms: &[TermId], qdense: &[f64]) -> f64 {
+        let Some(row) = self.indexed() else {
+            return 0.0;
+        };
+        let (rterms, x, f) = (row.terms(), row.values(), self.factor);
+        if rterms.len() <= 4 * terms.len() {
+            let scored = rterms
+                .iter()
+                .zip(x)
+                .map(|(&t, &x)| qdense[t as usize] * (x * f));
+            return scored.fold(0.0, |sum, p| sum + p);
+        }
+        let (mut sum, mut at) = (0.0, 0);
+        for &t in terms {
+            at += gallop(&rterms[at..], t);
+            match rterms.get(at) {
+                Some(&found) if found == t => sum += qdense[t as usize] * (x[at] * f),
+                Some(_) => {}
+                None => break,
+            }
+        }
+        sum
+    }
 }
 
 /// The write-once flat posting segment with everything derived from it.
@@ -315,36 +393,68 @@ struct FlatPostings {
     /// the pruning invariant. Tombstoned docs' postings count until
     /// the next purge, which only leaves the bound loose, never unsound.
     max_impact: Vec<f64>,
+    /// The row of every doc id the segment covers; `None` for a doc
+    /// tombstoned before the rewrite that built it.
+    rows: Vec<Option<Row>>,
 }
 
-/// One document handed to a flat rewrite: its doc id, its vector, and
-/// the factor that turns the vector's values into stored weights
-/// ([`SparseVec::l2_unit_factor`] for a fresh vector; 1 for a tail row,
-/// which is normalised already — `x * 1.0` is `x` bit for bit).
-type Row<'a> = (u32, &'a SparseVec, f64);
-
 impl FlatPostings {
-    /// A fully compacted segment over `rows` (ascending doc ids) and
-    /// nothing else.
-    fn build(dim: usize, rows: &[Row<'_>]) -> Self {
-        Self::install(vec![0; dim + 1], Vec::new(), Vec::new()).rewrite(|_| false, rows)
-    }
-
-    /// Seals a posting stream, deriving the per-term bounds from the
-    /// stored weights.
+    /// The next segment: this one's postings of the docs `keep` accepts,
+    /// then those of the docs after them — `x · factor` from their rows,
+    /// `rows[self.rows.len()..]` — transposed term-major in two passes:
+    /// count per term, prefix the counts into offsets, then fill each
+    /// term's range in doc order, so it comes out sorted. `rows` holds
+    /// the row of every doc the new segment covers.
     ///
-    /// Every flat rewrite funnels through here, so `max_impact` always
-    /// equals a recompute from the buffers — the invariant the pruning
-    /// relies on.
-    fn install(offsets: Vec<usize>, docs: Vec<u32>, weights: Vec<f64>) -> Self {
-        debug_assert_eq!(docs.len(), weights.len());
+    /// Every flat rewrite funnels through here, and `max_impact` is
+    /// derived from the stored weights, so it always equals a recompute
+    /// from the buffers — the invariant the pruning relies on.
+    fn rewrite(&self, keep: impl Fn(u32) -> bool, rows: Vec<Option<Row>>) -> Self {
+        let (dim, base) = (self.max_impact.len(), self.rows.len());
+        let mut offsets = vec![0usize; dim + 1];
+        for t in 0..dim {
+            let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
+            offsets[t + 1] = self.docs[lo..hi].iter().filter(|&&d| keep(d)).count();
+        }
+        // The tail docs that index something: `(doc, vector, factor)`.
+        let tail = || {
+            let rows = (base as u32..).zip(&rows[base..]);
+            rows.filter_map(|(d, row)| row.as_ref().and_then(|r| Some((d, r.indexed()?, r.factor))))
+        };
+        for (_, vector, _) in tail() {
+            for &t in vector.terms() {
+                offsets[t as usize + 1] += 1;
+            }
+        }
+        for t in 0..dim {
+            offsets[t + 1] += offsets[t];
+        }
+        let (mut docs, mut weights) = (vec![0u32; offsets[dim]], vec![0.0f64; offsets[dim]]);
+        // `next[t]` is where term `t`'s next posting goes.
+        let mut next = offsets[..dim].to_vec();
+        for (t, at) in next.iter_mut().enumerate() {
+            self.for_each_posting(t, |d, w| {
+                if keep(d) {
+                    (docs[*at], weights[*at]) = (d, w);
+                    *at += 1;
+                }
+            });
+        }
+        for (doc, vector, factor) in tail() {
+            for (t, x) in vector.iter() {
+                let at = &mut next[t as usize];
+                (docs[*at], weights[*at]) = (doc, x * factor);
+                *at += 1;
+            }
+        }
         let mut flat = FlatPostings {
             offsets,
             docs,
             weights,
             max_impact: Vec::new(),
+            rows,
         };
-        flat.max_impact = (0..flat.offsets.len() - 1)
+        flat.max_impact = (0..dim)
             .map(|t| {
                 let mut max = 0.0f64;
                 flat.for_each_posting(t, |_, w| max = max.max(w.abs()));
@@ -352,10 +462,6 @@ impl FlatPostings {
             })
             .collect();
         flat
-    }
-
-    fn dim(&self) -> usize {
-        self.max_impact.len()
     }
 
     /// Number of postings under term `t`.
@@ -371,80 +477,18 @@ impl FlatPostings {
             f(d, w);
         }
     }
-
-    /// Transposes this segment's surviving postings plus `rows` into one
-    /// term-major posting stream, in two passes: count per term, prefix
-    /// the counts into offsets, then fill each term's range in place.
-    /// A stored posting survives when `keep` accepts its doc; `rows`
-    /// must ascend by doc id and sit above every surviving id, so
-    /// each term's range comes out sorted. Returns `(offsets, docs,
-    /// weights)`.
-    fn transpose(
-        &self,
-        keep: impl Fn(u32) -> bool,
-        rows: &[Row<'_>],
-    ) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
-        let dim = self.dim();
-        let mut offsets = vec![0usize; dim + 1];
-        for t in 0..dim {
-            let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-            offsets[t + 1] = self.docs[lo..hi].iter().filter(|&&d| keep(d)).count();
-        }
-        // A zero factor is `l2_normalized` meeting an infinite norm: the
-        // vector indexes nothing.
-        let rows = || rows.iter().filter(|row| row.2 != 0.0);
-        for (_, vector, _) in rows() {
-            for &t in vector.terms() {
-                offsets[t as usize + 1] += 1;
-            }
-        }
-        for t in 0..dim {
-            offsets[t + 1] += offsets[t];
-        }
-        let mut docs = vec![0u32; offsets[dim]];
-        let mut weights = vec![0.0f64; offsets[dim]];
-        // `next[t]` is where term `t`'s next posting goes.
-        let mut next = offsets[..dim].to_vec();
-        for (t, at) in next.iter_mut().enumerate() {
-            self.for_each_posting(t, |d, w| {
-                if keep(d) {
-                    docs[*at] = d;
-                    weights[*at] = w;
-                    *at += 1;
-                }
-            });
-        }
-        for &(doc, vector, factor) in rows() {
-            for (t, x) in vector.iter() {
-                let at = &mut next[t as usize];
-                docs[*at] = doc;
-                weights[*at] = x * factor;
-                *at += 1;
-            }
-        }
-        (offsets, docs, weights)
-    }
-
-    /// The next segment: [`transpose`](Self::transpose), sealed.
-    fn rewrite(&self, keep: impl Fn(u32) -> bool, rows: &[Row<'_>]) -> Self {
-        let (offsets, docs, weights) = self.transpose(keep, rows);
-        Self::install(offsets, docs, weights)
-    }
 }
 
 impl InvertedIndex {
     /// Creates an empty index over a `dim`-term space.
     pub fn new(dim: usize) -> Self {
-        InvertedIndex {
-            dim,
-            flat: Arc::new(FlatPostings::build(dim, &[])),
-            ..InvertedIndex::default()
-        }
+        Self::from_slots::<SparseVec>(dim, []).expect("no vector to mismatch")
     }
 
     /// Builds a fully compacted index in one pass over the doc-id space
     /// `0..slots.len()`: slot `d` is the live doc `d`'s vector, or
-    /// `None` for a tombstoned slot (which indexes nothing).
+    /// `None` for a tombstoned slot (which indexes nothing). The index
+    /// holds each vector by the handle it is given, never a copy.
     ///
     /// Vectors are L2-normalised exactly as [`insert`](Self::insert)
     /// does, so the result equals — buffer for buffer, bit for bit — an
@@ -456,24 +500,28 @@ impl InvertedIndex {
     ///
     /// Returns [`IrError::DimensionMismatch`] when a vector's dimension
     /// differs from `dim`.
-    pub fn from_slots(dim: usize, slots: &[Option<&SparseVec>]) -> Result<Self, IrError> {
-        debug_assert!(
-            slots.len() <= u32::MAX as usize,
-            "doc ids are stored as u32"
-        );
-        let mut rows = Vec::with_capacity(slots.len());
-        for (doc, slot) in slots.iter().enumerate() {
-            if let Some(vector) = slot {
-                rows.push(unit_row(dim, doc, vector)?);
-            }
+    pub fn from_slots<V: IndexedVector + 'static>(
+        dim: usize,
+        slots: impl IntoIterator<Item = Option<Arc<V>>>,
+    ) -> Result<Self, IrError> {
+        let slots = slots.into_iter();
+        let mut rows = Vec::with_capacity(slots.size_hint().0);
+        for slot in slots {
+            rows.push(slot.map(|vector| Row::new(dim, vector)).transpose()?);
         }
-        let removed: Vec<bool> = slots.iter().map(Option::is_none).collect();
+        debug_assert!(rows.len() <= u32::MAX as usize, "doc ids are stored as u32");
+        let removed: Vec<bool> = rows.iter().map(Option::is_none).collect();
+        let empty = FlatPostings {
+            offsets: vec![0; dim + 1],
+            max_impact: vec![0.0; dim],
+            ..FlatPostings::default()
+        };
         Ok(InvertedIndex {
             dim,
-            flat: Arc::new(FlatPostings::build(dim, &rows)),
-            num_docs: slots.len(),
-            num_removed: slots.len() - rows.len(),
+            num_docs: rows.len(),
+            num_removed: removed.iter().filter(|&&dead| dead).count(),
             removed,
+            flat: Arc::new(empty.rewrite(|_| true, rows)),
             ..InvertedIndex::default()
         })
     }
@@ -488,11 +536,16 @@ impl InvertedIndex {
     /// Returns [`IrError::DimensionMismatch`] when the vector dimension
     /// differs from the index dimension.
     pub fn insert(&mut self, vector: SparseVec) -> Result<DocId, IrError> {
-        check_dim(self.dim, &vector)?;
+        self.insert_shared(Arc::new(vector))
+    }
+
+    /// [`insert`](Self::insert), holding `vector` by the handle it is
+    /// given: the index copies none of its values.
+    pub(crate) fn insert_shared(&mut self, vector: VectorHandle) -> Result<DocId, IrError> {
+        let row = Row::new(self.dim, vector)?;
         let id = self.num_docs;
         debug_assert!(id <= u32::MAX as usize, "doc ids are stored as u32");
-        let row = vector.l2_normalized();
-        self.tail_len += row.nnz();
+        self.tail_len += row.indexed().map_or(0, SparseVec::nnz);
         self.tail.push(row);
         self.num_docs += 1;
         self.removed.push(false);
@@ -539,27 +592,29 @@ impl InvertedIndex {
         self.num_docs - self.num_removed
     }
 
-    /// The tail documents as `(doc id, normalised row)`. The first one's
-    /// id is `num_docs - tail.len()`: every flat posting sits below it.
-    fn tail_rows(&self) -> impl Iterator<Item = (usize, &SparseVec)> + '_ {
-        (self.num_docs - self.tail.len()..).zip(self.tail.iter())
+    /// The vector live doc `doc` was inserted with: the handle's own
+    /// allocation, not a copy.
+    #[doc(hidden)]
+    pub fn vector(&self, doc: DocId) -> Option<&SparseVec> {
+        let flat = &self.flat.rows;
+        let row = flat
+            .get(doc)
+            .map_or_else(|| self.tail.get(doc - flat.len()), Option::as_ref);
+        row.filter(|_| self.is_live(doc))
+            .map(|row| row.vector.vector())
     }
 
-    /// The next flat segment: every stored posting — flat, then tail —
-    /// whose doc `keep` accepts. One O(nnz) pass of moves;
-    /// no weight is recomputed.
-    fn rewritten(&self, keep: impl Fn(u32) -> bool) -> FlatPostings {
-        let rows: Vec<Row<'_>> = self
-            .tail_rows()
-            .filter(|(doc, _)| keep(*doc as u32))
-            .map(|(doc, row)| (doc as u32, row, 1.0))
-            .collect();
-        self.flat.rewrite(&keep, &rows)
-    }
-
-    /// Swaps in a flat segment that absorbed the tail.
-    fn seal(&mut self, flat: FlatPostings) {
-        self.flat = Arc::new(flat);
+    /// Replaces the flat segment with one over every doc — or, to
+    /// `purge`, every live one: its stored postings moved, the tail's
+    /// computed from its rows. One O(nnz) transpose that absorbs the
+    /// tail.
+    fn rewrite(&mut self, purge: bool) {
+        let keep = |d: u32| !(purge && self.removed[d as usize]);
+        let rows = self.flat.rows.iter().map(Option::as_ref);
+        let rows = rows.chain(self.tail.iter().map(Some)).enumerate();
+        let mut kept = Vec::with_capacity(self.num_docs);
+        kept.extend(rows.map(|(d, row)| row.filter(|_| keep(d as u32)).cloned()));
+        self.flat = Arc::new(self.flat.rewrite(keep, kept));
         self.tail.clear();
         self.tail_len = 0;
     }
@@ -568,8 +623,7 @@ impl InvertedIndex {
     /// which also recomputes the per-term max-impact bounds exactly over
     /// the survivors (removal alone can only leave the bounds loose).
     fn purge(&mut self) {
-        let flat = self.rewritten(|d| !self.removed[d as usize]);
-        self.seal(flat);
+        self.rewrite(true);
         self.dead_unpurged = 0;
     }
 
@@ -591,8 +645,7 @@ impl InvertedIndex {
     /// Folds the tail rows into the flat segment.
     fn compact(&mut self) {
         if !self.tail.is_empty() {
-            let flat = self.rewritten(|_| true);
-            self.seal(flat);
+            self.rewrite(false);
         }
     }
 
@@ -616,7 +669,7 @@ impl InvertedIndex {
         if t >= self.dim {
             return 0;
         }
-        let in_tail = |row: &&SparseVec| row.terms().binary_search(&term).is_ok();
+        let in_tail = |row: &&Row| row.indexed().is_some_and(|v| v.terms().contains(&term));
         self.flat.term_len(t) + self.tail.iter().filter(in_tail).count()
     }
 
@@ -664,7 +717,7 @@ impl InvertedIndex {
     /// already score the bar. Once `rest` is under the bar only the
     /// *survivors* (`partial + rest >= bar`) can be hits; reading stops
     /// when rescoring them is cheaper than the next list, and the exact
-    /// pass scores each over every list in ascending term order, the
+    /// pass scores each from its own row, in ascending term order, the
     /// oracle's addition sequence. `docs/SEARCH.md` has the argument;
     /// [`SearchScratch::stats`] reports what was read and skipped.
     ///
@@ -680,12 +733,10 @@ impl InvertedIndex {
         scratch: &mut SearchScratch,
     ) -> Result<Vec<SearchHit>, IrError> {
         scratch.stats = SearchStats::default();
-        let Some(inv_norm) = self.query_scale(query, k)? else {
+        let Some(mut top) = self.score_tail(query, k, floor, &mut scratch.qdense)? else {
             return Ok(Vec::new());
         };
         let flat = &*self.flat;
-        let mut top = TopK::new(k, floor);
-        self.score_tail(query, inv_norm, &mut scratch.qdense, &mut top);
         let base = top.threshold();
 
         // Stale stamps (an earlier query's, another index's) never equal
@@ -697,20 +748,20 @@ impl InvertedIndex {
             scratch.partial.resize(self.num_docs, Partial::default());
         }
         let SearchScratch {
+            qdense,
             partial,
             touched,
             order,
             rest,
             select,
-            survivors,
             stats,
             ..
         } = scratch;
         order.clear();
-        for (term, qw) in query.iter() {
+        for &term in query.terms() {
             let len = flat.term_len(term as usize);
             if len > 0 {
-                let qw = qw * inv_norm;
+                let qw = qdense[term as usize];
                 let bound = qw.abs() * flat.max_impact[term as usize];
                 order.push(QueryTerm { term, qw, bound });
                 stats.postings += len;
@@ -718,12 +769,13 @@ impl InvertedIndex {
         }
         let lists = order.len();
         stats.lists = lists;
-        // The cheapest exact pass is k survivors probing every list. When
-        // even that outweighs reading every posting — many short lists, a
-        // large k — nothing is put in order and nothing stops the reading
-        // but the floor: the lists are read as they stand, in ascending
-        // term order, which leaves the partial scores exact.
-        let pruning = stats.postings > k.saturating_mul(lists * PROBE_COST);
+        // The cheapest exact pass is k row walks. When even that
+        // outweighs reading every posting — many short lists, a large
+        // k — nothing is put in order and nothing stops the reading but
+        // the floor: the lists are read as they stand, in ascending term
+        // order, which leaves the partial scores exact.
+        let survivor_cost = ROW_COST + lists * STEP_COST;
+        let pruning = stats.postings > k.saturating_mul(survivor_cost);
         if pruning {
             order.sort_unstable_by(|a, b| b.bound.total_cmp(&a.bound).then(a.term.cmp(&b.term)));
         }
@@ -757,8 +809,7 @@ impl InvertedIndex {
                     // Reading `next` takes `bound / unread` of the bound
                     // mass away, and about that share of the survivors
                     // beyond the k that stay whatever is read.
-                    let spare =
-                        next_len as f64 * unread / ((lists * PROBE_COST) as f64 * next.bound);
+                    let spare = next_len as f64 * unread / (survivor_cost as f64 * next.bound);
                     let cap = k.saturating_add(spare as usize);
                     let mut reaching = self.reaching(touched, partial, bar - unread);
                     if reaching.nth(cap).is_none() {
@@ -785,50 +836,19 @@ impl InvertedIndex {
         };
         stats.lists_read = read;
 
-        survivors.clear();
-        let reaching = self.reaching(touched, partial, bar - unread);
-        survivors.extend(reaching.map(|doc| doc as u32));
-        survivors.sort_unstable();
-        stats.rescored = survivors.len();
-        let exact = select;
-        exact.clear();
-        if pruning {
-            self.score_exact(query, inv_norm, survivors, exact);
-        } else {
-            exact.extend(survivors.iter().map(|&doc| partial[doc as usize].score));
+        for doc in self.reaching(touched, partial, bar - unread) {
+            stats.rescored += 1;
+            // A live flat doc always has its row.
+            let score = match &flat.rows[doc] {
+                Some(row) if pruning => row.dot(query.terms(), qdense),
+                _ => partial[doc].score,
+            };
+            top.push(doc, score);
         }
-        for (&doc, &score) in survivors.iter().zip(exact.iter()) {
-            top.push(doc as DocId, score);
+        for &t in query.terms() {
+            qdense[t as usize] = 0.0;
         }
         Ok(top.into_hits())
-    }
-
-    /// The exact pass: per survivor (ascending), the flat contributions in
-    /// ascending term order — what the oracle's accumulator adds.
-    fn score_exact(
-        &self,
-        query: &SparseVec,
-        inv_norm: f64,
-        survivors: &[u32],
-        exact: &mut Vec<f64>,
-    ) {
-        let flat = &*self.flat;
-        exact.resize(survivors.len(), 0.0);
-        for (term, qw) in query.iter() {
-            let qw = qw * inv_norm;
-            let (lo, hi) = (flat.offsets[term as usize], flat.offsets[term as usize + 1]);
-            let docs = &flat.docs[lo..hi];
-            let mut at = 0;
-            for (score, &doc) in exact.iter_mut().zip(survivors) {
-                at += gallop(&docs[at..], doc);
-                if at == docs.len() {
-                    break;
-                }
-                if docs[at] == doc {
-                    *score += qw * flat.weights[lo + at];
-                }
-            }
-        }
     }
 
     /// The bar with `unread` bound mass left: `base`, or the k-th largest
@@ -902,44 +922,37 @@ impl InvertedIndex {
     }
 
     /// The shared prologue of every search: checks the query's
-    /// dimension and returns the factor that normalises it — scoring
-    /// against unit-length postings with weights `qw / ‖q‖` is exactly
+    /// dimension, scatters its normalised weights `qw / ‖q‖` over
+    /// `qdense` — scoring with them against unit-length rows is exactly
     /// scoring with `query.l2_normalized()`, without materialising it —
-    /// or `None` when nothing can match (`k == 0`, an empty index, a
-    /// query whose norm is zero, infinite or `NaN`).
-    fn query_scale(&self, query: &SparseVec, k: usize) -> Result<Option<f64>, IrError> {
+    /// and scores the live tail documents from their rows into the
+    /// returned top-k. `None` when nothing can match (`k == 0`, an empty
+    /// index, a query whose norm is zero, infinite or `NaN`); otherwise
+    /// the caller zeroes the query's entries of `qdense` again.
+    fn score_tail(
+        &self,
+        query: &SparseVec,
+        k: usize,
+        floor: f64,
+        qdense: &mut Vec<f64>,
+    ) -> Result<Option<TopK>, IrError> {
         check_dim(self.dim, query)?;
-        if k == 0 || self.num_docs == 0 {
-            return Ok(None);
-        }
         let norm = query.norm_l2();
-        Ok((norm.is_finite() && norm > 0.0).then(|| 1.0 / norm))
-    }
-
-    /// Scores the live tail documents doc-at-a-time into `top`. A row
-    /// lists its terms in ascending order, so its dot product with the
-    /// scattered query adds a document's contributions in exactly the
-    /// order the term-at-a-time accumulation (and the exact pass) would
-    /// — the scores are bit-identical, only the traversal differs. (The
-    /// terms the query lacks add `w * 0.0`, a signed zero, which leaves a
-    /// running sum's bits alone unless that sum is itself zero — and a
-    /// zero total is no hit either way.)
-    fn score_tail(&self, query: &SparseVec, inv_norm: f64, qdense: &mut Vec<f64>, top: &mut TopK) {
-        if self.tail.is_empty() {
-            return;
+        if k == 0 || self.num_docs == 0 || !(norm.is_finite() && norm > 0.0) {
+            return Ok(None);
         }
         qdense.resize(self.dim, 0.0);
         for (t, qw) in query.iter() {
-            qdense[t as usize] = qw * inv_norm;
+            qdense[t as usize] = qw * (1.0 / norm);
         }
-        for (doc, row) in self.tail_rows() {
+        let mut top = TopK::new(k, floor);
+        // Tail doc ids follow the segment's.
+        for (doc, row) in (self.num_docs - self.tail.len()..).zip(self.tail.iter()) {
             if !self.removed[doc] {
-                top.push(doc, dot_sparse_dense(row.terms(), row.values(), qdense));
+                top.push(doc, row.dot(query.terms(), qdense));
             }
         }
-        for &t in query.terms() {
-            qdense[t as usize] = 0.0;
-        }
+        Ok(Some(top))
     }
 
     /// Exhaustive top-k: accumulates every posting of the query's
@@ -957,23 +970,24 @@ impl InvertedIndex {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<Vec<SearchHit>, IrError> {
-        let Some(inv_norm) = self.query_scale(query, k)? else {
+        let SearchScratch { scores, qdense, .. } = scratch;
+        let Some(mut top) = self.score_tail(query, k, f64::NEG_INFINITY, qdense)? else {
             return Ok(Vec::new());
         };
         let flat = &*self.flat;
-        let mut top = TopK::new(k, f64::NEG_INFINITY);
-        self.score_tail(query, inv_norm, &mut scratch.qdense, &mut top);
         // No per-posting membership test or branch. Tombstoned docs may
         // still have postings (purging is lazy) and are filtered at the
         // end.
-        scratch.scores.clear();
-        scratch.scores.resize(self.num_docs, 0.0);
-        let scores = &mut scratch.scores[..];
-        for (t, qw) in query.iter() {
-            let qw = qw * inv_norm;
+        scores.clear();
+        scores.resize(self.num_docs, 0.0);
+        for &t in query.terms() {
+            let qw = qdense[t as usize];
             flat.for_each_posting(t as usize, |doc, dw| {
                 scores[doc as usize] += qw * dw;
             });
+        }
+        for &t in query.terms() {
+            qdense[t as usize] = 0.0;
         }
         for (doc, &score) in scores.iter().enumerate() {
             if !self.removed[doc] {
@@ -991,9 +1005,10 @@ impl InvertedIndex {
         let Some(&flat) = self.flat.max_impact.get(term as usize) else {
             return 0.0;
         };
+        let weight = |row: &Row| row.indexed().map_or(0.0, |v| v.get(term) * row.factor);
         self.tail
             .iter()
-            .fold(flat, |m, row| m.max(row.get(term).abs()))
+            .fold(flat, |m, row| m.max(weight(row).abs()))
     }
 
     /// Does nothing; see [`QuantizationMode`].
@@ -1017,19 +1032,19 @@ impl InvertedIndex {
     }
 }
 
-/// The first position in ascending `docs` holding `target` or more
-/// (`docs.len()` when none does): doubling steps from the front, then a
+/// The first position in ascending `list` holding `target` or more
+/// (`list.len()` when none does): doubling steps from the front, then a
 /// binary search of the last step — cheap when the answer is near, as
 /// it is for a cursor moving through a list.
-fn gallop(docs: &[u32], target: u32) -> usize {
+fn gallop(list: &[u32], target: u32) -> usize {
     let mut lo = 0;
     let mut step = 1;
-    while lo + step < docs.len() && docs[lo + step] < target {
+    while lo + step < list.len() && list[lo + step] < target {
         lo += step;
         step <<= 1;
     }
-    let hi = (lo + step + 1).min(docs.len());
-    lo + docs[lo..hi].partition_point(|&d| d < target)
+    let hi = (lo + step + 1).min(list.len());
+    lo + list[lo..hi].partition_point(|&d| d < target)
 }
 
 /// Rejects a vector (or query) from another term space.
@@ -1043,19 +1058,20 @@ fn check_dim(dim: usize, vector: &SparseVec) -> Result<(), IrError> {
     })
 }
 
-/// A fresh vector as a rewrite [`Row`]: checks its dimension and pairs
-/// it with the factor [`InvertedIndex::insert`] normalises by.
-fn unit_row(dim: usize, doc: DocId, vector: &SparseVec) -> Result<Row<'_>, IrError> {
-    check_dim(dim, vector)?;
-    Ok((doc as u32, vector, vector.l2_unit_factor()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn vec8(pairs: &[(u32, f64)]) -> SparseVec {
         SparseVec::from_pairs(8, pairs.iter().copied()).unwrap()
+    }
+
+    /// Slots as `from_slots` takes them: each vector behind its own handle.
+    fn shared(slots: &[Option<&SparseVec>]) -> Vec<Option<Arc<SparseVec>>> {
+        slots
+            .iter()
+            .map(|v| v.map(|v| Arc::new(v.clone())))
+            .collect()
     }
 
     fn sample_index() -> InvertedIndex {
@@ -1499,8 +1515,16 @@ mod tests {
             )
         );
         assert_eq!(a.removed, b.removed);
-        assert!(a.tail.iter().eq(b.tail.iter()));
+        let key = |row: &Row| (row.vector.vector().clone(), row.factor.to_bits());
+        assert!(a.tail.iter().map(key).eq(b.tail.iter().map(key)));
         let (a, b) = (&a.flat, &b.flat);
+        let rows = |flat: &FlatPostings| {
+            flat.rows
+                .iter()
+                .map(|r| r.as_ref().map(key))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(a), rows(b));
         assert_eq!(a.offsets, b.offsets);
         assert_eq!(a.docs, b.docs);
         assert_eq!(bits(&a.weights), bits(&b.weights));
@@ -1546,10 +1570,12 @@ mod tests {
                 .zip(&dead)
                 .map(|(v, &dead)| (!dead).then_some(v))
                 .collect();
-            let built = InvertedIndex::from_slots(dim, &slots).unwrap();
+            let built = InvertedIndex::from_slots(dim, shared(&slots)).unwrap();
             assert_same_index(&built, &looped);
         }
-        assert!(InvertedIndex::from_slots(dim, &[Some(&SparseVec::zeros(dim + 1))]).is_err());
+        assert!(
+            InvertedIndex::from_slots(dim, [Some(Arc::new(SparseVec::zeros(dim + 1)))]).is_err()
+        );
     }
 
     #[test]
@@ -1557,7 +1583,7 @@ mod tests {
         let dim = 32u32;
         let docs = banded_corpus(200, dim);
         let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
-        let mut idx = InvertedIndex::from_slots(dim as usize, &slots).unwrap();
+        let mut idx = InvertedIndex::from_slots(dim as usize, shared(&slots)).unwrap();
         let held = idx.clone();
         let q = &docs[9];
         let before = held.search(q, 5).unwrap();
@@ -1571,6 +1597,35 @@ mod tests {
         assert_eq!(held.search(q, 5).unwrap(), before);
         assert_eq!(held.len(), 200);
         assert!(idx.search(q, 5).unwrap().iter().all(|h| h.doc != 9));
+    }
+
+    #[test]
+    fn compaction_and_purge_leave_every_row_in_place() {
+        let handles: Vec<Arc<SparseVec>> =
+            banded_corpus(300, 32).into_iter().map(Arc::new).collect();
+        let mut idx = InvertedIndex::new(32);
+        let in_place = |idx: &InvertedIndex| {
+            let live = (0..idx.len()).filter(|&d| idx.is_live(d));
+            live.into_iter()
+                .all(|d| std::ptr::eq(idx.vector(d).unwrap(), &*handles[d]))
+        };
+        for h in &handles {
+            idx.insert_shared(h.clone()).unwrap();
+        }
+        assert!(idx.flat.rows.len() > 200, "the tail was compacted");
+        assert!(in_place(&idx));
+        let before = Arc::clone(&idx.flat);
+        for d in (0..300).step_by(4) {
+            idx.remove(d).unwrap();
+        }
+        assert!(!Arc::ptr_eq(&before, &idx.flat), "a removal purged");
+        drop(before);
+        idx.optimize();
+        assert!(idx.tail.is_empty());
+        assert!(in_place(&idx));
+        // A purged row lets go of its vector; a live one holds it.
+        assert_eq!(Arc::strong_count(&handles[0]), 1);
+        assert_eq!(Arc::strong_count(&handles[1]), 2);
     }
 
     #[test]
@@ -1624,7 +1679,7 @@ mod tests {
         let slots: Vec<Option<&SparseVec>> = (0..300)
             .map(|i| idx.is_live(i).then_some(&docs[i]))
             .collect();
-        let mut idx = InvertedIndex::from_slots(dim as usize, &slots).unwrap();
+        let mut idx = InvertedIndex::from_slots(dim as usize, shared(&slots)).unwrap();
         assert_bounds_match_reference(&idx);
         // Fresh tail inserts leave the flat bounds untouched.
         idx.insert(docs[0].clone()).unwrap();
@@ -1638,7 +1693,7 @@ mod tests {
         let dim = 64u32;
         let slots = banded_corpus(400, dim);
         let slots: Vec<Option<&SparseVec>> = slots.iter().map(Some).collect();
-        let idx = InvertedIndex::from_slots(dim as usize, &slots).unwrap();
+        let idx = InvertedIndex::from_slots(dim as usize, shared(&slots)).unwrap();
         assert_pruned_matches_exhaustive(&idx, dim);
     }
 
@@ -1696,15 +1751,16 @@ mod tests {
         // After the heavy list doc 0 leads doc 1 by more than the light
         // list's bound, but the light list takes from doc 0 what it
         // gives doc 1: the bar must sit `rest` under the leader, so that
-        // doc 1 survives the stop and wins the exact pass.
+        // doc 1 survives the stop and wins the exact pass. The light
+        // list is long enough that rescoring two rows beats reading it.
         let unit = |a: f64, b: f64| {
             let pad = (1.0 - a * a - b * b).sqrt();
             vec8(&[(0, a), (1, b), (2, pad)])
         };
         let mut docs = vec![unit(0.8, -0.3), unit(0.45, 0.3)];
-        docs.extend((0..30).map(|i| unit(0.0, 0.01 + i as f64 * 0.001)));
+        docs.extend((0..200).map(|i| unit(0.0, 0.01 + i as f64 * 0.001)));
         let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
-        let idx = InvertedIndex::from_slots(8, &slots).unwrap();
+        let idx = InvertedIndex::from_slots(8, shared(&slots)).unwrap();
         let q = vec8(&[(0, 1.0), (1, 1.0)]);
         let mut scratch = SearchScratch::new();
         let hits = idx.search_with(&q, 1, &mut scratch).unwrap();
@@ -1746,23 +1802,24 @@ mod tests {
 
     #[test]
     fn many_short_lists_are_read_as_they_stand() {
-        // A dense signature against a small shard: k probes of each of
-        // 48 lists would cost more than the 30-odd postings under it, so
-        // nothing is sorted, checked or rescored — unless a floor no
-        // bound reaches stops the search before it starts.
+        // A dense signature against a small shard: k row walks over its
+        // 48 terms would cost more than the six-odd postings under each
+        // list, so nothing is sorted, checked or rescored — unless a
+        // floor no bound reaches stops the search before it starts.
         let doc = |i: u32| {
             let pairs = (0..48).map(|j| ((i * 5 + j) % 64, 1.0 + ((i * j) % 7) as f64));
             SparseVec::from_pairs(64, pairs).unwrap()
         };
-        let docs: Vec<SparseVec> = (0..40).map(doc).collect();
+        let docs: Vec<SparseVec> = (0..8).map(doc).collect();
         let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
-        let idx = InvertedIndex::from_slots(64, &slots).unwrap();
+        let idx = InvertedIndex::from_slots(64, shared(&slots)).unwrap();
         let mut scratch = SearchScratch::new();
         let exhaustive = idx.search_exhaustive(&docs[3], 5, &mut scratch).unwrap();
         let hits = idx.search_with(&docs[3], 5, &mut scratch).unwrap();
         let stats = scratch.stats();
         assert_eq!(hits, exhaustive);
-        assert!(stats.postings <= 5 * stats.lists * PROBE_COST, "{stats:?}");
+        let survivor_cost = ROW_COST + stats.lists * STEP_COST;
+        assert!(stats.postings <= 5 * survivor_cost, "{stats:?}");
         assert_eq!((stats.lists_read, stats.checks), (stats.lists, 2));
         let above = idx.search_above(&docs[3], 5, 1.5, &mut scratch).unwrap();
         let stats = scratch.stats();
@@ -1806,7 +1863,7 @@ mod tests {
         let mut compacted = looped.clone();
         compacted.optimize();
         let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
-        let built = InvertedIndex::from_slots(8, &slots).unwrap();
+        let built = InvertedIndex::from_slots(8, shared(&slots)).unwrap();
         let q = vec8(&[(0, 1.0), (1, 1.0)]);
         let mut scratch = SearchScratch::new();
         for idx in [&looped, &compacted, &built] {

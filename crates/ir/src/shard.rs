@@ -15,8 +15,10 @@
 //! the shard's postings, so pruning stays sound per shard.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-use crate::{DocId, InvertedIndex, IrError, SearchHit, SearchScratch, SparseVec};
+use crate::index::VectorHandle;
+use crate::{DocId, IndexedVector, InvertedIndex, IrError, SearchHit, SearchScratch, SparseVec};
 
 /// Deterministic round-robin doc→shard router.
 ///
@@ -71,10 +73,10 @@ impl ShardRouter {
 }
 
 /// One shard of a sharded corpus: its own [`InvertedIndex`] (postings
-/// and max-impact bounds over shard-local ids). Cloning a shard
-/// shares the index's flat segment and tail rows (see
-/// [`InvertedIndex`]'s storage layout), so a clone costs the tombstone
-/// flags, not the postings.
+/// and max-impact bounds over shard-local ids, rows held by the handles
+/// they were given). Cloning a shard shares the index's flat segment
+/// and tail rows (see [`InvertedIndex`]'s storage layout), so a clone
+/// costs the tombstone flags, not the postings.
 ///
 /// All public entry points speak *global* doc ids; the shard translates
 /// through its [`ShardRouter`] internally and rejects misrouted ids.
@@ -93,11 +95,11 @@ impl Shard {
     ///
     /// Panics when `shard` is out of range for the router.
     pub fn new(shard: usize, router: ShardRouter, dim: usize) -> Self {
-        Self::from_slots(shard, router, dim, &[]).expect("no vector to mismatch")
+        Self::from_slots::<SparseVec>(shard, router, dim, []).expect("no vector to mismatch")
     }
 
-    /// Builds shard `shard` fully compacted in one pass: `slots[l]` is
-    /// the vector of the shard's local doc `l` (global doc
+    /// Builds shard `shard` fully compacted in one pass: the `l`-th slot
+    /// is the vector of the shard's local doc `l` (global doc
     /// `router.global_of(shard, l)`), or `None` for a tombstoned slot —
     /// see [`InvertedIndex::from_slots`].
     ///
@@ -109,11 +111,11 @@ impl Shard {
     /// # Panics
     ///
     /// Panics when `shard` is out of range for the router.
-    pub fn from_slots(
+    pub fn from_slots<V: IndexedVector + 'static>(
         shard: usize,
         router: ShardRouter,
         dim: usize,
-        slots: &[Option<&SparseVec>],
+        slots: impl IntoIterator<Item = Option<Arc<V>>>,
     ) -> Result<Self, IrError> {
         assert!(
             shard < router.num_shards(),
@@ -151,20 +153,21 @@ impl Shard {
 
     /// Indexes `vector` as global doc `global`, which must be the next
     /// id the router assigns to this shard (sequential global inserts
-    /// keep every shard's local id space dense automatically).
+    /// keep every shard's local id space dense automatically). The index
+    /// holds the handle, not a copy of the vector.
     ///
     /// # Errors
     ///
     /// Returns [`IrError::DocNotLive`] when `global` is misrouted (wrong
     /// shard) or out of order, and [`IrError::DimensionMismatch`] on a
     /// vector dimension mismatch.
-    pub fn insert(&mut self, global: DocId, vector: SparseVec) -> Result<DocId, IrError> {
+    pub fn insert(&mut self, global: DocId, vector: VectorHandle) -> Result<DocId, IrError> {
         if self.router.shard_of(global) != self.shard
             || self.router.local_of(global) != self.index.len()
         {
             return Err(IrError::DocNotLive(global));
         }
-        let local = self.index.insert(vector)?;
+        let local = self.index.insert_shared(vector)?;
         debug_assert_eq!(local, self.router.local_of(global));
         Ok(global)
     }
@@ -240,7 +243,8 @@ fn rank_topk(mut all: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
     all
 }
 
-fn by_score_desc(a: &SearchHit, b: &SearchHit) -> Ordering {
+/// Score descending; the head of both tie rules.
+pub(crate) fn by_score_desc(a: &SearchHit, b: &SearchHit) -> Ordering {
     b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal)
 }
 
@@ -253,7 +257,8 @@ fn by_score_desc(a: &SearchHit, b: &SearchHit) -> Ordering {
 /// The floor is not strict: a later shard's document scoring exactly
 /// the floor may carry the higher global id, which the selection rule
 /// of [`merge_topk`] prefers. A shard none of whose bounds reach the
-/// floor reads no posting at all.
+/// floor reads no posting at all. [`SearchScratch::stats`] then sums
+/// what every visited shard read and skipped.
 ///
 /// # Errors
 ///
@@ -276,10 +281,12 @@ where
     order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
     let mut all = Vec::new();
     let mut floor = f64::NEG_INFINITY;
+    let mut stats = crate::SearchStats::default();
     for &(_, at) in &order {
         let shard = shards.clone().nth(at).expect("a position of this iterator");
         let at = all.len();
         all.append(&mut shard.index.search_above(query, k, floor, scratch)?);
+        stats.add(&scratch.stats());
         shard.to_global(&mut all[at..]);
         if (1..=all.len()).contains(&k) {
             all.select_nth_unstable_by(k - 1, by_score_desc);
@@ -287,6 +294,7 @@ where
         }
     }
     scratch.shard_order = order;
+    scratch.stats = stats;
     Ok(rank_topk(all, k))
 }
 
@@ -317,7 +325,9 @@ mod tests {
             .map(|s| Shard::new(s, router, dim))
             .collect();
         for (d, v) in docs.iter().enumerate() {
-            shards[router.shard_of(d)].insert(d, v.clone()).unwrap();
+            shards[router.shard_of(d)]
+                .insert(d, Arc::new(v.clone()))
+                .unwrap();
         }
         shards
     }
@@ -409,7 +419,7 @@ mod tests {
     fn insert_rejects_misrouted_and_disordered_ids() {
         let router = ShardRouter::new(2);
         let mut shard = Shard::new(0, router, 4);
-        let v = SparseVec::from_pairs(4, [(0, 1.0)]).unwrap();
+        let v = Arc::new(SparseVec::from_pairs(4, [(0, 1.0)]).unwrap());
         // Doc 1 belongs to shard 1.
         assert_eq!(shard.insert(1, v.clone()), Err(IrError::DocNotLive(1)));
         // Doc 2 is not the next local slot (doc 0 first).
@@ -417,7 +427,10 @@ mod tests {
         shard.insert(0, v.clone()).unwrap();
         assert_eq!(shard.insert(2, v.clone()).unwrap(), 2);
         assert!(shard.insert(0, v.clone()).is_err(), "no re-insert");
-        assert!(shard.insert(4, SparseVec::zeros(5)).is_err(), "wrong dim");
+        assert!(
+            shard.insert(4, Arc::new(SparseVec::zeros(5))).is_err(),
+            "wrong dim"
+        );
         assert_eq!(shard.len(), 2);
         assert_eq!(shard.live_len(), 2);
         assert!(shard.is_live(0) && shard.is_live(2));
@@ -435,11 +448,10 @@ mod tests {
         let router = ShardRouter::new(2);
         let built: Vec<Shard> = (0..2)
             .map(|s| {
-                let slots: Vec<Option<&SparseVec>> = (s..docs.len())
+                let slots = (s..docs.len())
                     .step_by(2)
-                    .map(|d| (d != 4).then_some(&docs[d]))
-                    .collect();
-                Shard::from_slots(s, router, dim, &slots).unwrap()
+                    .map(|d| (d != 4).then(|| Arc::new(docs[d].clone())));
+                Shard::from_slots(s, router, dim, slots).unwrap()
             })
             .collect();
         assert_eq!(built[0].len(), 11);
@@ -451,8 +463,8 @@ mod tests {
             let got = search_sharded(&built, q, 8, &mut scratch).unwrap();
             assert_eq!(got, expected);
         }
-        let bad = SparseVec::zeros(dim + 1);
-        assert!(Shard::from_slots(0, router, dim, &[Some(&bad)]).is_err());
+        let bad = Arc::new(SparseVec::zeros(dim + 1));
+        assert!(Shard::from_slots(0, router, dim, [Some(bad)]).is_err());
     }
 
     #[test]

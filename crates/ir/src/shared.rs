@@ -53,10 +53,11 @@ impl<T> SharedVec<T> {
 
     /// Appends `value`.
     pub fn push(&mut self, value: T) {
-        self.push_arc(Arc::new(value));
+        self.push_shared(Arc::new(value));
     }
 
-    fn push_arc(&mut self, value: Arc<T>) {
+    /// Appends an element someone else may hold too.
+    pub fn push_shared(&mut self, value: Arc<T>) {
         match self.chunks.last_mut() {
             Some(last) if last.len() < CHUNK => Arc::make_mut(last).push(value),
             _ => {
@@ -72,6 +73,15 @@ impl<T> SharedVec<T> {
     pub fn get(&self, index: usize) -> Option<&T> {
         let chunk = self.chunks.get(index / CHUNK)?;
         chunk.get(index % CHUNK).map(|e| &**e)
+    }
+
+    /// The element at `index` as the [`Arc`] every clone shares.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of range.
+    pub fn shared(&self, index: usize) -> &Arc<T> {
+        &self.chunks[index / CHUNK][index % CHUNK]
     }
 
     /// Iterates over the elements in order.
@@ -97,7 +107,7 @@ impl<T> SharedVec<T> {
         let old = std::mem::take(self);
         for (i, element) in old.chunks.iter().flat_map(|c| c.iter()).enumerate() {
             if keep(i) {
-                self.push_arc(element.clone());
+                self.push_shared(element.clone());
             }
         }
     }
@@ -119,7 +129,7 @@ impl<T> std::ops::Index<usize> for SharedVec<T> {
     type Output = T;
 
     fn index(&self, index: usize) -> &T {
-        &self.chunks[index / CHUNK][index % CHUNK]
+        self.shared(index)
     }
 }
 

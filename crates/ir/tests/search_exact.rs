@@ -7,10 +7,14 @@
 //!    that prunes* (a rare heavy band over a ubiquitous light one),
 //!    whose generator must keep stopping early.
 //! 2. **A floor across shards.** `search_sharded` over 1–8 shards equals
-//!    the flat oracle: ties at the floor, skipped shards, short shards.
+//!    the flat oracle: ties at the floor, skipped shards, short shards;
+//!    its stats are the sum of what each shard's own search reads.
+
+use std::sync::Arc;
 
 use fmeter_ir::{
-    search_sharded, InvertedIndex, SearchHit, SearchScratch, Shard, ShardRouter, SparseVec,
+    search_sharded, InvertedIndex, SearchHit, SearchScratch, SearchStats, Shard, ShardRouter,
+    SparseVec,
 };
 use proptest::prelude::*;
 
@@ -95,14 +99,20 @@ const BAND_CLASSES: usize = 8;
 /// (`24..64`) every class shares, of either sign: an unread list can
 /// take from a score as well as add to it.
 fn banded_vector(state: &mut u64, class: usize) -> SparseVec {
+    banded_row(state, class, 10, 40)
+}
+
+/// [`banded_vector`] with `lights` draws from the first `spread` light
+/// terms.
+fn banded_row(state: &mut u64, class: usize, lights: usize, spread: u64) -> SparseVec {
     let mut pairs = Vec::new();
     for j in 0..3 {
         let heavy = [10.0, 20.0, 21.0, 80.0][lcg(state) as usize % 4];
         pairs.push(((class * 3 + j) as u32, heavy));
     }
-    for _ in 0..10 {
+    for _ in 0..lights {
         let light = [-0.2, 0.2, 0.4, 0.6][lcg(state) as usize % 4];
-        pairs.push(((24 + lcg(state) % 40) as u32, light));
+        pairs.push(((24 + lcg(state) % spread) as u32, light));
     }
     SparseVec::from_pairs(BAND_DIM, pairs).expect("terms in range")
 }
@@ -125,8 +135,8 @@ fn banded_corpus(state: &mut u64, n: usize) -> Vec<SparseVec> {
 /// The first `bulk` of `docs` built flat, the rest inserted one by one
 /// (tail rows, and whatever compaction they trigger).
 fn banded_index(docs: &[SparseVec], bulk: usize) -> InvertedIndex {
-    let slots: Vec<Option<&SparseVec>> = docs[..bulk].iter().map(Some).collect();
-    let mut index = InvertedIndex::from_slots(BAND_DIM, &slots).unwrap();
+    let slots = docs[..bulk].iter().map(|d| Some(Arc::new(d.clone())));
+    let mut index = InvertedIndex::from_slots(BAND_DIM, slots).unwrap();
     for d in &docs[bulk..] {
         index.insert(d.clone()).unwrap();
     }
@@ -181,6 +191,121 @@ fn pruned_matches_exhaustive_where_it_prunes() {
     );
 }
 
+/// The exact pass scores each survivor from its own row, both ways a
+/// row is read: rows of 20-odd terms and more, galloped through for a
+/// 4-term query's terms, and 4-term rows (their light term one of four,
+/// so each light list is long) walked against a 20-odd-term query;
+/// negative light weights, a flat segment with a tail behind it,
+/// tombstones. The best document sits once in the segment (doc 7) and
+/// once at the end of the tail, so the hits come from both.
+#[test]
+fn the_exact_pass_scores_survivors_from_their_rows() {
+    let mut scratch = SearchScratch::new();
+    let shapes = [((40, 40), 1), ((1, 4), 40)];
+    let mut past_k = [0usize; 2];
+    for seed in 0..4u64 {
+        for (shape, ((row_lights, row_spread), query_lights)) in shapes.into_iter().enumerate() {
+            let mut state = seed ^ 0xfeed;
+            let mut docs: Vec<SparseVec> = (0..1200)
+                .map(|_| {
+                    let class = lcg(&mut state) as usize % BAND_CLASSES;
+                    banded_row(&mut state, class, row_lights, row_spread)
+                })
+                .collect();
+            let class = seed as usize % BAND_CLASSES;
+            let query = banded_row(&mut state, class, query_lights, 40);
+            // More than four times the query's terms, or no more than it.
+            let galloped = |d: &SparseVec| d.nnz() > 4 * query.nnz();
+            let walked = |d: &SparseVec| d.nnz() <= query.nnz();
+            assert!(docs
+                .iter()
+                .all(|d| if shape == 0 { galloped(d) } else { walked(d) }));
+            let best = flat(&docs)
+                .search_exhaustive(&query, 1, &mut scratch)
+                .unwrap()[0]
+                .doc;
+            docs.swap(7, best);
+            docs.push(docs[7].clone());
+            let last = docs.len() - 1;
+            let mut index = banded_index(&docs, 900);
+            for round in 0..2 {
+                for k in [1, 2, 5, 10] {
+                    let want = index.search_exhaustive(&query, k, &mut scratch).unwrap();
+                    let got = index.search_with(&query, k, &mut scratch).unwrap();
+                    let at = format!("seed {seed} rows {row_lights} round {round} k {k}");
+                    assert_eq!(bits(&got), bits(&want), "{at}");
+                    let stats = scratch.stats();
+                    past_k[shape] += usize::from(stats.rescored > k);
+                    if round == 0 && k == 10 {
+                        let ids: Vec<usize> = got.iter().map(|h| h.doc).collect();
+                        assert!(ids.contains(&7) && ids.contains(&last), "{at}: {ids:?}");
+                    }
+                }
+                if round == 0 {
+                    for d in (0..docs.len()).filter(|d| d % 13 == 1 + seed as usize) {
+                        index.remove(d).unwrap();
+                    }
+                    index.remove(7).unwrap();
+                }
+            }
+        }
+    }
+    assert!(
+        past_k.iter().all(|&n| n > 0),
+        "no survivor past k: {past_k:?}"
+    );
+}
+
+/// `search_sharded`'s stats are the sum of each visited shard's own
+/// `search_above`, called in the same order with the same floors: the
+/// shards by descending flat bound, each under the k-th best score of
+/// the shards before it.
+#[test]
+fn sharded_stats_sum_the_shards_it_visits() {
+    let mut scratch = SearchScratch::new();
+    for seed in 0..4u64 {
+        let mut state = seed ^ 0x57a7;
+        let docs = banded_corpus(&mut state, 2000);
+        let shards = sharded(&docs, 2 + seed as usize, usize::MAX);
+        for class in 0..BAND_CLASSES {
+            let query = banded_vector(&mut state, class);
+            let k = 1 + class;
+            let bound = |shard: &Shard| -> f64 {
+                let index = shard.index();
+                query
+                    .iter()
+                    .map(|(t, q)| q.abs() * index.max_impact(t))
+                    .sum()
+            };
+            let mut order: Vec<(f64, usize)> = shards.iter().map(bound).zip(0..).collect();
+            order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            let (mut want, mut scores) = (SearchStats::default(), Vec::new());
+            for &(_, s) in &order {
+                let floor = if scores.len() >= k {
+                    scores.sort_by(|a: &f64, b| b.total_cmp(a));
+                    scores[k - 1]
+                } else {
+                    f64::NEG_INFINITY
+                };
+                let hits = shards[s]
+                    .index()
+                    .search_above(&query, k, floor, &mut scratch)
+                    .unwrap();
+                scores.extend(hits.iter().map(|h| h.score));
+                let one = scratch.stats();
+                want.lists += one.lists;
+                want.lists_read += one.lists_read;
+                want.postings += one.postings;
+                want.postings_read += one.postings_read;
+                want.checks += one.checks;
+                want.rescored += one.rescored;
+            }
+            search_sharded(&shards, &query, k, &mut scratch).unwrap();
+            assert_eq!(scratch.stats(), want, "seed {seed} class {class}");
+        }
+    }
+}
+
 /// `docs` over `num_shards` shards by the router's rule; shard `s` is
 /// compacted when bit `s` of `compacted` is set (the rest keep tails).
 fn sharded(docs: &[SparseVec], num_shards: usize, compacted: usize) -> Vec<Shard> {
@@ -189,7 +314,9 @@ fn sharded(docs: &[SparseVec], num_shards: usize, compacted: usize) -> Vec<Shard
         .map(|s| Shard::new(s, router, BAND_DIM))
         .collect();
     for (d, v) in docs.iter().enumerate() {
-        shards[router.shard_of(d)].insert(d, v.clone()).unwrap();
+        shards[router.shard_of(d)]
+            .insert(d, Arc::new(v.clone()))
+            .unwrap();
     }
     for (s, shard) in shards.iter_mut().enumerate() {
         if compacted >> s & 1 == 1 {
@@ -200,8 +327,8 @@ fn sharded(docs: &[SparseVec], num_shards: usize, compacted: usize) -> Vec<Shard
 }
 
 fn flat(docs: &[SparseVec]) -> InvertedIndex {
-    let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
-    InvertedIndex::from_slots(BAND_DIM, &slots).unwrap()
+    let slots = docs.iter().map(|d| Some(Arc::new(d.clone())));
+    InvertedIndex::from_slots(BAND_DIM, slots).unwrap()
 }
 
 #[test]
@@ -255,9 +382,17 @@ fn shards_under_the_floor_read_nothing_and_a_short_best_shard_sets_no_floor() {
         let got = search_sharded(&shards, &query, 10, &mut scratch).unwrap();
         assert_eq!(bits(&got), bits(&want), "{num_shards} shards, k 10");
         assert!(want.iter().all(|h| h.doc % num_shards == 1));
+        // The stats sum the shards: what the best shard read alone, and
+        // the lists of the skipped ones counted but not read.
         let stats = scratch.stats();
-        assert!(stats.postings > 0, "{stats:?}");
-        assert_eq!((stats.lists_read, stats.postings_read), (0, 0), "{stats:?}");
+        shards[1]
+            .index()
+            .search_with(&query, 10, &mut scratch)
+            .unwrap();
+        let best = scratch.stats();
+        assert!(stats.postings > best.postings, "{stats:?}");
+        let read = |s: SearchStats| (s.lists_read, s.postings_read, s.rescored);
+        assert_eq!(read(stats), read(best), "{stats:?}");
         // k = 20: the best shard has twelve hits, fewer than k, so the
         // others are searched with no floor and fill the rest.
         let want = oracle.search_exhaustive(&query, 20, &mut scratch).unwrap();
