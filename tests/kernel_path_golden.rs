@@ -1,6 +1,11 @@
 //! Golden pin of the kernel path: the simulated call walk, the per-CPU
 //! counters and the logger's snapshot delta, hashed end to end.
 //!
+//! A second pin folds the order of the calls themselves: the same runs
+//! under a `RecordingTracer`, each `(cpu, function)` in the order the
+//! tracer saw it. Counts cannot see a walk that visits the same calls in
+//! another order, and Ftrace's `parent_ip` depends on that order.
+//!
 //! For two kernel seeds, each macro workload under daemon noise and
 //! `netperf` receiving through a loaded `myri10ge` (module ops and timer
 //! ticks) run through `SignatureLogger` for a few intervals. Every
@@ -11,7 +16,9 @@
 //! how long the simulated clock says they took, shows up here.
 
 use fmeter::core::Fmeter;
-use fmeter::kernel_sim::{modules, CpuId, Kernel, KernelConfig, Nanos};
+use std::sync::Arc;
+
+use fmeter::kernel_sim::{modules, CpuId, Kernel, KernelConfig, Nanos, RecordingTracer};
 use fmeter::workloads::{
     ApacheBench, Dbench, KCompile, NetperfReceive, Scp, WithBackground, Workload,
 };
@@ -62,6 +69,30 @@ const GOLDEN: [(u64, [u64; 5]); 2] = [
     ),
 ];
 
+/// What the parent commit computed for the call order, per kernel seed.
+const ORDER_GOLDEN: [(u64, [u64; 5]); 2] = [
+    (
+        1,
+        [
+            0xa0db_5fc2_ee43_1969,
+            0xf8f4_af3c_4d82_7a5b,
+            0x188d_937c_b659_6129,
+            0xf02e_6699_aa8b_6d93,
+            0x7066_5280_1ccd_c2dc,
+        ],
+    ),
+    (
+        7,
+        [
+            0xec58_2509_5e77_17ca,
+            0x8a8f_97e0_b7eb_695c,
+            0xac88_230d_bbe1_a72e,
+            0x2523_a6de_134d_8041,
+            0xc444_e927_4557_b83d,
+        ],
+    ),
+];
+
 fn workload(run: &str, seed: u64) -> Box<dyn Workload> {
     let noisy = |primary: Box<dyn Workload>| -> Box<dyn Workload> {
         Box::new(WithBackground::new(primary, seed, 0.05, 0.45))
@@ -75,8 +106,8 @@ fn workload(run: &str, seed: u64) -> Box<dyn Workload> {
     }
 }
 
-/// Runs `run` on a fresh kernel seeded `seed` and folds what it did.
-fn kernel_path_hash(run: &str, seed: u64) -> u64 {
+/// A fresh kernel seeded `seed`, with `myri10ge` loaded.
+fn kernel(seed: u64) -> Kernel {
     let mut kernel = Kernel::new(KernelConfig {
         num_cpus: CPUS,
         seed,
@@ -86,6 +117,12 @@ fn kernel_path_hash(run: &str, seed: u64) -> u64 {
     kernel
         .load_module(modules::myri10ge_v151())
         .expect("the driver loads");
+    kernel
+}
+
+/// Runs `run` on a fresh kernel seeded `seed` and folds what it did.
+fn kernel_path_hash(run: &str, seed: u64) -> u64 {
+    let mut kernel = kernel(seed);
     let fmeter = Fmeter::install(&mut kernel);
     let mut logger = fmeter.logger(INTERVAL, kernel.now());
     let cpus: Vec<CpuId> = (0..CPUS).map(CpuId).collect();
@@ -109,6 +146,54 @@ fn kernel_path_hash(run: &str, seed: u64) -> u64 {
     }
     fold.word(kernel.now().0);
     fold.0
+}
+
+/// Runs `run` on a fresh kernel seeded `seed` under a `RecordingTracer`,
+/// stepping as the logger does for [`INTERVALS`] intervals, and folds
+/// every recorded `(cpu, function)` in order. Each interval gets a fresh
+/// recorder, so only one interval's calls are held at a time.
+fn call_order_hash(run: &str, seed: u64) -> u64 {
+    let mut kernel = kernel(seed);
+    let cpus: Vec<CpuId> = (0..CPUS).map(CpuId).collect();
+    let mut load = workload(run, seed ^ 0x5eed);
+    let mut fold = Fold::new();
+    let mut deadline = kernel.now();
+    for _ in 0..INTERVALS {
+        let recorder = Arc::new(RecordingTracer::new());
+        kernel.set_tracer(recorder.clone());
+        deadline += INTERVAL;
+        let mut i = 0usize;
+        while kernel.now() < deadline {
+            load.step(&mut kernel, cpus[i % CPUS])
+                .expect("the simulated kernel runs the standard workloads");
+            i += 1;
+        }
+        let calls = recorder.calls();
+        fold.word(calls.len() as u64);
+        for (cpu, function) in calls {
+            fold.word(cpu.0 as u64);
+            fold.word(u64::from(function.0));
+        }
+    }
+    fold.word(kernel.now().0);
+    fold.0
+}
+
+#[test]
+fn call_order_matches_the_pinned_parent() {
+    let mut drifted = Vec::new();
+    for (seed, row) in ORDER_GOLDEN {
+        for (run, golden) in RUNS.iter().zip(row) {
+            let hash = call_order_hash(run, seed);
+            if hash != golden {
+                drifted.push(format!("seed {seed} {run}: {hash:#018x}"));
+            }
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "call order no longer identical to the pinned run: {drifted:#?}"
+    );
 }
 
 #[test]
