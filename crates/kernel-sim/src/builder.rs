@@ -296,14 +296,7 @@ impl KernelImageBuilder {
                         let callee = candidates[rng.random_range(0..candidates.len())];
                         let probability = 0.25 + rng.random::<f32>() * 0.75;
                         let max_repeats = if rng.random::<f32>() < 0.15 { 3 } else { 1 };
-                        sites.push((
-                            f.id,
-                            CallEdge {
-                                callee,
-                                probability,
-                                max_repeats,
-                            },
-                        ));
+                        sites.push((f.id, CallEdge::new(callee, probability, max_repeats)));
                     }
                 }
             }
@@ -347,14 +340,7 @@ impl KernelImageBuilder {
                     let callee = candidates[idx];
                     let probability = 0.3 + rng.random::<f32>() * 0.7;
                     let max_repeats = if rng.random::<f32>() < 0.25 { 2 } else { 1 };
-                    sites.push((
-                        f.id,
-                        CallEdge {
-                            callee,
-                            probability,
-                            max_repeats,
-                        },
-                    ));
+                    sites.push((f.id, CallEdge::new(callee, probability, max_repeats)));
                 }
             }
             // --- Locking pairs: a function that takes a lock releases it ---
@@ -810,11 +796,7 @@ impl KernelImageBuilder {
             let callee_id = symbols.lookup(callee)?;
             sites.push((
                 caller_id,
-                CallEdge {
-                    callee: callee_id,
-                    probability,
-                    max_repeats,
-                },
+                CallEdge::new(callee_id, probability, max_repeats),
             ));
         }
         Ok(())

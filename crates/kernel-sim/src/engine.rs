@@ -4,9 +4,10 @@ use std::ops::AddAssign;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::Serialize;
 
+use crate::callgraph::CallEdge;
 use crate::clock::SimClock;
 use crate::tracer::NullTracer;
 use crate::{
@@ -71,44 +72,64 @@ struct LoadedModule {
 }
 
 /// The stochastic call-tree walker: the frozen call graph, each
-/// function's base cost as one dense column, the run-time RNG, and the
-/// depth-first stack, which every walk clears and reuses.
+/// function's base cost as one dense column, the run-time RNG, the
+/// depth-first stack, sized at boot so that no walk can overflow it, and
+/// the walk's calls, which every walk clears and reuses.
 struct Walker {
     callgraph: CallGraph,
     base_costs: Box<[Nanos]>,
     rng: SmallRng,
-    stack: Vec<FunctionId>,
+    stack: Box<[FunctionId]>,
+    calls: Vec<FunctionId>,
 }
 
 impl Walker {
-    /// Walks the call subtree rooted at `entry`, firing `tracer` for
-    /// every call and charging base + instrumentation costs. The caller
-    /// books the result to a CPU and the clock.
+    fn new(callgraph: CallGraph, base_costs: Box<[Nanos]>, seed: u64) -> Self {
+        Walker {
+            stack: vec![FunctionId(0); callgraph.walk_stack_len()].into_boxed_slice(),
+            callgraph,
+            base_costs,
+            rng: SmallRng::seed_from_u64(seed),
+            calls: Vec::new(),
+        }
+    }
+
+    /// Walks the call subtree rooted at `entry`, hands the calls to
+    /// `tracer` in one hook, and charges their base costs plus the
+    /// tracer's overhead for each. The caller books the result to a CPU
+    /// and the clock.
     fn walk(&mut self, tracer: &dyn FunctionTracer, cpu: CpuId, entry: FunctionId) -> ExecStats {
         let overhead = tracer.overhead();
-        let mut calls = 0u64;
-        let mut time = Nanos::ZERO;
-        self.stack.clear();
-        self.stack.push(entry);
-        while let Some(f) = self.stack.pop() {
-            calls += 1;
-            tracer.on_function_call(cpu, f);
-            time += self.base_costs[f.index()] + overhead;
+        let mut base = 0u64;
+        self.calls.clear();
+        self.stack[0] = entry;
+        let mut top = 1;
+        while top > 0 {
+            top -= 1;
+            let f = self.stack[top];
+            self.calls.push(f);
+            base += self.base_costs[f.index()].0;
             for edge in self.callgraph.callees(f) {
-                let fires = edge.probability >= 1.0 || self.rng.random::<f32>() < edge.probability;
-                if fires {
-                    let reps = if edge.max_repeats <= 1 {
-                        1
-                    } else {
-                        self.rng.random_range(1..=edge.max_repeats)
-                    };
-                    for _ in 0..reps {
-                        self.stack.push(edge.callee);
+                let fires = edge.threshold >= CallEdge::ALWAYS
+                    || self.rng.next_u64() >> 40 < u64::from(edge.threshold);
+                if edge.max_repeats == 1 {
+                    // Written either way; kept only if the site fired.
+                    self.stack[top] = edge.callee;
+                    top += usize::from(fires);
+                } else if fires {
+                    for _ in 0..self.rng.random_range(1..=edge.max_repeats) {
+                        self.stack[top] = edge.callee;
+                        top += 1;
                     }
                 }
             }
         }
-        ExecStats { calls, time }
+        tracer.on_calls(cpu, &self.calls);
+        let calls = self.calls.len() as u64;
+        ExecStats {
+            calls,
+            time: Nanos(base + calls * overhead.0),
+        }
     }
 
     /// Samples the number of driver calls for `units` units of work at a
@@ -223,12 +244,11 @@ impl Kernel {
             .map(|entry| symbols.lookup(entry.name()).ok())
             .collect();
         Kernel {
-            walker: Walker {
-                base_costs: symbols.iter().map(|f| f.base_cost).collect(),
-                callgraph: image.callgraph,
-                rng: SmallRng::seed_from_u64(config.seed),
-                stack: Vec::new(),
-            },
+            walker: Walker::new(
+                image.callgraph,
+                symbols.iter().map(|f| f.base_cost).collect(),
+                config.seed,
+            ),
             symbols,
             entry_points,
             plan: Vec::new(),
@@ -470,7 +490,7 @@ impl Kernel {
         self.check_cpu(cpu)?;
         let func = self.symbols.function(function)?;
         let cost = func.base_cost + self.tracer.overhead();
-        self.tracer.on_function_call(cpu, function);
+        self.tracer.on_calls(cpu, &[function]);
         self.cpus[cpu.0].calls_executed += 1;
         self.clock.advance(cost);
         Ok(ExecStats {
@@ -600,7 +620,7 @@ mod tests {
     fn tracer_overhead_slows_the_clock() {
         struct Expensive;
         impl FunctionTracer for Expensive {
-            fn on_function_call(&self, _: CpuId, _: FunctionId) {}
+            fn on_calls(&self, _: CpuId, _: &[FunctionId]) {}
             fn overhead(&self) -> Nanos {
                 Nanos(100)
             }

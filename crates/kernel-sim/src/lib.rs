@@ -13,8 +13,8 @@
 //!   plus hand-wired vertical paths: VFS → ext3 → block, socket → TCP → IP
 //!   → device, IRQ → scheduler, ...),
 //! * [`KernelOp`] plans for ~45 syscall-level operations, whose execution
-//!   walks call subtrees and fires a pluggable [`FunctionTracer`] on every
-//!   call — the simulator's `mcount` hook,
+//!   walks call subtrees and hands every call to a pluggable
+//!   [`FunctionTracer`], once per walk — the simulator's `mcount` hook,
 //! * per-CPU state, a simulated nanosecond clock, timer interrupts,
 //! * runtime-loadable [`KernelModule`]s that are *not* instrumented and
 //!   appear only through the core-kernel functions they call (including the

@@ -7,17 +7,21 @@ use crate::{CpuId, FunctionId, Nanos};
 ///
 /// This is the seam the paper's two instrumentation systems share — both
 /// Ftrace's function tracer and Fmeter are "called" from the compiler-
-/// injected `mcount` preamble of every kernel function. The simulator fires
-/// [`on_function_call`](FunctionTracer::on_function_call) once per simulated
-/// call and charges [`overhead`](FunctionTracer::overhead) of simulated time
-/// for it.
+/// injected `mcount` preamble of every kernel function. The simulator
+/// hands each walk of a call subtree to [`on_calls`](FunctionTracer::on_calls)
+/// once, with the walk's calls in the order they ran, and charges
+/// [`overhead`](FunctionTracer::overhead) of simulated time for every one
+/// of them. A tracer records each call as its own `mcount` would; taking
+/// one per-walk hook only spares the simulator a dynamic call per
+/// function.
 ///
 /// Module-local functions never reach the tracer: Fmeter does not
 /// instrument runtime-loadable modules (paper §3), and the simulator
 /// enforces that by construction.
 pub trait FunctionTracer: Send + Sync {
-    /// Called on entry of every instrumented kernel function.
-    fn on_function_call(&self, cpu: CpuId, function: FunctionId);
+    /// Called once per walk on `cpu` with every instrumented kernel
+    /// function it entered, in depth-first call order.
+    fn on_calls(&self, cpu: CpuId, calls: &[FunctionId]);
 
     /// Simulated cost added to every instrumented call (the per-call price
     /// of the instrumentation). `NullTracer` charges zero: "virtually
@@ -33,7 +37,7 @@ pub trait FunctionTracer: Send + Sync {
 pub(crate) struct NullTracer;
 
 impl FunctionTracer for NullTracer {
-    fn on_function_call(&self, _cpu: CpuId, _function: FunctionId) {}
+    fn on_calls(&self, _cpu: CpuId, _calls: &[FunctionId]) {}
 
     fn overhead(&self) -> Nanos {
         Nanos::ZERO
@@ -91,8 +95,10 @@ impl CountingTracer {
 }
 
 impl FunctionTracer for CountingTracer {
-    fn on_function_call(&self, _cpu: CpuId, function: FunctionId) {
-        self.counts[function.index()].fetch_add(1, Ordering::Relaxed);
+    fn on_calls(&self, _cpu: CpuId, calls: &[FunctionId]) {
+        for function in calls {
+            self.counts[function.index()].fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     fn overhead(&self) -> Nanos {
@@ -140,11 +146,11 @@ impl RecordingTracer {
 }
 
 impl FunctionTracer for RecordingTracer {
-    fn on_function_call(&self, cpu: CpuId, function: FunctionId) {
+    fn on_calls(&self, cpu: CpuId, calls: &[FunctionId]) {
         self.calls
             .lock()
             .expect("recording tracer lock poisoned")
-            .push((cpu, function));
+            .extend(calls.iter().map(|&function| (cpu, function)));
     }
 
     fn overhead(&self) -> Nanos {
@@ -165,15 +171,14 @@ mod tests {
         let t = NullTracer;
         assert_eq!(t.overhead(), Nanos::ZERO);
         assert_eq!(t.name(), "vanilla");
-        t.on_function_call(CpuId(0), FunctionId(3)); // no-op, no panic
+        t.on_calls(CpuId(0), &[FunctionId(3)]); // no-op, no panic
     }
 
     #[test]
     fn counting_tracer_counts() {
         let t = CountingTracer::new(4);
-        t.on_function_call(CpuId(0), FunctionId(1));
-        t.on_function_call(CpuId(1), FunctionId(1));
-        t.on_function_call(CpuId(0), FunctionId(3));
+        t.on_calls(CpuId(0), &[FunctionId(1), FunctionId(3)]);
+        t.on_calls(CpuId(1), &[FunctionId(1)]);
         assert_eq!(t.count(FunctionId(1)), 2);
         assert_eq!(t.count(FunctionId(3)), 1);
         assert_eq!(t.count(FunctionId(0)), 0);
@@ -187,13 +192,17 @@ mod tests {
     fn recording_tracer_preserves_order() {
         let t = RecordingTracer::new();
         assert!(t.is_empty());
-        t.on_function_call(CpuId(0), FunctionId(5));
-        t.on_function_call(CpuId(2), FunctionId(1));
+        t.on_calls(CpuId(0), &[FunctionId(5), FunctionId(2)]);
+        t.on_calls(CpuId(2), &[FunctionId(1)]);
         assert_eq!(
             t.calls(),
-            vec![(CpuId(0), FunctionId(5)), (CpuId(2), FunctionId(1))]
+            vec![
+                (CpuId(0), FunctionId(5)),
+                (CpuId(0), FunctionId(2)),
+                (CpuId(2), FunctionId(1))
+            ]
         );
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.len(), 3);
     }
 
     #[test]
@@ -201,7 +210,7 @@ mod tests {
         let tracers: Vec<Box<dyn FunctionTracer>> =
             vec![Box::new(NullTracer), Box::new(CountingTracer::new(1))];
         for t in &tracers {
-            t.on_function_call(CpuId(0), FunctionId(0));
+            t.on_calls(CpuId(0), &[FunctionId(0)]);
         }
     }
 }

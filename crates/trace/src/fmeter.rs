@@ -2,6 +2,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use fmeter_kernel_sim::{CpuId, Debugfs, FunctionId, FunctionTracer, Nanos, SymbolTable};
 
 use crate::{CounterSnapshot, FMETER_CALL_OVERHEAD};
@@ -11,9 +13,12 @@ use crate::{CounterSnapshot, FMETER_CALL_OVERHEAD};
 pub(crate) const SLOTS_PER_PAGE: usize = 4096 / 8;
 
 /// One per-CPU index: "a series of free pages, and each page contains an
-/// array of slots".
+/// array of slots", and the claim a writer holds while it bumps them.
 #[derive(Debug)]
 struct PerCpuIndex {
+    /// The model of `preempt_disable`: a walk's increments run under it,
+    /// so threads that share a CPU id take turns instead of racing.
+    claim: Mutex<()>,
     pages: Vec<Box<[AtomicU64]>>,
 }
 
@@ -28,7 +33,10 @@ impl PerCpuIndex {
                     .into_boxed_slice()
             })
             .collect();
-        PerCpuIndex { pages }
+        PerCpuIndex {
+            claim: Mutex::new(()),
+            pages,
+        }
     }
 }
 
@@ -43,12 +51,15 @@ struct Stub {
 /// The Fmeter tracer: per-CPU pages of invocation counters addressed
 /// through per-function stubs (paper §3, Figure 3).
 ///
-/// Recording a call is: disable preemption (modelled in the simulated
-/// overhead — it is a plain integer bump on the task's thread info, cheaper
-/// than any atomic RMW under contention), follow the stub's two indices,
-/// increment the slot, re-enable preemption. Because each CPU owns its
-/// index, increments never contend; totals are aggregated at snapshot
-/// time.
+/// Recording a call is: disable preemption, follow the stub's two
+/// indices, increment the slot, re-enable preemption. Because each CPU
+/// owns its index, increments never contend; totals are aggregated at
+/// snapshot time. The simulator hands over a whole walk at once, so the
+/// tracer takes the CPU index's claim (the model of `preempt_disable`)
+/// once per walk and, under it, bumps each call's slot with a plain
+/// relaxed load and store: no call pays an atomic read-modify-write, and
+/// threads that share a CPU id still lose no increment. Readers load the
+/// slots without the claim; [`reset`](Self::reset) takes every claim.
 ///
 /// # Examples
 ///
@@ -161,9 +172,11 @@ impl FmeterTracer {
         counts
     }
 
-    /// Resets every counter on every CPU.
+    /// Resets every counter on every CPU, under each CPU index's claim
+    /// so that no walk in progress writes back a count from before.
     pub fn reset(&self) {
         for idx in &self.per_cpu {
+            let _claim = idx.claim.lock();
             for page in &idx.pages {
                 for slot in page.iter() {
                     slot.store(0, Ordering::Relaxed);
@@ -197,20 +210,27 @@ impl FmeterTracer {
 }
 
 impl FunctionTracer for FmeterTracer {
-    fn on_function_call(&self, cpu: CpuId, function: FunctionId) {
+    fn on_calls(&self, cpu: CpuId, calls: &[FunctionId]) {
         if !self.is_enabled() {
             return;
         }
-        // The stub body: preempt_disable();  (modelled — a plain int bump)
-        // follow (page, slot); increment; preempt_enable().
-        let stub = self.stubs[function.index()];
         // A CPU id past the indices folds onto one; only that rare case
         // pays for the division.
         let cpu_index = match self.per_cpu.get(cpu.0) {
             Some(index) => index,
             None => &self.per_cpu[cpu.0 % self.per_cpu.len()],
         };
-        cpu_index.pages[stub.page as usize][stub.slot as usize].fetch_add(1, Ordering::Relaxed);
+        // The stub body, once per walk: preempt_disable(); per call,
+        // follow (page, slot) and increment; preempt_enable(). Every
+        // writer holds the claim: its release by the last writer and
+        // its acquire here order their accesses, so the relaxed load
+        // sees the last store.
+        let _claim = cpu_index.claim.lock();
+        for function in calls {
+            let stub = self.stubs[function.index()];
+            let slot = &cpu_index.pages[stub.page as usize][stub.slot as usize];
+            slot.store(slot.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        }
     }
 
     fn overhead(&self) -> Nanos {
@@ -252,9 +272,8 @@ mod tests {
         // Function in page 0 and one in page 1.
         let first = FunctionId(0);
         let second = FunctionId(SLOTS_PER_PAGE as u32 + 1);
-        tracer.on_function_call(CpuId(0), first);
-        tracer.on_function_call(CpuId(1), first);
-        tracer.on_function_call(CpuId(0), second);
+        tracer.on_calls(CpuId(0), &[first, second]);
+        tracer.on_calls(CpuId(1), &[first]);
         assert_eq!(tracer.count(first), 2);
         assert_eq!(tracer.count(second), 1);
         assert_eq!(tracer.count_on_cpu(CpuId(0), first), 1);
@@ -265,8 +284,8 @@ mod tests {
     fn out_of_range_cpus_fold_onto_an_index() {
         let t = symbols();
         let tracer = FmeterTracer::with_cpus(&t, 3);
-        tracer.on_function_call(CpuId(4), FunctionId(2));
-        tracer.on_function_call(CpuId(7), FunctionId(2));
+        tracer.on_calls(CpuId(4), &[FunctionId(2)]);
+        tracer.on_calls(CpuId(7), &[FunctionId(2)]);
         assert_eq!(tracer.count_on_cpu(CpuId(1), FunctionId(2)), 2);
         assert_eq!(tracer.count(FunctionId(2)), 2);
     }
@@ -275,8 +294,8 @@ mod tests {
     fn snapshot_and_reset() {
         let t = symbols();
         let tracer = FmeterTracer::with_cpus(&t, 2);
-        tracer.on_function_call(CpuId(0), FunctionId(3));
-        tracer.on_function_call(CpuId(1), FunctionId(3));
+        tracer.on_calls(CpuId(0), &[FunctionId(3)]);
+        tracer.on_calls(CpuId(1), &[FunctionId(3)]);
         let snap = tracer.snapshot(Nanos(500));
         assert_eq!(snap.counts()[3], 2);
         assert_eq!(snap.total(), 2);
@@ -291,11 +310,11 @@ mod tests {
         let tracer = FmeterTracer::with_cpus(&t, 1);
         tracer.set_enabled(false);
         assert_eq!(tracer.overhead(), Nanos::ZERO);
-        tracer.on_function_call(CpuId(0), FunctionId(0));
+        tracer.on_calls(CpuId(0), &[FunctionId(0)]);
         assert_eq!(tracer.count(FunctionId(0)), 0);
         tracer.set_enabled(true);
         assert_eq!(tracer.overhead(), FMETER_CALL_OVERHEAD);
-        tracer.on_function_call(CpuId(0), FunctionId(0));
+        tracer.on_calls(CpuId(0), &[FunctionId(0)]);
         assert_eq!(tracer.count(FunctionId(0)), 1);
     }
 
@@ -303,7 +322,7 @@ mod tests {
     fn debugfs_render_lists_every_function() {
         let t = symbols();
         let tracer = FmeterTracer::with_cpus(&t, 1);
-        tracer.on_function_call(CpuId(0), FunctionId(1));
+        tracer.on_calls(CpuId(0), &[FunctionId(1)]);
         let rendered = tracer.render_debugfs();
         let lines: Vec<&str> = rendered.lines().collect();
         assert_eq!(lines.len(), t.len());
@@ -318,7 +337,7 @@ mod tests {
         let mut debugfs = Debugfs::new();
         tracer.register_debugfs(&mut debugfs);
         assert_eq!(debugfs.ls(), vec!["tracing/fmeter/counters"]);
-        tracer.on_function_call(CpuId(0), FunctionId(0));
+        tracer.on_calls(CpuId(0), &[FunctionId(0)]);
         let content = debugfs.read("tracing/fmeter/counters").unwrap();
         assert!(content.lines().next().unwrap().ends_with(" 1"));
     }
@@ -332,7 +351,7 @@ mod tests {
                 let tracer = Arc::clone(&tracer);
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
-                        tracer.on_function_call(CpuId(cpu), FunctionId(7));
+                        tracer.on_calls(CpuId(cpu), &[FunctionId(7)]);
                     }
                 })
             })
@@ -341,5 +360,79 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(tracer.count(FunctionId(7)), 40_000);
+    }
+
+    #[test]
+    fn threads_sharing_a_cpu_lose_no_increment() {
+        // Four threads on CpuId(0), and two on ids 1 and 4, which fold
+        // onto index 1 of 3. Each records walks that hit one slot twice,
+        // one slot on the second page, and one slot of its own.
+        const WALKS: u64 = 20_000;
+        let t = symbols();
+        let tracer = Arc::new(FmeterTracer::with_cpus(&t, 3));
+        let far = FunctionId(SLOTS_PER_PAGE as u32 + 2);
+        let cpus = [0, 0, 0, 0, 1, 4];
+        let threads: Vec<_> = cpus
+            .iter()
+            .enumerate()
+            .map(|(i, &cpu)| {
+                let tracer = Arc::clone(&tracer);
+                let own = FunctionId(10 + i as u32);
+                std::thread::spawn(move || {
+                    let walk = [FunctionId(7), far, FunctionId(7), own];
+                    for _ in 0..WALKS {
+                        tracer.on_calls(CpuId(cpu), &walk);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(tracer.count_on_cpu(CpuId(0), FunctionId(7)), 4 * 2 * WALKS);
+        assert_eq!(tracer.count_on_cpu(CpuId(1), FunctionId(7)), 2 * 2 * WALKS);
+        assert_eq!(tracer.count_on_cpu(CpuId(0), far), 4 * WALKS);
+        assert_eq!(tracer.count_on_cpu(CpuId(1), far), 2 * WALKS);
+        for i in 0..cpus.len() as u32 {
+            assert_eq!(tracer.count(FunctionId(10 + i)), WALKS);
+        }
+        assert_eq!(tracer.count(FunctionId(7)), 6 * 2 * WALKS);
+        assert_eq!(tracer.count(far), 6 * WALKS);
+    }
+
+    #[test]
+    fn reset_takes_the_claim() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let t = symbols();
+        let tracer = Arc::new(FmeterTracer::with_cpus(&t, 2));
+        tracer.on_calls(CpuId(0), &[FunctionId(3)]);
+        tracer.on_calls(CpuId(1), &[FunctionId(3)]);
+        // Hold CPU 1's claim, as a walk in progress would.
+        let claim = tracer.per_cpu[1].claim.lock();
+        let (done, finished) = mpsc::channel();
+        let resetter = {
+            let tracer = Arc::clone(&tracer);
+            std::thread::spawn(move || {
+                tracer.reset();
+                done.send(()).expect("the test waits for the reset");
+            })
+        };
+        // A reset that takes the claim cannot finish while it is held;
+        // the timeout only bounds the wait for one that does not.
+        assert_eq!(
+            finished.recv_timeout(Duration::from_millis(100)),
+            Err(mpsc::RecvTimeoutError::Timeout),
+            "reset finished while a walk held a claim"
+        );
+        // The walk's store lands before the reset's zero.
+        let slot = &tracer.per_cpu[1].pages[0][3];
+        slot.store(slot.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        drop(claim);
+        finished
+            .recv()
+            .expect("the reset finishes once the claim is free");
+        resetter.join().unwrap();
+        assert_eq!(tracer.snapshot(Nanos(0)).total(), 0);
     }
 }

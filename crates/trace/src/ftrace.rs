@@ -165,25 +165,27 @@ impl FtraceTracer {
 }
 
 impl FunctionTracer for FtraceTracer {
-    fn on_function_call(&self, cpu: CpuId, function: FunctionId) {
+    fn on_calls(&self, cpu: CpuId, calls: &[FunctionId]) {
         if !self.is_enabled() {
             return;
         }
-        let timestamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let ip = self.addresses[function.index()];
         let slot = cpu.0 % self.buffers.len();
-        // The expensive part the paper measures: lock, reserve, encode,
-        // commit — per event.
-        let mut buffer = self.buffers[slot].lock();
-        let parent_ip = buffer.last_ip;
-        buffer.last_ip = ip;
-        buffer.scratch.clear();
-        buffer.scratch.put_u64(timestamp);
-        buffer.scratch.put_u32(cpu.0 as u32);
-        buffer.scratch.put_u64(ip);
-        buffer.scratch.put_u64(parent_ip);
-        let record = buffer.scratch.split().freeze();
-        buffer.ring.push(&record);
+        for function in calls {
+            let timestamp = self.clock.fetch_add(1, Ordering::Relaxed);
+            let ip = self.addresses[function.index()];
+            // The expensive part the paper measures: lock, reserve,
+            // encode, commit — per event, as each call's mcount would.
+            let mut buffer = self.buffers[slot].lock();
+            let parent_ip = buffer.last_ip;
+            buffer.last_ip = ip;
+            buffer.scratch.clear();
+            buffer.scratch.put_u64(timestamp);
+            buffer.scratch.put_u32(cpu.0 as u32);
+            buffer.scratch.put_u64(ip);
+            buffer.scratch.put_u64(parent_ip);
+            let record = buffer.scratch.split().freeze();
+            buffer.ring.push(&record);
+        }
     }
 
     fn overhead(&self) -> Nanos {
@@ -222,8 +224,7 @@ mod tests {
     fn records_are_decoded_in_order() {
         let t = symbols(4);
         let tracer = FtraceTracer::new(&t, 1, 4096);
-        tracer.on_function_call(CpuId(0), FunctionId(1));
-        tracer.on_function_call(CpuId(0), FunctionId(2));
+        tracer.on_calls(CpuId(0), &[FunctionId(1), FunctionId(2)]);
         let events = tracer.drain(CpuId(0));
         assert_eq!(events.len(), 2);
         assert!(events[0].timestamp < events[1].timestamp);
@@ -236,8 +237,8 @@ mod tests {
     fn per_cpu_buffers_are_independent() {
         let t = symbols(4);
         let tracer = FtraceTracer::new(&t, 2, 4096);
-        tracer.on_function_call(CpuId(0), FunctionId(0));
-        tracer.on_function_call(CpuId(1), FunctionId(1));
+        tracer.on_calls(CpuId(0), &[FunctionId(0)]);
+        tracer.on_calls(CpuId(1), &[FunctionId(1)]);
         assert_eq!(tracer.drain(CpuId(0)).len(), 1);
         assert_eq!(tracer.drain(CpuId(1)).len(), 1);
         assert!(tracer.drain(CpuId(0)).is_empty());
@@ -249,7 +250,7 @@ mod tests {
         // Room for ~4 events only.
         let tracer = FtraceTracer::new(&t, 1, (EVENT_BYTES + 4) * 4 + 1);
         for _ in 0..100 {
-            tracer.on_function_call(CpuId(0), FunctionId(0));
+            tracer.on_calls(CpuId(0), &[FunctionId(0)]);
         }
         assert!(tracer.total_overwritten() > 0);
         assert_eq!(tracer.total_recorded(), 100);
@@ -264,7 +265,7 @@ mod tests {
         let t = symbols(4);
         let tracer = FtraceTracer::new(&t, 4, 4096);
         for i in 0..20u32 {
-            tracer.on_function_call(CpuId((i % 4) as usize), FunctionId(i % 4));
+            tracer.on_calls(CpuId((i % 4) as usize), &[FunctionId(i % 4)]);
         }
         let events = tracer.drain_all();
         assert_eq!(events.len(), 20);
@@ -279,7 +280,7 @@ mod tests {
         let tracer = FtraceTracer::new(&t, 1, 4096);
         tracer.set_enabled(false);
         assert_eq!(tracer.overhead(), Nanos(0));
-        tracer.on_function_call(CpuId(0), FunctionId(0));
+        tracer.on_calls(CpuId(0), &[FunctionId(0)]);
         assert!(tracer.drain(CpuId(0)).is_empty());
         tracer.set_enabled(true);
         assert_eq!(tracer.overhead(), FTRACE_CALL_OVERHEAD);
@@ -301,7 +302,7 @@ mod tests {
                 let tracer = std::sync::Arc::clone(&tracer);
                 std::thread::spawn(move || {
                     for _ in 0..5_000 {
-                        tracer.on_function_call(CpuId(cpu), FunctionId(0));
+                        tracer.on_calls(CpuId(cpu), &[FunctionId(0)]);
                     }
                 })
             })

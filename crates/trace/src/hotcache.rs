@@ -21,6 +21,11 @@ const COLD: u16 = u16::MAX;
 /// A two-level Fmeter counter: a small per-CPU hot array for the top-N
 /// functions plus the standard paged structure for the cold tail.
 ///
+/// Each walk's calls are counted one by one: a hot call bumps its CPU's
+/// hot counter with a relaxed `fetch_add`, and a cold call is handed to
+/// the paged [`FmeterTracer`] as a walk of its own, under that CPU's
+/// claim.
+///
 /// # Examples
 ///
 /// ```
@@ -32,7 +37,7 @@ const COLD: u16 = u16::MAX;
 /// let mut profile = vec![0u64; image.symbols.len()];
 /// profile[0] = 1_000_000;
 /// let tracer = HotSetTracer::from_profile(&image.symbols, 4, &profile, 16).with_stats();
-/// tracer.on_function_call(CpuId(0), FunctionId(0));
+/// tracer.on_calls(CpuId(0), &[FunctionId(0)]);
 /// assert_eq!(tracer.count(FunctionId(0)), 1);
 /// assert_eq!(tracer.hot_hits(), 1);
 /// # Ok::<(), fmeter_kernel_sim::KernelError>(())
@@ -159,19 +164,21 @@ impl HotSetTracer {
 }
 
 impl FunctionTracer for HotSetTracer {
-    fn on_function_call(&self, cpu: CpuId, function: FunctionId) {
-        let slot = self.hot_slot[function.index()];
-        if slot == COLD {
-            if self.stats_enabled {
-                self.cold_hits.fetch_add(1, Ordering::Relaxed);
+    fn on_calls(&self, cpu: CpuId, calls: &[FunctionId]) {
+        let cpu_hot = &self.hot[cpu.0 % self.hot.len()];
+        for function in calls {
+            let slot = self.hot_slot[function.index()];
+            if slot == COLD {
+                if self.stats_enabled {
+                    self.cold_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                self.cold.on_calls(cpu, std::slice::from_ref(function));
+            } else {
+                if self.stats_enabled {
+                    self.hot_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                cpu_hot[slot as usize].fetch_add(1, Ordering::Relaxed);
             }
-            self.cold.on_function_call(cpu, function);
-        } else {
-            if self.stats_enabled {
-                self.hot_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            let cpu_hot = &self.hot[cpu.0 % self.hot.len()];
-            cpu_hot[slot as usize].fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -220,10 +227,10 @@ mod tests {
         let hot_fn = FunctionId(image.symbols.len() as u32 - 1);
         let cold_fn = FunctionId(0);
         for _ in 0..5 {
-            tracer.on_function_call(CpuId(0), hot_fn);
+            tracer.on_calls(CpuId(0), &[hot_fn]);
         }
         for _ in 0..3 {
-            tracer.on_function_call(CpuId(1), cold_fn);
+            tracer.on_calls(CpuId(1), &[cold_fn]);
         }
         assert_eq!(tracer.count(hot_fn), 5);
         assert_eq!(tracer.count(cold_fn), 3);
@@ -247,7 +254,7 @@ mod tests {
             let id = FunctionId((n - 1 - rank) as u32);
             let calls = 2_000 / (rank + 1);
             for _ in 0..calls {
-                tracer.on_function_call(CpuId(0), id);
+                tracer.on_calls(CpuId(0), &[id]);
             }
         }
         assert!(

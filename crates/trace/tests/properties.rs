@@ -94,7 +94,7 @@ proptest! {
         let tracer = FmeterTracer::with_cpus(&table, 4);
         let mut model = vec![0u64; 64];
         for &(cpu, f) in &calls {
-            tracer.on_function_call(CpuId(cpu), FunctionId(f));
+            tracer.on_calls(CpuId(cpu), &[FunctionId(f)]);
             model[f as usize] += 1;
         }
         let snapshot = tracer.snapshot(Nanos(0));
@@ -114,11 +114,11 @@ proptest! {
         let tracer = FmeterTracer::with_cpus(&table, 1);
         let s0 = tracer.snapshot(Nanos(0));
         for &f in &phase1 {
-            tracer.on_function_call(CpuId(0), FunctionId(f));
+            tracer.on_calls(CpuId(0), &[FunctionId(f)]);
         }
         let s1 = tracer.snapshot(Nanos(1));
         for &f in &phase2 {
-            tracer.on_function_call(CpuId(0), FunctionId(f));
+            tracer.on_calls(CpuId(0), &[FunctionId(f)]);
         }
         let s2 = tracer.snapshot(Nanos(2));
         // delta(s0, s1) + delta(s1, s2) == delta(s0, s2)
@@ -137,7 +137,7 @@ proptest! {
         let table = symbols(16);
         let tracer = FtraceTracer::new(&table, 2, 1 << 16);
         for &(cpu, f) in &calls {
-            tracer.on_function_call(CpuId(cpu), FunctionId(f));
+            tracer.on_calls(CpuId(cpu), &[FunctionId(f)]);
         }
         prop_assert_eq!(tracer.total_overwritten(), 0);
         let events = tracer.drain_all();
