@@ -1,4 +1,3 @@
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -6,7 +5,7 @@ use fmeter_ir::{
     search_sharded, Corpus, DocId, IrError, SearchScratch, Shard, ShardRouter, SharedVec,
     SparseVec, TermCounts, TfIdfModel, TfIdfOptions,
 };
-use fmeter_ml::{KMeans, Linkage};
+use fmeter_ml::{KMeans, Linkage, PointBounds};
 use serde::{Deserialize, Serialize};
 
 use crate::{FmeterError, RawSignature, Signature};
@@ -145,11 +144,25 @@ pub struct Recluster {
     pub warm: bool,
     /// Lloyd iterations the (final) K-means run performed.
     pub iterations: usize,
+    /// For a warm pass, the live signatures it measured against the
+    /// centroids, summed over its sweeps ([`fmeter_ml::WarmFit::evaluated`]):
+    /// the ones the carried distance bounds could not confirm, and all
+    /// of them in each further Lloyd iteration. `None` for a cold pass.
+    pub evaluated: Option<usize>,
 }
 
 /// The clustering state [`SignatureDb::recluster`] carries between
 /// calls so a steady-state pass resumes from the last assignment
 /// instead of seeding and restarting.
+///
+/// Besides the assignment it keeps, per slot, the distance bounds the
+/// last pass left ([`PointBounds`]), measured against the `centroids`
+/// it keeps: a warm pass confirms most signatures from those instead of
+/// measuring them. Slots inserted since start
+/// [`UNKNOWN`](PointBounds::UNKNOWN); a [`vacuum`](SignatureDb::vacuum)
+/// renumbers the bounds with the assignment; a
+/// [`refit`](SignatureDb::refit), which rewrites the vectors they were
+/// measured for, drops them all.
 ///
 /// Derived state, like [`VacuumStats`]: never persisted (a loaded
 /// database starts cold) and never written to the WAL — it is rebuilt
@@ -161,8 +174,10 @@ pub(crate) struct ClusterCache {
     /// Per-slot cluster assignment from the last pass; `None` for slots
     /// inserted since, removed, or never clustered.
     assignment: Vec<Option<usize>>,
-    /// Centroids from the last pass (used to attach new docs to their
-    /// nearest cluster before warm-starting).
+    /// Per-slot distance bounds against `centroids`.
+    bounds: Vec<PointBounds>,
+    /// Centroids from the last pass (the bounds are measured against
+    /// them, and new docs attach to the nearest before warm-starting).
     centroids: Vec<SparseVec>,
 }
 
@@ -204,19 +219,42 @@ pub(crate) fn build_shards(
         .collect()
 }
 
+/// The stored vectors of `docs`, borrowed: what the clustering calls
+/// read, in place.
+fn vectors_of<'a>(signatures: &'a SharedVec<Signature>, docs: &[usize]) -> Vec<&'a SparseVec> {
+    docs.iter().map(|&d| &signatures[d].vector).collect()
+}
+
+/// Keeps the entries of a per-slot array whose slot is `live`, in order.
+fn retain_live<T>(slots: &mut Vec<T>, live: &[bool]) {
+    let mut flags = live.iter();
+    slots.retain(|_| *flags.next().expect("one flag per slot"));
+}
+
 /// The one majority vote — over a query's nearest neighbours when
 /// classifying, over a cluster's members when naming a syndrome: the
 /// most frequent label, ties broken towards the lexically smaller one;
 /// `None` when no voter is labelled.
+///
+/// The tally is a `Vec` kept in label order: a corpus has a handful of
+/// behaviour classes, so a binary search over it beats hashing every
+/// voter's label.
 pub(crate) fn majority_label<'a>(voters: impl Iterator<Item = &'a Signature>) -> Option<String> {
-    let mut votes: HashMap<&str, usize> = HashMap::new();
+    let mut votes: Vec<(&str, usize)> = Vec::new();
     for label in voters.filter_map(|sig| sig.label.as_deref()) {
-        *votes.entry(label).or_default() += 1;
+        match votes.binary_search_by(|&(l, _)| l.cmp(label)) {
+            Ok(i) => votes[i].1 += 1,
+            Err(i) => votes.insert(i, (label, 1)),
+        }
     }
-    votes
-        .into_iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
-        .map(|(label, _)| label.to_string())
+    // In label order, only more votes displace the leader.
+    let mut best: Option<(&str, usize)> = None;
+    for (label, count) in votes {
+        if best.is_none_or(|(_, most)| count > most) {
+            best = Some((label, count));
+        }
+    }
+    best.map(|(label, _)| label.to_string())
 }
 
 /// A labelled database of indexable signatures.
@@ -429,6 +467,7 @@ impl SignatureDb {
         self.mutations_since_refit += 1;
         if let Some(cache) = &mut self.cluster_cache {
             cache.assignment.push(None);
+            cache.bounds.push(PointBounds::UNKNOWN);
         }
         Ok(id)
     }
@@ -513,15 +552,10 @@ impl SignatureDb {
         }
         self.corpus = corpus;
         if let Some(cache) = &mut self.cluster_cache {
-            // Renumber the warm-start assignments alongside the doc ids;
-            // dead slots (already `None`) drop out of the vector.
-            let old = std::mem::take(&mut cache.assignment);
-            cache.assignment = old
-                .into_iter()
-                .enumerate()
-                .filter(|(d, _)| live[*d])
-                .map(|(_, a)| a)
-                .collect();
+            // Renumber the warm-start state alongside the doc ids; dead
+            // slots drop out of it.
+            retain_live(&mut cache.assignment, &live);
+            retain_live(&mut cache.bounds, &live);
         }
         self.shards = self.rebuilt_shards(num_shards, |_| true);
         self.vacuums += 1;
@@ -625,6 +659,10 @@ impl SignatureDb {
             .collect();
         let num_shards = self.num_shards();
         self.shards.clear();
+        if let Some(cache) = &mut self.cluster_cache {
+            // The bounds describe the vectors about to be re-weighted.
+            cache.bounds.fill(PointBounds::UNKNOWN);
+        }
         for (d, &live) in live.iter().enumerate() {
             let doc = self.corpus.doc(d).expect("slot exists");
             if live && doc.iter().any(|(t, _)| changed[t as usize]) {
@@ -832,15 +870,9 @@ impl SignatureDb {
         let live_ids: Vec<usize> = (0..self.signatures.len())
             .filter(|&d| self.is_live(d))
             .collect();
-        let vectors = self.vectors_of(&live_ids);
+        let vectors = vectors_of(&self.signatures, &live_ids);
         let result = KMeans::new(k).seed(seed).restarts(3).run(&vectors)?;
         Ok(self.syndromes_from(&live_ids, result.centroids, &result.assignments))
-    }
-
-    /// The stored vectors of `docs`, borrowed: what the clustering calls
-    /// read, in place.
-    fn vectors_of(&self, docs: &[usize]) -> Vec<&SparseVec> {
-        docs.iter().map(|&d| &self.signatures[d].vector).collect()
     }
 
     /// Labels a K-means result as syndromes: builds one [`Syndrome`]
@@ -873,12 +905,14 @@ impl SignatureDb {
 
     /// Incremental syndrome maintenance: like
     /// [`syndromes`](Self::syndromes), but warm-started from the
-    /// previous pass, so a steady-state call reads the live corpus twice
-    /// — one sweep for the means of the cached assignment, one
-    /// assignment sweep that confirms them — instead of paying
-    /// k-means++ and a multi-restart K-means, and every further Lloyd
-    /// iteration the moved points need is two more. The stored vectors
-    /// are clustered in place; none is copied.
+    /// previous pass, so a steady-state call reads the live corpus once —
+    /// for the means of the cached assignment — and measures only the
+    /// signatures the cached distance bounds cannot confirm (the ones
+    /// inserted since, and the few the centroids' drift brought near a
+    /// boundary) instead of paying k-means++ and a multi-restart
+    /// K-means. Every further Lloyd iteration the moved points need is
+    /// a full sweep plus the point-order sums. The stored vectors are
+    /// clustered in place; none is copied.
     ///
     /// The first call (or any call after [`load`](Self::load), which
     /// starts cold) runs exactly what `syndromes(k, seed)` runs and
@@ -886,12 +920,14 @@ impl SignatureDb {
     /// with the *same* `k` and `seed` attach every doc inserted since
     /// to its nearest cached centroid and resume Lloyd iterations from
     /// there ([`KMeans::fit_warm`]): with no churn the pass converges in
-    /// one assignment sweep with bit-identical centroids, and with
-    /// bounded churn it converges in the few iterations the moved
-    /// points need. The cache follows removals and [`vacuum`]
-    /// renumbering automatically; changing `k` or `seed` — or churn so
-    /// heavy that a cached cluster lost all its members — falls back to
-    /// the cold path (observable via [`Recluster::warm`]).
+    /// one iteration with bit-identical centroids, and with bounded
+    /// churn it converges in the few iterations the moved points need.
+    /// The bounds change what a pass costs, never what it returns. The
+    /// cache follows removals and [`vacuum`] renumbering automatically,
+    /// and a [`refit`](Self::refit) leaves the next pass to measure every
+    /// signature; changing `k` or `seed` — or churn so heavy that a
+    /// cached cluster lost all its members — falls back to the cold path
+    /// (observable via [`Recluster::warm`]).
     ///
     /// The cache is derived state: it is not persisted and not written
     /// to the write-ahead log, so a crash simply means the next
@@ -906,18 +942,30 @@ impl SignatureDb {
         let live_ids: Vec<usize> = (0..self.signatures.len())
             .filter(|&d| self.is_live(d))
             .collect();
-        let vectors = self.vectors_of(&live_ids);
+        let vectors = vectors_of(&self.signatures, &live_ids);
         let prev = self.warm_assignment(k, seed, &live_ids, &vectors);
-        let (result, warm) = match prev {
-            Some(prev) => match KMeans::new(k).seed(seed).fit_warm(&vectors, &prev) {
-                Ok(result) => (result, true),
-                // Defensive: any warm-start rejection (all guarded
-                // against above) degrades to a cold run, never an error.
-                Err(_) => (KMeans::new(k).seed(seed).restarts(3).run(&vectors)?, false),
-            },
-            None => (KMeans::new(k).seed(seed).restarts(3).run(&vectors)?, false),
-        };
-        let mut assignment = vec![None; self.signatures.len()];
+        if let (Some(prev), Some(cache)) = (prev, &mut self.cluster_cache) {
+            let mut bounds: Vec<PointBounds> = live_ids.iter().map(|&d| cache.bounds[d]).collect();
+            // Defensive: any warm-start rejection (all guarded against
+            // above) degrades to a cold run, never an error.
+            let km = KMeans::new(k).seed(seed);
+            if let Ok(fit) = km.fit_warm(&vectors, &prev, &cache.centroids, &mut bounds) {
+                for ((&d, &a), b) in live_ids.iter().zip(&fit.assignments).zip(bounds) {
+                    cache.assignment[d] = Some(a);
+                    cache.bounds[d] = b;
+                }
+                cache.centroids = fit.centroids.clone();
+                return Ok(Recluster {
+                    syndromes: self.syndromes_from(&live_ids, fit.centroids, &fit.assignments),
+                    warm: true,
+                    iterations: fit.iterations,
+                    evaluated: Some(fit.evaluated),
+                });
+            }
+        }
+        let result = KMeans::new(k).seed(seed).restarts(3).run(&vectors)?;
+        let slots = self.signatures.len();
+        let mut assignment = vec![None; slots];
         for (i, &d) in live_ids.iter().enumerate() {
             assignment[d] = Some(result.assignments[i]);
         }
@@ -925,12 +973,14 @@ impl SignatureDb {
             k,
             seed,
             assignment,
+            bounds: vec![PointBounds::UNKNOWN; slots],
             centroids: result.centroids.clone(),
         });
         Ok(Recluster {
             syndromes: self.syndromes_from(&live_ids, result.centroids, &result.assignments),
-            warm,
+            warm: false,
             iterations: result.iterations,
+            evaluated: None,
         })
     }
 
@@ -1267,6 +1317,111 @@ mod tests {
         assert!(db.recluster(2, 7).unwrap().warm);
     }
 
+    /// A clone of `db` whose recluster cache knows no distance bound.
+    fn without_bounds(db: &SignatureDb) -> SignatureDb {
+        let mut blank = db.clone();
+        if let Some(cache) = &mut blank.cluster_cache {
+            cache.bounds.fill(PointBounds::UNKNOWN);
+        }
+        blank
+    }
+
+    /// Reclusters `db` and a clone of it that must measure every
+    /// signature: the bounds may change what the pass costs, not a bit
+    /// of what it returns or leaves cached.
+    #[track_caller]
+    fn recluster_against_a_blank_clone(db: &mut SignatureDb, k: usize, seed: u64) -> Recluster {
+        let mut blank = without_bounds(db);
+        let got = db.recluster(k, seed).unwrap();
+        let want = blank.recluster(k, seed).unwrap();
+        assert_eq!((got.warm, got.iterations), (want.warm, want.iterations));
+        assert_eq!(got.syndromes.len(), want.syndromes.len());
+        for (g, w) in got.syndromes.iter().zip(&want.syndromes) {
+            assert_eq!(g.members, w.members);
+            assert_eq!(g.dominant_label, w.dominant_label);
+            assert_eq!(g.centroid.terms(), w.centroid.terms());
+            let bits = |c: &SparseVec| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&g.centroid), bits(&w.centroid));
+        }
+        let assignment = |db: &SignatureDb| db.cluster_cache.as_ref().unwrap().assignment.clone();
+        assert_eq!(assignment(db), assignment(&blank));
+        got
+    }
+
+    #[test]
+    fn recluster_with_carried_bounds_equals_one_that_measures_everything() {
+        let mut db = SignatureDb::build(&sample_raw()).unwrap();
+        db.set_refit_policy(RefitPolicy::Manual);
+        assert!(!recluster_against_a_blank_clone(&mut db, 2, 7).warm);
+        assert!(recluster_against_a_blank_clone(&mut db, 2, 7).warm);
+        for i in 0..3 {
+            db.insert(&raw_a(80 + i, Some("a"))).unwrap();
+            db.insert(&raw_b(80 + i, Some("b"))).unwrap();
+        }
+        assert!(recluster_against_a_blank_clone(&mut db, 2, 7).warm);
+        db.remove(0).unwrap();
+        db.remove(3).unwrap();
+        assert!(recluster_against_a_blank_clone(&mut db, 2, 7).warm);
+        db.vacuum();
+        assert!(recluster_against_a_blank_clone(&mut db, 2, 7).warm);
+        db.insert(&raw_b(90, Some("b"))).unwrap();
+        assert!(db.refit().reweighted_docs > 0);
+        assert!(recluster_against_a_blank_clone(&mut db, 2, 7).warm);
+        db.reshard(3);
+        assert!(recluster_against_a_blank_clone(&mut db, 2, 7).warm);
+        assert!(!recluster_against_a_blank_clone(&mut db, 3, 7).warm);
+        assert!(!recluster_against_a_blank_clone(&mut db, 3, 9).warm);
+        assert!(recluster_against_a_blank_clone(&mut db, 3, 9).warm);
+    }
+
+    #[test]
+    fn recluster_measures_only_what_its_bounds_cannot_confirm() {
+        let mut db = SignatureDb::build(&sample_raw()).unwrap();
+        db.set_refit_policy(RefitPolicy::Manual);
+        let evaluated = |db: &mut SignatureDb| db.recluster(2, 7).unwrap().evaluated;
+        assert_eq!(evaluated(&mut db), None, "the first pass is cold");
+        // The cold fit leaves no bounds: the first warm pass measures
+        // every signature, and the steady state none.
+        assert_eq!(evaluated(&mut db), Some(db.len()));
+        assert_eq!(evaluated(&mut db), Some(0));
+        // Inserted signatures are measured, the rest confirmed.
+        db.insert(&raw_a(80, Some("a"))).unwrap();
+        db.insert(&raw_a(81, Some("a"))).unwrap();
+        db.insert(&raw_b(80, Some("b"))).unwrap();
+        assert_eq!(evaluated(&mut db), Some(3));
+        db.remove(2).unwrap();
+        assert_eq!(evaluated(&mut db), Some(0));
+        db.vacuum();
+        assert_eq!(evaluated(&mut db), Some(0), "vacuum renumbers the bounds");
+        db.reshard(2);
+        assert_eq!(evaluated(&mut db), Some(0), "resharding moves no vector");
+        // A refit re-weights the vectors: every bound goes.
+        db.refit();
+        assert_eq!(evaluated(&mut db), Some(db.len()));
+        assert_eq!(evaluated(&mut db), Some(0));
+    }
+
+    #[test]
+    fn majority_vote_breaks_a_tie_towards_the_smaller_label() {
+        let voter = |label: Option<&str>| Signature {
+            vector: SparseVec::zeros(1),
+            label: label.map(str::to_owned),
+            started_at: Nanos(0),
+            ended_at: Nanos(0),
+        };
+        let mut voters: Vec<Signature> =
+            [Some("c"), Some("b"), None, Some("a"), Some("c"), Some("b")]
+                .into_iter()
+                .map(voter)
+                .collect();
+        // "b" and "c" tie on two votes each, ahead of "a".
+        assert_eq!(majority_label(voters.iter()).as_deref(), Some("b"));
+        voters.push(voter(Some("c")));
+        assert_eq!(majority_label(voters.iter()).as_deref(), Some("c"));
+        assert_eq!(majority_label([voter(None)].iter()), None);
+        assert_eq!(majority_label(std::iter::empty()), None);
+    }
+
     #[test]
     fn recluster_cache_is_not_persisted() {
         let mut db = SignatureDb::build(&sample_raw()).unwrap();
@@ -1337,6 +1492,16 @@ mod tests {
     fn raw_a(i: u64, label: Option<&str>) -> RawSignature {
         RawSignature {
             counts: vec![50 + i, 40, 30, 20, 0, 1, 0, 0],
+            started_at: Nanos(i * 100),
+            ended_at: Nanos((i + 1) * 100),
+            label: label.map(str::to_owned),
+        }
+    }
+
+    /// A raw class-B-shaped signature with a distinguishing count.
+    fn raw_b(i: u64, label: Option<&str>) -> RawSignature {
+        RawSignature {
+            counts: vec![0, 1, 0, 0, 60, 50 + i, 40, 30],
             started_at: Nanos(i * 100),
             ended_at: Nanos((i + 1) * 100),
             label: label.map(str::to_owned),

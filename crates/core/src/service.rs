@@ -624,7 +624,8 @@ impl SignatureService {
     /// Warm-started syndrome maintenance over the authoritative
     /// database (see [`SignatureDb::recluster`]): the first call runs a
     /// cold multi-restart K-means, steady-state calls resume from the
-    /// cached assignment in two sweeps over the live corpus when nothing
+    /// cached assignment in one pass over the live corpus that measures
+    /// only what the cached distance bounds cannot confirm, when nothing
     /// moved. No generation is published — snapshots do not carry
     /// syndromes, and the pass mutates only the writer-side warm-start
     /// cache.

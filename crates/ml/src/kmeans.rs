@@ -83,6 +83,30 @@ impl CentroidBuf {
     fn to_sparse(&self) -> SparseVec {
         SparseVec::from_dense(&self.dense)
     }
+
+    /// An upper bound on the distance from `old` to this centroid:
+    /// `√Σ(new − old)²`, computed term by term (no expanded form, so no
+    /// cancellation) and rounded up. Each squared difference is within
+    /// three roundings of its exact value and the sum within `dim` more;
+    /// the factor covers those and the final product and square root,
+    /// and the absolute term the squares that underflow.
+    fn drift_from(&self, old: &SparseVec) -> f64 {
+        let (old_terms, old_values) = (old.terms(), old.values());
+        let mut next = 0;
+        let mut sum = 0.0;
+        for (t, &v) in self.dense.iter().enumerate() {
+            let o = if old_terms.get(next).is_some_and(|&ot| ot as usize == t) {
+                next += 1;
+                old_values[next - 1]
+            } else {
+                0.0
+            };
+            let d = v - o;
+            sum += d * d;
+        }
+        let dim = self.dense.len() as f64;
+        (sum * (1.0 + (dim + 8.0) * f64::EPSILON) + dim * f64::MIN_POSITIVE).sqrt()
+    }
 }
 
 /// The `k` centroids of a fit and, for the metrics that reduce to an
@@ -228,13 +252,118 @@ impl ClusterSums {
     }
 }
 
-/// The points of a fit and their norms, which are loop invariants of
-/// the whole fit: one borrowed view, or one pool chunk of it.
-#[derive(Clone, Copy)]
-struct Batch<'a> {
-    points: &'a [&'a SparseVec],
-    sq_norms: &'a [f64],
-    norms: &'a [f64],
+/// What the assignment kernel found for one point: its nearest centroid
+/// (the lowest index on an exact tie) and the squared distance to it,
+/// the squared distance to the runner-up (equal on a tie, infinite when
+/// `k == 1`), and the point's squared norm with the bits of
+/// [`SparseVec::norm_l2_sq`].
+#[derive(Debug, Clone, Copy)]
+struct Nearest {
+    cluster: usize,
+    d_sq: f64,
+    second_sq: f64,
+    sq_norm: f64,
+}
+
+impl Nearest {
+    fn new(sq_norm: f64) -> Self {
+        Nearest {
+            cluster: 0,
+            d_sq: f64::INFINITY,
+            second_sq: f64::INFINITY,
+            sq_norm,
+        }
+    }
+
+    /// Takes centroid `cluster` at `d_sq` into account; candidates come
+    /// in ascending index and only a strictly smaller distance wins.
+    fn offer(&mut self, cluster: usize, d_sq: f64) {
+        if d_sq < self.d_sq {
+            self.second_sq = self.d_sq;
+            self.cluster = cluster;
+            self.d_sq = d_sq;
+        } else if d_sq < self.second_sq {
+            self.second_sq = d_sq;
+        }
+    }
+}
+
+/// What a warm fit knows about one point's distances to the centroids it
+/// returned, for the next [`KMeans::fit_warm`] to start from: the
+/// cluster it assigned the point to, an upper bound on the distance to
+/// that cluster's centroid, a lower bound on the distance to every other
+/// one (Hamerly's two bounds), and the point's squared norm.
+///
+/// Only a fit writes one; a caller starts a point from
+/// [`UNKNOWN`](Self::UNKNOWN) and keeps the value beside the point
+/// between fits. A point handed back under another previous cluster is
+/// measured again.
+#[derive(Debug, Clone, Copy)]
+pub struct PointBounds {
+    cluster: usize,
+    upper: f64,
+    lower: f64,
+    /// The bits of [`SparseVec::norm_l2_sq`]; NaN until measured.
+    sq_norm: f64,
+}
+
+impl PointBounds {
+    /// Nothing known: the next warm fit measures the point.
+    pub const UNKNOWN: PointBounds = PointBounds {
+        cluster: usize::MAX,
+        upper: f64::INFINITY,
+        lower: 0.0,
+        sq_norm: f64::NAN,
+    };
+}
+
+/// How far, in distance units, an assignment sweep's squared Euclidean
+/// distance `‖x‖² − 2·x·c + ‖c‖²` may miss the exact one, against one
+/// set of centroids.
+///
+/// Each of the three sums is a dot product of at most `dim` terms, so
+/// the computed distance is within `(dim + 2)·u·(‖x‖ + ‖c‖)²` of the
+/// exact squared distance (`u = ε/2`, first order; the two final
+/// roundings add at most `2u` of the same), whatever the cancellation:
+/// the error is absolute, not relative to the distance. The margin is
+/// `√(2(dim + 3)·ε)·(‖x‖ + C)` with `C` the largest centroid norm. It
+/// covers `√E` (how far a distance derived from a computed one may
+/// miss), and, when confirming a point, `√(2E)`: bounds `U` and `L`
+/// on the exact distances to the own and the nearest other centroid
+/// with `L − U` above that guarantee that the computed distances order
+/// the same way (`L² − U² ≥ (L − U)² > 2E`). The remaining factor √2
+/// absorbs the higher-order terms and the rounding of the test itself;
+/// the absolute floor covers products that underflow.
+#[derive(Debug, Clone, Copy)]
+struct Slack {
+    per_norm: f64,
+    max_centroid_norm: f64,
+}
+
+impl Slack {
+    fn new(centroids: &Centroids) -> Self {
+        let dim = centroids.dim() as f64;
+        Slack {
+            per_norm: (2.0 * (dim + 3.0) * f64::EPSILON).sqrt(),
+            max_centroid_norm: centroids.bufs.iter().map(|c| c.norm).fold(0.0, f64::max),
+        }
+    }
+
+    /// The margin for a point of squared norm `sq_norm` (NaN for NaN).
+    fn margin(&self, sq_norm: f64) -> f64 {
+        self.per_norm * (sq_norm.sqrt() + self.max_centroid_norm) + f64::MIN_POSITIVE.sqrt()
+    }
+
+    /// The bounds a measured point leaves against these centroids.
+    fn bounds(&self, near: &Nearest) -> PointBounds {
+        let margin = self.margin(near.sq_norm);
+        PointBounds {
+            cluster: near.cluster,
+            upper: (near.d_sq.sqrt() + margin).next_up(),
+            lower: (near.second_sq.sqrt() - margin).next_down(),
+            sq_norm: near.sq_norm,
+        }
+    }
 }
 
 /// One worker's chunk of points and its buffers; ownership moves
@@ -264,16 +393,16 @@ struct Pool {
 
 impl Pool {
     /// Spawns `threads` workers on `scope`; worker `t` owns chunk `t` of
-    /// `batch`. They exit when the pool is dropped.
+    /// `points`. They exit when the pool is dropped.
     fn spawn<'scope, 'env>(
         scope: &'scope std::thread::Scope<'scope, 'env>,
         km: &'env KMeans,
-        batch: Batch<'env>,
+        points: &'env [&'env SparseVec],
         centroids: &'env RwLock<Centroids>,
         threads: usize,
     ) -> Self {
-        let n = batch.points.len();
-        let dim = batch.points[0].dim();
+        let n = points.len();
+        let dim = points[0].dim();
         let chunk_len = n.div_ceil(threads);
         let (done_tx, done_rx) = mpsc::channel::<Job>();
         let mut job_txs = Vec::with_capacity(threads);
@@ -294,15 +423,14 @@ impl Pool {
             let done_tx = done_tx.clone();
             scope.spawn(move || {
                 while let Ok(mut job) = job_rx.recv() {
-                    let chunk = Batch {
-                        points: &batch.points[job.lo..job.hi],
-                        sq_norms: &batch.sq_norms[job.lo..job.hi],
-                        norms: &batch.norms[job.lo..job.hi],
-                    };
+                    let chunk = &points[job.lo..job.hi];
                     let guard = centroids.read().expect("centroid lock");
-                    km.assign_chunk(chunk, &guard, &mut job.assignments, &mut job.d_sqs);
+                    km.assign_chunk(chunk, &guard, |i, near| {
+                        job.assignments[i] = near.cluster;
+                        job.d_sqs[i] = near.d_sq;
+                    });
                     drop(guard);
-                    job.sums.accumulate(chunk.points, &job.assignments);
+                    job.sums.accumulate(chunk, &job.assignments);
                     if done_tx.send(job).is_err() {
                         break;
                     }
@@ -427,6 +555,24 @@ pub struct KMeansResult {
     pub converged: bool,
 }
 
+/// Outcome of a warm-started fit ([`KMeans::fit_warm`]). It has no
+/// inertia: a point its bounds confirmed has no exact distance.
+#[derive(Debug, Clone)]
+pub struct WarmFit {
+    /// Final centroids, `k` of them.
+    pub centroids: Vec<SparseVec>,
+    /// `assignments[i]` is the cluster index of input point `i`.
+    pub assignments: Vec<usize>,
+    /// Number of Lloyd iterations performed.
+    pub iterations: usize,
+    /// Whether the fit converged before `max_iters`.
+    pub converged: bool,
+    /// Points measured against the centroids, summed over the fit: the
+    /// ones the bounded first pass could not confirm, and every point in
+    /// each sweep of the Lloyd loop when one moved.
+    pub evaluated: usize,
+}
+
 impl KMeans {
     /// Creates a runner that will produce `k` clusters.
     pub fn new(k: usize) -> Self {
@@ -497,18 +643,10 @@ impl KMeans {
     pub fn run<P: Borrow<SparseVec>>(&self, points: &[P]) -> Result<KMeansResult, MlError> {
         let points: Vec<&SparseVec> = points.iter().map(Borrow::borrow).collect();
         self.validate_inputs(&points)?;
-        // Point norms are loop invariants of the whole fit: compute once.
-        let sq_norms: Vec<f64> = points.iter().map(|p| p.norm_l2_sq()).collect();
-        let norms: Vec<f64> = sq_norms.iter().map(|s| s.sqrt()).collect();
-        let batch = Batch {
-            points: &points,
-            sq_norms: &sq_norms,
-            norms: &norms,
-        };
         let mut best: Option<KMeansResult> = None;
         for restart in 0..self.restarts {
             let mut rng = SmallRng::seed_from_u64(self.seed.wrapping_add(restart as u64));
-            let result = self.run_once(batch, &mut rng);
+            let result = self.run_once(&points, &mut rng);
             if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
                 best = Some(result);
             }
@@ -546,55 +684,77 @@ impl KMeans {
     }
 
     /// Warm-started K-means: resumes Lloyd's algorithm from a previous
-    /// assignment instead of re-seeding and restarting.
+    /// assignment instead of re-seeding and restarting, and confirms a
+    /// fixpoint from carried distance bounds where it can.
     ///
     /// The initial centroids are the per-cluster means of
     /// `prev_assignment`, accumulated in point order — exactly the
-    /// arithmetic of the update step — so feeding back a *converged*
-    /// assignment reaches its fixpoint immediately: the first assignment
-    /// sweep reproduces `prev_assignment` and the fit returns from that
-    /// sweep, its assignments, distances and inertia being the final
-    /// ones, with centroids bit-identical to the converged ones (pinned
-    /// by the warm-start equivalence tests). That fit reads the points
-    /// twice — one sweep for the norms and the seeding sums, one
-    /// assignment sweep — where a cold fit pays k-means++ seeding and
-    /// every restart's Lloyd iterations. After bounded churn the loop
-    /// instead runs the few iterations the moved points need, each an
-    /// assignment sweep plus the point-order sums of the update step.
+    /// arithmetic of the update step — so a *converged* assignment
+    /// reproduces its centroids bit for bit. `centroids` are the ones
+    /// the previous fit returned, and `bounds[i]` what it left for point
+    /// `i` ([`PointBounds::UNKNOWN`] for a point it did not see).
+    ///
+    /// Under the Euclidean metric the fit then measures how far each
+    /// centroid drifted from `centroids` and widens every point's bounds
+    /// by that drift (Hamerly's test). A point whose own centroid is
+    /// still provably the strict nearest, by more than the rounding
+    /// slack of the distance formula, keeps its assignment unmeasured;
+    /// every other point goes through the assignment kernel. If none of
+    /// them moved, the previous assignment is the fixpoint and the fit
+    /// returns after one iteration, having read every point once for
+    /// the seeding sums and measured only what its bounds could not
+    /// confirm. As soon as one moves, Lloyd's loop runs from the seeding
+    /// exactly as without bounds: an assignment sweep, the point-order
+    /// sums of the update step, until the assignment repeats. Either way
+    /// `bounds` ends up measured against the returned centroids, ready
+    /// for the next call. The other metrics sweep every point and leave
+    /// every bound unknown. Assignments, centroids and iterations are
+    /// `f64::to_bits`-identical to a warm start that measured every
+    /// point (pinned by the warm-start oracle and the golden recluster
+    /// script).
+    ///
     /// This is the cost profile behind the incremental `recluster()`
     /// surface in `fmeter-core`; `benchmark/`'s layer replay times the
-    /// two side by side as `db.recluster_warm_ms` and
-    /// `db.recluster_cold_ms`.
-    ///
-    /// Convergence is detected by assignment fixpoint (in addition to
-    /// the inertia tolerance of [`run`](Self::run)); every sweep runs on
-    /// the calling thread whatever [`threads`](Self::threads) says,
-    /// because a warm resume does so few passes that worker-pool startup
-    /// would dominate.
+    /// warm and the cold path side by side as `db.recluster_warm_ms` and
+    /// `db.recluster_cold_ms`. Every sweep runs on the calling thread
+    /// whatever [`threads`](Self::threads) says, because a warm resume
+    /// does so few passes that worker-pool startup would dominate.
     /// [`restarts`](Self::restarts) and [`init`](Self::init) are
     /// ignored — the previous assignment *is* the initialisation.
     ///
     /// # Errors
     ///
     /// Everything [`run`](Self::run) rejects, plus
-    /// [`MlError::InvalidConfig`] when `prev_assignment` has the wrong
-    /// length, names a cluster `>= k`, or leaves any cluster empty
-    /// (callers with emptied clusters should fall back to a cold run).
+    /// [`MlError::InvalidConfig`] when `prev_assignment` or `bounds` has
+    /// the wrong length, `prev_assignment` names a cluster `>= k` or
+    /// leaves any cluster empty (callers with emptied clusters should
+    /// fall back to a cold run), or `centroids` is not `k` vectors of
+    /// the points' dimension.
     pub fn fit_warm<P: Borrow<SparseVec>>(
         &self,
         points: &[P],
         prev_assignment: &[usize],
-    ) -> Result<KMeansResult, MlError> {
+        centroids: &[SparseVec],
+        bounds: &mut [PointBounds],
+    ) -> Result<WarmFit, MlError> {
         let points: Vec<&SparseVec> = points.iter().map(Borrow::borrow).collect();
         self.validate_inputs(&points)?;
-        if prev_assignment.len() != points.len() {
+        let n = points.len();
+        if prev_assignment.len() != n || bounds.len() != n {
             return Err(MlError::InvalidConfig(format!(
-                "warm start needs one previous assignment per point: {} assignments for {} points",
+                "warm start needs one previous assignment and one bound per point: \
+                 {} assignments and {} bounds for {n} points",
                 prev_assignment.len(),
-                points.len()
+                bounds.len(),
             )));
         }
         let dim = points[0].dim();
+        if centroids.len() != self.k || centroids.iter().any(|c| c.dim() != dim) {
+            return Err(MlError::InvalidConfig(format!(
+                "warm start needs the previous fit's {} centroids of dimension {dim}",
+                self.k
+            )));
+        }
         let mut sums = ClusterSums::new(self.k, dim);
         for &a in prev_assignment {
             if a >= self.k {
@@ -610,76 +770,151 @@ impl KMeans {
                 "warm start needs every cluster populated; cluster {empty} is empty"
             )));
         }
-        // The seeding sweep: each point's norm, and its contribution to
-        // the mean of its previous cluster in the accumulation order of
-        // the update step.
-        let mut sq_norms = Vec::with_capacity(points.len());
+        // The seeding sweep: each point's contribution to the mean of its
+        // previous cluster, in the accumulation order of the update step.
         for (p, &a) in points.iter().zip(prev_assignment) {
-            sq_norms.push(p.norm_l2_sq());
             sums.scatter(a, p);
         }
-        let norms: Vec<f64> = sq_norms.iter().map(|s| s.sqrt()).collect();
-        let mut centroids = Centroids::new(self.k, dim, self.fused());
-        centroids.set_from_means(&mut sums);
-        let batch = Batch {
-            points: &points,
-            sq_norms: &sq_norms,
-            norms: &norms,
+        let mut seeded = Centroids::new(self.k, dim, self.fused());
+        seeded.set_from_means(&mut sums);
+        let mut measured = 0;
+        let bounds = if self.metric == Metric::Euclidean {
+            let moved;
+            (measured, moved) = self.confirm(&points, prev_assignment, &seeded, centroids, bounds);
+            if !moved {
+                return Ok(WarmFit {
+                    centroids: seeded.to_sparse(),
+                    assignments: prev_assignment.to_vec(),
+                    iterations: 1,
+                    converged: true,
+                    evaluated: measured,
+                });
+            }
+            Some(bounds)
+        } else {
+            bounds.fill(PointBounds::UNKNOWN);
+            None
         };
-        Ok(self.lloyd(batch, centroids, sums, Some(prev_assignment), 1))
+        let (fit, sweeps) = self.lloyd(&points, seeded, sums, Some(prev_assignment), 1, bounds);
+        Ok(WarmFit {
+            centroids: fit.centroids,
+            assignments: fit.assignments,
+            iterations: fit.iterations,
+            converged: fit.converged,
+            evaluated: measured + sweeps * n,
+        })
     }
 
-    fn run_once(&self, batch: Batch, rng: &mut SmallRng) -> KMeansResult {
+    /// The bounded first sweep of a Euclidean warm start, against the
+    /// `seeded` means of `prev`: each point's bounds, carried from
+    /// `carried`, are widened by the centroids' drift, and a point they
+    /// do not confirm — or whose bounds are for another cluster than its
+    /// previous one — is measured and gets fresh ones. Returns how many
+    /// points were measured and whether one of them moved — where the
+    /// pass stops, because the Lloyd loop that follows measures every
+    /// point again.
+    fn confirm(
+        &self,
+        points: &[&SparseVec],
+        prev: &[usize],
+        seeded: &Centroids,
+        carried: &[SparseVec],
+        bounds: &mut [PointBounds],
+    ) -> (usize, bool) {
+        let drifts: Vec<f64> = seeded
+            .bufs
+            .iter()
+            .zip(carried)
+            .map(|(c, old)| c.drift_from(old))
+            .collect();
+        // A NaN drift must reach every lower bound, so no `f64::max`.
+        let max_drift = drifts
+            .iter()
+            .fold(0.0, |m: f64, &d| if d > m || d.is_nan() { d } else { m });
+        let slack = Slack::new(seeded);
+        let mut measured = 0;
+        for ((p, &own), b) in points.iter().zip(prev).zip(bounds.iter_mut()) {
+            let upper = (b.upper + drifts[own]).next_up();
+            let lower = (b.lower - max_drift).next_down();
+            // Never true for an unknown bound or a NaN anywhere.
+            if b.cluster == own && upper + slack.margin(b.sq_norm) < lower {
+                b.upper = upper;
+                b.lower = lower;
+                continue;
+            }
+            let near = self.nearest_fused(p, seeded);
+            measured += 1;
+            if near.cluster != own {
+                return (measured, true);
+            }
+            *b = slack.bounds(&near);
+        }
+        (measured, false)
+    }
+
+    fn run_once(&self, points: &[&SparseVec], rng: &mut SmallRng) -> KMeansResult {
         let seeds = match self.init {
-            KMeansInit::Random => self.init_random(batch.points, rng),
-            KMeansInit::KMeansPlusPlus => self.init_plusplus(batch.points, rng),
+            KMeansInit::Random => self.init_random(points, rng),
+            KMeansInit::KMeansPlusPlus => self.init_plusplus(points, rng),
         };
-        let dim = batch.points[0].dim();
+        let dim = points[0].dim();
         let mut centroids = Centroids::new(self.k, dim, self.fused());
-        centroids.set_from_points(batch.points, &seeds);
-        let threads = self.effective_threads(batch.points.len());
+        centroids.set_from_points(points, &seeds);
+        let threads = self.effective_threads(points.len());
         let sums = ClusterSums::new(self.k, dim);
-        self.lloyd(batch, centroids, sums, None, threads)
+        self.lloyd(points, centroids, sums, None, threads, None).0
     }
 
     /// Lloyd's algorithm from `centroids`: an assignment sweep, then the
     /// update step on `sums` (allocated once per fit, not once per
     /// iteration), until the inertia improves by no more than `tol` or
     /// `max_iters` runs out; then one final sweep against the final
-    /// centroids.
+    /// centroids. Returns the fit and the sweeps it made.
     ///
     /// `warm` is the assignment a warm start resumes from, and turns on
-    /// the assignment-fixpoint check. With `threads > 1` the sweeps run
+    /// the assignment-fixpoint check; `bounds`, when given, are
+    /// re-measured by every sweep. With `threads > 1` the sweeps run
     /// on a [`Pool`]; otherwise on the calling thread, which then sums
     /// the clusters itself, in point order.
     fn lloyd(
         &self,
-        batch: Batch,
+        points: &[&SparseVec],
         centroids: Centroids,
         mut sums: ClusterSums,
         warm: Option<&[usize]>,
         threads: usize,
-    ) -> KMeansResult {
+        mut bounds: Option<&mut [PointBounds]>,
+    ) -> (KMeansResult, usize) {
         // Workers read the centroids during a sweep; the calling thread
         // writes them strictly between sweeps.
         let centroids = RwLock::new(centroids);
         let mut current = warm.map(<[usize]>::to_vec);
-        let mut assignments = vec![0usize; batch.points.len()];
-        let mut d_sqs = vec![0.0f64; batch.points.len()];
+        let mut assignments = vec![0usize; points.len()];
+        let mut d_sqs = vec![0.0f64; points.len()];
         let mut previous_inertia = f64::INFINITY;
         let mut iterations = 0;
+        let mut sweeps = 0;
         let mut converged = false;
         std::thread::scope(|s| {
-            let mut pool = (threads > 1).then(|| Pool::spawn(s, self, batch, &centroids, threads));
-            let sweep = |pool: &mut Option<Pool>, assignments: &mut [usize], d_sqs: &mut [f64]| {
-                match pool {
-                    Some(pool) => pool.sweep(assignments, d_sqs),
-                    None => {
-                        let centroids = centroids.read().expect("centroid lock");
-                        self.assign_chunk(batch, &centroids, assignments, d_sqs);
+            let mut pool = (threads > 1).then(|| Pool::spawn(s, self, points, &centroids, threads));
+            let mut sweep =
+                |pool: &mut Option<Pool>, assignments: &mut [usize], d_sqs: &mut [f64]| {
+                    sweeps += 1;
+                    match pool {
+                        Some(pool) => pool.sweep(assignments, d_sqs),
+                        None => {
+                            let centroids = centroids.read().expect("centroid lock");
+                            let slack = Slack::new(&centroids);
+                            self.assign_chunk(points, &centroids, |i, near| {
+                                assignments[i] = near.cluster;
+                                d_sqs[i] = near.d_sq;
+                                if let Some(bounds) = bounds.as_deref_mut() {
+                                    bounds[i] = slack.bounds(&near);
+                                }
+                            });
+                        }
                     }
-                }
-            };
+                };
             for iter in 0..self.max_iters {
                 iterations = iter + 1;
                 sweep(&mut pool, &mut assignments, &mut d_sqs);
@@ -695,10 +930,10 @@ impl KMeans {
                 }
                 match &pool {
                     Some(pool) => pool.merge_into(&mut sums),
-                    None => sums.accumulate(batch.points, &assignments),
+                    None => sums.accumulate(points, &assignments),
                 }
                 self.finish_update(
-                    batch,
+                    points,
                     &mut centroids.write().expect("centroid lock"),
                     &mut assignments,
                     &mut sums,
@@ -717,14 +952,15 @@ impl KMeans {
             // Final assignment against the final centroids.
             sweep(&mut pool, &mut assignments, &mut d_sqs);
         });
-        KMeansResult {
+        let result = KMeansResult {
             centroids: centroids.into_inner().expect("centroid lock").to_sparse(),
             assignments,
             // Summed in point order, whichever thread swept the point.
             inertia: d_sqs.iter().sum(),
             iterations,
             converged,
-        }
+        };
+        (result, sweeps)
     }
 
     /// Second half of a Lloyd iteration, after `sums` holds the merged
@@ -733,7 +969,7 @@ impl KMeans {
     /// its cluster mean.
     fn finish_update(
         &self,
-        batch: Batch,
+        points: &[&SparseVec],
         centroids: &mut Centroids,
         assignments: &mut [usize],
         sums: &mut ClusterSums,
@@ -741,17 +977,13 @@ impl KMeans {
         // Empty clusters adopt the point farthest from its centroid.
         for c in 0..self.k {
             if sums.counts[c] == 0 {
-                let far_idx = (0..batch.points.len())
-                    .map(|i| {
-                        let a = assignments[i];
-                        let d_sq = self.point_centroid_dist_sq(
-                            batch.points[i],
-                            batch.sq_norms[i],
-                            batch.norms[i],
-                            &centroids.bufs[a],
-                        );
-                        (i, d_sq)
+                let far_idx = points
+                    .iter()
+                    .zip(assignments.iter())
+                    .map(|(p, &a)| {
+                        self.point_centroid_dist_sq(p, p.norm_l2_sq(), &centroids.bufs[a])
                     })
+                    .enumerate()
                     .max_by(|a, b| a.1.total_cmp(&b.1))
                     .expect("points is non-empty")
                     .0;
@@ -759,7 +991,7 @@ impl KMeans {
                 sums.counts[c] = 1;
                 let row = sums.row_mut(c);
                 row.fill(0.0);
-                for (t, v) in batch.points[far_idx].iter() {
+                for (t, v) in points[far_idx].iter() {
                     row[t as usize] = v;
                 }
                 // Note: the donor cluster keeps its stale sum this round;
@@ -789,108 +1021,88 @@ impl KMeans {
         matches!(self.metric, Metric::Euclidean | Metric::Cosine)
     }
 
-    /// One assignment sweep over a contiguous chunk of points: each
-    /// point's nearest centroid (lowest index on an exact tie) and its
-    /// squared distance to it.
+    /// One assignment sweep over a contiguous chunk of points, handing
+    /// `emit` each point's index in the chunk and what the kernel found.
     ///
-    /// Both are pure per-point functions of the current centroids, so a
+    /// That is a pure per-point function of the current centroids, so a
     /// sweep is thread-count independent given the same centroids.
     fn assign_chunk(
         &self,
-        batch: Batch,
+        points: &[&SparseVec],
         centroids: &Centroids,
-        assignments: &mut [usize],
-        d_sqs: &mut [f64],
+        mut emit: impl FnMut(usize, Nearest),
     ) {
         #[cfg(test)]
         SWEEPS.with(|s| s.set(s.get() + 1));
-        let (points, sq_norms, norms) = (batch.points, batch.sq_norms, batch.norms);
         if self.fused() {
-            self.assign_fused(points, sq_norms, norms, centroids, assignments, d_sqs);
+            for (i, p) in points.iter().enumerate() {
+                emit(i, self.nearest_fused(p, centroids));
+            }
         } else {
-            self.assign_per_centroid(points, sq_norms, norms, centroids, assignments, d_sqs);
+            for (i, p) in points.iter().enumerate() {
+                emit(i, self.nearest_per_centroid(p, centroids));
+            }
         }
     }
 
-    /// The Euclidean/Cosine sweep: one walk over a point's `(term,
+    /// The Euclidean/Cosine kernel: one walk over a point's `(term,
     /// value)` pairs per block of [`LANES`] centroids, advancing the
-    /// block's inner products together.
+    /// block's inner products together — and the point's squared norm,
+    /// so no sweep needs it beforehand.
     ///
     /// Each lane adds `v * c[t]` in ascending-term order from `+0.0`,
-    /// which is exactly the addition sequence of
-    /// [`dot_sparse_dense`] against that centroid alone; the lanes never
-    /// mix, the distance formula is shared with the per-centroid path,
-    /// and candidates are compared in ascending centroid index with a
-    /// strict `<`. So the sweep is `f64::to_bits`-identical to
-    /// [`assign_per_centroid`](Self::assign_per_centroid) (which the
+    /// which is exactly the addition sequence of [`dot_sparse_dense`]
+    /// against that centroid alone, and the norm adds `v * v` in the
+    /// same order from `-0.0`, the fold `Iterator::sum` makes for
+    /// [`SparseVec::norm_l2_sq`]; the lanes never mix, the distance
+    /// formula is shared with the per-centroid path, and candidates are
+    /// compared in ascending centroid index with a strict `<`. So the
+    /// kernel is `f64::to_bits`-identical to
+    /// [`nearest_per_centroid`](Self::nearest_per_centroid) (which the
     /// tests keep as its oracle); what changes is that the `k` chains of
     /// dependent adds run side by side instead of one after another.
-    fn assign_fused(
-        &self,
-        points: &[&SparseVec],
-        sq_norms: &[f64],
-        norms: &[f64],
-        centroids: &Centroids,
-        assignments: &mut [usize],
-        d_sqs: &mut [f64],
-    ) {
+    fn nearest_fused(&self, p: &SparseVec, centroids: &Centroids) -> Nearest {
         let dim = centroids.dim();
-        for (i, p) in points.iter().enumerate() {
-            let mut best = (0usize, f64::INFINITY);
-            for (b, bufs) in centroids.bufs.chunks(LANES).enumerate() {
-                let block = &centroids.lanes[b * dim..(b + 1) * dim];
-                let mut dots = [0.0f64; LANES];
-                for (&t, &v) in p.terms().iter().zip(p.values()) {
-                    let c = &block[t as usize];
-                    for (dot, &w) in dots.iter_mut().zip(c) {
-                        *dot += v * w;
-                    }
+        let mut near = Nearest::new(0.0);
+        for (b, bufs) in centroids.bufs.chunks(LANES).enumerate() {
+            let block = &centroids.lanes[b * dim..(b + 1) * dim];
+            let mut dots = [0.0f64; LANES];
+            let mut sq_norm = -0.0f64;
+            for (&t, &v) in p.terms().iter().zip(p.values()) {
+                let c = &block[t as usize];
+                for (dot, &w) in dots.iter_mut().zip(c) {
+                    *dot += v * w;
                 }
-                for (l, buf) in bufs.iter().enumerate() {
-                    let d_sq = self.dist_sq_from_dot(dots[l], sq_norms[i], norms[i], buf);
-                    if d_sq < best.1 {
-                        best = (b * LANES + l, d_sq);
-                    }
-                }
+                sq_norm += v * v;
             }
-            assignments[i] = best.0;
-            d_sqs[i] = best.1;
+            // The same bits from every block.
+            near.sq_norm = sq_norm;
+            for (l, buf) in bufs.iter().enumerate() {
+                near.offer(b * LANES + l, self.dist_sq_from_dot(dots[l], sq_norm, buf));
+            }
         }
+        near
     }
 
-    /// The sweep one centroid at a time: the production path of L1/Lp,
+    /// The kernel one centroid at a time: the production path of L1/Lp,
     /// and for Euclidean/Cosine the oracle the tests hold
-    /// [`assign_fused`](Self::assign_fused) to.
-    fn assign_per_centroid(
-        &self,
-        points: &[&SparseVec],
-        sq_norms: &[f64],
-        norms: &[f64],
-        centroids: &Centroids,
-        assignments: &mut [usize],
-        d_sqs: &mut [f64],
-    ) {
-        for (i, p) in points.iter().enumerate() {
-            let mut best = (0usize, f64::INFINITY);
-            for (c, centroid) in centroids.bufs.iter().enumerate() {
-                let d_sq = self.point_centroid_dist_sq(p, sq_norms[i], norms[i], centroid);
-                if d_sq < best.1 {
-                    best = (c, d_sq);
-                }
-            }
-            assignments[i] = best.0;
-            d_sqs[i] = best.1;
+    /// [`nearest_fused`](Self::nearest_fused) to.
+    fn nearest_per_centroid(&self, p: &SparseVec, centroids: &Centroids) -> Nearest {
+        let mut near = Nearest::new(p.norm_l2_sq());
+        for (c, centroid) in centroids.bufs.iter().enumerate() {
+            near.offer(c, self.point_centroid_dist_sq(p, near.sq_norm, centroid));
         }
+        near
     }
 
     /// Squared Euclidean or Cosine distance from a point to a centroid,
     /// given their inner product `dot`.
     ///
     /// Euclidean expands to `‖x‖² − 2·x·c + ‖c‖²`; cosine reuses the
-    /// cached norms.
-    fn dist_sq_from_dot(&self, dot: f64, p_sq_norm: f64, p_norm: f64, c: &CentroidBuf) -> f64 {
+    /// cached centroid norm.
+    fn dist_sq_from_dot(&self, dot: f64, p_sq_norm: f64, c: &CentroidBuf) -> f64 {
         if self.metric == Metric::Cosine {
-            let denom = p_norm * c.norm;
+            let denom = p_sq_norm.sqrt() * c.norm;
             let sim = if denom == 0.0 {
                 0.0
             } else {
@@ -908,17 +1120,12 @@ impl KMeans {
     /// Squared distance from a point to one centroid under the
     /// configured metric, with zero heap allocation: an O(nnz(x)) inner
     /// product against the dense centroid for Euclidean and Cosine, a
-    /// merge-join against the centroid's sparse view for L1/Lp.
-    fn point_centroid_dist_sq(
-        &self,
-        p: &SparseVec,
-        p_sq_norm: f64,
-        p_norm: f64,
-        c: &CentroidBuf,
-    ) -> f64 {
+    /// merge-join against the centroid's sparse view for L1/Lp (which
+    /// do not read `p_sq_norm`).
+    fn point_centroid_dist_sq(&self, p: &SparseVec, p_sq_norm: f64, c: &CentroidBuf) -> f64 {
         if self.fused() {
             let dot = dot_sparse_dense(p.terms(), p.values(), &c.dense);
-            self.dist_sq_from_dot(dot, p_sq_norm, p_norm, c)
+            self.dist_sq_from_dot(dot, p_sq_norm, c)
         } else {
             self.metric
                 .distance_sq_slices(p.terms(), p.values(), &c.terms, &c.values)
@@ -1124,7 +1331,11 @@ mod tests {
         let pts = blobs();
         let cold = KMeans::new(2).seed(7).threads(1).run(&pts).unwrap();
         assert!(cold.converged);
-        let warm = KMeans::new(2).fit_warm(&pts, &cold.assignments).unwrap();
+        let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
+        let km = KMeans::new(2);
+        let warm = km
+            .fit_warm(&pts, &cold.assignments, &cold.centroids, &mut bounds)
+            .unwrap();
         assert!(warm.converged);
         assert_eq!(warm.iterations, 1);
         assert_eq!(warm.assignments, cold.assignments);
@@ -1134,7 +1345,14 @@ mod tests {
             assert_eq!(w.terms(), c.terms());
             assert_eq!(w.values(), c.values());
         }
-        assert_eq!(warm.inertia, cold.inertia);
+        // Nothing was known, so every point was measured; what that left
+        // confirms every point of the next call.
+        assert_eq!(warm.evaluated, pts.len());
+        let again = km
+            .fit_warm(&pts, &warm.assignments, &warm.centroids, &mut bounds)
+            .unwrap();
+        assert_eq!((again.iterations, again.evaluated), (1, 0));
+        assert_eq!(again.assignments, cold.assignments);
     }
 
     #[test]
@@ -1147,41 +1365,69 @@ mod tests {
         for i in [0usize, 3, 8] {
             stale[i] = 1 - stale[i];
         }
-        let warm = KMeans::new(2).fit_warm(&pts, &stale).unwrap();
+        let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
+        let warm = KMeans::new(2)
+            .fit_warm(&pts, &stale, &cold.centroids, &mut bounds)
+            .unwrap();
         assert!(warm.converged);
         assert!(warm.iterations <= 3, "took {} iterations", warm.iterations);
         assert_eq!(warm.assignments, cold.assignments);
-        assert!((warm.inertia - cold.inertia).abs() <= 1e-9 * cold.inertia.max(1.0));
     }
 
     #[test]
     fn fit_warm_rejects_bad_assignments() {
         let pts = blobs();
+        let n = pts.len();
+        let cold = KMeans::new(2).seed(7).run(&pts).unwrap();
+        let fit = |km: KMeans, pts: &[SparseVec], prev: &[usize], centroids: &[SparseVec]| {
+            let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
+            km.fit_warm(pts, prev, centroids, &mut bounds)
+        };
         // Wrong length.
         assert!(matches!(
-            KMeans::new(2).fit_warm(&pts, &[0, 1]),
+            fit(KMeans::new(2), &pts, &[0, 1], &cold.centroids),
             Err(MlError::InvalidConfig(_))
         ));
         // Cluster id out of range.
-        let mut bad = vec![0usize; pts.len()];
+        let mut bad = vec![0usize; n];
         bad[0] = 5;
         assert!(matches!(
-            KMeans::new(2).fit_warm(&pts, &bad),
+            fit(KMeans::new(2), &pts, &bad, &cold.centroids),
             Err(MlError::InvalidConfig(_))
         ));
         // An empty cluster: callers must fall back to a cold run.
-        let empty = vec![0usize; pts.len()];
+        let empty = vec![0usize; n];
         assert!(matches!(
-            KMeans::new(2).fit_warm(&pts, &empty),
+            fit(KMeans::new(2), &pts, &empty, &cold.centroids),
+            Err(MlError::InvalidConfig(_))
+        ));
+        // Bounds for other points, or centroids of another fit.
+        let mut short = vec![PointBounds::UNKNOWN; n - 1];
+        assert!(matches!(
+            KMeans::new(2).fit_warm(&pts, &cold.assignments, &cold.centroids, &mut short),
+            Err(MlError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            fit(
+                KMeans::new(2),
+                &pts,
+                &cold.assignments,
+                &cold.centroids[..1]
+            ),
+            Err(MlError::InvalidConfig(_))
+        ));
+        let wide = vec![SparseVec::zeros(5); 2];
+        assert!(matches!(
+            fit(KMeans::new(2), &pts, &cold.assignments, &wide),
             Err(MlError::InvalidConfig(_))
         ));
         // And the shared input contract still applies.
         assert!(matches!(
-            KMeans::new(0).fit_warm(&pts, &[]),
+            fit(KMeans::new(0), &pts, &[], &[]),
             Err(MlError::InvalidConfig(_))
         ));
         assert!(matches!(
-            KMeans::new(2).fit_warm::<SparseVec>(&[], &[]),
+            fit(KMeans::new(2), &[], &[], &cold.centroids),
             Err(MlError::EmptyInput)
         ));
     }

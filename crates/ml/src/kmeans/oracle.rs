@@ -1,18 +1,21 @@
-//! The fused assignment kernel against its oracle.
+//! The fused assignment kernel and the bounded warm start against their
+//! oracles.
 //!
-//! [`KMeans::assign_per_centroid`] — one `dot_sparse_dense` per centroid,
-//! the sweep this crate ran before the lane kernel — is the oracle for
-//! Euclidean and Cosine, and [`reference_lloyd`] is the Lloyd loop of
-//! that time written out plainly on top of it (nested `Vec` sums, the
-//! redundant final sweep after a fixpoint, chunked sums merged in chunk
-//! order for the worker pool). Everything the fused path returns must be
-//! `f64::to_bits`-identical to them.
+//! [`KMeans::nearest_per_centroid`] — one `dot_sparse_dense` per
+//! centroid, the kernel this crate ran before the lane kernel — is the
+//! oracle for Euclidean and Cosine, and [`reference_lloyd`] is the Lloyd
+//! loop of that time written out plainly on top of it (nested `Vec`
+//! sums, the redundant final sweep after a fixpoint, chunked sums merged
+//! in chunk order for the worker pool, every point measured in every
+//! sweep). Everything the fused path and the bounded warm start return
+//! must be `f64::to_bits`-identical to them.
 //!
 //! Inputs are generated toward the edges rather than uniformly: lane
 //! block boundaries in `k`, points with no non-zeros, duplicated points
 //! and centroids (exact ties), values on a coarse grid (more exact ties
 //! and exact cancellation), a few huge magnitudes (the Euclidean clamp),
-//! `dim == 1` and `n == k`.
+//! `dim == 1`, `n == k`, and for the carried bounds points placed within
+//! rounding error of a tie and churn that empties clusters.
 
 use super::*;
 
@@ -20,8 +23,9 @@ use super::*;
 const KS: [usize; 10] = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17];
 const METRICS: [Metric; 2] = [Metric::Euclidean, Metric::Cosine];
 
-/// `n` edge-biased points in `dim` dimensions.
-fn edge_points(rng: &mut SmallRng, n: usize, dim: usize) -> Vec<SparseVec> {
+/// `n` edge-biased points in `dim` dimensions, loosely grouped around
+/// `centres` centres.
+fn edge_points(rng: &mut SmallRng, n: usize, dim: usize, centres: u32) -> Vec<SparseVec> {
     let mut points: Vec<SparseVec> = Vec::with_capacity(n);
     for i in 0..n {
         let p = match rng.random_range(0..8u32) {
@@ -30,11 +34,11 @@ fn edge_points(rng: &mut SmallRng, n: usize, dim: usize) -> Vec<SparseVec> {
             _ => {
                 // A loose cluster structure (so Lloyd iterates a few
                 // times) on a half-integer grid (so distances tie).
-                let centre = rng.random_range(0..3u32);
+                let centre = rng.random_range(0..centres);
                 let pairs = (0..dim as u32).filter_map(|t| {
                     let on = rng.random_range(0..4u32) != 0;
                     let grid = f64::from(rng.random_range(-2..4i32)) * 0.5;
-                    let bump = if t % 3 == centre { 4.0 } else { 0.0 };
+                    let bump = if t % centres == centre { 4.0 } else { 0.0 };
                     let huge = if rng.random_range(0..64u32) == 0 {
                         1e8
                     } else {
@@ -50,10 +54,19 @@ fn edge_points(rng: &mut SmallRng, n: usize, dim: usize) -> Vec<SparseVec> {
     points
 }
 
-fn norms_of(points: &[&SparseVec]) -> (Vec<f64>, Vec<f64>) {
-    let sq_norms: Vec<f64> = points.iter().map(|p| p.norm_l2_sq()).collect();
-    let norms = sq_norms.iter().map(|s| s.sqrt()).collect();
-    (sq_norms, norms)
+/// An assignment sweep on the per-centroid kernel.
+fn reference_sweep(
+    km: &KMeans,
+    points: &[&SparseVec],
+    centroids: &Centroids,
+    assignments: &mut [usize],
+    d_sqs: &mut [f64],
+) {
+    for (i, p) in points.iter().enumerate() {
+        let near = km.nearest_per_centroid(p, centroids);
+        assignments[i] = near.cluster;
+        d_sqs[i] = near.d_sq;
+    }
 }
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -91,7 +104,6 @@ fn reference_lloyd(
     warm_from: Option<&[usize]>,
 ) -> (KMeansResult, bool) {
     let (n, k, dim) = (points.len(), km.k, points[0].dim());
-    let (sq_norms, norms) = norms_of(points);
     let chunk_len = n.div_ceil(chunks);
     let mut current = warm_from.map(<[usize]>::to_vec);
     let mut assignments = vec![0usize; n];
@@ -102,14 +114,7 @@ fn reference_lloyd(
     let mut fixpoint = false;
     for iter in 0..km.max_iters {
         iterations = iter + 1;
-        km.assign_per_centroid(
-            points,
-            &sq_norms,
-            &norms,
-            &centroids,
-            &mut assignments,
-            &mut d_sqs,
-        );
+        reference_sweep(km, points, &centroids, &mut assignments, &mut d_sqs);
         let inertia: f64 = d_sqs.iter().sum();
         if current.as_ref().is_some_and(|c| *c == assignments) {
             converged = true;
@@ -140,7 +145,7 @@ fn reference_lloyd(
                 let far = (0..n)
                     .map(|i| {
                         let own = &centroids.bufs[assignments[i]];
-                        let d = km.point_centroid_dist_sq(points[i], sq_norms[i], norms[i], own);
+                        let d = km.point_centroid_dist_sq(points[i], points[i].norm_l2_sq(), own);
                         (i, d)
                     })
                     .max_by(|a, b| a.1.total_cmp(&b.1))
@@ -169,14 +174,7 @@ fn reference_lloyd(
         }
         previous_inertia = inertia;
     }
-    km.assign_per_centroid(
-        points,
-        &sq_norms,
-        &norms,
-        &centroids,
-        &mut assignments,
-        &mut d_sqs,
-    );
+    reference_sweep(km, points, &centroids, &mut assignments, &mut d_sqs);
     let result = KMeansResult {
         centroids: centroids.to_sparse(),
         assignments,
@@ -237,8 +235,22 @@ fn assert_same_fit(got: &KMeansResult, want: &KMeansResult, what: &str) {
         got.inertia,
         want.inertia
     );
-    assert_eq!(got.centroids.len(), want.centroids.len());
-    for (c, (g, w)) in got.centroids.iter().zip(&want.centroids).enumerate() {
+    assert_same_centroids(&got.centroids, &want.centroids, what);
+}
+
+/// A warm fit reports no inertia; everything else must match.
+#[track_caller]
+fn assert_same_warm_fit(got: &WarmFit, want: &KMeansResult, what: &str) {
+    assert_eq!(got.assignments, want.assignments, "{what}: assignments");
+    assert_eq!(got.iterations, want.iterations, "{what}: iterations");
+    assert_eq!(got.converged, want.converged, "{what}: converged");
+    assert_same_centroids(&got.centroids, &want.centroids, what);
+}
+
+#[track_caller]
+fn assert_same_centroids(got: &[SparseVec], want: &[SparseVec], what: &str) {
+    assert_eq!(got.len(), want.len());
+    for (c, (g, w)) in got.iter().zip(want).enumerate() {
         assert_eq!(g.terms(), w.terms(), "{what}: centroid {c} support");
         assert_eq!(
             bits(g.values()),
@@ -253,6 +265,17 @@ fn sweeps() -> usize {
     SWEEPS.with(std::cell::Cell::get)
 }
 
+/// Full sweeps a Euclidean warm fit makes, given what the reference
+/// loop did: none when the bounded pass confirms the previous
+/// assignment, otherwise the Lloyd loop's.
+fn warm_sweeps(metric: Metric, iterations: usize, fixpoint: bool) -> usize {
+    if metric == Metric::Euclidean && fixpoint && iterations == 1 {
+        0
+    } else {
+        iterations + usize::from(!fixpoint)
+    }
+}
+
 #[test]
 fn fused_sweep_matches_the_per_centroid_oracle() {
     for metric in METRICS {
@@ -260,9 +283,8 @@ fn fused_sweep_matches_the_per_centroid_oracle() {
             for (case, dim) in [1usize, 2, 7, 40].into_iter().enumerate() {
                 let mut rng = SmallRng::seed_from_u64((k * 31 + case) as u64);
                 let n = [k, k + 1, 3 * k + 5, 64.max(k)][case];
-                let owned = edge_points(&mut rng, n, dim);
+                let owned = edge_points(&mut rng, n, dim, 3);
                 let points: Vec<&SparseVec> = owned.iter().collect();
-                let (sq_norms, norms) = norms_of(&points);
                 let km = KMeans::new(k).metric(metric);
                 // Centroids that are data points (with repeats: exact
                 // ties; now and then an empty point: a zero-norm
@@ -276,23 +298,27 @@ fn fused_sweep_matches_the_per_centroid_oracle() {
                 let mut as_means = Centroids::new(k, dim, true);
                 as_means.set_from_means(&mut sums);
                 for centroids in [&as_points, &as_means] {
-                    let (mut got, mut got_d) = (vec![0usize; n], vec![0.0f64; n]);
-                    let (mut want, mut want_d) = (vec![0usize; n], vec![0.0f64; n]);
-                    km.assign_fused(&points, &sq_norms, &norms, centroids, &mut got, &mut got_d);
-                    km.assign_per_centroid(
-                        &points,
-                        &sq_norms,
-                        &norms,
-                        centroids,
-                        &mut want,
-                        &mut want_d,
-                    );
                     let what = format!("{metric:?} k={k} dim={dim} n={n}");
-                    assert_eq!(got, want, "{what}: assignments");
-                    assert_eq!(bits(&got_d), bits(&want_d), "{what}: squared distances");
+                    let mut got = vec![0usize; n];
+                    km.assign_chunk(&points, centroids, |i, near| {
+                        let want = km.nearest_per_centroid(points[i], centroids);
+                        let what = format!("{what} point {i}");
+                        assert_eq!(near.cluster, want.cluster, "{what}: cluster");
+                        assert_eq!(
+                            bits(&[near.d_sq, near.second_sq, near.sq_norm]),
+                            bits(&[want.d_sq, want.second_sq, want.sq_norm]),
+                            "{what}: nearest, runner-up and norm"
+                        );
+                        assert_eq!(
+                            near.sq_norm.to_bits(),
+                            points[i].norm_l2_sq().to_bits(),
+                            "{what}: the walk's norm"
+                        );
+                        got[i] = near.cluster;
+                    });
                     // The sums the update step would take from here.
                     sums.accumulate(&points, &got);
-                    let (want_sums, want_counts) = chunk_sums(&points, &want, k, dim);
+                    let (want_sums, want_counts) = chunk_sums(&points, &got, k, dim);
                     assert_eq!(sums.counts, want_counts, "{what}: counts");
                     assert_eq!(
                         bits(&sums.sums),
@@ -312,7 +338,6 @@ fn exact_ties_go_to_the_lower_index_in_every_lane_position() {
     let p = SparseVec::from_pairs(3, [(0, 1.5), (2, -2.0)]).unwrap();
     let far = SparseVec::from_pairs(3, [(1, 9.0)]).unwrap();
     let points = [&p, &far, &p];
-    let (sq_norms, norms) = norms_of(&points);
     for metric in METRICS {
         let km = KMeans::new(9).metric(metric);
         // Centroids `0..winner` sit on `far`, the rest on `p`: `p` must go
@@ -323,10 +348,20 @@ fn exact_ties_go_to_the_lower_index_in_every_lane_position() {
             seeds[winner..].fill(0);
             let mut centroids = Centroids::new(9, 3, true);
             centroids.set_from_points(&points, &seeds);
-            let (mut got, mut d) = (vec![9usize; 3], vec![-1.0f64; 3]);
-            km.assign_fused(&points, &sq_norms, &norms, &centroids, &mut got, &mut d);
+            let near: Vec<Nearest> = points
+                .iter()
+                .map(|x| km.nearest_fused(x, &centroids))
+                .collect();
+            let got: Vec<usize> = near.iter().map(|n| n.cluster).collect();
             assert_eq!(got, [winner, 0, winner], "{metric:?} {winner}");
-            assert_eq!(bits(&[d[0], d[2]]), bits(&[0.0; 2]), "{metric:?} {winner}");
+            // `p` ties with itself from `winner` on: its runner-up is just
+            // as near (bar the last lane, which has no second `p`).
+            let second = if winner < 8 { 0.0 } else { near[0].second_sq };
+            assert_eq!(
+                bits(&[near[0].d_sq, near[2].d_sq, near[0].second_sq]),
+                bits(&[0.0, 0.0, second]),
+                "{metric:?} {winner}"
+            );
         }
     }
 }
@@ -339,14 +374,19 @@ fn zero_norm_points_and_centroids_follow_the_cosine_convention() {
     let x = SparseVec::from_pairs(2, [(0, 3.0)]).unwrap();
     let y = SparseVec::from_pairs(2, [(1, 2.0)]).unwrap();
     let points = [&zero, &x, &y];
-    let (sq_norms, norms) = norms_of(&points);
     let km = KMeans::new(3).metric(Metric::Cosine);
     let mut centroids = Centroids::new(3, 2, true);
     centroids.set_from_points(&points, &[0, 0, 1]);
-    let (mut got, mut d) = (vec![9usize; 3], vec![-1.0f64; 3]);
-    km.assign_fused(&points, &sq_norms, &norms, &centroids, &mut got, &mut d);
+    let near: Vec<Nearest> = points
+        .iter()
+        .map(|p| km.nearest_fused(p, &centroids))
+        .collect();
+    let got: Vec<usize> = near.iter().map(|n| n.cluster).collect();
     assert_eq!(got, [0, 2, 0]);
+    let d: Vec<f64> = near.iter().map(|n| n.d_sq).collect();
     assert_eq!(bits(&d), bits(&[1.0, 0.0, 1.0]));
+    // The zero vector's norm keeps the sign `norm_l2_sq` gives it.
+    assert_eq!(near[0].sq_norm.to_bits(), zero.norm_l2_sq().to_bits());
 }
 
 #[test]
@@ -357,7 +397,7 @@ fn fits_match_the_reference_lloyd_loop() {
                 let seed = (k * 17 + case) as u64;
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let n = [k, 3 * k + 5, 96.max(k + 1)][case];
-                let points = edge_points(&mut rng, n, dim);
+                let points = edge_points(&mut rng, n, dim, 3);
                 let what = format!("{metric:?} k={k} dim={dim} n={n}");
                 let init = if case == 1 {
                     KMeansInit::Random
@@ -386,25 +426,31 @@ fn fits_match_the_reference_lloyd_loop() {
                     if moved {
                         prev[n / 2] = (prev[n / 2] + 1) % k;
                     }
+                    let mut bounds = vec![PointBounds::UNKNOWN; n];
                     let mut counts = vec![0usize; k];
                     prev.iter().for_each(|&a| counts[a] += 1);
                     if counts.contains(&0) {
                         assert!(
-                            km.fit_warm(&points, &prev).is_err(),
+                            km.fit_warm(&points, &prev, &cold.centroids, &mut bounds)
+                                .is_err(),
                             "{what}: empty cluster"
                         );
                         continue;
                     }
                     let before = sweeps();
-                    let warm = km.fit_warm(&points, &prev).unwrap();
+                    let warm = km
+                        .fit_warm(&points, &prev, &cold.centroids, &mut bounds)
+                        .unwrap();
                     let made = sweeps() - before;
                     let (want, fixpoint) = reference_fit_warm(&km, &points, &prev);
-                    assert_same_fit(&warm, &want, &format!("{what} warm moved={moved}"));
-                    // A fixpoint returns from the sweep that found it; a
-                    // stop on tolerance or `max_iters` pays a final one.
+                    assert_same_warm_fit(&warm, &want, &format!("{what} warm moved={moved}"));
+                    // A fixpoint the bounded pass confirms costs no full
+                    // sweep; a Lloyd loop returns from the sweep that found
+                    // its fixpoint, and pays a final one after a stop on
+                    // tolerance or `max_iters`.
                     assert_eq!(
                         made,
-                        warm.iterations + usize::from(!fixpoint),
+                        warm_sweeps(metric, warm.iterations, fixpoint),
                         "{what}: sweeps for {} iterations",
                         warm.iterations
                     );
@@ -425,21 +471,26 @@ fn a_converged_warm_start_costs_one_sweep_and_a_moved_point_two() {
             SparseVec::from_pairs(8, [(blob * 2, 10.0 + jitter), (blob * 2 + 1, 1.0)]).unwrap(),
         );
     }
+    let n = points.len();
     let km = KMeans::new(4).seed(3).threads(1);
     let before = sweeps();
     let cold = km.run(&points).unwrap();
     assert!(cold.converged);
     assert_eq!(sweeps() - before, cold.iterations + 1, "cold: final sweep");
 
+    // With nothing known, the bounded pass measures every point once —
+    // one sweep's worth, and no full sweep after it.
+    let mut bounds = vec![PointBounds::UNKNOWN; n];
     let before = sweeps();
-    let warm = km.fit_warm(&points, &cold.assignments).unwrap();
+    let warm = km
+        .fit_warm(&points, &cold.assignments, &cold.centroids, &mut bounds)
+        .unwrap();
+    assert_eq!(sweeps() - before, 0, "the bounded pass found the fixpoint");
     assert_eq!(
-        sweeps() - before,
-        1,
-        "a fixpoint is found by the first sweep"
+        (warm.iterations, warm.converged, warm.evaluated),
+        (1, true, n)
     );
-    assert_eq!((warm.iterations, warm.converged), (1, true));
-    assert_same_fit(
+    assert_same_warm_fit(
         &warm,
         &reference_fit_warm(&km, &points, &cold.assignments).0,
         "converged",
@@ -448,22 +499,42 @@ fn a_converged_warm_start_costs_one_sweep_and_a_moved_point_two() {
         assert_eq!(w.terms(), c.terms());
         assert_eq!(bits(w.values()), bits(c.values()));
     }
-    assert_eq!(warm.inertia.to_bits(), cold.inertia.to_bits());
+    // Carried to the next call, the bounds confirm every point.
+    let again = km
+        .fit_warm(&points, &warm.assignments, &warm.centroids, &mut bounds)
+        .unwrap();
+    assert_eq!((again.iterations, again.evaluated), (1, 0));
+    assert_same_warm_fit(&again, &warm_as_reference(&warm), "confirmed");
 
-    // One point handed to the wrong blob: the first sweep moves it back,
-    // the second finds the fixpoint, and there is no third.
+    // One point handed to the wrong blob: its bounds are for another
+    // cluster, so the bounded pass measures it and finds it moved; the
+    // Lloyd loop's first sweep moves it back, the second finds the
+    // fixpoint, and there is no third.
     let mut stale = cold.assignments.clone();
     stale[5] = (stale[5] + 1) % 4;
     let before = sweeps();
-    let repaired = km.fit_warm(&points, &stale).unwrap();
+    let repaired = km
+        .fit_warm(&points, &stale, &warm.centroids, &mut bounds)
+        .unwrap();
     assert_eq!(sweeps() - before, 2);
     assert_eq!((repaired.iterations, repaired.converged), (2, true));
     assert_eq!(repaired.assignments, cold.assignments);
-    assert_same_fit(
+    assert_same_warm_fit(
         &repaired,
         &reference_fit_warm(&km, &points, &stale).0,
         "one moved point",
     );
+}
+
+/// A warm fit as the reference result it must equal (no inertia).
+fn warm_as_reference(fit: &WarmFit) -> KMeansResult {
+    KMeansResult {
+        centroids: fit.centroids.clone(),
+        assignments: fit.assignments.clone(),
+        inertia: f64::NAN,
+        iterations: fit.iterations,
+        converged: fit.converged,
+    }
 }
 
 #[test]
@@ -472,25 +543,33 @@ fn a_warm_start_at_pool_scale_stays_on_the_calling_thread() {
     // fans out here, and a warm start must not.
     let k = 4;
     let mut rng = SmallRng::seed_from_u64(29);
-    let points = edge_points(&mut rng, PARALLEL_ASSIGN_THRESHOLD / k, 7);
+    let points = edge_points(&mut rng, PARALLEL_ASSIGN_THRESHOLD / k, 7, 3);
     let km = KMeans::new(k).seed(29);
-    let mut prev = km.clone().threads(2).run(&points).unwrap().assignments;
+    let cold = km.clone().threads(2).run(&points).unwrap();
+    let mut prev = cold.assignments;
     let n = prev.len();
     for moved in [false, true] {
         if moved {
             prev[n / 2] = (prev[n / 2] + 1) % k;
         }
         let what = format!("moved={moved}");
+        let fit = |threads| {
+            let mut bounds = vec![PointBounds::UNKNOWN; n];
+            km.clone()
+                .threads(threads)
+                .fit_warm(&points, &prev, &cold.centroids, &mut bounds)
+                .unwrap()
+        };
         let before = sweeps();
-        let pooled = km.clone().threads(2).fit_warm(&points, &prev).unwrap();
+        let pooled = fit(2);
         let made = sweeps() - before;
-        let single = km.clone().threads(1).fit_warm(&points, &prev).unwrap();
-        assert_same_fit(&pooled, &single, &what);
+        let single = fit(1);
+        assert_same_warm_fit(&pooled, &warm_as_reference(&single), &what);
         let (want, fixpoint) = reference_fit_warm(&km, &points, &prev);
-        assert_same_fit(&pooled, &want, &what);
+        assert_same_warm_fit(&pooled, &want, &what);
         assert_eq!(
             made,
-            pooled.iterations + usize::from(!fixpoint),
+            warm_sweeps(Metric::Euclidean, pooled.iterations, fixpoint),
             "{what}: every sweep on the calling thread"
         );
     }
@@ -499,15 +578,224 @@ fn a_warm_start_at_pool_scale_stays_on_the_calling_thread() {
 #[test]
 fn borrowed_points_give_the_same_fit_as_owned_ones() {
     let mut rng = SmallRng::seed_from_u64(11);
-    let owned = edge_points(&mut rng, 50, 7);
+    let owned = edge_points(&mut rng, 50, 7, 3);
     let borrowed: Vec<&SparseVec> = owned.iter().collect();
     let km = KMeans::new(5).seed(2).restarts(2);
     let a = km.run(&owned).unwrap();
     let b = km.run(&borrowed).unwrap();
     assert_same_fit(&b, &a, "run");
-    assert_same_fit(
-        &km.fit_warm(&borrowed, &a.assignments).unwrap(),
-        &km.fit_warm(&owned, &a.assignments).unwrap(),
-        "fit_warm",
-    );
+    let mut bounds = vec![PointBounds::UNKNOWN; owned.len()];
+    let from_owned = km
+        .fit_warm(&owned, &a.assignments, &a.centroids, &mut bounds)
+        .unwrap();
+    let mut bounds = vec![PointBounds::UNKNOWN; owned.len()];
+    let from_borrowed = km
+        .fit_warm(&borrowed, &a.assignments, &a.centroids, &mut bounds)
+        .unwrap();
+    assert_same_warm_fit(&from_borrowed, &warm_as_reference(&from_owned), "fit_warm");
+}
+
+/// The nearest of `centroids` to `p` by the direct Euclidean distance:
+/// how a caller attaches a point no fit has seen.
+fn attach(p: &SparseVec, centroids: &[SparseVec]) -> usize {
+    let d = |c: &SparseVec| fmeter_ir::euclidean_distance_sq(p, c).unwrap();
+    (1..centroids.len()).fold(0, |best, c| {
+        if d(&centroids[c]) < d(&centroids[best]) {
+            c
+        } else {
+            best
+        }
+    })
+}
+
+/// A point within rounding error of the tie between two of
+/// `centroids`: their midpoint with one coordinate nudged by an ulp.
+fn near_tie(rng: &mut SmallRng, centroids: &[SparseVec]) -> SparseVec {
+    let k = centroids.len();
+    let a = rng.random_range(0..k);
+    let b = (a + 1 + rng.random_range(0..k - 1)) % k;
+    let dim = centroids[a].dim();
+    let mut mid: Vec<f64> = (0..dim as u32)
+        .map(|t| (centroids[a].get(t) + centroids[b].get(t)) / 2.0)
+        .collect();
+    let t = rng.random_range(0..dim);
+    mid[t] = if rng.random() {
+        mid[t].next_up()
+    } else {
+        mid[t].next_down()
+    };
+    SparseVec::from_dense(&mid)
+}
+
+/// Every bound a fit leaves holds against its centroids, measured by
+/// the direct Euclidean distance (within its own rounding), and every
+/// carried norm has the bits of `norm_l2_sq`.
+#[track_caller]
+fn assert_bounds_hold(points: &[SparseVec], fit: &WarmFit, bounds: &[PointBounds], what: &str) {
+    const ROUNDING: f64 = 1e-12;
+    for (i, (p, b)) in points.iter().zip(bounds).enumerate() {
+        let own = fit.assignments[i];
+        assert_eq!(
+            b.sq_norm.to_bits(),
+            p.norm_l2_sq().to_bits(),
+            "{what}: point {i} norm"
+        );
+        for (c, centroid) in fit.centroids.iter().enumerate() {
+            let d = fmeter_ir::euclidean_distance(p, centroid).unwrap();
+            if c == own {
+                assert!(
+                    b.upper >= d * (1.0 - ROUNDING),
+                    "{what}: point {i} upper {} < {d}",
+                    b.upper
+                );
+            } else {
+                assert!(
+                    b.lower <= d * (1.0 + ROUNDING),
+                    "{what}: point {i} lower {} > {d} (centroid {c})",
+                    b.lower
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn carried_bounds_match_the_reference_through_churn() {
+    // (k, centres, dim, n): both sides of the lane-block boundaries,
+    // k = 6 over four classes, one dimension, n near k.
+    const CASES: [(usize, u32, usize, usize); 9] = [
+        (1, 3, 7, 40),
+        (3, 3, 7, 60),
+        (4, 4, 12, 80),
+        (5, 3, 7, 60),
+        (6, 4, 12, 96),
+        (8, 4, 40, 96),
+        (9, 3, 7, 64),
+        (4, 4, 1, 40),
+        (3, 3, 7, 8),
+    ];
+    const PASSES: usize = 16;
+    let (mut confirmed, mut moved, mut emptied) = (0, 0, 0);
+    for (case, &(k, centres, dim, n)) in CASES.iter().enumerate() {
+        let seed = 101 + case as u64;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let km = KMeans::new(k).seed(seed);
+        let mut points = edge_points(&mut rng, n, dim, centres);
+        let cold = km.run(&points).unwrap();
+        let (mut prev, mut centroids) = (cold.assignments, cold.centroids);
+        let mut bounds = vec![PointBounds::UNKNOWN; n];
+        for pass in 0..PASSES {
+            let what = format!("k={k} centres={centres} dim={dim} n={n} pass {pass}");
+            // Every third pass changes nothing; the others retire the
+            // oldest points and append fresh ones, each attached to its
+            // nearest carried centroid with nothing known: copies of the
+            // retired points (their clusters' means move by rounding
+            // only), near-ties, duplicates and new edge points. Halfway
+            // through, one cluster loses every member.
+            let churn = if pass % 3 == 2 {
+                0
+            } else {
+                1 + rng.random_range(0..n / 4)
+            };
+            let mut retired: Vec<(SparseVec, usize)> =
+                points.drain(..churn).zip(prev.drain(..churn)).collect();
+            bounds.drain(..churn);
+            if pass == PASSES / 2 && k > 1 {
+                let keep: Vec<bool> = prev.iter().map(|&a| a != 0).collect();
+                let mut flags = keep.iter();
+                points.retain(|_| *flags.next().unwrap());
+                let mut flags = keep.iter();
+                bounds.retain(|_| *flags.next().unwrap());
+                prev.retain(|&a| a != 0);
+                retired.retain(|&(_, a)| a != 0);
+            }
+            while points.len() < n {
+                let (fresh, cluster) = match rng.random_range(0..4u32) {
+                    0 if !retired.is_empty() => retired.swap_remove(0),
+                    1 if k > 1 => {
+                        let p = near_tie(&mut rng, &centroids);
+                        let a = attach(&p, &centroids);
+                        (p, a)
+                    }
+                    2 if !points.is_empty() => {
+                        let i = rng.random_range(0..points.len());
+                        (points[i].clone(), prev[i])
+                    }
+                    _ => {
+                        let p = edge_points(&mut rng, 1, dim, centres).remove(0);
+                        let a = attach(&p, &centroids);
+                        (p, a)
+                    }
+                };
+                if pass == PASSES / 2 && k > 1 && cluster == 0 {
+                    continue;
+                }
+                points.push(fresh);
+                prev.push(cluster);
+                bounds.push(PointBounds::UNKNOWN);
+            }
+            let mut counts = vec![0usize; k];
+            prev.iter().for_each(|&a| counts[a] += 1);
+            if counts.contains(&0) {
+                // The warm start refuses; the caller re-fits cold and
+                // starts over with nothing known.
+                assert!(
+                    km.fit_warm(&points, &prev, &centroids, &mut bounds)
+                        .is_err(),
+                    "{what}: emptied cluster"
+                );
+                let cold = km.run(&points).unwrap();
+                (prev, centroids) = (cold.assignments, cold.centroids);
+                bounds.fill(PointBounds::UNKNOWN);
+                emptied += 1;
+                continue;
+            }
+            let (want, _) = reference_fit_warm(&km, &points, &prev);
+            let got = km
+                .fit_warm(&points, &prev, &centroids, &mut bounds)
+                .unwrap();
+            assert_same_warm_fit(&got, &want, &what);
+            assert_bounds_hold(&points, &got, &bounds, &what);
+            if got.evaluated < n {
+                confirmed += n - got.evaluated;
+            }
+            moved += usize::from(got.iterations > 1);
+            (prev, centroids) = (got.assignments, got.centroids);
+        }
+    }
+    assert!(confirmed > 0, "the bounds never confirmed a point");
+    assert!(moved > 0, "churn never moved a point");
+    assert!(emptied > 0, "churn never emptied a cluster");
+}
+
+#[test]
+fn drift_on_both_sides_moves_a_point_its_stale_bounds_would_keep() {
+    // On a line: 4.4 sits in the first cluster, 2.55 from its mean 1.85
+    // and 2.6 from the second's 7.
+    let line = |xs: &[f64]| -> Vec<SparseVec> {
+        xs.iter()
+            .map(|&x| SparseVec::from_pairs(1, [(0, x)]).unwrap())
+            .collect()
+    };
+    let points = line(&[0.0, 1.0, 2.0, 4.4, 6.0, 7.0, 8.0]);
+    let prev = [0, 0, 0, 0, 1, 1, 1];
+    let km = KMeans::new(2);
+    let start = km.run(&points).unwrap().centroids;
+    let mut bounds = vec![PointBounds::UNKNOWN; points.len()];
+    let settled = km.fit_warm(&points, &prev, &start, &mut bounds).unwrap();
+    assert_eq!(settled.assignments, prev);
+    // Two points are replaced: the first mean moves 0.02 away from 4.4
+    // (to 1.83), the second 0.04 towards it (to 6.96), and 4.4 changes
+    // sides (2.57 against 2.56). Its bounds must be worn down by both
+    // drifts — its own centroid's on the upper, the largest on the lower —
+    // for the bounded pass to measure it instead of keeping it.
+    let churned = line(&[0.0, 1.0, 1.92, 4.4, 6.0, 7.0, 7.88]);
+    bounds[2] = PointBounds::UNKNOWN;
+    bounds[6] = PointBounds::UNKNOWN;
+    let (want, _) = reference_fit_warm(&km, &churned, &prev);
+    assert_eq!(want.assignments[3], 1, "the reference moves 4.4");
+    let got = km
+        .fit_warm(&churned, &prev, &settled.centroids, &mut bounds)
+        .unwrap();
+    assert_same_warm_fit(&got, &want, "drift on both sides");
 }

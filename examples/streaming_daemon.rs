@@ -5,7 +5,8 @@
 //! inserted into it*, old intervals age out of a sliding retention
 //! window, behaviour syndromes are refreshed every few intervals
 //! through the warm-started `recluster` path (cold K-means once, then
-//! two sweeps over the window per maintenance cycle), the tf-idf weights are
+//! one pass over the window per maintenance cycle that measures only
+//! what its cached distance bounds cannot confirm), the tf-idf weights are
 //! re-fitted automatically whenever the corpus has drifted far enough
 //! from the published idf generation,
 //! dead slots are reclaimed by policy-driven vacuums (the daemon
