@@ -110,7 +110,7 @@ impl AnomalyDetector {
         db: &SignatureDb,
         counts: &TermCounts,
     ) -> Result<AnomalyVerdict, FmeterError> {
-        self.inspect_vector(&db.transform(counts))
+        self.inspect_vector(&db.model.weights().try_transform(counts)?)
     }
 }
 

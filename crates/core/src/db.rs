@@ -200,7 +200,7 @@ impl ShardPiece {
 /// Builds the `num_shards`-way posting store over `signatures` — one
 /// O(nnz) pass per shard from the exact vectors, a slot `is_live`
 /// rejects left as a hole so local ids stay aligned with the router.
-/// The shards hold the signatures by the handles `signatures` shares.
+/// Each shard row shares its signature's vector arrays.
 pub(crate) fn build_shards(
     dim: usize,
     signatures: &SharedVec<Signature>,
@@ -212,7 +212,7 @@ pub(crate) fn build_shards(
         .map(|s| {
             let slots = (s..signatures.len())
                 .step_by(router.num_shards())
-                .map(|d| is_live(d).then(|| Arc::clone(signatures.shared(d))));
+                .map(|d| is_live(d).then(|| &signatures[d].vector));
             let shard = Shard::from_slots(s, router, dim, slots)?;
             Ok(Arc::new(ShardPiece { shard }))
         })
@@ -450,19 +450,19 @@ impl SignatureDb {
             .into());
         }
         self.model.observe(&counts);
-        let signature = Arc::new(Signature {
+        let signature = Signature {
             vector: self.model.transform(&counts),
             label: raw.label.clone(),
             started_at: raw.started_at,
             ended_at: raw.ended_at,
-        });
+        };
         let id = self.signatures.len();
         let shard = self.router().shard_of(id);
         Arc::make_mut(&mut self.shards[shard])
             .shard
-            .insert(id, signature.clone())?;
+            .insert(id, &signature.vector)?;
         self.corpus.push(counts);
-        self.signatures.push_shared(signature);
+        self.signatures.push(signature);
         self.num_live += 1;
         self.mutations_since_refit += 1;
         if let Some(cache) = &mut self.cluster_cache {
@@ -801,6 +801,12 @@ impl SignatureDb {
 
     /// Transforms raw interval counts with the database's tf-idf model
     /// (for querying with fresh, unlabelled intervals).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counts' dimension differs from the model's; the
+    /// query paths ([`search`](Self::search),
+    /// [`classify`](Self::classify)) return that as an error.
     pub fn transform(&self, counts: &TermCounts) -> SparseVec {
         self.model.transform(counts)
     }
@@ -840,7 +846,7 @@ impl SignatureDb {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<Vec<(&Signature, f64)>, FmeterError> {
-        let query = self.transform(counts);
+        let query = self.model.weights().try_transform(counts)?;
         let shards = self.shards.iter().map(|piece| &piece.shard);
         let hits = search_sharded(shards, &query, k, scratch)?;
         Ok(hits
@@ -1534,14 +1540,19 @@ mod tests {
         }
     }
 
-    /// Asserts that the posting store holds every live signature's own
-    /// vector, not a copy of it.
+    /// Asserts that the posting store's row of every live signature
+    /// reads the signature's own arrays, not a copy of them.
     fn assert_rows_are_shared(db: &SignatureDb) {
         let router = db.router();
         for d in (0..db.num_slots()).filter(|&d| db.is_live(d)) {
             let index = db.shards()[router.shard_of(d)].shard().index();
             let row = index.vector(d / router.num_shards()).expect("a live row");
-            assert!(std::ptr::eq(row, &db.signatures()[d].vector), "doc {d}");
+            let stored = &db.signatures()[d].vector;
+            assert!(std::ptr::eq(row.terms(), stored.terms()), "doc {d} terms");
+            assert!(
+                std::ptr::eq(row.values(), stored.values()),
+                "doc {d} values"
+            );
         }
     }
 

@@ -73,3 +73,14 @@ pub use wal::{
     CheckpointPolicy, DurableLog, DurableOptions, RecoveryReport, SyncPolicy, WalHealth, WalOp,
     WalOpRef,
 };
+
+// What the store hands across threads and unwind boundaries: a service
+// publishes snapshots to reader threads, and a caller may catch a panic
+// around a query. A field that costs one of these traits fails here.
+const _: fn() = || {
+    fn check<T: Send + Sync + std::panic::UnwindSafe + std::panic::RefUnwindSafe>() {}
+    check::<fmeter_ir::SparseVec>();
+    check::<fmeter_ir::InvertedIndex>();
+    check::<SignatureDb>();
+    check::<ShardSnapshot>();
+};

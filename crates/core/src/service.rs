@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fmeter_ir::{
-    search_sharded, DocId, SearchScratch, ShardRouter, SharedVec, SparseVec, TermCounts,
+    search_sharded, DocId, SearchHit, SearchScratch, ShardRouter, SharedVec, SparseVec, TermCounts,
     TfIdfWeights,
 };
 use parking_lot::{Mutex, RwLock};
@@ -145,12 +145,19 @@ impl ShardSnapshot {
     }
 
     /// Transforms raw interval counts with this generation's weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counts' dimension differs from the weights'; the
+    /// query paths ([`search`](Self::search)) return that as an error.
     pub fn transform(&self, counts: &TermCounts) -> SparseVec {
         self.weights.transform(counts)
     }
 
     /// Searches this generation on the calling thread, shard by shard.
-    /// Results are `(doc id, signature, score)`.
+    /// Results are `(doc id, signature, score)`; each signature is a
+    /// clone that shares the stored vector's arrays and copies only the
+    /// label.
     ///
     /// # Errors
     ///
@@ -161,13 +168,23 @@ impl ShardSnapshot {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<Vec<(DocId, Signature, f64)>, FmeterError> {
-        let query = self.transform(counts);
-        let shards = self.pieces.iter().map(|piece| piece.shard());
-        let hits = search_sharded(shards, &query, k, scratch)?;
+        let hits = self.hits(counts, k, scratch)?;
         Ok(hits
             .into_iter()
             .map(|h| (h.doc, self.signatures[h.doc].clone(), h.score))
             .collect())
+    }
+
+    /// The `k` best hits for `counts` in this generation, shard by shard.
+    fn hits(
+        &self,
+        counts: &TermCounts,
+        k: usize,
+        scratch: &mut SearchScratch,
+    ) -> Result<Vec<SearchHit>, FmeterError> {
+        let query = self.weights.try_transform(counts)?;
+        let shards = self.pieces.iter().map(|piece| piece.shard());
+        Ok(search_sharded(shards, &query, k, scratch)?)
     }
 }
 
@@ -552,9 +569,7 @@ impl SignatureService {
     /// Propagates dimension mismatches.
     pub fn classify(&self, counts: &TermCounts, k: usize) -> Result<Option<String>, FmeterError> {
         let snapshot = self.snapshot();
-        let query = snapshot.transform(counts);
-        let shards = snapshot.pieces.iter().map(|piece| piece.shard());
-        let hits = SCRATCH.with(|s| search_sharded(shards, &query, k, &mut s.borrow_mut()))?;
+        let hits = SCRATCH.with(|s| snapshot.hits(counts, k, &mut s.borrow_mut()))?;
         let neighbours = hits.iter().map(|h| &snapshot.signatures[h.doc]);
         Ok(majority_label(neighbours))
     }

@@ -1,5 +1,5 @@
 use fmeter_ir::codec::{self, BinCodec, CodecError, Reader};
-use fmeter_ir::{IndexedVector, SparseVec, TermCounts};
+use fmeter_ir::{SparseVec, TermCounts};
 use fmeter_kernel_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
@@ -58,6 +58,10 @@ impl RawSignature {
 /// A finished, indexable signature: the tf-idf weight vector of one
 /// monitoring interval, L2-normalisable and comparable to any other
 /// signature from the same corpus.
+///
+/// A clone shares the vector's arrays (see [`SparseVec`]) and copies
+/// only the label: the posting store, a search hit and a served snapshot
+/// all read the one copy of each stored vector.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Signature {
     /// The tf-idf weight vector `v_j`.
@@ -68,14 +72,6 @@ pub struct Signature {
     pub started_at: Nanos,
     /// Interval end (simulated time).
     pub ended_at: Nanos,
-}
-
-/// The posting store holds each stored signature by reference and reads
-/// its vector from here: a database keeps one copy of every vector.
-impl IndexedVector for Signature {
-    fn vector(&self) -> &SparseVec {
-        &self.vector
-    }
 }
 
 impl Signature {

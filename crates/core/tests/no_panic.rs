@@ -8,7 +8,9 @@
 //! always an `Err` or a clean record prefix. A panic fails the test by itself, so
 //! most of the suite only has to *call*; what more is promised (a strict
 //! truncation never loads, a damaged WAL yields a record prefix) is
-//! asserted too. CI runs this suite by name in the **debug** leg:
+//! asserted too. Neither can a query from outside: one of another
+//! dimension is the dimension-mismatch error on every search, classify
+//! and anomaly path. CI runs this suite by name in the **debug** leg:
 //! integer-overflow checks exist only there.
 
 use std::io::Write;
@@ -19,8 +21,10 @@ use fmeter_core::persist::{
     MAX_SHARDS, MAX_SIGNATURE_DIM,
 };
 use fmeter_core::wal::{crc32, read_wal, SyncPolicy, WalSink, WalWriter};
-use fmeter_core::{FmeterError, RawSignature, Signature, SignatureDb, SignatureService, WalOp};
-use fmeter_ir::{codec, TermCounts};
+use fmeter_core::{
+    AnomalyDetector, FmeterError, RawSignature, Signature, SignatureDb, SignatureService, WalOp,
+};
+use fmeter_ir::{codec, IrError, SearchScratch, TermCounts};
 use fmeter_kernel_sim::Nanos;
 use proptest::prelude::*;
 
@@ -368,6 +372,39 @@ fn counts_that_overflow_their_total_panic_neither_load_nor_replay() {
         op.apply(&mut db).expect("replay");
     }
     assert_eq!(db.len(), before + 1);
+}
+
+#[test]
+fn a_query_of_the_wrong_dimension_is_an_error() {
+    // Every query path weighs the counts with the stored model first. A
+    // query from another kernel — another dimension — must come back as
+    // the dimension mismatch each of them documents, never a panic.
+    let raws: Vec<RawSignature> = (0..12).map(raw).collect();
+    let db = SignatureDb::build(&raws).expect("build");
+    let service = SignatureService::from_db(db.clone(), 2);
+    let snapshot = service.snapshot();
+    let detector = AnomalyDetector::fit(&db, 2, 1.5, 42).expect("fit");
+    for dim in [0, 5, 7, 64] {
+        let query = TermCounts::from_dense(&vec![1; dim]);
+        let mismatch = IrError::DimensionMismatch {
+            left: 6,
+            right: dim,
+        };
+        let is_mismatch = |e: FmeterError| matches!(e, FmeterError::Ir(e) if e == mismatch);
+        assert!(is_mismatch(db.search(&query, 3).unwrap_err()), "{dim}");
+        assert!(is_mismatch(db.classify(&query, 3).unwrap_err()), "{dim}");
+        assert!(is_mismatch(service.search(&query, 3).unwrap_err()), "{dim}");
+        assert!(
+            is_mismatch(service.classify(&query, 3).unwrap_err()),
+            "{dim}"
+        );
+        let hits = snapshot.search(&query, 3, &mut SearchScratch::new());
+        assert!(is_mismatch(hits.unwrap_err()), "{dim}");
+        assert!(
+            is_mismatch(detector.inspect(&db, &query).unwrap_err()),
+            "{dim}"
+        );
+    }
 }
 
 /// A `WalSink` whose bytes the test can read back.

@@ -203,6 +203,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a little-endian `u32`.
+    #[cfg(test)]
     pub(crate) fn get_u32(&mut self) -> Result<u32, CodecError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
@@ -258,14 +259,16 @@ impl<'a> Reader<'a> {
         Ok(count)
     }
 
-    /// Read a length-prefixed `u32` array.
-    pub(crate) fn get_u32s(&mut self) -> Result<Vec<u32>, CodecError> {
+    /// Read a length-prefixed `u32` array into whichever container the
+    /// caller names (`Vec<u32>`, `Arc<[u32]>`), allocated once at its
+    /// length.
+    pub(crate) fn get_u32s<C: FromIterator<u32>>(&mut self) -> Result<C, CodecError> {
         let count = self.array_len(4)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.get_u32()?);
-        }
-        Ok(out)
+        let bytes = self.take(4 * count)?;
+        let words = bytes.chunks_exact(4);
+        Ok(words
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+            .collect())
     }
 
     /// Read a length-prefixed `u64` array.
@@ -360,7 +363,7 @@ mod tests {
         put_f64s(&mut buf, &[1.5, f64::INFINITY]);
 
         let mut r = Reader::new(&buf);
-        assert_eq!(r.get_u32s().unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.get_u32s::<Vec<u32>>().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.get_u64s().unwrap(), Vec::<u64>::new());
         assert_eq!(r.get_f64s().unwrap(), vec![1.5, f64::INFINITY]);
         r.finish().unwrap();
@@ -386,7 +389,7 @@ mod tests {
         let mut buf = Vec::new();
         put_u64(&mut buf, 1 << 40); // plausible usize, impossible for input
         let mut r = Reader::new(&buf);
-        assert!(r.get_u32s().is_err());
+        assert!(r.get_u32s::<Vec<u32>>().is_err());
     }
 
     #[test]

@@ -1,7 +1,9 @@
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize, Value};
 
 use crate::codec;
-use crate::sparse::check_wire_terms;
+use crate::sparse::{check_wire_terms, exact};
 use crate::{IrError, TermId};
 
 /// Raw term counts for one document.
@@ -10,20 +12,25 @@ use crate::{IrError, TermId};
 /// the number of times each kernel function was invoked during the
 /// monitoring run (the `n_{i,j}` of the paper). Counts are stored sparsely
 /// and sorted by term id.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+///
+/// The term ids sit in a reference-counted array that a tf-idf transform
+/// with no zero weight hands on to the vector it builds
+/// ([`TfIdfWeights::transform`](crate::TfIdfWeights::transform)), so a
+/// stored document and its vector hold the ids once between them.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TermCounts {
     dim: usize,
-    terms: Vec<TermId>,
+    terms: Arc<[TermId]>,
     counts: Vec<u64>,
 }
 
 impl TermCounts {
     /// Creates an empty document over a space of `dim` terms.
+    #[cfg(test)]
     pub(crate) fn new(dim: usize) -> Self {
         TermCounts {
             dim,
-            terms: Vec::new(),
-            counts: Vec::new(),
+            ..TermCounts::default()
         }
     }
 
@@ -45,31 +52,39 @@ impl TermCounts {
             }
         }
         entries.sort_unstable_by_key(|&(t, _)| t);
-        let mut doc = TermCounts::new(dim);
-        for (t, c) in entries {
+        // Merge in place: `len <= i`, so no unread entry is overwritten.
+        let mut len = 0;
+        for i in 0..entries.len() {
+            let (t, c) = entries[i];
             if c == 0 {
                 continue;
             }
-            if doc.terms.last() == Some(&t) {
-                *doc.counts.last_mut().expect("counts tracks terms") += c;
+            if len > 0 && entries[len - 1].0 == t {
+                entries[len - 1].1 += c;
             } else {
-                doc.terms.push(t);
-                doc.counts.push(c);
+                entries[len] = (t, c);
+                len += 1;
             }
         }
-        Ok(doc)
+        let merged = &entries[..len];
+        Ok(TermCounts {
+            dim,
+            terms: exact(len, merged.iter().map(|&(t, _)| t)),
+            counts: merged.iter().map(|&(_, c)| c).collect(),
+        })
     }
 
     /// Builds a document from a dense count slice.
     pub fn from_dense(dense: &[u64]) -> Self {
-        let mut doc = TermCounts::new(dense.len());
-        for (i, &c) in dense.iter().enumerate() {
-            if c != 0 {
-                doc.terms.push(i as TermId);
-                doc.counts.push(c);
-            }
+        let nnz = dense.iter().filter(|&&c| c != 0).count();
+        let nonzero = dense.iter().enumerate().filter(|&(_, &c)| c != 0);
+        let terms = exact(nnz, nonzero.map(|(i, _)| i as TermId));
+        let counts = terms.iter().map(|&t| dense[t as usize]).collect();
+        TermCounts {
+            dim: dense.len(),
+            terms,
+            counts,
         }
-        doc
     }
 
     /// Adds `count` occurrences of `term`.
@@ -91,7 +106,9 @@ impl TermCounts {
         match self.terms.binary_search(&term) {
             Ok(pos) => self.counts[pos] += count,
             Err(pos) => {
-                self.terms.insert(pos, term);
+                let mut terms = self.terms.to_vec();
+                terms.insert(pos, term);
+                self.terms = terms.into();
                 self.counts.insert(pos, count);
             }
         }
@@ -130,6 +147,12 @@ impl TermCounts {
     /// Iterates over `(term, count)` pairs in increasing term order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, u64)> + '_ {
         self.terms.iter().copied().zip(self.counts.iter().copied())
+    }
+
+    /// The term ids, in increasing order, as the array the document
+    /// shares.
+    pub(crate) fn shared_terms(&self) -> &Arc<[TermId]> {
+        &self.terms
     }
 
     /// Converts the raw counts to a sparse `f64` vector (no weighting).
@@ -255,7 +278,7 @@ impl Extend<TermCounts> for Corpus {
 impl TermCounts {
     /// Builds a document from wire arrays, re-validating the constructor
     /// invariants ([`check_wire_terms`], counts non-zero).
-    fn from_wire(dim: usize, terms: Vec<TermId>, counts: Vec<u64>) -> Result<Self, String> {
+    fn from_wire(dim: usize, terms: Arc<[TermId]>, counts: Vec<u64>) -> Result<Self, String> {
         check_wire_terms("TermCounts", dim, &terms, counts.len())?;
         if counts.contains(&0) {
             return Err("TermCounts stores a zero count".to_string());
@@ -279,15 +302,27 @@ impl Corpus {
     }
 }
 
+// Written out, not derived, because the vendored serde has no `Arc`
+// impl: the object a derive would emit, field for field.
+impl Serialize for TermCounts {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("dim".to_string(), self.dim.to_value()),
+            ("terms".to_string(), self.terms.to_value()),
+            ("counts".to_string(), self.counts.to_value()),
+        ])
+    }
+}
+
 // Deserialization is implemented by hand (not derived) so JSON input is
 // held to the same invariants as binary input — the derive would accept
 // any field values, and `document_frequencies` indexes by term unchecked.
 impl Deserialize for TermCounts {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let dim = usize::from_value(v.get_field("dim")?)?;
-        let terms = Vec::from_value(v.get_field("terms")?)?;
+        let terms: Vec<TermId> = Vec::from_value(v.get_field("terms")?)?;
         let counts = Vec::from_value(v.get_field("counts")?)?;
-        TermCounts::from_wire(dim, terms, counts).map_err(serde::Error)
+        TermCounts::from_wire(dim, terms.into(), counts).map_err(serde::Error)
     }
 }
 
@@ -410,6 +445,17 @@ mod tests {
         let docs: Vec<TermCounts> = c.into_iter().collect();
         assert_eq!(docs.len(), 3);
         assert_eq!(docs[2].count(2), 2);
+    }
+
+    #[test]
+    fn json_bytes_are_the_derived_ones() {
+        let mut c = Corpus::new(4);
+        c.push(TermCounts::from_pairs(4, [(3, 2), (1, 1)]).unwrap());
+        c.push(TermCounts::new(4));
+        assert_eq!(
+            serde_json::to_string(&c).unwrap(),
+            r#"{"dim":4,"docs":[{"dim":4,"terms":[1,3],"counts":[1,2]},{"dim":4,"terms":[],"counts":[]}]}"#
+        );
     }
 
     #[test]

@@ -1,31 +1,12 @@
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::fmt;
 use std::sync::Arc;
 
 use serde::Serialize;
 
 use crate::shard::by_score_desc;
 use crate::{DocId, IrError, SharedVec, SparseVec, TermId};
-
-/// A value the index holds by reference for one document: it keeps an
-/// [`Arc`] to the value and reads its vector whenever it scores or
-/// compacts the document, so an owner that stores the vector anyway —
-/// a signature database — shares that one allocation with the index
-/// instead of handing it a copy.
-pub trait IndexedVector: fmt::Debug + Send + Sync {
-    /// The vector as inserted; the index normalises it as it reads.
-    fn vector(&self) -> &SparseVec;
-}
-
-impl IndexedVector for SparseVec {
-    fn vector(&self) -> &SparseVec {
-        self
-    }
-}
-
-/// A document's vector as the index holds it: a handle its owner shares.
-pub(crate) type VectorHandle = Arc<dyn IndexedVector>;
 
 /// One result of a similarity search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -278,9 +259,10 @@ impl SearchScratch {
 ///
 /// # Storage layout
 ///
-/// Every document has one *row*: the vector it was inserted with, held
-/// by [`Arc`] (an [`IndexedVector`] the caller may share), and the factor
-/// that normalises it. Postings live in one flat CSR-style *segment* —
+/// Every document has one *row*: the vector it was inserted with (a
+/// clone, which shares the caller's arrays — see [`SparseVec`]), and the
+/// factor that normalises it; a row reaches its arrays in one hop.
+/// Postings live in one flat CSR-style *segment* —
 /// `offsets[t]..offsets[t+1]` delimits term `t`'s `(docs, weights)`
 /// parallel arrays — so a query's accumulation streams contiguous memory
 /// with u32 doc ids (12 bytes per posting instead of a pointer-chased
@@ -324,20 +306,20 @@ pub struct InvertedIndex {
     dead_unpurged: usize,
 }
 
-/// One document's row: its vector, shared with whoever inserted it, and
-/// the factor that turns the vector's values into stored weights
-/// ([`SparseVec::l2_unit_factor`]).
+/// One document's row: its vector, whose arrays it shares with whoever
+/// inserted it, and the factor that turns the vector's values into
+/// stored weights ([`SparseVec::l2_unit_factor`]).
 #[derive(Debug, Clone)]
 struct Row {
-    vector: VectorHandle,
+    vector: SparseVec,
     factor: f64,
 }
 
 impl Row {
     /// Checks the vector's dimension and computes its factor.
-    fn new(dim: usize, vector: VectorHandle) -> Result<Self, IrError> {
-        check_dim(dim, vector.vector())?;
-        let factor = vector.vector().l2_unit_factor();
+    fn new(dim: usize, vector: SparseVec) -> Result<Self, IrError> {
+        check_dim(dim, &vector)?;
+        let factor = vector.l2_unit_factor();
         Ok(Row { vector, factor })
     }
 
@@ -345,7 +327,7 @@ impl Row {
     /// meeting an infinite or `NaN` norm: the vector indexes nothing,
     /// and its values are never multiplied.
     fn indexed(&self) -> Option<&SparseVec> {
-        (self.factor != 0.0).then(|| self.vector.vector())
+        (self.factor != 0.0).then_some(&self.vector)
     }
 
     /// `Σ q_t · (x_t · factor)` over the terms the row shares with the
@@ -487,8 +469,9 @@ impl InvertedIndex {
 
     /// Builds a fully compacted index in one pass over the doc-id space
     /// `0..slots.len()`: slot `d` is the live doc `d`'s vector, or
-    /// `None` for a tombstoned slot (which indexes nothing). The index
-    /// holds each vector by the handle it is given, never a copy.
+    /// `None` for a tombstoned slot (which indexes nothing). A slot's
+    /// vector may be owned, borrowed or behind an `Arc`: its row holds a
+    /// clone, which shares the vector's arrays.
     ///
     /// Vectors are L2-normalised exactly as [`insert`](Self::insert)
     /// does, so the result equals — buffer for buffer, bit for bit — an
@@ -500,14 +483,15 @@ impl InvertedIndex {
     ///
     /// Returns [`IrError::DimensionMismatch`] when a vector's dimension
     /// differs from `dim`.
-    pub fn from_slots<V: IndexedVector + 'static>(
+    pub fn from_slots<V: Borrow<SparseVec>>(
         dim: usize,
-        slots: impl IntoIterator<Item = Option<Arc<V>>>,
+        slots: impl IntoIterator<Item = Option<V>>,
     ) -> Result<Self, IrError> {
         let slots = slots.into_iter();
         let mut rows = Vec::with_capacity(slots.size_hint().0);
         for slot in slots {
-            rows.push(slot.map(|vector| Row::new(dim, vector)).transpose()?);
+            let row = slot.map(|vector| Row::new(dim, vector.borrow().clone()));
+            rows.push(row.transpose()?);
         }
         debug_assert!(rows.len() <= u32::MAX as usize, "doc ids are stored as u32");
         let removed: Vec<bool> = rows.iter().map(Option::is_none).collect();
@@ -536,12 +520,6 @@ impl InvertedIndex {
     /// Returns [`IrError::DimensionMismatch`] when the vector dimension
     /// differs from the index dimension.
     pub fn insert(&mut self, vector: SparseVec) -> Result<DocId, IrError> {
-        self.insert_shared(Arc::new(vector))
-    }
-
-    /// [`insert`](Self::insert), holding `vector` by the handle it is
-    /// given: the index copies none of its values.
-    pub(crate) fn insert_shared(&mut self, vector: VectorHandle) -> Result<DocId, IrError> {
         let row = Row::new(self.dim, vector)?;
         let id = self.num_docs;
         debug_assert!(id <= u32::MAX as usize, "doc ids are stored as u32");
@@ -592,16 +570,15 @@ impl InvertedIndex {
         self.num_docs - self.num_removed
     }
 
-    /// The vector live doc `doc` was inserted with: the handle's own
-    /// allocation, not a copy.
+    /// The vector live doc `doc` was inserted with: its arrays are the
+    /// inserted vector's own, not a copy.
     #[doc(hidden)]
     pub fn vector(&self, doc: DocId) -> Option<&SparseVec> {
         let flat = &self.flat.rows;
         let row = flat
             .get(doc)
             .map_or_else(|| self.tail.get(doc - flat.len()), Option::as_ref);
-        row.filter(|_| self.is_live(doc))
-            .map(|row| row.vector.vector())
+        row.filter(|_| self.is_live(doc)).map(|row| &row.vector)
     }
 
     /// Replaces the flat segment with one over every doc — or, to
@@ -1066,14 +1043,6 @@ mod tests {
         SparseVec::from_pairs(8, pairs.iter().copied()).unwrap()
     }
 
-    /// Slots as `from_slots` takes them: each vector behind its own handle.
-    fn shared(slots: &[Option<&SparseVec>]) -> Vec<Option<Arc<SparseVec>>> {
-        slots
-            .iter()
-            .map(|v| v.map(|v| Arc::new(v.clone())))
-            .collect()
-    }
-
     fn sample_index() -> InvertedIndex {
         let mut idx = InvertedIndex::new(8);
         idx.insert(vec8(&[(0, 1.0), (1, 1.0)])).unwrap(); // doc 0
@@ -1515,7 +1484,7 @@ mod tests {
             )
         );
         assert_eq!(a.removed, b.removed);
-        let key = |row: &Row| (row.vector.vector().clone(), row.factor.to_bits());
+        let key = |row: &Row| (row.vector.clone(), row.factor.to_bits());
         assert!(a.tail.iter().map(key).eq(b.tail.iter().map(key)));
         let (a, b) = (&a.flat, &b.flat);
         let rows = |flat: &FlatPostings| {
@@ -1570,12 +1539,10 @@ mod tests {
                 .zip(&dead)
                 .map(|(v, &dead)| (!dead).then_some(v))
                 .collect();
-            let built = InvertedIndex::from_slots(dim, shared(&slots)).unwrap();
+            let built = InvertedIndex::from_slots(dim, slots).unwrap();
             assert_same_index(&built, &looped);
         }
-        assert!(
-            InvertedIndex::from_slots(dim, [Some(Arc::new(SparseVec::zeros(dim + 1)))]).is_err()
-        );
+        assert!(InvertedIndex::from_slots(dim, [Some(SparseVec::zeros(dim + 1))]).is_err());
     }
 
     #[test]
@@ -1583,7 +1550,7 @@ mod tests {
         let dim = 32u32;
         let docs = banded_corpus(200, dim);
         let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
-        let mut idx = InvertedIndex::from_slots(dim as usize, shared(&slots)).unwrap();
+        let mut idx = InvertedIndex::from_slots(dim as usize, slots).unwrap();
         let held = idx.clone();
         let q = &docs[9];
         let before = held.search(q, 5).unwrap();
@@ -1601,16 +1568,18 @@ mod tests {
 
     #[test]
     fn compaction_and_purge_leave_every_row_in_place() {
-        let handles: Vec<Arc<SparseVec>> =
-            banded_corpus(300, 32).into_iter().map(Arc::new).collect();
+        let vectors = banded_corpus(300, 32);
         let mut idx = InvertedIndex::new(32);
         let in_place = |idx: &InvertedIndex| {
             let live = (0..idx.len()).filter(|&d| idx.is_live(d));
-            live.into_iter()
-                .all(|d| std::ptr::eq(idx.vector(d).unwrap(), &*handles[d]))
+            live.into_iter().all(|d| {
+                let row = idx.vector(d).unwrap();
+                std::ptr::eq(row.terms(), vectors[d].terms())
+                    && std::ptr::eq(row.values(), vectors[d].values())
+            })
         };
-        for h in &handles {
-            idx.insert_shared(h.clone()).unwrap();
+        for v in &vectors {
+            idx.insert(v.clone()).unwrap();
         }
         assert!(idx.flat.rows.len() > 200, "the tail was compacted");
         assert!(in_place(&idx));
@@ -1623,9 +1592,9 @@ mod tests {
         idx.optimize();
         assert!(idx.tail.is_empty());
         assert!(in_place(&idx));
-        // A purged row lets go of its vector; a live one holds it.
-        assert_eq!(Arc::strong_count(&handles[0]), 1);
-        assert_eq!(Arc::strong_count(&handles[1]), 2);
+        // A purged row lets go of its arrays; a live one holds them.
+        assert_eq!(vectors[0].holders(), (1, 1));
+        assert_eq!(vectors[1].holders(), (2, 2));
     }
 
     #[test]
@@ -1679,7 +1648,7 @@ mod tests {
         let slots: Vec<Option<&SparseVec>> = (0..300)
             .map(|i| idx.is_live(i).then_some(&docs[i]))
             .collect();
-        let mut idx = InvertedIndex::from_slots(dim as usize, shared(&slots)).unwrap();
+        let mut idx = InvertedIndex::from_slots(dim as usize, slots).unwrap();
         assert_bounds_match_reference(&idx);
         // Fresh tail inserts leave the flat bounds untouched.
         idx.insert(docs[0].clone()).unwrap();
@@ -1693,7 +1662,7 @@ mod tests {
         let dim = 64u32;
         let slots = banded_corpus(400, dim);
         let slots: Vec<Option<&SparseVec>> = slots.iter().map(Some).collect();
-        let idx = InvertedIndex::from_slots(dim as usize, shared(&slots)).unwrap();
+        let idx = InvertedIndex::from_slots(dim as usize, slots).unwrap();
         assert_pruned_matches_exhaustive(&idx, dim);
     }
 
@@ -1760,7 +1729,7 @@ mod tests {
         let mut docs = vec![unit(0.8, -0.3), unit(0.45, 0.3)];
         docs.extend((0..200).map(|i| unit(0.0, 0.01 + i as f64 * 0.001)));
         let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
-        let idx = InvertedIndex::from_slots(8, shared(&slots)).unwrap();
+        let idx = InvertedIndex::from_slots(8, slots).unwrap();
         let q = vec8(&[(0, 1.0), (1, 1.0)]);
         let mut scratch = SearchScratch::new();
         let hits = idx.search_with(&q, 1, &mut scratch).unwrap();
@@ -1812,7 +1781,7 @@ mod tests {
         };
         let docs: Vec<SparseVec> = (0..8).map(doc).collect();
         let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
-        let idx = InvertedIndex::from_slots(64, shared(&slots)).unwrap();
+        let idx = InvertedIndex::from_slots(64, slots).unwrap();
         let mut scratch = SearchScratch::new();
         let exhaustive = idx.search_exhaustive(&docs[3], 5, &mut scratch).unwrap();
         let hits = idx.search_with(&docs[3], 5, &mut scratch).unwrap();
@@ -1863,7 +1832,7 @@ mod tests {
         let mut compacted = looped.clone();
         compacted.optimize();
         let slots: Vec<Option<&SparseVec>> = docs.iter().map(Some).collect();
-        let built = InvertedIndex::from_slots(8, shared(&slots)).unwrap();
+        let built = InvertedIndex::from_slots(8, slots).unwrap();
         let q = vec8(&[(0, 1.0), (1, 1.0)]);
         let mut scratch = SearchScratch::new();
         for idx in [&looped, &compacted, &built] {

@@ -76,7 +76,7 @@ pub use distance::{
 pub use error::IrError;
 #[doc(hidden)]
 pub use index::QuantizationMode;
-pub use index::{IndexedVector, InvertedIndex, SearchHit, SearchScratch, SearchStats};
+pub use index::{InvertedIndex, SearchHit, SearchScratch, SearchStats};
 pub use matrix::CsrMatrix;
 pub use shard::{merge_topk, search_sharded, Shard, ShardRouter};
 pub use shared::SharedVec;

@@ -14,11 +14,10 @@
 //! the shard-local term bounds are just the flat bounds restricted to
 //! the shard's postings, so pruning stays sound per shard.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::sync::Arc;
 
-use crate::index::VectorHandle;
-use crate::{DocId, IndexedVector, InvertedIndex, IrError, SearchHit, SearchScratch, SparseVec};
+use crate::{DocId, InvertedIndex, IrError, SearchHit, SearchScratch, SparseVec};
 
 /// Deterministic round-robin doc→shard router.
 ///
@@ -73,10 +72,10 @@ impl ShardRouter {
 }
 
 /// One shard of a sharded corpus: its own [`InvertedIndex`] (postings
-/// and max-impact bounds over shard-local ids, rows held by the handles
-/// they were given). Cloning a shard shares the index's flat segment
-/// and tail rows (see [`InvertedIndex`]'s storage layout), so a clone
-/// costs the tombstone flags, not the postings.
+/// and max-impact bounds over shard-local ids, rows sharing the arrays
+/// of the vectors they were given). Cloning a shard shares the index's
+/// flat segment and tail rows (see [`InvertedIndex`]'s storage layout),
+/// so a clone costs the tombstone flags, not the postings.
 ///
 /// All public entry points speak *global* doc ids; the shard translates
 /// through its [`ShardRouter`] internally and rejects misrouted ids.
@@ -111,11 +110,11 @@ impl Shard {
     /// # Panics
     ///
     /// Panics when `shard` is out of range for the router.
-    pub fn from_slots<V: IndexedVector + 'static>(
+    pub fn from_slots<V: Borrow<SparseVec>>(
         shard: usize,
         router: ShardRouter,
         dim: usize,
-        slots: impl IntoIterator<Item = Option<Arc<V>>>,
+        slots: impl IntoIterator<Item = Option<V>>,
     ) -> Result<Self, IrError> {
         assert!(
             shard < router.num_shards(),
@@ -153,21 +152,26 @@ impl Shard {
 
     /// Indexes `vector` as global doc `global`, which must be the next
     /// id the router assigns to this shard (sequential global inserts
-    /// keep every shard's local id space dense automatically). The index
-    /// holds the handle, not a copy of the vector.
+    /// keep every shard's local id space dense automatically). The row
+    /// holds a clone of `vector` (owned, borrowed or behind an `Arc`),
+    /// which shares its arrays.
     ///
     /// # Errors
     ///
     /// Returns [`IrError::DocNotLive`] when `global` is misrouted (wrong
     /// shard) or out of order, and [`IrError::DimensionMismatch`] on a
     /// vector dimension mismatch.
-    pub fn insert(&mut self, global: DocId, vector: VectorHandle) -> Result<DocId, IrError> {
+    pub fn insert(
+        &mut self,
+        global: DocId,
+        vector: impl Borrow<SparseVec>,
+    ) -> Result<DocId, IrError> {
         if self.router.shard_of(global) != self.shard
             || self.router.local_of(global) != self.index.len()
         {
             return Err(IrError::DocNotLive(global));
         }
-        let local = self.index.insert_shared(vector)?;
+        let local = self.index.insert(vector.borrow().clone())?;
         debug_assert_eq!(local, self.router.local_of(global));
         Ok(global)
     }
@@ -325,9 +329,7 @@ mod tests {
             .map(|s| Shard::new(s, router, dim))
             .collect();
         for (d, v) in docs.iter().enumerate() {
-            shards[router.shard_of(d)]
-                .insert(d, Arc::new(v.clone()))
-                .unwrap();
+            shards[router.shard_of(d)].insert(d, v.clone()).unwrap();
         }
         shards
     }
@@ -419,7 +421,7 @@ mod tests {
     fn insert_rejects_misrouted_and_disordered_ids() {
         let router = ShardRouter::new(2);
         let mut shard = Shard::new(0, router, 4);
-        let v = Arc::new(SparseVec::from_pairs(4, [(0, 1.0)]).unwrap());
+        let v = SparseVec::from_pairs(4, [(0, 1.0)]).unwrap();
         // Doc 1 belongs to shard 1.
         assert_eq!(shard.insert(1, v.clone()), Err(IrError::DocNotLive(1)));
         // Doc 2 is not the next local slot (doc 0 first).
@@ -427,10 +429,7 @@ mod tests {
         shard.insert(0, v.clone()).unwrap();
         assert_eq!(shard.insert(2, v.clone()).unwrap(), 2);
         assert!(shard.insert(0, v.clone()).is_err(), "no re-insert");
-        assert!(
-            shard.insert(4, Arc::new(SparseVec::zeros(5))).is_err(),
-            "wrong dim"
-        );
+        assert!(shard.insert(4, SparseVec::zeros(5)).is_err(), "wrong dim");
         assert_eq!(shard.len(), 2);
         assert_eq!(shard.live_len(), 2);
         assert!(shard.is_live(0) && shard.is_live(2));
@@ -450,7 +449,7 @@ mod tests {
             .map(|s| {
                 let slots = (s..docs.len())
                     .step_by(2)
-                    .map(|d| (d != 4).then(|| Arc::new(docs[d].clone())));
+                    .map(|d| (d != 4).then(|| &docs[d]));
                 Shard::from_slots(s, router, dim, slots).unwrap()
             })
             .collect();
@@ -463,7 +462,7 @@ mod tests {
             let got = search_sharded(&built, q, 8, &mut scratch).unwrap();
             assert_eq!(got, expected);
         }
-        let bad = Arc::new(SparseVec::zeros(dim + 1));
+        let bad = SparseVec::zeros(dim + 1);
         assert!(Shard::from_slots(0, router, dim, [Some(bad)]).is_err());
     }
 

@@ -56,8 +56,8 @@ impl<T> SharedVec<T> {
         self.push_shared(Arc::new(value));
     }
 
-    /// Appends an element someone else may hold too.
-    pub fn push_shared(&mut self, value: Arc<T>) {
+    /// Appends an element a clone may hold too.
+    fn push_shared(&mut self, value: Arc<T>) {
         match self.chunks.last_mut() {
             Some(last) if last.len() < CHUNK => Arc::make_mut(last).push(value),
             _ => {
@@ -73,15 +73,6 @@ impl<T> SharedVec<T> {
     pub fn get(&self, index: usize) -> Option<&T> {
         let chunk = self.chunks.get(index / CHUNK)?;
         chunk.get(index % CHUNK).map(|e| &**e)
-    }
-
-    /// The element at `index` as the [`Arc`] every clone shares.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index` is out of range.
-    pub fn shared(&self, index: usize) -> &Arc<T> {
-        &self.chunks[index / CHUNK][index % CHUNK]
     }
 
     /// Iterates over the elements in order.
@@ -129,7 +120,7 @@ impl<T> std::ops::Index<usize> for SharedVec<T> {
     type Output = T;
 
     fn index(&self, index: usize) -> &T {
-        self.shared(index)
+        &self.chunks[index / CHUNK][index % CHUNK]
     }
 }
 

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -14,6 +15,15 @@ use crate::{IrError, TermId};
 /// `v_j = [w_1j, ..., w_Nj]`: the `N` distinct kernel functions induce the
 /// orthonormal basis and each stored entry is one non-zero coordinate.
 ///
+/// The two arrays are reference-counted and never written after
+/// construction: a clone costs two reference counts, and a vector derived
+/// on the same terms ([`scaled`](Self::scaled),
+/// [`l2_normalized`](Self::l2_normalized), a tf-idf transform) shares the
+/// terms array. The constructors a stored vector comes from
+/// ([`from_pairs`](Self::from_pairs), [`from_dense`](Self::from_dense),
+/// `FromIterator`, [`scaled`](Self::scaled), a tf-idf transform) allocate
+/// each array once, at its final length; an empty array allocates nothing.
+///
 /// # Examples
 ///
 /// ```
@@ -25,11 +35,27 @@ use crate::{IrError, TermId};
 /// assert_eq!(v.get(5), 4.0);
 /// assert_eq!(v.get(2), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseVec {
     dim: usize,
-    terms: Vec<TermId>,
-    values: Vec<f64>,
+    terms: Arc<[TermId]>,
+    values: Arc<[f64]>,
+}
+
+/// The first `len` items of `items` in one allocation of exactly that
+/// length (a mapped range has a trusted length, so `collect` sizes the
+/// block up front); no allocation at all when `len` is zero.
+///
+/// # Panics
+///
+/// Panics when `items` yields fewer than `len` items.
+pub(crate) fn exact<T>(len: usize, mut items: impl Iterator<Item = T>) -> Arc<[T]> {
+    if len == 0 {
+        return Arc::default();
+    }
+    (0..len)
+        .map(|_| items.next().expect("the caller counted the items"))
+        .collect()
 }
 
 impl SparseVec {
@@ -37,8 +63,7 @@ impl SparseVec {
     pub fn zeros(dim: usize) -> Self {
         SparseVec {
             dim,
-            terms: Vec::new(),
-            values: Vec::new(),
+            ..SparseVec::default()
         }
     }
 
@@ -61,36 +86,37 @@ impl SparseVec {
             }
         }
         entries.sort_unstable_by_key(|&(t, _)| t);
-        // Single pass: merge duplicate terms as they stream by and evict an
-        // entry the moment its accumulated value is (or cancels to) zero.
-        let mut terms: Vec<TermId> = Vec::with_capacity(entries.len());
-        let mut values: Vec<f64> = Vec::with_capacity(entries.len());
-        for (t, v) in entries {
-            if terms.last() == Some(&t) {
-                let last = values.last_mut().expect("values tracks terms");
+        // Single pass, in place: merge duplicate terms as they stream by
+        // and evict an entry the moment its accumulated value is (or
+        // cancels to) zero. `len <= i`, so no unread entry is overwritten.
+        let mut len = 0;
+        for i in 0..entries.len() {
+            let (t, v) = entries[i];
+            if len > 0 && entries[len - 1].0 == t {
+                let last = &mut entries[len - 1].1;
                 *last += v;
                 if *last == 0.0 {
-                    terms.pop();
-                    values.pop();
+                    len -= 1;
                 }
             } else if v != 0.0 {
-                terms.push(t);
-                values.push(v);
+                entries[len] = (t, v);
+                len += 1;
             }
         }
-        Ok(SparseVec { dim, terms, values })
+        let merged = &entries[..len];
+        Ok(SparseVec {
+            dim,
+            terms: exact(len, merged.iter().map(|&(t, _)| t)),
+            values: exact(len, merged.iter().map(|&(_, v)| v)),
+        })
     }
 
     /// Builds a vector from a dense slice, storing only non-zero entries.
     pub fn from_dense(dense: &[f64]) -> Self {
-        let mut terms = Vec::new();
-        let mut values = Vec::new();
-        for (i, &v) in dense.iter().enumerate() {
-            if v != 0.0 {
-                terms.push(i as TermId);
-                values.push(v);
-            }
-        }
+        let nnz = dense.iter().filter(|&&v| v != 0.0).count();
+        let nonzero = dense.iter().enumerate().filter(|&(_, &v)| v != 0.0);
+        let terms = exact(nnz, nonzero.map(|(i, _)| i as TermId));
+        let values = exact(nnz, terms.iter().map(|&t| dense[t as usize]));
         SparseVec {
             dim: dense.len(),
             terms,
@@ -214,8 +240,8 @@ impl SparseVec {
         }
         SparseVec {
             dim: self.dim,
-            terms: self.terms.clone(),
-            values: self.values.iter().map(|v| v * factor).collect(),
+            terms: Arc::clone(&self.terms),
+            values: exact(self.nnz(), self.values.iter().map(|v| v * factor)),
         }
     }
 
@@ -292,9 +318,18 @@ impl SparseVec {
         }
         Ok(SparseVec {
             dim: self.dim,
-            terms,
-            values,
+            terms: terms.into(),
+            values: values.into(),
         })
+    }
+
+    /// How many vectors hold each array: `(terms, values)`.
+    #[cfg(test)]
+    pub(crate) fn holders(&self) -> (usize, usize) {
+        (
+            Arc::strong_count(&self.terms),
+            Arc::strong_count(&self.values),
+        )
     }
 
     pub(crate) fn check_dim(&self, other: &SparseVec) -> Result<(), IrError> {
@@ -362,19 +397,35 @@ impl SparseVec {
         if values.contains(&0.0) {
             return Err("SparseVec stores a zero value".to_string());
         }
-        Ok(SparseVec { dim, terms, values })
+        Ok(SparseVec {
+            dim,
+            terms: terms.into(),
+            values: values.into(),
+        })
     }
 
     /// Internal constructor for callers that guarantee the storage
     /// invariants by construction, skipping the sort and merge of
     /// [`from_pairs`](Self::from_pairs). Debug builds still verify.
-    pub(crate) fn from_parts_trusted(dim: usize, terms: Vec<TermId>, values: Vec<f64>) -> Self {
+    pub(crate) fn from_parts_trusted(dim: usize, terms: Arc<[TermId]>, values: Arc<[f64]>) -> Self {
         debug_assert!(
             check_wire_terms("SparseVec", dim, &terms, values.len()).is_ok()
                 && !values.contains(&0.0),
             "trusted SparseVec parts violate the storage invariants"
         );
         SparseVec { dim, terms, values }
+    }
+}
+
+// Written out, not derived, because the vendored serde has no `Arc`
+// impl: the object a derive would emit, field for field.
+impl Serialize for SparseVec {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("dim".to_string(), self.dim.to_value()),
+            ("terms".to_string(), self.terms.to_value()),
+            ("values".to_string(), self.values.to_value()),
+        ])
     }
 }
 
@@ -533,6 +584,19 @@ mod tests {
         let s: SparseVec = [(2u32, 1.0), (9u32, 2.0)].into_iter().collect();
         assert_eq!(s.dim(), 10);
         assert_eq!(s.nnz(), 2);
+    }
+
+    #[test]
+    fn json_bytes_are_the_derived_ones() {
+        let a = SparseVec::from_pairs(12, [(7, -2.0), (1, 1.5)]).unwrap();
+        assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            r#"{"dim":12,"terms":[1,7],"values":[1.5,-2.0]}"#
+        );
+        assert_eq!(
+            serde_json::to_string(&SparseVec::zeros(3)).unwrap(),
+            r#"{"dim":3,"terms":[],"values":[]}"#
+        );
     }
 
     #[test]

@@ -3,6 +3,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::codec;
+use crate::sparse::exact;
 use crate::{Corpus, IrError, SparseVec, TermCounts, TermId};
 
 /// Term-frequency flavour used when weighting a document.
@@ -73,31 +74,57 @@ impl TfIdfWeights {
     /// Transforms one document into its tf-idf weight vector — the one
     /// body behind [`TfIdfModel::transform`], which documents it.
     ///
+    /// The vector shares the document's term array when no weight is
+    /// zero; otherwise it gets its own, of the non-zero terms. A first
+    /// pass counts the zero weights, so each array is allocated once, at
+    /// its final length.
+    ///
     /// # Panics
     ///
-    /// Panics if the document's dimension differs from the model's.
+    /// Panics if the document's dimension differs from the model's;
+    /// [`try_transform`](Self::try_transform) returns that as an error.
     pub fn transform(&self, doc: &TermCounts) -> SparseVec {
-        assert_eq!(
-            doc.dim(),
-            self.dim,
-            "document dimension {} does not match model dimension {}",
-            doc.dim(),
-            self.dim
-        );
-        let mut terms = Vec::with_capacity(doc.distinct_terms());
-        let mut values = Vec::with_capacity(doc.distinct_terms());
-        // `TermCounts` iterates in ascending term order with no
-        // duplicates, so what is pushed is sorted for free: the layout
-        // invariants of a `SparseVec` hold by construction.
-        let total = doc.total();
-        for (t, n) in doc.iter() {
-            let w = self.weight(n, total) * self.idf[t as usize];
-            if w != 0.0 {
-                terms.push(t);
-                values.push(w);
-            }
+        self.try_transform(doc).unwrap_or_else(|_| {
+            panic!(
+                "document dimension {} does not match model dimension {}",
+                doc.dim(),
+                self.dim
+            )
+        })
+    }
+
+    /// [`transform`](Self::transform) for a document from outside: one of
+    /// another dimension is an error, not a panic.
+    ///
+    /// # Errors
+    ///
+    /// [`IrError::DimensionMismatch`] (model's dimension, document's) if
+    /// the dimensions differ.
+    pub fn try_transform(&self, doc: &TermCounts) -> Result<SparseVec, IrError> {
+        if doc.dim() != self.dim {
+            return Err(IrError::DimensionMismatch {
+                left: self.dim,
+                right: doc.dim(),
+            });
         }
-        SparseVec::from_parts_trusted(self.dim, terms, values)
+        let total = doc.total();
+        // `TermCounts` iterates in ascending term order with no
+        // duplicates, so the weights come out sorted: the layout
+        // invariants of a `SparseVec` hold by construction.
+        let weighted = || {
+            doc.iter()
+                .map(move |(t, n)| (t, self.weight(n, total) * self.idf[t as usize]))
+        };
+        let nnz = weighted().filter(|&(_, w)| w != 0.0).count();
+        if nnz == doc.distinct_terms() {
+            let values = exact(nnz, weighted().map(|(_, w)| w));
+            let terms = Arc::clone(doc.shared_terms());
+            return Ok(SparseVec::from_parts_trusted(self.dim, terms, values));
+        }
+        let nonzero = || weighted().filter(|&(_, w)| w != 0.0);
+        let terms = exact(nnz, nonzero().map(|(t, _)| t));
+        let values = exact(nnz, nonzero().map(|(_, w)| w));
+        Ok(SparseVec::from_parts_trusted(self.dim, terms, values))
     }
 
     /// The configured tf scheme applied to one raw count.
@@ -596,7 +623,7 @@ impl codec::BinCodec for TfIdfModel {
     fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
         let dim = r.get_usize()?;
         let num_docs = r.get_usize()?;
-        let doc_freq = r.get_u32s()?;
+        let doc_freq: Vec<u32> = r.get_u32s()?;
         let idf = r.get_f64s()?;
         let options = TfIdfOptions::decode_bin(r)?;
         TfIdfModel::from_wire(dim, num_docs, doc_freq, idf, options).map_err(codec::CodecError::new)
@@ -746,6 +773,15 @@ mod tests {
     fn transform_rejects_wrong_dim() {
         let m = TfIdfModel::fit(&sample_corpus()).unwrap();
         m.transform(&TermCounts::new(5));
+    }
+
+    #[test]
+    fn try_transform_returns_the_mismatch() {
+        let m = TfIdfModel::fit(&sample_corpus()).unwrap();
+        let err = m.weights().try_transform(&TermCounts::new(5)).unwrap_err();
+        assert_eq!(err, IrError::DimensionMismatch { left: 4, right: 5 });
+        let doc = sample_corpus().doc(0).unwrap().clone();
+        assert_eq!(m.weights().try_transform(&doc), Ok(m.transform(&doc)));
     }
 
     #[test]
