@@ -1092,19 +1092,20 @@ impl SignatureDb {
         crate::persist::save(self, writer)
     }
 
-    /// Loads a database previously written by [`save`](Self::save) —
-    /// by *any* release: the reader detects the format version (the
-    /// pre-envelope bare JSON counts as version 0), decodes the
-    /// sections that version has, and fills in what it could not carry.
-    /// A database saved by version N−1 code therefore loads on version
-    /// N with search/classify behaviour identical to the state it was
-    /// saved in.
+    /// Loads a database previously written by [`save`](Self::save) in
+    /// any format from [`persist::OLDEST_FORMAT_VERSION`] on: the reader
+    /// detects the format version, decodes the sections that version
+    /// has, and fills in what it could not carry. A database saved by
+    /// version N−1 code therefore loads on version N with search/classify
+    /// behaviour identical to the state it was saved in.
     ///
     /// # Errors
     ///
     /// Propagates I/O and deserialisation failures; returns
-    /// [`FmeterError::UnsupportedFormat`] when the file was written by
-    /// a *newer* format than this build understands.
+    /// [`FmeterError::UnsupportedFormat`] when the file was written in a
+    /// format this build does not read, older or newer.
+    ///
+    /// [`persist::OLDEST_FORMAT_VERSION`]: crate::persist::OLDEST_FORMAT_VERSION
     pub fn load<R: Read>(mut reader: R) -> Result<Self, FmeterError> {
         let mut bytes = Vec::new();
         reader.read_to_end(&mut bytes)?;

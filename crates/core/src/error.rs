@@ -34,7 +34,8 @@ pub enum FmeterError {
         got: u64,
     },
     /// A persisted database names a format version this build does not
-    /// know how to read or write (e.g. written by a newer release; see
+    /// read: one written by a newer release, or one so old its reader is
+    /// gone (see
     /// [`persist::FORMAT_VERSIONS`](crate::persist::FORMAT_VERSIONS)).
     UnsupportedFormat {
         /// The version tag found in (or requested for) the file.
@@ -62,7 +63,8 @@ impl fmt::Display for FmeterError {
             ),
             FmeterError::UnsupportedFormat { found, supported } => write!(
                 f,
-                "unsupported database format version {found} (this build supports up to {supported})"
+                "unsupported database format version {found} (this build reads v{} to v{supported})",
+                crate::persist::OLDEST_FORMAT_VERSION
             ),
         }
     }

@@ -13,12 +13,14 @@
 //!   before parsing a byte of payload;
 //! * there is **one writer**: `save` emits format
 //!   [`CURRENT_FORMAT_VERSION`] and nothing else;
-//! * every historical layout has an entry in [`FORMAT_VERSIONS`] and a
-//!   committed, immutable fixture under `tests/fixtures/`; `load`
-//!   reads each of them in **one hop** — sections decode by their codec
-//!   tag straight into their types, and what an old version could not
-//!   carry is filled in by the `legacy` submodule (which also adopts the
-//!   magic-less bare JSON of pre-envelope releases, format version 0);
+//! * every layout this build reads, v5 to v9, has an entry in
+//!   [`FORMAT_VERSIONS`] and a committed, immutable fixture under
+//!   `tests/fixtures/`; `load` reads each of them in **one hop** —
+//!   sections decode straight into their types, the envelope's version
+//!   picking the fixed-width decoders of v5–v8 (see
+//!   [`fmeter_ir::codec::Width`]), and what an older version could not
+//!   carry is filled in by the `legacy` submodule. Older saves are
+//!   refused with an error that names their version;
 //! * a **signature is stored once**, as its raw counts in the `corpus`
 //!   section; the `signatures` section keeps each slot's label and
 //!   interval and no vector. The tf-idf vectors are a function of the
@@ -32,28 +34,28 @@
 //! # Envelope layout
 //!
 //! ```text
-//! FMETERDB 8\n                                   ← magic + format version
-//! {"format_version":8,"sections":[["model",N],…],"crc32":[…],"codec":["bin",…]}\n
+//! FMETERDB 9\n                                   ← magic + format version
+//! {"format_version":9,"sections":[["model",N],…],"crc32":[…],"codec":["bin",…]}\n
 //! <model bytes><corpus bytes><signatures bytes><state bytes><sharding bytes>
 //! ```
 //!
 //! The table carries each section's byte length, so a reader can skip,
 //! split, or stream sections without parsing them, and sections are
-//! looked up by *name*. One CRC32 per section (since v4) is verified
-//! *before* any payload parses, so a torn or bit-flipped save fails with
-//! a precise [`FmeterError::CorruptEnvelope`] instead of a parse error
-//! deep inside a section. One codec tag per section (since v5) says how
-//! the payload is encoded: `"bin"` payloads (model, corpus, signatures)
-//! use the length-prefixed little-endian codec of [`fmeter_ir::codec`],
-//! the small operator-inspectable `state` and `sharding` sections are
-//! `"json"`. The byte-level wire format per section is documented in
-//! `docs/PERSISTENCE.md`, next to what each older version lacked.
+//! looked up by *name*. One CRC32 per section is verified *before* any
+//! payload parses, so a torn or bit-flipped save fails with a precise
+//! [`FmeterError::CorruptEnvelope`] instead of a parse error deep inside
+//! a section. One codec tag per section says how the payload is encoded:
+//! `"bin"` payloads (model, corpus, signatures) use the varint codec of
+//! [`fmeter_ir::codec`], the small operator-inspectable `state` and
+//! `sharding` sections are `"json"`. The byte-level wire format per
+//! section is documented in `docs/PERSISTENCE.md`, next to what each
+//! older version lacked.
 
 mod legacy;
 
 use std::io::Write;
 
-use fmeter_ir::codec::{self, decode_from_slice, BinCodec, CodecError, Reader};
+use fmeter_ir::codec::{self, decode_all, BinCodec, CodecError, Reader, Width};
 use fmeter_ir::{Corpus, SharedVec, TermCounts, TfIdfModel};
 use fmeter_kernel_sim::Nanos;
 use serde::{Deserialize, Serialize, Value};
@@ -61,12 +63,14 @@ use serde::{Deserialize, Serialize, Value};
 use crate::db::build_shards;
 use crate::{FmeterError, RefitPolicy, Signature, SignatureDb, VacuumPolicy};
 
-/// First bytes of every enveloped save. A file that does not start with
-/// this is treated as format version 0 (pre-envelope bare JSON).
+/// First bytes of every enveloped save.
 pub(crate) const MAGIC: &str = "FMETERDB";
 
 /// The format version [`SignatureDb::save`] writes.
-pub const CURRENT_FORMAT_VERSION: u32 = 8;
+pub const CURRENT_FORMAT_VERSION: u32 = 9;
+
+/// The oldest format version this build reads.
+pub const OLDEST_FORMAT_VERSION: u32 = FORMAT_VERSIONS[0].version;
 
 /// The most shards a layout may have. A stored shard count is input from
 /// outside and every shard costs the loader `dim`-sized arrays, so a
@@ -93,38 +97,14 @@ pub struct FormatVersion {
     pub summary: &'static str,
 }
 
-/// Every on-disk layout ever written, oldest first. Each entry is
+/// Every on-disk layout this build reads, oldest first. Each entry is
 /// locked in by a committed fixture under `tests/fixtures/`; changing
 /// the serialized layout requires appending a new entry here, teaching
 /// the loader what the previous version lacked, and a new fixture — the
-/// `persistence_formats` integration test fails otherwise.
+/// `persistence_formats` integration test fails otherwise. (v0, bare
+/// JSON, and the enveloped v1–v4, whose sections were all JSON, are no
+/// longer read.)
 pub const FORMAT_VERSIONS: &[FormatVersion] = &[
-    FormatVersion {
-        version: 0,
-        summary: "bare unversioned JSON of the whole database struct (pre-envelope \
-                  releases); detected by the absence of the magic",
-    },
-    FormatVersion {
-        version: 1,
-        summary: "first enveloped layout: model / corpus / signatures / index / state \
-                  sections, state carrying the incremental-ingest epoch bookkeeping \
-                  (live set, per-doc epochs, refit policy, mutation counter)",
-    },
-    FormatVersion {
-        version: 2,
-        summary: "state section gains the vacuum policy and the lifetime vacuum counter",
-    },
-    FormatVersion {
-        version: 3,
-        summary: "new `sharding` section carrying the SignatureService shard layout \
-                  (shard count); every other section is unchanged",
-    },
-    FormatVersion {
-        version: 4,
-        summary: "the envelope header gains a `crc32` array (one checksum per \
-                  section, parallel to the section table), verified on load before \
-                  any payload is parsed; section payloads are byte-identical to v3",
-    },
     FormatVersion {
         version: 5,
         summary: "the header gains a `codec` array tagging each section `json` or \
@@ -154,6 +134,14 @@ pub const FORMAT_VERSIONS: &[FormatVersion] = &[
                   that described the stored vectors; the model, corpus and sharding \
                   sections are byte-identical to v7",
     },
+    FormatVersion {
+        version: 9,
+        summary: "every integer of the binary sections is a varint: the corpus \
+                  documents store their terms as gaps from the previous term, the \
+                  model its document frequencies, the signatures their lengths and \
+                  timestamps that way; each idf stays its 8 bytes, and the state \
+                  and sharding sections and the header are unchanged",
+    },
 ];
 
 const SEC_MODEL: &str = "model";
@@ -165,11 +153,10 @@ const SEC_SHARDING: &str = "sharding";
 /// How one envelope section's payload bytes are encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SectionCodec {
-    /// A self-contained JSON document (every section before v5; the
-    /// small `state` / `sharding` sections in v5 and later).
+    /// A self-contained JSON document (the small `state` / `sharding`
+    /// sections).
     Json,
-    /// The length-prefixed little-endian codec of [`fmeter_ir::codec`]
-    /// (the heavy sections in v5 and later).
+    /// The binary codec of [`fmeter_ir::codec`] (the heavy sections).
     Binary,
 }
 
@@ -194,18 +181,18 @@ impl SectionCodec {
 /// The section table line that follows the magic line — read back by
 /// [`split_envelope`], filled in section by section by [`save`].
 ///
-/// Deserialization is hand-written (not derived) because `crc32` and
-/// `codec` are *optional on read*: headers written before v4 / v5 do
-/// not carry the fields and must keep parsing (they read back empty),
-/// while the vendored derive treats every named field as required.
+/// Deserialization is hand-written (not derived) so that a header that
+/// lost its `crc32` or `codec` array still parses, to fail
+/// [`split_envelope`]'s count check by name, where the vendored derive
+/// would report a missing field.
 #[derive(Debug, Default, Serialize)]
 struct EnvelopeHeader {
     format_version: u32,
     /// `(section name, payload length in bytes)` in payload order.
     sections: Vec<(String, usize)>,
-    /// One CRC32 per section, parallel to `sections` (v4 and later).
+    /// One CRC32 per section, parallel to `sections`.
     crc32: Vec<u32>,
-    /// One codec tag per section, parallel to `sections` (v5 and later).
+    /// One codec tag per section, parallel to `sections`.
     codec: Vec<String>,
 }
 
@@ -273,8 +260,7 @@ struct Sharding {
 type Slot = (Option<String>, Nanos, Nanos);
 
 /// Everything a save carries, decoded but not yet cross-checked — what
-/// both the envelope reader and the version-0 reader hand to
-/// [`assemble`].
+/// the envelope reader hands to [`assemble`].
 struct Parts {
     model: TfIdfModel,
     corpus: Corpus,
@@ -299,12 +285,12 @@ fn persist_err(context: &str, e: impl std::fmt::Display) -> FmeterError {
 /// Propagates I/O and serialisation failures.
 pub(crate) fn save<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterError> {
     // The sections are encoded back to back into one buffer, sized up
-    // front: 12 bytes per stored count and per term of the model, and per
-    // slot the fixed fields of its `corpus`, `signatures` and `state`
-    // records (55 bytes) with room for a label — an over-long one costs
-    // a regrowth, nothing else.
-    let counts: usize = db.corpus.iter().map(TermCounts::distinct_terms).sum();
-    let mut body = Vec::with_capacity(12 * (counts + db.dim()) + 96 * db.num_slots() + 512);
+    // front: what the counts encode to, 13 bytes per term of the model
+    // (a document frequency and an idf) and per slot room for its
+    // `signatures` and `state` records with a short label — an over-long
+    // one costs a regrowth, nothing else.
+    let corpus: usize = db.corpus.iter().map(TermCounts::encoded_len).sum();
+    let mut body = Vec::with_capacity(corpus + 13 * db.dim() + 64 * db.num_slots() + 512);
     let mut header = EnvelopeHeader {
         format_version: CURRENT_FORMAT_VERSION,
         ..EnvelopeHeader::default()
@@ -316,8 +302,8 @@ pub(crate) fn save<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterEr
     codec::put_usize(&mut body, db.signatures.len());
     for signature in db.signatures.iter() {
         codec::put_opt_str(&mut body, signature.label.as_deref());
-        codec::put_u64(&mut body, signature.started_at.0);
-        codec::put_u64(&mut body, signature.ended_at.0);
+        codec::put_var(&mut body, signature.started_at.0);
+        codec::put_var(&mut body, signature.ended_at.0);
     }
     header.close_section(SEC_SIGNATURES, SectionCodec::Binary, &body);
     let state = State {
@@ -358,7 +344,13 @@ fn parse_magic_line(bytes: &[u8]) -> Result<(u32, &[u8]), FmeterError> {
     let rest = bytes
         .strip_prefix(MAGIC.as_bytes())
         .and_then(|t| t.strip_prefix(b" "))
-        .ok_or_else(|| FmeterError::Persist("missing FMETERDB magic".to_string()))?;
+        .ok_or_else(|| {
+            FmeterError::Persist(
+                "missing FMETERDB magic: not a database, or a pre-envelope (format v0) \
+                 save, which this build no longer reads"
+                    .to_string(),
+            )
+        })?;
     let nl = rest
         .iter()
         .position(|&b| b == b'\n')
@@ -372,9 +364,8 @@ fn parse_magic_line(bytes: &[u8]) -> Result<(u32, &[u8]), FmeterError> {
 }
 
 /// Peeks at serialized bytes and reports the on-disk format version:
-/// `Some(v)` for an enveloped save, `None` when the bytes carry no
-/// well-formed magic line (i.e. a candidate version-0 bare-JSON save —
-/// or not a database at all, which only a full `load` can tell).
+/// `Some(v)` for an enveloped save (of any version, readable or not),
+/// `None` when the bytes carry no well-formed magic line.
 pub fn detect_format_version(bytes: &[u8]) -> Option<u32> {
     parse_magic_line(bytes).ok().map(|(version, _)| version)
 }
@@ -385,8 +376,7 @@ pub fn detect_format_version(bytes: &[u8]) -> Option<u32> {
 pub struct RawSection<'a> {
     /// Section name from the table.
     pub name: String,
-    /// How [`payload`](Self::payload) is encoded. Headers before v5
-    /// carry no codec tags; their sections are implicitly JSON.
+    /// How [`payload`](Self::payload) is encoded.
     pub codec: SectionCodec,
     /// The payload bytes, exactly as stored (checksum-verified): a slice
     /// of the envelope they were split from.
@@ -400,35 +390,39 @@ pub struct RawSection<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`FmeterError::Persist`] when the bytes are not a
-/// well-formed envelope (version-0 saves have no envelope to split) and
-/// [`FmeterError::CorruptEnvelope`] when a section is shorter than the
-/// table declares (truncated / mid-write file) or fails its v4
-/// checksum.
+/// Returns [`FmeterError::UnsupportedFormat`] for a version outside
+/// [`OLDEST_FORMAT_VERSION`]..=[`CURRENT_FORMAT_VERSION`],
+/// [`FmeterError::Persist`] when the bytes are not a well-formed
+/// envelope and [`FmeterError::CorruptEnvelope`] when a section is
+/// shorter than the table declares (truncated / mid-write file) or fails
+/// its checksum.
 pub fn split_envelope(bytes: &[u8]) -> Result<(u32, Vec<RawSection<'_>>), FmeterError> {
     let (version, header, body) = parse_envelope_frame(bytes)?;
-    // `codec` is optional only for pre-v5 headers (all-JSON layouts); a
-    // v5+ header without it cannot say how to parse its payloads, and
-    // fails the count check like any other header short of tags.
-    let codecs: Vec<SectionCodec> = if header.codec.is_empty() && version < 5 {
-        vec![SectionCodec::Json; header.sections.len()]
-    } else {
-        if header.codec.len() != header.sections.len() {
+    if !(OLDEST_FORMAT_VERSION..=CURRENT_FORMAT_VERSION).contains(&version) {
+        return Err(FmeterError::UnsupportedFormat {
+            found: version,
+            supported: CURRENT_FORMAT_VERSION,
+        });
+    }
+    // A header without one checksum and one codec tag per section has
+    // lost data (or was tampered with): loading it would mean skipping
+    // verification, or guessing how to parse a payload.
+    let n = header.sections.len();
+    for (what, count) in [
+        ("checksums", header.crc32.len()),
+        ("codec tags", header.codec.len()),
+    ] {
+        if count != n {
             return Err(FmeterError::Persist(format!(
-                "header carries {} codec tags for {} sections",
-                header.codec.len(),
-                header.sections.len()
+                "header carries {count} {what} for {n} sections"
             )));
         }
-        let codec = |t: &String| {
-            SectionCodec::from_tag(t)
-                .ok_or_else(|| FmeterError::Persist(format!("unknown section codec tag `{t}`")))
-        };
-        header.codec.iter().map(codec).collect::<Result<_, _>>()?
-    };
+    }
     let mut offset = 0usize;
-    let mut sections = Vec::with_capacity(header.sections.len());
-    for ((name, len), codec) in header.sections.into_iter().zip(codecs) {
+    let mut sections = Vec::with_capacity(n);
+    for ((name, len), tag) in header.sections.into_iter().zip(&header.codec) {
+        let codec = SectionCodec::from_tag(tag)
+            .ok_or_else(|| FmeterError::Persist(format!("unknown section codec tag `{tag}`")))?;
         // A section that overruns the file is the signature of a save
         // truncated mid-write (or of a table length no file could
         // hold): report exactly which section came up short and by how
@@ -454,27 +448,14 @@ pub fn split_envelope(bytes: &[u8]) -> Result<(u32, Vec<RawSection<'_>>), Fmeter
             body.len() - offset
         )));
     }
-    // `crc32` is optional only for pre-v4 headers; a v4+ header without
-    // it has lost data (or was tampered with) — loading it would mean
-    // silently skipping checksum verification, so it fails the count
-    // check instead.
-    if version >= 4 || !header.crc32.is_empty() {
-        if header.crc32.len() != sections.len() {
-            return Err(FmeterError::Persist(format!(
-                "header carries {} checksums for {} sections",
-                header.crc32.len(),
-                sections.len()
-            )));
-        }
-        for (section, &stored) in sections.iter().zip(&header.crc32) {
-            let computed = crate::wal::crc32(section.payload);
-            if computed != stored {
-                return Err(FmeterError::CorruptEnvelope {
-                    section: section.name.clone(),
-                    expected: u64::from(stored),
-                    got: u64::from(computed),
-                });
-            }
+    for (section, &stored) in sections.iter().zip(&header.crc32) {
+        let computed = crate::wal::crc32(section.payload);
+        if computed != stored {
+            return Err(FmeterError::CorruptEnvelope {
+                section: section.name.clone(),
+                expected: u64::from(stored),
+                got: u64::from(computed),
+            });
         }
     }
     Ok((version, sections))
@@ -501,13 +482,22 @@ fn parse_envelope_frame(bytes: &[u8]) -> Result<(u32, EnvelopeHeader, &[u8]), Fm
     Ok((version, header, &rest[nl + 1..]))
 }
 
-/// Decodes a section by its codec tag, straight into its type.
-fn decode_section<T: Deserialize + BinCodec>(section: &RawSection<'_>) -> Result<T, FmeterError> {
-    match section.codec {
-        SectionCodec::Binary => decode_from_slice(section.payload)
-            .map_err(|e| persist_err(&format!("section `{}`", section.name), e)),
-        SectionCodec::Json => json_section(section),
+/// A reader over a binary section's payload, whose integers are laid out
+/// as `width`.
+fn binary_reader<'a>(section: &RawSection<'a>, width: Width) -> Result<Reader<'a>, FmeterError> {
+    if section.codec != SectionCodec::Binary {
+        return Err(FmeterError::Persist(format!(
+            "section `{}` is JSON but a binary decoder was asked for it",
+            section.name
+        )));
     }
+    Ok(Reader::with_width(section.payload, width))
+}
+
+/// Decodes a binary section whose integers are laid out as `width`.
+fn binary_section<T: BinCodec>(section: &RawSection<'_>, width: Width) -> Result<T, FmeterError> {
+    decode_all(binary_reader(section, width)?)
+        .map_err(|e| persist_err(&format!("section `{}`", section.name), e))
 }
 
 /// Decodes a section that is JSON in every version that has it.
@@ -527,54 +517,56 @@ fn json_section<T: Deserialize>(section: &RawSection<'_>) -> Result<T, FmeterErr
 /// `record` per slot.
 fn decode_slots(
     section: &RawSection<'_>,
+    width: Width,
     record: impl Fn(&mut Reader<'_>) -> Result<Slot, CodecError>,
 ) -> Result<Vec<Slot>, FmeterError> {
-    let mut r = Reader::new(section.payload);
-    // No record is shorter than an absent label and two timestamps.
-    r.array_len(17)
+    let mut r = binary_reader(section, width)?;
+    // No record is shorter than an absent label and two one-byte
+    // timestamps.
+    r.array_len(3)
         .and_then(|count| (0..count).map(|_| record(&mut r)).collect())
         .and_then(|slots| r.finish().map(|()| slots))
         .map_err(|e| persist_err(&format!("section `{}`", section.name), e))
 }
 
-/// The record of a current-version `signatures` section.
+/// The record of a v8 or v9 `signatures` section.
 fn decode_slot(r: &mut Reader<'_>) -> Result<Slot, CodecError> {
     Ok((r.get_opt_str()?, Nanos(r.get_u64()?), Nanos(r.get_u64()?)))
 }
 
-/// Reads an enveloped save of any supported version in one hop.
+/// Reads an enveloped save of any supported version in one hop. The
+/// version picks the integer width of the binary sections: fixed before
+/// v9, varints since.
 fn read_envelope(bytes: &[u8]) -> Result<Parts, FmeterError> {
     let (version, sections) = split_envelope(bytes)?;
-    if version == 0 || version > CURRENT_FORMAT_VERSION {
-        return Err(FmeterError::UnsupportedFormat {
-            found: version,
-            supported: CURRENT_FORMAT_VERSION,
-        });
-    }
     let section = |name: &str| {
         sections
             .iter()
             .find(|s| s.name == name)
             .ok_or_else(|| FmeterError::Persist(format!("envelope is missing section `{name}`")))
     };
-    let (slots, state, num_shards) = if version == CURRENT_FORMAT_VERSION {
-        let sharding: Sharding = json_section(section(SEC_SHARDING)?)?;
+    let width = if version < 9 {
+        Width::Fixed
+    } else {
+        Width::Varint
+    };
+    let (slots, state) = if version >= 8 {
         (
-            decode_slots(section(SEC_SIGNATURES)?, decode_slot)?,
+            decode_slots(section(SEC_SIGNATURES)?, width, decode_slot)?,
             json_section(section(SEC_STATE)?)?,
-            sharding.num_shards,
         )
     } else {
         legacy::read(version, &section)?
     };
+    let num_shards = json_section::<Sharding>(section(SEC_SHARDING)?)?.num_shards;
     if num_shards == 0 || num_shards > MAX_SHARDS {
         return Err(FmeterError::Persist(format!(
             "sharding section declares {num_shards} shards (a layout has 1 to {MAX_SHARDS})"
         )));
     }
     Ok(Parts {
-        model: decode_section(section(SEC_MODEL)?)?,
-        corpus: decode_section(section(SEC_CORPUS)?)?,
+        model: binary_section(section(SEC_MODEL)?, width)?,
+        corpus: binary_section(section(SEC_CORPUS)?, width)?,
         slots,
         state,
         num_shards,
@@ -582,23 +574,18 @@ fn read_envelope(bytes: &[u8]) -> Result<Parts, FmeterError> {
 }
 
 /// Reads a database from any supported on-disk format, in the shard
-/// layout the save carries (saves older than format v3, which could not
-/// carry one, come back as one shard): envelope saves are
-/// version-checked and read in one hop; magic-less bytes are read as
-/// the version-0 bare JSON.
+/// layout the save carries, in one hop.
 ///
 /// # Errors
 ///
-/// Returns [`FmeterError::UnsupportedFormat`] for saves from newer
-/// releases, [`FmeterError::CorruptEnvelope`] for truncated or
-/// bit-flipped sections and [`FmeterError::Persist`] for malformed or
-/// inconsistent payloads.
+/// Returns [`FmeterError::UnsupportedFormat`] for saves of a version
+/// this build does not read (older than [`OLDEST_FORMAT_VERSION`] or
+/// newer than [`CURRENT_FORMAT_VERSION`]),
+/// [`FmeterError::CorruptEnvelope`] for truncated or bit-flipped
+/// sections and [`FmeterError::Persist`] for malformed or inconsistent
+/// payloads — a missing magic line included.
 pub(crate) fn load(bytes: &[u8]) -> Result<SignatureDb, FmeterError> {
-    assemble(if bytes.starts_with(MAGIC.as_bytes()) {
-        read_envelope(bytes)?
-    } else {
-        legacy::read_bare_json(bytes)?
-    })
+    assemble(read_envelope(bytes)?)
 }
 
 /// Builds the database from its decoded parts, cross-checking them
@@ -822,12 +809,7 @@ mod tests {
             let v = spec.version;
             let db = load(&fixture(v)[..]).unwrap_or_else(|e| panic!("v{v}: {e}"));
             assert_eq!(db.num_shards(), 1, "v{v}");
-            if v < 2 {
-                assert_eq!(db.vacuum_policy(), VacuumPolicy::Never, "v{v}");
-                assert_eq!(db.vacuums(), 0, "v{v}");
-            } else {
-                assert_eq!(db.vacuum_policy(), current.vacuum_policy(), "v{v}");
-            }
+            assert_eq!(db.vacuum_policy(), current.vacuum_policy(), "v{v}");
             assert_eq!(db.num_slots(), current.num_slots(), "v{v}");
             assert_eq!(db.epoch(), current.epoch(), "v{v}");
             for d in 0..db.num_slots() {
@@ -849,15 +831,22 @@ mod tests {
     fn one_magic_line_parser_serves_detection_and_the_frame() {
         // The fresh save and every enveloped fixture: detection and the
         // frame parser read the same version off the same line.
-        let mut envelopes = vec![saved(&sample_db())];
-        envelopes.extend((1..=CURRENT_FORMAT_VERSION).map(fixture));
-        for bytes in &envelopes {
+        for bytes in &checksummed_envelopes() {
             let (version, _) = split_envelope(bytes).unwrap();
             assert_eq!(detect_format_version(bytes), Some(version));
         }
-        let v0 = fixture(0);
-        assert_eq!(detect_format_version(&v0), None, "v0 has no magic");
-        assert!(split_envelope(&v0).is_err());
+        // A version this build no longer reads is detected, and refused
+        // by the frame reader by that version; so is bare JSON, which
+        // has no magic line at all.
+        let v4 = b"FMETERDB 4\n{\"format_version\":4,\"sections\":[]}\n";
+        assert_eq!(detect_format_version(v4), Some(4));
+        assert!(matches!(
+            split_envelope(v4),
+            Err(FmeterError::UnsupportedFormat { found: 4, .. })
+        ));
+        let bare = br#"{"model":{},"corpus":{}}"#;
+        assert_eq!(detect_format_version(bare), None);
+        assert!(matches!(load(bare), Err(FmeterError::Persist(m)) if m.contains("v0")));
         // Malformed magic lines are `None` to the one and `Err` to the
         // other, never a disagreement.
         for bad in [
@@ -922,8 +911,9 @@ mod tests {
         // `offset + len` used to be computed unchecked: in a debug
         // build these bytes panicked with "attempt to add with
         // overflow" instead of naming the section.
-        let bytes = b"FMETERDB 3\n{\"format_version\":3,\"sections\":\
-                      [[\"model\",1],[\"corpus\",18446744073709551615]]}\nxy";
+        let bytes = b"FMETERDB 9\n{\"format_version\":9,\"sections\":\
+                      [[\"model\",1],[\"corpus\",18446744073709551615]],\
+                      \"crc32\":[0,0],\"codec\":[\"bin\",\"bin\"]}\nxy";
         for result in [
             SignatureDb::load(&bytes[..]).map(drop),
             split_envelope(bytes).map(drop),
@@ -943,11 +933,10 @@ mod tests {
         }
     }
 
-    /// A fresh save plus every committed fixture whose header carries
-    /// checksums (v4 and later).
+    /// A fresh save plus every committed fixture.
     fn checksummed_envelopes() -> Vec<Vec<u8>> {
         let mut envelopes = vec![saved(&sample_db())];
-        envelopes.extend((4..=CURRENT_FORMAT_VERSION).map(fixture));
+        envelopes.extend(FORMAT_VERSIONS.iter().map(|v| fixture(v.version)));
         envelopes
     }
 
@@ -1069,8 +1058,8 @@ mod tests {
         codec::put_usize(&mut short, db.num_slots() - 1);
         for signature in db.signatures.iter().skip(1) {
             codec::put_opt_str(&mut short, signature.label.as_deref());
-            codec::put_u64(&mut short, signature.started_at.0);
-            codec::put_u64(&mut short, signature.ended_at.0);
+            codec::put_var(&mut short, signature.started_at.0);
+            codec::put_var(&mut short, signature.ended_at.0);
         }
         expect_inconsistent(
             &with_section(&bytes, SEC_SIGNATURES, short),
@@ -1111,9 +1100,9 @@ mod tests {
         // payload is self-contained under its tagged codec.
         for section in &sections {
             match section.name.as_str() {
-                SEC_MODEL => drop(decode_section::<TfIdfModel>(section).unwrap()),
-                SEC_CORPUS => drop(decode_section::<Corpus>(section).unwrap()),
-                SEC_SIGNATURES => drop(decode_slots(section, decode_slot).unwrap()),
+                SEC_MODEL => drop(binary_section::<TfIdfModel>(section, Width::Varint).unwrap()),
+                SEC_CORPUS => drop(binary_section::<Corpus>(section, Width::Varint).unwrap()),
+                SEC_SIGNATURES => drop(decode_slots(section, Width::Varint, decode_slot).unwrap()),
                 _ => drop(json_section::<Value>(section).unwrap()),
             }
             let expected = match section.name.as_str() {
@@ -1142,9 +1131,8 @@ mod tests {
         let plain = SignatureDb::load(&bytes[..]).unwrap();
         assert_eq!(plain.num_shards(), 1);
         assert_equivalent(&db, &plain);
-        // Saves from releases that predate the layout come back as one
-        // shard.
-        assert_eq!(load(&fixture(2)[..]).unwrap().num_shards(), 1);
+        // The fixtures were saved flat, and come back as one shard.
+        assert_eq!(load(&fixture(5)[..]).unwrap().num_shards(), 1);
         // A zero-shard layout is rejected, not served — by either load.
         let zero = serde_json::to_string(&Sharding { num_shards: 0 }).unwrap();
         let bad = with_section(&bytes, SEC_SHARDING, zero.into_bytes());

@@ -1,7 +1,7 @@
 use fmeter_ir::codec::{self, BinCodec, CodecError, Reader};
 use fmeter_ir::{SparseVec, TermCounts};
 use fmeter_kernel_sim::Nanos;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::persist::MAX_SIGNATURE_DIM;
 
@@ -10,7 +10,7 @@ use crate::persist::MAX_SIGNATURE_DIM;
 ///
 /// This is what the paper's logging daemon writes to disk; tf-idf scores
 /// are computed later, "once an entire corpus is generated" (§3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RawSignature {
     /// Per-function call counts over the interval (dense, indexed by
     /// function id).
@@ -97,72 +97,51 @@ impl Signature {
     }
 }
 
-// Binary wire layouts (see `fmeter_ir::codec`) of the WAL's insert payloads.
+// Binary wire layout (see `fmeter_ir::codec`) of the WAL's insert payloads.
 // (A finished [`Signature`] has none: a save keeps its counts, label and
 // interval, and the vector is derived again on load — see `persist`.)
 impl RawSignature {
-    /// The `FMWAL 3` layout: the non-zero counts as the pairs a
-    /// [`TermCounts`] encodes to (`dim`, `u32[]` terms, `u64[]` counts),
-    /// the timestamps as their `u64` nanosecond counts, then the label —
-    /// so a record's length follows the non-zeros, not the dimension.
-    /// Written straight from the dense counts into room reserved once.
-    /// (Terms are `u32`s: the WAL writer refuses a signature wider than
+    /// The insert layout: the non-zero counts as the sparse pairs a
+    /// [`TermCounts`] encodes to, the timestamps as their nanosecond
+    /// counts, then the label — every integer a varint, so a record's
+    /// length follows the non-zeros, not the dimension. Written straight
+    /// from the dense counts into room reserved once for what they encode
+    /// to. (Terms are `u32`s: the WAL writer refuses a signature wider than
     /// [`MAX_SIGNATURE_DIM`] before what this wrote goes anywhere.)
     pub(crate) fn encode_sparse(&self, out: &mut Vec<u8>) {
-        let nonzero = || self.counts.iter().enumerate().filter(|(_, &c)| c != 0);
-        let nnz = nonzero().count();
-        out.reserve(12 * nnz + 64 + self.label.as_ref().map_or(0, String::len));
-        codec::put_usize(out, self.counts.len());
-        codec::put_usize(out, nnz);
-        nonzero().for_each(|(t, _)| codec::put_u32(out, t as u32));
-        codec::put_usize(out, nnz);
-        nonzero().for_each(|(_, &c)| codec::put_u64(out, c));
-        codec::put_u64(out, self.started_at.0);
-        codec::put_u64(out, self.ended_at.0);
-        codec::put_opt_str(out, self.label.as_deref());
+        let nonzero = || {
+            (0..)
+                .zip(&self.counts)
+                .filter(|(_, &c)| c != 0)
+                .map(|(t, &c)| (t, c))
+        };
+        let (nnz, pairs) = codec::pairs_len(nonzero());
+        let label = self.label.as_deref();
+        // Five varints of at most ten bytes (`dim`, `nnz`, the interval,
+        // the label's length) and the label's presence byte.
+        out.reserve(pairs + 51 + label.map_or(0, str::len));
+        codec::put_pairs(out, self.counts.len(), nnz, nonzero);
+        codec::put_var(out, self.started_at.0);
+        codec::put_var(out, self.ended_at.0);
+        codec::put_opt_str(out, label);
     }
 
     /// Reads [`encode_sparse`](Self::encode_sparse)'s layout back into
-    /// dense counts. The pairs are held to the [`TermCounts`] invariants,
-    /// and a record names its own dimension, so `max_dim` bounds it
-    /// before anything of that size is allocated.
+    /// dense counts — or, from a fixed-width reader, the `FMWAL 3` one.
+    /// The pairs are held to the [`TermCounts`] invariants, and a record
+    /// names its own dimension, so `max_dim` bounds it before anything
+    /// of that size is allocated.
     pub(crate) fn decode_sparse(r: &mut Reader<'_>, max_dim: usize) -> Result<Self, CodecError> {
         let doc = TermCounts::decode_bin(r)?;
-        check_dim(doc.dim(), max_dim)?;
+        if doc.dim() > max_dim {
+            let dim = doc.dim();
+            let msg = format!("signature dimension {dim} exceeds the {max_dim} counts it may hold");
+            return Err(CodecError::new(msg));
+        }
         let mut counts = vec![0; doc.dim()];
         for (term, count) in doc.iter() {
             counts[term as usize] = count;
         }
-        Self::decode_tail(r, counts)
-    }
-
-    /// The `FMWAL 2` layout, read only: every count of the dimension,
-    /// zeros included, then the same tail.
-    pub(crate) fn decode_dense(r: &mut Reader<'_>, max_dim: usize) -> Result<Self, CodecError> {
-        let counts = r.get_u64s()?;
-        check_dim(counts.len(), max_dim)?;
-        Self::decode_tail(r, counts)
-    }
-
-    /// A batch in either layout: a count, then that many signatures. A
-    /// record names the dimension of each signature in it, so what they
-    /// densify to is bounded *between them* before any of it is
-    /// allocated — the budget the writer holds a record to.
-    pub(crate) fn decode_batch(
-        r: &mut Reader<'_>,
-        decode: fn(&mut Reader<'_>, usize) -> Result<Self, CodecError>,
-    ) -> Result<Vec<Self>, CodecError> {
-        let mut budget = MAX_SIGNATURE_DIM;
-        let mut batch = Vec::new();
-        for _ in 0..r.array_len(1)? {
-            let raw = decode(r, budget)?;
-            budget -= raw.counts.len();
-            batch.push(raw);
-        }
-        Ok(batch)
-    }
-
-    fn decode_tail(r: &mut Reader<'_>, counts: Vec<u64>) -> Result<Self, CodecError> {
         Ok(RawSignature {
             counts,
             started_at: Nanos(r.get_u64()?),
@@ -170,15 +149,21 @@ impl RawSignature {
             label: r.get_opt_str()?,
         })
     }
-}
 
-fn check_dim(dim: usize, max_dim: usize) -> Result<(), CodecError> {
-    if dim > max_dim {
-        return Err(CodecError::new(format!(
-            "signature dimension {dim} exceeds the {max_dim} counts its record may hold"
-        )));
+    /// A batch: a count, then that many signatures. A record names the
+    /// dimension of each signature in it, so what they densify to is
+    /// bounded *between them* before any of it is allocated — the budget
+    /// the writer holds a record to.
+    pub(crate) fn decode_batch(r: &mut Reader<'_>) -> Result<Vec<Self>, CodecError> {
+        let mut budget = MAX_SIGNATURE_DIM;
+        let mut batch = Vec::new();
+        for _ in 0..r.array_len(1)? {
+            let raw = Self::decode_sparse(r, budget)?;
+            budget -= raw.counts.len();
+            batch.push(raw);
+        }
+        Ok(batch)
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -213,6 +198,9 @@ mod tests {
         r.encode_sparse(&mut bytes);
         let pairs = codec::encode_to_vec(&r.to_term_counts());
         assert_eq!(bytes[..pairs.len()], pairs[..]);
+        // The interval's two varints, the label's presence byte, length
+        // and bytes.
+        assert_eq!(bytes[pairs.len()..], [0, 100, 1, 3, b's', b'c', b'p']);
         let back = RawSignature::decode_sparse(&mut Reader::new(&bytes), 5).unwrap();
         assert_eq!(back, r);
         // One count fewer than the record names is no room for it.

@@ -28,20 +28,20 @@
 //! # WAL file layout
 //!
 //! ```text
-//! FMWAL 3 <start_seq> <contiguous:0|1>\n      ← header (fsynced at creation)
+//! FMWAL 4 <start_seq> <contiguous:0|1>\n      ← header (fsynced at creation)
 //! [len: u32 LE][seq: u64 LE][crc32: u32 LE][payload: len bytes]   ← repeated
 //! ```
 //!
 //! The payload is the binary encoding of a [`WalOp`] — a one-byte op tag,
-//! then the op's fields in the length-prefixed little-endian codec of
-//! [`fmeter_ir::codec`]; `docs/PERSISTENCE.md` has the byte layout — and
-//! the checksum covers the sequence number and the payload. An insert
-//! logs its signature's *non-zero* counts as `(term, count)` pairs, so a
-//! record's length follows what the interval touched, not the dimension.
-//! Readers also accept `FMWAL 2`, whose insert records (two older op
-//! tags) hold every count of the dimension, and `FMWAL 1`, the same
-//! framing around JSON payloads: a daemon upgraded in place replays its
-//! old log, and the next generation is written as v3. `contiguous` is 0
+//! then the op's fields in the varint codec of [`fmeter_ir::codec`];
+//! `docs/PERSISTENCE.md` has the byte layout — and the checksum covers
+//! the sequence number and the payload. An insert logs its signature's
+//! *non-zero* counts as the sparse pairs a `corpus` document is stored
+//! as, so a record's length follows what the interval touched, not the
+//! dimension. Readers also accept `FMWAL 3`, the same records with
+//! fixed-width integers: a daemon upgraded in place replays its old log,
+//! and the next generation is written as v4. A segment of any other
+//! version is refused by recovery, naming its version. `contiguous` is 0
 //! for a WAL opened after a degraded period, whose predecessor is
 //! missing acked-but-unlogged ops; recovery chains segments across a
 //! damaged checkpoint only while it is 1.
@@ -67,9 +67,9 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use fmeter_ir::codec::{self, BinCodec, CodecError, Reader};
+use fmeter_ir::codec::{self, BinCodec, CodecError, Reader, Width};
 use fmeter_ir::DocId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{persist, FmeterError, RawSignature, SignatureDb};
 
@@ -77,13 +77,14 @@ use crate::{persist, FmeterError, RawSignature, SignatureDb};
 pub(crate) const WAL_MAGIC: &str = "FMWAL";
 
 /// The WAL version this build writes: binary [`WalOp`] payloads, sparse
-/// inserts. [`read_wal`] accepts every version from `WAL_VERSION_JSON` up.
-pub const WAL_VERSION: u32 = 3;
+/// inserts, varint integers. [`read_wal`] also reads
+/// [`WAL_VERSION_FIXED`].
+pub const WAL_VERSION: u32 = 4;
 
-/// The original WAL version: identical framing, JSON payloads. Still
-/// readable (a daemon upgraded in place must replay its old log), never
-/// written.
-pub(crate) const WAL_VERSION_JSON: u32 = 1;
+/// The oldest WAL version this build reads: the same records with
+/// fixed-width integers. Still readable (a daemon upgraded in place must
+/// replay its old log), never written.
+pub const WAL_VERSION_FIXED: u32 = 3;
 
 /// Checkpoint generations kept on disk: the newest plus one fallback.
 pub(crate) const KEEP_GENERATIONS: u64 = 2;
@@ -172,7 +173,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// calls; policy-driven refits and vacuums that fire inside an insert
 /// or remove re-trigger deterministically on replay, so they are never
 /// logged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum WalOp {
     /// [`SignatureDb::insert`].
     Insert(RawSignature),
@@ -239,7 +240,7 @@ impl<'a> From<&'a WalOp> for WalOpRef<'a> {
 impl WalOpRef<'_> {
     /// WAL payload layout: a one-byte op tag, then the op's fields. The
     /// tag values are on the wire forever — never renumber, only append
-    /// (0 and 1 are taken: see the decoder).
+    /// (0 and 1 were `FMWAL 2`'s dense inserts, whose reader is gone).
     fn encode_bin(self, out: &mut Vec<u8>) {
         match self {
             WalOpRef::Insert(raw) => {
@@ -269,18 +270,12 @@ impl BinCodec for WalOp {
     }
 
     fn decode_bin(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        // Tags 0 and 1 are `FMWAL 2`'s inserts, every count of the dimension;
-        // in either layout a record holds at most `MAX_SIGNATURE_DIM` counts.
-        let (dense, sparse) = (RawSignature::decode_dense, RawSignature::decode_sparse);
-        let (max_dim, batch) = (persist::MAX_SIGNATURE_DIM, RawSignature::decode_batch);
         match r.get_u8()? {
-            0 => dense(r, max_dim).map(WalOp::Insert),
-            1 => batch(r, dense).map(WalOp::InsertBatch),
             2 => Ok(WalOp::Remove(r.get_usize()?)),
             3 => Ok(WalOp::Refit),
             4 => Ok(WalOp::Vacuum),
-            5 => sparse(r, max_dim).map(WalOp::Insert),
-            6 => batch(r, sparse).map(WalOp::InsertBatch),
+            5 => RawSignature::decode_sparse(r, persist::MAX_SIGNATURE_DIM).map(WalOp::Insert),
+            6 => RawSignature::decode_batch(r).map(WalOp::InsertBatch),
             tag => Err(CodecError::new(format!("unknown WalOp tag {tag}"))),
         }
     }
@@ -328,9 +323,11 @@ pub struct DurableOptions {
 
 impl Default for DurableOptions {
     /// Every acked op durable; checkpoint every 1024 ops or 4 MiB of
-    /// WAL, whichever comes first — normally the ops: insert records
-    /// take 12 bytes a non-zero count, so 1024 of them pass 4 MiB only
-    /// beyond some 340 non-zeros a signature.
+    /// WAL, whichever comes first. An insert record takes about two
+    /// bytes a non-zero count (2.4 on the simulated kernel's signatures,
+    /// whose counts often pass 127), so 1024 of them pass 4 MiB only
+    /// beyond some 1700 non-zeros a signature: a kernel-wide signature
+    /// of 2000 fills it after about 850 inserts.
     fn default() -> Self {
         DurableOptions {
             sync: SyncPolicy::EveryRecord,
@@ -512,8 +509,13 @@ impl fmt::Debug for WalWriter {
 /// is a *state*, not an error.
 #[derive(Debug)]
 pub struct WalSegment {
+    /// The `FMWAL` version the header names; `None` when even the header
+    /// line is torn. A version this build does not read leaves the
+    /// segment empty, and recovery refuses it by that version.
+    pub version: Option<u32>,
     /// Sequence number of the first record, from the header; `None`
-    /// when even the header line is torn.
+    /// when even the header line is torn or names a version this build
+    /// does not read.
     pub start_seq: Option<u64>,
     /// Whether this WAL directly continues the previous generation's
     /// (false after a degraded period lost ops between the two).
@@ -530,6 +532,7 @@ pub struct WalSegment {
 /// gap, or unparsable payload all end the prefix.
 pub fn read_wal(bytes: &[u8]) -> WalSegment {
     let mut seg = WalSegment {
+        version: None,
         start_seq: None,
         contiguous: true,
         records: Vec::new(),
@@ -550,9 +553,13 @@ pub fn read_wal(bytes: &[u8]) -> WalSegment {
     let (Ok(version), Ok(start_seq)) = (version.parse::<u32>(), start.parse::<u64>()) else {
         return seg;
     };
-    if !(WAL_VERSION_JSON..=WAL_VERSION).contains(&version) {
-        return seg;
-    }
+    seg.version = Some(version);
+    // The version picks the integer width of the records.
+    let width = match version {
+        WAL_VERSION => Width::Varint,
+        WAL_VERSION_FIXED => Width::Fixed,
+        _ => return seg,
+    };
     seg.start_seq = Some(start_seq);
     seg.contiguous = contig == "1";
     let mut offset = nl + 1;
@@ -577,13 +584,7 @@ pub fn read_wal(bytes: &[u8]) -> WalSegment {
         if record_crc(seq, payload) != stored_crc || seq != expected {
             return seg;
         }
-        let op = if version == WAL_VERSION_JSON {
-            let text = std::str::from_utf8(payload).ok();
-            text.and_then(|text| serde_json::from_str::<WalOp>(text).ok())
-        } else {
-            codec::decode_from_slice::<WalOp>(payload).ok()
-        };
-        let Some(op) = op else {
+        let Ok(op) = codec::decode_all::<WalOp>(Reader::with_width(payload, width)) else {
             return seg;
         };
         seg.records.push((seq, op));
@@ -826,6 +827,11 @@ impl DurableLog {
                 break;
             };
             let seg = read_wal(&wal_bytes);
+            if let Some(version) = seg.version.filter(|_| seg.start_seq.is_none()) {
+                let name = wal_name(g);
+                let msg = format!("{name} is an FMWAL {version} segment: not read by this build");
+                return Err(FmeterError::Persist(msg));
+            }
             let Some(start_seq) = seg.start_seq else {
                 report.torn_tail = true;
                 break;
@@ -1199,51 +1205,23 @@ mod tests {
     }
 
     #[test]
-    fn v1_json_wal_segments_still_replay() {
-        // A daemon upgraded in place finds the previous build's v1 WAL
-        // on disk; its JSON payloads must replay exactly.
-        let ops = [
-            WalOp::Insert(raw(1)),
-            WalOp::Remove(3),
-            WalOp::Refit,
-            WalOp::InsertBatch(vec![raw(2), raw(3)]),
-            WalOp::Vacuum,
-        ];
-        let mut bytes = format!("{WAL_MAGIC} {WAL_VERSION_JSON} 4 0\n").into_bytes();
-        for (i, op) in ops.iter().enumerate() {
-            let seq = 4 + i as u64;
-            let payload = serde_json::to_string(op).unwrap().into_bytes();
-            let crc = record_crc(seq, &payload);
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&seq.to_le_bytes());
-            bytes.extend_from_slice(&crc.to_le_bytes());
-            bytes.extend_from_slice(&payload);
-        }
-        let seg = read_wal(&bytes);
-        assert_eq!(seg.start_seq, Some(4));
-        assert!(!seg.contiguous);
-        assert!(!seg.torn);
-        assert_eq!(seg.records.len(), ops.len());
-        for ((_, got), want) in seg.records.iter().zip(ops.iter()) {
-            assert_eq!(got, want);
-        }
-        // A binary payload inside a v1 file is *not* silently accepted:
-        // the JSON decode fails and replay stops cleanly there.
-        let mut mixed = format!("{WAL_MAGIC} {WAL_VERSION_JSON} 1 1\n").into_bytes();
-        mixed.extend_from_slice(&encode_record(1, &WalOp::Refit));
-        let seg = read_wal(&mixed);
-        assert!(seg.torn);
-        assert!(seg.records.is_empty());
-    }
-
-    #[test]
     fn unknown_wal_versions_are_ignored() {
-        for version in [0, WAL_VERSION + 1] {
+        // Closed versions (`FMWAL 1`'s JSON records, `FMWAL 2`'s dense
+        // inserts) and unknown ones alike: the header is read, the
+        // segment is empty, and recovery refuses it by its version.
+        for version in [0, 1, 2, WAL_VERSION + 1] {
             let bytes = format!("{WAL_MAGIC} {version} 1 1\n").into_bytes();
-            let seg = read_wal(&bytes);
+            let seg = read_wal(&[bytes, encode_record(1, &WalOp::Refit)].concat());
+            assert_eq!(seg.version, Some(version));
             assert_eq!(seg.start_seq, None);
-            assert!(seg.torn);
+            assert!(seg.torn && seg.records.is_empty());
         }
+        let dir = test_dir("closed-wal");
+        drop(create(&dir, base_db(), manual()).unwrap());
+        fs::write(dir.join(wal_name(1)), b"FMWAL 2 1 1\n").unwrap();
+        let err = recover(&dir).unwrap_err().to_string();
+        assert!(err.contains("FMWAL 2 segment"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1261,17 +1239,22 @@ mod tests {
                 ..raw(0).with_label("workload")
             }
         };
+        // 61 gaps and 61 counts below 128, a byte each; `dim` and `nnz`,
+        // the interval (0 to 50 ns) and the label's presence and length
+        // bytes.
         let frame = RECORD_HEADER_BYTES + 1; // + the op tag
-        let pairs = 8 + (8 + 4 * 61) + (8 + 8 * 61); // dim, terms, counts
-        let tail = 8 + 8 + (1 + 8 + "workload".len()); // interval, label
-        assert_eq!(frame + pairs + tail, 806);
-        for dim in [1_000, 100_000] {
-            assert_eq!(encode_record(1, &WalOp::Insert(sig(dim))).len(), 806);
+        let pairs = |dim: u64| codec::var_len(dim) + 1 + 2 * 61;
+        let tail = 1 + 1 + (1 + 1 + "workload".len());
+        assert_eq!(frame + pairs(1_000) + tail, 154);
+        for dim in [1_000, 10_000] {
+            assert_eq!(encode_record(1, &WalOp::Insert(sig(dim))).len(), 154);
         }
+        // A dimension past 2^14 takes a third byte to say.
+        assert_eq!(encode_record(1, &WalOp::Insert(sig(100_000))).len(), 155);
         let batch = WalOp::InsertBatch(vec![sig(1_000), sig(100_000)]);
         assert_eq!(
             encode_record(1, &batch).len(),
-            frame + 8 + 2 * (pairs + tail)
+            frame + 1 + pairs(1_000) + pairs(100_000) + 2 * tail
         );
     }
 
@@ -1316,7 +1299,10 @@ mod tests {
             counts: vec![0],
             ..raw(0).with_label("")
         };
-        let overhead = encode_record(1, &WalOp::Insert(empty.clone())).len() - RECORD_HEADER_BYTES;
+        // The label's length takes one byte when empty and four at
+        // 64 MiB.
+        let overhead =
+            encode_record(1, &WalOp::Insert(empty.clone())).len() - RECORD_HEADER_BYTES + 3;
         let mut label = "x".repeat(MAX_RECORD_BYTES as usize - overhead);
         let op = WalOp::Insert(empty.clone().with_label(label.clone()));
         assert_eq!(w.append(&op).unwrap(), 1);
@@ -1338,7 +1324,7 @@ mod tests {
         );
         let op = WalOp::InsertBatch(vec![zeros(max / 2), zeros(max / 2)]);
         assert_eq!(w.append(&op).unwrap(), 2);
-        let bytes = [b"FMWAL 3 2 1\n".to_vec(), encode_record(2, &op)].concat();
+        let bytes = [b"FMWAL 4 2 1\n".to_vec(), encode_record(2, &op)].concat();
         assert_eq!(read_wal(&bytes).records, [(2, op)]);
     }
 

@@ -118,17 +118,17 @@ fn save(db: &SignatureDb) -> Vec<u8> {
     bytes
 }
 
-/// The all-JSON v4 fixture and the binary v5 fixture hold the same
+/// The fixed-width v5 fixture and the varint v9 fixture hold the same
 /// canonical database: loaded and saved again they must land on the
 /// same bytes — `f64::to_bits` equality of every idf the model
-/// publishes, so the binary codec lost nothing the JSON path kept — and
-/// derive the same vectors from them.
+/// publishes, so the varint codec lost nothing the fixed-width one kept
+/// — and derive the same vectors from them.
 #[test]
-fn v4_json_and_v5_binary_fixtures_hold_the_same_bits() {
-    let from4 = SignatureDb::load(&fixture(4)[..]).expect("load v4");
+fn v5_fixed_width_and_v9_varint_fixtures_hold_the_same_bits() {
     let from5 = SignatureDb::load(&fixture(5)[..]).expect("load v5");
-    assert_eq!(save(&from4), save(&from5));
-    assert!(from4.signatures().iter().eq(from5.signatures().iter()));
+    let from9 = SignatureDb::load(&fixture(9)[..]).expect("load v9");
+    assert_eq!(save(&from5), save(&from9));
+    assert!(from5.signatures().iter().eq(from9.signatures().iter()));
 }
 
 proptest! {

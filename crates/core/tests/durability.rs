@@ -15,7 +15,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use fmeter_core::persist::{detect_format_version, split_envelope, CURRENT_FORMAT_VERSION};
+use fmeter_core::persist::{
+    detect_format_version, split_envelope, CURRENT_FORMAT_VERSION, FORMAT_VERSIONS,
+};
 use fmeter_core::wal::{crc32, WalWriter};
 use fmeter_core::{
     CheckpointPolicy, DurableLog, DurableOptions, FmeterError, RawSignature, RecoveryReport,
@@ -662,15 +664,20 @@ fn future_format_versions_are_rejected() {
     let mut bytes = Vec::new();
     seed_db().save(&mut bytes).expect("save");
     let cur = CURRENT_FORMAT_VERSION;
-    let bumped = replace_once(&bytes, format!("FMETERDB {cur}").as_bytes(), b"FMETERDB 9");
+    let next = cur + 1;
+    let bumped = replace_once(
+        &bytes,
+        format!("FMETERDB {cur}").as_bytes(),
+        format!("FMETERDB {next}").as_bytes(),
+    );
     let bumped = replace_once(
         &bumped,
         format!("\"format_version\":{cur}").as_bytes(),
-        b"\"format_version\":9",
+        format!("\"format_version\":{next}").as_bytes(),
     );
     match SignatureDb::load(&bumped[..]) {
         Err(FmeterError::UnsupportedFormat { found, supported }) => {
-            assert_eq!(found, 9);
+            assert_eq!(found, next);
             assert_eq!(supported, cur);
         }
         other => panic!("expected UnsupportedFormat, got: {other:?}"),
@@ -725,7 +732,7 @@ fn recovery_on_empty_or_partially_created_directories_fails_loudly() {
 }
 
 /// A daemon upgraded in place: the directory's checkpoint was written by
-/// an older release — every committed fixture stands in for one, v7
+/// an older release — every committed fixture stands in for one, v8
 /// being what the release before this format checkpointed — and a WAL
 /// continues it (a WAL of each older format replays to the same ops:
 /// `persistence_formats.rs`). Recovery is the fixture's
@@ -758,7 +765,7 @@ fn a_directory_checkpointed_by_an_older_release_recovers_to_the_acked_prefix() {
         "FMMANIFEST {:08x}\n{manifest_json}\n",
         crc32(manifest_json.as_bytes())
     );
-    for version in 1..=CURRENT_FORMAT_VERSION {
+    for version in FORMAT_VERSIONS.iter().map(|v| v.version) {
         let mut outcomes = Vec::new();
         for with_manifest in [false, true] {
             let dir = test_dir(&format!("upgrade-v{version}-{with_manifest}"));

@@ -3,9 +3,9 @@
 //! Every reader of bytes from outside — `SignatureDb::load`,
 //! `SignatureService::load`, `split_envelope`, `detect_format_version`,
 //! `read_wal` — is fed truncations, bit flips and garbage of every
-//! format it accepts: a fresh v8 envelope, each committed fixture
-//! (v0–v8), and `FMWAL 3` / `FMWAL 2` / `FMWAL 1` segments. The answer is
-//! always an `Err` or a clean record prefix. A panic fails the test by itself, so
+//! format it accepts: a fresh v9 envelope, each committed fixture
+//! (v5–v9), and `FMWAL 4` / `FMWAL 3` segments. The answer is always an
+//! `Err` or a clean record prefix. A panic fails the test by itself, so
 //! most of the suite only has to *call*; what more is promised (a strict
 //! truncation never loads, a damaged WAL yields a record prefix) is
 //! asserted too. Neither can a query from outside: one of another
@@ -17,14 +17,15 @@ use std::io::Write;
 use std::sync::{Arc, LazyLock, Mutex};
 
 use fmeter_core::persist::{
-    detect_format_version, split_envelope, RawSection, SectionCodec, CURRENT_FORMAT_VERSION,
-    MAX_SHARDS, MAX_SIGNATURE_DIM,
+    detect_format_version, split_envelope, RawSection, SectionCodec, FORMAT_VERSIONS, MAX_SHARDS,
+    MAX_SIGNATURE_DIM,
 };
 use fmeter_core::wal::{crc32, read_wal, SyncPolicy, WalSink, WalWriter};
 use fmeter_core::{
     AnomalyDetector, FmeterError, RawSignature, Signature, SignatureDb, SignatureService, WalOp,
 };
-use fmeter_ir::{codec, IrError, SearchScratch, TermCounts};
+use fmeter_ir::codec::{self, Reader, Width};
+use fmeter_ir::{Corpus, IrError, SearchScratch, TermCounts};
 use fmeter_kernel_sim::Nanos;
 use proptest::prelude::*;
 
@@ -55,10 +56,10 @@ fn fresh_envelope() -> Vec<u8> {
     bytes
 }
 
-/// The fresh v8 envelope and every committed fixture, v0–v8.
+/// The fresh v9 envelope and every committed fixture, v5–v9.
 static STORED_DATABASES: LazyLock<Vec<Vec<u8>>> = LazyLock::new(|| {
     let mut all = vec![fresh_envelope()];
-    all.extend((0..=CURRENT_FORMAT_VERSION).map(fixture));
+    all.extend(FORMAT_VERSIONS.iter().map(|v| fixture(v.version)));
     all
 });
 
@@ -71,15 +72,10 @@ fn feed_readers(bytes: &[u8]) -> bool {
     SignatureDb::load(bytes).is_ok()
 }
 
-/// Where the header ends: behind the second newline of an envelope; a
-/// bare-JSON save has no header, so its first 256 bytes stand in.
+/// Where the header ends: behind the second newline of an envelope.
 fn header_len(bytes: &[u8]) -> usize {
-    bytes
-        .iter()
-        .enumerate()
-        .filter(|(_, &b)| b == b'\n')
-        .nth(1)
-        .map_or(256.min(bytes.len()), |(i, _)| i + 1)
+    let mut newlines = bytes.iter().enumerate().filter(|(_, &b)| b == b'\n');
+    newlines.nth(1).expect("two header lines").0 + 1
 }
 
 #[test]
@@ -115,24 +111,48 @@ fn no_bit_flip_in_the_header_lines_panics() {
     }
 }
 
-/// Frames `sections` as an envelope of `version` with correct lengths
-/// and — where the version has them — checksums and codec tags, so the
-/// payloads get past the frame checks and into the decoders.
+#[test]
+fn closed_versions_are_errors_that_name_them() {
+    // A v4 envelope (all-JSON sections), re-framed as well as the frame
+    // allows, and a bare-JSON v0 save: `Err`s that say which version.
+    let (_, sections) = split_envelope(&STORED_DATABASES[0]).unwrap();
+    let v4 = reframe(4, &sections);
+    assert_eq!(detect_format_version(&v4), Some(4));
+    for result in [
+        SignatureDb::load(&v4[..]).map(drop),
+        SignatureService::load(&v4[..]).map(drop),
+        split_envelope(&v4).map(drop),
+    ] {
+        assert!(matches!(
+            result,
+            Err(FmeterError::UnsupportedFormat { found: 4, .. })
+        ));
+    }
+    let message = SignatureDb::load(&b"{\"model\":{}}"[..])
+        .unwrap_err()
+        .to_string();
+    assert!(message.contains("v0"), "{message}");
+    // An `FMWAL 2` segment: its header is read, and it holds no record
+    // (recovery refuses it by that version: the `wal` unit tests).
+    let v2 = segment(2, [codec::encode_to_vec(&WalOp::Refit)]);
+    let seg = read_wal(&v2);
+    assert_eq!((seg.version, seg.start_seq), (Some(2), None));
+    assert!(seg.records.is_empty() && seg.torn);
+}
+
+/// Frames `sections` as an envelope of `version` with correct lengths,
+/// checksums and codec tags, so the payloads get past the frame checks
+/// and into the decoders.
 fn reframe(version: u32, sections: &[RawSection]) -> Vec<u8> {
     let list = |item: &dyn Fn(&RawSection) -> String| -> String {
         sections.iter().map(item).collect::<Vec<_>>().join(",")
     };
     let table = list(&|s| format!("[\"{}\",{}]", s.name, s.payload.len()));
-    let mut header = format!("\"format_version\":{version},\"sections\":[{table}]");
-    if version >= 4 {
-        header += &format!(",\"crc32\":[{}]", list(&|s| crc32(s.payload).to_string()));
-    }
-    if version >= 5 {
-        header += &format!(
-            ",\"codec\":[{}]",
-            list(&|s| format!("\"{}\"", s.codec.tag()))
-        );
-    }
+    let crcs = list(&|s| crc32(s.payload).to_string());
+    let codecs = list(&|s| format!("\"{}\"", s.codec.tag()));
+    let header = format!(
+        "\"format_version\":{version},\"sections\":[{table}],\"crc32\":[{crcs}],\"codec\":[{codecs}]"
+    );
     let mut out = format!("FMETERDB {version}\n{{{header}}}\n").into_bytes();
     for section in sections {
         out.extend_from_slice(section.payload);
@@ -144,10 +164,7 @@ fn reframe(version: u32, sections: &[RawSection]) -> Vec<u8> {
 fn reframing_is_faithful() {
     // The helper above must produce what the writers produce(d), or the
     // properties below would be testing the frame checks only.
-    for bytes in STORED_DATABASES
-        .iter()
-        .filter(|b| b.starts_with(b"FMETERDB"))
-    {
+    for bytes in STORED_DATABASES.iter() {
         let (version, sections) = split_envelope(bytes).unwrap();
         assert_eq!(&reframe(version, &sections), bytes, "v{version}");
     }
@@ -169,62 +186,90 @@ fn with_section<'a>(
     sections
 }
 
-/// `json` with the first `"terms":[…]` list rewritten by `edit`.
-fn edit_first_terms(json: &str, edit: fn(&mut Vec<&str>)) -> Vec<u8> {
-    let key = "\"terms\":[";
-    let start = json.find(key).expect("a term list") + key.len();
-    let end = start + json[start..].find(']').expect("list end");
-    let mut terms: Vec<&str> = json[start..end].split(',').collect();
-    edit(&mut terms);
-    [&json[..start], &terms.join(","), &json[end..]]
-        .concat()
-        .into_bytes()
+/// Hostile varints, each standing in for one integer of a record.
+const OVERLONG: &[u8] = &[0x80, 0x00];
+const ELEVEN_BYTES: &[u8] = &[
+    0x81, 0x81, 0x81, 0x81, 0x81, 0x81, 0x81, 0x81, 0x81, 0x81, 0x01,
+];
+const PAST_U64: &[u8] = &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02];
+
+fn var(v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    codec::put_var(&mut out, v);
+    out
 }
 
+/// The integers of `doc`'s sparse pairs, one varint each: `dim`, `nnz`
+/// (index 1), the gaps (from index 2), then the counts.
+fn pair_fields(doc: &TermCounts) -> Vec<Vec<u8>> {
+    let terms: Vec<u64> = doc.iter().map(|(t, _)| u64::from(t)).collect();
+    let gaps = terms
+        .iter()
+        .scan(0, |prev, &t| Some(t - std::mem::replace(prev, t)));
+    let counts = doc.iter().map(|(_, c)| c);
+    let head = [doc.dim() as u64, terms.len() as u64];
+    head.into_iter()
+        .chain(gaps)
+        .chain(counts)
+        .map(var)
+        .collect()
+}
+
+type Lie = fn(&mut Vec<Vec<u8>>, usize);
+
+/// What a record or a `corpus` document may say about its pairs behind a
+/// checksum that holds: each rewrites the fields of [`pair_fields`] of a
+/// document with `nnz` pairs, and each is an error.
+const PAIR_LIES: [(&str, Lie); 8] = [
+    ("an overlong varint", |f, _| f[2] = OVERLONG.to_vec()),
+    ("an 11-byte varint", |f, nnz| {
+        f[2 + nnz] = ELEVEN_BYTES.to_vec()
+    }),
+    ("a tenth byte above 1", |f, _| f[0] = PAST_U64.to_vec()),
+    ("a term gap past `dim`", |f, nnz| f[1 + nnz] = var(1 << 20)),
+    ("a gap of 0 after the first term", |f, _| f[3] = var(0)),
+    ("a zero count", |f, nnz| f[2 + nnz] = var(0)),
+    ("an `nnz` past the bytes left", |f, _| f[1] = var(1 << 20)),
+    ("a gap past `u32`", |f, _| f[3] = var(1 << 32)),
+];
+
 #[test]
-fn json_vectors_that_break_the_storage_invariants_are_errors() {
-    // A JSON section must reject what the binary decoder rejects — a
-    // derived `Deserialize` would check nothing, and a live slot (slot 0
-    // of the canonical history, the first term list of its section) with
-    // a term past the dimension would index out of bounds in the model.
-    // Checked on a v2 file (all JSON, no checksums) and an envelope with
-    // a JSON-tagged section, through both loaders. That holds for the
-    // counts. The vector an old `signatures` record stores is not read
-    // at all, so the same edits there change nothing (on a v7 envelope:
-    // a v8 `signatures` section is binary or an error).
-    let (v2, v7, v8) = (fixture(2), fixture(7), fixture(CURRENT_FORMAT_VERSION));
-    let (_, v2) = split_envelope(&v2).unwrap();
-    let (_, v7) = split_envelope(&v7).unwrap();
-    let (current, v8) = split_envelope(&v8).unwrap();
-    let edits: [fn(&mut Vec<&str>); 5] = [
-        |_| (), // the control: loads
-        |t| *t.last_mut().unwrap() = "99",
-        |t| t.swap(0, 1),
-        |t| t[1] = t[0],
-        |t| t.truncate(1),
-    ];
-    for (name, version, tagged) in [("corpus", current, &v8), ("signatures", 7, &v7)] {
-        let json = &v2.iter().find(|s| s.name == name).expect("section").payload;
-        let json = std::str::from_utf8(json).expect("JSON section");
-        for (i, edit) in edits.into_iter().enumerate() {
-            let payload = edit_first_terms(json, edit);
-            for bytes in [
-                reframe(2, &with_section(&v2, name, SectionCodec::Json, &payload)),
-                reframe(
-                    version,
-                    &with_section(tagged, name, SectionCodec::Json, &payload),
-                ),
-            ] {
-                let db = SignatureDb::load(&bytes[..]).is_ok();
-                let service = SignatureService::load(&bytes[..]).is_ok();
-                let loads = i == 0 || name == "signatures";
-                assert_eq!((db, service), (loads, loads), "`{name}`, edit {i}");
-            }
-        }
+fn varint_pairs_that_pass_their_checksums_and_lie_are_errors() {
+    // Document 0 of a fresh v9 `corpus` section, re-sealed under a
+    // checksum that holds: every lie is an error from both loaders, and
+    // the same section told honestly loads.
+    let (version, sections) = split_envelope(&STORED_DATABASES[0]).unwrap();
+    let corpus = sections.iter().find(|s| s.name == "corpus").unwrap();
+    let corpus: Corpus = codec::decode_from_slice(corpus.payload).unwrap();
+    let doc = corpus.doc(0).unwrap();
+    let nnz = doc.distinct_terms();
+    assert!(nnz >= 3, "doc 0 has room for every lie");
+    let section = |fields: Vec<Vec<u8>>| {
+        let mut out = [var(corpus.dim() as u64), var(corpus.len() as u64)].concat();
+        out.extend(fields.concat());
+        corpus
+            .iter()
+            .skip(1)
+            .for_each(|d| out.extend(codec::encode_to_vec(d)));
+        out
+    };
+    let loads = |payload: &[u8]| {
+        let tagged = with_section(&sections, "corpus", SectionCodec::Binary, payload);
+        let bytes = reframe(version, &tagged);
+        let (db, service) = (
+            SignatureDb::load(&bytes[..]),
+            SignatureService::load(&bytes[..]),
+        );
+        assert_eq!(db.is_ok(), service.is_ok());
+        db.is_ok()
+    };
+    assert_eq!(section(pair_fields(doc)), codec::encode_to_vec(&corpus));
+    assert!(loads(&section(pair_fields(doc))));
+    for (what, lie) in PAIR_LIES {
+        let mut fields = pair_fields(doc);
+        lie(&mut fields, nnz);
+        assert!(!loads(&section(fields)), "{what}");
     }
-    let json = v2.iter().find(|s| s.name == "signatures").unwrap().payload;
-    let tagged = with_section(&v8, "signatures", SectionCodec::Json, json);
-    assert!(!feed_readers(&reframe(current, &tagged)));
 }
 
 #[test]
@@ -252,10 +297,10 @@ fn sections_that_pass_their_checksums_and_lie_are_errors() {
     // past, what `corpus` and `state` hold: vectors are derived slot by
     // slot from the counts, so the two must pair up.
     let signatures = sections.iter().find(|s| s.name == "signatures").unwrap();
-    let slots = u64::from_le_bytes(signatures.payload[..8].try_into().unwrap());
+    let slots = Reader::new(signatures.payload).get_u64().unwrap();
     for count in [slots - 1, slots + 1] {
         // Each record: no label, two timestamps.
-        let payload = [&count.to_le_bytes()[..], &vec![0; 17 * count as usize]].concat();
+        let payload = [var(count), vec![0; 3 * count as usize]].concat();
         let message = rejected("signatures", &payload);
         assert!(message.contains("inconsistent sections"), "{message}");
     }
@@ -302,7 +347,7 @@ fn sections_that_pass_their_checksums_and_lie_are_errors() {
     let v6 = fixture(6);
     let (_, v6_sections) = split_envelope(&v6).unwrap();
     let index = v6_sections.iter().find(|s| s.name == "index").unwrap();
-    let mut r = codec::Reader::new(index.payload);
+    let mut r = Reader::with_width(index.payload, Width::Fixed);
     let walked = (|| -> Result<(), codec::CodecError> {
         r.get_usize()?; // dim
         r.skip_array(8)?; // offsets
@@ -343,12 +388,26 @@ fn counts_that_overflow_their_total_panic_neither_load_nor_replay() {
     let stored = &STORED_DATABASES[0];
     let (version, sections) = split_envelope(stored).unwrap();
     let corpus = sections.iter().find(|s| s.name == "corpus").unwrap();
-    // dim, doc count, then doc 0: dim, terms (count + u32s), counts.
-    let terms = u64::from_le_bytes(corpus.payload[24..32].try_into().unwrap()) as usize;
-    assert!(terms >= 2, "doc 0 has two counts to inflate");
-    let counts_at = 32 + 4 * terms + 8;
-    let mut payload = corpus.payload.to_vec();
-    payload[counts_at..counts_at + 16].fill(0xFF);
+    let corpus: Corpus = codec::decode_from_slice(corpus.payload).unwrap();
+    let inflate = |(i, doc): (usize, &TermCounts)| {
+        let counts = doc
+            .iter()
+            .enumerate()
+            .map(|(k, (t, c))| (t, if k < 2 { u64::MAX } else { c }));
+        let inflated = TermCounts::from_pairs(doc.dim(), counts).unwrap();
+        if i == 0 {
+            inflated
+        } else {
+            doc.clone()
+        }
+    };
+    let corpus: Corpus = corpus.iter().enumerate().map(inflate).collect();
+    assert_eq!(
+        corpus.doc(0).unwrap().total(),
+        u64::MAX,
+        "doc 0 has two counts to inflate"
+    );
+    let payload = codec::encode_to_vec(&corpus);
     let bytes = reframe(
         version,
         &with_section(&sections, "corpus", SectionCodec::Binary, &payload),
@@ -457,26 +516,44 @@ fn segment(version: u32, payloads: impl IntoIterator<Item = Vec<u8>>) -> Vec<u8>
     bytes
 }
 
-/// An op as `FMWAL 2` logged it — nothing writes that any more: the
-/// tags this build still writes for the ops without a signature, tags 0
-/// and 1 over every count of the dimension for the inserts.
-fn dense_payload(op: &WalOp) -> Vec<u8> {
-    let dense = |out: &mut Vec<u8>, raw: &RawSignature| {
-        codec::put_u64s(out, &raw.counts);
-        codec::put_u64(out, raw.started_at.0);
-        codec::put_u64(out, raw.ended_at.0);
-        codec::put_opt_str(out, raw.label.as_deref());
+/// An op as `FMWAL 3` logged it — nothing writes that any more: the
+/// same tags and fields as now, every integer fixed-width and each
+/// insert's pairs two counted arrays, of `u32` terms and `u64` counts.
+fn fixed_payload(op: &WalOp) -> Vec<u8> {
+    let word = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
+    let insert = |out: &mut Vec<u8>, raw: &RawSignature| {
+        let doc = raw.to_term_counts();
+        word(out, doc.dim() as u64);
+        word(out, doc.distinct_terms() as u64);
+        doc.iter()
+            .for_each(|(t, _)| out.extend_from_slice(&t.to_le_bytes()));
+        word(out, doc.distinct_terms() as u64);
+        doc.iter().for_each(|(_, c)| word(out, c));
+        word(out, raw.started_at.0);
+        word(out, raw.ended_at.0);
+        match &raw.label {
+            None => out.push(0),
+            Some(label) => {
+                out.push(1);
+                word(out, label.len() as u64);
+                out.extend_from_slice(label.as_bytes());
+            }
+        }
     };
     let mut out = Vec::new();
     match op {
         WalOp::Insert(raw) => {
-            out.push(0);
-            dense(&mut out, raw);
+            out.push(5);
+            insert(&mut out, raw);
         }
         WalOp::InsertBatch(raws) => {
-            out.push(1);
-            codec::put_usize(&mut out, raws.len());
-            raws.iter().for_each(|raw| dense(&mut out, raw));
+            out.push(6);
+            word(&mut out, raws.len() as u64);
+            raws.iter().for_each(|raw| insert(&mut out, raw));
+        }
+        WalOp::Remove(doc) => {
+            out.push(2);
+            word(&mut out, *doc as u64);
         }
         other => out = codec::encode_to_vec(other),
     }
@@ -484,39 +561,36 @@ fn dense_payload(op: &WalOp) -> Vec<u8> {
 }
 
 #[test]
-fn dense_framing_is_faithful() {
-    // The helpers above must produce what the `FMWAL 2` writer produced,
+fn fixed_width_framing_is_faithful() {
+    // The helpers above must produce what the `FMWAL 3` writer produced,
     // or the properties below would be testing a format nobody wrote:
     // the committed segment of that era, replayed and framed again.
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/fixtures/wal_v2.log"
+        "/../../tests/fixtures/wal_v3.log"
     );
-    let committed = std::fs::read(path).expect("the FMWAL 2 fixture");
+    let committed = std::fs::read(path).expect("the FMWAL 3 fixture");
     let seg = read_wal(&committed);
     assert!(!seg.torn && seg.records.len() >= 5);
-    let mut again = format!("FMWAL 2 {} 1\n", seg.start_seq.unwrap()).into_bytes();
+    let mut again = format!("FMWAL 3 {} 1\n", seg.start_seq.unwrap()).into_bytes();
     for (seq, op) in &seg.records {
-        again.extend_from_slice(&framed(*seq, &dense_payload(op)));
+        again.extend_from_slice(&framed(*seq, &fixed_payload(op)));
     }
     assert!(again == committed);
 }
 
-/// The same ops as an `FMWAL 3` segment (through the real writer), as
-/// an `FMWAL 2` segment (dense insert records) and as an `FMWAL 1`
-/// segment (JSON payloads) — the older two framed by hand.
-fn wal_segments() -> [Vec<u8>; 3] {
+/// The same ops as an `FMWAL 4` segment (through the real writer) and as
+/// an `FMWAL 3` segment (fixed-width integers), the older framed by hand.
+fn wal_segments() -> [Vec<u8>; 2] {
     let sink = SharedSink::default();
     let mut writer = WalWriter::create(Box::new(sink.clone()), 4, true, SyncPolicy::EveryRecord)
         .expect("create wal");
     for op in &wal_ops() {
         writer.append(op).expect("append");
     }
-    let v3 = sink.0.lock().unwrap().clone();
-    assert!(v3.starts_with(b"FMWAL 3 "));
-    let v2 = segment(2, wal_ops().iter().map(dense_payload));
-    let json = |op: &WalOp| serde_json::to_string(op).unwrap().into_bytes();
-    [v3, v2, segment(1, wal_ops().iter().map(json))]
+    let v4 = sink.0.lock().unwrap().clone();
+    assert!(v4.starts_with(b"FMWAL 4 "));
+    [v4, segment(3, wal_ops().iter().map(fixed_payload))]
 }
 
 /// Asserts `bytes` replays to a prefix of the undamaged segment's
@@ -557,23 +631,15 @@ fn every_truncation_and_bit_flip_of_a_wal_segment_yields_a_clean_prefix() {
     }
 }
 
-/// `raw` as an `FMWAL 3` insert payload, with `lie` applied to its
-/// `(dim, terms, counts)` before they are laid out.
-fn sparse_payload(
-    raw: &RawSignature,
-    lie: impl Fn(&mut u64, &mut Vec<u32>, &mut Vec<u64>),
-) -> Vec<u8> {
-    let nonzero = || raw.counts.iter().enumerate().filter(|(_, &c)| c != 0);
-    let mut dim = raw.counts.len() as u64;
-    let mut terms: Vec<u32> = nonzero().map(|(t, _)| t as u32).collect();
-    let mut counts: Vec<u64> = nonzero().map(|(_, &c)| c).collect();
-    lie(&mut dim, &mut terms, &mut counts);
-    let mut out = vec![5];
-    codec::put_u64(&mut out, dim);
-    codec::put_u32s(&mut out, &terms);
-    codec::put_u64s(&mut out, &counts);
-    codec::put_u64(&mut out, raw.started_at.0);
-    codec::put_u64(&mut out, raw.ended_at.0);
+/// `raw` as an `FMWAL 4` insert payload, its pairs laid out from the
+/// fields of [`pair_fields`] after `lie` rewrote them.
+fn insert_payload(raw: &RawSignature, lie: impl Fn(&mut Vec<Vec<u8>>, usize)) -> Vec<u8> {
+    let doc = raw.to_term_counts();
+    let mut fields = pair_fields(&doc);
+    lie(&mut fields, doc.distinct_terms());
+    let mut out = [vec![5], fields.concat()].concat();
+    codec::put_var(&mut out, raw.started_at.0);
+    codec::put_var(&mut out, raw.ended_at.0);
     codec::put_opt_str(&mut out, raw.label.as_deref());
     out
 }
@@ -587,56 +653,51 @@ fn sparse_records_that_pass_their_checksums_and_lie_end_the_clean_prefix() {
     // allocation of what a length field claims.
     let honest = WalOp::Insert(raw(1));
     let replayed = |payload: Vec<u8>| {
-        let seg = read_wal(&segment(3, [codec::encode_to_vec(&honest), payload]));
+        let seg = read_wal(&segment(4, [codec::encode_to_vec(&honest), payload]));
         assert!(seg.records.len() <= 2 && seg.records[0] == (4, honest.clone()));
         (seg.records.len() == 2, seg.torn)
     };
     // The layout above is the writer's, so the lies below are only lies.
-    let control = sparse_payload(&raw(1), |_, _, _| ());
+    let control = insert_payload(&raw(1), |_, _| ());
     assert_eq!(control, codec::encode_to_vec(&honest));
     assert_eq!(replayed(control), (true, false));
-    type Lie = fn(&mut u64, &mut Vec<u32>, &mut Vec<u64>);
-    let lies: [(&str, Lie); 9] = [
-        ("a dimension past the bound", |dim, _, _| {
-            *dim = MAX_SIGNATURE_DIM as u64 + 1
+    let lies: [(&str, Lie); 2] = [
+        ("a dimension past the bound", |f, _| {
+            f[0] = var(MAX_SIGNATURE_DIM as u64 + 1)
         }),
-        ("8 TB of zeros", |dim, terms, counts| {
-            (*dim, *terms, *counts) = (1 << 40, Vec::new(), Vec::new())
-        }),
-        ("a dimension no `usize` holds", |dim, _, _| *dim = u64::MAX),
-        ("more terms than counts", |_, terms, _| {
-            terms.pop();
-        }),
-        ("more counts than terms", |_, _, counts| {
-            counts.pop();
-        }),
-        ("unsorted terms", |_, terms, _| terms.swap(0, 1)),
-        ("a duplicate term", |_, terms, _| terms[1] = terms[0]),
-        ("a term past the dimension", |dim, terms, _| {
-            *terms.last_mut().unwrap() = *dim as u32
-        }),
-        ("a zero count", |_, _, counts| counts[0] = 0),
+        ("8 TB of zeros", |f, _| *f = vec![var(1 << 40), var(0)]),
     ];
-    for (what, lie) in lies {
+    for (what, lie) in lies.into_iter().chain(PAIR_LIES) {
         assert_eq!(
-            replayed(sparse_payload(&raw(1), lie)),
+            replayed(insert_payload(&raw(1), lie)),
             (false, true),
             "{what}"
         );
     }
     // A batch is held to the bound between its signatures: each of these
     // is as wide as one signature may be, and two are 256 MB of zeros.
-    let wide = sparse_payload(&raw(1), |dim, _, _| *dim = MAX_SIGNATURE_DIM as u64);
-    let mut batch = vec![6];
-    codec::put_usize(&mut batch, 2);
-    batch.extend_from_slice(&wide[1..]);
-    batch.extend_from_slice(&wide[1..]);
+    let wide = insert_payload(&raw(1), |f, _| f[0] = var(MAX_SIGNATURE_DIM as u64));
+    let batch = [&[6, 2][..], &wide[1..], &wide[1..]].concat();
     assert_eq!(replayed(batch), (false, true), "a batch past the bound");
     // Counts whose total overflows are not a lie: a writer logs and acks
     // such an insert (the weighting saturates), so replay takes it — see
     // `counts_that_overflow_their_total_panic_neither_load_nor_replay`.
-    let heavy = sparse_payload(&raw(1), |_, _, counts| counts[..2].fill(u64::MAX));
+    let heavy = insert_payload(&raw(1), |f, nnz| {
+        f[2 + nnz] = var(u64::MAX);
+        f[3 + nnz] = var(u64::MAX);
+    });
     assert_eq!(replayed(heavy), (true, false));
+}
+
+/// One byte of `payload` replaced, or the payload cut short, or replaced
+/// by `garbage`, by `mode`.
+fn damage(payload: &mut Vec<u8>, byte_frac: f64, replacement: u8, mode: u8, garbage: &[u8]) {
+    let at = ((payload.len() as f64 * byte_frac) as usize).min(payload.len().saturating_sub(1));
+    match mode {
+        0 if !payload.is_empty() => payload[at] = replacement,
+        1 => payload.truncate(at),
+        _ => *payload = garbage.to_vec(),
+    }
 }
 
 proptest! {
@@ -652,15 +713,14 @@ proptest! {
         feed_readers(&garbage);
         feed_readers(&[format!("FMETERDB {version}\n").as_bytes(), &garbage].concat());
         let _ = read_wal(&garbage);
-        let _ = read_wal(&[format!("FMWAL {} 1 1\n", version % 4).as_bytes(), &garbage].concat());
+        let _ = read_wal(&[format!("FMWAL {} 1 1\n", version % 5).as_bytes(), &garbage].concat());
     }
 
     /// Damage *behind* a valid frame: a stored database with one byte
     /// of one section changed (or the section cut short, or replaced by
     /// garbage) and the frame re-sealed with matching lengths and
     /// checksums, so the section decoders and the cross-section checks
-    /// see it. Covers v4–v8; v1–v3 carry no
-    /// checksums, so there the same damage goes in directly.
+    /// see it. Covers every stored database, v5–v9.
     #[test]
     fn damage_behind_a_valid_frame_never_panics_a_reader(
         which in 0usize..10,
@@ -671,31 +731,42 @@ proptest! {
         garbage in prop::collection::vec(any::<u8>(), 0..64),
     ) {
         let bytes = &STORED_DATABASES[which % STORED_DATABASES.len()];
-        let damage = |payload: &mut Vec<u8>| {
-            let at = ((payload.len() as f64 * byte_frac) as usize).min(payload.len().saturating_sub(1));
-            match mode {
-                0 if !payload.is_empty() => payload[at] = replacement,
-                1 => payload.truncate(at),
-                _ => payload.clone_from(&garbage),
-            }
+        let (version, mut sections) = split_envelope(bytes).unwrap();
+        let k = ((sections.len() as f64 * section_frac) as usize).min(sections.len() - 1);
+        let mut payload = sections[k].payload.to_vec();
+        damage(&mut payload, byte_frac, replacement, mode, &garbage);
+        sections[k].payload = &payload;
+        feed_readers(&reframe(version, &sections));
+    }
+
+    /// The same damage behind a valid record frame: one record of an
+    /// `FMWAL 4` or `FMWAL 3` segment changed and sealed again under a
+    /// checksum that holds. Replay keeps every record before it and
+    /// whatever it then takes applies to a database without a panic.
+    #[test]
+    fn damage_behind_a_valid_record_never_panics_replay(
+        which in 0usize..2,
+        record in 0usize..5,
+        byte_frac in 0.0f64..1.0,
+        replacement in any::<u8>(),
+        mode in 0u8..3,
+        garbage in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let version = 4 - which as u32;
+        let mut payloads: Vec<Vec<u8>> = match version {
+            4 => wal_ops().iter().map(codec::encode_to_vec).collect(),
+            _ => wal_ops().iter().map(fixed_payload).collect(),
         };
-        match detect_format_version(bytes) {
-            Some(version) if version >= 4 => {
-                let (version, mut sections) = split_envelope(bytes).unwrap();
-                let k = ((sections.len() as f64 * section_frac) as usize).min(sections.len() - 1);
-                let mut payload = sections[k].payload.to_vec();
-                damage(&mut payload);
-                sections[k].payload = &payload;
-                feed_readers(&reframe(version, &sections));
-            }
-            _ => {
-                // No checksums (v1–v3) or no frame at all (v0): damage
-                // the body where it lies.
-                let header = if bytes.starts_with(b"FMETERDB") { header_len(bytes) } else { 0 };
-                let mut body = bytes[header..].to_vec();
-                damage(&mut body);
-                feed_readers(&[&bytes[..header], &body[..]].concat());
-            }
+        prop_assert!(segment(version, payloads.clone()) == wal_segments()[which]);
+        damage(&mut payloads[record], byte_frac, replacement, mode, &garbage);
+        let seg = read_wal(&segment(version, payloads));
+        let ops = wal_ops();
+        for (i, (_, op)) in seg.records.iter().enumerate().take(record) {
+            prop_assert_eq!(op, &ops[i]);
+        }
+        let mut db = SignatureDb::build(&(0..12).map(raw).collect::<Vec<_>>()).expect("build");
+        for (_, op) in &seg.records {
+            let _ = op.apply(&mut db);
         }
     }
 
@@ -706,7 +777,8 @@ proptest! {
     #[test]
     fn an_attacker_sized_signature_count_errors(len in 8usize..4096) {
         let (version, sections) = split_envelope(&STORED_DATABASES[0]).unwrap();
-        let mut payload = (len as u64 - 8).to_le_bytes().to_vec();
+        // As many empty records as the bytes hold: the guard passes.
+        let mut payload = var(len as u64 / 3);
         payload.resize(len, 0);
         let sections = with_section(&sections, "signatures", SectionCodec::Binary, &payload);
         prop_assert!(!feed_readers(&reframe(version, &sections)));

@@ -1,16 +1,27 @@
-//! Length-prefixed little-endian binary codec for the heavy persistence
-//! sections.
+//! Length-prefixed binary codec for the heavy persistence sections.
 //!
 //! JSON is the right format for small, hand-inspectable sections (envelope
 //! headers, daemon state), but re-parsing ~10⁵ floating-point literals on
 //! every checkpoint load dominated restart time. This module defines a
 //! deliberately boring wire format for the bulk payloads instead:
 //!
-//! * every integer is fixed-width little-endian (`u8`/`u32`/`u64`),
+//! * every integer is an unsigned LEB128 varint — seven bits a byte, low
+//!   bits first, the high bit set on every byte but the last — so the
+//!   small term gaps, call counts and lengths a signature is made of take
+//!   a byte or two each ([`put_var`], [`Reader::get_var`]),
 //! * every `f64` is its IEEE-754 bit pattern (`f64::to_bits`) little-endian,
 //!   so values round-trip **bit-identically** (NaN payloads included),
-//! * every variable-length field is prefixed with a `u64` element count,
-//! * there is no padding, no alignment, and no varint encoding.
+//! * every variable-length field is prefixed with its element count,
+//! * a document's `(term, count)` pairs are one layout, wherever they are
+//!   stored: `dim`, `nnz`, each term as its gap from the previous one,
+//!   then the counts ([`put_pairs`]),
+//! * there is no padding and no alignment.
+//!
+//! Format v5–v8 saves and `FMWAL 3` logs wrote every integer fixed-width
+//! instead (`u32` terms and document frequencies, `u64` everything else)
+//! and each pair array as a counted array of absolute terms and a counted
+//! array of counts. A [`Reader`] over such bytes is made with
+//! [`Width::Fixed`]; nothing writes that layout any more.
 //!
 //! Types opt in by implementing [`BinCodec`]. Decoders read through
 //! [`Reader`], which bounds-checks every access and guards length prefixes
@@ -18,7 +29,8 @@
 //! payload yields a [`CodecError`] rather than a panic or an OOM attempt.
 //! Corruption *detection* is not this module's job — the envelope and WAL
 //! layers checksum whole payloads with CRC32 before decoding starts — but
-//! decoding must still be total on arbitrary bytes.
+//! decoding must still be total on arbitrary bytes: a varint longer than
+//! ten bytes, one past `u64` and an overlong (non-minimal) one are errors.
 
 use std::fmt;
 
@@ -45,7 +57,7 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// A type with a fixed little-endian binary wire encoding.
+/// A type with a binary wire encoding.
 ///
 /// Implementations must guarantee `decode_bin(encode_bin(x)) == x` with
 /// *bit-identical* floating-point fields, and `decode_bin` must validate the
@@ -70,7 +82,11 @@ pub fn encode_to_vec<T: BinCodec>(value: &T) -> Vec<u8> {
 
 /// Convenience: decode a value that must consume the entire input.
 pub fn decode_from_slice<T: BinCodec>(bytes: &[u8]) -> Result<T, CodecError> {
-    let mut r = Reader::new(bytes);
+    decode_all(Reader::new(bytes))
+}
+
+/// Decode a value that must consume everything `r` has left.
+pub fn decode_all<T: BinCodec>(mut r: Reader<'_>) -> Result<T, CodecError> {
     let value = T::decode_bin(&mut r)?;
     r.finish()?;
     Ok(value)
@@ -85,14 +101,24 @@ pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-/// Append a `u32` little-endian.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Append `v` as an unsigned LEB128 varint: one byte below 128, at most
+/// ten.
+pub fn put_var(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
-/// Append a `u64` little-endian.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// The bytes [`put_var`] spends on `v`.
+pub fn var_len(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()).max(1).div_ceil(7) as usize
+}
+
+/// Append a `usize` as a varint.
+pub fn put_usize(out: &mut Vec<u8>, v: usize) {
+    put_var(out, v as u64);
 }
 
 /// Append an `f64` as its little-endian IEEE-754 bit pattern.
@@ -100,12 +126,7 @@ pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-/// Append a `usize` widened to `u64` little-endian.
-pub fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, v as u64);
-}
-
-/// Append a string as a `u64` byte count followed by its UTF-8 bytes.
+/// Append a string as a varint byte count followed by its UTF-8 bytes.
 pub(crate) fn put_str(out: &mut Vec<u8>, v: &str) {
     put_usize(out, v.len());
     out.extend_from_slice(v.as_bytes());
@@ -122,23 +143,15 @@ pub fn put_opt_str(out: &mut Vec<u8>, v: Option<&str>) {
     }
 }
 
-/// Append a `u32` slice as a `u64` count followed by the elements.
-pub fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
+/// Append a `u32` slice as a varint count followed by the varint elements.
+pub(crate) fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
     put_usize(out, vs.len());
     for &v in vs {
-        put_u32(out, v);
+        put_var(out, u64::from(v));
     }
 }
 
-/// Append a `u64` slice as a `u64` count followed by the elements.
-pub fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
-    put_usize(out, vs.len());
-    for &v in vs {
-        put_u64(out, v);
-    }
-}
-
-/// Append an `f64` slice as a `u64` count followed by the bit patterns.
+/// Append an `f64` slice as a varint count followed by the bit patterns.
 pub(crate) fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
     put_usize(out, vs.len());
     for &v in vs {
@@ -146,27 +159,85 @@ pub(crate) fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
     }
 }
 
+/// `pairs` with each term replaced by its gap from the previous one (the
+/// first from 0).
+fn gaps(pairs: impl Iterator<Item = (u32, u64)>) -> impl Iterator<Item = (u64, u64)> {
+    pairs.scan(0, |prev, (t, c)| {
+        Some((u64::from(t - std::mem::replace(prev, t)), c))
+    })
+}
+
+/// The number of `pairs` and the bytes [`put_pairs`] spends on their gaps
+/// and counts (`dim` and `nnz` not included).
+pub fn pairs_len(pairs: impl Iterator<Item = (u32, u64)>) -> (usize, usize) {
+    gaps(pairs).fold((0, 0), |(nnz, len), (g, c)| {
+        (nnz + 1, len + var_len(g) + var_len(c))
+    })
+}
+
+/// Append the sparse-pairs layout of `nnz` strictly ascending
+/// `(term, count)` pairs over `dim` terms: `dim`, `nnz`, each term as its
+/// gap from the previous one (the first from 0), then the counts — every
+/// one a varint. `pairs` is walked twice.
+pub fn put_pairs<I: Iterator<Item = (u32, u64)>>(
+    out: &mut Vec<u8>,
+    dim: usize,
+    nnz: usize,
+    pairs: impl Fn() -> I,
+) {
+    put_usize(out, dim);
+    put_usize(out, nnz);
+    gaps(pairs()).for_each(|(g, _)| put_var(out, g));
+    pairs().for_each(|(_, c)| put_var(out, c));
+}
+
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
+
+/// How the integers of the bytes a [`Reader`] walks are laid out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Width {
+    /// Varints: what every writer emits.
+    Varint,
+    /// Fixed-width little-endian: `u32` terms and document frequencies,
+    /// `u64` everything else — format v5–v8 and `FMWAL 3`, read only.
+    Fixed,
+}
 
 /// Bounds-checked cursor over an encoded byte slice.
 ///
 /// Every accessor either returns the decoded value and advances the cursor,
 /// or returns a [`CodecError`] and leaves the reader unusable for that
-/// decode attempt. Array reads check `count * elem_size` against the bytes
-/// actually remaining before allocating, so a flipped length prefix cannot
-/// request an absurd allocation.
+/// decode attempt. The integer accessors read the reader's [`Width`].
+/// Array reads check `count * elem_size` against the bytes actually
+/// remaining before allocating, so a flipped length prefix cannot request
+/// an absurd allocation.
 #[derive(Debug)]
 pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    width: Width,
 }
 
 impl<'a> Reader<'a> {
-    /// Start reading at the beginning of `bytes`.
+    /// Start reading varint-coded `bytes` at the beginning.
     pub fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
+        Self::with_width(bytes, Width::Varint)
+    }
+
+    /// Start reading `bytes`, whose integers are laid out as `width`.
+    pub fn with_width(bytes: &'a [u8], width: Width) -> Self {
+        Reader {
+            bytes,
+            pos: 0,
+            width,
+        }
+    }
+
+    /// How this reader's integers are laid out.
+    pub fn width(&self) -> Width {
+        self.width
     }
 
     /// Bytes not yet consumed.
@@ -197,27 +268,67 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    fn take_le<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N)?.try_into().expect("N-byte slice"))
+    }
+
     /// Read a `u8`.
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
-    /// Read a little-endian `u32`.
-    #[cfg(test)]
-    pub(crate) fn get_u32(&mut self) -> Result<u32, CodecError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
+    /// Read an unsigned LEB128 varint, refusing one longer than ten
+    /// bytes, one past `u64` and an overlong one (a zero last byte after
+    /// the first: the value had a shorter encoding).
+    pub fn get_var(&mut self) -> Result<u64, CodecError> {
+        if let Some(&byte) = self.bytes.get(self.pos).filter(|&&b| b < 0x80) {
+            self.pos += 1;
+            return Ok(u64::from(byte));
+        }
+        let (mut value, mut shift) = (0, 0);
+        loop {
+            let byte = self.get_u8()?;
+            if shift == 63 && byte > 1 {
+                return Err(CodecError::new(if byte & 0x80 != 0 {
+                    "varint longer than 10 bytes"
+                } else {
+                    "varint past u64"
+                }));
+            }
+            value |= u64::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(CodecError::new("overlong varint"));
+                }
+                return Ok(value);
+            }
+            shift += 7;
+        }
     }
 
-    /// Read a little-endian `u64`.
+    /// Read a `u32`: a varint no larger than `u32::MAX`, or four
+    /// little-endian bytes.
+    pub(crate) fn get_u32(&mut self) -> Result<u32, CodecError> {
+        match self.width {
+            Width::Varint => {
+                let v = self.get_var()?;
+                u32::try_from(v).map_err(|_| CodecError::new(format!("{v} exceeds u32")))
+            }
+            Width::Fixed => Ok(u32::from_le_bytes(self.take_le()?)),
+        }
+    }
+
+    /// Read a `u64`: a varint, or eight little-endian bytes.
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+        match self.width {
+            Width::Varint => self.get_var(),
+            Width::Fixed => Ok(u64::from_le_bytes(self.take_le()?)),
+        }
     }
 
     /// Read an `f64` from its little-endian bit pattern.
     pub(crate) fn get_f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.get_u64()?))
+        Ok(f64::from_bits(u64::from_le_bytes(self.take_le()?)))
     }
 
     /// Read a `u64` and narrow it to `usize`.
@@ -259,36 +370,40 @@ impl<'a> Reader<'a> {
         Ok(count)
     }
 
-    /// Read a length-prefixed `u32` array into whichever container the
-    /// caller names (`Vec<u32>`, `Arc<[u32]>`), allocated once at its
-    /// length.
-    pub(crate) fn get_u32s<C: FromIterator<u32>>(&mut self) -> Result<C, CodecError> {
-        let count = self.array_len(4)?;
-        let bytes = self.take(4 * count)?;
-        let words = bytes.chunks_exact(4);
-        Ok(words
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
-            .collect())
+    /// Read `count` elements with `read` into whichever container the
+    /// caller names (`Vec`, `Arc<[_]>`), allocated once at that length;
+    /// on the first error it reads no further and returns that error.
+    /// `count` must already be bounded by the input ([`array_len`]).
+    ///
+    /// [`array_len`]: Self::array_len
+    pub(crate) fn get_exact<T: Default, C: FromIterator<T>>(
+        &mut self,
+        count: usize,
+        mut read: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<C, CodecError> {
+        let mut fault = None;
+        let items = (0..count)
+            .map(|_| match fault {
+                Some(_) => T::default(),
+                None => read(self).unwrap_or_else(|e| {
+                    fault = Some(e);
+                    T::default()
+                }),
+            })
+            .collect();
+        fault.map_or(Ok(items), Err)
     }
 
-    /// Read a length-prefixed `u64` array.
-    pub fn get_u64s(&mut self) -> Result<Vec<u64>, CodecError> {
-        let count = self.array_len(8)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.get_u64()?);
-        }
-        Ok(out)
+    /// Read a length-prefixed `u32` array.
+    pub(crate) fn get_u32s<C: FromIterator<u32>>(&mut self) -> Result<C, CodecError> {
+        let count = self.array_len(if self.width == Width::Fixed { 4 } else { 1 })?;
+        self.get_exact(count, Reader::get_u32)
     }
 
     /// Read a length-prefixed `f64` array (bit patterns, so NaNs survive).
     pub(crate) fn get_f64s(&mut self) -> Result<Vec<f64>, CodecError> {
         let count = self.array_len(8)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.get_f64()?);
-        }
-        Ok(out)
+        self.get_exact(count, Reader::get_f64)
     }
 
     /// Step over a length-prefixed array of `elem_size`-byte elements
@@ -335,8 +450,8 @@ mod tests {
     fn scalars_round_trip() {
         let mut buf = Vec::new();
         put_u8(&mut buf, 0xAB);
-        put_u32(&mut buf, 0xDEAD_BEEF);
-        put_u64(&mut buf, u64::MAX - 1);
+        put_var(&mut buf, 0xDEAD_BEEF);
+        put_var(&mut buf, u64::MAX - 1);
         put_f64(&mut buf, -0.0);
         put_f64(&mut buf, f64::from_bits(0x7FF8_0000_0000_1234)); // NaN payload
         put_str(&mut buf, "héllo");
@@ -358,23 +473,82 @@ mod tests {
     #[test]
     fn arrays_round_trip() {
         let mut buf = Vec::new();
-        put_u32s(&mut buf, &[1, 2, 3]);
-        put_u64s(&mut buf, &[]);
+        put_u32s(&mut buf, &[1, 200, u32::MAX]);
+        put_f64s(&mut buf, &[]);
         put_f64s(&mut buf, &[1.5, f64::INFINITY]);
 
         let mut r = Reader::new(&buf);
-        assert_eq!(r.get_u32s::<Vec<u32>>().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.get_u64s().unwrap(), Vec::<u64>::new());
+        assert_eq!(r.get_u32s::<Vec<u32>>().unwrap(), vec![1, 200, u32::MAX]);
+        assert_eq!(r.get_f64s().unwrap(), Vec::<f64>::new());
         assert_eq!(r.get_f64s().unwrap(), vec![1.5, f64::INFINITY]);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn varints_take_a_byte_per_seven_bits() {
+        for (v, len) in [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u64::from(u32::MAX), 5),
+            (u64::MAX, 10),
+        ] {
+            let mut buf = Vec::new();
+            put_var(&mut buf, v);
+            assert_eq!((buf.len(), var_len(v)), (len, len), "{v}");
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.get_var().unwrap(), v);
+            r.finish().unwrap();
+        }
+        // A `u32` past its range is an error, not a truncation.
+        let mut buf = Vec::new();
+        put_var(&mut buf, u64::from(u32::MAX) + 1);
+        assert!(Reader::new(&buf).get_u32().is_err());
+    }
+
+    #[test]
+    fn hostile_varints_are_errors() {
+        let ten = |last: u8| [[0xFF; 9].as_slice(), &[last]].concat();
+        assert_eq!(Reader::new(&ten(1)).get_var().unwrap(), u64::MAX);
+        for (what, bytes) in [
+            ("overlong", vec![0x80, 0x00]),
+            ("overlong, longer", vec![0xFF, 0x80, 0x00]),
+            ("11 bytes", [ten(0x80), vec![0x01]].concat()),
+            ("a tenth byte above 1", ten(0x02)),
+            ("a tenth byte of 0x7F", ten(0x7F)),
+            ("truncated", vec![0x80]),
+            ("empty", vec![]),
+        ] {
+            assert!(Reader::new(&bytes).get_var().is_err(), "{what}");
+        }
+    }
+
+    #[test]
+    fn a_fixed_width_reader_reads_little_endian_words() {
+        let mut buf = 0xDEAD_BEEFu32.to_le_bytes().to_vec();
+        buf.extend_from_slice(&7u64.to_le_bytes());
+        buf.extend_from_slice(&2u64.to_le_bytes());
+        buf.extend_from_slice(&[1, 0, 0, 0, 2, 0, 0, 0]);
+        let mut r = Reader::with_width(&buf, Width::Fixed);
+        assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.get_u64().unwrap(), 7);
+        assert_eq!(r.get_u32s::<Vec<u32>>().unwrap(), vec![1, 2]);
         r.finish().unwrap();
     }
 
     #[test]
     fn truncated_input_errors_instead_of_panicking() {
         let mut buf = Vec::new();
-        put_u64(&mut buf, 7);
+        put_var(&mut buf, u64::MAX);
         for cut in 0..buf.len() {
             let mut r = Reader::new(&buf[..cut]);
+            assert!(r.get_u64().is_err(), "cut at {cut} should fail");
+        }
+        let buf = 7u64.to_le_bytes();
+        for cut in 0..buf.len() {
+            let mut r = Reader::with_width(&buf[..cut], Width::Fixed);
             assert!(r.get_u64().is_err(), "cut at {cut} should fail");
         }
     }
@@ -382,12 +556,12 @@ mod tests {
     #[test]
     fn absurd_length_prefix_is_rejected_before_allocation() {
         let mut buf = Vec::new();
-        put_u64(&mut buf, u64::MAX); // claims ~1.8e19 elements
+        put_var(&mut buf, u64::MAX); // claims ~1.8e19 elements
         let mut r = Reader::new(&buf);
         assert!(r.get_f64s().is_err());
 
         let mut buf = Vec::new();
-        put_u64(&mut buf, 1 << 40); // plausible usize, impossible for input
+        put_var(&mut buf, 1 << 40); // plausible usize, impossible for input
         let mut r = Reader::new(&buf);
         assert!(r.get_u32s::<Vec<u32>>().is_err());
     }
@@ -413,7 +587,7 @@ mod tests {
         let n = 1usize << 16;
         let mut buf = Vec::new();
         put_usize(&mut buf, n);
-        buf.resize(8 + n, 0);
+        buf.resize(buf.len() + n, 0);
         assert!(decode_from_slice::<Vec<Fat>>(&buf).is_err());
         assert!(bounded_capacity::<Fat>(n, n) * size_of::<Fat>() <= n);
         // A payload that really holds `count` elements is still
@@ -446,7 +620,7 @@ mod tests {
         struct P(u32, f64);
         impl BinCodec for P {
             fn encode_bin(&self, out: &mut Vec<u8>) {
-                put_u32(out, self.0);
+                put_var(out, u64::from(self.0));
                 put_f64(out, self.1);
             }
             fn decode_bin(r: &mut Reader<'_>) -> Result<Self, CodecError> {

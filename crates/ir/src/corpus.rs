@@ -1,8 +1,8 @@
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
-use crate::codec;
+use crate::codec::{self, Reader, Width};
 use crate::sparse::{check_wire_terms, exact};
 use crate::{IrError, TermId};
 
@@ -147,6 +147,13 @@ impl TermCounts {
     /// Iterates over `(term, count)` pairs in increasing term order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, u64)> + '_ {
         self.terms.iter().copied().zip(self.counts.iter().copied())
+    }
+
+    /// The bytes the document's binary encoding takes: about two a pair
+    /// whose count and gap from the previous term are both below 128.
+    pub fn encoded_len(&self) -> usize {
+        let (nnz, pairs) = codec::pairs_len(self.iter());
+        codec::var_len(self.dim as u64) + codec::var_len(nnz as u64) + pairs
     }
 
     /// The term ids, in increasing order, as the array the document
@@ -314,39 +321,39 @@ impl Serialize for TermCounts {
     }
 }
 
-// Deserialization is implemented by hand (not derived) so JSON input is
-// held to the same invariants as binary input — the derive would accept
-// any field values, and `document_frequencies` indexes by term unchecked.
-impl Deserialize for TermCounts {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let dim = usize::from_value(v.get_field("dim")?)?;
-        let terms: Vec<TermId> = Vec::from_value(v.get_field("terms")?)?;
-        let counts = Vec::from_value(v.get_field("counts")?)?;
-        TermCounts::from_wire(dim, terms.into(), counts).map_err(serde::Error)
-    }
-}
-
-impl Deserialize for Corpus {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let dim = usize::from_value(v.get_field("dim")?)?;
-        let docs = Vec::from_value(v.get_field("docs")?)?;
-        Corpus::from_wire(dim, docs).map_err(serde::Error)
-    }
-}
-
-// Binary wire layout (see `crate::codec`): `dim` then the `terms`/`counts`
-// parallel arrays.
+// Binary wire layout (see `crate::codec`): the sparse pairs of
+// `codec::put_pairs`. A fixed-width reader (format v5–v8, `FMWAL 3`)
+// finds `dim` and two counted arrays instead, of absolute terms and of
+// counts. Either way the pairs are held to the constructor invariants
+// by `from_wire`, so a term gap past `dim` or of zero after the first
+// term, and a zero count, are errors like any unsorted or stray term.
 impl codec::BinCodec for TermCounts {
     fn encode_bin(&self, out: &mut Vec<u8>) {
-        codec::put_usize(out, self.dim);
-        codec::put_u32s(out, &self.terms);
-        codec::put_u64s(out, &self.counts);
+        codec::put_pairs(out, self.dim, self.terms.len(), || self.iter());
     }
 
-    fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
+    fn decode_bin(r: &mut Reader<'_>) -> Result<Self, codec::CodecError> {
         let dim = r.get_usize()?;
-        let terms = r.get_u32s()?;
-        let counts = r.get_u64s()?;
+        let (terms, counts) = match r.width() {
+            Width::Varint => {
+                // A pair takes at least two bytes: bounded before allocating.
+                let nnz = r.array_len(2)?;
+                let mut prev = 0u64;
+                let terms = r.get_exact(nnz, |r| {
+                    let term = r.get_var()?.checked_add(prev);
+                    prev = term
+                        .filter(|&t| t <= u64::from(TermId::MAX))
+                        .ok_or_else(|| codec::CodecError::new("TermCounts term gap past u32"))?;
+                    Ok(prev as TermId)
+                })?;
+                (terms, r.get_exact(nnz, Reader::get_u64)?)
+            }
+            Width::Fixed => {
+                let terms = r.get_u32s()?;
+                let nnz = r.array_len(8)?;
+                (terms, r.get_exact(nnz, Reader::get_u64)?)
+            }
+        };
         TermCounts::from_wire(dim, terms, counts).map_err(codec::CodecError::new)
     }
 }
@@ -358,7 +365,7 @@ impl codec::BinCodec for Corpus {
         self.docs.encode_bin(out);
     }
 
-    fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
+    fn decode_bin(r: &mut Reader<'_>) -> Result<Self, codec::CodecError> {
         let dim = r.get_usize()?;
         let docs = Vec::<TermCounts>::decode_bin(r)?;
         Corpus::from_wire(dim, docs).map_err(codec::CodecError::new)
@@ -458,18 +465,96 @@ mod tests {
         );
     }
 
-    #[test]
-    fn json_is_held_to_the_constructor_invariants() {
-        for bad in [
-            r#"{"dim":4,"docs":[{"dim":4,"terms":[9],"counts":[1]}]}"#,
-            r#"{"dim":4,"docs":[{"dim":4,"terms":[2,1],"counts":[1,1]}]}"#,
-            r#"{"dim":4,"docs":[{"dim":4,"terms":[1,2],"counts":[1]}]}"#,
-            r#"{"dim":4,"docs":[{"dim":4,"terms":[1],"counts":[0]}]}"#,
-            r#"{"dim":4,"docs":[{"dim":5,"terms":[1],"counts":[1]}]}"#,
-        ] {
-            assert!(serde_json::from_str::<Corpus>(bad).is_err(), "{bad}");
+    /// `doc` laid out by hand: `dim`, `nnz`, the gaps, the counts.
+    fn pairs(dim: u64, nnz: u64, gaps: &[u64], counts: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for v in [&[dim, nnz][..], gaps, counts].concat() {
+            codec::put_var(&mut out, v);
         }
-        let good = r#"{"dim":4,"docs":[{"dim":4,"terms":[1,3],"counts":[1,2]}]}"#;
-        assert_eq!(serde_json::from_str::<Corpus>(good).unwrap().len(), 1);
+        out
+    }
+
+    #[test]
+    fn a_pair_below_128_costs_two_bytes() {
+        let doc = TermCounts::from_pairs(4000, [(3, 9), (130, 1), (131, 127)]).unwrap();
+        let bytes = codec::encode_to_vec(&doc);
+        assert_eq!(bytes, pairs(4000, 3, &[3, 127, 1], &[9, 1, 127]));
+        assert_eq!(bytes.len(), 2 + 1 + 3 * 2);
+        assert_eq!(doc.encoded_len(), bytes.len());
+        assert_eq!(codec::decode_from_slice::<TermCounts>(&bytes).unwrap(), doc);
+        let empty = TermCounts::new(0);
+        assert_eq!(codec::encode_to_vec(&empty), [0, 0]);
+        assert_eq!(empty.encoded_len(), 2);
+    }
+
+    #[test]
+    fn varint_pairs_are_held_to_the_constructor_invariants() {
+        let decode = |bytes: &[u8]| codec::decode_from_slice::<Corpus>(bytes);
+        let corpus = |doc: Vec<u8>| [vec![4, 1], doc].concat();
+        assert_eq!(
+            decode(&corpus(pairs(4, 2, &[1, 2], &[1, 2])))
+                .unwrap()
+                .len(),
+            1
+        );
+        let ten = [0xFF; 9].to_vec();
+        for (what, doc) in [
+            ("a gap past dim", pairs(4, 2, &[1, 3], &[1, 1])),
+            ("a first term past dim", pairs(4, 1, &[4], &[1])),
+            (
+                "a gap of 0 after the first term",
+                pairs(4, 2, &[1, 0], &[1, 1]),
+            ),
+            (
+                "a gap past u32",
+                pairs(4, 2, &[1, u64::from(u32::MAX)], &[1, 1]),
+            ),
+            ("a gap past u64", pairs(4, 2, &[1, u64::MAX], &[1, 1])),
+            ("a zero count", pairs(4, 2, &[1, 1], &[1, 0])),
+            ("nnz past the bytes left", pairs(4, 3, &[1, 1], &[1, 1])),
+            ("a document of another dim", pairs(5, 1, &[1], &[1])),
+            (
+                "an overlong gap",
+                [pairs(4, 1, &[], &[]), vec![0x81, 0x00, 1]].concat(),
+            ),
+            (
+                "an 11-byte count",
+                [pairs(4, 1, &[1], &[]), ten.clone(), vec![0x81, 1]].concat(),
+            ),
+            (
+                "a count past u64",
+                [pairs(4, 1, &[1], &[]), ten, vec![2]].concat(),
+            ),
+        ] {
+            assert!(decode(&corpus(doc)).is_err(), "{what}");
+        }
+        // What format v5–v8 stored: two counted arrays of fixed-width
+        // terms and counts, read with the same checks.
+        let fixed = |terms: &[u32], counts: &[u64]| {
+            let mut out = [4u64, 1, 4, terms.len() as u64]
+                .map(u64::to_le_bytes)
+                .concat();
+            terms
+                .iter()
+                .for_each(|t| out.extend_from_slice(&t.to_le_bytes()));
+            out.extend_from_slice(&(counts.len() as u64).to_le_bytes());
+            counts
+                .iter()
+                .for_each(|c| out.extend_from_slice(&c.to_le_bytes()));
+            codec::decode_all::<Corpus>(Reader::with_width(&out, Width::Fixed))
+        };
+        let good = fixed(&[1, 3], &[1, 2]).unwrap();
+        assert_eq!(
+            good.doc(0),
+            Some(&TermCounts::from_pairs(4, [(1, 1), (3, 2)]).unwrap())
+        );
+        for (terms, counts) in [
+            (&[9][..], &[1][..]),
+            (&[2, 1], &[1, 1]),
+            (&[1, 2], &[1]),
+            (&[1], &[0]),
+        ] {
+            assert!(fixed(terms, counts).is_err(), "{terms:?} {counts:?}");
+        }
     }
 }

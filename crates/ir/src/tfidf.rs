@@ -1,13 +1,13 @@
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 use crate::codec;
 use crate::sparse::exact;
 use crate::{Corpus, IrError, SparseVec, TermCounts, TermId};
 
 /// Term-frequency flavour used when weighting a document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum TfMode {
     /// `tf_{i,j} = n_{i,j} / sum_k n_{k,j}` — the paper's normalised term
     /// frequency, which "prevents bias towards longer runs".
@@ -20,7 +20,7 @@ pub enum TfMode {
 }
 
 /// Inverse-document-frequency flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum IdfMode {
     /// `idf_i = ln(|D| / df_i)` — the paper's formula. Terms present in
     /// every document get weight zero; terms absent from the corpus are
@@ -34,7 +34,7 @@ pub enum IdfMode {
 }
 
 /// Options for fitting a [`TfIdfModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct TfIdfOptions {
     /// Term-frequency scheme.
     pub tf: TfMode,
@@ -76,8 +76,8 @@ impl TfIdfWeights {
     ///
     /// The vector shares the document's term array when no weight is
     /// zero; otherwise it gets its own, of the non-zero terms. A first
-    /// pass counts the zero weights, so each array is allocated once, at
-    /// its final length.
+    /// pass counts the zero idfs, so each array is allocated once, at its
+    /// final length, and each weight is computed once.
     ///
     /// # Panics
     ///
@@ -108,22 +108,28 @@ impl TfIdfWeights {
             });
         }
         let total = doc.total();
+        let idf = |t: TermId| self.idf[t as usize];
+        let weigh = |(t, n): (TermId, u64)| self.weight(n, total) * idf(t);
+        // Every tf is positive, so a weight is zero where its idf is —
+        // and where the product underflows, taken apart below. Counting
+        // those terms weighs nothing; each weight is then computed once.
         // `TermCounts` iterates in ascending term order with no
         // duplicates, so the weights come out sorted: the layout
         // invariants of a `SparseVec` hold by construction.
-        let weighted = || {
-            doc.iter()
-                .map(move |(t, n)| (t, self.weight(n, total) * self.idf[t as usize]))
+        let weighted = || doc.iter().filter(|&(t, _)| idf(t) != 0.0);
+        let nnz = weighted().count();
+        let (terms, values) = if nnz == doc.distinct_terms() {
+            let values = exact(nnz, doc.iter().map(weigh));
+            (Arc::clone(doc.shared_terms()), values)
+        } else {
+            let terms = exact(nnz, weighted().map(|(t, _)| t));
+            (terms, exact(nnz, weighted().map(weigh)))
         };
-        let nnz = weighted().filter(|&(_, w)| w != 0.0).count();
-        if nnz == doc.distinct_terms() {
-            let values = exact(nnz, weighted().map(|(_, w)| w));
-            let terms = Arc::clone(doc.shared_terms());
-            return Ok(SparseVec::from_parts_trusted(self.dim, terms, values));
+        if values.contains(&0.0) {
+            // A weight too small for an `f64`: dropped like any zero.
+            let pairs = terms.iter().copied().zip(values.iter().copied());
+            return SparseVec::from_pairs(self.dim, pairs);
         }
-        let nonzero = || weighted().filter(|&(_, w)| w != 0.0);
-        let terms = exact(nnz, nonzero().map(|(t, _)| t));
-        let values = exact(nnz, nonzero().map(|(_, w)| w));
         Ok(SparseVec::from_parts_trusted(self.dim, terms, values))
     }
 
@@ -195,15 +201,13 @@ pub struct TfIdfModel {
 }
 
 /// The serialized field set (and order) of [`TfIdfModel`] — the
-/// hand-written impls below must keep emitting exactly this layout so
-/// the persisted-database envelope stays stable while in-memory caches
-/// come and go.
+/// hand-written impl below must keep emitting exactly this layout while
+/// in-memory caches come and go.
 const MODEL_FIELDS: [&str; 5] = ["dim", "num_docs", "doc_freq", "idf", "options"];
 
 // Serialization is implemented by hand (not derived) so the `ln_df` /
-// `drift_clean` caches stay out of the on-disk layout: the value tree
-// is exactly what the pre-cache derive produced, and deserialization
-// rebuilds the caches in their conservative (all-stale) state.
+// `drift_clean` caches stay out of the layout: the value tree is
+// exactly what the pre-cache derive produced.
 impl Serialize for TfIdfModel {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -213,17 +217,6 @@ impl Serialize for TfIdfModel {
             (MODEL_FIELDS[3].to_string(), self.weights.idf.to_value()),
             (MODEL_FIELDS[4].to_string(), self.weights.options.to_value()),
         ])
-    }
-}
-
-impl Deserialize for TfIdfModel {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let dim = usize::from_value(v.get_field(MODEL_FIELDS[0])?)?;
-        let num_docs = usize::from_value(v.get_field(MODEL_FIELDS[1])?)?;
-        let doc_freq = Vec::from_value(v.get_field(MODEL_FIELDS[2])?)?;
-        let idf = Vec::from_value(v.get_field(MODEL_FIELDS[3])?)?;
-        let options = TfIdfOptions::from_value(v.get_field(MODEL_FIELDS[4])?)?;
-        TfIdfModel::from_wire(dim, num_docs, doc_freq, idf, options).map_err(serde::Error)
     }
 }
 
@@ -245,9 +238,9 @@ fn idf_value(mode: IdfMode, df: u32, n: usize) -> f64 {
 }
 
 impl TfIdfModel {
-    /// Builds a model from fields that arrived over a wire (binary or
-    /// JSON): the per-term arrays must span the dimension, and the
-    /// caches start conservatively stale.
+    /// Builds a model from fields that arrived over a wire: the per-term
+    /// arrays must span the dimension, and the caches start
+    /// conservatively stale.
     fn from_wire(
         dim: usize,
         num_docs: usize,
@@ -548,8 +541,8 @@ impl TfIdfModel {
 }
 
 // Binary wire layout (see `crate::codec`). The mode enums travel as one-byte
-// tags; the tag values are part of the v5 wire format and must never be
-// renumbered, only appended to.
+// tags; the tag values are part of the wire format since v5 and must never
+// be renumbered, only appended to.
 impl codec::BinCodec for TfMode {
     fn encode_bin(&self, out: &mut Vec<u8>) {
         codec::put_u8(
@@ -608,9 +601,10 @@ impl codec::BinCodec for TfIdfOptions {
     }
 }
 
-// Same field set as the JSON surface (`MODEL_FIELDS`): the in-memory caches
-// stay off the wire and are rebuilt conservatively stale on decode, exactly
-// like `Deserialize::from_value`.
+// Same field set as the JSON surface (`MODEL_FIELDS`), every integer a
+// varint and each idf its 8 bytes, so a load is bit-identical: the
+// in-memory caches stay off the wire and are rebuilt conservatively stale
+// on decode. A fixed-width reader (format v5–v8) reads the same fields.
 impl codec::BinCodec for TfIdfModel {
     fn encode_bin(&self, out: &mut Vec<u8>) {
         codec::put_usize(out, self.weights.dim);
@@ -633,6 +627,7 @@ impl codec::BinCodec for TfIdfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::BinCodec;
 
     fn sample_corpus() -> Corpus {
         let mut c = Corpus::new(4);
@@ -782,6 +777,23 @@ mod tests {
         assert_eq!(err, IrError::DimensionMismatch { left: 4, right: 5 });
         let doc = sample_corpus().doc(0).unwrap().clone();
         assert_eq!(m.weights().try_transform(&doc), Ok(m.transform(&doc)));
+    }
+
+    #[test]
+    fn a_weight_that_underflows_is_dropped_like_a_zero() {
+        // A subnormal idf times a tf of about 1e-19 is too small for an
+        // `f64`: the product is 0 although the idf is not.
+        let idf = vec![1e-310, 0.5, 0.0];
+        let m = TfIdfModel::from_parts(3, 2, vec![1, 1, 2], idf, TfIdfOptions::default());
+        let doc = TermCounts::from_pairs(3, [(0, 1), (1, 1 << 62), (2, 5)]).unwrap();
+        let total = doc.total() as f64;
+        assert_eq!((1.0 / total) * 1e-310, 0.0);
+        let w = m.transform(&doc);
+        assert_eq!(w.terms(), &[1]);
+        assert_eq!(
+            w.get(1).to_bits(),
+            ((1u64 << 62) as f64 / total * 0.5).to_bits()
+        );
     }
 
     #[test]
@@ -958,22 +970,31 @@ mod tests {
         };
         let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, MODEL_FIELDS);
-        let restored: TfIdfModel = serde::Deserialize::from_value(&value).unwrap();
+        // The binary codec carries the same fields, and no cache.
+        let bytes = codec::encode_to_vec(&m);
+        let restored: TfIdfModel = codec::decode_from_slice(&bytes).unwrap();
         assert_eq!(restored.num_docs(), m.num_docs());
         assert_eq!(restored.weights.options, m.weights.options);
         for t in 0..4u32 {
             assert_eq!(restored.document_frequency(t), m.document_frequency(t));
-            assert_eq!(restored.idf(t), m.idf(t));
+            assert_eq!(restored.idf(t).to_bits(), m.idf(t).to_bits());
         }
+        // `dim`, `num_docs`, four varint frequencies and four 8-byte
+        // idfs behind their counts, two mode tags.
+        assert_eq!(bytes.len(), 1 + 1 + (1 + 4) + (1 + 4 * 8) + 2);
         // The restored model rebuilds its cache lazily and agrees with
         // the original estimator.
         let mut restored = restored;
         assert!((restored.idf_drift_cached() - m.idf_drift_cached()).abs() <= 1e-12);
-        // Per-term arrays shorter than `dim` are rejected like the
-        // binary decoder rejects them, not indexed past their end later.
-        let short = r#"{"dim":4,"num_docs":4,"doc_freq":[4,2,1],"idf":[0.0,0.5,1.0,0.0],
-                        "options":{"tf":"Normalized","idf":"Standard"}}"#;
-        assert!(serde_json::from_str::<TfIdfModel>(short).is_err());
+        // Per-term arrays shorter than `dim` are rejected, not indexed
+        // past their end later.
+        let mut short = Vec::new();
+        codec::put_usize(&mut short, 4);
+        codec::put_usize(&mut short, 4);
+        codec::put_u32s(&mut short, &[4, 2, 1]);
+        codec::put_f64s(&mut short, &[0.0, 0.5, 1.0, 0.0]);
+        TfIdfOptions::default().encode_bin(&mut short);
+        assert!(codec::decode_from_slice::<TfIdfModel>(&short).is_err());
     }
 
     #[test]

@@ -1,16 +1,14 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A span of simulated time, in nanoseconds.
 ///
 /// All latencies in the simulator are expressed in `Nanos`; the newtype
 /// keeps simulated time from being confused with counts or wall-clock
 /// durations.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Nanos(pub u64);
 
 impl Nanos {

@@ -14,28 +14,17 @@ use std::path::{Path, PathBuf};
 /// `(file under crates/, type, why a reader needs it)`.
 #[rustfmt::skip]
 const INVENTORY: &[(&str, &str, &str)] = &[
-    // The v8 `state` and `sharding` JSON sections.
-    ("core/src/persist.rs", "State", "v8 `state` section"),
+    // The `state` and `sharding` JSON sections.
+    ("core/src/persist.rs", "State", "`state` section"),
     ("core/src/persist.rs", "QuantizationMode", "`state.quantization`"),
-    ("core/src/persist.rs", "Sharding", "v8 `sharding` section"),
+    ("core/src/persist.rs", "Sharding", "`sharding` section"),
     ("core/src/db.rs", "RefitPolicy", "`state.refit_policy`"),
     ("core/src/db.rs", "VacuumPolicy", "`state.vacuum_policy`"),
-    // The v0-v4 legacy read path (and the v8 model's `options`).
-    ("ir/src/tfidf.rs", "TfIdfOptions", "model `options`"),
-    ("ir/src/tfidf.rs", "TfMode", "`TfIdfOptions::tf`"),
-    ("ir/src/tfidf.rs", "IdfMode", "`TfIdfOptions::idf`"),
-    ("kernel-sim/src/clock.rs", "Nanos", "legacy slots, `FMWAL 1` intervals"),
-    // `FMWAL 1` JSON records.
-    ("core/src/wal.rs", "WalOp", "`FMWAL 1` record"),
-    ("core/src/signature.rs", "RawSignature", "`FMWAL 1` insert"),
     // The `SvmModel` JSON layout.
     ("ml/src/svm.rs", "SvmModel", "validated by `from_wire`"),
     ("ml/src/svm.rs", "Kernel", "`SvmModel::kernel`"),
     // Hand-written readers, each through a validating constructor.
-    ("ir/src/sparse.rs", "SparseVec", "validated by `from_wire`"),
-    ("ir/src/corpus.rs", "TermCounts", "validated by `from_wire`"),
-    ("ir/src/corpus.rs", "Corpus", "validated by `from_wire`"),
-    ("ir/src/tfidf.rs", "TfIdfModel", "validated by `from_wire`"),
+    ("ir/src/sparse.rs", "SparseVec", "`SvmModel::support`, validated by `from_wire`"),
     ("core/src/persist.rs", "EnvelopeHeader", "checked by `split_envelope`"),
 ];
 

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use fmeter::core::{Fmeter, SignatureDb};
+use fmeter::ir::codec::{decode_from_slice, encode_to_vec};
 use fmeter::ir::{SparseVec, TermCounts, TfIdfModel};
 use fmeter::kernel_sim::{CpuId, Kernel, KernelConfig, KernelOp, Nanos};
 use fmeter::ml::{Kernel as SvmKernel, SvmTrainer};
@@ -13,20 +14,23 @@ use fmeter::workloads::Dbench;
 
 #[test]
 fn ir_types_survive_json() {
+    // `SparseVec` is the one IR type read back from JSON (an `SvmModel`'s
+    // support vectors); counts and models are stored through the binary
+    // codec, and survive that.
     let v = SparseVec::from_pairs(8, [(1, 2.5), (6, -1.0)]).unwrap();
     let json = serde_json::to_string(&v).unwrap();
     let back: SparseVec = serde_json::from_str(&json).unwrap();
     assert_eq!(v, back);
 
     let tc = TermCounts::from_pairs(8, [(0, 3), (7, 9)]).unwrap();
-    let back: TermCounts = serde_json::from_str(&serde_json::to_string(&tc).unwrap()).unwrap();
+    let back: TermCounts = decode_from_slice(&encode_to_vec(&tc)).unwrap();
     assert_eq!(tc, back);
 
     let mut corpus = fmeter::ir::Corpus::new(4);
     corpus.push(TermCounts::from_pairs(4, [(0, 2), (1, 1)]).unwrap());
     corpus.push(TermCounts::from_pairs(4, [(0, 1), (2, 5)]).unwrap());
     let model = TfIdfModel::fit(&corpus).unwrap();
-    let back: TfIdfModel = serde_json::from_str(&serde_json::to_string(&model).unwrap()).unwrap();
+    let back: TfIdfModel = decode_from_slice(&encode_to_vec(&model)).unwrap();
     // Same transform behaviour after the round trip.
     let doc = corpus.doc(0).unwrap();
     assert_eq!(model.transform(doc), back.transform(doc));

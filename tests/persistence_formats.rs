@@ -22,9 +22,10 @@ use fmeter::core::persist::{
     detect_format_version, split_envelope, RawSection, SectionCodec, CURRENT_FORMAT_VERSION,
     FORMAT_VERSIONS,
 };
-use fmeter::core::wal::{read_wal, WalSink, WalWriter, WAL_VERSION};
+use fmeter::core::wal::{read_wal, WalSink, WalWriter, WAL_VERSION, WAL_VERSION_FIXED};
 use fmeter::core::{RawSignature, RefitPolicy, SignatureDb, SyncPolicy, VacuumPolicy, WalOp};
 use fmeter::ir::codec::{self, decode_from_slice, encode_to_vec, CodecError, Reader};
+use fmeter::ir::TermId;
 use fmeter::ir::{Corpus, TermCounts, TfIdfModel};
 use fmeter::kernel_sim::Nanos;
 use serde::Value;
@@ -37,11 +38,7 @@ fn fixtures_dir() -> PathBuf {
 
 /// The on-disk name of a format version's fixture.
 fn fixture_name(version: u32) -> String {
-    if version == 0 {
-        "db_v0_bare.json".to_string()
-    } else {
-        format!("db_v{version}.fmdb")
-    }
+    format!("db_v{version}.fmdb")
 }
 
 /// The canonical fixture corpus: three behaviour classes over a
@@ -204,11 +201,7 @@ fn every_historical_format_fixture_loads_and_matches_rebuild() {
                 spec.summary
             )
         });
-        if spec.version == 0 {
-            assert_eq!(detect_format_version(&bytes), None, "v0 carries no magic");
-        } else {
-            assert_eq!(detect_format_version(&bytes), Some(spec.version));
-        }
+        assert_eq!(detect_format_version(&bytes), Some(spec.version));
         let db = SignatureDb::load(&bytes[..])
             .unwrap_or_else(|e| panic!("fixture v{} failed to load: {e}", spec.version));
         assert_fixture_behaviour(db, spec.version);
@@ -252,8 +245,8 @@ fn reencode_signatures(payload: &[u8]) -> Result<Vec<u8>, CodecError> {
     codec::put_usize(&mut out, slots);
     for _ in 0..slots {
         codec::put_opt_str(&mut out, r.get_opt_str()?.as_deref());
-        codec::put_u64(&mut out, r.get_u64()?);
-        codec::put_u64(&mut out, r.get_u64()?);
+        codec::put_var(&mut out, r.get_u64()?);
+        codec::put_var(&mut out, r.get_u64()?);
     }
     r.finish()?;
     Ok(out)
@@ -327,6 +320,11 @@ fn current_writer_matches_committed_layout() {
         codecs(&committed_sections),
         "per-section codec tags changed without a format-version bump"
     );
+    assert!(
+        fresh == committed,
+        "the writer no longer reproduces the committed v{CURRENT_FORMAT_VERSION} fixture \
+         byte for byte"
+    );
     for (fresh, committed) in fresh_sections.iter().zip(&committed_sections) {
         let name = &fresh.name;
         match fresh.codec {
@@ -399,6 +397,109 @@ fn only_the_corpus_section_grows_with_nnz() {
                 sparse.0
             );
         }
+    }
+}
+
+/// The cost of a count at rest: a document with one more non-zero —
+/// its count below 128, its gap from the previous term below 128 — saves
+/// to an envelope whose `corpus` section is exactly two bytes longer,
+/// and nothing else changes length.
+#[test]
+fn one_more_small_pair_costs_two_bytes() {
+    let section_lens = |extra: bool| -> Vec<(String, usize)> {
+        let raws: Vec<RawSignature> = (0..6u64)
+            .map(|i| {
+                let mut counts: Vec<u64> = (0..64).map(|t| (t + i) % 3 * (1 + t % 90)).collect();
+                if extra && i == 3 {
+                    assert_eq!(counts[63], 0);
+                    counts[63] = 127;
+                }
+                RawSignature {
+                    counts,
+                    started_at: Nanos(i * 1_000),
+                    ended_at: Nanos((i + 1) * 1_000),
+                    label: Some(format!("class-{}", i % 2)),
+                }
+            })
+            .collect();
+        let db = SignatureDb::build(&raws).expect("builds");
+        let mut bytes = Vec::new();
+        db.save(&mut bytes).expect("save");
+        let (_, sections) = split_envelope(&bytes).expect("fresh envelope");
+        sections
+            .into_iter()
+            .map(|s| (s.name, s.payload.len()))
+            .collect()
+    };
+    for (without, with) in section_lens(false).into_iter().zip(section_lens(true)) {
+        assert_eq!(without.0, with.0);
+        let grows = if with.0 == "corpus" { 2 } else { 0 };
+        assert_eq!(with.1, without.1 + grows, "section `{}`", with.0);
+    }
+}
+
+/// What a durable insert writes and fsyncs: a framed `FMWAL 4` record of
+/// an interval's 61 non-zero functions out of 3815, gaps and counts below
+/// 128, and an 8-byte label — 16 bytes of frame, the op tag, `dim` (2),
+/// `nnz` (1), 61 gaps and 61 counts, the interval (1 + 2) and the label
+/// (1 + 1 + 8).
+#[test]
+fn a_framed_insert_of_61_small_pairs_takes_155_bytes() {
+    let mut counts = vec![0u64; 3815];
+    for i in 0..61 {
+        counts[5 + 16 * i] = 1 + i as u64;
+    }
+    let raw = RawSignature {
+        counts,
+        started_at: Nanos(0),
+        ended_at: Nanos(1_000),
+        label: Some("workload".into()),
+    };
+    let sink = SharedSink::default();
+    let mut writer = WalWriter::create(Box::new(sink.clone()), 1, true, SyncPolicy::EveryRecord)
+        .expect("create wal");
+    let header = sink.0.lock().unwrap().len();
+    writer.append(&WalOp::Insert(raw.clone())).expect("append");
+    let record = sink.0.lock().unwrap().len() - header;
+    assert_eq!(record, 16 + 1 + (2 + 1 + 61 + 61) + (1 + 2) + (1 + 1 + 8));
+    assert_eq!(record, 155);
+    // What the counts cost in a `corpus` section: the same pairs.
+    assert_eq!(raw.to_term_counts().encoded_len(), 2 + 1 + 61 + 61);
+}
+
+/// The varint layout loses nothing: the committed v8 fixture (fixed-width
+/// integers) and a fresh v9 save of the same canonical history load to
+/// stored vectors and search hits that are `f64::to_bits`-equal.
+#[test]
+fn v8_fixed_width_and_v9_varint_saves_load_to_the_same_bits() {
+    let v8 = std::fs::read(fixtures_dir().join(fixture_name(8))).expect("v8 fixture");
+    let mut v9 = Vec::new();
+    canonical_db().save(&mut v9).expect("save");
+    assert_eq!(detect_format_version(&v9), Some(9));
+    let (v8, v9) = (
+        SignatureDb::load(&v8[..]).expect("v8 loads"),
+        SignatureDb::load(&v9[..]).expect("v9 loads"),
+    );
+    assert_eq!(v8.num_slots(), v9.num_slots());
+    let bits = |db: &SignatureDb, d: usize| -> (Vec<TermId>, Vec<u64>) {
+        let v = &db.signatures()[d].vector;
+        (
+            v.terms().to_vec(),
+            v.values().iter().map(|w| w.to_bits()).collect(),
+        )
+    };
+    for d in (0..v8.num_slots()).filter(|&d| v8.is_live(d)) {
+        assert_eq!(bits(&v8, d), bits(&v9, d), "slot {d}");
+    }
+    for raw in canonical_raws().iter().take(3) {
+        let q = raw.to_term_counts();
+        let hits = |db: &SignatureDb| -> Vec<(Option<String>, u64)> {
+            let hits = db.search(&q, 8).expect("search");
+            hits.into_iter()
+                .map(|(s, x)| (s.label.clone(), x.to_bits()))
+                .collect()
+        };
+        assert_eq!(hits(&v8), hits(&v9));
     }
 }
 
@@ -501,7 +602,7 @@ fn write_canonical_wal() -> Vec<u8> {
 #[test]
 fn every_wal_fixture_replays_to_the_canonical_ops() {
     let expected: Vec<(u64, WalOp)> = (WAL_START_SEQ..).zip(canonical_wal_ops()).collect();
-    for version in 2..=WAL_VERSION {
+    for version in WAL_VERSION_FIXED..=WAL_VERSION {
         let path = fixtures_dir().join(wal_fixture_name(version));
         let bytes = std::fs::read(&path).unwrap_or_else(|e| {
             panic!(
