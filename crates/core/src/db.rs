@@ -5,7 +5,7 @@ use fmeter_ir::{
     search_sharded, Corpus, DocId, IrError, SearchScratch, Shard, ShardRouter, SharedVec,
     SparseVec, TermCounts, TfIdfModel, TfIdfOptions,
 };
-use fmeter_ml::{KMeans, Linkage, PointBounds};
+use fmeter_ml::{ClusterStats, KMeans, Linkage, PointBounds};
 use serde::{Deserialize, Serialize};
 
 use crate::{FmeterError, RawSignature, Signature};
@@ -164,6 +164,18 @@ pub struct Recluster {
 /// [`refit`](SignatureDb::refit), which rewrites the vectors they were
 /// measured for, drops them all.
 ///
+/// Per cluster it keeps the sums the next pass seeds its means from
+/// ([`ClusterStats`]) and the label counts its syndromes are named by,
+/// both patched wherever the assignment changes: a
+/// [`remove`](SignatureDb::remove) takes an assigned signature out, a
+/// warm pass adds each signature it attaches, and a pass whose Lloyd
+/// loop moved signatures leaves the sums of what it returns and moves
+/// their labels. A vacuum changes no vector and leaves both alone; a
+/// refit re-weights the vectors, so it marks the sums stale and the
+/// next pass re-sums them in point order. `fit_warm` also re-sums them
+/// once the patches since the last re-sum reach the live count, which
+/// bounds how far the kept sums drift from point-order ones.
+///
 /// Derived state, like [`VacuumStats`]: never persisted (a loaded
 /// database starts cold) and never written to the WAL — it is rebuilt
 /// by the first `recluster` after recovery.
@@ -179,6 +191,92 @@ pub(crate) struct ClusterCache {
     /// Centroids from the last pass (the bounds are measured against
     /// them, and new docs attach to the nearest before warm-starting).
     centroids: Vec<SparseVec>,
+    /// Per-cluster sums of the assigned vectors.
+    stats: ClusterStats,
+    /// Per-cluster label counts of the assigned signatures.
+    labels: Vec<LabelTally>,
+}
+
+impl ClusterCache {
+    /// The warm-start assignment of `live_ids` (whose vectors are
+    /// `vectors`), or `None` when a cold run is required: `k` or `seed`
+    /// changed, too few points, or churn emptied a cached cluster (a
+    /// [`KMeans::fit_warm`] precondition). A doc inserted since the last
+    /// pass attaches to its nearest cached centroid, and into that
+    /// cluster's sums and label counts.
+    fn warm_assignment(
+        &mut self,
+        k: usize,
+        seed: u64,
+        live_ids: &[usize],
+        vectors: &[&SparseVec],
+        signatures: &SharedVec<Signature>,
+    ) -> Option<Vec<usize>> {
+        if self.k != k || self.seed != seed || k == 0 || vectors.len() < k {
+            return None;
+        }
+        let mut prev = Vec::with_capacity(live_ids.len());
+        for (&d, &vector) in live_ids.iter().zip(vectors) {
+            match self.assignment.get(d).copied().flatten() {
+                Some(a) if a < k => prev.push(a),
+                Some(_) => return None,
+                // Inserted since the last pass: attach to the nearest
+                // cached centroid (same metric K-means assigns with).
+                None => {
+                    let mut best: Option<(usize, f64)> = None;
+                    for (c, centroid) in self.centroids.iter().enumerate() {
+                        let d2 = fmeter_ir::euclidean_distance_sq(vector, centroid)
+                            .expect("cached centroids share the database dimension");
+                        if best.is_none_or(|(_, bd)| d2 < bd) {
+                            best = Some((c, d2));
+                        }
+                    }
+                    let c = best?.0;
+                    self.stats.add(c, vector);
+                    if let Some(label) = &signatures[d].label {
+                        self.labels[c].add(label);
+                    }
+                    prev.push(c);
+                }
+            }
+        }
+        let mut counts = vec![0usize; k];
+        for &a in &prev {
+            counts[a] += 1;
+        }
+        counts.iter().all(|&c| c > 0).then_some(prev)
+    }
+}
+
+/// One cluster's label counts, in label order: the tally
+/// [`majority_label`] builds per call, kept between reclusters. A label
+/// whose count falls to zero keeps its entry and casts no vote.
+#[derive(Debug, Clone, Default)]
+struct LabelTally(Vec<(String, usize)>);
+
+impl LabelTally {
+    fn add(&mut self, label: &str) {
+        match self.0.binary_search_by(|(l, _)| l.as_str().cmp(label)) {
+            Ok(i) => self.0[i].1 += 1,
+            Err(i) => self.0.insert(i, (label.to_owned(), 1)),
+        }
+    }
+
+    fn remove(&mut self, label: &str) {
+        let i = self
+            .0
+            .binary_search_by(|(l, _)| l.as_str().cmp(label))
+            .expect("a member's label is tallied");
+        self.0[i].1 = self.0[i]
+            .1
+            .checked_sub(1)
+            .expect("a member's label has a vote");
+    }
+
+    /// The majority label, by [`majority_label`]'s rule.
+    fn leader(&self) -> Option<String> {
+        leader(self.0.iter().map(|(l, n)| (l.as_str(), *n))).map(str::to_owned)
+    }
 }
 
 /// One shard of a [`SignatureDb`]'s posting store. The database and every
@@ -225,6 +323,27 @@ fn vectors_of<'a>(signatures: &'a SharedVec<Signature>, docs: &[usize]) -> Vec<&
     docs.iter().map(|&d| &signatures[d].vector).collect()
 }
 
+/// A K-means result as syndromes, unnamed: one [`Syndrome`] per
+/// centroid, with the live doc ids distributed into member lists.
+fn syndromes_from(
+    live_ids: &[usize],
+    centroids: Vec<SparseVec>,
+    assignments: &[usize],
+) -> Vec<Syndrome> {
+    let mut syndromes: Vec<Syndrome> = centroids
+        .into_iter()
+        .map(|centroid| Syndrome {
+            centroid,
+            dominant_label: None,
+            members: Vec::new(),
+        })
+        .collect();
+    for (&d, &cluster) in live_ids.iter().zip(assignments) {
+        syndromes[cluster].members.push(d);
+    }
+    syndromes
+}
+
 /// Keeps the entries of a per-slot array whose slot is `live`, in order.
 fn retain_live<T>(slots: &mut Vec<T>, live: &[bool]) {
     let mut flags = live.iter();
@@ -247,14 +366,20 @@ pub(crate) fn majority_label<'a>(voters: impl Iterator<Item = &'a Signature>) ->
             Err(i) => votes.insert(i, (label, 1)),
         }
     }
+    leader(votes.into_iter()).map(str::to_owned)
+}
+
+/// The label of a tally given in label order that has the most votes,
+/// the lexically smallest on a tie; `None` when no label has a vote.
+fn leader<'a>(votes: impl Iterator<Item = (&'a str, usize)>) -> Option<&'a str> {
     // In label order, only more votes displace the leader.
     let mut best: Option<(&str, usize)> = None;
     for (label, count) in votes {
-        if best.is_none_or(|(_, most)| count > most) {
+        if count > 0 && best.is_none_or(|(_, most)| count > most) {
             best = Some((label, count));
         }
     }
-    best.map(|(label, _)| label.to_string())
+    best.map(|(label, _)| label)
 }
 
 /// A labelled database of indexable signatures.
@@ -491,7 +616,13 @@ impl SignatureDb {
         self.num_live -= 1;
         self.mutations_since_refit += 1;
         if let Some(cache) = &mut self.cluster_cache {
-            cache.assignment[doc] = None;
+            if let Some(c) = cache.assignment[doc].take() {
+                let signature = &self.signatures[doc];
+                cache.stats.remove(c, &signature.vector);
+                if let Some(label) = &signature.label {
+                    cache.labels[c].remove(label);
+                }
+            }
         }
         // Vacuum before refit: renumbering changes none of the refit
         // policy's inputs, so when both are due the refit re-weights the
@@ -660,8 +791,10 @@ impl SignatureDb {
         let num_shards = self.num_shards();
         self.shards.clear();
         if let Some(cache) = &mut self.cluster_cache {
-            // The bounds describe the vectors about to be re-weighted.
+            // The bounds and the sums describe the vectors about to be
+            // re-weighted.
             cache.bounds.fill(PointBounds::UNKNOWN);
+            cache.stats.mark_stale();
         }
         for (d, &live) in live.iter().enumerate() {
             let doc = self.corpus.doc(d).expect("slot exists");
@@ -878,44 +1011,22 @@ impl SignatureDb {
             .collect();
         let vectors = vectors_of(&self.signatures, &live_ids);
         let result = KMeans::new(k).seed(seed).restarts(3).run(&vectors)?;
-        Ok(self.syndromes_from(&live_ids, result.centroids, &result.assignments))
-    }
-
-    /// Labels a K-means result as syndromes: builds one [`Syndrome`]
-    /// per centroid, distributes the live doc ids into member lists,
-    /// and votes each cluster's dominant label (ties break towards the
-    /// lexically smaller label, deterministically).
-    fn syndromes_from(
-        &self,
-        live_ids: &[usize],
-        centroids: Vec<SparseVec>,
-        assignments: &[usize],
-    ) -> Vec<Syndrome> {
-        let mut syndromes: Vec<Syndrome> = centroids
-            .into_iter()
-            .map(|centroid| Syndrome {
-                centroid,
-                dominant_label: None,
-                members: Vec::new(),
-            })
-            .collect();
-        for (i, &cluster) in assignments.iter().enumerate() {
-            syndromes[cluster].members.push(live_ids[i]);
-        }
+        let mut syndromes = syndromes_from(&live_ids, result.centroids, &result.assignments);
         for syndrome in &mut syndromes {
             let members = syndrome.members.iter().map(|&m| &self.signatures[m]);
             syndrome.dominant_label = majority_label(members);
         }
-        syndromes
+        Ok(syndromes)
     }
 
     /// Incremental syndrome maintenance: like
     /// [`syndromes`](Self::syndromes), but warm-started from the
-    /// previous pass, so a steady-state call reads the live corpus once —
-    /// for the means of the cached assignment — and measures only the
-    /// signatures the cached distance bounds cannot confirm (the ones
-    /// inserted since, and the few the centroids' drift brought near a
-    /// boundary) instead of paying k-means++ and a multi-restart
+    /// previous pass. A steady-state call seeds its means from cluster
+    /// sums the cache keeps and patches from the churn, names the
+    /// syndromes from label counts kept the same way, and measures only
+    /// the signatures the cached distance bounds cannot confirm (the
+    /// ones inserted since, and the few the centroids' drift brought
+    /// near a boundary) instead of paying k-means++ and a multi-restart
     /// K-means. Every further Lloyd iteration the moved points need is
     /// a full sweep plus the point-order sums. The stored vectors are
     /// clustered in place; none is copied.
@@ -926,14 +1037,19 @@ impl SignatureDb {
     /// with the *same* `k` and `seed` attach every doc inserted since
     /// to its nearest cached centroid and resume Lloyd iterations from
     /// there ([`KMeans::fit_warm`]): with no churn the pass converges in
-    /// one iteration with bit-identical centroids, and with bounded
-    /// churn it converges in the few iterations the moved points need.
-    /// The bounds change what a pass costs, never what it returns. The
-    /// cache follows removals and [`vacuum`] renumbering automatically,
-    /// and a [`refit`](Self::refit) leaves the next pass to measure every
-    /// signature; changing `k` or `seed` — or churn so heavy that a
-    /// cached cluster lost all its members — falls back to the cold path
-    /// (observable via [`Recluster::warm`]).
+    /// one iteration with the previous pass's centroids, bit for bit,
+    /// and with bounded churn it converges in the few iterations the
+    /// moved points need. Centroids are bit-identical to means summed
+    /// afresh in point order whenever the kept sums carry no patch (the
+    /// first pass after a cold one, a refit, a Lloyd run or a re-sum);
+    /// otherwise a converged pass's centroids may differ from those in
+    /// the last bits, within one rounding per patch. The bounds change
+    /// what a pass costs, never what it returns. The cache follows
+    /// removals and [`vacuum`] renumbering automatically, and a
+    /// [`refit`](Self::refit) leaves the next pass to re-sum and measure
+    /// every signature; changing `k` or `seed` — or churn so heavy that
+    /// a cached cluster lost all its members — falls back to the cold
+    /// path (observable via [`Recluster::warm`]).
     ///
     /// The cache is derived state: it is not persisted and not written
     /// to the write-ahead log, so a crash simply means the next
@@ -949,87 +1065,99 @@ impl SignatureDb {
             .filter(|&d| self.is_live(d))
             .collect();
         let vectors = vectors_of(&self.signatures, &live_ids);
-        let prev = self.warm_assignment(k, seed, &live_ids, &vectors);
-        if let (Some(prev), Some(cache)) = (prev, &mut self.cluster_cache) {
-            let mut bounds: Vec<PointBounds> = live_ids.iter().map(|&d| cache.bounds[d]).collect();
-            // Defensive: any warm-start rejection (all guarded against
-            // above) degrades to a cold run, never an error.
-            let km = KMeans::new(k).seed(seed);
-            if let Ok(fit) = km.fit_warm(&vectors, &prev, &cache.centroids, &mut bounds) {
-                for ((&d, &a), b) in live_ids.iter().zip(&fit.assignments).zip(bounds) {
-                    cache.assignment[d] = Some(a);
-                    cache.bounds[d] = b;
+        if let Some(cache) = &mut self.cluster_cache {
+            if let Some(prev) =
+                cache.warm_assignment(k, seed, &live_ids, &vectors, &self.signatures)
+            {
+                let mut bounds: Vec<PointBounds> =
+                    live_ids.iter().map(|&d| cache.bounds[d]).collect();
+                // Defensive: any warm-start rejection (all guarded
+                // against above) degrades to a cold run, never an error.
+                let km = KMeans::new(k).seed(seed);
+                if let Ok(fit) = km.fit_warm(
+                    &vectors,
+                    &prev,
+                    &mut cache.stats,
+                    &cache.centroids,
+                    &mut bounds,
+                ) {
+                    for (i, (&d, &a)) in live_ids.iter().zip(&fit.assignments).enumerate() {
+                        if a != prev[i] {
+                            if let Some(label) = &self.signatures[d].label {
+                                cache.labels[prev[i]].remove(label);
+                                cache.labels[a].add(label);
+                            }
+                        }
+                        cache.assignment[d] = Some(a);
+                        cache.bounds[d] = bounds[i];
+                    }
+                    cache.centroids = fit.centroids.clone();
+                    let mut syndromes = syndromes_from(&live_ids, fit.centroids, &fit.assignments);
+                    for (syndrome, tally) in syndromes.iter_mut().zip(&cache.labels) {
+                        syndrome.dominant_label = tally.leader();
+                    }
+                    return Ok(Recluster {
+                        syndromes,
+                        warm: true,
+                        iterations: fit.iterations,
+                        evaluated: Some(fit.evaluated),
+                    });
                 }
-                cache.centroids = fit.centroids.clone();
-                return Ok(Recluster {
-                    syndromes: self.syndromes_from(&live_ids, fit.centroids, &fit.assignments),
-                    warm: true,
-                    iterations: fit.iterations,
-                    evaluated: Some(fit.evaluated),
-                });
             }
         }
         let result = KMeans::new(k).seed(seed).restarts(3).run(&vectors)?;
         let slots = self.signatures.len();
         let mut assignment = vec![None; slots];
-        for (i, &d) in live_ids.iter().enumerate() {
-            assignment[d] = Some(result.assignments[i]);
+        let mut labels = vec![LabelTally::default(); k];
+        for (&d, &a) in live_ids.iter().zip(&result.assignments) {
+            assignment[d] = Some(a);
+            if let Some(label) = &self.signatures[d].label {
+                labels[a].add(label);
+            }
+        }
+        // The sums' buffers outlive a cold pass of the same shape.
+        let mut stats = match self.cluster_cache.take() {
+            Some(cache) if cache.stats.k() == k => cache.stats,
+            _ => ClusterStats::new(k, self.dim()),
+        };
+        stats.rebuild(&vectors, &result.assignments);
+        let mut syndromes =
+            syndromes_from(&live_ids, result.centroids.clone(), &result.assignments);
+        for (syndrome, tally) in syndromes.iter_mut().zip(&labels) {
+            syndrome.dominant_label = tally.leader();
         }
         self.cluster_cache = Some(ClusterCache {
             k,
             seed,
             assignment,
             bounds: vec![PointBounds::UNKNOWN; slots],
-            centroids: result.centroids.clone(),
+            centroids: result.centroids,
+            stats,
+            labels,
         });
         Ok(Recluster {
-            syndromes: self.syndromes_from(&live_ids, result.centroids, &result.assignments),
+            syndromes,
             warm: false,
             iterations: result.iterations,
             evaluated: None,
         })
     }
 
-    /// Builds the warm-start assignment for [`recluster`] from the
-    /// cache, or `None` when a cold run is required: no cache, `k` or
-    /// `seed` changed, too few points, or churn emptied a cached
-    /// cluster (a [`KMeans::fit_warm`] precondition).
-    fn warm_assignment(
-        &self,
-        k: usize,
-        seed: u64,
-        live_ids: &[usize],
-        vectors: &[&SparseVec],
-    ) -> Option<Vec<usize>> {
-        let cache = self.cluster_cache.as_ref()?;
-        if cache.k != k || cache.seed != seed || k == 0 || vectors.len() < k {
-            return None;
+    /// Test hook: the recluster cache's cluster sums, `None` without a
+    /// cache.
+    #[doc(hidden)]
+    pub fn cluster_stats(&self) -> Option<&ClusterStats> {
+        self.cluster_cache.as_ref().map(|cache| &cache.stats)
+    }
+
+    /// Test hook: marks the recluster cache's cluster sums stale, so the
+    /// next warm pass re-sums them in point order from every live
+    /// signature.
+    #[doc(hidden)]
+    pub fn mark_cluster_stats_stale(&mut self) {
+        if let Some(cache) = &mut self.cluster_cache {
+            cache.stats.mark_stale();
         }
-        let mut prev = Vec::with_capacity(live_ids.len());
-        for (i, &d) in live_ids.iter().enumerate() {
-            match cache.assignment.get(d).copied().flatten() {
-                Some(a) if a < k => prev.push(a),
-                Some(_) => return None,
-                // Inserted since the last pass: attach to the nearest
-                // cached centroid (same metric K-means assigns with).
-                None => {
-                    let mut best: Option<(usize, f64)> = None;
-                    for (c, centroid) in cache.centroids.iter().enumerate() {
-                        let d2 = fmeter_ir::euclidean_distance_sq(vectors[i], centroid)
-                            .expect("cached centroids share the database dimension");
-                        if best.is_none_or(|(_, bd)| d2 < bd) {
-                            best = Some((c, d2));
-                        }
-                    }
-                    prev.push(best?.0);
-                }
-            }
-        }
-        let mut counts = vec![0usize; k];
-        for &a in &prev {
-            counts[a] += 1;
-        }
-        counts.iter().all(|&c| c > 0).then_some(prev)
     }
 
     /// Meta-clustering (paper §2.2, §6): clusters syndrome *centroids*

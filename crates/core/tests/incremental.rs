@@ -9,7 +9,7 @@ use fmeter_kernel_sim::Nanos;
 use fmeter_ml::metrics::adjusted_rand_index;
 use fmeter_ml::{KMeans, KMeansResult};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 const DIM: usize = 10;
 
@@ -391,11 +391,18 @@ proptest! {
 // ---------------------------------------------------------------------
 // Bit-identity pins for the clustering path, and the k = 8 finding.
 //
-// The constants below were computed at the commit *before* the K-means
-// assignment step became one fused k-lane kernel and `recluster` stopped
-// copying the corpus; the tests pass there and here, which is the claim
-// "a pure cost change" made checkable. A PR that changes what K-means
-// computes (ROADMAP item 2's seeding fix will) re-pins them on purpose.
+// The `GOLDEN_KMEANS_*` constants were computed at the commit *before*
+// the K-means assignment step became one fused k-lane kernel and
+// `recluster` stopped copying the corpus; the tests pass there and here,
+// which is the claim "a pure cost change" made checkable. The two
+// `GOLDEN_RECLUSTER_*` constants were re-pinned on purpose when a warm
+// recluster began to seed its means from cluster sums kept between
+// passes and patched from the churn: a converged pass after churn now
+// differs from means summed afresh in the last bits of its centroids
+// (within the bound the kept-sums churn suite checks), while which passes
+// are warm and which move a point stayed as they were. A PR that changes
+// what K-means computes (ROADMAP item 2's seeding fix will) re-pins them
+// on purpose.
 // ---------------------------------------------------------------------
 
 /// xoshiro256++ seeded through splitmix64: the stream of the benchmark's
@@ -541,58 +548,106 @@ impl Fold {
     }
 }
 
-/// What the parent commit computed (see the section comment above).
-const GOLDEN_RECLUSTER_SCRIPT: u64 = 0xa75e_51b4_bd24_c92b;
-const GOLDEN_RECLUSTER_OVERSEGMENTED: u64 = 0x8e30_bf5a_fc46_8900;
+/// What the pinned commits computed (see the section comment above).
+const GOLDEN_RECLUSTER_SCRIPT: u64 = 0x943f_40dc_3538_f931;
+const GOLDEN_RECLUSTER_OVERSEGMENTED: u64 = 0x4f1c_ecf5_42da_98dc;
 const GOLDEN_KMEANS_RESTARTS: u64 = 0xad75_daa9_293b_06fb;
 const GOLDEN_KMEANS_TWO_THREADS: u64 = 0xd195_728c_2a2c_a6d1;
 
-/// The `syndrome_refresh` loop in small — replace a slice of the
-/// corpus, refresh the `k` syndromes warm — then one cold `syndromes`. The policies fire one refit (which re-weights every
-/// stored vector under the warm cache) and one vacuum (which renumbers
-/// it) along the way. Returns the fold of everything the passes
-/// reported, how many were warm, and how many warm ones had to move a
-/// point (more than one Lloyd iteration).
-fn recluster_script(k: usize) -> (u64, usize, usize) {
+/// The `syndrome_refresh` corpus in small, and the churn of its loop:
+/// each cycle inserts `CHURN` class-shaped signatures, then removes the
+/// `CHURN` oldest.
+struct ChurnScript {
+    rng: GenRng,
+    inserted: u64,
+    oldest: usize,
+}
+
+impl ChurnScript {
     const DOCS: usize = 512;
     const DIM: usize = 1000;
     const CLASSES: usize = 4;
-    const CYCLES: usize = 50;
     const CHURN: usize = 16;
     const SEED: u64 = 1;
-    let mut rng = GenRng::new(SEED);
-    let raws: Vec<RawSignature> = (0..DOCS)
-        .map(|i| class_signature(&mut rng, i % CLASSES, CLASSES, DIM, i as u64))
-        .collect();
-    let mut db = SignatureDb::build(&raws).expect("corpus is not empty");
-    db.set_refit_policy(RefitPolicy::EveryN(1000));
-    db.set_vacuum_policy(VacuumPolicy::DeadFraction {
-        max_dead_fraction: 0.0,
-        min_dead: 500,
-    });
-    let mut fold = Fold::new();
-    let mut inserted = DOCS as u64;
-    let mut oldest = 0;
-    let (mut warm_passes, mut moved_passes) = (0, 0);
-    for _ in 0..CYCLES {
-        for _ in 0..CHURN {
-            inserted += 1;
-            let class = rng.below(CLASSES);
-            db.insert(&class_signature(&mut rng, class, CLASSES, DIM, inserted))
-                .expect("signature dimension matches");
+
+    /// The seed corpus under `refit`, vacuumed once 500 slots are dead.
+    fn start(refit: RefitPolicy) -> (Self, SignatureDb) {
+        let mut rng = GenRng::new(Self::SEED);
+        let raws: Vec<RawSignature> = (0..Self::DOCS)
+            .map(|i| {
+                class_signature(
+                    &mut rng,
+                    i % Self::CLASSES,
+                    Self::CLASSES,
+                    Self::DIM,
+                    i as u64,
+                )
+            })
+            .collect();
+        let mut db = SignatureDb::build(&raws).expect("corpus is not empty");
+        db.set_refit_policy(refit);
+        db.set_vacuum_policy(VacuumPolicy::DeadFraction {
+            max_dead_fraction: 0.0,
+            min_dead: 500,
+        });
+        let script = ChurnScript {
+            rng,
+            inserted: Self::DOCS as u64,
+            oldest: 0,
+        };
+        (script, db)
+    }
+
+    /// One cycle; returns the ids it inserted, renumbered by a vacuum
+    /// the removals set off.
+    fn cycle(&mut self, db: &mut SignatureDb) -> Vec<usize> {
+        let mut ids = Vec::with_capacity(Self::CHURN);
+        for _ in 0..Self::CHURN {
+            self.inserted += 1;
+            let class = self.rng.below(Self::CLASSES);
+            let raw = class_signature(
+                &mut self.rng,
+                class,
+                Self::CLASSES,
+                Self::DIM,
+                self.inserted,
+            );
+            ids.push(db.insert(&raw).expect("signature dimension matches"));
         }
-        for _ in 0..CHURN {
+        for _ in 0..Self::CHURN {
             let vacuums = db.vacuums();
-            db.remove(oldest).expect("the oldest slot is live");
+            db.remove(self.oldest).expect("the oldest slot is live");
             // Removal runs oldest first, so a vacuum drops exactly the
             // slots below the cursor.
-            oldest = if db.vacuums() == vacuums {
-                oldest + 1
+            if db.vacuums() == vacuums {
+                self.oldest += 1;
             } else {
-                0
-            };
+                let remap = &db.last_vacuum().expect("a vacuum just ran").remap;
+                ids = ids.iter().filter_map(|&d| remap[d]).collect();
+                self.oldest = 0;
+            }
         }
-        let pass = db.recluster(k, SEED).expect("more signatures than k");
+        ids
+    }
+}
+
+/// The `syndrome_refresh` loop in small — replace a slice of the
+/// corpus, refresh the `k` syndromes warm — then one cold `syndromes`.
+/// The policies fire one refit (which re-weights every stored vector
+/// under the warm cache) and one vacuum (which renumbers it) along the
+/// way. Returns the fold of everything the passes reported, how many
+/// were warm, and how many warm ones had to move a point (more than one
+/// Lloyd iteration).
+fn recluster_script(k: usize) -> (u64, usize, usize) {
+    const CYCLES: usize = 50;
+    let (mut script, mut db) = ChurnScript::start(RefitPolicy::EveryN(1000));
+    let mut fold = Fold::new();
+    let (mut warm_passes, mut moved_passes) = (0, 0);
+    for _ in 0..CYCLES {
+        script.cycle(&mut db);
+        let pass = db
+            .recluster(k, ChurnScript::SEED)
+            .expect("more signatures than k");
         warm_passes += usize::from(pass.warm);
         moved_passes += usize::from(pass.warm && pass.iterations > 1);
         fold.syndromes(&pass.syndromes);
@@ -601,8 +656,197 @@ fn recluster_script(k: usize) -> (u64, usize, usize) {
     }
     assert_eq!(db.epoch(), 1, "the script crosses one policy refit");
     assert_eq!(db.vacuums(), 1, "the script crosses one policy vacuum");
-    fold.syndromes(&db.syndromes(k, SEED).expect("more signatures than k"));
+    fold.syndromes(
+        &db.syndromes(k, ChurnScript::SEED)
+            .expect("more signatures than k"),
+    );
     (fold.0, warm_passes, moved_passes)
+}
+
+/// The most frequent label among `members`, the lexically smallest on a
+/// tie.
+fn member_vote(db: &SignatureDb, members: &[usize]) -> Option<String> {
+    let mut votes: BTreeMap<&str, usize> = BTreeMap::new();
+    for &m in members {
+        if let Some(label) = db.signatures()[m].label.as_deref() {
+            *votes.entry(label).or_default() += 1;
+        }
+    }
+    let most = votes.values().copied().max()?;
+    votes
+        .into_iter()
+        .find(|&(_, n)| n == most)
+        .map(|(label, _)| label.to_owned())
+}
+
+/// What the recluster churn suites learnt from running `cycles` of the
+/// script at k = 4, each pass against a clone that re-sums its means.
+struct Drift {
+    /// Passes whose kept sums had been re-summed in point order (after
+    /// the cold first pass).
+    resums: usize,
+    /// Passes whose centroids differed from the re-summed clone's.
+    drifted: usize,
+}
+
+/// Runs the churn script at k = 4 under `refit`, reclustering after
+/// every cycle both the database and a clone whose kept sums are marked
+/// stale, so that it seeds from means summed afresh in point order.
+///
+/// The two must agree on members, labels, `warm` and `iterations`, and
+/// bit for bit on the centroids of a pass whose sums carry no patch.
+/// Otherwise each centroid coordinate must be within the bound the
+/// patches allow. Every addition rounds once, at most `ε/2` of the
+/// running sum, and every running sum of cluster `c` at term `t` is at
+/// most `A_t`, the sum of `|v_t|` over every signature live at some time
+/// since the last re-sum. The kept sum is the point-order sum of the
+/// `m₀` signatures live at that re-sum, patched `P` times; the clone's
+/// is the point-order sum of the `m` live now. Both divide by the
+/// cluster's count `n_c`, rounding once more each, so
+/// `|kept − clone| ≤ (m₀ + P + m + 2)·ε·A_t / n_c`.
+fn churn_against_resummed_clones(refit: RefitPolicy, cycles: usize) -> Drift {
+    const K: usize = 4;
+    let (mut script, mut db) = ChurnScript::start(refit);
+    let abs_sum = |db: &SignatureDb, docs: &[usize]| {
+        let mut sum = vec![0.0f64; ChurnScript::DIM];
+        for &d in docs {
+            for (t, v) in db.signatures()[d].vector.iter() {
+                sum[t as usize] += v.abs();
+            }
+        }
+        sum
+    };
+    let live = |db: &SignatureDb| -> Vec<usize> {
+        (0..db.num_slots()).filter(|&d| db.is_live(d)).collect()
+    };
+    let mut touched = vec![0.0f64; ChurnScript::DIM];
+    let mut live_at_resum = 0;
+    let mut drift = Drift {
+        resums: 0,
+        drifted: 0,
+    };
+    for cycle in 0..cycles {
+        let inserted = script.cycle(&mut db);
+        for (t, v) in abs_sum(&db, &inserted).into_iter().enumerate() {
+            touched[t] += v;
+        }
+        let mut resummed = db.clone();
+        resummed.mark_cluster_stats_stale();
+        let got = db
+            .recluster(K, ChurnScript::SEED)
+            .expect("more signatures than k");
+        let want = resummed
+            .recluster(K, ChurnScript::SEED)
+            .expect("more signatures than k");
+        let what = format!("cycle {cycle}");
+        assert_eq!(
+            (got.warm, got.iterations),
+            (want.warm, want.iterations),
+            "{what}"
+        );
+        assert_eq!(got.syndromes.len(), K);
+        let stats = db.cluster_stats().expect("a pass leaves a cache");
+        let patches = stats.patches();
+        let live_ids = live(&db);
+        assert!(
+            patches < live_ids.len(),
+            "{what}: {patches} patches not re-summed"
+        );
+        if cycle > 0 && patches == 0 {
+            drift.resums += 1;
+        }
+        let mut differs = false;
+        for (c, (g, w)) in got.syndromes.iter().zip(&want.syndromes).enumerate() {
+            assert_eq!(g.members, w.members, "{what}: cluster {c} members");
+            assert_eq!(
+                g.dominant_label, w.dominant_label,
+                "{what}: cluster {c} label"
+            );
+            assert_eq!(
+                stats.counts()[c],
+                g.members.len(),
+                "{what}: cluster {c} count"
+            );
+            // The clone keeps the same label counts, so check the vote
+            // against a recount of the members too.
+            assert_eq!(
+                g.dominant_label,
+                member_vote(&db, &g.members),
+                "{what}: cluster {c} vote"
+            );
+            // A term no member holds is an exact zero in the kept sums
+            // too, so the supports agree.
+            assert_eq!(
+                g.centroid.terms(),
+                w.centroid.terms(),
+                "{what}: cluster {c} support"
+            );
+            let n_c = g.members.len() as f64;
+            for t in 0..ChurnScript::DIM as u32 {
+                let (x, y) = (g.centroid.get(t), w.centroid.get(t));
+                if x.to_bits() == y.to_bits() {
+                    continue;
+                }
+                differs = true;
+                assert!(
+                    patches > 0,
+                    "{what}: cluster {c} term {t}: {x} vs {y} with no patch since the re-sum"
+                );
+                let rounds = (live_at_resum + patches + live_ids.len() + 2) as f64;
+                let bound = rounds * f64::EPSILON * touched[t as usize] / n_c;
+                let off = (x - y).abs();
+                assert!(
+                    off <= bound,
+                    "{what}: cluster {c} term {t}: {x} vs {y}, {off:e} past the bound {bound:e}"
+                );
+            }
+        }
+        drift.drifted += usize::from(differs);
+        // With no churn since, a pass returns what the last one did, bit
+        // for bit, and patches nothing.
+        let again = db
+            .recluster(K, ChurnScript::SEED)
+            .expect("more signatures than k");
+        assert!(again.warm, "{what}: the repeat stays warm");
+        assert_eq!(
+            again.syndromes, got.syndromes,
+            "{what}: a repeat without churn"
+        );
+        let stats = db.cluster_stats().expect("a pass leaves a cache");
+        assert_eq!(stats.patches(), patches, "{what}: a repeat patches nothing");
+        if patches == 0 {
+            // Re-summed (or cold): the bound starts over from the live
+            // signatures.
+            touched = abs_sum(&db, &live_ids);
+            live_at_resum = live_ids.len();
+        }
+    }
+    drift
+}
+
+#[test]
+fn kept_sums_stay_within_the_patch_bound_of_a_resummed_clone() {
+    // The script's own policies: a refit (which marks the sums stale)
+    // and a vacuum (which leaves them alone) along the way.
+    let drift = churn_against_resummed_clones(RefitPolicy::EveryN(1000), 50);
+    assert!(
+        drift.drifted > 0,
+        "the kept sums never drifted: nothing was tested"
+    );
+    assert!(drift.resums >= 2, "{} re-sums", drift.resums);
+}
+
+#[test]
+fn kept_sums_drift_stays_bounded_over_many_resum_periods() {
+    // No refit: only the patch count re-sums. Thirty-two patches a pass
+    // over 512 signatures re-sum every sixteenth pass; 64 passes make
+    // three periods and more, across the policy vacuum.
+    let drift = churn_against_resummed_clones(RefitPolicy::Manual, 64);
+    assert!(drift.resums >= 3, "{} re-sums in 64 passes", drift.resums);
+    assert!(
+        drift.drifted > 0,
+        "the kept sums never drifted: nothing was tested"
+    );
 }
 
 #[test]

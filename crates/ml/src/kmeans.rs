@@ -63,13 +63,15 @@ impl CentroidBuf {
         self.norm = self.sq_norm.sqrt();
     }
 
-    /// Overwrites the centroid with an already-divided mean vector.
-    fn set_from_mean(&mut self, mean: &[f64]) {
-        self.dense.copy_from_slice(mean);
+    /// Overwrites the centroid with the mean `sum / members`, written
+    /// straight into the dense buffer: `sum` is left as it is.
+    fn set_from_mean(&mut self, sum: &[f64], members: f64) {
         self.terms.clear();
         self.values.clear();
         let mut sq = 0.0;
-        for (t, &v) in self.dense.iter().enumerate() {
+        for (t, (slot, &s)) in self.dense.iter_mut().zip(sum).enumerate() {
+            let v = s / members;
+            *slot = v;
             if v != 0.0 {
                 self.terms.push(t as TermId);
                 self.values.push(v);
@@ -150,16 +152,11 @@ impl Centroids {
         self.refresh_lanes();
     }
 
-    /// Rewrites every centroid to its cluster mean, dividing `sums` in
-    /// place. Every cluster must have a member.
-    fn set_from_means(&mut self, sums: &mut ClusterSums) {
+    /// Rewrites every centroid to its cluster mean; `sums` stay as they
+    /// are. Every cluster must have a member.
+    fn set_from_means(&mut self, sums: &ClusterSums) {
         for (c, buf) in self.bufs.iter_mut().enumerate() {
-            let members = sums.counts[c] as f64;
-            let mean = sums.row_mut(c);
-            for v in mean.iter_mut() {
-                *v /= members;
-            }
-            buf.set_from_mean(mean);
+            buf.set_from_mean(sums.row(c), sums.counts[c] as f64);
         }
         self.refresh_lanes();
     }
@@ -185,13 +182,18 @@ impl Centroids {
 }
 
 /// Per-cluster sums (flattened `k * dim`) and member counts: the input
-/// of the update step. The Lloyd loop owns one; on the pool path every
-/// worker also fills one for its chunk, and the loop merges them after
-/// the barrier in chunk order.
-#[derive(Debug)]
+/// of the update step. A cold fit's Lloyd loop owns one; on the pool
+/// path every worker also fills one for its chunk, and the loop merges
+/// them after the barrier in chunk order. A warm fit runs on the one a
+/// [`ClusterStats`] keeps, which also counts each `(cluster, term)`'s
+/// support; a cold fit leaves `support` empty and counts nothing.
+#[derive(Debug, Clone)]
 struct ClusterSums {
     sums: Vec<f64>,
     counts: Vec<usize>,
+    /// Members of cluster `c` with term `t`, at `c * dim + t`; empty
+    /// when not kept.
+    support: Vec<u32>,
     dim: usize,
 }
 
@@ -200,32 +202,42 @@ impl ClusterSums {
         ClusterSums {
             sums: vec![0.0f64; k * dim],
             counts: vec![0usize; k],
+            support: Vec::new(),
             dim,
         }
+    }
+
+    fn row(&self, c: usize) -> &[f64] {
+        &self.sums[c * self.dim..(c + 1) * self.dim]
     }
 
     fn row_mut(&mut self, c: usize) -> &mut [f64] {
         &mut self.sums[c * self.dim..(c + 1) * self.dim]
     }
 
-    /// Adds `p` to cluster `c`'s sum (not to its count).
-    fn scatter(&mut self, c: usize, p: &SparseVec) {
-        let row = self.row_mut(c);
-        for (t, v) in p.iter() {
-            row[t as usize] += v;
-        }
-    }
-
-    /// Overwrites `self` with the sums and counts of `assignments`,
-    /// accumulated from `+0.0` in point order — the one arithmetic every
-    /// centroid mean in this module comes from, which is what lets a
-    /// warm start reproduce a converged fit bit for bit.
-    fn accumulate(&mut self, points: &[&SparseVec], assignments: &[usize]) {
+    /// Overwrites `self` with the sums and counts of `assignments` (and
+    /// the supports, when kept), accumulated from `+0.0` in point order
+    /// — the one arithmetic every centroid mean of a Lloyd iteration
+    /// comes from, and what [`ClusterStats::rebuild`] runs, which is what
+    /// lets a warm start from unpatched stats reproduce a converged fit
+    /// bit for bit.
+    fn accumulate<P: Borrow<SparseVec>>(&mut self, points: &[P], assignments: &[usize]) {
         self.sums.fill(0.0);
         self.counts.fill(0);
+        self.support.fill(0);
+        let dim = self.dim;
         for (p, &c) in points.iter().zip(assignments) {
+            let p = p.borrow();
             self.counts[c] += 1;
-            self.scatter(c, p);
+            let row = self.row_mut(c);
+            for (t, v) in p.iter() {
+                row[t as usize] += v;
+            }
+            if let Some(support) = self.support.get_mut(c * dim..(c + 1) * dim) {
+                for &t in p.terms() {
+                    support[t as usize] += 1;
+                }
+            }
         }
     }
 
@@ -249,6 +261,136 @@ impl ClusterSums {
         for (dst, &c) in self.counts.iter_mut().zip(&part.counts) {
             *dst += c;
         }
+    }
+}
+
+/// The per-cluster sums, member counts and per-`(cluster, term)` support
+/// counts of an assignment, kept between warm fits
+/// ([`KMeans::fit_warm`]) and patched as the assignment changes instead
+/// of re-summed from every point.
+///
+/// [`rebuild`](Self::rebuild) accumulates them from `+0.0` in point
+/// order, the arithmetic of a Lloyd update step, so the means of freshly
+/// rebuilt stats are bit for bit the centroids that step computes.
+/// [`add`](Self::add) and [`remove`](Self::remove) patch one point in or
+/// out; each patched sum rounds once, so the sums drift from the
+/// point-order ones by at most one rounding per patch. A sum whose
+/// support count falls to zero is set to `+0.0` rather than decremented,
+/// so a mean's support is exactly the union of its members' supports,
+/// as for point-order sums. `fit_warm` rebuilds the stats in point order
+/// when they are [stale](Self::mark_stale) or once the patches since the
+/// last rebuild reach the number of points it is given: the drift stays
+/// bounded, and the rebuild costs O(1) per patch amortised.
+///
+/// New stats are stale: the first `fit_warm` builds them.
+#[derive(Debug, Clone)]
+pub struct ClusterStats {
+    sums: ClusterSums,
+    /// Patches since the last rebuild.
+    patches: usize,
+    stale: bool,
+}
+
+impl ClusterStats {
+    /// Stale stats for `k` clusters of `dim`-dimensional points: `k ×
+    /// dim` sums and as many support counts, allocated once and
+    /// rewritten in place from then on.
+    pub fn new(k: usize, dim: usize) -> Self {
+        let mut sums = ClusterSums::new(k, dim);
+        sums.support = vec![0; k * dim];
+        ClusterStats {
+            sums,
+            patches: 0,
+            stale: true,
+        }
+    }
+
+    /// The number of clusters.
+    pub fn k(&self) -> usize {
+        self.sums.counts.len()
+    }
+
+    /// Members per cluster, as of the last rebuild and the patches
+    /// since (meaningless while stale).
+    pub fn counts(&self) -> &[usize] {
+        &self.sums.counts
+    }
+
+    /// Patches since the last rebuild.
+    pub fn patches(&self) -> usize {
+        self.patches
+    }
+
+    /// Marks the stats stale — say, because the points were re-weighted:
+    /// [`add`](Self::add) and [`remove`](Self::remove) do nothing until
+    /// the next rebuild, which `fit_warm` runs first thing.
+    pub fn mark_stale(&mut self) {
+        self.stale = true;
+    }
+
+    /// Overwrites the stats with those of `assignment` over `points`,
+    /// accumulated in point order, in place; clears the patch count and
+    /// the staleness.
+    ///
+    /// # Panics
+    ///
+    /// If an assignment names a cluster `>= k`, or a point has a term
+    /// `>= dim`.
+    pub fn rebuild<P: Borrow<SparseVec>>(&mut self, points: &[P], assignment: &[usize]) {
+        self.sums.accumulate(points, assignment);
+        self.patches = 0;
+        self.stale = false;
+    }
+
+    /// Adds `p` to cluster `c`: one rounding per term of `p`.
+    ///
+    /// # Panics
+    ///
+    /// If `c >= k` or `p` has a term `>= dim`.
+    pub fn add(&mut self, c: usize, p: &SparseVec) {
+        if self.stale {
+            return;
+        }
+        let dim = self.sums.dim;
+        self.sums.counts[c] += 1;
+        let (sums, support) = (
+            &mut self.sums.sums[c * dim..(c + 1) * dim],
+            &mut self.sums.support[c * dim..(c + 1) * dim],
+        );
+        for (t, v) in p.iter() {
+            sums[t as usize] += v;
+            support[t as usize] += 1;
+        }
+        self.patches += 1;
+    }
+
+    /// Takes `p`, a member of cluster `c`, out of it: one rounding per
+    /// term of `p`, and an exact `+0.0` for a term no member holds any
+    /// more.
+    ///
+    /// # Panics
+    ///
+    /// If `c >= k`, `p` has a term `>= dim`, or `p` is not counted in
+    /// cluster `c` (its count or one of its terms' support is zero).
+    pub fn remove(&mut self, c: usize, p: &SparseVec) {
+        if self.stale {
+            return;
+        }
+        let dim = self.sums.dim;
+        let count = &mut self.sums.counts[c];
+        *count = count.checked_sub(1).expect("the point is a member of c");
+        let (sums, support) = (
+            &mut self.sums.sums[c * dim..(c + 1) * dim],
+            &mut self.sums.support[c * dim..(c + 1) * dim],
+        );
+        for (t, v) in p.iter() {
+            let t = t as usize;
+            support[t] = support[t]
+                .checked_sub(1)
+                .expect("a member's term is in its cluster's support");
+            sums[t] = if support[t] == 0 { 0.0 } else { sums[t] - v };
+        }
+        self.patches += 1;
     }
 }
 
@@ -687,10 +829,15 @@ impl KMeans {
     /// assignment instead of re-seeding and restarting, and confirms a
     /// fixpoint from carried distance bounds where it can.
     ///
-    /// The initial centroids are the per-cluster means of
-    /// `prev_assignment`, accumulated in point order — exactly the
-    /// arithmetic of the update step — so a *converged* assignment
-    /// reproduces its centroids bit for bit. `centroids` are the ones
+    /// The initial centroids are the means of `stats`, the cluster sums
+    /// of `prev_assignment` the caller keeps between fits
+    /// ([`ClusterStats`]): rebuilt in point order — exactly the
+    /// arithmetic of the update step — and patched as points come and
+    /// go. The fit first rebuilds them in place when they are stale or
+    /// once the patches since their last rebuild reach the number of
+    /// points. So a *converged* assignment reproduces its centroids bit
+    /// for bit when nothing was patched since the last rebuild, and
+    /// within one rounding per patch otherwise. `centroids` are the ones
     /// the previous fit returned, and `bounds[i]` what it left for point
     /// `i` ([`PointBounds::UNKNOWN`] for a point it did not see).
     ///
@@ -701,17 +848,20 @@ impl KMeans {
     /// slack of the distance formula, keeps its assignment unmeasured;
     /// every other point goes through the assignment kernel. If none of
     /// them moved, the previous assignment is the fixpoint and the fit
-    /// returns after one iteration, having read every point once for
-    /// the seeding sums and measured only what its bounds could not
-    /// confirm. As soon as one moves, Lloyd's loop runs from the seeding
-    /// exactly as without bounds: an assignment sweep, the point-order
-    /// sums of the update step, until the assignment repeats. Either way
-    /// `bounds` ends up measured against the returned centroids, ready
-    /// for the next call. The other metrics sweep every point and leave
-    /// every bound unknown. Assignments, centroids and iterations are
+    /// returns after one iteration, having read no point but the ones
+    /// its bounds could not confirm. As soon as one moves, Lloyd's loop
+    /// runs from the seeding exactly as without bounds: an assignment
+    /// sweep, the point-order sums of the update step, until the
+    /// assignment repeats. It leaves in `stats` the point-order sums of
+    /// the assignment it returns, rebuilding them when its last update
+    /// does not describe that assignment (a stop on `tol` or
+    /// `max_iters`, an emptied cluster repaired). Either way `bounds`
+    /// ends up measured against the returned centroids, ready for the
+    /// next call. The other metrics sweep every point and leave every
+    /// bound unknown. Assignments, centroids and iterations are
     /// `f64::to_bits`-identical to a warm start that measured every
-    /// point (pinned by the warm-start oracle and the golden recluster
-    /// script).
+    /// point from the same stats (pinned by the warm-start oracle and
+    /// the golden recluster script).
     ///
     /// This is the cost profile behind the incremental `recluster()`
     /// surface in `fmeter-core`; `benchmark/`'s layer replay times the
@@ -728,12 +878,15 @@ impl KMeans {
     /// [`MlError::InvalidConfig`] when `prev_assignment` or `bounds` has
     /// the wrong length, `prev_assignment` names a cluster `>= k` or
     /// leaves any cluster empty (callers with emptied clusters should
-    /// fall back to a cold run), or `centroids` is not `k` vectors of
-    /// the points' dimension.
+    /// fall back to a cold run), `stats` are not for `k` clusters of the
+    /// points' dimension or, not stale, count other members than
+    /// `prev_assignment`, or `centroids` is not `k` vectors of the
+    /// points' dimension.
     pub fn fit_warm<P: Borrow<SparseVec>>(
         &self,
         points: &[P],
         prev_assignment: &[usize],
+        stats: &mut ClusterStats,
         centroids: &[SparseVec],
         bounds: &mut [PointBounds],
     ) -> Result<WarmFit, MlError> {
@@ -755,7 +908,16 @@ impl KMeans {
                 self.k
             )));
         }
-        let mut sums = ClusterSums::new(self.k, dim);
+        if (stats.k(), stats.sums.dim) != (self.k, dim) {
+            return Err(MlError::InvalidConfig(format!(
+                "warm start needs cluster stats for k = {} and dimension {dim}, not k = {} \
+                 and dimension {}",
+                self.k,
+                stats.k(),
+                stats.sums.dim
+            )));
+        }
+        let mut counts = vec![0usize; self.k];
         for &a in prev_assignment {
             if a >= self.k {
                 return Err(MlError::InvalidConfig(format!(
@@ -763,20 +925,23 @@ impl KMeans {
                     self.k
                 )));
             }
-            sums.counts[a] += 1;
+            counts[a] += 1;
         }
-        if let Some(empty) = sums.counts.iter().position(|&c| c == 0) {
+        if let Some(empty) = counts.iter().position(|&c| c == 0) {
             return Err(MlError::InvalidConfig(format!(
                 "warm start needs every cluster populated; cluster {empty} is empty"
             )));
         }
-        // The seeding sweep: each point's contribution to the mean of its
-        // previous cluster, in the accumulation order of the update step.
-        for (p, &a) in points.iter().zip(prev_assignment) {
-            sums.scatter(a, p);
+        if stats.stale || stats.patches >= n {
+            stats.rebuild(&points, prev_assignment);
+        } else if stats.counts() != counts {
+            return Err(MlError::InvalidConfig(format!(
+                "cluster stats count {:?} members, the previous assignment {counts:?}",
+                stats.counts()
+            )));
         }
         let mut seeded = Centroids::new(self.k, dim, self.fused());
-        seeded.set_from_means(&mut sums);
+        seeded.set_from_means(&stats.sums);
         let mut measured = 0;
         let bounds = if self.metric == Metric::Euclidean {
             let moved;
@@ -795,7 +960,19 @@ impl KMeans {
             bounds.fill(PointBounds::UNKNOWN);
             None
         };
-        let (fit, sweeps) = self.lloyd(&points, seeded, sums, Some(prev_assignment), 1, bounds);
+        let (fit, sweeps, point_order) = self.lloyd(
+            &points,
+            seeded,
+            &mut stats.sums,
+            Some(prev_assignment),
+            1,
+            bounds,
+        );
+        if point_order {
+            stats.patches = 0;
+        } else {
+            stats.rebuild(&points, &fit.assignments);
+        }
         Ok(WarmFit {
             centroids: fit.centroids,
             assignments: fit.assignments,
@@ -861,15 +1038,18 @@ impl KMeans {
         let mut centroids = Centroids::new(self.k, dim, self.fused());
         centroids.set_from_points(points, &seeds);
         let threads = self.effective_threads(points.len());
-        let sums = ClusterSums::new(self.k, dim);
-        self.lloyd(points, centroids, sums, None, threads, None).0
+        let mut sums = ClusterSums::new(self.k, dim);
+        self.lloyd(points, centroids, &mut sums, None, threads, None)
+            .0
     }
 
     /// Lloyd's algorithm from `centroids`: an assignment sweep, then the
     /// update step on `sums` (allocated once per fit, not once per
     /// iteration), until the inertia improves by no more than `tol` or
     /// `max_iters` runs out; then one final sweep against the final
-    /// centroids. Returns the fit and the sweeps it made.
+    /// centroids. Returns the fit, the sweeps it made, and whether `sums`
+    /// end up the point-order sums of the assignment it returns (an
+    /// update step's, and the assignment repeated).
     ///
     /// `warm` is the assignment a warm start resumes from, and turns on
     /// the assignment-fixpoint check; `bounds`, when given, are
@@ -880,11 +1060,11 @@ impl KMeans {
         &self,
         points: &[&SparseVec],
         centroids: Centroids,
-        mut sums: ClusterSums,
+        sums: &mut ClusterSums,
         warm: Option<&[usize]>,
         threads: usize,
         mut bounds: Option<&mut [PointBounds]>,
-    ) -> (KMeansResult, usize) {
+    ) -> (KMeansResult, usize, bool) {
         // Workers read the centroids during a sweep; the calling thread
         // writes them strictly between sweeps.
         let centroids = RwLock::new(centroids);
@@ -895,6 +1075,10 @@ impl KMeans {
         let mut iterations = 0;
         let mut sweeps = 0;
         let mut converged = false;
+        // Whether `sums` describe `current`: an update step summed them,
+        // and repaired no cluster. (A warm fit sums on this thread, in
+        // point order.)
+        let mut described = false;
         std::thread::scope(|s| {
             let mut pool = (threads > 1).then(|| Pool::spawn(s, self, points, &centroids, threads));
             let mut sweep =
@@ -929,14 +1113,14 @@ impl KMeans {
                     return;
                 }
                 match &pool {
-                    Some(pool) => pool.merge_into(&mut sums),
+                    Some(pool) => pool.merge_into(sums),
                     None => sums.accumulate(points, &assignments),
                 }
-                self.finish_update(
+                described = !self.finish_update(
                     points,
                     &mut centroids.write().expect("centroid lock"),
                     &mut assignments,
-                    &mut sums,
+                    sums,
                 );
                 if let Some(current) = &mut current {
                     // After the update, because its empty-cluster repair
@@ -951,6 +1135,7 @@ impl KMeans {
             }
             // Final assignment against the final centroids.
             sweep(&mut pool, &mut assignments, &mut d_sqs);
+            described &= current.as_deref() == Some(&assignments[..]);
         });
         let result = KMeansResult {
             centroids: centroids.into_inner().expect("centroid lock").to_sparse(),
@@ -960,20 +1145,22 @@ impl KMeans {
             iterations,
             converged,
         };
-        (result, sweeps)
+        (result, sweeps, described)
     }
 
     /// Second half of a Lloyd iteration, after `sums` holds the merged
     /// per-cluster accumulations: empty clusters adopt the point
     /// farthest from its centroid, then every centroid is rewritten to
-    /// its cluster mean.
+    /// its cluster mean. Returns whether a cluster was repaired, which
+    /// leaves `sums` describing no assignment.
     fn finish_update(
         &self,
         points: &[&SparseVec],
         centroids: &mut Centroids,
         assignments: &mut [usize],
         sums: &mut ClusterSums,
-    ) {
+    ) -> bool {
+        let mut repaired = false;
         // Empty clusters adopt the point farthest from its centroid.
         for c in 0..self.k {
             if sums.counts[c] == 0 {
@@ -996,9 +1183,11 @@ impl KMeans {
                 }
                 // Note: the donor cluster keeps its stale sum this round;
                 // the next iteration's assignment step repairs it.
+                repaired = true;
             }
         }
         centroids.set_from_means(sums);
+        repaired
     }
 
     /// Worker-thread count for the assignment step over `n` points.
@@ -1334,7 +1523,13 @@ mod tests {
         let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
         let km = KMeans::new(2);
         let warm = km
-            .fit_warm(&pts, &cold.assignments, &cold.centroids, &mut bounds)
+            .fit_warm(
+                &pts,
+                &cold.assignments,
+                &mut ClusterStats::new(2, 4),
+                &cold.centroids,
+                &mut bounds,
+            )
             .unwrap();
         assert!(warm.converged);
         assert_eq!(warm.iterations, 1);
@@ -1349,7 +1544,13 @@ mod tests {
         // confirms every point of the next call.
         assert_eq!(warm.evaluated, pts.len());
         let again = km
-            .fit_warm(&pts, &warm.assignments, &warm.centroids, &mut bounds)
+            .fit_warm(
+                &pts,
+                &warm.assignments,
+                &mut ClusterStats::new(2, 4),
+                &warm.centroids,
+                &mut bounds,
+            )
             .unwrap();
         assert_eq!((again.iterations, again.evaluated), (1, 0));
         assert_eq!(again.assignments, cold.assignments);
@@ -1367,7 +1568,13 @@ mod tests {
         }
         let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
         let warm = KMeans::new(2)
-            .fit_warm(&pts, &stale, &cold.centroids, &mut bounds)
+            .fit_warm(
+                &pts,
+                &stale,
+                &mut ClusterStats::new(2, 4),
+                &cold.centroids,
+                &mut bounds,
+            )
             .unwrap();
         assert!(warm.converged);
         assert!(warm.iterations <= 3, "took {} iterations", warm.iterations);
@@ -1381,7 +1588,13 @@ mod tests {
         let cold = KMeans::new(2).seed(7).run(&pts).unwrap();
         let fit = |km: KMeans, pts: &[SparseVec], prev: &[usize], centroids: &[SparseVec]| {
             let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
-            km.fit_warm(pts, prev, centroids, &mut bounds)
+            km.fit_warm(
+                pts,
+                prev,
+                &mut ClusterStats::new(km.k, 4),
+                centroids,
+                &mut bounds,
+            )
         };
         // Wrong length.
         assert!(matches!(
@@ -1404,7 +1617,13 @@ mod tests {
         // Bounds for other points, or centroids of another fit.
         let mut short = vec![PointBounds::UNKNOWN; n - 1];
         assert!(matches!(
-            KMeans::new(2).fit_warm(&pts, &cold.assignments, &cold.centroids, &mut short),
+            KMeans::new(2).fit_warm(
+                &pts,
+                &cold.assignments,
+                &mut ClusterStats::new(2, 4),
+                &cold.centroids,
+                &mut short
+            ),
             Err(MlError::InvalidConfig(_))
         ));
         assert!(matches!(
@@ -1458,5 +1677,269 @@ mod tests {
         assert_eq!(r.assignments[0], r.assignments[1]);
         assert_eq!(r.assignments[2], r.assignments[3]);
         assert_ne!(r.assignments[0], r.assignments[2]);
+    }
+
+    /// Points on a coarse grid over a few shared terms, so sums carry
+    /// rounding, terms cancel and some terms have a single holder.
+    fn grid_points(n: usize, dim: u32) -> Vec<SparseVec> {
+        (0..n)
+            .map(|i| {
+                let pairs = (0..dim)
+                    .filter(|t| !(i as u32 + t).is_multiple_of(3))
+                    .map(|t| (t, 0.1 * f64::from((i as u32 * 7 + t * 13) % 29 + 1)));
+                SparseVec::from_pairs(dim as usize, pairs).unwrap()
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    impl ClusterStats {
+        fn sum(&self, c: usize) -> &[f64] {
+            self.sums.row(c)
+        }
+
+        fn support(&self, c: usize) -> &[u32] {
+            &self.sums.support[c * self.sums.dim..(c + 1) * self.sums.dim]
+        }
+    }
+
+    #[test]
+    fn cluster_stats_rebuild_has_the_bits_of_the_update_step() {
+        let pts = grid_points(41, 9);
+        let assignment: Vec<usize> = (0..pts.len()).map(|i| (i * 5) % 3).collect();
+        let mut want = ClusterSums::new(3, 9);
+        want.accumulate(&pts, &assignment);
+        let mut stats = ClusterStats::new(3, 9);
+        assert!(stats.stale);
+        stats.rebuild(&pts, &assignment);
+        assert!(!stats.stale);
+        assert_eq!(stats.patches(), 0);
+        assert_eq!(stats.counts(), &want.counts[..]);
+        for c in 0..3 {
+            assert_eq!(bits(stats.sum(c)), bits(want.row(c)), "cluster {c}");
+            for t in 0..9u32 {
+                let holders = pts
+                    .iter()
+                    .zip(&assignment)
+                    .filter(|&(p, &a)| a == c && p.get(t) != 0.0)
+                    .count();
+                assert_eq!(stats.support(c)[t as usize] as usize, holders);
+            }
+        }
+        // In place: a second rebuild over another assignment overwrites.
+        let other: Vec<usize> = (0..pts.len()).map(|i| i % 3).collect();
+        want.accumulate(&pts, &other);
+        stats.rebuild(&pts, &other);
+        for c in 0..3 {
+            assert_eq!(bits(stats.sum(c)), bits(want.row(c)), "cluster {c}");
+        }
+    }
+
+    #[test]
+    fn cluster_stats_read_positive_zero_once_a_terms_last_holder_leaves() {
+        let [a, b, c] = [0.1, 0.2, 0.3].map(|v| SparseVec::from_pairs(2, [(1, v)]).unwrap());
+        let mut stats = ClusterStats::new(1, 2);
+        stats.rebuild(&[&a, &b, &c], &[0, 0, 0]);
+        // Decremented, the sum would keep a residue: 0.1 + 0.2 + 0.3
+        // - 0.3 - 0.2 - 0.1 is 2.8e-17 in binary.
+        let residue = stats.sum(0)[1] - 0.3 - 0.2 - 0.1;
+        assert!(residue != 0.0);
+        stats.remove(0, &c);
+        stats.remove(0, &b);
+        assert_eq!(stats.support(0), &[0, 1]);
+        assert!(stats.sum(0)[1] != 0.1, "the patches rounded");
+        stats.remove(0, &a);
+        assert_eq!(stats.support(0), &[0, 0]);
+        assert_eq!(bits(stats.sum(0)), bits(&[0.0, 0.0]), "+0.0, not a residue");
+        assert_eq!((stats.counts(), stats.patches()), (&[0][..], 3));
+        // Its holder back: the sum is the holder's value exactly.
+        stats.add(0, &b);
+        assert_eq!(stats.sum(0)[1].to_bits(), 0.2f64.to_bits());
+    }
+
+    #[test]
+    fn cluster_stats_add_then_remove_restores_counts_and_supports() {
+        let pts = grid_points(30, 7);
+        let assignment: Vec<usize> = (0..pts.len()).map(|i| i % 2).collect();
+        let mut stats = ClusterStats::new(2, 7);
+        stats.rebuild(&pts, &assignment);
+        let before = stats.clone();
+        let guest = SparseVec::from_pairs(7, [(1, 0.3), (4, 1e-3), (6, 12.5)]).unwrap();
+        for c in [0, 1, 0] {
+            stats.add(c, &guest);
+            stats.remove(c, &guest);
+        }
+        assert_eq!(stats.counts(), before.counts());
+        assert_eq!(stats.patches(), 6);
+        for c in 0..2 {
+            assert_eq!(stats.support(c), before.support(c));
+            // Each patch rounds once: the sums are back within the
+            // roundings of the terms the guest touched.
+            for (t, (&s, &b)) in stats.sum(c).iter().zip(before.sum(c)).enumerate() {
+                let slack = 6.0 * f64::EPSILON * (b.abs() + guest.get(t as u32));
+                assert!((s - b).abs() <= slack, "cluster {c} term {t}: {s} vs {b}");
+            }
+        }
+        // Stale stats ignore patches; a rebuild restores the bits.
+        stats.mark_stale();
+        stats.add(0, &guest);
+        assert_eq!(stats.counts(), before.counts());
+        stats.rebuild(&pts, &assignment);
+        for c in 0..2 {
+            assert_eq!(bits(stats.sum(c)), bits(before.sum(c)));
+        }
+    }
+
+    #[test]
+    fn cluster_stats_rebuilt_from_prev_seed_fit_warm_with_point_order_means() {
+        let pts = blobs();
+        let cold = KMeans::new(2).seed(7).threads(1).run(&pts).unwrap();
+        let km = KMeans::new(2);
+        // Point-order means of the previous assignment, summed plainly:
+        // what the seeding computed before the sums were kept.
+        let means = |assignment: &[usize]| -> Vec<Vec<f64>> {
+            (0..2)
+                .map(|c| {
+                    let mut sum = [0.0f64; 4];
+                    let mut members = 0.0;
+                    for (p, _) in pts.iter().zip(assignment).filter(|&(_, &a)| a == c) {
+                        members += 1.0;
+                        for (t, v) in p.iter() {
+                            sum[t as usize] += v;
+                        }
+                    }
+                    sum.iter().map(|s| s / members).collect()
+                })
+                .collect()
+        };
+        let mut stats = ClusterStats::new(2, 4);
+        stats.rebuild(&pts, &cold.assignments);
+        let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
+        let warm = km
+            .fit_warm(
+                &pts,
+                &cold.assignments,
+                &mut stats,
+                &cold.centroids,
+                &mut bounds,
+            )
+            .unwrap();
+        assert_eq!((warm.iterations, warm.converged), (1, true));
+        for (c, mean) in means(&cold.assignments).iter().enumerate() {
+            let dense: Vec<f64> = (0..4).map(|t| warm.centroids[c].get(t)).collect();
+            assert_eq!(bits(&dense), bits(mean), "centroid {c}");
+        }
+        // A confirmed fixpoint leaves the stats as they were.
+        assert_eq!((stats.patches(), stats.stale), (0, false));
+
+        // Moved points: the Lloyd loop runs, and leaves the point-order
+        // stats (supports included) of the assignment it returns.
+        let mut stale = cold.assignments.clone();
+        for i in [0usize, 3, 8] {
+            stale[i] = 1 - stale[i];
+        }
+        let mut kept = ClusterStats::new(2, 4);
+        kept.rebuild(&pts, &stale);
+        let mut fresh = ClusterStats::new(2, 4);
+        let fit = |stats: &mut ClusterStats| {
+            let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
+            km.fit_warm(&pts, &stale, stats, &cold.centroids, &mut bounds)
+                .unwrap()
+        };
+        let (a, b) = (fit(&mut kept), fit(&mut fresh));
+        assert!(a.iterations > 1);
+        assert_eq!(
+            (a.assignments.clone(), a.iterations),
+            (b.assignments, b.iterations)
+        );
+        for (x, y) in a.centroids.iter().zip(&b.centroids) {
+            assert_eq!(x.terms(), y.terms());
+            assert_eq!(bits(x.values()), bits(y.values()));
+        }
+        let mut want = ClusterStats::new(2, 4);
+        want.rebuild(&pts, &a.assignments);
+        for c in 0..2 {
+            assert_eq!(bits(kept.sum(c)), bits(want.sum(c)));
+            assert_eq!(kept.support(c), want.support(c));
+        }
+        assert_eq!(kept.counts(), want.counts());
+    }
+
+    #[test]
+    fn cluster_stats_are_rebuilt_once_the_patches_reach_the_point_count() {
+        let pts = grid_points(12, 5);
+        let cold = KMeans::new(2).seed(1).threads(1).run(&pts).unwrap();
+        let km = KMeans::new(2);
+        let mut stats = ClusterStats::new(2, 5);
+        stats.rebuild(&pts, &cold.assignments);
+        let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
+        // One point out and back in, six times over: twelve patches.
+        let (p, c) = (&pts[0], cold.assignments[0]);
+        for round in 1..=6 {
+            stats.remove(c, p);
+            stats.add(c, p);
+            assert_eq!(stats.patches(), 2 * round);
+            if round < 6 {
+                km.fit_warm(
+                    &pts,
+                    &cold.assignments,
+                    &mut stats,
+                    &cold.centroids,
+                    &mut bounds,
+                )
+                .unwrap();
+                assert_eq!(stats.patches(), 2 * round, "under the point count");
+            }
+        }
+        km.fit_warm(
+            &pts,
+            &cold.assignments,
+            &mut stats,
+            &cold.centroids,
+            &mut bounds,
+        )
+        .unwrap();
+        assert_eq!(stats.patches(), 0, "twelve patches over twelve points");
+        let mut want = ClusterStats::new(2, 5);
+        want.rebuild(&pts, &cold.assignments);
+        for c in 0..2 {
+            assert_eq!(bits(stats.sum(c)), bits(want.sum(c)));
+        }
+    }
+
+    #[test]
+    fn cluster_stats_of_another_assignment_are_rejected() {
+        let pts = blobs();
+        let cold = KMeans::new(2).seed(7).run(&pts).unwrap();
+        let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
+        let km = KMeans::new(2);
+        for mut stats in [ClusterStats::new(3, 4), ClusterStats::new(2, 5)] {
+            assert!(matches!(
+                km.fit_warm(
+                    &pts,
+                    &cold.assignments,
+                    &mut stats,
+                    &cold.centroids,
+                    &mut bounds
+                ),
+                Err(MlError::InvalidConfig(_))
+            ));
+        }
+        let mut stats = ClusterStats::new(2, 4);
+        stats.rebuild(&pts, &cold.assignments);
+        stats.remove(cold.assignments[0], &pts[0]);
+        assert!(matches!(
+            km.fit_warm(
+                &pts,
+                &cold.assignments,
+                &mut stats,
+                &cold.centroids,
+                &mut bounds
+            ),
+            Err(MlError::InvalidConfig(_))
+        ));
     }
 }

@@ -163,7 +163,7 @@ fn reference_lloyd(
             for v in &mut sums[c] {
                 *v /= counts[c] as f64;
             }
-            centroids.bufs[c].set_from_mean(&sums[c]);
+            centroids.bufs[c].set_from_mean(&sums[c], 1.0);
         }
         if let Some(current) = &mut current {
             current.copy_from_slice(&assignments);
@@ -218,7 +218,7 @@ fn reference_fit_warm(km: &KMeans, points: &[SparseVec], prev: &[usize]) -> (KMe
         for v in &mut sums[c] {
             *v /= counts[c] as f64;
         }
-        centroids.bufs[c].set_from_mean(&sums[c]);
+        centroids.bufs[c].set_from_mean(&sums[c], 1.0);
     }
     reference_lloyd(km, &points, centroids, 1, Some(prev))
 }
@@ -296,7 +296,7 @@ fn fused_sweep_matches_the_per_centroid_oracle() {
                 let mut sums = ClusterSums::new(k, dim);
                 sums.accumulate(&points, &round_robin);
                 let mut as_means = Centroids::new(k, dim, true);
-                as_means.set_from_means(&mut sums);
+                as_means.set_from_means(&sums);
                 for centroids in [&as_points, &as_means] {
                     let what = format!("{metric:?} k={k} dim={dim} n={n}");
                     let mut got = vec![0usize; n];
@@ -431,15 +431,27 @@ fn fits_match_the_reference_lloyd_loop() {
                     prev.iter().for_each(|&a| counts[a] += 1);
                     if counts.contains(&0) {
                         assert!(
-                            km.fit_warm(&points, &prev, &cold.centroids, &mut bounds)
-                                .is_err(),
+                            km.fit_warm(
+                                &points,
+                                &prev,
+                                &mut ClusterStats::new(k, dim),
+                                &cold.centroids,
+                                &mut bounds
+                            )
+                            .is_err(),
                             "{what}: empty cluster"
                         );
                         continue;
                     }
                     let before = sweeps();
                     let warm = km
-                        .fit_warm(&points, &prev, &cold.centroids, &mut bounds)
+                        .fit_warm(
+                            &points,
+                            &prev,
+                            &mut ClusterStats::new(k, dim),
+                            &cold.centroids,
+                            &mut bounds,
+                        )
                         .unwrap();
                     let made = sweeps() - before;
                     let (want, fixpoint) = reference_fit_warm(&km, &points, &prev);
@@ -483,7 +495,13 @@ fn a_converged_warm_start_costs_one_sweep_and_a_moved_point_two() {
     let mut bounds = vec![PointBounds::UNKNOWN; n];
     let before = sweeps();
     let warm = km
-        .fit_warm(&points, &cold.assignments, &cold.centroids, &mut bounds)
+        .fit_warm(
+            &points,
+            &cold.assignments,
+            &mut ClusterStats::new(4, 8),
+            &cold.centroids,
+            &mut bounds,
+        )
         .unwrap();
     assert_eq!(sweeps() - before, 0, "the bounded pass found the fixpoint");
     assert_eq!(
@@ -501,7 +519,13 @@ fn a_converged_warm_start_costs_one_sweep_and_a_moved_point_two() {
     }
     // Carried to the next call, the bounds confirm every point.
     let again = km
-        .fit_warm(&points, &warm.assignments, &warm.centroids, &mut bounds)
+        .fit_warm(
+            &points,
+            &warm.assignments,
+            &mut ClusterStats::new(4, 8),
+            &warm.centroids,
+            &mut bounds,
+        )
         .unwrap();
     assert_eq!((again.iterations, again.evaluated), (1, 0));
     assert_same_warm_fit(&again, &warm_as_reference(&warm), "confirmed");
@@ -514,7 +538,13 @@ fn a_converged_warm_start_costs_one_sweep_and_a_moved_point_two() {
     stale[5] = (stale[5] + 1) % 4;
     let before = sweeps();
     let repaired = km
-        .fit_warm(&points, &stale, &warm.centroids, &mut bounds)
+        .fit_warm(
+            &points,
+            &stale,
+            &mut ClusterStats::new(4, 8),
+            &warm.centroids,
+            &mut bounds,
+        )
         .unwrap();
     assert_eq!(sweeps() - before, 2);
     assert_eq!((repaired.iterations, repaired.converged), (2, true));
@@ -557,7 +587,13 @@ fn a_warm_start_at_pool_scale_stays_on_the_calling_thread() {
             let mut bounds = vec![PointBounds::UNKNOWN; n];
             km.clone()
                 .threads(threads)
-                .fit_warm(&points, &prev, &cold.centroids, &mut bounds)
+                .fit_warm(
+                    &points,
+                    &prev,
+                    &mut ClusterStats::new(k, 7),
+                    &cold.centroids,
+                    &mut bounds,
+                )
                 .unwrap()
         };
         let before = sweeps();
@@ -586,11 +622,23 @@ fn borrowed_points_give_the_same_fit_as_owned_ones() {
     assert_same_fit(&b, &a, "run");
     let mut bounds = vec![PointBounds::UNKNOWN; owned.len()];
     let from_owned = km
-        .fit_warm(&owned, &a.assignments, &a.centroids, &mut bounds)
+        .fit_warm(
+            &owned,
+            &a.assignments,
+            &mut ClusterStats::new(5, 7),
+            &a.centroids,
+            &mut bounds,
+        )
         .unwrap();
     let mut bounds = vec![PointBounds::UNKNOWN; owned.len()];
     let from_borrowed = km
-        .fit_warm(&borrowed, &a.assignments, &a.centroids, &mut bounds)
+        .fit_warm(
+            &borrowed,
+            &a.assignments,
+            &mut ClusterStats::new(5, 7),
+            &a.centroids,
+            &mut bounds,
+        )
         .unwrap();
     assert_same_warm_fit(&from_borrowed, &warm_as_reference(&from_owned), "fit_warm");
 }
@@ -740,8 +788,14 @@ fn carried_bounds_match_the_reference_through_churn() {
                 // The warm start refuses; the caller re-fits cold and
                 // starts over with nothing known.
                 assert!(
-                    km.fit_warm(&points, &prev, &centroids, &mut bounds)
-                        .is_err(),
+                    km.fit_warm(
+                        &points,
+                        &prev,
+                        &mut ClusterStats::new(k, dim),
+                        &centroids,
+                        &mut bounds
+                    )
+                    .is_err(),
                     "{what}: emptied cluster"
                 );
                 let cold = km.run(&points).unwrap();
@@ -752,7 +806,13 @@ fn carried_bounds_match_the_reference_through_churn() {
             }
             let (want, _) = reference_fit_warm(&km, &points, &prev);
             let got = km
-                .fit_warm(&points, &prev, &centroids, &mut bounds)
+                .fit_warm(
+                    &points,
+                    &prev,
+                    &mut ClusterStats::new(k, dim),
+                    &centroids,
+                    &mut bounds,
+                )
                 .unwrap();
             assert_same_warm_fit(&got, &want, &what);
             assert_bounds_hold(&points, &got, &bounds, &what);
@@ -782,7 +842,15 @@ fn drift_on_both_sides_moves_a_point_its_stale_bounds_would_keep() {
     let km = KMeans::new(2);
     let start = km.run(&points).unwrap().centroids;
     let mut bounds = vec![PointBounds::UNKNOWN; points.len()];
-    let settled = km.fit_warm(&points, &prev, &start, &mut bounds).unwrap();
+    let settled = km
+        .fit_warm(
+            &points,
+            &prev,
+            &mut ClusterStats::new(2, 1),
+            &start,
+            &mut bounds,
+        )
+        .unwrap();
     assert_eq!(settled.assignments, prev);
     // Two points are replaced: the first mean moves 0.02 away from 4.4
     // (to 1.83), the second 0.04 towards it (to 6.96), and 4.4 changes
@@ -795,7 +863,13 @@ fn drift_on_both_sides_moves_a_point_its_stale_bounds_would_keep() {
     let (want, _) = reference_fit_warm(&km, &churned, &prev);
     assert_eq!(want.assignments[3], 1, "the reference moves 4.4");
     let got = km
-        .fit_warm(&churned, &prev, &settled.centroids, &mut bounds)
+        .fit_warm(
+            &churned,
+            &prev,
+            &mut ClusterStats::new(2, 1),
+            &settled.centroids,
+            &mut bounds,
+        )
         .unwrap();
     assert_same_warm_fit(&got, &want, "drift on both sides");
 }

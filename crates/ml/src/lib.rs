@@ -30,7 +30,8 @@
 //! over a shared-nearest-neighbour candidate graph from
 //! [`fmeter_ir::AnnGraph`] k-NN lists in sub-quadratic time, and
 //! [`KMeans::fit_warm`] re-clusters incrementally from a previous
-//! assignment and the distance bounds it carries ([`PointBounds`]) —
+//! assignment, the cluster sums kept for it ([`ClusterStats`]) and the
+//! distance bounds it carries ([`PointBounds`]) —
 //! each property-tested against the exact paths
 //! (`tests/ann_clustering.rs`; contract table in `docs/CLUSTERING.md`).
 //! This crate sits last in the signature data flow (kernel-sim → trace
@@ -52,7 +53,7 @@ pub use cv::{CrossValidation, CvReport, FoldOutcome};
 pub use ensemble::{AdaBoost, AdaBoostModel, Bagging, BaggingModel};
 pub use error::MlError;
 pub use hierarchical::{Agglomerative, Dendrogram, Linkage, Merge, SnnParams};
-pub use kmeans::{KMeans, KMeansInit, KMeansResult, PointBounds, WarmFit};
+pub use kmeans::{ClusterStats, KMeans, KMeansInit, KMeansResult, PointBounds, WarmFit};
 pub use svm::{Gram, Kernel, SvmModel, SvmTrainer};
 pub use tree::{DecisionTree, DecisionTreeTrainer};
 
