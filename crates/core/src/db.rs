@@ -156,19 +156,21 @@ pub struct Recluster {
 /// instead of seeding and restarting.
 ///
 /// Besides the assignment it keeps, per slot, the distance bounds the
-/// last pass left ([`PointBounds`]), measured against the `centroids`
-/// it keeps: a warm pass confirms most signatures from those instead of
-/// measuring them. Slots inserted since start
-/// [`UNKNOWN`](PointBounds::UNKNOWN); a [`vacuum`](SignatureDb::vacuum)
+/// last pass left ([`PointBounds`]), measured against the centroids
+/// that pass returned, which the cluster stats keep: a warm pass
+/// confirms most signatures from those instead of measuring them. Slots
+/// inserted since start [`UNKNOWN`](PointBounds::UNKNOWN) and get the
+/// bounds their attach measures; a [`vacuum`](SignatureDb::vacuum)
 /// renumbers the bounds with the assignment; a
 /// [`refit`](SignatureDb::refit), which rewrites the vectors they were
 /// measured for, drops them all.
 ///
-/// Per cluster it keeps the sums the next pass seeds its means from
-/// ([`ClusterStats`]) and the label counts its syndromes are named by,
-/// both patched wherever the assignment changes: a
-/// [`remove`](SignatureDb::remove) takes an assigned signature out, a
-/// warm pass adds each signature it attaches, and a pass whose Lloyd
+/// Per cluster it keeps the sums the next pass seeds its means from and
+/// the last pass's centroid ([`ClusterStats`]), and the label counts
+/// its syndromes are named by. Sums and counts are patched wherever the
+/// assignment changes: a [`remove`](SignatureDb::remove) takes an
+/// assigned signature out, a warm pass adds each signature it attaches
+/// ([`KMeans::attach`]), and a pass whose Lloyd
 /// loop moved signatures leaves the sums of what it returns and moves
 /// their labels. A vacuum changes no vector and leaves both alone; a
 /// refit re-weights the vectors, so it marks the sums stale and the
@@ -186,12 +188,11 @@ pub(crate) struct ClusterCache {
     /// Per-slot cluster assignment from the last pass; `None` for slots
     /// inserted since, removed, or never clustered.
     assignment: Vec<Option<usize>>,
-    /// Per-slot distance bounds against `centroids`.
+    /// Per-slot distance bounds against the last pass's centroids.
     bounds: Vec<PointBounds>,
-    /// Centroids from the last pass (the bounds are measured against
-    /// them, and new docs attach to the nearest before warm-starting).
-    centroids: Vec<SparseVec>,
-    /// Per-cluster sums of the assigned vectors.
+    /// Per-cluster sums of the assigned vectors, and the last pass's
+    /// centroids in the assignment kernel's layout (new docs attach to
+    /// the nearest before warm-starting).
     stats: ClusterStats,
     /// Per-cluster label counts of the assigned signatures.
     labels: Vec<LabelTally>,
@@ -199,13 +200,16 @@ pub(crate) struct ClusterCache {
 
 impl ClusterCache {
     /// The warm-start assignment of `live_ids` (whose vectors are
-    /// `vectors`), or `None` when a cold run is required: `k` or `seed`
-    /// changed, too few points, or churn emptied a cached cluster (a
+    /// `vectors`) for `km`, a runner for `k` clusters with `seed`, or
+    /// `None` when a cold run is required: `k` or `seed` changed, too
+    /// few points, or churn emptied a cached cluster (a
     /// [`KMeans::fit_warm`] precondition). A doc inserted since the last
-    /// pass attaches to its nearest cached centroid, and into that
-    /// cluster's sums and label counts.
+    /// pass attaches to its nearest kept centroid through the
+    /// assignment kernel ([`KMeans::attach`]), into that cluster's sums
+    /// and label counts.
     fn warm_assignment(
         &mut self,
+        km: &KMeans,
         k: usize,
         seed: u64,
         live_ids: &[usize],
@@ -221,18 +225,11 @@ impl ClusterCache {
                 Some(a) if a < k => prev.push(a),
                 Some(_) => return None,
                 // Inserted since the last pass: attach to the nearest
-                // cached centroid (same metric K-means assigns with).
+                // kept centroid, by the distance K-means assigns with,
+                // and keep the bounds that measurement leaves.
                 None => {
-                    let mut best: Option<(usize, f64)> = None;
-                    for (c, centroid) in self.centroids.iter().enumerate() {
-                        let d2 = fmeter_ir::euclidean_distance_sq(vector, centroid)
-                            .expect("cached centroids share the database dimension");
-                        if best.is_none_or(|(_, bd)| d2 < bd) {
-                            best = Some((c, d2));
-                        }
-                    }
-                    let c = best?.0;
-                    self.stats.add(c, vector);
+                    let (c, bounds) = km.attach(&mut self.stats, vector)?;
+                    self.bounds[d] = bounds;
                     if let Some(label) = &signatures[d].label {
                         self.labels[c].add(label);
                     }
@@ -601,6 +598,13 @@ impl SignatureDb {
     /// classification, and clustering immediately, and its contribution
     /// leaves the document frequencies. The doc id is never reused.
     ///
+    /// Then the [`VacuumPolicy`] and the [`RefitPolicy`] run, vacuum
+    /// first. When both fall due in the same call, the vacuum renumbers
+    /// the slots and leaves the posting store to the refit, whose
+    /// rebuild indexes the survivors once: the state is bit for bit the
+    /// one [`vacuum`](Self::vacuum) then [`refit`](Self::refit) leave,
+    /// at one rebuild of the shards instead of two.
+    ///
     /// # Errors
     ///
     /// Returns [`IrError::DocNotLive`] (wrapped) when `doc` was never
@@ -626,9 +630,20 @@ impl SignatureDb {
         }
         // Vacuum before refit: renumbering changes none of the refit
         // policy's inputs, so when both are due the refit re-weights the
-        // already-renumbered survivors only.
-        self.maybe_vacuum();
-        self.maybe_refit();
+        // already-renumbered survivors only, and rebuilds the shards
+        // the vacuum did not.
+        let refit = self.refit_due();
+        if self.vacuum_due() {
+            let num_shards = self.num_shards();
+            self.renumber();
+            if refit {
+                self.reweight(num_shards, |_| true);
+            } else {
+                self.shards = self.rebuilt_shards(num_shards, |_| true);
+            }
+        } else if refit {
+            self.refit();
+        }
         Ok(())
     }
 
@@ -655,13 +670,25 @@ impl SignatureDb {
     /// the surviving vectors move as they are, so a stale database
     /// stays exactly as stale. Each shard is rebuilt in one pass from
     /// the surviving signatures' vectors, so the posting store is
-    /// exactly what indexing those vectors afresh gives.
+    /// exactly what indexing those vectors afresh gives. (A vacuum the
+    /// policy runs in the same [`remove`](Self::remove) as a refit
+    /// leaves that rebuild to the refit.)
     pub fn vacuum(&mut self) -> VacuumStats {
+        let num_shards = self.num_shards();
+        self.renumber();
+        self.shards = self.rebuilt_shards(num_shards, |_| true);
+        self.last_vacuum.clone().expect("a vacuum just ran")
+    }
+
+    /// The vacuum bar the rebuild: drops the dead slots, renumbers the
+    /// survivors and the warm-start state with them, and records the
+    /// vacuum. Leaves the posting store empty, for the caller to rebuild
+    /// over the survivors.
+    fn renumber(&mut self) {
         let slots = self.signatures.len();
-        let live: Vec<bool> = (0..slots).map(|d| self.is_live(d)).collect();
+        let live: Vec<bool> = self.liveness().collect();
         // The old shards hold every slot's signature; let the dead ones
         // go with the repack below rather than after the rebuild.
-        let num_shards = self.num_shards();
         self.shards.clear();
         let mut remap: Vec<Option<DocId>> = vec![None; slots];
         let mut next = 0usize;
@@ -688,35 +715,25 @@ impl SignatureDb {
             retain_live(&mut cache.assignment, &live);
             retain_live(&mut cache.bounds, &live);
         }
-        self.shards = self.rebuilt_shards(num_shards, |_| true);
         self.vacuums += 1;
-        let stats = VacuumStats {
+        self.last_vacuum = Some(VacuumStats {
             dropped_slots: slots - self.num_live,
             live_docs: self.num_live,
             remap,
-        };
-        self.last_vacuum = Some(stats.clone());
-        stats
+        });
     }
 
-    /// Runs the configured [`VacuumPolicy`], vacuuming when due.
-    fn maybe_vacuum(&mut self) -> Option<&VacuumStats> {
+    /// Whether the configured [`VacuumPolicy`] calls for a vacuum now.
+    fn vacuum_due(&self) -> bool {
         let VacuumPolicy::DeadFraction {
             max_dead_fraction,
             min_dead,
         } = self.vacuum_policy
         else {
-            return None;
+            return false;
         };
         let dead = self.signatures.len() - self.num_live;
-        let due = dead >= min_dead.max(1)
-            && dead as f64 >= max_dead_fraction * self.signatures.len() as f64;
-        if due {
-            self.vacuum();
-            self.last_vacuum.as_ref()
-        } else {
-            None
-        }
+        dead >= min_dead.max(1) && dead as f64 >= max_dead_fraction * self.signatures.len() as f64
     }
 
     /// The automatic-vacuum policy (defaults to
@@ -770,8 +787,20 @@ impl SignatureDb {
     /// from-scratch [`build`](Self::build) over the surviving corpus
     /// exactly. The old shards are dropped before the re-weighting, so
     /// a stale vector is freed as its replacement is stored (unless a
-    /// clone or a published snapshot still holds it).
+    /// clone or a published snapshot still holds it). A refit the policy
+    /// runs in the same [`remove`](Self::remove) as a vacuum makes the
+    /// one rebuild of that call.
     pub fn refit(&mut self) -> RefitStats {
+        let live: Vec<bool> = self.liveness().collect();
+        let num_shards = self.num_shards();
+        self.reweight(num_shards, |d| live[d])
+    }
+
+    /// The refit over the slots `is_live` accepts, ending in a posting
+    /// store of `num_shards` shards built over them; whatever shards
+    /// are left are dropped first.
+    fn reweight(&mut self, num_shards: usize, is_live: impl Fn(DocId) -> bool) -> RefitStats {
+        self.shards.clear();
         self.epoch += 1;
         self.mutations_since_refit = 0;
         let refit = self.model.refit_idf();
@@ -785,20 +814,15 @@ impl SignatureDb {
         for &t in &refit.changed_terms {
             changed[t as usize] = true;
         }
-        let live: Vec<bool> = (0..self.signatures.len())
-            .map(|d| self.is_live(d))
-            .collect();
-        let num_shards = self.num_shards();
-        self.shards.clear();
         if let Some(cache) = &mut self.cluster_cache {
             // The bounds and the sums describe the vectors about to be
             // re-weighted.
             cache.bounds.fill(PointBounds::UNKNOWN);
             cache.stats.mark_stale();
         }
-        for (d, &live) in live.iter().enumerate() {
+        for d in 0..self.signatures.len() {
             let doc = self.corpus.doc(d).expect("slot exists");
-            if live && doc.iter().any(|(t, _)| changed[t as usize]) {
+            if is_live(d) && doc.iter().any(|(t, _)| changed[t as usize]) {
                 let vector = self.model.transform(doc);
                 let stale = &self.signatures[d];
                 let fresh = Signature {
@@ -811,7 +835,7 @@ impl SignatureDb {
                 stats.reweighted_docs += 1;
             }
         }
-        self.shards = self.rebuilt_shards(num_shards, |d| live[d]);
+        self.shards = self.rebuilt_shards(num_shards, is_live);
         stats
     }
 
@@ -832,17 +856,25 @@ impl SignatureDb {
     pub(crate) fn reshard(&mut self, num_shards: usize) {
         let num_shards = num_shards.min(crate::persist::MAX_SHARDS);
         if ShardRouter::new(num_shards) != self.router() {
-            self.shards = self.rebuilt_shards(num_shards, |d| self.is_live(d));
+            let live: Vec<bool> = self.liveness().collect();
+            self.shards = self.rebuilt_shards(num_shards, |d| live[d]);
         }
     }
 
-    /// Runs the configured [`RefitPolicy`], refitting when due. The
+    /// Runs the configured [`RefitPolicy`], refitting when due.
+    fn maybe_refit(&mut self) {
+        if self.refit_due() {
+            self.refit();
+        }
+    }
+
+    /// Whether the configured [`RefitPolicy`] calls for a refit now. The
     /// drift bound is checked with [`TfIdfModel::idf_drift_cached`] —
     /// one `ln` per term *dirtied* since the last check instead of one
     /// per dimension — so the policy costs O(dim) arithmetic, not
     /// O(dim) transcendentals, on every mutation.
-    fn maybe_refit(&mut self) -> Option<RefitStats> {
-        let due = match self.refit_policy {
+    fn refit_due(&mut self) -> bool {
+        match self.refit_policy {
             RefitPolicy::Manual => false,
             RefitPolicy::EveryN(n) => n > 0 && self.mutations_since_refit >= n,
             RefitPolicy::Threshold {
@@ -855,8 +887,7 @@ impl SignatureDb {
                             >= max_stale_fraction * self.num_live as f64)
                         || self.model.idf_drift_cached() > max_idf_drift)
             }
-        };
-        due.then(|| self.refit())
+        }
     }
 
     /// The automatic-refit policy (defaults to
@@ -884,6 +915,39 @@ impl SignatureDb {
     /// signature.
     pub fn is_live(&self, doc: DocId) -> bool {
         self.shards[self.router().shard_of(doc)].shard.is_live(doc)
+    }
+
+    /// [`is_live`](Self::is_live) of every slot, in doc-id order: the
+    /// shards' tombstones walked in step, one flag from each in turn
+    /// (slot `d` is shard `d % S`'s next), so no slot pays the router's
+    /// `%` and `/`. Every loop over the slots' liveness reads this one
+    /// walk; the shards hold the only copy of the tombstones.
+    pub(crate) fn liveness(&self) -> impl Iterator<Item = bool> + '_ {
+        let mut flags: Vec<_> = self
+            .shards
+            .iter()
+            .map(|piece| piece.shard.live_flags())
+            .collect();
+        let mut next = 0;
+        (0..self.signatures.len()).map(move |_| {
+            let live = flags[next].next().expect("every slot is routed to a shard");
+            next += 1;
+            if next == flags.len() {
+                next = 0;
+            }
+            live
+        })
+    }
+
+    /// The live doc ids, ascending.
+    fn live_ids(&self) -> Vec<DocId> {
+        let mut ids = Vec::with_capacity(self.num_live);
+        ids.extend(
+            self.liveness()
+                .enumerate()
+                .filter_map(|(d, live)| live.then_some(d)),
+        );
+        ids
     }
 
     /// Number of live signatures.
@@ -1006,9 +1070,7 @@ impl SignatureDb {
     ///
     /// Propagates clustering failures (e.g. fewer signatures than `k`).
     pub fn syndromes(&self, k: usize, seed: u64) -> Result<Vec<Syndrome>, FmeterError> {
-        let live_ids: Vec<usize> = (0..self.signatures.len())
-            .filter(|&d| self.is_live(d))
-            .collect();
+        let live_ids = self.live_ids();
         let vectors = vectors_of(&self.signatures, &live_ids);
         let result = KMeans::new(k).seed(seed).restarts(3).run(&vectors)?;
         let mut syndromes = syndromes_from(&live_ids, result.centroids, &result.assignments);
@@ -1025,9 +1087,9 @@ impl SignatureDb {
     /// sums the cache keeps and patches from the churn, names the
     /// syndromes from label counts kept the same way, and measures only
     /// the signatures the cached distance bounds cannot confirm (the
-    /// ones inserted since, and the few the centroids' drift brought
-    /// near a boundary) instead of paying k-means++ and a multi-restart
-    /// K-means. Every further Lloyd iteration the moved points need is
+    /// few the centroids' drift brought near a boundary; one inserted
+    /// since is measured once, as it attaches) instead of paying
+    /// k-means++ and a multi-restart K-means. Every further Lloyd iteration the moved points need is
     /// a full sweep plus the point-order sums. The stored vectors are
     /// clustered in place; none is copied.
     ///
@@ -1035,7 +1097,7 @@ impl SignatureDb {
     /// starts cold) runs exactly what `syndromes(k, seed)` runs and
     /// caches the resulting assignment per doc slot. Subsequent calls
     /// with the *same* `k` and `seed` attach every doc inserted since
-    /// to its nearest cached centroid and resume Lloyd iterations from
+    /// to its nearest kept centroid and resume Lloyd iterations from
     /// there ([`KMeans::fit_warm`]): with no churn the pass converges in
     /// one iteration with the previous pass's centroids, bit for bit,
     /// and with bounded churn it converges in the few iterations the
@@ -1061,26 +1123,18 @@ impl SignatureDb {
     ///
     /// Propagates clustering failures (e.g. fewer signatures than `k`).
     pub fn recluster(&mut self, k: usize, seed: u64) -> Result<Recluster, FmeterError> {
-        let live_ids: Vec<usize> = (0..self.signatures.len())
-            .filter(|&d| self.is_live(d))
-            .collect();
+        let live_ids = self.live_ids();
         let vectors = vectors_of(&self.signatures, &live_ids);
+        let km = KMeans::new(k).seed(seed);
         if let Some(cache) = &mut self.cluster_cache {
             if let Some(prev) =
-                cache.warm_assignment(k, seed, &live_ids, &vectors, &self.signatures)
+                cache.warm_assignment(&km, k, seed, &live_ids, &vectors, &self.signatures)
             {
                 let mut bounds: Vec<PointBounds> =
                     live_ids.iter().map(|&d| cache.bounds[d]).collect();
                 // Defensive: any warm-start rejection (all guarded
                 // against above) degrades to a cold run, never an error.
-                let km = KMeans::new(k).seed(seed);
-                if let Ok(fit) = km.fit_warm(
-                    &vectors,
-                    &prev,
-                    &mut cache.stats,
-                    &cache.centroids,
-                    &mut bounds,
-                ) {
+                if let Ok(fit) = km.fit_warm(&vectors, &prev, &mut cache.stats, &mut bounds) {
                     for (i, (&d, &a)) in live_ids.iter().zip(&fit.assignments).enumerate() {
                         if a != prev[i] {
                             if let Some(label) = &self.signatures[d].label {
@@ -1091,7 +1145,6 @@ impl SignatureDb {
                         cache.assignment[d] = Some(a);
                         cache.bounds[d] = bounds[i];
                     }
-                    cache.centroids = fit.centroids.clone();
                     let mut syndromes = syndromes_from(&live_ids, fit.centroids, &fit.assignments);
                     for (syndrome, tally) in syndromes.iter_mut().zip(&cache.labels) {
                         syndrome.dominant_label = tally.leader();
@@ -1105,7 +1158,7 @@ impl SignatureDb {
                 }
             }
         }
-        let result = KMeans::new(k).seed(seed).restarts(3).run(&vectors)?;
+        let result = km.restarts(3).run(&vectors)?;
         let slots = self.signatures.len();
         let mut assignment = vec![None; slots];
         let mut labels = vec![LabelTally::default(); k];
@@ -1121,8 +1174,8 @@ impl SignatureDb {
             _ => ClusterStats::new(k, self.dim()),
         };
         stats.rebuild(&vectors, &result.assignments);
-        let mut syndromes =
-            syndromes_from(&live_ids, result.centroids.clone(), &result.assignments);
+        stats.keep_centroids(&result.centroids);
+        let mut syndromes = syndromes_from(&live_ids, result.centroids, &result.assignments);
         for (syndrome, tally) in syndromes.iter_mut().zip(&labels) {
             syndrome.dominant_label = tally.leader();
         }
@@ -1131,7 +1184,6 @@ impl SignatureDb {
             seed,
             assignment,
             bounds: vec![PointBounds::UNKNOWN; slots],
-            centroids: result.centroids,
             stats,
             labels,
         });
@@ -1185,8 +1237,8 @@ impl SignatureDb {
     pub fn explain_syndrome(&self, syndrome: &Syndrome, k: usize) -> Vec<(u32, f64, f64)> {
         // Corpus mean weight per term (live signatures only).
         let mut mean = vec![0.0f64; self.dim()];
-        for (d, s) in self.signatures.iter().enumerate() {
-            if self.is_live(d) {
+        for (s, live) in self.signatures.iter().zip(self.liveness()) {
+            if live {
                 for (t, w) in s.vector.iter() {
                     mean[t as usize] += w;
                 }
@@ -1237,11 +1289,9 @@ impl SignatureDb {
     pub fn load<R: Read>(mut reader: R) -> Result<Self, FmeterError> {
         let mut bytes = Vec::new();
         reader.read_to_end(&mut bytes)?;
-        let mut db = crate::persist::load(&bytes)?;
         // A save made by a service carries its shard layout; the flat
-        // database drops it.
-        db.reshard(1);
-        Ok(db)
+        // database builds its one shard in its place.
+        crate::persist::load(&bytes, Some(1))
     }
 }
 
@@ -1519,11 +1569,12 @@ mod tests {
         // every signature, and the steady state none.
         assert_eq!(evaluated(&mut db), Some(db.len()));
         assert_eq!(evaluated(&mut db), Some(0));
-        // Inserted signatures are measured, the rest confirmed.
+        // Inserted signatures are confirmed too: attaching measured them
+        // against the kept centroids, and left bounds like any other's.
         db.insert(&raw_a(80, Some("a"))).unwrap();
         db.insert(&raw_a(81, Some("a"))).unwrap();
         db.insert(&raw_b(80, Some("b"))).unwrap();
-        assert_eq!(evaluated(&mut db), Some(3));
+        assert_eq!(evaluated(&mut db), Some(0));
         db.remove(2).unwrap();
         assert_eq!(evaluated(&mut db), Some(0));
         db.vacuum();
@@ -1985,6 +2036,106 @@ mod tests {
             restored.last_vacuum().is_none(),
             "the remap is process-local state"
         );
+    }
+
+    #[test]
+    fn the_liveness_walk_reads_every_slot_as_is_live_does() {
+        for shards in [1, 3, 8] {
+            let mut db = SignatureDb::build(&sample_raw()).unwrap();
+            db.set_refit_policy(RefitPolicy::Manual);
+            db.reshard(shards);
+            // 21 slots: a multiple of neither layout.
+            for i in 0..9 {
+                db.insert(&raw_a(50 + i, None)).unwrap();
+            }
+            let check = |db: &SignatureDb, what: &str| {
+                let probed: Vec<bool> = (0..db.num_slots()).map(|d| db.is_live(d)).collect();
+                let walked: Vec<bool> = db.liveness().collect();
+                assert_eq!(walked, probed, "{shards} shards, {what}");
+                let ids: Vec<usize> = (0..db.num_slots()).filter(|&d| probed[d]).collect();
+                assert_eq!(db.live_ids(), ids, "{shards} shards, {what}");
+            };
+            check(&db, "no tombstone");
+            for d in [0, 4, 7, 8, 13, 20] {
+                db.remove(d).unwrap();
+            }
+            check(&db, "tombstones");
+            db.vacuum();
+            assert_eq!(db.num_slots(), 15);
+            check(&db, "after a vacuum");
+            db.remove(14).unwrap();
+            db.remove(2).unwrap();
+            db.insert(&raw_b(60, None)).unwrap();
+            check(&db, "tombstones after a vacuum");
+        }
+    }
+
+    /// The bits a search, every signature and the recluster cache leave:
+    /// what two databases that went different ways must agree on.
+    fn fingerprint(db: &SignatureDb) -> String {
+        let mut out = format!(
+            "epoch {} vacuums {} slots {} live {:?} mutations {} shards {}\n",
+            db.epoch(),
+            db.vacuums(),
+            db.num_slots(),
+            db.live_ids(),
+            db.mutations_since_refit(),
+            db.num_shards()
+        );
+        for s in db.signatures().iter() {
+            let values: Vec<u64> = s.vector.values().iter().map(|v| v.to_bits()).collect();
+            out += &format!(
+                "{:?} {:?} {values:?} {:?}\n",
+                s.label,
+                s.started_at,
+                s.vector.terms()
+            );
+        }
+        for probe in [raw_a(3, None), raw_b(3, None)] {
+            for (s, score) in db.search(&probe.to_term_counts(), 8).unwrap() {
+                out += &format!("hit {:?} {:#x}\n", s.started_at, score.to_bits());
+            }
+        }
+        out + &format!("{:?}\n{:?}", db.last_vacuum(), db.cluster_cache)
+    }
+
+    #[test]
+    fn a_remove_that_vacuums_and_refits_equals_vacuum_then_refit() {
+        for shards in [1, 3] {
+            let mut db = SignatureDb::build(&sample_raw()).unwrap();
+            db.set_refit_policy(RefitPolicy::Manual);
+            db.reshard(shards);
+            // A warm cache and inserts at a stale idf: the renumbering
+            // and the re-weighting both have work.
+            db.recluster(2, 7).unwrap();
+            for i in 0..4 {
+                db.insert(&raw_a(30 + i, Some("a"))).unwrap();
+                db.insert(&raw_b(30 + i, Some("b"))).unwrap();
+            }
+            db.remove(0).unwrap();
+            db.remove(5).unwrap();
+            assert!(db.recluster(2, 7).unwrap().warm);
+            db.insert(&raw_b(40, None)).unwrap();
+            let mut by_hand = db.clone();
+            db.set_refit_policy(RefitPolicy::EveryN(db.mutations_since_refit() + 1));
+            db.set_vacuum_policy(VacuumPolicy::DeadFraction {
+                max_dead_fraction: 0.0,
+                min_dead: 3,
+            });
+            db.remove(8).unwrap();
+            assert_eq!((db.vacuums(), db.epoch()), (1, 1), "{shards} shards");
+            by_hand.remove(8).unwrap();
+            by_hand.vacuum();
+            assert!(by_hand.refit().reweighted_docs > 0);
+            assert_eq!(fingerprint(&db), fingerprint(&by_hand), "{shards} shards");
+            // And they go on alike.
+            let (a, b) = (
+                db.recluster(2, 7).unwrap(),
+                by_hand.recluster(2, 7).unwrap(),
+            );
+            assert_eq!(a, b, "{shards} shards");
+            assert_eq!(fingerprint(&db), fingerprint(&by_hand), "{shards} shards");
+        }
     }
 
     #[test]

@@ -307,7 +307,7 @@ pub(crate) fn save<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterEr
     }
     header.close_section(SEC_SIGNATURES, SectionCodec::Binary, &body);
     let state = State {
-        live: (0..db.num_slots()).map(|d| db.is_live(d)).collect(),
+        live: db.liveness().collect(),
         num_live: db.num_live,
         epoch: db.epoch,
         refit_policy: db.refit_policy,
@@ -573,8 +573,9 @@ fn read_envelope(bytes: &[u8]) -> Result<Parts, FmeterError> {
     })
 }
 
-/// Reads a database from any supported on-disk format, in the shard
-/// layout the save carries, in one hop.
+/// Reads a database from any supported on-disk format, in one hop: its
+/// posting store is built once, `shards` ways, or in the layout the
+/// save carries when that is `None`.
 ///
 /// # Errors
 ///
@@ -584,8 +585,12 @@ fn read_envelope(bytes: &[u8]) -> Result<Parts, FmeterError> {
 /// [`FmeterError::CorruptEnvelope`] for truncated or bit-flipped
 /// sections and [`FmeterError::Persist`] for malformed or inconsistent
 /// payloads — a missing magic line included.
-pub(crate) fn load(bytes: &[u8]) -> Result<SignatureDb, FmeterError> {
-    assemble(read_envelope(bytes)?)
+pub(crate) fn load(bytes: &[u8], shards: Option<usize>) -> Result<SignatureDb, FmeterError> {
+    let mut parts = read_envelope(bytes)?;
+    if let Some(shards) = shards {
+        parts.num_shards = shards.clamp(1, MAX_SHARDS);
+    }
+    assemble(parts)
 }
 
 /// Builds the database from its decoded parts, cross-checking them
@@ -803,11 +808,11 @@ mod tests {
             Some(CURRENT_FORMAT_VERSION),
             "the version table must end at the current version"
         );
-        let current = load(&fixture(CURRENT_FORMAT_VERSION)[..]).unwrap();
+        let current = load(&fixture(CURRENT_FORMAT_VERSION)[..], None).unwrap();
         let probe = TermCounts::from_dense(&[58, 41, 24, 13, 0, 0, 0, 1, 0, 0, 3, 0]);
         for spec in FORMAT_VERSIONS {
             let v = spec.version;
-            let db = load(&fixture(v)[..]).unwrap_or_else(|e| panic!("v{v}: {e}"));
+            let db = load(&fixture(v)[..], None).unwrap_or_else(|e| panic!("v{v}: {e}"));
             assert_eq!(db.num_shards(), 1, "v{v}");
             assert_eq!(db.vacuum_policy(), current.vacuum_policy(), "v{v}");
             assert_eq!(db.num_slots(), current.num_slots(), "v{v}");
@@ -846,7 +851,7 @@ mod tests {
         ));
         let bare = br#"{"model":{},"corpus":{}}"#;
         assert_eq!(detect_format_version(bare), None);
-        assert!(matches!(load(bare), Err(FmeterError::Persist(m)) if m.contains("v0")));
+        assert!(matches!(load(bare, None), Err(FmeterError::Persist(m)) if m.contains("v0")));
         // Malformed magic lines are `None` to the one and `Err` to the
         // other, never a disagreement.
         for bad in [
@@ -1118,13 +1123,41 @@ mod tests {
     }
 
     #[test]
+    fn a_sharded_save_loads_flat_as_a_flat_save_does() {
+        let db = sample_db();
+        let mut sharded = db.clone();
+        sharded.reshard(4);
+        let from_sharded = SignatureDb::load(&saved(&sharded)[..]).unwrap();
+        let from_flat = SignatureDb::load(&saved(&db)[..]).unwrap();
+        assert_eq!((from_sharded.num_shards(), from_flat.num_shards()), (1, 1));
+        let live = |db: &SignatureDb| db.liveness().collect::<Vec<bool>>();
+        assert_eq!(live(&from_sharded), live(&from_flat));
+        assert!(
+            live(&from_flat).contains(&false),
+            "the save has a tombstone"
+        );
+        for probe in [[42, 30, 20, 11, 0, 0, 1, 0], [0, 1, 0, 0, 52, 41, 30, 21]] {
+            let q = TermCounts::from_dense(&probe);
+            let hits = |db: &SignatureDb| -> Vec<(u64, u64)> {
+                let hits = db.search(&q, 6).unwrap();
+                let hits = hits
+                    .iter()
+                    .map(|(s, score)| (s.started_at.0, score.to_bits()));
+                hits.collect()
+            };
+            assert_eq!(hits(&from_sharded), hits(&from_flat), "{probe:?}");
+        }
+        assert_equivalent(&from_sharded, &from_flat);
+    }
+
+    #[test]
     fn sharded_saves_round_trip_the_layout() {
         let db = sample_db();
         let mut sharded = db.clone();
         sharded.reshard(4);
         let mut bytes = Vec::new();
         save(&sharded, &mut bytes).unwrap();
-        let restored = load(&bytes[..]).unwrap();
+        let restored = load(&bytes[..], None).unwrap();
         assert_eq!(restored.num_shards(), 4);
         assert_equivalent(&db, &restored);
         // A plain load reads the same bytes and just drops the layout.
@@ -1132,11 +1165,11 @@ mod tests {
         assert_eq!(plain.num_shards(), 1);
         assert_equivalent(&db, &plain);
         // The fixtures were saved flat, and come back as one shard.
-        assert_eq!(load(&fixture(5)[..]).unwrap().num_shards(), 1);
+        assert_eq!(load(&fixture(5)[..], None).unwrap().num_shards(), 1);
         // A zero-shard layout is rejected, not served — by either load.
         let zero = serde_json::to_string(&Sharding { num_shards: 0 }).unwrap();
         let bad = with_section(&bytes, SEC_SHARDING, zero.into_bytes());
-        assert!(load(&bad[..]).is_err());
+        assert!(load(&bad[..], None).is_err());
         assert!(SignatureDb::load(&bad[..]).is_err());
         // So is one past the bound — which a writer clamps to, so what
         // can be saved can be loaded.
@@ -1144,13 +1177,13 @@ mod tests {
         assert_eq!(sharded.num_shards(), MAX_SHARDS);
         let mut bytes = Vec::new();
         save(&sharded, &mut bytes).unwrap();
-        assert_eq!(load(&bytes).unwrap().num_shards(), MAX_SHARDS);
+        assert_eq!(load(&bytes, None).unwrap().num_shards(), MAX_SHARDS);
         let over = serde_json::to_string(&Sharding {
             num_shards: MAX_SHARDS + 1,
         })
         .unwrap();
         let bad = with_section(&bytes, SEC_SHARDING, over.into_bytes());
-        assert!(matches!(load(&bad), Err(FmeterError::Persist(_))));
+        assert!(matches!(load(&bad, None), Err(FmeterError::Persist(_))));
         assert!(SignatureDb::load(&bad[..]).is_err());
     }
 }

@@ -506,7 +506,7 @@ impl SignatureService {
     pub fn load<R: Read>(mut reader: R) -> Result<Self, FmeterError> {
         let mut bytes = Vec::new();
         reader.read_to_end(&mut bytes)?;
-        let db = persist::load(&bytes)?;
+        let db = persist::load(&bytes, None)?;
         Ok(Self::from_writer(ShardWriter { db, durable: None }))
     }
 

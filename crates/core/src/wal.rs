@@ -808,7 +808,7 @@ impl DurableLog {
         dir: &Path,
         generation: u64,
     ) -> Result<(SignatureDb, RecoveryReport), FmeterError> {
-        let mut db = persist::load(&fs::read(dir.join(checkpoint_name(generation)))?)?;
+        let mut db = persist::load(&fs::read(dir.join(checkpoint_name(generation)))?, None)?;
         let mut report = RecoveryReport {
             generation,
             checkpoints_skipped: 0,

@@ -565,6 +565,12 @@ impl InvertedIndex {
         doc < self.num_docs && !self.removed[doc]
     }
 
+    /// [`is_live`](Self::is_live) of every doc id ever assigned, in id
+    /// order, read straight off the tombstones.
+    pub(crate) fn live_flags(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
+        self.removed.iter().map(|&dead| !dead)
+    }
+
     /// Number of live (inserted, not removed) documents.
     pub fn live_len(&self) -> usize {
         self.num_docs - self.num_removed

@@ -150,6 +150,12 @@ impl Shard {
         self.router.shard_of(doc) == self.shard && self.index.is_live(self.router.local_of(doc))
     }
 
+    /// Whether each doc routed here is live, in local id order: the
+    /// `l`-th flag is global doc `l * num_shards + shard`'s.
+    pub fn live_flags(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
+        self.index.live_flags()
+    }
+
     /// Indexes `vector` as global doc `global`, which must be the next
     /// id the router assigns to this shard (sequential global inserts
     /// keep every shard's local id space dense automatically). The row

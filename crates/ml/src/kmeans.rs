@@ -82,33 +82,31 @@ impl CentroidBuf {
         self.norm = sq.sqrt();
     }
 
+    /// Overwrites the centroid with `c`, the sparse view of a mean
+    /// ([`to_sparse`](Self::to_sparse) after
+    /// [`set_from_mean`](Self::set_from_mean)): every bit that call left,
+    /// the squared norm included, which it sums from `+0.0` over the
+    /// non-zeros.
+    fn set_from_centroid(&mut self, c: &SparseVec) {
+        self.set_from_point(c);
+        self.sq_norm = c.values().iter().fold(0.0, |sq, &v| sq + v * v);
+        self.norm = self.sq_norm.sqrt();
+    }
+
     fn to_sparse(&self) -> SparseVec {
         SparseVec::from_dense(&self.dense)
     }
+}
 
-    /// An upper bound on the distance from `old` to this centroid:
-    /// `√Σ(new − old)²`, computed term by term (no expanded form, so no
-    /// cancellation) and rounded up. Each squared difference is within
-    /// three roundings of its exact value and the sum within `dim` more;
-    /// the factor covers those and the final product and square root,
-    /// and the absolute term the squares that underflow.
-    fn drift_from(&self, old: &SparseVec) -> f64 {
-        let (old_terms, old_values) = (old.terms(), old.values());
-        let mut next = 0;
-        let mut sum = 0.0;
-        for (t, &v) in self.dense.iter().enumerate() {
-            let o = if old_terms.get(next).is_some_and(|&ot| ot as usize == t) {
-                next += 1;
-                old_values[next - 1]
-            } else {
-                0.0
-            };
-            let d = v - o;
-            sum += d * d;
-        }
-        let dim = self.dense.len() as f64;
-        (sum * (1.0 + (dim + 8.0) * f64::EPSILON) + dim * f64::MIN_POSITIVE).sqrt()
-    }
+/// An upper bound on the distance between two centroids, from `sum`,
+/// their `Σ(new − old)²` over `dim` terms computed term by term (no
+/// expanded form, so no cancellation), rounded up. Each squared
+/// difference is within three roundings of its exact value and the sum
+/// within `dim` more; the factor covers those and the final product and
+/// square root, and the absolute term the squares that underflow.
+fn drift_bound(sum: f64, dim: usize) -> f64 {
+    let dim = dim as f64;
+    (sum * (1.0 + (dim + 8.0) * f64::EPSILON) + dim * f64::MIN_POSITIVE).sqrt()
 }
 
 /// The `k` centroids of a fit and, for the metrics that reduce to an
@@ -121,9 +119,10 @@ impl CentroidBuf {
 /// products from one 32-byte load per term. Lanes past `k` in the last
 /// block stay zero and are never compared. It is rewritten from the
 /// dense buffers whenever the centroids change — once per assignment
-/// sweep, by the thread that owns the update — and stays empty for
-/// L1/Lp, which merge-join against the sparse views instead.
-#[derive(Debug)]
+/// sweep, by the thread that owns the update. A cold fit leaves it empty
+/// for L1/Lp, which merge-join against the sparse views instead; the
+/// centroids a [`ClusterStats`] keeps have it whatever the metric.
+#[derive(Debug, Clone)]
 struct Centroids {
     bufs: Vec<CentroidBuf>,
     lanes: Vec<[f64; LANES]>,
@@ -137,6 +136,15 @@ impl Centroids {
         Centroids {
             bufs: vec![CentroidBuf::new(dim); k],
             lanes: vec![[0.0; LANES]; blocks * dim],
+        }
+    }
+
+    /// No centroid and no buffer: what a [`ClusterStats`] leaves in
+    /// place of the buffer it lends a fit, at no allocation.
+    fn none() -> Self {
+        Centroids {
+            bufs: Vec::new(),
+            lanes: Vec::new(),
         }
     }
 
@@ -176,8 +184,41 @@ impl Centroids {
         }
     }
 
+    /// Overwrites the centroids with `centroids`, the sparse views of
+    /// means (see [`CentroidBuf::set_from_centroid`]).
+    fn set_from_centroids(&mut self, centroids: &[SparseVec]) {
+        for (buf, c) in self.bufs.iter_mut().zip(centroids) {
+            buf.set_from_centroid(c);
+        }
+        self.refresh_lanes();
+    }
+
     fn to_sparse(&self) -> Vec<SparseVec> {
         self.bufs.iter().map(CentroidBuf::to_sparse).collect()
+    }
+
+    /// How far each centroid moved from `old`'s, bounded above (see
+    /// [`drift_bound`]): both lane layouts walked in step, a block of
+    /// [`LANES`] centroids at a time. Lane `l` adds `(new − old)²` in
+    /// ascending term order from `+0.0`, the sequence of one centroid's
+    /// own term-by-term walk; the lanes never mix. Both layouts must be
+    /// kept (the lane kernel's).
+    fn drifts_from(&self, old: &Centroids) -> Vec<f64> {
+        let (k, dim) = (self.bufs.len(), self.dim());
+        let mut drifts = Vec::with_capacity(k.next_multiple_of(LANES));
+        for b in 0..k.div_ceil(LANES) {
+            let block = b * dim..(b + 1) * dim;
+            let mut sums = [0.0f64; LANES];
+            for (n, o) in self.lanes[block.clone()].iter().zip(&old.lanes[block]) {
+                for ((sum, &n), &o) in sums.iter_mut().zip(n).zip(o) {
+                    let d = n - o;
+                    *sum += d * d;
+                }
+            }
+            drifts.extend(sums.map(|sum| drift_bound(sum, dim)));
+        }
+        drifts.truncate(k);
+        drifts
     }
 }
 
@@ -267,7 +308,9 @@ impl ClusterSums {
 /// The per-cluster sums, member counts and per-`(cluster, term)` support
 /// counts of an assignment, kept between warm fits
 /// ([`KMeans::fit_warm`]) and patched as the assignment changes instead
-/// of re-summed from every point.
+/// of re-summed from every point; and the centroids of the fit that
+/// last returned them, in the assignment kernel's own layout (dense
+/// buffers and lanes).
 ///
 /// [`rebuild`](Self::rebuild) accumulates them from `+0.0` in point
 /// order, the arithmetic of a Lloyd update step, so the means of freshly
@@ -282,19 +325,37 @@ impl ClusterSums {
 /// last rebuild reach the number of points it is given: the drift stays
 /// bounded, and the rebuild costs O(1) per patch amortised.
 ///
-/// New stats are stale: the first `fit_warm` builds them.
+/// The kept centroids are what the next warm fit measures each
+/// centroid's drift from (the bounds it carries were measured against
+/// them) and what [`KMeans::attach`] hands a point no fit has seen to.
+/// A warm fit seeds its means into a second buffer the stats keep and
+/// swaps the two as it returns, so no fit allocates a `k × dim` buffer;
+/// [`keep_centroids`](Self::keep_centroids) installs another fit's (a
+/// cold [`run`](KMeans::run)'s, say). Neither a patch nor
+/// [`mark_stale`](Self::mark_stale) touches them.
+///
+/// New stats are stale and keep no centroids: the first `fit_warm`
+/// builds the sums and measures every point.
 #[derive(Debug, Clone)]
 pub struct ClusterStats {
     sums: ClusterSums,
     /// Patches since the last rebuild.
     patches: usize,
     stale: bool,
+    /// The centroids of the fit that last returned these stats, or the
+    /// ones [`keep_centroids`](Self::keep_centroids) installed.
+    centroids: Centroids,
+    /// Whether `centroids` hold a fit's centroids yet.
+    fitted: bool,
+    /// The buffer the next warm fit seeds its means into.
+    seeded: Centroids,
 }
 
 impl ClusterStats {
     /// Stale stats for `k` clusters of `dim`-dimensional points: `k ×
-    /// dim` sums and as many support counts, allocated once and
-    /// rewritten in place from then on.
+    /// dim` sums and as many support counts, and two sets of `k`
+    /// centroids with their lanes, allocated once and rewritten in place
+    /// from then on.
     pub fn new(k: usize, dim: usize) -> Self {
         let mut sums = ClusterSums::new(k, dim);
         sums.support = vec![0; k * dim];
@@ -302,6 +363,9 @@ impl ClusterStats {
             sums,
             patches: 0,
             stale: true,
+            centroids: Centroids::new(k, dim, true),
+            fitted: false,
+            seeded: Centroids::new(k, dim, true),
         }
     }
 
@@ -340,6 +404,33 @@ impl ClusterStats {
         self.sums.accumulate(points, assignment);
         self.patches = 0;
         self.stale = false;
+    }
+
+    /// Keeps `centroids` (a cold [`KMeans::run`]'s, say) as those of
+    /// the fit these stats describe: the next warm fit measures drift
+    /// from them, and [`KMeans::attach`] reads them. Written into the
+    /// kept buffers in place; a fit's own centroids come back with the
+    /// bits it kept them with.
+    ///
+    /// # Panics
+    ///
+    /// If there are not `k` centroids, or one is not of dimension `dim`.
+    pub fn keep_centroids(&mut self, centroids: &[SparseVec]) {
+        assert!(
+            centroids.len() == self.k() && centroids.iter().all(|c| c.dim() == self.sums.dim),
+            "cluster stats keep {} centroids of dimension {}",
+            self.k(),
+            self.sums.dim
+        );
+        self.centroids.set_from_centroids(centroids);
+        self.fitted = true;
+    }
+
+    /// Keeps a fit's `centroids`; the ones they replace become the
+    /// buffer the next fit seeds into.
+    fn keep(&mut self, centroids: Centroids) {
+        self.seeded = std::mem::replace(&mut self.centroids, centroids);
+        self.fitted = true;
     }
 
     /// Adds `p` to cluster `c`: one rounding per term of `p`.
@@ -434,7 +525,7 @@ impl Nearest {
 /// returned, for the next [`KMeans::fit_warm`] to start from: the
 /// cluster it assigned the point to, an upper bound on the distance to
 /// that cluster's centroid, a lower bound on the distance to every other
-/// one (Hamerly's two bounds), and the point's squared norm.
+/// one (Hamerly's two bounds), and the point's norm.
 ///
 /// Only a fit writes one; a caller starts a point from
 /// [`UNKNOWN`](Self::UNKNOWN) and keeps the value beside the point
@@ -445,8 +536,9 @@ pub struct PointBounds {
     cluster: usize,
     upper: f64,
     lower: f64,
-    /// The bits of [`SparseVec::norm_l2_sq`]; NaN until measured.
-    sq_norm: f64,
+    /// The square root of [`SparseVec::norm_l2_sq`]; NaN until
+    /// measured.
+    norm: f64,
 }
 
 impl PointBounds {
@@ -455,7 +547,7 @@ impl PointBounds {
         cluster: usize::MAX,
         upper: f64::INFINITY,
         lower: 0.0,
-        sq_norm: f64::NAN,
+        norm: f64::NAN,
     };
 }
 
@@ -491,19 +583,22 @@ impl Slack {
         }
     }
 
-    /// The margin for a point of squared norm `sq_norm` (NaN for NaN).
-    fn margin(&self, sq_norm: f64) -> f64 {
-        self.per_norm * (sq_norm.sqrt() + self.max_centroid_norm) + f64::MIN_POSITIVE.sqrt()
+    /// The margin for a point of norm `norm` (NaN for NaN).
+    fn margin(&self, norm: f64) -> f64 {
+        self.per_norm * (norm + self.max_centroid_norm) + f64::MIN_POSITIVE.sqrt()
     }
 
-    /// The bounds a measured point leaves against these centroids.
+    /// The bounds a measured point leaves against these centroids. The
+    /// point's norm is taken here, once, so the bound check that reads
+    /// it takes no square root.
     fn bounds(&self, near: &Nearest) -> PointBounds {
-        let margin = self.margin(near.sq_norm);
+        let norm = near.sq_norm.sqrt();
+        let margin = self.margin(norm);
         PointBounds {
             cluster: near.cluster,
             upper: (near.d_sq.sqrt() + margin).next_up(),
             lower: (near.second_sq.sqrt() - margin).next_down(),
-            sq_norm: near.sq_norm,
+            norm,
         }
     }
 }
@@ -697,6 +792,18 @@ pub struct KMeansResult {
     pub converged: bool,
 }
 
+/// What one [`KMeans::lloyd`] run ends with.
+struct LloydRun {
+    fit: KMeansResult,
+    /// The buffers `fit.centroids` were read from.
+    centroids: Centroids,
+    /// Assignment sweeps made.
+    sweeps: usize,
+    /// Whether the sums end up the point-order sums of the returned
+    /// assignment (an update step's, and the assignment repeated).
+    point_order: bool,
+}
+
 /// Outcome of a warm-started fit ([`KMeans::fit_warm`]). It has no
 /// inertia: a point its bounds confirmed has no exact distance.
 #[derive(Debug, Clone)]
@@ -837,17 +944,20 @@ impl KMeans {
     /// once the patches since their last rebuild reach the number of
     /// points. So a *converged* assignment reproduces its centroids bit
     /// for bit when nothing was patched since the last rebuild, and
-    /// within one rounding per patch otherwise. `centroids` are the ones
-    /// the previous fit returned, and `bounds[i]` what it left for point
-    /// `i` ([`PointBounds::UNKNOWN`] for a point it did not see).
+    /// within one rounding per patch otherwise. The means are written
+    /// into a buffer `stats` keep for the purpose; the centroids the
+    /// previous fit returned are the ones `stats` keep beside it (see
+    /// [`ClusterStats::keep_centroids`]), and `bounds[i]` is what that
+    /// fit left for point `i` ([`PointBounds::UNKNOWN`] for a point it
+    /// did not see; stats that keep no centroids yet void every bound).
     ///
     /// Under the Euclidean metric the fit then measures how far each
-    /// centroid drifted from `centroids` and widens every point's bounds
-    /// by that drift (Hamerly's test). A point whose own centroid is
-    /// still provably the strict nearest, by more than the rounding
-    /// slack of the distance formula, keeps its assignment unmeasured;
-    /// every other point goes through the assignment kernel. If none of
-    /// them moved, the previous assignment is the fixpoint and the fit
+    /// centroid drifted from the kept one, buffer against buffer, and
+    /// widens every point's bounds by that drift (Hamerly's test). A
+    /// point whose own centroid is still provably the strict nearest, by
+    /// more than the rounding slack of the distance formula, keeps its
+    /// assignment unmeasured; every other point goes through the
+    /// assignment kernel. If none of them moved, the previous assignment is the fixpoint and the fit
     /// returns after one iteration, having read no point but the ones
     /// its bounds could not confirm. As soon as one moves, Lloyd's loop
     /// runs from the seeding exactly as without bounds: an assignment
@@ -855,11 +965,13 @@ impl KMeans {
     /// assignment repeats. It leaves in `stats` the point-order sums of
     /// the assignment it returns, rebuilding them when its last update
     /// does not describe that assignment (a stop on `tol` or
-    /// `max_iters`, an emptied cluster repaired). Either way `bounds`
-    /// ends up measured against the returned centroids, ready for the
-    /// next call. The other metrics sweep every point and leave every
-    /// bound unknown. Assignments, centroids and iterations are
-    /// `f64::to_bits`-identical to a warm start that measured every
+    /// `max_iters`, an emptied cluster repaired), and keeps the returned
+    /// centroids in place of the previous ones, whose buffer the next
+    /// fit seeds into. Either way `bounds` ends up measured against the
+    /// returned centroids, ready for the next call, and no `k × dim`
+    /// buffer is allocated. The other metrics sweep every point and
+    /// leave every bound unknown. Assignments, centroids and iterations
+    /// are `f64::to_bits`-identical to a warm start that measured every
     /// point from the same stats (pinned by the warm-start oracle and
     /// the golden recluster script).
     ///
@@ -878,16 +990,14 @@ impl KMeans {
     /// [`MlError::InvalidConfig`] when `prev_assignment` or `bounds` has
     /// the wrong length, `prev_assignment` names a cluster `>= k` or
     /// leaves any cluster empty (callers with emptied clusters should
-    /// fall back to a cold run), `stats` are not for `k` clusters of the
-    /// points' dimension or, not stale, count other members than
-    /// `prev_assignment`, or `centroids` is not `k` vectors of the
-    /// points' dimension.
+    /// fall back to a cold run), or `stats` are not for `k` clusters of
+    /// the points' dimension or, not stale, count other members than
+    /// `prev_assignment`.
     pub fn fit_warm<P: Borrow<SparseVec>>(
         &self,
         points: &[P],
         prev_assignment: &[usize],
         stats: &mut ClusterStats,
-        centroids: &[SparseVec],
         bounds: &mut [PointBounds],
     ) -> Result<WarmFit, MlError> {
         let points: Vec<&SparseVec> = points.iter().map(Borrow::borrow).collect();
@@ -902,12 +1012,6 @@ impl KMeans {
             )));
         }
         let dim = points[0].dim();
-        if centroids.len() != self.k || centroids.iter().any(|c| c.dim() != dim) {
-            return Err(MlError::InvalidConfig(format!(
-                "warm start needs the previous fit's {} centroids of dimension {dim}",
-                self.k
-            )));
-        }
         if (stats.k(), stats.sums.dim) != (self.k, dim) {
             return Err(MlError::InvalidConfig(format!(
                 "warm start needs cluster stats for k = {} and dimension {dim}, not k = {} \
@@ -940,15 +1044,22 @@ impl KMeans {
                 stats.counts()
             )));
         }
-        let mut seeded = Centroids::new(self.k, dim, self.fused());
+        if !stats.fitted {
+            // The bounds are for the kept centroids, and there are none.
+            bounds.fill(PointBounds::UNKNOWN);
+        }
+        let mut seeded = std::mem::replace(&mut stats.seeded, Centroids::none());
         seeded.set_from_means(&stats.sums);
         let mut measured = 0;
         let bounds = if self.metric == Metric::Euclidean {
             let moved;
-            (measured, moved) = self.confirm(&points, prev_assignment, &seeded, centroids, bounds);
+            (measured, moved) =
+                self.confirm(&points, prev_assignment, &seeded, &stats.centroids, bounds);
             if !moved {
+                let centroids = seeded.to_sparse();
+                stats.keep(seeded);
                 return Ok(WarmFit {
-                    centroids: seeded.to_sparse(),
+                    centroids,
                     assignments: prev_assignment.to_vec(),
                     iterations: 1,
                     converged: true,
@@ -960,7 +1071,7 @@ impl KMeans {
             bounds.fill(PointBounds::UNKNOWN);
             None
         };
-        let (fit, sweeps, point_order) = self.lloyd(
+        let run = self.lloyd(
             &points,
             seeded,
             &mut stats.sums,
@@ -968,22 +1079,60 @@ impl KMeans {
             1,
             bounds,
         );
-        if point_order {
+        if run.point_order {
             stats.patches = 0;
         } else {
-            stats.rebuild(&points, &fit.assignments);
+            stats.rebuild(&points, &run.fit.assignments);
         }
+        stats.keep(run.centroids);
         Ok(WarmFit {
-            centroids: fit.centroids,
-            assignments: fit.assignments,
-            iterations: fit.iterations,
-            converged: fit.converged,
-            evaluated: measured + sweeps * n,
+            centroids: run.fit.centroids,
+            assignments: run.fit.assignments,
+            iterations: run.fit.iterations,
+            converged: run.fit.converged,
+            evaluated: measured + run.sweeps * n,
+        })
+    }
+
+    /// Attaches `p`, a point no fit has seen, to the nearest of the
+    /// centroids `stats` keep, and adds it to that cluster's sums
+    /// ([`ClusterStats::add`]). The nearest is what an assignment sweep
+    /// of this runner finds: for Euclidean, the expanded distance `‖x‖²
+    /// − 2·x·c + ‖c‖²` from the lane kernel, one walk over `p`'s pairs
+    /// per block of four centroids, the lowest index on an exact tie.
+    ///
+    /// Returns the cluster and the bounds the walk leaves `p` against
+    /// the kept centroids, for the next [`fit_warm`](Self::fit_warm) to
+    /// start from as it would from a point the last fit measured
+    /// ([`PointBounds::UNKNOWN`] for the metrics without bounds); `None`,
+    /// and nothing patched, when `stats` keep no fit's centroids, `p` is
+    /// not of their dimension or the metric's parameters are invalid.
+    pub fn attach(&self, stats: &mut ClusterStats, p: &SparseVec) -> Option<(usize, PointBounds)> {
+        let near = self.nearest_kept(stats, p)?;
+        stats.add(near.cluster, p);
+        let bounds = if self.metric == Metric::Euclidean {
+            Slack::new(&stats.centroids).bounds(&near)
+        } else {
+            PointBounds::UNKNOWN
+        };
+        Some((near.cluster, bounds))
+    }
+
+    /// What [`attach`](Self::attach) measures: `p` against the
+    /// centroids `stats` keep, by the sweep's kernel.
+    fn nearest_kept(&self, stats: &ClusterStats, p: &SparseVec) -> Option<Nearest> {
+        if !stats.fitted || p.dim() != stats.sums.dim || self.metric.validate().is_err() {
+            return None;
+        }
+        Some(if self.fused() {
+            self.nearest_fused(p, &stats.centroids)
+        } else {
+            self.nearest_per_centroid(p, &stats.centroids)
         })
     }
 
     /// The bounded first sweep of a Euclidean warm start, against the
-    /// `seeded` means of `prev`: each point's bounds, carried from
+    /// `seeded` means of `prev`: each point's bounds, measured against
     /// `carried`, are widened by the centroids' drift, and a point they
     /// do not confirm — or whose bounds are for another cluster than its
     /// previous one — is measured and gets fresh ones. Returns how many
@@ -995,15 +1144,10 @@ impl KMeans {
         points: &[&SparseVec],
         prev: &[usize],
         seeded: &Centroids,
-        carried: &[SparseVec],
+        carried: &Centroids,
         bounds: &mut [PointBounds],
     ) -> (usize, bool) {
-        let drifts: Vec<f64> = seeded
-            .bufs
-            .iter()
-            .zip(carried)
-            .map(|(c, old)| c.drift_from(old))
-            .collect();
+        let drifts = seeded.drifts_from(carried);
         // A NaN drift must reach every lower bound, so no `f64::max`.
         let max_drift = drifts
             .iter()
@@ -1014,7 +1158,7 @@ impl KMeans {
             let upper = (b.upper + drifts[own]).next_up();
             let lower = (b.lower - max_drift).next_down();
             // Never true for an unknown bound or a NaN anywhere.
-            if b.cluster == own && upper + slack.margin(b.sq_norm) < lower {
+            if b.cluster == own && upper + slack.margin(b.norm) < lower {
                 b.upper = upper;
                 b.lower = lower;
                 continue;
@@ -1040,16 +1184,14 @@ impl KMeans {
         let threads = self.effective_threads(points.len());
         let mut sums = ClusterSums::new(self.k, dim);
         self.lloyd(points, centroids, &mut sums, None, threads, None)
-            .0
+            .fit
     }
 
     /// Lloyd's algorithm from `centroids`: an assignment sweep, then the
     /// update step on `sums` (allocated once per fit, not once per
     /// iteration), until the inertia improves by no more than `tol` or
     /// `max_iters` runs out; then one final sweep against the final
-    /// centroids. Returns the fit, the sweeps it made, and whether `sums`
-    /// end up the point-order sums of the assignment it returns (an
-    /// update step's, and the assignment repeated).
+    /// centroids. Returns the fit with the buffers of its centroids.
     ///
     /// `warm` is the assignment a warm start resumes from, and turns on
     /// the assignment-fixpoint check; `bounds`, when given, are
@@ -1064,7 +1206,7 @@ impl KMeans {
         warm: Option<&[usize]>,
         threads: usize,
         mut bounds: Option<&mut [PointBounds]>,
-    ) -> (KMeansResult, usize, bool) {
+    ) -> LloydRun {
         // Workers read the centroids during a sweep; the calling thread
         // writes them strictly between sweeps.
         let centroids = RwLock::new(centroids);
@@ -1137,15 +1279,21 @@ impl KMeans {
             sweep(&mut pool, &mut assignments, &mut d_sqs);
             described &= current.as_deref() == Some(&assignments[..]);
         });
-        let result = KMeansResult {
-            centroids: centroids.into_inner().expect("centroid lock").to_sparse(),
+        let centroids = centroids.into_inner().expect("centroid lock");
+        let fit = KMeansResult {
+            centroids: centroids.to_sparse(),
             assignments,
             // Summed in point order, whichever thread swept the point.
             inertia: d_sqs.iter().sum(),
             iterations,
             converged,
         };
-        (result, sweeps, described)
+        LloydRun {
+            fit,
+            centroids,
+            sweeps,
+            point_order: described,
+        }
     }
 
     /// Second half of a Lloyd iteration, after `sums` holds the merged
@@ -1522,14 +1670,9 @@ mod tests {
         assert!(cold.converged);
         let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
         let km = KMeans::new(2);
+        let mut stats = ClusterStats::new(2, 4);
         let warm = km
-            .fit_warm(
-                &pts,
-                &cold.assignments,
-                &mut ClusterStats::new(2, 4),
-                &cold.centroids,
-                &mut bounds,
-            )
+            .fit_warm(&pts, &cold.assignments, &mut stats, &mut bounds)
             .unwrap();
         assert!(warm.converged);
         assert_eq!(warm.iterations, 1);
@@ -1541,16 +1684,10 @@ mod tests {
             assert_eq!(w.values(), c.values());
         }
         // Nothing was known, so every point was measured; what that left
-        // confirms every point of the next call.
+        // confirms every point of the next call on the same stats.
         assert_eq!(warm.evaluated, pts.len());
         let again = km
-            .fit_warm(
-                &pts,
-                &warm.assignments,
-                &mut ClusterStats::new(2, 4),
-                &warm.centroids,
-                &mut bounds,
-            )
+            .fit_warm(&pts, &warm.assignments, &mut stats, &mut bounds)
             .unwrap();
         assert_eq!((again.iterations, again.evaluated), (1, 0));
         assert_eq!(again.assignments, cold.assignments);
@@ -1568,13 +1705,7 @@ mod tests {
         }
         let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
         let warm = KMeans::new(2)
-            .fit_warm(
-                &pts,
-                &stale,
-                &mut ClusterStats::new(2, 4),
-                &cold.centroids,
-                &mut bounds,
-            )
+            .fit_warm(&pts, &stale, &mut ClusterStats::new(2, 4), &mut bounds)
             .unwrap();
         assert!(warm.converged);
         assert!(warm.iterations <= 3, "took {} iterations", warm.iterations);
@@ -1586,69 +1717,56 @@ mod tests {
         let pts = blobs();
         let n = pts.len();
         let cold = KMeans::new(2).seed(7).run(&pts).unwrap();
-        let fit = |km: KMeans, pts: &[SparseVec], prev: &[usize], centroids: &[SparseVec]| {
+        let fit = |km: KMeans, pts: &[SparseVec], prev: &[usize]| {
             let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
-            km.fit_warm(
-                pts,
-                prev,
-                &mut ClusterStats::new(km.k, 4),
-                centroids,
-                &mut bounds,
-            )
+            km.fit_warm(pts, prev, &mut ClusterStats::new(km.k, 4), &mut bounds)
         };
         // Wrong length.
         assert!(matches!(
-            fit(KMeans::new(2), &pts, &[0, 1], &cold.centroids),
+            fit(KMeans::new(2), &pts, &[0, 1]),
             Err(MlError::InvalidConfig(_))
         ));
         // Cluster id out of range.
         let mut bad = vec![0usize; n];
         bad[0] = 5;
         assert!(matches!(
-            fit(KMeans::new(2), &pts, &bad, &cold.centroids),
+            fit(KMeans::new(2), &pts, &bad),
             Err(MlError::InvalidConfig(_))
         ));
         // An empty cluster: callers must fall back to a cold run.
         let empty = vec![0usize; n];
         assert!(matches!(
-            fit(KMeans::new(2), &pts, &empty, &cold.centroids),
+            fit(KMeans::new(2), &pts, &empty),
             Err(MlError::InvalidConfig(_))
         ));
-        // Bounds for other points, or centroids of another fit.
+        // Bounds for other points.
         let mut short = vec![PointBounds::UNKNOWN; n - 1];
         assert!(matches!(
             KMeans::new(2).fit_warm(
                 &pts,
                 &cold.assignments,
                 &mut ClusterStats::new(2, 4),
-                &cold.centroids,
                 &mut short
             ),
             Err(MlError::InvalidConfig(_))
         ));
-        assert!(matches!(
-            fit(
-                KMeans::new(2),
-                &pts,
-                &cold.assignments,
-                &cold.centroids[..1]
-            ),
-            Err(MlError::InvalidConfig(_))
-        ));
-        let wide = vec![SparseVec::zeros(5); 2];
-        assert!(matches!(
-            fit(KMeans::new(2), &pts, &cold.assignments, &wide),
-            Err(MlError::InvalidConfig(_))
-        ));
         // And the shared input contract still applies.
         assert!(matches!(
-            fit(KMeans::new(0), &pts, &[], &[]),
+            fit(KMeans::new(0), &pts, &[]),
             Err(MlError::InvalidConfig(_))
         ));
         assert!(matches!(
-            fit(KMeans::new(2), &[], &[], &cold.centroids),
+            fit(KMeans::new(2), &[], &[]),
             Err(MlError::EmptyInput)
         ));
+        // Centroids of another shape are refused by the stats that would
+        // keep them.
+        let keep = |centroids: &[SparseVec]| {
+            std::panic::catch_unwind(|| ClusterStats::new(2, 4).keep_centroids(centroids))
+        };
+        assert!(keep(&cold.centroids).is_ok());
+        assert!(keep(&cold.centroids[..1]).is_err());
+        assert!(keep(&[SparseVec::zeros(5), SparseVec::zeros(5)]).is_err());
     }
 
     #[test]
@@ -1819,13 +1937,7 @@ mod tests {
         stats.rebuild(&pts, &cold.assignments);
         let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
         let warm = km
-            .fit_warm(
-                &pts,
-                &cold.assignments,
-                &mut stats,
-                &cold.centroids,
-                &mut bounds,
-            )
+            .fit_warm(&pts, &cold.assignments, &mut stats, &mut bounds)
             .unwrap();
         assert_eq!((warm.iterations, warm.converged), (1, true));
         for (c, mean) in means(&cold.assignments).iter().enumerate() {
@@ -1846,8 +1958,7 @@ mod tests {
         let mut fresh = ClusterStats::new(2, 4);
         let fit = |stats: &mut ClusterStats| {
             let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
-            km.fit_warm(&pts, &stale, stats, &cold.centroids, &mut bounds)
-                .unwrap()
+            km.fit_warm(&pts, &stale, stats, &mut bounds).unwrap()
         };
         let (a, b) = (fit(&mut kept), fit(&mut fresh));
         assert!(a.iterations > 1);
@@ -1883,25 +1994,13 @@ mod tests {
             stats.add(c, p);
             assert_eq!(stats.patches(), 2 * round);
             if round < 6 {
-                km.fit_warm(
-                    &pts,
-                    &cold.assignments,
-                    &mut stats,
-                    &cold.centroids,
-                    &mut bounds,
-                )
-                .unwrap();
+                km.fit_warm(&pts, &cold.assignments, &mut stats, &mut bounds)
+                    .unwrap();
                 assert_eq!(stats.patches(), 2 * round, "under the point count");
             }
         }
-        km.fit_warm(
-            &pts,
-            &cold.assignments,
-            &mut stats,
-            &cold.centroids,
-            &mut bounds,
-        )
-        .unwrap();
+        km.fit_warm(&pts, &cold.assignments, &mut stats, &mut bounds)
+            .unwrap();
         assert_eq!(stats.patches(), 0, "twelve patches over twelve points");
         let mut want = ClusterStats::new(2, 5);
         want.rebuild(&pts, &cold.assignments);
@@ -1918,13 +2017,7 @@ mod tests {
         let km = KMeans::new(2);
         for mut stats in [ClusterStats::new(3, 4), ClusterStats::new(2, 5)] {
             assert!(matches!(
-                km.fit_warm(
-                    &pts,
-                    &cold.assignments,
-                    &mut stats,
-                    &cold.centroids,
-                    &mut bounds
-                ),
+                km.fit_warm(&pts, &cold.assignments, &mut stats, &mut bounds),
                 Err(MlError::InvalidConfig(_))
             ));
         }
@@ -1932,13 +2025,7 @@ mod tests {
         stats.rebuild(&pts, &cold.assignments);
         stats.remove(cold.assignments[0], &pts[0]);
         assert!(matches!(
-            km.fit_warm(
-                &pts,
-                &cold.assignments,
-                &mut stats,
-                &cold.centroids,
-                &mut bounds
-            ),
+            km.fit_warm(&pts, &cold.assignments, &mut stats, &mut bounds),
             Err(MlError::InvalidConfig(_))
         ));
     }

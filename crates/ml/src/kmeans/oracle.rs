@@ -435,7 +435,6 @@ fn fits_match_the_reference_lloyd_loop() {
                                 &points,
                                 &prev,
                                 &mut ClusterStats::new(k, dim),
-                                &cold.centroids,
                                 &mut bounds
                             )
                             .is_err(),
@@ -445,13 +444,7 @@ fn fits_match_the_reference_lloyd_loop() {
                     }
                     let before = sweeps();
                     let warm = km
-                        .fit_warm(
-                            &points,
-                            &prev,
-                            &mut ClusterStats::new(k, dim),
-                            &cold.centroids,
-                            &mut bounds,
-                        )
+                        .fit_warm(&points, &prev, &mut ClusterStats::new(k, dim), &mut bounds)
                         .unwrap();
                     let made = sweeps() - before;
                     let (want, fixpoint) = reference_fit_warm(&km, &points, &prev);
@@ -493,15 +486,10 @@ fn a_converged_warm_start_costs_one_sweep_and_a_moved_point_two() {
     // With nothing known, the bounded pass measures every point once —
     // one sweep's worth, and no full sweep after it.
     let mut bounds = vec![PointBounds::UNKNOWN; n];
+    let mut stats = ClusterStats::new(4, 8);
     let before = sweeps();
     let warm = km
-        .fit_warm(
-            &points,
-            &cold.assignments,
-            &mut ClusterStats::new(4, 8),
-            &cold.centroids,
-            &mut bounds,
-        )
+        .fit_warm(&points, &cold.assignments, &mut stats, &mut bounds)
         .unwrap();
     assert_eq!(sweeps() - before, 0, "the bounded pass found the fixpoint");
     assert_eq!(
@@ -519,13 +507,7 @@ fn a_converged_warm_start_costs_one_sweep_and_a_moved_point_two() {
     }
     // Carried to the next call, the bounds confirm every point.
     let again = km
-        .fit_warm(
-            &points,
-            &warm.assignments,
-            &mut ClusterStats::new(4, 8),
-            &warm.centroids,
-            &mut bounds,
-        )
+        .fit_warm(&points, &warm.assignments, &mut stats, &mut bounds)
         .unwrap();
     assert_eq!((again.iterations, again.evaluated), (1, 0));
     assert_same_warm_fit(&again, &warm_as_reference(&warm), "confirmed");
@@ -536,15 +518,10 @@ fn a_converged_warm_start_costs_one_sweep_and_a_moved_point_two() {
     // fixpoint, and there is no third.
     let mut stale = cold.assignments.clone();
     stale[5] = (stale[5] + 1) % 4;
+    stats.mark_stale();
     let before = sweeps();
     let repaired = km
-        .fit_warm(
-            &points,
-            &stale,
-            &mut ClusterStats::new(4, 8),
-            &warm.centroids,
-            &mut bounds,
-        )
+        .fit_warm(&points, &stale, &mut stats, &mut bounds)
         .unwrap();
     assert_eq!(sweeps() - before, 2);
     assert_eq!((repaired.iterations, repaired.converged), (2, true));
@@ -587,13 +564,7 @@ fn a_warm_start_at_pool_scale_stays_on_the_calling_thread() {
             let mut bounds = vec![PointBounds::UNKNOWN; n];
             km.clone()
                 .threads(threads)
-                .fit_warm(
-                    &points,
-                    &prev,
-                    &mut ClusterStats::new(k, 7),
-                    &cold.centroids,
-                    &mut bounds,
-                )
+                .fit_warm(&points, &prev, &mut ClusterStats::new(k, 7), &mut bounds)
                 .unwrap()
         };
         let before = sweeps();
@@ -626,7 +597,6 @@ fn borrowed_points_give_the_same_fit_as_owned_ones() {
             &owned,
             &a.assignments,
             &mut ClusterStats::new(5, 7),
-            &a.centroids,
             &mut bounds,
         )
         .unwrap();
@@ -636,24 +606,10 @@ fn borrowed_points_give_the_same_fit_as_owned_ones() {
             &borrowed,
             &a.assignments,
             &mut ClusterStats::new(5, 7),
-            &a.centroids,
             &mut bounds,
         )
         .unwrap();
     assert_same_warm_fit(&from_borrowed, &warm_as_reference(&from_owned), "fit_warm");
-}
-
-/// The nearest of `centroids` to `p` by the direct Euclidean distance:
-/// how a caller attaches a point no fit has seen.
-fn attach(p: &SparseVec, centroids: &[SparseVec]) -> usize {
-    let d = |c: &SparseVec| fmeter_ir::euclidean_distance_sq(p, c).unwrap();
-    (1..centroids.len()).fold(0, |best, c| {
-        if d(&centroids[c]) < d(&centroids[best]) {
-            c
-        } else {
-            best
-        }
-    })
 }
 
 /// A point within rounding error of the tie between two of
@@ -677,15 +633,15 @@ fn near_tie(rng: &mut SmallRng, centroids: &[SparseVec]) -> SparseVec {
 
 /// Every bound a fit leaves holds against its centroids, measured by
 /// the direct Euclidean distance (within its own rounding), and every
-/// carried norm has the bits of `norm_l2_sq`.
+/// carried norm has the bits of the square root of `norm_l2_sq`.
 #[track_caller]
 fn assert_bounds_hold(points: &[SparseVec], fit: &WarmFit, bounds: &[PointBounds], what: &str) {
     const ROUNDING: f64 = 1e-12;
     for (i, (p, b)) in points.iter().zip(bounds).enumerate() {
         let own = fit.assignments[i];
         assert_eq!(
-            b.sq_norm.to_bits(),
-            p.norm_l2_sq().to_bits(),
+            b.norm.to_bits(),
+            p.norm_l2_sq().sqrt().to_bits(),
             "{what}: point {i} norm"
         );
         for (c, centroid) in fit.centroids.iter().enumerate() {
@@ -730,16 +686,22 @@ fn carried_bounds_match_the_reference_through_churn() {
         let km = KMeans::new(k).seed(seed);
         let mut points = edge_points(&mut rng, n, dim, centres);
         let cold = km.run(&points).unwrap();
+        // One set of stats carried through, as a caller keeps it; the
+        // points churn behind its back, so every pass marks its sums
+        // stale, and the fit re-sums them and keeps its centroids.
+        let mut stats = ClusterStats::new(k, dim);
+        stats.keep_centroids(&cold.centroids);
         let (mut prev, mut centroids) = (cold.assignments, cold.centroids);
         let mut bounds = vec![PointBounds::UNKNOWN; n];
         for pass in 0..PASSES {
             let what = format!("k={k} centres={centres} dim={dim} n={n} pass {pass}");
             // Every third pass changes nothing; the others retire the
-            // oldest points and append fresh ones, each attached to its
-            // nearest carried centroid with nothing known: copies of the
-            // retired points (their clusters' means move by rounding
-            // only), near-ties, duplicates and new edge points. Halfway
-            // through, one cluster loses every member.
+            // oldest points and append fresh ones: copies of the retired
+            // points (their clusters' means move by rounding only) and
+            // duplicates, with nothing known, and near-ties and new edge
+            // points, attached to their nearest kept centroid with the
+            // bounds that measurement leaves. Halfway through, one
+            // cluster loses every member.
             let churn = if pass % 3 == 2 {
                 0
             } else {
@@ -758,47 +720,42 @@ fn carried_bounds_match_the_reference_through_churn() {
                 retired.retain(|&(_, a)| a != 0);
             }
             while points.len() < n {
-                let (fresh, cluster) = match rng.random_range(0..4u32) {
-                    0 if !retired.is_empty() => retired.swap_remove(0),
-                    1 if k > 1 => {
-                        let p = near_tie(&mut rng, &centroids);
-                        let a = attach(&p, &centroids);
-                        (p, a)
+                let mut attach = |p: SparseVec| {
+                    let (a, b) = km.attach(&mut stats, &p).expect("centroids are kept");
+                    (p, a, b)
+                };
+                let (fresh, cluster, bound) = match rng.random_range(0..4u32) {
+                    0 if !retired.is_empty() => {
+                        let (p, a) = retired.swap_remove(0);
+                        (p, a, PointBounds::UNKNOWN)
                     }
+                    1 if k > 1 => attach(near_tie(&mut rng, &centroids)),
                     2 if !points.is_empty() => {
                         let i = rng.random_range(0..points.len());
-                        (points[i].clone(), prev[i])
+                        (points[i].clone(), prev[i], PointBounds::UNKNOWN)
                     }
-                    _ => {
-                        let p = edge_points(&mut rng, 1, dim, centres).remove(0);
-                        let a = attach(&p, &centroids);
-                        (p, a)
-                    }
+                    _ => attach(edge_points(&mut rng, 1, dim, centres).remove(0)),
                 };
                 if pass == PASSES / 2 && k > 1 && cluster == 0 {
                     continue;
                 }
                 points.push(fresh);
                 prev.push(cluster);
-                bounds.push(PointBounds::UNKNOWN);
+                bounds.push(bound);
             }
+            stats.mark_stale();
             let mut counts = vec![0usize; k];
             prev.iter().for_each(|&a| counts[a] += 1);
             if counts.contains(&0) {
                 // The warm start refuses; the caller re-fits cold and
                 // starts over with nothing known.
                 assert!(
-                    km.fit_warm(
-                        &points,
-                        &prev,
-                        &mut ClusterStats::new(k, dim),
-                        &centroids,
-                        &mut bounds
-                    )
-                    .is_err(),
+                    km.fit_warm(&points, &prev, &mut stats, &mut bounds)
+                        .is_err(),
                     "{what}: emptied cluster"
                 );
                 let cold = km.run(&points).unwrap();
+                stats.keep_centroids(&cold.centroids);
                 (prev, centroids) = (cold.assignments, cold.centroids);
                 bounds.fill(PointBounds::UNKNOWN);
                 emptied += 1;
@@ -806,13 +763,7 @@ fn carried_bounds_match_the_reference_through_churn() {
             }
             let (want, _) = reference_fit_warm(&km, &points, &prev);
             let got = km
-                .fit_warm(
-                    &points,
-                    &prev,
-                    &mut ClusterStats::new(k, dim),
-                    &centroids,
-                    &mut bounds,
-                )
+                .fit_warm(&points, &prev, &mut stats, &mut bounds)
                 .unwrap();
             assert_same_warm_fit(&got, &want, &what);
             assert_bounds_hold(&points, &got, &bounds, &what);
@@ -840,16 +791,10 @@ fn drift_on_both_sides_moves_a_point_its_stale_bounds_would_keep() {
     let points = line(&[0.0, 1.0, 2.0, 4.4, 6.0, 7.0, 8.0]);
     let prev = [0, 0, 0, 0, 1, 1, 1];
     let km = KMeans::new(2);
-    let start = km.run(&points).unwrap().centroids;
     let mut bounds = vec![PointBounds::UNKNOWN; points.len()];
+    let mut stats = ClusterStats::new(2, 1);
     let settled = km
-        .fit_warm(
-            &points,
-            &prev,
-            &mut ClusterStats::new(2, 1),
-            &start,
-            &mut bounds,
-        )
+        .fit_warm(&points, &prev, &mut stats, &mut bounds)
         .unwrap();
     assert_eq!(settled.assignments, prev);
     // Two points are replaced: the first mean moves 0.02 away from 4.4
@@ -862,14 +807,234 @@ fn drift_on_both_sides_moves_a_point_its_stale_bounds_would_keep() {
     bounds[6] = PointBounds::UNKNOWN;
     let (want, _) = reference_fit_warm(&km, &churned, &prev);
     assert_eq!(want.assignments[3], 1, "the reference moves 4.4");
+    stats.mark_stale();
     let got = km
-        .fit_warm(
-            &churned,
-            &prev,
-            &mut ClusterStats::new(2, 1),
-            &settled.centroids,
-            &mut bounds,
-        )
+        .fit_warm(&churned, &prev, &mut stats, &mut bounds)
         .unwrap();
     assert_same_warm_fit(&got, &want, "drift on both sides");
+}
+
+/// The drift bound as it was measured against the sparse view of the
+/// carried centroid, one centroid at a time: each term of the new dense
+/// buffer against the old view's value there, `0.0` off its support.
+fn reference_drift(new: &CentroidBuf, old: &SparseVec) -> f64 {
+    let (old_terms, old_values) = (old.terms(), old.values());
+    let mut next = 0;
+    let mut sum = 0.0;
+    for (t, &v) in new.dense.iter().enumerate() {
+        let o = if old_terms.get(next).is_some_and(|&ot| ot as usize == t) {
+            next += 1;
+            old_values[next - 1]
+        } else {
+            0.0
+        };
+        let d = v - o;
+        sum += d * d;
+    }
+    let dim = new.dense.len() as f64;
+    (sum * (1.0 + (dim + 8.0) * f64::EPSILON) + dim * f64::MIN_POSITIVE).sqrt()
+}
+
+/// Two sets of stats over `points`, each keeping `k` edge-case
+/// centroids through `keep_centroids`: the means of a round-robin
+/// assignment, and data points drawn with repeats (exact ties) that now
+/// and then are the empty point (a zero-norm centroid).
+fn kept_edge_centroids(rng: &mut SmallRng, points: &[&SparseVec], k: usize) -> [ClusterStats; 2] {
+    let dim = points[0].dim();
+    let round_robin: Vec<usize> = (0..points.len()).map(|i| i % k).collect();
+    let mut sums = ClusterSums::new(k, dim);
+    sums.accumulate(points, &round_robin);
+    let mut as_means = Centroids::new(k, dim, true);
+    as_means.set_from_means(&sums);
+    let seeds: Vec<usize> = (0..k).map(|_| rng.random_range(0..points.len())).collect();
+    let as_points: Vec<SparseVec> = seeds.iter().map(|&s| points[s].clone()).collect();
+    [as_means.to_sparse(), as_points].map(|centroids| {
+        let mut stats = ClusterStats::new(k, dim);
+        stats.rebuild(points, &round_robin);
+        stats.keep_centroids(&centroids);
+        stats
+    })
+}
+
+fn bound_bits(b: &PointBounds) -> (usize, [u64; 3]) {
+    (b.cluster, [b.upper, b.lower, b.norm].map(f64::to_bits))
+}
+
+#[test]
+fn attach_through_the_kernel_matches_the_per_centroid_oracle() {
+    for metric in [Metric::Euclidean, Metric::Cosine, Metric::Manhattan] {
+        for k in KS {
+            for (case, dim) in [1usize, 2, 7, 40].into_iter().enumerate() {
+                let mut rng = SmallRng::seed_from_u64((k * 37 + case) as u64);
+                let n = [k, k + 1, 3 * k + 5, 64.max(k)][case];
+                let owned = edge_points(&mut rng, n, dim, 3);
+                let points: Vec<&SparseVec> = owned.iter().collect();
+                let km = KMeans::new(k).metric(metric);
+                // Fresh points: more edge points, an empty one among them
+                // as often as not, and copies of the data (exact ties).
+                let mut fresh = edge_points(&mut rng, 24, dim, 3);
+                fresh.push(SparseVec::zeros(dim));
+                fresh.extend(owned.iter().take(4).cloned());
+                for (which, mut stats) in kept_edge_centroids(&mut rng, &points, k)
+                    .into_iter()
+                    .enumerate()
+                {
+                    for (i, p) in fresh.iter().enumerate() {
+                        let what = format!("{metric:?} k={k} dim={dim} set {which} point {i}");
+                        let got = km.nearest_kept(&stats, p).expect("centroids are kept");
+                        let want = km.nearest_per_centroid(p, &stats.centroids);
+                        assert_eq!(got.cluster, want.cluster, "{what}: cluster");
+                        assert_eq!(
+                            bits(&[got.d_sq, got.second_sq]),
+                            bits(&[want.d_sq, want.second_sq]),
+                            "{what}: nearest and runner-up"
+                        );
+                        // The per-centroid path has no walk of its own:
+                        // its norm is `norm_l2_sq`'s, and so is the lanes'.
+                        assert_eq!(
+                            got.sq_norm.to_bits(),
+                            p.norm_l2_sq().to_bits(),
+                            "{what}: the walk's norm"
+                        );
+                        // Attaching patches that cluster, and only it,
+                        // and leaves the bounds a sweep would.
+                        let before = stats.counts().to_vec();
+                        let slack = Slack::new(&stats.centroids);
+                        let bounds = if metric == Metric::Euclidean {
+                            slack.bounds(&want)
+                        } else {
+                            PointBounds::UNKNOWN
+                        };
+                        let (cluster, got) = km.attach(&mut stats, p).expect("centroids are kept");
+                        assert_eq!(cluster, want.cluster, "{what}: attached");
+                        assert_eq!(bound_bits(&got), bound_bits(&bounds), "{what}: bounds");
+                        let mut after = before;
+                        after[want.cluster] += 1;
+                        assert_eq!(stats.counts(), &after[..], "{what}: counts");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn attach_needs_kept_centroids_of_the_points_dimension() {
+    let points = [
+        SparseVec::from_pairs(3, [(0, 1.0)]).unwrap(),
+        SparseVec::from_pairs(3, [(2, 1.0)]).unwrap(),
+    ];
+    let km = KMeans::new(2);
+    let mut stats = ClusterStats::new(2, 3);
+    stats.rebuild(&points, &[0, 1]);
+    assert!(
+        km.attach(&mut stats, &points[0]).is_none(),
+        "nothing kept yet"
+    );
+    stats.keep_centroids(&points);
+    let wide = SparseVec::from_pairs(4, [(3, 1.0)]).unwrap();
+    assert!(km.attach(&mut stats, &wide).is_none(), "another dimension");
+    assert_eq!(stats.patches(), 0);
+    let bad = KMeans::new(2).metric(Metric::Minkowski(0.5));
+    assert!(
+        bad.attach(&mut stats, &points[0]).is_none(),
+        "an invalid metric"
+    );
+    let (cluster, bounds) = km.attach(&mut stats, &points[1]).unwrap();
+    assert_eq!(
+        (cluster, stats.counts(), stats.patches()),
+        (1, &[1, 2][..], 1)
+    );
+    // On a centroid, at distance √2 from the other one.
+    assert_eq!(bounds.cluster, 1);
+    assert!(bounds.upper > 0.0 && bounds.upper < 1e-6, "{bounds:?}");
+    assert!(bounds.lower < 2f64.sqrt() && bounds.lower > 2f64.sqrt() - 1e-6);
+    assert_eq!(bounds.norm, 1.0);
+}
+
+#[test]
+fn drift_between_kept_buffers_matches_the_walk_against_the_sparse_view() {
+    for k in KS {
+        for (case, dim) in [1usize, 2, 7, 40].into_iter().enumerate() {
+            let mut rng = SmallRng::seed_from_u64((k * 41 + case) as u64);
+            let n = [k, k + 1, 3 * k + 5, 64.max(k)][case];
+            let owned = edge_points(&mut rng, n, dim, 3);
+            let points: Vec<&SparseVec> = owned.iter().collect();
+            // Old and new centroids of every kind: means of two
+            // assignments, and data points (repeats and empty ones).
+            let means = |shift: usize| {
+                let assignment: Vec<usize> = (0..n).map(|i| (i + shift) % k).collect();
+                let mut sums = ClusterSums::new(k, dim);
+                sums.accumulate(&points, &assignment);
+                let mut centroids = Centroids::new(k, dim, true);
+                centroids.set_from_means(&sums);
+                centroids
+            };
+            let mut sets = vec![means(0), means(1)];
+            for _ in 0..2 {
+                let seeds: Vec<usize> = (0..k).map(|_| rng.random_range(0..n)).collect();
+                let mut centroids = Centroids::new(k, dim, true);
+                centroids.set_from_points(&points, &seeds);
+                sets.push(centroids);
+            }
+            for (a, new) in sets.iter().enumerate() {
+                for (b, old) in sets.iter().enumerate() {
+                    let want: Vec<f64> = new
+                        .bufs
+                        .iter()
+                        .zip(old.to_sparse())
+                        .map(|(c, o)| reference_drift(c, &o))
+                        .collect();
+                    assert_eq!(
+                        bits(&new.drifts_from(old)),
+                        bits(&want),
+                        "k={k} dim={dim} sets {a} from {b}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn kept_centroids_come_back_with_the_bits_a_fit_kept() {
+    for k in KS {
+        let mut rng = SmallRng::seed_from_u64(k as u64 * 43);
+        let points = edge_points(&mut rng, 3 * k + 5, 7, 3);
+        let cold = KMeans::new(k).seed(k as u64).run(&points).unwrap();
+        let mut counts = vec![0usize; k];
+        cold.assignments.iter().for_each(|&a| counts[a] += 1);
+        if counts.contains(&0) {
+            continue;
+        }
+        let mut bounds = vec![PointBounds::UNKNOWN; points.len()];
+        let mut stats = ClusterStats::new(k, 7);
+        let fit = KMeans::new(k)
+            .fit_warm(&points, &cold.assignments, &mut stats, &mut bounds)
+            .unwrap();
+        let mut again = ClusterStats::new(k, 7);
+        again.keep_centroids(&fit.centroids);
+        for (c, (got, want)) in again
+            .centroids
+            .bufs
+            .iter()
+            .zip(&stats.centroids.bufs)
+            .enumerate()
+        {
+            let what = format!("k={k} centroid {c}");
+            assert_eq!(bits(&got.dense), bits(&want.dense), "{what}: dense");
+            assert_eq!(
+                (&got.terms, bits(&got.values)),
+                (&want.terms, bits(&want.values)),
+                "{what}"
+            );
+            assert_eq!(
+                bits(&[got.sq_norm, got.norm]),
+                bits(&[want.sq_norm, want.norm]),
+                "{what}: norms"
+            );
+        }
+        let lanes = |s: &ClusterStats| bits(&s.centroids.lanes.concat());
+        assert_eq!(lanes(&again), lanes(&stats), "k={k}: lanes");
+    }
 }
