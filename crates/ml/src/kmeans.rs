@@ -1,11 +1,10 @@
 use std::borrow::Borrow;
 use std::sync::{mpsc, RwLock};
 
-use fmeter_ir::{dot_sparse_dense, Metric, SparseVec, TermId};
+use fmeter_ir::{dot_sparse_dense, Metric, SparseVec};
 use rand::rngs::SmallRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 use crate::MlError;
 
@@ -19,18 +18,15 @@ mod oracle;
 /// into `k / LANES`.
 const LANES: usize = 4;
 
-/// One centroid as a dense buffer plus a sparse view, both rewritten in
-/// place after every update step — no per-iteration allocation.
+/// One centroid as a dense buffer and its norm, rewritten in place
+/// after every update step — no per-iteration allocation.
 ///
 /// The dense form is what [`Centroids::refresh_lanes`] transposes into
 /// the assignment kernel's layout, and what a single point-to-centroid
-/// distance (empty-cluster repair) reads; the sparse view serves the
-/// metrics that genuinely need a merge over both supports (L1/Lp).
+/// distance (empty-cluster repair) reads.
 #[derive(Debug, Clone)]
 struct CentroidBuf {
     dense: Vec<f64>,
-    terms: Vec<TermId>,
-    values: Vec<f64>,
     sq_norm: f64,
     norm: f64,
 }
@@ -39,8 +35,6 @@ impl CentroidBuf {
     fn new(dim: usize) -> Self {
         CentroidBuf {
             dense: vec![0.0; dim],
-            terms: Vec::new(),
-            values: Vec::new(),
             sq_norm: 0.0,
             norm: 0.0,
         }
@@ -48,16 +42,9 @@ impl CentroidBuf {
 
     /// Overwrites the centroid with a data point (initialisation).
     fn set_from_point(&mut self, p: &SparseVec) {
-        // Zero only the previous support, then scatter the new one.
-        for &t in &self.terms {
-            self.dense[t as usize] = 0.0;
-        }
-        self.terms.clear();
-        self.values.clear();
+        self.dense.fill(0.0);
         for (t, v) in p.iter() {
             self.dense[t as usize] = v;
-            self.terms.push(t);
-            self.values.push(v);
         }
         self.sq_norm = p.norm_l2_sq();
         self.norm = self.sq_norm.sqrt();
@@ -66,17 +53,11 @@ impl CentroidBuf {
     /// Overwrites the centroid with the mean `sum / members`, written
     /// straight into the dense buffer: `sum` is left as it is.
     fn set_from_mean(&mut self, sum: &[f64], members: f64) {
-        self.terms.clear();
-        self.values.clear();
         let mut sq = 0.0;
-        for (t, (slot, &s)) in self.dense.iter_mut().zip(sum).enumerate() {
+        for (slot, &s) in self.dense.iter_mut().zip(sum) {
             let v = s / members;
             *slot = v;
-            if v != 0.0 {
-                self.terms.push(t as TermId);
-                self.values.push(v);
-                sq += v * v;
-            }
+            sq += v * v;
         }
         self.sq_norm = sq;
         self.norm = sq.sqrt();
@@ -96,6 +77,23 @@ impl CentroidBuf {
     fn to_sparse(&self) -> SparseVec {
         SparseVec::from_dense(&self.dense)
     }
+
+    /// Squared Euclidean distance from a point of squared norm
+    /// `p_sq_norm` to the centroid, given their inner product `dot`:
+    /// `‖x‖² − 2·x·c + ‖c‖²`.
+    fn dist_sq_from_dot(&self, dot: f64, p_sq_norm: f64) -> f64 {
+        // Cancellation can leave a tiny negative; clamp to keep
+        // sqrt-free inertia sums non-negative.
+        (p_sq_norm - 2.0 * dot + self.sq_norm).max(0.0)
+    }
+
+    /// Squared Euclidean distance from `p`, of squared norm `p_sq_norm`,
+    /// to the centroid, with zero heap allocation: an O(nnz(x)) inner
+    /// product against the dense buffer.
+    fn dist_sq(&self, p: &SparseVec, p_sq_norm: f64) -> f64 {
+        let dot = dot_sparse_dense(p.terms(), p.values(), &self.dense);
+        self.dist_sq_from_dot(dot, p_sq_norm)
+    }
 }
 
 /// An upper bound on the distance between two centroids, from `sum`,
@@ -109,8 +107,7 @@ fn drift_bound(sum: f64, dim: usize) -> f64 {
     (sum * (1.0 + (dim + 8.0) * f64::EPSILON) + dim * f64::MIN_POSITIVE).sqrt()
 }
 
-/// The `k` centroids of a fit and, for the metrics that reduce to an
-/// inner product (Euclidean, Cosine), the layout the fused assignment
+/// The `k` centroids of a fit and the layout the fused assignment
 /// kernel reads them in.
 ///
 /// `lanes` is term-major in blocks of [`LANES`] centroids:
@@ -119,9 +116,7 @@ fn drift_bound(sum: f64, dim: usize) -> f64 {
 /// products from one 32-byte load per term. Lanes past `k` in the last
 /// block stay zero and are never compared. It is rewritten from the
 /// dense buffers whenever the centroids change — once per assignment
-/// sweep, by the thread that owns the update. A cold fit leaves it empty
-/// for L1/Lp, which merge-join against the sparse views instead; the
-/// centroids a [`ClusterStats`] keeps have it whatever the metric.
+/// sweep, by the thread that owns the update.
 #[derive(Debug, Clone)]
 struct Centroids {
     bufs: Vec<CentroidBuf>,
@@ -129,13 +124,11 @@ struct Centroids {
 }
 
 impl Centroids {
-    /// `k` all-zero centroids; `fused` says whether the metric runs the
-    /// lane kernel and so needs the layout kept.
-    fn new(k: usize, dim: usize, fused: bool) -> Self {
-        let blocks = if fused { k.div_ceil(LANES) } else { 0 };
+    /// `k` all-zero centroids.
+    fn new(k: usize, dim: usize) -> Self {
         Centroids {
             bufs: vec![CentroidBuf::new(dim); k],
-            lanes: vec![[0.0; LANES]; blocks * dim],
+            lanes: vec![[0.0; LANES]; k.div_ceil(LANES) * dim],
         }
     }
 
@@ -171,9 +164,6 @@ impl Centroids {
 
     /// Transposes the dense buffers into the kernel's lane layout.
     fn refresh_lanes(&mut self) {
-        if self.lanes.is_empty() {
-            return;
-        }
         let dim = self.dim();
         for (block, bufs) in self.lanes.chunks_mut(dim).zip(self.bufs.chunks(LANES)) {
             for (l, buf) in bufs.iter().enumerate() {
@@ -197,12 +187,63 @@ impl Centroids {
         self.bufs.iter().map(CentroidBuf::to_sparse).collect()
     }
 
+    /// One assignment sweep over a contiguous chunk of points, handing
+    /// `emit` each point's index in the chunk and what the kernel found.
+    ///
+    /// That is a pure per-point function of the centroids, so a sweep is
+    /// thread-count independent given the same centroids.
+    fn assign(&self, points: &[&SparseVec], mut emit: impl FnMut(usize, Nearest)) {
+        #[cfg(test)]
+        SWEEPS.with(|s| s.set(s.get() + 1));
+        for (i, p) in points.iter().enumerate() {
+            emit(i, self.nearest(p));
+        }
+    }
+
+    /// The assignment kernel: one walk over a point's `(term, value)`
+    /// pairs per block of [`LANES`] centroids, advancing the block's
+    /// inner products together — and the point's squared norm, so no
+    /// sweep needs it beforehand.
+    ///
+    /// Each lane adds `v * c[t]` in ascending-term order from `+0.0`,
+    /// which is exactly the addition sequence of [`dot_sparse_dense`]
+    /// against that centroid alone, and the norm adds `v * v` in the
+    /// same order from `-0.0`, the fold `Iterator::sum` makes for
+    /// [`SparseVec::norm_l2_sq`]; the lanes never mix, the distance
+    /// formula is [`CentroidBuf::dist_sq_from_dot`], and candidates are
+    /// compared in ascending centroid index with a strict `<`. So the
+    /// kernel is `f64::to_bits`-identical to one [`CentroidBuf::dist_sq`]
+    /// per centroid (the oracle the tests hold it to); what changes is
+    /// that the `k` chains of dependent adds run side by side instead of
+    /// one after another.
+    fn nearest(&self, p: &SparseVec) -> Nearest {
+        let dim = self.dim();
+        let mut near = Nearest::new(0.0);
+        for (b, bufs) in self.bufs.chunks(LANES).enumerate() {
+            let block = &self.lanes[b * dim..(b + 1) * dim];
+            let mut dots = [0.0f64; LANES];
+            let mut sq_norm = -0.0f64;
+            for (&t, &v) in p.terms().iter().zip(p.values()) {
+                let c = &block[t as usize];
+                for (dot, &w) in dots.iter_mut().zip(c) {
+                    *dot += v * w;
+                }
+                sq_norm += v * v;
+            }
+            // The same bits from every block.
+            near.sq_norm = sq_norm;
+            for (l, buf) in bufs.iter().enumerate() {
+                near.offer(b * LANES + l, buf.dist_sq_from_dot(dots[l], sq_norm));
+            }
+        }
+        near
+    }
+
     /// How far each centroid moved from `old`'s, bounded above (see
     /// [`drift_bound`]): both lane layouts walked in step, a block of
     /// [`LANES`] centroids at a time. Lane `l` adds `(new − old)²` in
     /// ascending term order from `+0.0`, the sequence of one centroid's
-    /// own term-by-term walk; the lanes never mix. Both layouts must be
-    /// kept (the lane kernel's).
+    /// own term-by-term walk; the lanes never mix.
     fn drifts_from(&self, old: &Centroids) -> Vec<f64> {
         let (k, dim) = (self.bufs.len(), self.dim());
         let mut drifts = Vec::with_capacity(k.next_multiple_of(LANES));
@@ -363,9 +404,9 @@ impl ClusterStats {
             sums,
             patches: 0,
             stale: true,
-            centroids: Centroids::new(k, dim, true),
+            centroids: Centroids::new(k, dim),
             fitted: false,
-            seeded: Centroids::new(k, dim, true),
+            seeded: Centroids::new(k, dim),
         }
     }
 
@@ -662,7 +703,7 @@ impl Pool {
                 while let Ok(mut job) = job_rx.recv() {
                     let chunk = &points[job.lo..job.hi];
                     let guard = centroids.read().expect("centroid lock");
-                    km.assign_chunk(chunk, &guard, |i, near| {
+                    guard.assign(chunk, |i, near| {
                         job.assignments[i] = near.cluster;
                         job.d_sqs[i] = near.d_sq;
                     });
@@ -720,7 +761,7 @@ thread_local! {
 }
 
 /// Centroid initialisation strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KMeansInit {
     /// k-means++ seeding (D² weighting) — better and still cheap.
     #[default]
@@ -756,14 +797,13 @@ pub enum KMeansInit {
 /// assert_eq!(result.assignments[0], result.assignments[1]);
 /// assert_ne!(result.assignments[0], result.assignments[2]);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct KMeans {
     k: usize,
     max_iters: usize,
     tol: f64,
     init: KMeansInit,
     seed: u64,
-    metric: Metric,
     restarts: usize,
     threads: usize,
 }
@@ -777,7 +817,7 @@ pub struct KMeans {
 const PARALLEL_ASSIGN_THRESHOLD: usize = 1 << 16;
 
 /// Outcome of a K-means run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct KMeansResult {
     /// Final centroids, `k` of them. The centroid of a cluster of
     /// signatures is the paper's "syndrome" characterising a behaviour.
@@ -831,7 +871,6 @@ impl KMeans {
             tol: 1e-9,
             init: KMeansInit::default(),
             seed: 0,
-            metric: Metric::Euclidean,
             restarts: 1,
             threads: 0,
         }
@@ -863,12 +902,6 @@ impl KMeans {
     /// Sets the initialisation strategy (default k-means++).
     pub fn init(mut self, init: KMeansInit) -> Self {
         self.init = init;
-        self
-    }
-
-    /// Sets the distance metric (default Euclidean, as in the paper).
-    pub fn metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
         self
     }
 
@@ -927,9 +960,7 @@ impl KMeans {
                 }));
             }
         }
-        // Reject invalid metric parameters up front so every inner-loop
-        // kernel below is infallible.
-        self.metric.validate().map_err(MlError::Ir)
+        Ok(())
     }
 
     /// Warm-started K-means: resumes Lloyd's algorithm from a previous
@@ -951,27 +982,26 @@ impl KMeans {
     /// fit left for point `i` ([`PointBounds::UNKNOWN`] for a point it
     /// did not see; stats that keep no centroids yet void every bound).
     ///
-    /// Under the Euclidean metric the fit then measures how far each
-    /// centroid drifted from the kept one, buffer against buffer, and
-    /// widens every point's bounds by that drift (Hamerly's test). A
-    /// point whose own centroid is still provably the strict nearest, by
-    /// more than the rounding slack of the distance formula, keeps its
-    /// assignment unmeasured; every other point goes through the
-    /// assignment kernel. If none of them moved, the previous assignment is the fixpoint and the fit
-    /// returns after one iteration, having read no point but the ones
-    /// its bounds could not confirm. As soon as one moves, Lloyd's loop
-    /// runs from the seeding exactly as without bounds: an assignment
-    /// sweep, the point-order sums of the update step, until the
-    /// assignment repeats. It leaves in `stats` the point-order sums of
-    /// the assignment it returns, rebuilding them when its last update
-    /// does not describe that assignment (a stop on `tol` or
-    /// `max_iters`, an emptied cluster repaired), and keeps the returned
-    /// centroids in place of the previous ones, whose buffer the next
-    /// fit seeds into. Either way `bounds` ends up measured against the
-    /// returned centroids, ready for the next call, and no `k × dim`
-    /// buffer is allocated. The other metrics sweep every point and
-    /// leave every bound unknown. Assignments, centroids and iterations
-    /// are `f64::to_bits`-identical to a warm start that measured every
+    /// The fit then measures how far each centroid drifted from the kept
+    /// one, buffer against buffer, and widens every point's bounds by
+    /// that drift (Hamerly's test). A point whose own centroid is still
+    /// provably the strict nearest, by more than the rounding slack of
+    /// the distance formula, keeps its assignment unmeasured; every other
+    /// point goes through the assignment kernel. If none of them moved,
+    /// the previous assignment is the fixpoint and the fit returns after
+    /// one iteration, having read no point but the ones its bounds could
+    /// not confirm. As soon as one moves, Lloyd's loop runs from the
+    /// seeding exactly as without bounds: an assignment sweep, the
+    /// point-order sums of the update step, until the assignment
+    /// repeats. It leaves in `stats` the point-order sums of the
+    /// assignment it returns, rebuilding them when its last update does
+    /// not describe that assignment (a stop on `tol` or `max_iters`, an
+    /// emptied cluster repaired), and keeps the returned centroids in
+    /// place of the previous ones, whose buffer the next fit seeds into.
+    /// Either way `bounds` ends up measured against the returned
+    /// centroids, ready for the next call, and no `k × dim` buffer is
+    /// allocated. Assignments, centroids and iterations are
+    /// `f64::to_bits`-identical to a warm start that measured every
     /// point from the same stats (pinned by the warm-start oracle and
     /// the golden recluster script).
     ///
@@ -1050,34 +1080,26 @@ impl KMeans {
         }
         let mut seeded = std::mem::replace(&mut stats.seeded, Centroids::none());
         seeded.set_from_means(&stats.sums);
-        let mut measured = 0;
-        let bounds = if self.metric == Metric::Euclidean {
-            let moved;
-            (measured, moved) =
-                self.confirm(&points, prev_assignment, &seeded, &stats.centroids, bounds);
-            if !moved {
-                let centroids = seeded.to_sparse();
-                stats.keep(seeded);
-                return Ok(WarmFit {
-                    centroids,
-                    assignments: prev_assignment.to_vec(),
-                    iterations: 1,
-                    converged: true,
-                    evaluated: measured,
-                });
-            }
-            Some(bounds)
-        } else {
-            bounds.fill(PointBounds::UNKNOWN);
-            None
-        };
+        let (measured, moved) =
+            self.confirm(&points, prev_assignment, &seeded, &stats.centroids, bounds);
+        if !moved {
+            let centroids = seeded.to_sparse();
+            stats.keep(seeded);
+            return Ok(WarmFit {
+                centroids,
+                assignments: prev_assignment.to_vec(),
+                iterations: 1,
+                converged: true,
+                evaluated: measured,
+            });
+        }
         let run = self.lloyd(
             &points,
             seeded,
             &mut stats.sums,
             Some(prev_assignment),
             1,
-            bounds,
+            Some(bounds),
         );
         if run.point_order {
             stats.patches = 0;
@@ -1097,42 +1119,29 @@ impl KMeans {
     /// Attaches `p`, a point no fit has seen, to the nearest of the
     /// centroids `stats` keep, and adds it to that cluster's sums
     /// ([`ClusterStats::add`]). The nearest is what an assignment sweep
-    /// of this runner finds: for Euclidean, the expanded distance `‖x‖²
-    /// − 2·x·c + ‖c‖²` from the lane kernel, one walk over `p`'s pairs
-    /// per block of four centroids, the lowest index on an exact tie.
+    /// finds: the expanded distance `‖x‖² − 2·x·c + ‖c‖²` from the lane
+    /// kernel, one walk over `p`'s pairs per block of four centroids,
+    /// the lowest index on an exact tie.
     ///
     /// Returns the cluster and the bounds the walk leaves `p` against
     /// the kept centroids, for the next [`fit_warm`](Self::fit_warm) to
-    /// start from as it would from a point the last fit measured
-    /// ([`PointBounds::UNKNOWN`] for the metrics without bounds); `None`,
-    /// and nothing patched, when `stats` keep no fit's centroids, `p` is
-    /// not of their dimension or the metric's parameters are invalid.
+    /// start from as it would from a point the last fit measured;
+    /// `None`, and nothing patched, when `stats` keep no fit's centroids
+    /// or `p` is not of their dimension.
     pub fn attach(&self, stats: &mut ClusterStats, p: &SparseVec) -> Option<(usize, PointBounds)> {
         let near = self.nearest_kept(stats, p)?;
         stats.add(near.cluster, p);
-        let bounds = if self.metric == Metric::Euclidean {
-            Slack::new(&stats.centroids).bounds(&near)
-        } else {
-            PointBounds::UNKNOWN
-        };
-        Some((near.cluster, bounds))
+        Some((near.cluster, Slack::new(&stats.centroids).bounds(&near)))
     }
 
     /// What [`attach`](Self::attach) measures: `p` against the
     /// centroids `stats` keep, by the sweep's kernel.
     fn nearest_kept(&self, stats: &ClusterStats, p: &SparseVec) -> Option<Nearest> {
-        if !stats.fitted || p.dim() != stats.sums.dim || self.metric.validate().is_err() {
-            return None;
-        }
-        Some(if self.fused() {
-            self.nearest_fused(p, &stats.centroids)
-        } else {
-            self.nearest_per_centroid(p, &stats.centroids)
-        })
+        (stats.fitted && p.dim() == stats.sums.dim).then(|| stats.centroids.nearest(p))
     }
 
-    /// The bounded first sweep of a Euclidean warm start, against the
-    /// `seeded` means of `prev`: each point's bounds, measured against
+    /// The bounded first sweep of a warm start, against the `seeded`
+    /// means of `prev`: each point's bounds, measured against
     /// `carried`, are widened by the centroids' drift, and a point they
     /// do not confirm — or whose bounds are for another cluster than its
     /// previous one — is measured and gets fresh ones. Returns how many
@@ -1163,7 +1172,7 @@ impl KMeans {
                 b.lower = lower;
                 continue;
             }
-            let near = self.nearest_fused(p, seeded);
+            let near = seeded.nearest(p);
             measured += 1;
             if near.cluster != own {
                 return (measured, true);
@@ -1179,7 +1188,7 @@ impl KMeans {
             KMeansInit::KMeansPlusPlus => self.init_plusplus(points, rng),
         };
         let dim = points[0].dim();
-        let mut centroids = Centroids::new(self.k, dim, self.fused());
+        let mut centroids = Centroids::new(self.k, dim);
         centroids.set_from_points(points, &seeds);
         let threads = self.effective_threads(points.len());
         let mut sums = ClusterSums::new(self.k, dim);
@@ -1231,7 +1240,7 @@ impl KMeans {
                         None => {
                             let centroids = centroids.read().expect("centroid lock");
                             let slack = Slack::new(&centroids);
-                            self.assign_chunk(points, &centroids, |i, near| {
+                            centroids.assign(points, |i, near| {
                                 assignments[i] = near.cluster;
                                 d_sqs[i] = near.d_sq;
                                 if let Some(bounds) = bounds.as_deref_mut() {
@@ -1315,9 +1324,7 @@ impl KMeans {
                 let far_idx = points
                     .iter()
                     .zip(assignments.iter())
-                    .map(|(p, &a)| {
-                        self.point_centroid_dist_sq(p, p.norm_l2_sq(), &centroids.bufs[a])
-                    })
+                    .map(|(p, &a)| centroids.bufs[a].dist_sq(p, p.norm_l2_sq()))
                     .enumerate()
                     .max_by(|a, b| a.1.total_cmp(&b.1))
                     .expect("points is non-empty")
@@ -1352,138 +1359,20 @@ impl KMeans {
         requested.clamp(1, n.max(1))
     }
 
-    /// Whether the metric reduces to an inner product against the
-    /// centroid, and so runs the fused lane kernel.
-    fn fused(&self) -> bool {
-        matches!(self.metric, Metric::Euclidean | Metric::Cosine)
-    }
-
-    /// One assignment sweep over a contiguous chunk of points, handing
-    /// `emit` each point's index in the chunk and what the kernel found.
-    ///
-    /// That is a pure per-point function of the current centroids, so a
-    /// sweep is thread-count independent given the same centroids.
-    fn assign_chunk(
-        &self,
-        points: &[&SparseVec],
-        centroids: &Centroids,
-        mut emit: impl FnMut(usize, Nearest),
-    ) {
-        #[cfg(test)]
-        SWEEPS.with(|s| s.set(s.get() + 1));
-        if self.fused() {
-            for (i, p) in points.iter().enumerate() {
-                emit(i, self.nearest_fused(p, centroids));
-            }
-        } else {
-            for (i, p) in points.iter().enumerate() {
-                emit(i, self.nearest_per_centroid(p, centroids));
-            }
-        }
-    }
-
-    /// The Euclidean/Cosine kernel: one walk over a point's `(term,
-    /// value)` pairs per block of [`LANES`] centroids, advancing the
-    /// block's inner products together — and the point's squared norm,
-    /// so no sweep needs it beforehand.
-    ///
-    /// Each lane adds `v * c[t]` in ascending-term order from `+0.0`,
-    /// which is exactly the addition sequence of [`dot_sparse_dense`]
-    /// against that centroid alone, and the norm adds `v * v` in the
-    /// same order from `-0.0`, the fold `Iterator::sum` makes for
-    /// [`SparseVec::norm_l2_sq`]; the lanes never mix, the distance
-    /// formula is shared with the per-centroid path, and candidates are
-    /// compared in ascending centroid index with a strict `<`. So the
-    /// kernel is `f64::to_bits`-identical to
-    /// [`nearest_per_centroid`](Self::nearest_per_centroid) (which the
-    /// tests keep as its oracle); what changes is that the `k` chains of
-    /// dependent adds run side by side instead of one after another.
-    fn nearest_fused(&self, p: &SparseVec, centroids: &Centroids) -> Nearest {
-        let dim = centroids.dim();
-        let mut near = Nearest::new(0.0);
-        for (b, bufs) in centroids.bufs.chunks(LANES).enumerate() {
-            let block = &centroids.lanes[b * dim..(b + 1) * dim];
-            let mut dots = [0.0f64; LANES];
-            let mut sq_norm = -0.0f64;
-            for (&t, &v) in p.terms().iter().zip(p.values()) {
-                let c = &block[t as usize];
-                for (dot, &w) in dots.iter_mut().zip(c) {
-                    *dot += v * w;
-                }
-                sq_norm += v * v;
-            }
-            // The same bits from every block.
-            near.sq_norm = sq_norm;
-            for (l, buf) in bufs.iter().enumerate() {
-                near.offer(b * LANES + l, self.dist_sq_from_dot(dots[l], sq_norm, buf));
-            }
-        }
-        near
-    }
-
-    /// The kernel one centroid at a time: the production path of L1/Lp,
-    /// and for Euclidean/Cosine the oracle the tests hold
-    /// [`nearest_fused`](Self::nearest_fused) to.
-    fn nearest_per_centroid(&self, p: &SparseVec, centroids: &Centroids) -> Nearest {
-        let mut near = Nearest::new(p.norm_l2_sq());
-        for (c, centroid) in centroids.bufs.iter().enumerate() {
-            near.offer(c, self.point_centroid_dist_sq(p, near.sq_norm, centroid));
-        }
-        near
-    }
-
-    /// Squared Euclidean or Cosine distance from a point to a centroid,
-    /// given their inner product `dot`.
-    ///
-    /// Euclidean expands to `‖x‖² − 2·x·c + ‖c‖²`; cosine reuses the
-    /// cached centroid norm.
-    fn dist_sq_from_dot(&self, dot: f64, p_sq_norm: f64, c: &CentroidBuf) -> f64 {
-        if self.metric == Metric::Cosine {
-            let denom = p_sq_norm.sqrt() * c.norm;
-            let sim = if denom == 0.0 {
-                0.0
-            } else {
-                (dot / denom).clamp(-1.0, 1.0)
-            };
-            let d = 1.0 - sim;
-            d * d
-        } else {
-            // Cancellation can leave a tiny negative; clamp to keep
-            // sqrt-free inertia sums non-negative.
-            (p_sq_norm - 2.0 * dot + c.sq_norm).max(0.0)
-        }
-    }
-
-    /// Squared distance from a point to one centroid under the
-    /// configured metric, with zero heap allocation: an O(nnz(x)) inner
-    /// product against the dense centroid for Euclidean and Cosine, a
-    /// merge-join against the centroid's sparse view for L1/Lp (which
-    /// do not read `p_sq_norm`).
-    fn point_centroid_dist_sq(&self, p: &SparseVec, p_sq_norm: f64, c: &CentroidBuf) -> f64 {
-        if self.fused() {
-            let dot = dot_sparse_dense(p.terms(), p.values(), &c.dense);
-            self.dist_sq_from_dot(dot, p_sq_norm, c)
-        } else {
-            self.metric
-                .distance_sq_slices(p.terms(), p.values(), &c.terms, &c.values)
-                .expect("metric parameters validated in run()")
-        }
-    }
-
     /// Uniformly random distinct seed points.
     fn init_random(&self, points: &[&SparseVec], rng: &mut SmallRng) -> Vec<usize> {
         sample(rng, points.len(), self.k).iter().collect()
     }
 
-    /// k-means++ D² seeding over point indices; distances use the fused
-    /// squared-distance kernel directly (no sqrt/square round trip and no
-    /// difference vectors).
+    /// k-means++ D² seeding over point indices; each squared distance
+    /// merge-joins the two points' supports term by term
+    /// ([`Metric::distance_sq_slices`]): no square root to undo and no
+    /// difference vector.
     fn init_plusplus(&self, points: &[&SparseVec], rng: &mut SmallRng) -> Vec<usize> {
-        let metric = self.metric;
         let d_sq = |a: &SparseVec, b: &SparseVec| -> f64 {
-            metric
+            Metric::Euclidean
                 .distance_sq_slices(a.terms(), a.values(), b.terms(), b.values())
-                .expect("metric parameters validated in run()")
+                .expect("Euclidean takes no parameter")
         };
         let mut seeds = Vec::with_capacity(self.k);
         seeds.push(rng.random_range(0..points.len()));
@@ -1775,26 +1664,6 @@ mod tests {
         let r = KMeans::new(2).seed(4).threads(64).run(&pts).unwrap();
         assert_eq!(r.assignments.len(), pts.len());
         assert_ne!(r.assignments[0], r.assignments[1]);
-    }
-
-    #[test]
-    fn cosine_metric_clusters_by_direction() {
-        // Two directions, different magnitudes.
-        let pts = vec![
-            SparseVec::from_pairs(2, [(0, 1.0)]).unwrap(),
-            SparseVec::from_pairs(2, [(0, 50.0)]).unwrap(),
-            SparseVec::from_pairs(2, [(1, 1.0)]).unwrap(),
-            SparseVec::from_pairs(2, [(1, 80.0)]).unwrap(),
-        ];
-        let r = KMeans::new(2)
-            .metric(Metric::Cosine)
-            .seed(2)
-            .restarts(4)
-            .run(&pts)
-            .unwrap();
-        assert_eq!(r.assignments[0], r.assignments[1]);
-        assert_eq!(r.assignments[2], r.assignments[3]);
-        assert_ne!(r.assignments[0], r.assignments[2]);
     }
 
     /// Points on a coarse grid over a few shared terms, so sums carry

@@ -1,10 +1,10 @@
 //! The fused assignment kernel and the bounded warm start against their
 //! oracles.
 //!
-//! [`KMeans::nearest_per_centroid`] — one `dot_sparse_dense` per
-//! centroid, the kernel this crate ran before the lane kernel — is the
-//! oracle for Euclidean and Cosine, and [`reference_lloyd`] is the Lloyd
-//! loop of that time written out plainly on top of it (nested `Vec`
+//! [`nearest_per_centroid`] — one `dot_sparse_dense` per centroid, the
+//! kernel this crate ran before the lane kernel — is the oracle, and
+//! [`reference_lloyd`] is the Lloyd loop of that time written out
+//! plainly on top of it (nested `Vec`
 //! sums, the redundant final sweep after a fixpoint, chunked sums merged
 //! in chunk order for the worker pool, every point measured in every
 //! sweep). Everything the fused path and the bounded warm start return
@@ -13,7 +13,7 @@
 //! Inputs are generated toward the edges rather than uniformly: lane
 //! block boundaries in `k`, points with no non-zeros, duplicated points
 //! and centroids (exact ties), values on a coarse grid (more exact ties
-//! and exact cancellation), a few huge magnitudes (the Euclidean clamp),
+//! and exact cancellation), a few huge magnitudes (the distance clamp),
 //! `dim == 1`, `n == k`, and for the carried bounds points placed within
 //! rounding error of a tie and churn that empties clusters.
 
@@ -21,7 +21,6 @@ use super::*;
 
 /// `k` on both sides of every lane-block boundary up to four blocks.
 const KS: [usize; 10] = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17];
-const METRICS: [Metric; 2] = [Metric::Euclidean, Metric::Cosine];
 
 /// `n` edge-biased points in `dim` dimensions, loosely grouped around
 /// `centres` centres.
@@ -54,16 +53,25 @@ fn edge_points(rng: &mut SmallRng, n: usize, dim: usize, centres: u32) -> Vec<Sp
     points
 }
 
+/// The kernel one centroid at a time: the oracle the lane kernel
+/// ([`Centroids::nearest`]) is held to.
+fn nearest_per_centroid(p: &SparseVec, centroids: &Centroids) -> Nearest {
+    let mut near = Nearest::new(p.norm_l2_sq());
+    for (c, centroid) in centroids.bufs.iter().enumerate() {
+        near.offer(c, centroid.dist_sq(p, near.sq_norm));
+    }
+    near
+}
+
 /// An assignment sweep on the per-centroid kernel.
 fn reference_sweep(
-    km: &KMeans,
     points: &[&SparseVec],
     centroids: &Centroids,
     assignments: &mut [usize],
     d_sqs: &mut [f64],
 ) {
     for (i, p) in points.iter().enumerate() {
-        let near = km.nearest_per_centroid(p, centroids);
+        let near = nearest_per_centroid(p, centroids);
         assignments[i] = near.cluster;
         d_sqs[i] = near.d_sq;
     }
@@ -114,7 +122,7 @@ fn reference_lloyd(
     let mut fixpoint = false;
     for iter in 0..km.max_iters {
         iterations = iter + 1;
-        reference_sweep(km, points, &centroids, &mut assignments, &mut d_sqs);
+        reference_sweep(points, &centroids, &mut assignments, &mut d_sqs);
         let inertia: f64 = d_sqs.iter().sum();
         if current.as_ref().is_some_and(|c| *c == assignments) {
             converged = true;
@@ -145,8 +153,7 @@ fn reference_lloyd(
                 let far = (0..n)
                     .map(|i| {
                         let own = &centroids.bufs[assignments[i]];
-                        let d = km.point_centroid_dist_sq(points[i], points[i].norm_l2_sq(), own);
-                        (i, d)
+                        (i, own.dist_sq(points[i], points[i].norm_l2_sq()))
                     })
                     .max_by(|a, b| a.1.total_cmp(&b.1))
                     .expect("n >= 1")
@@ -174,7 +181,7 @@ fn reference_lloyd(
         }
         previous_inertia = inertia;
     }
-    reference_sweep(km, points, &centroids, &mut assignments, &mut d_sqs);
+    reference_sweep(points, &centroids, &mut assignments, &mut d_sqs);
     let result = KMeansResult {
         centroids: centroids.to_sparse(),
         assignments,
@@ -196,7 +203,7 @@ fn reference_run(km: &KMeans, points: &[SparseVec]) -> KMeansResult {
             KMeansInit::Random => km.init_random(&points, &mut rng),
             KMeansInit::KMeansPlusPlus => km.init_plusplus(&points, &mut rng),
         };
-        let mut centroids = Centroids::new(km.k, points[0].dim(), false);
+        let mut centroids = Centroids::new(km.k, points[0].dim());
         centroids.set_from_points(&points, &seeds);
         let chunks = km.effective_threads(points.len());
         let (result, _) = reference_lloyd(km, &points, centroids, chunks, None);
@@ -213,7 +220,7 @@ fn reference_fit_warm(km: &KMeans, points: &[SparseVec], prev: &[usize]) -> (KMe
     let points: Vec<&SparseVec> = points.iter().collect();
     let dim = points[0].dim();
     let (mut sums, counts) = chunk_sums(&points, prev, km.k, dim);
-    let mut centroids = Centroids::new(km.k, dim, false);
+    let mut centroids = Centroids::new(km.k, dim);
     for c in 0..km.k {
         for v in &mut sums[c] {
             *v /= counts[c] as f64;
@@ -265,11 +272,11 @@ fn sweeps() -> usize {
     SWEEPS.with(std::cell::Cell::get)
 }
 
-/// Full sweeps a Euclidean warm fit makes, given what the reference
-/// loop did: none when the bounded pass confirms the previous
-/// assignment, otherwise the Lloyd loop's.
-fn warm_sweeps(metric: Metric, iterations: usize, fixpoint: bool) -> usize {
-    if metric == Metric::Euclidean && fixpoint && iterations == 1 {
+/// Full sweeps a warm fit makes, given what the reference loop did:
+/// none when the bounded pass confirms the previous assignment,
+/// otherwise the Lloyd loop's.
+fn warm_sweeps(iterations: usize, fixpoint: bool) -> usize {
+    if fixpoint && iterations == 1 {
         0
     } else {
         iterations + usize::from(!fixpoint)
@@ -278,54 +285,51 @@ fn warm_sweeps(metric: Metric, iterations: usize, fixpoint: bool) -> usize {
 
 #[test]
 fn fused_sweep_matches_the_per_centroid_oracle() {
-    for metric in METRICS {
-        for k in KS {
-            for (case, dim) in [1usize, 2, 7, 40].into_iter().enumerate() {
-                let mut rng = SmallRng::seed_from_u64((k * 31 + case) as u64);
-                let n = [k, k + 1, 3 * k + 5, 64.max(k)][case];
-                let owned = edge_points(&mut rng, n, dim, 3);
-                let points: Vec<&SparseVec> = owned.iter().collect();
-                let km = KMeans::new(k).metric(metric);
-                // Centroids that are data points (with repeats: exact
-                // ties; now and then an empty point: a zero-norm
-                // centroid), then centroids that are cluster means.
-                let seeds: Vec<usize> = (0..k).map(|_| rng.random_range(0..n)).collect();
-                let mut as_points = Centroids::new(k, dim, true);
-                as_points.set_from_points(&points, &seeds);
-                let round_robin: Vec<usize> = (0..n).map(|i| i % k).collect();
-                let mut sums = ClusterSums::new(k, dim);
-                sums.accumulate(&points, &round_robin);
-                let mut as_means = Centroids::new(k, dim, true);
-                as_means.set_from_means(&sums);
-                for centroids in [&as_points, &as_means] {
-                    let what = format!("{metric:?} k={k} dim={dim} n={n}");
-                    let mut got = vec![0usize; n];
-                    km.assign_chunk(&points, centroids, |i, near| {
-                        let want = km.nearest_per_centroid(points[i], centroids);
-                        let what = format!("{what} point {i}");
-                        assert_eq!(near.cluster, want.cluster, "{what}: cluster");
-                        assert_eq!(
-                            bits(&[near.d_sq, near.second_sq, near.sq_norm]),
-                            bits(&[want.d_sq, want.second_sq, want.sq_norm]),
-                            "{what}: nearest, runner-up and norm"
-                        );
-                        assert_eq!(
-                            near.sq_norm.to_bits(),
-                            points[i].norm_l2_sq().to_bits(),
-                            "{what}: the walk's norm"
-                        );
-                        got[i] = near.cluster;
-                    });
-                    // The sums the update step would take from here.
-                    sums.accumulate(&points, &got);
-                    let (want_sums, want_counts) = chunk_sums(&points, &got, k, dim);
-                    assert_eq!(sums.counts, want_counts, "{what}: counts");
+    for k in KS {
+        for (case, dim) in [1usize, 2, 7, 40].into_iter().enumerate() {
+            let mut rng = SmallRng::seed_from_u64((k * 31 + case) as u64);
+            let n = [k, k + 1, 3 * k + 5, 64.max(k)][case];
+            let owned = edge_points(&mut rng, n, dim, 3);
+            let points: Vec<&SparseVec> = owned.iter().collect();
+            // Centroids that are data points (with repeats: exact
+            // ties; now and then an empty point: a zero-norm
+            // centroid), then centroids that are cluster means.
+            let seeds: Vec<usize> = (0..k).map(|_| rng.random_range(0..n)).collect();
+            let mut as_points = Centroids::new(k, dim);
+            as_points.set_from_points(&points, &seeds);
+            let round_robin: Vec<usize> = (0..n).map(|i| i % k).collect();
+            let mut sums = ClusterSums::new(k, dim);
+            sums.accumulate(&points, &round_robin);
+            let mut as_means = Centroids::new(k, dim);
+            as_means.set_from_means(&sums);
+            for centroids in [&as_points, &as_means] {
+                let what = format!("k={k} dim={dim} n={n}");
+                let mut got = vec![0usize; n];
+                centroids.assign(&points, |i, near| {
+                    let want = nearest_per_centroid(points[i], centroids);
+                    let what = format!("{what} point {i}");
+                    assert_eq!(near.cluster, want.cluster, "{what}: cluster");
                     assert_eq!(
-                        bits(&sums.sums),
-                        bits(&want_sums.concat()),
-                        "{what}: partial sums"
+                        bits(&[near.d_sq, near.second_sq, near.sq_norm]),
+                        bits(&[want.d_sq, want.second_sq, want.sq_norm]),
+                        "{what}: nearest, runner-up and norm"
                     );
-                }
+                    assert_eq!(
+                        near.sq_norm.to_bits(),
+                        points[i].norm_l2_sq().to_bits(),
+                        "{what}: the walk's norm"
+                    );
+                    got[i] = near.cluster;
+                });
+                // The sums the update step would take from here.
+                sums.accumulate(&points, &got);
+                let (want_sums, want_counts) = chunk_sums(&points, &got, k, dim);
+                assert_eq!(sums.counts, want_counts, "{what}: counts");
+                assert_eq!(
+                    bits(&sums.sums),
+                    bits(&want_sums.concat()),
+                    "{what}: partial sums"
+                );
             }
         }
     }
@@ -338,128 +342,88 @@ fn exact_ties_go_to_the_lower_index_in_every_lane_position() {
     let p = SparseVec::from_pairs(3, [(0, 1.5), (2, -2.0)]).unwrap();
     let far = SparseVec::from_pairs(3, [(1, 9.0)]).unwrap();
     let points = [&p, &far, &p];
-    for metric in METRICS {
-        let km = KMeans::new(9).metric(metric);
-        // Centroids `0..winner` sit on `far`, the rest on `p`: `p` must go
-        // to `winner`, the first of its ties, and `far` to 0, the first
-        // of its own (at `winner == 0` every centroid is `p`).
-        for winner in 0..9 {
-            let mut seeds = vec![1usize; 9];
-            seeds[winner..].fill(0);
-            let mut centroids = Centroids::new(9, 3, true);
-            centroids.set_from_points(&points, &seeds);
-            let near: Vec<Nearest> = points
-                .iter()
-                .map(|x| km.nearest_fused(x, &centroids))
-                .collect();
-            let got: Vec<usize> = near.iter().map(|n| n.cluster).collect();
-            assert_eq!(got, [winner, 0, winner], "{metric:?} {winner}");
-            // `p` ties with itself from `winner` on: its runner-up is just
-            // as near (bar the last lane, which has no second `p`).
-            let second = if winner < 8 { 0.0 } else { near[0].second_sq };
-            assert_eq!(
-                bits(&[near[0].d_sq, near[2].d_sq, near[0].second_sq]),
-                bits(&[0.0, 0.0, second]),
-                "{metric:?} {winner}"
-            );
-        }
+    // Centroids `0..winner` sit on `far`, the rest on `p`: `p` must go
+    // to `winner`, the first of its ties, and `far` to 0, the first
+    // of its own (at `winner == 0` every centroid is `p`).
+    for winner in 0..9 {
+        let mut seeds = vec![1usize; 9];
+        seeds[winner..].fill(0);
+        let mut centroids = Centroids::new(9, 3);
+        centroids.set_from_points(&points, &seeds);
+        let near: Vec<Nearest> = points.iter().map(|x| centroids.nearest(x)).collect();
+        let got: Vec<usize> = near.iter().map(|n| n.cluster).collect();
+        assert_eq!(got, [winner, 0, winner], "{winner}");
+        // `p` ties with itself from `winner` on: its runner-up is just
+        // as near (bar the last lane, which has no second `p`).
+        let second = if winner < 8 { 0.0 } else { near[0].second_sq };
+        assert_eq!(
+            bits(&[near[0].d_sq, near[2].d_sq, near[0].second_sq]),
+            bits(&[0.0, 0.0, second]),
+            "{winner}"
+        );
     }
 }
 
 #[test]
-fn zero_norm_points_and_centroids_follow_the_cosine_convention() {
-    // A zero vector is at cosine distance 1 from everything, itself
-    // included; the fused path must not divide by the zero norm.
-    let zero = SparseVec::zeros(2);
-    let x = SparseVec::from_pairs(2, [(0, 3.0)]).unwrap();
-    let y = SparseVec::from_pairs(2, [(1, 2.0)]).unwrap();
-    let points = [&zero, &x, &y];
-    let km = KMeans::new(3).metric(Metric::Cosine);
-    let mut centroids = Centroids::new(3, 2, true);
-    centroids.set_from_points(&points, &[0, 0, 1]);
-    let near: Vec<Nearest> = points
-        .iter()
-        .map(|p| km.nearest_fused(p, &centroids))
-        .collect();
-    let got: Vec<usize> = near.iter().map(|n| n.cluster).collect();
-    assert_eq!(got, [0, 2, 0]);
-    let d: Vec<f64> = near.iter().map(|n| n.d_sq).collect();
-    assert_eq!(bits(&d), bits(&[1.0, 0.0, 1.0]));
-    // The zero vector's norm keeps the sign `norm_l2_sq` gives it.
-    assert_eq!(near[0].sq_norm.to_bits(), zero.norm_l2_sq().to_bits());
-}
-
-#[test]
 fn fits_match_the_reference_lloyd_loop() {
-    for metric in METRICS {
-        for k in KS {
-            for (case, dim) in [1usize, 7, 40].into_iter().enumerate() {
-                let seed = (k * 17 + case) as u64;
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let n = [k, 3 * k + 5, 96.max(k + 1)][case];
-                let points = edge_points(&mut rng, n, dim, 3);
-                let what = format!("{metric:?} k={k} dim={dim} n={n}");
-                let init = if case == 1 {
-                    KMeansInit::Random
-                } else {
-                    KMeansInit::KMeansPlusPlus
-                };
-                let km = KMeans::new(k)
-                    .metric(metric)
-                    .seed(seed)
-                    .init(init)
-                    .restarts(2);
-                let sequential = km.clone().threads(1);
-                let cold = sequential.run(&points).unwrap();
-                assert_same_fit(&cold, &reference_run(&sequential, &points), &what);
-                let pool = km.clone().threads(2);
-                assert_same_fit(
-                    &pool.run(&points).unwrap(),
-                    &reference_run(&pool, &points),
-                    &format!("{what} two workers"),
-                );
-                // Warm from the cold fit's own answer (a fixpoint unless
-                // the cold run stopped on tolerance or `max_iters`), and
-                // from that answer with one point pushed next door.
-                let mut prev = cold.assignments.clone();
-                for moved in [false, true] {
-                    if moved {
-                        prev[n / 2] = (prev[n / 2] + 1) % k;
-                    }
-                    let mut bounds = vec![PointBounds::UNKNOWN; n];
-                    let mut counts = vec![0usize; k];
-                    prev.iter().for_each(|&a| counts[a] += 1);
-                    if counts.contains(&0) {
-                        assert!(
-                            km.fit_warm(
-                                &points,
-                                &prev,
-                                &mut ClusterStats::new(k, dim),
-                                &mut bounds
-                            )
-                            .is_err(),
-                            "{what}: empty cluster"
-                        );
-                        continue;
-                    }
-                    let before = sweeps();
-                    let warm = km
-                        .fit_warm(&points, &prev, &mut ClusterStats::new(k, dim), &mut bounds)
-                        .unwrap();
-                    let made = sweeps() - before;
-                    let (want, fixpoint) = reference_fit_warm(&km, &points, &prev);
-                    assert_same_warm_fit(&warm, &want, &format!("{what} warm moved={moved}"));
-                    // A fixpoint the bounded pass confirms costs no full
-                    // sweep; a Lloyd loop returns from the sweep that found
-                    // its fixpoint, and pays a final one after a stop on
-                    // tolerance or `max_iters`.
-                    assert_eq!(
-                        made,
-                        warm_sweeps(metric, warm.iterations, fixpoint),
-                        "{what}: sweeps for {} iterations",
-                        warm.iterations
-                    );
+    for k in KS {
+        for (case, dim) in [1usize, 7, 40].into_iter().enumerate() {
+            let seed = (k * 17 + case) as u64;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = [k, 3 * k + 5, 96.max(k + 1)][case];
+            let points = edge_points(&mut rng, n, dim, 3);
+            let what = format!("k={k} dim={dim} n={n}");
+            let init = if case == 1 {
+                KMeansInit::Random
+            } else {
+                KMeansInit::KMeansPlusPlus
+            };
+            let km = KMeans::new(k).seed(seed).init(init).restarts(2);
+            let sequential = km.clone().threads(1);
+            let cold = sequential.run(&points).unwrap();
+            assert_same_fit(&cold, &reference_run(&sequential, &points), &what);
+            let pool = km.clone().threads(2);
+            assert_same_fit(
+                &pool.run(&points).unwrap(),
+                &reference_run(&pool, &points),
+                &format!("{what} two workers"),
+            );
+            // Warm from the cold fit's own answer (a fixpoint unless
+            // the cold run stopped on tolerance or `max_iters`), and
+            // from that answer with one point pushed next door.
+            let mut prev = cold.assignments.clone();
+            for moved in [false, true] {
+                if moved {
+                    prev[n / 2] = (prev[n / 2] + 1) % k;
                 }
+                let mut bounds = vec![PointBounds::UNKNOWN; n];
+                let mut counts = vec![0usize; k];
+                prev.iter().for_each(|&a| counts[a] += 1);
+                if counts.contains(&0) {
+                    assert!(
+                        km.fit_warm(&points, &prev, &mut ClusterStats::new(k, dim), &mut bounds)
+                            .is_err(),
+                        "{what}: empty cluster"
+                    );
+                    continue;
+                }
+                let before = sweeps();
+                let warm = km
+                    .fit_warm(&points, &prev, &mut ClusterStats::new(k, dim), &mut bounds)
+                    .unwrap();
+                let made = sweeps() - before;
+                let (want, fixpoint) = reference_fit_warm(&km, &points, &prev);
+                assert_same_warm_fit(&warm, &want, &format!("{what} warm moved={moved}"));
+                // A fixpoint the bounded pass confirms costs no full
+                // sweep; a Lloyd loop returns from the sweep that found
+                // its fixpoint, and pays a final one after a stop on
+                // tolerance or `max_iters`.
+                assert_eq!(
+                    made,
+                    warm_sweeps(warm.iterations, fixpoint),
+                    "{what}: sweeps for {} iterations",
+                    warm.iterations
+                );
             }
         }
     }
@@ -576,7 +540,7 @@ fn a_warm_start_at_pool_scale_stays_on_the_calling_thread() {
         assert_same_warm_fit(&pooled, &want, &what);
         assert_eq!(
             made,
-            warm_sweeps(Metric::Euclidean, pooled.iterations, fixpoint),
+            warm_sweeps(pooled.iterations, fixpoint),
             "{what}: every sweep on the calling thread"
         );
     }
@@ -844,7 +808,7 @@ fn kept_edge_centroids(rng: &mut SmallRng, points: &[&SparseVec], k: usize) -> [
     let round_robin: Vec<usize> = (0..points.len()).map(|i| i % k).collect();
     let mut sums = ClusterSums::new(k, dim);
     sums.accumulate(points, &round_robin);
-    let mut as_means = Centroids::new(k, dim, true);
+    let mut as_means = Centroids::new(k, dim);
     as_means.set_from_means(&sums);
     let seeds: Vec<usize> = (0..k).map(|_| rng.random_range(0..points.len())).collect();
     let as_points: Vec<SparseVec> = seeds.iter().map(|&s| points[s].clone()).collect();
@@ -862,56 +826,49 @@ fn bound_bits(b: &PointBounds) -> (usize, [u64; 3]) {
 
 #[test]
 fn attach_through_the_kernel_matches_the_per_centroid_oracle() {
-    for metric in [Metric::Euclidean, Metric::Cosine, Metric::Manhattan] {
-        for k in KS {
-            for (case, dim) in [1usize, 2, 7, 40].into_iter().enumerate() {
-                let mut rng = SmallRng::seed_from_u64((k * 37 + case) as u64);
-                let n = [k, k + 1, 3 * k + 5, 64.max(k)][case];
-                let owned = edge_points(&mut rng, n, dim, 3);
-                let points: Vec<&SparseVec> = owned.iter().collect();
-                let km = KMeans::new(k).metric(metric);
-                // Fresh points: more edge points, an empty one among them
-                // as often as not, and copies of the data (exact ties).
-                let mut fresh = edge_points(&mut rng, 24, dim, 3);
-                fresh.push(SparseVec::zeros(dim));
-                fresh.extend(owned.iter().take(4).cloned());
-                for (which, mut stats) in kept_edge_centroids(&mut rng, &points, k)
-                    .into_iter()
-                    .enumerate()
-                {
-                    for (i, p) in fresh.iter().enumerate() {
-                        let what = format!("{metric:?} k={k} dim={dim} set {which} point {i}");
-                        let got = km.nearest_kept(&stats, p).expect("centroids are kept");
-                        let want = km.nearest_per_centroid(p, &stats.centroids);
-                        assert_eq!(got.cluster, want.cluster, "{what}: cluster");
-                        assert_eq!(
-                            bits(&[got.d_sq, got.second_sq]),
-                            bits(&[want.d_sq, want.second_sq]),
-                            "{what}: nearest and runner-up"
-                        );
-                        // The per-centroid path has no walk of its own:
-                        // its norm is `norm_l2_sq`'s, and so is the lanes'.
-                        assert_eq!(
-                            got.sq_norm.to_bits(),
-                            p.norm_l2_sq().to_bits(),
-                            "{what}: the walk's norm"
-                        );
-                        // Attaching patches that cluster, and only it,
-                        // and leaves the bounds a sweep would.
-                        let before = stats.counts().to_vec();
-                        let slack = Slack::new(&stats.centroids);
-                        let bounds = if metric == Metric::Euclidean {
-                            slack.bounds(&want)
-                        } else {
-                            PointBounds::UNKNOWN
-                        };
-                        let (cluster, got) = km.attach(&mut stats, p).expect("centroids are kept");
-                        assert_eq!(cluster, want.cluster, "{what}: attached");
-                        assert_eq!(bound_bits(&got), bound_bits(&bounds), "{what}: bounds");
-                        let mut after = before;
-                        after[want.cluster] += 1;
-                        assert_eq!(stats.counts(), &after[..], "{what}: counts");
-                    }
+    for k in KS {
+        for (case, dim) in [1usize, 2, 7, 40].into_iter().enumerate() {
+            let mut rng = SmallRng::seed_from_u64((k * 37 + case) as u64);
+            let n = [k, k + 1, 3 * k + 5, 64.max(k)][case];
+            let owned = edge_points(&mut rng, n, dim, 3);
+            let points: Vec<&SparseVec> = owned.iter().collect();
+            let km = KMeans::new(k);
+            // Fresh points: more edge points, an empty one among them
+            // as often as not, and copies of the data (exact ties).
+            let mut fresh = edge_points(&mut rng, 24, dim, 3);
+            fresh.push(SparseVec::zeros(dim));
+            fresh.extend(owned.iter().take(4).cloned());
+            for (which, mut stats) in kept_edge_centroids(&mut rng, &points, k)
+                .into_iter()
+                .enumerate()
+            {
+                for (i, p) in fresh.iter().enumerate() {
+                    let what = format!("k={k} dim={dim} set {which} point {i}");
+                    let got = km.nearest_kept(&stats, p).expect("centroids are kept");
+                    let want = nearest_per_centroid(p, &stats.centroids);
+                    assert_eq!(got.cluster, want.cluster, "{what}: cluster");
+                    assert_eq!(
+                        bits(&[got.d_sq, got.second_sq]),
+                        bits(&[want.d_sq, want.second_sq]),
+                        "{what}: nearest and runner-up"
+                    );
+                    // The per-centroid path has no walk of its own:
+                    // its norm is `norm_l2_sq`'s, and so is the lanes'.
+                    assert_eq!(
+                        got.sq_norm.to_bits(),
+                        p.norm_l2_sq().to_bits(),
+                        "{what}: the walk's norm"
+                    );
+                    // Attaching patches that cluster, and only it,
+                    // and leaves the bounds a sweep would.
+                    let before = stats.counts().to_vec();
+                    let bounds = Slack::new(&stats.centroids).bounds(&want);
+                    let (cluster, got) = km.attach(&mut stats, p).expect("centroids are kept");
+                    assert_eq!(cluster, want.cluster, "{what}: attached");
+                    assert_eq!(bound_bits(&got), bound_bits(&bounds), "{what}: bounds");
+                    let mut after = before;
+                    after[want.cluster] += 1;
+                    assert_eq!(stats.counts(), &after[..], "{what}: counts");
                 }
             }
         }
@@ -935,11 +892,6 @@ fn attach_needs_kept_centroids_of_the_points_dimension() {
     let wide = SparseVec::from_pairs(4, [(3, 1.0)]).unwrap();
     assert!(km.attach(&mut stats, &wide).is_none(), "another dimension");
     assert_eq!(stats.patches(), 0);
-    let bad = KMeans::new(2).metric(Metric::Minkowski(0.5));
-    assert!(
-        bad.attach(&mut stats, &points[0]).is_none(),
-        "an invalid metric"
-    );
     let (cluster, bounds) = km.attach(&mut stats, &points[1]).unwrap();
     assert_eq!(
         (cluster, stats.counts(), stats.patches()),
@@ -966,14 +918,14 @@ fn drift_between_kept_buffers_matches_the_walk_against_the_sparse_view() {
                 let assignment: Vec<usize> = (0..n).map(|i| (i + shift) % k).collect();
                 let mut sums = ClusterSums::new(k, dim);
                 sums.accumulate(&points, &assignment);
-                let mut centroids = Centroids::new(k, dim, true);
+                let mut centroids = Centroids::new(k, dim);
                 centroids.set_from_means(&sums);
                 centroids
             };
             let mut sets = vec![means(0), means(1)];
             for _ in 0..2 {
                 let seeds: Vec<usize> = (0..k).map(|_| rng.random_range(0..n)).collect();
-                let mut centroids = Centroids::new(k, dim, true);
+                let mut centroids = Centroids::new(k, dim);
                 centroids.set_from_points(&points, &seeds);
                 sets.push(centroids);
             }
@@ -998,6 +950,10 @@ fn drift_between_kept_buffers_matches_the_walk_against_the_sparse_view() {
 
 #[test]
 fn kept_centroids_come_back_with_the_bits_a_fit_kept() {
+    // Kept into fresh stats, and into stats that already keep another
+    // fit's centroids with a wider support: whatever the buffers held
+    // before, the keep leaves the bits the fit kept.
+    let mut wider_than_kept = 0;
     for k in KS {
         let mut rng = SmallRng::seed_from_u64(k as u64 * 43);
         let points = edge_points(&mut rng, 3 * k + 5, 7, 3);
@@ -1012,29 +968,40 @@ fn kept_centroids_come_back_with_the_bits_a_fit_kept() {
         let fit = KMeans::new(k)
             .fit_warm(&points, &cold.assignments, &mut stats, &mut bounds)
             .unwrap();
-        let mut again = ClusterStats::new(k, 7);
-        again.keep_centroids(&fit.centroids);
-        for (c, (got, want)) in again
-            .centroids
-            .bufs
-            .iter()
-            .zip(&stats.centroids.bufs)
-            .enumerate()
-        {
-            let what = format!("k={k} centroid {c}");
-            assert_eq!(bits(&got.dense), bits(&want.dense), "{what}: dense");
-            assert_eq!(
-                (&got.terms, bits(&got.values)),
-                (&want.terms, bits(&want.values)),
-                "{what}"
-            );
-            assert_eq!(
-                bits(&[got.sq_norm, got.norm]),
-                bits(&[want.sq_norm, want.norm]),
-                "{what}: norms"
-            );
+        // Every term of every point set: the means of any fit over them
+        // hold every term.
+        let dense: Vec<SparseVec> = (0..points.len())
+            .map(|i| {
+                SparseVec::from_pairs(7, (0..7).map(|t| (t, (i + 1) as f64 + 0.5 * f64::from(t))))
+                    .unwrap()
+            })
+            .collect();
+        let wider = KMeans::new(k).seed(k as u64).run(&dense).unwrap();
+        let mut reused = ClusterStats::new(k, 7);
+        reused.keep_centroids(&wider.centroids);
+        wider_than_kept += fit.centroids.iter().filter(|c| c.nnz() < 7).count();
+        reused.keep_centroids(&fit.centroids);
+        let mut fresh = ClusterStats::new(k, 7);
+        fresh.keep_centroids(&fit.centroids);
+        for (case, again) in [("fresh", &fresh), ("reused", &reused)] {
+            for (c, (got, want)) in again
+                .centroids
+                .bufs
+                .iter()
+                .zip(&stats.centroids.bufs)
+                .enumerate()
+            {
+                let what = format!("k={k} {case} centroid {c}");
+                assert_eq!(bits(&got.dense), bits(&want.dense), "{what}: dense");
+                assert_eq!(
+                    bits(&[got.sq_norm, got.norm]),
+                    bits(&[want.sq_norm, want.norm]),
+                    "{what}: norms"
+                );
+            }
+            let lanes = |s: &ClusterStats| bits(&s.centroids.lanes.concat());
+            assert_eq!(lanes(again), lanes(&stats), "k={k} {case}: lanes");
         }
-        let lanes = |s: &ClusterStats| bits(&s.centroids.lanes.concat());
-        assert_eq!(lanes(&again), lanes(&stats), "k={k}: lanes");
     }
+    assert!(wider_than_kept > 0, "no kept centroid lacked a term");
 }
