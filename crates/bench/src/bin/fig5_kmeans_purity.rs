@@ -21,6 +21,8 @@ use rand::seq::index::sample;
 use rand::SeedableRng;
 
 const RUNS: usize = 12;
+/// Sampled vectors per class at each point of the curve.
+const SAMPLE_POINTS: [usize; 6] = [20, 60, 100, 140, 180, 220];
 
 fn sig_count(default: usize) -> usize {
     std::env::var("FMETER_SIGS")
@@ -56,6 +58,13 @@ fn measure(classes: &[&[SparseVec]], per_class: usize, seed: u64) -> f64 {
 fn main() {
     let interval = Nanos::from_millis(10);
     let pool = sig_count(230);
+    if pool < SAMPLE_POINTS[0] {
+        eprintln!(
+            "FMETER_SIGS={pool} is below the smallest sample size: set it to at least {}",
+            SAMPLE_POINTS[0]
+        );
+        std::process::exit(2);
+    }
     eprintln!("collecting {pool} signatures per workload...");
     let scp = collect_signatures(SignatureWorkload::Scp, pool, interval, 51).unwrap();
     let kcompile = collect_signatures(SignatureWorkload::KCompile, pool, interval, 52).unwrap();
@@ -89,7 +98,7 @@ fn main() {
         "# curves: {}",
         curves.iter().map(|c| c.0).collect::<Vec<_>>().join(" | ")
     );
-    let sample_points: Vec<usize> = [20, 60, 100, 140, 180, 220]
+    let sample_points: Vec<usize> = SAMPLE_POINTS
         .iter()
         .copied()
         .filter(|&s| s <= pool)

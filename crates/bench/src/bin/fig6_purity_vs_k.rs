@@ -21,6 +21,8 @@ use rand::seq::index::sample;
 use rand::SeedableRng;
 
 const RUNS: usize = 12;
+/// Sampled vectors per class, one column each, largest first.
+const SAMPLE_SIZES: [usize; 3] = [220, 140, 60];
 
 fn sig_count(default: usize) -> usize {
     std::env::var("FMETER_SIGS")
@@ -32,6 +34,13 @@ fn sig_count(default: usize) -> usize {
 fn main() {
     let interval = Nanos::from_millis(10);
     let pool = sig_count(230);
+    let smallest = SAMPLE_SIZES[SAMPLE_SIZES.len() - 1];
+    if pool < smallest {
+        eprintln!(
+            "FMETER_SIGS={pool} is below the smallest sample size: set it to at least {smallest}"
+        );
+        std::process::exit(2);
+    }
     eprintln!("collecting {pool} signatures per workload...");
     let scp = collect_signatures(SignatureWorkload::Scp, pool, interval, 61).unwrap();
     let dbench = collect_signatures(SignatureWorkload::Dbench, pool, interval, 62).unwrap();
@@ -47,7 +56,7 @@ fn main() {
     let scp_v = &vectors[0..pool];
     let db_v = &vectors[pool..2 * pool];
 
-    let sample_sizes: Vec<usize> = [220usize, 140, 60]
+    let sample_sizes: Vec<usize> = SAMPLE_SIZES
         .iter()
         .copied()
         .filter(|&s| s <= pool)

@@ -1,4 +1,7 @@
 //! Quick end-to-end sanity check: are the three workload classes separable?
+//!
+//! Stdout carries only seed-determined results, so two runs print the
+//! same bytes; the wall-clock collection times go to stderr.
 use fmeter_bench::*;
 use fmeter_ir::euclidean_distance;
 use fmeter_kernel_sim::Nanos;
@@ -9,7 +12,7 @@ fn main() {
     let n = 30;
     let t0 = std::time::Instant::now();
     let kc = collect_signatures(SignatureWorkload::KCompile, n, interval, 1).unwrap();
-    println!(
+    eprintln!(
         "kcompile: {:?} ({} sigs, {} calls/sig avg)",
         t0.elapsed(),
         kc.len(),
@@ -17,14 +20,14 @@ fn main() {
     );
     let t0 = std::time::Instant::now();
     let scp = collect_signatures(SignatureWorkload::Scp, n, interval, 2).unwrap();
-    println!(
+    eprintln!(
         "scp: {:?} ({} calls/sig avg)",
         t0.elapsed(),
         scp.iter().map(|s| s.total_calls()).sum::<u64>() / n as u64
     );
     let t0 = std::time::Instant::now();
     let db = collect_signatures(SignatureWorkload::Dbench, n, interval, 3).unwrap();
-    println!(
+    eprintln!(
         "dbench: {:?} ({} calls/sig avg)",
         t0.elapsed(),
         db.iter().map(|s| s.total_calls()).sum::<u64>() / n as u64
@@ -76,7 +79,7 @@ fn main() {
         6,
     )
     .unwrap();
-    println!("netperf x3: {:?}", t0.elapsed());
+    eprintln!("netperf x3: {:?}", t0.elapsed());
     let (xs, ys) = binary_dataset(&v151, &nolro).unwrap();
     let report = CrossValidation::new(5).run(&xs, &ys).unwrap();
     println!("SVM 1.5.1 vs LRO-off: acc={:.3}", report.mean_accuracy().0);

@@ -140,12 +140,13 @@ pub struct Recluster {
     /// [`SignatureDb::syndromes`] returns.
     pub syndromes: Vec<Syndrome>,
     /// `true` when the pass warm-started from the cached assignment
-    /// ([`KMeans::fit_warm`]); `false` for a cold, multi-restart run.
+    /// ([`KMeans::fit_warm_in_place`]); `false` for a cold, multi-restart
+    /// run.
     pub warm: bool,
     /// Lloyd iterations the (final) K-means run performed.
     pub iterations: usize,
     /// For a warm pass, the live signatures it measured against the
-    /// centroids, summed over its sweeps ([`fmeter_ml::WarmFit::evaluated`]):
+    /// centroids, summed over its sweeps ([`fmeter_ml::WarmPass::evaluated`]):
     /// the ones the carried distance bounds could not confirm, and all
     /// of them in each further Lloyd iteration. `None` for a cold pass.
     pub evaluated: Option<usize>,
@@ -153,126 +154,99 @@ pub struct Recluster {
 
 /// The clustering state [`SignatureDb::recluster`] carries between
 /// calls so a steady-state pass resumes from the last assignment
-/// instead of seeding and restarting.
+/// instead of seeding and restarting — the warm fit's own state, kept
+/// by slot and patched in place ([`KMeans::fit_warm_in_place`]), so a
+/// pass copies none of it.
 ///
-/// Besides the assignment it keeps, per slot, the distance bounds the
-/// last pass left ([`PointBounds`]), measured against the centroids
-/// that pass returned, which the cluster stats keep: a warm pass
-/// confirms most signatures from those instead of measuring them. Slots
-/// inserted since start [`UNKNOWN`](PointBounds::UNKNOWN) and get the
-/// bounds their attach measures; a [`vacuum`](SignatureDb::vacuum)
-/// renumbers the bounds with the assignment; a
-/// [`refit`](SignatureDb::refit), which rewrites the vectors they were
-/// measured for, drops them all.
+/// Per cluster it keeps the member slots in ascending order — the
+/// assignment — and in the [`ClusterStats`] the sums the next pass
+/// seeds its means from, the last pass's centroids and the label counts
+/// its syndromes are named by. Per slot it keeps the distance bounds
+/// ([`PointBounds`]) the last pass left, measured against the kept
+/// centroids: a warm pass confirms most signatures from those instead
+/// of measuring them. Slots inserted since the last pass wait in a
+/// queue, in slot order, and attach in that order at the next pass
+/// ([`KMeans::attach`]), each with the bounds its attach measures: the
+/// order a walk over the live slots would attach them in, so the sums
+/// are patched in the same order.
 ///
-/// Per cluster it keeps the sums the next pass seeds its means from and
-/// the last pass's centroid ([`ClusterStats`]), and the label counts
-/// its syndromes are named by. Sums and counts are patched wherever the
-/// assignment changes: a [`remove`](SignatureDb::remove) takes an
-/// assigned signature out, a warm pass adds each signature it attaches
-/// ([`KMeans::attach`]), and a pass whose Lloyd
-/// loop moved signatures leaves the sums of what it returns and moves
-/// their labels. A vacuum changes no vector and leaves both alone; a
-/// refit re-weights the vectors, so it marks the sums stale and the
-/// next pass re-sums them in point order. `fit_warm` also re-sums them
-/// once the patches since the last re-sum reach the live count, which
-/// bounds how far the kept sums drift from point-order ones.
+/// A [`remove`](SignatureDb::remove) takes an assigned signature out of
+/// its member list, sums and label counts, or drops a queued one; a
+/// [`vacuum`](SignatureDb::vacuum) renumbers slots, member lists and
+/// queue by its remap and leaves sums and counts alone; a
+/// [`refit`](SignatureDb::refit), which rewrites the vectors, drops
+/// every bound and marks the sums stale, so the next pass re-sums them
+/// in point order and measures every signature. A pass whose Lloyd
+/// loop moved signatures leaves the sums of what it returns, rewrites
+/// the member lists, and moves the labels of the signatures it names as
+/// moved. The fit also re-sums the sums once the patches since the last
+/// re-sum reach the live count, which bounds how far they drift from
+/// point-order ones.
 ///
 /// Derived state, like [`VacuumStats`]: never persisted (a loaded
 /// database starts cold) and never written to the WAL — it is rebuilt
 /// by the first `recluster` after recovery.
 #[derive(Debug, Clone)]
 pub(crate) struct ClusterCache {
-    k: usize,
     seed: u64,
-    /// Per-slot cluster assignment from the last pass; `None` for slots
-    /// inserted since, removed, or never clustered.
-    assignment: Vec<Option<usize>>,
     /// Per-slot distance bounds against the last pass's centroids.
     bounds: Vec<PointBounds>,
-    /// Per-cluster sums of the assigned vectors, and the last pass's
-    /// centroids in the assignment kernel's layout (new docs attach to
-    /// the nearest before warm-starting).
+    /// Per-cluster member slots, ascending.
+    members: Vec<Vec<usize>>,
+    /// Slots inserted since the last pass and still live, ascending.
+    queue: Vec<usize>,
+    /// Per-cluster sums and label counts of the members, and the last
+    /// pass's centroids in the assignment kernel's layout.
     stats: ClusterStats,
-    /// Per-cluster label counts of the assigned signatures.
-    labels: Vec<LabelTally>,
 }
 
 impl ClusterCache {
-    /// The warm-start assignment of `live_ids` (whose vectors are
-    /// `vectors`) for `km`, a runner for `k` clusters with `seed`, or
-    /// `None` when a cold run is required: `k` or `seed` changed, too
-    /// few points, or churn emptied a cached cluster (a
-    /// [`KMeans::fit_warm`] precondition). A doc inserted since the last
-    /// pass attaches to its nearest kept centroid through the
-    /// assignment kernel ([`KMeans::attach`]), into that cluster's sums
-    /// and label counts.
-    fn warm_assignment(
-        &mut self,
-        km: &KMeans,
-        k: usize,
-        seed: u64,
-        live_ids: &[usize],
-        vectors: &[&SparseVec],
-        signatures: &SharedVec<Signature>,
-    ) -> Option<Vec<usize>> {
-        if self.k != k || self.seed != seed || k == 0 || vectors.len() < k {
-            return None;
-        }
-        let mut prev = Vec::with_capacity(live_ids.len());
-        for (&d, &vector) in live_ids.iter().zip(vectors) {
-            match self.assignment.get(d).copied().flatten() {
-                Some(a) if a < k => prev.push(a),
-                Some(_) => return None,
-                // Inserted since the last pass: attach to the nearest
-                // kept centroid, by the distance K-means assigns with,
-                // and keep the bounds that measurement leaves.
-                None => {
-                    let (c, bounds) = km.attach(&mut self.stats, vector)?;
-                    self.bounds[d] = bounds;
-                    if let Some(label) = &signatures[d].label {
-                        self.labels[c].add(label);
-                    }
-                    prev.push(c);
-                }
+    /// The warm pass for `km` over `signatures`, or `None` when a cold
+    /// run is required: a queued slot found no kept centroid, or churn
+    /// emptied a cluster (a [`KMeans::fit_warm_in_place`]
+    /// precondition). The queue attaches first, each signature to its
+    /// nearest kept centroid through the assignment kernel, into that
+    /// cluster's members, sums and label counts.
+    fn warm_pass(&mut self, km: &KMeans, signatures: &SharedVec<Signature>) -> Option<Recluster> {
+        for d in std::mem::take(&mut self.queue) {
+            let signature = &signatures[d];
+            let (c, bounds) = km.attach(&mut self.stats, &signature.vector)?;
+            self.bounds[d] = bounds;
+            // Every member was inserted before it: the list stays sorted.
+            self.members[c].push(d);
+            if let Some(label) = &signature.label {
+                self.stats.vote(c, label);
             }
         }
-        let mut counts = vec![0usize; k];
-        for &a in &prev {
-            counts[a] += 1;
+        let point = |d: usize| &signatures[d].vector;
+        let fit = km.fit_warm_in_place(&mut self.members, point, &mut self.stats, &mut self.bounds);
+        let fit = fit.ok()?;
+        for &(d, from, to) in &fit.moved {
+            if let Some(label) = &signatures[d].label {
+                self.stats.unvote(from, label);
+                self.stats.vote(to, label);
+            }
         }
-        counts.iter().all(|&c| c > 0).then_some(prev)
-    }
-}
-
-/// One cluster's label counts, in label order: the tally
-/// [`majority_label`] builds per call, kept between reclusters. A label
-/// whose count falls to zero keeps its entry and casts no vote.
-#[derive(Debug, Clone, Default)]
-struct LabelTally(Vec<(String, usize)>);
-
-impl LabelTally {
-    fn add(&mut self, label: &str) {
-        match self.0.binary_search_by(|(l, _)| l.as_str().cmp(label)) {
-            Ok(i) => self.0[i].1 += 1,
-            Err(i) => self.0.insert(i, (label.to_owned(), 1)),
-        }
+        Some(Recluster {
+            syndromes: self.syndromes(fit.centroids),
+            warm: true,
+            iterations: fit.iterations,
+            evaluated: Some(fit.evaluated),
+        })
     }
 
-    fn remove(&mut self, label: &str) {
-        let i = self
-            .0
-            .binary_search_by(|(l, _)| l.as_str().cmp(label))
-            .expect("a member's label is tallied");
-        self.0[i].1 = self.0[i]
-            .1
-            .checked_sub(1)
-            .expect("a member's label has a vote");
-    }
-
-    /// The majority label, by [`majority_label`]'s rule.
-    fn leader(&self) -> Option<String> {
-        leader(self.0.iter().map(|(l, n)| (l.as_str(), *n))).map(str::to_owned)
+    /// `centroids` as syndromes: each with a copy of its cluster's
+    /// member list, named from its label counts by [`majority_label`]'s
+    /// rule.
+    fn syndromes(&self, centroids: Vec<SparseVec>) -> Vec<Syndrome> {
+        let clusters = centroids.into_iter().zip(&self.members).enumerate();
+        clusters
+            .map(|(c, (centroid, members))| Syndrome {
+                centroid,
+                dominant_label: leader(self.stats.votes(c)).map(str::to_owned),
+                members: members.clone(),
+            })
+            .collect()
     }
 }
 
@@ -339,12 +313,6 @@ fn syndromes_from(
         syndromes[cluster].members.push(d);
     }
     syndromes
-}
-
-/// Keeps the entries of a per-slot array whose slot is `live`, in order.
-fn retain_live<T>(slots: &mut Vec<T>, live: &[bool]) {
-    let mut flags = live.iter();
-    slots.retain(|_| *flags.next().expect("one flag per slot"));
 }
 
 /// The one majority vote — over a query's nearest neighbours when
@@ -588,8 +556,8 @@ impl SignatureDb {
         self.num_live += 1;
         self.mutations_since_refit += 1;
         if let Some(cache) = &mut self.cluster_cache {
-            cache.assignment.push(None);
             cache.bounds.push(PointBounds::UNKNOWN);
+            cache.queue.push(id);
         }
         Ok(id)
     }
@@ -620,12 +588,16 @@ impl SignatureDb {
         self.num_live -= 1;
         self.mutations_since_refit += 1;
         if let Some(cache) = &mut self.cluster_cache {
-            if let Some(c) = cache.assignment[doc].take() {
+            let mut lists = cache.members.iter().enumerate();
+            if let Some((c, i)) = lists.find_map(|(c, m)| Some((c, m.binary_search(&doc).ok()?))) {
+                cache.members[c].remove(i);
                 let signature = &self.signatures[doc];
                 cache.stats.remove(c, &signature.vector);
                 if let Some(label) = &signature.label {
-                    cache.labels[c].remove(label);
+                    cache.stats.unvote(c, label);
                 }
+            } else if let Ok(i) = cache.queue.binary_search(&doc) {
+                cache.queue.remove(i);
             }
         }
         // Vacuum before refit: renumbering changes none of the refit
@@ -711,9 +683,12 @@ impl SignatureDb {
         self.corpus = corpus;
         if let Some(cache) = &mut self.cluster_cache {
             // Renumber the warm-start state alongside the doc ids; dead
-            // slots drop out of it.
-            retain_live(&mut cache.assignment, &live);
-            retain_live(&mut cache.bounds, &live);
+            // slots drop out of it, and no list names one.
+            let mut flags = live.iter();
+            cache.bounds.retain(|_| flags.next() == Some(&true));
+            for d in cache.members.iter_mut().chain([&mut cache.queue]).flatten() {
+                *d = remap[*d].expect("a listed slot is live");
+            }
         }
         self.vacuums += 1;
         self.last_vacuum = Some(VacuumStats {
@@ -872,7 +847,8 @@ impl SignatureDb {
     /// drift bound is checked with [`TfIdfModel::idf_drift_cached`] —
     /// one `ln` per term *dirtied* since the last check instead of one
     /// per dimension — so the policy costs O(dim) arithmetic, not
-    /// O(dim) transcendentals, on every mutation.
+    /// O(dim) transcendentals, on every mutation; and not at all when the
+    /// bound is `+∞`, which no drift exceeds.
     fn refit_due(&mut self) -> bool {
         match self.refit_policy {
             RefitPolicy::Manual => false,
@@ -885,7 +861,8 @@ impl SignatureDb {
                     && ((self.num_live > 0
                         && self.mutations_since_refit as f64
                             >= max_stale_fraction * self.num_live as f64)
-                        || self.model.idf_drift_cached() > max_idf_drift)
+                        || (max_idf_drift != f64::INFINITY
+                            && self.model.idf_drift_cached() > max_idf_drift))
             }
         }
     }
@@ -1089,19 +1066,23 @@ impl SignatureDb {
     /// the signatures the cached distance bounds cannot confirm (the
     /// few the centroids' drift brought near a boundary; one inserted
     /// since is measured once, as it attaches) instead of paying
-    /// k-means++ and a multi-restart K-means. Every further Lloyd iteration the moved points need is
-    /// a full sweep plus the point-order sums. The stored vectors are
-    /// clustered in place; none is copied.
+    /// k-means++ and a multi-restart K-means; when the centroids moved
+    /// too little to close any bound's gap it reads no bound at all.
+    /// Every further Lloyd iteration the moved points need is a full
+    /// sweep plus the point-order sums. The stored vectors are clustered
+    /// in place, and the cache's member lists, bounds and sums are the
+    /// fit's own state: a pass that moves nothing copies none of them
+    /// and walks no live slot.
     ///
     /// The first call (or any call after [`load`](Self::load), which
     /// starts cold) runs exactly what `syndromes(k, seed)` runs and
-    /// caches the resulting assignment per doc slot. Subsequent calls
-    /// with the *same* `k` and `seed` attach every doc inserted since
-    /// to its nearest kept centroid and resume Lloyd iterations from
-    /// there ([`KMeans::fit_warm`]): with no churn the pass converges in
-    /// one iteration with the previous pass's centroids, bit for bit,
-    /// and with bounded churn it converges in the few iterations the
-    /// moved points need. Centroids are bit-identical to means summed
+    /// caches the resulting member lists. Subsequent calls with the
+    /// *same* `k` and `seed` attach every doc inserted since, in slot
+    /// order, to its nearest kept centroid and resume Lloyd iterations
+    /// from there ([`KMeans::fit_warm_in_place`]): with no churn the pass
+    /// converges in one iteration with the previous pass's centroids,
+    /// bit for bit, and with bounded churn it converges in the few
+    /// iterations the moved points need. Centroids are bit-identical to means summed
     /// afresh in point order whenever the kept sums carry no patch (the
     /// first pass after a cold one, a refit, a Lloyd run or a re-sum);
     /// otherwise a converged pass's centroids may differ from those in
@@ -1123,51 +1104,17 @@ impl SignatureDb {
     ///
     /// Propagates clustering failures (e.g. fewer signatures than `k`).
     pub fn recluster(&mut self, k: usize, seed: u64) -> Result<Recluster, FmeterError> {
-        let live_ids = self.live_ids();
-        let vectors = vectors_of(&self.signatures, &live_ids);
         let km = KMeans::new(k).seed(seed);
         if let Some(cache) = &mut self.cluster_cache {
-            if let Some(prev) =
-                cache.warm_assignment(&km, k, seed, &live_ids, &vectors, &self.signatures)
-            {
-                let mut bounds: Vec<PointBounds> =
-                    live_ids.iter().map(|&d| cache.bounds[d]).collect();
-                // Defensive: any warm-start rejection (all guarded
-                // against above) degrades to a cold run, never an error.
-                if let Ok(fit) = km.fit_warm(&vectors, &prev, &mut cache.stats, &mut bounds) {
-                    for (i, (&d, &a)) in live_ids.iter().zip(&fit.assignments).enumerate() {
-                        if a != prev[i] {
-                            if let Some(label) = &self.signatures[d].label {
-                                cache.labels[prev[i]].remove(label);
-                                cache.labels[a].add(label);
-                            }
-                        }
-                        cache.assignment[d] = Some(a);
-                        cache.bounds[d] = bounds[i];
-                    }
-                    let mut syndromes = syndromes_from(&live_ids, fit.centroids, &fit.assignments);
-                    for (syndrome, tally) in syndromes.iter_mut().zip(&cache.labels) {
-                        syndrome.dominant_label = tally.leader();
-                    }
-                    return Ok(Recluster {
-                        syndromes,
-                        warm: true,
-                        iterations: fit.iterations,
-                        evaluated: Some(fit.evaluated),
-                    });
+            if (cache.stats.k(), cache.seed) == (k, seed) && self.num_live >= k {
+                if let Some(pass) = cache.warm_pass(&km, &self.signatures) {
+                    return Ok(pass);
                 }
             }
         }
+        let live_ids = self.live_ids();
+        let vectors = vectors_of(&self.signatures, &live_ids);
         let result = km.restarts(3).run(&vectors)?;
-        let slots = self.signatures.len();
-        let mut assignment = vec![None; slots];
-        let mut labels = vec![LabelTally::default(); k];
-        for (&d, &a) in live_ids.iter().zip(&result.assignments) {
-            assignment[d] = Some(a);
-            if let Some(label) = &self.signatures[d].label {
-                labels[a].add(label);
-            }
-        }
         // The sums' buffers outlive a cold pass of the same shape.
         let mut stats = match self.cluster_cache.take() {
             Some(cache) if cache.stats.k() == k => cache.stats,
@@ -1175,20 +1122,23 @@ impl SignatureDb {
         };
         stats.rebuild(&vectors, &result.assignments);
         stats.keep_centroids(&result.centroids);
-        let mut syndromes = syndromes_from(&live_ids, result.centroids, &result.assignments);
-        for (syndrome, tally) in syndromes.iter_mut().zip(&labels) {
-            syndrome.dominant_label = tally.leader();
+        stats.clear_votes();
+        let mut members = vec![Vec::new(); k];
+        for (&d, &a) in live_ids.iter().zip(&result.assignments) {
+            members[a].push(d);
+            if let Some(label) = &self.signatures[d].label {
+                stats.vote(a, label);
+            }
         }
-        self.cluster_cache = Some(ClusterCache {
-            k,
+        let cache = self.cluster_cache.insert(ClusterCache {
             seed,
-            assignment,
-            bounds: vec![PointBounds::UNKNOWN; slots],
+            bounds: vec![PointBounds::UNKNOWN; self.signatures.len()],
+            members,
+            queue: Vec::new(),
             stats,
-            labels,
         });
         Ok(Recluster {
-            syndromes,
+            syndromes: cache.syndromes(result.centroids),
             warm: false,
             iterations: result.iterations,
             evaluated: None,
@@ -1488,7 +1438,7 @@ mod tests {
         db.set_refit_policy(RefitPolicy::Manual);
         let first = db.recluster(2, 7).unwrap();
         // Every member of one syndrome leaves: a warm start has no mean
-        // to seed that cluster from (`fit_warm` rejects it), so the pass
+        // to seed that cluster from (the warm fit rejects it), so the pass
         // runs what `syndromes` runs and re-primes the cache.
         for &m in &first.syndromes[0].members {
             db.remove(m).unwrap();
@@ -1507,8 +1457,239 @@ mod tests {
         let mut blank = db.clone();
         if let Some(cache) = &mut blank.cluster_cache {
             cache.bounds.fill(PointBounds::UNKNOWN);
+            cache.stats.forget_gap();
         }
         blank
+    }
+
+    /// The warm pass as it ran before the cache kept the fit's state: the
+    /// live ids by the liveness walk, every unassigned live slot attached
+    /// in slot order, the point list and its bounds copied out, fitted
+    /// as a list (point `i` in slot `i`) and copied back, member lists
+    /// by [`syndromes_from`], each label by a vote over the members.
+    /// `None` where a warm pass falls back to a cold one.
+    fn warm_pass_over_the_liveness_walk(
+        db: &mut SignatureDb,
+        k: usize,
+        seed: u64,
+    ) -> Option<Recluster> {
+        let live_ids = db.live_ids();
+        let km = KMeans::new(k).seed(seed);
+        let cache = db.cluster_cache.as_mut()?;
+        let mut prev = Vec::new();
+        for &d in &live_ids {
+            let signature = &db.signatures[d];
+            let listed = cache
+                .members
+                .iter()
+                .position(|m| m.binary_search(&d).is_ok());
+            prev.push(match listed {
+                Some(a) => a,
+                None => {
+                    let (c, bounds) = km.attach(&mut cache.stats, &signature.vector)?;
+                    cache.bounds[d] = bounds;
+                    if let Some(label) = &signature.label {
+                        cache.stats.vote(c, label);
+                    }
+                    c
+                }
+            });
+        }
+        let vectors = vectors_of(&db.signatures, &live_ids);
+        let mut bounds: Vec<PointBounds> = live_ids.iter().map(|&d| cache.bounds[d]).collect();
+        let mut members = vec![Vec::new(); k];
+        for (i, &a) in prev.iter().enumerate() {
+            members[a].push(i);
+        }
+        let fit = km
+            .fit_warm_in_place(&mut members, |i| vectors[i], &mut cache.stats, &mut bounds)
+            .ok()?;
+        let mut assignments = prev.clone();
+        for &(i, _, c) in &fit.moved {
+            assignments[i] = c;
+        }
+        for (i, &d) in live_ids.iter().enumerate() {
+            let (from, to) = (prev[i], assignments[i]);
+            if let Some(label) = db.signatures[d].label.as_deref().filter(|_| from != to) {
+                cache.stats.unvote(from, label);
+                cache.stats.vote(to, label);
+            }
+            cache.bounds[d] = bounds[i];
+        }
+        let mut syndromes = syndromes_from(&live_ids, fit.centroids, &assignments);
+        for syndrome in &mut syndromes {
+            let members = syndrome.members.iter().map(|&m| &db.signatures[m]);
+            syndrome.dominant_label = majority_label(members);
+        }
+        cache.members = syndromes.iter().map(|s| s.members.clone()).collect();
+        cache.queue.clear();
+        Some(Recluster {
+            syndromes,
+            warm: true,
+            iterations: fit.iterations,
+            evaluated: Some(fit.evaluated),
+        })
+    }
+
+    /// Reclusters `db` and holds what the pass returns and keeps to the
+    /// liveness walk: a warm pass equals
+    /// [`warm_pass_over_the_liveness_walk`] on a clone, bit for bit,
+    /// cache included; and either way the member lists are the live
+    /// slots by their cached cluster, ascending, and the label counts
+    /// are a recount over the members.
+    #[track_caller]
+    fn recluster_against_the_liveness_walk(db: &mut SignatureDb, k: usize, seed: u64) -> Recluster {
+        let mut oracle = db.clone();
+        let got = db.recluster(k, seed).unwrap();
+        if got.warm {
+            let want = warm_pass_over_the_liveness_walk(&mut oracle, k, seed)
+                .expect("the walk stays warm where the pass did");
+            assert_eq!(got, want);
+            for (a, b) in got.syndromes.iter().zip(&want.syndromes) {
+                let bits =
+                    |c: &SparseVec| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a.centroid), bits(&b.centroid));
+            }
+            assert_eq!(
+                format!("{:?}", db.cluster_cache),
+                format!("{:?}", oracle.cluster_cache)
+            );
+        }
+        let cache = db.cluster_cache.as_ref().unwrap();
+        assert!(cache.queue.is_empty());
+        let mut listed = cache.members.concat();
+        listed.sort_unstable();
+        assert_eq!(listed, db.live_ids(), "every live slot in one list");
+        for (c, (syndrome, slots)) in got.syndromes.iter().zip(&cache.members).enumerate() {
+            assert!(
+                slots.windows(2).all(|w| w[0] < w[1]),
+                "cluster {c} ascending"
+            );
+            assert_eq!(&syndrome.members, slots);
+            let mut recount = std::collections::BTreeMap::new();
+            for &d in slots {
+                if let Some(label) = db.signatures[d].label.as_deref() {
+                    *recount.entry(label).or_insert(0) += 1;
+                }
+            }
+            let kept: Vec<(&str, usize)> = cache.stats.votes(c).filter(|&(_, n)| n > 0).collect();
+            assert_eq!(kept, Vec::from_iter(recount), "cluster {c} votes");
+            let voters = slots.iter().map(|&d| &db.signatures[d]);
+            assert_eq!(syndrome.dominant_label, majority_label(voters));
+        }
+        got
+    }
+
+    #[test]
+    fn recluster_keeps_what_the_liveness_walk_gives_through_refit_and_vacuum() {
+        let mut db = SignatureDb::build(&sample_raw()).unwrap();
+        db.set_refit_policy(RefitPolicy::EveryN(25));
+        db.set_vacuum_policy(VacuumPolicy::DeadFraction {
+            max_dead_fraction: 0.3,
+            min_dead: 8,
+        });
+        let (k, seed) = (3, 7);
+        assert!(!recluster_against_the_liveness_walk(&mut db, k, seed).warm);
+        let mut oldest = 0;
+        let (mut warm, mut moved, mut skipped) = (0, 0, 0);
+        for cycle in 0..24u64 {
+            // Three in, one of them gone again before the pass, and two
+            // of the oldest out; now and then an unlabelled one, and
+            // near the middle of the two classes.
+            let label = ["a", "b"][(cycle % 2) as usize];
+            let mixed = RawSignature {
+                counts: vec![25 + cycle, 20, 15, 10, 30, 25 + cycle % 5, 20, 15],
+                ..raw_a(cycle, None)
+            };
+            let made = [
+                raw_a(100 + cycle, Some(label)),
+                raw_b(100 + cycle, (cycle % 3 > 0).then_some("b")),
+                mixed,
+            ];
+            let ids: Vec<DocId> = made.iter().map(|r| db.insert(r).unwrap()).collect();
+            db.remove(ids[cycle as usize % 3]).unwrap();
+            for _ in 0..2 {
+                let vacuums = db.vacuums();
+                while !db.is_live(oldest) {
+                    oldest += 1;
+                }
+                db.remove(oldest).unwrap();
+                if db.vacuums() != vacuums {
+                    oldest = 0;
+                }
+            }
+            // The members' bounds before the pass: a pass the global test
+            // confirmed leaves every one of them as it was.
+            let members = db.cluster_cache.as_ref().unwrap().members.concat();
+            let carried = |db: &SignatureDb| {
+                let bounds = &db.cluster_cache.as_ref().unwrap().bounds;
+                members
+                    .iter()
+                    .map(|&d| format!("{:?}", bounds[d]))
+                    .collect::<Vec<_>>()
+            };
+            let before = carried(&db);
+            let want = without_bounds(&db).recluster(k, seed).unwrap();
+            let pass = recluster_against_the_liveness_walk(&mut db, k, seed);
+            assert_eq!(
+                pass.syndromes, want.syndromes,
+                "cycle {cycle}: measured everything"
+            );
+            assert_eq!(pass.iterations, want.iterations, "cycle {cycle}");
+            skipped += usize::from(pass.warm && carried(&db) == before);
+            warm += usize::from(pass.warm);
+            moved += usize::from(pass.warm && pass.iterations > 1);
+        }
+        assert!(db.epoch() >= 1, "the script crosses a refit");
+        assert!(db.vacuums() >= 1, "the script crosses a vacuum");
+        assert!(warm >= 20, "{warm} warm passes");
+        assert!(moved >= 1, "no pass moved a signature");
+        assert!(skipped >= 1, "no pass read no bound");
+    }
+
+    #[test]
+    fn recluster_with_no_churn_measures_nothing_and_writes_no_bound() {
+        let mut db = SignatureDb::build(&sample_raw()).unwrap();
+        db.set_refit_policy(RefitPolicy::Manual);
+        let bounds = |db: &SignatureDb| format!("{:?}", db.cluster_cache.as_ref().unwrap().bounds);
+        db.recluster(2, 7).unwrap();
+        for round in 0..2u64 {
+            // The pass after a cold one measures every signature, and one
+            // after churn may walk the bounds; a pass with no churn since
+            // reads none of them.
+            let walked = db.recluster(2, 7).unwrap();
+            if round == 0 {
+                assert_eq!(walked.evaluated, Some(db.len()));
+            }
+            let before = bounds(&db);
+            let again = db.recluster(2, 7).unwrap();
+            assert_eq!(again.evaluated, Some(0), "round {round}");
+            assert_eq!(again.syndromes, walked.syndromes, "round {round}");
+            assert_eq!(bounds(&db), before, "round {round}: a bound was written");
+            db.insert(&raw_a(90 + round, Some("a"))).unwrap();
+            db.remove(round as usize).unwrap();
+        }
+    }
+
+    #[test]
+    fn recluster_attaches_new_signatures_in_slot_order() {
+        let mut db = SignatureDb::build(&sample_raw()).unwrap();
+        db.set_refit_policy(RefitPolicy::Manual);
+        db.recluster(2, 7).unwrap();
+        let queue = |db: &SignatureDb| db.cluster_cache.as_ref().unwrap().queue.clone();
+        for i in 0..6 {
+            db.insert(&raw_b(70 + i, Some("b"))).unwrap();
+            db.insert(&raw_a(70 + i, Some("a"))).unwrap();
+        }
+        // A queued slot removed leaves the queue; a vacuum renumbers it.
+        db.remove(15).unwrap();
+        db.remove(3).unwrap();
+        assert_eq!(queue(&db), [12, 13, 14, 16, 17, 18, 19, 20, 21, 22, 23]);
+        db.vacuum();
+        assert_eq!(queue(&db), [11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21]);
+        // The patches land in slot order: the kept sums and bounds are
+        // the walk's, which attaches live slots in ascending order.
+        assert!(recluster_against_the_liveness_walk(&mut db, 2, 7).warm);
     }
 
     /// Reclusters `db` and a clone of it that must measure every
@@ -1528,8 +1709,8 @@ mod tests {
             let bits = |c: &SparseVec| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&g.centroid), bits(&w.centroid));
         }
-        let assignment = |db: &SignatureDb| db.cluster_cache.as_ref().unwrap().assignment.clone();
-        assert_eq!(assignment(db), assignment(&blank));
+        let members = |db: &SignatureDb| db.cluster_cache.as_ref().unwrap().members.clone();
+        assert_eq!(members(db), members(&blank));
         got
     }
 
@@ -1838,6 +2019,45 @@ mod tests {
         }
         assert!(db.epoch() >= 1, "threshold policy never fired");
         assert!(db.mutations_since_refit() < 4);
+    }
+
+    #[test]
+    fn an_infinite_drift_bound_skips_the_drift_check() {
+        let run = |max_idf_drift: f64| {
+            let mut db = SignatureDb::build(&sample_raw()).unwrap();
+            db.set_refit_policy(RefitPolicy::Threshold {
+                max_idf_drift,
+                max_stale_fraction: 0.25,
+            });
+            let mut epochs = Vec::new();
+            for i in 0..12u64 {
+                db.insert(&raw_a(40 + i, Some("a"))).unwrap();
+                epochs.push(db.epoch());
+                if i % 3 == 2 {
+                    db.remove(i as usize).unwrap();
+                    epochs.push(db.epoch());
+                }
+            }
+            (db, epochs)
+        };
+        // No drift exceeds `f64::MAX` either, but that bound still pays
+        // the check on every mutation.
+        let (mut db, skipped) = run(f64::INFINITY);
+        let (_, checked) = run(f64::MAX);
+        assert_eq!(skipped, checked, "refits fire at the same mutations");
+        assert!(skipped.last() > Some(&1), "the staleness bound fired");
+        // The logarithms the skipped checks left stale are taken by the
+        // first check under a finite bound.
+        db.set_refit_policy(RefitPolicy::Threshold {
+            max_idf_drift: 1e9,
+            max_stale_fraction: 0.25,
+        });
+        db.insert(&raw_b(40, Some("b"))).unwrap();
+        assert!(db.model.idf_drift() > 0.0);
+        assert_eq!(
+            db.model.idf_drift_cached().to_bits(),
+            db.model.idf_drift().to_bits()
+        );
     }
 
     #[test]

@@ -10,6 +10,10 @@ use crate::MlError;
 
 #[cfg(test)]
 mod oracle;
+#[cfg(test)]
+mod point_list;
+#[cfg(test)]
+use point_list::WarmFit;
 
 /// Centroids per block of the fused assignment kernel: the inner
 /// products it advances together, in one `[f64; LANES]` accumulator the
@@ -117,7 +121,7 @@ fn drift_bound(sum: f64, dim: usize) -> f64 {
 /// block stay zero and are never compared. It is rewritten from the
 /// dense buffers whenever the centroids change — once per assignment
 /// sweep, by the thread that owns the update.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Centroids {
     bufs: Vec<CentroidBuf>,
     lanes: Vec<[f64; LANES]>,
@@ -129,15 +133,6 @@ impl Centroids {
         Centroids {
             bufs: vec![CentroidBuf::new(dim); k],
             lanes: vec![[0.0; LANES]; k.div_ceil(LANES) * dim],
-        }
-    }
-
-    /// No centroid and no buffer: what a [`ClusterStats`] leaves in
-    /// place of the buffer it lends a fit, at no allocation.
-    fn none() -> Self {
-        Centroids {
-            bufs: Vec::new(),
-            lanes: Vec::new(),
         }
     }
 
@@ -348,10 +343,11 @@ impl ClusterSums {
 
 /// The per-cluster sums, member counts and per-`(cluster, term)` support
 /// counts of an assignment, kept between warm fits
-/// ([`KMeans::fit_warm`]) and patched as the assignment changes instead
-/// of re-summed from every point; and the centroids of the fit that
-/// last returned them, in the assignment kernel's own layout (dense
-/// buffers and lanes).
+/// ([`KMeans::fit_warm_in_place`]) and patched as the assignment changes
+/// instead of re-summed from every point; the members' label counts,
+/// patched at the same points; the centroids of the fit that last
+/// returned them, in the assignment kernel's own layout (dense buffers
+/// and lanes); and what Hamerly's global bound test reads.
 ///
 /// [`rebuild`](Self::rebuild) accumulates them from `+0.0` in point
 /// order, the arithmetic of a Lloyd update step, so the means of freshly
@@ -361,7 +357,7 @@ impl ClusterSums {
 /// point-order ones by at most one rounding per patch. A sum whose
 /// support count falls to zero is set to `+0.0` rather than decremented,
 /// so a mean's support is exactly the union of its members' supports,
-/// as for point-order sums. `fit_warm` rebuilds the stats in point order
+/// as for point-order sums. A warm fit rebuilds the stats in point order
 /// when they are [stale](Self::mark_stale) or once the patches since the
 /// last rebuild reach the number of points it is given: the drift stays
 /// bounded, and the rebuild costs O(1) per patch amortised.
@@ -375,7 +371,10 @@ impl ClusterSums {
 /// cold [`run`](KMeans::run)'s, say). Neither a patch nor
 /// [`mark_stale`](Self::mark_stale) touches them.
 ///
-/// New stats are stale and keep no centroids: the first `fit_warm`
+/// The label counts ([`vote`](Self::vote)) are the caller's: a fit
+/// neither reads nor rebuilds them, and staleness leaves them alone.
+///
+/// New stats are stale and keep no centroids: the first warm fit
 /// builds the sums and measures every point.
 #[derive(Debug, Clone)]
 pub struct ClusterStats {
@@ -390,6 +389,18 @@ pub struct ClusterStats {
     fitted: bool,
     /// The buffer the next warm fit seeds its means into.
     seeded: Centroids,
+    /// Per cluster, its members' label counts in label order; a label
+    /// whose count fell to zero keeps its entry.
+    votes: Vec<Vec<(String, usize)>>,
+    /// Per cluster, how far its centroid moved since the carried bounds
+    /// were last walked, summed and rounded up: what the next walk
+    /// widens its members' upper bounds by (and every lower bound by the
+    /// largest).
+    owed: Vec<f64>,
+    /// A floor under the [gap](Slack::gap) every point's bounds left
+    /// when they were last walked or attached; `-∞` when unknown. Never
+    /// NaN.
+    gap: f64,
 }
 
 impl ClusterStats {
@@ -407,6 +418,9 @@ impl ClusterStats {
             centroids: Centroids::new(k, dim),
             fitted: false,
             seeded: Centroids::new(k, dim),
+            votes: vec![Vec::new(); k],
+            owed: vec![0.0; k],
+            gap: f64::NEG_INFINITY,
         }
     }
 
@@ -428,9 +442,18 @@ impl ClusterStats {
 
     /// Marks the stats stale — say, because the points were re-weighted:
     /// [`add`](Self::add) and [`remove`](Self::remove) do nothing until
-    /// the next rebuild, which `fit_warm` runs first thing.
+    /// the next rebuild, which a warm fit runs first thing. It also
+    /// [forgets the gap](Self::forget_gap).
     pub fn mark_stale(&mut self) {
         self.stale = true;
+        self.forget_gap();
+    }
+
+    /// Forgets what the global bound test knows of the carried bounds,
+    /// so the next warm fit walks every point's: for a caller that
+    /// changed a bound, or the point it describes, behind the fit.
+    pub fn forget_gap(&mut self) {
+        self.gap = f64::NEG_INFINITY;
     }
 
     /// Overwrites the stats with those of `assignment` over `points`,
@@ -451,7 +474,8 @@ impl ClusterStats {
     /// the fit these stats describe: the next warm fit measures drift
     /// from them, and [`KMeans::attach`] reads them. Written into the
     /// kept buffers in place; a fit's own centroids come back with the
-    /// bits it kept them with.
+    /// bits it kept them with. Bounds carried from before mean nothing
+    /// against them: the gap is forgotten, and no drift is owed.
     ///
     /// # Panics
     ///
@@ -465,6 +489,8 @@ impl ClusterStats {
         );
         self.centroids.set_from_centroids(centroids);
         self.fitted = true;
+        self.owed.fill(0.0);
+        self.forget_gap();
     }
 
     /// Keeps a fit's `centroids`; the ones they replace become the
@@ -524,6 +550,39 @@ impl ClusterStats {
         }
         self.patches += 1;
     }
+
+    /// Counts a member of cluster `c` labelled `label`.
+    pub fn vote(&mut self, c: usize, label: &str) {
+        let votes = &mut self.votes[c];
+        match votes.binary_search_by(|(l, _)| l.as_str().cmp(label)) {
+            Ok(i) => votes[i].1 += 1,
+            Err(i) => votes.insert(i, (label.to_owned(), 1)),
+        }
+    }
+
+    /// Takes back the vote of a member of cluster `c` labelled `label`.
+    ///
+    /// # Panics
+    ///
+    /// If cluster `c` counts no member labelled `label`.
+    pub fn unvote(&mut self, c: usize, label: &str) {
+        let votes = &mut self.votes[c];
+        let i = votes
+            .binary_search_by(|(l, _)| l.as_str().cmp(label))
+            .expect("a member's label is tallied");
+        let count = &mut votes[i].1;
+        *count = count.checked_sub(1).expect("a member's label has a vote");
+    }
+
+    /// Cluster `c`'s label counts, in label order.
+    pub fn votes(&self, c: usize) -> impl Iterator<Item = (&str, usize)> {
+        self.votes[c].iter().map(|(l, n)| (l.as_str(), *n))
+    }
+
+    /// Drops every label count.
+    pub fn clear_votes(&mut self) {
+        self.votes.iter_mut().for_each(Vec::clear);
+    }
 }
 
 /// What the assignment kernel found for one point: its nearest centroid
@@ -563,7 +622,7 @@ impl Nearest {
 }
 
 /// What a warm fit knows about one point's distances to the centroids it
-/// returned, for the next [`KMeans::fit_warm`] to start from: the
+/// returned, for the next [`KMeans::fit_warm_in_place`] to start from: the
 /// cluster it assigned the point to, an upper bound on the distance to
 /// that cluster's centroid, a lower bound on the distance to every other
 /// one (Hamerly's two bounds), and the point's norm.
@@ -641,6 +700,27 @@ impl Slack {
             lower: (near.second_sq.sqrt() - margin).next_down(),
             norm,
         }
+    }
+
+    /// A floor under what the bounds of points leave between them once
+    /// each point's own share of the margin is taken, `l − u −
+    /// √(2(dim + 3)·ε)·‖x‖`, from the smallest computed `l − u` among
+    /// them, `spread`, and their largest norm, `widest`: rounded down, so
+    /// below the exact value for every one of them. `-∞` for unknown
+    /// bounds, and for a NaN (which `max` drops).
+    fn gap(&self, spread: f64, widest: f64) -> f64 {
+        let gap = spread.next_down() - (self.per_norm * widest).next_up();
+        gap.next_down().max(f64::NEG_INFINITY)
+    }
+
+    /// Hamerly's global test: whether a point whose bounds left at least
+    /// `gap`, no centroid having moved more than `drift` since, is still
+    /// confirmed (`u + δ_own + m < l − max δ`): twice the drift (exact)
+    /// plus the margin's centroid share and floor, each sum rounded up,
+    /// is below `gap`. Never true for a NaN.
+    fn confirms(&self, gap: f64, drift: f64) -> bool {
+        let share = (self.per_norm * self.max_centroid_norm).next_up();
+        ((2.0 * drift + share).next_up() + f64::MIN_POSITIVE.sqrt()).next_up() < gap
     }
 }
 
@@ -844,21 +924,26 @@ struct LloydRun {
     point_order: bool,
 }
 
-/// Outcome of a warm-started fit ([`KMeans::fit_warm`]). It has no
-/// inertia: a point its bounds confirmed has no exact distance.
+/// Outcome of a warm fit on its caller's state
+/// ([`KMeans::fit_warm_in_place`]). It names the points that moved
+/// rather than every point's cluster, and has no inertia: a point its
+/// bounds confirmed has no exact distance.
 #[derive(Debug, Clone)]
-pub struct WarmFit {
+pub struct WarmPass {
     /// Final centroids, `k` of them.
     pub centroids: Vec<SparseVec>,
-    /// `assignments[i]` is the cluster index of input point `i`.
-    pub assignments: Vec<usize>,
+    /// `(slot, from, to)` of every point the fit moved from one cluster
+    /// to another, ascending by slot: empty when it confirmed the
+    /// previous assignment.
+    pub moved: Vec<(usize, usize, usize)>,
     /// Number of Lloyd iterations performed.
     pub iterations: usize,
     /// Whether the fit converged before `max_iters`.
     pub converged: bool,
     /// Points measured against the centroids, summed over the fit: the
-    /// ones the bounded first pass could not confirm, and every point in
-    /// each sweep of the Lloyd loop when one moved.
+    /// ones the bounded first pass could not confirm (none when the
+    /// global test confirmed them all), and every point in each sweep of
+    /// the Lloyd loop when one moved.
     pub evaluated: usize,
 }
 
@@ -879,7 +964,8 @@ impl KMeans {
     /// Caps the worker threads of the assignment step: `0` (the default)
     /// picks [`std::thread::available_parallelism`] for large inputs and
     /// stays sequential for small ones; `1` forces the sequential path.
-    /// [`fit_warm`](Self::fit_warm) always sweeps on the calling thread.
+    /// [`fit_warm_in_place`](Self::fit_warm_in_place) always sweeps on
+    /// the calling thread.
     ///
     /// Any fixed `threads` value is exactly reproducible (partial sums
     /// merge in deterministic chunk order). Across *different* thread
@@ -936,8 +1022,8 @@ impl KMeans {
         Ok(best.expect("at least one restart"))
     }
 
-    /// The shared input contract of [`run`](Self::run) and
-    /// [`fit_warm`](Self::fit_warm).
+    /// The input contract of [`run`](Self::run), which the tests' warm
+    /// start over a point list checks too.
     fn validate_inputs(&self, points: &[&SparseVec]) -> Result<(), MlError> {
         if self.k == 0 {
             return Err(MlError::InvalidConfig("k must be at least 1".into()));
@@ -963,47 +1049,58 @@ impl KMeans {
         Ok(())
     }
 
-    /// Warm-started K-means: resumes Lloyd's algorithm from a previous
-    /// assignment instead of re-seeding and restarting, and confirms a
-    /// fixpoint from carried distance bounds where it can.
+    /// Warm-started K-means on state its caller keeps between fits:
+    /// resumes Lloyd's algorithm from the previous assignment instead of
+    /// re-seeding and restarting, and confirms a fixpoint from carried
+    /// distance bounds where it can.
+    ///
+    /// The points live in slots: `members[c]` lists cluster `c`'s, in
+    /// ascending order, `point(s)` is the vector in slot `s` and
+    /// `bounds[s]` what the last fit — or the [`attach`](Self::attach)
+    /// that brought the point in — left for it. Nothing is collected or
+    /// checked per point: every point is of the stats' dimension (checked
+    /// where it entered, by `attach` or a caller), and the stats count
+    /// exactly the members (whoever moves a point patches both).
     ///
     /// The initial centroids are the means of `stats`, the cluster sums
-    /// of `prev_assignment` the caller keeps between fits
-    /// ([`ClusterStats`]): rebuilt in point order — exactly the
-    /// arithmetic of the update step — and patched as points come and
-    /// go. The fit first rebuilds them in place when they are stale or
-    /// once the patches since their last rebuild reach the number of
-    /// points. So a *converged* assignment reproduces its centroids bit
-    /// for bit when nothing was patched since the last rebuild, and
-    /// within one rounding per patch otherwise. The means are written
-    /// into a buffer `stats` keep for the purpose; the centroids the
-    /// previous fit returned are the ones `stats` keep beside it (see
-    /// [`ClusterStats::keep_centroids`]), and `bounds[i]` is what that
-    /// fit left for point `i` ([`PointBounds::UNKNOWN`] for a point it
-    /// did not see; stats that keep no centroids yet void every bound).
+    /// of the previous assignment ([`ClusterStats`]): rebuilt in point
+    /// order — exactly the arithmetic of the update step — and patched as
+    /// points come and go. The fit first rebuilds them in place, over
+    /// the members in slot order, when they are stale or once the
+    /// patches since their last rebuild reach the number of points (a
+    /// step that reads every point, and the one place outside the Lloyd
+    /// loop that lists them). So a *converged* assignment reproduces its
+    /// centroids bit for bit when nothing was patched since the last
+    /// rebuild, and within one rounding per patch otherwise. The means are written into a buffer `stats` keep for
+    /// the purpose; the centroids the previous fit returned are the ones
+    /// `stats` keep beside it (stats that keep none void every bound).
     ///
     /// The fit then measures how far each centroid drifted from the kept
-    /// one, buffer against buffer, and widens every point's bounds by
-    /// that drift (Hamerly's test). A point whose own centroid is still
-    /// provably the strict nearest, by more than the rounding slack of
-    /// the distance formula, keeps its assignment unmeasured; every other
-    /// point goes through the assignment kernel. If none of them moved,
-    /// the previous assignment is the fixpoint and the fit returns after
-    /// one iteration, having read no point but the ones its bounds could
-    /// not confirm. As soon as one moves, Lloyd's loop runs from the
-    /// seeding exactly as without bounds: an assignment sweep, the
-    /// point-order sums of the update step, until the assignment
-    /// repeats. It leaves in `stats` the point-order sums of the
-    /// assignment it returns, rebuilding them when its last update does
-    /// not describe that assignment (a stop on `tol` or `max_iters`, an
-    /// emptied cluster repaired), and keeps the returned centroids in
-    /// place of the previous ones, whose buffer the next fit seeds into.
-    /// Either way `bounds` ends up measured against the returned
-    /// centroids, ready for the next call, and no `k × dim` buffer is
+    /// one, buffer against buffer, and adds it to the drift the stats
+    /// owe the bounds. When twice the largest owed drift cannot close the
+    /// smallest gap any point's bounds left (Hamerly's global test), no
+    /// bound is read or written. Otherwise it walks the members cluster
+    /// by cluster and widens every point's bounds by the owed drift: a
+    /// point whose own centroid is still provably the strict nearest,
+    /// by more than the rounding slack of the distance formula, keeps
+    /// its assignment unmeasured; every other point goes through the
+    /// assignment kernel. If none of them moved, the previous assignment
+    /// is the fixpoint and the fit returns after one iteration, having
+    /// read no point but the ones its bounds could not confirm. As soon
+    /// as one moves, Lloyd's loop runs from the seeding exactly as
+    /// without bounds, over the points in slot order: an assignment
+    /// sweep, the point-order sums of the update step, until the
+    /// assignment repeats. It leaves in `stats` the point-order sums of
+    /// the assignment it returns, rebuilding them when its last update
+    /// does not describe that assignment (a stop on `tol` or
+    /// `max_iters`, an emptied cluster repaired), rewrites `members`,
+    /// and returns the points that moved. Either way `bounds` ends up
+    /// valid against the returned centroids, which `stats` keep in
+    /// place of the previous ones, and no `k × dim` buffer is
     /// allocated. Assignments, centroids and iterations are
     /// `f64::to_bits`-identical to a warm start that measured every
-    /// point from the same stats (pinned by the warm-start oracle and
-    /// the golden recluster script).
+    /// point from the same stats (pinned by the warm-start oracle and the
+    /// golden recluster script).
     ///
     /// This is the cost profile behind the incremental `recluster()`
     /// surface in `fmeter-core`; `benchmark/`'s layer replay times the
@@ -1016,100 +1113,95 @@ impl KMeans {
     ///
     /// # Errors
     ///
-    /// Everything [`run`](Self::run) rejects, plus
-    /// [`MlError::InvalidConfig`] when `prev_assignment` or `bounds` has
-    /// the wrong length, `prev_assignment` names a cluster `>= k` or
-    /// leaves any cluster empty (callers with emptied clusters should
-    /// fall back to a cold run), or `stats` are not for `k` clusters of
-    /// the points' dimension or, not stale, count other members than
-    /// `prev_assignment`.
-    pub fn fit_warm<P: Borrow<SparseVec>>(
+    /// [`MlError::InvalidConfig`] when `k == 0`, `members` or `stats`
+    /// are not for `k` clusters, or a cluster has no member (callers
+    /// with emptied clusters should fall back to a cold run).
+    ///
+    /// # Panics
+    ///
+    /// If a member has no bound.
+    pub fn fit_warm_in_place<'p>(
         &self,
-        points: &[P],
-        prev_assignment: &[usize],
+        members: &mut [Vec<usize>],
+        point: impl Fn(usize) -> &'p SparseVec,
         stats: &mut ClusterStats,
         bounds: &mut [PointBounds],
-    ) -> Result<WarmFit, MlError> {
-        let points: Vec<&SparseVec> = points.iter().map(Borrow::borrow).collect();
-        self.validate_inputs(&points)?;
-        let n = points.len();
-        if prev_assignment.len() != n || bounds.len() != n {
+    ) -> Result<WarmPass, MlError> {
+        let empty = members.iter().position(Vec::is_empty);
+        if self.k == 0 || (members.len(), stats.k()) != (self.k, self.k) || empty.is_some() {
             return Err(MlError::InvalidConfig(format!(
-                "warm start needs one previous assignment and one bound per point: \
-                 {} assignments and {} bounds for {n} points",
-                prev_assignment.len(),
-                bounds.len(),
-            )));
-        }
-        let dim = points[0].dim();
-        if (stats.k(), stats.sums.dim) != (self.k, dim) {
-            return Err(MlError::InvalidConfig(format!(
-                "warm start needs cluster stats for k = {} and dimension {dim}, not k = {} \
-                 and dimension {}",
+                "warm start needs {} populated clusters: {} member lists, stats for {}, \
+                 cluster {empty:?} empty",
                 self.k,
-                stats.k(),
-                stats.sums.dim
+                members.len(),
+                stats.k()
             )));
         }
-        let mut counts = vec![0usize; self.k];
-        for &a in prev_assignment {
-            if a >= self.k {
-                return Err(MlError::InvalidConfig(format!(
-                    "previous assignment names cluster {a}, but k = {}",
-                    self.k
-                )));
+        let n = members.iter().map(Vec::len).sum();
+        // The slots, their clusters and their points as lists in slot
+        // order — point order, the order of every sum and sweep — for a
+        // step that reads every point anyway: each slot's cluster,
+        // then the slots read off in order.
+        let in_slot_order = || {
+            let end = members.iter().filter_map(|list| list.last()).max();
+            let mut cluster = vec![usize::MAX; end.map_or(0, |&s| s + 1)];
+            for (c, list) in members.iter().enumerate() {
+                list.iter().for_each(|&s| cluster[s] = c);
             }
-            counts[a] += 1;
-        }
-        if let Some(empty) = counts.iter().position(|&c| c == 0) {
-            return Err(MlError::InvalidConfig(format!(
-                "warm start needs every cluster populated; cluster {empty} is empty"
-            )));
-        }
+            let listed = cluster
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c != usize::MAX);
+            let (slots, prev): (Vec<usize>, Vec<usize>) = listed.unzip();
+            let points: Vec<&SparseVec> = slots.iter().map(|&s| point(s)).collect();
+            (slots, prev, points)
+        };
         if stats.stale || stats.patches >= n {
-            stats.rebuild(&points, prev_assignment);
-        } else if stats.counts() != counts {
-            return Err(MlError::InvalidConfig(format!(
-                "cluster stats count {:?} members, the previous assignment {counts:?}",
-                stats.counts()
-            )));
+            let (_, prev, points) = in_slot_order();
+            stats.rebuild(&points, &prev);
         }
         if !stats.fitted {
             // The bounds are for the kept centroids, and there are none.
             bounds.fill(PointBounds::UNKNOWN);
         }
-        let mut seeded = std::mem::replace(&mut stats.seeded, Centroids::none());
+        // Lent to the fit; an empty `Centroids` allocates nothing.
+        let mut seeded = std::mem::take(&mut stats.seeded);
         seeded.set_from_means(&stats.sums);
-        let (measured, moved) =
-            self.confirm(&points, prev_assignment, &seeded, &stats.centroids, bounds);
+        let (measured, moved) = self.confirm(members, &point, &seeded, stats, bounds);
         if !moved {
             let centroids = seeded.to_sparse();
             stats.keep(seeded);
-            return Ok(WarmFit {
+            return Ok(WarmPass {
                 centroids,
-                assignments: prev_assignment.to_vec(),
+                moved: Vec::new(),
                 iterations: 1,
                 converged: true,
                 evaluated: measured,
             });
         }
-        let run = self.lloyd(
-            &points,
-            seeded,
-            &mut stats.sums,
-            Some(prev_assignment),
-            1,
-            Some(bounds),
-        );
+        let (slots, prev, points) = in_slot_order();
+        let bounds = Some((&slots[..], bounds));
+        let run = self.lloyd(&points, seeded, &mut stats.sums, Some(&prev), 1, bounds);
         if run.point_order {
             stats.patches = 0;
         } else {
             stats.rebuild(&points, &run.fit.assignments);
         }
         stats.keep(run.centroids);
-        Ok(WarmFit {
+        // Every bound was measured against the kept centroids.
+        stats.owed.fill(0.0);
+        stats.forget_gap();
+        members.iter_mut().for_each(Vec::clear);
+        let mut moved = Vec::new();
+        for ((&s, &from), &to) in slots.iter().zip(&prev).zip(&run.fit.assignments) {
+            members[to].push(s);
+            if to != from {
+                moved.push((s, from, to));
+            }
+        }
+        Ok(WarmPass {
             centroids: run.fit.centroids,
-            assignments: run.fit.assignments,
+            moved,
             iterations: run.fit.iterations,
             converged: run.fit.converged,
             evaluated: measured + run.sweeps * n,
@@ -1124,14 +1216,19 @@ impl KMeans {
     /// the lowest index on an exact tie.
     ///
     /// Returns the cluster and the bounds the walk leaves `p` against
-    /// the kept centroids, for the next [`fit_warm`](Self::fit_warm) to
-    /// start from as it would from a point the last fit measured;
-    /// `None`, and nothing patched, when `stats` keep no fit's centroids
-    /// or `p` is not of their dimension.
+    /// the kept centroids, for the next warm fit to start from as it
+    /// would from a point the last fit measured (their gap joins the
+    /// cluster's); `None`, and nothing patched, when `stats` keep no
+    /// fit's centroids or `p` is not of their dimension.
     pub fn attach(&self, stats: &mut ClusterStats, p: &SparseVec) -> Option<(usize, PointBounds)> {
         let near = self.nearest_kept(stats, p)?;
         stats.add(near.cluster, p);
-        Some((near.cluster, Slack::new(&stats.centroids).bounds(&near)))
+        let slack = Slack::new(&stats.centroids);
+        let bounds = slack.bounds(&near);
+        stats.gap = stats
+            .gap
+            .min(slack.gap(bounds.lower - bounds.upper, bounds.norm));
+        Some((near.cluster, bounds))
     }
 
     /// What [`attach`](Self::attach) measures: `p` against the
@@ -1141,44 +1238,61 @@ impl KMeans {
     }
 
     /// The bounded first sweep of a warm start, against the `seeded`
-    /// means of `prev`: each point's bounds, measured against
-    /// `carried`, are widened by the centroids' drift, and a point they
-    /// do not confirm — or whose bounds are for another cluster than its
-    /// previous one — is measured and gets fresh ones. Returns how many
-    /// points were measured and whether one of them moved — where the
-    /// pass stops, because the Lloyd loop that follows measures every
-    /// point again.
-    fn confirm(
+    /// means of the previous assignment, `members`: the drift from the
+    /// centroids `stats` keep joins the drift they owe the bounds, and
+    /// unless the global test confirms every point at once, each point's
+    /// bounds are widened by it, and a point they do not confirm — or
+    /// whose bounds are for another cluster — is measured and gets fresh
+    /// ones. Returns how many points were measured and whether one of
+    /// them moved — where the walk stops, because the Lloyd loop that
+    /// follows measures every point again. A walk to the end settles
+    /// the owed drift and records the smallest gap it left.
+    fn confirm<'p>(
         &self,
-        points: &[&SparseVec],
-        prev: &[usize],
+        members: &[Vec<usize>],
+        point: impl Fn(usize) -> &'p SparseVec,
         seeded: &Centroids,
-        carried: &Centroids,
+        stats: &mut ClusterStats,
         bounds: &mut [PointBounds],
     ) -> (usize, bool) {
-        let drifts = seeded.drifts_from(carried);
+        let drifts = seeded.drifts_from(&stats.centroids);
+        for (owed, drift) in stats.owed.iter_mut().zip(drifts) {
+            *owed = (*owed + drift).next_up();
+        }
         // A NaN drift must reach every lower bound, so no `f64::max`.
-        let max_drift = drifts
+        let max_drift = stats
+            .owed
             .iter()
             .fold(0.0, |m: f64, &d| if d > m || d.is_nan() { d } else { m });
         let slack = Slack::new(seeded);
-        let mut measured = 0;
-        for ((p, &own), b) in points.iter().zip(prev).zip(bounds.iter_mut()) {
-            let upper = (b.upper + drifts[own]).next_up();
-            let lower = (b.lower - max_drift).next_down();
-            // Never true for an unknown bound or a NaN anywhere.
-            if b.cluster == own && upper + slack.margin(b.norm) < lower {
-                b.upper = upper;
-                b.lower = lower;
-                continue;
-            }
-            let near = seeded.nearest(p);
-            measured += 1;
-            if near.cluster != own {
-                return (measured, true);
-            }
-            *b = slack.bounds(&near);
+        if slack.confirms(stats.gap, max_drift) {
+            return (0, false);
         }
+        let mut measured = 0;
+        let (mut spread, mut widest) = (f64::INFINITY, 0.0f64);
+        for ((own, slots), &drift) in members.iter().enumerate().zip(&stats.owed) {
+            for &s in slots {
+                let b = &mut bounds[s];
+                let upper = (b.upper + drift).next_up();
+                let lower = (b.lower - max_drift).next_down();
+                // Never true for an unknown bound or a NaN anywhere.
+                if b.cluster == own && upper + slack.margin(b.norm) < lower {
+                    b.upper = upper;
+                    b.lower = lower;
+                } else {
+                    let near = seeded.nearest(point(s));
+                    measured += 1;
+                    if near.cluster != own {
+                        return (measured, true);
+                    }
+                    *b = slack.bounds(&near);
+                }
+                spread = spread.min(b.lower - b.upper);
+                widest = widest.max(b.norm);
+            }
+        }
+        stats.gap = slack.gap(spread, widest);
+        stats.owed.fill(0.0);
         (measured, false)
     }
 
@@ -1203,8 +1317,8 @@ impl KMeans {
     /// centroids. Returns the fit with the buffers of its centroids.
     ///
     /// `warm` is the assignment a warm start resumes from, and turns on
-    /// the assignment-fixpoint check; `bounds`, when given, are
-    /// re-measured by every sweep. With `threads > 1` the sweeps run
+    /// the assignment-fixpoint check; `bounds`, when given with each
+    /// point's slot in them, are re-measured by every sweep. With `threads > 1` the sweeps run
     /// on a [`Pool`]; otherwise on the calling thread, which then sums
     /// the clusters itself, in point order.
     fn lloyd(
@@ -1214,7 +1328,7 @@ impl KMeans {
         sums: &mut ClusterSums,
         warm: Option<&[usize]>,
         threads: usize,
-        mut bounds: Option<&mut [PointBounds]>,
+        mut bounds: Option<(&[usize], &mut [PointBounds])>,
     ) -> LloydRun {
         // Workers read the centroids during a sweep; the calling thread
         // writes them strictly between sweeps.
@@ -1243,8 +1357,8 @@ impl KMeans {
                             centroids.assign(points, |i, near| {
                                 assignments[i] = near.cluster;
                                 d_sqs[i] = near.d_sq;
-                                if let Some(bounds) = bounds.as_deref_mut() {
-                                    bounds[i] = slack.bounds(&near);
+                                if let Some((slots, bounds)) = &mut bounds {
+                                    bounds[slots[i]] = slack.bounds(&near);
                                 }
                             });
                         }

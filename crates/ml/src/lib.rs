@@ -29,8 +29,8 @@
 //! approximation: [`Agglomerative::fit_snn`] agglomerates
 //! over a shared-nearest-neighbour candidate graph from
 //! [`fmeter_ir::AnnGraph`] k-NN lists in sub-quadratic time, and
-//! [`KMeans::fit_warm`] re-clusters incrementally from a previous
-//! assignment, the cluster sums kept for it ([`ClusterStats`]) and the
+//! [`KMeans::fit_warm_in_place`] re-clusters incrementally from a
+//! previous assignment kept by its caller, the cluster sums kept for it ([`ClusterStats`]) and the
 //! distance bounds it carries ([`PointBounds`]) —
 //! each property-tested against the exact paths
 //! (`tests/ann_clustering.rs`; contract table in `docs/CLUSTERING.md`).
@@ -53,7 +53,7 @@ pub use cv::{CrossValidation, CvReport, FoldOutcome};
 pub use ensemble::{AdaBoost, AdaBoostModel, Bagging, BaggingModel};
 pub use error::MlError;
 pub use hierarchical::{Agglomerative, Dendrogram, Linkage, Merge, SnnParams};
-pub use kmeans::{ClusterStats, KMeans, KMeansInit, KMeansResult, PointBounds, WarmFit};
+pub use kmeans::{ClusterStats, KMeans, KMeansInit, KMeansResult, PointBounds, WarmPass};
 pub use svm::{Gram, Kernel, SvmModel, SvmTrainer};
 pub use tree::{DecisionTree, DecisionTreeTrainer};
 

@@ -1,5 +1,7 @@
-//! Workspace smoke test: the examples compile and the end-to-end
-//! `sanity_check` regeneration binary runs to completion.
+//! Workspace smoke test: the examples compile, the end-to-end
+//! `sanity_check` regeneration binary runs to completion and reruns
+//! print the same stdout, and a figure binary refuses a signature pool
+//! too small for any of its rows.
 //!
 //! These shell out to the same `cargo` that is running the test suite,
 //! against this workspace, so a broken example or a bit-rotted bench
@@ -74,11 +76,8 @@ fn streaming_daemon_example_runs_to_completion() {
     }
 }
 
-#[test]
-fn sanity_check_runs_to_completion() {
-    if release_smoke_skipped() {
-        return;
-    }
+/// Runs the release `sanity_check` binary and returns its stdout.
+fn sanity_check_stdout() -> String {
     // Release: the binary simulates tens of millions of kernel calls.
     let output = cargo()
         .args([
@@ -98,11 +97,61 @@ fn sanity_check_runs_to_completion() {
         output.status.code(),
         String::from_utf8_lossy(&output.stderr)
     );
-    let stdout = String::from_utf8_lossy(&output.stdout);
+    String::from_utf8_lossy(&output.stdout).into_owned()
+}
+
+#[test]
+fn sanity_check_runs_to_completion() {
+    if release_smoke_skipped() {
+        return;
+    }
+    let stdout = sanity_check_stdout();
     for marker in ["SVM scp vs kcompile", "KMeans purity"] {
         assert!(
             stdout.contains(marker),
             "sanity_check output lost the `{marker}` section:\n{stdout}"
         );
     }
+    // Everything on stdout is seed-determined: a rerun prints the same
+    // bytes (timings go to stderr).
+    assert_eq!(
+        sanity_check_stdout(),
+        stdout,
+        "two sanity_check runs printed different stdout"
+    );
+}
+
+#[test]
+fn figure_binaries_refuse_a_pool_below_their_smallest_sample() {
+    if release_smoke_skipped() {
+        return;
+    }
+    // Below fig5's smallest sample size (20 per class) the figure would
+    // have no row: the binary must say so and fail before collecting.
+    let output = cargo()
+        .args([
+            "run",
+            "--release",
+            "--quiet",
+            "-p",
+            "fmeter-bench",
+            "--bin",
+            "fig5_kmeans_purity",
+        ])
+        .env("FMETER_SIGS", "16")
+        .output()
+        .expect("cargo is invocable");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        !output.status.success(),
+        "fig5 at FMETER_SIGS=16 exited 0:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("at least 20") && !stderr.contains("collecting"),
+        "fig5 did not name the minimum before collecting:\n{stderr}"
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "fig5 printed a figure with no rows"
+    );
 }
