@@ -70,8 +70,8 @@ pub use service::{ShardSnapshot, ShardWriter, SignatureService};
 pub use signature::{RawSignature, Signature};
 pub use userspace::DebugfsReader;
 pub use wal::{
-    CheckpointPolicy, DurableLog, DurableOptions, RecoveryReport, SyncPolicy, WalHealth, WalOp,
-    WalOpRef,
+    Applied, CheckpointPolicy, DurableLog, DurableOptions, RecoveryReport, SyncPolicy, WalHealth,
+    WalOp, WalOpRef,
 };
 
 // What the store hands across threads and unwind boundaries: a service

@@ -53,7 +53,7 @@ use fmeter_ir::{
 use parking_lot::{Mutex, RwLock};
 
 use crate::db::majority_label;
-use crate::wal::{DurableLog, DurableOptions, RecoveryReport, WalHealth, WalOpRef};
+use crate::wal::{Applied, DurableLog, DurableOptions, RecoveryReport, WalHealth, WalOpRef};
 use crate::{
     persist, FmeterError, RawSignature, Recluster, RefitPolicy, RefitStats, ShardPiece, Signature,
     SignatureDb, VacuumPolicy, VacuumStats,
@@ -191,8 +191,10 @@ impl ShardSnapshot {
 /// The single-writer mutation path of the sharded store: a
 /// [`SignatureDb`] laid out over the service's shards and, in durable
 /// mode, the [`DurableLog`] every mutation is appended to before it
-/// applies. All the database's semantics — refit and vacuum policies,
-/// epochs, doc-id stability, remaps — are the database's own.
+/// applies. Every write is one [`WalOpRef`] through
+/// [`apply`](Self::apply). All the database's semantics — refit and
+/// vacuum policies, epochs, doc-id stability, remaps — are the
+/// database's own.
 #[derive(Debug)]
 pub struct ShardWriter {
     db: SignatureDb,
@@ -252,26 +254,32 @@ impl ShardWriter {
         }
     }
 
-    /// Logs `op` when durable, applies `apply` to the database, then
-    /// runs the checkpoint policy: write-ahead, in that order.
-    fn logged<R>(&mut self, op: WalOpRef<'_>, apply: impl FnOnce(&mut SignatureDb) -> R) -> R {
+    /// Applies one write: logs `op` when durable, applies it through
+    /// [`WalOpRef::apply`], then runs the checkpoint policy —
+    /// write-ahead, in that order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the op's error; a batch keeps the elements before the
+    /// one that failed.
+    pub fn apply(&mut self, op: WalOpRef<'_>) -> Result<Applied, FmeterError> {
         if let Some(log) = &mut self.durable {
             log.append(op);
         }
-        let out = apply(&mut self.db);
+        let applied = op.apply(&mut self.db);
         if let Some(log) = &mut self.durable {
             log.maybe_checkpoint(&self.db);
         }
-        out
+        applied
     }
 
     /// Persists a policy change by checkpointing immediately: policy
-    /// changes are not WAL ops (replay must re-trigger policy-driven
-    /// refits and vacuums deterministically). A failure is propagated —
-    /// until a checkpoint lands, recovery would replay the WAL under
-    /// the *old* policy and diverge from the acked in-memory state —
-    /// and also folds into the log's retry backoff, so the writer
-    /// itself stays usable.
+    /// changes are not WAL ops, because the log has no binary encoding
+    /// for a policy (a checkpoint stores it in its JSON `state`). A
+    /// failure is propagated — until a checkpoint lands, recovery would
+    /// replay the WAL under the *old* policy and diverge from the acked
+    /// in-memory state — and also folds into the log's retry backoff,
+    /// so the writer itself stays usable.
     fn persist_policy_change(&mut self) -> Result<(), FmeterError> {
         match &mut self.durable {
             Some(log) => log.checkpoint(&self.db),
@@ -302,47 +310,6 @@ impl ShardWriter {
             pieces: self.db.shards().to_vec(),
             signatures: self.db.signatures().clone(),
         }
-    }
-
-    /// Appends one signature (see [`SignatureDb::insert`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches.
-    pub fn insert(&mut self, raw: &RawSignature) -> Result<DocId, FmeterError> {
-        self.logged(WalOpRef::Insert(raw), |db| db.insert(raw))
-    }
-
-    /// Appends a batch of signatures (see `SignatureDb::insert_batch`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a dimension mismatch on the first offending signature;
-    /// earlier elements of the batch remain inserted.
-    pub fn insert_batch(&mut self, raw: &[RawSignature]) -> Result<Vec<DocId>, FmeterError> {
-        self.logged(WalOpRef::InsertBatch(raw), |db| db.insert_batch(raw))
-    }
-
-    /// Tombstones a stored signature (see [`SignatureDb::remove`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`fmeter_ir::IrError::DocNotLive`] (wrapped) when `doc`
-    /// was never assigned or is already removed.
-    pub fn remove(&mut self, doc: DocId) -> Result<(), FmeterError> {
-        self.logged(WalOpRef::Remove(doc), |db| db.remove(doc))
-    }
-
-    /// Republishes idf and re-weights affected signatures (see
-    /// [`SignatureDb::refit`]).
-    pub fn refit(&mut self) -> RefitStats {
-        self.logged(WalOpRef::Refit, SignatureDb::refit)
-    }
-
-    /// Compacts tombstoned slots, renumbering doc ids (see
-    /// [`SignatureDb::vacuum`]).
-    pub fn vacuum(&mut self) -> VacuumStats {
-        self.logged(WalOpRef::Vacuum, SignatureDb::vacuum)
     }
 
     /// Warm-started syndrome maintenance (see
@@ -574,16 +541,28 @@ impl SignatureService {
         Ok(majority_label(neighbours))
     }
 
+    /// Applies one write under the writer lock and publishes the next
+    /// generation — unless the op failed, but for a batch, which may
+    /// have inserted a prefix before it failed.
+    fn apply(&self, op: WalOpRef<'_>) -> Result<Applied, FmeterError> {
+        let mut writer = self.inner.writer.lock();
+        let applied = writer.apply(op);
+        if applied.is_ok() || matches!(op, WalOpRef::InsertBatch(_)) {
+            self.publish(&writer);
+        }
+        applied
+    }
+
     /// Appends one signature and publishes the next generation.
     ///
     /// # Errors
     ///
     /// Propagates dimension mismatches.
     pub fn insert(&self, raw: &RawSignature) -> Result<DocId, FmeterError> {
-        let mut writer = self.inner.writer.lock();
-        let id = writer.insert(raw)?;
-        self.publish(&writer);
-        Ok(id)
+        let Applied::Inserted(doc) = self.apply(WalOpRef::Insert(raw))? else {
+            unreachable!("an insert applies as one")
+        };
+        Ok(doc)
     }
 
     /// Appends a batch of signatures and publishes the next generation
@@ -594,10 +573,10 @@ impl SignatureService {
     /// Returns a dimension mismatch on the first offending signature;
     /// earlier elements of the batch remain inserted and are published.
     pub fn insert_batch(&self, raw: &[RawSignature]) -> Result<Vec<DocId>, FmeterError> {
-        let mut writer = self.inner.writer.lock();
-        let result = writer.insert_batch(raw);
-        self.publish(&writer);
-        result
+        let Applied::InsertedBatch(docs) = self.apply(WalOpRef::InsertBatch(raw))? else {
+            unreachable!("a batch applies as one")
+        };
+        Ok(docs)
     }
 
     /// Tombstones a stored signature and publishes the next generation.
@@ -607,21 +586,16 @@ impl SignatureService {
     /// Returns [`fmeter_ir::IrError::DocNotLive`] (wrapped) when `doc`
     /// was never assigned or is already removed.
     pub fn remove(&self, doc: DocId) -> Result<(), FmeterError> {
-        let mut writer = self.inner.writer.lock();
-        let result = writer.remove(doc);
-        if result.is_ok() {
-            self.publish(&writer);
-        }
-        result
+        self.apply(WalOpRef::Remove(doc)).map(drop)
     }
 
     /// Refits idf over the live corpus and publishes the re-weighted
     /// generation. In-flight and future reads on older snapshots are
     /// untouched.
     pub fn refit(&self) -> RefitStats {
-        let mut writer = self.inner.writer.lock();
-        let stats = writer.refit();
-        self.publish(&writer);
+        let Ok(Applied::Refit(stats)) = self.apply(WalOpRef::Refit) else {
+            unreachable!("a refit cannot fail")
+        };
         stats
     }
 
@@ -630,9 +604,9 @@ impl SignatureService {
     /// generation. Snapshots taken before the vacuum keep serving the
     /// old ids.
     pub fn vacuum(&self) -> VacuumStats {
-        let mut writer = self.inner.writer.lock();
-        let stats = writer.vacuum();
-        self.publish(&writer);
+        let Ok(Applied::Vacuumed(stats)) = self.apply(WalOpRef::Vacuum) else {
+            unreachable!("a vacuum cannot fail")
+        };
         stats
     }
 
@@ -937,6 +911,54 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The failed-op contract of a durable service: an op that fails
+    /// publishes nothing, a batch that fails part-way keeps and
+    /// publishes its prefix, and every failed op is logged all the same
+    /// and fails again on replay, so recovery is bit for bit the acked
+    /// state.
+    #[test]
+    fn failed_ops_publish_nothing_and_fail_again_on_replay() {
+        let dir = std::env::temp_dir().join(format!("fmeter-svc-failed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = SignatureDb::build(&sample(12, 8)).unwrap();
+        let service =
+            SignatureService::from_db_durable(db, 3, &dir, DurableOptions::default()).unwrap();
+        assert!(
+            service.insert(&raw(20, "odd", 9)).is_err(),
+            "wrong dimension"
+        );
+        service.remove(4).unwrap();
+        assert!(service.remove(4).is_err() && service.remove(99).is_err());
+        assert_eq!(service.generation(), 1, "the one remove that applied");
+        let batch = [raw(21, "odd", 8), raw(22, "even", 9), raw(23, "odd", 8)];
+        assert!(service.insert_batch(&batch).is_err());
+        assert_eq!(service.generation(), 2, "the batch's prefix, published");
+        assert!(service.is_live(12) && service.num_slots() == 13);
+        // The saved bytes, and every stored vector's terms and value bits.
+        let state = |service: &SignatureService| {
+            let db = service.inner.writer.lock().db().clone();
+            let mut bytes = Vec::new();
+            persist::save(&db, &mut bytes).unwrap();
+            let vectors: Vec<(Vec<u32>, Vec<u64>)> = (db.signatures().iter())
+                .map(|s| {
+                    (
+                        s.vector.terms().to_vec(),
+                        s.vector.values().iter().map(|x| x.to_bits()).collect(),
+                    )
+                })
+                .collect();
+            (bytes, vectors)
+        };
+        let acked = state(&service);
+        drop(service); // crash
+
+        let (recovered, report) =
+            SignatureService::recover_durable(&dir, DurableOptions::default()).unwrap();
+        assert_eq!((report.replayed_ops, report.torn_tail), (5, false));
+        assert_eq!(state(&recovered), acked);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn non_durable_service_reports_no_health_and_refuses_checkpoints() {
         let service = SignatureService::build(&sample(8, 6), 2).unwrap();
@@ -951,7 +973,7 @@ mod tests {
         let db = SignatureDb::build(&raws).unwrap();
         let reference = db.clone();
         let mut writer = ShardWriter::new(db, 3);
-        writer.remove(5).unwrap();
+        writer.apply(WalOpRef::Remove(5)).unwrap();
         let snapshot = writer.publish(1);
         assert_eq!(snapshot.len(), 19);
         assert!(!snapshot.is_live(5));

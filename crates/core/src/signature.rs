@@ -10,7 +10,7 @@ use crate::persist::MAX_SIGNATURE_DIM;
 ///
 /// This is what the paper's logging daemon writes to disk; tf-idf scores
 /// are computed later, "once an entire corpus is generated" (§3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawSignature {
     /// Per-function call counts over the interval (dense, indexed by
     /// function id).

@@ -7,7 +7,8 @@
 //! durable with the classic WAL discipline:
 //!
 //! * every mutation is appended to an **op log** *before* it is applied
-//!   (see [`WalOp`]); records are length-prefixed, carry a monotone
+//!   (see [`WalOp`]), and live writes and replay apply it through the
+//!   one [`WalOpRef::apply`]; records are length-prefixed, carry a monotone
 //!   sequence number, and are bound to a CRC32 checksum, so replay can
 //!   stop *cleanly* at the first torn or corrupted record;
 //! * a **checkpoint** is a full current-version envelope written to a
@@ -67,11 +68,9 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use crate::{persist, FmeterError, RawSignature, RefitStats, SignatureDb, VacuumStats};
 use fmeter_ir::codec::{self, BinCodec, CodecError, Reader, Width};
 use fmeter_ir::DocId;
-use serde::Serialize;
-
-use crate::{persist, FmeterError, RawSignature, SignatureDb};
 
 /// First token of every WAL file header line.
 pub(crate) const WAL_MAGIC: &str = "FMWAL";
@@ -171,9 +170,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// One logged mutation. The WAL records exactly the *explicit* API
 /// calls; policy-driven refits and vacuums that fire inside an insert
-/// or remove re-trigger deterministically on replay, so they are never
+/// or remove fire again when the op is replayed, so they are never
 /// logged.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
     /// [`SignatureDb::insert`].
     Insert(RawSignature),
@@ -187,30 +186,9 @@ pub enum WalOp {
     Vacuum,
 }
 
-impl WalOp {
-    /// Applies the op to `db`, as the writer that logged it did. Replay
-    /// ignores per-op errors: append-before-mutate may log an op whose
-    /// application failed (e.g. a dimension mismatch), and it fails
-    /// identically on replay.
-    pub fn apply(&self, db: &mut SignatureDb) -> Result<(), FmeterError> {
-        match self {
-            WalOp::Insert(raw) => db.insert(raw).map(|_| ()),
-            WalOp::InsertBatch(raws) => db.insert_batch(raws).map(|_| ()),
-            WalOp::Remove(doc) => db.remove(*doc),
-            WalOp::Refit => {
-                db.refit();
-                Ok(())
-            }
-            WalOp::Vacuum => {
-                db.vacuum();
-                Ok(())
-            }
-        }
-    }
-}
-
-/// A borrowed [`WalOp`]: what the write path encodes a record from, so
-/// logging an insert copies no signature. `&WalOp` converts into it.
+/// A borrowed [`WalOp`], the value every write is: the writer logs and
+/// applies it without copying a signature, and replay converts each
+/// decoded `&WalOp` into it.
 #[derive(Debug, Clone, Copy)]
 pub enum WalOpRef<'a> {
     /// [`WalOp::Insert`].
@@ -223,6 +201,21 @@ pub enum WalOpRef<'a> {
     Refit,
     /// [`WalOp::Vacuum`].
     Vacuum,
+}
+
+/// What applying one [`WalOpRef`] did to the database.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Applied {
+    /// The new signature's doc id.
+    Inserted(DocId),
+    /// The batch's doc ids, in batch order.
+    InsertedBatch(Vec<DocId>),
+    /// The slot is tombstoned.
+    Removed,
+    /// The refit pass's outcome.
+    Refit(RefitStats),
+    /// The vacuum pass's outcome, with its id remap.
+    Vacuumed(VacuumStats),
 }
 
 impl<'a> From<&'a WalOp> for WalOpRef<'a> {
@@ -238,6 +231,24 @@ impl<'a> From<&'a WalOp> for WalOpRef<'a> {
 }
 
 impl WalOpRef<'_> {
+    /// Applies the op to `db`: the one place an op meets the database,
+    /// for [`ShardWriter::apply`](crate::ShardWriter::apply) and WAL
+    /// replay alike. An op that failed live was logged all the same and
+    /// fails identically on replay; a batch keeps the same prefix.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the database's error for the op.
+    pub fn apply(self, db: &mut SignatureDb) -> Result<Applied, FmeterError> {
+        Ok(match self {
+            WalOpRef::Insert(raw) => Applied::Inserted(db.insert(raw)?),
+            WalOpRef::InsertBatch(raws) => Applied::InsertedBatch(db.insert_batch(raws)?),
+            WalOpRef::Remove(doc) => db.remove(doc).map(|()| Applied::Removed)?,
+            WalOpRef::Refit => Applied::Refit(db.refit()),
+            WalOpRef::Vacuum => Applied::Vacuumed(db.vacuum()),
+        })
+    }
+
     /// WAL payload layout: a one-byte op tag, then the op's fields. The
     /// tag values are on the wire forever — never renumber, only append
     /// (0 and 1 were `FMWAL 2`'s dense inserts, whose reader is gone).
@@ -840,7 +851,7 @@ impl DurableLog {
                 break;
             }
             for (seq, op) in &seg.records {
-                let _ = op.apply(&mut db);
+                let _ = WalOpRef::from(op).apply(&mut db);
                 report.replayed_ops += 1;
                 report.last_seq = Some(*seq);
             }
@@ -874,7 +885,7 @@ impl DurableLog {
     /// Never fails: a write error flips the log into
     /// [`WalHealth::Degraded`] (the op still applies in memory) and
     /// durability is re-established by the next successful checkpoint.
-    pub(crate) fn append<'a>(&mut self, op: impl Into<WalOpRef<'a>>) {
+    pub(crate) fn append(&mut self, op: WalOpRef<'_>) {
         self.ops_since_checkpoint += 1;
         match &mut self.state {
             State::Logging(writer) => {
@@ -1472,10 +1483,10 @@ mod tests {
         let db = base_db();
         let mut durable = create(&dir, db.clone(), DurableOptions::default()).unwrap();
         for i in 8..14 {
-            durable.insert(&raw(i)).unwrap();
+            durable.apply(WalOpRef::Insert(&raw(i))).unwrap();
         }
-        durable.remove(2).unwrap();
-        durable.refit();
+        durable.apply(WalOpRef::Remove(2)).unwrap();
+        durable.apply(WalOpRef::Refit).unwrap();
         let expected = durable.db().clone();
         drop(durable); // "crash": no shutdown checkpoint
         let (recovered, report) = recover(&dir).unwrap();
@@ -1535,12 +1546,12 @@ mod tests {
     fn wal_failure_degrades_then_heals_with_backoff() {
         let dir = test_dir("degrade");
         let mut durable = create(&dir, base_db(), manual()).unwrap();
-        durable.insert(&raw(100)).unwrap();
+        durable.apply(WalOpRef::Insert(&raw(100))).unwrap();
         assert_eq!(health(&durable), WalHealth::Healthy);
         // Fail the WAL: the very next append degrades, and every heal
         // checkpoint fails to open its new WAL too.
         durable.durable_log_mut().unwrap().fail_wal_writes(true);
-        durable.insert(&raw(101)).unwrap();
+        durable.apply(WalOpRef::Insert(&raw(101))).unwrap();
         match health(&durable) {
             WalHealth::Degraded {
                 failed_attempts,
@@ -1556,7 +1567,7 @@ mod tests {
         // attempts back off (2, 4, 8 … ops between attempts).
         let len_before = durable.db().len();
         for i in 0..40u64 {
-            durable.insert(&raw(102 + i)).unwrap();
+            durable.apply(WalOpRef::Insert(&raw(102 + i))).unwrap();
         }
         assert_eq!(durable.db().len(), len_before + 40);
         let attempts_while_failing = failed_attempts(&durable);
@@ -1568,7 +1579,7 @@ mod tests {
         durable.durable_log_mut().unwrap().fail_wal_writes(false);
         let mut healed = false;
         for i in 0..300u64 {
-            durable.insert(&raw(200 + i)).unwrap();
+            durable.apply(WalOpRef::Insert(&raw(200 + i))).unwrap();
             if health(&durable) == WalHealth::Healthy {
                 healed = true;
                 break;
@@ -1589,7 +1600,7 @@ mod tests {
         let dir = test_dir("explicit");
         let mut durable = create(&dir, base_db(), manual()).unwrap();
         durable.durable_log_mut().unwrap().fail_wal_writes(true);
-        durable.insert(&raw(320)).unwrap();
+        durable.apply(WalOpRef::Insert(&raw(320))).unwrap();
         assert_eq!(failed_attempts(&durable), 1);
         assert!(durable.checkpoint().is_err());
         assert_eq!(failed_attempts(&durable), 2);
@@ -1605,7 +1616,7 @@ mod tests {
         // off disk.
         let dir = test_dir("retract-wal");
         let mut durable = create(&dir, base_db(), manual()).unwrap();
-        durable.insert(&raw(310)).unwrap();
+        durable.apply(WalOpRef::Insert(&raw(310))).unwrap();
         durable.durable_log_mut().unwrap().fail_wal_writes(true);
         assert!(durable.checkpoint().is_err());
         durable.durable_log_mut().unwrap().fail_wal_writes(false);
@@ -1617,8 +1628,8 @@ mod tests {
             "a checkpoint with no WAL must not be left to shadow generation 1"
         );
         // More acked ops keep flowing into the generation-1 WAL...
-        durable.insert(&raw(311)).unwrap();
-        durable.insert(&raw(312)).unwrap();
+        durable.apply(WalOpRef::Insert(&raw(311))).unwrap();
+        durable.apply(WalOpRef::Insert(&raw(312))).unwrap();
         let expected_len = durable.db().len();
         drop(durable); // ...then crash.
         let (recovered, report) = recover(&dir).unwrap();
@@ -1640,17 +1651,17 @@ mod tests {
         // ops in it, and a crash after a few more ops loses nothing.
         let dir = test_dir("retry-after-retract");
         let mut durable = create(&dir, base_db(), manual()).unwrap();
-        durable.insert(&raw(330)).unwrap();
+        durable.apply(WalOpRef::Insert(&raw(330))).unwrap();
         durable.durable_log_mut().unwrap().fail_wal_writes(true);
         assert!(durable.checkpoint().is_err());
         durable.durable_log_mut().unwrap().fail_wal_writes(false);
-        durable.insert(&raw(331)).unwrap();
-        durable.insert(&raw(332)).unwrap();
+        durable.apply(WalOpRef::Insert(&raw(331))).unwrap();
+        durable.apply(WalOpRef::Insert(&raw(332))).unwrap();
         durable.checkpoint().unwrap();
         assert_eq!(health(&durable), WalHealth::Healthy);
         assert_eq!(durable.durable_log().unwrap().generation(), 2);
         assert!(dir.join(checkpoint_name(2)).exists() && dir.join(wal_name(2)).exists());
-        durable.insert(&raw(333)).unwrap();
+        durable.apply(WalOpRef::Insert(&raw(333))).unwrap();
         let expected = durable.db().clone();
         drop(durable); // crash
         let (recovered, report) = recover(&dir).unwrap();
@@ -1683,7 +1694,7 @@ mod tests {
         let mut durable = create(&dir, db, opts).unwrap();
         let gen_before = durable.durable_log().unwrap().generation();
         for i in 0..11 {
-            durable.insert(&raw(50 + i)).unwrap();
+            durable.apply(WalOpRef::Insert(&raw(50 + i))).unwrap();
         }
         assert!(
             durable.durable_log().unwrap().generation() >= gen_before + 2,
@@ -1716,7 +1727,7 @@ mod tests {
         let (gen_before, _) = log(&durable);
         for i in 0..3 {
             assert_eq!(log(&durable), (gen_before, i));
-            durable.insert(&raw(50 + 7 * i)).unwrap();
+            durable.apply(WalOpRef::Insert(&raw(50 + 7 * i))).unwrap();
         }
         assert_eq!(log(&durable), (gen_before + 1, 0));
         let header = durable.durable_log().unwrap().wal_bytes();
@@ -1729,11 +1740,11 @@ mod tests {
         let dir = test_dir("fallback");
         let mut durable = create(&dir, base_db(), manual()).unwrap();
         for i in 0..4 {
-            durable.insert(&raw(20 + i)).unwrap();
+            durable.apply(WalOpRef::Insert(&raw(20 + i))).unwrap();
         }
         durable.checkpoint().unwrap(); // generation 2 holds the inserts
         for i in 0..2 {
-            durable.insert(&raw(30 + i)).unwrap();
+            durable.apply(WalOpRef::Insert(&raw(30 + i))).unwrap();
         }
         let expected = durable.db().clone();
         let newest = durable.durable_log().unwrap().generation();

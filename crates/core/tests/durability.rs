@@ -21,7 +21,8 @@ use fmeter_core::persist::{
 use fmeter_core::wal::{crc32, WalWriter};
 use fmeter_core::{
     CheckpointPolicy, DurableLog, DurableOptions, FmeterError, RawSignature, RecoveryReport,
-    ShardWriter, SignatureDb, SignatureService, SyncPolicy, WalHealth, WalOp,
+    RefitPolicy, ShardWriter, SignatureDb, SignatureService, SyncPolicy, WalHealth, WalOp,
+    WalOpRef,
 };
 use fmeter_kernel_sim::Nanos;
 use proptest::prelude::*;
@@ -192,7 +193,9 @@ fn apply_op(
             let label = if i.is_multiple_of(2) { "alpha" } else { "beta" };
             let r = raw(counts.clone(), 200 + i as u64, label);
             logged.push(WalOp::Insert(r.clone()));
-            durable.insert(&r).expect("insert succeeds");
+            durable
+                .apply(WalOpRef::Insert(&r))
+                .expect("insert succeeds");
         }
         Op::Batch(n) => {
             let rs: Vec<RawSignature> = (0..u64::from(n % 3) + 1)
@@ -203,7 +206,9 @@ fn apply_op(
                 })
                 .collect();
             logged.push(WalOp::InsertBatch(rs.clone()));
-            durable.insert_batch(&rs).expect("batch insert succeeds");
+            durable
+                .apply(WalOpRef::InsertBatch(&rs))
+                .expect("batch insert succeeds");
         }
         Op::Remove(selector) => {
             let db = durable.db();
@@ -213,15 +218,17 @@ fn apply_op(
             let live: Vec<usize> = (0..db.num_slots()).filter(|&d| db.is_live(d)).collect();
             let victim = live[selector % live.len()];
             logged.push(WalOp::Remove(victim));
-            durable.remove(victim).expect("victim is live");
+            durable
+                .apply(WalOpRef::Remove(victim))
+                .expect("victim is live");
         }
         Op::Refit => {
             logged.push(WalOp::Refit);
-            durable.refit();
+            durable.apply(WalOpRef::Refit).expect("refit");
         }
         Op::Vacuum => {
             logged.push(WalOp::Vacuum);
-            durable.vacuum();
+            durable.apply(WalOpRef::Vacuum).expect("vacuum");
         }
     }
     if logged.len() > boundaries.len() {
@@ -234,7 +241,7 @@ fn apply_op(
 fn oracle(base: &SignatureDb, logged: &[WalOp], m: usize) -> SignatureDb {
     let mut db = base.clone();
     for op in &logged[..m] {
-        let _ = op.apply(&mut db);
+        let _ = WalOpRef::from(op).apply(&mut db);
     }
     db
 }
@@ -280,7 +287,7 @@ proptest! {
         assert_states_identical(recovered.db(), &oracle(&base, &logged, acked));
         // Recovery is self-healing: the recovered instance keeps going.
         let mut recovered = recovered;
-        recovered.insert(&probes()[0]).expect("post-recovery insert");
+        recovered.apply(WalOpRef::Insert(&probes()[0])).expect("post-recovery insert");
         recovered.checkpoint().expect("post-recovery checkpoint");
         prop_assert_eq!(recovered.durability_health(), Some(WalHealth::Healthy));
         drop(recovered);
@@ -502,6 +509,47 @@ fn durable_service_survives_a_torn_tail_and_continues() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A policy change persists by an immediate checkpoint, not a WAL op:
+/// the ops logged after it replay under the new policy, the automatic
+/// refit they fire included, so a crash right after that refit recovers
+/// the acked epoch, ids and hits. The insert before the change counts
+/// toward the new policy's `EveryN` on replay as it did live.
+#[test]
+fn a_crash_right_after_a_policy_change_recovers_the_refit_it_fired() {
+    let dir = test_dir("policy-crash");
+    let mut base = seed_db();
+    base.set_refit_policy(RefitPolicy::Manual);
+    let service =
+        SignatureService::from_db_durable(base, 1, &dir, manual_opts()).expect("durable service");
+    let epoch = service.epoch();
+    for (i, probe) in probes().iter().enumerate() {
+        if i == 1 {
+            let policy = RefitPolicy::EveryN(3);
+            service.set_refit_policy(policy).expect("policy checkpoint");
+        }
+        assert_eq!(service.epoch(), epoch, "no refit before the third insert");
+        service.insert(probe).expect("insert");
+    }
+    assert_eq!(service.epoch(), epoch + 1, "the third insert refits");
+    let state = |s: &SignatureService| {
+        let live: Vec<bool> = (0..s.num_slots()).map(|d| s.is_live(d)).collect();
+        let hits: Vec<(usize, u64)> = (probes().iter())
+            .flat_map(|probe| s.search(&probe.to_term_counts(), 5).expect("search"))
+            .map(|(d, _, score)| (d, score.to_bits()))
+            .collect();
+        (s.epoch(), live, hits)
+    };
+    let acked = state(&service);
+    drop(service); // crash
+
+    let (recovered, report) =
+        SignatureService::recover_durable(&dir, manual_opts()).expect("service recovery");
+    assert_eq!((report.replayed_ops, report.torn_tail), (2, false));
+    assert_eq!(state(&recovered), acked);
+    drop(recovered);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// A failing WAL degrades the service's durability health — mutations
 /// and queries keep working — and a later checkpoint heals it, instead
 /// of poisoning the writer.
@@ -591,12 +639,16 @@ fn an_oversized_batch_is_reported_degraded_and_healed_by_a_checkpoint_never_lost
     let base = SignatureDb::build(&seed).expect("seed corpus builds");
     let mut durable = create_durable(&dir, base, manual_opts()).expect("create durable dir");
     // One signature fewer fits, and is logged like any other batch.
-    durable.insert_batch(&batch[1..]).expect("batch insert");
+    durable
+        .apply(WalOpRef::InsertBatch(&batch[1..]))
+        .expect("batch insert");
     let acked_while_healthy = durable.db().clone();
     assert_eq!(durable.durability_health(), Some(WalHealth::Healthy));
 
     let wal_before = durable.durable_log().unwrap().wal_bytes();
-    durable.insert_batch(&batch).expect("applies in memory");
+    durable
+        .apply(WalOpRef::InsertBatch(&batch))
+        .expect("applies in memory");
     match durable.durability_health() {
         Some(WalHealth::Degraded {
             ops_since_durable: 1,
@@ -624,10 +676,14 @@ fn an_oversized_batch_is_reported_degraded_and_healed_by_a_checkpoint_never_lost
     assert!(!report.torn_tail);
     same(&recovered, &acked_while_healthy);
 
-    durable.insert(&wide(90)).expect("insert while degraded");
+    durable
+        .apply(WalOpRef::Insert(&wide(90)))
+        .expect("insert while degraded");
     durable.checkpoint().expect("the checkpoint that heals");
     assert_eq!(durable.durability_health(), Some(WalHealth::Healthy));
-    durable.insert(&wide(91)).expect("logged again");
+    durable
+        .apply(WalOpRef::Insert(&wide(91)))
+        .expect("logged again");
     let expected = durable.db().clone();
     drop(durable); // crash
     let (recovered, report) = recover_durable(&dir, manual_opts()).expect("recovery");
@@ -781,7 +837,7 @@ fn a_directory_checkpointed_by_an_older_release_recovers_to_the_acked_prefix() {
             let mut expected = SignatureDb::load(&fixture(version)[..]).expect("fixture loads");
             for op in &ops {
                 wal.append(op).expect("append");
-                op.apply(&mut expected).expect("apply");
+                WalOpRef::from(op).apply(&mut expected).expect("apply");
             }
             drop(wal);
 

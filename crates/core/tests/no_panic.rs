@@ -23,6 +23,7 @@ use fmeter_core::persist::{
 use fmeter_core::wal::{crc32, read_wal, SyncPolicy, WalSink, WalWriter};
 use fmeter_core::{
     AnomalyDetector, FmeterError, RawSignature, Signature, SignatureDb, SignatureService, WalOp,
+    WalOpRef,
 };
 use fmeter_ir::codec::{self, Reader, Width};
 use fmeter_ir::{Corpus, IrError, SearchScratch, TermCounts};
@@ -428,7 +429,7 @@ fn counts_that_overflow_their_total_panic_neither_load_nor_replay() {
     let mut db = SignatureDb::load(&stored[..]).expect("load");
     let before = db.len();
     for (_, op) in &segment.records {
-        op.apply(&mut db).expect("replay");
+        WalOpRef::from(op).apply(&mut db).expect("replay");
     }
     assert_eq!(db.len(), before + 1);
 }
@@ -766,7 +767,7 @@ proptest! {
         }
         let mut db = SignatureDb::build(&(0..12).map(raw).collect::<Vec<_>>()).expect("build");
         for (_, op) in &seg.records {
-            let _ = op.apply(&mut db);
+            let _ = WalOpRef::from(op).apply(&mut db);
         }
     }
 

@@ -14,8 +14,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fmeter_core::{
-    RawSignature, RefitPolicy, ShardSnapshot, ShardWriter, SignatureDb, SignatureService,
-    VacuumPolicy,
+    Applied, RawSignature, RefitPolicy, ShardSnapshot, ShardWriter, SignatureDb, SignatureService,
+    VacuumPolicy, WalOpRef,
 };
 use fmeter_ir::{SearchScratch, TermCounts};
 use fmeter_kernel_sim::Nanos;
@@ -387,18 +387,25 @@ fn a_published_generation_and_the_writers_database_are_one_copy() {
     };
 
     let published = publish_one_copy(&writer, 0);
-    let id = writer.insert(&raw(7_000, 1)).expect("insert");
+    let Applied::Inserted(id) = writer
+        .apply(WalOpRef::Insert(&raw(7_000, 1)))
+        .expect("insert")
+    else {
+        unreachable!("an insert applies as one")
+    };
     assert_shares_the_rest(&writer, &published, id);
 
     let published = publish_one_copy(&writer, 1);
-    writer.remove(5).expect("remove");
+    writer.apply(WalOpRef::Remove(5)).expect("remove");
     assert_shares_the_rest(&writer, &published, 5);
 
     // A refit rebuilds every shard and replaces exactly the signatures
     // it re-weighted; the rest — the tombstoned slot among them — stay
     // the allocations the published generation holds.
     let published = publish_one_copy(&writer, 2);
-    let stats = writer.refit();
+    let Applied::Refit(stats) = writer.apply(WalOpRef::Refit).expect("refit") else {
+        unreachable!("a refit applies as one")
+    };
     assert!(stats.reweighted_docs > 0, "the insert moved some idf");
     for (a, b) in published.pieces().iter().zip(writer.db().shards()) {
         assert!(!Arc::ptr_eq(a, b));
