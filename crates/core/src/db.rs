@@ -3,7 +3,7 @@ use std::sync::Arc;
 
 use fmeter_ir::{
     search_sharded, Corpus, DocId, IrError, SearchScratch, Shard, ShardRouter, SharedVec,
-    SparseVec, TermCounts, TfIdfModel, TfIdfOptions,
+    SparseVec, TermCounts, TfIdfModel,
 };
 use fmeter_ml::{ClusterStats, KMeans, Linkage, PointBounds};
 use serde::{Deserialize, Serialize};
@@ -383,9 +383,10 @@ fn leader<'a>(votes: impl Iterator<Item = (&'a str, usize)>) -> Option<&'a str> 
 /// # Persistence
 ///
 /// [`save`](Self::save) writes a versioned envelope (magic, format
-/// version, section table) and [`load`](Self::load) reads *any*
-/// supported historical format — including the bare unversioned JSON
-/// that pre-envelope releases wrote. A signature is kept three ways in
+/// version, section table) and [`load`](Self::load) reads every version
+/// in [`FORMAT_VERSIONS`](crate::persist::FORMAT_VERSIONS); it refuses
+/// older files by their version, the bare unversioned JSON that
+/// pre-envelope releases wrote included. A signature is kept three ways in
 /// memory — its raw counts, its tf-idf vector, its unit-length postings
 /// in a shard — and one way at rest: the counts. The vectors are derived
 /// from the counts and the model, and the inverted index from the
@@ -439,26 +440,13 @@ impl SignatureDb {
     ///
     /// Returns [`FmeterError::NoSignatures`] when `raw` is empty.
     pub fn build(raw: &[RawSignature]) -> Result<Self, FmeterError> {
-        Self::build_with(raw, TfIdfOptions::default())
-    }
-
-    /// Fits with explicit tf/idf options (used by the weighting-scheme
-    /// ablation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FmeterError::NoSignatures`] when `raw` is empty.
-    pub(crate) fn build_with(
-        raw: &[RawSignature],
-        options: TfIdfOptions,
-    ) -> Result<Self, FmeterError> {
         let first = raw.first().ok_or(FmeterError::NoSignatures)?;
         let dim = first.counts.len();
         let mut corpus = Corpus::new(dim);
         for r in raw {
             corpus.push(r.to_term_counts());
         }
-        let model = TfIdfModel::fit_with(&corpus, options)?;
+        let model = TfIdfModel::fit(&corpus)?;
         let signatures: SharedVec<Signature> = raw
             .iter()
             .zip(corpus.iter())

@@ -543,8 +543,14 @@ impl SignatureService {
 
     /// Applies one write under the writer lock and publishes the next
     /// generation — unless the op failed, but for a batch, which may
-    /// have inserted a prefix before it failed.
-    fn apply(&self, op: WalOpRef<'_>) -> Result<Applied, FmeterError> {
+    /// have inserted a prefix before it failed. The typed
+    /// [`insert`](Self::insert), [`remove`](Self::remove) and the rest
+    /// each unpack one such call.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the op's error ([`ShardWriter::apply`]).
+    pub fn apply(&self, op: WalOpRef<'_>) -> Result<Applied, FmeterError> {
         let mut writer = self.inner.writer.lock();
         let applied = writer.apply(op);
         if applied.is_ok() || matches!(op, WalOpRef::InsertBatch(_)) {

@@ -12,8 +12,7 @@
 //! degrades, and heals without poisoning its writer.
 
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::Path;
 
 use fmeter_core::persist::{
     detect_format_version, split_envelope, CURRENT_FORMAT_VERSION, FORMAT_VERSIONS,
@@ -24,25 +23,15 @@ use fmeter_core::{
     RefitPolicy, ShardWriter, SignatureDb, SignatureService, SyncPolicy, WalHealth, WalOp,
     WalOpRef,
 };
-use fmeter_kernel_sim::Nanos;
 use proptest::prelude::*;
 
 mod common;
+mod harness;
 use common::fixture;
-
-const DIM: usize = 10;
-
-/// A unique scratch directory per call (no tempfile crate in-tree).
-fn test_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "fmeter-durability-{}-{tag}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
+use harness::{
+    arb_steps, assert_same_state, member, raw, saved, seed_corpus, test_dir, Oracle, Shape, Step,
+    Sut,
+};
 
 /// A flat (one-shard) durable writer over a fresh directory.
 fn create_durable(
@@ -74,37 +63,9 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
-fn raw(counts: Vec<u64>, i: u64, label: &str) -> RawSignature {
-    RawSignature {
-        counts,
-        started_at: Nanos(i * 10),
-        ended_at: Nanos((i + 1) * 10),
-        label: Some(label.to_string()),
-    }
-}
-
-/// Two term-band classes so searches and classifications have structure.
-fn seed_corpus() -> Vec<RawSignature> {
-    (0..5u64)
-        .flat_map(|i| {
-            [
-                raw(vec![40 + i, 30, 20, 10, 0, 0, 1, 0, 0, 0], i, "alpha"),
-                raw(vec![0, 0, 1, 0, 0, 50, 40 + i, 30, 20, 10], i, "beta"),
-            ]
-        })
-        .collect()
-}
-
-fn seed_db() -> SignatureDb {
-    SignatureDb::build(&seed_corpus()).expect("seed corpus builds")
-}
-
-fn probes() -> Vec<RawSignature> {
-    vec![
-        raw(vec![42, 29, 21, 11, 0, 0, 1, 0, 0, 0], 90, "alpha"),
-        raw(vec![0, 0, 1, 0, 0, 48, 41, 31, 19, 9], 91, "beta"),
-        raw(vec![10, 10, 10, 10, 10, 10, 10, 10, 10, 10], 92, "flat"),
-    ]
+/// The state every durable history starts from.
+fn seed_oracle() -> Oracle {
+    Oracle::new(seed_corpus(5), RefitPolicy::default())
 }
 
 /// WAL-syncs every record and never checkpoints on its own, so the
@@ -116,134 +77,27 @@ fn manual_opts() -> DurableOptions {
     }
 }
 
-/// Asserts two databases are the same state: structure equal, live
-/// vectors bit-equal, search scores and classifications bit-identical.
-/// (A dead slot's vector is not compared: a checkpoint stores no vector,
-/// so what a refit after the removal left stale comes back re-derived.
-/// Nothing reads it.)
-fn assert_states_identical(a: &SignatureDb, b: &SignatureDb) {
-    assert_eq!(a.len(), b.len(), "live counts diverged");
-    assert_eq!(a.num_slots(), b.num_slots(), "slot spaces diverged");
-    assert_eq!(a.epoch(), b.epoch(), "idf epochs diverged");
-    for d in 0..a.num_slots() {
-        assert_eq!(a.is_live(d), b.is_live(d), "liveness diverged at {d}");
-        if !a.is_live(d) {
-            continue;
-        }
-        let (x, y) = (&a.signatures()[d].vector, &b.signatures()[d].vector);
-        assert_eq!(x.dim(), y.dim());
-        for t in 0..x.dim() as u32 {
-            assert_eq!(
-                x.get(t).to_bits(),
-                y.get(t).to_bits(),
-                "doc {d} term {t} not bit-equal"
-            );
-        }
-    }
-    for probe in probes() {
-        let q = probe.to_term_counts();
-        let hits_a = a.search(&q, 5).expect("search");
-        let hits_b = b.search(&q, 5).expect("search");
-        assert_eq!(hits_a.len(), hits_b.len());
-        for ((s1, x1), (s2, x2)) in hits_a.iter().zip(&hits_b) {
-            assert_eq!(s1.label, s2.label, "hit labels diverged");
-            assert_eq!(x1.to_bits(), x2.to_bits(), "scores not bit-identical");
-        }
-        assert_eq!(
-            a.classify(&q, 3).expect("classify"),
-            b.classify(&q, 3).expect("classify"),
-            "classifications diverged"
-        );
-    }
+fn wal_bytes(writer: &ShardWriter) -> u64 {
+    writer.durable_log().unwrap().wal_bytes()
 }
 
-/// One scripted mutation against the durable database under test.
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(Vec<u64>),
-    /// Insert a batch of `1 + n % 3` derived signatures.
-    Batch(u8),
-    /// Remove the `selector % live`-th live signature.
-    Remove(usize),
-    Refit,
-    Vacuum,
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        prop::collection::vec(0u64..60, DIM..DIM + 1).prop_map(Op::Insert),
-        (0u8..6).prop_map(Op::Batch),
-        (0usize..64).prop_map(Op::Remove),
-        Just(Op::Refit),
-        Just(Op::Vacuum),
-    ]
-}
-
-/// Applies one op to the durable database, mirroring what was logged
-/// (for the flat-replay oracle) and the WAL byte boundary it acked at.
-fn apply_op(
-    durable: &mut ShardWriter,
-    i: usize,
-    op: &Op,
-    logged: &mut Vec<WalOp>,
-    boundaries: &mut Vec<u64>,
-) {
-    match op {
-        Op::Insert(counts) => {
-            let label = if i.is_multiple_of(2) { "alpha" } else { "beta" };
-            let r = raw(counts.clone(), 200 + i as u64, label);
-            logged.push(WalOp::Insert(r.clone()));
-            durable
-                .apply(WalOpRef::Insert(&r))
-                .expect("insert succeeds");
-        }
-        Op::Batch(n) => {
-            let rs: Vec<RawSignature> = (0..u64::from(n % 3) + 1)
-                .map(|j| {
-                    let mut counts = vec![1u64; DIM];
-                    counts[(i + j as usize) % DIM] = 30 + j;
-                    raw(counts, 300 + i as u64 * 4 + j, "beta")
-                })
-                .collect();
-            logged.push(WalOp::InsertBatch(rs.clone()));
-            durable
-                .apply(WalOpRef::InsertBatch(&rs))
-                .expect("batch insert succeeds");
-        }
-        Op::Remove(selector) => {
-            let db = durable.db();
-            if db.len() <= 1 {
-                return; // keep the corpus non-empty; nothing is logged
-            }
-            let live: Vec<usize> = (0..db.num_slots()).filter(|&d| db.is_live(d)).collect();
-            let victim = live[selector % live.len()];
-            logged.push(WalOp::Remove(victim));
-            durable
-                .apply(WalOpRef::Remove(victim))
-                .expect("victim is live");
-        }
-        Op::Refit => {
-            logged.push(WalOp::Refit);
-            durable.apply(WalOpRef::Refit).expect("refit");
-        }
-        Op::Vacuum => {
-            logged.push(WalOp::Vacuum);
-            durable.apply(WalOpRef::Vacuum).expect("vacuum");
+/// Drives `steps` through `sut` and the oracle, noting after each
+/// logged op the WAL's length: the byte at which that op was acked.
+fn drive_acked<S: Sut>(
+    oracle: &mut Oracle,
+    sut: &mut S,
+    steps: &[Step],
+    wal_bytes: impl Fn(&S) -> u64,
+) -> Vec<u64> {
+    let mut acked = Vec::new();
+    for step in steps {
+        let logged = oracle.log.len();
+        oracle.drive(sut, std::slice::from_ref(step));
+        if oracle.log.len() > logged {
+            acked.push(wal_bytes(sut));
         }
     }
-    if logged.len() > boundaries.len() {
-        boundaries.push(durable.durable_log().unwrap().wal_bytes());
-    }
-}
-
-/// The flat-replay oracle: the checkpointed base plus the first `m`
-/// logged ops, applied exactly like WAL replay applies them.
-fn oracle(base: &SignatureDb, logged: &[WalOp], m: usize) -> SignatureDb {
-    let mut db = base.clone();
-    for op in &logged[..m] {
-        let _ = WalOpRef::from(op).apply(&mut db);
-    }
-    db
+    acked
 }
 
 proptest! {
@@ -254,21 +108,19 @@ proptest! {
     /// whose records survived on disk — no more, no less, bit-identical.
     #[test]
     fn recovery_equals_flat_replay_of_the_acked_prefix(
-        ops in prop::collection::vec(arb_op(), 1..12),
+        steps in arb_steps(1..12),
         cut_frac in 0.0f64..=1.0,
     ) {
         let dir = test_dir("kill");
         let scratch = test_dir("kill-scratch");
-        let base = seed_db();
+        let mut oracle = seed_oracle();
+        let base = oracle.clone();
         let mut durable =
-            create_durable(&dir, base.clone(), manual_opts()).expect("create durable dir");
-        let header_len = durable.durable_log().unwrap().wal_bytes();
-        let (mut logged, mut boundaries) = (Vec::new(), Vec::new());
-        for (i, op) in ops.iter().enumerate() {
-            apply_op(&mut durable, i, op, &mut logged, &mut boundaries);
-        }
+            create_durable(&dir, oracle.db.clone(), manual_opts()).expect("create durable dir");
+        let header_len = wal_bytes(&durable);
+        let boundaries = drive_acked(&mut oracle, &mut durable, &steps, wal_bytes);
         let generation = durable.durable_log().unwrap().generation();
-        let wal_len = durable.durable_log().unwrap().wal_bytes();
+        let wal_len = wal_bytes(&durable);
         drop(durable); // crash: nothing checkpointed since create
 
         let cut = (wal_len as f64 * cut_frac) as u64;
@@ -277,17 +129,16 @@ proptest! {
         let bytes = fs::read(&wal).expect("read wal");
         fs::write(&wal, &bytes[..cut.min(bytes.len() as u64) as usize]).expect("truncate wal");
 
-        let (recovered, report) =
+        let (mut recovered, report) =
             recover_durable(&scratch, manual_opts()).expect("recovery succeeds");
         let acked = boundaries.iter().filter(|&&b| b <= cut).count();
         // Replay must stop exactly at the torn record.
         prop_assert_eq!(report.replayed_ops, acked);
         let clean_cut = cut >= wal_len || cut == header_len || boundaries.contains(&cut);
         prop_assert_eq!(report.torn_tail, !clean_cut);
-        assert_states_identical(recovered.db(), &oracle(&base, &logged, acked));
+        assert_same_state(recovered.db(), &base.replayed(&oracle.log[..acked]));
         // Recovery is self-healing: the recovered instance keeps going.
-        let mut recovered = recovered;
-        recovered.apply(WalOpRef::Insert(&probes()[0])).expect("post-recovery insert");
+        recovered.apply(WalOpRef::Insert(&member(false, 2, 90))).expect("post-recovery insert");
         recovered.checkpoint().expect("post-recovery checkpoint");
         prop_assert_eq!(recovered.durability_health(), Some(WalHealth::Healthy));
         drop(recovered);
@@ -300,25 +151,20 @@ proptest! {
     /// chaining the previous generation's WAL into the newer one.
     #[test]
     fn truncated_newest_checkpoint_falls_back_a_generation(
-        ops_a in prop::collection::vec(arb_op(), 1..7),
-        ops_b in prop::collection::vec(arb_op(), 1..7),
+        steps_a in arb_steps(1..7),
+        steps_b in arb_steps(1..7),
         cut_frac in 0.0f64..1.0,
     ) {
         let dir = test_dir("ckpt");
-        let base = seed_db();
+        let mut oracle = seed_oracle();
         let mut durable =
-            create_durable(&dir, base.clone(), manual_opts()).expect("create durable dir");
+            create_durable(&dir, oracle.db.clone(), manual_opts()).expect("create durable dir");
         let first_gen = durable.durable_log().unwrap().generation();
-        let (mut logged, mut boundaries) = (Vec::new(), Vec::new());
-        for (i, op) in ops_a.iter().enumerate() {
-            apply_op(&mut durable, i, op, &mut logged, &mut boundaries);
-        }
+        oracle.drive(&mut durable, &steps_a);
         durable.checkpoint().expect("mid-stream checkpoint");
         let newest_gen = durable.durable_log().unwrap().generation();
         prop_assert_eq!(newest_gen, first_gen + 1);
-        for (i, op) in ops_b.iter().enumerate() {
-            apply_op(&mut durable, 100 + i, op, &mut logged, &mut boundaries);
-        }
+        oracle.drive(&mut durable, &steps_b);
         drop(durable); // crash
 
         // Tear the newest checkpoint at an arbitrary interior byte.
@@ -333,8 +179,8 @@ proptest! {
         // the newer one — nothing acked is lost.
         prop_assert_eq!(report.generation, first_gen);
         prop_assert_eq!(report.checkpoints_skipped, 1);
-        prop_assert_eq!(report.replayed_ops, logged.len());
-        assert_states_identical(recovered.db(), &oracle(&base, &logged, logged.len()));
+        prop_assert_eq!(report.replayed_ops, oracle.log.len());
+        assert_same_state(recovered.db(), &oracle);
         drop(recovered);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -350,8 +196,7 @@ proptest! {
         byte_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let mut bytes = Vec::new();
-        seed_db().save(&mut bytes).expect("save");
+        let mut bytes = saved(&seed_oracle().db);
         // The table, copied out: the sections borrow the bytes about to
         // be damaged.
         let (version, sections) = split_envelope(&bytes).expect("well-formed envelope");
@@ -396,27 +241,26 @@ proptest! {
 /// read-only recovery compared against the oracle at each.
 #[test]
 fn wal_tail_sweep_recovers_the_clean_prefix_at_every_offset() {
-    use fmeter_core::DurableLog;
-
     let dir = test_dir("sweep");
-    let base = seed_db();
+    let mut oracle = seed_oracle();
+    let base = oracle.clone();
     let mut durable =
-        create_durable(&dir, base.clone(), manual_opts()).expect("create durable dir");
-    let header_len = durable.durable_log().unwrap().wal_bytes();
-    let (mut logged, mut boundaries) = (Vec::new(), Vec::new());
+        create_durable(&dir, oracle.db.clone(), manual_opts()).expect("create durable dir");
+    let header_len = wal_bytes(&durable);
     let script = [
-        Op::Insert(vec![9, 8, 7, 6, 5, 4, 3, 2, 1, 0]),
-        Op::Remove(3),
-        Op::Refit,
-        Op::Batch(4),
-        Op::Vacuum,
-        Op::Insert(vec![0, 1, 0, 1, 0, 1, 0, 1, 0, 1]),
+        Step::Insert(Shape::Any(vec![9, 8, 7, 6, 5, 4, 3, 2, 1, 0])),
+        Step::Remove(3),
+        Step::Refit,
+        Step::Batch(vec![
+            Shape::Any(vec![1, 1, 1, 1, 1, 30, 1, 1, 1, 1]),
+            Shape::Beta(4),
+        ]),
+        Step::Vacuum,
+        Step::Insert(Shape::Any(vec![0, 1, 0, 1, 0, 1, 0, 1, 0, 1])),
     ];
-    for (i, op) in script.iter().enumerate() {
-        apply_op(&mut durable, i, op, &mut logged, &mut boundaries);
-    }
+    let boundaries = drive_acked(&mut oracle, &mut durable, &script, wal_bytes);
     let generation = durable.durable_log().unwrap().generation();
-    let wal_len = durable.durable_log().unwrap().wal_bytes();
+    let wal_len = wal_bytes(&durable);
     drop(durable);
 
     let scratch = test_dir("sweep-scratch");
@@ -436,6 +280,9 @@ fn wal_tail_sweep_recovers_the_clean_prefix_at_every_offset() {
     cuts.extend((0..wal_len).step_by(7));
     cuts.sort_unstable();
     cuts.dedup();
+    let prefixes: Vec<Oracle> = (0..=oracle.log.len())
+        .map(|m| base.replayed(&oracle.log[..m]))
+        .collect();
     for cut in cuts {
         let cut = cut.min(wal_len);
         fs::write(&wal_path, &full[..cut as usize]).expect("truncate wal");
@@ -445,7 +292,7 @@ fn wal_tail_sweep_recovers_the_clean_prefix_at_every_offset() {
             report.replayed_ops, acked,
             "cut at byte {cut}: wrong replay length"
         );
-        assert_states_identical(&db, &oracle(&base, &logged, acked));
+        assert_same_state(&db, &prefixes[acked]);
     }
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&scratch);
@@ -456,22 +303,16 @@ fn wal_tail_sweep_recovers_the_clean_prefix_at_every_offset() {
 #[test]
 fn durable_service_survives_a_torn_tail_and_continues() {
     let dir = test_dir("svc");
-    let base = seed_db();
-    let service = SignatureService::from_db_durable(base.clone(), 3, &dir, manual_opts())
+    let mut oracle = seed_oracle();
+    let base = oracle.clone();
+    let mut service = SignatureService::from_db_durable(oracle.db.clone(), 3, &dir, manual_opts())
         .expect("durable service");
-    let mut logged = Vec::new();
-    let mut boundaries = Vec::new();
-    for (i, probe) in probes().iter().cycle().take(6).enumerate() {
-        let mut r = probe.clone();
-        r.started_at = Nanos(500 + i as u64);
-        logged.push(WalOp::Insert(r.clone()));
-        service.insert(&r).expect("stream insert");
-        boundaries.push(
-            service
-                .with_durable_log(|log| log.wal_bytes())
-                .expect("service is durable"),
-        );
-    }
+    let inserts = [Shape::Alpha(2), Shape::Beta(1), Shape::Any(vec![10; 10])].map(Step::Insert);
+    let stream = [inserts.clone(), inserts].concat();
+    let boundaries = drive_acked(&mut oracle, &mut service, &stream, |s| {
+        s.with_durable_log(|log| log.wal_bytes())
+            .expect("service is durable")
+    });
     let generation = service
         .with_durable_log(|log| log.generation())
         .expect("service is durable");
@@ -485,23 +326,13 @@ fn durable_service_survives_a_torn_tail_and_continues() {
 
     let (recovered, report) =
         SignatureService::recover_durable(&dir, manual_opts()).expect("service recovery");
-    assert_eq!(report.replayed_ops, logged.len() - 1);
+    let acked = oracle.log.len() - 1;
+    assert_eq!(report.replayed_ops, acked);
     assert!(report.torn_tail);
-    let expect = oracle(&base, &logged, logged.len() - 1);
-    assert_eq!(recovered.len(), expect.len());
-    for probe in probes() {
-        let q = probe.to_term_counts();
-        let got = recovered.search(&q, 5).expect("recovered search");
-        let want = expect.search(&q, 5).expect("oracle search");
-        assert_eq!(got.len(), want.len());
-        for ((_, s1, x1), (s2, x2)) in got.iter().zip(&want) {
-            assert_eq!(s1.label, s2.label);
-            assert_eq!(x1.to_bits(), x2.to_bits(), "scores not bit-identical");
-        }
-    }
+    assert_same_state(&recovered, &base.replayed(&oracle.log[..acked]));
     // ... and the recovered service keeps streaming durably.
     recovered
-        .insert(&probes()[1])
+        .insert(&member(true, 1, 91))
         .expect("post-recovery insert");
     recovered.checkpoint().expect("post-recovery checkpoint");
     assert_eq!(recovered.durability_health(), Some(WalHealth::Healthy));
@@ -517,35 +348,27 @@ fn durable_service_survives_a_torn_tail_and_continues() {
 #[test]
 fn a_crash_right_after_a_policy_change_recovers_the_refit_it_fired() {
     let dir = test_dir("policy-crash");
-    let mut base = seed_db();
-    base.set_refit_policy(RefitPolicy::Manual);
-    let service =
-        SignatureService::from_db_durable(base, 1, &dir, manual_opts()).expect("durable service");
+    let mut oracle = Oracle::new(seed_corpus(5), RefitPolicy::Manual);
+    let mut service = SignatureService::from_db_durable(oracle.db.clone(), 1, &dir, manual_opts())
+        .expect("durable service");
     let epoch = service.epoch();
-    for (i, probe) in probes().iter().enumerate() {
+    let shapes = [Shape::Alpha(0), Shape::Beta(1), Shape::Alpha(2)];
+    for (i, shape) in shapes.into_iter().enumerate() {
         if i == 1 {
             let policy = RefitPolicy::EveryN(3);
             service.set_refit_policy(policy).expect("policy checkpoint");
+            oracle.db.set_refit_policy(policy);
         }
         assert_eq!(service.epoch(), epoch, "no refit before the third insert");
-        service.insert(probe).expect("insert");
+        oracle.drive(&mut service, &[Step::Insert(shape)]);
     }
     assert_eq!(service.epoch(), epoch + 1, "the third insert refits");
-    let state = |s: &SignatureService| {
-        let live: Vec<bool> = (0..s.num_slots()).map(|d| s.is_live(d)).collect();
-        let hits: Vec<(usize, u64)> = (probes().iter())
-            .flat_map(|probe| s.search(&probe.to_term_counts(), 5).expect("search"))
-            .map(|(d, _, score)| (d, score.to_bits()))
-            .collect();
-        (s.epoch(), live, hits)
-    };
-    let acked = state(&service);
     drop(service); // crash
 
     let (recovered, report) =
         SignatureService::recover_durable(&dir, manual_opts()).expect("service recovery");
     assert_eq!((report.replayed_ops, report.torn_tail), (2, false));
-    assert_eq!(state(&recovered), acked);
+    assert_same_state(&recovered, &oracle);
     drop(recovered);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -556,14 +379,14 @@ fn a_crash_right_after_a_policy_change_recovers_the_refit_it_fired() {
 #[test]
 fn durable_service_degrades_and_heals_without_poisoning_the_writer() {
     let dir = test_dir("degrade");
-    let service = SignatureService::from_db_durable(seed_db(), 2, &dir, manual_opts())
+    let mut oracle = seed_oracle();
+    let mut service = SignatureService::from_db_durable(oracle.db.clone(), 2, &dir, manual_opts())
         .expect("durable service");
+    let insert = |i: u64| [Step::Insert(Shape::Alpha(i % 20))];
     service
         .with_durable_log(|log| log.fail_wal_writes(true))
         .expect("service is durable");
-    service
-        .insert(&probes()[0])
-        .expect("insert applies in memory");
+    oracle.drive(&mut service, &insert(0));
     assert!(
         matches!(
             service.durability_health(),
@@ -572,18 +395,15 @@ fn durable_service_degrades_and_heals_without_poisoning_the_writer() {
         "a WAL failure must surface as degraded health"
     );
     // Queries are unaffected while degraded.
-    let q = probes()[0].to_term_counts();
-    assert!(!service.search(&q, 3).expect("degraded search").is_empty());
+    assert_same_state(&service, &oracle);
 
     // Disarm the fault; backoff'd checkpoint retries heal the log.
     service
         .with_durable_log(|log| log.fail_wal_writes(false))
         .expect("service is durable");
     let mut healed = false;
-    for i in 0..600 {
-        service
-            .insert(&probes()[i % 3])
-            .expect("insert while healing");
+    for i in 1..600 {
+        oracle.drive(&mut service, &insert(i));
         if service.durability_health() == Some(WalHealth::Healthy) {
             healed = true;
             break;
@@ -592,11 +412,10 @@ fn durable_service_degrades_and_heals_without_poisoning_the_writer() {
     assert!(healed, "backoff'd retries never re-established durability");
     // Everything applied in memory — including the ops from the
     // degraded window — is durable again: recover and compare.
-    let expected_len = service.len();
     drop(service);
     let (recovered, _) =
         SignatureService::recover_durable(&dir, manual_opts()).expect("recovery after heal");
-    assert_eq!(recovered.len(), expected_len);
+    assert_same_state(&recovered, &oracle);
     drop(recovered);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -619,36 +438,25 @@ fn an_oversized_batch_is_reported_degraded_and_healed_by_a_checkpoint_never_lost
         let mut counts = vec![0; WIDE];
         counts[i as usize % 7] = 40 + i;
         counts[WIDE - 1 - i as usize % 5] = 3;
-        raw(counts, i, if i.is_multiple_of(2) { "even" } else { "odd" })
+        let label = if i.is_multiple_of(2) { "even" } else { "odd" };
+        raw(counts, i, Some(label))
     };
     let seed: Vec<RawSignature> = (0..4).map(wide).collect();
     let batch: Vec<RawSignature> = (20..85).map(wide).collect();
     assert!(batch.len() * WIDE > MAX_SIGNATURE_DIM);
     assert!((batch.len() - 1) * WIDE <= MAX_SIGNATURE_DIM);
-    let same = |a: &SignatureDb, b: &SignatureDb| {
-        let saved = |db: &SignatureDb| {
-            let mut bytes = Vec::new();
-            db.save(&mut bytes).expect("save");
-            bytes
-        };
-        assert!(saved(a) == saved(b), "saved states differ");
-        assert!(a.signatures().iter().eq(b.signatures().iter()), "vectors");
-    };
 
     let dir = test_dir("oversized");
-    let base = SignatureDb::build(&seed).expect("seed corpus builds");
-    let mut durable = create_durable(&dir, base, manual_opts()).expect("create durable dir");
+    let mut oracle = Oracle::new(seed, RefitPolicy::default());
+    let mut durable =
+        create_durable(&dir, oracle.db.clone(), manual_opts()).expect("create durable dir");
     // One signature fewer fits, and is logged like any other batch.
-    durable
-        .apply(WalOpRef::InsertBatch(&batch[1..]))
-        .expect("batch insert");
-    let acked_while_healthy = durable.db().clone();
+    oracle.lockstep(&mut durable, &WalOp::InsertBatch(batch[1..].to_vec()));
+    let acked_while_healthy = oracle.clone();
     assert_eq!(durable.durability_health(), Some(WalHealth::Healthy));
 
-    let wal_before = durable.durable_log().unwrap().wal_bytes();
-    durable
-        .apply(WalOpRef::InsertBatch(&batch))
-        .expect("applies in memory");
+    let wal_before = wal_bytes(&durable);
+    oracle.lockstep(&mut durable, &WalOp::InsertBatch(batch.clone()));
     match durable.durability_health() {
         Some(WalHealth::Degraded {
             ops_since_durable: 1,
@@ -660,11 +468,7 @@ fn an_oversized_batch_is_reported_degraded_and_healed_by_a_checkpoint_never_lost
         ),
         health => panic!("an unloggable batch must degrade the log, got {health:?}"),
     }
-    assert_eq!(
-        durable.durable_log().unwrap().wal_bytes(),
-        0,
-        "the WAL is closed"
-    );
+    assert_eq!(wal_bytes(&durable), 0, "the WAL is closed");
     let crashed = test_dir("oversized-crash");
     copy_dir(&dir, &crashed);
     let generation = durable.durable_log().unwrap().generation();
@@ -674,17 +478,12 @@ fn an_oversized_batch_is_reported_degraded_and_healed_by_a_checkpoint_never_lost
     assert_eq!(wal_len, wal_before, "not a byte of the batch was written");
     let (recovered, _, report) = DurableLog::recover_state(&crashed).expect("recover_state");
     assert!(!report.torn_tail);
-    same(&recovered, &acked_while_healthy);
+    assert_same_state(&recovered, &acked_while_healthy);
 
-    durable
-        .apply(WalOpRef::Insert(&wide(90)))
-        .expect("insert while degraded");
+    oracle.lockstep(&mut durable, &WalOp::Insert(wide(90)));
     durable.checkpoint().expect("the checkpoint that heals");
     assert_eq!(durable.durability_health(), Some(WalHealth::Healthy));
-    durable
-        .apply(WalOpRef::Insert(&wide(91)))
-        .expect("logged again");
-    let expected = durable.db().clone();
+    oracle.lockstep(&mut durable, &WalOp::Insert(wide(91)));
     drop(durable); // crash
     let (recovered, report) = recover_durable(&dir, manual_opts()).expect("recovery");
     assert_eq!(report.replayed_ops, 1);
@@ -692,7 +491,7 @@ fn an_oversized_batch_is_reported_degraded_and_healed_by_a_checkpoint_never_lost
         recovered.db().len(),
         4 + (batch.len() - 1) + batch.len() + 2
     );
-    same(recovered.db(), &expected);
+    assert_same_state(recovered.db(), &oracle);
     drop(recovered);
     for dir in [dir, crashed] {
         let _ = fs::remove_dir_all(dir);
@@ -717,8 +516,7 @@ fn replace_once(bytes: &[u8], needle: &[u8], replacement: &[u8]) -> Vec<u8> {
 
 #[test]
 fn future_format_versions_are_rejected() {
-    let mut bytes = Vec::new();
-    seed_db().save(&mut bytes).expect("save");
+    let bytes = saved(&seed_oracle().db);
     let cur = CURRENT_FORMAT_VERSION;
     let next = cur + 1;
     let bumped = replace_once(
@@ -742,8 +540,7 @@ fn future_format_versions_are_rejected() {
 
 #[test]
 fn bad_magic_and_garbage_are_rejected() {
-    let mut bytes = Vec::new();
-    seed_db().save(&mut bytes).expect("save");
+    let bytes = saved(&seed_oracle().db);
     let mangled = replace_once(&bytes, b"FMETERDB", b"NOTMYDBX");
     assert!(SignatureDb::load(&mangled[..]).is_err(), "bad magic");
     assert!(SignatureDb::load(&b""[..]).is_err(), "empty input");
@@ -797,9 +594,9 @@ fn recovery_on_empty_or_partially_created_directories_fails_loudly() {
 /// starts is written in the current format.
 #[test]
 fn a_directory_checkpointed_by_an_older_release_recovers_to_the_acked_prefix() {
-    let wide = |i: u64| RawSignature {
-        counts: vec![50 + i, 35, 20, 9, 0, i % 2, 0, 1, 0, 0, 3, 0],
-        ..raw(Vec::new(), 100 + i, "io")
+    let wide = |i: u64| {
+        let counts = vec![50 + i, 35, 20, 9, 0, i % 2, 0, 1, 0, 0, 3, 0];
+        raw(counts, 100 + i, Some("io"))
     };
     let ops = [
         WalOp::Insert(wide(1)),
@@ -809,11 +606,6 @@ fn a_directory_checkpointed_by_an_older_release_recovers_to_the_acked_prefix() {
         WalOp::Vacuum,
         WalOp::Insert(wide(4)),
     ];
-    let saved = |db: &SignatureDb| {
-        let mut bytes = Vec::new();
-        db.save(&mut bytes).expect("save");
-        bytes
-    };
     // Releases before this one also wrote a `MANIFEST` beside their
     // checkpoints; recovery reads none, so one left behind changes nothing.
     let manifest_json = r#"{"generation":1,"wal_start_seq":1}"#;

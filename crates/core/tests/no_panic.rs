@@ -27,29 +27,25 @@ use fmeter_core::{
 };
 use fmeter_ir::codec::{self, Reader, Width};
 use fmeter_ir::{Corpus, IrError, SearchScratch, TermCounts};
-use fmeter_kernel_sim::Nanos;
 use proptest::prelude::*;
 
 mod common;
+mod harness;
 use common::fixture;
+use harness::{member, probes, raw, saved, seed_corpus, DIM};
 
-fn raw(i: u64) -> RawSignature {
-    RawSignature {
-        counts: vec![30 + i, 20, i % 3, 0, 7 * (i % 2), 1],
-        started_at: Nanos(i * 10),
-        ended_at: Nanos((i + 1) * 10),
-        label: i.is_multiple_of(2).then(|| format!("class-{}", i % 3)),
-    }
+/// A signature with no label, so the stored and logged bytes carry one.
+fn unlabelled(i: u64) -> RawSignature {
+    raw(member(i % 2 == 1, i, i).counts, i, None)
 }
 
 /// A fresh save with state in every section: tombstones, a refit, a
 /// tail insert, a shard layout.
 fn fresh_envelope() -> Vec<u8> {
-    let raws: Vec<RawSignature> = (0..12).map(raw).collect();
-    let mut db = SignatureDb::build(&raws).expect("build");
+    let mut db = SignatureDb::build(&seed_corpus(6)).expect("build");
     db.remove(2).expect("remove");
     db.refit();
-    db.insert(&raw(40)).expect("insert");
+    db.insert(&unlabelled(40)).expect("insert");
     let mut bytes = Vec::new();
     SignatureService::from_db(db, 3)
         .save(&mut bytes)
@@ -309,11 +305,6 @@ fn sections_that_pass_their_checksums_and_lie_are_errors() {
     // `"Off"`; an older build's `"Int8"` loads as the one exact index,
     // and anything else — a mode never written, a number, no key — is an
     // error.
-    let save = |db: SignatureDb| {
-        let mut bytes = Vec::new();
-        db.save(&mut bytes).expect("save");
-        bytes
-    };
     let state = sections.iter().find(|s| s.name == "state").unwrap().payload;
     let state = std::str::from_utf8(state).expect("JSON state");
     let mode = ",\"quantization\":\"Off\"";
@@ -328,16 +319,18 @@ fn sections_that_pass_their_checksums_and_lie_are_errors() {
         SignatureDb::load(&STORED_DATABASES[0][..]).expect("load"),
         SignatureDb::load(&int8[..]).expect("an Int8 save loads"),
     );
-    let probe = TermCounts::from_dense(&[31, 20, 1, 0, 7, 1]);
     let hits = |db: &SignatureDb| -> Vec<(Signature, u64)> {
-        let hits = db.search(&probe, 8).expect("search");
+        let hits = db.search(&probes()[0], 8).expect("search");
         hits.into_iter()
             .map(|(s, x)| (s.clone(), x.to_bits()))
             .collect()
     };
     assert!(!hits(&off).is_empty());
     assert_eq!(hits(&int8), hits(&off));
-    assert!(save(int8) == save(off), "an Int8 save is re-saved as Off");
+    assert!(
+        saved(&int8) == saved(&off),
+        "an Int8 save is re-saved as Off"
+    );
     for field in [",\"quantization\":\"Int4\"", ",\"quantization\":7", ""] {
         let message = rejected("state", &state_with(field));
         assert!(message.contains("state"), "{field}: {message}");
@@ -369,13 +362,13 @@ fn sections_that_pass_their_checksums_and_lie_are_errors() {
     walked.expect("the fixture's v5 index fields");
     let tag_at = index.payload.len() - r.remaining();
     assert_eq!(index.payload[tag_at], 0, "the fixture was saved exact");
-    let committed = save(SignatureDb::load(&v6[..]).expect("v6 loads"));
+    let committed = saved(&SignatureDb::load(&v6[..]).expect("v6 loads"));
     for tag in [1, 0x07] {
         let mut payload = index.payload.to_vec();
         payload[tag_at] = tag;
         let tagged = with_section(&v6_sections, "index", SectionCodec::Binary, &payload);
         let db = SignatureDb::load(&reframe(6, &tagged)[..]).expect("the tag is not read");
-        assert!(save(db) == committed, "tag {tag:#04x}");
+        assert!(saved(&db) == committed, "tag {tag:#04x}");
     }
 }
 
@@ -418,10 +411,8 @@ fn counts_that_overflow_their_total_panic_neither_load_nor_replay() {
     let sink = SharedSink::default();
     let mut writer = WalWriter::create(Box::new(sink.clone()), 1, true, SyncPolicy::EveryRecord)
         .expect("create wal");
-    let heavy = RawSignature {
-        counts: vec![u64::MAX, 1, 0, 0, 0, 0],
-        ..raw(0)
-    };
+    let mut heavy = unlabelled(0);
+    heavy.counts = [vec![u64::MAX, 1], vec![0; DIM - 2]].concat();
     assert_eq!(heavy.total_calls(), u64::MAX);
     writer.append(&WalOp::Insert(heavy)).expect("append");
     let segment = read_wal(&sink.0.lock().unwrap());
@@ -439,15 +430,14 @@ fn a_query_of_the_wrong_dimension_is_an_error() {
     // Every query path weighs the counts with the stored model first. A
     // query from another kernel — another dimension — must come back as
     // the dimension mismatch each of them documents, never a panic.
-    let raws: Vec<RawSignature> = (0..12).map(raw).collect();
-    let db = SignatureDb::build(&raws).expect("build");
+    let db = SignatureDb::build(&seed_corpus(6)).expect("build");
     let service = SignatureService::from_db(db.clone(), 2);
     let snapshot = service.snapshot();
     let detector = AnomalyDetector::fit(&db, 2, 1.5, 42).expect("fit");
     for dim in [0, 5, 7, 64] {
         let query = TermCounts::from_dense(&vec![1; dim]);
         let mismatch = IrError::DimensionMismatch {
-            left: 6,
+            left: DIM,
             right: dim,
         };
         let is_mismatch = |e: FmeterError| matches!(e, FmeterError::Ir(e) if e == mismatch);
@@ -489,10 +479,10 @@ impl WalSink for SharedSink {
 
 fn wal_ops() -> Vec<WalOp> {
     vec![
-        WalOp::Insert(raw(1)),
+        WalOp::Insert(unlabelled(1)),
         WalOp::Remove(3),
         WalOp::Refit,
-        WalOp::InsertBatch(vec![raw(2), raw(3)]),
+        WalOp::InsertBatch(vec![member(false, 2, 2), unlabelled(3)]),
         WalOp::Vacuum,
     ]
 }
@@ -652,14 +642,14 @@ fn sparse_records_that_pass_their_checksums_and_lie_end_the_clean_prefix() {
     // that replays and a checksum that holds, every lie is where the
     // clean prefix ends — none is a panic, an index past `dim` or an
     // allocation of what a length field claims.
-    let honest = WalOp::Insert(raw(1));
+    let honest = WalOp::Insert(unlabelled(1));
     let replayed = |payload: Vec<u8>| {
         let seg = read_wal(&segment(4, [codec::encode_to_vec(&honest), payload]));
         assert!(seg.records.len() <= 2 && seg.records[0] == (4, honest.clone()));
         (seg.records.len() == 2, seg.torn)
     };
     // The layout above is the writer's, so the lies below are only lies.
-    let control = insert_payload(&raw(1), |_, _| ());
+    let control = insert_payload(&unlabelled(1), |_, _| ());
     assert_eq!(control, codec::encode_to_vec(&honest));
     assert_eq!(replayed(control), (true, false));
     let lies: [(&str, Lie); 2] = [
@@ -670,20 +660,20 @@ fn sparse_records_that_pass_their_checksums_and_lie_end_the_clean_prefix() {
     ];
     for (what, lie) in lies.into_iter().chain(PAIR_LIES) {
         assert_eq!(
-            replayed(insert_payload(&raw(1), lie)),
+            replayed(insert_payload(&unlabelled(1), lie)),
             (false, true),
             "{what}"
         );
     }
     // A batch is held to the bound between its signatures: each of these
     // is as wide as one signature may be, and two are 256 MB of zeros.
-    let wide = insert_payload(&raw(1), |f, _| f[0] = var(MAX_SIGNATURE_DIM as u64));
+    let wide = insert_payload(&unlabelled(1), |f, _| f[0] = var(MAX_SIGNATURE_DIM as u64));
     let batch = [&[6, 2][..], &wide[1..], &wide[1..]].concat();
     assert_eq!(replayed(batch), (false, true), "a batch past the bound");
     // Counts whose total overflows are not a lie: a writer logs and acks
     // such an insert (the weighting saturates), so replay takes it — see
     // `counts_that_overflow_their_total_panic_neither_load_nor_replay`.
-    let heavy = insert_payload(&raw(1), |f, nnz| {
+    let heavy = insert_payload(&unlabelled(1), |f, nnz| {
         f[2 + nnz] = var(u64::MAX);
         f[3 + nnz] = var(u64::MAX);
     });
@@ -765,7 +755,7 @@ proptest! {
         for (i, (_, op)) in seg.records.iter().enumerate().take(record) {
             prop_assert_eq!(op, &ops[i]);
         }
-        let mut db = SignatureDb::build(&(0..12).map(raw).collect::<Vec<_>>()).expect("build");
+        let mut db = SignatureDb::build(&seed_corpus(6)).expect("build");
         for (_, op) in &seg.records {
             let _ = WalOpRef::from(op).apply(&mut db);
         }
