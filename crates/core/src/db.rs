@@ -146,9 +146,9 @@ pub struct Recluster {
     /// Lloyd iterations the (final) K-means run performed.
     pub iterations: usize,
     /// For a warm pass, the live signatures it measured against the
-    /// centroids, summed over its sweeps ([`fmeter_ml::WarmPass::evaluated`]):
-    /// the ones the carried distance bounds could not confirm, and all
-    /// of them in each further Lloyd iteration. `None` for a cold pass.
+    /// centroids, summed over its iterations
+    /// ([`fmeter_ml::WarmPass::evaluated`]): in each, the ones the
+    /// carried distance bounds could not confirm. `None` for a cold pass.
     pub evaluated: Option<usize>,
 }
 
@@ -177,11 +177,11 @@ pub struct Recluster {
 /// [`refit`](SignatureDb::refit), which rewrites the vectors, drops
 /// every bound and marks the sums stale, so the next pass re-sums them
 /// in point order and measures every signature. A pass whose Lloyd
-/// loop moved signatures leaves the sums of what it returns, rewrites
-/// the member lists, and moves the labels of the signatures it names as
-/// moved. The fit also re-sums the sums once the patches since the last
-/// re-sum reach the live count, which bounds how far they drift from
-/// point-order ones.
+/// loop moved signatures moves them between member lists and sums, and
+/// the labels of the signatures it names as moved. The fit also re-sums
+/// the sums once the patches since the last re-sum reach the live
+/// count, which bounds how far they drift from point-order ones. A cold
+/// pass keeps its fit's bounds, by slot.
 ///
 /// Derived state, like [`VacuumStats`]: never persisted (a loaded
 /// database starts cold) and never written to the WAL — it is rebuilt
@@ -1056,23 +1056,24 @@ impl SignatureDb {
     /// since is measured once, as it attaches) instead of paying
     /// k-means++ and a multi-restart K-means; when the centroids moved
     /// too little to close any bound's gap it reads no bound at all.
-    /// Every further Lloyd iteration the moved points need is a full
-    /// sweep plus the point-order sums. The stored vectors are clustered
-    /// in place, and the cache's member lists, bounds and sums are the
-    /// fit's own state: a pass that moves nothing copies none of them
-    /// and walks no live slot.
+    /// Every further Lloyd iteration the moved points need walks the
+    /// bounds again and patches the sums from the points that moved.
+    /// The stored vectors are clustered in place, and the cache's member
+    /// lists, bounds and sums are the fit's own state: a pass copies
+    /// none of them, and one that moves nothing walks no live slot.
     ///
     /// The first call (or any call after [`load`](Self::load), which
     /// starts cold) runs exactly what `syndromes(k, seed)` runs and
-    /// caches the resulting member lists. Subsequent calls with the
-    /// *same* `k` and `seed` attach every doc inserted since, in slot
-    /// order, to its nearest kept centroid and resume Lloyd iterations
-    /// from there ([`KMeans::fit_warm_in_place`]): with no churn the pass
+    /// caches the resulting member lists and the fit's distance bounds.
+    /// Subsequent calls with the *same* `k` and `seed` attach every doc
+    /// inserted since, in slot order, to its nearest kept centroid and
+    /// resume Lloyd iterations from there
+    /// ([`KMeans::fit_warm_in_place`]): with no churn the pass
     /// converges in one iteration with the previous pass's centroids,
     /// bit for bit, and with bounded churn it converges in the few
     /// iterations the moved points need. Centroids are bit-identical to means summed
     /// afresh in point order whenever the kept sums carry no patch (the
-    /// first pass after a cold one, a refit, a Lloyd run or a re-sum);
+    /// first pass after a cold one, a refit or a re-sum);
     /// otherwise a converged pass's centroids may differ from those in
     /// the last bits, within one rounding per patch. The bounds change
     /// what a pass costs, never what it returns. The cache follows
@@ -1112,15 +1113,19 @@ impl SignatureDb {
         stats.keep_centroids(&result.centroids);
         stats.clear_votes();
         let mut members = vec![Vec::new(); k];
-        for (&d, &a) in live_ids.iter().zip(&result.assignments) {
+        // The fit's bounds, by slot: the first warm pass confirms from
+        // them instead of measuring every signature.
+        let mut bounds = vec![PointBounds::UNKNOWN; self.signatures.len()];
+        for ((&d, &a), &b) in live_ids.iter().zip(&result.assignments).zip(&result.bounds) {
             members[a].push(d);
+            bounds[d] = b;
             if let Some(label) = &self.signatures[d].label {
                 stats.vote(a, label);
             }
         }
         let cache = self.cluster_cache.insert(ClusterCache {
             seed,
-            bounds: vec![PointBounds::UNKNOWN; self.signatures.len()],
+            bounds,
             members,
             queue: Vec::new(),
             stats,
@@ -1642,12 +1647,12 @@ mod tests {
         let bounds = |db: &SignatureDb| format!("{:?}", db.cluster_cache.as_ref().unwrap().bounds);
         db.recluster(2, 7).unwrap();
         for round in 0..2u64 {
-            // The pass after a cold one measures every signature, and one
-            // after churn may walk the bounds; a pass with no churn since
-            // reads none of them.
+            // The pass after a cold one walks the bounds that fit left and
+            // measures no signature, and one after churn may walk them too;
+            // a pass with no churn since reads none of them.
             let walked = db.recluster(2, 7).unwrap();
             if round == 0 {
-                assert_eq!(walked.evaluated, Some(db.len()));
+                assert_eq!(walked.evaluated, Some(0));
             }
             let before = bounds(&db);
             let again = db.recluster(2, 7).unwrap();
@@ -1734,9 +1739,9 @@ mod tests {
         db.set_refit_policy(RefitPolicy::Manual);
         let evaluated = |db: &mut SignatureDb| db.recluster(2, 7).unwrap().evaluated;
         assert_eq!(evaluated(&mut db), None, "the first pass is cold");
-        // The cold fit leaves no bounds: the first warm pass measures
-        // every signature, and the steady state none.
-        assert_eq!(evaluated(&mut db), Some(db.len()));
+        // The cold fit leaves its bounds: the first warm pass confirms
+        // every signature from them, and so does the steady state.
+        assert_eq!(evaluated(&mut db), Some(0));
         assert_eq!(evaluated(&mut db), Some(0));
         // Inserted signatures are confirmed too: attaching measured them
         // against the kept centroids, and left bounds like any other's.

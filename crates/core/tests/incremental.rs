@@ -160,18 +160,16 @@ proptest! {
 // ---------------------------------------------------------------------
 // Bit-identity pins for the clustering path, and the k = 8 finding.
 //
-// The `GOLDEN_KMEANS_*` constants were computed at the commit *before*
-// the K-means assignment step became one fused k-lane kernel and
-// `recluster` stopped copying the corpus; the tests pass there and here,
-// which is the claim "a pure cost change" made checkable. The two
-// `GOLDEN_RECLUSTER_*` constants were re-pinned on purpose when a warm
-// recluster began to seed its means from cluster sums kept between
-// passes and patched from the churn: a converged pass after churn now
-// differs from means summed afresh in the last bits of its centroids
-// (within the bound the kept-sums churn suite checks), while which passes
-// are warm and which move a point stayed as they were. A PR that changes
-// what K-means computes (ROADMAP item 2's seeding fix will) re-pins them
-// on purpose.
+// All four constants were re-pinned on purpose when a cold fit began to
+// seed k-means++ through dense centroids (`‖x‖² + ‖c‖² − 2x·c` instead
+// of a merge-join, so D² rounds differently) and to run the warm fit's
+// bounded Lloyd loop: means patched from the points that moved, a stop
+// at the assignment fixpoint instead of an inertia tolerance, the inertia
+// taken once at the end. Which recluster passes are warm and which move
+// a point stayed as they were. The pins hold the bounds and the worker
+// pool to a pure-cost contract: they may change what a fit costs, never
+// a bit of what it returns. A change to what K-means computes (ROADMAP
+// item 20's seeding) re-pins them on purpose.
 // ---------------------------------------------------------------------
 
 /// xoshiro256++ seeded through splitmix64: the stream of the benchmark's
@@ -318,10 +316,10 @@ impl Fold {
 }
 
 /// What the pinned commits computed (see the section comment above).
-const GOLDEN_RECLUSTER_SCRIPT: u64 = 0x943f_40dc_3538_f931;
-const GOLDEN_RECLUSTER_OVERSEGMENTED: u64 = 0x4f1c_ecf5_42da_98dc;
-const GOLDEN_KMEANS_RESTARTS: u64 = 0xad75_daa9_293b_06fb;
-const GOLDEN_KMEANS_TWO_THREADS: u64 = 0xd195_728c_2a2c_a6d1;
+const GOLDEN_RECLUSTER_SCRIPT: u64 = 0x2d23_b67e_cef7_8ea7;
+const GOLDEN_RECLUSTER_OVERSEGMENTED: u64 = 0x5618_f5e4_1a4e_6722;
+const GOLDEN_KMEANS_RESTARTS: u64 = 0xbe7e_625f_2671_8afa;
+const GOLDEN_KMEANS_TWO_THREADS: u64 = 0xaa41_526b_53f3_5fd1;
 
 /// The `syndrome_refresh` corpus in small, and the churn of its loop:
 /// each cycle inserts `CHURN` class-shaped signatures, then removes the
@@ -662,22 +660,27 @@ fn golden_kmeans_runs_match_the_pinned_parent() {
         "sequential K-means drifted: {:#018x}",
         fold.0
     );
-    // n·k = 65 536 with a fixed worker count: the pool path, whose
-    // chunk-order merge makes any fixed `threads` reproducible.
+    // n·k = 65 536 with two workers: the pool path. Workers hand back
+    // what moved and the calling thread patches the sums in point order,
+    // so the same fit on one thread hashes the same.
     let points = clustered_points(&mut GenRng::new(4), 8192, 8, 48, 24);
-    let mut fold = Fold::new();
-    fold.kmeans(
-        &KMeans::new(8)
-            .seed(5)
-            .threads(2)
-            .run(&points)
-            .expect("k <= n"),
-    );
-    assert_eq!(
-        fold.0, GOLDEN_KMEANS_TWO_THREADS,
-        "two-worker K-means drifted: {:#018x}",
+    let hash = |threads: usize| {
+        let mut fold = Fold::new();
+        fold.kmeans(
+            &KMeans::new(8)
+                .seed(5)
+                .threads(threads)
+                .run(&points)
+                .expect("k <= n"),
+        );
         fold.0
+    };
+    let two = hash(2);
+    assert_eq!(
+        two, GOLDEN_KMEANS_TWO_THREADS,
+        "two-worker K-means drifted: {two:#018x}"
     );
+    assert_eq!(hash(1), two, "one thread and two workers disagree");
 }
 
 #[test]

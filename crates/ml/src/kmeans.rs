@@ -1,7 +1,7 @@
 use std::borrow::Borrow;
 use std::sync::{mpsc, RwLock};
 
-use fmeter_ir::{dot_sparse_dense, Metric, SparseVec};
+use fmeter_ir::{dot_sparse_dense, SparseVec};
 use rand::rngs::SmallRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
@@ -27,7 +27,8 @@ const LANES: usize = 4;
 ///
 /// The dense form is what [`Centroids::refresh_lanes`] transposes into
 /// the assignment kernel's layout, and what a single point-to-centroid
-/// distance (empty-cluster repair) reads.
+/// distance (k-means++ seeding, empty-cluster repair, the inertia)
+/// reads.
 #[derive(Debug, Clone)]
 struct CentroidBuf {
     dense: Vec<f64>,
@@ -44,7 +45,7 @@ impl CentroidBuf {
         }
     }
 
-    /// Overwrites the centroid with a data point (initialisation).
+    /// Overwrites the centroid with a data point (seeding).
     fn set_from_point(&mut self, p: &SparseVec) {
         self.dense.fill(0.0);
         for (t, v) in p.iter() {
@@ -119,9 +120,9 @@ fn drift_bound(sum: f64, dim: usize) -> f64 {
 /// one walk over a point's `(term, value)` pairs feeds `LANES` inner
 /// products from one 32-byte load per term. Lanes past `k` in the last
 /// block stay zero and are never compared. It is rewritten from the
-/// dense buffers whenever the centroids change — once per assignment
-/// sweep, by the thread that owns the update.
-#[derive(Debug, Clone, Default)]
+/// dense buffers whenever the centroids change — once per update step,
+/// by the thread that owns the update.
+#[derive(Debug, Clone)]
 struct Centroids {
     bufs: Vec<CentroidBuf>,
     lanes: Vec<[f64; LANES]>,
@@ -180,19 +181,6 @@ impl Centroids {
 
     fn to_sparse(&self) -> Vec<SparseVec> {
         self.bufs.iter().map(CentroidBuf::to_sparse).collect()
-    }
-
-    /// One assignment sweep over a contiguous chunk of points, handing
-    /// `emit` each point's index in the chunk and what the kernel found.
-    ///
-    /// That is a pure per-point function of the centroids, so a sweep is
-    /// thread-count independent given the same centroids.
-    fn assign(&self, points: &[&SparseVec], mut emit: impl FnMut(usize, Nearest)) {
-        #[cfg(test)]
-        SWEEPS.with(|s| s.set(s.get() + 1));
-        for (i, p) in points.iter().enumerate() {
-            emit(i, self.nearest(p));
-        }
     }
 
     /// The assignment kernel: one walk over a point's `(term, value)`
@@ -258,18 +246,14 @@ impl Centroids {
     }
 }
 
-/// Per-cluster sums (flattened `k * dim`) and member counts: the input
-/// of the update step. A cold fit's Lloyd loop owns one; on the pool
-/// path every worker also fills one for its chunk, and the loop merges
-/// them after the barrier in chunk order. A warm fit runs on the one a
-/// [`ClusterStats`] keeps, which also counts each `(cluster, term)`'s
-/// support; a cold fit leaves `support` empty and counts nothing.
+/// Per-cluster sums (flattened `k * dim`), member counts and
+/// per-`(cluster, term)` support counts: what a [`ClusterStats`] keeps
+/// and the update step reads.
 #[derive(Debug, Clone)]
 struct ClusterSums {
     sums: Vec<f64>,
     counts: Vec<usize>,
-    /// Members of cluster `c` with term `t`, at `c * dim + t`; empty
-    /// when not kept.
+    /// Members of cluster `c` with term `t`, at `c * dim + t`.
     support: Vec<u32>,
     dim: usize,
 }
@@ -279,7 +263,7 @@ impl ClusterSums {
         ClusterSums {
             sums: vec![0.0f64; k * dim],
             counts: vec![0usize; k],
-            support: Vec::new(),
+            support: vec![0; k * dim],
             dim,
         }
     }
@@ -288,85 +272,55 @@ impl ClusterSums {
         &self.sums[c * self.dim..(c + 1) * self.dim]
     }
 
-    fn row_mut(&mut self, c: usize) -> &mut [f64] {
-        &mut self.sums[c * self.dim..(c + 1) * self.dim]
-    }
-
-    /// Overwrites `self` with the sums and counts of `assignments` (and
-    /// the supports, when kept), accumulated from `+0.0` in point order
-    /// — the one arithmetic every centroid mean of a Lloyd iteration
-    /// comes from, and what [`ClusterStats::rebuild`] runs, which is what
-    /// lets a warm start from unpatched stats reproduce a converged fit
-    /// bit for bit.
-    fn accumulate<P: Borrow<SparseVec>>(&mut self, points: &[P], assignments: &[usize]) {
+    /// Overwrites `self` with the sums, counts and supports of the
+    /// `(point, cluster)` pairs, accumulated from `+0.0` in their order
+    /// — the arithmetic [`ClusterStats::rebuild`] runs in point order,
+    /// which is what lets a warm start from unpatched stats reproduce the
+    /// means they describe bit for bit.
+    fn accumulate<'p>(&mut self, members: impl IntoIterator<Item = (&'p SparseVec, usize)>) {
         self.sums.fill(0.0);
         self.counts.fill(0);
         self.support.fill(0);
         let dim = self.dim;
-        for (p, &c) in points.iter().zip(assignments) {
-            let p = p.borrow();
+        for (p, c) in members {
             self.counts[c] += 1;
-            let row = self.row_mut(c);
+            let (sums, support) = (
+                &mut self.sums[c * dim..(c + 1) * dim],
+                &mut self.support[c * dim..(c + 1) * dim],
+            );
             for (t, v) in p.iter() {
-                row[t as usize] += v;
+                sums[t as usize] += v;
+                support[t as usize] += 1;
             }
-            if let Some(support) = self.support.get_mut(c * dim..(c + 1) * dim) {
-                for &t in p.terms() {
-                    support[t as usize] += 1;
-                }
-            }
-        }
-    }
-
-    /// Overwrites `self` with one worker's sums — the handoff for the
-    /// *first* chunk of a round, in place of zeroing and adding. Sums
-    /// are never `-0.0` (accumulation starts at `+0.0`, and under
-    /// default rounding IEEE-754 addition cannot reach `-0.0` from
-    /// there), so the straight copy is bit-identical to zero-then-add.
-    fn copy_from(&mut self, part: &ClusterSums) {
-        self.sums.copy_from_slice(&part.sums);
-        self.counts.copy_from_slice(&part.counts);
-    }
-
-    /// Folds one worker's sums and counts into `self`.
-    fn merge(&mut self, part: &ClusterSums) {
-        for (dst, &v) in self.sums.iter_mut().zip(&part.sums) {
-            if v != 0.0 {
-                *dst += v;
-            }
-        }
-        for (dst, &c) in self.counts.iter_mut().zip(&part.counts) {
-            *dst += c;
         }
     }
 }
 
 /// The per-cluster sums, member counts and per-`(cluster, term)` support
-/// counts of an assignment, kept between warm fits
-/// ([`KMeans::fit_warm_in_place`]) and patched as the assignment changes
-/// instead of re-summed from every point; the members' label counts,
-/// patched at the same points; the centroids of the fit that last
-/// returned them, in the assignment kernel's own layout (dense buffers
-/// and lanes); and what Hamerly's global bound test reads.
+/// counts of an assignment, patched as points move instead of re-summed
+/// from every point; the members' label counts, patched at the same
+/// points; the centroids of the fit that last returned them, in the
+/// assignment kernel's own layout (dense buffers and lanes); and what
+/// Hamerly's global bound test reads. Every fit — cold
+/// ([`KMeans::run`]) or warm ([`KMeans::fit_warm_in_place`]) — runs its
+/// Lloyd loop on one.
 ///
 /// [`rebuild`](Self::rebuild) accumulates them from `+0.0` in point
-/// order, the arithmetic of a Lloyd update step, so the means of freshly
-/// rebuilt stats are bit for bit the centroids that step computes.
-/// [`add`](Self::add) and [`remove`](Self::remove) patch one point in or
-/// out; each patched sum rounds once, so the sums drift from the
-/// point-order ones by at most one rounding per patch. A sum whose
+/// order. [`add`](Self::add) and [`remove`](Self::remove) patch one
+/// point in or out; each patched sum rounds once, so the sums drift from
+/// the point-order ones by at most one rounding per patch. A sum whose
 /// support count falls to zero is set to `+0.0` rather than decremented,
 /// so a mean's support is exactly the union of its members' supports,
-/// as for point-order sums. A warm fit rebuilds the stats in point order
-/// when they are [stale](Self::mark_stale) or once the patches since the
-/// last rebuild reach the number of points it is given: the drift stays
+/// as for point-order sums. A fit rebuilds the stats in point order when
+/// they are [stale](Self::mark_stale) or once the patches since the last
+/// rebuild would reach the number of points it is given: the drift stays
 /// bounded, and the rebuild costs O(1) per patch amortised.
 ///
-/// The kept centroids are what the next warm fit measures each
-/// centroid's drift from (the bounds it carries were measured against
-/// them) and what [`KMeans::attach`] hands a point no fit has seen to.
-/// A warm fit seeds its means into a second buffer the stats keep and
-/// swaps the two as it returns, so no fit allocates a `k × dim` buffer;
+/// The kept centroids are what a fit measures each centroid's drift
+/// from (the bounds it carries were measured against them) and what
+/// [`KMeans::attach`] hands a point no fit has seen to. A fit writes its
+/// means into a second buffer the stats keep and swaps the two, so no
+/// iteration allocates a `k × dim` buffer;
 /// [`keep_centroids`](Self::keep_centroids) installs another fit's (a
 /// cold [`run`](KMeans::run)'s, say). Neither a patch nor
 /// [`mark_stale`](Self::mark_stale) touches them.
@@ -387,7 +341,7 @@ pub struct ClusterStats {
     centroids: Centroids,
     /// Whether `centroids` hold a fit's centroids yet.
     fitted: bool,
-    /// The buffer the next warm fit seeds its means into.
+    /// The buffer the next update step writes its means into.
     seeded: Centroids,
     /// Per cluster, its members' label counts in label order; a label
     /// whose count fell to zero keeps its entry.
@@ -409,10 +363,8 @@ impl ClusterStats {
     /// centroids with their lanes, allocated once and rewritten in place
     /// from then on.
     pub fn new(k: usize, dim: usize) -> Self {
-        let mut sums = ClusterSums::new(k, dim);
-        sums.support = vec![0; k * dim];
         ClusterStats {
-            sums,
+            sums: ClusterSums::new(k, dim),
             patches: 0,
             stale: true,
             centroids: Centroids::new(k, dim),
@@ -465,7 +417,18 @@ impl ClusterStats {
     /// If an assignment names a cluster `>= k`, or a point has a term
     /// `>= dim`.
     pub fn rebuild<P: Borrow<SparseVec>>(&mut self, points: &[P], assignment: &[usize]) {
-        self.sums.accumulate(points, assignment);
+        self.resum(
+            points
+                .iter()
+                .map(Borrow::borrow)
+                .zip(assignment.iter().copied()),
+        );
+    }
+
+    /// [`rebuild`](Self::rebuild) from `(point, cluster)` pairs in point
+    /// order.
+    fn resum<'p>(&mut self, members: impl IntoIterator<Item = (&'p SparseVec, usize)>) {
+        self.sums.accumulate(members);
         self.patches = 0;
         self.stale = false;
     }
@@ -474,8 +437,9 @@ impl ClusterStats {
     /// the fit these stats describe: the next warm fit measures drift
     /// from them, and [`KMeans::attach`] reads them. Written into the
     /// kept buffers in place; a fit's own centroids come back with the
-    /// bits it kept them with. Bounds carried from before mean nothing
-    /// against them: the gap is forgotten, and no drift is owed.
+    /// bits it kept them with. Bounds carried from before are taken to
+    /// be against them, with no drift owed; the gap is forgotten, so the
+    /// next warm fit walks them.
     ///
     /// # Panics
     ///
@@ -493,11 +457,32 @@ impl ClusterStats {
         self.forget_gap();
     }
 
-    /// Keeps a fit's `centroids`; the ones they replace become the
-    /// buffer the next fit seeds into.
-    fn keep(&mut self, centroids: Centroids) {
-        self.seeded = std::mem::replace(&mut self.centroids, centroids);
+    /// The update step's centroids: the means of the sums, written into
+    /// the spare buffer and kept in place of the previous centroids,
+    /// whose distance from them joins the drift owed to the bounds.
+    fn advance(&mut self) {
+        self.seeded.set_from_means(&self.sums);
+        let drifts = self.seeded.drifts_from(&self.centroids);
+        for (owed, drift) in self.owed.iter_mut().zip(drifts) {
+            *owed = (*owed + drift).next_up();
+        }
+        std::mem::swap(&mut self.seeded, &mut self.centroids);
         self.fitted = true;
+    }
+
+    /// Hamerly's global test: whether no carried bound can have lost
+    /// the gap it left to the drift owed since, so every point is still
+    /// confirmed without reading one.
+    fn confirms_all(&self) -> bool {
+        Slack::new(&self.centroids).confirms(self.gap, max_drift(&self.owed))
+    }
+
+    /// Settles a walk over every carried bound: none is owed any drift,
+    /// and the smallest `l − u` among them, `spread`, and their largest
+    /// norm, `widest`, give the gap.
+    fn walked(&mut self, spread: f64, widest: f64) {
+        self.gap = Slack::new(&self.centroids).gap(spread, widest);
+        self.owed.fill(0.0);
     }
 
     /// Adds `p` to cluster `c`: one rounding per term of `p`.
@@ -585,6 +570,13 @@ impl ClusterStats {
     }
 }
 
+/// The largest drift `owed`; NaN if one is, so that a NaN reaches every
+/// lower bound (no `f64::max`).
+fn max_drift(owed: &[f64]) -> f64 {
+    owed.iter()
+        .fold(0.0, |m: f64, &d| if d > m || d.is_nan() { d } else { m })
+}
+
 /// What the assignment kernel found for one point: its nearest centroid
 /// (the lowest index on an exact tie) and the squared distance to it,
 /// the squared distance to the runner-up (equal on a tie, infinite when
@@ -621,16 +613,16 @@ impl Nearest {
     }
 }
 
-/// What a warm fit knows about one point's distances to the centroids it
+/// What a fit knows about one point's distances to the centroids it
 /// returned, for the next [`KMeans::fit_warm_in_place`] to start from: the
 /// cluster it assigned the point to, an upper bound on the distance to
 /// that cluster's centroid, a lower bound on the distance to every other
 /// one (Hamerly's two bounds), and the point's norm.
 ///
-/// Only a fit writes one; a caller starts a point from
-/// [`UNKNOWN`](Self::UNKNOWN) and keeps the value beside the point
-/// between fits. A point handed back under another previous cluster is
-/// measured again.
+/// Only a fit writes one ([`KMeansResult::bounds`] are a cold fit's); a
+/// caller starts a point from [`UNKNOWN`](Self::UNKNOWN) and keeps the
+/// value beside the point between fits. A point handed back under
+/// another previous cluster is measured again.
 #[derive(Debug, Clone, Copy)]
 pub struct PointBounds {
     cluster: usize,
@@ -649,6 +641,16 @@ impl PointBounds {
         lower: 0.0,
         norm: f64::NAN,
     };
+
+    /// Widens the bounds by the drift `owed` since they were measured:
+    /// the upper one by its own cluster's, the lower one by the largest,
+    /// `max_drift`, each rounded outward.
+    fn widen(&mut self, owed: &[f64], max_drift: f64) {
+        if let Some(&drift) = owed.get(self.cluster) {
+            self.upper = (self.upper + drift).next_up();
+        }
+        self.lower = (self.lower - max_drift).next_down();
+    }
 }
 
 /// How far, in distance units, an assignment sweep's squared Euclidean
@@ -724,71 +726,160 @@ impl Slack {
     }
 }
 
-/// One worker's chunk of points and its buffers; ownership moves
-/// loop -> worker -> loop every round.
-struct Job {
+/// Every member with its cluster, in slot order: the ascending member
+/// lists merged.
+fn slot_order(members: &[Vec<usize>]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let mut heads = vec![0; members.len()];
+    std::iter::from_fn(move || {
+        let listed = members.iter().zip(&heads).enumerate();
+        let (c, s) = listed
+            .filter_map(|(c, (list, &h))| list.get(h).map(|&s| (c, s)))
+            .min_by_key(|&(_, s)| s)?;
+        heads[c] += 1;
+        Some((s, c))
+    })
+}
+
+/// What a fit's walks read and its update steps write, behind the
+/// fit's `RwLock`: the stats and the member lists, `members[c]` cluster
+/// `c`'s slots in ascending order — the assignment.
+struct Fitting<'a> {
+    stats: &'a mut ClusterStats,
+    members: &'a mut [Vec<usize>],
+}
+
+/// One contiguous range of slots, `lo..lo + bounds.len()`: their bounds
+/// and what the range's last walk found. Ownership moves loop -> worker
+/// -> loop every round.
+struct Job<'b> {
     chunk: usize,
     lo: usize,
-    hi: usize,
-    assignments: Vec<usize>,
-    d_sqs: Vec<f64>,
-    sums: ClusterSums,
+    bounds: &'b mut [PointBounds],
+    /// `(slot, from, to)` of each point the last walk moved, ascending.
+    moved: Vec<(usize, usize, usize)>,
+    /// Points the last walk measured.
+    measured: usize,
+    /// The smallest `l − u` and the largest norm among the bounds the
+    /// last walk left.
+    spread: f64,
+    widest: f64,
 }
 
-/// The assignment sweep fanned out over workers that live for the whole
-/// fit: spawning threads per iteration costs up to a millisecond on some
-/// kernels, which would swallow the parallel speed-up, so each worker
-/// blocks on a channel and sweeps its fixed chunk of points every round,
-/// then sums its chunk's clusters. Centroids — lane layout included, so
-/// it is built once per round and not once per worker — are read through
-/// the loop's `RwLock`, and the chunk buffers travel by ownership through
-/// the channels — no locking inside the per-point hot loop.
-struct Pool {
-    job_txs: Vec<mpsc::Sender<Job>>,
-    done_rx: mpsc::Receiver<Job>,
-    slots: Vec<Option<Job>>,
+impl Job<'_> {
+    /// The bounded sweep over the range's members, against the centroids
+    /// the stats keep: each point's bounds — unknown if they are for
+    /// another cluster — are widened by the drift owed to them; a point
+    /// whose own centroid they still prove the strict nearest, by more
+    /// than the rounding slack of the distance formula, keeps its cluster
+    /// unmeasured, and every other point goes through the assignment
+    /// kernel and gets fresh bounds. It moves unless its own centroid
+    /// ties with the nearest. A confirmed point is one a full sweep would
+    /// leave where it is, so the points that move are the ones a full
+    /// sweep would move.
+    fn walk<'p>(&mut self, point: &impl Fn(usize) -> &'p SparseVec, fitting: &Fitting) {
+        let (centroids, owed) = (&fitting.stats.centroids, &fitting.stats.owed[..]);
+        let slack = Slack::new(centroids);
+        let max_drift = max_drift(owed);
+        (self.measured, self.spread, self.widest) = (0, f64::INFINITY, 0.0);
+        self.moved.clear();
+        let (lo, hi) = (self.lo, self.lo + self.bounds.len());
+        for (own, list) in fitting.members.iter().enumerate() {
+            let range = list.partition_point(|&s| s < lo)..list.partition_point(|&s| s < hi);
+            for &s in &list[range] {
+                let b = &mut self.bounds[s - lo];
+                if b.cluster != own {
+                    *b = PointBounds {
+                        cluster: own,
+                        ..PointBounds::UNKNOWN
+                    };
+                }
+                b.widen(owed, max_drift);
+                // Never true for an unknown bound or a NaN anywhere.
+                let confirmed = b.upper + slack.margin(b.norm) < b.lower;
+                if !confirmed {
+                    let p = point(s);
+                    let mut near = centroids.nearest(p);
+                    self.measured += 1;
+                    // An exact tie with its own centroid keeps a point
+                    // where it is (the runner-up is then as near), so
+                    // points that coincide still reach a fixpoint.
+                    if near.cluster != own {
+                        if centroids.bufs[own].dist_sq(p, near.sq_norm) == near.d_sq {
+                            near.cluster = own;
+                        } else {
+                            self.moved.push((s, own, near.cluster));
+                        }
+                    }
+                    *b = slack.bounds(&near);
+                }
+                self.spread = self.spread.min(b.lower - b.upper);
+                self.widest = self.widest.max(b.norm);
+            }
+        }
+        self.moved.sort_unstable();
+        #[cfg(test)]
+        MEASURED.with(|m| m.set(m.get() + self.measured));
+    }
 }
 
-impl Pool {
-    /// Spawns `threads` workers on `scope`; worker `t` owns chunk `t` of
-    /// `points`. They exit when the pool is dropped.
-    fn spawn<'scope, 'env>(
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        km: &'env KMeans,
-        points: &'env [&'env SparseVec],
-        centroids: &'env RwLock<Centroids>,
+/// The bounded sweep over a fit's slots in ranges. With one range the
+/// calling thread walks it. With more, one worker per range lives for the
+/// whole fit — spawning threads per iteration costs up to a millisecond
+/// on some kernels, which would swallow the parallel speed-up — and
+/// blocks on a channel between rounds. The centroids, the drift owed and
+/// the member lists are read through the fit's `RwLock`, and the ranges'
+/// bounds travel by ownership through the channels — no locking inside
+/// the per-point hot loop. Workers hand back what moved; the calling
+/// thread updates the member lists and patches the sums, so the fit's
+/// bits do not depend on the worker count.
+struct Pool<'b> {
+    job_txs: Vec<mpsc::Sender<Job<'b>>>,
+    done_rx: mpsc::Receiver<Job<'b>>,
+    slots: Vec<Option<Job<'b>>>,
+}
+
+impl<'b> Pool<'b> {
+    /// Splits `bounds` into `threads` ranges and, for more than one,
+    /// spawns a worker per range on `scope`. Workers exit when the pool
+    /// is dropped.
+    fn spawn<'scope, 'p, P>(
+        scope: &'scope std::thread::Scope<'scope, 'b>,
+        point: &'b P,
+        fitting: &'b RwLock<Fitting<'_>>,
+        bounds: &'b mut [PointBounds],
         threads: usize,
-    ) -> Self {
-        let n = points.len();
-        let dim = points[0].dim();
-        let chunk_len = n.div_ceil(threads);
+    ) -> Self
+    where
+        P: Fn(usize) -> &'p SparseVec + Sync,
+    {
+        let chunk_len = bounds.len().div_ceil(threads).max(1);
+        let slots: Vec<Option<Job>> = bounds
+            .chunks_mut(chunk_len)
+            .enumerate()
+            .map(|(chunk, bounds)| {
+                let (moved, measured, spread, widest) = (Vec::new(), 0, f64::INFINITY, 0.0);
+                let lo = chunk * chunk_len;
+                Some(Job {
+                    chunk,
+                    lo,
+                    bounds,
+                    moved,
+                    measured,
+                    spread,
+                    widest,
+                })
+            })
+            .collect();
         let (done_tx, done_rx) = mpsc::channel::<Job>();
-        let mut job_txs = Vec::with_capacity(threads);
-        let mut slots = Vec::with_capacity(threads);
-        for t in 0..threads {
+        let mut job_txs = Vec::new();
+        let workers = if slots.len() > 1 { slots.len() } else { 0 };
+        for _ in 0..workers {
             let (job_tx, job_rx) = mpsc::channel::<Job>();
             job_txs.push(job_tx);
-            let lo = (t * chunk_len).min(n);
-            let hi = ((t + 1) * chunk_len).min(n);
-            slots.push(Some(Job {
-                chunk: t,
-                lo,
-                hi,
-                assignments: vec![0usize; hi - lo],
-                d_sqs: vec![0.0f64; hi - lo],
-                sums: ClusterSums::new(km.k, dim),
-            }));
             let done_tx = done_tx.clone();
             scope.spawn(move || {
                 while let Ok(mut job) = job_rx.recv() {
-                    let chunk = &points[job.lo..job.hi];
-                    let guard = centroids.read().expect("centroid lock");
-                    guard.assign(chunk, |i, near| {
-                        job.assignments[i] = near.cluster;
-                        job.d_sqs[i] = near.d_sq;
-                    });
-                    drop(guard);
-                    job.sums.accumulate(chunk, &job.assignments);
+                    job.walk(point, &fitting.read().expect("fit lock"));
                     if done_tx.send(job).is_err() {
                         break;
                     }
@@ -802,42 +893,54 @@ impl Pool {
         }
     }
 
-    /// One round: dispatch every chunk, wait for all of them back (the
-    /// barrier), copy into the fit's per-point buffers.
-    fn sweep(&mut self, assignments: &mut [usize], d_sqs: &mut [f64]) {
+    /// One round: every range walked (the barrier: all of them back
+    /// before it returns). Returns the points measured, the smallest
+    /// `l − u` and the largest norm among the bounds left.
+    fn sweep<'p>(
+        &mut self,
+        point: &impl Fn(usize) -> &'p SparseVec,
+        fitting: &RwLock<Fitting>,
+    ) -> (usize, f64, f64) {
+        if self.job_txs.is_empty() {
+            for job in self.slots.iter_mut().flatten() {
+                job.walk(point, &fitting.read().expect("fit lock"));
+            }
+        }
         for (tx, slot) in self.job_txs.iter().zip(&mut self.slots) {
             tx.send(slot.take().expect("job checked in"))
                 .expect("worker alive");
         }
-        for _ in 0..self.slots.len() {
+        for _ in 0..self.job_txs.len() {
             let job = self.done_rx.recv().expect("worker alive");
             let chunk = job.chunk;
             self.slots[chunk] = Some(job);
         }
-        for job in self.slots.iter().flatten() {
-            assignments[job.lo..job.hi].copy_from_slice(&job.assignments);
-            d_sqs[job.lo..job.hi].copy_from_slice(&job.d_sqs);
-        }
+        let measured = self.jobs().map(|j| j.measured).sum();
+        let spread = self.jobs().map(|j| j.spread).fold(f64::INFINITY, f64::min);
+        (
+            measured,
+            spread,
+            self.jobs().map(|j| j.widest).fold(0.0, f64::max),
+        )
     }
 
-    /// Overwrites `sums` with the last round's chunk sums, merged in
-    /// chunk order (deterministic for a fixed worker count). The first
-    /// chunk's overwrite the buffers outright — the barrier pays no
-    /// zeroing pass per round.
-    fn merge_into(&self, sums: &mut ClusterSums) {
-        let mut parts = self.slots.iter().flatten();
-        sums.copy_from(&parts.next().expect("at least one worker").sums);
-        for job in parts {
-            sums.merge(&job.sums);
-        }
+    /// The ranges, in slot order.
+    fn jobs(&self) -> impl Iterator<Item = &Job<'b>> + Clone {
+        self.slots.iter().flatten()
+    }
+
+    /// `(slot, from, to)` of each point the last walk moved, ascending.
+    fn moved(&self) -> impl Iterator<Item = (usize, usize, usize)> + Clone + use<'_, 'b> {
+        self.jobs().flat_map(|j| j.moved.iter().copied())
     }
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Assignment sweeps made by the current thread, so tests can assert
-    /// how many a fit cost. Pool workers count on their own threads.
-    static SWEEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Points measured against the centroids by walks on the current
+    /// thread, so tests can assert what a fit cost. Pool workers count
+    /// on their own threads.
+    static MEASURED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Centroid initialisation strategy.
@@ -854,12 +957,11 @@ pub enum KMeansInit {
 ///
 /// The paper uses K-means with the Euclidean (L2) distance as its primary
 /// unsupervised method (§4.2.2); `K` is the expected number of behaviour
-/// classes. The run is deterministic given [`seed`](Self::seed) and a
-/// fixed [`threads`](Self::threads) setting (see `threads` for the
-/// fine print on comparing *different* thread counts); the assignment
-/// step fans out across [`std::thread::scope`] workers on large inputs,
-/// with per-worker partial centroid sums merged at the barrier in chunk
-/// order.
+/// classes. The run is deterministic given [`seed`](Self::seed), whatever
+/// [`threads`](Self::threads) says. Lloyd's loop carries Hamerly's
+/// distance bounds, so an iteration measures only the points they cannot
+/// confirm and patches the means from the points that moved; the walk
+/// fans out across [`std::thread::scope`] workers on large inputs.
 ///
 /// # Examples
 ///
@@ -881,7 +983,6 @@ pub enum KMeansInit {
 pub struct KMeans {
     k: usize,
     max_iters: usize,
-    tol: f64,
     init: KMeansInit,
     seed: u64,
     restarts: usize,
@@ -906,22 +1007,28 @@ pub struct KMeansResult {
     pub assignments: Vec<usize>,
     /// Sum of squared distances of points to their assigned centroid.
     pub inertia: f64,
-    /// Number of Lloyd iterations performed (best restart).
+    /// Number of Lloyd iterations performed (best restart): its
+    /// assignment sweeps, the last of which found the fixpoint.
     pub iterations: usize,
     /// Whether the best restart converged before `max_iters`.
     pub converged: bool,
+    /// `bounds[i]` is what the fit knows of point `i`'s distances to
+    /// `centroids`: a warm fit over the same points starts from them
+    /// ([`KMeans::fit_warm_in_place`]) instead of measuring every point.
+    pub bounds: Vec<PointBounds>,
 }
 
-/// What one [`KMeans::lloyd`] run ends with.
-struct LloydRun {
-    fit: KMeansResult,
-    /// The buffers `fit.centroids` were read from.
-    centroids: Centroids,
-    /// Assignment sweeps made.
-    sweeps: usize,
-    /// Whether the sums end up the point-order sums of the returned
-    /// assignment (an update step's, and the assignment repeated).
-    point_order: bool,
+/// What one [`KMeans::lloyd`] run ends with, besides the member lists,
+/// bounds and stats it leaves; its centroids are the ones the stats keep.
+#[derive(Default)]
+struct Fit {
+    iterations: usize,
+    converged: bool,
+    /// Points measured, summed over the walks.
+    measured: usize,
+    /// `(slot, from, to)` of every move of a point out of a cluster the
+    /// stats described, in the order the fit made them.
+    moves: Vec<(usize, usize, usize)>,
 }
 
 /// Outcome of a warm fit on its caller's state
@@ -940,10 +1047,9 @@ pub struct WarmPass {
     pub iterations: usize,
     /// Whether the fit converged before `max_iters`.
     pub converged: bool,
-    /// Points measured against the centroids, summed over the fit: the
-    /// ones the bounded first pass could not confirm (none when the
-    /// global test confirmed them all), and every point in each sweep of
-    /// the Lloyd loop when one moved.
+    /// Points measured against the centroids, summed over the fit's
+    /// iterations: in each, the ones the bounds could not confirm (none
+    /// when the global test confirmed them all).
     pub evaluated: usize,
 }
 
@@ -953,7 +1059,6 @@ impl KMeans {
         KMeans {
             k,
             max_iters: 100,
-            tol: 1e-9,
             init: KMeansInit::default(),
             seed: 0,
             restarts: 1,
@@ -965,15 +1070,8 @@ impl KMeans {
     /// picks [`std::thread::available_parallelism`] for large inputs and
     /// stays sequential for small ones; `1` forces the sequential path.
     /// [`fit_warm_in_place`](Self::fit_warm_in_place) always sweeps on
-    /// the calling thread.
-    ///
-    /// Any fixed `threads` value is exactly reproducible (partial sums
-    /// merge in deterministic chunk order). Across *different* thread
-    /// counts, seeding is byte-identical and assignments are pure
-    /// per-point functions of the centroids — but the centroid partial
-    /// sums regroup, so from the second Lloyd iteration on the centroids
-    /// can drift by last-bit ulps, which in principle can flip an exact
-    /// assignment tie or a convergence check sitting exactly on `tol`.
+    /// the calling thread. The fit is `f64::to_bits`-identical at every
+    /// worker count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -1002,6 +1100,13 @@ impl KMeans {
     /// vectors stored elsewhere (`&[SparseVec]`, `&[&SparseVec]`, …);
     /// nothing is copied either way.
     ///
+    /// Each restart seeds its centroids, then runs Lloyd's loop from
+    /// stale sums and every point's bounds
+    /// [unknown](PointBounds::UNKNOWN) until the assignment repeats (see
+    /// [`fit_warm_in_place`](Self::fit_warm_in_place) for the loop). The
+    /// inertia that picks among restarts is taken once, at the end, from
+    /// each point to its own centroid.
+    ///
     /// # Errors
     ///
     /// * [`MlError::InvalidConfig`] if `k == 0`,
@@ -1011,10 +1116,14 @@ impl KMeans {
     pub fn run<P: Borrow<SparseVec>>(&self, points: &[P]) -> Result<KMeansResult, MlError> {
         let points: Vec<&SparseVec> = points.iter().map(Borrow::borrow).collect();
         self.validate_inputs(&points)?;
+        let threads = self.effective_threads(points.len());
+        // One set of buffers and one pass for the norms for every restart.
+        let mut stats = ClusterStats::new(self.k, points[0].dim());
+        let norms: Vec<f64> = points.iter().map(|p| p.norm_l2_sq()).collect();
         let mut best: Option<KMeansResult> = None;
         for restart in 0..self.restarts {
             let mut rng = SmallRng::seed_from_u64(self.seed.wrapping_add(restart as u64));
-            let result = self.run_once(&points, &mut rng);
+            let result = self.run_once((&points, &norms), &mut stats, &mut rng, threads);
             if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
                 best = Some(result);
             }
@@ -1051,7 +1160,7 @@ impl KMeans {
 
     /// Warm-started K-means on state its caller keeps between fits:
     /// resumes Lloyd's algorithm from the previous assignment instead of
-    /// re-seeding and restarting, and confirms a fixpoint from carried
+    /// re-seeding and restarting, and confirms points from carried
     /// distance bounds where it can.
     ///
     /// The points live in slots: `members[c]` lists cluster `c`'s, in
@@ -1064,43 +1173,38 @@ impl KMeans {
     ///
     /// The initial centroids are the means of `stats`, the cluster sums
     /// of the previous assignment ([`ClusterStats`]): rebuilt in point
-    /// order — exactly the arithmetic of the update step — and patched as
-    /// points come and go. The fit first rebuilds them in place, over
-    /// the members in slot order, when they are stale or once the
-    /// patches since their last rebuild reach the number of points (a
-    /// step that reads every point, and the one place outside the Lloyd
-    /// loop that lists them). So a *converged* assignment reproduces its
-    /// centroids bit for bit when nothing was patched since the last
-    /// rebuild, and within one rounding per patch otherwise. The means are written into a buffer `stats` keep for
-    /// the purpose; the centroids the previous fit returned are the ones
-    /// `stats` keep beside it (stats that keep none void every bound).
+    /// order and patched as points come and go. The fit first rebuilds
+    /// them in place, over the members in slot order, when they are stale
+    /// or once the patches since their last rebuild reach the number of
+    /// points. So a *converged* assignment reproduces its centroids bit
+    /// for bit when nothing was patched since the last rebuild, and within
+    /// one rounding per patch otherwise. The centroids the previous fit
+    /// returned are the ones `stats` keep (stats that keep none void
+    /// every bound); how far each mean drifted from them joins the drift
+    /// the stats owe the bounds.
     ///
-    /// The fit then measures how far each centroid drifted from the kept
-    /// one, buffer against buffer, and adds it to the drift the stats
-    /// owe the bounds. When twice the largest owed drift cannot close the
-    /// smallest gap any point's bounds left (Hamerly's global test), no
-    /// bound is read or written. Otherwise it walks the members cluster
-    /// by cluster and widens every point's bounds by the owed drift: a
-    /// point whose own centroid is still provably the strict nearest,
-    /// by more than the rounding slack of the distance formula, keeps
-    /// its assignment unmeasured; every other point goes through the
-    /// assignment kernel. If none of them moved, the previous assignment
-    /// is the fixpoint and the fit returns after one iteration, having
-    /// read no point but the ones its bounds could not confirm. As soon
-    /// as one moves, Lloyd's loop runs from the seeding exactly as
-    /// without bounds, over the points in slot order: an assignment
-    /// sweep, the point-order sums of the update step, until the
-    /// assignment repeats. It leaves in `stats` the point-order sums of
-    /// the assignment it returns, rebuilding them when its last update
-    /// does not describe that assignment (a stop on `tol` or
-    /// `max_iters`, an emptied cluster repaired), rewrites `members`,
-    /// and returns the points that moved. Either way `bounds` ends up
-    /// valid against the returned centroids, which `stats` keep in
-    /// place of the previous ones, and no `k × dim` buffer is
-    /// allocated. Assignments, centroids and iterations are
-    /// `f64::to_bits`-identical to a warm start that measured every
-    /// point from the same stats (pinned by the warm-start oracle and the
-    /// golden recluster script).
+    /// Then Lloyd's loop runs, each iteration a bounded sweep and an
+    /// update. When twice the largest owed drift cannot close the
+    /// smallest gap any point's bounds left (Hamerly's global test), the
+    /// sweep reads no bound. Otherwise it walks the member lists and
+    /// widens each point's bounds by the drift owed: a point whose own
+    /// centroid is still provably the strict nearest, by more than the
+    /// rounding slack of the distance formula, keeps its assignment
+    /// unmeasured; every other point goes through the assignment kernel,
+    /// and moves unless its own centroid ties with the nearest. When
+    /// nothing moved, the assignment is the fixpoint and the fit returns.
+    /// Otherwise the moved points move between member lists and the sums
+    /// are patched from them, in slot order (rebuilt instead once the
+    /// patches would reach the number of points), a cluster left empty
+    /// adopts the point farthest from its centroid, and the means are the
+    /// next iteration's centroids. The fit returns the points that moved;
+    /// `bounds`, with the drift `stats` owe them, are valid against the
+    /// returned centroids, which `stats` keep, and no list of points or
+    /// bounds and no `k × dim` buffer is allocated. The bounds are exact (Elkan, ICML
+    /// 2003; Hamerly, SDM 2010): assignments, centroids and iterations
+    /// are `f64::to_bits`-identical to a loop that measures every point
+    /// in every sweep, with the same patches and stop rule (pinned by the
+    /// reference loop in the tests and the golden recluster script).
     ///
     /// This is the cost profile behind the incremental `recluster()`
     /// surface in `fmeter-core`; `benchmark/`'s layer replay times the
@@ -1123,7 +1227,7 @@ impl KMeans {
     pub fn fit_warm_in_place<'p>(
         &self,
         members: &mut [Vec<usize>],
-        point: impl Fn(usize) -> &'p SparseVec,
+        point: impl Fn(usize) -> &'p SparseVec + Sync,
         stats: &mut ClusterStats,
         bounds: &mut [PointBounds],
     ) -> Result<WarmPass, MlError> {
@@ -1137,74 +1241,33 @@ impl KMeans {
                 stats.k()
             )));
         }
-        let n = members.iter().map(Vec::len).sum();
-        // The slots, their clusters and their points as lists in slot
-        // order — point order, the order of every sum and sweep — for a
-        // step that reads every point anyway: each slot's cluster,
-        // then the slots read off in order.
-        let in_slot_order = || {
-            let end = members.iter().filter_map(|list| list.last()).max();
-            let mut cluster = vec![usize::MAX; end.map_or(0, |&s| s + 1)];
-            for (c, list) in members.iter().enumerate() {
-                list.iter().for_each(|&s| cluster[s] = c);
-            }
-            let listed = cluster
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c != usize::MAX);
-            let (slots, prev): (Vec<usize>, Vec<usize>) = listed.unzip();
-            let points: Vec<&SparseVec> = slots.iter().map(|&s| point(s)).collect();
-            (slots, prev, points)
-        };
-        if stats.stale || stats.patches >= n {
-            let (_, prev, points) = in_slot_order();
-            stats.rebuild(&points, &prev);
+        let end = members.iter().filter_map(|list| list.last()).max();
+        assert!(
+            end.is_none_or(|&s| s < bounds.len()),
+            "a member has no bound"
+        );
+        if stats.stale || stats.patches >= members.iter().map(Vec::len).sum() {
+            stats.resum(slot_order(members).map(|(s, c)| (point(s), c)));
         }
         if !stats.fitted {
             // The bounds are for the kept centroids, and there are none.
             bounds.fill(PointBounds::UNKNOWN);
         }
-        // Lent to the fit; an empty `Centroids` allocates nothing.
-        let mut seeded = std::mem::take(&mut stats.seeded);
-        seeded.set_from_means(&stats.sums);
-        let (measured, moved) = self.confirm(members, &point, &seeded, stats, bounds);
-        if !moved {
-            let centroids = seeded.to_sparse();
-            stats.keep(seeded);
-            return Ok(WarmPass {
-                centroids,
-                moved: Vec::new(),
-                iterations: 1,
-                converged: true,
-                evaluated: measured,
-            });
-        }
-        let (slots, prev, points) = in_slot_order();
-        let bounds = Some((&slots[..], bounds));
-        let run = self.lloyd(&points, seeded, &mut stats.sums, Some(&prev), 1, bounds);
-        if run.point_order {
-            stats.patches = 0;
-        } else {
-            stats.rebuild(&points, &run.fit.assignments);
-        }
-        stats.keep(run.centroids);
-        // Every bound was measured against the kept centroids.
-        stats.owed.fill(0.0);
-        stats.forget_gap();
-        members.iter_mut().for_each(Vec::clear);
-        let mut moved = Vec::new();
-        for ((&s, &from), &to) in slots.iter().zip(&prev).zip(&run.fit.assignments) {
-            members[to].push(s);
-            if to != from {
-                moved.push((s, from, to));
-            }
-        }
+        stats.advance();
+        let fit = self.lloyd(members, &point, stats, bounds, 1);
+        // Each slot's first move out and last move in, if they differ.
+        let mut moves = fit.moves;
+        moves.sort_by_key(|&(s, ..)| s);
+        let moved = moves.chunk_by(|a, b| a.0 == b.0).filter_map(|chain| {
+            let ((s, from, _), (.., to)) = (chain[0], chain[chain.len() - 1]);
+            (from != to).then_some((s, from, to))
+        });
         Ok(WarmPass {
-            centroids: run.fit.centroids,
-            moved,
-            iterations: run.fit.iterations,
-            converged: run.fit.converged,
-            evaluated: measured + run.sweeps * n,
+            centroids: stats.centroids.to_sparse(),
+            moved: moved.collect(),
+            iterations: fit.iterations,
+            converged: fit.converged,
+            evaluated: fit.measured,
         })
     }
 
@@ -1237,226 +1300,160 @@ impl KMeans {
         (stats.fitted && p.dim() == stats.sums.dim).then(|| stats.centroids.nearest(p))
     }
 
-    /// The bounded first sweep of a warm start, against the `seeded`
-    /// means of the previous assignment, `members`: the drift from the
-    /// centroids `stats` keep joins the drift they owe the bounds, and
-    /// unless the global test confirms every point at once, each point's
-    /// bounds are widened by it, and a point they do not confirm — or
-    /// whose bounds are for another cluster — is measured and gets fresh
-    /// ones. Returns how many points were measured and whether one of
-    /// them moved — where the walk stops, because the Lloyd loop that
-    /// follows measures every point again. A walk to the end settles
-    /// the owed drift and records the smallest gap it left.
-    fn confirm<'p>(
+    /// One restart of [`run`](Self::run) over `points` of squared norms
+    /// `norms`, on `stats`' buffers: every point starts in cluster 0's
+    /// member list with its bounds unknown, on stale stats, so the first
+    /// walk measures every point and the first update sums the clusters
+    /// in point order.
+    fn run_once(
         &self,
-        members: &[Vec<usize>],
-        point: impl Fn(usize) -> &'p SparseVec,
-        seeded: &Centroids,
+        (points, norms): (&[&SparseVec], &[f64]),
+        stats: &mut ClusterStats,
+        rng: &mut SmallRng,
+        threads: usize,
+    ) -> KMeansResult {
+        match self.init {
+            KMeansInit::Random => {
+                let seeds: Vec<usize> = sample(rng, points.len(), self.k).iter().collect();
+                stats.centroids.set_from_points(points, &seeds);
+            }
+            KMeansInit::KMeansPlusPlus => {
+                self.init_plusplus((points, norms), &mut stats.centroids, rng);
+            }
+        }
+        stats.mark_stale();
+        stats.owed.fill(0.0);
+        let n = points.len();
+        let mut members = vec![Vec::new(); self.k];
+        members[0] = (0..n).collect();
+        let mut bounds = vec![PointBounds::UNKNOWN; n];
+        let fit = self.lloyd(&mut members, &|i| points[i], stats, &mut bounds, threads);
+        let mut assignments = vec![0; n];
+        for (c, list) in members.iter().enumerate() {
+            list.iter().for_each(|&i| assignments[i] = c);
+        }
+        // The bounds a caller keeps owe no drift.
+        let (owed, max) = (&stats.owed, max_drift(&stats.owed));
+        bounds.iter_mut().for_each(|b| b.widen(owed, max));
+        let own =
+            |((p, &sq), &c): ((&&SparseVec, &f64), &usize)| stats.centroids.bufs[c].dist_sq(p, sq);
+        KMeansResult {
+            centroids: stats.centroids.to_sparse(),
+            inertia: points.iter().zip(norms).zip(&assignments).map(own).sum(),
+            assignments,
+            iterations: fit.iterations,
+            converged: fit.converged,
+            bounds,
+        }
+    }
+
+    /// Lloyd's algorithm on `stats`, from the centroids they keep, the
+    /// assignment `members` and the points' `bounds` by slot, until an
+    /// iteration moves no point or `max_iters` runs out: the loop of
+    /// [`fit_warm_in_place`](Self::fit_warm_in_place). Stale stats (a
+    /// cold fit's, whose centroids are its seeds and whose bounds are
+    /// unknown) are no fixpoint: their first update sums the clusters
+    /// afresh. With `threads > 1` the walks run on a [`Pool`]; the update
+    /// step always runs on the calling thread.
+    fn lloyd<'p, P>(
+        &self,
+        members: &mut [Vec<usize>],
+        point: &P,
         stats: &mut ClusterStats,
         bounds: &mut [PointBounds],
-    ) -> (usize, bool) {
-        let drifts = seeded.drifts_from(&stats.centroids);
-        for (owed, drift) in stats.owed.iter_mut().zip(drifts) {
-            *owed = (*owed + drift).next_up();
-        }
-        // A NaN drift must reach every lower bound, so no `f64::max`.
-        let max_drift = stats
-            .owed
-            .iter()
-            .fold(0.0, |m: f64, &d| if d > m || d.is_nan() { d } else { m });
-        let slack = Slack::new(seeded);
-        if slack.confirms(stats.gap, max_drift) {
-            return (0, false);
-        }
-        let mut measured = 0;
-        let (mut spread, mut widest) = (f64::INFINITY, 0.0f64);
-        for ((own, slots), &drift) in members.iter().enumerate().zip(&stats.owed) {
-            for &s in slots {
-                let b = &mut bounds[s];
-                let upper = (b.upper + drift).next_up();
-                let lower = (b.lower - max_drift).next_down();
-                // Never true for an unknown bound or a NaN anywhere.
-                if b.cluster == own && upper + slack.margin(b.norm) < lower {
-                    b.upper = upper;
-                    b.lower = lower;
-                } else {
-                    let near = seeded.nearest(point(s));
-                    measured += 1;
-                    if near.cluster != own {
-                        return (measured, true);
-                    }
-                    *b = slack.bounds(&near);
-                }
-                spread = spread.min(b.lower - b.upper);
-                widest = widest.max(b.norm);
-            }
-        }
-        stats.gap = slack.gap(spread, widest);
-        stats.owed.fill(0.0);
-        (measured, false)
-    }
-
-    fn run_once(&self, points: &[&SparseVec], rng: &mut SmallRng) -> KMeansResult {
-        let seeds = match self.init {
-            KMeansInit::Random => self.init_random(points, rng),
-            KMeansInit::KMeansPlusPlus => self.init_plusplus(points, rng),
-        };
-        let dim = points[0].dim();
-        let mut centroids = Centroids::new(self.k, dim);
-        centroids.set_from_points(points, &seeds);
-        let threads = self.effective_threads(points.len());
-        let mut sums = ClusterSums::new(self.k, dim);
-        self.lloyd(points, centroids, &mut sums, None, threads, None)
-            .fit
-    }
-
-    /// Lloyd's algorithm from `centroids`: an assignment sweep, then the
-    /// update step on `sums` (allocated once per fit, not once per
-    /// iteration), until the inertia improves by no more than `tol` or
-    /// `max_iters` runs out; then one final sweep against the final
-    /// centroids. Returns the fit with the buffers of its centroids.
-    ///
-    /// `warm` is the assignment a warm start resumes from, and turns on
-    /// the assignment-fixpoint check; `bounds`, when given with each
-    /// point's slot in them, are re-measured by every sweep. With `threads > 1` the sweeps run
-    /// on a [`Pool`]; otherwise on the calling thread, which then sums
-    /// the clusters itself, in point order.
-    fn lloyd(
-        &self,
-        points: &[&SparseVec],
-        centroids: Centroids,
-        sums: &mut ClusterSums,
-        warm: Option<&[usize]>,
         threads: usize,
-        mut bounds: Option<(&[usize], &mut [PointBounds])>,
-    ) -> LloydRun {
-        // Workers read the centroids during a sweep; the calling thread
-        // writes them strictly between sweeps.
-        let centroids = RwLock::new(centroids);
-        let mut current = warm.map(<[usize]>::to_vec);
-        let mut assignments = vec![0usize; points.len()];
-        let mut d_sqs = vec![0.0f64; points.len()];
-        let mut previous_inertia = f64::INFINITY;
-        let mut iterations = 0;
-        let mut sweeps = 0;
-        let mut converged = false;
-        // Whether `sums` describe `current`: an update step summed them,
-        // and repaired no cluster. (A warm fit sums on this thread, in
-        // point order.)
-        let mut described = false;
+    ) -> Fit
+    where
+        P: Fn(usize) -> &'p SparseVec + Sync,
+    {
+        let n = members.iter().map(Vec::len).sum();
+        let mut fit = Fit::default();
+        // Workers read the stats and member lists during a walk; the
+        // calling thread writes them strictly between walks.
+        let fitting = RwLock::new(Fitting { stats, members });
         std::thread::scope(|s| {
-            let mut pool = (threads > 1).then(|| Pool::spawn(s, self, points, &centroids, threads));
-            let mut sweep =
-                |pool: &mut Option<Pool>, assignments: &mut [usize], d_sqs: &mut [f64]| {
-                    sweeps += 1;
-                    match pool {
-                        Some(pool) => pool.sweep(assignments, d_sqs),
-                        None => {
-                            let centroids = centroids.read().expect("centroid lock");
-                            let slack = Slack::new(&centroids);
-                            centroids.assign(points, |i, near| {
-                                assignments[i] = near.cluster;
-                                d_sqs[i] = near.d_sq;
-                                if let Some((slots, bounds)) = &mut bounds {
-                                    bounds[slots[i]] = slack.bounds(&near);
-                                }
-                            });
-                        }
-                    }
+            let mut pool = Pool::spawn(s, point, &fitting, bounds, threads);
+            while fit.iterations < self.max_iters {
+                fit.iterations += 1;
+                // Stale stats forgot the gap: the global test fails.
+                let (stale, walk) = {
+                    let fitting = fitting.read().expect("fit lock");
+                    (fitting.stats.stale, !fitting.stats.confirms_all())
                 };
-            for iter in 0..self.max_iters {
-                iterations = iter + 1;
-                sweep(&mut pool, &mut assignments, &mut d_sqs);
-                let inertia: f64 = d_sqs.iter().sum();
-                if current.as_deref() == Some(&assignments[..]) {
-                    // Assignment fixpoint: the centroids are already the
-                    // means of exactly this assignment (the seeding, or
-                    // the previous round's update), so an update would
-                    // rewrite them with themselves and this sweep is the
-                    // final one.
-                    converged = true;
-                    return;
+                let walked = walk.then(|| pool.sweep(point, &fitting));
+                let mut fitting = fitting.write().expect("fit lock");
+                if let Some((measured, spread, widest)) = walked {
+                    fit.measured += measured;
+                    fitting.stats.walked(spread, widest);
                 }
-                match &pool {
-                    Some(pool) => pool.merge_into(sums),
-                    None => sums.accumulate(points, &assignments),
-                }
-                described = !self.finish_update(
-                    points,
-                    &mut centroids.write().expect("centroid lock"),
-                    &mut assignments,
-                    sums,
-                );
-                if let Some(current) = &mut current {
-                    // After the update, because its empty-cluster repair
-                    // may have moved a point.
-                    current.copy_from_slice(&assignments);
-                }
-                if (previous_inertia - inertia).abs() <= self.tol {
-                    converged = true;
+                let moves = if walk { pool.moved().count() } else { 0 };
+                if moves == 0 && !stale {
+                    fit.converged = true;
                     break;
                 }
-                previous_inertia = inertia;
+                if !stale {
+                    fit.moves.extend(pool.moved());
+                }
+                self.update(&mut fitting, point, pool.moved(), n, &mut fit.moves);
             }
-            // Final assignment against the final centroids.
-            sweep(&mut pool, &mut assignments, &mut d_sqs);
-            described &= current.as_deref() == Some(&assignments[..]);
         });
-        let centroids = centroids.into_inner().expect("centroid lock");
-        let fit = KMeansResult {
-            centroids: centroids.to_sparse(),
-            assignments,
-            // Summed in point order, whichever thread swept the point.
-            inertia: d_sqs.iter().sum(),
-            iterations,
-            converged,
-        };
-        LloydRun {
-            fit,
-            centroids,
-            sweeps,
-            point_order: described,
-        }
+        fit
     }
 
-    /// Second half of a Lloyd iteration, after `sums` holds the merged
-    /// per-cluster accumulations: empty clusters adopt the point
-    /// farthest from its centroid, then every centroid is rewritten to
-    /// its cluster mean. Returns whether a cluster was repaired, which
-    /// leaves `sums` describing no assignment.
-    fn finish_update(
+    /// The update step after a walk that moved `moved` (ascending by
+    /// slot), over `n` points: the member lists follow the moves, and the
+    /// sums are patched from them in slot order — or summed afresh when
+    /// stale, or when the patches would reach `n`. A cluster left empty
+    /// adopts the point farthest from its centroid (the lowest slot on a
+    /// tie) from a cluster with members to spare; that move joins
+    /// `moves`, and the next walk measures the point. Then the means
+    /// become the centroids.
+    fn update<'p>(
         &self,
-        points: &[&SparseVec],
-        centroids: &mut Centroids,
-        assignments: &mut [usize],
-        sums: &mut ClusterSums,
-    ) -> bool {
-        let mut repaired = false;
-        // Empty clusters adopt the point farthest from its centroid.
-        for c in 0..self.k {
-            if sums.counts[c] == 0 {
-                let far_idx = points
-                    .iter()
-                    .zip(assignments.iter())
-                    .map(|(p, &a)| centroids.bufs[a].dist_sq(p, p.norm_l2_sq()))
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .expect("points is non-empty")
-                    .0;
-                assignments[far_idx] = c;
-                sums.counts[c] = 1;
-                let row = sums.row_mut(c);
-                row.fill(0.0);
-                for (t, v) in points[far_idx].iter() {
-                    row[t as usize] = v;
-                }
-                // Note: the donor cluster keeps its stale sum this round;
-                // the next iteration's assignment step repairs it.
-                repaired = true;
+        fitting: &mut Fitting,
+        point: &impl Fn(usize) -> &'p SparseVec,
+        moved: impl Iterator<Item = (usize, usize, usize)> + Clone,
+        n: usize,
+        moves: &mut Vec<(usize, usize, usize)>,
+    ) {
+        let Fitting { stats, members } = fitting;
+        for (c, list) in members.iter_mut().enumerate() {
+            let mut leaving = moved.clone().filter(|m| m.1 == c).map(|m| m.0).peekable();
+            list.retain(|&s| leaving.next_if_eq(&s).is_none());
+            let kept = list.len();
+            list.extend(moved.clone().filter(|m| m.2 == c).map(|m| m.0));
+            if list.len() > kept {
+                list.sort_unstable();
             }
         }
-        centroids.set_from_means(sums);
-        repaired
+        let patches = 2 * moved.clone().count();
+        if stats.stale || stats.patches + patches >= n {
+            stats.resum(slot_order(members).map(|(s, c)| (point(s), c)));
+        } else {
+            for (s, from, to) in moved {
+                stats.remove(from, point(s));
+                stats.add(to, point(s));
+            }
+        }
+        while let Some(c) = members.iter().position(Vec::is_empty) {
+            let spare = (0..self.k).filter(|&a| members[a].len() > 1);
+            let far = spare
+                .flat_map(|a| members[a].iter().map(move |&s| (s, a)))
+                .map(|(s, a)| {
+                    let p = point(s);
+                    (s, a, stats.centroids.bufs[a].dist_sq(p, p.norm_l2_sq()))
+                })
+                .max_by(|x, y| x.2.total_cmp(&y.2).then(y.0.cmp(&x.0)));
+            let (s, from, _) = far.expect("k <= n leaves a cluster two members");
+            let at = members[from].binary_search(&s).expect("a member");
+            members[from].remove(at);
+            members[c].push(s);
+            stats.remove(from, point(s));
+            stats.add(c, point(s));
+            stats.forget_gap();
+            moves.push((s, from, c));
+        }
+        stats.advance();
     }
 
     /// Worker-thread count for the assignment step over `n` points.
@@ -1473,33 +1470,36 @@ impl KMeans {
         requested.clamp(1, n.max(1))
     }
 
-    /// Uniformly random distinct seed points.
-    fn init_random(&self, points: &[&SparseVec], rng: &mut SmallRng) -> Vec<usize> {
-        sample(rng, points.len(), self.k).iter().collect()
-    }
-
-    /// k-means++ D² seeding over point indices; each squared distance
-    /// merge-joins the two points' supports term by term
-    /// ([`Metric::distance_sq_slices`]): no square root to undo and no
-    /// difference vector.
-    fn init_plusplus(&self, points: &[&SparseVec], rng: &mut SmallRng) -> Vec<usize> {
-        let d_sq = |a: &SparseVec, b: &SparseVec| -> f64 {
-            Metric::Euclidean
-                .distance_sq_slices(a.terms(), a.values(), b.terms(), b.values())
-                .expect("Euclidean takes no parameter")
-        };
-        let mut seeds = Vec::with_capacity(self.k);
-        seeds.push(rng.random_range(0..points.len()));
-        let first = points[seeds[0]];
-        let mut dist2: Vec<f64> = points.iter().map(|p| d_sq(p, first)).collect();
-        while seeds.len() < self.k {
+    /// k-means++ D² seeding into `centroids`, over `points` of squared
+    /// norms `norms`. Each seed is scattered
+    /// into its own centroid buffer, and a point's squared distance to
+    /// it is `‖x‖² + ‖c‖² − 2x·c` over the point's support
+    /// ([`CentroidBuf::dist_sq`]): no merge-join of two supports.
+    fn init_plusplus(
+        &self,
+        (points, norms): (&[&SparseVec], &[f64]),
+        centroids: &mut Centroids,
+        rng: &mut SmallRng,
+    ) {
+        let n = points.len();
+        let mut dist2 = vec![f64::INFINITY; n];
+        let mut next = rng.random_range(0..n);
+        for c in 0..self.k {
+            let seed = &mut centroids.bufs[c];
+            seed.set_from_point(points[next]);
+            if c + 1 == self.k {
+                break;
+            }
+            for ((d, p), &sq) in dist2.iter_mut().zip(points).zip(norms) {
+                *d = d.min(seed.dist_sq(p, sq));
+            }
             let total: f64 = dist2.iter().sum();
-            let next = if total <= 0.0 {
+            next = if total <= 0.0 {
                 // All remaining points coincide with a centroid; pick any.
-                rng.random_range(0..points.len())
+                rng.random_range(0..n)
             } else {
                 let mut target = rng.random::<f64>() * total;
-                let mut chosen = points.len() - 1;
+                let mut chosen = n - 1;
                 for (i, &d) in dist2.iter().enumerate() {
                     target -= d;
                     if target <= 0.0 {
@@ -1509,16 +1509,8 @@ impl KMeans {
                 }
                 chosen
             };
-            let centroid = points[next];
-            for (i, p) in points.iter().enumerate() {
-                let d = d_sq(p, centroid);
-                if d < dist2[i] {
-                    dist2[i] = d;
-                }
-            }
-            seeds.push(next);
         }
-        seeds
+        centroids.refresh_lanes();
     }
 }
 
@@ -1659,10 +1651,18 @@ mod tests {
                 parallel.assignments, sequential.assignments,
                 "{threads} threads"
             );
-            let rel = (parallel.inertia - sequential.inertia).abs()
-                / sequential.inertia.max(f64::MIN_POSITIVE);
-            assert!(rel < 1e-9, "inertia drift {rel} at {threads} threads");
+            // Bit for bit: the calling thread patches the sums in point
+            // order, whichever worker walked the point.
+            assert_eq!(
+                parallel.inertia.to_bits(),
+                sequential.inertia.to_bits(),
+                "{threads} threads"
+            );
             assert_eq!(parallel.iterations, sequential.iterations);
+            for (p, s) in parallel.centroids.iter().zip(&sequential.centroids) {
+                assert_eq!(p.terms(), s.terms(), "{threads} threads");
+                assert_eq!(bits(p.values()), bits(s.values()), "{threads} threads");
+            }
         }
     }
 
@@ -1680,8 +1680,9 @@ mod tests {
         assert!(warm.converged);
         assert_eq!(warm.iterations, 1);
         assert_eq!(warm.assignments, cold.assignments);
-        // Bit-identical centroids: the warm seeding replays the exact
-        // accumulation arithmetic of the sequential update step.
+        // Bit-identical centroids: the cold fit summed its clusters in
+        // point order and moved no point after, and the warm seeding
+        // replays that arithmetic.
         for (w, c) in warm.centroids.iter().zip(&cold.centroids) {
             assert_eq!(w.terms(), c.terms());
             assert_eq!(w.values(), c.values());
@@ -1812,7 +1813,7 @@ mod tests {
         let pts = grid_points(41, 9);
         let assignment: Vec<usize> = (0..pts.len()).map(|i| (i * 5) % 3).collect();
         let mut want = ClusterSums::new(3, 9);
-        want.accumulate(&pts, &assignment);
+        want.accumulate(pts.iter().zip(assignment.iter().copied()));
         let mut stats = ClusterStats::new(3, 9);
         assert!(stats.stale);
         stats.rebuild(&pts, &assignment);
@@ -1832,7 +1833,7 @@ mod tests {
         }
         // In place: a second rebuild over another assignment overwrites.
         let other: Vec<usize> = (0..pts.len()).map(|i| i % 3).collect();
-        want.accumulate(&pts, &other);
+        want.accumulate(pts.iter().zip(other.iter().copied()));
         stats.rebuild(&pts, &other);
         for c in 0..3 {
             assert_eq!(bits(stats.sum(c)), bits(want.row(c)), "cluster {c}");
@@ -1930,8 +1931,8 @@ mod tests {
         // A confirmed fixpoint leaves the stats as they were.
         assert_eq!((stats.patches(), stats.stale), (0, false));
 
-        // Moved points: the Lloyd loop runs, and leaves the point-order
-        // stats (supports included) of the assignment it returns.
+        // Moved points: the Lloyd loop runs, and patches the stats from
+        // the points that moved, in point order.
         let mut stale = cold.assignments.clone();
         for i in [0usize, 3, 8] {
             stale[i] = 1 - stale[i];
@@ -1953,13 +1954,21 @@ mod tests {
             assert_eq!(x.terms(), y.terms());
             assert_eq!(bits(x.values()), bits(y.values()));
         }
+        assert_eq!(a.assignments, cold.assignments);
         let mut want = ClusterStats::new(2, 4);
-        want.rebuild(&pts, &a.assignments);
+        want.rebuild(&pts, &stale);
+        for i in [0usize, 3, 8] {
+            want.remove(stale[i], &pts[i]);
+            want.add(cold.assignments[i], &pts[i]);
+        }
         for c in 0..2 {
             assert_eq!(bits(kept.sum(c)), bits(want.sum(c)));
             assert_eq!(kept.support(c), want.support(c));
         }
-        assert_eq!(kept.counts(), want.counts());
+        assert_eq!(
+            (kept.counts(), kept.patches()),
+            (want.counts(), want.patches())
+        );
     }
 
     #[test]

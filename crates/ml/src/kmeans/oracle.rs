@@ -1,14 +1,17 @@
-//! The fused assignment kernel and the bounded warm start against their
-//! oracles.
+//! The fused assignment kernel and the bounded Lloyd loop against
+//! their oracles.
 //!
 //! [`nearest_per_centroid`] — one `dot_sparse_dense` per centroid, the
 //! kernel this crate ran before the lane kernel — is the oracle, and
-//! [`reference_lloyd`] is the Lloyd loop of that time written out
-//! plainly on top of it (nested `Vec`
-//! sums, the redundant final sweep after a fixpoint, chunked sums merged
-//! in chunk order for the worker pool, every point measured in every
-//! sweep). Everything the fused path and the bounded warm start return
-//! must be `f64::to_bits`-identical to them.
+//! [`reference_lloyd`] is the Lloyd loop written out plainly on top of
+//! it: every point measured in every sweep, a point moved unless its
+//! own centroid ties with the nearest, the sums patched from the points
+//! that moved (rebuilt once the patches would reach the point count), an
+//! emptied cluster handed the point farthest from its centroid, a stop
+//! at the assignment fixpoint. Everything a cold or a
+//! warm fit returns must be `f64::to_bits`-identical to it, at any
+//! worker count: the bounds change what a fit costs, never what it
+//! computes.
 //!
 //! Inputs are generated toward the edges rather than uniformly: lane
 //! block boundaries in `k`, points with no non-zeros, duplicated points
@@ -63,26 +66,12 @@ fn nearest_per_centroid(p: &SparseVec, centroids: &Centroids) -> Nearest {
     near
 }
 
-/// An assignment sweep on the per-centroid kernel.
-fn reference_sweep(
-    points: &[&SparseVec],
-    centroids: &Centroids,
-    assignments: &mut [usize],
-    d_sqs: &mut [f64],
-) {
-    for (i, p) in points.iter().enumerate() {
-        let near = nearest_per_centroid(p, centroids);
-        assignments[i] = near.cluster;
-        d_sqs[i] = near.d_sq;
-    }
-}
-
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Per-cluster sums and counts of `assignments` over `points` (one
-/// chunk, or all of them), from `+0.0` in point order.
+/// Per-cluster sums and counts of `assignments` over `points`, from
+/// `+0.0` in point order.
 fn chunk_sums(
     points: &[&SparseVec],
     assignments: &[usize],
@@ -100,113 +89,104 @@ fn chunk_sums(
     (sums, counts)
 }
 
-/// The Lloyd loop as it ran on the per-centroid sweep. `chunks` is the
-/// worker count whose chunk-order merge the sums replay (1 =
-/// sequential); `warm_from` turns on the assignment-fixpoint check of a
-/// warm start. Also returns whether that check is what ended the loop.
+/// Lloyd's loop measuring every point in every sweep, on the
+/// per-centroid kernel, from `centroids`: a cold fit's seeds, or with
+/// `warm_from` the means of that assignment (their sums rebuilt in point
+/// order). Only [`ClusterStats`]' sums are shared with the fit under
+/// test: its patches are checked on their own.
 fn reference_lloyd(
     km: &KMeans,
     points: &[&SparseVec],
     mut centroids: Centroids,
-    chunks: usize,
     warm_from: Option<&[usize]>,
-) -> (KMeansResult, bool) {
+) -> KMeansResult {
     let (n, k, dim) = (points.len(), km.k, points[0].dim());
-    let chunk_len = n.div_ceil(chunks);
-    let mut current = warm_from.map(<[usize]>::to_vec);
-    let mut assignments = vec![0usize; n];
-    let mut d_sqs = vec![0.0f64; n];
-    let mut previous_inertia = f64::INFINITY;
+    let mut stats = ClusterStats::new(k, dim);
+    let mut assignments = vec![usize::MAX; n];
+    if let Some(prev) = warm_from {
+        assignments.copy_from_slice(prev);
+        stats.rebuild(points, prev);
+        centroids.set_from_means(&stats.sums);
+    }
     let mut iterations = 0;
     let mut converged = false;
-    let mut fixpoint = false;
-    for iter in 0..km.max_iters {
-        iterations = iter + 1;
-        reference_sweep(points, &centroids, &mut assignments, &mut d_sqs);
-        let inertia: f64 = d_sqs.iter().sum();
-        if current.as_ref().is_some_and(|c| *c == assignments) {
-            converged = true;
-            fixpoint = true;
-            break;
-        }
-        let mut merged: Option<(Vec<Vec<f64>>, Vec<usize>)> = None;
-        for lo in (0..n).step_by(chunk_len) {
-            let hi = (lo + chunk_len).min(n);
-            let (sums, counts) = chunk_sums(&points[lo..hi], &assignments[lo..hi], k, dim);
-            match &mut merged {
-                None => merged = Some((sums, counts)),
-                Some((total, members)) => {
-                    for c in 0..k {
-                        members[c] += counts[c];
-                        for (dst, &v) in total[c].iter_mut().zip(&sums[c]) {
-                            if v != 0.0 {
-                                *dst += v;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let (mut sums, mut counts) = merged.expect("n >= 1");
-        for c in 0..k {
-            if counts[c] == 0 {
-                let far = (0..n)
-                    .map(|i| {
-                        let own = &centroids.bufs[assignments[i]];
-                        (i, own.dist_sq(points[i], points[i].norm_l2_sq()))
-                    })
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .expect("n >= 1")
-                    .0;
-                assignments[far] = c;
-                counts[c] = 1;
-                sums[c].fill(0.0);
-                for (t, v) in points[far].iter() {
-                    sums[c][t as usize] = v;
-                }
-            }
-        }
-        for c in 0..k {
-            for v in &mut sums[c] {
-                *v /= counts[c] as f64;
-            }
-            centroids.bufs[c].set_from_mean(&sums[c], 1.0);
-        }
-        if let Some(current) = &mut current {
-            current.copy_from_slice(&assignments);
-        }
-        if (previous_inertia - inertia).abs() <= km.tol {
+    while iterations < km.max_iters {
+        iterations += 1;
+        // A point moves to its nearest centroid unless its own ties.
+        let moved: Vec<(usize, usize)> = (0..n)
+            .filter_map(|i| {
+                let near = nearest_per_centroid(points[i], &centroids);
+                let own = centroids.bufs.get(assignments[i]);
+                let tie = own.is_some_and(|c| c.dist_sq(points[i], near.sq_norm) == near.d_sq);
+                (!tie && near.cluster != assignments[i]).then_some((i, near.cluster))
+            })
+            .collect();
+        if moved.is_empty() && !stats.stale {
             converged = true;
             break;
         }
-        previous_inertia = inertia;
+        if stats.stale || stats.patches() + 2 * moved.len() >= n {
+            moved.iter().for_each(|&(i, to)| assignments[i] = to);
+            stats.rebuild(points, &assignments);
+        } else {
+            for (i, to) in moved {
+                stats.remove(assignments[i], points[i]);
+                stats.add(to, points[i]);
+                assignments[i] = to;
+            }
+        }
+        for c in 0..k {
+            if stats.counts()[c] > 0 {
+                continue;
+            }
+            let counts = stats.counts();
+            let far = (0..n)
+                .filter(|&i| counts[assignments[i]] > 1)
+                .map(|i| {
+                    let own = &centroids.bufs[assignments[i]];
+                    (i, own.dist_sq(points[i], points[i].norm_l2_sq()))
+                })
+                .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
+                .expect("n >= k")
+                .0;
+            stats.remove(assignments[far], points[far]);
+            stats.add(c, points[far]);
+            assignments[far] = c;
+        }
+        centroids.set_from_means(&stats.sums);
     }
-    reference_sweep(points, &centroids, &mut assignments, &mut d_sqs);
-    let result = KMeansResult {
+    let inertia = (0..n)
+        .map(|i| centroids.bufs[assignments[i]].dist_sq(points[i], points[i].norm_l2_sq()))
+        .sum();
+    KMeansResult {
         centroids: centroids.to_sparse(),
         assignments,
-        inertia: d_sqs.iter().sum(),
+        inertia,
         iterations,
         converged,
-    };
-    (result, fixpoint)
+        bounds: Vec::new(),
+    }
 }
 
 /// `KMeans::run` on the reference loop (seeding is shared: it is not
-/// what changed).
+/// what the loop is checked for).
 fn reference_run(km: &KMeans, points: &[SparseVec]) -> KMeansResult {
     let points: Vec<&SparseVec> = points.iter().collect();
     let mut best: Option<KMeansResult> = None;
     for restart in 0..km.restarts {
         let mut rng = SmallRng::seed_from_u64(km.seed.wrapping_add(restart as u64));
-        let seeds = match km.init {
-            KMeansInit::Random => km.init_random(&points, &mut rng),
-            KMeansInit::KMeansPlusPlus => km.init_plusplus(&points, &mut rng),
-        };
         let mut centroids = Centroids::new(km.k, points[0].dim());
-        centroids.set_from_points(&points, &seeds);
-        let chunks = km.effective_threads(points.len());
-        let (result, _) = reference_lloyd(km, &points, centroids, chunks, None);
+        match km.init {
+            KMeansInit::Random => {
+                let seeds: Vec<usize> = sample(&mut rng, points.len(), km.k).iter().collect();
+                centroids.set_from_points(&points, &seeds);
+            }
+            KMeansInit::KMeansPlusPlus => {
+                let norms: Vec<f64> = points.iter().map(|p| p.norm_l2_sq()).collect();
+                km.init_plusplus((&points, &norms), &mut centroids, &mut rng);
+            }
+        }
+        let result = reference_lloyd(km, &points, centroids, None);
         if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
             best = Some(result);
         }
@@ -214,20 +194,11 @@ fn reference_run(km: &KMeans, points: &[SparseVec]) -> KMeansResult {
     best.expect("at least one restart")
 }
 
-/// `KMeans::fit_warm` on the reference loop, and whether it ended on an
-/// assignment fixpoint; `prev` must be valid.
-fn reference_fit_warm(km: &KMeans, points: &[SparseVec], prev: &[usize]) -> (KMeansResult, bool) {
+/// `KMeans::fit_warm` on the reference loop; `prev` must be valid.
+fn reference_fit_warm(km: &KMeans, points: &[SparseVec], prev: &[usize]) -> KMeansResult {
     let points: Vec<&SparseVec> = points.iter().collect();
-    let dim = points[0].dim();
-    let (mut sums, counts) = chunk_sums(&points, prev, km.k, dim);
-    let mut centroids = Centroids::new(km.k, dim);
-    for c in 0..km.k {
-        for v in &mut sums[c] {
-            *v /= counts[c] as f64;
-        }
-        centroids.bufs[c].set_from_mean(&sums[c], 1.0);
-    }
-    reference_lloyd(km, &points, centroids, 1, Some(prev))
+    let centroids = Centroids::new(km.k, points[0].dim());
+    reference_lloyd(km, &points, centroids, Some(prev))
 }
 
 #[track_caller]
@@ -267,20 +238,16 @@ fn assert_same_centroids(got: &[SparseVec], want: &[SparseVec], what: &str) {
     }
 }
 
-/// Sweeps the calling thread has made so far.
-fn sweeps() -> usize {
-    SWEEPS.with(std::cell::Cell::get)
+/// Points the calling thread has measured so far.
+fn measured() -> usize {
+    MEASURED.with(std::cell::Cell::get)
 }
 
-/// Full sweeps a warm fit makes, given what the reference loop did:
-/// none when the bounded pass confirms the previous assignment,
-/// otherwise the Lloyd loop's.
-fn warm_sweeps(iterations: usize, fixpoint: bool) -> usize {
-    if fixpoint && iterations == 1 {
-        0
-    } else {
-        iterations + usize::from(!fixpoint)
-    }
+/// The bounds of two fits, bit for bit.
+#[track_caller]
+fn assert_same_bounds(got: &[PointBounds], want: &[PointBounds], what: &str) {
+    let bits: fn(&[PointBounds]) -> Vec<_> = |b| b.iter().map(bound_bits).collect();
+    assert_eq!(bits(got), bits(want), "{what}: bounds");
 }
 
 #[test]
@@ -299,14 +266,15 @@ fn fused_sweep_matches_the_per_centroid_oracle() {
             as_points.set_from_points(&points, &seeds);
             let round_robin: Vec<usize> = (0..n).map(|i| i % k).collect();
             let mut sums = ClusterSums::new(k, dim);
-            sums.accumulate(&points, &round_robin);
+            sums.accumulate(points.iter().copied().zip(round_robin));
             let mut as_means = Centroids::new(k, dim);
             as_means.set_from_means(&sums);
             for centroids in [&as_points, &as_means] {
                 let what = format!("k={k} dim={dim} n={n}");
                 let mut got = vec![0usize; n];
-                centroids.assign(&points, |i, near| {
-                    let want = nearest_per_centroid(points[i], centroids);
+                for (i, p) in points.iter().enumerate() {
+                    let near = centroids.nearest(p);
+                    let want = nearest_per_centroid(p, centroids);
                     let what = format!("{what} point {i}");
                     assert_eq!(near.cluster, want.cluster, "{what}: cluster");
                     assert_eq!(
@@ -320,9 +288,9 @@ fn fused_sweep_matches_the_per_centroid_oracle() {
                         "{what}: the walk's norm"
                     );
                     got[i] = near.cluster;
-                });
-                // The sums the update step would take from here.
-                sums.accumulate(&points, &got);
+                }
+                // The sums a rebuild would take from here.
+                sums.accumulate(points.iter().copied().zip(got.iter().copied()));
                 let (want_sums, want_counts) = chunk_sums(&points, &got, k, dim);
                 assert_eq!(sums.counts, want_counts, "{what}: counts");
                 assert_eq!(
@@ -382,15 +350,17 @@ fn fits_match_the_reference_lloyd_loop() {
             let sequential = km.clone().threads(1);
             let cold = sequential.run(&points).unwrap();
             assert_same_fit(&cold, &reference_run(&sequential, &points), &what);
-            let pool = km.clone().threads(2);
-            assert_same_fit(
-                &pool.run(&points).unwrap(),
-                &reference_run(&pool, &points),
-                &format!("{what} two workers"),
-            );
-            // Warm from the cold fit's own answer (a fixpoint unless
-            // the cold run stopped on tolerance or `max_iters`), and
-            // from that answer with one point pushed next door.
+            let fit = (&cold.assignments[..], &cold.centroids[..]);
+            assert_bounds_hold(&points, fit, &cold.bounds, &[], &what);
+            // Two workers walk the chunks; the calling thread patches
+            // the sums in point order: the same bits, bounds included.
+            let pooled = km.clone().threads(2).run(&points).unwrap();
+            let two = format!("{what} two workers");
+            assert_same_fit(&pooled, &cold, &two);
+            assert_same_bounds(&pooled.bounds, &cold.bounds, &two);
+            // Warm from the cold fit's own answer (a fixpoint unless the
+            // cold run stopped on `max_iters`), and from that answer with
+            // one point pushed next door.
             let mut prev = cold.assignments.clone();
             for moved in [false, true] {
                 if moved {
@@ -407,26 +377,48 @@ fn fits_match_the_reference_lloyd_loop() {
                     );
                     continue;
                 }
-                let before = sweeps();
+                let before = measured();
                 let warm = km
                     .fit_warm(&points, &prev, &mut ClusterStats::new(k, dim), &mut bounds)
                     .unwrap();
-                let made = sweeps() - before;
-                let (want, fixpoint) = reference_fit_warm(&km, &points, &prev);
-                assert_same_warm_fit(&warm, &want, &format!("{what} warm moved={moved}"));
-                // A fixpoint the bounded pass confirms costs no full
-                // sweep; a Lloyd loop returns from the sweep that found
-                // its fixpoint, and pays a final one after a stop on
-                // tolerance or `max_iters`.
-                assert_eq!(
-                    made,
-                    warm_sweeps(warm.iterations, fixpoint),
-                    "{what}: sweeps for {} iterations",
-                    warm.iterations
-                );
+                let what = format!("{what} warm moved={moved}");
+                assert_same_warm_fit(&warm, &reference_fit_warm(&km, &points, &prev), &what);
+                // What it measured, it measured on this thread: at most
+                // every point in every iteration, as the reference did.
+                assert_eq!(measured() - before, warm.evaluated, "{what}");
+                assert!(warm.evaluated <= n * warm.iterations, "{what}");
             }
         }
     }
+}
+
+#[test]
+fn a_long_cold_restart_measures_fewer_points_than_its_sweeps_would() {
+    // Uniform points in the plane, with no cluster structure to find:
+    // Lloyd's loop runs many iterations, each moving a few points at the
+    // edges of the cells — the shape of the workload's long restarts.
+    let mut rng = SmallRng::seed_from_u64(5);
+    let points: Vec<SparseVec> = (0..600)
+        .map(|_| {
+            let (x, y) = (rng.random_range(1.0..2.0), rng.random_range(1.0..2.0));
+            SparseVec::from_pairs(2, [(0, x), (1, y)]).unwrap()
+        })
+        .collect();
+    let n = points.len();
+    let km = KMeans::new(8).seed(1).threads(1);
+    let before = measured();
+    let cold = km.run(&points).unwrap();
+    let cost = measured() - before;
+    assert!(cold.iterations >= 10, "{} iterations", cold.iterations);
+    assert_same_fit(&cold, &reference_run(&km, &points), "long restart");
+    assert!(
+        cost < n * cold.iterations,
+        "{cost} points measured in {} iterations over {n}",
+        cold.iterations
+    );
+    let pooled = km.clone().threads(3).run(&points).unwrap();
+    assert_same_fit(&pooled, &cold, "three workers");
+    assert_same_bounds(&pooled.bounds, &cold.bounds, "three workers");
 }
 
 #[test]
@@ -442,57 +434,77 @@ fn a_converged_warm_start_costs_one_sweep_and_a_moved_point_two() {
     }
     let n = points.len();
     let km = KMeans::new(4).seed(3).threads(1);
-    let before = sweeps();
+    let before = measured();
     let cold = km.run(&points).unwrap();
     assert!(cold.converged);
-    assert_eq!(sweeps() - before, cold.iterations + 1, "cold: final sweep");
+    // Every point measured against the seeds; the means move too little
+    // for the second iteration to measure any.
+    assert_eq!(
+        (measured() - before, cold.iterations),
+        (n, 2),
+        "cold: one sweep's worth"
+    );
 
     // With nothing known, the bounded pass measures every point once —
-    // one sweep's worth, and no full sweep after it.
+    // one sweep's worth, and no iteration after it.
     let mut bounds = vec![PointBounds::UNKNOWN; n];
     let mut stats = ClusterStats::new(4, 8);
-    let before = sweeps();
+    let before = measured();
     let warm = km
         .fit_warm(&points, &cold.assignments, &mut stats, &mut bounds)
         .unwrap();
-    assert_eq!(sweeps() - before, 0, "the bounded pass found the fixpoint");
+    assert_eq!(
+        measured() - before,
+        n,
+        "the bounded pass found the fixpoint"
+    );
     assert_eq!(
         (warm.iterations, warm.converged, warm.evaluated),
         (1, true, n)
     );
     assert_same_warm_fit(
         &warm,
-        &reference_fit_warm(&km, &points, &cold.assignments).0,
+        &reference_fit_warm(&km, &points, &cold.assignments),
         "converged",
     );
     for (w, c) in warm.centroids.iter().zip(&cold.centroids) {
         assert_eq!(w.terms(), c.terms());
         assert_eq!(bits(w.values()), bits(c.values()));
     }
-    // Carried to the next call, the bounds confirm every point.
+    // Carried to the next call, the bounds confirm every point; so do
+    // the cold fit's own, kept with its centroids.
     let again = km
         .fit_warm(&points, &warm.assignments, &mut stats, &mut bounds)
         .unwrap();
     assert_eq!((again.iterations, again.evaluated), (1, 0));
     assert_same_warm_fit(&again, &warm_as_reference(&warm), "confirmed");
+    let mut kept = ClusterStats::new(4, 8);
+    kept.keep_centroids(&cold.centroids);
+    let mut handed = cold.bounds.clone();
+    let first = km
+        .fit_warm(&points, &cold.assignments, &mut kept, &mut handed)
+        .unwrap();
+    assert_eq!((first.iterations, first.evaluated), (1, 0), "cold bounds");
 
     // One point handed to the wrong blob: its bounds are for another
-    // cluster, so the bounded pass measures it and finds it moved; the
-    // Lloyd loop's first sweep moves it back, the second finds the
-    // fixpoint, and there is no third.
+    // cluster, so the first walk measures it, alone, and moves it back;
+    // the second iteration's global test confirms every point.
     let mut stale = cold.assignments.clone();
     stale[5] = (stale[5] + 1) % 4;
     stats.mark_stale();
-    let before = sweeps();
+    let before = measured();
     let repaired = km
         .fit_warm(&points, &stale, &mut stats, &mut bounds)
         .unwrap();
-    assert_eq!(sweeps() - before, 2);
-    assert_eq!((repaired.iterations, repaired.converged), (2, true));
+    assert_eq!(measured() - before, 1);
+    assert_eq!(
+        (repaired.iterations, repaired.converged, repaired.evaluated),
+        (2, true, 1)
+    );
     assert_eq!(repaired.assignments, cold.assignments);
     assert_same_warm_fit(
         &repaired,
-        &reference_fit_warm(&km, &points, &stale).0,
+        &reference_fit_warm(&km, &points, &stale),
         "one moved point",
     );
 }
@@ -505,6 +517,7 @@ fn warm_as_reference(fit: &WarmFit) -> KMeansResult {
         inertia: f64::NAN,
         iterations: fit.iterations,
         converged: fit.converged,
+        bounds: Vec::new(),
     }
 }
 
@@ -531,17 +544,16 @@ fn a_warm_start_at_pool_scale_stays_on_the_calling_thread() {
                 .fit_warm(&points, &prev, &mut ClusterStats::new(k, 7), &mut bounds)
                 .unwrap()
         };
-        let before = sweeps();
+        let before = measured();
         let pooled = fit(2);
-        let made = sweeps() - before;
+        let made = measured() - before;
         let single = fit(1);
         assert_same_warm_fit(&pooled, &warm_as_reference(&single), &what);
-        let (want, fixpoint) = reference_fit_warm(&km, &points, &prev);
+        let want = reference_fit_warm(&km, &points, &prev);
         assert_same_warm_fit(&pooled, &want, &what);
         assert_eq!(
-            made,
-            warm_sweeps(pooled.iterations, fixpoint),
-            "{what}: every sweep on the calling thread"
+            made, pooled.evaluated,
+            "{what}: every point measured on the calling thread"
         );
     }
 }
@@ -595,20 +607,30 @@ fn near_tie(rng: &mut SmallRng, centroids: &[SparseVec]) -> SparseVec {
     SparseVec::from_dense(&mid)
 }
 
-/// Every bound a fit leaves holds against its centroids, measured by
-/// the direct Euclidean distance (within its own rounding), and every
-/// carried norm has the bits of the square root of `norm_l2_sq`.
+/// Every bound a fit leaves, once widened by the drift `owed` to it,
+/// holds against the fit's centroids, measured by the direct Euclidean
+/// distance (within its own rounding), and every carried norm has the
+/// bits of the square root of `norm_l2_sq`.
 #[track_caller]
-fn assert_bounds_hold(points: &[SparseVec], fit: &WarmFit, bounds: &[PointBounds], what: &str) {
+fn assert_bounds_hold(
+    points: &[SparseVec],
+    (assignments, centroids): (&[usize], &[SparseVec]),
+    bounds: &[PointBounds],
+    owed: &[f64],
+    what: &str,
+) {
     const ROUNDING: f64 = 1e-12;
-    for (i, (p, b)) in points.iter().zip(bounds).enumerate() {
-        let own = fit.assignments[i];
+    for (i, (p, &b)) in points.iter().zip(bounds).enumerate() {
+        let own = assignments[i];
+        assert_eq!(b.cluster, own, "{what}: point {i} cluster");
+        let mut b = b;
+        b.widen(owed, max_drift(owed));
         assert_eq!(
             b.norm.to_bits(),
             p.norm_l2_sq().sqrt().to_bits(),
             "{what}: point {i} norm"
         );
-        for (c, centroid) in fit.centroids.iter().enumerate() {
+        for (c, centroid) in centroids.iter().enumerate() {
             let d = fmeter_ir::euclidean_distance(p, centroid).unwrap();
             if c == own {
                 assert!(
@@ -650,13 +672,13 @@ fn carried_bounds_match_the_reference_through_churn() {
         let km = KMeans::new(k).seed(seed);
         let mut points = edge_points(&mut rng, n, dim, centres);
         let cold = km.run(&points).unwrap();
-        // One set of stats carried through, as a caller keeps it; the
-        // points churn behind its back, so every pass marks its sums
-        // stale, and the fit re-sums them and keeps its centroids.
+        // One set of stats carried through, as a caller keeps it, from
+        // the cold fit's centroids and bounds; the points churn behind
+        // its back, so every pass marks its sums stale, and the fit
+        // re-sums them and keeps its centroids.
         let mut stats = ClusterStats::new(k, dim);
         stats.keep_centroids(&cold.centroids);
-        let (mut prev, mut centroids) = (cold.assignments, cold.centroids);
-        let mut bounds = vec![PointBounds::UNKNOWN; n];
+        let (mut prev, mut centroids, mut bounds) = (cold.assignments, cold.centroids, cold.bounds);
         for pass in 0..PASSES {
             let what = format!("k={k} centres={centres} dim={dim} n={n} pass {pass}");
             // Every third pass changes nothing; the others retire the
@@ -712,7 +734,7 @@ fn carried_bounds_match_the_reference_through_churn() {
             prev.iter().for_each(|&a| counts[a] += 1);
             if counts.contains(&0) {
                 // The warm start refuses; the caller re-fits cold and
-                // starts over with nothing known.
+                // starts over from what that fit knows.
                 assert!(
                     km.fit_warm(&points, &prev, &mut stats, &mut bounds)
                         .is_err(),
@@ -720,17 +742,17 @@ fn carried_bounds_match_the_reference_through_churn() {
                 );
                 let cold = km.run(&points).unwrap();
                 stats.keep_centroids(&cold.centroids);
-                (prev, centroids) = (cold.assignments, cold.centroids);
-                bounds.fill(PointBounds::UNKNOWN);
+                (prev, centroids, bounds) = (cold.assignments, cold.centroids, cold.bounds);
                 emptied += 1;
                 continue;
             }
-            let (want, _) = reference_fit_warm(&km, &points, &prev);
+            let want = reference_fit_warm(&km, &points, &prev);
             let got = km
                 .fit_warm(&points, &prev, &mut stats, &mut bounds)
                 .unwrap();
             assert_same_warm_fit(&got, &want, &what);
-            assert_bounds_hold(&points, &got, &bounds, &what);
+            let fit = (&got.assignments[..], &got.centroids[..]);
+            assert_bounds_hold(&points, fit, &bounds, &stats.owed, &what);
             if got.evaluated < n {
                 confirmed += n - got.evaluated;
             }
@@ -769,7 +791,7 @@ fn drift_on_both_sides_moves_a_point_its_stale_bounds_would_keep() {
     let churned = line(&[0.0, 1.0, 1.92, 4.4, 6.0, 7.0, 7.88]);
     bounds[2] = PointBounds::UNKNOWN;
     bounds[6] = PointBounds::UNKNOWN;
-    let (want, _) = reference_fit_warm(&km, &churned, &prev);
+    let want = reference_fit_warm(&km, &churned, &prev);
     assert_eq!(want.assignments[3], 1, "the reference moves 4.4");
     stats.mark_stale();
     let got = km
@@ -807,7 +829,7 @@ fn kept_edge_centroids(rng: &mut SmallRng, points: &[&SparseVec], k: usize) -> [
     let dim = points[0].dim();
     let round_robin: Vec<usize> = (0..points.len()).map(|i| i % k).collect();
     let mut sums = ClusterSums::new(k, dim);
-    sums.accumulate(points, &round_robin);
+    sums.accumulate(points.iter().copied().zip(round_robin.iter().copied()));
     let mut as_means = Centroids::new(k, dim);
     as_means.set_from_means(&sums);
     let seeds: Vec<usize> = (0..k).map(|_| rng.random_range(0..points.len())).collect();
@@ -917,7 +939,7 @@ fn drift_between_kept_buffers_matches_the_walk_against_the_sparse_view() {
             let means = |shift: usize| {
                 let assignment: Vec<usize> = (0..n).map(|i| (i + shift) % k).collect();
                 let mut sums = ClusterSums::new(k, dim);
-                sums.accumulate(&points, &assignment);
+                sums.accumulate(points.iter().copied().zip(assignment));
                 let mut centroids = Centroids::new(k, dim);
                 centroids.set_from_means(&sums);
                 centroids
