@@ -1,9 +1,11 @@
 //! Property-based tests for the learning crate.
 
-use fmeter_ir::{euclidean_distance, SparseVec};
+use fmeter_ir::{euclidean_distance, CsrMatrix, Metric, SparseVec};
 use fmeter_ml::metrics::{majority_baseline, purity, BinaryConfusion};
 use fmeter_ml::{Agglomerative, Gram, KMeans, Kernel, Linkage, SvmTrainer};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 const DIM: usize = 8;
 
@@ -64,6 +66,76 @@ fn gram_matches_eval_on_weights_that_overflow() {
         assert_gram_is_eval(kernel, &points, false);
         assert_gram_is_eval(kernel, &points, true);
     }
+}
+
+/// `n` l2-normalised points over `classes` bands of `band` terms: each
+/// point draws `nnz` terms of its class band at random weights, plus a
+/// jittered weight on one shared anchor term that keeps pairwise
+/// distances distinct. Point `i` belongs to class `i % classes`.
+fn class_points(n: usize, classes: usize, band: usize, nnz: usize, seed: u64) -> Vec<SparseVec> {
+    let dim = classes * band + 1;
+    let anchor = (classes * band) as u32;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            let base = (i % classes) * band;
+            let mut pairs: Vec<(u32, f64)> = (0..nnz)
+                .map(|k| {
+                    (
+                        (base + (k * 7 + i) % band) as u32,
+                        0.5 + rng.random::<f64>(),
+                    )
+                })
+                .collect();
+            pairs.push((anchor, 0.2 + 0.1 * rng.random::<f64>()));
+            SparseVec::from_pairs(dim, pairs)
+                .expect("terms in range")
+                .l2_normalized()
+        })
+        .collect()
+}
+
+/// What `golden_nn_chain_matches_the_pinned_parent` folds to.
+const GOLDEN_NN_CHAIN: u64 = 0x4821_5ab1_d13f_3e12;
+
+#[test]
+fn golden_nn_chain_matches_the_pinned_parent() {
+    // FNV-1a over every condensed distance and every NN-chain merge
+    // (left, right, size, height) under the three linkages, on a small
+    // corpus and on the benchmark's agglomeration shape (1024 points,
+    // 4 classes).
+    let mut fold: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            fold = (fold ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (n, classes, band, nnz, seed) in [
+        (300usize, 10usize, 8usize, 5usize, 3u64),
+        (1024, 4, 48, 24, 11),
+    ] {
+        let points = class_points(n, classes, band, nnz, seed);
+        let condensed = CsrMatrix::from_rows(&points)
+            .unwrap()
+            .pairwise_condensed(Metric::Euclidean)
+            .unwrap();
+        for d in condensed {
+            word(d.to_bits());
+        }
+        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
+            let tree = Agglomerative::new(linkage).fit(&points).unwrap();
+            for m in tree.merges() {
+                word(m.left as u64);
+                word(m.right as u64);
+                word(m.size as u64);
+                word(m.distance.to_bits());
+            }
+        }
+    }
+    assert_eq!(
+        fold, GOLDEN_NN_CHAIN,
+        "pairwise distances or NN-chain merges no longer bit-identical to the pinned run: {fold:#018x}"
+    );
 }
 
 proptest! {
