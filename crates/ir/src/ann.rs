@@ -38,7 +38,7 @@
 
 use std::collections::{BTreeMap, BinaryHeap};
 
-use crate::distance::Metric;
+use crate::distance::euclidean_sq_kernel;
 use crate::error::IrError;
 use crate::matrix::CsrMatrix;
 use crate::sparse::SparseVec;
@@ -121,7 +121,6 @@ fn level_of(id: usize) -> usize {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AnnGraph {
-    metric: Metric,
     /// Dimensionality of the space; `rows` cannot carry it when there
     /// are no points.
     dim: usize,
@@ -144,11 +143,11 @@ impl AnnGraph {
     /// Returns a dimension mismatch when any point is not
     /// `dim`-dimensional.
     pub fn build(dim: usize, points: &[SparseVec]) -> Result<Self, IrError> {
-        AnnGraph::new(dim, points, Metric::Euclidean, DEFAULT_EF_CONSTRUCTION)
+        AnnGraph::new(dim, points, DEFAULT_EF_CONSTRUCTION)
     }
 
     /// Builds a graph over `points` in a `dim`-dimensional space under
-    /// `metric`; node `i` is `points[i]`.
+    /// Euclidean distance; node `i` is `points[i]`.
     ///
     /// Candidate neighbours per layer come from inverted-index term
     /// blocking — postings over the members' terms (skipping
@@ -166,12 +165,7 @@ impl AnnGraph {
     ///
     /// Returns a dimension mismatch when any point is not
     /// `dim`-dimensional.
-    pub fn new(
-        dim: usize,
-        points: &[SparseVec],
-        metric: Metric,
-        ef_construction: usize,
-    ) -> Result<Self, IrError> {
+    pub fn new(dim: usize, points: &[SparseVec], ef_construction: usize) -> Result<Self, IrError> {
         for p in points {
             if p.dim() != dim {
                 return Err(IrError::DimensionMismatch {
@@ -187,7 +181,6 @@ impl AnnGraph {
         let entry = (0..n as u32).max_by_key(|&d| (layers[d as usize].len(), u32::MAX - d));
         let num_layers = layers.iter().map(Vec::len).max().unwrap_or(0);
         let mut graph = AnnGraph {
-            metric,
             dim,
             rows: CsrMatrix::from_rows(points)?,
             layers,
@@ -532,12 +525,11 @@ impl AnnGraph {
         out
     }
 
-    /// Distance from query slices to a stored row via the fused
-    /// merge-join kernels (dimensions already validated).
+    /// Euclidean distance from query slices to a stored row via the
+    /// fused merge-join kernel (dimensions already validated).
     fn dist_to(&self, q_terms: &[TermId], q_values: &[f64], node: usize) -> f64 {
         let (terms, values) = self.rows.row(node);
-        self.metric
-            .distance_slices_unchecked(q_terms, q_values, terms, values)
+        euclidean_sq_kernel(q_terms, q_values, terms, values).sqrt()
     }
 
     /// Adds the undirected edge `(a, b)` on `layer`, pruning either
@@ -573,12 +565,7 @@ impl AnnGraph {
         let mut ranked: Vec<Cand> = self.layers[x as usize][layer]
             .iter()
             .map(|&nb| Cand {
-                dist: self.metric.distance_slices_unchecked(
-                    x_terms,
-                    x_values,
-                    self.rows.row(nb as usize).0,
-                    self.rows.row(nb as usize).1,
-                ),
+                dist: self.dist_to(x_terms, x_values, nb as usize),
                 node: nb,
             })
             .collect();
@@ -634,13 +621,9 @@ impl AnnGraph {
                 break;
             }
             let (c_terms, c_values) = self.rows.row(c.node as usize);
-            let diverse = kept.iter().all(|s| {
-                let (s_terms, s_values) = self.rows.row(s.node as usize);
-                c.dist
-                    < self
-                        .metric
-                        .distance_slices_unchecked(c_terms, c_values, s_terms, s_values)
-            });
+            let diverse = kept
+                .iter()
+                .all(|s| c.dist < self.dist_to(c_terms, c_values, s.node as usize));
             if diverse {
                 kept.push(c);
             } else {

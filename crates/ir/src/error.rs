@@ -21,8 +21,6 @@ pub enum IrError {
     },
     /// An operation that requires a non-empty corpus was given an empty one.
     EmptyCorpus,
-    /// A Minkowski order `p < 1` was requested (not a metric).
-    InvalidOrder(f64),
     /// A document id does not name a live (inserted, not removed) document.
     DocNotLive(usize),
 }
@@ -37,9 +35,6 @@ impl fmt::Display for IrError {
                 write!(f, "term id {term} out of range for dimension {dim}")
             }
             IrError::EmptyCorpus => write!(f, "corpus contains no documents"),
-            IrError::InvalidOrder(p) => {
-                write!(f, "minkowski order must satisfy p >= 1, got {p}")
-            }
             IrError::DocNotLive(doc) => {
                 write!(f, "document {doc} is not live in the index")
             }

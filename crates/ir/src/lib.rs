@@ -4,9 +4,9 @@
 //! (Marian et al., MIDDLEWARE 2012) borrows from text mining: documents are
 //! bags of *terms* (kernel functions), weighted with
 //! [tf-idf](crate::TfIdfModel), embedded as [sparse vectors](crate::SparseVec)
-//! in an orthonormal basis induced by the distinct terms, and compared with
-//! [cosine similarity](crate::cosine_similarity) or
-//! [Minkowski distances](crate::minkowski_distance).
+//! in an orthonormal basis induced by the distinct terms, ranked by
+//! [cosine similarity](crate::cosine_similarity) and clustered by
+//! [Euclidean distance](crate::euclidean_distance).
 //!
 //! The crate is deliberately independent of the kernel simulator: a *term* is
 //! just a `u32` [`TermId`], so the same model works for kernel-function
@@ -18,7 +18,7 @@
 //! * [`TfIdfModel`] — fitting, transforming, and *incrementally
 //!   maintaining* the weights (observe/unobserve, drift measurement with
 //!   a cached estimator, one-pass idf refits),
-//! * [`SparseVec`] and the fused [`Metric`] distance kernels, plus the
+//! * [`SparseVec`] and its fused Euclidean and cosine kernels, plus the
 //!   packed [`CsrMatrix`] corpus layout the batch/clustering paths use,
 //! * [`AnnGraph`] — a navigable-small-world graph, built once over a
 //!   corpus, whose layer-0 adjacency feeds sub-quadratic clustering and
@@ -70,8 +70,7 @@ pub use ann::AnnGraph;
 pub use codec::{BinCodec, CodecError};
 pub use corpus::{Corpus, TermCounts};
 pub use distance::{
-    cosine_similarity, dot_sparse_dense, euclidean_distance, euclidean_distance_sq,
-    manhattan_distance, minkowski_distance, Metric,
+    cosine_similarity, dot_sparse_dense, euclidean_distance, euclidean_distance_sq, Metric,
 };
 pub use error::IrError;
 #[doc(hidden)]

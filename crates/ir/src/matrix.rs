@@ -4,11 +4,10 @@
 //! Clustering and search iterate over *all* pairs of signatures; keeping
 //! every row in one packed `(indices, values)` buffer removes the
 //! per-vector pointer chase and lets the pairwise kernels run
-//! allocation-free over slices. L2 norms and squared norms are cached per
-//! row at construction so cosine similarity and the K-means norm trick
-//! never recompute them.
+//! allocation-free over slices. Squared L2 norms are cached per row at
+//! construction, so the Euclidean batch kernel never recomputes them.
 
-use crate::distance::{cosine_similarity_with_norms, sq_norm};
+use crate::distance::sq_norm;
 use crate::{IrError, Metric, SparseVec, TermId};
 
 /// Minimum number of pairwise distances before
@@ -19,8 +18,8 @@ const PARALLEL_PAIR_THRESHOLD: usize = 4096;
 /// A corpus of sparse vectors packed into one CSR buffer.
 ///
 /// Row `i` occupies `indices[indptr[i]..indptr[i + 1]]` (sorted term ids)
-/// and the parallel `values` range. Construction caches each row's L2
-/// norm and squared norm.
+/// and the parallel `values` range. Construction caches each row's
+/// squared L2 norm.
 ///
 /// # Examples
 ///
@@ -42,7 +41,6 @@ pub struct CsrMatrix {
     indptr: Vec<usize>,
     indices: Vec<TermId>,
     values: Vec<f64>,
-    norms: Vec<f64>,
     sq_norms: Vec<f64>,
 }
 
@@ -61,7 +59,6 @@ impl CsrMatrix {
         let mut indptr = Vec::with_capacity(rows.len() + 1);
         let mut indices = Vec::with_capacity(total_nnz);
         let mut values = Vec::with_capacity(total_nnz);
-        let mut norms = Vec::with_capacity(rows.len());
         let mut sq_norms = Vec::with_capacity(rows.len());
         indptr.push(0);
         for row in rows {
@@ -74,16 +71,13 @@ impl CsrMatrix {
             indices.extend_from_slice(row.terms());
             values.extend_from_slice(row.values());
             indptr.push(indices.len());
-            let sq = sq_norm(row.values());
-            sq_norms.push(sq);
-            norms.push(sq.sqrt());
+            sq_norms.push(sq_norm(row.values()));
         }
         Ok(CsrMatrix {
             dim,
             indptr,
             indices,
             values,
-            norms,
             sq_norms,
         })
     }
@@ -120,15 +114,6 @@ impl CsrMatrix {
         (&self.indices[lo..hi], &self.values[lo..hi])
     }
 
-    /// Cached L2 norm of row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= len()`.
-    pub fn norm(&self, i: usize) -> f64 {
-        self.norms[i]
-    }
-
     /// Cached squared L2 norm of row `i`.
     ///
     /// # Panics
@@ -149,33 +134,22 @@ impl CsrMatrix {
             .expect("CSR terms are in range")
     }
 
-    #[inline]
-    fn row_distance_unchecked(&self, i: usize, j: usize, metric: Metric) -> f64 {
-        let (at, av) = self.row(i);
-        let (bt, bv) = self.row(j);
-        match metric {
-            // Cosine reuses the cached norms instead of re-deriving them.
-            Metric::Cosine => {
-                1.0 - cosine_similarity_with_norms(at, av, bt, bv, self.norms[i], self.norms[j])
-            }
-            _ => metric.distance_slices_unchecked(at, av, bt, bv),
-        }
-    }
-
-    /// Computes all pairwise distances into a condensed upper-triangular
-    /// vector of length `n * (n - 1) / 2`: the distance between rows
-    /// `i < j` lands at `i * (2n - i - 1) / 2 + (j - i - 1)` (scipy's
-    /// `pdist` layout).
+    /// Computes all pairwise Euclidean distances into a condensed
+    /// upper-triangular vector of length `n * (n - 1) / 2`: the distance
+    /// between rows `i < j` lands at `i * (2n - i - 1) / 2 + (j - i - 1)`
+    /// (scipy's `pdist` layout).
     ///
+    /// Row `i` is scattered into a dense scratch once, then every
+    /// `d(i, j)` gathers over row `j`'s support only — half the memory
+    /// touches of a merge join and none of its data-dependent branches.
     /// Large inputs are fanned out across threads with
     /// [`std::thread::scope`]; every pair is computed independently, so
     /// the result is identical regardless of thread count.
     ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::InvalidOrder`] for a Minkowski order `p < 1`.
+    /// `metric` has one value and the call never fails: the argument and
+    /// the `Result` remain only until ROADMAP item 3a drops them.
     pub fn pairwise_condensed(&self, metric: Metric) -> Result<Vec<f64>, IrError> {
-        metric.validate()?;
+        let Metric::Euclidean = metric;
         let n = self.len();
         let pairs = n * n.saturating_sub(1) / 2;
         let mut out = vec![0.0; pairs];
@@ -190,31 +164,16 @@ impl CsrMatrix {
         } else {
             1
         };
-        // Dot-product metrics take the scatter/gather row kernel: row i
-        // is scattered into a dense scratch once, then every d(i, j)
-        // gathers over row j's support only — half the memory touches of
-        // a merge join and none of its data-dependent branches.
-        let gather = matches!(metric, Metric::Euclidean | Metric::Cosine);
         if threads <= 1 {
-            if gather {
-                let mut dense = vec![0.0f64; self.dim];
-                let mut idx = 0;
-                for i in 0..n - 1 {
-                    self.scatter_row(i, &mut dense);
-                    for j in i + 1..n {
-                        out[idx] = self.row_distance_gather(i, j, metric, &dense);
-                        idx += 1;
-                    }
-                    self.unscatter_row(i, &mut dense);
+            let mut dense = vec![0.0f64; self.dim];
+            let mut idx = 0;
+            for i in 0..n - 1 {
+                self.scatter_row(i, &mut dense);
+                for j in i + 1..n {
+                    out[idx] = self.row_distance_gather(i, j, &dense);
+                    idx += 1;
                 }
-            } else {
-                let mut idx = 0;
-                for i in 0..n - 1 {
-                    for j in i + 1..n {
-                        out[idx] = self.row_distance_unchecked(i, j, metric);
-                        idx += 1;
-                    }
-                }
+                self.unscatter_row(i, &mut dense);
             }
             return Ok(out);
         }
@@ -237,23 +196,13 @@ impl CsrMatrix {
                 s.spawn(move || {
                     // Per-thread dense scratch; every row is owned by
                     // exactly one bucket, so each row scatters once.
-                    let mut dense = if gather {
-                        vec![0.0f64; self.dim]
-                    } else {
-                        Vec::new()
-                    };
+                    let mut dense = vec![0.0f64; self.dim];
                     for (i, row_out) in bucket {
-                        if gather {
-                            self.scatter_row(i, &mut dense);
-                            for (off, slot) in row_out.iter_mut().enumerate() {
-                                *slot = self.row_distance_gather(i, i + 1 + off, metric, &dense);
-                            }
-                            self.unscatter_row(i, &mut dense);
-                        } else {
-                            for (off, slot) in row_out.iter_mut().enumerate() {
-                                *slot = self.row_distance_unchecked(i, i + 1 + off, metric);
-                            }
+                        self.scatter_row(i, &mut dense);
+                        for (off, slot) in row_out.iter_mut().enumerate() {
+                            *slot = self.row_distance_gather(i, i + 1 + off, &dense);
                         }
+                        self.unscatter_row(i, &mut dense);
                     }
                 });
             }
@@ -277,44 +226,28 @@ impl CsrMatrix {
         }
     }
 
-    /// Distance between scattered row `i` and row `j` for the dot-product
-    /// metrics, gathering over `j`'s support only.
+    /// Euclidean distance between scattered row `i` and row `j`,
+    /// gathering over `j`'s support only.
     ///
-    /// Euclidean accumulates `(vj - xi_t)²` over `j`'s terms plus the
-    /// squared mass of `i`'s terms outside `j` as `sq_i - Σ shared xi²`;
-    /// for identical rows both corrections cancel exactly (the shared sum
-    /// replays `sq_norm`'s own addition order), so duplicates keep their
-    /// precise 0.0 distance. Results can differ from the merge-join
-    /// kernel in the last bits (different accumulation grouping), which
-    /// is why the tests compare the two at 1e-12 rather than bitwise.
+    /// Accumulates `(vj - xi_t)²` over `j`'s terms plus the squared mass
+    /// of `i`'s terms outside `j` as `sq_i - Σ shared xi²`; for identical
+    /// rows both corrections cancel exactly (the shared sum replays
+    /// `sq_norm`'s own addition order), so duplicates keep their precise
+    /// 0.0 distance. Results can differ from the merge-join kernel in the
+    /// last bits (different accumulation grouping), which is why the
+    /// tests compare the two at 1e-12 rather than bitwise.
     #[inline]
-    fn row_distance_gather(&self, i: usize, j: usize, metric: Metric, dense: &[f64]) -> f64 {
+    fn row_distance_gather(&self, i: usize, j: usize, dense: &[f64]) -> f64 {
         let (terms, values) = self.row(j);
-        match metric {
-            Metric::Euclidean => {
-                let mut acc = 0.0f64;
-                let mut shared_sq = 0.0f64;
-                for (&t, &v) in terms.iter().zip(values) {
-                    let c = dense[t as usize];
-                    let diff = v - c;
-                    acc += diff * diff;
-                    shared_sq += c * c;
-                }
-                (acc + (self.sq_norms[i] - shared_sq)).max(0.0).sqrt()
-            }
-            Metric::Cosine => {
-                let denom = self.norms[i] * self.norms[j];
-                if denom == 0.0 {
-                    return 1.0;
-                }
-                let mut dot = 0.0f64;
-                for (&t, &v) in terms.iter().zip(values) {
-                    dot += v * dense[t as usize];
-                }
-                1.0 - (dot / denom).clamp(-1.0, 1.0)
-            }
-            _ => unreachable!("gather path is Euclidean/Cosine only"),
+        let mut acc = 0.0f64;
+        let mut shared_sq = 0.0f64;
+        for (&t, &v) in terms.iter().zip(values) {
+            let c = dense[t as usize];
+            let diff = v - c;
+            acc += diff * diff;
+            shared_sq += c * c;
         }
+        (acc + (self.sq_norms[i] - shared_sq)).max(0.0).sqrt()
     }
 
     /// Index of the pair `(i, j)`, `i < j`, in the condensed layout of
@@ -354,7 +287,6 @@ mod tests {
         assert!(!m.is_empty());
         for (i, r) in rs.iter().enumerate() {
             assert_eq!(m.row_to_sparse(i), *r);
-            assert!((m.norm(i) - r.norm_l2()).abs() < 1e-15);
             assert!((m.sq_norm(i) - r.norm_l2() * r.norm_l2()).abs() < 1e-12);
         }
     }
@@ -379,23 +311,16 @@ mod tests {
     fn pairwise_matches_pointwise_distances() {
         let rs = rows();
         let m = CsrMatrix::from_rows(&rs).unwrap();
-        for metric in [
-            Metric::Euclidean,
-            Metric::Manhattan,
-            Metric::Minkowski(3.0),
-            Metric::Cosine,
-        ] {
-            let cond = m.pairwise_condensed(metric).unwrap();
-            assert_eq!(cond.len(), 6);
-            for i in 0..rs.len() {
-                for j in i + 1..rs.len() {
-                    let expected = metric.distance(&rs[i], &rs[j]).unwrap();
-                    let got = cond[m.condensed_index(i, j)];
-                    assert!(
-                        (got - expected).abs() < 1e-12,
-                        "{metric:?} ({i},{j}): {got} vs {expected}"
-                    );
-                }
+        let cond = m.pairwise_condensed(Metric::Euclidean).unwrap();
+        assert_eq!(cond.len(), 6);
+        for i in 0..rs.len() {
+            for j in i + 1..rs.len() {
+                let expected = euclidean_distance(&rs[i], &rs[j]).unwrap();
+                let got = cond[m.condensed_index(i, j)];
+                assert!(
+                    (got - expected).abs() < 1e-12,
+                    "({i},{j}): {got} vs {expected}"
+                );
             }
         }
     }
@@ -436,15 +361,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pairwise_rejects_bad_order() {
-        let m = CsrMatrix::from_rows(&rows()).unwrap();
-        assert!(matches!(
-            m.pairwise_condensed(Metric::Minkowski(0.5)),
-            Err(IrError::InvalidOrder(_))
-        ));
     }
 
     #[test]

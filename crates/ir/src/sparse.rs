@@ -211,28 +211,6 @@ impl SparseVec {
         self.values.iter().map(|v| v * v).sum::<f64>()
     }
 
-    /// L1 norm (sum of absolute values).
-    pub fn norm_l1(&self) -> f64 {
-        self.values.iter().map(|v| v.abs()).sum()
-    }
-
-    /// Lp norm for arbitrary order `p >= 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::InvalidOrder`] when `p < 1` or `p` is NaN.
-    pub fn norm_lp(&self, p: f64) -> Result<f64, IrError> {
-        if p < 1.0 || p.is_nan() {
-            return Err(IrError::InvalidOrder(p));
-        }
-        Ok(self
-            .values
-            .iter()
-            .map(|v| v.abs().powf(p))
-            .sum::<f64>()
-            .powf(1.0 / p))
-    }
-
     /// Returns a copy scaled by `factor`.
     pub fn scaled(&self, factor: f64) -> SparseVec {
         if factor == 0.0 {
@@ -527,16 +505,6 @@ mod tests {
     fn norms_agree_on_345_triangle() {
         let a = v(&[(0, 3.0), (1, 4.0)]);
         assert_eq!(a.norm_l2(), 5.0);
-        assert_eq!(a.norm_l1(), 7.0);
-        assert!((a.norm_lp(2.0).unwrap() - 5.0).abs() < 1e-12);
-        assert!((a.norm_lp(1.0).unwrap() - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lp_norm_rejects_bad_order() {
-        let a = v(&[(0, 1.0)]);
-        assert!(matches!(a.norm_lp(0.5), Err(IrError::InvalidOrder(_))));
-        assert!(matches!(a.norm_lp(f64::NAN), Err(IrError::InvalidOrder(_))));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Property-based tests for the vector space model.
 
 use fmeter_ir::{
-    cosine_similarity, euclidean_distance, euclidean_distance_sq, manhattan_distance,
-    minkowski_distance, Corpus, CsrMatrix, InvertedIndex, Metric, SearchHit, SearchScratch,
-    SparseVec, TermCounts, TfIdfModel,
+    cosine_similarity, euclidean_distance, euclidean_distance_sq, Corpus, CsrMatrix, InvertedIndex,
+    Metric, SearchHit, SearchScratch, SparseVec, TermCounts, TfIdfModel,
 };
 use proptest::prelude::*;
 
@@ -46,34 +45,38 @@ fn pruned_hits(
     Ok(pruned)
 }
 
-/// Every metric the fused kernels implement, Minkowski at a few orders.
-const ALL_METRICS: [Metric; 6] = [
-    Metric::Euclidean,
-    Metric::Manhattan,
-    Metric::Minkowski(1.0),
-    Metric::Minkowski(1.5),
-    Metric::Minkowski(3.0),
-    Metric::Cosine,
-];
+/// The naive reference the fused Euclidean kernel replaced: materialise
+/// the difference vector with `sub()` and take its norm.
+fn naive_distance(a: &SparseVec, b: &SparseVec) -> f64 {
+    a.sub(b).expect("dims match").norm_l2()
+}
 
-/// The naive reference the fused kernels replaced: materialise the
-/// difference vector with `sub()` and take its norm (cosine from the
-/// textbook dot/norms formula).
-fn naive_distance(metric: Metric, a: &SparseVec, b: &SparseVec) -> f64 {
-    let diff = a.sub(b).expect("dims match");
-    match metric {
-        Metric::Euclidean => diff.norm_l2(),
-        Metric::Manhattan => diff.norm_l1(),
-        Metric::Minkowski(p) => diff.norm_lp(p).expect("valid order"),
-        Metric::Cosine => {
-            let denom = a.norm_l2() * b.norm_l2();
-            if denom == 0.0 {
-                1.0
-            } else {
-                1.0 - (a.dot(b).expect("dims match") / denom).clamp(-1.0, 1.0)
-            }
-        }
+/// The textbook cosine similarity, `a · b / (‖a‖ ‖b‖)`, 0 when either
+/// norm is 0.
+fn naive_cosine(a: &SparseVec, b: &SparseVec) -> f64 {
+    let denom = a.norm_l2() * b.norm_l2();
+    if denom == 0.0 {
+        0.0
+    } else {
+        (a.dot(b).expect("dims match") / denom).clamp(-1.0, 1.0)
     }
+}
+
+/// The fused kernels against the naive references on one pair.
+fn assert_fused_match_naive(a: &SparseVec, b: &SparseVec) -> Result<(), TestCaseError> {
+    let reference = naive_distance(a, b);
+    let fused = euclidean_distance(a, b).unwrap();
+    prop_assert!(close(fused, reference), "euclidean: {fused} vs {reference}");
+    let fused_sq = euclidean_distance_sq(a, b).unwrap();
+    prop_assert!(
+        close(fused_sq, reference * reference),
+        "euclidean sq: {fused_sq} vs {}",
+        reference * reference
+    );
+    let reference = naive_cosine(a, b);
+    let fused = cosine_similarity(a, b).unwrap();
+    prop_assert!(close(fused, reference), "cosine: {fused} vs {reference}");
+    Ok(())
 }
 
 /// Tolerance scaled by magnitude: 1e-12 relative, 1e-12 floor.
@@ -154,42 +157,16 @@ proptest! {
     }
 
     #[test]
-    fn triangle_inequality_manhattan(
-        a in arb_sparse(),
-        b in arb_sparse(),
-        c in arb_sparse(),
-    ) {
-        let ab = manhattan_distance(&a, &b).unwrap();
-        let bc = manhattan_distance(&b, &c).unwrap();
-        let ac = manhattan_distance(&a, &c).unwrap();
-        prop_assert!(ac <= ab + bc + 1e-9);
-    }
-
-    #[test]
     fn distances_are_symmetric_and_nonnegative(a in arb_sparse(), b in arb_sparse()) {
-        for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Minkowski(3.0)] {
-            let d1 = metric.distance(&a, &b).unwrap();
-            let d2 = metric.distance(&b, &a).unwrap();
-            prop_assert!(d1 >= 0.0);
-            prop_assert!((d1 - d2).abs() <= 1e-9 * (1.0 + d1));
-        }
+        let d1 = euclidean_distance(&a, &b).unwrap();
+        let d2 = euclidean_distance(&b, &a).unwrap();
+        prop_assert!(d1 >= 0.0);
+        prop_assert!((d1 - d2).abs() <= 1e-9 * (1.0 + d1));
     }
 
     #[test]
     fn self_distance_is_zero(a in arb_sparse()) {
         prop_assert_eq!(euclidean_distance(&a, &a).unwrap(), 0.0);
-        prop_assert_eq!(manhattan_distance(&a, &a).unwrap(), 0.0);
-        prop_assert_eq!(minkowski_distance(&a, &a, 4.0).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn minkowski_orders_are_monotone_decreasing(a in arb_sparse(), b in arb_sparse()) {
-        // For fixed vectors, d_p decreases (weakly) as p grows.
-        let d1 = minkowski_distance(&a, &b, 1.0).unwrap();
-        let d2 = minkowski_distance(&a, &b, 2.0).unwrap();
-        let d4 = minkowski_distance(&a, &b, 4.0).unwrap();
-        prop_assert!(d2 <= d1 + 1e-9);
-        prop_assert!(d4 <= d2 + 1e-9);
     }
 
     #[test]
@@ -218,35 +195,14 @@ proptest! {
 
     #[test]
     fn fused_kernels_match_naive_reference(a in arb_sparse(), b in arb_sparse()) {
-        for metric in ALL_METRICS {
-            let reference = naive_distance(metric, &a, &b);
-            let fused = metric.distance(&a, &b).unwrap();
-            prop_assert!(close(fused, reference), "{metric:?}: {fused} vs {reference}");
-            let fused_sq = metric.distance_sq(&a, &b).unwrap();
-            prop_assert!(
-                close(fused_sq, reference * reference),
-                "{metric:?} sq: {fused_sq} vs {}", reference * reference
-            );
-            let via_slices = metric
-                .distance_slices(a.terms(), a.values(), b.terms(), b.values())
-                .unwrap();
-            prop_assert!(close(via_slices, reference));
-        }
-        prop_assert!(close(
-            euclidean_distance_sq(&a, &b).unwrap(),
-            naive_distance(Metric::Euclidean, &a, &b).powi(2)
-        ));
+        assert_fused_match_naive(&a, &b)?;
     }
 
     #[test]
     fn fused_kernels_match_naive_on_zero_vectors(a in arb_sparse()) {
         let z = SparseVec::zeros(DIM);
-        for metric in ALL_METRICS {
-            for (x, y) in [(&a, &z), (&z, &a), (&z, &z)] {
-                let reference = naive_distance(metric, x, y);
-                let fused = metric.distance(x, y).unwrap();
-                prop_assert!(close(fused, reference), "{metric:?}: {fused} vs {reference}");
-            }
+        for (x, y) in [(&a, &z), (&z, &a), (&z, &z)] {
+            assert_fused_match_naive(x, y)?;
         }
     }
 
@@ -258,11 +214,7 @@ proptest! {
             2 * DIM, a.iter().map(|(t, v)| (2 * t, v))).unwrap();
         let b2: SparseVec = SparseVec::from_pairs(
             2 * DIM, b.iter().map(|(t, v)| (2 * t + 1, v))).unwrap();
-        for metric in ALL_METRICS {
-            let reference = naive_distance(metric, &a2, &b2);
-            let fused = metric.distance(&a2, &b2).unwrap();
-            prop_assert!(close(fused, reference), "{metric:?}: {fused} vs {reference}");
-        }
+        assert_fused_match_naive(&a2, &b2)?;
     }
 
     #[test]
@@ -271,19 +223,14 @@ proptest! {
     ) {
         let m = CsrMatrix::from_rows(&rows).unwrap();
         prop_assert_eq!(m.len(), rows.len());
-        for metric in ALL_METRICS {
-            let cond = m.pairwise_condensed(metric).unwrap();
-            let n = rows.len();
-            prop_assert_eq!(cond.len(), n * n.saturating_sub(1) / 2);
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let reference = naive_distance(metric, &rows[i], &rows[j]);
-                    let got = cond[m.condensed_index(i, j)];
-                    prop_assert!(
-                        close(got, reference),
-                        "{metric:?} ({i},{j}): {got} vs {reference}"
-                    );
-                }
+        let cond = m.pairwise_condensed(Metric::Euclidean).unwrap();
+        let n = rows.len();
+        prop_assert_eq!(cond.len(), n * n.saturating_sub(1) / 2);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let reference = naive_distance(&rows[i], &rows[j]);
+                let got = cond[m.condensed_index(i, j)];
+                prop_assert!(close(got, reference), "({i},{j}): {got} vs {reference}");
             }
         }
     }
@@ -293,7 +240,6 @@ proptest! {
         let m = CsrMatrix::from_rows(&rows).unwrap();
         for (i, r) in rows.iter().enumerate() {
             prop_assert_eq!(m.row_to_sparse(i), r.clone());
-            prop_assert!(close(m.norm(i), r.norm_l2()));
             prop_assert!(close(m.sq_norm(i), r.norm_l2_sq()));
         }
     }

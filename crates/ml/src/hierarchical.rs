@@ -1,7 +1,6 @@
 use std::collections::BTreeMap;
 
-use fmeter_ir::{AnnGraph, CsrMatrix, Metric, SparseVec};
-use serde::Serialize;
+use fmeter_ir::{euclidean_distance, AnnGraph, CsrMatrix, Metric, SparseVec};
 
 use crate::MlError;
 
@@ -14,7 +13,7 @@ type CandidateLists = Vec<Vec<(usize, f64)>>;
 /// The paper implements complete-, single-, and average-linkage and reports
 /// single-linkage results (Figure 4); the flavours behave similarly on
 /// Fmeter signatures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Linkage {
     /// Distance between clusters = minimum pairwise distance.
     #[default]
@@ -28,7 +27,7 @@ pub enum Linkage {
 /// One merge step of the agglomeration, in scipy-style linkage format.
 ///
 /// Nodes `0..n` are the original points; merge `i` creates node `n + i`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Merge {
     /// First merged node id.
     pub left: usize,
@@ -41,11 +40,7 @@ pub struct Merge {
 }
 
 /// The full merge tree produced by [`Agglomerative::fit`].
-///
-/// Serialize-only: a deserialized tree could name a node past
-/// `n + merges.len()` or its own node, which `cut` and `root_split`
-/// index and recurse through without checks.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Dendrogram {
     num_points: usize,
     merges: Vec<Merge>,
@@ -60,7 +55,7 @@ pub struct Dendrogram {
 /// plus their neighbours, ranked by exact distance). A larger `knn`
 /// buys accuracy with time; when `knn >= n - 1` the candidate graph is
 /// complete and the path degenerates to the exact NN-chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnnParams {
     /// Nearest neighbours kept per point (candidate edges).
     pub knn: usize,
@@ -101,25 +96,16 @@ const SNN_EF_CONSTRUCTION: usize = 80;
 /// assert_eq!(cut[0], cut[1]);
 /// assert_ne!(cut[0], cut[2]);
 /// ```
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Agglomerative {
     linkage: Linkage,
-    metric: Metric,
 }
 
 impl Agglomerative {
-    /// Creates a clusterer with the given linkage and Euclidean distance.
+    /// Creates a clusterer with the given linkage over Euclidean
+    /// distance.
     pub fn new(linkage: Linkage) -> Self {
-        Agglomerative {
-            linkage,
-            metric: Metric::Euclidean,
-        }
-    }
-
-    /// Sets the point-to-point distance metric (default Euclidean).
-    pub fn metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
-        self
+        Agglomerative { linkage }
     }
 
     /// Builds the full dendrogram over `points`.
@@ -159,7 +145,7 @@ impl Agglomerative {
             return Ok(degenerate);
         }
         let csr = CsrMatrix::from_rows(points)?;
-        let mut condensed = csr.pairwise_condensed(self.metric)?;
+        let mut condensed = csr.pairwise_condensed(Metric::Euclidean)?;
         Ok(self.merge_nn_chain(n, &mut condensed))
     }
 
@@ -191,7 +177,7 @@ impl Agglomerative {
             return Ok(degenerate);
         }
         let csr = CsrMatrix::from_rows(points)?;
-        let condensed = csr.pairwise_condensed(self.metric)?;
+        let condensed = csr.pairwise_condensed(Metric::Euclidean)?;
         // Full n x n mirror of the condensed matrix; slots are reused by
         // merged clusters (slot i < n starts as point i).
         let mut dist = vec![0.0f64; n * n];
@@ -303,14 +289,12 @@ impl Agglomerative {
     /// # Errors
     ///
     /// * [`MlError::EmptyInput`] when no points are given,
-    /// * [`MlError::Ir`] when points disagree on dimensionality or the
-    ///   metric is invalid.
+    /// * [`MlError::Ir`] when points disagree on dimensionality.
     pub fn fit_snn(&self, points: &[SparseVec], params: &SnnParams) -> Result<Dendrogram, MlError> {
         let n = points.len();
         if let Some(degenerate) = Self::degenerate(points)? {
             return Ok(degenerate);
         }
-        self.metric.validate()?;
         let k = params.knn.min(n - 1).max(1);
         // Symmetric union of the k-NN lists; BTreeMaps so every
         // nearest-neighbour scan iterates candidates in ascending slot
@@ -324,13 +308,13 @@ impl Agglomerative {
             // recall.
             for i in 0..n {
                 for j in (i + 1)..n {
-                    let d = self.metric.distance(&points[i], &points[j])?;
+                    let d = euclidean_distance(&points[i], &points[j])?;
                     adj[i].insert(j, d);
                     adj[j].insert(i, d);
                 }
             }
         } else {
-            let graph = AnnGraph::new(points[0].dim(), points, self.metric, SNN_EF_CONSTRUCTION)?;
+            let graph = AnnGraph::new(points[0].dim(), points, SNN_EF_CONSTRUCTION)?;
             for (i, list) in self
                 .harvest_candidates(points, &graph, k)?
                 .into_iter()
@@ -375,7 +359,7 @@ impl Agglomerative {
             cand.retain(|&j| j != i);
             let mut ranked: Vec<(usize, f64)> = cand
                 .into_iter()
-                .map(|j| Ok((j, self.metric.distance(&points[i], &points[j])?)))
+                .map(|j| Ok((j, euclidean_distance(&points[i], &points[j])?)))
                 .collect::<Result<_, MlError>>()?;
             ranked.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             ranked.truncate(k);
@@ -457,7 +441,7 @@ impl Agglomerative {
                     }
                     for &a in reps {
                         for &b in other {
-                            let d = self.metric.distance(&points[a], &points[b])?;
+                            let d = euclidean_distance(&points[a], &points[b])?;
                             if best.is_none_or(|(_, _, bd)| d < bd) {
                                 best = Some((a, b, d));
                             }
@@ -899,11 +883,7 @@ mod tests {
     /// regressions below.
     type FitPath = Box<dyn Fn(&[SparseVec]) -> Result<Dendrogram, MlError>>;
     fn all_paths() -> Vec<(&'static str, FitPath)> {
-        paths_under(Metric::Euclidean)
-    }
-
-    fn paths_under(metric: Metric) -> Vec<(&'static str, FitPath)> {
-        let agg = move || Agglomerative::new(Linkage::Single).metric(metric);
+        let agg = || Agglomerative::new(Linkage::Single);
         vec![
             ("fit", Box::new(move |p: &[SparseVec]| agg().fit(p))),
             (
@@ -927,8 +907,8 @@ mod tests {
     #[test]
     fn degenerate_contract_non_finite_distances_uniform() {
         // A NaN coordinate makes every distance to its point NaN, and
-        // points at ±f64::MAX are +∞ (Cosine: NaN) apart: no candidate is
-        // strictly nearer than +∞, yet every path must finish the tree.
+        // points at ±f64::MAX are +∞ apart: no candidate is strictly
+        // nearer than +∞, yet every path must finish the tree.
         // The NaN point comes first so the chain starts on it, and four
         // points put `knn = 1` on the pruned candidate graph.
         let nan_point = vec![
@@ -938,14 +918,12 @@ mod tests {
             SparseVec::from_pairs(2, [(1, 3.0)]).unwrap(),
         ];
         let max_pair = line_points(&[f64::MAX, -f64::MAX]);
-        for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Cosine] {
-            for pts in [&nan_point, &max_pair] {
-                for (name, path) in paths_under(metric) {
-                    let what = format!("{name} {metric:?} n={}", pts.len());
-                    let tree = path(pts).unwrap_or_else(|e| panic!("{what}: {e}"));
-                    assert_eq!(tree.merges().len(), pts.len() - 1, "{what}");
-                    assert_eq!(tree.merges().last().unwrap().size, pts.len(), "{what}");
-                }
+        for pts in [&nan_point, &max_pair] {
+            for (name, path) in all_paths() {
+                let what = format!("{name} n={}", pts.len());
+                let tree = path(pts).unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(tree.merges().len(), pts.len() - 1, "{what}");
+                assert_eq!(tree.merges().last().unwrap().size, pts.len(), "{what}");
             }
         }
     }
