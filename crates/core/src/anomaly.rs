@@ -9,12 +9,11 @@
 //! distance exceeds what the training population ever exhibited.
 
 use fmeter_ir::{euclidean_distance, SparseVec, TermCounts};
-use serde::Serialize;
 
 use crate::{FmeterError, SignatureDb, Syndrome};
 
 /// Verdict for one inspected signature.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnomalyVerdict {
     /// Index of the nearest syndrome.
     pub syndrome: usize,
@@ -38,7 +37,7 @@ pub struct AnomalyVerdict {
 /// let detector = AnomalyDetector::fit(&db, 3, 1.5, 42)?;
 /// # Ok::<(), fmeter_core::FmeterError>(())
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AnomalyDetector {
     syndromes: Vec<Syndrome>,
     threshold: f64,

@@ -16,7 +16,7 @@ use crate::{FmeterError, RawSignature, Signature};
 /// "The centroid of a cluster of signatures can then be used as a
 /// syndrome which characterizes a manifestation of a common behavior"
 /// (paper §2.2).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Syndrome {
     /// Cluster centroid in tf-idf space.
     pub centroid: SparseVec,
@@ -46,7 +46,9 @@ pub enum RefitPolicy {
     /// weights drifted more than `max_idf_drift` (see
     /// [`TfIdfModel::idf_drift`]), or more than `max_stale_fraction` of
     /// the live corpus worth of mutations accumulated since the last
-    /// refit.
+    /// refit. Each bound is finite or `+∞`, which disables its check
+    /// (and at `max_idf_drift` skips the drift computation); a save
+    /// and a recovery keep it.
     Threshold {
         /// Maximum tolerated idf drift before an automatic refit.
         max_idf_drift: f64,
@@ -67,7 +69,7 @@ impl Default for RefitPolicy {
 }
 
 /// Outcome of one [`SignatureDb::refit`] pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefitStats {
     /// The idf generation this refit published.
     pub epoch: u64,
@@ -103,6 +105,8 @@ pub enum VacuumPolicy {
     /// Vacuum as soon as tombstoned slots exceed `max_dead_fraction` of
     /// the slot space *and* at least `min_dead` slots are dead (the
     /// floor keeps small databases from vacuuming on every removal).
+    /// The fraction is finite or `+∞`, which disables the policy; a save
+    /// and a recovery keep it.
     DeadFraction {
         /// Maximum tolerated `dead slots / total slots` ratio.
         max_dead_fraction: f64,
@@ -120,7 +124,7 @@ impl Default for VacuumPolicy {
 }
 
 /// Outcome of one [`SignatureDb::vacuum`] pass.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VacuumStats {
     /// Tombstoned slots whose raw counts, vectors, and bookkeeping were
     /// reclaimed.

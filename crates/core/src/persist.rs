@@ -605,9 +605,23 @@ fn assemble(parts: Parts) -> Result<SignatureDb, FmeterError> {
         model,
         corpus,
         slots,
-        state,
+        mut state,
         num_shards,
     } = parts;
+    if let RefitPolicy::Threshold {
+        max_idf_drift,
+        max_stale_fraction,
+    } = &mut state.refit_policy
+    {
+        null_as_infinite(max_idf_drift);
+        null_as_infinite(max_stale_fraction);
+    }
+    if let VacuumPolicy::DeadFraction {
+        max_dead_fraction, ..
+    } = &mut state.vacuum_policy
+    {
+        null_as_infinite(max_dead_fraction);
+    }
     let consistent = corpus.len() == slots.len()
         && state.live.len() == slots.len()
         && state.num_live == state.live.iter().filter(|&&l| l).count()
@@ -652,6 +666,16 @@ fn assemble(parts: Parts) -> Result<SignatureDb, FmeterError> {
         // remap above: a loaded database reclusters cold once.
         cluster_cache: None,
     })
+}
+
+/// Restores a policy bound of +∞, the bound that disables its check.
+/// JSON has no +∞: the `state` writer puts it as `null`, which the
+/// reader returns as NaN. A finite bound never reads back as NaN, and a
+/// NaN bound, also written as `null`, already compares as +∞ does.
+fn null_as_infinite(bound: &mut f64) {
+    if bound.is_nan() {
+        *bound = f64::INFINITY;
+    }
 }
 
 // The committed fixtures, shared with the integration tests.

@@ -1,7 +1,6 @@
 use fmeter_ir::codec::{self, BinCodec, CodecError, Reader};
 use fmeter_ir::{SparseVec, TermCounts};
 use fmeter_kernel_sim::Nanos;
-use serde::Serialize;
 
 use crate::persist::MAX_SIGNATURE_DIM;
 
@@ -62,7 +61,7 @@ impl RawSignature {
 /// A clone shares the vector's arrays (see [`SparseVec`]) and copies
 /// only the label: the posting store, a search hit and a served snapshot
 /// all read the one copy of each stored vector.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Signature {
     /// The tf-idf weight vector `v_j`.
     pub vector: SparseVec,

@@ -1771,28 +1771,41 @@ mod tests {
 
     #[test]
     fn policy_changes_are_persisted_via_checkpoint() {
-        let dir = test_dir("policy-change");
-        let db = base_db();
-        let mut durable = create(&dir, db, DurableOptions::default()).unwrap();
-        durable
-            .set_refit_policy(crate::RefitPolicy::EveryN(3))
-            .unwrap();
-        durable
-            .set_vacuum_policy(crate::VacuumPolicy::DeadFraction {
-                max_dead_fraction: 0.5,
-                min_dead: 2,
-            })
-            .unwrap();
-        drop(durable);
-        let (recovered, _) = recover(&dir).unwrap();
-        assert_eq!(recovered.db().refit_policy(), crate::RefitPolicy::EveryN(3));
-        assert_eq!(
-            recovered.db().vacuum_policy(),
-            crate::VacuumPolicy::DeadFraction {
-                max_dead_fraction: 0.5,
-                min_dead: 2,
+        use crate::{RefitPolicy, VacuumPolicy};
+        // The second pair's bounds are +∞, which the `state` section
+        // writes as JSON `null`.
+        for (refit, vacuum) in [
+            (
+                RefitPolicy::EveryN(3),
+                VacuumPolicy::DeadFraction {
+                    max_dead_fraction: 0.5,
+                    min_dead: 2,
+                },
+            ),
+            (
+                RefitPolicy::Threshold {
+                    max_idf_drift: f64::INFINITY,
+                    max_stale_fraction: f64::INFINITY,
+                },
+                VacuumPolicy::DeadFraction {
+                    max_dead_fraction: f64::INFINITY,
+                    min_dead: 2,
+                },
+            ),
+        ] {
+            let dir = test_dir("policy-change");
+            let mut durable = create(&dir, base_db(), DurableOptions::default()).unwrap();
+            durable.set_refit_policy(refit).unwrap();
+            durable.set_vacuum_policy(vacuum).unwrap();
+            drop(durable);
+            let (recovered, _) = recover(&dir).unwrap();
+            let mut bytes = Vec::new();
+            recovered.db().save(&mut bytes).unwrap();
+            let loaded = SignatureDb::load(&bytes[..]).unwrap();
+            for db in [recovered.db(), &loaded] {
+                assert_eq!((db.refit_policy(), db.vacuum_policy()), (refit, vacuum));
             }
-        );
-        let _ = fs::remove_dir_all(&dir);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

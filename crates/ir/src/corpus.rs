@@ -1,7 +1,5 @@
 use std::sync::Arc;
 
-use serde::{Serialize, Value};
-
 use crate::codec::{self, Reader, Width};
 use crate::sparse::{check_wire_terms, exact};
 use crate::{IrError, TermId};
@@ -174,7 +172,7 @@ impl TermCounts {
 /// of monitored low-level system activities.
 ///
 /// All documents must have the same dimensionality, enforced at insertion.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Corpus {
     dim: usize,
     docs: Vec<TermCounts>,
@@ -309,18 +307,6 @@ impl Corpus {
     }
 }
 
-// Written out, not derived, because the vendored serde has no `Arc`
-// impl: the object a derive would emit, field for field.
-impl Serialize for TermCounts {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("dim".to_string(), self.dim.to_value()),
-            ("terms".to_string(), self.terms.to_value()),
-            ("counts".to_string(), self.counts.to_value()),
-        ])
-    }
-}
-
 // Binary wire layout (see `crate::codec`): the sparse pairs of
 // `codec::put_pairs`. A fixed-width reader (format v5–v8, `FMWAL 3`)
 // finds `dim` and two counted arrays instead, of absolute terms and of
@@ -452,17 +438,6 @@ mod tests {
         let docs: Vec<TermCounts> = c.into_iter().collect();
         assert_eq!(docs.len(), 3);
         assert_eq!(docs[2].count(2), 2);
-    }
-
-    #[test]
-    fn json_bytes_are_the_derived_ones() {
-        let mut c = Corpus::new(4);
-        c.push(TermCounts::from_pairs(4, [(3, 2), (1, 1)]).unwrap());
-        c.push(TermCounts::new(4));
-        assert_eq!(
-            serde_json::to_string(&c).unwrap(),
-            r#"{"dim":4,"docs":[{"dim":4,"terms":[1,3],"counts":[1,2]},{"dim":4,"terms":[],"counts":[]}]}"#
-        );
     }
 
     /// `doc` laid out by hand: `dim`, `nnz`, the gaps, the counts.

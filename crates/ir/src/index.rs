@@ -3,13 +3,11 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use serde::Serialize;
-
 use crate::shard::by_score_desc;
 use crate::{DocId, IrError, SharedVec, SparseVec, TermId};
 
 /// One result of a similarity search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchHit {
     /// Identifier of the matching document.
     pub doc: DocId,

@@ -1,13 +1,11 @@
 use std::sync::Arc;
 
-use serde::{Serialize, Value};
-
 use crate::codec;
 use crate::sparse::exact;
 use crate::{Corpus, IrError, SparseVec, TermCounts, TermId};
 
 /// Term-frequency flavour used when weighting a document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TfMode {
     /// `tf_{i,j} = n_{i,j} / sum_k n_{k,j}` — the paper's normalised term
     /// frequency, which "prevents bias towards longer runs".
@@ -20,7 +18,7 @@ pub enum TfMode {
 }
 
 /// Inverse-document-frequency flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IdfMode {
     /// `idf_i = ln(|D| / df_i)` — the paper's formula. Terms present in
     /// every document get weight zero; terms absent from the corpus are
@@ -34,7 +32,7 @@ pub enum IdfMode {
 }
 
 /// Options for fitting a [`TfIdfModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TfIdfOptions {
     /// Term-frequency scheme.
     pub tf: TfMode,
@@ -43,7 +41,7 @@ pub struct TfIdfOptions {
 }
 
 /// Outcome of one [`TfIdfModel::refit_idf`] pass.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdfRefit {
     /// Terms whose idf value changed in this refit (ascending order).
     pub changed_terms: Vec<TermId>,
@@ -198,26 +196,6 @@ pub struct TfIdfModel {
     /// fit/refit — the drift is then zero by construction and both drift
     /// paths short-circuit. Not serialized (loads conservatively stale).
     drift_clean: bool,
-}
-
-/// The serialized field set (and order) of [`TfIdfModel`] — the
-/// hand-written impl below must keep emitting exactly this layout while
-/// in-memory caches come and go.
-const MODEL_FIELDS: [&str; 5] = ["dim", "num_docs", "doc_freq", "idf", "options"];
-
-// Serialization is implemented by hand (not derived) so the `ln_df` /
-// `drift_clean` caches stay out of the layout: the value tree is
-// exactly what the pre-cache derive produced.
-impl Serialize for TfIdfModel {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (MODEL_FIELDS[0].to_string(), self.weights.dim.to_value()),
-            (MODEL_FIELDS[1].to_string(), self.num_docs.to_value()),
-            (MODEL_FIELDS[2].to_string(), self.doc_freq.to_value()),
-            (MODEL_FIELDS[3].to_string(), self.weights.idf.to_value()),
-            (MODEL_FIELDS[4].to_string(), self.weights.options.to_value()),
-        ])
-    }
 }
 
 /// The idf formula for one term: `df` documents contain it out of `n`.
@@ -601,10 +579,11 @@ impl codec::BinCodec for TfIdfOptions {
     }
 }
 
-// Same field set as the JSON surface (`MODEL_FIELDS`), every integer a
-// varint and each idf its 8 bytes, so a load is bit-identical: the
-// in-memory caches stay off the wire and are rebuilt conservatively stale
-// on decode. A fixed-width reader (format v5–v8) reads the same fields.
+// The model's five fields — `dim`, `num_docs`, `doc_freq`, `idf` and
+// `options` — every integer a varint and each idf its 8 bytes, so a load
+// is bit-identical: the in-memory caches stay off the wire and are
+// rebuilt conservatively stale on decode. A fixed-width reader (format
+// v5–v8) reads the same fields.
 impl codec::BinCodec for TfIdfModel {
     fn encode_bin(&self, out: &mut Vec<u8>) {
         codec::put_usize(out, self.weights.dim);
@@ -959,18 +938,10 @@ mod tests {
     }
 
     #[test]
-    fn model_serde_layout_excludes_caches_and_round_trips() {
+    fn model_codec_layout_excludes_caches_and_round_trips() {
         let mut m = TfIdfModel::fit(&sample_corpus()).unwrap();
         m.observe(&TermCounts::from_pairs(4, [(1, 2), (3, 4)]).unwrap());
-        let value = serde::Serialize::to_value(&m);
-        // The on-disk layout is exactly the five model fields — the
-        // drift caches must never leak into persisted databases.
-        let serde::Value::Object(pairs) = &value else {
-            panic!("model must serialize as an object");
-        };
-        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, MODEL_FIELDS);
-        // The binary codec carries the same fields, and no cache.
+        // The binary codec carries the five model fields, and no cache.
         let bytes = codec::encode_to_vec(&m);
         let restored: TfIdfModel = codec::decode_from_slice(&bytes).unwrap();
         assert_eq!(restored.num_docs(), m.num_docs());

@@ -8,12 +8,10 @@
 //! filesystem mounting, daemon start-up), which is what bends the rank /
 //! count curve into a power law.
 
-use serde::Serialize;
-
 use crate::{CpuId, ExecStats, Kernel, KernelError, KernelOp, Nanos};
 
 /// Summary of a boot run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BootReport {
     /// Functions in the symbol table (all touched at least once).
     pub functions: usize,

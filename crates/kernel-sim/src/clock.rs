@@ -1,14 +1,12 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::Serialize;
-
 /// A span of simulated time, in nanoseconds.
 ///
 /// All latencies in the simulator are expressed in `Nanos`; the newtype
 /// keeps simulated time from being confused with counts or wall-clock
 /// durations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(pub u64);
 
 impl Nanos {
@@ -91,7 +89,7 @@ impl fmt::Display for Nanos {
 ///
 /// The clock advances only when simulated work executes; there is no
 /// independent wall-clock source. This makes runs perfectly reproducible.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SimClock {
     now: Nanos,
 }

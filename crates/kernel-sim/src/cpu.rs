@@ -1,9 +1,7 @@
 use std::fmt;
 
-use serde::Serialize;
-
 /// Identifier of a simulated logical CPU (hardware thread).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CpuId(pub usize);
 
 impl fmt::Display for CpuId {
@@ -15,7 +13,7 @@ impl fmt::Display for CpuId {
 /// Per-CPU execution state and statistics.
 ///
 /// The per-CPU bookkeeping the evaluation reads back.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CpuState {
     /// Total instrumented kernel function calls executed on this CPU.
     pub calls_executed: u64,

@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::Serialize;
 
 use crate::callgraph::CallEdge;
 use crate::clock::SimClock;
@@ -16,7 +15,7 @@ use crate::{
 };
 
 /// Configuration of a simulated machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Number of logical CPUs. Default 16, like the paper's dual-socket
     /// Nehalem R710 with hyperthreads.
@@ -47,7 +46,7 @@ impl Default for KernelConfig {
 }
 
 /// Execution statistics for one or more operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStats {
     /// Instrumented kernel function calls performed.
     pub calls: u64,

@@ -1,5 +1,3 @@
-use serde::Serialize;
-
 /// A kernel-visible operation a workload can issue: a system call, a fault,
 /// or an interrupt-context activity.
 ///
@@ -8,7 +6,7 @@ use serde::Serialize;
 /// entry's call subtree, which is where the signature counts come from.
 /// Parameters (byte counts, fd counts, page counts) scale the repeats the
 /// way loop bounds scale call counts in a real kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum KernelOp {
     /// The cheapest round trip: `getppid()`.
@@ -185,7 +183,7 @@ macro_rules! entry_points {
         /// resolves the whole set once, at boot, instead of looking names
         /// up op by op.
         #[allow(non_camel_case_types)]
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum EntryPoint {
             $(
                 #[doc = concat!("`", stringify!($name), "`")]
@@ -253,10 +251,7 @@ entry_points! {
 
 /// One step of an operation plan: execute the call subtree rooted at
 /// `entry` `repeats` times, each time with probability `probability`.
-///
-/// Serializes (for plan dumps) but does not deserialize: plans are
-/// compiled in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stage {
     /// Anchor function the subtree is rooted at.
     pub entry: EntryPoint,

@@ -2,7 +2,6 @@ use fmeter_ir::SparseVec;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::Serialize;
 
 use crate::metrics::{majority_baseline, mean_std, BinaryConfusion};
 use crate::svm::Solution;
@@ -51,7 +50,7 @@ use crate::{Gram, Kernel, Label, MlError, SvmTrainer};
 ///     .unwrap();
 /// assert_eq!(report.mean_accuracy().0, 1.0);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CrossValidation {
     folds: usize,
     c_grid: Vec<f64>,
@@ -60,7 +59,7 @@ pub struct CrossValidation {
 }
 
 /// Result of evaluating one test fold.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FoldOutcome {
     /// Index of the test fold.
     pub fold: usize,
@@ -73,7 +72,7 @@ pub struct FoldOutcome {
 }
 
 /// Aggregated cross-validation report (the rows of Tables 4 and 5).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CvReport {
     /// Per-fold outcomes in fold order.
     pub folds: Vec<FoldOutcome>,

@@ -5,7 +5,6 @@
 use fmeter_ir::SparseVec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 use crate::{DecisionTree, DecisionTreeTrainer, Label, MlError};
 
@@ -34,17 +33,16 @@ use crate::{DecisionTree, DecisionTreeTrainer, Label, MlError};
 ///     assert_eq!(model.predict(x), y);
 /// }
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AdaBoost {
     rounds: usize,
     weak_depth: usize,
 }
 
 /// A trained AdaBoost ensemble.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AdaBoostModel {
     trees: Vec<(DecisionTree, f64)>,
-    dim: usize,
 }
 
 impl AdaBoost {
@@ -117,10 +115,7 @@ impl AdaBoost {
             let tree = trainer.train(vectors, labels)?;
             trees.push((tree, 1.0));
         }
-        Ok(AdaBoostModel {
-            trees,
-            dim: vectors[0].dim(),
-        })
+        Ok(AdaBoostModel { trees })
     }
 }
 
@@ -152,7 +147,7 @@ impl AdaBoostModel {
 ///
 /// Each round trains a full-depth tree on a bootstrap resample; the
 /// ensemble predicts by majority vote.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Bagging {
     rounds: usize,
     max_depth: usize,
@@ -160,7 +155,7 @@ pub struct Bagging {
 }
 
 /// A trained bagging ensemble.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BaggingModel {
     trees: Vec<DecisionTree>,
 }

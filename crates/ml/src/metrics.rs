@@ -4,8 +4,6 @@
 //! These are exactly the quantities reported in the paper's Tables 4 and 5
 //! (classification) and Figures 5 and 6 (purity).
 
-use serde::Serialize;
-
 use crate::{Label, MlError};
 
 /// Confusion counts for a binary classifier with labels `+1` / `-1`.
@@ -22,7 +20,7 @@ use crate::{Label, MlError};
 /// assert_eq!(c.precision(), 1.0);
 /// assert_eq!(c.recall(), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BinaryConfusion {
     /// Positives classified as positive.
     pub true_positives: usize,

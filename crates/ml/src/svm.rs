@@ -102,7 +102,7 @@ impl Default for Kernel {
 /// assert_eq!(model.predict(&xs[0]), 1);
 /// assert_eq!(model.predict(&xs[2]), -1);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SvmTrainer {
     c: f64,
     kernel: Kernel,

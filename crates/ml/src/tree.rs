@@ -8,12 +8,11 @@
 //! AdaBoost needs) and configurable depth.
 
 use fmeter_ir::SparseVec;
-use serde::Serialize;
 
 use crate::{Label, MlError};
 
 /// A node of the fitted tree.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     /// Terminal node predicting `label`; `confidence` is the weighted
     /// fraction of training examples agreeing with the prediction.
@@ -47,7 +46,7 @@ enum Node {
 /// assert_eq!(tree.predict(&xs[0]), 1);
 /// assert_eq!(tree.predict(&xs[3]), -1);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTreeTrainer {
     max_depth: usize,
     min_leaf_weight: f64,
@@ -291,7 +290,7 @@ fn class_weights(members: &[usize], labels: &[Label], weights: &[f64]) -> (f64, 
 }
 
 /// A fitted decision tree.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     dim: usize,

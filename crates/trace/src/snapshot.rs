@@ -1,12 +1,11 @@
 use fmeter_kernel_sim::Nanos;
-use serde::Serialize;
 
 /// A point-in-time copy of all per-function invocation counters.
 ///
 /// The Fmeter logging daemon "reads all kernel function invocation counts
 /// twice (before and after the time interval) and generates the difference
 /// between them" — [`CounterSnapshot::delta`] is that difference.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSnapshot {
     counts: Vec<u64>,
     taken_at: Nanos,
@@ -97,7 +96,7 @@ impl CounterSnapshot {
 /// assert_eq!(counts, vec![4, 2]);
 /// assert_eq!((started, ended), (Nanos(100), Nanos(200)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaCursor {
     previous: CounterSnapshot,
 }

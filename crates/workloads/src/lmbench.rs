@@ -7,10 +7,9 @@
 //! statistics the paper's table reports.
 
 use fmeter_kernel_sim::{CpuId, ExecStats, Kernel, KernelError, KernelOp};
-use serde::Serialize;
 
 /// One lmbench latency test — one row of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LmbenchTest {
     /// `AF_UNIX sock stream latency`: 1-byte ping-pong over a Unix socket.
     AfUnixSockStream,
@@ -62,7 +61,7 @@ pub enum LmbenchTest {
 }
 
 /// Latency statistics for one test under one kernel configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Mean latency per iteration, microseconds.
     pub mean_us: f64,

@@ -1,8 +1,7 @@
 use fmeter_kernel_sim::{CpuId, ExecStats, Kernel, KernelError, Nanos};
-use serde::Serialize;
 
 /// Statistics for one workload step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StepStats {
     /// Instrumented kernel calls performed by the step.
     pub kernel_calls: u64,
