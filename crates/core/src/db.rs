@@ -46,9 +46,10 @@ pub enum RefitPolicy {
     /// weights drifted more than `max_idf_drift` (see
     /// [`TfIdfModel::idf_drift`]), or more than `max_stale_fraction` of
     /// the live corpus worth of mutations accumulated since the last
-    /// refit. Each bound is finite or `+∞`, which disables its check
-    /// (and at `max_idf_drift` skips the drift computation); a save
-    /// and a recovery keep it.
+    /// refit. Each bound is finite or `±∞`: `+∞` disables its check
+    /// (and at `max_idf_drift` skips the drift computation), `−∞` refits
+    /// on every mutation. A save and a recovery keep it, but for a bound
+    /// of `f64::MIN`, which comes back as the `−∞` it acts like.
     Threshold {
         /// Maximum tolerated idf drift before an automatic refit.
         max_idf_drift: f64,
@@ -105,8 +106,9 @@ pub enum VacuumPolicy {
     /// Vacuum as soon as tombstoned slots exceed `max_dead_fraction` of
     /// the slot space *and* at least `min_dead` slots are dead (the
     /// floor keeps small databases from vacuuming on every removal).
-    /// The fraction is finite or `+∞`, which disables the policy; a save
-    /// and a recovery keep it.
+    /// The fraction is finite or `±∞`: `+∞` disables the policy, `−∞`
+    /// leaves only the floor. A save and a recovery keep it, but for a
+    /// fraction of `f64::MIN`, which comes back as the `−∞` it acts like.
     DeadFraction {
         /// Maximum tolerated `dead slots / total slots` ratio.
         max_dead_fraction: f64,

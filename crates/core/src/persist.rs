@@ -236,6 +236,26 @@ struct State {
     quantization: QuantizationMode,
 }
 
+impl State {
+    /// Applies `f` to each bound of the refit and vacuum policies.
+    fn for_each_bound(&mut self, f: impl Fn(&mut f64)) {
+        if let RefitPolicy::Threshold {
+            max_idf_drift,
+            max_stale_fraction,
+        } = &mut self.refit_policy
+        {
+            f(max_idf_drift);
+            f(max_stale_fraction);
+        }
+        if let VacuumPolicy::DeadFraction {
+            max_dead_fraction, ..
+        } = &mut self.vacuum_policy
+        {
+            f(max_dead_fraction);
+        }
+    }
+}
+
 /// The `state` section's `quantization` field, which v7 added to name
 /// the weight storage of the rebuilt index. The index now has one, exact
 /// `f64` weights: the writer puts `"Off"`, and a reader accepts either
@@ -306,7 +326,7 @@ pub(crate) fn save<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterEr
         codec::put_var(&mut body, signature.ended_at.0);
     }
     header.close_section(SEC_SIGNATURES, SectionCodec::Binary, &body);
-    let state = State {
+    let mut state = State {
         live: db.liveness().collect(),
         num_live: db.num_live,
         epoch: db.epoch,
@@ -316,6 +336,11 @@ pub(crate) fn save<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterEr
         vacuums: db.vacuums,
         quantization: QuantizationMode::Off,
     };
+    state.for_each_bound(|bound| {
+        if *bound == f64::NEG_INFINITY {
+            *bound = f64::MIN;
+        }
+    });
     serde_json::to_writer(&mut body, &state)?;
     header.close_section(SEC_STATE, SectionCodec::Json, &body);
     let num_shards = db.num_shards();
@@ -608,20 +633,7 @@ fn assemble(parts: Parts) -> Result<SignatureDb, FmeterError> {
         mut state,
         num_shards,
     } = parts;
-    if let RefitPolicy::Threshold {
-        max_idf_drift,
-        max_stale_fraction,
-    } = &mut state.refit_policy
-    {
-        null_as_infinite(max_idf_drift);
-        null_as_infinite(max_stale_fraction);
-    }
-    if let VacuumPolicy::DeadFraction {
-        max_dead_fraction, ..
-    } = &mut state.vacuum_policy
-    {
-        null_as_infinite(max_dead_fraction);
-    }
+    state.for_each_bound(infinite_bound);
     let consistent = corpus.len() == slots.len()
         && state.live.len() == slots.len()
         && state.num_live == state.live.iter().filter(|&&l| l).count()
@@ -668,13 +680,19 @@ fn assemble(parts: Parts) -> Result<SignatureDb, FmeterError> {
     })
 }
 
-/// Restores a policy bound of +∞, the bound that disables its check.
-/// JSON has no +∞: the `state` writer puts it as `null`, which the
-/// reader returns as NaN. A finite bound never reads back as NaN, and a
-/// NaN bound, also written as `null`, already compares as +∞ does.
-fn null_as_infinite(bound: &mut f64) {
+/// Restores an infinite policy bound. JSON has no infinities: the
+/// `state` writer puts +∞, the bound that disables its check, as `null`,
+/// which the reader returns as NaN; and −∞, the bound every check
+/// passes, as `f64::MIN`. A finite bound never reads back as NaN, and a
+/// NaN bound, also written as `null`, already compares as +∞ does. A
+/// bound of `f64::MIN` comes back as −∞, which every policy check treats
+/// alike: drift, fractions and counts are `>= 0`, and a vacuum needs a
+/// dead slot first.
+fn infinite_bound(bound: &mut f64) {
     if bound.is_nan() {
         *bound = f64::INFINITY;
+    } else if *bound == f64::MIN {
+        *bound = f64::NEG_INFINITY;
     }
 }
 

@@ -43,7 +43,6 @@
 use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fmeter_ir::{
@@ -358,7 +357,6 @@ impl ShardWriter {
 struct ServiceInner {
     writer: Mutex<ShardWriter>,
     current: RwLock<Arc<ShardSnapshot>>,
-    generation: AtomicU64,
 }
 
 thread_local! {
@@ -458,7 +456,6 @@ impl SignatureService {
             inner: Arc::new(ServiceInner {
                 writer: Mutex::new(writer),
                 current: RwLock::new(snapshot),
-                generation: AtomicU64::new(0),
             }),
         }
     }
@@ -679,9 +676,9 @@ impl SignatureService {
         self.snapshot().epoch()
     }
 
-    /// The current publication sequence number.
+    /// The published generation's sequence number.
     pub fn generation(&self) -> u64 {
-        self.inner.generation.load(Ordering::Acquire)
+        self.snapshot().generation()
     }
 
     /// Number of shards in the layout.
@@ -728,12 +725,13 @@ impl SignatureService {
         self.inner.writer.lock().durable_log_mut().map(f)
     }
 
-    /// Stamps and swaps in the next generation. Called with the writer
-    /// lock held (mutations serialize), so generation numbers and
-    /// snapshot contents advance together; readers only ever take the
+    /// Stamps and swaps in the next generation, one past the published
+    /// one. Called with the writer lock held (mutations serialize), so
+    /// no other publish runs in between and the number is only ever
+    /// read from the snapshot it stamps; readers only ever take the
     /// `current` read lock for the duration of an `Arc` clone.
     fn publish(&self, writer: &ShardWriter) {
-        let generation = self.inner.generation.fetch_add(1, Ordering::AcqRel) + 1;
+        let generation = self.snapshot().generation() + 1;
         let snapshot = Arc::new(writer.publish(generation));
         *self.inner.current.write() = snapshot;
     }
@@ -844,11 +842,17 @@ mod tests {
         let q = raws[3].to_term_counts();
         let hits_before = service.search_snapshot(&before, &q, 5).unwrap();
         let gen_before = before.generation();
+        // The number a caller reads is the snapshot it gets.
+        let in_step = || assert_eq!(service.generation(), service.snapshot().generation());
 
         service.insert_batch(&sample(40, 8)[24..]).unwrap();
+        in_step();
         service.remove(2).unwrap();
+        in_step();
         service.refit();
+        in_step();
         service.vacuum();
+        in_step();
 
         // The old generation still serves exactly its old answers.
         assert_eq!(before.generation(), gen_before);

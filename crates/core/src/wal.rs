@@ -1773,7 +1773,8 @@ mod tests {
     fn policy_changes_are_persisted_via_checkpoint() {
         use crate::{RefitPolicy, VacuumPolicy};
         // The second pair's bounds are +∞, which the `state` section
-        // writes as JSON `null`.
+        // writes as JSON `null`; the third's are −∞, which it writes as
+        // `f64::MIN`.
         for (refit, vacuum) in [
             (
                 RefitPolicy::EveryN(3),
@@ -1789,6 +1790,16 @@ mod tests {
                 },
                 VacuumPolicy::DeadFraction {
                     max_dead_fraction: f64::INFINITY,
+                    min_dead: 2,
+                },
+            ),
+            (
+                RefitPolicy::Threshold {
+                    max_idf_drift: f64::NEG_INFINITY,
+                    max_stale_fraction: f64::NEG_INFINITY,
+                },
+                VacuumPolicy::DeadFraction {
+                    max_dead_fraction: f64::NEG_INFINITY,
                     min_dead: 2,
                 },
             ),

@@ -1,5 +1,4 @@
 use std::borrow::Borrow;
-use std::sync::{mpsc, RwLock};
 
 use fmeter_ir::{dot_sparse_dense, SparseVec};
 use rand::rngs::SmallRng;
@@ -740,19 +739,17 @@ fn slot_order(members: &[Vec<usize>]) -> impl Iterator<Item = (usize, usize)> + 
     })
 }
 
-/// What a fit's walks read and its update steps write, behind the
-/// fit's `RwLock`: the stats and the member lists, `members[c]` cluster
-/// `c`'s slots in ascending order — the assignment.
+/// What a fit's walks read and its update steps write: the stats and
+/// the member lists, `members[c]` cluster `c`'s slots in ascending order
+/// — the assignment. Lent shared to a walk and mutably to an update.
 struct Fitting<'a> {
     stats: &'a mut ClusterStats,
     members: &'a mut [Vec<usize>],
 }
 
 /// One contiguous range of slots, `lo..lo + bounds.len()`: their bounds
-/// and what the range's last walk found. Ownership moves loop -> worker
-/// -> loop every round.
+/// and what the range's last walk found.
 struct Job<'b> {
-    chunk: usize,
     lo: usize,
     bounds: &'b mut [PointBounds],
     /// `(slot, from, to)` of each point the last walk moved, ascending.
@@ -765,7 +762,42 @@ struct Job<'b> {
     widest: f64,
 }
 
-impl Job<'_> {
+impl<'b> Job<'b> {
+    /// `bounds` cut into at most `threads` contiguous ranges, in slot
+    /// order.
+    fn split(bounds: &'b mut [PointBounds], threads: usize) -> Vec<Self> {
+        let len = bounds.len().div_ceil(threads).max(1);
+        let job = |(i, bounds)| Job {
+            lo: i * len,
+            bounds,
+            moved: Vec::new(),
+            measured: 0,
+            spread: f64::INFINITY,
+            widest: 0.0,
+        };
+        bounds.chunks_mut(len).enumerate().map(job).collect()
+    }
+
+    /// Walks every range: one on the calling thread, more side by side
+    /// in one [`std::thread::scope`], the first on the calling thread.
+    /// Each writes only its own bounds, so the fit's bits do not depend
+    /// on how the slots are cut.
+    fn sweep_all<'p, P>(jobs: &mut [Self], point: &P, fitting: &Fitting)
+    where
+        P: Fn(usize) -> &'p SparseVec + Sync,
+    {
+        match jobs {
+            [] => {}
+            [job] => job.walk(point, fitting),
+            [first, rest @ ..] => std::thread::scope(|s| {
+                for job in rest {
+                    s.spawn(|| job.walk(point, fitting));
+                }
+                first.walk(point, fitting);
+            }),
+        }
+    }
+
     /// The bounded sweep over the range's members, against the centroids
     /// the stats keep: each point's bounds — unknown if they are for
     /// another cluster — are widened by the drift owed to them; a point
@@ -822,124 +854,11 @@ impl Job<'_> {
     }
 }
 
-/// The bounded sweep over a fit's slots in ranges. With one range the
-/// calling thread walks it. With more, one worker per range lives for the
-/// whole fit — spawning threads per iteration costs up to a millisecond
-/// on some kernels, which would swallow the parallel speed-up — and
-/// blocks on a channel between rounds. The centroids, the drift owed and
-/// the member lists are read through the fit's `RwLock`, and the ranges'
-/// bounds travel by ownership through the channels — no locking inside
-/// the per-point hot loop. Workers hand back what moved; the calling
-/// thread updates the member lists and patches the sums, so the fit's
-/// bits do not depend on the worker count.
-struct Pool<'b> {
-    job_txs: Vec<mpsc::Sender<Job<'b>>>,
-    done_rx: mpsc::Receiver<Job<'b>>,
-    slots: Vec<Option<Job<'b>>>,
-}
-
-impl<'b> Pool<'b> {
-    /// Splits `bounds` into `threads` ranges and, for more than one,
-    /// spawns a worker per range on `scope`. Workers exit when the pool
-    /// is dropped.
-    fn spawn<'scope, 'p, P>(
-        scope: &'scope std::thread::Scope<'scope, 'b>,
-        point: &'b P,
-        fitting: &'b RwLock<Fitting<'_>>,
-        bounds: &'b mut [PointBounds],
-        threads: usize,
-    ) -> Self
-    where
-        P: Fn(usize) -> &'p SparseVec + Sync,
-    {
-        let chunk_len = bounds.len().div_ceil(threads).max(1);
-        let slots: Vec<Option<Job>> = bounds
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .map(|(chunk, bounds)| {
-                let (moved, measured, spread, widest) = (Vec::new(), 0, f64::INFINITY, 0.0);
-                let lo = chunk * chunk_len;
-                Some(Job {
-                    chunk,
-                    lo,
-                    bounds,
-                    moved,
-                    measured,
-                    spread,
-                    widest,
-                })
-            })
-            .collect();
-        let (done_tx, done_rx) = mpsc::channel::<Job>();
-        let mut job_txs = Vec::new();
-        let workers = if slots.len() > 1 { slots.len() } else { 0 };
-        for _ in 0..workers {
-            let (job_tx, job_rx) = mpsc::channel::<Job>();
-            job_txs.push(job_tx);
-            let done_tx = done_tx.clone();
-            scope.spawn(move || {
-                while let Ok(mut job) = job_rx.recv() {
-                    job.walk(point, &fitting.read().expect("fit lock"));
-                    if done_tx.send(job).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        Pool {
-            job_txs,
-            done_rx,
-            slots,
-        }
-    }
-
-    /// One round: every range walked (the barrier: all of them back
-    /// before it returns). Returns the points measured, the smallest
-    /// `l − u` and the largest norm among the bounds left.
-    fn sweep<'p>(
-        &mut self,
-        point: &impl Fn(usize) -> &'p SparseVec,
-        fitting: &RwLock<Fitting>,
-    ) -> (usize, f64, f64) {
-        if self.job_txs.is_empty() {
-            for job in self.slots.iter_mut().flatten() {
-                job.walk(point, &fitting.read().expect("fit lock"));
-            }
-        }
-        for (tx, slot) in self.job_txs.iter().zip(&mut self.slots) {
-            tx.send(slot.take().expect("job checked in"))
-                .expect("worker alive");
-        }
-        for _ in 0..self.job_txs.len() {
-            let job = self.done_rx.recv().expect("worker alive");
-            let chunk = job.chunk;
-            self.slots[chunk] = Some(job);
-        }
-        let measured = self.jobs().map(|j| j.measured).sum();
-        let spread = self.jobs().map(|j| j.spread).fold(f64::INFINITY, f64::min);
-        (
-            measured,
-            spread,
-            self.jobs().map(|j| j.widest).fold(0.0, f64::max),
-        )
-    }
-
-    /// The ranges, in slot order.
-    fn jobs(&self) -> impl Iterator<Item = &Job<'b>> + Clone {
-        self.slots.iter().flatten()
-    }
-
-    /// `(slot, from, to)` of each point the last walk moved, ascending.
-    fn moved(&self) -> impl Iterator<Item = (usize, usize, usize)> + Clone + use<'_, 'b> {
-        self.jobs().flat_map(|j| j.moved.iter().copied())
-    }
-}
-
 #[cfg(test)]
 thread_local! {
     /// Points measured against the centroids by walks on the current
-    /// thread, so tests can assert what a fit cost. Pool workers count
-    /// on their own threads.
+    /// thread, so tests can assert what a fit cost. A walk on a scoped
+    /// thread counts on its own thread.
     static MEASURED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
@@ -960,8 +879,9 @@ pub enum KMeansInit {
 /// classes. The run is deterministic given [`seed`](Self::seed), whatever
 /// [`threads`](Self::threads) says. Lloyd's loop carries Hamerly's
 /// distance bounds, so an iteration measures only the points they cannot
-/// confirm and patches the means from the points that moved; the walk
-/// fans out across [`std::thread::scope`] workers on large inputs.
+/// confirm and patches the means from the points that moved; on large
+/// inputs each walk cuts the points into contiguous ranges and walks
+/// them side by side on [`std::thread::scope`] threads.
 ///
 /// # Examples
 ///
@@ -989,12 +909,14 @@ pub struct KMeans {
     threads: usize,
 }
 
-/// Minimum `n * k` before the assignment step fans out across a worker
-/// pool; below this the pool spawn cost (one thread per worker for the
-/// whole run, ~1 ms each on some kernels) dominates the distance work.
-/// Measured against the fused sweep on two cores: at this size two
-/// workers are level with or ahead of one thread (0.9-1.5x over
-/// k = 4, 8 and 16), and clearly ahead from four times it.
+/// Minimum `n * k` before a cold fit's walks fan out across scoped
+/// threads; below it the thread spawns of every walk outweigh the
+/// distance work they share out. Two threads against one on a shared
+/// two-core host (tf-idf class signatures of dim 1000, `restarts(3)`,
+/// seeds 1–3, medians of alternating runs): at this size k = 4 ran
+/// 1.2–1.3x and k = 8 1.0–1.2x as fast, k = 16 (4096 points) 0.7–0.9x;
+/// at four times it, k = 16 ran 1.2–1.3x as fast. With the host busier,
+/// every one of those shapes ran 0.8–1.1x: the gain needs an idle core.
 const PARALLEL_ASSIGN_THRESHOLD: usize = 1 << 16;
 
 /// Outcome of a K-means run.
@@ -1066,12 +988,13 @@ impl KMeans {
         }
     }
 
-    /// Caps the worker threads of the assignment step: `0` (the default)
-    /// picks [`std::thread::available_parallelism`] for large inputs and
-    /// stays sequential for small ones; `1` forces the sequential path.
+    /// Caps the threads each walk of a cold fit runs on, the calling
+    /// thread and the scoped ones beside it: `0` (the default) picks
+    /// [`std::thread::available_parallelism`] from `n·k ≥ 65 536` on and
+    /// the calling thread alone below; `1` forces the calling thread.
     /// [`fit_warm_in_place`](Self::fit_warm_in_place) always sweeps on
     /// the calling thread. The fit is `f64::to_bits`-identical at every
-    /// worker count.
+    /// thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -1211,7 +1134,7 @@ impl KMeans {
     /// warm and the cold path side by side as `db.recluster_warm_ms` and
     /// `db.recluster_cold_ms`. Every sweep runs on the calling thread
     /// whatever [`threads`](Self::threads) says, because a warm resume
-    /// does so few passes that worker-pool startup would dominate.
+    /// does so few passes that thread startup would dominate.
     /// [`restarts`](Self::restarts) and [`init`](Self::init) are
     /// ignored — the previous assignment *is* the initialisation.
     ///
@@ -1353,8 +1276,9 @@ impl KMeans {
     /// [`fit_warm_in_place`](Self::fit_warm_in_place). Stale stats (a
     /// cold fit's, whose centroids are its seeds and whose bounds are
     /// unknown) are no fixpoint: their first update sums the clusters
-    /// afresh. With `threads > 1` the walks run on a [`Pool`]; the update
-    /// step always runs on the calling thread.
+    /// afresh. The bounds are cut into `threads` ranges once; each walk
+    /// takes them side by side ([`Job::sweep_all`]), and the update step
+    /// runs on the calling thread.
     fn lloyd<'p, P>(
         &self,
         members: &mut [Vec<usize>],
@@ -1368,35 +1292,30 @@ impl KMeans {
     {
         let n = members.iter().map(Vec::len).sum();
         let mut fit = Fit::default();
-        // Workers read the stats and member lists during a walk; the
-        // calling thread writes them strictly between walks.
-        let fitting = RwLock::new(Fitting { stats, members });
-        std::thread::scope(|s| {
-            let mut pool = Pool::spawn(s, point, &fitting, bounds, threads);
-            while fit.iterations < self.max_iters {
-                fit.iterations += 1;
-                // Stale stats forgot the gap: the global test fails.
-                let (stale, walk) = {
-                    let fitting = fitting.read().expect("fit lock");
-                    (fitting.stats.stale, !fitting.stats.confirms_all())
-                };
-                let walked = walk.then(|| pool.sweep(point, &fitting));
-                let mut fitting = fitting.write().expect("fit lock");
-                if let Some((measured, spread, widest)) = walked {
-                    fit.measured += measured;
-                    fitting.stats.walked(spread, widest);
-                }
-                let moves = if walk { pool.moved().count() } else { 0 };
-                if moves == 0 && !stale {
-                    fit.converged = true;
-                    break;
-                }
-                if !stale {
-                    fit.moves.extend(pool.moved());
-                }
-                self.update(&mut fitting, point, pool.moved(), n, &mut fit.moves);
+        let mut fitting = Fitting { stats, members };
+        let mut jobs = Job::split(bounds, threads);
+        while fit.iterations < self.max_iters {
+            fit.iterations += 1;
+            // Stale stats forgot the gap: the global test fails.
+            let stale = fitting.stats.stale;
+            let walk = !fitting.stats.confirms_all();
+            if walk {
+                Job::sweep_all(&mut jobs, point, &fitting);
+                fit.measured += jobs.iter().map(|j| j.measured).sum::<usize>();
+                let spread = jobs.iter().map(|j| j.spread).fold(f64::INFINITY, f64::min);
+                let widest = jobs.iter().map(|j| j.widest).fold(0.0, f64::max);
+                fitting.stats.walked(spread, widest);
             }
-        });
+            let moved = jobs.iter().flat_map(|j| j.moved.iter().copied());
+            if !walk || (moved.clone().next().is_none() && !stale) {
+                fit.converged = true;
+                break;
+            }
+            if !stale {
+                fit.moves.extend(moved.clone());
+            }
+            self.update(&mut fitting, point, moved, n, &mut fit.moves);
+        }
         fit
     }
 
@@ -1632,36 +1551,36 @@ mod tests {
 
     #[test]
     fn parallel_assignment_matches_sequential() {
-        // Enough points that the auto path would already parallelize;
-        // force explicit thread counts to compare them all.
-        let pts: Vec<SparseVec> = (0..600)
-            .map(|i| {
+        // `n` points in three bands of 24 terms.
+        let banded = |n: usize| -> Vec<SparseVec> {
+            let point = |i: usize| {
                 let band = (i % 3) as u32 * 8;
-                SparseVec::from_pairs(
-                    24,
-                    (0..4u32).map(|k| (band + k, ((i * 31 + k as usize * 7) % 97) as f64)),
-                )
-                .unwrap()
-            })
-            .collect();
-        let sequential = KMeans::new(3).seed(9).threads(1).run(&pts).unwrap();
-        for threads in [2usize, 3, 8] {
-            let parallel = KMeans::new(3).seed(9).threads(threads).run(&pts).unwrap();
-            assert_eq!(
-                parallel.assignments, sequential.assignments,
-                "{threads} threads"
-            );
-            // Bit for bit: the calling thread patches the sums in point
-            // order, whichever worker walked the point.
-            assert_eq!(
-                parallel.inertia.to_bits(),
-                sequential.inertia.to_bits(),
-                "{threads} threads"
-            );
-            assert_eq!(parallel.iterations, sequential.iterations);
-            for (p, s) in parallel.centroids.iter().zip(&sequential.centroids) {
-                assert_eq!(p.terms(), s.terms(), "{threads} threads");
-                assert_eq!(bits(p.values()), bits(s.values()), "{threads} threads");
+                let pairs = (0..4u32).map(|k| (band + k, ((i * 31 + k as usize * 7) % 97) as f64));
+                SparseVec::from_pairs(24, pairs).unwrap()
+            };
+            (0..n).map(point).collect()
+        };
+        // Explicit thread counts; and, with `threads` unset, `n·k` at
+        // exactly the threshold, where the default picks every core.
+        let at_threshold = PARALLEL_ASSIGN_THRESHOLD / 4;
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        assert_eq!(KMeans::new(4).effective_threads(at_threshold), cores);
+        let inputs = [
+            (banded(600), 3, &[Some(2), Some(3), Some(8)][..]),
+            (banded(at_threshold), 4, &[None]),
+        ];
+        for (pts, k, counts) in &inputs {
+            let km = KMeans::new(*k).seed(9);
+            let sequential = km.clone().threads(1).run(pts).unwrap();
+            for threads in *counts {
+                let parallel = threads.map_or(km.clone(), |t| km.clone().threads(t));
+                let parallel = parallel.run(pts).unwrap();
+                // Bit for bit, bounds included: the calling thread
+                // patches the sums in point order, whichever thread
+                // walked the point.
+                let what = format!("{threads:?} threads");
+                oracle::assert_same_fit(&parallel, &sequential, &what);
+                oracle::assert_same_bounds(&parallel.bounds, &sequential.bounds, &what);
             }
         }
     }

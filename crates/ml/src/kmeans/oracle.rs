@@ -202,7 +202,7 @@ fn reference_fit_warm(km: &KMeans, points: &[SparseVec], prev: &[usize]) -> KMea
 }
 
 #[track_caller]
-fn assert_same_fit(got: &KMeansResult, want: &KMeansResult, what: &str) {
+pub(super) fn assert_same_fit(got: &KMeansResult, want: &KMeansResult, what: &str) {
     assert_eq!(got.assignments, want.assignments, "{what}: assignments");
     assert_eq!(got.iterations, want.iterations, "{what}: iterations");
     assert_eq!(got.converged, want.converged, "{what}: converged");
@@ -245,7 +245,7 @@ fn measured() -> usize {
 
 /// The bounds of two fits, bit for bit.
 #[track_caller]
-fn assert_same_bounds(got: &[PointBounds], want: &[PointBounds], what: &str) {
+pub(super) fn assert_same_bounds(got: &[PointBounds], want: &[PointBounds], what: &str) {
     let bits: fn(&[PointBounds]) -> Vec<_> = |b| b.iter().map(bound_bits).collect();
     assert_eq!(bits(got), bits(want), "{what}: bounds");
 }

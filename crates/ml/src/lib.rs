@@ -23,7 +23,7 @@
 //! by default, exactly as the paper does. Scale comes in two pinned
 //! tiers. Exact algorithmic structure: NN-chain agglomeration is O(n²)
 //! against the retained O(n³) reference, K-means assignment fans out
-//! over a persistent worker pool with deterministic merges, and a
+//! over scoped threads with deterministic merges, and a
 //! [`Gram`] row is computed once: cross-validation shares one matrix
 //! (n² × 8 B) between all folds and `C` values. And oracle-pinned
 //! approximation: [`Agglomerative::fit_snn`] agglomerates
