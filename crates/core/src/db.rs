@@ -48,8 +48,9 @@ pub enum RefitPolicy {
     /// the live corpus worth of mutations accumulated since the last
     /// refit. Each bound is finite or `±∞`: `+∞` disables its check
     /// (and at `max_idf_drift` skips the drift computation), `−∞` refits
-    /// on every mutation. A save and a recovery keep it, but for a bound
-    /// of `f64::MIN`, which comes back as the `−∞` it acts like.
+    /// on every mutation; [`SignatureDb::set_refit_policy`] stores a
+    /// `NaN` bound as `+∞`. A save and a recovery keep it, but for a
+    /// bound of `f64::MIN`, which comes back as the `−∞` it acts like.
     Threshold {
         /// Maximum tolerated idf drift before an automatic refit.
         max_idf_drift: f64,
@@ -107,7 +108,8 @@ pub enum VacuumPolicy {
     /// the slot space *and* at least `min_dead` slots are dead (the
     /// floor keeps small databases from vacuuming on every removal).
     /// The fraction is finite or `±∞`: `+∞` disables the policy, `−∞`
-    /// leaves only the floor. A save and a recovery keep it, but for a
+    /// leaves only the floor; [`SignatureDb::set_vacuum_policy`] stores a
+    /// `NaN` fraction as `+∞`. A save and a recovery keep it, but for a
     /// fraction of `f64::MIN`, which comes back as the `−∞` it acts like.
     DeadFraction {
         /// Maximum tolerated `dead slots / total slots` ratio.
@@ -351,6 +353,13 @@ fn leader<'a>(votes: impl Iterator<Item = (&'a str, usize)>) -> Option<&'a str> 
         }
     }
     best.map(|(label, _)| label)
+}
+
+/// Replaces a `NaN` policy bound with `+∞`: neither ever fires.
+fn nan_as_infinite(bound: &mut f64) {
+    if bound.is_nan() {
+        *bound = f64::INFINITY;
+    }
 }
 
 /// A labelled database of indexable signatures.
@@ -711,8 +720,16 @@ impl SignatureDb {
         self.vacuum_policy
     }
 
-    /// Replaces the automatic-vacuum policy.
-    pub fn set_vacuum_policy(&mut self, policy: VacuumPolicy) {
+    /// Replaces the automatic-vacuum policy. A `NaN` fraction is stored
+    /// as the `+∞` it acts like (it never fires), so the policy read
+    /// back, recovered or loaded is `==` the one stored.
+    pub fn set_vacuum_policy(&mut self, mut policy: VacuumPolicy) {
+        if let VacuumPolicy::DeadFraction {
+            max_dead_fraction, ..
+        } = &mut policy
+        {
+            nan_as_infinite(max_dead_fraction);
+        }
         self.vacuum_policy = policy;
     }
 
@@ -867,8 +884,19 @@ impl SignatureDb {
         self.refit_policy
     }
 
-    /// Replaces the automatic-refit policy.
-    pub fn set_refit_policy(&mut self, policy: RefitPolicy) {
+    /// Replaces the automatic-refit policy. A `NaN` bound is stored as
+    /// the `+∞` it acts like (it never fires), so a `NaN` drift bound
+    /// skips the drift computation as `+∞` does, and the policy read
+    /// back, recovered or loaded is `==` the one stored.
+    pub fn set_refit_policy(&mut self, mut policy: RefitPolicy) {
+        if let RefitPolicy::Threshold {
+            max_idf_drift,
+            max_stale_fraction,
+        } = &mut policy
+        {
+            nan_as_infinite(max_idf_drift);
+            nan_as_infinite(max_stale_fraction);
+        }
         self.refit_policy = policy;
     }
 

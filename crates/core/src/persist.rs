@@ -683,9 +683,9 @@ fn assemble(parts: Parts) -> Result<SignatureDb, FmeterError> {
 /// Restores an infinite policy bound. JSON has no infinities: the
 /// `state` writer puts +∞, the bound that disables its check, as `null`,
 /// which the reader returns as NaN; and −∞, the bound every check
-/// passes, as `f64::MIN`. A finite bound never reads back as NaN, and a
-/// NaN bound, also written as `null`, already compares as +∞ does. A
-/// bound of `f64::MIN` comes back as −∞, which every policy check treats
+/// passes, as `f64::MIN`. A finite bound never reads back as NaN, and
+/// the policy setters store a NaN bound as +∞ before any save. A bound
+/// of `f64::MIN` comes back as −∞, which every policy check treats
 /// alike: drift, fractions and counts are `>= 0`, and a vacuum needs a
 /// dead slot first.
 fn infinite_bound(bound: &mut f64) {

@@ -869,7 +869,7 @@ mod tests {
 
     /// The service's per-thread scratch answers like a caller-held one.
     #[test]
-    fn sequential_snapshot_search_matches_pooled_fanout() {
+    fn snapshot_search_matches_a_caller_held_scratch() {
         let raws = sample(50, 16);
         let service = SignatureService::build(&raws, 5).unwrap();
         let snapshot = service.snapshot();

@@ -1774,8 +1774,29 @@ mod tests {
         use crate::{RefitPolicy, VacuumPolicy};
         // The second pair's bounds are +∞, which the `state` section
         // writes as JSON `null`; the third's are −∞, which it writes as
-        // `f64::MIN`.
-        for (refit, vacuum) in [
+        // `f64::MIN`; the fourth's are NaN, which the writer stores as
+        // the +∞ it acts like.
+        let infinite = (
+            RefitPolicy::Threshold {
+                max_idf_drift: f64::INFINITY,
+                max_stale_fraction: f64::INFINITY,
+            },
+            VacuumPolicy::DeadFraction {
+                max_dead_fraction: f64::INFINITY,
+                min_dead: 2,
+            },
+        );
+        let nan = (
+            RefitPolicy::Threshold {
+                max_idf_drift: f64::NAN,
+                max_stale_fraction: f64::NAN,
+            },
+            VacuumPolicy::DeadFraction {
+                max_dead_fraction: f64::NAN,
+                min_dead: 2,
+            },
+        );
+        for ((refit, vacuum), stored) in [
             (
                 RefitPolicy::EveryN(3),
                 VacuumPolicy::DeadFraction {
@@ -1783,16 +1804,7 @@ mod tests {
                     min_dead: 2,
                 },
             ),
-            (
-                RefitPolicy::Threshold {
-                    max_idf_drift: f64::INFINITY,
-                    max_stale_fraction: f64::INFINITY,
-                },
-                VacuumPolicy::DeadFraction {
-                    max_dead_fraction: f64::INFINITY,
-                    min_dead: 2,
-                },
-            ),
+            infinite,
             (
                 RefitPolicy::Threshold {
                     max_idf_drift: f64::NEG_INFINITY,
@@ -1803,18 +1815,24 @@ mod tests {
                     min_dead: 2,
                 },
             ),
-        ] {
+        ]
+        .map(|policies| (policies, policies))
+        .into_iter()
+        .chain([(nan, infinite)])
+        {
             let dir = test_dir("policy-change");
             let mut durable = create(&dir, base_db(), DurableOptions::default()).unwrap();
             durable.set_refit_policy(refit).unwrap();
             durable.set_vacuum_policy(vacuum).unwrap();
+            let acked = (durable.db().refit_policy(), durable.db().vacuum_policy());
+            assert_eq!(acked, stored);
             drop(durable);
             let (recovered, _) = recover(&dir).unwrap();
             let mut bytes = Vec::new();
             recovered.db().save(&mut bytes).unwrap();
             let loaded = SignatureDb::load(&bytes[..]).unwrap();
             for db in [recovered.db(), &loaded] {
-                assert_eq!((db.refit_policy(), db.vacuum_policy()), (refit, vacuum));
+                assert_eq!((db.refit_policy(), db.vacuum_policy()), acked);
             }
             let _ = fs::remove_dir_all(&dir);
         }

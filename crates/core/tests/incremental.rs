@@ -644,8 +644,9 @@ fn golden_recluster_script_matches_the_pinned_parent() {
 
 #[test]
 fn golden_kmeans_runs_match_the_pinned_parent() {
-    // n·k = 16 384: under the worker-pool threshold on any machine, so
-    // this is the sequential multi-restart path `syndromes` runs.
+    // n·k = 16 384: under the parallel-walk threshold
+    // (`PARALLEL_ASSIGN_THRESHOLD`, 65 536), so this is the sequential
+    // multi-restart path `syndromes` runs.
     let points = clustered_points(&mut GenRng::new(2), 2048, 8, 48, 24);
     let mut fold = Fold::new();
     fold.kmeans(
@@ -660,9 +661,9 @@ fn golden_kmeans_runs_match_the_pinned_parent() {
         "sequential K-means drifted: {:#018x}",
         fold.0
     );
-    // n·k = 65 536 with two workers: the pool path. Workers hand back
-    // what moved and the calling thread patches the sums in point order,
-    // so the same fit on one thread hashes the same.
+    // n·k = 65 536 on two threads: the scoped walks. Each range hands
+    // back what moved and the calling thread patches the sums in point
+    // order, so the same fit on one thread hashes the same.
     let points = clustered_points(&mut GenRng::new(4), 8192, 8, 48, 24);
     let hash = |threads: usize| {
         let mut fold = Fold::new();
@@ -678,9 +679,9 @@ fn golden_kmeans_runs_match_the_pinned_parent() {
     let two = hash(2);
     assert_eq!(
         two, GOLDEN_KMEANS_TWO_THREADS,
-        "two-worker K-means drifted: {two:#018x}"
+        "two-thread K-means drifted: {two:#018x}"
     );
-    assert_eq!(hash(1), two, "one thread and two workers disagree");
+    assert_eq!(hash(1), two, "one thread and two threads disagree");
 }
 
 #[test]

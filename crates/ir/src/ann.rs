@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use crate::distance::euclidean_sq_kernel;
 use crate::error::IrError;
 use crate::matrix::CsrMatrix;
-use crate::sparse::SparseVec;
+use crate::sparse::{check_dim, SparseVec};
 use crate::{DocId, TermId};
 
 /// Maximum degree of a node per layer (HNSW's `M`).
@@ -166,14 +166,7 @@ impl AnnGraph {
     /// Returns a dimension mismatch when any point is not
     /// `dim`-dimensional.
     pub fn new(dim: usize, points: &[SparseVec], ef_construction: usize) -> Result<Self, IrError> {
-        for p in points {
-            if p.dim() != dim {
-                return Err(IrError::DimensionMismatch {
-                    left: dim,
-                    right: p.dim(),
-                });
-            }
-        }
+        points.iter().try_for_each(|p| check_dim(dim, p))?;
         let n = points.len();
         let layers: Vec<Vec<Vec<u32>>> = (0..n)
             .map(|id| vec![Vec::new(); level_of(id) + 1])
@@ -428,12 +421,7 @@ impl AnnGraph {
         k: usize,
         ef: usize,
     ) -> Result<Vec<(DocId, f64)>, IrError> {
-        if query.dim() != self.dim {
-            return Err(IrError::DimensionMismatch {
-                left: self.dim,
-                right: query.dim(),
-            });
-        }
+        check_dim(self.dim, query)?;
         Ok(self
             .search(query.terms(), query.values(), ef.max(k).max(1))
             .into_iter()

@@ -1,3 +1,4 @@
+use crate::sparse::check_dim;
 use crate::{IrError, SparseVec, TermId};
 
 /// The geometry [`CsrMatrix::pairwise_condensed`](crate::CsrMatrix::pairwise_condensed)
@@ -135,7 +136,7 @@ pub fn euclidean_distance(a: &SparseVec, b: &SparseVec) -> Result<f64, IrError> 
 ///
 /// Returns [`IrError::DimensionMismatch`] when the dimensions differ.
 pub fn euclidean_distance_sq(a: &SparseVec, b: &SparseVec) -> Result<f64, IrError> {
-    a.check_dim(b)?;
+    check_dim(a.dim(), b)?;
     Ok(euclidean_sq_kernel(
         a.terms(),
         a.values(),
@@ -165,7 +166,7 @@ pub fn euclidean_distance_sq(a: &SparseVec, b: &SparseVec) -> Result<f64, IrErro
 /// assert!((cosine_similarity(&a, &b).unwrap() - 1.0).abs() < 1e-12);
 /// ```
 pub fn cosine_similarity(a: &SparseVec, b: &SparseVec) -> Result<f64, IrError> {
-    a.check_dim(b)?;
+    check_dim(a.dim(), b)?;
     let dot = dot_slices(a.terms(), a.values(), b.terms(), b.values());
     let denom = sq_norm(a.values()).sqrt() * sq_norm(b.values()).sqrt();
     if denom == 0.0 {

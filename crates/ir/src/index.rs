@@ -4,7 +4,8 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::shard::by_score_desc;
-use crate::{DocId, IrError, SharedVec, SparseVec, TermId};
+use crate::sparse::check_dim;
+use crate::{CscMatrix, DocId, IrError, SharedVec, SparseVec, TermId};
 
 /// One result of a similarity search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -260,12 +261,12 @@ impl SearchScratch {
 /// Every document has one *row*: the vector it was inserted with (a
 /// clone, which shares the caller's arrays — see [`SparseVec`]), and the
 /// factor that normalises it; a row reaches its arrays in one hop.
-/// Postings live in one flat CSR-style *segment* —
-/// `offsets[t]..offsets[t+1]` delimits term `t`'s `(docs, weights)`
-/// parallel arrays — so a query's accumulation streams contiguous memory
-/// with u32 doc ids (12 bytes per posting instead of a pointer-chased
-/// 16). The segment is write-once: every rewrite (compaction, purge)
-/// builds a new one, with the rows of the documents it covers, so clones
+/// Postings live in one flat *segment*, a [`CscMatrix`] whose column
+/// `t` is term `t`'s `(docs, weights)` parallel arrays, so a query's
+/// accumulation streams contiguous memory with u32 doc ids (12 bytes
+/// per posting instead of a pointer-chased 16), and the exhaustive
+/// oracle is its scatter kernel. The segment is write-once: every
+/// rewrite (compaction, purge) builds a new one, with the rows of the documents it covers, so clones
 /// of the index share it by reference count. Fresh inserts append their
 /// row to a short *tail*, shared by clones as well, that geometric
 /// compaction folds into the next segment, keeping `insert` amortised
@@ -363,11 +364,9 @@ impl Row {
 /// The write-once flat posting segment with everything derived from it.
 #[derive(Debug, Default)]
 struct FlatPostings {
-    /// Term `t` owns `docs[offsets[t]..offsets[t+1]]` and the same range
-    /// of `weights`.
-    offsets: Vec<usize>,
-    docs: Vec<u32>,
-    weights: Vec<f64>,
+    /// Column `t` holds term `t`'s postings: `(doc, stored weight)`,
+    /// docs ascending.
+    postings: CscMatrix,
     /// Per-term max `|stored weight|`: `|qw| * max_impact[t]` bounds
     /// term `t`'s score contribution for any document in the segment —
     /// the pruning invariant. Tombstoned docs' postings count until
@@ -380,81 +379,29 @@ struct FlatPostings {
 
 impl FlatPostings {
     /// The next segment: this one's postings of the docs `keep` accepts,
-    /// then those of the docs after them — `x · factor` from their rows,
-    /// `rows[self.rows.len()..]` — transposed term-major in two passes:
-    /// count per term, prefix the counts into offsets, then fill each
-    /// term's range in doc order, so it comes out sorted. `rows` holds
-    /// the row of every doc the new segment covers.
+    /// moved, then those of the docs after them — `x · factor` from
+    /// their rows, `rows[self.rows.len()..]` — through the one column
+    /// fill ([`CscMatrix::refill`]); no kept posting is transposed
+    /// again. `rows` holds the row of every doc the new segment covers.
     ///
     /// Every flat rewrite funnels through here, and `max_impact` is
     /// derived from the stored weights, so it always equals a recompute
     /// from the buffers — the invariant the pruning relies on.
     fn rewrite(&self, keep: impl Fn(u32) -> bool, rows: Vec<Option<Row>>) -> Self {
-        let (dim, base) = (self.max_impact.len(), self.rows.len());
-        let mut offsets = vec![0usize; dim + 1];
-        for t in 0..dim {
-            let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-            offsets[t + 1] = self.docs[lo..hi].iter().filter(|&&d| keep(d)).count();
-        }
-        // The tail docs that index something: `(doc, vector, factor)`.
-        let tail = || {
-            let rows = (base as u32..).zip(&rows[base..]);
-            rows.filter_map(|(d, row)| row.as_ref().and_then(|r| Some((d, r.indexed()?, r.factor))))
-        };
-        for (_, vector, _) in tail() {
-            for &t in vector.terms() {
-                offsets[t as usize + 1] += 1;
-            }
-        }
-        for t in 0..dim {
-            offsets[t + 1] += offsets[t];
-        }
-        let (mut docs, mut weights) = (vec![0u32; offsets[dim]], vec![0.0f64; offsets[dim]]);
-        // `next[t]` is where term `t`'s next posting goes.
-        let mut next = offsets[..dim].to_vec();
-        for (t, at) in next.iter_mut().enumerate() {
-            self.for_each_posting(t, |d, w| {
-                if keep(d) {
-                    (docs[*at], weights[*at]) = (d, w);
-                    *at += 1;
-                }
-            });
-        }
-        for (doc, vector, factor) in tail() {
-            for (t, x) in vector.iter() {
-                let at = &mut next[t as usize];
-                (docs[*at], weights[*at]) = (doc, x * factor);
-                *at += 1;
-            }
-        }
-        let mut flat = FlatPostings {
-            offsets,
-            docs,
-            weights,
-            max_impact: Vec::new(),
+        let tail = (self.rows.len() as u32..).zip(&rows[self.rows.len()..]);
+        let tail = tail.filter_map(|(doc, row)| {
+            let row = row.as_ref()?;
+            let (vector, factor) = (row.indexed()?, row.factor);
+            Some((doc, vector.iter().map(move |(t, x)| (t, x * factor))))
+        });
+        let postings = self.postings.refill(rows.len(), keep, tail);
+        let max_of = |weights: &[f64]| weights.iter().fold(0.0f64, |m, w| m.max(w.abs()));
+        let max_impact = (0..postings.dim() as TermId).map(|t| max_of(postings.column(t).1));
+        let max_impact = max_impact.collect();
+        FlatPostings {
+            postings,
+            max_impact,
             rows,
-        };
-        flat.max_impact = (0..dim)
-            .map(|t| {
-                let mut max = 0.0f64;
-                flat.for_each_posting(t, |_, w| max = max.max(w.abs()));
-                max
-            })
-            .collect();
-        flat
-    }
-
-    /// Number of postings under term `t`.
-    fn term_len(&self, t: usize) -> usize {
-        self.offsets[t + 1] - self.offsets[t]
-    }
-
-    /// Streams term `t`'s postings to `f(doc, weight)`.
-    #[inline]
-    fn for_each_posting(&self, t: usize, mut f: impl FnMut(u32, f64)) {
-        let (lo, hi) = (self.offsets[t], self.offsets[t + 1]);
-        for (&d, &w) in self.docs[lo..hi].iter().zip(&self.weights[lo..hi]) {
-            f(d, w);
         }
     }
 }
@@ -494,8 +441,7 @@ impl InvertedIndex {
         debug_assert!(rows.len() <= u32::MAX as usize, "doc ids are stored as u32");
         let removed: Vec<bool> = rows.iter().map(Option::is_none).collect();
         let empty = FlatPostings {
-            offsets: vec![0; dim + 1],
-            max_impact: vec![0.0; dim],
+            postings: CscMatrix::new(dim),
             ..FlatPostings::default()
         };
         Ok(InvertedIndex {
@@ -527,7 +473,7 @@ impl InvertedIndex {
         self.removed.push(false);
         // Geometric trigger: fold the tail in once it reaches a quarter of
         // the flat segment, so total compaction work stays O(N) amortised.
-        if self.tail_len * 4 >= self.flat.docs.len() + 256 {
+        if self.tail_len * 4 >= self.flat.postings.nnz() + 256 {
             self.compact();
         }
         Ok(id)
@@ -651,7 +597,7 @@ impl InvertedIndex {
             return 0;
         }
         let in_tail = |row: &&Row| row.indexed().is_some_and(|v| v.terms().contains(&term));
-        self.flat.term_len(t) + self.tail.iter().filter(in_tail).count()
+        self.flat.postings.column(term).0.len() + self.tail.iter().filter(in_tail).count()
     }
 
     /// Finds the `k` indexed documents most cosine-similar to `query`,
@@ -740,7 +686,7 @@ impl InvertedIndex {
         } = scratch;
         order.clear();
         for &term in query.terms() {
-            let len = flat.term_len(term as usize);
+            let len = flat.postings.column(term).0.len();
             if len > 0 {
                 let qw = qdense[term as usize];
                 let bound = qw.abs() * flat.max_impact[term as usize];
@@ -773,7 +719,7 @@ impl InvertedIndex {
         let (bar, unread) = loop {
             let unread = rest[read];
             let next = order.get(read);
-            let next_len = next.map_or(0, |q| flat.term_len(q.term as usize));
+            let next_len = next.map_or(0, |q| flat.postings.column(q.term).0.len());
             let due = touched.len() * CHECK_COST;
             let left = stats.postings - stats.postings_read;
             if next.is_none()
@@ -799,8 +745,9 @@ impl InvertedIndex {
                 }
             }
             let QueryTerm { term, qw, .. } = order[read];
+            let (docs, weights) = flat.postings.column(term);
             let slots = &mut partial[..];
-            flat.for_each_posting(term as usize, |doc, w| {
+            for (&doc, &w) in docs.iter().zip(weights) {
                 let slot = &mut slots[doc as usize];
                 if slot.stamp != epoch {
                     *slot = Partial {
@@ -811,7 +758,7 @@ impl InvertedIndex {
                 } else {
                     slot.score += qw * w;
                 }
-            });
+            }
             stats.postings_read += next_len;
             read += 1;
         };
@@ -955,18 +902,13 @@ impl InvertedIndex {
         let Some(mut top) = self.score_tail(query, k, f64::NEG_INFINITY, qdense)? else {
             return Ok(Vec::new());
         };
-        let flat = &*self.flat;
-        // No per-posting membership test or branch. Tombstoned docs may
-        // still have postings (purging is lazy) and are filtered at the
-        // end.
+        // The scatter kernel, with no per-posting membership test or
+        // branch. Tombstoned docs may still have postings (purging is
+        // lazy) and are filtered at the end.
         scores.clear();
         scores.resize(self.num_docs, 0.0);
-        for &t in query.terms() {
-            let qw = qdense[t as usize];
-            flat.for_each_posting(t as usize, |doc, dw| {
-                scores[doc as usize] += qw * dw;
-            });
-        }
+        let weights = query.terms().iter().map(|&t| (t, qdense[t as usize]));
+        self.flat.postings.scatter(weights, 0, scores);
         for &t in query.terms() {
             qdense[t as usize] = 0.0;
         }
@@ -1001,8 +943,7 @@ impl InvertedIndex {
     /// overhead and fixed struct fields are not counted — this is the
     /// number the capacity of an in-memory shard is sized by.
     pub fn postings_resident_bytes(&self) -> usize {
-        let flat = &self.flat;
-        flat.docs.len() * 4 + flat.weights.len() * 8 + self.tail_len * 12 + flat.offsets.len() * 8
+        self.flat.postings.resident_bytes() + self.tail_len * 12
     }
 
     /// Returns `true` when `self` and `other` share one flat segment —
@@ -1026,17 +967,6 @@ fn gallop(list: &[u32], target: u32) -> usize {
     }
     let hi = (lo + step + 1).min(list.len());
     lo + list[lo..hi].partition_point(|&d| d < target)
-}
-
-/// Rejects a vector (or query) from another term space.
-fn check_dim(dim: usize, vector: &SparseVec) -> Result<(), IrError> {
-    if vector.dim() == dim {
-        return Ok(());
-    }
-    Err(IrError::DimensionMismatch {
-        left: dim,
-        right: vector.dim(),
-    })
 }
 
 #[cfg(test)]
@@ -1498,9 +1428,21 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(rows(a), rows(b));
-        assert_eq!(a.offsets, b.offsets);
-        assert_eq!(a.docs, b.docs);
-        assert_eq!(bits(&a.weights), bits(&b.weights));
+        // Column lengths (the offsets), doc ids and weights.
+        let layout = |m: &CscMatrix| {
+            let (mut lens, mut docs, mut weights) = (Vec::new(), Vec::new(), Vec::new());
+            for t in 0..m.dim() as TermId {
+                let (d, w) = m.column(t);
+                lens.push(d.len());
+                docs.extend_from_slice(d);
+                weights.extend(bits(w));
+            }
+            (lens, docs, weights)
+        };
+        let (la, lb) = (layout(&a.postings), layout(&b.postings));
+        assert_eq!(la.0, lb.0);
+        assert_eq!(la.1, lb.1);
+        assert_eq!(la.2, lb.2);
         assert_eq!(bits(&a.max_impact), bits(&b.max_impact));
     }
 
@@ -1622,9 +1564,8 @@ mod tests {
     fn assert_bounds_match_reference(idx: &InvertedIndex) {
         let flat = &idx.flat;
         for t in 0..idx.dim {
-            let want = flat.weights[flat.offsets[t]..flat.offsets[t + 1]]
-                .iter()
-                .fold(0.0f64, |m, w| m.max(w.abs()));
+            let (_, weights) = flat.postings.column(t as TermId);
+            let want = weights.iter().fold(0.0f64, |m, w| m.max(w.abs()));
             assert_eq!(
                 flat.max_impact[t].to_bits(),
                 want.to_bits(),

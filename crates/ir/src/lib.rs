@@ -19,7 +19,10 @@
 //!   maintaining* the weights (observe/unobserve, drift measurement with
 //!   a cached estimator, one-pass idf refits),
 //! * [`SparseVec`] and its fused Euclidean and cosine kernels, plus the
-//!   packed [`CsrMatrix`] corpus layout the batch/clustering paths use,
+//!   packed [`CsrMatrix`] corpus layout the batch/clustering paths use
+//!   and its transpose [`CscMatrix`], read term by term by the one
+//!   scatter kernel behind the index's posting segment, the SVM's kernel
+//!   matrix and its predictions,
 //! * [`AnnGraph`] — a navigable-small-world graph, built once over a
 //!   corpus, whose layer-0 adjacency feeds sub-quadratic clustering and
 //!   whose `knn(query, k, ef)` beam search answers approximate k-NN
@@ -76,7 +79,7 @@ pub use error::IrError;
 #[doc(hidden)]
 pub use index::QuantizationMode;
 pub use index::{InvertedIndex, SearchHit, SearchScratch, SearchStats};
-pub use matrix::CsrMatrix;
+pub use matrix::{CscMatrix, CsrMatrix};
 pub use shard::{merge_topk, search_sharded, Shard, ShardRouter};
 pub use shared::SharedVec;
 pub use sparse::SparseVec;

@@ -6,8 +6,13 @@
 //! per-vector pointer chase and lets the pairwise kernels run
 //! allocation-free over slices. Squared L2 norms are cached per row at
 //! construction, so the Euclidean batch kernel never recomputes them.
+//!
+//! Its transpose, [`CscMatrix`], stores a corpus by term for the paths
+//! that read it that way: the inverted index's posting segment, the SVM
+//! kernel matrix and SVM prediction.
 
 use crate::distance::sq_norm;
+use crate::sparse::check_dim;
 use crate::{IrError, Metric, SparseVec, TermId};
 
 /// Minimum number of pairwise distances before
@@ -62,12 +67,7 @@ impl CsrMatrix {
         let mut sq_norms = Vec::with_capacity(rows.len());
         indptr.push(0);
         for row in rows {
-            if row.dim() != dim {
-                return Err(IrError::DimensionMismatch {
-                    left: dim,
-                    right: row.dim(),
-                });
-            }
+            check_dim(dim, row)?;
             indices.extend_from_slice(row.terms());
             values.extend_from_slice(row.values());
             indptr.push(indices.len());
@@ -260,6 +260,184 @@ impl CsrMatrix {
         let n = self.len();
         assert!(i < j && j < n, "condensed index requires i < j < n");
         i * (2 * n - i - 1) / 2 + (j - i - 1)
+    }
+}
+
+/// A corpus stored column-major: the transpose of [`CsrMatrix`].
+///
+/// Column `t` holds the row id (`u32`) and value (`f64`) of every row
+/// that stores term `t`, rows ascending, and `offsets[t]..offsets[t + 1]`
+/// delimits it. Every matrix comes out of one two-pass fill (count per
+/// column, prefix the counts into offsets, place each column's entries
+/// in row order), and one kernel reads a whole corpus through it:
+/// [`scatter`](Self::scatter) adds `x_t · v` down column `t` into
+/// `acc[row]` for `x`'s terms in ascending order. That is the addition
+/// sequence [`SparseVec::dot`] makes, so every accumulator is
+/// `to_bits`-equal to the dot product of `x` with its row.
+///
+/// # Examples
+///
+/// ```
+/// use fmeter_ir::{CscMatrix, SparseVec};
+///
+/// let rows = vec![
+///     SparseVec::from_pairs(3, [(0, 1.0), (2, 2.0)]).unwrap(),
+///     SparseVec::from_pairs(3, [(2, 3.0)]).unwrap(),
+/// ];
+/// let m = CscMatrix::from_rows(3, &rows).unwrap();
+/// assert_eq!(m.column(2), (&[0, 1][..], &[2.0, 3.0][..]));
+/// let x = SparseVec::from_pairs(3, [(0, 1.0), (2, 1.0)]).unwrap();
+/// let mut dots = vec![0.0; m.len()];
+/// m.scatter(x.iter(), 0, &mut dots);
+/// assert_eq!(dots, [x.dot(&rows[0]).unwrap(), x.dot(&rows[1]).unwrap()]);
+/// assert_eq!(m.to_rows(), rows);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct CscMatrix {
+    /// Number of rows, empty ones included.
+    len: usize,
+    offsets: Vec<usize>,
+    rows: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl CscMatrix {
+    /// A matrix with no rows over a `dim`-term space.
+    pub(crate) fn new(dim: usize) -> Self {
+        CscMatrix {
+            offsets: vec![0; dim + 1],
+            ..CscMatrix::default()
+        }
+    }
+
+    /// Transposes `rows`, vectors of a `dim`-term space: row `i` is
+    /// `rows[i]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::DimensionMismatch`] when a row's dimension
+    /// differs from `dim`.
+    pub fn from_rows(dim: usize, rows: &[SparseVec]) -> Result<Self, IrError> {
+        rows.iter().try_for_each(|row| check_dim(dim, row))?;
+        let entries = (0..).zip(rows).map(|(i, row)| (i, row.iter()));
+        Ok(CscMatrix::new(dim).refill(rows.len(), |_| true, entries))
+    }
+
+    /// The one column fill: a matrix of `len` rows holding the entries
+    /// of `self` whose row `keep` accepts, moved, then those of
+    /// `appended` — `(row, (term, value) entries)`, rows ascending and
+    /// above every kept one. Two passes: count per column and prefix the
+    /// counts into offsets, then place each column's entries in row
+    /// order, so every column comes out ascending.
+    pub(crate) fn refill(
+        &self,
+        len: usize,
+        keep: impl Fn(u32) -> bool,
+        appended: impl Iterator<Item = (u32, impl Iterator<Item = (TermId, f64)>)> + Clone,
+    ) -> Self {
+        let dim = self.dim();
+        let kept = |t: usize| {
+            let (rows, values) = self.column(t as TermId);
+            rows.iter().zip(values).filter(|&(&r, _)| keep(r))
+        };
+        let mut offsets = vec![0; dim + 1];
+        for (_, entries) in appended.clone() {
+            entries.for_each(|(t, _)| offsets[t as usize + 1] += 1);
+        }
+        for t in 0..dim {
+            offsets[t + 1] += kept(t).count() + offsets[t];
+        }
+        let (mut rows, mut values) = (vec![0; offsets[dim]], vec![0.0; offsets[dim]]);
+        // `next[t]` is where column `t`'s next entry goes.
+        let mut next = offsets[..dim].to_vec();
+        let mut place = |at: &mut usize, r: u32, v: f64| {
+            (rows[*at], values[*at]) = (r, v);
+            *at += 1;
+        };
+        for (t, at) in next.iter_mut().enumerate() {
+            kept(t).for_each(|(&r, &v)| place(at, r, v));
+        }
+        for (r, entries) in appended {
+            entries.for_each(|(t, v)| place(&mut next[t as usize], r, v));
+        }
+        CscMatrix {
+            len,
+            offsets,
+            rows,
+            values,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` when the matrix has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Dimensionality of the vector space: the number of columns.
+    pub fn dim(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Total number of stored entries.
+    pub(crate) fn nnz(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Bytes of the row ids, values and offsets, capacity not counted.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.rows.len() * 4 + self.values.len() * 8 + self.offsets.len() * 8
+    }
+
+    /// Column `t` as `(rows, values)` slices, rows ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t >= dim()`.
+    pub fn column(&self, t: TermId) -> (&[u32], &[f64]) {
+        let (lo, hi) = (self.offsets[t as usize], self.offsets[t as usize + 1]);
+        (&self.rows[lo..hi], &self.values[lo..hi])
+    }
+
+    /// The scatter kernel: for each `(t, x_t)` of `x`, in the order
+    /// given, adds `x_t · v` into `acc[r]` for every entry `(r, v)` of
+    /// column `t` with `r >= from`. Given a vector's terms in ascending
+    /// order over a zeroed `acc`, `acc[r]` ends `to_bits`-equal to the
+    /// vector's [`SparseVec::dot`] with row `r`, for every `r >= from`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a term is `>= dim()` or a row it reaches is
+    /// `>= acc.len()`.
+    #[inline]
+    pub fn scatter(&self, x: impl Iterator<Item = (TermId, f64)>, from: usize, acc: &mut [f64]) {
+        for (t, xt) in x {
+            let (rows, values) = self.column(t);
+            // Rows are distinct, so at most `from` of them lie below it.
+            let skip = rows[..from.min(rows.len())].partition_point(|&r| (r as usize) < from);
+            for (&r, &v) in rows[skip..].iter().zip(&values[skip..]) {
+                acc[r as usize] += xt * v;
+            }
+        }
+    }
+
+    /// The rows back out, each as a [`SparseVec`] over
+    /// [`dim`](Self::dim) terms (which stores no zero value, should a
+    /// row hold one).
+    pub fn to_rows(&self) -> Vec<SparseVec> {
+        let mut rows = vec![Vec::new(); self.len];
+        for t in 0..self.dim() as TermId {
+            let (ids, values) = self.column(t);
+            for (&r, &v) in ids.iter().zip(values) {
+                rows[r as usize].push((t, v));
+            }
+        }
+        let row = |entries| SparseVec::from_pairs(self.dim(), entries).expect("terms in range");
+        rows.into_iter().map(row).collect()
     }
 }
 

@@ -3,6 +3,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize, Value};
 
+use crate::distance::dot_slices;
 use crate::{IrError, TermId};
 
 /// A sparse vector in the signature vector space.
@@ -182,22 +183,13 @@ impl SparseVec {
     ///
     /// Returns [`IrError::DimensionMismatch`] when the dimensions differ.
     pub fn dot(&self, other: &SparseVec) -> Result<f64, IrError> {
-        self.check_dim(other)?;
-        // Merge-join over the two sorted term lists.
-        let mut acc = 0.0;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.terms.len() && j < other.terms.len() {
-            match self.terms[i].cmp(&other.terms[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    acc += self.values[i] * other.values[j];
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        Ok(acc)
+        check_dim(self.dim, other)?;
+        Ok(dot_slices(
+            &self.terms,
+            &self.values,
+            &other.terms,
+            &other.values,
+        ))
     }
 
     /// Euclidean (L2) norm.
@@ -271,7 +263,7 @@ impl SparseVec {
         other: &SparseVec,
         combine: impl Fn(f64, f64) -> f64,
     ) -> Result<SparseVec, IrError> {
-        self.check_dim(other)?;
+        check_dim(self.dim, other)?;
         let mut terms = Vec::with_capacity(self.nnz() + other.nnz());
         let mut values = Vec::with_capacity(self.nnz() + other.nnz());
         let (mut i, mut j) = (0usize, 0usize);
@@ -309,17 +301,17 @@ impl SparseVec {
             Arc::strong_count(&self.values),
         )
     }
+}
 
-    pub(crate) fn check_dim(&self, other: &SparseVec) -> Result<(), IrError> {
-        if self.dim != other.dim {
-            Err(IrError::DimensionMismatch {
-                left: self.dim,
-                right: other.dim,
-            })
-        } else {
-            Ok(())
-        }
+/// Rejects a vector (or query) from another term space than `dim`'s.
+pub(crate) fn check_dim(dim: usize, vector: &SparseVec) -> Result<(), IrError> {
+    if vector.dim == dim {
+        return Ok(());
     }
+    Err(IrError::DimensionMismatch {
+        left: dim,
+        right: vector.dim,
+    })
 }
 
 impl fmt::Display for SparseVec {

@@ -1,8 +1,8 @@
 //! Property-based tests for the vector space model.
 
 use fmeter_ir::{
-    cosine_similarity, euclidean_distance, euclidean_distance_sq, Corpus, CsrMatrix, InvertedIndex,
-    Metric, SearchHit, SearchScratch, SparseVec, TermCounts, TfIdfModel,
+    cosine_similarity, euclidean_distance, euclidean_distance_sq, Corpus, CscMatrix, CsrMatrix,
+    InvertedIndex, Metric, SearchHit, SearchScratch, SparseVec, TermCounts, TfIdfModel,
 };
 use proptest::prelude::*;
 
@@ -82,6 +82,34 @@ fn assert_fused_match_naive(a: &SparseVec, b: &SparseVec) -> Result<(), TestCase
 /// Tolerance scaled by magnitude: 1e-12 relative, 1e-12 floor.
 fn close(x: f64, y: f64) -> bool {
     (x - y).abs() <= 1e-12 * (1.0 + x.abs().max(y.abs()))
+}
+
+/// The scatter kernel over `rows` from row `from` on: every accumulator
+/// at or past `from` is `x.dot(row)` bit for bit, every one before it
+/// untouched. Any two NaNs agree: optimised float code does not keep a
+/// NaN's sign and payload.
+fn assert_scatter_is_dot(
+    rows: &[SparseVec],
+    x: &SparseVec,
+    from: usize,
+) -> Result<(), TestCaseError> {
+    let m = CscMatrix::from_rows(DIM, rows).unwrap();
+    let mut acc = vec![0.0; rows.len()];
+    m.scatter(x.iter(), from, &mut acc);
+    for (r, row) in rows.iter().enumerate() {
+        let want = if r < from { 0.0 } else { x.dot(row).unwrap() };
+        prop_assert!(
+            acc[r].to_bits() == want.to_bits() || acc[r].is_nan() && want.is_nan(),
+            "row {r} from {from}: {} vs {want}",
+            acc[r]
+        );
+    }
+    Ok(())
+}
+
+/// `v`'s entries on the terms `keep` accepts.
+fn restricted(v: &SparseVec, keep: impl Fn(u32) -> bool) -> SparseVec {
+    SparseVec::from_pairs(DIM, v.iter().filter(|&(t, _)| keep(t))).unwrap()
 }
 
 fn arb_counts() -> impl Strategy<Value = TermCounts> {
@@ -242,6 +270,51 @@ proptest! {
             prop_assert_eq!(m.row_to_sparse(i), r.clone());
             prop_assert!(close(m.sq_norm(i), r.norm_l2_sq()));
         }
+    }
+
+    #[test]
+    fn csc_scatter_matches_dot_bit_for_bit(
+        rows in prop::collection::vec(arb_sparse(), 0..12),
+        x in arb_sparse(),
+        from in 0usize..14,
+    ) {
+        // Empty rows and columns and negative weights come from the
+        // generator; `from` reaches past the last row.
+        assert_scatter_is_dot(&rows, &x, 0)?;
+        assert_scatter_is_dot(&rows, &x, from)?;
+        // Disjoint supports: the rows on odd terms, the query on even.
+        let odd: Vec<SparseVec> = rows.iter().map(|r| restricted(r, |t| t % 2 == 1)).collect();
+        assert_scatter_is_dot(&odd, &restricted(&x, |t| t % 2 == 0), from)?;
+    }
+
+    #[test]
+    fn csc_scatter_matches_dot_on_extreme_values(
+        rows in prop::collection::vec(arb_extreme(), 0..8),
+        x in arb_extreme(),
+        from in 0usize..8,
+    ) {
+        assert_scatter_is_dot(&rows, &x, from)?;
+    }
+
+    #[test]
+    fn csc_columns_give_back_the_rows(rows in prop::collection::vec(arb_sparse(), 0..12)) {
+        let m = CscMatrix::from_rows(DIM, &rows).unwrap();
+        prop_assert_eq!((m.len(), m.dim()), (rows.len(), DIM));
+        let mut back = vec![Vec::new(); rows.len()];
+        for t in 0..DIM as u32 {
+            let (ids, values) = m.column(t);
+            prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "column {} not ascending", t);
+            for (&r, &v) in ids.iter().zip(values) {
+                back[r as usize].push((t, v.to_bits()));
+            }
+        }
+        for (row, entries) in rows.iter().zip(&back) {
+            let want: Vec<(u32, u64)> = row.iter().map(|(t, v)| (t, v.to_bits())).collect();
+            prop_assert_eq!(&want, entries);
+        }
+        prop_assert_eq!(m.to_rows(), rows);
+        let stray = [SparseVec::zeros(DIM + 1)];
+        prop_assert!(CscMatrix::from_rows(DIM, &stray).is_err());
     }
 
     #[test]

@@ -352,12 +352,13 @@ fn fits_match_the_reference_lloyd_loop() {
             assert_same_fit(&cold, &reference_run(&sequential, &points), &what);
             let fit = (&cold.assignments[..], &cold.centroids[..]);
             assert_bounds_hold(&points, fit, &cold.bounds, &[], &what);
-            // Two workers walk the chunks; the calling thread patches
-            // the sums in point order: the same bits, bounds included.
-            let pooled = km.clone().threads(2).run(&points).unwrap();
-            let two = format!("{what} two workers");
-            assert_same_fit(&pooled, &cold, &two);
-            assert_same_bounds(&pooled.bounds, &cold.bounds, &two);
+            // Two threads walk the slot ranges; the calling thread
+            // patches the sums in point order: the same bits, bounds
+            // included.
+            let parallel = km.clone().threads(2).run(&points).unwrap();
+            let two = format!("{what} two threads");
+            assert_same_fit(&parallel, &cold, &two);
+            assert_same_bounds(&parallel.bounds, &cold.bounds, &two);
             // Warm from the cold fit's own answer (a fixpoint unless the
             // cold run stopped on `max_iters`), and from that answer with
             // one point pushed next door.
@@ -416,9 +417,9 @@ fn a_long_cold_restart_measures_fewer_points_than_its_sweeps_would() {
         "{cost} points measured in {} iterations over {n}",
         cold.iterations
     );
-    let pooled = km.clone().threads(3).run(&points).unwrap();
-    assert_same_fit(&pooled, &cold, "three workers");
-    assert_same_bounds(&pooled.bounds, &cold.bounds, "three workers");
+    let parallel = km.clone().threads(3).run(&points).unwrap();
+    assert_same_fit(&parallel, &cold, "three threads");
+    assert_same_bounds(&parallel.bounds, &cold.bounds, "three threads");
 }
 
 #[test]
@@ -522,9 +523,9 @@ fn warm_as_reference(fit: &WarmFit) -> KMeansResult {
 }
 
 #[test]
-fn a_warm_start_at_pool_scale_stays_on_the_calling_thread() {
-    // n·k at the pool threshold with two workers asked for: a cold fit
-    // fans out here, and a warm start must not.
+fn a_warm_start_at_the_parallel_threshold_stays_on_the_calling_thread() {
+    // n·k at `PARALLEL_ASSIGN_THRESHOLD` with two threads asked for: a
+    // cold fit fans out here, and a warm start must not.
     let k = 4;
     let mut rng = SmallRng::seed_from_u64(29);
     let points = edge_points(&mut rng, PARALLEL_ASSIGN_THRESHOLD / k, 7, 3);
@@ -545,14 +546,14 @@ fn a_warm_start_at_pool_scale_stays_on_the_calling_thread() {
                 .unwrap()
         };
         let before = measured();
-        let pooled = fit(2);
+        let parallel = fit(2);
         let made = measured() - before;
         let single = fit(1);
-        assert_same_warm_fit(&pooled, &warm_as_reference(&single), &what);
+        assert_same_warm_fit(&parallel, &warm_as_reference(&single), &what);
         let want = reference_fit_warm(&km, &points, &prev);
-        assert_same_warm_fit(&pooled, &want, &what);
+        assert_same_warm_fit(&parallel, &want, &what);
         assert_eq!(
-            made, pooled.evaluated,
+            made, parallel.evaluated,
             "{what}: every point measured on the calling thread"
         );
     }

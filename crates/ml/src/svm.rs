@@ -1,4 +1,4 @@
-use fmeter_ir::SparseVec;
+use fmeter_ir::{CscMatrix, SparseVec};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -49,11 +49,7 @@ impl Kernel {
     /// in the same space.
     pub fn eval(&self, a: &SparseVec, b: &SparseVec) -> f64 {
         let dot = a.dot(b).expect("kernel operands share one vector space");
-        let (aa, bb) = match self {
-            Kernel::Rbf { .. } => (a.dot(a).expect("same space"), b.dot(b).expect("same space")),
-            _ => (0.0, 0.0),
-        };
-        self.of_dots(dot, aa, bb)
+        self.of_dots(dot, self_dot(a), self_dot(b))
     }
 
     /// The kernel value from `a . b`, `a . a` and `b . b` (only
@@ -123,6 +119,12 @@ thread_local! {
 /// `kernel.eval(&vectors[i], &vectors[j])` bit for bit, in either
 /// argument order.
 ///
+/// The vectors are held once more as a [`CscMatrix`], and a row is the
+/// matrix's scatter kernel: `v_i`'s terms, ascending, added down their
+/// columns give every entry of row `i` the dot product
+/// [`SparseVec::dot`] forms, which [`Kernel`] then maps as
+/// [`eval`](Kernel::eval) does.
+///
 /// A row is computed at most once — on first [`row`](Self::row), or all
 /// of them at once by [`fill`](Self::fill), which computes each pair once
 /// — and kept until the matrix is dropped, so a full matrix holds
@@ -133,9 +135,8 @@ thread_local! {
 pub struct Gram<'a> {
     kernel: Kernel,
     vectors: &'a [SparseVec],
-    /// The vectors transposed: `(i, w)` for every `v_i` that holds term
-    /// `t` with weight `w`, `i` ascending.
-    columns: Vec<Vec<(u32, f64)>>,
+    /// The vectors by term.
+    columns: CscMatrix,
     /// `v_i . v_i`.
     self_dots: Vec<f64>,
     /// Row `i` of the matrix; empty until computed.
@@ -152,26 +153,11 @@ impl<'a> Gram<'a> {
     /// dimensionality.
     pub fn new(kernel: Kernel, vectors: &'a [SparseVec]) -> Result<Self, MlError> {
         let dim = vectors.first().map_or(0, SparseVec::dim);
-        if let Some(stray) = vectors.iter().find(|v| v.dim() != dim) {
-            return Err(MlError::Ir(fmeter_ir::IrError::DimensionMismatch {
-                left: dim,
-                right: stray.dim(),
-            }));
-        }
-        let mut columns = vec![Vec::new(); dim];
-        for (i, v) in vectors.iter().enumerate() {
-            for (t, w) in v.iter() {
-                columns[t as usize].push((i as u32, w));
-            }
-        }
         Ok(Gram {
             kernel,
             vectors,
-            columns,
-            self_dots: vectors
-                .iter()
-                .map(|v| v.dot(v).expect("a vector shares its own space"))
-                .collect(),
+            columns: CscMatrix::from_rows(dim, vectors)?,
+            self_dots: vectors.iter().map(self_dot).collect(),
             rows: vec![Vec::new(); vectors.len()],
         })
     }
@@ -208,19 +194,11 @@ impl<'a> Gram<'a> {
         self.kernel.of_dots(d, d, d)
     }
 
-    /// Computes entries `from..` of the zeroed row `i`. Walking `v_i`'s
-    /// terms in ascending order and adding each one's products down its
-    /// column gives every entry the sum [`SparseVec::dot`] forms — the
-    /// shared terms' products, ascending — and nothing else.
+    /// Computes entries `from..` of the zeroed row `i`: the scatter
+    /// kernel from row `from`, then the kernel of each dot product.
     fn compute(&mut self, i: usize, from: usize) {
         let row = &mut self.rows[i][..];
-        for (t, w) in self.vectors[i].iter() {
-            let column = &self.columns[t as usize];
-            let skip = column.partition_point(|&(j, _)| (j as usize) < from);
-            for &(j, wj) in &column[skip..] {
-                row[j as usize] += w * wj;
-            }
-        }
+        self.columns.scatter(self.vectors[i].iter(), from, row);
         let aa = self.self_dots[i];
         for (k, &bb) in row[from..].iter_mut().zip(&self.self_dots[from..]) {
             *k = self.kernel.of_dots(*k, aa, bb);
@@ -228,6 +206,11 @@ impl<'a> Gram<'a> {
         #[cfg(test)]
         KERNEL_EVALS.with(|c| c.set(c.get() + row.len() - from));
     }
+}
+
+/// `v . v`.
+fn self_dot(v: &SparseVec) -> f64 {
+    v.dot(v).expect("a vector shares its own space")
 }
 
 impl Default for SvmTrainer {
@@ -310,17 +293,10 @@ impl SvmTrainer {
         }
         let members: Vec<usize> = (0..vectors.len()).collect();
         let solution = self.solve(&mut gram, &members, labels);
-        Ok(SvmModel {
-            kernel: self.kernel,
-            support: solution
-                .support
-                .iter()
-                .map(|&i| vectors[i].clone())
-                .collect(),
-            sv_alpha_y: solution.alpha_y,
-            bias: solution.bias,
-            dim: vectors[0].dim(),
-        })
+        let support = solution.support.iter().map(|&i| vectors[i].clone());
+        let (alpha_y, bias, dim) = (solution.alpha_y, solution.bias, vectors[0].dim());
+        let model = SvmModel::from_wire(self.kernel, support.collect(), alpha_y, bias, dim);
+        Ok(model.expect("a trained model is well formed"))
     }
 
     /// Runs SMO on the examples `members` of `gram` — `members[k]` is
@@ -567,19 +543,42 @@ impl Smo<'_, '_> {
 }
 
 /// A trained SVM decision function.
-#[derive(Debug, Clone, Serialize)]
+///
+/// The support vectors are stored by term, as a [`CscMatrix`] with one
+/// row per vector: a prediction scatters the query down the columns of
+/// its own terms once, which gives the dot product with every support
+/// vector bit for bit as [`SparseVec::dot`] forms it, and applies the
+/// kernel to each. Its JSON is the object of the fields `kernel`,
+/// `support` (the vectors), `sv_alpha_y`, `bias` and `dim`.
+#[derive(Debug, Clone)]
 pub struct SvmModel {
     kernel: Kernel,
-    support: Vec<SparseVec>,
+    /// The support vectors, row `i` the `i`-th.
+    support: CscMatrix,
+    /// `sv . sv` per support vector.
+    sv_self_dots: Vec<f64>,
     /// `alpha_i * y_i` per support vector.
     sv_alpha_y: Vec<f64>,
     bias: f64,
-    dim: usize,
+}
+
+// Written by hand because the support vectors are stored by term: the
+// object a derive wrote when they were stored as vectors.
+impl Serialize for SvmModel {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("kernel".to_string(), self.kernel.to_value()),
+            ("support".to_string(), self.support.to_rows().to_value()),
+            ("sv_alpha_y".to_string(), self.sv_alpha_y.to_value()),
+            ("bias".to_string(), self.bias.to_value()),
+            ("dim".to_string(), self.support.dim().to_value()),
+        ])
+    }
 }
 
 // Read by hand so a model that arrives as JSON goes through
 // `SvmModel::from_wire`: a derived reader would accept support vectors
-// outside `dim`, which `Kernel::eval` panics on, and unpaired
+// outside `dim`, which a prediction panics on, and unpaired
 // coefficients, which `decision_function`'s `zip` silently drops.
 impl Deserialize for SvmModel {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
@@ -595,8 +594,9 @@ impl Deserialize for SvmModel {
 }
 
 impl SvmModel {
-    /// Builds a model from fields that arrived over a wire: every
-    /// support vector must live in `dim` and carry one coefficient.
+    /// Builds a model from its fields, as training found them or as they
+    /// arrived over a wire: every support vector must live in `dim` and
+    /// carry one coefficient.
     fn from_wire(
         kernel: Kernel,
         support: Vec<SparseVec>,
@@ -619,10 +619,10 @@ impl SvmModel {
         }
         Ok(SvmModel {
             kernel,
-            support,
+            support: CscMatrix::from_rows(dim, &support).expect("checked: they live in dim"),
+            sv_self_dots: support.iter().map(self_dot).collect(),
             sv_alpha_y,
             bias,
-            dim,
         })
     }
 
@@ -632,18 +632,20 @@ impl SvmModel {
     ///
     /// Panics if `x` has a different dimensionality than the training data.
     pub fn decision_function(&self, x: &SparseVec) -> f64 {
+        let dim = self.support.dim();
         assert_eq!(
             x.dim(),
-            self.dim,
-            "query dimension {} does not match training dimension {}",
+            dim,
+            "query dimension {} does not match training dimension {dim}",
             x.dim(),
-            self.dim
         );
-        let mut f = self.bias;
-        for (sv, ay) in self.support.iter().zip(&self.sv_alpha_y) {
-            f += ay * self.kernel.eval(sv, x);
-        }
-        f
+        let mut dots = vec![0.0; self.support.len()];
+        self.support.scatter(x.iter(), 0, &mut dots);
+        let xx = self_dot(x);
+        let terms = dots.iter().zip(&self.sv_self_dots).zip(&self.sv_alpha_y);
+        terms.fold(self.bias, |f, ((&dot, &ss), ay)| {
+            f + ay * self.kernel.of_dots(dot, ss, xx)
+        })
     }
 
     /// Predicts `+1` or `-1` ("which side of the hyperplane").
@@ -923,8 +925,9 @@ mod tests {
                 let solution = trainer.solve(&mut gram, &members, &ys);
                 assert_eq!(solution.bias.to_bits(), model.bias.to_bits());
                 assert_eq!(solution.alpha_y, model.sv_alpha_y);
-                let support: Vec<&SparseVec> = solution.support.iter().map(|&i| &xs[i]).collect();
-                assert_eq!(support, model.support.iter().collect::<Vec<_>>());
+                let support: Vec<SparseVec> =
+                    solution.support.iter().map(|&i| xs[i].clone()).collect();
+                assert_eq!(support, model.support.to_rows());
                 for (i, x) in xs.iter().enumerate() {
                     assert_eq!(
                         solution.decision(&gram, i).to_bits(),
