@@ -1,4 +1,5 @@
-//! Ablation: logging-interval sensitivity (DESIGN.md §5.3).
+//! Ablation: logging-interval sensitivity (the paper's §2.1 tf
+//! normalisation against §3's daemon interval).
 //!
 //! ```text
 //! cargo run --release -p fmeter-bench --bin ablation_interval

@@ -3,7 +3,7 @@
 //! binaries.
 
 use fmeter_core::{Fmeter, FmeterError, RawSignature};
-use fmeter_ir::{Corpus, SparseVec, TfIdfModel, TfIdfOptions};
+use fmeter_ir::{Corpus, SparseVec, TfIdfModel};
 use fmeter_kernel_sim::{modules, CpuId, Kernel, KernelConfig, Nanos};
 use fmeter_ml::Label;
 use fmeter_workloads::{ApacheBench, Dbench, KCompile, NetperfReceive, Scp, WithBackground};
@@ -156,25 +156,12 @@ pub fn collect_signatures(
 ///
 /// Returns an error for an empty input.
 pub fn tfidf_vectors(raw: &[RawSignature]) -> Result<Vec<SparseVec>, FmeterError> {
-    tfidf_vectors_with(raw, TfIdfOptions::default())
-}
-
-/// Like [`tfidf_vectors`] but with explicit weighting options (for the
-/// ablation benches).
-///
-/// # Errors
-///
-/// Returns an error for an empty input.
-pub fn tfidf_vectors_with(
-    raw: &[RawSignature],
-    options: TfIdfOptions,
-) -> Result<Vec<SparseVec>, FmeterError> {
     let first = raw.first().ok_or(FmeterError::NoSignatures)?;
     let mut corpus = Corpus::new(first.counts.len());
     for r in raw {
         corpus.push(r.to_term_counts());
     }
-    let model = TfIdfModel::fit_with(&corpus, options)?;
+    let model = TfIdfModel::fit(&corpus)?;
     Ok(corpus.iter().map(|d| model.transform(d)).collect())
 }
 

@@ -23,6 +23,35 @@ pub struct RawSignature {
 }
 
 impl RawSignature {
+    /// A signature of `counts` over `[started_at, ended_at]`.
+    ///
+    /// ```
+    /// use fmeter_core::RawSignature;
+    /// use fmeter_kernel_sim::Nanos;
+    ///
+    /// let sig = RawSignature::new(vec![3, 0, 1], Nanos(0), Nanos(10), Some("scp".into()));
+    /// assert_eq!(sig.counts(), &[3, 0, 1]);
+    /// assert_eq!(sig.total_calls(), 4);
+    /// ```
+    pub fn new(
+        counts: Vec<u64>,
+        started_at: Nanos,
+        ended_at: Nanos,
+        label: Option<String>,
+    ) -> Self {
+        RawSignature {
+            counts,
+            started_at,
+            ended_at,
+            label,
+        }
+    }
+
+    /// Per-function call counts over the interval, indexed by function id.
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
     /// Interval length.
     #[cfg(test)]
     pub(crate) fn interval(&self) -> Nanos {
@@ -74,6 +103,26 @@ pub struct Signature {
 }
 
 impl Signature {
+    /// The tf-idf weight vector `v_j`.
+    ///
+    /// ```
+    /// use fmeter_core::Signature;
+    /// use fmeter_ir::SparseVec;
+    /// use fmeter_kernel_sim::Nanos;
+    ///
+    /// let vector = SparseVec::from_pairs(4, [(1, 0.5)]).unwrap();
+    /// let sig = Signature {
+    ///     vector: vector.clone(),
+    ///     label: None,
+    ///     started_at: Nanos(0),
+    ///     ended_at: Nanos(10),
+    /// };
+    /// assert_eq!(sig.vector(), &vector);
+    /// ```
+    pub fn vector(&self) -> &SparseVec {
+        &self.vector
+    }
+
     /// Cosine similarity to another signature.
     ///
     /// # Errors

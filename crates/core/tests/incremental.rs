@@ -166,10 +166,10 @@ proptest! {
 // bounded Lloyd loop: means patched from the points that moved, a stop
 // at the assignment fixpoint instead of an inertia tolerance, the inertia
 // taken once at the end. Which recluster passes are warm and which move
-// a point stayed as they were. The pins hold the bounds and the worker
-// pool to a pure-cost contract: they may change what a fit costs, never
-// a bit of what it returns. A change to what K-means computes (ROADMAP
-// item 20's seeding) re-pins them on purpose.
+// a point stayed as they were. The pins hold the bounds and the walks
+// on scoped threads to a pure-cost contract: they may change what a fit
+// costs, never a bit of what it returns. A change to what K-means
+// computes (ROADMAP item 20's seeding) re-pins them on purpose.
 // ---------------------------------------------------------------------
 
 /// xoshiro256++ seeded through splitmix64: the stream of the benchmark's

@@ -301,6 +301,16 @@ fn sections_that_pass_their_checksums_and_lie_are_errors() {
         let message = rejected("signatures", &payload);
         assert!(message.contains("inconsistent sections"), "{message}");
     }
+    // The `model` section ends in two scheme tags, (0, 0) for §2.1's tf
+    // and idf. One naming another scheme (tf tag 1, a raw count in
+    // formats v5–v9) is refused by name.
+    let model = sections.iter().find(|s| s.name == "model").unwrap().payload;
+    let tags = model.len() - 2;
+    assert_eq!(model[tags..], [0, 0]);
+    let mut other = model.to_vec();
+    other[tags] = 1;
+    let message = rejected("model", &other);
+    assert!(message.contains("tf scheme tag 1"), "{message}");
     // The `state` section names a weight storage mode. The writer puts
     // `"Off"`; an older build's `"Int8"` loads as the one exact index,
     // and anything else — a mode never written, a number, no key — is an

@@ -83,7 +83,7 @@ pub use matrix::{CscMatrix, CsrMatrix};
 pub use shard::{merge_topk, search_sharded, Shard, ShardRouter};
 pub use shared::SharedVec;
 pub use sparse::SparseVec;
-pub use tfidf::{IdfMode, IdfRefit, TfIdfModel, TfIdfOptions, TfIdfWeights, TfMode};
+pub use tfidf::{IdfRefit, TfIdfModel, TfIdfWeights};
 
 /// Identifier of a term in the vector space.
 ///

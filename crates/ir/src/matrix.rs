@@ -16,7 +16,7 @@ use crate::sparse::check_dim;
 use crate::{IrError, Metric, SparseVec, TermId};
 
 /// Minimum number of pairwise distances before
-/// [`CsrMatrix::pairwise_condensed`] fans out across threads; below this
+/// [`CsrMatrix::pairwise_euclidean`] fans out across threads; below this
 /// the spawn overhead dominates.
 const PARALLEL_PAIR_THRESHOLD: usize = 4096;
 
@@ -134,6 +134,16 @@ impl CsrMatrix {
             .expect("CSR terms are in range")
     }
 
+    /// [`pairwise_euclidean`](Self::pairwise_euclidean), which it
+    /// forwards to. `metric` has one value and the call never fails: the
+    /// argument and the `Result` remain only until ROADMAP item 3a drops
+    /// them.
+    pub fn pairwise_condensed(&self, metric: Metric) -> Result<Vec<f64>, IrError> {
+        match metric {
+            Metric::Euclidean => Ok(self.pairwise_euclidean()),
+        }
+    }
+
     /// Computes all pairwise Euclidean distances into a condensed
     /// upper-triangular vector of length `n * (n - 1) / 2`: the distance
     /// between rows `i < j` lands at `i * (2n - i - 1) / 2 + (j - i - 1)`
@@ -146,15 +156,24 @@ impl CsrMatrix {
     /// [`std::thread::scope`]; every pair is computed independently, so
     /// the result is identical regardless of thread count.
     ///
-    /// `metric` has one value and the call never fails: the argument and
-    /// the `Result` remain only until ROADMAP item 3a drops them.
-    pub fn pairwise_condensed(&self, metric: Metric) -> Result<Vec<f64>, IrError> {
-        let Metric::Euclidean = metric;
+    /// ```
+    /// use fmeter_ir::{CsrMatrix, SparseVec};
+    ///
+    /// let rows = vec![
+    ///     SparseVec::from_pairs(4, [(0, 3.0)]).unwrap(),
+    ///     SparseVec::from_pairs(4, [(1, 4.0)]).unwrap(),
+    ///     SparseVec::from_pairs(4, [(0, 3.0)]).unwrap(),
+    /// ];
+    /// let d = CsrMatrix::from_rows(&rows).unwrap().pairwise_euclidean();
+    /// // d(0, 1), d(0, 2), d(1, 2)
+    /// assert_eq!(d, vec![5.0, 0.0, 5.0]);
+    /// ```
+    pub fn pairwise_euclidean(&self) -> Vec<f64> {
         let n = self.len();
         let pairs = n * n.saturating_sub(1) / 2;
         let mut out = vec![0.0; pairs];
         if pairs == 0 {
-            return Ok(out);
+            return out;
         }
         let threads = if pairs >= PARALLEL_PAIR_THRESHOLD {
             std::thread::available_parallelism()
@@ -175,7 +194,7 @@ impl CsrMatrix {
                 }
                 self.unscatter_row(i, &mut dense);
             }
-            return Ok(out);
+            return out;
         }
         // Chop the condensed buffer into per-row slices (row i owns the
         // n-1-i distances to rows i+1..n) and deal rows round-robin so
@@ -207,7 +226,7 @@ impl CsrMatrix {
                 });
             }
         });
-        Ok(out)
+        out
     }
 
     /// Writes row `i`'s values into the dense scratch (support only).
@@ -251,7 +270,7 @@ impl CsrMatrix {
     }
 
     /// Index of the pair `(i, j)`, `i < j`, in the condensed layout of
-    /// [`pairwise_condensed`](Self::pairwise_condensed).
+    /// [`pairwise_euclidean`](Self::pairwise_euclidean).
     ///
     /// # Panics
     ///

@@ -203,15 +203,23 @@ impl SparseVec {
         self.values.iter().map(|v| v * v).sum::<f64>()
     }
 
-    /// Returns a copy scaled by `factor`.
+    /// Returns a copy scaled by `factor`. A product too small for an
+    /// `f64` underflows to zero and, like any zero, is not stored — so a
+    /// dot with a vector holding ±∞ or NaN at that term omits `0 · ∞`,
+    /// which is NaN.
     pub fn scaled(&self, factor: f64) -> SparseVec {
         if factor == 0.0 {
             return SparseVec::zeros(self.dim);
         }
+        let values = exact(self.nnz(), self.values.iter().map(|v| v * factor));
+        if values.contains(&0.0) {
+            let pairs = self.terms.iter().copied().zip(values.iter().copied());
+            return SparseVec::from_pairs(self.dim, pairs).expect("the terms are this vector's");
+        }
         SparseVec {
             dim: self.dim,
             terms: Arc::clone(&self.terms),
-            values: exact(self.nnz(), self.values.iter().map(|v| v * factor)),
+            values,
         }
     }
 
@@ -537,6 +545,18 @@ mod tests {
     fn scaled_by_zero_is_zero() {
         let a = v(&[(1, 1.0)]);
         assert!(a.scaled(0.0).is_zero());
+    }
+
+    #[test]
+    fn scaled_products_that_underflow_are_not_stored() {
+        let tiny = SparseVec::from_pairs(2, [(0, 1e-300), (1, 1e300)]).unwrap();
+        let spread = SparseVec::from_pairs(2, [(0, 1e-200), (1, 1e150)]).unwrap();
+        for w in [tiny.scaled(1e-300), spread.l2_normalized()] {
+            assert_eq!(w.terms(), &[1]);
+            assert_eq!(w.values(), &[1.0]);
+            let json = serde_json::to_string(&w).unwrap();
+            assert_eq!(serde_json::from_str::<SparseVec>(&json).unwrap(), w);
+        }
     }
 
     #[test]

@@ -4,42 +4,6 @@ use crate::codec;
 use crate::sparse::exact;
 use crate::{Corpus, IrError, SparseVec, TermCounts, TermId};
 
-/// Term-frequency flavour used when weighting a document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TfMode {
-    /// `tf_{i,j} = n_{i,j} / sum_k n_{k,j}` — the paper's normalised term
-    /// frequency, which "prevents bias towards longer runs".
-    #[default]
-    Normalized,
-    /// Raw occurrence counts, no length normalisation (ablation only).
-    Raw,
-    /// `log(1 + n_{i,j})` — classic sub-linear scaling (ablation only).
-    Sublinear,
-}
-
-/// Inverse-document-frequency flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IdfMode {
-    /// `idf_i = ln(|D| / df_i)` — the paper's formula. Terms present in
-    /// every document get weight zero; terms absent from the corpus are
-    /// undefined and transform to zero.
-    #[default]
-    Standard,
-    /// `idf_i = ln(1 + |D| / df_i)` — smoothed, never zero for seen terms.
-    Smooth,
-    /// `idf_i = 1` for every term — disables idf (tf-only ablation).
-    Unit,
-}
-
-/// Options for fitting a [`TfIdfModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TfIdfOptions {
-    /// Term-frequency scheme.
-    pub tf: TfMode,
-    /// Inverse-document-frequency scheme.
-    pub idf: IdfMode,
-}
-
 /// Outcome of one [`TfIdfModel::refit_idf`] pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IdfRefit {
@@ -51,15 +15,14 @@ pub struct IdfRefit {
 }
 
 /// The published half of a [`TfIdfModel`] — all a reader needs to weigh
-/// a document: the term space, the tf/idf schemes and the idf table of
-/// the last (re)fit. The model holds it behind an [`Arc`] and hands that
-/// out ([`TfIdfModel::weights`]), so whoever publishes generations of a
+/// a document: the term space and the idf table of the last (re)fit.
+/// The model holds it behind an [`Arc`] and hands that out
+/// ([`TfIdfModel::weights`]), so whoever publishes generations of a
 /// changing corpus shares one table across all those a refit did not
 /// separate, instead of copying `dim` weights into each.
 #[derive(Debug, Clone)]
 pub struct TfIdfWeights {
     dim: usize,
-    options: TfIdfOptions,
     idf: Vec<f64>,
 }
 
@@ -107,7 +70,7 @@ impl TfIdfWeights {
         }
         let total = doc.total();
         let idf = |t: TermId| self.idf[t as usize];
-        let weigh = |(t, n): (TermId, u64)| self.weight(n, total) * idf(t);
+        let weigh = |(t, n): (TermId, u64)| n as f64 / total as f64 * idf(t);
         // Every tf is positive, so a weight is zero where its idf is —
         // and where the product underflows, taken apart below. Counting
         // those terms weighs nothing; each weight is then computed once.
@@ -130,22 +93,15 @@ impl TfIdfWeights {
         }
         Ok(SparseVec::from_parts_trusted(self.dim, terms, values))
     }
-
-    /// The configured tf scheme applied to one raw count.
-    fn weight(&self, n: u64, total: u64) -> f64 {
-        match self.options.tf {
-            TfMode::Normalized => n as f64 / total as f64,
-            TfMode::Raw => n as f64,
-            TfMode::Sublinear => (1.0 + n as f64).ln(),
-        }
-    }
 }
 
 /// A fitted tf-idf weighting model.
 ///
 /// Fitting computes per-term document frequencies over a [`Corpus`];
 /// transforming a document produces the weight vector
-/// `w_{i,j} = tf_{i,j} x idf_i` of the paper (§2.1).
+/// `w_{i,j} = tf_{i,j} x idf_i` of the paper (§2.1), with the normalised
+/// `tf_{i,j} = n_{i,j} / sum_k n_{k,j}` ("prevents bias towards longer
+/// runs") and `idf_i = ln(|D| / df_i)`.
 ///
 /// # Incremental maintenance
 ///
@@ -198,21 +154,15 @@ pub struct TfIdfModel {
     drift_clean: bool,
 }
 
-/// The idf formula for one term: `df` documents contain it out of `n`.
+/// The idf of one term, `ln(n / df)`: `df` documents contain it out of `n`.
 ///
-/// A term absent from the corpus (`df == 0`) short-circuits to zero
-/// *before* the mode formula runs — `IdfMode::Standard` would otherwise
-/// compute `ln(n / 0) = inf` and poison every downstream distance.
-fn idf_value(mode: IdfMode, df: u32, n: usize) -> f64 {
+/// A term absent from the corpus (`df == 0`) short-circuits to zero:
+/// `ln(n / 0) = inf` would poison every downstream distance.
+fn idf_value(df: u32, n: usize) -> f64 {
     if df == 0 {
         return 0.0;
     }
-    let n = n as f64;
-    match mode {
-        IdfMode::Standard => (n / df as f64).ln(),
-        IdfMode::Smooth => (1.0 + n / df as f64).ln(),
-        IdfMode::Unit => 1.0,
-    }
+    (n as f64 / df as f64).ln()
 }
 
 impl TfIdfModel {
@@ -224,7 +174,6 @@ impl TfIdfModel {
         num_docs: usize,
         doc_freq: Vec<u32>,
         idf: Vec<f64>,
-        options: TfIdfOptions,
     ) -> Result<Self, String> {
         if doc_freq.len() != dim || idf.len() != dim {
             return Err(format!(
@@ -233,53 +182,36 @@ impl TfIdfModel {
                 idf.len()
             ));
         }
-        Ok(Self::from_parts(dim, num_docs, doc_freq, idf, options))
+        Ok(Self::from_parts(dim, num_docs, doc_freq, idf))
     }
 
     /// A model over checked parts, its caches conservatively stale.
-    fn from_parts(
-        dim: usize,
-        num_docs: usize,
-        doc_freq: Vec<u32>,
-        idf: Vec<f64>,
-        options: TfIdfOptions,
-    ) -> Self {
+    fn from_parts(dim: usize, num_docs: usize, doc_freq: Vec<u32>, idf: Vec<f64>) -> Self {
         TfIdfModel {
             num_docs,
             doc_freq,
-            weights: Arc::new(TfIdfWeights { dim, options, idf }),
+            weights: Arc::new(TfIdfWeights { dim, idf }),
             ln_df: vec![f64::NAN; dim],
             drift_clean: false,
         }
     }
 
-    /// Fits the model with default (paper) options.
+    /// Fits the model: the document frequencies of `corpus` and the idf
+    /// of every term.
     ///
     /// # Errors
     ///
     /// Returns [`IrError::EmptyCorpus`] when the corpus has no documents.
     pub fn fit(corpus: &Corpus) -> Result<Self, IrError> {
-        Self::fit_with(corpus, TfIdfOptions::default())
-    }
-
-    /// Fits the model with explicit tf/idf schemes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::EmptyCorpus`] when the corpus has no documents.
-    pub fn fit_with(corpus: &Corpus, options: TfIdfOptions) -> Result<Self, IrError> {
         if corpus.is_empty() {
             return Err(IrError::EmptyCorpus);
         }
         let doc_freq = corpus.document_frequencies();
         let n = corpus.len();
-        let idf = doc_freq
-            .iter()
-            .map(|&df| idf_value(options.idf, df, n))
-            .collect();
+        let idf = doc_freq.iter().map(|&df| idf_value(df, n)).collect();
         Ok(TfIdfModel {
             drift_clean: true,
-            ..Self::from_parts(corpus.dim(), n, doc_freq, idf, options)
+            ..Self::from_parts(corpus.dim(), n, doc_freq, idf)
         })
     }
 
@@ -357,7 +289,7 @@ impl TfIdfModel {
         }
         let mut drift = 0.0f64;
         for (t, &df) in self.doc_freq.iter().enumerate() {
-            let fresh = idf_value(self.weights.options.idf, df, self.num_docs);
+            let fresh = idf_value(df, self.num_docs);
             let published = self.weights.idf[t];
             let d = (fresh - published).abs() / published.abs().max(1.0);
             drift = drift.max(d);
@@ -379,51 +311,32 @@ impl TfIdfModel {
     /// (the decomposed logarithm rounds differently in the last bits),
     /// which is far below any meaningful refit threshold; when exact
     /// zero matters (reporting, tests), use `idf_drift`.
-    ///
-    /// Only [`IdfMode::Standard`] decomposes; [`IdfMode::Unit`] needs no
-    /// logarithm at all and [`IdfMode::Smooth`] (an ablation mode) falls
-    /// back to the exact computation.
     pub fn idf_drift_cached(&mut self) -> f64 {
         if self.drift_clean {
             return 0.0;
         }
         let published = &self.weights.idf;
-        match self.weights.options.idf {
-            IdfMode::Smooth => self.idf_drift(),
-            IdfMode::Unit => {
-                let mut drift = 0.0f64;
-                for (t, &df) in self.doc_freq.iter().enumerate() {
-                    let fresh = if df == 0 { 0.0 } else { 1.0 };
-                    let published = published[t];
-                    let d = (fresh - published).abs() / published.abs().max(1.0);
-                    drift = drift.max(d);
+        let ln_n = if self.num_docs == 0 {
+            0.0 // every df is 0 too; the fresh value never reads this
+        } else {
+            (self.num_docs as f64).ln()
+        };
+        let mut drift = 0.0f64;
+        for (t, &df) in self.doc_freq.iter().enumerate() {
+            let fresh = if df == 0 {
+                0.0
+            } else {
+                let cached = &mut self.ln_df[t];
+                if cached.is_nan() {
+                    *cached = (df as f64).ln();
                 }
-                drift
-            }
-            IdfMode::Standard => {
-                let ln_n = if self.num_docs == 0 {
-                    0.0 // every df is 0 too; the fresh value never reads this
-                } else {
-                    (self.num_docs as f64).ln()
-                };
-                let mut drift = 0.0f64;
-                for (t, &df) in self.doc_freq.iter().enumerate() {
-                    let fresh = if df == 0 {
-                        0.0
-                    } else {
-                        let cached = &mut self.ln_df[t];
-                        if cached.is_nan() {
-                            *cached = (df as f64).ln();
-                        }
-                        ln_n - *cached
-                    };
-                    let published = published[t];
-                    let d = (fresh - published).abs() / published.abs().max(1.0);
-                    drift = drift.max(d);
-                }
-                drift
-            }
+                ln_n - *cached
+            };
+            let published = published[t];
+            let d = (fresh - published).abs() / published.abs().max(1.0);
+            drift = drift.max(d);
         }
+        drift
     }
 
     /// Recomputes the published idf weights from the current document
@@ -433,8 +346,7 @@ impl TfIdfModel {
     pub fn refit_idf(&mut self) -> IdfRefit {
         let max_drift = self.idf_drift();
         let mut changed_terms = Vec::new();
-        let (mode, n) = (self.weights.options.idf, self.num_docs);
-        let fresh = |t: usize| idf_value(mode, self.doc_freq[t], n);
+        let fresh = |t: usize| idf_value(self.doc_freq[t], self.num_docs);
         // The table is written from its first stale entry on — and so
         // copied, if a published generation shares it, only when a
         // weight really changes.
@@ -518,79 +430,20 @@ impl TfIdfModel {
     }
 }
 
-// Binary wire layout (see `crate::codec`). The mode enums travel as one-byte
-// tags; the tag values are part of the wire format since v5 and must never
-// be renumbered, only appended to.
-impl codec::BinCodec for TfMode {
-    fn encode_bin(&self, out: &mut Vec<u8>) {
-        codec::put_u8(
-            out,
-            match self {
-                TfMode::Normalized => 0,
-                TfMode::Raw => 1,
-                TfMode::Sublinear => 2,
-            },
-        );
-    }
-
-    fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
-        match r.get_u8()? {
-            0 => Ok(TfMode::Normalized),
-            1 => Ok(TfMode::Raw),
-            2 => Ok(TfMode::Sublinear),
-            b => Err(codec::CodecError::new(format!("unknown TfMode tag {b}"))),
-        }
-    }
-}
-
-impl codec::BinCodec for IdfMode {
-    fn encode_bin(&self, out: &mut Vec<u8>) {
-        codec::put_u8(
-            out,
-            match self {
-                IdfMode::Standard => 0,
-                IdfMode::Smooth => 1,
-                IdfMode::Unit => 2,
-            },
-        );
-    }
-
-    fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
-        match r.get_u8()? {
-            0 => Ok(IdfMode::Standard),
-            1 => Ok(IdfMode::Smooth),
-            2 => Ok(IdfMode::Unit),
-            b => Err(codec::CodecError::new(format!("unknown IdfMode tag {b}"))),
-        }
-    }
-}
-
-impl codec::BinCodec for TfIdfOptions {
-    fn encode_bin(&self, out: &mut Vec<u8>) {
-        self.tf.encode_bin(out);
-        self.idf.encode_bin(out);
-    }
-
-    fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
-        Ok(TfIdfOptions {
-            tf: TfMode::decode_bin(r)?,
-            idf: IdfMode::decode_bin(r)?,
-        })
-    }
-}
-
-// The model's five fields — `dim`, `num_docs`, `doc_freq`, `idf` and
-// `options` — every integer a varint and each idf its 8 bytes, so a load
-// is bit-identical: the in-memory caches stay off the wire and are
-// rebuilt conservatively stale on decode. A fixed-width reader (format
-// v5–v8) reads the same fields.
+// The model's fields — `dim`, `num_docs`, `doc_freq` and `idf` — every
+// integer a varint and each idf its 8 bytes, so a load is bit-identical:
+// the in-memory caches stay off the wire and are rebuilt conservatively
+// stale on decode. Two tag bytes follow, the tf and idf schemes of
+// formats v5–v9: (0, 0) names §2.1's `n / T_d` and `ln(|D| / df)`, the
+// only pair written, and a reader refuses any other. A fixed-width
+// reader (format v5–v8) reads the same fields.
 impl codec::BinCodec for TfIdfModel {
     fn encode_bin(&self, out: &mut Vec<u8>) {
         codec::put_usize(out, self.weights.dim);
         codec::put_usize(out, self.num_docs);
         codec::put_u32s(out, &self.doc_freq);
         codec::put_f64s(out, &self.weights.idf);
-        self.weights.options.encode_bin(out);
+        out.extend_from_slice(&[0, 0]);
     }
 
     fn decode_bin(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
@@ -598,15 +451,20 @@ impl codec::BinCodec for TfIdfModel {
         let num_docs = r.get_usize()?;
         let doc_freq: Vec<u32> = r.get_u32s()?;
         let idf = r.get_f64s()?;
-        let options = TfIdfOptions::decode_bin(r)?;
-        TfIdfModel::from_wire(dim, num_docs, doc_freq, idf, options).map_err(codec::CodecError::new)
+        for scheme in ["tf", "idf"] {
+            let tag = r.get_u8()?;
+            if tag != 0 {
+                let msg = format!("TfIdfModel {scheme} scheme tag {tag}: only 0 (§2.1's) is read");
+                return Err(codec::CodecError::new(msg));
+            }
+        }
+        TfIdfModel::from_wire(dim, num_docs, doc_freq, idf).map_err(codec::CodecError::new)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::BinCodec;
 
     fn sample_corpus() -> Corpus {
         let mut c = Corpus::new(4);
@@ -687,51 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_tf_mode_keeps_counts() {
-        let c = sample_corpus();
-        let m = TfIdfModel::fit_with(
-            &c,
-            TfIdfOptions {
-                tf: TfMode::Raw,
-                idf: IdfMode::Unit,
-            },
-        )
-        .unwrap();
-        let w = m.transform(c.doc(0).unwrap());
-        assert_eq!(w.get(0), 8.0);
-        assert_eq!(w.get(1), 2.0);
-    }
-
-    #[test]
-    fn sublinear_tf_mode() {
-        let c = sample_corpus();
-        let m = TfIdfModel::fit_with(
-            &c,
-            TfIdfOptions {
-                tf: TfMode::Sublinear,
-                idf: IdfMode::Unit,
-            },
-        )
-        .unwrap();
-        let w = m.transform(c.doc(0).unwrap());
-        assert!((w.get(0) - 9.0f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn smooth_idf_is_nonzero_for_ubiquitous_terms() {
-        let c = sample_corpus();
-        let m = TfIdfModel::fit_with(
-            &c,
-            TfIdfOptions {
-                tf: TfMode::Normalized,
-                idf: IdfMode::Smooth,
-            },
-        )
-        .unwrap();
-        assert!(m.idf(0) > 0.0);
-    }
-
-    #[test]
     fn fit_transform_returns_all_documents() {
         let c = sample_corpus();
         let (m, vs) = TfIdfModel::fit_transform(&c).unwrap();
@@ -763,7 +576,7 @@ mod tests {
         // A subnormal idf times a tf of about 1e-19 is too small for an
         // `f64`: the product is 0 although the idf is not.
         let idf = vec![1e-310, 0.5, 0.0];
-        let m = TfIdfModel::from_parts(3, 2, vec![1, 1, 2], idf, TfIdfOptions::default());
+        let m = TfIdfModel::from_parts(3, 2, vec![1, 1, 2], idf);
         let doc = TermCounts::from_pairs(3, [(0, 1), (1, 1 << 62), (2, 5)]).unwrap();
         let total = doc.total() as f64;
         assert_eq!((1.0 / total) * 1e-310, 0.0);
@@ -776,31 +589,21 @@ mod tests {
     }
 
     #[test]
-    fn corpus_absent_terms_transform_finite_zero_in_every_idf_mode() {
+    fn corpus_absent_terms_transform_finite_zero() {
         // Regression guard: a term with df = 0 must short-circuit to idf 0
-        // *before* the mode formula runs — IdfMode::Standard would otherwise
-        // compute ln(n/0) = inf, and a document containing that term would
+        // *before* the formula runs — it would otherwise compute
+        // ln(n/0) = inf, and a document containing that term would
         // transform to an inf/NaN weight and poison every downstream
         // distance. Term 3 never occurs in sample_corpus().
-        for idf in [IdfMode::Standard, IdfMode::Smooth, IdfMode::Unit] {
-            let m = TfIdfModel::fit_with(
-                &sample_corpus(),
-                TfIdfOptions {
-                    tf: TfMode::Normalized,
-                    idf,
-                },
-            )
-            .unwrap();
-            assert_eq!(m.idf(3), 0.0, "{idf:?}: unseen idf must be exactly 0");
-            let doc = TermCounts::from_pairs(4, [(1, 1), (3, 100)]).unwrap();
-            let w = m.transform(&doc);
-            assert_eq!(w.get(3), 0.0, "{idf:?}: unseen term weight must be 0");
-            for (t, x) in w.iter() {
-                assert!(x.is_finite(), "{idf:?}: weight of term {t} is {x}");
-            }
+        let m = TfIdfModel::fit(&sample_corpus()).unwrap();
+        assert_eq!(m.idf(3), 0.0, "unseen idf must be exactly 0");
+        let doc = TermCounts::from_pairs(4, [(1, 1), (3, 100)]).unwrap();
+        let w = m.transform(&doc);
+        assert_eq!(w.get(3), 0.0, "unseen term weight must be 0");
+        for (t, x) in w.iter() {
+            assert!(x.is_finite(), "weight of term {t} is {x}");
         }
         // Out-of-vocabulary idf lookups report 0 instead of panicking.
-        let m = TfIdfModel::fit(&sample_corpus()).unwrap();
         assert_eq!(m.idf(999), 0.0);
     }
 
@@ -821,29 +624,21 @@ mod tests {
 
     #[test]
     fn refit_after_observe_matches_fresh_fit() {
-        for (tf, idf) in [
-            (TfMode::Normalized, IdfMode::Standard),
-            (TfMode::Normalized, IdfMode::Smooth),
-            (TfMode::Raw, IdfMode::Unit),
-        ] {
-            let options = TfIdfOptions { tf, idf };
-            let mut grown = sample_corpus();
-            let mut m = TfIdfModel::fit_with(&grown, options).unwrap();
-            let extra = TermCounts::from_pairs(4, [(1, 3), (3, 7)]).unwrap();
-            m.observe(&extra);
-            let refit = m.refit_idf();
-            grown.push(extra);
-            let fresh = TfIdfModel::fit_with(&grown, options).unwrap();
-            assert_eq!(m.num_docs(), fresh.num_docs());
-            for t in 0..4u32 {
-                assert_eq!(m.document_frequency(t), fresh.document_frequency(t));
-                assert_eq!(m.idf(t), fresh.idf(t), "{tf:?}/{idf:?} term {t}");
-            }
-            // Term 3 went from unseen (idf 0) to seen; in Standard/Smooth
-            // modes term 1's idf moved too.
-            assert!(refit.changed_terms.contains(&3) || idf == IdfMode::Unit);
-            assert_eq!(m.idf_drift(), 0.0, "refit must zero the drift");
+        let mut grown = sample_corpus();
+        let mut m = TfIdfModel::fit(&grown).unwrap();
+        let extra = TermCounts::from_pairs(4, [(1, 3), (3, 7)]).unwrap();
+        m.observe(&extra);
+        let refit = m.refit_idf();
+        grown.push(extra);
+        let fresh = TfIdfModel::fit(&grown).unwrap();
+        assert_eq!(m.num_docs(), fresh.num_docs());
+        for t in 0..4u32 {
+            assert_eq!(m.document_frequency(t), fresh.document_frequency(t));
+            assert_eq!(m.idf(t), fresh.idf(t), "term {t}");
         }
+        // Term 3 went from unseen (idf 0) to seen; term 1's idf moved too.
+        assert!(refit.changed_terms.contains(&3));
+        assert_eq!(m.idf_drift(), 0.0, "refit must zero the drift");
     }
 
     #[test]
@@ -901,58 +696,58 @@ mod tests {
 
     #[test]
     fn cached_drift_tracks_exact_drift_through_mutations() {
-        for idf in [IdfMode::Standard, IdfMode::Smooth, IdfMode::Unit] {
-            let mut m = TfIdfModel::fit_with(
-                &sample_corpus(),
-                TfIdfOptions {
-                    tf: TfMode::Normalized,
-                    idf,
-                },
-            )
-            .unwrap();
-            assert_eq!(m.idf_drift_cached(), 0.0, "{idf:?}: clean model drifts");
-            // A deterministic observe/unobserve churn touching every term.
-            let docs = [
-                TermCounts::from_pairs(4, [(0, 1), (3, 2)]).unwrap(),
-                TermCounts::from_pairs(4, [(1, 5)]).unwrap(),
-                TermCounts::from_pairs(4, [(2, 3), (3, 1)]).unwrap(),
-            ];
-            for d in &docs {
-                m.observe(d);
-                let exact = m.idf_drift();
-                let cached = m.idf_drift_cached();
-                assert!(
-                    (cached - exact).abs() <= 1e-12 * exact.abs().max(1.0),
-                    "{idf:?}: cached {cached} vs exact {exact}"
-                );
-            }
-            m.unobserve(&docs[1]);
+        let mut m = TfIdfModel::fit(&sample_corpus()).unwrap();
+        assert_eq!(m.idf_drift_cached(), 0.0, "clean model drifts");
+        // A deterministic observe/unobserve churn touching every term.
+        let docs = [
+            TermCounts::from_pairs(4, [(0, 1), (3, 2)]).unwrap(),
+            TermCounts::from_pairs(4, [(1, 5)]).unwrap(),
+            TermCounts::from_pairs(4, [(2, 3), (3, 1)]).unwrap(),
+        ];
+        for d in &docs {
+            m.observe(d);
             let exact = m.idf_drift();
             let cached = m.idf_drift_cached();
-            assert!((cached - exact).abs() <= 1e-12 * exact.abs().max(1.0));
-            // A refit re-arms the exact-zero short-circuit.
-            m.refit_idf();
-            assert_eq!(m.idf_drift_cached(), 0.0, "{idf:?}: post-refit drift");
-            assert_eq!(m.idf_drift(), 0.0);
+            assert!(
+                (cached - exact).abs() <= 1e-12 * exact.abs().max(1.0),
+                "cached {cached} vs exact {exact}"
+            );
         }
+        m.unobserve(&docs[1]);
+        let exact = m.idf_drift();
+        let cached = m.idf_drift_cached();
+        assert!((cached - exact).abs() <= 1e-12 * exact.abs().max(1.0));
+        // A refit re-arms the exact-zero short-circuit.
+        m.refit_idf();
+        assert_eq!(m.idf_drift_cached(), 0.0, "post-refit drift");
+        assert_eq!(m.idf_drift(), 0.0);
     }
 
     #[test]
     fn model_codec_layout_excludes_caches_and_round_trips() {
         let mut m = TfIdfModel::fit(&sample_corpus()).unwrap();
         m.observe(&TermCounts::from_pairs(4, [(1, 2), (3, 4)]).unwrap());
-        // The binary codec carries the five model fields, and no cache.
+        // The binary codec carries the four model fields and the two
+        // scheme tags, and no cache.
         let bytes = codec::encode_to_vec(&m);
         let restored: TfIdfModel = codec::decode_from_slice(&bytes).unwrap();
         assert_eq!(restored.num_docs(), m.num_docs());
-        assert_eq!(restored.weights.options, m.weights.options);
         for t in 0..4u32 {
             assert_eq!(restored.document_frequency(t), m.document_frequency(t));
             assert_eq!(restored.idf(t).to_bits(), m.idf(t).to_bits());
         }
         // `dim`, `num_docs`, four varint frequencies and four 8-byte
-        // idfs behind their counts, two mode tags.
+        // idfs behind their counts, two scheme tags of 0.
         assert_eq!(bytes.len(), 1 + 1 + (1 + 4) + (1 + 4 * 8) + 2);
+        assert_eq!(bytes[bytes.len() - 2..], [0, 0]);
+        // A tag for any other scheme is refused with its name, not read.
+        for (at, scheme) in [(2, "tf scheme tag 1"), (1, "idf scheme tag 1")] {
+            let mut other = bytes.clone();
+            let len = other.len();
+            other[len - at] = 1;
+            let err = codec::decode_from_slice::<TfIdfModel>(&other).unwrap_err();
+            assert!(err.to_string().contains(scheme), "{err}");
+        }
         // The restored model rebuilds its cache lazily and agrees with
         // the original estimator.
         let mut restored = restored;
@@ -964,7 +759,7 @@ mod tests {
         codec::put_usize(&mut short, 4);
         codec::put_u32s(&mut short, &[4, 2, 1]);
         codec::put_f64s(&mut short, &[0.0, 0.5, 1.0, 0.0]);
-        TfIdfOptions::default().encode_bin(&mut short);
+        short.extend_from_slice(&[0, 0]);
         assert!(codec::decode_from_slice::<TfIdfModel>(&short).is_err());
     }
 
