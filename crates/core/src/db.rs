@@ -49,8 +49,10 @@ pub enum RefitPolicy {
     /// refit. Each bound is finite or `±∞`: `+∞` disables its check
     /// (and at `max_idf_drift` skips the drift computation), `−∞` refits
     /// on every mutation; [`SignatureDb::set_refit_policy`] stores a
-    /// `NaN` bound as `+∞`. A save and a recovery keep it, but for a
-    /// bound of `f64::MIN`, which comes back as the `−∞` it acts like.
+    /// `NaN` bound as `+∞`. A negative finite bound is taken as given and
+    /// acts as `−∞`, since neither a drift nor a fraction is negative. A
+    /// save and a recovery keep a bound, but for `f64::MIN`, which comes
+    /// back as the `−∞` it acts like.
     Threshold {
         /// Maximum tolerated idf drift before an automatic refit.
         max_idf_drift: f64,
@@ -109,8 +111,9 @@ pub enum VacuumPolicy {
     /// floor keeps small databases from vacuuming on every removal).
     /// The fraction is finite or `±∞`: `+∞` disables the policy, `−∞`
     /// leaves only the floor; [`SignatureDb::set_vacuum_policy`] stores a
-    /// `NaN` fraction as `+∞`. A save and a recovery keep it, but for a
-    /// fraction of `f64::MIN`, which comes back as the `−∞` it acts like.
+    /// `NaN` fraction as `+∞`. A negative finite fraction is taken as
+    /// given and acts as `−∞`. A save and a recovery keep a fraction, but
+    /// for `f64::MIN`, which comes back as the `−∞` it acts like.
     DeadFraction {
         /// Maximum tolerated `dead slots / total slots` ratio.
         max_dead_fraction: f64,

@@ -729,11 +729,15 @@ impl SignatureService {
     /// one. Called with the writer lock held (mutations serialize), so
     /// no other publish runs in between and the number is only ever
     /// read from the snapshot it stamps; readers only ever take the
-    /// `current` read lock for the duration of an `Arc` clone.
+    /// `current` read lock for the duration of an `Arc` clone. The
+    /// replaced snapshot is dropped after the write lock is released:
+    /// when no reader holds it, that drop frees a whole generation's
+    /// shards, and every `snapshot()` would wait it out.
     fn publish(&self, writer: &ShardWriter) {
         let generation = self.snapshot().generation() + 1;
         let snapshot = Arc::new(writer.publish(generation));
-        *self.inner.current.write() = snapshot;
+        let replaced = std::mem::replace(&mut *self.inner.current.write(), snapshot);
+        drop(replaced);
     }
 }
 

@@ -29,8 +29,9 @@
 //! # WAL file layout
 //!
 //! ```text
-//! FMWAL 4 <start_seq> <contiguous:0|1>\n      ← header (fsynced at creation)
+//! FMWAL 5 <start_seq> <contiguous:0|1>\n      ← header (fsynced at creation)
 //! [len: u32 LE][seq: u64 LE][crc32: u32 LE][payload: len bytes]   ← repeated
+//! [0x00 …]                                     ← zeros to a 16 KiB boundary
 //! ```
 //!
 //! The payload is the binary encoding of a [`WalOp`] — a one-byte op tag,
@@ -39,13 +40,24 @@
 //! the sequence number and the payload. An insert logs its signature's
 //! *non-zero* counts as the sparse pairs a `corpus` document is stored
 //! as, so a record's length follows what the interval touched, not the
-//! dimension. Readers also accept `FMWAL 3`, the same records with
-//! fixed-width integers: a daemon upgraded in place replays its old log,
-//! and the next generation is written as v4. A segment of any other
-//! version is refused by recovery, naming its version. `contiguous` is 0
-//! for a WAL opened after a degraded period, whose predecessor is
-//! missing acked-but-unlogged ops; recovery chains segments across a
-//! damaged checkpoint only while it is 1.
+//! dimension. `contiguous` is 0 for a WAL opened after a degraded
+//! period, whose predecessor is missing acked-but-unlogged ops; recovery
+//! chains segments across a damaged checkpoint only while it is 1.
+//!
+//! A live WAL file grows ahead of its records in zeroed
+//! [`EXTEND_CHUNK`]s: a record that would cross the file's end first
+//! writes zeros to the chunk boundary past it, and the record's own sync
+//! commits them. Every other sync then writes into blocks the file
+//! already owns, so it commits data only, not a new file size. A closed
+//! or retired log is cut back to its records. So a v5 segment ends
+//! cleanly where every remaining byte is zero; a zero where a record
+//! header should start, followed by any non-zero byte, is a torn tail.
+//! Readers also accept `FMWAL 4`, the same records with no zero tail, and
+//! `FMWAL 3`, those records with fixed-width integers: a daemon upgraded
+//! in place replays its old log, and the next generation is written as
+//! v5. Zeros at the end of a v4 or v3 segment are torn, as they always
+//! were. A segment of any other version is refused by recovery, naming
+//! its version.
 //!
 //! # Crash matrix
 //!
@@ -58,13 +70,18 @@
 //! | `EveryN(n)` | up to the last `n − 1` acked ops |
 //! | `OnCheckpoint` | acked ops since the last checkpoint |
 //!
+//! The zero tail changes none of it: a crash can leave an unsynced
+//! record's blocks as the zeros they were, which ends the log at the last
+//! record that reached the disk, or a later block without an earlier
+//! one, which is a zero followed by data, and torn.
+//!
 //! See `docs/PERSISTENCE.md` for the narrative version, and the
 //! `durability` integration suite for the kill-and-replay property
 //! test that pins all of this down.
 
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -76,14 +93,23 @@ use fmeter_ir::DocId;
 pub(crate) const WAL_MAGIC: &str = "FMWAL";
 
 /// The WAL version this build writes: binary [`WalOp`] payloads, sparse
-/// inserts, varint integers. [`read_wal`] also reads
+/// inserts, varint integers, and a file that may end in zeros.
+/// [`read_wal`] also reads [`WAL_VERSION_UNPADDED`] and
 /// [`WAL_VERSION_FIXED`].
-pub const WAL_VERSION: u32 = 4;
+pub const WAL_VERSION: u32 = 5;
 
-/// The oldest WAL version this build reads: the same records with
-/// fixed-width integers. Still readable (a daemon upgraded in place must
-/// replay its old log), never written.
+/// The same records as [`WAL_VERSION`] in a file that ends at its last
+/// record, so zeros at its end are torn. Still readable, never written.
+pub const WAL_VERSION_UNPADDED: u32 = 4;
+
+/// The oldest WAL version this build reads: the records of
+/// [`WAL_VERSION_UNPADDED`] with fixed-width integers. Still readable (a
+/// daemon upgraded in place must replay its old log), never written.
 pub const WAL_VERSION_FIXED: u32 = 3;
+
+/// Bytes a live WAL file grows by at a time, in zeros ahead of its
+/// records (see the [module docs](self)).
+pub const EXTEND_CHUNK: u64 = 16 << 10;
 
 /// Checkpoint generations kept on disk: the newest plus one fallback.
 pub(crate) const KEEP_GENERATIONS: u64 = 2;
@@ -379,6 +405,78 @@ impl<W: WalSink + ?Sized> WalSink for Box<W> {
     }
 }
 
+/// The zeros a WAL file grows by, written from here so that an
+/// extension allocates nothing.
+static ZEROS: [u8; EXTEND_CHUNK as usize] = [0; EXTEND_CHUNK as usize];
+
+/// A durable log's WAL file: records go at its logical end, into zeros
+/// written ahead of them in [`EXTEND_CHUNK`]s, and a drop cuts the file
+/// back to its records.
+struct WalFile {
+    file: File,
+    /// Bytes of records (and header) written: where the next one goes.
+    len: u64,
+    /// The file's length: `len` and the zeros ahead of it.
+    allocated: u64,
+}
+
+impl WalFile {
+    fn new(file: File) -> Self {
+        WalFile {
+            file,
+            len: 0,
+            allocated: 0,
+        }
+    }
+
+    /// Writes zeros from the file's end to the chunk boundary past
+    /// `end`, and puts the cursor back at the logical end.
+    fn extend_past(&mut self, end: u64) -> io::Result<()> {
+        let target = end.next_multiple_of(EXTEND_CHUNK);
+        self.file.seek(SeekFrom::Start(self.allocated))?;
+        while self.allocated < target {
+            let n = (target - self.allocated).min(EXTEND_CHUNK);
+            self.file.write_all(&ZEROS[..n as usize])?;
+            self.allocated += n;
+        }
+        self.file.seek(SeekFrom::Start(self.len))?;
+        Ok(())
+    }
+}
+
+impl Write for WalFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let end = self.len + buf.len() as u64;
+        if end > self.allocated {
+            self.extend_past(end)?;
+        }
+        let n = self.file.write(buf)?;
+        self.len += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
+impl WalSink for WalFile {
+    fn sync(&mut self) -> io::Result<()> {
+        self.file.sync_data()
+    }
+}
+
+impl Drop for WalFile {
+    /// Cuts the zeros off a retired or closed log. Best effort and
+    /// unsynced: a crash that keeps them leaves a v5 segment that still
+    /// ends cleanly.
+    fn drop(&mut self) {
+        if self.allocated > self.len {
+            let _ = self.file.set_len(self.len);
+        }
+    }
+}
+
 // ---- writer ----------------------------------------------------------
 
 /// Encodes one framed record into `buf` (clearing it first). The
@@ -540,7 +638,8 @@ pub struct WalSegment {
 
 /// Scans WAL bytes, stopping cleanly at the first torn or corrupt
 /// record: short header, length overrun, checksum mismatch, sequence
-/// gap, or unparsable payload all end the prefix.
+/// gap, or unparsable payload all end the prefix. A v5 segment also ends
+/// cleanly where every byte after a record is zero.
 pub fn read_wal(bytes: &[u8]) -> WalSegment {
     let mut seg = WalSegment {
         version: None,
@@ -565,10 +664,12 @@ pub fn read_wal(bytes: &[u8]) -> WalSegment {
         return seg;
     };
     seg.version = Some(version);
-    // The version picks the integer width of the records.
-    let width = match version {
-        WAL_VERSION => Width::Varint,
-        WAL_VERSION_FIXED => Width::Fixed,
+    // The version picks the integer width of the records, and whether
+    // the file may end in zeros.
+    let (width, zero_tail) = match version {
+        WAL_VERSION => (Width::Varint, true),
+        WAL_VERSION_UNPADDED => (Width::Varint, false),
+        WAL_VERSION_FIXED => (Width::Fixed, false),
         _ => return seg,
     };
     seg.start_seq = Some(start_seq);
@@ -576,11 +677,12 @@ pub fn read_wal(bytes: &[u8]) -> WalSegment {
     let mut offset = nl + 1;
     let mut expected = start_seq;
     loop {
-        let remaining = bytes.len() - offset;
-        if remaining == 0 {
-            seg.torn = false; // clean end of file
+        let rest = &bytes[offset..];
+        if rest.is_empty() || zero_tail && rest.iter().all(|&b| b == 0) {
+            seg.torn = false; // clean end of the log
             return seg;
         }
+        let remaining = rest.len();
         if remaining < RECORD_HEADER_BYTES {
             return seg;
         }
@@ -1002,7 +1104,7 @@ impl DurableLog {
                 ..
             }
         );
-        let file = File::create(self.dir.join(wal_name(generation)))?;
+        let file = WalFile::new(File::create(self.dir.join(wal_name(generation)))?);
         let writer =
             WalWriter::create(Box::new(file), self.next_seq(), contiguous, self.opts.sync)?;
         sync_dir(&self.dir);
@@ -1335,7 +1437,8 @@ mod tests {
         );
         let op = WalOp::InsertBatch(vec![zeros(max / 2), zeros(max / 2)]);
         assert_eq!(w.append(&op).unwrap(), 2);
-        let bytes = [b"FMWAL 4 2 1\n".to_vec(), encode_record(2, &op)].concat();
+        let header = format!("{WAL_MAGIC} {WAL_VERSION} 2 1\n").into_bytes();
+        let bytes = [header, encode_record(2, &op)].concat();
         assert_eq!(read_wal(&bytes).records, [(2, op)]);
     }
 
@@ -1392,6 +1495,42 @@ mod tests {
         let seg = read_wal(&damaged);
         assert!(seg.torn);
         assert_eq!(seg.records.len(), 1);
+    }
+
+    #[test]
+    fn zero_tail_ends_a_v5_segment_and_tears_a_v4_or_v3_one() {
+        // The committed segment of each version, the same eight ops;
+        // zeros after the last record are the clean end of a v5 segment
+        // only. A zero header and then anything else is torn in all three.
+        let fixtures: [(u32, &[u8]); 3] = [
+            (
+                WAL_VERSION,
+                include_bytes!("../../../tests/fixtures/wal_v5.log"),
+            ),
+            (
+                WAL_VERSION_UNPADDED,
+                include_bytes!("../../../tests/fixtures/wal_v4.log"),
+            ),
+            (
+                WAL_VERSION_FIXED,
+                include_bytes!("../../../tests/fixtures/wal_v3.log"),
+            ),
+        ];
+        for (version, committed) in fixtures {
+            let records = read_wal(committed).records;
+            assert_eq!(records.len(), 8, "FMWAL {version}");
+            for zeros in [1, RECORD_HEADER_BYTES - 1, RECORD_HEADER_BYTES, 5000] {
+                let mut bytes = committed.to_vec();
+                bytes.resize(committed.len() + zeros, 0);
+                let seg = read_wal(&bytes);
+                assert_eq!(seg.records, records, "FMWAL {version}, {zeros} zeros");
+                assert_eq!(seg.torn, version != WAL_VERSION, "FMWAL {version}");
+                bytes.push(7);
+                let seg = read_wal(&bytes);
+                assert_eq!(seg.records, records, "FMWAL {version}, {zeros} zeros, 7");
+                assert!(seg.torn, "FMWAL {version}, {zeros} zeros and a byte");
+            }
+        }
     }
 
     /// A sink that takes at most three bytes a `write` call, and keeps them.
@@ -1774,8 +1913,9 @@ mod tests {
         use crate::{RefitPolicy, VacuumPolicy};
         // The second pair's bounds are +∞, which the `state` section
         // writes as JSON `null`; the third's are −∞, which it writes as
-        // `f64::MIN`; the fourth's are NaN, which the writer stores as
-        // the +∞ it acts like.
+        // `f64::MIN`; the fourth's are −0.5, which acts as −∞ and is kept
+        // as given; the fifth's are NaN, which the writer stores as the
+        // +∞ it acts like.
         let infinite = (
             RefitPolicy::Threshold {
                 max_idf_drift: f64::INFINITY,
@@ -1812,6 +1952,16 @@ mod tests {
                 },
                 VacuumPolicy::DeadFraction {
                     max_dead_fraction: f64::NEG_INFINITY,
+                    min_dead: 2,
+                },
+            ),
+            (
+                RefitPolicy::Threshold {
+                    max_idf_drift: -0.5,
+                    max_stale_fraction: -0.5,
+                },
+                VacuumPolicy::DeadFraction {
+                    max_dead_fraction: -0.5,
                     min_dead: 2,
                 },
             ),

@@ -17,7 +17,7 @@ use std::path::Path;
 use fmeter_core::persist::{
     detect_format_version, split_envelope, CURRENT_FORMAT_VERSION, FORMAT_VERSIONS,
 };
-use fmeter_core::wal::{crc32, WalWriter};
+use fmeter_core::wal::{crc32, WalWriter, EXTEND_CHUNK};
 use fmeter_core::{
     CheckpointPolicy, DurableLog, DurableOptions, FmeterError, RawSignature, RecoveryReport,
     RefitPolicy, ShardWriter, SignatureDb, SignatureService, SyncPolicy, WalHealth, WalOp,
@@ -494,6 +494,218 @@ fn an_oversized_batch_is_reported_degraded_and_healed_by_a_checkpoint_never_lost
     assert_same_state(recovered.db(), &oracle);
     drop(recovered);
     for dir in [dir, crashed] {
+        let _ = fs::remove_dir_all(dir);
+    }
+}
+
+// ---- zero tail ---------------------------------------------------------
+
+/// A directory copied while its durable writer is live, as a power cut
+/// would leave it: the live WAL still carries the zeros it grew ahead of
+/// its records.
+struct LiveCopy {
+    base: Oracle,
+    oracle: Oracle,
+    /// The WAL length at which each logged op was acked.
+    boundaries: Vec<u64>,
+    header_len: u64,
+    /// The live WAL's logical length: its header and records.
+    wal_len: u64,
+    dir: std::path::PathBuf,
+    copy: std::path::PathBuf,
+    wal_path: std::path::PathBuf,
+    /// The copied WAL file's bytes.
+    full: Vec<u8>,
+}
+
+impl LiveCopy {
+    fn new(tag: &str) -> Self {
+        let dir = test_dir(tag);
+        let mut oracle = seed_oracle();
+        let base = oracle.clone();
+        let mut durable =
+            create_durable(&dir, oracle.db.clone(), manual_opts()).expect("create durable dir");
+        let header_len = wal_bytes(&durable);
+        let script = [
+            Step::Insert(Shape::Any(vec![9, 8, 7, 6, 5, 4, 3, 2, 1, 0])),
+            Step::Remove(3),
+            Step::Refit,
+            Step::Batch(vec![Shape::Alpha(3), Shape::Beta(4)]),
+            Step::Vacuum,
+            Step::Insert(Shape::Any(vec![0, 1, 0, 1, 0, 1, 0, 1, 0, 1])),
+        ];
+        let boundaries = drive_acked(&mut oracle, &mut durable, &script, wal_bytes);
+        let generation = durable.durable_log().unwrap().generation();
+        let wal_len = wal_bytes(&durable);
+        let copy = test_dir(&format!("{tag}-copy"));
+        copy_dir(&dir, &copy);
+        drop(durable);
+        let wal_path = copy.join(format!("wal-{generation:010}.log"));
+        let full = fs::read(&wal_path).expect("read wal");
+        assert!(
+            full.len() as u64 > wal_len,
+            "a live WAL grows ahead of its records"
+        );
+        assert_eq!(full.len() as u64 % EXTEND_CHUNK, 0);
+        assert!(full[wal_len as usize..].iter().all(|&b| b == 0));
+        LiveCopy {
+            base,
+            oracle,
+            boundaries,
+            header_len,
+            wal_len,
+            dir,
+            copy,
+            wal_path,
+            full,
+        }
+    }
+
+    /// Ops whose records lie wholly before byte `cut`.
+    fn acked_before(&self, cut: u64) -> usize {
+        self.boundaries.iter().filter(|&&b| b <= cut).count()
+    }
+
+    /// Writes `bytes` as the copy's WAL, recovers it read-only, and holds
+    /// the state to the flat replay of the first `acked` ops.
+    fn recover(&self, bytes: &[u8], acked: usize, what: &str) -> RecoveryReport {
+        fs::write(&self.wal_path, bytes).expect("rewrite wal");
+        let (db, _, report) = DurableLog::recover_state(&self.copy).expect("read-only recovery");
+        assert_eq!(report.replayed_ops, acked, "{what}");
+        assert_same_state(&db, &self.base.replayed(&self.oracle.log[..acked]));
+        report
+    }
+}
+
+impl Drop for LiveCopy {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.dir);
+        let _ = fs::remove_dir_all(&self.copy);
+    }
+}
+
+/// A crash leaves the live WAL's zeros behind: they end the log cleanly,
+/// and every acked op recovers, through a full recovery that starts a
+/// fresh generation and keeps going.
+#[test]
+fn zero_tail_of_a_live_copy_recovers_every_acked_op() {
+    let live = LiveCopy::new("zero-tail-live");
+    let (mut recovered, report) =
+        recover_durable(&live.copy, manual_opts()).expect("recovery succeeds");
+    assert_eq!(report.replayed_ops, live.oracle.log.len());
+    assert!(!report.torn_tail);
+    assert_same_state(recovered.db(), &live.oracle);
+    recovered
+        .apply(WalOpRef::Insert(&member(false, 2, 90)))
+        .expect("post-recovery insert");
+    assert_eq!(recovered.durability_health(), Some(WalHealth::Healthy));
+}
+
+/// Records that never reached the disk read back as the zeros they were
+/// written over: zeroing the copied WAL from any byte to its end
+/// recovers the ops acked before that byte, and is a clean end exactly
+/// where a record (or the header) ends.
+#[test]
+fn zero_tail_from_any_offset_recovers_the_acked_prefix() {
+    let live = LiveCopy::new("zero-tail-sweep");
+    let (header_len, wal_len) = (live.header_len, live.wal_len);
+    let mut cuts: Vec<u64> = vec![0, header_len - 1, header_len, header_len + 1];
+    for &b in &live.boundaries {
+        cuts.extend([b - 1, b, b + 1]);
+    }
+    cuts.extend((0..wal_len).step_by(7));
+    cuts.push(live.full.len() as u64 - 1);
+    cuts.sort_unstable();
+    cuts.dedup();
+    for cut in cuts {
+        let mut bytes = live.full.clone();
+        bytes[cut as usize..].fill(0);
+        let acked = live.acked_before(cut);
+        let report = live.recover(&bytes, acked, &format!("zeros from byte {cut}"));
+        let clean = cut == header_len || cut >= wal_len || live.boundaries.contains(&cut);
+        assert_eq!(report.torn_tail, !clean, "zeros from byte {cut}");
+    }
+}
+
+/// Zeros are an end only when nothing but zeros follows them: one
+/// non-zero byte anywhere behind them tears the log there.
+#[test]
+fn zero_tail_then_garbage_is_torn() {
+    let live = LiveCopy::new("zero-tail-garbage");
+    let last = live.full.len() - 1;
+    let all = live.oracle.log.len();
+    for at in [live.wal_len as usize, live.wal_len as usize + 17, last] {
+        let mut bytes = live.full.clone();
+        bytes[at] = 0x5a;
+        let report = live.recover(&bytes, all, &format!("garbage at byte {at}"));
+        assert!(report.torn_tail, "garbage at byte {at}");
+    }
+    // The same behind a record boundary that zeros were written over.
+    let boundary = live.boundaries[2];
+    let mut bytes = live.full.clone();
+    bytes[boundary as usize..].fill(0);
+    bytes[last] = 1;
+    let acked = live.acked_before(boundary);
+    let report = live.recover(&bytes, acked, "zeros from a boundary, then one byte");
+    assert!(report.torn_tail);
+}
+
+/// A retired generation's WAL and a closed log's are cut back to their
+/// records: no zero tail is left at rest, whether the log was a flat
+/// writer's or a service's, and a record longer than a chunk grows the
+/// file by as many chunks as it needs.
+#[test]
+fn zero_tail_is_cut_from_a_dropped_or_retired_log() {
+    let file_len = |dir: &Path, generation: u64| {
+        fs::metadata(dir.join(format!("wal-{generation:010}.log")))
+            .expect("wal")
+            .len()
+    };
+    let dir = test_dir("zero-tail-trim");
+    let mut oracle = seed_oracle();
+    let mut durable =
+        create_durable(&dir, oracle.db.clone(), manual_opts()).expect("create durable dir");
+    let long_label = "x".repeat(3 * EXTEND_CHUNK as usize);
+    let wide = raw(vec![3, 0, 0, 1, 0, 0, 0, 2, 0, 5], 77, Some(&long_label));
+    oracle.lockstep(&mut durable, &WalOp::Insert(wide));
+    oracle.drive(&mut durable, &[Step::Insert(Shape::Beta(2))]);
+    let first = durable.durable_log().unwrap().generation();
+    let retired_len = wal_bytes(&durable);
+    assert!(retired_len > 3 * EXTEND_CHUNK);
+    assert_eq!(
+        file_len(&dir, first),
+        retired_len.next_multiple_of(EXTEND_CHUNK),
+        "a live WAL holds whole chunks"
+    );
+    durable.checkpoint().expect("checkpoint");
+    assert_eq!(file_len(&dir, first), retired_len, "a retired WAL");
+    oracle.drive(&mut durable, &[Step::Insert(Shape::Alpha(5))]);
+    let (newest, closed_len) = (
+        durable.durable_log().unwrap().generation(),
+        wal_bytes(&durable),
+    );
+    assert!(file_len(&dir, newest) > closed_len);
+    drop(durable);
+    assert_eq!(file_len(&dir, newest), closed_len, "a closed WAL");
+    let (recovered, report) = recover_durable(&dir, manual_opts()).expect("recovery");
+    assert!(!report.torn_tail);
+    assert_same_state(recovered.db(), &oracle);
+    drop(recovered);
+
+    let svc_dir = test_dir("zero-tail-trim-svc");
+    let service = SignatureService::from_db_durable(seed_oracle().db, 2, &svc_dir, manual_opts())
+        .expect("durable service");
+    service.insert(&member(true, 3, 80)).expect("insert");
+    let generation = service.with_durable_log(|log| log.generation()).unwrap();
+    let logical = service.with_durable_log(|log| log.wal_bytes()).unwrap();
+    assert!(file_len(&svc_dir, generation) > logical);
+    drop(service);
+    assert_eq!(
+        file_len(&svc_dir, generation),
+        logical,
+        "a closed service's WAL"
+    );
+    for dir in [dir, svc_dir] {
         let _ = fs::remove_dir_all(dir);
     }
 }

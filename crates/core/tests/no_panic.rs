@@ -4,7 +4,8 @@
 //! `SignatureService::load`, `split_envelope`, `detect_format_version`,
 //! `read_wal` — is fed truncations, bit flips and garbage of every
 //! format it accepts: a fresh v9 envelope, each committed fixture
-//! (v5–v9), and `FMWAL 4` / `FMWAL 3` segments. The answer is always an
+//! (v5–v9), and `FMWAL 5` (bare and with the zero tail a live file
+//! carries), `FMWAL 4` and `FMWAL 3` segments. The answer is always an
 //! `Err` or a clean record prefix. A panic fails the test by itself, so
 //! most of the suite only has to *call*; what more is promised (a strict
 //! truncation never loads, a damaged WAL yields a record prefix) is
@@ -580,18 +581,29 @@ fn fixed_width_framing_is_faithful() {
     assert!(again == committed);
 }
 
-/// The same ops as an `FMWAL 4` segment (through the real writer) and as
-/// an `FMWAL 3` segment (fixed-width integers), the older framed by hand.
-fn wal_segments() -> [Vec<u8>; 2] {
+/// Zeros after the last record, as a live `FMWAL 5` file carries them.
+const ZERO_TAIL: [u8; 40] = [0; 40];
+
+/// The same ops as an `FMWAL 5` segment (through the real writer), that
+/// segment with a zero tail, and as `FMWAL 4` and `FMWAL 3` segments
+/// (varint and fixed-width integers), the older two framed by hand.
+fn wal_segments() -> [Vec<u8>; 4] {
     let sink = SharedSink::default();
     let mut writer = WalWriter::create(Box::new(sink.clone()), 4, true, SyncPolicy::EveryRecord)
         .expect("create wal");
     for op in &wal_ops() {
         writer.append(op).expect("append");
     }
-    let v4 = sink.0.lock().unwrap().clone();
-    assert!(v4.starts_with(b"FMWAL 4 "));
-    [v4, segment(3, wal_ops().iter().map(fixed_payload))]
+    let v5 = sink.0.lock().unwrap().clone();
+    assert!(v5.starts_with(b"FMWAL 5 "));
+    let padded = [&v5[..], &ZERO_TAIL].concat();
+    let v4 = segment(4, wal_ops().iter().map(codec::encode_to_vec));
+    [
+        v5,
+        padded,
+        v4,
+        segment(3, wal_ops().iter().map(fixed_payload)),
+    ]
 }
 
 /// Asserts `bytes` replays to a prefix of the undamaged segment's
@@ -714,7 +726,7 @@ proptest! {
         feed_readers(&garbage);
         feed_readers(&[format!("FMETERDB {version}\n").as_bytes(), &garbage].concat());
         let _ = read_wal(&garbage);
-        let _ = read_wal(&[format!("FMWAL {} 1 1\n", version % 5).as_bytes(), &garbage].concat());
+        let _ = read_wal(&[format!("FMWAL {} 1 1\n", version % 6).as_bytes(), &garbage].concat());
     }
 
     /// Damage *behind* a valid frame: a stored database with one byte
@@ -741,26 +753,29 @@ proptest! {
     }
 
     /// The same damage behind a valid record frame: one record of an
-    /// `FMWAL 4` or `FMWAL 3` segment changed and sealed again under a
-    /// checksum that holds. Replay keeps every record before it and
-    /// whatever it then takes applies to a database without a panic.
+    /// `FMWAL 5` (with or without a zero tail), `FMWAL 4` or `FMWAL 3`
+    /// segment changed and sealed again under a checksum that holds.
+    /// Replay keeps every record before it and whatever it then takes
+    /// applies to a database without a panic.
     #[test]
     fn damage_behind_a_valid_record_never_panics_replay(
-        which in 0usize..2,
+        which in 0usize..4,
         record in 0usize..5,
         byte_frac in 0.0f64..1.0,
         replacement in any::<u8>(),
         mode in 0u8..3,
         garbage in prop::collection::vec(any::<u8>(), 0..64),
     ) {
-        let version = 4 - which as u32;
+        let none: &[u8] = &[];
+        let (version, tail) = [(5, none), (5, &ZERO_TAIL), (4, none), (3, none)][which];
         let mut payloads: Vec<Vec<u8>> = match version {
-            4 => wal_ops().iter().map(codec::encode_to_vec).collect(),
-            _ => wal_ops().iter().map(fixed_payload).collect(),
+            3 => wal_ops().iter().map(fixed_payload).collect(),
+            _ => wal_ops().iter().map(codec::encode_to_vec).collect(),
         };
-        prop_assert!(segment(version, payloads.clone()) == wal_segments()[which]);
+        let framed = [segment(version, payloads.clone()), tail.to_vec()].concat();
+        prop_assert!(framed == wal_segments()[which]);
         damage(&mut payloads[record], byte_frac, replacement, mode, &garbage);
-        let seg = read_wal(&segment(version, payloads));
+        let seg = read_wal(&[segment(version, payloads), tail.to_vec()].concat());
         let ops = wal_ops();
         for (i, (_, op)) in seg.records.iter().enumerate().take(record) {
             prop_assert_eq!(op, &ops[i]);

@@ -438,7 +438,7 @@ fn one_more_small_pair_costs_two_bytes() {
     }
 }
 
-/// What a durable insert writes and fsyncs: a framed `FMWAL 4` record of
+/// What a durable insert writes and fsyncs: a framed `FMWAL 5` record of
 /// an interval's 61 non-zero functions out of 3815, gaps and counts below
 /// 128, and an 8-byte label — 16 bytes of frame, the op tag, `dim` (2),
 /// `nnz` (1), 61 gaps and 61 counts, the interval (1 + 2) and the label
