@@ -10,16 +10,11 @@
 //! the interval across a 16x range and re-runs the scp-vs-kcompile
 //! classification: accuracy should stay flat.
 
-use fmeter_bench::{binary_dataset, collect_signatures, render_table, SignatureWorkload};
+use fmeter_bench::{
+    binary_dataset, collect_signatures, render_table, sig_count, SignatureWorkload,
+};
 use fmeter_kernel_sim::Nanos;
 use fmeter_ml::CrossValidation;
-
-fn sig_count(default: usize) -> usize {
-    std::env::var("FMETER_SIGS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let n = sig_count(60);

@@ -13,7 +13,7 @@
 //! and document frequencies. The ablation quantifies what idf
 //! contributes.
 
-use fmeter_bench::{collect_signatures, render_table, tfidf_vectors, SignatureWorkload};
+use fmeter_bench::{collect_signatures, render_table, sig_count, tfidf_vectors, SignatureWorkload};
 use fmeter_core::RawSignature;
 use fmeter_ir::{Corpus, SparseVec};
 use fmeter_kernel_sim::Nanos;
@@ -51,13 +51,6 @@ fn weigh(raw: &[RawSignature], scheme: Option<(Tf, Idf)>) -> Vec<SparseVec> {
             SparseVec::from_pairs(corpus.dim(), weights).unwrap()
         })
         .collect()
-}
-
-fn sig_count(default: usize) -> usize {
-    std::env::var("FMETER_SIGS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn main() {

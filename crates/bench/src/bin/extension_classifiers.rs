@@ -7,7 +7,9 @@
 //! cargo run --release -p fmeter-bench --bin extension_classifiers
 //! ```
 
-use fmeter_bench::{binary_dataset, collect_signatures, render_table, SignatureWorkload};
+use fmeter_bench::{
+    binary_dataset, collect_signatures, render_table, sig_count, SignatureWorkload,
+};
 use fmeter_ir::SparseVec;
 use fmeter_kernel_sim::Nanos;
 use fmeter_ml::metrics::BinaryConfusion;
@@ -15,13 +17,6 @@ use fmeter_ml::{AdaBoost, Bagging, DecisionTree, Label, SvmTrainer};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-fn sig_count(default: usize) -> usize {
-    std::env::var("FMETER_SIGS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Simple stratified 5-fold CV accuracy for an arbitrary train/predict
 /// closure (the paper's full validation-fold protocol is SVM-specific;
@@ -48,12 +43,9 @@ fn cv_accuracy(
         let test_x: Vec<SparseVec> = test.iter().map(|&i| xs[i].clone()).collect();
         let test_y: Vec<Label> = test.iter().map(|&i| ys[i]).collect();
         let predictions = train_predict(&train_x, &train_y, &test_x);
-        correct += BinaryConfusion::from_labels(&test_y, &predictions)
-            .expect("aligned labels")
-            .true_positives
-            + BinaryConfusion::from_labels(&test_y, &predictions)
-                .expect("aligned labels")
-                .true_negatives;
+        let confusion =
+            BinaryConfusion::from_labels(&test_y, &predictions).expect("aligned labels");
+        correct += confusion.true_positives + confusion.true_negatives;
     }
     correct as f64 / xs.len() as f64
 }

@@ -10,7 +10,7 @@
 //! error bars, exactly as the paper plots. Expected shape: high purity
 //! everywhere, with the 3-class curve slightly below the pairwise curves.
 
-use fmeter_bench::{collect_signatures, tfidf_vectors, SignatureWorkload};
+use fmeter_bench::{collect_signatures, sig_count, tfidf_vectors, SignatureWorkload};
 use fmeter_core::RawSignature;
 use fmeter_ir::SparseVec;
 use fmeter_kernel_sim::Nanos;
@@ -23,13 +23,6 @@ use rand::SeedableRng;
 const RUNS: usize = 12;
 /// Sampled vectors per class at each point of the curve.
 const SAMPLE_POINTS: [usize; 6] = [20, 60, 100, 140, 180, 220];
-
-fn sig_count(default: usize) -> usize {
-    std::env::var("FMETER_SIGS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One purity measurement: sample `per_class` vectors from each class,
 /// K-means with K = #classes, compute purity.

@@ -10,7 +10,7 @@
 //! class count (a few extra clusters absorb the boundary mistakes), with
 //! shrinking error bars.
 
-use fmeter_bench::{collect_signatures, tfidf_vectors, SignatureWorkload};
+use fmeter_bench::{collect_signatures, sig_count, tfidf_vectors, SignatureWorkload};
 use fmeter_core::RawSignature;
 use fmeter_ir::SparseVec;
 use fmeter_kernel_sim::Nanos;
@@ -23,13 +23,6 @@ use rand::SeedableRng;
 const RUNS: usize = 12;
 /// Sampled vectors per class, one column each, largest first.
 const SAMPLE_SIZES: [usize; 3] = [220, 140, 60];
-
-fn sig_count(default: usize) -> usize {
-    std::env::var("FMETER_SIGS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let interval = Nanos::from_millis(10);

@@ -12,18 +12,13 @@
 //! Set `FMETER_SIGS` to shrink the per-class signature count for a quick
 //! run (default ≈250, as in the paper).
 
-use fmeter_bench::{binary_dataset, collect_signatures, render_table, SignatureWorkload};
+use fmeter_bench::{
+    binary_dataset, collect_signatures, render_table, sig_count, SignatureWorkload,
+};
 use fmeter_core::RawSignature;
 use fmeter_kernel_sim::Nanos;
 use fmeter_ml::metrics::majority_baseline;
 use fmeter_ml::CrossValidation;
-
-fn sig_count(default: usize) -> usize {
-    std::env::var("FMETER_SIGS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let interval = Nanos::from_millis(10);

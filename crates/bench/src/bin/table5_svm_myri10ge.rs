@@ -13,18 +13,11 @@
 //! Set `FMETER_SIGS` for a quick run (default ≈250 per variant).
 
 use fmeter_bench::{
-    binary_dataset, collect_signatures, render_table, Myri10geVariant, SignatureWorkload,
+    binary_dataset, collect_signatures, render_table, sig_count, Myri10geVariant, SignatureWorkload,
 };
 use fmeter_kernel_sim::Nanos;
 use fmeter_ml::metrics::majority_baseline;
 use fmeter_ml::CrossValidation;
-
-fn sig_count(default: usize) -> usize {
-    std::env::var("FMETER_SIGS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let interval = Nanos::from_millis(10);

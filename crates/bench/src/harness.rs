@@ -185,6 +185,15 @@ pub fn binary_dataset(
     Ok((vectors, labels))
 }
 
+/// Signatures a regeneration binary collects per class or pool:
+/// `FMETER_SIGS` when it holds a number, else `default`.
+pub fn sig_count(default: usize) -> usize {
+    std::env::var("FMETER_SIGS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// Formats a fixed-width text table (the regeneration binaries print
 /// paper tables with this).
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {

@@ -5,7 +5,7 @@ use rand::SeedableRng;
 
 use crate::metrics::{majority_baseline, mean_std, BinaryConfusion};
 use crate::svm::Solution;
-use crate::{Gram, Kernel, Label, MlError, SvmTrainer};
+use crate::{Gram, Label, MlError, SvmTrainer};
 
 /// The paper's K-fold cross-validation protocol (§4.2.1).
 ///
@@ -33,7 +33,7 @@ use crate::{Gram, Kernel, Label, MlError, SvmTrainer};
 ///
 /// ```
 /// use fmeter_ir::SparseVec;
-/// use fmeter_ml::{CrossValidation, Kernel};
+/// use fmeter_ml::CrossValidation;
 ///
 /// let mut xs = Vec::new();
 /// let mut ys = Vec::new();
@@ -44,17 +44,13 @@ use crate::{Gram, Kernel, Label, MlError, SvmTrainer};
 ///     xs.push(SparseVec::from_pairs(2, [(1, v)]).unwrap());
 ///     ys.push(-1);
 /// }
-/// let report = CrossValidation::new(5)
-///     .kernel(Kernel::Linear)
-///     .run(&xs, &ys)
-///     .unwrap();
+/// let report = CrossValidation::new(5).run(&xs, &ys).unwrap();
 /// assert_eq!(report.mean_accuracy().0, 1.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CrossValidation {
     folds: usize,
     c_grid: Vec<f64>,
-    kernel: Kernel,
     seed: u64,
 }
 
@@ -81,8 +77,8 @@ pub struct CvReport {
 }
 
 impl CrossValidation {
-    /// Creates a K-fold runner with the paper's defaults: polynomial
-    /// kernel and a logarithmic `C` grid.
+    /// Creates a K-fold runner with the paper's defaults: its polynomial
+    /// kernel, the only one, and a logarithmic `C` grid.
     ///
     /// # Panics
     ///
@@ -96,7 +92,6 @@ impl CrossValidation {
         CrossValidation {
             folds,
             c_grid: vec![0.01, 0.1, 1.0, 10.0, 100.0],
-            kernel: Kernel::default(),
             seed: 0,
         }
     }
@@ -111,12 +106,6 @@ impl CrossValidation {
         assert!(!grid.is_empty(), "C grid must not be empty");
         assert!(grid.iter().all(|&c| c > 0.0), "C values must be positive");
         self.c_grid = grid;
-        self
-    }
-
-    /// Sets the SVM kernel (default: cubic polynomial, as in SVMlight).
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -185,9 +174,9 @@ impl CrossValidation {
             })
             .collect();
 
-        let mut gram = Gram::new(self.kernel, &normalized)?;
+        let mut gram = Gram::new(&normalized)?;
         gram.fill();
-        let trainer = SvmTrainer::new().kernel(self.kernel).seed(self.seed);
+        let trainer = SvmTrainer::new().seed(self.seed);
 
         let mut outcomes = Vec::with_capacity(self.folds);
         for test_fold in 0..self.folds {
@@ -284,10 +273,7 @@ mod tests {
     #[test]
     fn separable_data_scores_perfectly() {
         let (xs, ys) = dataset(25);
-        let report = CrossValidation::new(5)
-            .kernel(Kernel::Linear)
-            .run(&xs, &ys)
-            .unwrap();
+        let report = CrossValidation::new(5).run(&xs, &ys).unwrap();
         let (acc, std) = report.mean_accuracy();
         assert_eq!(acc, 1.0);
         assert_eq!(std, 0.0);
@@ -319,10 +305,7 @@ mod tests {
     fn every_example_tested_exactly_once() {
         // Fold sizes must partition the data.
         let (xs, ys) = dataset(13); // not divisible by folds
-        let report = CrossValidation::new(5)
-            .kernel(Kernel::Linear)
-            .run(&xs, &ys)
-            .unwrap();
+        let report = CrossValidation::new(5).run(&xs, &ys).unwrap();
         let tested: usize = report.folds.iter().map(|f| f.confusion.total()).sum();
         assert_eq!(tested, xs.len());
     }
@@ -335,10 +318,7 @@ mod tests {
             xs.push(SparseVec::from_pairs(3, [(1, 2.0 + i as f64 * 0.01)]).unwrap());
             ys.push(-1);
         }
-        let report = CrossValidation::new(4)
-            .kernel(Kernel::Linear)
-            .run(&xs, &ys)
-            .unwrap();
+        let report = CrossValidation::new(4).run(&xs, &ys).unwrap();
         assert!((report.baseline_accuracy - 40.0 / 60.0).abs() < 1e-12);
     }
 
@@ -381,20 +361,11 @@ mod tests {
         use crate::svm::KERNEL_EVALS;
         let (xs, ys) = dataset(23);
         let n = xs.len();
-        for kernel in [
-            Kernel::Linear,
-            Kernel::default(),
-            Kernel::Rbf { gamma: 1.0 },
-        ] {
-            // 5 folds x 5 values of C are trained, validated and tested
-            // on the matrix alone.
-            KERNEL_EVALS.set(0);
-            CrossValidation::new(5)
-                .kernel(kernel)
-                .run(&xs, &ys)
-                .unwrap();
-            assert_eq!(KERNEL_EVALS.get(), n * (n + 1) / 2, "{kernel:?}");
-        }
+        // 5 folds x 5 values of C are trained, validated and tested on
+        // the matrix alone.
+        KERNEL_EVALS.set(0);
+        CrossValidation::new(5).run(&xs, &ys).unwrap();
+        assert_eq!(KERNEL_EVALS.get(), n * (n + 1) / 2);
     }
 
     #[test]

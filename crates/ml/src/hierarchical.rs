@@ -10,16 +10,14 @@ type CandidateLists = Vec<Vec<(usize, f64)>>;
 
 /// Linkage criterion for agglomerative clustering.
 ///
-/// The paper implements complete-, single-, and average-linkage and reports
-/// single-linkage results (Figure 4); the flavours behave similarly on
-/// Fmeter signatures.
+/// The paper reports single-linkage results (Figure 4), and the SNN cut
+/// uses it too; `fmeter-core`'s `SignatureDb::meta_cluster` groups
+/// centroids by average linkage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Linkage {
     /// Distance between clusters = minimum pairwise distance.
     #[default]
     Single,
-    /// Distance between clusters = maximum pairwise distance.
-    Complete,
     /// Unweighted average of pairwise distances (UPGMA).
     Average,
 }
@@ -234,7 +232,6 @@ impl Agglomerative {
                 let djk = dist[j * n + k];
                 let updated = match self.linkage {
                     Linkage::Single => dik.min(djk),
-                    Linkage::Complete => dik.max(djk),
                     Linkage::Average => {
                         let (si, sj) = (size_of_slot[i] as f64, size_of_slot[j] as f64);
                         (si * dik + sj * djk) / (si + sj)
@@ -279,7 +276,7 @@ impl Agglomerative {
     /// missing candidate edge means the Lance–Williams update falls
     /// back to the distances it has (exact for single linkage as long
     /// as the true merge edge is in the graph; an approximation for
-    /// complete/average), so cut partitions are approximate with high
+    /// average linkage), so cut partitions are approximate with high
     /// agreement (ARI ≥ 0.95 on clustered corpora). Disconnected
     /// candidate graphs are bridged with exact distances between
     /// component representatives before merging, so the dendrogram is
@@ -515,7 +512,6 @@ impl Agglomerative {
                 adj[i].remove(&x);
                 let updated = match (self.linkage, adj[y].get(&i)) {
                     (Linkage::Single, Some(&dyi)) => dxi.min(dyi),
-                    (Linkage::Complete, Some(&dyi)) => dxi.max(dyi),
                     (Linkage::Average, Some(&dyi)) => {
                         ((nx as f64) * dxi + (ny as f64) * dyi) / ((nx + ny) as f64)
                     }
@@ -601,7 +597,6 @@ impl Agglomerative {
                 let dyi = d[idx(y, i)];
                 d[idx(y, i)] = match self.linkage {
                     Linkage::Single => dxi.min(dyi),
-                    Linkage::Complete => dxi.max(dyi),
                     Linkage::Average => {
                         ((nx as f64) * dxi + (ny as f64) * dyi) / ((nx + ny) as f64)
                     }
@@ -615,9 +610,9 @@ impl Agglomerative {
     }
 }
 
-/// Canonicalizes raw NN-chain merges: stable-sorts by height (single,
-/// complete, and average linkage are reducible, so the sorted sequence is
-/// a valid monotone merge order) and relabels clusters with a union-find
+/// Canonicalizes raw NN-chain merges: stable-sorts by height (single and
+/// average linkage are reducible, so the sorted sequence is a valid
+/// monotone merge order) and relabels clusters with a union-find
 /// so merge `i` creates node `n + i`. `left` is the side containing the
 /// smallest original point index, matching the brute-force slot
 /// convention.
@@ -786,22 +781,15 @@ mod tests {
     }
 
     #[test]
-    fn complete_linkage_grows_distance() {
-        let pts = line_points(&[0.0, 1.0, 2.0, 3.0]);
-        let tree = Agglomerative::new(Linkage::Complete).fit(&pts).unwrap();
-        let last = tree.merges().last().unwrap();
-        assert!((last.distance - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_linkage_is_between_single_and_complete() {
+    fn average_linkage_root_is_the_mean_distance_across_the_split() {
+        // The root joins {0, 1, 2, 3.5} to {9}: single linkage at the
+        // nearest pair, average linkage at the mean of all four.
         let pts = line_points(&[0.0, 1.0, 2.0, 3.5, 9.0]);
         let single = Agglomerative::new(Linkage::Single).fit(&pts).unwrap();
-        let complete = Agglomerative::new(Linkage::Complete).fit(&pts).unwrap();
         let average = Agglomerative::new(Linkage::Average).fit(&pts).unwrap();
         let root = |d: &Dendrogram| d.merges().last().unwrap().distance;
-        assert!(root(&single) <= root(&average) + 1e-12);
-        assert!(root(&average) <= root(&complete) + 1e-12);
+        assert!((root(&single) - 5.5).abs() < 1e-12);
+        assert!((root(&average) - 7.375).abs() < 1e-12);
     }
 
     #[test]
@@ -977,7 +965,7 @@ mod tests {
         // path must reproduce the exact tree (distinct heights).
         let pts = line_points(&[0.0, 0.7, 1.9, 5.0, 5.4, 11.0, 11.9, 30.0]);
         let params = SnnParams { knn: pts.len() };
-        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
+        for linkage in [Linkage::Single, Linkage::Average] {
             let snn = Agglomerative::new(linkage).fit_snn(&pts, &params).unwrap();
             let slow = Agglomerative::new(linkage).fit_brute_force(&pts).unwrap();
             for (a, b) in snn.merges().iter().zip(slow.merges()) {
@@ -1011,7 +999,7 @@ mod tests {
         // Irregular spacing: all pairwise single-linkage heights distinct,
         // so NN-chain and the closest-pair scan must produce the same tree.
         let pts = line_points(&[0.0, 0.7, 1.9, 5.0, 5.4, 11.0, 11.9, 30.0]);
-        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
+        for linkage in [Linkage::Single, Linkage::Average] {
             let fast = Agglomerative::new(linkage).fit(&pts).unwrap();
             let slow = Agglomerative::new(linkage).fit_brute_force(&pts).unwrap();
             let heights =
@@ -1030,7 +1018,7 @@ mod tests {
     #[test]
     fn nn_chain_merge_heights_are_sorted() {
         let pts = line_points(&[3.0, 0.0, 9.5, 1.2, 7.7, 4.4]);
-        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
+        for linkage in [Linkage::Single, Linkage::Average] {
             let tree = Agglomerative::new(linkage).fit(&pts).unwrap();
             for pair in tree.merges().windows(2) {
                 assert!(pair[0].distance <= pair[1].distance);

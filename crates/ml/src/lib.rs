@@ -4,11 +4,11 @@
 //!
 //! * [`KMeans`] — Lloyd's algorithm with k-means++ or random initialisation
 //!   (used for the purity experiments of Figures 5 and 6),
-//! * [`Agglomerative`] — hierarchical clustering with single-, complete-, and
-//!   average-linkage, producing the Figure-4 style dendrograms,
+//! * [`Agglomerative`] — hierarchical clustering with single and average
+//!   linkage, producing the Figure-4 style dendrograms,
 //! * [`SvmTrainer`] / [`SvmModel`] — a soft-margin C-SVM trained with
-//!   sequential minimal optimisation, standing in for `SVMlight`
-//!   (Tables 4 and 5),
+//!   sequential minimal optimisation under `SVMlight`'s default cubic
+//!   polynomial kernel, standing in for `SVMlight` (Tables 4 and 5),
 //! * [`CrossValidation`] — the paper's K-fold protocol (fold *i* is the test
 //!   set, fold *i+1 mod K* the validation set used to tune `C`),
 //! * [`metrics`] — accuracy/precision/recall, majority baseline, and cluster
@@ -54,7 +54,7 @@ pub use ensemble::{AdaBoost, AdaBoostModel, Bagging, BaggingModel};
 pub use error::MlError;
 pub use hierarchical::{Agglomerative, Dendrogram, Linkage, Merge, SnnParams};
 pub use kmeans::{ClusterStats, KMeans, KMeansInit, KMeansResult, PointBounds, WarmPass};
-pub use svm::{Gram, Kernel, SvmModel, SvmTrainer};
+pub use svm::{Gram, SvmModel, SvmTrainer};
 pub use tree::{DecisionTree, DecisionTreeTrainer};
 
 /// A class label for binary classification: `+1` or `-1`.

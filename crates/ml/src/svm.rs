@@ -6,76 +6,19 @@ use serde::{Deserialize, Serialize, Value};
 
 use crate::{Label, MlError};
 
-/// Kernel function for the SVM.
-///
-/// The paper uses `SVMlight` with "the default polynomial function" kernel;
-/// [`Kernel::polynomial`] with degree 3 mirrors that default. A linear and
-/// an RBF kernel are provided for completeness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Kernel {
-    /// `K(x, y) = x . y`
-    Linear,
-    /// `K(x, y) = (gamma * x . y + coef0)^degree`
-    Polynomial {
-        /// Polynomial degree (SVMlight default: 3).
-        degree: u32,
-        /// Scale applied to the dot product.
-        gamma: f64,
-        /// Additive constant (SVMlight default: 1).
-        coef0: f64,
-    },
-    /// `K(x, y) = exp(-gamma * ||x - y||^2)`
-    Rbf {
-        /// Width parameter.
-        gamma: f64,
-    },
+/// The SVM's kernel, as a function of `x . y`: the paper's, `SVMlight`'s
+/// default polynomial `(x . y + 1)^3` (its scale of 1 on the dot product
+/// is exact, so it is left out).
+fn kernel(dot: f64) -> f64 {
+    (dot + 1.0).powi(3)
 }
 
-impl Kernel {
-    /// The paper's kernel: cubic polynomial `(x.y + 1)^3`.
-    pub fn polynomial() -> Self {
-        Kernel::Polynomial {
-            degree: 3,
-            gamma: 1.0,
-            coef0: 1.0,
-        }
-    }
+/// KKT tolerance of SMO's violation test.
+const TOL: f64 = 1e-3;
 
-    /// Evaluates the kernel on two vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch — training and query vectors must live
-    /// in the same space.
-    pub fn eval(&self, a: &SparseVec, b: &SparseVec) -> f64 {
-        let dot = a.dot(b).expect("kernel operands share one vector space");
-        self.of_dots(dot, self_dot(a), self_dot(b))
-    }
-
-    /// The kernel value from `a . b`, `a . a` and `b . b` (only
-    /// [`Kernel::Rbf`] reads the last two): the one place the arithmetic
-    /// lives, so [`Gram`] entries cannot drift from [`eval`](Self::eval).
-    fn of_dots(&self, dot: f64, aa: f64, bb: f64) -> f64 {
-        match *self {
-            Kernel::Linear => dot,
-            Kernel::Polynomial {
-                degree,
-                gamma,
-                coef0,
-            } => (gamma * dot + coef0).powi(degree as i32),
-            Kernel::Rbf { gamma } => {
-                let dist2 = (aa + bb - 2.0 * dot).max(0.0);
-                (-gamma * dist2).exp()
-            }
-        }
-    }
-}
-
-impl Default for Kernel {
-    fn default() -> Self {
-        Kernel::polynomial()
-    }
-}
+/// The smallest change of the objective or of an α that SMO counts as
+/// progress.
+const EPS: f64 = 1e-9;
 
 /// Configuration + runner for soft-margin C-SVM training via sequential
 /// minimal optimisation (Platt's SMO with an error cache and the
@@ -85,7 +28,7 @@ impl Default for Kernel {
 ///
 /// ```
 /// use fmeter_ir::SparseVec;
-/// use fmeter_ml::{Kernel, SvmTrainer};
+/// use fmeter_ml::SvmTrainer;
 ///
 /// let xs = vec![
 ///     SparseVec::from_pairs(2, [(0, 1.0)]).unwrap(),
@@ -94,16 +37,13 @@ impl Default for Kernel {
 ///     SparseVec::from_pairs(2, [(1, 1.1)]).unwrap(),
 /// ];
 /// let ys = vec![1, 1, -1, -1];
-/// let model = SvmTrainer::new().kernel(Kernel::Linear).train(&xs, &ys).unwrap();
+/// let model = SvmTrainer::new().train(&xs, &ys).unwrap();
 /// assert_eq!(model.predict(&xs[0]), 1);
 /// assert_eq!(model.predict(&xs[2]), -1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SvmTrainer {
     c: f64,
-    kernel: Kernel,
-    tol: f64,
-    eps: f64,
     max_passes: usize,
     seed: u64,
 }
@@ -115,15 +55,14 @@ thread_local! {
     pub(crate) static KERNEL_EVALS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// The kernel matrix of a vector set: entry `(i, j)` is
-/// `kernel.eval(&vectors[i], &vectors[j])` bit for bit, in either
-/// argument order.
+/// The kernel matrix of a vector set: entry `(i, j)` is the paper's
+/// kernel `(v_i . v_j + 1)^3` of the dot product [`SparseVec::dot`]
+/// forms, bit for bit, in either argument order.
 ///
 /// The vectors are held once more as a [`CscMatrix`], and a row is the
 /// matrix's scatter kernel: `v_i`'s terms, ascending, added down their
-/// columns give every entry of row `i` the dot product
-/// [`SparseVec::dot`] forms, which [`Kernel`] then maps as
-/// [`eval`](Kernel::eval) does.
+/// columns give every entry of row `i` that dot product, which the
+/// kernel then maps.
 ///
 /// A row is computed at most once — on first [`row`](Self::row), or all
 /// of them at once by [`fill`](Self::fill), which computes each pair once
@@ -133,31 +72,31 @@ thread_local! {
 /// shares it between every fold and every `C`.
 #[derive(Debug)]
 pub struct Gram<'a> {
-    kernel: Kernel,
     vectors: &'a [SparseVec],
     /// The vectors by term.
     columns: CscMatrix,
-    /// `v_i . v_i`.
-    self_dots: Vec<f64>,
+    /// `K(v_i, v_i)`.
+    diagonal: Vec<f64>,
     /// Row `i` of the matrix; empty until computed.
     rows: Vec<Vec<f64>>,
 }
 
 impl<'a> Gram<'a> {
-    /// Prepares the matrix of `kernel` over `vectors`; no row is
-    /// computed yet.
+    /// Prepares the matrix over `vectors`; no row is computed yet.
     ///
     /// # Errors
     ///
     /// Returns [`MlError::Ir`] when the vectors disagree on
     /// dimensionality.
-    pub fn new(kernel: Kernel, vectors: &'a [SparseVec]) -> Result<Self, MlError> {
+    pub fn new(vectors: &'a [SparseVec]) -> Result<Self, MlError> {
         let dim = vectors.first().map_or(0, SparseVec::dim);
         Ok(Gram {
-            kernel,
             vectors,
             columns: CscMatrix::from_rows(dim, vectors)?,
-            self_dots: vectors.iter().map(self_dot).collect(),
+            diagonal: vectors
+                .iter()
+                .map(|v| kernel(v.dot(v).expect("a vector shares its own space")))
+                .collect(),
             rows: vec![Vec::new(); vectors.len()],
         })
     }
@@ -188,29 +127,17 @@ impl<'a> Gram<'a> {
         }
     }
 
-    /// `K(v_i, v_i)`.
-    fn diag(&self, i: usize) -> f64 {
-        let d = self.self_dots[i];
-        self.kernel.of_dots(d, d, d)
-    }
-
     /// Computes entries `from..` of the zeroed row `i`: the scatter
     /// kernel from row `from`, then the kernel of each dot product.
     fn compute(&mut self, i: usize, from: usize) {
         let row = &mut self.rows[i][..];
         self.columns.scatter(self.vectors[i].iter(), from, row);
-        let aa = self.self_dots[i];
-        for (k, &bb) in row[from..].iter_mut().zip(&self.self_dots[from..]) {
-            *k = self.kernel.of_dots(*k, aa, bb);
+        for k in &mut row[from..] {
+            *k = kernel(*k);
         }
         #[cfg(test)]
         KERNEL_EVALS.with(|c| c.set(c.get() + row.len() - from));
     }
-}
-
-/// `v . v`.
-fn self_dot(v: &SparseVec) -> f64 {
-    v.dot(v).expect("a vector shares its own space")
 }
 
 impl Default for SvmTrainer {
@@ -225,9 +152,6 @@ impl SvmTrainer {
     pub fn new() -> Self {
         SvmTrainer {
             c: 1.0,
-            kernel: Kernel::default(),
-            tol: 1e-3,
-            eps: 1e-9,
             max_passes: 200,
             seed: 0,
         }
@@ -242,12 +166,6 @@ impl SvmTrainer {
     pub fn c(mut self, c: f64) -> Self {
         assert!(c > 0.0, "C must be positive, got {c}");
         self.c = c;
-        self
-    }
-
-    /// Sets the kernel (default: cubic polynomial).
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -285,7 +203,7 @@ impl SvmTrainer {
                 labels: labels.len(),
             });
         }
-        let mut gram = Gram::new(self.kernel, vectors)?;
+        let mut gram = Gram::new(vectors)?;
         let has_pos = labels.iter().any(|&l| l > 0);
         let has_neg = labels.iter().any(|&l| l <= 0);
         if !has_pos || !has_neg {
@@ -295,7 +213,7 @@ impl SvmTrainer {
         let solution = self.solve(&mut gram, &members, labels);
         let support = solution.support.iter().map(|&i| vectors[i].clone());
         let (alpha_y, bias, dim) = (solution.alpha_y, solution.bias, vectors[0].dim());
-        let model = SvmModel::from_wire(self.kernel, support.collect(), alpha_y, bias, dim);
+        let model = SvmModel::from_wire(support.collect(), alpha_y, bias, dim);
         Ok(model.expect("a trained model is well formed"))
     }
 
@@ -303,7 +221,6 @@ impl SvmTrainer {
     /// the matrix row of training example `k`, `labels[members[k]]` its
     /// label, and both classes are among them.
     pub(crate) fn solve(&self, gram: &mut Gram, members: &[usize], labels: &[Label]) -> Solution {
-        debug_assert_eq!(gram.kernel, self.kernel);
         let n = members.len();
         let y: Vec<f64> = members
             .iter()
@@ -311,8 +228,6 @@ impl SvmTrainer {
             .collect();
         let mut smo = Smo {
             c: self.c,
-            tol: self.tol,
-            eps: self.eps,
             gram,
             members,
             // f(x) = 0 initially, E = f - y
@@ -382,8 +297,6 @@ impl Solution {
 /// SMO working state over the examples `members` of a kernel matrix.
 struct Smo<'g, 'v> {
     c: f64,
-    tol: f64,
-    eps: f64,
     gram: &'g mut Gram<'v>,
     /// `members[k]` is the matrix row of example `k`; every other field
     /// is indexed by `k`.
@@ -406,7 +319,7 @@ impl Smo<'_, '_> {
         let alph2 = self.alpha[i2];
         let e2 = self.errors[i2];
         let r2 = e2 * y2;
-        let violates = (r2 < -self.tol && alph2 < self.c) || (r2 > self.tol && alph2 > 0.0);
+        let violates = (r2 < -TOL && alph2 < self.c) || (r2 > TOL && alph2 > 0.0);
         if !violates {
             return false;
         }
@@ -461,8 +374,8 @@ impl Smo<'_, '_> {
             return false;
         }
         let (r1, r2) = (self.members[i1], self.members[i2]);
-        let k11 = self.gram.diag(r1);
-        let k22 = self.gram.diag(r2);
+        let k11 = self.gram.diagonal[r1];
+        let k22 = self.gram.diagonal[r2];
         let k12 = self.gram.row(r1)[r2];
         let eta = k11 + k22 - 2.0 * k12;
         let mut a2 = if eta > 0.0 {
@@ -484,9 +397,9 @@ impl Smo<'_, '_> {
                 + 0.5 * h1 * h1 * k11
                 + 0.5 * high * high * k22
                 + s * high * h1 * k12;
-            if obj_low < obj_high - self.eps {
+            if obj_low < obj_high - EPS {
                 low
-            } else if obj_low > obj_high + self.eps {
+            } else if obj_low > obj_high + EPS {
                 high
             } else {
                 return false;
@@ -498,7 +411,7 @@ impl Smo<'_, '_> {
         } else if a2 > self.c - 1e-12 {
             a2 = self.c;
         }
-        if (a2 - alph2).abs() < self.eps * (a2 + alph2 + self.eps) {
+        if (a2 - alph2).abs() < EPS * (a2 + alph2 + EPS) {
             return false;
         }
         let a1 = alph1 + s * (alph2 - a2);
@@ -548,15 +461,13 @@ impl Smo<'_, '_> {
 /// row per vector: a prediction scatters the query down the columns of
 /// its own terms once, which gives the dot product with every support
 /// vector bit for bit as [`SparseVec::dot`] forms it, and applies the
-/// kernel to each. Its JSON is the object of the fields `kernel`,
+/// kernel to each. Its JSON is the object of the fields `kernel` (the
+/// paper's, always `{"Polynomial":{"degree":3,"gamma":1.0,"coef0":1.0}}`),
 /// `support` (the vectors), `sv_alpha_y`, `bias` and `dim`.
 #[derive(Debug, Clone)]
 pub struct SvmModel {
-    kernel: Kernel,
     /// The support vectors, row `i` the `i`-th.
     support: CscMatrix,
-    /// `sv . sv` per support vector.
-    sv_self_dots: Vec<f64>,
     /// `alpha_i * y_i` per support vector.
     sv_alpha_y: Vec<f64>,
     bias: f64,
@@ -567,7 +478,7 @@ pub struct SvmModel {
 impl Serialize for SvmModel {
     fn to_value(&self) -> Value {
         Value::Object(vec![
-            ("kernel".to_string(), self.kernel.to_value()),
+            ("kernel".to_string(), kernel_json()),
             ("support".to_string(), self.support.to_rows().to_value()),
             ("sv_alpha_y".to_string(), self.sv_alpha_y.to_value()),
             ("bias".to_string(), self.bias.to_value()),
@@ -579,11 +490,17 @@ impl Serialize for SvmModel {
 // Read by hand so a model that arrives as JSON goes through
 // `SvmModel::from_wire`: a derived reader would accept support vectors
 // outside `dim`, which a prediction panics on, and unpaired
-// coefficients, which `decision_function`'s `zip` silently drops.
+// coefficients, which `decision_function`'s `zip` silently drops. A
+// kernel other than the paper's is refused by name.
 impl Deserialize for SvmModel {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let kernel = v.get_field("kernel")?;
+        if !is_paper_kernel(kernel) {
+            return Err(serde::Error(format!(
+                "SvmModel kernel {kernel:?} is not the paper's (x . y + 1)^3"
+            )));
+        }
         SvmModel::from_wire(
-            Kernel::from_value(v.get_field("kernel")?)?,
             Vec::from_value(v.get_field("support")?)?,
             Vec::from_value(v.get_field("sv_alpha_y")?)?,
             f64::from_value(v.get_field("bias")?)?,
@@ -598,7 +515,6 @@ impl SvmModel {
     /// arrived over a wire: every support vector must live in `dim` and
     /// carry one coefficient.
     fn from_wire(
-        kernel: Kernel,
         support: Vec<SparseVec>,
         sv_alpha_y: Vec<f64>,
         bias: f64,
@@ -618,9 +534,7 @@ impl SvmModel {
             ));
         }
         Ok(SvmModel {
-            kernel,
             support: CscMatrix::from_rows(dim, &support).expect("checked: they live in dim"),
-            sv_self_dots: support.iter().map(self_dot).collect(),
             sv_alpha_y,
             bias,
         })
@@ -641,11 +555,8 @@ impl SvmModel {
         );
         let mut dots = vec![0.0; self.support.len()];
         self.support.scatter(x.iter(), 0, &mut dots);
-        let xx = self_dot(x);
-        let terms = dots.iter().zip(&self.sv_self_dots).zip(&self.sv_alpha_y);
-        terms.fold(self.bias, |f, ((&dot, &ss), ay)| {
-            f + ay * self.kernel.of_dots(dot, ss, xx)
-        })
+        let terms = dots.iter().zip(&self.sv_alpha_y);
+        terms.fold(self.bias, |f, (&dot, ay)| f + ay * kernel(dot))
     }
 
     /// Predicts `+1` or `-1` ("which side of the hyperplane").
@@ -672,6 +583,38 @@ impl SvmModel {
     }
 }
 
+/// The `kernel` field of a model's JSON: the object the paper's kernel
+/// has always been written as, `{"Polynomial":{"degree":3,"gamma":1.0,
+/// "coef0":1.0}}`.
+fn kernel_json() -> Value {
+    let field = |name: &str, value| (name.to_string(), value);
+    let params = vec![
+        field("degree", Value::U64(3)),
+        field("gamma", Value::F64(1.0)),
+        field("coef0", Value::F64(1.0)),
+    ];
+    Value::Object(vec![field("Polynomial", Value::Object(params))])
+}
+
+/// Whether `v` is [`kernel_json`], its numbers in any form a number
+/// reads from.
+fn is_paper_kernel(v: &Value) -> bool {
+    let Value::Object(variant) = v else {
+        return false;
+    };
+    let [(tag, params)] = &variant[..] else {
+        return false;
+    };
+    let number = |name| params.get_field(name).and_then(f64::from_value);
+    tag == "Polynomial"
+        && params
+            .get_field("degree")
+            .and_then(u32::from_value)
+            .is_ok_and(|d| d == 3)
+        && number("gamma").is_ok_and(|g| g == 1.0)
+        && number("coef0").is_ok_and(|c| c == 1.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,7 +637,7 @@ mod tests {
         (xs, ys)
     }
 
-    /// A linear model over four terms, as in the persisted-model test.
+    /// A model over four terms, as in the persisted-model test.
     fn four_term_model() -> SvmModel {
         let xs = [
             point(4, &[(0, 1.0)]),
@@ -702,10 +645,7 @@ mod tests {
             point(4, &[(1, 1.0)]),
             point(4, &[(1, 1.1)]),
         ];
-        SvmTrainer::new()
-            .kernel(Kernel::Linear)
-            .train(&xs, &[1, 1, -1, -1])
-            .unwrap()
+        SvmTrainer::new().train(&xs, &[1, 1, -1, -1]).unwrap()
     }
 
     /// `model`'s serialized fields with `name` set to `value`.
@@ -720,7 +660,7 @@ mod tests {
     #[test]
     fn json_reader_refuses_a_dimension_the_support_does_not_live_in() {
         // `"dim": 4` edited to 3: a derived reader accepted it, and
-        // predicting a 3-term query then panicked in `Kernel::eval`.
+        // predicting a 3-term query then panicked.
         let lie = edited(&four_term_model(), "dim", Value::U64(3));
         let err = SvmModel::from_value(&lie).unwrap_err();
         assert!(
@@ -744,42 +684,58 @@ mod tests {
     }
 
     #[test]
-    fn kernel_values() {
-        let a = point(2, &[(0, 1.0), (1, 2.0)]);
-        let b = point(2, &[(0, 3.0), (1, 4.0)]);
-        assert_eq!(Kernel::Linear.eval(&a, &b), 11.0);
-        let poly = Kernel::Polynomial {
-            degree: 2,
-            gamma: 1.0,
-            coef0: 1.0,
+    fn json_reader_refuses_a_kernel_other_than_the_papers() {
+        // The kernels a model's JSON could name before the paper's was
+        // the only one.
+        let model = four_term_model();
+        let params = |degree: u64| {
+            let field = |name: &str, value| (name.to_string(), value);
+            Value::Object(vec![
+                field("degree", Value::U64(degree)),
+                field("gamma", Value::F64(1.0)),
+                field("coef0", Value::F64(1.0)),
+            ])
         };
-        assert_eq!(poly.eval(&a, &b), 144.0);
-        let rbf = Kernel::Rbf { gamma: 1.0 };
-        let d2 = 4.0 + 4.0; // (1-3)^2 + (2-4)^2
-        assert!((rbf.eval(&a, &b) - (-d2f64()).exp()).abs() < 1e-12);
-        fn d2f64() -> f64 {
-            8.0
+        let variant = |tag: &str, params| Value::Object(vec![(tag.to_string(), params)]);
+        for (kernel, named) in [
+            (Value::Str("Linear".to_string()), "Linear"),
+            (
+                variant(
+                    "Rbf",
+                    Value::Object(vec![("gamma".into(), Value::F64(1.0))]),
+                ),
+                "Rbf",
+            ),
+            (variant("Polynomial", params(2)), "U64(2)"),
+        ] {
+            let lie = edited(&model, "kernel", kernel);
+            let err = SvmModel::from_value(&lie).unwrap_err();
+            assert!(err.0.contains(named), "{err}");
+            assert!(err.0.contains("not the paper's"), "{err}");
         }
-        let _ = d2;
+        // The paper's kernel reads back, its numbers in either form.
+        let spelled = edited(&model, "kernel", variant("Polynomial", params(3)));
+        assert!(SvmModel::from_value(&spelled).is_ok());
+        let as_integers = Value::Object(vec![
+            ("degree".into(), Value::U64(3)),
+            ("gamma".into(), Value::U64(1)),
+            ("coef0".into(), Value::U64(1)),
+        ]);
+        let integers = edited(&model, "kernel", variant("Polynomial", as_integers));
+        assert!(SvmModel::from_value(&integers).is_ok());
     }
 
     #[test]
-    fn rbf_of_self_is_one() {
-        let a = point(2, &[(0, 0.5)]);
-        let rbf = Kernel::Rbf { gamma: 2.5 };
-        assert!((rbf.eval(&a, &a) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_svm_separates_blobs() {
-        let (xs, ys) = separable();
-        let model = SvmTrainer::new()
-            .kernel(Kernel::Linear)
-            .train(&xs, &ys)
-            .unwrap();
-        for (x, &y) in xs.iter().zip(&ys) {
-            assert_eq!(model.predict(x), y);
-        }
+    fn kernel_values() {
+        // `(x . y + 1)^3`: 11 across, 5 and 25 down the diagonal.
+        let points = [
+            point(2, &[(0, 1.0), (1, 2.0)]),
+            point(2, &[(0, 3.0), (1, 4.0)]),
+        ];
+        let mut gram = Gram::new(&points).unwrap();
+        assert_eq!(gram.row(0), [216.0, 1728.0]);
+        assert_eq!(gram.row(1), [1728.0, 17_576.0]);
+        assert_eq!(gram.diagonal, [216.0, 17_576.0]);
     }
 
     #[test]
@@ -795,8 +751,9 @@ mod tests {
     }
 
     #[test]
-    fn rbf_svm_handles_xor() {
-        // XOR is not linearly separable; RBF should fit it.
+    fn polynomial_svm_handles_xor() {
+        // XOR is not linearly separable; the cubic kernel's `x_0 x_1`
+        // feature separates it.
         let xs = vec![
             point(2, &[(0, 0.0), (1, 0.0)]),
             point(2, &[(0, 1.0), (1, 1.0)]),
@@ -804,11 +761,7 @@ mod tests {
             point(2, &[(0, 1.0), (1, 0.0)]),
         ];
         let ys = vec![1, 1, -1, -1];
-        let model = SvmTrainer::new()
-            .kernel(Kernel::Rbf { gamma: 2.0 })
-            .c(100.0)
-            .train(&xs, &ys)
-            .unwrap();
+        let model = SvmTrainer::new().c(100.0).train(&xs, &ys).unwrap();
         for (x, &y) in xs.iter().zip(&ys) {
             assert_eq!(model.predict(x), y, "misclassified {x:?}");
         }
@@ -827,11 +780,7 @@ mod tests {
     fn alphas_respect_box_constraint() {
         let (xs, ys) = separable();
         let c = 0.5;
-        let model = SvmTrainer::new()
-            .kernel(Kernel::Linear)
-            .c(c)
-            .train(&xs, &ys)
-            .unwrap();
+        let model = SvmTrainer::new().c(c).train(&xs, &ys).unwrap();
         for ay in &model.sv_alpha_y {
             assert!(ay.abs() <= c + 1e-9, "alpha {} exceeds C {}", ay.abs(), c);
         }
@@ -841,11 +790,7 @@ mod tests {
     fn margin_examples_have_unit_decision_value() {
         // With separable data and large C, unbound SVs satisfy |f(x)| ~ 1.
         let (xs, ys) = separable();
-        let model = SvmTrainer::new()
-            .kernel(Kernel::Linear)
-            .c(1000.0)
-            .train(&xs, &ys)
-            .unwrap();
+        let model = SvmTrainer::new().c(1000.0).train(&xs, &ys).unwrap();
         // All training points must be outside or on the margin.
         for (x, &y) in xs.iter().zip(&ys) {
             let f = model.decision_function(x) * y as f64;
@@ -910,31 +855,24 @@ mod tests {
         let members: Vec<usize> = (0..xs.len()).rev().filter(|i| i % 4 != 1).collect();
         let gathered: Vec<SparseVec> = members.iter().map(|&m| xs[m].clone()).collect();
         let gathered_ys: Vec<Label> = members.iter().map(|&m| ys[m]).collect();
-        for kernel in [
-            Kernel::Linear,
-            Kernel::default(),
-            Kernel::Rbf { gamma: 0.7 },
-        ] {
-            for eager in [false, true] {
-                let trainer = SvmTrainer::new().kernel(kernel).c(10.0).seed(5);
-                let model = trainer.train(&gathered, &gathered_ys).unwrap();
-                let mut gram = Gram::new(kernel, &xs).unwrap();
-                if eager {
-                    gram.fill();
-                }
-                let solution = trainer.solve(&mut gram, &members, &ys);
-                assert_eq!(solution.bias.to_bits(), model.bias.to_bits());
-                assert_eq!(solution.alpha_y, model.sv_alpha_y);
-                let support: Vec<SparseVec> =
-                    solution.support.iter().map(|&i| xs[i].clone()).collect();
-                assert_eq!(support, model.support.to_rows());
-                for (i, x) in xs.iter().enumerate() {
-                    assert_eq!(
-                        solution.decision(&gram, i).to_bits(),
-                        model.decision_function(x).to_bits(),
-                        "{kernel:?} point {i}"
-                    );
-                }
+        for eager in [false, true] {
+            let trainer = SvmTrainer::new().c(10.0).seed(5);
+            let model = trainer.train(&gathered, &gathered_ys).unwrap();
+            let mut gram = Gram::new(&xs).unwrap();
+            if eager {
+                gram.fill();
+            }
+            let solution = trainer.solve(&mut gram, &members, &ys);
+            assert_eq!(solution.bias.to_bits(), model.bias.to_bits());
+            assert_eq!(solution.alpha_y, model.sv_alpha_y);
+            let support: Vec<SparseVec> = solution.support.iter().map(|&i| xs[i].clone()).collect();
+            assert_eq!(support, model.support.to_rows());
+            for (i, x) in xs.iter().enumerate() {
+                assert_eq!(
+                    solution.decision(&gram, i).to_bits(),
+                    model.decision_function(x).to_bits(),
+                    "eager {eager}, point {i}"
+                );
             }
         }
     }
@@ -953,10 +891,7 @@ mod tests {
         }
         let n = xs.len();
         KERNEL_EVALS.set(0);
-        let model = SvmTrainer::new()
-            .kernel(Kernel::Linear)
-            .train(&xs, &ys)
-            .unwrap();
+        let model = SvmTrainer::new().train(&xs, &ys).unwrap();
         let evals = KERNEL_EVALS.get();
         assert_eq!(evals % n, 0, "whole rows of {n}, got {evals} entries");
         let rows = evals / n;
@@ -967,10 +902,7 @@ mod tests {
     #[test]
     fn predict_batch_matches_predict() {
         let (xs, ys) = separable();
-        let model = SvmTrainer::new()
-            .kernel(Kernel::Linear)
-            .train(&xs, &ys)
-            .unwrap();
+        let model = SvmTrainer::new().train(&xs, &ys).unwrap();
         let batch = model.predict_batch(&xs);
         for (i, x) in xs.iter().enumerate() {
             assert_eq!(batch[i], model.predict(x));
@@ -984,11 +916,7 @@ mod tests {
         ys[0] = -1; // flip one label
         xs.push(point(2, &[(0, 0.0), (1, 0.0)]));
         ys.push(1);
-        let model = SvmTrainer::new()
-            .kernel(Kernel::Linear)
-            .c(1.0)
-            .train(&xs, &ys)
-            .unwrap();
+        let model = SvmTrainer::new().c(1.0).train(&xs, &ys).unwrap();
         let acc = xs
             .iter()
             .zip(&ys)

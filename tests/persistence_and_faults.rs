@@ -8,7 +8,7 @@ use fmeter::core::{Fmeter, SignatureDb};
 use fmeter::ir::codec::{decode_from_slice, encode_to_vec};
 use fmeter::ir::{SparseVec, TermCounts, TfIdfModel};
 use fmeter::kernel_sim::{CpuId, Kernel, KernelConfig, KernelOp, Nanos};
-use fmeter::ml::{Kernel as SvmKernel, SvmTrainer};
+use fmeter::ml::SvmTrainer;
 use fmeter::trace::FmeterTracer;
 use fmeter::workloads::Dbench;
 
@@ -46,10 +46,7 @@ fn trained_models_survive_json() {
     ];
     let ys = vec![1i8, 1, -1, -1];
 
-    let svm = SvmTrainer::new()
-        .kernel(SvmKernel::Linear)
-        .train(&xs, &ys)
-        .unwrap();
+    let svm = SvmTrainer::new().train(&xs, &ys).unwrap();
     let svm_back: fmeter::ml::SvmModel =
         serde_json::from_str(&serde_json::to_string(&svm).unwrap()).unwrap();
     for (x, &y) in xs.iter().zip(&ys) {

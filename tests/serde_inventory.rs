@@ -29,7 +29,6 @@ const INVENTORY: &[(&str, &str, &str)] = &[
     ("core/src/db.rs", "VacuumPolicy", "`state.vacuum_policy`"),
     // The `SvmModel` JSON layout.
     ("ml/src/svm.rs", "SvmModel", "a JSON model, read through `from_wire`"),
-    ("ml/src/svm.rs", "Kernel", "`SvmModel::kernel`"),
     // Read by hand, each through a validating constructor.
     ("ir/src/sparse.rs", "SparseVec", "`SvmModel::support`, also written by hand"),
     ("core/src/persist.rs", "EnvelopeHeader", "the header line, checked by `split_envelope`"),

@@ -3,10 +3,13 @@
 //!
 //! The constants were computed at the commit *before* cross-validation
 //! shared one kernel matrix (each fold × `C` then trained from its own
-//! row cache and predicted through `Kernel::eval`); the tests pass there
-//! and here, which is the claim "a pure cost change" made checkable. A
-//! PR that changes what the SVM computes (warm-started α along the `C`
-//! grid would) re-pins them on purpose.
+//! row cache and predicted through a kernel evaluation per support
+//! vector); the tests pass there and here, which is the claim "a pure
+//! cost change" made checkable. The overlapping-class model pin was
+//! re-hashed over the polynomial models alone, and passed, on the code
+//! that still had the linear and RBF kernels. A PR that changes what the
+//! SVM computes (warm-started α along the `C` grid would) re-pins them
+//! on purpose.
 
 use fmeter::core::{Fmeter, RawSignature, SignatureDb};
 use fmeter::ir::{Corpus, SparseVec, TfIdfModel};
