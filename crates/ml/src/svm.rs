@@ -750,6 +750,26 @@ mod tests {
         assert_eq!(correct, xs.len());
     }
 
+    /// Blobs a line separates stay separated off the training points:
+    /// probes between and beside the training examples of each blob
+    /// take that blob's label.
+    #[test]
+    fn linear_svm_separates_blobs() {
+        let (xs, ys) = separable();
+        let model = SvmTrainer::new().train(&xs, &ys).unwrap();
+        for &(a, b, y) in &[
+            (1.0, 1.0, 1),
+            (1.15, 0.85, 1),
+            (0.9, 1.1, 1),
+            (-1.0, -1.0, -1),
+            (-1.15, -0.85, -1),
+            (-0.9, -1.1, -1),
+        ] {
+            let probe = point(2, &[(0, a), (1, b)]);
+            assert_eq!(model.predict(&probe), y, "misclassified {probe:?}");
+        }
+    }
+
     #[test]
     fn polynomial_svm_handles_xor() {
         // XOR is not linearly separable; the cubic kernel's `x_0 x_1`
