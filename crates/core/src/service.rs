@@ -34,8 +34,8 @@
 //! ([`SignatureService::from_db_durable`] /
 //! [`SignatureService::recover_durable`]): the writer appends every
 //! mutation to a [`DurableLog`] *before* applying it and checkpoints on
-//! the log's policy, so a crash at any point loses at most the
-//! unsynced WAL tail (see the [`wal`](crate::wal) module and
+//! the log's policy, so a crash at any point loses no acked op, only
+//! the one in flight (see the [`wal`](crate::wal) module and
 //! `docs/PERSISTENCE.md`). A failing WAL degrades the log's
 //! [`WalHealth`] rather than poisoning the writer — mutations and
 //! queries keep working in memory while the log backs off and retries.
@@ -43,13 +43,12 @@
 use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, LockResult, Mutex, PoisonError, RwLock};
 
 use fmeter_ir::{
     search_sharded, DocId, SearchHit, SearchScratch, ShardRouter, SharedVec, SparseVec, TermCounts,
     TfIdfWeights,
 };
-use parking_lot::{Mutex, RwLock};
 
 use crate::db::majority_label;
 use crate::wal::{Applied, DurableLog, DurableOptions, RecoveryReport, WalHealth, WalOpRef};
@@ -226,8 +225,8 @@ impl ShardWriter {
         self.durable.as_ref()
     }
 
-    /// Mutable access to the durability engine (its `sync` and the
-    /// `fail_wal_writes` test hook; the log cannot corrupt the database).
+    /// Mutable access to the durability engine (its `fail_wal_writes`
+    /// test hook; the log cannot corrupt the database).
     pub(crate) fn durable_log_mut(&mut self) -> Option<&mut DurableLog> {
         self.durable.as_mut()
     }
@@ -351,6 +350,13 @@ impl ShardWriter {
         self.db.set_vacuum_policy(policy);
         self.persist_policy_change()
     }
+}
+
+/// A lock's guard, taken whether or not a panic poisoned the lock: a
+/// panic under the writer or the snapshot lock does not make every
+/// later call panic too.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Shared state behind the service handle.
@@ -482,14 +488,14 @@ impl SignatureService {
     ///
     /// Propagates serialization and I/O failures.
     pub fn save<W: Write>(&self, writer: W) -> Result<(), FmeterError> {
-        persist::save(self.inner.writer.lock().db(), writer)
+        persist::save(unpoisoned(self.inner.writer.lock()).db(), writer)
     }
 
     /// The currently published generation. The returned `Arc` stays
     /// valid (and immutable) for as long as the caller holds it, no
     /// matter what the writer does meanwhile.
     pub fn snapshot(&self) -> Arc<ShardSnapshot> {
-        self.inner.current.read().clone()
+        unpoisoned(self.inner.current.read()).clone()
     }
 
     /// Finds the `k` stored signatures most similar to a fresh
@@ -548,7 +554,7 @@ impl SignatureService {
     ///
     /// Propagates the op's error ([`ShardWriter::apply`]).
     pub fn apply(&self, op: WalOpRef<'_>) -> Result<Applied, FmeterError> {
-        let mut writer = self.inner.writer.lock();
+        let mut writer = unpoisoned(self.inner.writer.lock());
         let applied = writer.apply(op);
         if applied.is_ok() || matches!(op, WalOpRef::InsertBatch(_)) {
             self.publish(&writer);
@@ -626,7 +632,7 @@ impl SignatureService {
     ///
     /// Propagates clustering failures (e.g. fewer signatures than `k`).
     pub fn recluster(&self, k: usize, seed: u64) -> Result<Recluster, FmeterError> {
-        self.inner.writer.lock().recluster(k, seed)
+        unpoisoned(self.inner.writer.lock()).recluster(k, seed)
     }
 
     /// Replaces the automatic-refit policy.
@@ -638,7 +644,7 @@ impl SignatureService {
     /// applied in memory, the service stays usable — see
     /// `ShardWriter::set_refit_policy`). Infallible when not durable.
     pub fn set_refit_policy(&self, policy: RefitPolicy) -> Result<(), FmeterError> {
-        self.inner.writer.lock().set_refit_policy(policy)
+        unpoisoned(self.inner.writer.lock()).set_refit_policy(policy)
     }
 
     /// Replaces the automatic-vacuum policy.
@@ -648,12 +654,15 @@ impl SignatureService {
     /// Propagates a checkpoint failure in durable mode (see
     /// [`SignatureService::set_refit_policy`]).
     pub fn set_vacuum_policy(&self, policy: VacuumPolicy) -> Result<(), FmeterError> {
-        self.inner.writer.lock().set_vacuum_policy(policy)
+        unpoisoned(self.inner.writer.lock()).set_vacuum_policy(policy)
     }
 
     /// Stats (incl. the id remap) of the most recent vacuum, if any.
     pub fn last_vacuum(&self) -> Option<VacuumStats> {
-        self.inner.writer.lock().db().last_vacuum().cloned()
+        unpoisoned(self.inner.writer.lock())
+            .db()
+            .last_vacuum()
+            .cloned()
     }
 
     /// Number of live signatures in the published generation.
@@ -698,7 +707,7 @@ impl SignatureService {
 
     /// Vacuums performed over the store's lifetime.
     pub fn vacuums(&self) -> u64 {
-        self.inner.writer.lock().db().vacuums()
+        unpoisoned(self.inner.writer.lock()).db().vacuums()
     }
 
     /// Takes a durability checkpoint now (durable mode only).
@@ -709,20 +718,23 @@ impl SignatureService {
     /// I/O failures (the service stays usable — the log folds the
     /// failure into its retry backoff).
     pub fn checkpoint(&self) -> Result<(), FmeterError> {
-        self.inner.writer.lock().checkpoint()
+        unpoisoned(self.inner.writer.lock()).checkpoint()
     }
 
     /// Health of the durability layer; `None` when the service does not
     /// run in durable mode.
     pub fn durability_health(&self) -> Option<WalHealth> {
-        self.inner.writer.lock().durability_health()
+        unpoisoned(self.inner.writer.lock()).durability_health()
     }
 
-    /// Runs `f` against the durable log under the writer lock (its `sync`
-    /// and the `fail_wal_writes` test hook); `None` when not durable.
+    /// Runs `f` against the durable log under the writer lock (its
+    /// generation, its WAL bytes and the `fail_wal_writes` test hook);
+    /// `None` when not durable.
     #[doc(hidden)]
     pub fn with_durable_log<R>(&self, f: impl FnOnce(&mut DurableLog) -> R) -> Option<R> {
-        self.inner.writer.lock().durable_log_mut().map(f)
+        unpoisoned(self.inner.writer.lock())
+            .durable_log_mut()
+            .map(f)
     }
 
     /// Stamps and swaps in the next generation, one past the published
@@ -736,7 +748,7 @@ impl SignatureService {
     fn publish(&self, writer: &ShardWriter) {
         let generation = self.snapshot().generation() + 1;
         let snapshot = Arc::new(writer.publish(generation));
-        let replaced = std::mem::replace(&mut *self.inner.current.write(), snapshot);
+        let replaced = std::mem::replace(&mut *unpoisoned(self.inner.current.write()), snapshot);
         drop(replaced);
     }
 }
@@ -950,7 +962,7 @@ mod tests {
         assert!(service.is_live(12) && service.num_slots() == 13);
         // The saved bytes, and every stored vector's terms and value bits.
         let state = |service: &SignatureService| {
-            let db = service.inner.writer.lock().db().clone();
+            let db = unpoisoned(service.inner.writer.lock()).db().clone();
             let mut bytes = Vec::new();
             persist::save(&db, &mut bytes).unwrap();
             let vectors: Vec<(Vec<u32>, Vec<u64>)> = (db.signatures().iter())
@@ -970,6 +982,41 @@ mod tests {
             SignatureService::recover_durable(&dir, DurableOptions::default()).unwrap();
         assert_eq!((report.replayed_ops, report.torn_tail), (5, false));
         assert_eq!(state(&recovered), acked);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A panic under the writer lock or the snapshot lock poisons it;
+    /// the service takes the lock all the same, and every later call
+    /// works.
+    #[test]
+    fn a_panic_under_the_writer_lock_leaves_the_service_usable() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let dir = std::env::temp_dir().join(format!("fmeter-svc-poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let raws = sample(16, 8);
+        let db = SignatureDb::build(&raws[..12]).unwrap();
+        let service =
+            SignatureService::from_db_durable(db, 2, &dir, DurableOptions::default()).unwrap();
+        let under_writer = catch_unwind(AssertUnwindSafe(|| {
+            service.with_durable_log(|_| panic!("a panic under the writer lock"))
+        }));
+        assert!(under_writer.is_err());
+        let under_current = catch_unwind(AssertUnwindSafe(|| {
+            let _current = service.inner.current.write();
+            panic!("a panic under the snapshot lock");
+        }));
+        assert!(under_current.is_err());
+
+        let doc = service.insert(&raws[12]).unwrap();
+        assert_eq!(doc, 12);
+        let q = raws[12].to_term_counts();
+        let hits = service.search(&q, 3).unwrap();
+        assert_eq!(hits.len(), 3);
+        let snapshot = service.snapshot();
+        assert_eq!((snapshot.generation(), snapshot.len()), (1, 13));
+        assert!(snapshot.is_live(doc));
+        assert_eq!(service.durability_health(), Some(WalHealth::Healthy));
+        drop(service);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

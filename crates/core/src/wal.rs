@@ -61,14 +61,12 @@
 //!
 //! # Crash matrix
 //!
-//! What a crash can lose under each [`SyncPolicy`] (never more — and
-//! never a corrupted state):
+//! Every append syncs its record before the op is acked, so a crash
+//! loses no acked op, and never leaves a corrupted state:
 //!
-//! | policy | lost on crash |
+//! | sync | lost on crash |
 //! |---|---|
-//! | `EveryRecord` | nothing that was acked |
-//! | `EveryN(n)` | up to the last `n − 1` acked ops |
-//! | `OnCheckpoint` | acked ops since the last checkpoint |
+//! | every record, before its op is acked | nothing that was acked |
 //!
 //! The zero tail changes none of it: a crash can leave an unsynced
 //! record's blocks as the zeros they were, which ends the log at the last
@@ -320,17 +318,13 @@ impl BinCodec for WalOp {
 
 // ---- policies --------------------------------------------------------
 
-/// When appended WAL records are fsynced — the durability/throughput
-/// dial. See the crash matrix in the [module docs](self).
+/// When appended WAL records are fsynced: after every record, so an
+/// acked op is a durable op. See the crash matrix in the
+/// [module docs](self).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Sync after every record: an acked op is a durable op.
     EveryRecord,
-    /// Sync every `n` records (values below 1 behave as 1).
-    EveryN(usize),
-    /// Sync only when a checkpoint runs (or on an explicit
-    /// [`DurableLog::sync`]).
-    OnCheckpoint,
 }
 
 /// When the log folds its WAL into a fresh checkpoint.
@@ -352,7 +346,7 @@ pub enum CheckpointPolicy {
 /// Configuration for a [`DurableLog`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurableOptions {
-    /// WAL fsync cadence.
+    /// WAL fsync cadence: one sync per record.
     pub sync: SyncPolicy,
     /// Checkpoint cadence.
     pub checkpoint: CheckpointPolicy,
@@ -521,10 +515,8 @@ const APPEND_BUF_RETAIN: usize = 1 << 20;
 /// An append-only writer over one WAL file (or any [`WalSink`]).
 pub struct WalWriter {
     sink: Box<dyn WalSink>,
-    policy: SyncPolicy,
     next_seq: u64,
     bytes: u64,
-    unsynced: usize,
     /// Reused per-append serialize buffer: steady-state appends do not
     /// allocate.
     buf: Vec<u8>,
@@ -532,12 +524,13 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// Writes (and syncs) the WAL header, returning a writer whose
-    /// first record will carry `start_seq`.
+    /// first record will carry `start_seq`. `SyncPolicy` has one value:
+    /// every append syncs its record.
     pub fn create(
         mut sink: Box<dyn WalSink>,
         start_seq: u64,
         contiguous: bool,
-        policy: SyncPolicy,
+        _sync: SyncPolicy,
     ) -> Result<Self, FmeterError> {
         let header = format!(
             "{WAL_MAGIC} {WAL_VERSION} {start_seq} {}\n",
@@ -547,46 +540,28 @@ impl WalWriter {
         sink.sync()?;
         Ok(WalWriter {
             sink,
-            policy,
             next_seq: start_seq,
             bytes: header.len() as u64,
-            unsynced: 0,
             buf: Vec::new(),
         })
     }
 
-    /// Appends one op, returning its sequence number. Syncs according
-    /// to the [`SyncPolicy`]. On error the op is not in the log (a record
-    /// replay would refuse is rejected before a byte of it is written; a
-    /// failed write leaves a torn tail, where replay stops): the writer's
-    /// owner should stop using it.
+    /// Appends one op and syncs it, returning its sequence number: once
+    /// this returns, the op is durable. On error the op is not in the
+    /// log (a record replay would refuse is rejected before a byte of it
+    /// is written; a failed write leaves a torn tail, where replay
+    /// stops): the writer's owner should stop using it.
     pub fn append<'a>(&mut self, op: impl Into<WalOpRef<'a>>) -> Result<u64, FmeterError> {
         let seq = self.next_seq;
         encode_record_into(&mut self.buf, seq, op.into())?;
         self.sink.write_all(&self.buf)?;
         self.next_seq += 1;
         self.bytes += self.buf.len() as u64;
-        self.unsynced += 1;
         if self.buf.capacity() > APPEND_BUF_RETAIN {
             self.buf.shrink_to(APPEND_BUF_RETAIN);
         }
-        match self.policy {
-            SyncPolicy::EveryRecord => self.sync()?,
-            SyncPolicy::EveryN(n) => {
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            SyncPolicy::OnCheckpoint => {}
-        }
-        Ok(seq)
-    }
-
-    /// Forces an fsync of everything appended so far.
-    pub(crate) fn sync(&mut self) -> Result<(), FmeterError> {
         self.sink.sync()?;
-        self.unsynced = 0;
-        Ok(())
+        Ok(seq)
     }
 
     /// The sequence number the next append will carry.
@@ -603,10 +578,8 @@ impl WalWriter {
 impl fmt::Debug for WalWriter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WalWriter")
-            .field("policy", &self.policy)
             .field("next_seq", &self.next_seq)
             .field("bytes", &self.bytes)
-            .field("unsynced", &self.unsynced)
             .finish_non_exhaustive()
     }
 }
@@ -777,7 +750,7 @@ fn write_atomic(dir: &Path, name: &str, db: &SignatureDb) -> Result<(), FmeterEr
 /// `DurableLog::health`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalHealth {
-    /// Every acked op is logged (durable per the [`SyncPolicy`]).
+    /// Every acked op is logged, and synced before it was acked.
     Healthy,
     /// A WAL write failed: mutations keep applying in memory but are
     /// *not* durable until a checkpoint attempt succeeds. Retries run
@@ -1089,8 +1062,8 @@ impl DurableLog {
         self.retry_in = 1 << self.failed_attempts.min(8);
     }
 
-    /// Creates generation `generation`'s WAL (header written through
-    /// the sync policy). The new WAL continues the global sequence; it
+    /// Creates generation `generation`'s WAL (header written and
+    /// synced). The new WAL continues the global sequence; it
     /// is a contiguous continuation of the previous segment unless a
     /// degraded period left acked ops that never reached any WAL.
     fn open_generation(&self, generation: u64) -> Result<WalWriter, FmeterError> {
@@ -1129,15 +1102,6 @@ impl DurableLog {
             if stale_tmp || old_gen {
                 let _ = fs::remove_file(entry.path());
             }
-        }
-    }
-
-    /// Forces an fsync of the current WAL (useful under
-    /// [`SyncPolicy::OnCheckpoint`] before a planned pause).
-    pub fn sync(&mut self) -> Result<(), FmeterError> {
-        match &mut self.state {
-            State::Logging(writer) => writer.sync(),
-            State::Degraded { .. } => Ok(()),
         }
     }
 
@@ -1289,7 +1253,7 @@ mod tests {
     #[test]
     fn wal_records_round_trip_through_a_sink() {
         let mut w =
-            WalWriter::create(Box::new(Vec::new()), 7, true, SyncPolicy::OnCheckpoint).unwrap();
+            WalWriter::create(Box::new(Vec::new()), 7, true, SyncPolicy::EveryRecord).unwrap();
         let ops = [
             WalOp::Insert(raw(1)),
             WalOp::Remove(3),
@@ -1823,7 +1787,7 @@ mod tests {
         let dir = test_dir("policy");
         let db = base_db();
         let opts = DurableOptions {
-            sync: SyncPolicy::EveryN(4),
+            sync: SyncPolicy::EveryRecord,
             checkpoint: CheckpointPolicy::Every {
                 ops: Some(5),
                 wal_bytes: None,
@@ -1851,7 +1815,7 @@ mod tests {
         // the op count — which is what fires first under the defaults.
         let record = encode_record(1, &WalOp::Insert(raw(50))).len() as u64;
         let opts = DurableOptions {
-            sync: SyncPolicy::OnCheckpoint,
+            sync: SyncPolicy::EveryRecord,
             checkpoint: CheckpointPolicy::Every {
                 ops: None,
                 wal_bytes: Some(3 * record),

@@ -106,7 +106,7 @@ proptest! {
         let steps: Vec<Step> = steps.into_iter().filter(|s| !matches!(s, Step::Reshard)).collect();
         let dir = test_dir("equivalence");
         let opts = DurableOptions {
-            sync: SyncPolicy::OnCheckpoint,
+            sync: SyncPolicy::EveryRecord,
             checkpoint: CheckpointPolicy::Manual,
         };
         let mut oracle = Oracle::new(seed_corpus(3), RefitPolicy::Manual);
@@ -114,7 +114,6 @@ proptest! {
             SignatureService::from_db_durable(oracle.db.clone(), num_shards, &dir, opts)
                 .expect("fresh durable directory");
         oracle.drive(&mut service, &steps);
-        service.with_durable_log(|log| log.sync()).expect("durable").expect("wal sync");
         drop(service); // crash: nothing checkpointed since creation
 
         let (recovered, report) =

@@ -1,12 +1,10 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use fmeter_kernel_sim::{CpuId, Debugfs, FunctionId, FunctionTracer, Nanos, SymbolTable};
 
-use crate::{CounterSnapshot, FMETER_CALL_OVERHEAD};
+use crate::{unpoisoned, CounterSnapshot, FMETER_CALL_OVERHEAD};
 
 /// Counter slots per per-CPU page: a 4 KiB page of 8-byte integers, as in
 /// the paper's Figure 3.
@@ -176,7 +174,7 @@ impl FmeterTracer {
     /// so that no walk in progress writes back a count from before.
     pub fn reset(&self) {
         for idx in &self.per_cpu {
-            let _claim = idx.claim.lock();
+            let _claim = unpoisoned(idx.claim.lock());
             for page in &idx.pages {
                 for slot in page.iter() {
                     slot.store(0, Ordering::Relaxed);
@@ -225,7 +223,7 @@ impl FunctionTracer for FmeterTracer {
         // writer holds the claim: its release by the last writer and
         // its acquire here order their accesses, so the relaxed load
         // sees the last store.
-        let _claim = cpu_index.claim.lock();
+        let _claim = unpoisoned(cpu_index.claim.lock());
         for function in calls {
             let stub = self.stubs[function.index()];
             let slot = &cpu_index.pages[stub.page as usize][stub.slot as usize];
@@ -398,6 +396,25 @@ mod tests {
         }
         assert_eq!(tracer.count(FunctionId(7)), 6 * 2 * WALKS);
         assert_eq!(tracer.count(far), 6 * WALKS);
+    }
+
+    #[test]
+    fn a_panic_under_a_claim_leaves_the_tracer_counting() {
+        let t = symbols();
+        let tracer = Arc::new(FmeterTracer::with_cpus(&t, 2));
+        tracer.on_calls(CpuId(1), &[FunctionId(3)]);
+        let walker = Arc::clone(&tracer);
+        let walk = std::thread::spawn(move || {
+            let _claim = walker.per_cpu[1].claim.lock();
+            panic!("a walk panics under its claim");
+        });
+        assert!(walk.join().is_err());
+        tracer.on_calls(CpuId(1), &[FunctionId(3), FunctionId(3)]);
+        assert_eq!(tracer.count_on_cpu(CpuId(1), FunctionId(3)), 3);
+        tracer.reset();
+        assert_eq!(tracer.snapshot(Nanos(0)).total(), 0);
+        tracer.on_calls(CpuId(1), &[FunctionId(3)]);
+        assert_eq!(tracer.count(FunctionId(3)), 1);
     }
 
     #[test]

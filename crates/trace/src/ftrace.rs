@@ -1,11 +1,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use bytes::{Buf, BufMut, BytesMut};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use fmeter_kernel_sim::{CpuId, FunctionId, FunctionTracer, Nanos, SymbolTable};
 
-use crate::{RingBuffer, FTRACE_CALL_OVERHEAD};
+use crate::{unpoisoned, RingBuffer, FTRACE_CALL_OVERHEAD};
 
 /// One decoded function-trace event, mirroring the Ftrace function
 /// tracer's record: which function ran, which function called it, when,
@@ -25,12 +23,35 @@ pub struct TraceEvent {
 
 const EVENT_BYTES: usize = 8 + 4 + 8 + 8;
 
+impl TraceEvent {
+    /// The event's record: each field big-endian, in declaration order.
+    fn encode(&self) -> [u8; EVENT_BYTES] {
+        let mut record = [0u8; EVENT_BYTES];
+        record[..8].copy_from_slice(&self.timestamp.to_be_bytes());
+        record[8..12].copy_from_slice(&self.cpu.to_be_bytes());
+        record[12..20].copy_from_slice(&self.ip.to_be_bytes());
+        record[20..].copy_from_slice(&self.parent_ip.to_be_bytes());
+        record
+    }
+
+    /// Reads back a record [`encode`](Self::encode) wrote.
+    fn decode(record: &[u8]) -> TraceEvent {
+        let u64_at =
+            |at: usize| u64::from_be_bytes(record[at..at + 8].try_into().expect("8 bytes"));
+        TraceEvent {
+            timestamp: u64_at(0),
+            cpu: u32::from_be_bytes(record[8..12].try_into().expect("4 bytes")),
+            ip: u64_at(12),
+            parent_ip: u64_at(20),
+        }
+    }
+}
+
 /// Per-CPU producer state: the ring buffer plus the last-seen function
-/// (for `parent_ip`) and scratch space for encoding.
+/// (for `parent_ip`).
 struct PerCpuBuffer {
     ring: RingBuffer,
     last_ip: u64,
-    scratch: BytesMut,
 }
 
 /// An Ftrace-style function tracer: every call appends a timestamped,
@@ -90,7 +111,6 @@ impl FtraceTracer {
                     Mutex::new(PerCpuBuffer {
                         ring: RingBuffer::new(buffer_bytes),
                         last_ip: 0,
-                        scratch: BytesMut::with_capacity(EVENT_BYTES),
                     })
                 })
                 .collect(),
@@ -118,12 +138,12 @@ impl FtraceTracer {
     ///
     /// Panics if `cpu` is out of range.
     pub fn drain(&self, cpu: CpuId) -> Vec<TraceEvent> {
-        let mut buffer = self.buffers[cpu.0].lock();
+        let mut buffer = unpoisoned(self.buffers[cpu.0].lock());
         buffer
             .ring
             .drain()
             .into_iter()
-            .map(|raw| Self::decode(&raw))
+            .map(|raw| TraceEvent::decode(&raw))
             .collect()
     }
 
@@ -140,7 +160,7 @@ impl FtraceTracer {
     pub fn total_overwritten(&self) -> u64 {
         self.buffers
             .iter()
-            .map(|b| b.lock().ring.overwritten())
+            .map(|b| unpoisoned(b.lock()).ring.overwritten())
             .sum()
     }
 
@@ -149,18 +169,8 @@ impl FtraceTracer {
     pub(crate) fn total_recorded(&self) -> u64 {
         self.buffers
             .iter()
-            .map(|b| b.lock().ring.total_pushed())
+            .map(|b| unpoisoned(b.lock()).ring.total_pushed())
             .sum()
-    }
-
-    fn decode(raw: &[u8]) -> TraceEvent {
-        let mut buf = raw;
-        TraceEvent {
-            timestamp: buf.get_u64(),
-            cpu: buf.get_u32(),
-            ip: buf.get_u64(),
-            parent_ip: buf.get_u64(),
-        }
     }
 }
 
@@ -175,16 +185,15 @@ impl FunctionTracer for FtraceTracer {
             let ip = self.addresses[function.index()];
             // The expensive part the paper measures: lock, reserve,
             // encode, commit — per event, as each call's mcount would.
-            let mut buffer = self.buffers[slot].lock();
-            let parent_ip = buffer.last_ip;
+            let mut buffer = unpoisoned(self.buffers[slot].lock());
+            let event = TraceEvent {
+                timestamp,
+                cpu: cpu.0 as u32,
+                ip,
+                parent_ip: buffer.last_ip,
+            };
             buffer.last_ip = ip;
-            buffer.scratch.clear();
-            buffer.scratch.put_u64(timestamp);
-            buffer.scratch.put_u32(cpu.0 as u32);
-            buffer.scratch.put_u64(ip);
-            buffer.scratch.put_u64(parent_ip);
-            let record = buffer.scratch.split().freeze();
-            buffer.ring.push(&record);
+            buffer.ring.push(&event.encode());
         }
     }
 

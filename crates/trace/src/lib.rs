@@ -41,7 +41,16 @@ pub use hotcache::HotSetTracer;
 pub use ringbuf::RingBuffer;
 pub use snapshot::{CounterSnapshot, DeltaCursor};
 
+use std::sync::{LockResult, PoisonError};
+
 use fmeter_kernel_sim::Nanos;
+
+/// A lock's guard, taken whether or not a panic poisoned the lock: a
+/// panic under a CPU's claim or ring-buffer lock leaves its counters or
+/// records as they are, and the next writer carries on from them.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Simulated per-call cost of the Fmeter stub: follow the two embedded
 /// indices, bump the per-CPU slot, toggle the preempt count. Calibrated

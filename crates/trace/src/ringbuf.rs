@@ -7,8 +7,6 @@
 //! this circular-buffer management complexity as a reason Fmeter avoids
 //! the mechanism altogether.
 
-use bytes::{Buf, BufMut};
-
 /// A bounded FIFO of length-prefixed records over a circular byte buffer.
 ///
 /// Not internally synchronised: [`FtraceTracer`](crate::FtraceTracer) wraps
@@ -107,9 +105,7 @@ impl RingBuffer {
         while self.capacity() - self.used < needed {
             self.evict_oldest();
         }
-        let mut len_prefix = [0u8; LEN_PREFIX];
-        (&mut len_prefix[..]).put_u32(record.len() as u32);
-        self.write_bytes(&len_prefix);
+        self.write_bytes(&(record.len() as u32).to_be_bytes());
         self.write_bytes(record);
         self.records += 1;
         self.total_pushed += 1;
@@ -120,9 +116,7 @@ impl RingBuffer {
         if self.records == 0 {
             return None;
         }
-        let mut len_prefix = [0u8; LEN_PREFIX];
-        self.read_bytes(&mut len_prefix);
-        let len = (&len_prefix[..]).get_u32() as usize;
+        let len = self.read_len();
         let mut record = vec![0u8; len];
         self.read_bytes(&mut record);
         self.records -= 1;
@@ -141,9 +135,7 @@ impl RingBuffer {
     /// Drops the oldest record without returning it.
     fn evict_oldest(&mut self) {
         debug_assert!(self.records > 0, "evict on empty ring");
-        let mut len_prefix = [0u8; LEN_PREFIX];
-        self.read_bytes(&mut len_prefix);
-        let len = (&len_prefix[..]).get_u32() as usize;
+        let len = self.read_len();
         self.head = (self.head + len) % self.capacity();
         self.used -= len;
         self.records -= 1;
@@ -157,6 +149,13 @@ impl RingBuffer {
             self.tail = (self.tail + 1) % cap;
         }
         self.used += data.len();
+    }
+
+    /// Reads the next record's big-endian length prefix.
+    fn read_len(&mut self) -> usize {
+        let mut len_prefix = [0u8; LEN_PREFIX];
+        self.read_bytes(&mut len_prefix);
+        u32::from_be_bytes(len_prefix) as usize
     }
 
     fn read_bytes(&mut self, out: &mut [u8]) {

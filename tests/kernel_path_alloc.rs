@@ -1,6 +1,7 @@
 //! Allocation contract of the kernel path: once warm, running kernel
-//! operations and module operations allocates nothing, and the logger
-//! allocates only the signature it returns for each interval.
+//! operations and module operations allocates nothing, under Fmeter and
+//! under the Ftrace-style comparator alike, and the logger allocates
+//! only the signature it returns for each interval.
 //!
 //! A counting global allocator tallies the allocations of the calling
 //! thread, so tests running beside each other do not see each other's.
@@ -9,9 +10,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use fmeter::core::Fmeter;
 use fmeter::kernel_sim::{modules, CpuId, Kernel, KernelConfig, KernelOp, ModuleOp, Nanos};
+use fmeter::trace::FtraceTracer;
 use fmeter::workloads::{
     ApacheBench, Dbench, KCompile, NetperfReceive, Scp, WithBackground, Workload,
 };
@@ -110,6 +113,23 @@ fn warm_kernel_ops_allocate_nothing() {
     for round in 0..3 {
         let ((), n) = allocations(|| every_op(&mut kernel, &ops));
         assert_eq!(n, 0, "round {round}: warm kernel ops allocated {n} times");
+    }
+}
+
+/// The comparator's record goes into its ring buffer from the stack:
+/// a traced call encodes, reserves and commits, and allocates nothing,
+/// also once the ring is full and every event overwrites the oldest.
+#[test]
+fn warm_kernel_ops_traced_by_ftrace_allocate_nothing() {
+    let mut kernel = kernel(1);
+    let ftrace = Arc::new(FtraceTracer::new(kernel.symbols(), CPUS, 1 << 12));
+    kernel.set_tracer(ftrace.clone());
+    let ops = KernelOp::examples();
+    every_op(&mut kernel, &ops);
+    assert!(ftrace.total_overwritten() > 0, "the ring wrapped");
+    for round in 0..3 {
+        let ((), n) = allocations(|| every_op(&mut kernel, &ops));
+        assert_eq!(n, 0, "round {round}: traced kernel ops allocated {n} times");
     }
 }
 
