@@ -401,10 +401,11 @@ fn nan_as_infinite(bound: &mut f64) {
 /// # Persistence
 ///
 /// [`save`](Self::save) writes a versioned envelope (magic, format
-/// version, section table) and [`load`](Self::load) reads every version
-/// in [`FORMAT_VERSIONS`](crate::persist::FORMAT_VERSIONS); it refuses
-/// older files by their version, the bare unversioned JSON that
-/// pre-envelope releases wrote included. A signature is kept three ways in
+/// version, section table) and [`load`](Self::load) reads the one
+/// version it writes,
+/// [`CURRENT_FORMAT_VERSION`](crate::persist::CURRENT_FORMAT_VERSION);
+/// it refuses a file of any other version by that version, and the bare
+/// unversioned JSON that pre-envelope releases wrote. A signature is kept three ways in
 /// memory — its raw counts, its tf-idf vector, its unit-length postings
 /// in a shard — and one way at rest: the counts. The vectors are derived
 /// from the counts and the model, and the inverted index from the
@@ -1252,20 +1253,17 @@ impl SignatureDb {
         crate::persist::save(self, writer)
     }
 
-    /// Loads a database previously written by [`save`](Self::save) in
-    /// any format from [`persist::OLDEST_FORMAT_VERSION`] on: the reader
-    /// detects the format version, decodes the sections that version
-    /// has, and fills in what it could not carry. A database saved by
-    /// version N−1 code therefore loads on version N with search/classify
+    /// Loads a database written by [`save`](Self::save) in format
+    /// [`persist::CURRENT_FORMAT_VERSION`], with search/classify
     /// behaviour identical to the state it was saved in.
     ///
     /// # Errors
     ///
     /// Propagates I/O and deserialisation failures; returns
-    /// [`FmeterError::UnsupportedFormat`] when the file was written in a
-    /// format this build does not read, older or newer.
+    /// [`FmeterError::UnsupportedFormat`] when the file was written in
+    /// any other format version, older or newer.
     ///
-    /// [`persist::OLDEST_FORMAT_VERSION`]: crate::persist::OLDEST_FORMAT_VERSION
+    /// [`persist::CURRENT_FORMAT_VERSION`]: crate::persist::CURRENT_FORMAT_VERSION
     pub fn load<R: Read>(mut reader: R) -> Result<Self, FmeterError> {
         let mut bytes = Vec::new();
         reader.read_to_end(&mut bytes)?;

@@ -33,14 +33,15 @@ pub enum FmeterError {
         /// payload on disk.
         got: u64,
     },
-    /// A persisted database names a format version this build does not
-    /// read: one written by a newer release, or one so old its reader is
-    /// gone (see
-    /// [`persist::FORMAT_VERSIONS`](crate::persist::FORMAT_VERSIONS)).
+    /// A persisted database names a format version other than the one
+    /// this build reads,
+    /// [`persist::CURRENT_FORMAT_VERSION`](crate::persist::CURRENT_FORMAT_VERSION):
+    /// one written by a newer release, or by an older one whose layout
+    /// is retired.
     UnsupportedFormat {
         /// The version tag found in (or requested for) the file.
         found: u32,
-        /// The newest version this build supports.
+        /// The one version this build reads.
         supported: u32,
     },
 }
@@ -63,8 +64,7 @@ impl fmt::Display for FmeterError {
             ),
             FmeterError::UnsupportedFormat { found, supported } => write!(
                 f,
-                "unsupported database format version {found} (this build reads v{} to v{supported})",
-                crate::persist::OLDEST_FORMAT_VERSION
+                "unsupported database format version {found} (this build reads v{supported})"
             ),
         }
     }

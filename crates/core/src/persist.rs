@@ -1,35 +1,25 @@
 //! Versioned on-disk persistence for [`SignatureDb`] — the format
-//! contract and its version table.
+//! contract.
 //!
 //! The paper's whole premise is that signatures are *indexable
-//! artifacts* an operator stores and searches over time (§1, §4); a
-//! monitoring daemon that cannot reload last week's database after a
-//! software upgrade defeats that. Persisted state is therefore a
-//! contract, not a debug dump:
+//! artifacts* an operator stores and searches over time (§1, §4).
+//! Persisted state is therefore a contract, not a debug dump:
 //!
 //! * every save is wrapped in a tagged **envelope** — a magic line, a
 //!   format version, and a section table with byte lengths, checksums
 //!   and codec tags — so readers know exactly what they are holding
 //!   before parsing a byte of payload;
-//! * there is **one writer**: `save` emits format
-//!   [`CURRENT_FORMAT_VERSION`] and nothing else;
-//! * every layout this build reads, v5 to v9, has an entry in
-//!   [`FORMAT_VERSIONS`] and a committed, immutable fixture under
-//!   `tests/fixtures/`; `load` reads each of them in **one hop** —
-//!   sections decode straight into their types, the envelope's version
-//!   picking the fixed-width decoders of v5–v8 (see
-//!   [`fmeter_ir::codec::Width`]), and what an older version could not
-//!   carry is filled in by the `legacy` submodule. Older saves are
-//!   refused with an error that names their version;
+//! * there is **one layout**: `save` writes format
+//!   [`CURRENT_FORMAT_VERSION`], `load` reads that version alone, and a
+//!   committed fixture under `tests/fixtures/` pins its bytes. A save of
+//!   any other version is refused with an error that names it;
 //! * a **signature is stored once**, as its raw counts in the `corpus`
 //!   section; the `signatures` section keeps each slot's label and
 //!   interval and no vector. The tf-idf vectors are a function of the
 //!   counts and the model ([`TfIdfModel::transform`]) and the **inverted
 //!   index** a transpose of the vectors, so the loader derives the one
 //!   and rebuilds each shard of the other with
-//!   [`fmeter_ir::Shard::from_slots`] — for every version alike. What
-//!   older envelopes stored of either (vectors inside `signatures`, an
-//!   `index` section) is checksummed with its file and otherwise ignored.
+//!   [`fmeter_ir::Shard::from_slots`].
 //!
 //! # Envelope layout
 //!
@@ -48,14 +38,11 @@
 //! `"bin"` payloads (model, corpus, signatures) use the varint codec of
 //! [`fmeter_ir::codec`], the small operator-inspectable `state` and
 //! `sharding` sections are `"json"`. The byte-level wire format per
-//! section is documented in `docs/PERSISTENCE.md`, next to what each
-//! older version lacked.
-
-mod legacy;
+//! section is documented in `docs/PERSISTENCE.md`.
 
 use std::io::Write;
 
-use fmeter_ir::codec::{self, decode_all, BinCodec, CodecError, Reader, Width};
+use fmeter_ir::codec::{self, decode_all, BinCodec, CodecError, Reader};
 use fmeter_ir::{Corpus, SharedVec, TermCounts, TfIdfModel};
 use fmeter_kernel_sim::Nanos;
 use serde::{Deserialize, Serialize, Value};
@@ -66,11 +53,9 @@ use crate::{FmeterError, RefitPolicy, Signature, SignatureDb, VacuumPolicy};
 /// First bytes of every enveloped save.
 pub(crate) const MAGIC: &str = "FMETERDB";
 
-/// The format version [`SignatureDb::save`] writes.
+/// The format version [`SignatureDb::save`] writes and [`SignatureDb::load`]
+/// reads.
 pub const CURRENT_FORMAT_VERSION: u32 = 9;
-
-/// The oldest format version this build reads.
-pub const OLDEST_FORMAT_VERSION: u32 = FORMAT_VERSIONS[0].version;
 
 /// The most shards a layout may have. A stored shard count is input from
 /// outside and every shard costs the loader `dim`-sized arrays, so a
@@ -86,63 +71,6 @@ pub const MAX_SHARDS: usize = 1024;
 /// this is corruption, not an allocation request — and the writer logs
 /// none, so whatever was acked replays.
 pub const MAX_SIGNATURE_DIM: usize = 1 << 24;
-
-/// One entry of the on-disk format history.
-#[derive(Debug, Clone, Copy)]
-pub struct FormatVersion {
-    /// The version tag (what the magic line carries).
-    pub version: u32,
-    /// What this layout contains / what changed relative to the
-    /// previous version.
-    pub summary: &'static str,
-}
-
-/// Every on-disk layout this build reads, oldest first. Each entry is
-/// locked in by a committed fixture under `tests/fixtures/`; changing
-/// the serialized layout requires appending a new entry here, teaching
-/// the loader what the previous version lacked, and a new fixture — the
-/// `persistence_formats` integration test fails otherwise. (v0, bare
-/// JSON, and the enveloped v1–v4, whose sections were all JSON, are no
-/// longer read.)
-pub const FORMAT_VERSIONS: &[FormatVersion] = &[
-    FormatVersion {
-        version: 5,
-        summary: "the header gains a `codec` array tagging each section `json` or \
-                  `bin`; the model / corpus / signatures / index payloads switch \
-                  to the length-prefixed little-endian binary codec, the state and \
-                  sharding sections stay JSON, checksums are unchanged",
-    },
-    FormatVersion {
-        version: 6,
-        summary: "the index section gains block-max metadata (block size, per-term \
-                  block offsets, per-block max impacts) and the quantization \
-                  extension (mode tag, per-term scale/offset, u8 impacts); every \
-                  other section is byte-identical to v5",
-    },
-    FormatVersion {
-        version: 7,
-        summary: "the index section is gone — the index is rebuilt from the \
-                  signatures on load — and the state section gains the \
-                  quantization mode the rebuilt index is switched to; every other \
-                  section is byte-identical to v6",
-    },
-    FormatVersion {
-        version: 8,
-        summary: "the signatures section keeps each slot's label and interval and no \
-                  vector — every tf-idf vector is derived from the corpus counts and \
-                  the model on load — and the state section drops the per-doc epochs \
-                  that described the stored vectors; the model, corpus and sharding \
-                  sections are byte-identical to v7",
-    },
-    FormatVersion {
-        version: 9,
-        summary: "every integer of the binary sections is a varint: the corpus \
-                  documents store their terms as gaps from the previous term, the \
-                  model its document frequencies, the signatures their lengths and \
-                  timestamps that way; each idf stays its 8 bytes, and the state \
-                  and sharding sections and the header are unchanged",
-    },
-];
 
 const SEC_MODEL: &str = "model";
 const SEC_CORPUS: &str = "corpus";
@@ -256,14 +184,12 @@ impl State {
     }
 }
 
-/// The `state` section's `quantization` field, which v7 added to name
-/// the weight storage of the rebuilt index. The index now has one, exact
-/// `f64` weights: the writer puts `"Off"`, and a reader accepts either
-/// name and loads the same index for both.
+/// The `state` section's `quantization` field, part of the v9 layout. The
+/// index has one, exact `f64` weights: the writer puts `"Off"`, and a
+/// reader refuses any other name.
 #[derive(Debug, Serialize, Deserialize)]
 enum QuantizationMode {
     Off,
-    Int8,
 }
 
 /// The `sharding` section: how many shards the database's posting store
@@ -415,15 +341,15 @@ pub struct RawSection<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`FmeterError::UnsupportedFormat`] for a version outside
-/// [`OLDEST_FORMAT_VERSION`]..=[`CURRENT_FORMAT_VERSION`],
+/// Returns [`FmeterError::UnsupportedFormat`] for a version other than
+/// [`CURRENT_FORMAT_VERSION`],
 /// [`FmeterError::Persist`] when the bytes are not a well-formed
 /// envelope and [`FmeterError::CorruptEnvelope`] when a section is
 /// shorter than the table declares (truncated / mid-write file) or fails
 /// its checksum.
 pub fn split_envelope(bytes: &[u8]) -> Result<(u32, Vec<RawSection<'_>>), FmeterError> {
     let (version, header, body) = parse_envelope_frame(bytes)?;
-    if !(OLDEST_FORMAT_VERSION..=CURRENT_FORMAT_VERSION).contains(&version) {
+    if version != CURRENT_FORMAT_VERSION {
         return Err(FmeterError::UnsupportedFormat {
             found: version,
             supported: CURRENT_FORMAT_VERSION,
@@ -507,25 +433,24 @@ fn parse_envelope_frame(bytes: &[u8]) -> Result<(u32, EnvelopeHeader, &[u8]), Fm
     Ok((version, header, &rest[nl + 1..]))
 }
 
-/// A reader over a binary section's payload, whose integers are laid out
-/// as `width`.
-fn binary_reader<'a>(section: &RawSection<'a>, width: Width) -> Result<Reader<'a>, FmeterError> {
+/// A reader over a binary section's payload.
+fn binary_reader<'a>(section: &RawSection<'a>) -> Result<Reader<'a>, FmeterError> {
     if section.codec != SectionCodec::Binary {
         return Err(FmeterError::Persist(format!(
             "section `{}` is JSON but a binary decoder was asked for it",
             section.name
         )));
     }
-    Ok(Reader::with_width(section.payload, width))
+    Ok(Reader::new(section.payload))
 }
 
-/// Decodes a binary section whose integers are laid out as `width`.
-fn binary_section<T: BinCodec>(section: &RawSection<'_>, width: Width) -> Result<T, FmeterError> {
-    decode_all(binary_reader(section, width)?)
+/// Decodes a binary section.
+fn binary_section<T: BinCodec>(section: &RawSection<'_>) -> Result<T, FmeterError> {
+    decode_all(binary_reader(section)?)
         .map_err(|e| persist_err(&format!("section `{}`", section.name), e))
 }
 
-/// Decodes a section that is JSON in every version that has it.
+/// Decodes a JSON section.
 fn json_section<T: Deserialize>(section: &RawSection<'_>) -> Result<T, FmeterError> {
     let name = &section.name;
     if section.codec != SectionCodec::Json {
@@ -538,50 +463,29 @@ fn json_section<T: Deserialize>(section: &RawSection<'_>) -> Result<T, FmeterErr
     serde_json::from_str(text).map_err(|e| persist_err(&format!("section `{name}`"), e))
 }
 
-/// Decodes a binary `signatures` section: a slot count, then one
-/// `record` per slot.
-fn decode_slots(
-    section: &RawSection<'_>,
-    width: Width,
-    record: impl Fn(&mut Reader<'_>) -> Result<Slot, CodecError>,
-) -> Result<Vec<Slot>, FmeterError> {
-    let mut r = binary_reader(section, width)?;
+/// Decodes the binary `signatures` section: a slot count, then per slot
+/// its label and interval.
+fn decode_slots(section: &RawSection<'_>) -> Result<Vec<Slot>, FmeterError> {
+    let mut r = binary_reader(section)?;
+    let slot = |r: &mut Reader<'_>| -> Result<Slot, CodecError> {
+        Ok((r.get_opt_str()?, Nanos(r.get_var()?), Nanos(r.get_var()?)))
+    };
     // No record is shorter than an absent label and two one-byte
     // timestamps.
     r.array_len(3)
-        .and_then(|count| (0..count).map(|_| record(&mut r)).collect())
+        .and_then(|count| (0..count).map(|_| slot(&mut r)).collect())
         .and_then(|slots| r.finish().map(|()| slots))
         .map_err(|e| persist_err(&format!("section `{}`", section.name), e))
 }
 
-/// The record of a v8 or v9 `signatures` section.
-fn decode_slot(r: &mut Reader<'_>) -> Result<Slot, CodecError> {
-    Ok((r.get_opt_str()?, Nanos(r.get_u64()?), Nanos(r.get_u64()?)))
-}
-
-/// Reads an enveloped save of any supported version in one hop. The
-/// version picks the integer width of the binary sections: fixed before
-/// v9, varints since.
+/// Reads a current-version envelope into its decoded parts.
 fn read_envelope(bytes: &[u8]) -> Result<Parts, FmeterError> {
-    let (version, sections) = split_envelope(bytes)?;
+    let (_, sections) = split_envelope(bytes)?;
     let section = |name: &str| {
         sections
             .iter()
             .find(|s| s.name == name)
             .ok_or_else(|| FmeterError::Persist(format!("envelope is missing section `{name}`")))
-    };
-    let width = if version < 9 {
-        Width::Fixed
-    } else {
-        Width::Varint
-    };
-    let (slots, state) = if version >= 8 {
-        (
-            decode_slots(section(SEC_SIGNATURES)?, width, decode_slot)?,
-            json_section(section(SEC_STATE)?)?,
-        )
-    } else {
-        legacy::read(version, &section)?
     };
     let num_shards = json_section::<Sharding>(section(SEC_SHARDING)?)?.num_shards;
     if num_shards == 0 || num_shards > MAX_SHARDS {
@@ -590,23 +494,22 @@ fn read_envelope(bytes: &[u8]) -> Result<Parts, FmeterError> {
         )));
     }
     Ok(Parts {
-        model: binary_section(section(SEC_MODEL)?, width)?,
-        corpus: binary_section(section(SEC_CORPUS)?, width)?,
-        slots,
-        state,
+        model: binary_section(section(SEC_MODEL)?)?,
+        corpus: binary_section(section(SEC_CORPUS)?)?,
+        slots: decode_slots(section(SEC_SIGNATURES)?)?,
+        state: json_section(section(SEC_STATE)?)?,
         num_shards,
     })
 }
 
-/// Reads a database from any supported on-disk format, in one hop: its
-/// posting store is built once, `shards` ways, or in the layout the
-/// save carries when that is `None`.
+/// Reads a database saved in the current format: its posting store is
+/// built once, `shards` ways, or in the layout the save carries when
+/// that is `None`.
 ///
 /// # Errors
 ///
-/// Returns [`FmeterError::UnsupportedFormat`] for saves of a version
-/// this build does not read (older than [`OLDEST_FORMAT_VERSION`] or
-/// newer than [`CURRENT_FORMAT_VERSION`]),
+/// Returns [`FmeterError::UnsupportedFormat`] for saves of any version
+/// but [`CURRENT_FORMAT_VERSION`],
 /// [`FmeterError::CorruptEnvelope`] for truncated or bit-flipped
 /// sections and [`FmeterError::Persist`] for malformed or inconsistent
 /// payloads — a missing magic line included.
@@ -837,46 +740,36 @@ mod tests {
         assert!(restored.last_vacuum().is_none(), "remaps are not persisted");
     }
 
-    // (The name predates the one-hop reader; it is kept because the
-    // suite's floor list tracks tests by name.)
+    // (The name predates the one-layout reader and is kept: CHANGES.md
+    // cites tests by name.)
     #[test]
     fn every_historical_version_loads_via_migration() {
-        // Every fixture holds the same canonical history, so every
-        // version must load to the same database as the current one —
-        // except for what the version could not carry, which comes back
-        // as the documented default.
-        assert_eq!(
-            FORMAT_VERSIONS.last().map(|s| s.version),
-            Some(CURRENT_FORMAT_VERSION),
-            "the version table must end at the current version"
-        );
-        let current = load(&fixture(CURRENT_FORMAT_VERSION)[..], None).unwrap();
+        // The one readable version's fixture loads flat, to the same
+        // database as its own re-save.
+        let db = load(&fixture()[..], None).unwrap();
+        let again = load(&saved(&db)[..], None).unwrap();
+        assert_eq!((db.num_shards(), again.num_shards()), (1, 1));
+        assert_eq!(db.vacuum_policy(), again.vacuum_policy());
+        assert_eq!(db.num_slots(), again.num_slots());
+        assert_eq!(db.epoch(), again.epoch());
+        for d in 0..db.num_slots() {
+            assert_eq!(db.is_live(d), again.is_live(d), "doc {d}");
+        }
         let probe = TermCounts::from_dense(&[58, 41, 24, 13, 0, 0, 0, 1, 0, 0, 3, 0]);
-        for spec in FORMAT_VERSIONS {
-            let v = spec.version;
-            let db = load(&fixture(v)[..], None).unwrap_or_else(|e| panic!("v{v}: {e}"));
-            assert_eq!(db.num_shards(), 1, "v{v}");
-            assert_eq!(db.vacuum_policy(), current.vacuum_policy(), "v{v}");
-            assert_eq!(db.num_slots(), current.num_slots(), "v{v}");
-            assert_eq!(db.epoch(), current.epoch(), "v{v}");
-            for d in 0..db.num_slots() {
-                assert_eq!(db.is_live(d), current.is_live(d), "v{v} doc {d}");
-            }
-            let (a, b) = (
-                db.search(&probe, 5).unwrap(),
-                current.search(&probe, 5).unwrap(),
-            );
-            assert_eq!(a.len(), b.len(), "v{v}");
-            for ((s1, d1), (s2, d2)) in a.iter().zip(&b) {
-                assert_eq!(s1.label, s2.label, "v{v}");
-                assert_eq!(d1.to_bits(), d2.to_bits(), "v{v}: {d1} vs {d2}");
-            }
+        let (a, b) = (
+            db.search(&probe, 5).unwrap(),
+            again.search(&probe, 5).unwrap(),
+        );
+        assert_eq!(a.len(), b.len());
+        for ((s1, d1), (s2, d2)) in a.iter().zip(&b) {
+            assert_eq!(s1.label, s2.label);
+            assert_eq!(d1.to_bits(), d2.to_bits(), "{d1} vs {d2}");
         }
     }
 
     #[test]
     fn one_magic_line_parser_serves_detection_and_the_frame() {
-        // The fresh save and every enveloped fixture: detection and the
+        // The fresh save and the committed fixture: detection and the
         // frame parser read the same version off the same line.
         for bytes in &checksummed_envelopes() {
             let (version, _) = split_envelope(bytes).unwrap();
@@ -980,11 +873,9 @@ mod tests {
         }
     }
 
-    /// A fresh save plus every committed fixture.
+    /// A fresh save plus the committed fixture.
     fn checksummed_envelopes() -> Vec<Vec<u8>> {
-        let mut envelopes = vec![saved(&sample_db())];
-        envelopes.extend(FORMAT_VERSIONS.iter().map(|v| fixture(v.version)));
-        envelopes
+        vec![saved(&sample_db()), fixture()]
     }
 
     #[test]
@@ -1020,8 +911,6 @@ mod tests {
 
     #[test]
     fn bit_flips_in_section_payloads_fail_the_checksum() {
-        // Stored `index` sections of old envelopes included: never
-        // parsed, still checksummed.
         for bytes in checksummed_envelopes() {
             let (_, sections) = split_envelope(&bytes).unwrap();
             let body_len: usize = sections.iter().map(|s| s.payload.len()).sum();
@@ -1045,9 +934,8 @@ mod tests {
 
     #[test]
     fn v4_header_without_checksums_is_rejected() {
-        // A v4+ header that lost its `crc32` field must not load with
-        // verification silently disabled — only genuinely pre-v4
-        // headers may omit checksums.
+        // A header that lost its `crc32` field must not load with
+        // verification silently disabled.
         for bytes in checksummed_envelopes() {
             match SignatureDb::load(&strip_header_array(&bytes, "crc32")[..]) {
                 Err(FmeterError::Persist(msg)) => {
@@ -1147,9 +1035,9 @@ mod tests {
         // payload is self-contained under its tagged codec.
         for section in &sections {
             match section.name.as_str() {
-                SEC_MODEL => drop(binary_section::<TfIdfModel>(section, Width::Varint).unwrap()),
-                SEC_CORPUS => drop(binary_section::<Corpus>(section, Width::Varint).unwrap()),
-                SEC_SIGNATURES => drop(decode_slots(section, Width::Varint, decode_slot).unwrap()),
+                SEC_MODEL => drop(binary_section::<TfIdfModel>(section).unwrap()),
+                SEC_CORPUS => drop(binary_section::<Corpus>(section).unwrap()),
+                SEC_SIGNATURES => drop(decode_slots(section).unwrap()),
                 _ => drop(json_section::<Value>(section).unwrap()),
             }
             let expected = match section.name.as_str() {
@@ -1206,8 +1094,8 @@ mod tests {
         let plain = SignatureDb::load(&bytes[..]).unwrap();
         assert_eq!(plain.num_shards(), 1);
         assert_equivalent(&db, &plain);
-        // The fixtures were saved flat, and come back as one shard.
-        assert_eq!(load(&fixture(5)[..], None).unwrap().num_shards(), 1);
+        // The fixture was saved flat, and comes back as one shard.
+        assert_eq!(load(&fixture()[..], None).unwrap().num_shards(), 1);
         // A zero-shard layout is rejected, not served — by either load.
         let zero = serde_json::to_string(&Sharding { num_shards: 0 }).unwrap();
         let bad = with_section(&bytes, SEC_SHARDING, zero.into_bytes());

@@ -466,7 +466,7 @@ impl SignatureService {
         }
     }
 
-    /// Loads a persisted database (any supported format version) and
+    /// Loads a database persisted in the current format version and
     /// serves it from its saved shard layout (see
     /// [`save`](Self::save)).
     ///

@@ -175,10 +175,9 @@ impl RawSignature {
     }
 
     /// Reads [`encode_sparse`](Self::encode_sparse)'s layout back into
-    /// dense counts — or, from a fixed-width reader, the `FMWAL 3` one.
-    /// The pairs are held to the [`TermCounts`] invariants, and a record
-    /// names its own dimension, so `max_dim` bounds it before anything
-    /// of that size is allocated.
+    /// dense counts. The pairs are held to the [`TermCounts`] invariants,
+    /// and a record names its own dimension, so `max_dim` bounds it before
+    /// anything of that size is allocated.
     pub(crate) fn decode_sparse(r: &mut Reader<'_>, max_dim: usize) -> Result<Self, CodecError> {
         let doc = TermCounts::decode_bin(r)?;
         if doc.dim() > max_dim {
@@ -192,8 +191,8 @@ impl RawSignature {
         }
         Ok(RawSignature {
             counts,
-            started_at: Nanos(r.get_u64()?),
-            ended_at: Nanos(r.get_u64()?),
+            started_at: Nanos(r.get_var()?),
+            ended_at: Nanos(r.get_var()?),
             label: r.get_opt_str()?,
         })
     }

@@ -49,15 +49,11 @@
 //! writes zeros to the chunk boundary past it, and the record's own sync
 //! commits them. Every other sync then writes into blocks the file
 //! already owns, so it commits data only, not a new file size. A closed
-//! or retired log is cut back to its records. So a v5 segment ends
-//! cleanly where every remaining byte is zero; a zero where a record
-//! header should start, followed by any non-zero byte, is a torn tail.
-//! Readers also accept `FMWAL 4`, the same records with no zero tail, and
-//! `FMWAL 3`, those records with fixed-width integers: a daemon upgraded
-//! in place replays its old log, and the next generation is written as
-//! v5. Zeros at the end of a v4 or v3 segment are torn, as they always
-//! were. A segment of any other version is refused by recovery, naming
-//! its version.
+//! or retired log is cut back to its records. So a segment ends cleanly
+//! where every remaining byte is zero; a zero where a record header
+//! should start, followed by any non-zero byte, is a torn tail.
+//! [`read_wal`] reads `FMWAL 5` alone: a segment of any other version is
+//! refused by recovery, naming its version.
 //!
 //! # Crash matrix
 //!
@@ -84,26 +80,16 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use crate::{persist, FmeterError, RawSignature, RefitStats, SignatureDb, VacuumStats};
-use fmeter_ir::codec::{self, BinCodec, CodecError, Reader, Width};
+use fmeter_ir::codec::{self, BinCodec, CodecError, Reader};
 use fmeter_ir::DocId;
 
 /// First token of every WAL file header line.
 pub(crate) const WAL_MAGIC: &str = "FMWAL";
 
-/// The WAL version this build writes: binary [`WalOp`] payloads, sparse
-/// inserts, varint integers, and a file that may end in zeros.
-/// [`read_wal`] also reads [`WAL_VERSION_UNPADDED`] and
-/// [`WAL_VERSION_FIXED`].
+/// The WAL version this build writes and reads: binary [`WalOp`]
+/// payloads, sparse inserts, varint integers, and a file that may end in
+/// zeros.
 pub const WAL_VERSION: u32 = 5;
-
-/// The same records as [`WAL_VERSION`] in a file that ends at its last
-/// record, so zeros at its end are torn. Still readable, never written.
-pub const WAL_VERSION_UNPADDED: u32 = 4;
-
-/// The oldest WAL version this build reads: the records of
-/// [`WAL_VERSION_UNPADDED`] with fixed-width integers. Still readable (a
-/// daemon upgraded in place must replay its old log), never written.
-pub const WAL_VERSION_FIXED: u32 = 3;
 
 /// Bytes a live WAL file grows by at a time, in zeros ahead of its
 /// records (see the [module docs](self)).
@@ -462,7 +448,7 @@ impl WalSink for WalFile {
 
 impl Drop for WalFile {
     /// Cuts the zeros off a retired or closed log. Best effort and
-    /// unsynced: a crash that keeps them leaves a v5 segment that still
+    /// unsynced: a crash that keeps them leaves a segment that still
     /// ends cleanly.
     fn drop(&mut self) {
         if self.allocated > self.len {
@@ -611,7 +597,7 @@ pub struct WalSegment {
 
 /// Scans WAL bytes, stopping cleanly at the first torn or corrupt
 /// record: short header, length overrun, checksum mismatch, sequence
-/// gap, or unparsable payload all end the prefix. A v5 segment also ends
+/// gap, or unparsable payload all end the prefix. A segment also ends
 /// cleanly where every byte after a record is zero.
 pub fn read_wal(bytes: &[u8]) -> WalSegment {
     let mut seg = WalSegment {
@@ -637,21 +623,16 @@ pub fn read_wal(bytes: &[u8]) -> WalSegment {
         return seg;
     };
     seg.version = Some(version);
-    // The version picks the integer width of the records, and whether
-    // the file may end in zeros.
-    let (width, zero_tail) = match version {
-        WAL_VERSION => (Width::Varint, true),
-        WAL_VERSION_UNPADDED => (Width::Varint, false),
-        WAL_VERSION_FIXED => (Width::Fixed, false),
-        _ => return seg,
-    };
+    if version != WAL_VERSION {
+        return seg;
+    }
     seg.start_seq = Some(start_seq);
     seg.contiguous = contig == "1";
     let mut offset = nl + 1;
     let mut expected = start_seq;
     loop {
         let rest = &bytes[offset..];
-        if rest.is_empty() || zero_tail && rest.iter().all(|&b| b == 0) {
+        if rest.iter().all(|&b| b == 0) {
             seg.torn = false; // clean end of the log
             return seg;
         }
@@ -670,7 +651,7 @@ pub fn read_wal(bytes: &[u8]) -> WalSegment {
         if record_crc(seq, payload) != stored_crc || seq != expected {
             return seg;
         }
-        let Ok(op) = codec::decode_all::<WalOp>(Reader::with_width(payload, width)) else {
+        let Ok(op) = codec::decode_from_slice::<WalOp>(payload) else {
             return seg;
         };
         seg.records.push((seq, op));
@@ -1284,9 +1265,11 @@ mod tests {
     #[test]
     fn unknown_wal_versions_are_ignored() {
         // Closed versions (`FMWAL 1`'s JSON records, `FMWAL 2`'s dense
-        // inserts) and unknown ones alike: the header is read, the
-        // segment is empty, and recovery refuses it by its version.
-        for version in [0, 1, 2, WAL_VERSION + 1] {
+        // inserts, `FMWAL 3`'s fixed-width integers, `FMWAL 4`'s file
+        // without a zero tail) and unknown ones alike: the header is
+        // read, the segment is empty, and recovery refuses it by its
+        // version.
+        for version in [0, 1, 2, 3, 4, WAL_VERSION + 1] {
             let bytes = format!("{WAL_MAGIC} {version} 1 1\n").into_bytes();
             let seg = read_wal(&[bytes, encode_record(1, &WalOp::Refit)].concat());
             assert_eq!(seg.version, Some(version));
@@ -1463,37 +1446,23 @@ mod tests {
 
     #[test]
     fn zero_tail_ends_a_v5_segment_and_tears_a_v4_or_v3_one() {
-        // The committed segment of each version, the same eight ops;
-        // zeros after the last record are the clean end of a v5 segment
-        // only. A zero header and then anything else is torn in all three.
-        let fixtures: [(u32, &[u8]); 3] = [
-            (
-                WAL_VERSION,
-                include_bytes!("../../../tests/fixtures/wal_v5.log"),
-            ),
-            (
-                WAL_VERSION_UNPADDED,
-                include_bytes!("../../../tests/fixtures/wal_v4.log"),
-            ),
-            (
-                WAL_VERSION_FIXED,
-                include_bytes!("../../../tests/fixtures/wal_v3.log"),
-            ),
-        ];
-        for (version, committed) in fixtures {
-            let records = read_wal(committed).records;
-            assert_eq!(records.len(), 8, "FMWAL {version}");
-            for zeros in [1, RECORD_HEADER_BYTES - 1, RECORD_HEADER_BYTES, 5000] {
-                let mut bytes = committed.to_vec();
-                bytes.resize(committed.len() + zeros, 0);
-                let seg = read_wal(&bytes);
-                assert_eq!(seg.records, records, "FMWAL {version}, {zeros} zeros");
-                assert_eq!(seg.torn, version != WAL_VERSION, "FMWAL {version}");
-                bytes.push(7);
-                let seg = read_wal(&bytes);
-                assert_eq!(seg.records, records, "FMWAL {version}, {zeros} zeros, 7");
-                assert!(seg.torn, "FMWAL {version}, {zeros} zeros and a byte");
-            }
+        // (The name predates the one-version reader and is kept:
+        // CHANGES.md cites tests by name.) The committed
+        // segment, eight ops: zeros after the last record are its clean
+        // end, and a zero header and then anything else is torn.
+        let committed = include_bytes!("../../../tests/fixtures/wal_v5.log");
+        let records = read_wal(committed).records;
+        assert_eq!(records.len(), 8);
+        for zeros in [1, RECORD_HEADER_BYTES - 1, RECORD_HEADER_BYTES, 5000] {
+            let mut bytes = committed.to_vec();
+            bytes.resize(committed.len() + zeros, 0);
+            let seg = read_wal(&bytes);
+            assert_eq!(seg.records, records, "{zeros} zeros");
+            assert!(!seg.torn, "{zeros} zeros");
+            bytes.push(7);
+            let seg = read_wal(&bytes);
+            assert_eq!(seg.records, records, "{zeros} zeros, 7");
+            assert!(seg.torn, "{zeros} zeros and a byte");
         }
     }
 
@@ -1637,7 +1606,7 @@ mod tests {
         // would chain into the new database's replay.
         let stray = test_dir("stray-wal");
         fs::create_dir_all(&stray).unwrap();
-        let wal = [b"FMWAL 3 1 1\n".to_vec(), encode_record(1, &WalOp::Refit)].concat();
+        let wal = [b"FMWAL 5 1 1\n".to_vec(), encode_record(1, &WalOp::Refit)].concat();
         fs::write(stray.join(wal_name(2)), wal).unwrap();
         assert!(create(&stray, db, DurableOptions::default()).is_err());
         for dir in [dir, stray] {

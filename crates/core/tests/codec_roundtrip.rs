@@ -13,23 +13,8 @@ use fmeter_ir::codec::{decode_from_slice, encode_to_vec};
 use fmeter_kernel_sim::Nanos;
 use proptest::prelude::*;
 
-mod common;
 mod harness;
-use common::fixture;
 use harness::{arb_corpus, arb_steps, assert_same_state, saved, Oracle};
-
-/// The fixed-width v5 fixture and the varint v9 fixture hold the same
-/// canonical database: loaded and saved again they must land on the
-/// same bytes — `f64::to_bits` equality of every idf the model
-/// publishes, so the varint codec lost nothing the fixed-width one kept
-/// — and derive the same vectors from them.
-#[test]
-fn v5_fixed_width_and_v9_varint_fixtures_hold_the_same_bits() {
-    let from5 = SignatureDb::load(&fixture(5)[..]).expect("load v5");
-    let from9 = SignatureDb::load(&fixture(9)[..]).expect("load v9");
-    assert_eq!(saved(&from5), saved(&from9));
-    assert!(from5.signatures().iter().eq(from9.signatures().iter()));
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]

@@ -14,9 +14,7 @@
 use std::fs;
 use std::path::Path;
 
-use fmeter_core::persist::{
-    detect_format_version, split_envelope, CURRENT_FORMAT_VERSION, FORMAT_VERSIONS,
-};
+use fmeter_core::persist::{detect_format_version, split_envelope, CURRENT_FORMAT_VERSION};
 use fmeter_core::wal::{crc32, WalWriter, EXTEND_CHUNK};
 use fmeter_core::{
     CheckpointPolicy, DurableLog, DurableOptions, FmeterError, RawSignature, RecoveryReport,
@@ -187,9 +185,8 @@ proptest! {
 
     /// Any single-bit flip inside any section payload — binary or JSON
     /// — fails that section's checksum on load, by name, before any
-    /// payload parses. (Under v5 the heavy sections are binary, so the
-    /// full 0..8 bit range applies; there is no UTF-8 layer to trip
-    /// over first.)
+    /// payload parses. (The heavy sections are binary, so the full 0..8
+    /// bit range applies; there is no UTF-8 layer to trip over first.)
     #[test]
     fn any_single_bit_flip_in_a_section_payload_is_caught(
         section_frac in 0.0f64..1.0,
@@ -712,8 +709,8 @@ fn zero_tail_is_cut_from_a_dropped_or_retired_log() {
 
 // ---- negative persistence (satellite) --------------------------------
 
-/// Replaces the first occurrence of `needle` in `bytes` (the v5
-/// envelope is no longer UTF-8, so edits are byte surgery).
+/// Replaces the first occurrence of `needle` in `bytes` (an envelope
+/// with binary sections is not UTF-8, so edits are byte surgery).
 fn replace_once(bytes: &[u8], needle: &[u8], replacement: &[u8]) -> Vec<u8> {
     let pos = bytes
         .windows(needle.len())
@@ -797,13 +794,12 @@ fn recovery_on_empty_or_partially_created_directories_fails_loudly() {
 }
 
 /// A daemon upgraded in place: the directory's checkpoint was written by
-/// an older release — every committed fixture stands in for one, v8
-/// being what the release before this format checkpointed — and a WAL
-/// continues it (a WAL of each older format replays to the same ops:
-/// `persistence_formats.rs`). Recovery is the fixture's
-/// load plus the logged ops (every vector derived from the checkpoint's
-/// counts, whatever it stored beside them), and the generation recovery
-/// starts is written in the current format.
+/// an older release of the current format — the committed fixture stands
+/// in for it — and a WAL continues it. Recovery is the fixture's load
+/// plus the logged ops, and the generation recovery starts is written in
+/// the current format. A checkpoint or a WAL of a retired format is
+/// refused by its version: recovery does not start from what it cannot
+/// read, nor stop short of ops the log holds.
 #[test]
 fn a_directory_checkpointed_by_an_older_release_recovers_to_the_acked_prefix() {
     let wide = |i: u64| {
@@ -825,49 +821,88 @@ fn a_directory_checkpointed_by_an_older_release_recovers_to_the_acked_prefix() {
         "FMMANIFEST {:08x}\n{manifest_json}\n",
         crc32(manifest_json.as_bytes())
     );
-    for version in FORMAT_VERSIONS.iter().map(|v| v.version) {
-        let mut outcomes = Vec::new();
-        for with_manifest in [false, true] {
-            let dir = test_dir(&format!("upgrade-v{version}-{with_manifest}"));
-            fs::create_dir_all(&dir).expect("mkdir");
-            fs::write(dir.join("checkpoint-0000000001.fmdb"), fixture(version))
-                .expect("checkpoint");
-            if with_manifest {
-                fs::write(dir.join("MANIFEST"), &manifest).expect("manifest");
-            }
-            let wal = fs::File::create(dir.join("wal-0000000001.log")).expect("wal");
-            let mut wal = WalWriter::create(Box::new(wal), 1, true, SyncPolicy::EveryRecord)
-                .expect("wal header");
-            let mut expected = SignatureDb::load(&fixture(version)[..]).expect("fixture loads");
-            for op in &ops {
-                wal.append(op).expect("append");
-                WalOpRef::from(op).apply(&mut expected).expect("apply");
-            }
-            drop(wal);
-
-            let (recovered, _, report) = DurableLog::recover_state(&dir).expect("recover_state");
-            assert_eq!(report.replayed_ops, ops.len(), "v{version}");
-            assert!(!report.torn_tail, "v{version}");
-            assert_eq!(saved(&recovered), saved(&expected), "v{version}");
-            assert!(
-                recovered
-                    .signatures()
-                    .iter()
-                    .eq(expected.signatures().iter()),
-                "v{version}: vectors"
-            );
-            let (_, log, _) = DurableLog::recover(&dir, manual_opts()).expect("recover");
-            let fresh = fs::read(dir.join(format!("checkpoint-{:010}.fmdb", log.generation())))
-                .expect("the generation recovery started");
-            assert_eq!(detect_format_version(&fresh), Some(CURRENT_FORMAT_VERSION));
-            assert_eq!(fresh, saved(&expected), "v{version}");
-            outcomes.push((saved(&recovered), fresh));
-            drop(log);
-            let _ = fs::remove_dir_all(&dir);
+    // A directory holding `checkpoint` and a WAL of `ops` continuing it,
+    // the WAL's header rewritten to `wal_header`.
+    let directory = |tag: &str, checkpoint: &[u8], wal_header: &str, with_manifest: bool| {
+        let dir = test_dir(tag);
+        fs::create_dir_all(&dir).expect("mkdir");
+        fs::write(dir.join("checkpoint-0000000001.fmdb"), checkpoint).expect("checkpoint");
+        if with_manifest {
+            fs::write(dir.join("MANIFEST"), &manifest).expect("manifest");
         }
-        assert!(
-            outcomes[0] == outcomes[1],
-            "v{version}: a leftover MANIFEST changed what recovery produced"
+        let path = dir.join("wal-0000000001.log");
+        let wal = fs::File::create(&path).expect("wal");
+        let mut wal =
+            WalWriter::create(Box::new(wal), 1, true, SyncPolicy::EveryRecord).expect("wal header");
+        for op in &ops {
+            wal.append(op).expect("append");
+        }
+        drop(wal);
+        let logged = fs::read(&path).expect("read wal");
+        let rewritten = replace_once(&logged, b"FMWAL 5 ", wal_header.as_bytes());
+        fs::write(&path, rewritten).expect("rewrite wal");
+        dir
+    };
+
+    let mut expected = SignatureDb::load(&fixture()[..]).expect("fixture loads");
+    for op in &ops {
+        WalOpRef::from(op).apply(&mut expected).expect("apply");
+    }
+    let mut outcomes = Vec::new();
+    for with_manifest in [false, true] {
+        let dir = directory(
+            &format!("upgrade-{with_manifest}"),
+            &fixture(),
+            "FMWAL 5 ",
+            with_manifest,
         );
+        let (recovered, _, report) = DurableLog::recover_state(&dir).expect("recover_state");
+        assert_eq!(report.replayed_ops, ops.len());
+        assert!(!report.torn_tail);
+        assert_eq!(saved(&recovered), saved(&expected));
+        assert!(recovered
+            .signatures()
+            .iter()
+            .eq(expected.signatures().iter()));
+        let (_, log, _) = DurableLog::recover(&dir, manual_opts()).expect("recover");
+        let fresh = fs::read(dir.join(format!("checkpoint-{:010}.fmdb", log.generation())))
+            .expect("the generation recovery started");
+        assert_eq!(detect_format_version(&fresh), Some(CURRENT_FORMAT_VERSION));
+        assert_eq!(fresh, saved(&expected));
+        outcomes.push((saved(&recovered), fresh));
+        drop(log);
+        let _ = fs::remove_dir_all(&dir);
+    }
+    assert!(
+        outcomes[0] == outcomes[1],
+        "a leftover MANIFEST changed what recovery produced"
+    );
+
+    // The fixture's sections framed as v8, the format before this one,
+    // and an `FMWAL 4` log, the WAL format before this one.
+    let v8 = replace_once(&fixture(), b"FMETERDB 9\n", b"FMETERDB 8\n");
+    let v8 = replace_once(&v8, b"\"format_version\":9", b"\"format_version\":8");
+    assert!(matches!(
+        SignatureDb::load(&v8[..]),
+        Err(FmeterError::UnsupportedFormat { found: 8, .. })
+    ));
+    let refused = [
+        (
+            directory("closed-v8", &v8, "FMWAL 5 ", false),
+            "unsupported database format version 8",
+        ),
+        (
+            directory("closed-fmwal4", &fixture(), "FMWAL 4 ", false),
+            "wal-0000000001.log is an FMWAL 4 segment: not read by this build",
+        ),
+    ];
+    for (dir, message) in refused {
+        let err = DurableLog::recover_state(&dir).map(drop).unwrap_err();
+        assert!(err.to_string().contains(message), "{err}");
+        let err = DurableLog::recover(&dir, manual_opts())
+            .map(drop)
+            .unwrap_err();
+        assert!(err.to_string().contains(message), "{err}");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

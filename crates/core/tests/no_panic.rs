@@ -3,9 +3,9 @@
 //! Every reader of bytes from outside — `SignatureDb::load`,
 //! `SignatureService::load`, `split_envelope`, `detect_format_version`,
 //! `read_wal` — is fed truncations, bit flips and garbage of every
-//! format it accepts: a fresh v9 envelope, each committed fixture
-//! (v5–v9), and `FMWAL 5` (bare and with the zero tail a live file
-//! carries), `FMWAL 4` and `FMWAL 3` segments. The answer is always an
+//! format it accepts: a fresh v9 envelope, the committed v9 fixture,
+//! and `FMWAL 5` segments, bare and with the zero tail a live file
+//! carries. The answer is always an
 //! `Err` or a clean record prefix. A panic fails the test by itself, so
 //! most of the suite only has to *call*; what more is promised (a strict
 //! truncation never loads, a damaged WAL yields a record prefix) is
@@ -18,22 +18,21 @@ use std::io::Write;
 use std::sync::{Arc, LazyLock, Mutex};
 
 use fmeter_core::persist::{
-    detect_format_version, split_envelope, RawSection, SectionCodec, FORMAT_VERSIONS, MAX_SHARDS,
-    MAX_SIGNATURE_DIM,
+    detect_format_version, split_envelope, RawSection, SectionCodec, CURRENT_FORMAT_VERSION,
+    MAX_SHARDS, MAX_SIGNATURE_DIM,
 };
 use fmeter_core::wal::{crc32, read_wal, SyncPolicy, WalSink, WalWriter};
 use fmeter_core::{
-    AnomalyDetector, FmeterError, RawSignature, Signature, SignatureDb, SignatureService, WalOp,
-    WalOpRef,
+    AnomalyDetector, FmeterError, RawSignature, SignatureDb, SignatureService, WalOp, WalOpRef,
 };
-use fmeter_ir::codec::{self, Reader, Width};
+use fmeter_ir::codec::{self, Reader};
 use fmeter_ir::{Corpus, IrError, SearchScratch, TermCounts};
 use proptest::prelude::*;
 
 mod common;
 mod harness;
 use common::fixture;
-use harness::{member, probes, raw, saved, seed_corpus, DIM};
+use harness::{member, raw, seed_corpus, DIM};
 
 /// A signature with no label, so the stored and logged bytes carry one.
 fn unlabelled(i: u64) -> RawSignature {
@@ -54,12 +53,9 @@ fn fresh_envelope() -> Vec<u8> {
     bytes
 }
 
-/// The fresh v9 envelope and every committed fixture, v5–v9.
-static STORED_DATABASES: LazyLock<Vec<Vec<u8>>> = LazyLock::new(|| {
-    let mut all = vec![fresh_envelope()];
-    all.extend(FORMAT_VERSIONS.iter().map(|v| fixture(v.version)));
-    all
-});
+/// The fresh v9 envelope and the committed v9 fixture.
+static STORED_DATABASES: LazyLock<Vec<Vec<u8>>> =
+    LazyLock::new(|| vec![fresh_envelope(), fixture()]);
 
 /// Feeds `bytes` to every database reader; returns whether the flat
 /// load accepted them.
@@ -111,31 +107,39 @@ fn no_bit_flip_in_the_header_lines_panics() {
 
 #[test]
 fn closed_versions_are_errors_that_name_them() {
-    // A v4 envelope (all-JSON sections), re-framed as well as the frame
-    // allows, and a bare-JSON v0 save: `Err`s that say which version.
+    // v9 sections re-framed as each retired version — v4 (all-JSON
+    // sections), v5–v8 (fixed-width integers, stored vectors and index)
+    // — and a bare-JSON v0 save: `Err`s that say which version.
     let (_, sections) = split_envelope(&STORED_DATABASES[0]).unwrap();
-    let v4 = reframe(4, &sections);
-    assert_eq!(detect_format_version(&v4), Some(4));
-    for result in [
-        SignatureDb::load(&v4[..]).map(drop),
-        SignatureService::load(&v4[..]).map(drop),
-        split_envelope(&v4).map(drop),
-    ] {
-        assert!(matches!(
-            result,
-            Err(FmeterError::UnsupportedFormat { found: 4, .. })
-        ));
+    for version in 4..CURRENT_FORMAT_VERSION {
+        let old = reframe(version, &sections);
+        assert_eq!(detect_format_version(&old), Some(version));
+        for result in [
+            SignatureDb::load(&old[..]).map(drop),
+            SignatureService::load(&old[..]).map(drop),
+            split_envelope(&old).map(drop),
+        ] {
+            match result {
+                Err(FmeterError::UnsupportedFormat { found, supported }) => {
+                    assert_eq!((found, supported), (version, CURRENT_FORMAT_VERSION))
+                }
+                other => panic!("v{version}: expected UnsupportedFormat, got {other:?}"),
+            }
+        }
     }
     let message = SignatureDb::load(&b"{\"model\":{}}"[..])
         .unwrap_err()
         .to_string();
     assert!(message.contains("v0"), "{message}");
-    // An `FMWAL 2` segment: its header is read, and it holds no record
-    // (recovery refuses it by that version: the `wal` unit tests).
-    let v2 = segment(2, [codec::encode_to_vec(&WalOp::Refit)]);
-    let seg = read_wal(&v2);
-    assert_eq!((seg.version, seg.start_seq), (Some(2), None));
-    assert!(seg.records.is_empty() && seg.torn);
+    // `FMWAL 2`, `3` and `4` segments: the header is read, and each
+    // holds no record (recovery refuses it by that version: the `wal`
+    // unit tests and the `durability` suite).
+    for version in 2..=4 {
+        let old = segment(version, [codec::encode_to_vec(&WalOp::Refit)]);
+        let seg = read_wal(&old);
+        assert_eq!((seg.version, seg.start_seq), (Some(version), None));
+        assert!(seg.records.is_empty() && seg.torn, "FMWAL {version}");
+    }
 }
 
 /// Frames `sections` as an envelope of `version` with correct lengths,
@@ -295,7 +299,7 @@ fn sections_that_pass_their_checksums_and_lie_are_errors() {
     // past, what `corpus` and `state` hold: vectors are derived slot by
     // slot from the counts, so the two must pair up.
     let signatures = sections.iter().find(|s| s.name == "signatures").unwrap();
-    let slots = Reader::new(signatures.payload).get_u64().unwrap();
+    let slots = Reader::new(signatures.payload).get_var().unwrap();
     for count in [slots - 1, slots + 1] {
         // Each record: no label, two timestamps.
         let payload = [var(count), vec![0; 3 * count as usize]].concat();
@@ -303,8 +307,8 @@ fn sections_that_pass_their_checksums_and_lie_are_errors() {
         assert!(message.contains("inconsistent sections"), "{message}");
     }
     // The `model` section ends in two scheme tags, (0, 0) for §2.1's tf
-    // and idf. One naming another scheme (tf tag 1, a raw count in
-    // formats v5–v9) is refused by name.
+    // and idf. One naming another scheme (tf tag 1, a raw count) is
+    // refused by name.
     let model = sections.iter().find(|s| s.name == "model").unwrap().payload;
     let tags = model.len() - 2;
     assert_eq!(model[tags..], [0, 0]);
@@ -313,73 +317,21 @@ fn sections_that_pass_their_checksums_and_lie_are_errors() {
     let message = rejected("model", &other);
     assert!(message.contains("tf scheme tag 1"), "{message}");
     // The `state` section names a weight storage mode. The writer puts
-    // `"Off"`; an older build's `"Int8"` loads as the one exact index,
-    // and anything else — a mode never written, a number, no key — is an
-    // error.
+    // `"Off"`, and anything else — `"Int8"`, which older builds could
+    // load, a mode never written, a number, no key — is an error.
     let state = sections.iter().find(|s| s.name == "state").unwrap().payload;
     let state = std::str::from_utf8(state).expect("JSON state");
     let mode = ",\"quantization\":\"Off\"";
     assert!(state.contains(mode), "{state}");
     let state_with = |field: &str| state.replacen(mode, field, 1).into_bytes();
-    let int8 = state_with(",\"quantization\":\"Int8\"");
-    let int8 = reframe(
-        version,
-        &with_section(&sections, "state", SectionCodec::Json, &int8),
-    );
-    let (off, int8) = (
-        SignatureDb::load(&STORED_DATABASES[0][..]).expect("load"),
-        SignatureDb::load(&int8[..]).expect("an Int8 save loads"),
-    );
-    let hits = |db: &SignatureDb| -> Vec<(Signature, u64)> {
-        let hits = db.search(&probes()[0], 8).expect("search");
-        hits.into_iter()
-            .map(|(s, x)| (s.clone(), x.to_bits()))
-            .collect()
-    };
-    assert!(!hits(&off).is_empty());
-    assert_eq!(hits(&int8), hits(&off));
-    assert!(
-        saved(&int8) == saved(&off),
-        "an Int8 save is re-saved as Off"
-    );
-    for field in [",\"quantization\":\"Int4\"", ",\"quantization\":7", ""] {
+    for field in [
+        ",\"quantization\":\"Int8\"",
+        ",\"quantization\":\"Int4\"",
+        ",\"quantization\":7",
+        "",
+    ] {
         let message = rejected("state", &state_with(field));
         assert!(message.contains("state"), "{field}: {message}");
-    }
-    // A v6 `index` section is checksummed and otherwise not read: its
-    // mode tag, behind the eleven fields v5 stored, may name `Int8` (1)
-    // or nothing any build wrote (0x07), and the save loads as it is.
-    let v6 = fixture(6);
-    let (_, v6_sections) = split_envelope(&v6).unwrap();
-    let index = v6_sections.iter().find(|s| s.name == "index").unwrap();
-    let mut r = Reader::with_width(index.payload, Width::Fixed);
-    let walked = (|| -> Result<(), codec::CodecError> {
-        r.get_usize()?; // dim
-        r.skip_array(8)?; // offsets
-        r.skip_array(4)?; // docs
-        r.skip_array(8)?; // weights
-        for _ in 0..r.array_len(1)? {
-            // One tail posting list per term: docs, weights.
-            r.skip_array(4)?;
-            r.skip_array(8)?;
-        }
-        r.get_usize()?; // tail_len
-        r.get_usize()?; // num_docs
-        r.skip_array(8)?; // max_impact
-        r.skip_array(1)?; // removed
-        r.get_usize()?; // num_removed
-        r.get_usize().map(drop) // dead_unpurged
-    })();
-    walked.expect("the fixture's v5 index fields");
-    let tag_at = index.payload.len() - r.remaining();
-    assert_eq!(index.payload[tag_at], 0, "the fixture was saved exact");
-    let committed = saved(&SignatureDb::load(&v6[..]).expect("v6 loads"));
-    for tag in [1, 0x07] {
-        let mut payload = index.payload.to_vec();
-        payload[tag_at] = tag;
-        let tagged = with_section(&v6_sections, "index", SectionCodec::Binary, &payload);
-        let db = SignatureDb::load(&reframe(6, &tagged)[..]).expect("the tag is not read");
-        assert!(saved(&db) == committed, "tag {tag:#04x}");
     }
 }
 
@@ -518,76 +470,12 @@ fn segment(version: u32, payloads: impl IntoIterator<Item = Vec<u8>>) -> Vec<u8>
     bytes
 }
 
-/// An op as `FMWAL 3` logged it — nothing writes that any more: the
-/// same tags and fields as now, every integer fixed-width and each
-/// insert's pairs two counted arrays, of `u32` terms and `u64` counts.
-fn fixed_payload(op: &WalOp) -> Vec<u8> {
-    let word = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-    let insert = |out: &mut Vec<u8>, raw: &RawSignature| {
-        let doc = raw.to_term_counts();
-        word(out, doc.dim() as u64);
-        word(out, doc.distinct_terms() as u64);
-        doc.iter()
-            .for_each(|(t, _)| out.extend_from_slice(&t.to_le_bytes()));
-        word(out, doc.distinct_terms() as u64);
-        doc.iter().for_each(|(_, c)| word(out, c));
-        word(out, raw.started_at.0);
-        word(out, raw.ended_at.0);
-        match &raw.label {
-            None => out.push(0),
-            Some(label) => {
-                out.push(1);
-                word(out, label.len() as u64);
-                out.extend_from_slice(label.as_bytes());
-            }
-        }
-    };
-    let mut out = Vec::new();
-    match op {
-        WalOp::Insert(raw) => {
-            out.push(5);
-            insert(&mut out, raw);
-        }
-        WalOp::InsertBatch(raws) => {
-            out.push(6);
-            word(&mut out, raws.len() as u64);
-            raws.iter().for_each(|raw| insert(&mut out, raw));
-        }
-        WalOp::Remove(doc) => {
-            out.push(2);
-            word(&mut out, *doc as u64);
-        }
-        other => out = codec::encode_to_vec(other),
-    }
-    out
-}
-
-#[test]
-fn fixed_width_framing_is_faithful() {
-    // The helpers above must produce what the `FMWAL 3` writer produced,
-    // or the properties below would be testing a format nobody wrote:
-    // the committed segment of that era, replayed and framed again.
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/fixtures/wal_v3.log"
-    );
-    let committed = std::fs::read(path).expect("the FMWAL 3 fixture");
-    let seg = read_wal(&committed);
-    assert!(!seg.torn && seg.records.len() >= 5);
-    let mut again = format!("FMWAL 3 {} 1\n", seg.start_seq.unwrap()).into_bytes();
-    for (seq, op) in &seg.records {
-        again.extend_from_slice(&framed(*seq, &fixed_payload(op)));
-    }
-    assert!(again == committed);
-}
-
 /// Zeros after the last record, as a live `FMWAL 5` file carries them.
 const ZERO_TAIL: [u8; 40] = [0; 40];
 
-/// The same ops as an `FMWAL 5` segment (through the real writer), that
-/// segment with a zero tail, and as `FMWAL 4` and `FMWAL 3` segments
-/// (varint and fixed-width integers), the older two framed by hand.
-fn wal_segments() -> [Vec<u8>; 4] {
+/// The same ops as an `FMWAL 5` segment (through the real writer), and
+/// that segment with a zero tail.
+fn wal_segments() -> [Vec<u8>; 2] {
     let sink = SharedSink::default();
     let mut writer = WalWriter::create(Box::new(sink.clone()), 4, true, SyncPolicy::EveryRecord)
         .expect("create wal");
@@ -597,13 +485,7 @@ fn wal_segments() -> [Vec<u8>; 4] {
     let v5 = sink.0.lock().unwrap().clone();
     assert!(v5.starts_with(b"FMWAL 5 "));
     let padded = [&v5[..], &ZERO_TAIL].concat();
-    let v4 = segment(4, wal_ops().iter().map(codec::encode_to_vec));
-    [
-        v5,
-        padded,
-        v4,
-        segment(3, wal_ops().iter().map(fixed_payload)),
-    ]
+    [v5, padded]
 }
 
 /// Asserts `bytes` replays to a prefix of the undamaged segment's
@@ -644,7 +526,7 @@ fn every_truncation_and_bit_flip_of_a_wal_segment_yields_a_clean_prefix() {
     }
 }
 
-/// `raw` as an `FMWAL 4` insert payload, its pairs laid out from the
+/// `raw` as an `FMWAL 5` insert payload, its pairs laid out from the
 /// fields of [`pair_fields`] after `lie` rewrote them.
 fn insert_payload(raw: &RawSignature, lie: impl Fn(&mut Vec<Vec<u8>>, usize)) -> Vec<u8> {
     let doc = raw.to_term_counts();
@@ -666,7 +548,7 @@ fn sparse_records_that_pass_their_checksums_and_lie_end_the_clean_prefix() {
     // allocation of what a length field claims.
     let honest = WalOp::Insert(unlabelled(1));
     let replayed = |payload: Vec<u8>| {
-        let seg = read_wal(&segment(4, [codec::encode_to_vec(&honest), payload]));
+        let seg = read_wal(&segment(5, [codec::encode_to_vec(&honest), payload]));
         assert!(seg.records.len() <= 2 && seg.records[0] == (4, honest.clone()));
         (seg.records.len() == 2, seg.torn)
     };
@@ -733,7 +615,7 @@ proptest! {
     /// of one section changed (or the section cut short, or replaced by
     /// garbage) and the frame re-sealed with matching lengths and
     /// checksums, so the section decoders and the cross-section checks
-    /// see it. Covers every stored database, v5–v9.
+    /// see it. Covers both stored databases.
     #[test]
     fn damage_behind_a_valid_frame_never_panics_a_reader(
         which in 0usize..10,
@@ -753,13 +635,13 @@ proptest! {
     }
 
     /// The same damage behind a valid record frame: one record of an
-    /// `FMWAL 5` (with or without a zero tail), `FMWAL 4` or `FMWAL 3`
-    /// segment changed and sealed again under a checksum that holds.
+    /// `FMWAL 5` segment, with or without a zero tail, changed and sealed
+    /// again under a checksum that holds.
     /// Replay keeps every record before it and whatever it then takes
     /// applies to a database without a panic.
     #[test]
     fn damage_behind_a_valid_record_never_panics_replay(
-        which in 0usize..4,
+        which in 0usize..2,
         record in 0usize..5,
         byte_frac in 0.0f64..1.0,
         replacement in any::<u8>(),
@@ -767,15 +649,12 @@ proptest! {
         garbage in prop::collection::vec(any::<u8>(), 0..64),
     ) {
         let none: &[u8] = &[];
-        let (version, tail) = [(5, none), (5, &ZERO_TAIL), (4, none), (3, none)][which];
-        let mut payloads: Vec<Vec<u8>> = match version {
-            3 => wal_ops().iter().map(fixed_payload).collect(),
-            _ => wal_ops().iter().map(codec::encode_to_vec).collect(),
-        };
-        let framed = [segment(version, payloads.clone()), tail.to_vec()].concat();
+        let tail = [none, &ZERO_TAIL][which];
+        let mut payloads: Vec<Vec<u8>> = wal_ops().iter().map(codec::encode_to_vec).collect();
+        let framed = [segment(5, payloads.clone()), tail.to_vec()].concat();
         prop_assert!(framed == wal_segments()[which]);
         damage(&mut payloads[record], byte_frac, replacement, mode, &garbage);
-        let seg = read_wal(&[segment(version, payloads), tail.to_vec()].concat());
+        let seg = read_wal(&[segment(5, payloads), tail.to_vec()].concat());
         let ops = wal_ops();
         for (i, (_, op)) in seg.records.iter().enumerate().take(record) {
             prop_assert_eq!(op, &ops[i]);

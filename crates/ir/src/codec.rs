@@ -17,11 +17,8 @@
 //!   then the counts ([`put_pairs`]),
 //! * there is no padding and no alignment.
 //!
-//! Format v5–v8 saves and `FMWAL 3` logs wrote every integer fixed-width
-//! instead (`u32` terms and document frequencies, `u64` everything else)
-//! and each pair array as a counted array of absolute terms and a counted
-//! array of counts. A [`Reader`] over such bytes is made with
-//! [`Width::Fixed`]; nothing writes that layout any more.
+//! This is the one layout [`Reader`] reads: format v9 saves and `FMWAL 5`
+//! logs.
 //!
 //! Types opt in by implementing [`BinCodec`]. Decoders read through
 //! [`Reader`], which bounds-checks every access and guards length prefixes
@@ -195,49 +192,23 @@ pub fn put_pairs<I: Iterator<Item = (u32, u64)>>(
 // Reader
 // ---------------------------------------------------------------------------
 
-/// How the integers of the bytes a [`Reader`] walks are laid out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Width {
-    /// Varints: what every writer emits.
-    Varint,
-    /// Fixed-width little-endian: `u32` terms and document frequencies,
-    /// `u64` everything else — format v5–v8 and `FMWAL 3`, read only.
-    Fixed,
-}
-
 /// Bounds-checked cursor over an encoded byte slice.
 ///
 /// Every accessor either returns the decoded value and advances the cursor,
 /// or returns a [`CodecError`] and leaves the reader unusable for that
-/// decode attempt. The integer accessors read the reader's [`Width`].
-/// Array reads check `count * elem_size` against the bytes actually
-/// remaining before allocating, so a flipped length prefix cannot request
-/// an absurd allocation.
+/// decode attempt. Array reads check `count * elem_size` against the bytes
+/// actually remaining before allocating, so a flipped length prefix cannot
+/// request an absurd allocation.
 #[derive(Debug)]
 pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
-    width: Width,
 }
 
 impl<'a> Reader<'a> {
-    /// Start reading varint-coded `bytes` at the beginning.
+    /// Start reading `bytes` at the beginning.
     pub fn new(bytes: &'a [u8]) -> Self {
-        Self::with_width(bytes, Width::Varint)
-    }
-
-    /// Start reading `bytes`, whose integers are laid out as `width`.
-    pub fn with_width(bytes: &'a [u8], width: Width) -> Self {
-        Reader {
-            bytes,
-            pos: 0,
-            width,
-        }
-    }
-
-    /// How this reader's integers are laid out.
-    pub fn width(&self) -> Width {
-        self.width
+        Reader { bytes, pos: 0 }
     }
 
     /// Bytes not yet consumed.
@@ -266,10 +237,6 @@ impl<'a> Reader<'a> {
         let slice = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
-    }
-
-    fn take_le<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
-        Ok(self.take(N)?.try_into().expect("N-byte slice"))
     }
 
     /// Read a `u8`.
@@ -306,34 +273,21 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Read a `u32`: a varint no larger than `u32::MAX`, or four
-    /// little-endian bytes.
+    /// Read a `u32`: a varint no larger than `u32::MAX`.
     pub(crate) fn get_u32(&mut self) -> Result<u32, CodecError> {
-        match self.width {
-            Width::Varint => {
-                let v = self.get_var()?;
-                u32::try_from(v).map_err(|_| CodecError::new(format!("{v} exceeds u32")))
-            }
-            Width::Fixed => Ok(u32::from_le_bytes(self.take_le()?)),
-        }
-    }
-
-    /// Read a `u64`: a varint, or eight little-endian bytes.
-    pub fn get_u64(&mut self) -> Result<u64, CodecError> {
-        match self.width {
-            Width::Varint => self.get_var(),
-            Width::Fixed => Ok(u64::from_le_bytes(self.take_le()?)),
-        }
+        let v = self.get_var()?;
+        u32::try_from(v).map_err(|_| CodecError::new(format!("{v} exceeds u32")))
     }
 
     /// Read an `f64` from its little-endian bit pattern.
     pub(crate) fn get_f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(u64::from_le_bytes(self.take_le()?)))
+        let bits = self.take(8)?.try_into().expect("8-byte slice");
+        Ok(f64::from_bits(u64::from_le_bytes(bits)))
     }
 
-    /// Read a `u64` and narrow it to `usize`.
+    /// Read a varint and narrow it to `usize`.
     pub fn get_usize(&mut self) -> Result<usize, CodecError> {
-        let v = self.get_u64()?;
+        let v = self.get_var()?;
         usize::try_from(v).map_err(|_| CodecError::new(format!("length {v} exceeds usize")))
     }
 
@@ -396,7 +350,7 @@ impl<'a> Reader<'a> {
 
     /// Read a length-prefixed `u32` array.
     pub(crate) fn get_u32s<C: FromIterator<u32>>(&mut self) -> Result<C, CodecError> {
-        let count = self.array_len(if self.width == Width::Fixed { 4 } else { 1 })?;
+        let count = self.array_len(1)?;
         self.get_exact(count, Reader::get_u32)
     }
 
@@ -461,7 +415,7 @@ mod tests {
         let mut r = Reader::new(&buf);
         assert_eq!(r.get_u8().unwrap(), 0xAB);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
+        assert_eq!(r.get_var().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.get_f64().unwrap().to_bits(), 0x7FF8_0000_0000_1234);
         assert_eq!(r.get_str().unwrap(), "héllo");
@@ -526,30 +480,12 @@ mod tests {
     }
 
     #[test]
-    fn a_fixed_width_reader_reads_little_endian_words() {
-        let mut buf = 0xDEAD_BEEFu32.to_le_bytes().to_vec();
-        buf.extend_from_slice(&7u64.to_le_bytes());
-        buf.extend_from_slice(&2u64.to_le_bytes());
-        buf.extend_from_slice(&[1, 0, 0, 0, 2, 0, 0, 0]);
-        let mut r = Reader::with_width(&buf, Width::Fixed);
-        assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64().unwrap(), 7);
-        assert_eq!(r.get_u32s::<Vec<u32>>().unwrap(), vec![1, 2]);
-        r.finish().unwrap();
-    }
-
-    #[test]
     fn truncated_input_errors_instead_of_panicking() {
         let mut buf = Vec::new();
         put_var(&mut buf, u64::MAX);
         for cut in 0..buf.len() {
             let mut r = Reader::new(&buf[..cut]);
-            assert!(r.get_u64().is_err(), "cut at {cut} should fail");
-        }
-        let buf = 7u64.to_le_bytes();
-        for cut in 0..buf.len() {
-            let mut r = Reader::with_width(&buf[..cut], Width::Fixed);
-            assert!(r.get_u64().is_err(), "cut at {cut} should fail");
+            assert!(r.get_var().is_err(), "cut at {cut} should fail");
         }
     }
 

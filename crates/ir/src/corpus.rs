@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use crate::codec::{self, Reader, Width};
+use crate::codec::{self, Reader};
 use crate::sparse::{check_wire_terms, exact};
 use crate::{IrError, TermId};
 
@@ -308,9 +308,7 @@ impl Corpus {
 }
 
 // Binary wire layout (see `crate::codec`): the sparse pairs of
-// `codec::put_pairs`. A fixed-width reader (format v5–v8, `FMWAL 3`)
-// finds `dim` and two counted arrays instead, of absolute terms and of
-// counts. Either way the pairs are held to the constructor invariants
+// `codec::put_pairs`. The pairs are held to the constructor invariants
 // by `from_wire`, so a term gap past `dim` or of zero after the first
 // term, and a zero count, are errors like any unsorted or stray term.
 impl codec::BinCodec for TermCounts {
@@ -320,26 +318,17 @@ impl codec::BinCodec for TermCounts {
 
     fn decode_bin(r: &mut Reader<'_>) -> Result<Self, codec::CodecError> {
         let dim = r.get_usize()?;
-        let (terms, counts) = match r.width() {
-            Width::Varint => {
-                // A pair takes at least two bytes: bounded before allocating.
-                let nnz = r.array_len(2)?;
-                let mut prev = 0u64;
-                let terms = r.get_exact(nnz, |r| {
-                    let term = r.get_var()?.checked_add(prev);
-                    prev = term
-                        .filter(|&t| t <= u64::from(TermId::MAX))
-                        .ok_or_else(|| codec::CodecError::new("TermCounts term gap past u32"))?;
-                    Ok(prev as TermId)
-                })?;
-                (terms, r.get_exact(nnz, Reader::get_u64)?)
-            }
-            Width::Fixed => {
-                let terms = r.get_u32s()?;
-                let nnz = r.array_len(8)?;
-                (terms, r.get_exact(nnz, Reader::get_u64)?)
-            }
-        };
+        // A pair takes at least two bytes: bounded before allocating.
+        let nnz = r.array_len(2)?;
+        let mut prev = 0u64;
+        let terms = r.get_exact(nnz, |r| {
+            let term = r.get_var()?.checked_add(prev);
+            prev = term
+                .filter(|&t| t <= u64::from(TermId::MAX))
+                .ok_or_else(|| codec::CodecError::new("TermCounts term gap past u32"))?;
+            Ok(prev as TermId)
+        })?;
+        let counts = r.get_exact(nnz, Reader::get_var)?;
         TermCounts::from_wire(dim, terms, counts).map_err(codec::CodecError::new)
     }
 }
@@ -502,34 +491,6 @@ mod tests {
             ),
         ] {
             assert!(decode(&corpus(doc)).is_err(), "{what}");
-        }
-        // What format v5–v8 stored: two counted arrays of fixed-width
-        // terms and counts, read with the same checks.
-        let fixed = |terms: &[u32], counts: &[u64]| {
-            let mut out = [4u64, 1, 4, terms.len() as u64]
-                .map(u64::to_le_bytes)
-                .concat();
-            terms
-                .iter()
-                .for_each(|t| out.extend_from_slice(&t.to_le_bytes()));
-            out.extend_from_slice(&(counts.len() as u64).to_le_bytes());
-            counts
-                .iter()
-                .for_each(|c| out.extend_from_slice(&c.to_le_bytes()));
-            codec::decode_all::<Corpus>(Reader::with_width(&out, Width::Fixed))
-        };
-        let good = fixed(&[1, 3], &[1, 2]).unwrap();
-        assert_eq!(
-            good.doc(0),
-            Some(&TermCounts::from_pairs(4, [(1, 1), (3, 2)]).unwrap())
-        );
-        for (terms, counts) in [
-            (&[9][..], &[1][..]),
-            (&[2, 1], &[1, 1]),
-            (&[1, 2], &[1]),
-            (&[1], &[0]),
-        ] {
-            assert!(fixed(terms, counts).is_err(), "{terms:?} {counts:?}");
         }
     }
 }

@@ -433,10 +433,9 @@ impl TfIdfModel {
 // The model's fields — `dim`, `num_docs`, `doc_freq` and `idf` — every
 // integer a varint and each idf its 8 bytes, so a load is bit-identical:
 // the in-memory caches stay off the wire and are rebuilt conservatively
-// stale on decode. Two tag bytes follow, the tf and idf schemes of
-// formats v5–v9: (0, 0) names §2.1's `n / T_d` and `ln(|D| / df)`, the
-// only pair written, and a reader refuses any other. A fixed-width
-// reader (format v5–v8) reads the same fields.
+// stale on decode. Two tag bytes follow, the tf and idf schemes:
+// (0, 0) names §2.1's `n / T_d` and `ln(|D| / df)`, the only pair
+// written, and a reader refuses any other.
 impl codec::BinCodec for TfIdfModel {
     fn encode_bin(&self, out: &mut Vec<u8>) {
         codec::put_usize(out, self.weights.dim);

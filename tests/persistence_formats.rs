@@ -1,13 +1,13 @@
-//! On-disk format compatibility: every historical `SignatureDb` layout
-//! is locked in by a committed fixture under `tests/fixtures/`, and the
-//! current writer is locked to the committed current-version fixture's
-//! *structure* — changing the serialized layout without bumping
-//! [`persist::CURRENT_FORMAT_VERSION`], teaching the loader what the
-//! previous version lacked, and committing a new fixture fails here.
+//! On-disk format stability: the one `SignatureDb` layout and the one
+//! WAL layout this build reads and writes are each locked in by a
+//! committed fixture under `tests/fixtures/`, and the current writers
+//! are locked to those fixtures byte for byte — changing a serialized
+//! layout without bumping its version ([`persist::CURRENT_FORMAT_VERSION`],
+//! `WAL_VERSION`) and committing a new fixture in place of the old one
+//! fails here. The old version is then refused by name.
 //!
-//! Only the current version can be written, so the older fixtures are
-//! immutable files; the current one is (re)written by the `#[ignore]`d
-//! `regenerate_fixtures` test:
+//! The fixtures are (re)written by the `#[ignore]`d `regenerate_fixtures`
+//! test:
 //!
 //! ```text
 //! cargo test --test persistence_formats -- --ignored regenerate_fixtures
@@ -20,12 +20,10 @@ use std::sync::{Arc, Mutex};
 
 use fmeter::core::persist::{
     detect_format_version, split_envelope, RawSection, SectionCodec, CURRENT_FORMAT_VERSION,
-    FORMAT_VERSIONS,
 };
-use fmeter::core::wal::{read_wal, WalSink, WalWriter, WAL_VERSION, WAL_VERSION_FIXED};
+use fmeter::core::wal::{read_wal, WalSink, WalWriter, WAL_VERSION};
 use fmeter::core::{RawSignature, RefitPolicy, SignatureDb, SyncPolicy, VacuumPolicy, WalOp};
 use fmeter::ir::codec::{self, decode_from_slice, encode_to_vec, CodecError, Reader};
-use fmeter::ir::TermId;
 use fmeter::ir::{Corpus, TermCounts, TfIdfModel};
 use fmeter::kernel_sim::Nanos;
 use serde::Value;
@@ -122,7 +120,7 @@ fn assert_fixture_behaviour(mut db: SignatureDb, version: u32) {
     }
     // Every live vector a load hands back is the published model's
     // transform of the slot's counts, `f64::to_bits` for `to_bits` — what
-    // v0–v7 stored beside the counts and what a load derives from them.
+    // older formats stored beside the counts and a load now derives.
     // Dead slots are excluded on purpose: `refit` re-weights live slots
     // only, so their vectors may ride an older idf generation.
     let raws = canonical_raws();
@@ -134,14 +132,7 @@ fn assert_fixture_behaviour(mut db: SignatureDb, version: u32) {
             assert_eq!(a.to_bits(), b.to_bits(), "v{version}: weights {d}");
         }
     }
-    // Formats older than v2 cannot carry vacuum state: it loads as the
-    // default. The current format round-trips it.
-    if version < 2 {
-        assert_eq!(db.vacuum_policy(), VacuumPolicy::Never, "v{version}");
-        assert_eq!(db.vacuums(), 0, "v{version}");
-    } else {
-        assert_eq!(db.vacuum_policy(), replay.vacuum_policy(), "v{version}");
-    }
+    assert_eq!(db.vacuum_policy(), replay.vacuum_policy(), "v{version}");
     // Pre-refit probes: the fixture's stale-generation vectors must
     // classify exactly like a local replay of the same history (scores
     // within rendering/libm tolerance, labels exact).
@@ -188,24 +179,23 @@ fn assert_fixture_behaviour(mut db: SignatureDb, version: u32) {
     db.refit();
 }
 
+// (The name predates the one-layout reader and is kept: CHANGES.md
+// cites tests by name.)
 #[test]
 fn every_historical_format_fixture_loads_and_matches_rebuild() {
-    for spec in FORMAT_VERSIONS {
-        let path = fixtures_dir().join(fixture_name(spec.version));
-        let bytes = std::fs::read(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing fixture {} for format version {} ({}): {e}\n\
-                 regenerate with: cargo test --test persistence_formats -- --ignored regenerate_fixtures",
-                path.display(),
-                spec.version,
-                spec.summary
-            )
-        });
-        assert_eq!(detect_format_version(&bytes), Some(spec.version));
-        let db = SignatureDb::load(&bytes[..])
-            .unwrap_or_else(|e| panic!("fixture v{} failed to load: {e}", spec.version));
-        assert_fixture_behaviour(db, spec.version);
-    }
+    let version = CURRENT_FORMAT_VERSION;
+    let path = fixtures_dir().join(fixture_name(version));
+    let bytes = std::fs::read(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} for format version {version}: {e}\n\
+             regenerate with: cargo test --test persistence_formats -- --ignored regenerate_fixtures",
+            path.display(),
+        )
+    });
+    assert_eq!(detect_format_version(&bytes), Some(version));
+    let db = SignatureDb::load(&bytes[..])
+        .unwrap_or_else(|e| panic!("fixture v{version} failed to load: {e}"));
+    assert_fixture_behaviour(db, version);
 }
 
 /// Renders a `Value`'s *structure* — object keys in order, scalar type
@@ -245,8 +235,8 @@ fn reencode_signatures(payload: &[u8]) -> Result<Vec<u8>, CodecError> {
     codec::put_usize(&mut out, slots);
     for _ in 0..slots {
         codec::put_opt_str(&mut out, r.get_opt_str()?.as_deref());
-        codec::put_var(&mut out, r.get_u64()?);
-        codec::put_var(&mut out, r.get_u64()?);
+        codec::put_var(&mut out, r.get_var()?);
+        codec::put_var(&mut out, r.get_var()?);
     }
     r.finish()?;
     Ok(out)
@@ -285,9 +275,8 @@ fn assert_binary_section_stable(name: &str, payload: &[u8], origin: &str) {
 /// decode∘encode identity) — and no section named `index`: the index
 /// is rebuilt from the signatures, never stored, as the signatures'
 /// vectors are derived from the corpus counts. If this fails, the
-/// on-disk layout changed: bump `CURRENT_FORMAT_VERSION`, append a
-/// `FORMAT_VERSIONS` entry, teach `persist::legacy` what the previous
-/// version lacked, and regenerate + commit the new fixture.
+/// on-disk layout changed: bump `CURRENT_FORMAT_VERSION`, regenerate and
+/// commit the new fixture, and delete the old one.
 #[test]
 fn current_writer_matches_committed_layout() {
     let committed = std::fs::read(fixtures_dir().join(fixture_name(CURRENT_FORMAT_VERSION)))
@@ -467,56 +456,6 @@ fn a_framed_insert_of_61_small_pairs_takes_155_bytes() {
     assert_eq!(raw.to_term_counts().encoded_len(), 2 + 1 + 61 + 61);
 }
 
-/// The varint layout loses nothing: the committed v8 fixture (fixed-width
-/// integers) and a fresh v9 save of the same canonical history load to
-/// stored vectors and search hits that are `f64::to_bits`-equal.
-#[test]
-fn v8_fixed_width_and_v9_varint_saves_load_to_the_same_bits() {
-    let v8 = std::fs::read(fixtures_dir().join(fixture_name(8))).expect("v8 fixture");
-    let mut v9 = Vec::new();
-    canonical_db().save(&mut v9).expect("save");
-    assert_eq!(detect_format_version(&v9), Some(9));
-    let (v8, v9) = (
-        SignatureDb::load(&v8[..]).expect("v8 loads"),
-        SignatureDb::load(&v9[..]).expect("v9 loads"),
-    );
-    assert_eq!(v8.num_slots(), v9.num_slots());
-    let bits = |db: &SignatureDb, d: usize| -> (Vec<TermId>, Vec<u64>) {
-        let v = &db.signatures()[d].vector;
-        (
-            v.terms().to_vec(),
-            v.values().iter().map(|w| w.to_bits()).collect(),
-        )
-    };
-    for d in (0..v8.num_slots()).filter(|&d| v8.is_live(d)) {
-        assert_eq!(bits(&v8, d), bits(&v9, d), "slot {d}");
-    }
-    for raw in canonical_raws().iter().take(3) {
-        let q = raw.to_term_counts();
-        let hits = |db: &SignatureDb| -> Vec<(Option<String>, u64)> {
-            let hits = db.search(&q, 8).expect("search");
-            hits.into_iter()
-                .map(|(s, x)| (s.label.clone(), x.to_bits()))
-                .collect()
-        };
-        assert_eq!(hits(&v8), hits(&v9));
-    }
-}
-
-#[test]
-fn version_table_has_a_fixture_per_version() {
-    for spec in FORMAT_VERSIONS {
-        let path = fixtures_dir().join(fixture_name(spec.version));
-        assert!(
-            path.exists(),
-            "format version {} has no committed fixture at {} — every version table \
-             entry must be locked in by a fixture",
-            spec.version,
-            path.display()
-        );
-    }
-}
-
 // ---- WAL segments ------------------------------------------------------
 
 fn wal_fixture_name(version: u32) -> String {
@@ -595,42 +534,36 @@ fn write_canonical_wal() -> Vec<u8> {
     bytes
 }
 
-/// Every WAL era replays to the same ops, and the current writer still
-/// produces the committed current-version segment byte for byte — a
-/// record layout cannot change without a new header token, a new
-/// fixture and a reader for the old one.
+/// The committed segment replays to the canonical ops, and the current
+/// writer still produces it byte for byte — a record layout cannot
+/// change without a new header token and a new fixture.
 #[test]
 fn every_wal_fixture_replays_to_the_canonical_ops() {
     let expected: Vec<(u64, WalOp)> = (WAL_START_SEQ..).zip(canonical_wal_ops()).collect();
-    for version in WAL_VERSION_FIXED..=WAL_VERSION {
-        let path = fixtures_dir().join(wal_fixture_name(version));
-        let bytes = std::fs::read(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing WAL fixture {}: {e}\nregenerate with: cargo test --test \
-                 persistence_formats -- --ignored regenerate_fixtures",
-                path.display()
-            )
-        });
-        assert!(bytes.starts_with(format!("FMWAL {version} ").as_bytes()));
-        let segment = read_wal(&bytes);
-        assert!(!segment.torn, "FMWAL {version}");
-        assert!(segment.contiguous, "FMWAL {version}");
-        assert_eq!(segment.start_seq, Some(WAL_START_SEQ), "FMWAL {version}");
-        assert_eq!(segment.records, expected, "FMWAL {version}");
-        if version == WAL_VERSION {
-            assert!(
-                bytes == write_canonical_wal(),
-                "the WAL writer no longer produces the committed FMWAL {version} layout: \
-                 bump WAL_VERSION, keep a reader for the old records and commit a new fixture"
-            );
-        }
-    }
+    let path = fixtures_dir().join(wal_fixture_name(WAL_VERSION));
+    let bytes = std::fs::read(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing WAL fixture {}: {e}\nregenerate with: cargo test --test \
+             persistence_formats -- --ignored regenerate_fixtures",
+            path.display()
+        )
+    });
+    assert!(bytes.starts_with(format!("FMWAL {WAL_VERSION} ").as_bytes()));
+    let segment = read_wal(&bytes);
+    assert!(!segment.torn);
+    assert!(segment.contiguous);
+    assert_eq!(segment.start_seq, Some(WAL_START_SEQ));
+    assert_eq!(segment.records, expected);
+    assert!(
+        bytes == write_canonical_wal(),
+        "the WAL writer no longer produces the committed FMWAL {WAL_VERSION} layout: \
+         bump WAL_VERSION and commit a new fixture in place of the old one"
+    );
 }
 
 /// Writes the current version's fixtures from the canonical histories:
 /// the database envelope and the WAL segment. Run manually when a new
-/// format version is introduced (older versions' fixtures cannot be
-/// regenerated — nothing writes them):
+/// format version is introduced, then delete the old version's fixture:
 ///
 /// ```text
 /// cargo test --test persistence_formats -- --ignored regenerate_fixtures
