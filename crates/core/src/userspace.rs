@@ -128,28 +128,6 @@ impl DebugfsReader {
         }
         Ok(CounterSnapshot::new(counts, kernel.now()))
     }
-
-    /// The top `k` hottest functions by name, as an operator tool would
-    /// display them.
-    ///
-    /// # Errors
-    ///
-    /// As [`read_counters`](Self::read_counters).
-    #[cfg(test)]
-    pub(crate) fn top_functions(
-        &self,
-        kernel: &Kernel,
-        k: usize,
-    ) -> Result<Vec<(String, u64)>, FmeterError> {
-        let snapshot = self.read_counters(kernel)?;
-        let mut ranked: Vec<(usize, u64)> = snapshot.counts().iter().copied().enumerate().collect();
-        ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        Ok(ranked
-            .into_iter()
-            .take(k)
-            .map(|(i, c)| (self.symbols.entries[i].1.clone(), c))
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -231,23 +209,6 @@ mod tests {
         );
         let read_entry = k.symbols().lookup("vfs_read").unwrap();
         assert!(delta[read_entry.index()] > 0);
-    }
-
-    #[test]
-    fn top_functions_ranks_by_count() {
-        let mut k = kernel();
-        let _fmeter = Fmeter::install(&mut k);
-        let reader = DebugfsReader::attach(&k).unwrap();
-        for _ in 0..5 {
-            k.run_op(CpuId(0), KernelOp::Open { components: 4 })
-                .unwrap();
-        }
-        let top = reader.top_functions(&k, 10).unwrap();
-        assert_eq!(top.len(), 10);
-        for pair in top.windows(2) {
-            assert!(pair[0].1 >= pair[1].1);
-        }
-        assert!(top[0].1 > 0);
     }
 
     #[test]

@@ -14,10 +14,6 @@
 //! * [`metrics`] — accuracy/precision/recall, majority baseline, and cluster
 //!   purity.
 //!
-//! Beyond the paper's §4.2 set, the crate carries the extension
-//! learners ([`DecisionTree`], [`AdaBoost`], [`Bagging`]) exercised by
-//! the `extension_classifiers` binary.
-//!
 //! All algorithms are deterministic given a seed, operate on
 //! [`fmeter_ir::SparseVec`] signatures, and use the Euclidean (L2) distance
 //! by default, exactly as the paper does. Scale comes in two pinned
@@ -41,21 +37,17 @@
 #![warn(missing_docs)]
 
 mod cv;
-mod ensemble;
 mod error;
 mod hierarchical;
 mod kmeans;
 pub mod metrics;
 mod svm;
-mod tree;
 
 pub use cv::{CrossValidation, CvReport, FoldOutcome};
-pub use ensemble::{AdaBoost, AdaBoostModel, Bagging, BaggingModel};
 pub use error::MlError;
 pub use hierarchical::{Agglomerative, Dendrogram, Linkage, Merge, SnnParams};
 pub use kmeans::{ClusterStats, KMeans, KMeansInit, KMeansResult, PointBounds, WarmPass};
 pub use svm::{Gram, SvmModel, SvmTrainer};
-pub use tree::{DecisionTree, DecisionTreeTrainer};
 
 /// A class label for binary classification: `+1` or `-1`.
 ///

@@ -20,6 +20,10 @@ const TOL: f64 = 1e-3;
 /// progress.
 const EPS: f64 = 1e-9;
 
+/// The most sweeps over the examples SMO makes before it stops,
+/// converged or not.
+const MAX_PASSES: usize = 200;
+
 /// Configuration + runner for soft-margin C-SVM training via sequential
 /// minimal optimisation (Platt's SMO with an error cache and the
 /// second-choice heuristic).
@@ -44,7 +48,6 @@ const EPS: f64 = 1e-9;
 #[derive(Debug, Clone)]
 pub struct SvmTrainer {
     c: f64,
-    max_passes: usize,
     seed: u64,
 }
 
@@ -150,11 +153,7 @@ impl SvmTrainer {
     /// Creates a trainer with `C = 1`, the paper's polynomial kernel,
     /// KKT tolerance `1e-3`, and a deterministic seed.
     pub fn new() -> Self {
-        SvmTrainer {
-            c: 1.0,
-            max_passes: 200,
-            seed: 0,
-        }
+        SvmTrainer { c: 1.0, seed: 0 }
     }
 
     /// Sets the error/margin trade-off `C` (the paper tunes exactly this
@@ -172,12 +171,6 @@ impl SvmTrainer {
     /// Sets the RNG seed used for the SMO sweep order (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Caps the number of full passes without progress (default 200).
-    pub fn max_passes(mut self, passes: usize) -> Self {
-        self.max_passes = passes;
         self
     }
 
@@ -242,7 +235,7 @@ impl SvmTrainer {
         let mut examine_all = true;
         let mut num_changed = 1;
         let mut passes = 0;
-        while (num_changed > 0 || examine_all) && passes < self.max_passes {
+        while (num_changed > 0 || examine_all) && passes < MAX_PASSES {
             num_changed = 0;
             order.shuffle(&mut rng);
             for &i in &order {

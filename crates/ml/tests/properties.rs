@@ -346,7 +346,7 @@ proptest! {
         // Assign labels by dimension-0 sign of a hash; just check predict
         // equals sign(decision_function) even on messy data.
         let ys: Vec<i8> = (0..points.len()).map(|i| if i % 2 == 0 { 1 } else { -1 }).collect();
-        if let Ok(model) = SvmTrainer::new().seed(seed).max_passes(20).train(&points, &ys) {
+        if let Ok(model) = SvmTrainer::new().seed(seed).train(&points, &ys) {
             for p in &points {
                 let f = model.decision_function(p);
                 let pred = model.predict(p);

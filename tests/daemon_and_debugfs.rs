@@ -4,10 +4,10 @@
 
 use std::sync::Arc;
 
-use fmeter::core::Fmeter;
-use fmeter::kernel_sim::{CpuId, Kernel, KernelConfig, KernelOp, Nanos};
+use fmeter::core::{DebugfsReader, Fmeter};
+use fmeter::kernel_sim::{CpuId, FunctionId, Kernel, KernelConfig, KernelOp, Nanos};
 use fmeter::trace::{CounterSnapshot, FmeterTracer};
-use fmeter::workloads::Background;
+use fmeter::workloads::{Background, Scp, WithBackground};
 
 fn kernel(seed: u64) -> Kernel {
     Kernel::new(KernelConfig {
@@ -19,20 +19,6 @@ fn kernel(seed: u64) -> Kernel {
     .expect("standard image builds")
 }
 
-/// Parses the debugfs export back into (address, count) pairs.
-fn parse_debugfs(content: &str) -> Vec<(u64, u64)> {
-    content
-        .lines()
-        .map(|line| {
-            let (addr, count) = line.split_once(' ').expect("two columns");
-            (
-                u64::from_str_radix(addr.trim_start_matches("0x"), 16).expect("hex address"),
-                count.parse().expect("decimal count"),
-            )
-        })
-        .collect()
-}
-
 #[test]
 fn debugfs_export_matches_snapshot() {
     let mut k = kernel(1);
@@ -41,17 +27,24 @@ fn debugfs_export_matches_snapshot() {
     k.run_op(CpuId(1), KernelOp::Read { bytes: 8192 }).unwrap();
 
     let content = k.debugfs().read("tracing/fmeter/counters").unwrap();
-    let parsed = parse_debugfs(&content);
-    assert_eq!(parsed.len(), k.num_functions());
+    assert_eq!(content.lines().count(), k.num_functions());
+    let read = DebugfsReader::attach(&k)
+        .unwrap()
+        .read_counters(&k)
+        .unwrap();
 
     let snapshot = fmeter.tracer().snapshot(k.now());
-    for (i, &(addr, count)) in parsed.iter().enumerate() {
-        let f = k
-            .symbols()
-            .function(fmeter::kernel_sim::FunctionId(i as u32))
-            .unwrap();
-        assert_eq!(addr, f.address, "line {i} address mismatch");
-        assert_eq!(count, snapshot.counts()[i], "line {i} count mismatch");
+    for (i, line) in content.lines().enumerate() {
+        let f = k.symbols().function(FunctionId(i as u32)).unwrap();
+        assert!(
+            line.starts_with(&format!("{:#018x} ", f.address)),
+            "line {i} address mismatch"
+        );
+        assert_eq!(
+            read.counts()[i],
+            snapshot.counts()[i],
+            "line {i} count mismatch"
+        );
     }
 }
 
@@ -60,22 +53,41 @@ fn daemon_reads_counts_twice_and_diffs() {
     // Reproduce the daemon's read-diff-log loop manually via debugfs.
     let mut k = kernel(2);
     let _fmeter = Fmeter::install(&mut k);
+    let reader = DebugfsReader::attach(&k).unwrap();
 
-    let before: Vec<(u64, u64)> =
-        parse_debugfs(&k.debugfs().read("tracing/fmeter/counters").unwrap());
+    let before = reader.read_counters(&k).unwrap();
     let stats = k.run_op(CpuId(0), KernelOp::Execve { pages: 32 }).unwrap();
-    let after: Vec<(u64, u64)> =
-        parse_debugfs(&k.debugfs().read("tracing/fmeter/counters").unwrap());
+    let after = reader.read_counters(&k).unwrap();
 
-    let diff_total: u64 = before
-        .iter()
-        .zip(&after)
-        .map(|(&(_, b), &(_, a))| a - b)
-        .sum();
+    let diff_total: u64 = before.delta(&after).iter().sum();
     assert_eq!(
         diff_total, stats.calls,
         "debugfs diff equals executed calls"
     );
+}
+
+#[test]
+fn debugfs_reader_equals_the_logger_interval_by_interval() {
+    // The daemon's user-space path and the in-process logger difference
+    // the same tracer state at the same instant, so they agree exactly.
+    let mut k = kernel(4);
+    let fmeter = Fmeter::install(&mut k);
+    let reader = DebugfsReader::attach(&k).unwrap();
+    let mut logger = fmeter.logger(Nanos::from_millis(2), k.now());
+    let mut workload = WithBackground::new(Scp::new(4), 4, 0.1, 0.3);
+
+    let mut before = reader.read_counters(&k).unwrap();
+    for interval in 0..6 {
+        let sig = logger
+            .collect_one(&mut k, &mut workload, &[CpuId(0), CpuId(1)], None)
+            .unwrap();
+        let after = reader.read_counters(&k).unwrap();
+        assert!(sig.total_calls() > 0, "interval {interval} is empty");
+        assert_eq!(before.delta(&after), sig.counts(), "interval {interval}");
+        assert_eq!(before.taken_at(), sig.started_at, "interval {interval}");
+        assert_eq!(after.taken_at(), sig.ended_at, "interval {interval}");
+        before = after;
+    }
 }
 
 #[test]

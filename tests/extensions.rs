@@ -1,12 +1,11 @@
 //! Integration tests for the beyond-the-paper extensions: the hot-set
-//! tracer (§6), the user-space debugfs path, anomaly detection, and the
-//! tree/ensemble classifiers — all driven through the full stack.
+//! tracer (§6), the user-space debugfs path and anomaly detection — all
+//! driven through the full stack.
 
 use std::sync::Arc;
 
 use fmeter::core::{AnomalyDetector, DebugfsReader, Fmeter, RawSignature, SignatureDb};
 use fmeter::kernel_sim::{modules, CpuId, Kernel, KernelConfig, KernelOp, Nanos};
-use fmeter::ml::{AdaBoost, DecisionTree};
 use fmeter::trace::{FmeterTracer, HotSetTracer};
 use fmeter::workloads::{Dbench, NetperfReceive, Scp, Workload};
 
@@ -144,57 +143,6 @@ fn anomaly_detector_flags_a_novel_workload() {
         "only {novel_flags}/{} novel intervals flagged",
         novel.len()
     );
-}
-
-#[test]
-fn tree_and_boosting_classify_real_signatures() {
-    let collect = |seed: u64, label: &str| -> Vec<RawSignature> {
-        let mut k = kernel(seed);
-        let fmeter = Fmeter::install(&mut k);
-        let mut logger = fmeter.logger(Nanos::from_millis(5), k.now());
-        if label == "scp" {
-            logger
-                .collect(&mut k, &mut Scp::new(seed), &[CpuId(0)], 12, Some(label))
-                .unwrap()
-        } else {
-            logger
-                .collect(&mut k, &mut Dbench::new(seed), &[CpuId(0)], 12, Some(label))
-                .unwrap()
-        }
-    };
-    let scp = collect(91, "scp");
-    let dbench = collect(92, "dbench");
-    let mut corpus = fmeter::ir::Corpus::new(scp[0].counts.len());
-    for s in scp.iter().chain(&dbench) {
-        corpus.push(s.to_term_counts());
-    }
-    let model = fmeter::ir::TfIdfModel::fit(&corpus).unwrap();
-    let xs: Vec<_> = corpus
-        .iter()
-        .map(|d| model.transform(d).l2_normalized())
-        .collect();
-    let ys: Vec<i8> = std::iter::repeat_n(1, 12)
-        .chain(std::iter::repeat_n(-1, 12))
-        .collect();
-
-    let tree = DecisionTree::trainer()
-        .max_depth(4)
-        .train(&xs, &ys)
-        .unwrap();
-    let tree_acc = xs
-        .iter()
-        .zip(&ys)
-        .filter(|(x, &y)| tree.predict(x) == y)
-        .count();
-    assert!(tree_acc >= 22, "tree training accuracy {tree_acc}/24");
-
-    let boosted = AdaBoost::new(10).weak_depth(1).train(&xs, &ys).unwrap();
-    let boost_acc = xs
-        .iter()
-        .zip(&ys)
-        .filter(|(x, &y)| boosted.predict(x) == y)
-        .count();
-    assert!(boost_acc >= 22, "boosting training accuracy {boost_acc}/24");
 }
 
 #[test]

@@ -285,8 +285,8 @@ fn current_writer_matches_committed_layout() {
         split_envelope(&committed).expect("committed fixture is a well-formed envelope");
     assert_eq!(
         committed_version, CURRENT_FORMAT_VERSION,
-        "the committed fixture lags CURRENT_FORMAT_VERSION — regenerate fixtures \
-         and add a fixture-loading entry for the previous version"
+        "the committed fixture lags CURRENT_FORMAT_VERSION — commit the new fixture, \
+         delete the old one, and refuse the old version by name"
     );
     let mut fresh = Vec::new();
     canonical_db().save(&mut fresh).expect("save canonical db");
