@@ -14,12 +14,14 @@ use fmeter_trace::CounterSnapshot;
 
 use crate::FmeterError;
 
-/// A user-space symbol map, as parsed from the `kallsyms` debugfs file.
+/// A user-space symbol map, as parsed from the `kallsyms` debugfs file:
+/// each address's line number, the daemon's term id. The names are not
+/// kept; the daemon resolves none.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SymbolMap {
-    /// (address, name) in address order.
-    entries: Vec<(u64, String)>,
     by_address: HashMap<u64, usize>,
+    /// Lines parsed.
+    len: usize,
 }
 
 impl SymbolMap {
@@ -29,11 +31,11 @@ impl SymbolMap {
     ///
     /// Returns [`FmeterError::Persist`] on malformed lines.
     pub(crate) fn parse(content: &str) -> Result<Self, FmeterError> {
-        let mut entries = Vec::new();
         let mut by_address = HashMap::new();
+        let mut len = 0;
         for (lineno, line) in content.lines().enumerate() {
             let mut parts = line.split_whitespace();
-            let (Some(addr), Some(_kind), Some(name)) = (parts.next(), parts.next(), parts.next())
+            let (Some(addr), Some(_kind), Some(_name)) = (parts.next(), parts.next(), parts.next())
             else {
                 return Err(FmeterError::Persist(format!(
                     "kallsyms line {lineno} malformed: `{line}`"
@@ -41,32 +43,21 @@ impl SymbolMap {
             };
             let addr = u64::from_str_radix(addr, 16)
                 .map_err(|e| FmeterError::Persist(format!("line {lineno}: {e}")))?;
-            by_address.insert(addr, entries.len());
-            entries.push((addr, name.to_string()));
+            by_address.insert(addr, lineno);
+            len = lineno + 1;
         }
-        Ok(SymbolMap {
-            entries,
-            by_address,
-        })
+        Ok(SymbolMap { by_address, len })
     }
 
     /// Number of symbols.
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Returns `true` when the map is empty.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Resolves an address to a symbol name.
-    #[cfg(test)]
-    pub(crate) fn name_of(&self, address: u64) -> Option<&str> {
-        self.by_address
-            .get(&address)
-            .map(|&i| self.entries[i].1.as_str())
+        self.len == 0
     }
 
     /// The dense index of an address (the daemon's term id).
@@ -134,7 +125,7 @@ impl DebugfsReader {
 mod tests {
     use super::*;
     use crate::Fmeter;
-    use fmeter_kernel_sim::{CpuId, KernelConfig, KernelError, KernelOp, Nanos};
+    use fmeter_kernel_sim::{CpuId, FunctionId, KernelConfig, KernelError, KernelOp, Nanos};
 
     /// Convenience: one full daemon-style sample through debugfs — two reads
     /// around a closure that runs the workload, returning the per-function
@@ -165,11 +156,14 @@ mod tests {
         let k = kernel();
         let reader = DebugfsReader::attach(&k).unwrap();
         assert_eq!(reader.symbols().len(), k.num_functions());
-        // Spot-check a known anchor.
+        // Spot-check a known anchor: its address maps to the index the
+        // kernel's own table names it by.
         let vfs_read = k.symbols().lookup("vfs_read").unwrap();
         let addr = k.symbols().function(vfs_read).unwrap().address;
-        assert_eq!(reader.symbols().name_of(addr), Some("vfs_read"));
-        assert_eq!(reader.symbols().index_of(addr), Some(vfs_read.index()));
+        let index = reader.symbols().index_of(addr).unwrap();
+        let id = FunctionId(u32::try_from(index).unwrap());
+        assert_eq!(k.symbols().function(id).unwrap().name, "vfs_read");
+        assert_eq!(index, vfs_read.index());
     }
 
     #[test]

@@ -166,9 +166,9 @@ proptest! {
 // bounded Lloyd loop: means patched from the points that moved, a stop
 // at the assignment fixpoint instead of an inertia tolerance, the inertia
 // taken once at the end. Which recluster passes are warm and which move
-// a point stayed as they were. The pins hold the bounds and the walks
-// on scoped threads to a pure-cost contract: they may change what a fit
-// costs, never a bit of what it returns. A change to what K-means
+// a point stayed as they were. The pins hold the bounds to a pure-cost
+// contract: they may change what a fit costs, never a bit of what it
+// returns. A change to what K-means
 // computes (ROADMAP item 20's seeding) re-pins them on purpose.
 // ---------------------------------------------------------------------
 
@@ -319,7 +319,7 @@ impl Fold {
 const GOLDEN_RECLUSTER_SCRIPT: u64 = 0x2d23_b67e_cef7_8ea7;
 const GOLDEN_RECLUSTER_OVERSEGMENTED: u64 = 0x5618_f5e4_1a4e_6722;
 const GOLDEN_KMEANS_RESTARTS: u64 = 0xbe7e_625f_2671_8afa;
-const GOLDEN_KMEANS_TWO_THREADS: u64 = 0xaa41_526b_53f3_5fd1;
+const GOLDEN_KMEANS_8192_POINTS: u64 = 0xaa41_526b_53f3_5fd1;
 
 /// The `syndrome_refresh` corpus in small, and the churn of its loop:
 /// each cycle inserts `CHURN` class-shaped signatures, then removes the
@@ -644,9 +644,7 @@ fn golden_recluster_script_matches_the_pinned_parent() {
 
 #[test]
 fn golden_kmeans_runs_match_the_pinned_parent() {
-    // n·k = 16 384: under the parallel-walk threshold
-    // (`PARALLEL_ASSIGN_THRESHOLD`, 65 536), so this is the sequential
-    // multi-restart path `syndromes` runs.
+    // n·k = 16 384: the multi-restart call `syndromes` makes.
     let points = clustered_points(&mut GenRng::new(2), 2048, 8, 48, 24);
     let mut fold = Fold::new();
     fold.kmeans(
@@ -661,27 +659,16 @@ fn golden_kmeans_runs_match_the_pinned_parent() {
         "sequential K-means drifted: {:#018x}",
         fold.0
     );
-    // n·k = 65 536 on two threads: the scoped walks. Each range hands
-    // back what moved and the calling thread patches the sums in point
-    // order, so the same fit on one thread hashes the same.
+    // n·k = 65 536, one restart: four times the largest fit a workload
+    // runs.
     let points = clustered_points(&mut GenRng::new(4), 8192, 8, 48, 24);
-    let hash = |threads: usize| {
-        let mut fold = Fold::new();
-        fold.kmeans(
-            &KMeans::new(8)
-                .seed(5)
-                .threads(threads)
-                .run(&points)
-                .expect("k <= n"),
-        );
-        fold.0
-    };
-    let two = hash(2);
+    let mut fold = Fold::new();
+    fold.kmeans(&KMeans::new(8).seed(5).run(&points).expect("k <= n"));
     assert_eq!(
-        two, GOLDEN_KMEANS_TWO_THREADS,
-        "two-thread K-means drifted: {two:#018x}"
+        fold.0, GOLDEN_KMEANS_8192_POINTS,
+        "K-means over 8192 points drifted: {:#018x}",
+        fold.0
     );
-    assert_eq!(hash(1), two, "one thread and two threads disagree");
 }
 
 #[test]

@@ -119,8 +119,7 @@ fn drift_bound(sum: f64, dim: usize) -> f64 {
 /// one walk over a point's `(term, value)` pairs feeds `LANES` inner
 /// products from one 32-byte load per term. Lanes past `k` in the last
 /// block stay zero and are never compared. It is rewritten from the
-/// dense buffers whenever the centroids change — once per update step,
-/// by the thread that owns the update.
+/// dense buffers whenever the centroids change — once per update step.
 #[derive(Debug, Clone)]
 struct Centroids {
     bufs: Vec<CentroidBuf>,
@@ -739,86 +738,48 @@ fn slot_order(members: &[Vec<usize>]) -> impl Iterator<Item = (usize, usize)> + 
     })
 }
 
-/// What a fit's walks read and its update steps write: the stats and
-/// the member lists, `members[c]` cluster `c`'s slots in ascending order
-/// — the assignment. Lent shared to a walk and mutably to an update.
+/// What a fit's walks read and its update steps write: the stats, the
+/// member lists, `members[c]` cluster `c`'s slots in ascending order —
+/// the assignment — and every slot's bounds.
 struct Fitting<'a> {
     stats: &'a mut ClusterStats,
     members: &'a mut [Vec<usize>],
+    bounds: &'a mut [PointBounds],
 }
 
-/// One contiguous range of slots, `lo..lo + bounds.len()`: their bounds
-/// and what the range's last walk found.
-struct Job<'b> {
-    lo: usize,
-    bounds: &'b mut [PointBounds],
-    /// `(slot, from, to)` of each point the last walk moved, ascending.
-    moved: Vec<(usize, usize, usize)>,
-    /// Points the last walk measured.
-    measured: usize,
-    /// The smallest `l − u` and the largest norm among the bounds the
-    /// last walk left.
-    spread: f64,
-    widest: f64,
-}
-
-impl<'b> Job<'b> {
-    /// `bounds` cut into at most `threads` contiguous ranges, in slot
-    /// order.
-    fn split(bounds: &'b mut [PointBounds], threads: usize) -> Vec<Self> {
-        let len = bounds.len().div_ceil(threads).max(1);
-        let job = |(i, bounds)| Job {
-            lo: i * len,
-            bounds,
-            moved: Vec::new(),
-            measured: 0,
-            spread: f64::INFINITY,
-            widest: 0.0,
-        };
-        bounds.chunks_mut(len).enumerate().map(job).collect()
-    }
-
-    /// Walks every range: one on the calling thread, more side by side
-    /// in one [`std::thread::scope`], the first on the calling thread.
-    /// Each writes only its own bounds, so the fit's bits do not depend
-    /// on how the slots are cut.
-    fn sweep_all<'p, P>(jobs: &mut [Self], point: &P, fitting: &Fitting)
-    where
-        P: Fn(usize) -> &'p SparseVec + Sync,
-    {
-        match jobs {
-            [] => {}
-            [job] => job.walk(point, fitting),
-            [first, rest @ ..] => std::thread::scope(|s| {
-                for job in rest {
-                    s.spawn(|| job.walk(point, fitting));
-                }
-                first.walk(point, fitting);
-            }),
-        }
-    }
-
-    /// The bounded sweep over the range's members, against the centroids
-    /// the stats keep: each point's bounds — unknown if they are for
-    /// another cluster — are widened by the drift owed to them; a point
-    /// whose own centroid they still prove the strict nearest, by more
-    /// than the rounding slack of the distance formula, keeps its cluster
+impl Fitting<'_> {
+    /// The bounded sweep over every member, against the centroids the
+    /// stats keep: each point's bounds — unknown if they are for another
+    /// cluster — are widened by the drift owed to them; a point whose own
+    /// centroid they still prove the strict nearest, by more than the
+    /// rounding slack of the distance formula, keeps its cluster
     /// unmeasured, and every other point goes through the assignment
     /// kernel and gets fresh bounds. It moves unless its own centroid
     /// ties with the nearest. A confirmed point is one a full sweep would
     /// leave where it is, so the points that move are the ones a full
     /// sweep would move.
-    fn walk<'p>(&mut self, point: &impl Fn(usize) -> &'p SparseVec, fitting: &Fitting) {
-        let (centroids, owed) = (&fitting.stats.centroids, &fitting.stats.owed[..]);
+    ///
+    /// Overwrites `moved` with `(slot, from, to)` of each point that
+    /// moved, ascending, settles the walk in the stats
+    /// ([`ClusterStats::walked`]) and returns the points it measured.
+    fn walk<'p>(
+        &mut self,
+        point: &impl Fn(usize) -> &'p SparseVec,
+        moved: &mut Vec<(usize, usize, usize)>,
+    ) -> usize {
+        let Fitting {
+            stats,
+            members,
+            bounds,
+        } = self;
+        let (centroids, owed) = (&stats.centroids, &stats.owed[..]);
         let slack = Slack::new(centroids);
         let max_drift = max_drift(owed);
-        (self.measured, self.spread, self.widest) = (0, f64::INFINITY, 0.0);
-        self.moved.clear();
-        let (lo, hi) = (self.lo, self.lo + self.bounds.len());
-        for (own, list) in fitting.members.iter().enumerate() {
-            let range = list.partition_point(|&s| s < lo)..list.partition_point(|&s| s < hi);
-            for &s in &list[range] {
-                let b = &mut self.bounds[s - lo];
+        let (mut measured, mut spread, mut widest) = (0, f64::INFINITY, 0.0f64);
+        moved.clear();
+        for (own, list) in members.iter().enumerate() {
+            for &s in list {
+                let b = &mut bounds[s];
                 if b.cluster != own {
                     *b = PointBounds {
                         cluster: own,
@@ -831,7 +792,7 @@ impl<'b> Job<'b> {
                 if !confirmed {
                     let p = point(s);
                     let mut near = centroids.nearest(p);
-                    self.measured += 1;
+                    measured += 1;
                     // An exact tie with its own centroid keeps a point
                     // where it is (the runner-up is then as near), so
                     // points that coincide still reach a fixpoint.
@@ -839,26 +800,27 @@ impl<'b> Job<'b> {
                         if centroids.bufs[own].dist_sq(p, near.sq_norm) == near.d_sq {
                             near.cluster = own;
                         } else {
-                            self.moved.push((s, own, near.cluster));
+                            moved.push((s, own, near.cluster));
                         }
                     }
                     *b = slack.bounds(&near);
                 }
-                self.spread = self.spread.min(b.lower - b.upper);
-                self.widest = self.widest.max(b.norm);
+                spread = spread.min(b.lower - b.upper);
+                widest = widest.max(b.norm);
             }
         }
-        self.moved.sort_unstable();
+        moved.sort_unstable();
+        stats.walked(spread, widest);
         #[cfg(test)]
-        MEASURED.with(|m| m.set(m.get() + self.measured));
+        MEASURED.with(|m| m.set(m.get() + measured));
+        measured
     }
 }
 
 #[cfg(test)]
 thread_local! {
     /// Points measured against the centroids by walks on the current
-    /// thread, so tests can assert what a fit cost. A walk on a scoped
-    /// thread counts on its own thread.
+    /// thread, so tests can assert what a fit cost.
     static MEASURED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
@@ -876,12 +838,10 @@ pub enum KMeansInit {
 ///
 /// The paper uses K-means with the Euclidean (L2) distance as its primary
 /// unsupervised method (§4.2.2); `K` is the expected number of behaviour
-/// classes. The run is deterministic given [`seed`](Self::seed), whatever
-/// [`threads`](Self::threads) says. Lloyd's loop carries Hamerly's
-/// distance bounds, so an iteration measures only the points they cannot
-/// confirm and patches the means from the points that moved; on large
-/// inputs each walk cuts the points into contiguous ranges and walks
-/// them side by side on [`std::thread::scope`] threads.
+/// classes. The run is deterministic given [`seed`](Self::seed). Lloyd's
+/// loop carries Hamerly's distance bounds, so an iteration measures only
+/// the points they cannot confirm and patches the means from the points
+/// that moved. Every fit runs on the calling thread.
 ///
 /// # Examples
 ///
@@ -906,18 +866,7 @@ pub struct KMeans {
     init: KMeansInit,
     seed: u64,
     restarts: usize,
-    threads: usize,
 }
-
-/// Minimum `n * k` before a cold fit's walks fan out across scoped
-/// threads; below it the thread spawns of every walk outweigh the
-/// distance work they share out. Two threads against one on a shared
-/// two-core host (tf-idf class signatures of dim 1000, `restarts(3)`,
-/// seeds 1–3, medians of alternating runs): at this size k = 4 ran
-/// 1.2–1.3x and k = 8 1.0–1.2x as fast, k = 16 (4096 points) 0.7–0.9x;
-/// at four times it, k = 16 ran 1.2–1.3x as fast. With the host busier,
-/// every one of those shapes ran 0.8–1.1x: the gain needs an idle core.
-const PARALLEL_ASSIGN_THRESHOLD: usize = 1 << 16;
 
 /// Outcome of a K-means run.
 #[derive(Debug, Clone)]
@@ -984,20 +933,7 @@ impl KMeans {
             init: KMeansInit::default(),
             seed: 0,
             restarts: 1,
-            threads: 0,
         }
-    }
-
-    /// Caps the threads each walk of a cold fit runs on, the calling
-    /// thread and the scoped ones beside it: `0` (the default) picks
-    /// [`std::thread::available_parallelism`] from `n·k ≥ 65 536` on and
-    /// the calling thread alone below; `1` forces the calling thread.
-    /// [`fit_warm_in_place`](Self::fit_warm_in_place) always sweeps on
-    /// the calling thread. The fit is `f64::to_bits`-identical at every
-    /// thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Sets the RNG seed (default 0). Same seed, same clustering.
@@ -1039,14 +975,13 @@ impl KMeans {
     pub fn run<P: Borrow<SparseVec>>(&self, points: &[P]) -> Result<KMeansResult, MlError> {
         let points: Vec<&SparseVec> = points.iter().map(Borrow::borrow).collect();
         self.validate_inputs(&points)?;
-        let threads = self.effective_threads(points.len());
         // One set of buffers and one pass for the norms for every restart.
         let mut stats = ClusterStats::new(self.k, points[0].dim());
         let norms: Vec<f64> = points.iter().map(|p| p.norm_l2_sq()).collect();
         let mut best: Option<KMeansResult> = None;
         for restart in 0..self.restarts {
             let mut rng = SmallRng::seed_from_u64(self.seed.wrapping_add(restart as u64));
-            let result = self.run_once((&points, &norms), &mut stats, &mut rng, threads);
+            let result = self.run_once((&points, &norms), &mut stats, &mut rng);
             if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
                 best = Some(result);
             }
@@ -1132,11 +1067,9 @@ impl KMeans {
     /// This is the cost profile behind the incremental `recluster()`
     /// surface in `fmeter-core`; `benchmark/`'s layer replay times the
     /// warm and the cold path side by side as `db.recluster_warm_ms` and
-    /// `db.recluster_cold_ms`. Every sweep runs on the calling thread
-    /// whatever [`threads`](Self::threads) says, because a warm resume
-    /// does so few passes that thread startup would dominate.
-    /// [`restarts`](Self::restarts) and [`init`](Self::init) are
-    /// ignored — the previous assignment *is* the initialisation.
+    /// `db.recluster_cold_ms`. [`restarts`](Self::restarts) and
+    /// [`init`](Self::init) are ignored — the previous assignment *is*
+    /// the initialisation.
     ///
     /// # Errors
     ///
@@ -1150,7 +1083,7 @@ impl KMeans {
     pub fn fit_warm_in_place<'p>(
         &self,
         members: &mut [Vec<usize>],
-        point: impl Fn(usize) -> &'p SparseVec + Sync,
+        point: impl Fn(usize) -> &'p SparseVec,
         stats: &mut ClusterStats,
         bounds: &mut [PointBounds],
     ) -> Result<WarmPass, MlError> {
@@ -1177,7 +1110,7 @@ impl KMeans {
             bounds.fill(PointBounds::UNKNOWN);
         }
         stats.advance();
-        let fit = self.lloyd(members, &point, stats, bounds, 1);
+        let fit = self.lloyd(members, &point, stats, bounds);
         // Each slot's first move out and last move in, if they differ.
         let mut moves = fit.moves;
         moves.sort_by_key(|&(s, ..)| s);
@@ -1233,7 +1166,6 @@ impl KMeans {
         (points, norms): (&[&SparseVec], &[f64]),
         stats: &mut ClusterStats,
         rng: &mut SmallRng,
-        threads: usize,
     ) -> KMeansResult {
         match self.init {
             KMeansInit::Random => {
@@ -1250,7 +1182,7 @@ impl KMeans {
         let mut members = vec![Vec::new(); self.k];
         members[0] = (0..n).collect();
         let mut bounds = vec![PointBounds::UNKNOWN; n];
-        let fit = self.lloyd(&mut members, &|i| points[i], stats, &mut bounds, threads);
+        let fit = self.lloyd(&mut members, &|i| points[i], stats, &mut bounds);
         let mut assignments = vec![0; n];
         for (c, list) in members.iter().enumerate() {
             list.iter().for_each(|&i| assignments[i] = c);
@@ -1276,45 +1208,38 @@ impl KMeans {
     /// [`fit_warm_in_place`](Self::fit_warm_in_place). Stale stats (a
     /// cold fit's, whose centroids are its seeds and whose bounds are
     /// unknown) are no fixpoint: their first update sums the clusters
-    /// afresh. The bounds are cut into `threads` ranges once; each walk
-    /// takes them side by side ([`Job::sweep_all`]), and the update step
-    /// runs on the calling thread.
-    fn lloyd<'p, P>(
+    /// afresh.
+    fn lloyd<'p>(
         &self,
         members: &mut [Vec<usize>],
-        point: &P,
+        point: &impl Fn(usize) -> &'p SparseVec,
         stats: &mut ClusterStats,
         bounds: &mut [PointBounds],
-        threads: usize,
-    ) -> Fit
-    where
-        P: Fn(usize) -> &'p SparseVec + Sync,
-    {
+    ) -> Fit {
         let n = members.iter().map(Vec::len).sum();
         let mut fit = Fit::default();
-        let mut fitting = Fitting { stats, members };
-        let mut jobs = Job::split(bounds, threads);
+        let mut fitting = Fitting {
+            stats,
+            members,
+            bounds,
+        };
+        let mut moved = Vec::new();
         while fit.iterations < self.max_iters {
             fit.iterations += 1;
             // Stale stats forgot the gap: the global test fails.
             let stale = fitting.stats.stale;
             let walk = !fitting.stats.confirms_all();
             if walk {
-                Job::sweep_all(&mut jobs, point, &fitting);
-                fit.measured += jobs.iter().map(|j| j.measured).sum::<usize>();
-                let spread = jobs.iter().map(|j| j.spread).fold(f64::INFINITY, f64::min);
-                let widest = jobs.iter().map(|j| j.widest).fold(0.0, f64::max);
-                fitting.stats.walked(spread, widest);
+                fit.measured += fitting.walk(point, &mut moved);
             }
-            let moved = jobs.iter().flat_map(|j| j.moved.iter().copied());
-            if !walk || (moved.clone().next().is_none() && !stale) {
+            if !walk || (moved.is_empty() && !stale) {
                 fit.converged = true;
                 break;
             }
             if !stale {
-                fit.moves.extend(moved.clone());
+                fit.moves.extend_from_slice(&moved);
             }
-            self.update(&mut fitting, point, moved, n, &mut fit.moves);
+            self.update(&mut fitting, point, &moved, n, &mut fit.moves);
         }
         fit
     }
@@ -1331,25 +1256,24 @@ impl KMeans {
         &self,
         fitting: &mut Fitting,
         point: &impl Fn(usize) -> &'p SparseVec,
-        moved: impl Iterator<Item = (usize, usize, usize)> + Clone,
+        moved: &[(usize, usize, usize)],
         n: usize,
         moves: &mut Vec<(usize, usize, usize)>,
     ) {
-        let Fitting { stats, members } = fitting;
+        let Fitting { stats, members, .. } = fitting;
         for (c, list) in members.iter_mut().enumerate() {
-            let mut leaving = moved.clone().filter(|m| m.1 == c).map(|m| m.0).peekable();
+            let mut leaving = moved.iter().filter(|m| m.1 == c).map(|m| m.0).peekable();
             list.retain(|&s| leaving.next_if_eq(&s).is_none());
             let kept = list.len();
-            list.extend(moved.clone().filter(|m| m.2 == c).map(|m| m.0));
+            list.extend(moved.iter().filter(|m| m.2 == c).map(|m| m.0));
             if list.len() > kept {
                 list.sort_unstable();
             }
         }
-        let patches = 2 * moved.clone().count();
-        if stats.stale || stats.patches + patches >= n {
+        if stats.stale || stats.patches + 2 * moved.len() >= n {
             stats.resum(slot_order(members).map(|(s, c)| (point(s), c)));
         } else {
-            for (s, from, to) in moved {
+            for &(s, from, to) in moved {
                 stats.remove(from, point(s));
                 stats.add(to, point(s));
             }
@@ -1373,20 +1297,6 @@ impl KMeans {
             moves.push((s, from, c));
         }
         stats.advance();
-    }
-
-    /// Worker-thread count for the assignment step over `n` points.
-    fn effective_threads(&self, n: usize) -> usize {
-        let requested = if self.threads > 0 {
-            self.threads
-        } else if n * self.k >= PARALLEL_ASSIGN_THRESHOLD {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            1
-        };
-        requested.clamp(1, n.max(1))
     }
 
     /// k-means++ D² seeding into `centroids`, over `points` of squared
@@ -1550,45 +1460,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_assignment_matches_sequential() {
-        // `n` points in three bands of 24 terms.
-        let banded = |n: usize| -> Vec<SparseVec> {
-            let point = |i: usize| {
-                let band = (i % 3) as u32 * 8;
-                let pairs = (0..4u32).map(|k| (band + k, ((i * 31 + k as usize * 7) % 97) as f64));
-                SparseVec::from_pairs(24, pairs).unwrap()
-            };
-            (0..n).map(point).collect()
-        };
-        // Explicit thread counts; and, with `threads` unset, `n·k` at
-        // exactly the threshold, where the default picks every core.
-        let at_threshold = PARALLEL_ASSIGN_THRESHOLD / 4;
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        assert_eq!(KMeans::new(4).effective_threads(at_threshold), cores);
-        let inputs = [
-            (banded(600), 3, &[Some(2), Some(3), Some(8)][..]),
-            (banded(at_threshold), 4, &[None]),
-        ];
-        for (pts, k, counts) in &inputs {
-            let km = KMeans::new(*k).seed(9);
-            let sequential = km.clone().threads(1).run(pts).unwrap();
-            for threads in *counts {
-                let parallel = threads.map_or(km.clone(), |t| km.clone().threads(t));
-                let parallel = parallel.run(pts).unwrap();
-                // Bit for bit, bounds included: the calling thread
-                // patches the sums in point order, whichever thread
-                // walked the point.
-                let what = format!("{threads:?} threads");
-                oracle::assert_same_fit(&parallel, &sequential, &what);
-                oracle::assert_same_bounds(&parallel.bounds, &sequential.bounds, &what);
-            }
-        }
-    }
-
-    #[test]
     fn fit_warm_converged_input_stops_in_one_iteration() {
         let pts = blobs();
-        let cold = KMeans::new(2).seed(7).threads(1).run(&pts).unwrap();
+        let cold = KMeans::new(2).seed(7).run(&pts).unwrap();
         assert!(cold.converged);
         let mut bounds = vec![PointBounds::UNKNOWN; pts.len()];
         let km = KMeans::new(2);
@@ -1619,7 +1493,7 @@ mod tests {
     #[test]
     fn fit_warm_reconverges_after_churn() {
         let pts = blobs();
-        let cold = KMeans::new(2).seed(7).threads(1).run(&pts).unwrap();
+        let cold = KMeans::new(2).seed(7).run(&pts).unwrap();
         // Perturb a handful of assignments: the warm run must repair
         // them and land back on the cold clustering.
         let mut stale = cold.assignments.clone();
@@ -1690,14 +1564,6 @@ mod tests {
         assert!(keep(&cold.centroids).is_ok());
         assert!(keep(&cold.centroids[..1]).is_err());
         assert!(keep(&[SparseVec::zeros(5), SparseVec::zeros(5)]).is_err());
-    }
-
-    #[test]
-    fn more_threads_than_points_is_safe() {
-        let pts = blobs();
-        let r = KMeans::new(2).seed(4).threads(64).run(&pts).unwrap();
-        assert_eq!(r.assignments.len(), pts.len());
-        assert_ne!(r.assignments[0], r.assignments[1]);
     }
 
     /// Points on a coarse grid over a few shared terms, so sums carry
@@ -1817,7 +1683,7 @@ mod tests {
     #[test]
     fn cluster_stats_rebuilt_from_prev_seed_fit_warm_with_point_order_means() {
         let pts = blobs();
-        let cold = KMeans::new(2).seed(7).threads(1).run(&pts).unwrap();
+        let cold = KMeans::new(2).seed(7).run(&pts).unwrap();
         let km = KMeans::new(2);
         // Point-order means of the previous assignment, summed plainly:
         // what the seeding computed before the sums were kept.
@@ -1893,7 +1759,7 @@ mod tests {
     #[test]
     fn cluster_stats_are_rebuilt_once_the_patches_reach_the_point_count() {
         let pts = grid_points(12, 5);
-        let cold = KMeans::new(2).seed(1).threads(1).run(&pts).unwrap();
+        let cold = KMeans::new(2).seed(1).run(&pts).unwrap();
         let km = KMeans::new(2);
         let mut stats = ClusterStats::new(2, 5);
         stats.rebuild(&pts, &cold.assignments);

@@ -9,9 +9,8 @@
 //! that moved (rebuilt once the patches would reach the point count), an
 //! emptied cluster handed the point farthest from its centroid, a stop
 //! at the assignment fixpoint. Everything a cold or a
-//! warm fit returns must be `f64::to_bits`-identical to it, at any
-//! worker count: the bounds change what a fit costs, never what it
-//! computes.
+//! warm fit returns must be `f64::to_bits`-identical to it: the bounds
+//! change what a fit costs, never what it computes.
 //!
 //! Inputs are generated toward the edges rather than uniformly: lane
 //! block boundaries in `k`, points with no non-zeros, duplicated points
@@ -202,7 +201,7 @@ fn reference_fit_warm(km: &KMeans, points: &[SparseVec], prev: &[usize]) -> KMea
 }
 
 #[track_caller]
-pub(super) fn assert_same_fit(got: &KMeansResult, want: &KMeansResult, what: &str) {
+fn assert_same_fit(got: &KMeansResult, want: &KMeansResult, what: &str) {
     assert_eq!(got.assignments, want.assignments, "{what}: assignments");
     assert_eq!(got.iterations, want.iterations, "{what}: iterations");
     assert_eq!(got.converged, want.converged, "{what}: converged");
@@ -241,13 +240,6 @@ fn assert_same_centroids(got: &[SparseVec], want: &[SparseVec], what: &str) {
 /// Points the calling thread has measured so far.
 fn measured() -> usize {
     MEASURED.with(std::cell::Cell::get)
-}
-
-/// The bounds of two fits, bit for bit.
-#[track_caller]
-pub(super) fn assert_same_bounds(got: &[PointBounds], want: &[PointBounds], what: &str) {
-    let bits: fn(&[PointBounds]) -> Vec<_> = |b| b.iter().map(bound_bits).collect();
-    assert_eq!(bits(got), bits(want), "{what}: bounds");
 }
 
 #[test]
@@ -347,18 +339,10 @@ fn fits_match_the_reference_lloyd_loop() {
                 KMeansInit::KMeansPlusPlus
             };
             let km = KMeans::new(k).seed(seed).init(init).restarts(2);
-            let sequential = km.clone().threads(1);
-            let cold = sequential.run(&points).unwrap();
-            assert_same_fit(&cold, &reference_run(&sequential, &points), &what);
+            let cold = km.run(&points).unwrap();
+            assert_same_fit(&cold, &reference_run(&km, &points), &what);
             let fit = (&cold.assignments[..], &cold.centroids[..]);
             assert_bounds_hold(&points, fit, &cold.bounds, &[], &what);
-            // Two threads walk the slot ranges; the calling thread
-            // patches the sums in point order: the same bits, bounds
-            // included.
-            let parallel = km.clone().threads(2).run(&points).unwrap();
-            let two = format!("{what} two threads");
-            assert_same_fit(&parallel, &cold, &two);
-            assert_same_bounds(&parallel.bounds, &cold.bounds, &two);
             // Warm from the cold fit's own answer (a fixpoint unless the
             // cold run stopped on `max_iters`), and from that answer with
             // one point pushed next door.
@@ -406,7 +390,7 @@ fn a_long_cold_restart_measures_fewer_points_than_its_sweeps_would() {
         })
         .collect();
     let n = points.len();
-    let km = KMeans::new(8).seed(1).threads(1);
+    let km = KMeans::new(8).seed(1);
     let before = measured();
     let cold = km.run(&points).unwrap();
     let cost = measured() - before;
@@ -417,9 +401,6 @@ fn a_long_cold_restart_measures_fewer_points_than_its_sweeps_would() {
         "{cost} points measured in {} iterations over {n}",
         cold.iterations
     );
-    let parallel = km.clone().threads(3).run(&points).unwrap();
-    assert_same_fit(&parallel, &cold, "three threads");
-    assert_same_bounds(&parallel.bounds, &cold.bounds, "three threads");
 }
 
 #[test]
@@ -434,7 +415,7 @@ fn a_converged_warm_start_costs_one_sweep_and_a_moved_point_two() {
         );
     }
     let n = points.len();
-    let km = KMeans::new(4).seed(3).threads(1);
+    let km = KMeans::new(4).seed(3);
     let before = measured();
     let cold = km.run(&points).unwrap();
     assert!(cold.converged);
@@ -523,14 +504,14 @@ fn warm_as_reference(fit: &WarmFit) -> KMeansResult {
 }
 
 #[test]
-fn a_warm_start_at_the_parallel_threshold_stays_on_the_calling_thread() {
-    // n·k at `PARALLEL_ASSIGN_THRESHOLD` with two threads asked for: a
-    // cold fit fans out here, and a warm start must not.
+fn a_large_warm_start_matches_the_reference_on_the_calling_thread() {
+    // 16 384 points, k = 4: the warm fit is the reference loop's, and
+    // every point it measured was measured on the calling thread.
     let k = 4;
     let mut rng = SmallRng::seed_from_u64(29);
-    let points = edge_points(&mut rng, PARALLEL_ASSIGN_THRESHOLD / k, 7, 3);
+    let points = edge_points(&mut rng, 16_384, 7, 3);
     let km = KMeans::new(k).seed(29);
-    let cold = km.clone().threads(2).run(&points).unwrap();
+    let cold = km.run(&points).unwrap();
     let mut prev = cold.assignments;
     let n = prev.len();
     for moved in [false, true] {
@@ -538,22 +519,16 @@ fn a_warm_start_at_the_parallel_threshold_stays_on_the_calling_thread() {
             prev[n / 2] = (prev[n / 2] + 1) % k;
         }
         let what = format!("moved={moved}");
-        let fit = |threads| {
-            let mut bounds = vec![PointBounds::UNKNOWN; n];
-            km.clone()
-                .threads(threads)
-                .fit_warm(&points, &prev, &mut ClusterStats::new(k, 7), &mut bounds)
-                .unwrap()
-        };
+        let mut bounds = vec![PointBounds::UNKNOWN; n];
         let before = measured();
-        let parallel = fit(2);
+        let warm = km
+            .fit_warm(&points, &prev, &mut ClusterStats::new(k, 7), &mut bounds)
+            .unwrap();
         let made = measured() - before;
-        let single = fit(1);
-        assert_same_warm_fit(&parallel, &warm_as_reference(&single), &what);
         let want = reference_fit_warm(&km, &points, &prev);
-        assert_same_warm_fit(&parallel, &want, &what);
+        assert_same_warm_fit(&warm, &want, &what);
         assert_eq!(
-            made, parallel.evaluated,
+            made, warm.evaluated,
             "{what}: every point measured on the calling thread"
         );
     }

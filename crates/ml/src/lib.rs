@@ -18,10 +18,9 @@
 //! [`fmeter_ir::SparseVec`] signatures, and use the Euclidean (L2) distance
 //! by default, exactly as the paper does. Scale comes in two pinned
 //! tiers. Exact algorithmic structure: NN-chain agglomeration is O(n²)
-//! against the retained O(n³) reference, K-means assignment fans out
-//! over scoped threads with deterministic merges, and a
-//! [`Gram`] row is computed once: cross-validation shares one matrix
-//! (n² × 8 B) between all folds and `C` values. And oracle-pinned
+//! against the retained O(n³) reference, and a [`Gram`] row is computed
+//! once: cross-validation shares one matrix (n² × 8 B) between all folds
+//! and `C` values. And oracle-pinned
 //! approximation: [`Agglomerative::fit_snn`] agglomerates
 //! over a shared-nearest-neighbour candidate graph from
 //! [`fmeter_ir::AnnGraph`] k-NN lists in sub-quadratic time, and

@@ -102,17 +102,6 @@ impl BinaryConfusion {
         }
         self.true_positives as f64 / denom as f64
     }
-
-    /// Harmonic mean of precision and recall (`0.0` when both are zero).
-    #[cfg(test)]
-    pub(crate) fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            return 0.0;
-        }
-        2.0 * p * r / (p + r)
-    }
 }
 
 /// Accuracy of the pseudo-classifier that always answers with the majority
@@ -164,31 +153,15 @@ pub fn majority_baseline(labels: &[Label]) -> Result<f64, MlError> {
 /// assert_eq!(purity(&assignments, &classes).unwrap(), 0.75);
 /// ```
 pub fn purity(assignments: &[usize], classes: &[usize]) -> Result<f64, MlError> {
-    if assignments.len() != classes.len() {
-        return Err(MlError::LabelCountMismatch {
-            vectors: assignments.len(),
-            labels: classes.len(),
-        });
-    }
-    if assignments.is_empty() {
-        return Err(MlError::EmptyInput);
-    }
-    let num_clusters = assignments.iter().max().map_or(0, |&m| m + 1);
-    let num_classes = classes.iter().max().map_or(0, |&m| m + 1);
-    // contingency[cluster][class] = count
-    let mut contingency = vec![vec![0usize; num_classes]; num_clusters];
-    for (&a, &c) in assignments.iter().zip(classes) {
-        contingency[a][c] += 1;
-    }
-    let correct: usize = contingency
+    let correct: usize = contingency(assignments, classes)?
         .iter()
         .map(|row| row.iter().copied().max().unwrap_or(0))
         .sum();
     Ok(correct as f64 / assignments.len() as f64)
 }
 
-/// Builds the cluster-by-class contingency table behind the clustering
-/// quality metrics.
+/// Builds the cluster-by-class contingency table behind [`purity`] and
+/// [`adjusted_rand_index`]: `table[cluster][class]` counts the points.
 ///
 /// # Errors
 ///
@@ -213,96 +186,8 @@ fn contingency(assignments: &[usize], classes: &[usize]) -> Result<Vec<Vec<usize
     Ok(table)
 }
 
-/// Normalized mutual information between a clustering and the true
-/// classes: `NMI = 2 I(C; K) / (H(C) + H(K))`, in `[0, 1]`.
-///
-/// One of the alternative clustering-quality measures the paper lists in
-/// §4.2.2. Unlike [`purity`], NMI penalises over-clustering: splitting
-/// every point into its own cluster gives purity 1.0 but low NMI.
-///
-/// Degenerate single-cluster/single-class inputs carry no information
-/// and evaluate to `0.0`.
-///
-/// # Errors
-///
-/// Returns [`MlError::LabelCountMismatch`] / [`MlError::EmptyInput`] for
-/// malformed input.
-#[cfg(test)]
-pub(crate) fn normalized_mutual_information(
-    assignments: &[usize],
-    classes: &[usize],
-) -> Result<f64, MlError> {
-    let table = contingency(assignments, classes)?;
-    let n = assignments.len() as f64;
-    let cluster_sizes: Vec<usize> = table.iter().map(|row| row.iter().sum()).collect();
-    let mut class_sizes = vec![0usize; table.first().map_or(0, Vec::len)];
-    for row in &table {
-        for (c, &v) in row.iter().enumerate() {
-            class_sizes[c] += v;
-        }
-    }
-    let entropy = |sizes: &[usize]| -> f64 {
-        sizes
-            .iter()
-            .filter(|&&s| s > 0)
-            .map(|&s| {
-                let p = s as f64 / n;
-                -p * p.ln()
-            })
-            .sum()
-    };
-    let h_clusters = entropy(&cluster_sizes);
-    let h_classes = entropy(&class_sizes);
-    if h_clusters == 0.0 || h_classes == 0.0 {
-        return Ok(0.0);
-    }
-    let mut mutual_information = 0.0;
-    for (k, row) in table.iter().enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            if v == 0 {
-                continue;
-            }
-            let p_joint = v as f64 / n;
-            let p_k = cluster_sizes[k] as f64 / n;
-            let p_c = class_sizes[c] as f64 / n;
-            mutual_information += p_joint * (p_joint / (p_k * p_c)).ln();
-        }
-    }
-    Ok((2.0 * mutual_information / (h_clusters + h_classes)).clamp(0.0, 1.0))
-}
-
-/// Rand index: the fraction of point pairs on which the clustering and
-/// the true classes agree (same/same or different/different), in `[0, 1]`.
-///
-/// # Errors
-///
-/// Returns [`MlError::LabelCountMismatch`] / [`MlError::EmptyInput`] for
-/// malformed input; requires at least two points (no pairs otherwise).
-#[cfg(test)]
-pub(crate) fn rand_index(assignments: &[usize], classes: &[usize]) -> Result<f64, MlError> {
-    let table = contingency(assignments, classes)?;
-    let n = assignments.len();
-    if n < 2 {
-        return Err(MlError::NotEnoughData { have: n, need: 2 });
-    }
-    let choose2 = |x: usize| (x * x.saturating_sub(1) / 2) as f64;
-    let total_pairs = choose2(n);
-    let cluster_sizes: Vec<usize> = table.iter().map(|row| row.iter().sum()).collect();
-    let mut class_sizes = vec![0usize; table.first().map_or(0, Vec::len)];
-    for row in &table {
-        for (c, &v) in row.iter().enumerate() {
-            class_sizes[c] += v;
-        }
-    }
-    let same_both: f64 = table.iter().flatten().map(|&v| choose2(v)).sum();
-    let same_cluster: f64 = cluster_sizes.iter().map(|&s| choose2(s)).sum();
-    let same_class: f64 = class_sizes.iter().map(|&s| choose2(s)).sum();
-    // Agreements = pairs together in both + pairs separated in both.
-    let agreements = same_both + (total_pairs - same_cluster - same_class + same_both);
-    Ok(agreements / total_pairs)
-}
-
-/// Adjusted Rand index: the `rand_index` corrected for chance, so a
+/// Adjusted Rand index: the Rand index (the fraction of point pairs on
+/// which the clustering and the classes agree) corrected for chance, so a
 /// random labelling scores `~0.0` and a perfect one `1.0` (it can go
 /// negative for worse-than-chance agreement).
 ///
@@ -347,46 +232,6 @@ pub fn adjusted_rand_index(assignments: &[usize], classes: &[usize]) -> Result<f
         return Ok(1.0);
     }
     Ok((index - expected) / (max_index - expected))
-}
-
-/// Clustering F-measure (F1 over pair decisions): precision = of the
-/// pairs the clustering put together, how many share a class; recall = of
-/// the same-class pairs, how many the clustering put together.
-///
-/// # Errors
-///
-/// Returns [`MlError::LabelCountMismatch`] / [`MlError::EmptyInput`] for
-/// malformed input; requires at least two points.
-#[cfg(test)]
-pub(crate) fn clustering_f_measure(
-    assignments: &[usize],
-    classes: &[usize],
-) -> Result<f64, MlError> {
-    let table = contingency(assignments, classes)?;
-    let n = assignments.len();
-    if n < 2 {
-        return Err(MlError::NotEnoughData { have: n, need: 2 });
-    }
-    let choose2 = |x: usize| (x * x.saturating_sub(1) / 2) as f64;
-    let cluster_sizes: Vec<usize> = table.iter().map(|row| row.iter().sum()).collect();
-    let mut class_sizes = vec![0usize; table.first().map_or(0, Vec::len)];
-    for row in &table {
-        for (c, &v) in row.iter().enumerate() {
-            class_sizes[c] += v;
-        }
-    }
-    let tp: f64 = table.iter().flatten().map(|&v| choose2(v)).sum();
-    let positives: f64 = cluster_sizes.iter().map(|&s| choose2(s)).sum();
-    let actual: f64 = class_sizes.iter().map(|&s| choose2(s)).sum();
-    if positives == 0.0 || actual == 0.0 {
-        return Ok(0.0);
-    }
-    let precision = tp / positives;
-    let recall = tp / actual;
-    if precision + recall == 0.0 {
-        return Ok(0.0);
-    }
-    Ok(2.0 * precision * recall / (precision + recall))
 }
 
 /// Mean and *standard error of the mean* of a sample — the error-bar
@@ -439,7 +284,6 @@ mod tests {
         assert!((c.accuracy() - 4.0 / 6.0).abs() < 1e-12);
         assert!((c.precision() - 2.0 / 3.0).abs() < 1e-12);
         assert!((c.recall() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((c.f1() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -460,7 +304,6 @@ mod tests {
         let c = BinaryConfusion::from_labels(&[-1, -1], &[-1, -1]).unwrap();
         assert_eq!(c.precision(), 0.0);
         assert_eq!(c.recall(), 0.0);
-        assert_eq!(c.f1(), 0.0);
         assert_eq!(c.accuracy(), 1.0);
     }
 
@@ -508,49 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn nmi_perfect_and_degenerate() {
-        // Perfect clustering (up to relabelling): NMI = 1.
-        let assignments = [1, 1, 0, 0, 2, 2];
-        let classes = [0, 0, 1, 1, 2, 2];
-        let nmi = normalized_mutual_information(&assignments, &classes).unwrap();
-        assert!((nmi - 1.0).abs() < 1e-12);
-        // Single cluster carries no information.
-        let nmi = normalized_mutual_information(&[0, 0, 0, 0], &[0, 0, 1, 1]).unwrap();
-        assert_eq!(nmi, 0.0);
-    }
-
-    #[test]
-    fn nmi_penalizes_overclustering_where_purity_does_not() {
-        // One cluster per point: purity 1.0 but NMI < 1.
-        let classes = [0, 0, 1, 1];
-        let singleton: Vec<usize> = (0..4).collect();
-        assert_eq!(purity(&singleton, &classes).unwrap(), 1.0);
-        let nmi = normalized_mutual_information(&singleton, &classes).unwrap();
-        assert!(
-            nmi < 1.0,
-            "NMI should penalise singleton clusters, got {nmi}"
-        );
-    }
-
-    #[test]
-    fn rand_index_extremes() {
-        let classes = [0, 0, 1, 1];
-        assert_eq!(rand_index(&[0, 0, 1, 1], &classes).unwrap(), 1.0);
-        assert_eq!(rand_index(&[1, 1, 0, 0], &classes).unwrap(), 1.0);
-        // Maximally wrong pairing: split every true pair, join every
-        // cross pair.
-        let ri = rand_index(&[0, 1, 0, 1], &classes).unwrap();
-        assert!(
-            ri < 0.5,
-            "anti-clustering should agree on few pairs, got {ri}"
-        );
-        assert!(matches!(
-            rand_index(&[0], &[0]),
-            Err(MlError::NotEnoughData { .. })
-        ));
-    }
-
-    #[test]
     fn adjusted_rand_index_extremes_and_chance() {
         let classes = [0, 0, 1, 1];
         // Perfect agreement (label permutation is irrelevant).
@@ -580,30 +380,14 @@ mod tests {
     }
 
     #[test]
-    fn f_measure_matches_hand_computation() {
-        // Clusters: {a,a,b}, {b}. Same-cluster pairs: 3 (aa, ab, ab);
-        // tp = 1 (the aa pair). Same-class pairs: aa + bb = 2.
-        let assignments = [0, 0, 0, 1];
-        let classes = [0, 0, 1, 1];
-        let f = clustering_f_measure(&assignments, &classes).unwrap();
-        let precision: f64 = 1.0 / 3.0;
-        let recall: f64 = 1.0 / 2.0;
-        let expected = 2.0 * precision * recall / (precision + recall);
-        assert!((f - expected).abs() < 1e-12);
-        // Perfect clustering: F = 1.
-        assert_eq!(clustering_f_measure(&[0, 0, 1, 1], &classes).unwrap(), 1.0);
-    }
-
-    #[test]
     fn clustering_metrics_reject_malformed_input() {
         for result in [
-            normalized_mutual_information(&[0], &[0, 1]).err(),
-            rand_index(&[0], &[0, 1]).err(),
-            clustering_f_measure(&[0], &[0, 1]).err(),
+            purity(&[0], &[0, 1]).err(),
+            adjusted_rand_index(&[0], &[0, 1]).err(),
         ] {
             assert!(matches!(result, Some(MlError::LabelCountMismatch { .. })));
         }
-        assert!(normalized_mutual_information(&[], &[]).is_err());
+        assert!(adjusted_rand_index(&[], &[]).is_err());
     }
 
     #[test]

@@ -292,31 +292,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_kmeans_matches_sequential(
-        points in arb_points(8, 40),
-        k in 1usize..5,
-        seed in 0u64..16,
-        threads in 2usize..5,
-    ) {
-        prop_assume!(points.len() >= k);
-        // Workers walk their chunks and hand back the points that moved;
-        // the calling thread patches the sums in point order. So a fit
-        // is bit-identical at any worker count.
-        let sequential = KMeans::new(k).seed(seed).threads(1).run(&points).unwrap();
-        let parallel = KMeans::new(k).seed(seed).threads(threads).run(&points).unwrap();
-        prop_assert_eq!(&parallel.assignments, &sequential.assignments);
-        prop_assert_eq!(parallel.iterations, sequential.iterations);
-        prop_assert_eq!(parallel.converged, sequential.converged);
-        prop_assert_eq!(parallel.inertia.to_bits(), sequential.inertia.to_bits());
-        let bits = |c: &[SparseVec]| -> Vec<(Vec<u32>, Vec<u64>)> {
-            c.iter()
-                .map(|c| (c.terms().to_vec(), c.values().iter().map(|v| v.to_bits()).collect()))
-                .collect()
-        };
-        prop_assert_eq!(bits(&parallel.centroids), bits(&sequential.centroids));
-    }
-
-    #[test]
     fn svm_separates_translated_blobs(
         seed in 0u64..64,
         separation in 3.0f64..20.0,

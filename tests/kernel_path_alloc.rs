@@ -1,7 +1,8 @@
 //! Allocation contract of the kernel path: once warm, running kernel
 //! operations and module operations allocates nothing, under Fmeter and
-//! under the Ftrace-style comparator alike, and the logger allocates
-//! only the signature it returns for each interval.
+//! under the Ftrace-style comparator alike, the logger allocates only
+//! the signature it returns for each interval, and the user-space daemon
+//! attaches without copying a symbol name.
 //!
 //! A counting global allocator tallies the allocations of the calling
 //! thread, so tests running beside each other do not see each other's.
@@ -12,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use fmeter::core::Fmeter;
+use fmeter::core::{DebugfsReader, Fmeter};
 use fmeter::kernel_sim::{modules, CpuId, Kernel, KernelConfig, KernelOp, ModuleOp, Nanos};
 use fmeter::trace::FtraceTracer;
 use fmeter::workloads::{
@@ -173,4 +174,20 @@ fn collect_one_allocates_only_the_signature() {
             );
         }
     }
+}
+
+/// The daemon attaches by reading `kallsyms` and keeps each address's
+/// term id: a few blocks for the export and the address map as it
+/// grows, none per symbol.
+#[test]
+fn debugfs_attach_allocates_far_fewer_blocks_than_symbols() {
+    let kernel = kernel(1);
+    let symbols = kernel.num_functions() as u64;
+    assert!(symbols > 3000, "the standard image has {symbols} symbols");
+    let (reader, n) = allocations(|| DebugfsReader::attach(&kernel));
+    reader.expect("kallsyms parses");
+    assert!(
+        n * 20 < symbols,
+        "attaching to {symbols} symbols allocated {n} times"
+    );
 }
