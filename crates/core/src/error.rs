@@ -1,5 +1,6 @@
 use std::error::Error;
 use std::fmt;
+use std::path::PathBuf;
 
 use fmeter_ir::IrError;
 use fmeter_kernel_sim::KernelError;
@@ -44,6 +45,15 @@ pub enum FmeterError {
         /// The one version this build reads.
         supported: u32,
     },
+    /// Recovery found checkpoints in a durable directory but could load
+    /// none of them.
+    NoCheckpoint {
+        /// The durable directory.
+        dir: PathBuf,
+        /// Every generation tried with the error it failed with, newest
+        /// generation first; never empty.
+        tried: Vec<(u64, FmeterError)>,
+    },
 }
 
 impl fmt::Display for FmeterError {
@@ -66,6 +76,17 @@ impl fmt::Display for FmeterError {
                 f,
                 "unsupported database format version {found} (this build reads v{supported})"
             ),
+            FmeterError::NoCheckpoint { dir, tried } => {
+                write!(
+                    f,
+                    "persistence error: no loadable checkpoint generation in {}",
+                    dir.display()
+                )?;
+                match tried.first() {
+                    Some((_, newest)) => write!(f, ": {newest}"),
+                    None => Ok(()),
+                }
+            }
         }
     }
 }
@@ -76,6 +97,7 @@ impl Error for FmeterError {
             FmeterError::Kernel(e) => Some(e),
             FmeterError::Ir(e) => Some(e),
             FmeterError::Ml(e) => Some(e),
+            FmeterError::NoCheckpoint { tried, .. } => tried.first().map(|(_, newest)| newest as _),
             _ => None,
         }
     }
@@ -141,6 +163,33 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "corrupt envelope: section `signatures` expected 100, got 7"
+        );
+    }
+
+    #[test]
+    fn no_checkpoint_names_the_newest_failure() {
+        let e = FmeterError::NoCheckpoint {
+            dir: PathBuf::from("durable"),
+            tried: vec![
+                (
+                    2,
+                    FmeterError::UnsupportedFormat {
+                        found: 8,
+                        supported: 9,
+                    },
+                ),
+                (1, FmeterError::Persist("short read".into())),
+            ],
+        };
+        assert_eq!(
+            e.to_string(),
+            "persistence error: no loadable checkpoint generation in durable: \
+             unsupported database format version 8 (this build reads v9)"
+        );
+        let newest = Error::source(&e).expect("the newest failure");
+        assert_eq!(
+            newest.to_string(),
+            "unsupported database format version 8 (this build reads v9)"
         );
     }
 

@@ -444,7 +444,8 @@ impl SignatureService {
     ///
     /// # Errors
     ///
-    /// Fails when `dir` holds no loadable checkpoint generation.
+    /// Fails when `dir` holds no loadable checkpoint generation: see
+    /// [`DurableLog::recover_state`].
     pub fn recover_durable(
         dir: &Path,
         opts: DurableOptions,

@@ -844,6 +844,12 @@ impl DurableLog {
     /// point, and the cheap half of [`DurableLog::recover`]. The
     /// database comes back in its checkpointed shard layout; the count
     /// beside it is its [`SignatureDb::num_shards`].
+    ///
+    /// # Errors
+    ///
+    /// [`FmeterError::Persist`] when `dir` holds no checkpoint, and
+    /// [`FmeterError::NoCheckpoint`] with every generation's failure
+    /// when none of them loads.
     pub fn recover_state(dir: &Path) -> Result<(SignatureDb, usize, RecoveryReport), FmeterError> {
         let gens = scan_checkpoints(dir)?;
         if gens.is_empty() {
@@ -852,22 +858,21 @@ impl DurableLog {
                 dir.display()
             )));
         }
-        let mut last_err: Option<FmeterError> = None;
-        for (skipped, &generation) in gens.iter().enumerate() {
+        let mut tried = Vec::new();
+        for &generation in &gens {
             match Self::try_recover_from(dir, generation) {
                 Ok((db, mut report)) => {
-                    report.checkpoints_skipped = skipped;
+                    report.checkpoints_skipped = tried.len();
                     let num_shards = db.num_shards();
                     return Ok((db, num_shards, report));
                 }
-                Err(e) => last_err = Some(e),
+                Err(e) => tried.push((generation, e)),
             }
         }
-        Err(FmeterError::Persist(format!(
-            "no loadable checkpoint generation in {}: {}",
-            dir.display(),
-            last_err.map(|e| e.to_string()).unwrap_or_default()
-        )))
+        Err(FmeterError::NoCheckpoint {
+            dir: dir.to_path_buf(),
+            tried,
+        })
     }
 
     /// Loads checkpoint `generation` and replays its WAL chain.

@@ -886,23 +886,36 @@ fn a_directory_checkpointed_by_an_older_release_recovers_to_the_acked_prefix() {
         SignatureDb::load(&v8[..]),
         Err(FmeterError::UnsupportedFormat { found: 8, .. })
     ));
+    // The retired checkpoint format is also told by value: recovery
+    // tried the one generation and names the error it failed with.
     let refused = [
         (
             directory("closed-v8", &v8, "FMWAL 5 ", false),
             "unsupported database format version 8",
+            true,
         ),
         (
             directory("closed-fmwal4", &fixture(), "FMWAL 4 ", false),
             "wal-0000000001.log is an FMWAL 4 segment: not read by this build",
+            false,
         ),
     ];
-    for (dir, message) in refused {
+    let names_v8 = |err: &FmeterError| match err {
+        FmeterError::NoCheckpoint { tried, .. } => matches!(
+            tried[..],
+            [(1, FmeterError::UnsupportedFormat { found: 8, .. })]
+        ),
+        _ => false,
+    };
+    for (dir, message, v8) in refused {
         let err = DurableLog::recover_state(&dir).map(drop).unwrap_err();
         assert!(err.to_string().contains(message), "{err}");
+        assert_eq!(names_v8(&err), v8, "{err:?}");
         let err = DurableLog::recover(&dir, manual_opts())
             .map(drop)
             .unwrap_err();
         assert!(err.to_string().contains(message), "{err}");
+        assert_eq!(names_v8(&err), v8, "{err:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

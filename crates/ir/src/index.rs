@@ -266,12 +266,13 @@ impl SearchScratch {
 /// accumulation streams contiguous memory with u32 doc ids (12 bytes
 /// per posting instead of a pointer-chased 16), and the exhaustive
 /// oracle is its scatter kernel. The segment is write-once: every
-/// rewrite (compaction, purge) builds a new one, with the rows of the documents it covers, so clones
-/// of the index share it by reference count. Fresh inserts append their
-/// row to a short *tail*, shared by clones as well, that geometric
-/// compaction folds into the next segment, keeping `insert` amortised
-/// O(nnz). What a clone copies is the tombstone flags and one pointer
-/// per 64 tail rows.
+/// rewrite builds a new one over the live documents, with their rows,
+/// so clones of the index share it by reference count. Fresh inserts
+/// append their row to a short *tail*, shared by clones as well, that a
+/// geometric rewrite folds into the next segment, keeping `insert`
+/// amortised O(nnz); the same rewrite drops the postings of every
+/// document tombstoned since the last one. What a clone copies is the
+/// tombstone flags and one pointer per 64 tail rows.
 ///
 /// Tail documents all carry ids above the segment's. They, and the few
 /// documents the pruned traversal cannot rule out, are scored from
@@ -286,22 +287,22 @@ impl SearchScratch {
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
     dim: usize,
-    /// The compacted postings. Replaced, never written in place.
+    /// The rewritten postings. Replaced, never written in place.
     flat: Arc<FlatPostings>,
     /// The rows of the documents inserted since the last flat rewrite:
     /// row `i` is doc `num_docs - tail.len() + i`.
     tail: SharedVec<Row>,
-    /// Total postings in `tail` (compaction trigger).
+    /// Total postings in `tail` (the insert rewrite trigger).
     tail_len: usize,
     num_docs: usize,
     /// Tombstones: `removed[d]` marks doc `d` as deleted. Doc ids are
-    /// never reused; searches skip tombstoned docs and purging eventually
-    /// drops their postings.
+    /// never reused; searches skip tombstoned docs and the next flat
+    /// rewrite drops their postings.
     removed: Vec<bool>,
     /// Number of tombstoned docs (`live_len = num_docs - num_removed`).
     num_removed: usize,
-    /// Tombstoned docs whose postings still sit in the buffers (purge
-    /// trigger).
+    /// Docs tombstoned since the last flat rewrite, whose postings still
+    /// sit in the buffers (the remove rewrite trigger).
     dead_unpurged: usize,
 }
 
@@ -369,8 +370,9 @@ struct FlatPostings {
     postings: CscMatrix,
     /// Per-term max `|stored weight|`: `|qw| * max_impact[t]` bounds
     /// term `t`'s score contribution for any document in the segment —
-    /// the pruning invariant. Tombstoned docs' postings count until
-    /// the next purge, which only leaves the bound loose, never unsound.
+    /// the pruning invariant. A doc tombstoned after the rewrite that
+    /// built the segment still counts, which only leaves the bound
+    /// loose, never unsound.
     max_impact: Vec<f64>,
     /// The row of every doc id the segment covers; `None` for a doc
     /// tombstoned before the rewrite that built it.
@@ -412,7 +414,7 @@ impl InvertedIndex {
         Self::from_slots::<SparseVec>(dim, []).expect("no vector to mismatch")
     }
 
-    /// Builds a fully compacted index in one pass over the doc-id space
+    /// Builds a fully rewritten index in one pass over the doc-id space
     /// `0..slots.len()`: slot `d` is the live doc `d`'s vector, or
     /// `None` for a tombstoned slot (which indexes nothing). A slot's
     /// vector may be owned, borrowed or behind an `Arc`: its row holds a
@@ -422,7 +424,7 @@ impl InvertedIndex {
     /// does, so the result equals — buffer for buffer, bit for bit — an
     /// index that inserted a vector per slot, removed the `None` slots,
     /// and was then [`optimize`](Self::optimize)d; it just skips the
-    /// per-document appends and the log N recompactions on the way.
+    /// per-document appends and the log N rewrites on the way.
     ///
     /// # Errors
     ///
@@ -472,16 +474,17 @@ impl InvertedIndex {
         self.num_docs += 1;
         self.removed.push(false);
         // Geometric trigger: fold the tail in once it reaches a quarter of
-        // the flat segment, so total compaction work stays O(N) amortised.
+        // the flat segment, so total rewrite work stays O(N) amortised.
         if self.tail_len * 4 >= self.flat.postings.nnz() + 256 {
-            self.compact();
+            self.rewrite();
         }
         Ok(id)
     }
 
     /// Tombstones a document: it stops appearing in search results
     /// immediately, and its postings are physically dropped by the next
-    /// purge (triggered geometrically, or by [`optimize`](Self::optimize)).
+    /// flat rewrite (triggered geometrically by inserts or removes, or by
+    /// [`optimize`](Self::optimize)).
     /// Doc ids are never reused — the id space keeps a permanent hole.
     ///
     /// # Errors
@@ -499,7 +502,7 @@ impl InvertedIndex {
         // docs with postings still in the buffers are dead, rewrite the
         // buffers so search stops streaming (and bounding) ghosts.
         if self.dead_unpurged * 4 >= (self.live_len() + self.dead_unpurged).max(64) {
-            self.purge();
+            self.rewrite();
         }
         Ok(())
     }
@@ -531,12 +534,13 @@ impl InvertedIndex {
         row.filter(|_| self.is_live(doc)).map(|row| &row.vector)
     }
 
-    /// Replaces the flat segment with one over every doc — or, to
-    /// `purge`, every live one: its stored postings moved, the tail's
-    /// computed from its rows. One O(nnz) transpose that absorbs the
-    /// tail.
-    fn rewrite(&mut self, purge: bool) {
-        let keep = |d: u32| !(purge && self.removed[d as usize]);
+    /// Replaces the flat segment with one over the live docs: their
+    /// stored postings moved, the tail's computed from its rows, the
+    /// tombstoned docs' dropped. One O(nnz) transpose that absorbs the
+    /// tail and recomputes the per-term max-impact bounds exactly over
+    /// the survivors (removal alone can only leave them loose).
+    fn rewrite(&mut self) {
+        let keep = |d: u32| !self.removed[d as usize];
         let rows = self.flat.rows.iter().map(Option::as_ref);
         let rows = rows.chain(self.tail.iter().map(Some)).enumerate();
         let mut kept = Vec::with_capacity(self.num_docs);
@@ -544,35 +548,19 @@ impl InvertedIndex {
         self.flat = Arc::new(self.flat.rewrite(keep, kept));
         self.tail.clear();
         self.tail_len = 0;
-    }
-
-    /// Rewrites the flat segment without the tombstoned docs' postings,
-    /// which also recomputes the per-term max-impact bounds exactly over
-    /// the survivors (removal alone can only leave the bounds loose).
-    fn purge(&mut self) {
-        self.rewrite(true);
         self.dead_unpurged = 0;
     }
 
-    /// Fully compacts the postings into the flat segment.
+    /// Rewrites the postings into one flat segment of the live docs.
     ///
-    /// Inserts self-compact geometrically, but up to a quarter of the
-    /// postings may sit in tail rows at any moment. Call this once after
-    /// bulk-loading a corpus so every query streams a single contiguous
-    /// buffer. When tombstones are present their postings are purged and
-    /// the max-impact bounds tightened in the same rewrite.
+    /// Inserts and removals rewrite geometrically, but up to a quarter
+    /// of the postings may sit in tail rows, and up to a quarter of the
+    /// docs in the buffers may be dead, at any moment. Call this once
+    /// after bulk-loading a corpus so every query streams a single
+    /// contiguous buffer with tight max-impact bounds.
     pub fn optimize(&mut self) {
-        if self.dead_unpurged > 0 {
-            self.purge();
-        } else {
-            self.compact();
-        }
-    }
-
-    /// Folds the tail rows into the flat segment.
-    fn compact(&mut self) {
-        if !self.tail.is_empty() {
-            self.rewrite(false);
+        if !self.tail.is_empty() || self.dead_unpurged > 0 {
+            self.rewrite();
         }
     }
 
@@ -903,8 +891,8 @@ impl InvertedIndex {
             return Ok(Vec::new());
         };
         // The scatter kernel, with no per-posting membership test or
-        // branch. Tombstoned docs may still have postings (purging is
-        // lazy) and are filtered at the end.
+        // branch. Docs tombstoned since the last flat rewrite still have
+        // postings and are filtered at the end.
         scores.clear();
         scores.resize(self.num_docs, 0.0);
         let weights = query.terms().iter().map(|&t| (t, qdense[t as usize]));
@@ -923,7 +911,7 @@ impl InvertedIndex {
     /// The largest `|weight|` indexed under `term` across the flat
     /// segment and the tail; zero for empty or out-of-range terms.
     /// Removals can leave it loose (still a sound upper bound) until the
-    /// next purge recomputes it exactly.
+    /// next flat rewrite recomputes it exactly.
     pub fn max_impact(&self, term: TermId) -> f64 {
         let Some(&flat) = self.flat.max_impact.get(term as usize) else {
             return 0.0;
@@ -947,7 +935,7 @@ impl InvertedIndex {
     }
 
     /// Returns `true` when `self` and `other` share one flat segment —
-    /// i.e. no compaction, purge, or rebuild separates the two clones.
+    /// i.e. no flat rewrite or rebuild separates the two clones.
     #[doc(hidden)]
     pub fn shares_flat_with(&self, other: &InvertedIndex) -> bool {
         Arc::ptr_eq(&self.flat, &other.flat)
@@ -1541,6 +1529,78 @@ mod tests {
         // A purged row lets go of its arrays; a live one holds them.
         assert_eq!(vectors[0].holders(), (1, 1));
         assert_eq!(vectors[1].holders(), (2, 2));
+    }
+
+    /// Asserts the flat segment holds postings and rows of live docs
+    /// only.
+    fn assert_segment_holds_only_live_docs(idx: &InvertedIndex) {
+        for t in 0..idx.dim as TermId {
+            let (docs, _) = idx.flat.postings.column(t);
+            assert!(docs.iter().all(|&d| idx.is_live(d as DocId)), "term {t}");
+        }
+        let mut rows = idx.flat.rows.iter().enumerate();
+        assert!(rows.all(|(d, row)| row.is_some() == idx.is_live(d)));
+    }
+
+    #[test]
+    fn an_insert_triggered_rewrite_drops_tombstoned_postings() {
+        // Doc 0 alone carries term 2; the other 99 docs share two terms.
+        let common = || SparseVec::from_pairs(4, [(0, 3.0), (1, 4.0)]).unwrap();
+        let slots = std::iter::once(SparseVec::from_pairs(4, [(2, 1.0)]).unwrap());
+        let slots = slots.chain((1..100).map(|_| common())).map(Some);
+        let mut idx = InvertedIndex::from_slots(4, slots).unwrap();
+        // One tombstone among 100 docs is far under the remove trigger.
+        idx.remove(0).unwrap();
+        assert_eq!((idx.posting_len(2), idx.dead_unpurged), (1, 1));
+        assert!((idx.max_impact(2) - 1.0).abs() < 1e-12);
+        let mut inserts = 0;
+        loop {
+            let held = idx.clone();
+            idx.insert(common()).unwrap();
+            inserts += 1;
+            if !idx.shares_flat_with(&held) {
+                break;
+            }
+            assert!(inserts < 100, "the tail trigger never fired");
+        }
+        assert!(idx.tail.is_empty(), "the tail was folded in");
+        assert_eq!((idx.posting_len(2), idx.dead_unpurged), (0, 0));
+        assert_eq!(idx.max_impact(2), 0.0);
+        assert!((idx.max_impact(0) - 0.6).abs() < 1e-12);
+        assert_bounds_match_reference(&idx);
+        assert_segment_holds_only_live_docs(&idx);
+        assert!(!idx.is_live(0));
+        assert_eq!(idx.live_len(), 99 + inserts);
+    }
+
+    #[test]
+    fn fifo_replacement_rewrites_only_on_insert() {
+        // A sliding window of 512 three-term docs: each step inserts one
+        // and removes the oldest. A segment over 512 live docs holds 1536
+        // or 1539 postings, so the tail trigger (`4 · tail ≥ nnz + 256`)
+        // fires on every 150th insert, while the 149 docs tombstoned by
+        // then stay under the remove trigger (`4 · dead ≥ live + dead`,
+        // i.e. 171 dead): every rewrite is an insert's.
+        const WINDOW: usize = 512;
+        const STEPS: usize = 3000;
+        let docs = banded_corpus(WINDOW + STEPS, 32);
+        let mut idx = InvertedIndex::from_slots(32, docs[..WINDOW].iter().map(Some)).unwrap();
+        let mut rewrites = 0;
+        for (oldest, doc) in docs[WINDOW..].iter().enumerate() {
+            let held = idx.clone();
+            idx.insert(doc.clone()).unwrap();
+            if !idx.shares_flat_with(&held) {
+                rewrites += 1;
+                assert_segment_holds_only_live_docs(&idx);
+                assert_eq!(idx.dead_unpurged, 0);
+            }
+            let held = idx.clone();
+            idx.remove(oldest).unwrap();
+            assert!(idx.shares_flat_with(&held), "remove {oldest} rewrote");
+        }
+        assert_eq!(rewrites, STEPS / 150);
+        assert_eq!(idx.live_len(), WINDOW);
+        assert_bounds_match_reference(&idx);
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl Shard {
         Self::from_slots::<SparseVec>(shard, router, dim, []).expect("no vector to mismatch")
     }
 
-    /// Builds shard `shard` fully compacted in one pass: the `l`-th slot
+    /// Builds shard `shard` fully rewritten in one pass: the `l`-th slot
     /// is the vector of the shard's local doc `l` (global doc
     /// `router.global_of(shard, l)`), or `None` for a tombstoned slot —
     /// see [`InvertedIndex::from_slots`].
@@ -195,8 +195,8 @@ impl Shard {
         self.index.remove(self.router.local_of(global))
     }
 
-    /// Fully compacts this shard's postings (see
-    /// [`InvertedIndex::optimize`]).
+    /// Rewrites this shard's postings into one flat segment of its live
+    /// docs (see [`InvertedIndex::optimize`]).
     pub fn optimize(&mut self) {
         self.index.optimize();
     }
