@@ -11,7 +11,8 @@
 //!   index at a scale where exact equality is too strict),
 //! * the built graph against its own invariants, and exhaustive-beam
 //!   `knn` against exact k-NN, on random small corpora (property-based),
-//! * `build`, `knn`, `neighbors` and `fit_snn` against a golden hash.
+//! * `build`, `knn` and `neighbors` against one golden hash, `fit_snn`
+//!   against another.
 //!
 //! `docs/CLUSTERING.md` documents the contract tier by tier.
 
@@ -176,27 +177,28 @@ impl Fold {
     }
 }
 
-/// What `golden_graph_and_snn_match_the_pinned_parent` folds to.
-/// Computed before the graph lost its insert/remove half, and held
-/// unedited through that deletion (`0x4dc7_401d_620d_cc47`); re-pinned
-/// when `AnnGraph`'s `link` stopped leaving one-sided edges, which
-/// changes the built graph on purpose (`0x0faf_9a92_9206_bdd6`); and
-/// re-pinned when the two Cosine `fit_snn` runs left the fold with the
-/// Cosine distance itself. The value is the Euclidean-only fold
-/// computed before that deletion, so no Euclidean bit moved.
-const GOLDEN_GRAPH_AND_SNN: u64 = 0xf478_4d3f_8f19_2f22;
+/// What `golden_graph_matches_the_pinned_parent` folds to: the graph
+/// half of the fold that held graph and `fit_snn` together (last pinned
+/// at `0xf478_4d3f_8f19_2f22`), computed on the same code when the two
+/// halves were split.
+const GOLDEN_GRAPH: u64 = 0x702b_6594_df4a_2efa;
+
+/// What `golden_snn_matches_the_pinned_parent` folds to: the `fit_snn`
+/// half of the same split fold.
+const GOLDEN_SNN: u64 = 0x6117_1d80_229f_89b5;
+
+/// The two corpora both golden hashes fold over:
+/// `(n, classes, band, nnz, seed)`.
+const GOLDEN_CORPORA: [(usize, usize, usize, usize, u64); 2] =
+    [(300, 10, 8, 5, 3), (2000, 50, 12, 8, 7)];
 
 #[test]
-fn golden_graph_and_snn_match_the_pinned_parent() {
+fn golden_graph_matches_the_pinned_parent() {
     // Everything the graph hands its callers, to the bit: every node's
-    // layer-0 list (what `fit_snn` harvests), `knn` ids and distances
-    // for a fixed probe set (what the benchmark's replay queries), and
-    // every `fit_snn` merge under two linkages.
+    // layer-0 list, and `knn` ids and distances for a fixed probe set
+    // (what the benchmark's replay queries).
     let mut fold = Fold::new();
-    for (n, classes, band, nnz, seed) in [
-        (300usize, 10usize, 8usize, 5usize, 3u64),
-        (2000, 50, 12, 8, 7),
-    ] {
+    for (n, classes, band, nnz, seed) in GOLDEN_CORPORA {
         let (points, _) = class_corpus(n, classes, band, nnz, seed);
         let graph = AnnGraph::build(points[0].dim(), &points).unwrap();
         for i in 0..n {
@@ -212,6 +214,20 @@ fn golden_graph_and_snn_match_the_pinned_parent() {
                 fold.word(d.to_bits());
             }
         }
+    }
+    assert_eq!(
+        fold.0, GOLDEN_GRAPH,
+        "graph no longer bit-identical to the pinned run: {:#018x}",
+        fold.0
+    );
+}
+
+#[test]
+fn golden_snn_matches_the_pinned_parent() {
+    // Every `fit_snn` merge under two linkages, to the bit.
+    let mut fold = Fold::new();
+    for (n, classes, band, nnz, seed) in GOLDEN_CORPORA {
+        let (points, _) = class_corpus(n, classes, band, nnz, seed);
         for linkage in [Linkage::Single, Linkage::Average] {
             let tree = Agglomerative::new(linkage)
                 .fit_snn(&points, &SnnParams::default())
@@ -225,8 +241,8 @@ fn golden_graph_and_snn_match_the_pinned_parent() {
         }
     }
     assert_eq!(
-        fold.0, GOLDEN_GRAPH_AND_SNN,
-        "graph or fit_snn no longer bit-identical to the pinned run: {:#018x}",
+        fold.0, GOLDEN_SNN,
+        "fit_snn no longer bit-identical to the pinned run: {:#018x}",
         fold.0
     );
 }
