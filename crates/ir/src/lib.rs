@@ -22,11 +22,11 @@
 //!   packed [`CsrMatrix`] corpus layout the batch/clustering paths use
 //!   and its transpose [`CscMatrix`], read term by term by the one
 //!   scatter kernel behind the index's posting segment, the SVM's kernel
-//!   matrix and its predictions,
+//!   matrix and its predictions, and the exact k-NN lists of the SNN
+//!   agglomeration,
 //! * [`AnnGraph`] — a navigable-small-world graph, built once over a
-//!   corpus, whose layer-0 adjacency feeds sub-quadratic clustering and
-//!   whose `knn(query, k, ef)` beam search answers approximate k-NN
-//!   queries in O(ef · degree) distance evaluations,
+//!   corpus, whose `knn(query, k, ef)` beam search answers approximate
+//!   k-NN queries in O(ef · degree) distance evaluations,
 //! * [`InvertedIndex`] — the postings search structure with
 //!   tombstone-aware removal, posting rebuilds, and a pruned early-exit
 //!   top-k that is bit-identical to the exhaustive scan (§2.2's

@@ -9,7 +9,7 @@
 //!
 //! Its transpose, [`CscMatrix`], stores a corpus by term for the paths
 //! that read it that way: the inverted index's posting segment, the SVM
-//! kernel matrix and SVM prediction.
+//! kernel matrix, SVM prediction and the SNN agglomeration's k-NN lists.
 
 use crate::distance::sq_norm;
 use crate::sparse::check_dim;

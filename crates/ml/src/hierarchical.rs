@@ -1,12 +1,9 @@
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use fmeter_ir::{euclidean_distance, AnnGraph, CsrMatrix, Metric, SparseVec};
+use fmeter_ir::{euclidean_distance, CscMatrix, CsrMatrix, SparseVec};
 
 use crate::MlError;
-
-/// Per-point candidate lists: for each point, its `(neighbour, distance)`
-/// edges ranked by exact distance.
-type CandidateLists = Vec<Vec<(usize, f64)>>;
 
 /// Linkage criterion for agglomerative clustering.
 ///
@@ -48,11 +45,9 @@ pub struct Dendrogram {
 /// [`Agglomerative::fit_snn`].
 ///
 /// The candidate graph is the symmetric union of every point's `knn`
-/// best candidates, harvested from the layer-0 adjacency of an
-/// [`AnnGraph`] built over the points (each point's direct neighbours
-/// plus their neighbours, ranked by exact distance). A larger `knn`
-/// buys accuracy with time; when `knn >= n - 1` the candidate graph is
-/// complete and the path degenerates to the exact NN-chain.
+/// exact nearest neighbours. A larger `knn` buys accuracy with merge
+/// time and memory; when `knn >= n - 1` the candidate graph is complete
+/// and every cut equals [`Agglomerative::fit_brute_force`]'s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnnParams {
     /// Nearest neighbours kept per point (candidate edges).
@@ -64,10 +59,6 @@ impl Default for SnnParams {
         SnnParams { knn: 32 }
     }
 }
-
-/// Construction-time candidate budget of the [`AnnGraph`] `fit_snn`
-/// builds.
-const SNN_EF_CONSTRUCTION: usize = 80;
 
 /// Agglomerative hierarchical clustering.
 ///
@@ -110,7 +101,7 @@ impl Agglomerative {
     ///
     /// Runs the nearest-neighbour-chain algorithm over the condensed
     /// distance matrix produced by the parallel
-    /// [`CsrMatrix::pairwise_condensed`] batch kernel: the chain walks to
+    /// [`CsrMatrix::pairwise_euclidean`] batch kernel: the chain walks to
     /// a pair of mutual nearest neighbours, merges it, and backtracks,
     /// touching each inter-cluster distance O(1) times per merge — O(n²)
     /// total where the closest-pair scan of
@@ -143,7 +134,7 @@ impl Agglomerative {
             return Ok(degenerate);
         }
         let csr = CsrMatrix::from_rows(points)?;
-        let mut condensed = csr.pairwise_condensed(Metric::Euclidean)?;
+        let mut condensed = csr.pairwise_euclidean();
         Ok(self.merge_nn_chain(n, &mut condensed))
     }
 
@@ -175,7 +166,7 @@ impl Agglomerative {
             return Ok(degenerate);
         }
         let csr = CsrMatrix::from_rows(points)?;
-        let condensed = csr.pairwise_condensed(Metric::Euclidean)?;
+        let condensed = csr.pairwise_euclidean();
         // Full n x n mirror of the condensed matrix; slots are reused by
         // merged clusters (slot i < n starts as point i).
         let mut dist = vec![0.0f64; n * n];
@@ -250,38 +241,50 @@ impl Agglomerative {
         })
     }
 
-    /// Locality-pruned agglomeration: the sub-quadratic path.
+    /// Locality-pruned agglomeration: the path whose memory grows as
+    /// n · knn.
     ///
     /// Instead of the n(n-1)/2-entry condensed matrix, this builds a
     /// *shared-nearest-neighbour candidate graph* — the symmetric union
-    /// of every point's `params.knn` approximate nearest neighbours
-    /// from an [`AnnGraph`] built over the points — and runs the same
-    /// nearest-neighbour-chain / Lance–Williams merge engine as
+    /// of every point's `params.knn` exact nearest neighbours — and runs
+    /// the same nearest-neighbour-chain / Lance–Williams merge engine as
     /// [`fit`](Self::fit), but only ever over graph-connected
     /// candidates: cluster-to-cluster distances live in per-cluster
-    /// sparse maps that merge in O(degree) per step. Memory is
-    /// O(n · knn) and time is dominated by the O(n · ef · degree) ANN
-    /// build. What is measured: at n = 2048 this path is no faster than
-    /// [`fit`](Self::fit) — `benchmark/`'s layer replay times the two
-    /// back to back on the same points as `hier.snn_ms` and
-    /// `hier.nn_chain_ms`, and the ratio sits between level and a third
-    /// slower — so it can only win well above that size (the dense
-    /// path's matrix grows as n², this path's graph as n · knn); no
-    /// same-run measurement of the crossover exists yet.
+    /// sparse maps that merge in O(degree) per step.
+    ///
+    /// The neighbours are found with one [`CscMatrix`] of the points:
+    /// point i is scattered into its columns once, which gives every
+    /// `x_i·x_j`, and each `j ≠ i` is ranked by `‖x_j‖² − 2·x_i·x_j` (its
+    /// squared distance less `‖x_i‖²`), ties to the lower index. One
+    /// O(n) selection per point keeps the best `knn`. Each edge of the
+    /// union is then weighed once with [`euclidean_distance`]. Time is
+    /// O(n²) like [`fit`](Self::fit), but a pair costs a multiply-add
+    /// per shared term and a compare, and besides the transpose the
+    /// working set is O(n · knn).
+    /// What is measured (2-core host, single linkage, on the shape of
+    /// `benchmark/`'s `clustered_points`: 4 classes, 24 of 48 band terms
+    /// a point): against [`fit`](Self::fit), medians of 7 runs read
+    /// 19–20 against 21 ms at 1024 points, 72–82 against 103 ms at 2048,
+    /// and, of 3, 215–346 against 532–534 ms at 4096; the layer replay's
+    /// `hier.snn_ms` (2048 points) and `hier.nn_chain_ms` (2000) read 32
+    /// against 49 ms, reference-normalised, in two traced runs.
     ///
     /// Accuracy contract (pinned by `crates/ml/tests/ann_clustering.rs`
     /// and tabulated in `docs/CLUSTERING.md`): when the candidate graph
-    /// is complete (`params.knn >= n - 1` with a generous `ef`) the
-    /// result is *identical* to [`fit`](Self::fit); on sparser graphs a
-    /// missing candidate edge means the Lance–Williams update falls
-    /// back to the distances it has (exact for single linkage as long
-    /// as the true merge edge is in the graph; an approximation for
-    /// average linkage), so cut partitions are approximate with high
-    /// agreement (ARI ≥ 0.95 on clustered corpora). Disconnected
-    /// candidate graphs are bridged with exact distances between
-    /// component representatives before merging, so the dendrogram is
-    /// always complete. Degenerate inputs follow the shared contract
-    /// documented on [`fit`](Self::fit).
+    /// is complete (`params.knn >= n - 1`) every cut equals
+    /// [`fit_brute_force`](Self::fit_brute_force)'s. The heights need
+    /// not be bit-equal to [`fit`](Self::fit)'s, whose batch kernel
+    /// rounds some distances differently. On sparser graphs single
+    /// linkage merges at the weights of the graph's minimum spanning
+    /// tree, bit for bit; a missing candidate edge means the
+    /// Lance–Williams update falls back to the distances it has (exact
+    /// for single linkage as long as the true merge edge is in the
+    /// graph; an approximation for average linkage), so cut partitions
+    /// are approximate with high agreement (ARI ≥ 0.95 on clustered
+    /// corpora). Disconnected candidate graphs are bridged with exact
+    /// distances between component representatives before merging, so
+    /// the dendrogram is always complete. Degenerate inputs follow the
+    /// shared contract documented on [`fit`](Self::fit).
     ///
     /// # Errors
     ///
@@ -293,105 +296,39 @@ impl Agglomerative {
             return Ok(degenerate);
         }
         let k = params.knn.min(n - 1).max(1);
+        let columns = CscMatrix::from_rows(points[0].dim(), points)?;
+        let sq_norms: Vec<f64> = points.iter().map(SparseVec::norm_l2_sq).collect();
+        // `rank[j]` is `‖x_j‖² − 2·x_i·x_j`: the squared distance to
+        // point i less `‖x_i‖²`, which orders i's neighbours alike.
+        let mut rank = vec![0.0f64; n];
+        let mut nearest: Vec<usize> = Vec::with_capacity(n - 1);
         // Symmetric union of the k-NN lists; BTreeMaps so every
         // nearest-neighbour scan iterates candidates in ascending slot
         // order — the same deterministic tie order as the dense chain.
         let mut adj: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); n];
-        if k >= n - 1 {
-            // `knn >= n-1` *requests* the complete candidate graph — the
-            // exact-oracle configuration the reference tests pin. Build
-            // it directly from exact pairwise distances rather than
-            // through beam searches, so exactness never depends on ANN
-            // recall.
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let d = euclidean_distance(&points[i], &points[j])?;
-                    adj[i].insert(j, d);
-                    adj[j].insert(i, d);
+        for (i, point) in points.iter().enumerate() {
+            nearest.clear();
+            nearest.extend((0..n).filter(|&j| j != i));
+            if k < n - 1 {
+                rank.fill(0.0);
+                columns.scatter(point.iter(), 0, &mut rank);
+                for (r, &sq) in rank.iter_mut().zip(&sq_norms) {
+                    *r = sq - 2.0 * *r;
                 }
+                nearest.select_nth_unstable_by(k - 1, |&a, &b| {
+                    rank[a].total_cmp(&rank[b]).then(a.cmp(&b))
+                });
+                nearest.truncate(k);
             }
-        } else {
-            let graph = AnnGraph::new(points[0].dim(), points, SNN_EF_CONSTRUCTION)?;
-            for (i, list) in self
-                .harvest_candidates(points, &graph, k)?
-                .into_iter()
-                .enumerate()
-            {
-                for (j, d) in list {
-                    adj[i].insert(j, d);
+            for &j in &nearest {
+                if let Entry::Vacant(slot) = adj[i].entry(j) {
+                    let d = *slot.insert(euclidean_distance(point, &points[j])?);
                     adj[j].insert(i, d);
                 }
             }
         }
         self.bridge_components(points, &mut adj)?;
         Ok(self.merge_nn_chain_sparse(n, &mut adj))
-    }
-
-    /// Harvests each point's `k` best candidate edges from the built
-    /// graph's layer-0 adjacency: the point's direct neighbours plus
-    /// their neighbours (the 2-hop closure), ranked by exact distance.
-    /// With degree `d` that is at most `d + d²` candidates per point —
-    /// a fixed, beam-free cost — and the closure recovers near
-    /// neighbours the diversity pruning displaced to a mutual
-    /// neighbour's list. Each point's list is an independent exact
-    /// computation, so the result is deterministic regardless of the
-    /// worker count (the fan-out mirrors the K-means assignment step).
-    fn harvest_candidates(
-        &self,
-        points: &[SparseVec],
-        graph: &AnnGraph,
-        k: usize,
-    ) -> Result<CandidateLists, MlError> {
-        let n = points.len();
-        let harvest_one = |i: usize| -> Result<Vec<(usize, f64)>, MlError> {
-            let mut cand: Vec<usize> = Vec::new();
-            for &j in graph.neighbors(i) {
-                cand.push(j as usize);
-                for &h in graph.neighbors(j as usize) {
-                    cand.push(h as usize);
-                }
-            }
-            cand.sort_unstable();
-            cand.dedup();
-            cand.retain(|&j| j != i);
-            let mut ranked: Vec<(usize, f64)> = cand
-                .into_iter()
-                .map(|j| Ok((j, euclidean_distance(&points[i], &points[j])?)))
-                .collect::<Result<_, MlError>>()?;
-            ranked.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            ranked.truncate(k);
-            Ok(ranked)
-        };
-        let threads = if n >= 2048 {
-            std::thread::available_parallelism()
-                .map_or(1, |p| p.get())
-                .min(n)
-        } else {
-            1
-        };
-        if threads <= 1 {
-            return (0..n).map(harvest_one).collect();
-        }
-        let chunk = n.div_ceil(threads);
-        let mut lists = Vec::with_capacity(n);
-        let results: Vec<Result<CandidateLists, MlError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(n);
-                    let harvest_one = &harvest_one;
-                    s.spawn(move || (lo..hi).map(harvest_one).collect())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("harvest worker panicked"))
-                .collect()
-        });
-        for r in results {
-            lists.extend(r?);
-        }
-        Ok(lists)
     }
 
     /// Connects the candidate graph when the k-NN union left it in

@@ -22,8 +22,8 @@
 //! once: cross-validation shares one matrix (n² × 8 B) between all folds
 //! and `C` values. And oracle-pinned
 //! approximation: [`Agglomerative::fit_snn`] agglomerates
-//! over a shared-nearest-neighbour candidate graph from
-//! [`fmeter_ir::AnnGraph`] k-NN lists in sub-quadratic time, and
+//! over a shared-nearest-neighbour candidate graph of exact k-NN lists
+//! in O(n · knn) memory, and
 //! [`KMeans::fit_warm_in_place`] re-clusters incrementally from a
 //! previous assignment kept by its caller, the cluster sums kept for it ([`ClusterStats`]) and the
 //! distance bounds it carries ([`PointBounds`]) —

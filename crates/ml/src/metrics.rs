@@ -194,7 +194,7 @@ fn contingency(assignments: &[usize], classes: &[usize]) -> Result<Vec<Vec<usize
 /// `ARI = (Σ_{ij} C(n_{ij},2) − E) / (max − E)` where
 /// `E = Σ_i C(a_i,2) · Σ_j C(b_j,2) / C(n,2)` and
 /// `max = ½ (Σ_i C(a_i,2) + Σ_j C(b_j,2))`. This is the agreement score
-/// the sub-quadratic clustering tests use to pin [`Agglomerative::fit_snn`]
+/// the approximate clustering tests use to pin [`Agglomerative::fit_snn`]
 /// against the exact NN-chain at scales where exact cut equality is too
 /// strict.
 ///

@@ -1,4 +1,4 @@
-//! The exact-reference test layer for the sub-quadratic clustering tier.
+//! The exact-reference test layer for the approximate clustering tier.
 //!
 //! Every approximation in the ANN/SNN/warm-start stack is pinned here
 //! against the exact algorithm it replaces:
@@ -9,6 +9,8 @@
 //!   (exact cut-partition equality when the candidate graph is complete)
 //!   and against the O(n²) NN-chain [`Agglomerative::fit`] (adjusted Rand
 //!   index at a scale where exact equality is too strict),
+//! * its single-linkage heights against Kruskal's minimum spanning tree
+//!   of the brute-force k-NN graph, bit for bit,
 //! * the built graph against its own invariants, and exhaustive-beam
 //!   `knn` against exact k-NN, on random small corpora (property-based),
 //! * `build`, `knn` and `neighbors` against one golden hash, `fit_snn`
@@ -162,6 +164,62 @@ fn snn_pruned_ari_vs_nn_chain_at_2k() {
     );
 }
 
+#[test]
+fn snn_single_linkage_heights_are_the_exact_knn_graph_mst() {
+    // `fit_snn`'s candidate graph is the union of every point's exact
+    // k-NN, and single linkage over a connected graph merges along its
+    // minimum spanning tree: the merge heights are the MST's weights,
+    // to the bit, when both weigh an edge with `euclidean_distance`.
+    fn root(parent: &[usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            x = parent[x];
+        }
+        x
+    }
+    for (n, k, base) in [(200usize, 8usize, 0u64), (400, 6, 1000), (300, 10, 2000)] {
+        let points: Vec<SparseVec> = (0..n as u64).map(|i| seeded_point(base + i)).collect();
+        let mut edges: Vec<(f64, usize, usize)> = Vec::new();
+        for i in 0..n {
+            for j in exact_knn(&points, i, k) {
+                let (a, b) = (i.min(j), i.max(j));
+                edges.push((euclidean_distance(&points[a], &points[b]).unwrap(), a, b));
+            }
+        }
+        edges.sort_by(|x, y| x.0.total_cmp(&y.0).then((x.1, x.2).cmp(&(y.1, y.2))));
+        edges.dedup();
+        // Kruskal.
+        let mut parent: Vec<usize> = (0..n).collect();
+        let mut mst: Vec<f64> = Vec::with_capacity(n - 1);
+        for (d, a, b) in edges {
+            let (ra, rb) = (root(&parent, a), root(&parent, b));
+            if ra != rb {
+                parent[ra] = rb;
+                mst.push(d);
+            }
+        }
+        assert_eq!(
+            mst.len(),
+            n - 1,
+            "exact {k}-NN graph of {n} points is disconnected"
+        );
+        let heights: Vec<u64> = Agglomerative::new(Linkage::Single)
+            .fit_snn(&points, &SnnParams { knn: k })
+            .unwrap()
+            .merges()
+            .iter()
+            .map(|m| m.distance.to_bits())
+            .collect();
+        let mst: Vec<u64> = mst.iter().map(|d| d.to_bits()).collect();
+        let matched = heights.iter().zip(&mst).filter(|(h, m)| h == m).count();
+        assert_eq!(
+            heights,
+            mst,
+            "n={n} k={k}: {matched}/{} merge heights equal the exact k-NN MST",
+            n - 1
+        );
+    }
+}
+
 /// FNV-1a over a stream of 64-bit words.
 struct Fold(u64);
 
@@ -184,8 +242,11 @@ impl Fold {
 const GOLDEN_GRAPH: u64 = 0x702b_6594_df4a_2efa;
 
 /// What `golden_snn_matches_the_pinned_parent` folds to: the `fit_snn`
-/// half of the same split fold.
-const GOLDEN_SNN: u64 = 0x6117_1d80_229f_89b5;
+/// half of the same split fold. Pinned at `0x6117_1d80_229f_89b5` when
+/// `fit_snn` harvested its candidates from the graph; re-pinned when it
+/// switched to exact k-NN lists, which changes its sparse merges on
+/// purpose while `GOLDEN_GRAPH` stayed as it was.
+const GOLDEN_SNN: u64 = 0xaed8_bb9d_86fc_2942;
 
 /// The two corpora both golden hashes fold over:
 /// `(n, classes, band, nnz, seed)`.
